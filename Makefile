@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test race check bench bench-update benchsmoke profile
+.PHONY: build fmt vet test race check bench bench-update benchsmoke profile repobench repobench-compare
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,25 @@ bench-update:
 	@mkdir -p out
 	$(GO) test -p 1 -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./... > out/bench.out
 	$(GO) run ./cmd/benchjson -path $(BASELINE) -write < out/bench.out
+
+# The repository benchmark (contract: BENCHMARK.json, harness and metric
+# tables: bench/README.md): four workloads, each an untraced pass for the
+# eight gated end-to-end metrics and a traced pass for the per-layer ledger,
+# ~25 s per pass. `repobench` writes the full report under the git-ignored
+# out/; `repobench-compare` prints the second report's change against the
+# first beside each metric's regression bound and fails past it. To weigh a
+# change, record the parent commit with
+# `make repobench REPOBENCH_OUT=out/repobench-base.json`, the change with
+# `make repobench`, then compare. Host time is noisy on shared machines:
+# a claimed gain needs alternating pairs, not one comparison (see
+# EXPERIMENTS.md "Performance tracking").
+REPOBENCH_OUT ?= out/repobench.json
+REPOBENCH_BASE ?= out/repobench-base.json
+repobench:
+	$(GO) run ./bench -json $(REPOBENCH_OUT)
+
+repobench-compare:
+	$(GO) run ./bench -compare $(REPOBENCH_BASE) $(REPOBENCH_OUT)
 
 # CPU and allocation profiles of the DSE-heavy delay-class sweep, the
 # workload the scheduler benchmarks exercise. Prints the top 15 cumulative

@@ -12,20 +12,21 @@ import (
 // with.
 //
 // The CM sits on the engine's per-batch hot loop (Observe + RateChanged run
-// once per scheduling iteration), so it keeps the registered queues in a
-// name-sorted slice — no map iteration, no per-call sorting — and memoizes
-// the change-detection verdict: estimates only move when an estimator
-// absorbs a new arrival, so RateChanged recomputes only when Observe fed
-// one (or the planned baseline was re-snapshotted).
+// once per scheduling iteration, over every queue of every active query), so
+// both are incremental. Observe skips a queue with nothing due after one
+// compare. RateChanged keeps a per-queue verdict — "this wrapper's estimate
+// deviates significantly from its planned baseline" — and re-judges only the
+// queues whose estimator absorbed an arrival since the last call: a verdict
+// is a function of the queue's estimate, its baseline and the detection
+// parameters, so it can only move when one of those does. A new baseline
+// (SnapshotPlanned), a new queue (Adopt) or a parameter change re-judges
+// everything. The answer — the first changed wrapper in name order — is
+// therefore the full scan's, by construction.
 type Manager struct {
 	queues  map[string]*Queue
-	ordered []*Queue // name-sorted, the CM's deterministic scan order
-	names   []string // name-sorted, parallel to ordered
-
-	// planned holds, per wrapper, the waiting-time estimate in force when
-	// the current scheduling plan was computed; used for RateChange
-	// detection.
-	planned map[string]time.Duration
+	ordered []*Queue    // name-sorted, the CM's deterministic scan order
+	names   []string    // name-sorted, parallel to ordered
+	rates   []rateState // parallel to ordered
 
 	// ChangeFactor is the ratio beyond which a waiting-time drift is
 	// significant (paper: "any significant change"). Default 2.
@@ -35,21 +36,35 @@ type Manager struct {
 	// enough arrivals to be trusted.
 	MinObservations int64
 
-	// RateChanged memo: valid while no estimator has absorbed new arrivals
-	// (estGen unchanged) and the detection parameters are unchanged.
-	estGen     int64
-	memoValid  bool
-	memoGen    int64
-	memoRate   string
-	memoFactor float64
-	memoMinObs int64
+	// dirty counts the queues flagged for re-judging at the next
+	// RateChanged; allDirty flags every queue at once. changed counts the
+	// standing positive verdicts, judgedFactor/judgedMinObs are the
+	// parameters they were reached under.
+	dirty        int
+	allDirty     bool
+	changed      int
+	judgedFactor float64
+	judgedMinObs int64
+}
+
+// rateState is the change-detection state of one queue.
+type rateState struct {
+	// planned is the waiting-time estimate in force when the current
+	// scheduling plan was computed; hasPlan is false for a queue adopted
+	// after the last snapshot, which has no baseline to deviate from.
+	planned time.Duration
+	hasPlan bool
+	dirty   bool // absorbed arrivals since its verdict was reached
+	changed bool // the standing verdict
 }
 
 // NewManager returns a CM with no queues yet.
 func NewManager() *Manager {
 	return &Manager{
-		queues:          make(map[string]*Queue),
-		planned:         make(map[string]time.Duration),
+		queues: make(map[string]*Queue),
+		// One allocation covers a typical single query (Figure 5 registers
+		// six wrappers); a server's many queues grow it by doubling.
+		rates:           make([]rateState, 0, 8),
 		ChangeFactor:    2,
 		MinObservations: 64,
 	}
@@ -79,7 +94,10 @@ func (m *Manager) Adopt(q *Queue) {
 	m.ordered = append(m.ordered, nil)
 	copy(m.ordered[i+1:], m.ordered[i:])
 	m.ordered[i] = q
-	m.memoValid = false
+	m.rates = append(m.rates, rateState{})
+	copy(m.rates[i+1:], m.rates[i:])
+	m.rates[i] = rateState{}
+	m.allDirty = true
 }
 
 // Queues returns the registered queues in name-sorted order. The returned
@@ -99,9 +117,13 @@ func (m *Manager) Names() []string { return m.names }
 // Observe refreshes every rate estimator with the arrivals visible at time
 // now.
 func (m *Manager) Observe(now time.Duration) {
-	for _, q := range m.ordered {
-		if q.ObserveArrivals(now) > 0 {
-			m.estGen++
+	for i, q := range m.ordered {
+		if !q.observeDue(now) || q.ObserveArrivals(now) == 0 {
+			continue
+		}
+		if r := &m.rates[i]; !r.dirty {
+			r.dirty = true
+			m.dirty++
 		}
 	}
 }
@@ -123,36 +145,59 @@ func (m *Manager) Wait(name string, fallback time.Duration) time.Duration {
 // SnapshotPlanned records the estimates the scheduler is about to plan
 // with; subsequent RateChanged calls compare against this baseline.
 func (m *Manager) SnapshotPlanned(fallback func(name string) time.Duration) {
-	for _, name := range m.names {
-		m.planned[name] = m.Wait(name, fallback(name))
+	for i, q := range m.ordered {
+		w := fallback(m.names[i])
+		if est, ok := q.EstimatedWait(); ok {
+			w = est
+		}
+		m.rates[i].planned, m.rates[i].hasPlan = w, true
 	}
-	m.memoValid = false
+	m.allDirty = true
+}
+
+// judge recomputes queue i's verdict under the current parameters.
+func (m *Manager) judge(i int) {
+	q, r := m.ordered[i], &m.rates[i]
+	if r.dirty {
+		r.dirty = false
+		m.dirty--
+	}
+	cur, ok := q.EstimatedWait()
+	verdict := ok && q.est.Observations() >= m.MinObservations && r.hasPlan &&
+		SignificantChange(r.planned, cur, m.ChangeFactor)
+	if verdict != r.changed {
+		r.changed = verdict
+		if verdict {
+			m.changed++
+		} else {
+			m.changed--
+		}
+	}
 }
 
 // RateChanged reports the first wrapper (in name order) whose current
 // estimate deviates from the planned baseline by more than ChangeFactor, or
 // "" if none does.
 func (m *Manager) RateChanged() string {
-	if m.memoValid && m.memoGen == m.estGen &&
-		m.memoFactor == m.ChangeFactor && m.memoMinObs == m.MinObservations {
-		return m.memoRate
+	if m.judgedFactor != m.ChangeFactor || m.judgedMinObs != m.MinObservations {
+		m.judgedFactor, m.judgedMinObs = m.ChangeFactor, m.MinObservations
+		m.allDirty = true
 	}
-	rate := ""
-	for i, q := range m.ordered {
-		cur, ok := q.EstimatedWait()
-		if !ok || q.est.Observations() < m.MinObservations {
-			continue
+	if m.allDirty || m.dirty > 0 {
+		for i := range m.rates {
+			if m.allDirty || m.rates[i].dirty {
+				m.judge(i)
+			}
 		}
-		base, planned := m.planned[m.names[i]]
-		if !planned {
-			continue
-		}
-		if SignificantChange(base, cur, m.ChangeFactor) {
-			rate = m.names[i]
-			break
+		m.allDirty = false
+	}
+	if m.changed == 0 {
+		return ""
+	}
+	for i := range m.rates {
+		if m.rates[i].changed {
+			return m.names[i]
 		}
 	}
-	m.memoValid, m.memoGen, m.memoRate = true, m.estGen, rate
-	m.memoFactor, m.memoMinObs = m.ChangeFactor, m.MinObservations
-	return rate
+	return ""
 }

@@ -21,6 +21,21 @@ type Producer interface {
 	Resume(now time.Duration)
 }
 
+// BulkProducer is a Producer that can replay a whole run of credits at once.
+// A queue whose producer implements it defers production: Credit only
+// records its instant, and the run of recorded instants is handed over in
+// one ResumeN when the queue settles (see Queue.Settle). ResumeN(floors)
+// must leave the producer and the queue exactly as Resume(floors[0]),
+// Resume(floors[1]), ... would have, each seeing the window as it stood at
+// its own credit: when floor i is replayed the later len(floors)-1-i credits
+// have already left the queue's debt but must still count against the
+// window. A producer offering Resume only is resumed eagerly, once per
+// credit.
+type BulkProducer interface {
+	Producer
+	ResumeN(floors []time.Duration)
+}
+
 // Queue is the bounded arrival buffer of one wrapper. Tuples carry their
 // virtual arrival timestamps; the consumer only sees tuples whose arrival is
 // not in its future. When the queue is full the wrapper is suspended
@@ -76,6 +91,24 @@ type Queue struct {
 	pass    []bool
 
 	producer Producer
+
+	// Deferred production. bulk is the producer's ResumeN form (nil for a
+	// Resume-only producer, which is resumed eagerly); pend holds the
+	// instants of the credits whose refills have not been simulated yet, in
+	// credit order. Every pending credit stands for a free window slot, so
+	// pend never outgrows the window and is allocated once at that size.
+	//
+	// Deferral is exact because arrivals are monotone: every refill a
+	// pending credit will produce arrives no earlier than the newest buffered
+	// tuple. While that tuple is still in the reader's future, no time-based
+	// read (Available, NextArrival, ObserveArrivals) can see a refill, so
+	// the reads settle only when the buffer is empty or has fully arrived.
+	// Everything that could otherwise tell the difference — Len, Full, Pop,
+	// SetProducer, ClearProducer and the producer's own state accessors —
+	// settles first.
+	bulk BulkProducer
+	pend []time.Duration
+
 	est      *RateEstimator
 	observed int // ring-relative count of arrivals already fed to est
 
@@ -95,10 +128,11 @@ func NewQueue(name string, capacity int) *Queue {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("comm: queue %q: capacity must be positive, got %d", name, capacity))
 	}
+	// The row ring is allocated on the first row-mode push: a columnar queue
+	// (the default dataflow) never touches it.
 	return &Queue{
 		name:     name,
 		capacity: capacity,
-		tuples:   make([]relation.Tuple, capacity),
 		arrivals: make([]time.Duration, capacity),
 		est:      NewRateEstimator(defaultEWMAAlpha),
 	}
@@ -107,29 +141,81 @@ func NewQueue(name string, capacity int) *Queue {
 // Name returns the wrapper name this queue buffers for.
 func (q *Queue) Name() string { return q.name }
 
-// SetProducer attaches the wrapper that fills this queue.
-func (q *Queue) SetProducer(p Producer) { q.producer = p }
+// SetProducer attaches the wrapper that fills this queue. Credits already
+// granted are settled with the outgoing producer first.
+func (q *Queue) SetProducer(p Producer) {
+	q.Settle()
+	q.producer = p
+	q.bulk, _ = p.(BulkProducer)
+}
 
 // ClearProducer detaches the queue's producer: credits stop resuming it. A
 // multi-query service uses this when cancelling a query — the wrapper is
-// detached so late credits on the dead query's queues pump nothing.
-func (q *Queue) ClearProducer() { q.producer = nil }
+// detached so late credits on the dead query's queues pump nothing. Credits
+// granted before the detach still produce.
+func (q *Queue) ClearProducer() {
+	q.Settle()
+	q.producer, q.bulk = nil, nil
+}
+
+// Settle simulates the production owed to every credit recorded since the
+// last settle, handing the producer the whole run of credit instants at
+// once. It is always safe to call — it only brings the buffer to the state
+// an eager per-credit resume would have reached already — and a no-op when
+// nothing is pending.
+func (q *Queue) Settle() {
+	if len(q.pend) > 0 {
+		q.replay()
+	}
+}
+
+// replay is Settle's slow half, kept out of line so the nothing-pending
+// check inlines into every caller.
+//
+//go:noinline
+func (q *Queue) replay() {
+	floors := q.pend
+	q.pend = q.pend[:0]
+	q.bulk.ResumeN(floors)
+}
 
 // Capacity returns the queue size in tuples.
 func (q *Queue) Capacity() int { return q.capacity }
 
 // Len returns the number of buffered tuples (including ones whose arrival
 // time is still in the consumer's future).
-func (q *Queue) Len() int { return q.size }
+func (q *Queue) Len() int {
+	q.Settle()
+	return q.size
+}
+
+// Empty reports whether no tuple is buffered. Unlike Len it settles deferred
+// production only when the answer depends on it: refills can only add
+// tuples, so a non-empty buffer answers at once.
+func (q *Queue) Empty() bool {
+	if q.size > 0 {
+		return false
+	}
+	q.Settle()
+	return q.size == 0
+}
 
 // Debt returns the number of popped tuples whose window slots are still
 // reserved (PopN'd but not yet Credit'ed).
 func (q *Queue) Debt() int { return q.debt }
 
+// Deferred returns the number of credits whose refills have not been
+// simulated yet — what the next Settle will hand the producer. Always zero
+// under a Resume-only producer.
+func (q *Queue) Deferred() int { return len(q.pend) }
+
 // Full reports whether the window is exhausted. Debt slots count against
 // the window: a tuple that has been bulk-popped but not yet credited still
 // occupies its slot from the producer's point of view.
-func (q *Queue) Full() bool { return q.size+q.debt == q.capacity }
+func (q *Queue) Full() bool {
+	q.Settle()
+	return q.size+q.debt == q.capacity
+}
 
 // Reset returns the queue to its freshly constructed state under a new
 // wrapper name, keeping the ring storage, so pooled runs reuse it without
@@ -146,7 +232,8 @@ func (q *Queue) Reset(name string) {
 	q.debt = 0
 	q.arrived = 0
 	q.arrivedAt = 0
-	q.producer = nil
+	q.producer, q.bulk = nil, nil
+	q.pend = q.pend[:0]
 	q.observed = 0
 	q.obsDebt = 0
 	q.totalPopped = 0
@@ -206,13 +293,16 @@ func (q *Queue) Push(t relation.Tuple, arrival time.Duration) {
 	if q.colMode {
 		panic(fmt.Sprintf("comm: queue %q: row push on columnar queue", q.name))
 	}
-	if q.Full() {
+	if q.size+q.debt == q.capacity {
 		panic(fmt.Sprintf("comm: queue %q: push on full queue", q.name))
 	}
 	if q.size > 0 {
 		if last := q.arrivals[q.idx(q.size-1)]; arrival < last {
 			panic(fmt.Sprintf("comm: queue %q: arrival went backwards: %v < %v", q.name, arrival, last))
 		}
+	}
+	if q.tuples == nil {
+		q.tuples = make([]relation.Tuple, q.capacity)
 	}
 	i := q.idx(q.size)
 	q.tuples[i] = t
@@ -241,6 +331,9 @@ func (q *Queue) PushN(tuples []relation.Tuple, arrivals []time.Duration) {
 		return
 	}
 	start := q.pushPrep(arrivals)
+	if q.tuples == nil {
+		q.tuples = make([]relation.Tuple, q.capacity)
+	}
 	first := n
 	if start+first > q.capacity {
 		first = q.capacity - start
@@ -340,6 +433,11 @@ func (q *Queue) pushCommit(arrivals []time.Duration) {
 // the arrived prefix (arrivals are monotonic), so it stays exact without
 // disturbing the cache.
 func (q *Queue) Available(now time.Duration) int {
+	if len(q.pend) > 0 && (q.size == 0 || q.arrivals[q.idx(q.size-1)] <= now) {
+		// Pending refills arrive no earlier than the newest buffered tuple:
+		// they can only be visible at now once that tuple is.
+		q.Settle()
+	}
 	if now < q.arrivedAt {
 		lo, hi := 0, q.arrived
 		for lo < hi {
@@ -360,15 +458,15 @@ func (q *Queue) Available(now time.Duration) int {
 }
 
 // NextArrival returns the arrival time of the oldest buffered tuple, or
-// false if the queue is empty. Because producers pump eagerly until the
-// window protocol suspends them, an empty queue means the producer has
-// nothing more to give right now: either it is exhausted, or — under fault
+// false if the queue is empty (once deferred production is settled). Because
+// producers pump eagerly until the window protocol suspends them, an empty
+// queue means the producer has nothing more to give right now: either it is exhausted, or — under fault
 // injection — it is dead. The resilience layer relies on this contract to
 // tell silence (empty queue, dead source) apart from an in-progress
 // disconnect, whose outage-shifted arrivals are already buffered with
 // future timestamps.
 func (q *Queue) NextArrival() (time.Duration, bool) {
-	if q.size == 0 {
+	if q.Empty() {
 		return 0, false
 	}
 	return q.arrivals[q.head], true
@@ -381,6 +479,7 @@ func (q *Queue) Pop(now time.Duration) relation.Tuple {
 	if q.colMode {
 		panic(fmt.Sprintf("comm: queue %q: row pop on columnar queue", q.name))
 	}
+	q.Settle()
 	if q.size == 0 {
 		panic(fmt.Sprintf("comm: queue %q: pop on empty queue", q.name))
 	}
@@ -499,27 +598,36 @@ func (q *Queue) popCommit(n int) {
 	q.totalPopped += int64(n)
 }
 
-// Credit releases the oldest debt slot at virtual time now and resumes the
-// producer, exactly as a per-tuple Pop at now would have: the producer sees
-// the slot free itself at the instant the consumer reached the tuple, so
-// refill send floors — and every arrival time derived from them — match the
-// unbatched path bit for bit.
+// Credit releases the oldest debt slot at virtual time now, exactly as a
+// per-tuple Pop at now would have: the producer sees the slot free itself at
+// the instant the consumer reached the tuple, so refill send floors — and
+// every arrival time derived from them — match the unbatched path bit for
+// bit. A BulkProducer is not resumed here: the instant is recorded and the
+// refill simulated when the queue next settles.
 func (q *Queue) Credit(now time.Duration) {
 	if q.debt == 0 {
 		panic(fmt.Sprintf("comm: queue %q: credit without debt", q.name))
 	}
-	i := q.head - q.debt
-	if i < 0 {
-		i += q.capacity
+	if !q.colMode {
+		i := q.head - q.debt
+		if i < 0 {
+			i += q.capacity
+		}
+		q.tuples[i] = nil
 	}
-	q.tuples[i] = nil
 	q.debt--
 	// The oldest debt slot is a fed one whenever any fed debt remains
 	// (fed tuples are the oldest prefix of the debt region).
 	if q.obsDebt > 0 {
 		q.obsDebt--
 	}
-	if q.producer != nil {
+	switch {
+	case q.bulk != nil:
+		if q.pend == nil {
+			q.pend = make([]time.Duration, 0, q.capacity)
+		}
+		q.pend = append(q.pend, now)
+	case q.producer != nil:
 		q.producer.Resume(now)
 	}
 }
@@ -585,6 +693,19 @@ func (q *Queue) ObserveArrivals(now time.Duration) int {
 	return fed
 }
 
+// observeDue reports whether ObserveArrivals(now) could feed the estimator:
+// the oldest un-fed buffered arrival has happened by now, or everything
+// buffered is fed and deferred production may have delivered more. Arrivals
+// are monotone, so when the oldest un-fed one is still in the future nothing
+// is due. The CM asks this before every ObserveArrivals: one compare per
+// queue keeps its per-iteration sweep cheap.
+func (q *Queue) observeDue(now time.Duration) bool {
+	if q.observed < q.size {
+		return q.arrivals[q.idx(q.observed)] <= now
+	}
+	return len(q.pend) > 0
+}
+
 // EstimatedWait returns the current estimate of the mean inter-arrival time
 // (the paper's waiting time w_p) and whether enough observations exist.
 func (q *Queue) EstimatedWait() (time.Duration, bool) { return q.est.Mean() }
@@ -625,9 +746,18 @@ func (e *RateEstimator) Reset() {
 // Observe records one arrival instant.
 func (e *RateEstimator) Observe(at time.Duration) {
 	if e.n > 0 {
-		gap := (at - e.last).Seconds()
-		if gap < 0 {
+		// Sub-second gaps — all but initial delays and outages — skip
+		// Duration.Seconds' two integer divisions: for 0 <= d < 1s it
+		// computes 0 + float64(d)/1e9, which is this quotient bit for bit.
+		d := at - e.last
+		var gap float64
+		switch {
+		case d < 0:
 			gap = 0
+		case d < time.Second:
+			gap = float64(d) / 1e9
+		default:
+			gap = d.Seconds()
 		}
 		if e.n == 1 {
 			e.mean = gap

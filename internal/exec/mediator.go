@@ -111,6 +111,14 @@ func (m *Mediator) Reclaim() {
 // Now returns the mediator's virtual time.
 func (m *Mediator) Now() time.Duration { return m.Clock.Now() }
 
+// BeginPhase and EndPhase bracket one execution phase for the worker pool of
+// the parallel join kernels: helpers started inside the bracket are reused
+// by every parallel batch of the phase, and EndPhase returns only once they
+// have exited. The engine defers EndPhase, so no path out of a phase leaves
+// a helper behind. Both are no-ops on a serial configuration.
+func (m *Mediator) BeginPhase() { m.pool.beginPhase() }
+func (m *Mediator) EndPhase()   { m.pool.endPhase() }
+
 // AddQuery attaches one query to the mediator: its plan is decomposed, its
 // wrappers start producing (at the current virtual time zero of a fresh
 // mediator), and a Runtime scoped to this query is returned. label scopes

@@ -187,3 +187,51 @@ func TestConfigWorkersValidation(t *testing.T) {
 		t.Errorf("partitions() override = %d, want 4", got)
 	}
 }
+
+// TestWorkerPoolPhaseScope pins the helper lifecycle: inside a phase the
+// helpers started by the first multi-task Run serve the later ones (the
+// caller takes tasks too, so Width()-1 helpers are the most ever started),
+// endPhase stops them, and a Run outside any phase stops its own before it
+// returns. Every Run still covers each task exactly once.
+func TestWorkerPoolPhaseScope(t *testing.T) {
+	pool := newWorkerPool(4)
+	run := func(tasks int) {
+		t.Helper()
+		counts := make([]int64, tasks)
+		pool.Run(tasks, func(i int) { counts[i]++ })
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("tasks=%d: task %d ran %d times", tasks, i, c)
+			}
+		}
+		if pool.fn != nil {
+			t.Fatal("the pool kept the task closure after Run")
+		}
+	}
+	pool.beginPhase()
+	run(1)
+	if pool.helpers != 0 {
+		t.Fatalf("a single-task Run started %d helpers", pool.helpers)
+	}
+	run(2)
+	if pool.helpers != 1 {
+		t.Fatalf("a two-task Run has %d helpers parked, want 1 (the caller runs the other task)", pool.helpers)
+	}
+	for i := 0; i < 100; i++ {
+		run(2 + i%7)
+	}
+	if pool.helpers != 3 {
+		t.Fatalf("%d helpers parked mid-phase, want Width()-1 = 3", pool.helpers)
+	}
+	pool.endPhase()
+	if pool.helpers != 0 || pool.wake != nil {
+		t.Fatalf("endPhase left %d helpers", pool.helpers)
+	}
+	run(8)
+	if pool.helpers != 0 {
+		t.Fatalf("a Run outside a phase left %d helpers parked", pool.helpers)
+	}
+	var nilPool *workerPool
+	nilPool.beginPhase()
+	nilPool.endPhase()
+}

@@ -91,7 +91,9 @@ func (s *queueSource) UnpopN(n int) {
 	s.popped -= n
 }
 
-func (s *queueSource) Exhausted() bool { return s.src.Exhausted() && s.q.Len() == 0 }
+// Exhausted tests the queue first: a non-empty buffer answers without making
+// the queue settle its deferred production, which asking the source would.
+func (s *queueSource) Exhausted() bool { return s.q.Empty() && s.src.Exhausted() }
 
 func (s *queueSource) Remaining() int { return s.src.Rows() - s.popped }
 

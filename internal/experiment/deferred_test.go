@@ -1,0 +1,165 @@
+package experiment
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"dqs/internal/core"
+	"dqs/internal/exec"
+	"dqs/internal/fault"
+	"dqs/internal/sim"
+	"dqs/internal/source"
+	"dqs/internal/workload"
+)
+
+// resumeOnly hides a wrapper's ResumeN from its queue, forcing the eager
+// resume-per-credit fallback, and counts the resumes it forwards.
+type resumeOnly struct {
+	src     *source.Source
+	resumes *int
+}
+
+func (p resumeOnly) Resume(now time.Duration) {
+	*p.resumes++
+	p.src.Resume(now)
+}
+
+// runTraced executes one strategy like runStrategy and returns the result
+// with the rendered trace. With eager set every wrapper is put behind a
+// Resume-only producer first, so the whole run takes the per-credit path;
+// resumes then counts the credits that reached a wrapper.
+func runTraced(w *workload.Workload, cfg exec.Config, deliveries map[string]exec.Delivery, strategy string, eager bool) (res exec.Result, trace []byte, resumes int, err error) {
+	st := acquireRunState()
+	defer st.release()
+	cfg.Scratch = st.Scratch
+	tr := &sim.Trace{}
+	cfg.Trace = tr
+	rt, err := exec.NewRuntime(cfg, w.Root, w.Dataset, deliveries)
+	if err != nil {
+		return exec.Result{}, nil, 0, err
+	}
+	defer rt.Med.Reclaim()
+	if eager {
+		for _, c := range rt.Dec.Chains {
+			rel := c.Scan.Rel.Name
+			q, ok := rt.CM.Queue(rel)
+			if !ok {
+				return exec.Result{}, nil, 0, fmt.Errorf("no queue for %s", rel)
+			}
+			q.SetProducer(resumeOnly{rt.Source(rel), &resumes})
+		}
+	}
+	res, err = core.RunStrategyOn(rt, strategy)
+	if err != nil {
+		return exec.Result{}, nil, 0, err
+	}
+	var buf bytes.Buffer
+	if err := tr.Dump(&buf); err != nil {
+		return exec.Result{}, nil, 0, err
+	}
+	return res, buf.Bytes(), resumes, nil
+}
+
+// deferredDiff requires the deferred-production run of one cell to equal the
+// eager one — Result and trace bytes — at Workers 1 and 8, and returns it.
+func deferredDiff(t *testing.T, name string, w *workload.Workload, cfg exec.Config, del map[string]exec.Delivery, strategy string) (res exec.Result) {
+	t.Helper()
+	for _, workers := range []int{1, 8} {
+		c := cfg
+		c.Workers = workers
+		want, wantTrace, resumes, err := runTraced(w, c, del, strategy, true)
+		if err != nil {
+			t.Fatalf("%s workers=%d eager: %v", name, workers, err)
+		}
+		got, gotTrace, _, err := runTraced(w, c, del, strategy, false)
+		if err != nil {
+			t.Fatalf("%s workers=%d deferred: %v", name, workers, err)
+		}
+		if resumes == 0 {
+			t.Fatalf("%s workers=%d: the eager run resumed no wrapper through the shim", name, workers)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s workers=%d: deferred production diverged from eager:\neager:    %+v\ndeferred: %+v", name, workers, want, got)
+		}
+		if !bytes.Equal(gotTrace, wantTrace) {
+			t.Errorf("%s workers=%d: trace bytes differ (%d deferred, %d eager)", name, workers, len(gotTrace), len(wantTrace))
+		}
+		res = got
+	}
+	return res
+}
+
+// TestDeferredProductionMatchesEager is the differential proof behind
+// deferred bulk production: across the scheduling strategies, seeds and both
+// delay classes of the dataflow suite, a run whose queues replay their
+// credits in bulk equals the run that resumes the wrapper at every credit.
+func TestDeferredProductionMatchesEager(t *testing.T) {
+	o := Options{Small: true}
+	cfg := exec.DefaultConfig()
+	for class, mk := range dataflowDeliveries(cfg, o) {
+		for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
+			for _, seed := range []int64{1, 2, 3} {
+				w, err := o.loadWorkload(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := cfg
+				c.Seed = seed
+				deferredDiff(t, fmt.Sprintf("%s/%s seed %d", class, strategy, seed), w, c, mk(w), strategy)
+			}
+		}
+	}
+}
+
+// TestDeferredProductionMatchesEagerUnderMemoryPressure repeats the check
+// under tight grants, legacy ledger and governor: every strategy at the
+// ablation study's 2 MiB point, and DSE at 1 MiB, where a build overflows
+// mid-batch and hands the uncredited tail back with credits pending.
+func TestDeferredProductionMatchesEagerUnderMemoryPressure(t *testing.T) {
+	o := Options{Small: true}
+	for _, governed := range []bool{false, true} {
+		for _, seed := range []int64{1, 2, 3} {
+			w, err := o.loadWorkload(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := exec.DefaultConfig()
+			cfg.Seed = seed
+			cfg.Governor = governed
+			del := uniformDeliveries(w, cfg.InitialWaitEstimate)
+			cfg.MemoryBytes = 2 << 20
+			for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
+				deferredDiff(t, fmt.Sprintf("2MiB governed=%v/%s seed %d", governed, strategy, seed), w, cfg, del, strategy)
+			}
+			cfg.MemoryBytes = 1 << 20
+			res := deferredDiff(t, fmt.Sprintf("1MiB governed=%v/DSE seed %d", governed, seed), w, cfg, del, "DSE")
+			if res.MemRepairs == 0 {
+				t.Errorf("governed=%v seed %d: the 1 MiB grant forced no memory repair; the test lost its point", governed, seed)
+			}
+		}
+	}
+}
+
+// TestDeferredProductionMatchesEagerUnderFaults runs a full fault plan —
+// stall, disconnect with restart, death with replica failover: the scripted
+// wrappers stay eager on both sides, the untouched ones defer beside them,
+// and the resilience layer must not see a difference.
+func TestDeferredProductionMatchesEagerUnderFaults(t *testing.T) {
+	o := Options{Small: true}
+	plan, err := fault.Parse("B:stall@1000+20ms;C:drop@5000+40ms,restart;D:kill@7000;D:replica,connect=10ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := exec.DefaultConfig()
+	cfg.Faults = plan
+	cfg.FaultSeed = 11
+	w, err := o.loadWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
+		deferredDiff(t, "faults/"+strategy, w, cfg, uniformDeliveries(w, cfg.InitialWaitEstimate), strategy)
+	}
+}

@@ -123,7 +123,11 @@ func (h *HashTable) grow() {
 
 // Insert adds one build tuple, copying its values into the table's arena;
 // the caller's backing array may be reused afterwards.
-func (h *HashTable) Insert(t relation.Tuple) {
+func (h *HashTable) Insert(t relation.Tuple) { h.insertHashed(t, hashKey(t[h.keyIdx])) }
+
+// insertHashed is Insert given hashKey of the tuple's join key, so a
+// partitioned table that already hashed the key to route it pays one hash.
+func (h *HashTable) insertHashed(t relation.Tuple, hash uint64) {
 	if h.width < 0 {
 		h.width = len(t)
 	} else if len(t) != h.width {
@@ -139,7 +143,7 @@ func (h *HashTable) Insert(t relation.Tuple) {
 	}
 	k := t[h.keyIdx]
 	mask := len(h.bkeys) - 1
-	i := int(hashKey(k)) & mask
+	i := int(hash) & mask
 	for h.bhead[i] >= 0 && h.bkeys[i] != k {
 		i = (i + 1) & mask
 	}
@@ -208,17 +212,23 @@ func (m *Matches) Next() relation.Tuple {
 // Probe returns an iterator over the build tuples matching key, in insertion
 // order. Probing allocates nothing.
 func (h *HashTable) Probe(key int64) Matches {
+	return Matches{h: h, idx: h.head(key, hashKey(key))}
+}
+
+// head returns the first entry of key's chain, -1 when the key is absent,
+// given hashKey(key).
+func (h *HashTable) head(key int64, hash uint64) int32 {
 	if h.used == 0 {
-		return Matches{idx: -1}
+		return -1
 	}
 	mask := len(h.bkeys) - 1
-	i := int(hashKey(key)) & mask
+	i := int(hash) & mask
 	for {
 		if h.bhead[i] < 0 {
-			return Matches{idx: -1}
+			return -1
 		}
 		if h.bkeys[i] == key {
-			return Matches{h: h, idx: h.bhead[i]}
+			return h.bhead[i]
 		}
 		i = (i + 1) & mask
 	}
@@ -229,8 +239,13 @@ func (h *HashTable) Probe(key int64) Matches {
 // slice plus the match count. It is the probe cascade's inner loop with the
 // iterator hop and per-match call overhead flattened away.
 func (h *HashTable) ProbeConcat(dst []relation.Tuple, prefix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int) {
+	return h.probeConcatHashed(dst, prefix, key, hashKey(key), arena)
+}
+
+// probeConcatHashed is ProbeConcat given hashKey(key).
+func (h *HashTable) probeConcatHashed(dst []relation.Tuple, prefix relation.Tuple, key int64, hash uint64, arena *relation.Arena) ([]relation.Tuple, int) {
 	n := 0
-	for idx := h.Probe(key).idx; idx >= 0; idx = h.next[idx] {
+	for idx := h.head(key, hash); idx >= 0; idx = h.next[idx] {
 		off := int(idx) * h.width
 		m := relation.Tuple(h.arena[off : off+h.width : off+h.width])
 		dst = append(dst, arena.Concat(prefix, m))
@@ -244,8 +259,13 @@ func (h *HashTable) ProbeConcat(dst []relation.Tuple, prefix relation.Tuple, key
 // result schema is always probe-side ++ build-side regardless of which side
 // the arriving tuple came from.
 func (h *HashTable) ProbeConcatRev(dst []relation.Tuple, suffix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int) {
+	return h.probeConcatRevHashed(dst, suffix, key, hashKey(key), arena)
+}
+
+// probeConcatRevHashed is ProbeConcatRev given hashKey(key).
+func (h *HashTable) probeConcatRevHashed(dst []relation.Tuple, suffix relation.Tuple, key int64, hash uint64, arena *relation.Arena) ([]relation.Tuple, int) {
 	n := 0
-	for idx := h.Probe(key).idx; idx >= 0; idx = h.next[idx] {
+	for idx := h.head(key, hash); idx >= 0; idx = h.next[idx] {
 		off := int(idx) * h.width
 		m := relation.Tuple(h.arena[off : off+h.width : off+h.width])
 		dst = append(dst, arena.Concat(m, suffix))

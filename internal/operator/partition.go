@@ -118,13 +118,15 @@ func (h *PartitionedHashTable) Reserve(width, rows int) {
 	}
 }
 
-// Insert adds one build tuple to its key's partition.
+// Insert adds one build tuple to its key's partition. The key is hashed
+// once: the top bits route, the partition's buckets use the low bits.
 func (h *PartitionedHashTable) Insert(t relation.Tuple) {
 	if h.single != nil {
 		h.single.Insert(t)
 		return
 	}
-	h.parts[h.RouteKey(t[h.keyIdx])].Insert(t)
+	hash := hashKey(t[h.keyIdx])
+	h.parts[hash>>h.shift].insertHashed(t, hash)
 }
 
 // InsertBatch adds a run of build tuples serially, each routed to its
@@ -146,7 +148,9 @@ func (h *PartitionedHashTable) Probe(key int64) Matches {
 	if h.single != nil {
 		return h.single.Probe(key)
 	}
-	return h.parts[h.RouteKey(key)].Probe(key)
+	hash := hashKey(key)
+	p := h.parts[hash>>h.shift]
+	return Matches{h: p, idx: p.head(key, hash)}
 }
 
 // ProbeConcat is HashTable.ProbeConcat routed to the key's partition.
@@ -154,7 +158,8 @@ func (h *PartitionedHashTable) ProbeConcat(dst []relation.Tuple, prefix relation
 	if h.single != nil {
 		return h.single.ProbeConcat(dst, prefix, key, arena)
 	}
-	return h.parts[h.RouteKey(key)].ProbeConcat(dst, prefix, key, arena)
+	hash := hashKey(key)
+	return h.parts[hash>>h.shift].probeConcatHashed(dst, prefix, key, hash, arena)
 }
 
 // ProbeConcatRev is HashTable.ProbeConcatRev routed to the key's partition.
@@ -162,7 +167,8 @@ func (h *PartitionedHashTable) ProbeConcatRev(dst []relation.Tuple, suffix relat
 	if h.single != nil {
 		return h.single.ProbeConcatRev(dst, suffix, key, arena)
 	}
-	return h.parts[h.RouteKey(key)].ProbeConcatRev(dst, suffix, key, arena)
+	hash := hashKey(key)
+	return h.parts[hash>>h.shift].probeConcatRevHashed(dst, suffix, key, hash, arena)
 }
 
 // Rows returns the number of inserted tuples across all partitions.

@@ -122,13 +122,15 @@ func (sh *Shared) detach() {
 func (s *Source) SharedStream() *Shared { return s.shared }
 
 // Detach permanently disconnects the source from its queue: it stops
-// pumping (a cancelled query's queues receive nothing further) and, for a
-// shared-stream tap, releases its reference on the stream. Idempotent;
-// a no-op detach of a private exhausted source is legal.
+// pumping (a cancelled query's queues receive nothing further; credits
+// granted before the detach still produce) and, for a shared-stream tap,
+// releases its reference on the stream. Idempotent; a no-op detach of a
+// private exhausted source is legal.
 func (s *Source) Detach() {
 	if s.detached {
 		return
 	}
+	s.q.Settle()
 	s.detached = true
 	if s.shared != nil {
 		s.shared.detach()

@@ -14,6 +14,12 @@
 // engine's pops are the only events that free window slots, this pump-style
 // simulation is exact: arrival timestamps never depend on information that
 // is not yet known.
+//
+// "Eagerly" is a statement about what readers observe, not about when the
+// simulation runs: the queue records the instants of the consumer's credits
+// and the source replays the whole run in one ResumeN when the queue settles
+// (comm.BulkProducer). Every accessor of a source's production state settles
+// its queue first, so no reader can tell the replay from a resume per credit.
 package source
 
 import (
@@ -75,9 +81,9 @@ type Source struct {
 	startAt   time.Duration // production start time of the next tuple
 	blocked   bool          // suspended by the window protocol
 
-	// Staging buffers for the pump: one Resume simulates every production
-	// the window allows and hands the whole run to the queue in a single
-	// PushN instead of a Push per tuple.
+	// Staging buffers for the pump: one Resume or ResumeN simulates every
+	// production its credits allow and hands the whole run to the queue in a
+	// single PushN instead of a Push per tuple.
 	stageT  []relation.Tuple
 	stageAt []time.Duration
 
@@ -227,11 +233,23 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 	}
 	s.stageAt = make([]time.Duration, 0, q.Capacity())
 	if !s.standby {
-		q.SetProducer(s)
+		if len(s.faults) > 0 {
+			q.SetProducer(eagerProducer{s})
+		} else {
+			q.SetProducer(s)
+		}
 		s.pump(s.startAt)
 	}
 	return s, nil
 }
+
+// eagerProducer hides a source's ResumeN from its queue, so the queue resumes
+// it once per credit. Fault-scripted sources and activated replicas use it:
+// the resilience layer reads their outage record and death between scheduling
+// iterations, which would settle a deferring queue every iteration anyway.
+type eagerProducer struct{ s *Source }
+
+func (p eagerProducer) Resume(now time.Duration) { p.s.Resume(now) }
 
 // Name returns the wrapper name.
 func (s *Source) Name() string { return s.name }
@@ -239,29 +257,51 @@ func (s *Source) Name() string { return s.name }
 // Rows returns the total number of tuples this source delivers.
 func (s *Source) Rows() int { return len(s.rows) }
 
+// The production-state accessors below settle the queue first: production
+// owed to credits the queue has recorded but not replayed yet is part of the
+// state they report.
+
 // Exhausted reports whether every tuple has been sent to the queue.
-func (s *Source) Exhausted() bool { return s.next >= len(s.rows) && !s.producing }
+func (s *Source) Exhausted() bool {
+	s.q.Settle()
+	return s.next >= len(s.rows) && !s.producing
+}
 
 // Blocked reports whether the window protocol currently suspends the source.
-func (s *Source) Blocked() bool { return s.blocked }
+func (s *Source) Blocked() bool {
+	s.q.Settle()
+	return s.blocked
+}
 
 // Dead reports whether a kill clause permanently stopped the source with
 // rows undelivered.
-func (s *Source) Dead() bool { return s.dead }
+func (s *Source) Dead() bool {
+	s.q.Settle()
+	return s.dead
+}
 
 // DeadAt returns the virtual instant of a dead source's failure (the send
 // time of its last delivered tuple).
-func (s *Source) DeadAt() time.Duration { return s.deadAt }
+func (s *Source) DeadAt() time.Duration {
+	s.q.Settle()
+	return s.deadAt
+}
 
 // Outages returns the delivery interruptions recorded so far, in row order.
 // The eager pump records an outage when it produces the row it strikes, so
 // entries can carry future timestamps; callers surface them when virtual
 // time reaches the boundary. The slice aliases internal state: read only.
-func (s *Source) Outages() []fault.Outage { return s.outages }
+func (s *Source) Outages() []fault.Outage {
+	s.q.Settle()
+	return s.outages
+}
 
 // NextRow returns the first row not yet sent to the queue — where a
 // failover replica resumes the stream.
-func (s *Source) NextRow() int { return s.next }
+func (s *Source) NextRow() int {
+	s.q.Settle()
+	return s.next
+}
 
 // Activate starts a standby replica at virtual time now, resuming delivery
 // at fromRow: it becomes the queue's producer (replacing the dead primary)
@@ -286,7 +326,7 @@ func (s *Source) Activate(now time.Duration, fromRow int, connect time.Duration,
 	s.next = fromRow
 	s.firstRow = fromRow
 	s.startAt = start
-	s.q.SetProducer(s)
+	s.q.SetProducer(eagerProducer{s})
 	s.pump(start)
 }
 
@@ -337,22 +377,45 @@ func (s *Source) ExpectedRetrieval() time.Duration {
 
 // Resume implements comm.Producer: a pop at virtual time now freed a window
 // slot, so production may continue.
-func (s *Source) Resume(now time.Duration) { s.pump(now) }
+func (s *Source) Resume(now time.Duration) {
+	s.q.Settle()
+	s.pump(now)
+}
+
+// ResumeN implements comm.BulkProducer: the consumer freed one window slot
+// at each of the given instants, in order. Each floor is replayed against
+// the window as it stood at its own credit — the later credits have already
+// left the queue's debt, so they are counted back in as owed — and the whole
+// run reaches the queue in one push.
+func (s *Source) ResumeN(floors []time.Duration) {
+	for i, floor := range floors {
+		s.produce(floor, len(floors)-1-i)
+	}
+	s.flush()
+}
 
 // pump advances the production simulation until the window protocol blocks
-// it or the rows are exhausted. floor is the earliest instant the currently
-// held tuple may be sent (the pop time when resuming from suspension).
-//
-// Productions are staged locally and handed to the queue in one PushN: a
-// Push has no observable effect besides buffer state (no clock, no RNG), so
-// deferring the buffer writes to the end of the pump is exact. Staged
-// tuples count against the window while staging, keeping the suspension
-// point identical to the push-per-tuple loop.
+// it or the rows are exhausted, and delivers what it produced. floor is the
+// earliest instant the currently held tuple may be sent (the pop time when
+// resuming from suspension).
 func (s *Source) pump(floor time.Duration) {
+	s.produce(floor, 0)
+	s.flush()
+}
+
+// produce stages every production the window allows from floor on. owed is
+// the number of window slots that look free in the queue but were not yet
+// at this floor's instant (credits granted later, replayed after this one).
+//
+// Productions are staged locally and handed to the queue by flush: a Push
+// has no observable effect besides buffer state (no clock, no RNG), so
+// deferring the buffer writes is exact. Staged tuples count against the
+// window while staging, keeping the suspension point identical to the
+// push-per-tuple loop.
+func (s *Source) produce(floor time.Duration, owed int) {
 	if s.dead || s.detached {
 		return
 	}
-	staged := 0
 	for s.next < len(s.rows) {
 		// Skip fault clauses whose boundary has passed (burst start rows are
 		// consumed here: bursts act through effectiveWait, not the cursor).
@@ -391,7 +454,7 @@ func (s *Source) pump(floor time.Duration) {
 			}
 			s.producing = true
 		}
-		if s.q.Len()+s.q.Debt()+staged == s.q.Capacity() {
+		if s.q.Len()+s.q.Debt()+len(s.stageAt)+owed == s.q.Capacity() {
 			s.blocked = true
 			break
 		}
@@ -417,13 +480,12 @@ func (s *Source) pump(floor time.Duration) {
 		if s.colMode {
 			// Wrapper-side selection: same `col < less` semantics as
 			// operator.EvalPred on the mediator. Only the pass bit is staged
-			// per row — the values flush as contiguous column runs below.
+			// per row — the values flush as contiguous column runs.
 			s.stagePass = append(s.stagePass, s.predIdx < 0 || s.tcols[s.predIdx][s.next] < s.predLess)
 		} else {
 			s.stageT = append(s.stageT, s.rows[s.next])
 		}
 		s.stageAt = append(s.stageAt, send+s.netTime)
-		staged++
 		s.next++
 		s.producing = false
 		s.blocked = false
@@ -432,24 +494,30 @@ func (s *Source) pump(floor time.Duration) {
 	if s.next >= len(s.rows) {
 		s.blocked = false
 	}
-	if staged > 0 {
-		if s.colMode {
-			// The staged rows are exactly [next-staged, next): the cursor
-			// advances one row per staged slot and every break above happens
-			// before staging. Each live column therefore pushes as one
-			// sub-slice of the shared transpose — no per-value staging copy.
-			start := s.next - staged
-			for j, c := range s.keep {
-				s.colViews[j] = s.tcols[c][start:s.next]
-			}
-			s.q.PushColsN(s.colViews, s.stagePass, s.stageAt)
-			s.stagePass = s.stagePass[:0]
-		} else {
-			s.q.PushN(s.stageT, s.stageAt)
-			s.stageT = s.stageT[:0]
-		}
-		s.stageAt = s.stageAt[:0]
+}
+
+// flush hands the staged productions to the queue in one push.
+func (s *Source) flush() {
+	staged := len(s.stageAt)
+	if staged == 0 {
+		return
 	}
+	if s.colMode {
+		// The staged rows are exactly [next-staged, next): the cursor
+		// advances one row per staged slot and every break in produce happens
+		// before staging. Each live column therefore pushes as one
+		// sub-slice of the shared transpose — no per-value staging copy.
+		start := s.next - staged
+		for j, c := range s.keep {
+			s.colViews[j] = s.tcols[c][start:s.next]
+		}
+		s.q.PushColsN(s.colViews, s.stagePass, s.stageAt)
+		s.stagePass = s.stagePass[:0]
+	} else {
+		s.q.PushN(s.stageT, s.stageAt)
+		s.stageT = s.stageT[:0]
+	}
+	s.stageAt = s.stageAt[:0]
 }
 
 // effectiveWait is waitFor with burst clauses applied: the schedule the pump
