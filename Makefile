@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test race check bench bench-update benchsmoke profile repobench repobench-compare
+.PHONY: build fmt vet test race check bench bench-update benchsmoke profile repobench repobench-compare loc
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,15 @@ repobench:
 
 repobench-compare:
 	$(GO) run ./bench -compare $(REPOBENCH_BASE) $(REPOBENCH_OUT)
+
+# Production Go lines — non-test files outside bench/ and examples/ — per
+# package directory and in total: the number ROADMAP wants to go down. Raw
+# line counts (comments and blanks included), so a delta is only a real
+# reduction when it is code that left, not formatting.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # CPU and allocation profiles of the DSE-heavy delay-class sweep, the
 # workload the scheduler benchmarks exercise. Prints the top 15 cumulative

@@ -1,153 +1,15 @@
 package comm
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"dqs/internal/relation"
 )
 
-// TestColumnarQueueAgreesWithRowQueue is the randomized differential model
-// behind the pushdown accounting: a row queue and a columnar queue driven by
-// identical arrival sequences through a wrapper-side filter must stay in
-// lockstep on every protocol observable — window occupancy, debt, arrived
-// prefix, estimator feeds and EWMA state — at every step, including per-slot
-// credits inside a batch and mid-batch UnpopN give-backs. The columnar queue
-// carries only the projected live columns and a pass bit; filtered slots
-// still occupy window slots with their real arrivals, so the protocol state
-// must be indistinguishable from the row queue holding the full tuples.
-func TestColumnarQueueAgreesWithRowQueue(t *testing.T) {
-	const (
-		fullWidth = 3 // row tuples: [key, predCol, payload]
-		predIdx   = 1
-		predLess  = int64(50) // pass iff tuple[predIdx] < 50 (~half the rows)
-	)
-	keep := []int{0, 2} // projected live columns
-
-	for trial := 0; trial < 30; trial++ {
-		rng := rand.New(rand.NewSource(int64(7000 + trial)))
-		capacity := 1 + rng.Intn(8)
-		rq := NewQueue("row", capacity)
-		cq := NewQueue("col", capacity)
-		cq.SetColumnar(len(keep))
-
-		// Staging buffers for the two push shapes.
-		var (
-			stageT    []relation.Tuple
-			stageCols = make([][]int64, len(keep))
-			stagePass []bool
-			stageAt   []time.Duration
-		)
-		// popped mirrors the row tuples the row queue handed out, aligned with
-		// the columnar batch slots, for value comparison.
-		rowBuf := make([]relation.Tuple, capacity+2)
-		batch := relation.NewBatch(len(keep))
-		passBuf := make([]bool, capacity+2)
-
-		var lastArrival, now time.Duration
-		var seq int64
-		for step := 0; step < 1500; step++ {
-			switch op := rng.Intn(7); {
-			case op <= 1 && !rq.Full(): // push a burst of 1..room tuples
-				room := capacity - rq.Len() - rq.Debt()
-				n := 1 + rng.Intn(room)
-				stageT, stagePass, stageAt = stageT[:0], stagePass[:0], stageAt[:0]
-				for j := range stageCols {
-					stageCols[j] = stageCols[j][:0]
-				}
-				for i := 0; i < n; i++ {
-					lastArrival += time.Duration(rng.Intn(5)) * time.Millisecond
-					seq++
-					tup := relation.Tuple{seq, rng.Int63n(100), seq * 10}
-					pass := tup[predIdx] < predLess
-					stageT = append(stageT, tup)
-					stagePass = append(stagePass, pass)
-					stageAt = append(stageAt, lastArrival)
-					for j, c := range keep {
-						v := int64(0)
-						if pass {
-							v = tup[c]
-						}
-						stageCols[j] = append(stageCols[j], v)
-					}
-				}
-				rq.PushN(stageT, stageAt)
-				cq.PushColsN(stageCols, stagePass, stageAt)
-			case op == 2 || op == 3: // bulk pop, possibly stranding late arrivals
-				now += time.Duration(rng.Intn(6)) * time.Millisecond
-				max := 1 + rng.Intn(len(rowBuf))
-				rn := rq.PopN(now, rowBuf[:max])
-				batch.Reset(len(keep))
-				cn := cq.PopColsN(now, batch, passBuf[:max])
-				if rn != cn {
-					t.Fatalf("trial %d step %d: PopN moved %d, PopColsN moved %d", trial, step, rn, cn)
-				}
-				for i := 0; i < rn; i++ {
-					tup := rowBuf[i]
-					wantPass := tup[predIdx] < predLess
-					if passBuf[i] != wantPass {
-						t.Fatalf("trial %d step %d: slot %d pass = %v, want %v", trial, step, i, passBuf[i], wantPass)
-					}
-					if !wantPass {
-						continue
-					}
-					for j, c := range keep {
-						if got := batch.Col(j)[i]; got != tup[c] {
-							t.Fatalf("trial %d step %d: slot %d col %d = %d, want %d",
-								trial, step, i, j, got, tup[c])
-						}
-					}
-				}
-			case op == 4 && rq.Debt() > 0: // credit one slot
-				now += time.Duration(rng.Intn(3)) * time.Millisecond
-				rq.Credit(now)
-				cq.Credit(now)
-			case op == 5 && rq.Debt() > 0: // give back an unprocessed tail
-				n := 1 + rng.Intn(rq.Debt())
-				rq.UnpopN(n)
-				cq.UnpopN(n)
-			default: // CM observation at a round boundary
-				if rq.Debt() == 0 {
-					rfed, cfed := rq.ObserveArrivals(now), cq.ObserveArrivals(now)
-					if rfed != cfed {
-						t.Fatalf("trial %d step %d: ObserveArrivals fed %d row, %d columnar", trial, step, rfed, cfed)
-					}
-				}
-			}
-			if rq.Len() != cq.Len() || rq.Debt() != cq.Debt() || rq.Full() != cq.Full() {
-				t.Fatalf("trial %d step %d: window state diverged: row Len=%d Debt=%d Full=%v, col Len=%d Debt=%d Full=%v",
-					trial, step, rq.Len(), rq.Debt(), rq.Full(), cq.Len(), cq.Debt(), cq.Full())
-			}
-			at := now - time.Duration(rng.Intn(8))*time.Millisecond
-			if at < 0 {
-				at = 0
-			}
-			if ra, ca := rq.Available(at), cq.Available(at); ra != ca {
-				t.Fatalf("trial %d step %d: Available(%v) = %d row, %d columnar", trial, step, at, ra, ca)
-			}
-			if rq.TotalPopped() != cq.TotalPopped() {
-				t.Fatalf("trial %d step %d: TotalPopped = %d row, %d columnar",
-					trial, step, rq.TotalPopped(), cq.TotalPopped())
-			}
-			if rq.Observations() != cq.Observations() {
-				t.Fatalf("trial %d step %d: Observations = %d row, %d columnar",
-					trial, step, rq.Observations(), cq.Observations())
-			}
-			rw, rok := rq.EstimatedWait()
-			cw, cok := cq.EstimatedWait()
-			if rw != cw || rok != cok {
-				t.Fatalf("trial %d step %d: EstimatedWait = %v,%v row, %v,%v columnar",
-					trial, step, rw, rok, cw, cok)
-			}
-		}
-	}
-}
-
 // TestQueueColumnarModeGuards pins the protocol misuse panics around the
-// columnar mode switch: row pushes and pops are rejected on a columnar
-// queue, SetColumnar is rejected on a non-empty queue, and Reset returns the
-// queue to row mode.
+// slot width: pushes and pops of another width are rejected, SetColumnar is
+// rejected on a non-empty queue, and Reset returns the queue to width zero.
 func TestQueueColumnarModeGuards(t *testing.T) {
 	wantPanic := func(name string, f func()) {
 		defer func() {
@@ -159,29 +21,28 @@ func TestQueueColumnarModeGuards(t *testing.T) {
 	}
 	q := NewQueue("w", 4)
 	q.SetColumnar(2)
-	if !q.Columnar() {
-		t.Fatal("SetColumnar did not switch mode")
+	if q.Width() != 2 {
+		t.Fatalf("Width = %d after SetColumnar(2)", q.Width())
 	}
-	wantPanic("Push on columnar queue", func() { q.Push(relation.Tuple{1, 2}, 0) })
-	wantPanic("PushN on columnar queue", func() {
-		q.PushN([]relation.Tuple{{1, 2}}, []time.Duration{0})
-	})
+	pass := make([]bool, 1)
+	wantPanic("narrow push", func() { q.PushColsN([][]int64{{7}}, []bool{true}, []time.Duration{0}) })
+	wantPanic("ragged push", func() { q.PushColsN([][]int64{{7}, {8, 9}}, []bool{true}, []time.Duration{0}) })
+	wantPanic("push without pass bits", func() { q.PushColsN([][]int64{{7}, {8}}, nil, []time.Duration{0}) })
 	q.PushColsN([][]int64{{7}, {8}}, []bool{true}, []time.Duration{0})
-	wantPanic("Pop on columnar queue", func() { q.Pop(0) })
-	wantPanic("PopN on columnar queue", func() { q.PopN(0, make([]relation.Tuple, 1)) })
+	wantPanic("narrow pop", func() { q.PopColsN(0, relation.NewBatch(1), pass) })
 	wantPanic("SetColumnar on non-empty queue", func() { q.SetColumnar(3) })
 	wantPanic("SetColumnar negative width", func() { NewQueue("x", 1).SetColumnar(-1) })
 
 	b := relation.NewBatch(2)
-	pass := make([]bool, 1)
 	if n := q.PopColsN(0, b, pass); n != 1 || !pass[0] || b.Col(0)[0] != 7 || b.Col(1)[0] != 8 {
 		t.Fatalf("PopColsN round-trip: n=%d pass=%v cols=%v,%v", n, pass, b.Col(0), b.Col(1))
 	}
+	wantPanic("SetColumnar with debt outstanding", func() { q.SetColumnar(3) })
 	q.Credit(0)
 
 	q.Reset("w")
-	if q.Columnar() {
-		t.Error("Reset did not return queue to row mode")
+	if q.Width() != 0 {
+		t.Errorf("Reset left width %d", q.Width())
 	}
-	wantPanic("PopColsN on row queue", func() { q.PopColsN(0, relation.NewBatch(0), pass) })
+	wantPanic("wide pop after Reset", func() { q.PopColsN(0, b, pass) })
 }

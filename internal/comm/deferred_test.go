@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,30 +18,28 @@ import (
 // replayed in bulk by the queue under test.
 type refillPump struct {
 	rows int
-	seq  int64
 	last time.Duration
 	rng  *rand.Rand
 }
 
-func (p *refillPump) refill(floor time.Duration) (relation.Tuple, time.Duration) {
+func (p *refillPump) refill(floor time.Duration) time.Duration {
 	at := floor + time.Duration(p.rng.Intn(6))*time.Millisecond
 	if at < p.last {
 		at = p.last
 	}
 	p.last = at
 	p.rows--
-	p.seq++
-	return relation.Tuple{p.seq}, at
+	return at
 }
 
 // bulkPump is the queue-side pump: a BulkProducer staging every refill of a
-// run of credits and delivering it in one PushN.
+// run of credits and delivering it in one PushColsN.
 type bulkPump struct {
 	refillPump
-	q       *Queue
-	bulk    int // ResumeN calls replaying more than one credit
-	stageT  []relation.Tuple
-	stageAt []time.Duration
+	q    *Queue
+	bulk int // ResumeN calls replaying more than one credit
+	seq  int64
+	run  run
 }
 
 func (p *bulkPump) Resume(now time.Duration) { p.ResumeN([]time.Duration{now}) }
@@ -51,19 +50,17 @@ func (p *bulkPump) ResumeN(floors []time.Duration) {
 	}
 	for i, floor := range floors {
 		owed := len(floors) - 1 - i
-		for p.rows > 0 && p.q.Len()+p.q.Debt()+len(p.stageAt)+owed < p.q.Capacity() {
-			t, at := p.refill(floor)
-			p.stageT = append(p.stageT, t)
-			p.stageAt = append(p.stageAt, at)
+		for p.rows > 0 && p.q.Len()+p.q.Debt()+len(p.run.at)+owed < p.q.Capacity() {
+			p.seq++
+			p.run.add(modelSlot(p.seq, p.refill(floor)))
 		}
 	}
-	p.q.PushN(p.stageT, p.stageAt)
-	p.stageT, p.stageAt = p.stageT[:0], p.stageAt[:0]
+	p.run.pushTo(p.q)
 }
 
 // TestDeferredCreditsAgreeWithEagerModel drives a queue whose producer
 // defers (BulkProducer) against the brute-force model refilled eagerly at
-// every credit: PopN batches that strand late arrivals, credits, UnpopN of
+// every credit: bulk pops that strand late arrivals, credits, UnpopN of
 // unprocessed tails, CM observations, NextArrival, and Available probes at
 // back-dated instants must all read exactly what the eager model reads,
 // although the queue simulates production only when it settles.
@@ -76,13 +73,16 @@ func TestDeferredCreditsAgreeWithEagerModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 		capacity := 1 + rng.Intn(9)
 		q := NewQueue("w", capacity)
-		m := &popModel{capacity: capacity, est: NewRateEstimator(defaultEWMAAlpha)}
+		q.SetColumnar(modelWidth)
+		m := newPopModel(capacity)
 		rows := 200 + rng.Intn(200)
 		eager := &refillPump{rows: rows, rng: rand.New(rand.NewSource(int64(trial)))}
 		bulk := &bulkPump{refillPump: refillPump{rows: rows, rng: rand.New(rand.NewSource(int64(trial)))}, q: q}
+		var eagerSeq int64
 		resumeModel := func(floor time.Duration) {
 			for eager.rows > 0 && !m.full() {
-				m.push(eager.refill(floor))
+				eagerSeq++
+				m.push(modelSlot(eagerSeq, eager.refill(floor)))
 			}
 		}
 		q.SetProducer(bulk)
@@ -90,22 +90,12 @@ func TestDeferredCreditsAgreeWithEagerModel(t *testing.T) {
 		resumeModel(0)
 
 		var now time.Duration
-		buf := make([]relation.Tuple, capacity+2)
 		for step := 0; step < 3000; step++ {
+			where := fmt.Sprintf("trial %d step %d", trial, step)
 			switch op := rng.Intn(9); {
 			case op <= 1: // bulk pop at an instant that may strand late arrivals
 				now += time.Duration(rng.Intn(6)) * time.Millisecond
-				max := 1 + rng.Intn(len(buf))
-				got := buf[:q.PopN(now, buf[:max])]
-				want := m.popN(now, max)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d step %d: PopN moved %d, want %d", trial, step, len(got), len(want))
-				}
-				for i := range got {
-					if got[i][0] != want[i][0] {
-						t.Fatalf("trial %d step %d: PopN[%d] = %v, want %v", trial, step, i, got[i], want[i])
-					}
-				}
+				checkPop(t, where, q, m, now, 1+rng.Intn(capacity+2))
 			case op <= 3 && q.Debt() > 0: // credit: recorded by the queue, refilled at once in the model
 				now += time.Duration(rng.Intn(3)) * time.Millisecond
 				q.Credit(now)
@@ -120,18 +110,18 @@ func TestDeferredCreditsAgreeWithEagerModel(t *testing.T) {
 				m.unpopN(n)
 			case op == 5 && q.Debt() == 0: // CM observation at a round boundary
 				if got, want := q.ObserveArrivals(now), m.observeArrivals(now); got != want {
-					t.Fatalf("trial %d step %d: ObserveArrivals fed %d, want %d", trial, step, got, want)
+					t.Fatalf("%s: ObserveArrivals fed %d, want %d", where, got, want)
 				}
 			case op == 6:
 				gotAt, gotOK := q.NextArrival()
-				wantOK := len(m.arrivals) > 0
-				if gotOK != wantOK || (wantOK && gotAt != m.arrivals[0]) {
-					t.Fatalf("trial %d step %d: NextArrival = %v,%v, model has %v", trial, step, gotAt, gotOK, m.arrivals)
+				wantOK := len(m.buf) > 0
+				if gotOK != wantOK || (wantOK && gotAt != m.buf[0].at) {
+					t.Fatalf("%s: NextArrival = %v,%v, model has %d buffered", where, gotAt, gotOK, len(m.buf))
 				}
 			case op == 7: // the settling accessors
-				if q.Len() != len(m.tuples) || q.Full() != m.full() {
-					t.Fatalf("trial %d step %d: Len/Full = %d/%v, want %d/%v",
-						trial, step, q.Len(), q.Full(), len(m.tuples), m.full())
+				if q.Len() != len(m.buf) || q.Full() != m.full() {
+					t.Fatalf("%s: Len/Full = %d/%v, want %d/%v",
+						where, q.Len(), q.Full(), len(m.buf), m.full())
 				}
 			default: // availability probe, often in the past
 				at := now - time.Duration(rng.Intn(10))*time.Millisecond
@@ -142,33 +132,28 @@ func TestDeferredCreditsAgreeWithEagerModel(t *testing.T) {
 					backdatedPending++
 				}
 				if got, want := q.Available(at), m.available(at); got != want {
-					t.Fatalf("trial %d step %d: Available(%v) = %d, want %d (pending %d)",
-						trial, step, at, got, want, q.Deferred())
+					t.Fatalf("%s: Available(%v) = %d, want %d (pending %d)",
+						where, at, got, want, q.Deferred())
 				}
 			}
 			if q.Debt() != len(m.debt) {
-				t.Fatalf("trial %d step %d: Debt = %d, want %d", trial, step, q.Debt(), len(m.debt))
+				t.Fatalf("%s: Debt = %d, want %d", where, q.Debt(), len(m.debt))
 			}
 			if q.Deferred() > capacity-q.size-q.debt {
-				t.Fatalf("trial %d step %d: %d pending credits exceed the %d free slots",
-					trial, step, q.Deferred(), capacity-q.size-q.debt)
+				t.Fatalf("%s: %d pending credits exceed the %d free slots",
+					where, q.Deferred(), capacity-q.size-q.debt)
 			}
-			gotW, gotOK := q.EstimatedWait()
-			wantW, wantOK := m.est.Mean()
-			if gotW != wantW || gotOK != wantOK || q.Observations() != m.est.Observations() {
-				t.Fatalf("trial %d step %d: estimator = %v,%v after %d, want %v,%v after %d",
-					trial, step, gotW, gotOK, q.Observations(), wantW, wantOK, m.est.Observations())
-			}
+			checkEstimator(t, where, q, m)
 		}
 		// Detaching the producer settles what the credits so far are owed.
 		q.ClearProducer()
-		if q.Deferred() != 0 || q.Len() != len(m.tuples) {
+		if q.Deferred() != 0 || q.Len() != len(m.buf) {
 			t.Fatalf("trial %d: after ClearProducer %d pending, Len %d, want 0 and %d",
-				trial, q.Deferred(), q.Len(), len(m.tuples))
+				trial, q.Deferred(), q.Len(), len(m.buf))
 		}
-		if bulk.seq != eager.seq || bulk.last != eager.last {
+		if bulk.seq != eagerSeq || bulk.last != eager.last {
 			t.Fatalf("trial %d: pumps diverged: bulk at row %d (%v), eager at row %d (%v)",
-				trial, bulk.seq, bulk.last, eager.seq, eager.last)
+				trial, bulk.seq, bulk.last, eagerSeq, eager.last)
 		}
 		bulkReplays += bulk.bulk
 	}
@@ -181,46 +166,20 @@ func TestDeferredCreditsAgreeWithEagerModel(t *testing.T) {
 // TestResumeOnlyProducerStaysEager pins the fallback: a producer without
 // ResumeN is resumed at every credit, and nothing is ever pending.
 func TestResumeOnlyProducerStaysEager(t *testing.T) {
-	q := NewQueue("w", 4)
+	q := newQueue("w", 4)
 	rec := &resumeRecorder{}
 	q.SetProducer(rec)
 	for i := 0; i < 4; i++ {
-		q.Push(relation.Tuple{int64(i)}, ms(i))
+		push(q, int64(i), ms(i))
 	}
-	buf := make([]relation.Tuple, 4)
-	if n := q.PopN(ms(10), buf); n != 4 {
-		t.Fatalf("PopN = %d", n)
+	if n := q.PopColsN(ms(10), relation.NewBatch(1), make([]bool, 4)); n != 4 {
+		t.Fatalf("PopColsN = %d", n)
 	}
 	for i := 0; i < 4; i++ {
 		q.Credit(ms(10 + i))
 		if q.Deferred() != 0 || len(rec.calls) != i+1 {
 			t.Fatalf("credit %d: %d pending, %d resumes", i, q.Deferred(), len(rec.calls))
 		}
-	}
-}
-
-// TestColumnarQueueNeverAllocatesRowRing pins the lazy row ring: a columnar
-// queue runs its whole protocol without one, a row queue gets it on first
-// push.
-func TestColumnarQueueNeverAllocatesRowRing(t *testing.T) {
-	q := NewQueue("w", 4)
-	q.SetColumnar(1)
-	vals := [][]int64{{1, 2, 3}}
-	q.PushColsN(vals, []bool{true, true, false}, []time.Duration{ms(1), ms(2), ms(3)})
-	batch := relation.NewBatch(1)
-	pass := make([]bool, 4)
-	if n := q.PopColsN(ms(5), batch, pass); n != 3 {
-		t.Fatalf("PopColsN = %d", n)
-	}
-	q.Credit(ms(5))
-	q.UnpopN(2)
-	q.Reset("w2")
-	if q.tuples != nil {
-		t.Error("columnar traffic allocated the row ring")
-	}
-	q.Push(relation.Tuple{1}, ms(1))
-	if len(q.tuples) != 4 {
-		t.Errorf("row ring has %d slots after the first push, want 4", len(q.tuples))
 	}
 }
 

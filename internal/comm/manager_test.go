@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"dqs/internal/relation"
 )
 
 // scanRateChanged is the reference change detection: a full scan in name
@@ -69,13 +67,13 @@ func TestRateChangedMatchesFullScan(t *testing.T) {
 			case op <= 3: // a few arrivals at the wrapper's current rate
 				for n := 1 + rng.Intn(4); n > 0 && f.q.size+f.q.debt < f.q.capacity; n-- {
 					f.last += f.gap
-					f.q.Push(relation.Tuple{0}, f.last)
+					push(f.q, 0, f.last)
 				}
 			case op == 4: // the wrapper's delivery rate drifts
 				f.gap = time.Duration(1+rng.Intn(40)) * 250 * time.Microsecond
 			case op == 5: // the consumer drains what has arrived
 				for f.q.Available(now) > 0 {
-					f.q.Pop(now)
+					pop(f.q, now)
 				}
 			case op <= 8:
 				now += time.Duration(rng.Intn(8)) * time.Millisecond

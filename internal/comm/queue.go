@@ -13,9 +13,9 @@ import (
 )
 
 // Producer is the upstream side of a queue: the simulated wrapper. When the
-// consumer pops a tuple out of a full queue, the freed slot un-suspends the
+// consumer credits a slot of a full window, the freed slot un-suspends the
 // wrapper, which may then send more tuples; Resume gives it the opportunity,
-// telling it the virtual time of the pop and how far production may be
+// telling it the virtual time of the credit and how far production may be
 // simulated.
 type Producer interface {
 	Resume(now time.Duration)
@@ -36,34 +36,40 @@ type BulkProducer interface {
 	ResumeN(floors []time.Duration)
 }
 
-// Queue is the bounded arrival buffer of one wrapper. Tuples carry their
-// virtual arrival timestamps; the consumer only sees tuples whose arrival is
+// Queue is the bounded arrival buffer of one wrapper. Slots carry their
+// virtual arrival timestamps; the consumer only sees slots whose arrival is
 // not in its future. When the queue is full the wrapper is suspended
-// (window protocol) until the consumer pops.
+// (window protocol) until the consumer frees a slot.
 //
-// The ring stores tuples and arrivals in separate parallel arrays so bulk
-// transfers (PopN, PushN, ObserveArrivals) move contiguous segments with
-// copy instead of touching one interleaved element at a time.
+// The ring is columnar: a slot stores the flat values of the projected live
+// columns (cols[c][slot]) plus a pushdown pass bit, in arrays parallel to the
+// arrivals, so bulk transfers (PushColsN, PopColsN, ObserveArrivals) move
+// contiguous segments with copy. A slot whose pass bit is false was filtered
+// by the wrapper-side predicate: its window slot, arrival timestamp and
+// estimator feed are all real — scheduling and flow control are defined on
+// pre-filter arrivals — but its values never crossed the wire and its ring
+// storage is never read.
 //
-// Bulk consumption is split into two halves so that batching cannot perturb
-// the simulation. PopN removes arrived tuples from the ring wholesale but
+// Consumption is split into two halves so that batching cannot perturb the
+// simulation. PopColsN removes arrived slots from the ring wholesale but
 // leaves their window slots reserved ("debt"): the producer still sees a
 // full window and stays suspended, exactly as if the tuples were still
 // buffered. Credit then releases one reserved slot at the virtual instant
 // the consumer actually gets to that tuple, resuming the producer with that
-// instant as its send floor — the same floor a per-tuple Pop at that moment
-// would have produced. Refill arrival times, and therefore every downstream
-// rate estimate and scheduling decision, are bit-identical between the two
-// paths.
+// instant as its send floor. Refill arrival times, and therefore every
+// downstream rate estimate and scheduling decision, depend only on when each
+// tuple is processed, never on how many were popped together.
 type Queue struct {
 	name     string
 	capacity int
-	tuples   []relation.Tuple // ring buffer, parallel to arrivals
+	colw     int
+	cols     [][]int64
+	pass     []bool
 	arrivals []time.Duration
 	head     int
 	size     int
 
-	// debt counts tuples handed out by PopN whose window slots have not
+	// debt counts slots handed out by PopColsN whose window slots have not
 	// been released by Credit yet. Their ring slots — the debt positions
 	// immediately before head — keep their contents so UnpopN can restore
 	// the tail of a batch the consumer could not process.
@@ -74,21 +80,9 @@ type Queue struct {
 	// calls it with a monotonically advancing clock, and the cache only has
 	// to absorb each arrival once. The exact invariant — every buffered
 	// tuple beyond index arrived has arrival > arrivedAt — is maintained by
-	// Push, Pop and Available together.
+	// the pushes, pops and Available together.
 	arrived   int
 	arrivedAt time.Duration
-
-	// Columnar mode: when colMode is set the ring carries flat per-column
-	// values (cols[c][slot], only the projected live columns) plus a
-	// pushdown pass mask instead of row tuples. A slot whose pass bit is
-	// false was filtered by the wrapper-side predicate: its window slot,
-	// arrival timestamp and estimator feed are all real — scheduling and
-	// flow control are defined on pre-filter arrivals — but its values never
-	// crossed the wire and its ring storage is never read.
-	colMode bool
-	colw    int
-	cols    [][]int64
-	pass    []bool
 
 	producer Producer
 
@@ -103,7 +97,7 @@ type Queue struct {
 	// tuple. While that tuple is still in the reader's future, no time-based
 	// read (Available, NextArrival, ObserveArrivals) can see a refill, so
 	// the reads settle only when the buffer is empty or has fully arrived.
-	// Everything that could otherwise tell the difference — Len, Full, Pop,
+	// Everything that could otherwise tell the difference — Len, Full,
 	// SetProducer, ClearProducer and the producer's own state accessors —
 	// settles first.
 	bulk BulkProducer
@@ -113,8 +107,8 @@ type Queue struct {
 	observed int // ring-relative count of arrivals already fed to est
 
 	// obsDebt counts debt tuples whose arrivals were fed to est before
-	// PopN removed them. Fed tuples are always the oldest prefix of the
-	// debt region (PopN pops the buffer's fed prefix and Credit retires
+	// PopColsN removed them. Fed tuples are always the oldest prefix of the
+	// debt region (PopColsN pops the buffer's fed prefix and Credit retires
 	// oldest-first), so a single counter is exact: Credit consumes it as
 	// fed slots retire, and UnpopN uses it to restore `observed` so a
 	// returned tuple is never re-fed to the estimator.
@@ -123,16 +117,16 @@ type Queue struct {
 	totalPopped int64
 }
 
-// NewQueue creates a queue with room for capacity tuples.
+// NewQueue creates a queue with room for capacity tuples. Its slots carry no
+// columns until SetColumnar gives them a width.
 func NewQueue(name string, capacity int) *Queue {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("comm: queue %q: capacity must be positive, got %d", name, capacity))
 	}
-	// The row ring is allocated on the first row-mode push: a columnar queue
-	// (the default dataflow) never touches it.
 	return &Queue{
 		name:     name,
 		capacity: capacity,
+		pass:     make([]bool, capacity),
 		arrivals: make([]time.Duration, capacity),
 		est:      NewRateEstimator(defaultEWMAAlpha),
 	}
@@ -201,7 +195,7 @@ func (q *Queue) Empty() bool {
 }
 
 // Debt returns the number of popped tuples whose window slots are still
-// reserved (PopN'd but not yet Credit'ed).
+// reserved (popped but not yet Credit'ed).
 func (q *Queue) Debt() int { return q.debt }
 
 // Deferred returns the number of credits whose refills have not been
@@ -221,11 +215,7 @@ func (q *Queue) Full() bool {
 // wrapper name, keeping the ring storage, so pooled runs reuse it without
 // reallocating.
 func (q *Queue) Reset(name string) {
-	for i := range q.tuples {
-		q.tuples[i] = nil
-	}
 	q.name = name
-	q.colMode = false
 	q.colw = 0
 	q.head = 0
 	q.size = 0
@@ -240,13 +230,9 @@ func (q *Queue) Reset(name string) {
 	q.est.Reset()
 }
 
-// SetColumnar switches an empty queue's ring into columnar mode with the
-// given live-column count (the projected columns that actually cross the
-// wire; width 0 is legal when every referenced column is filtered away by
-// projection). The row-oriented Push/Pop entry points are disabled; the
-// producer must use PushColsN and the consumer PopColsN. Window, arrival and
-// estimator accounting are completely unchanged — columnar mode only swaps
-// what a ring slot stores.
+// SetColumnar sets an empty queue's live-column count: the projected columns
+// that actually cross the wire. Width 0 is legal when every referenced column
+// is filtered away by projection.
 func (q *Queue) SetColumnar(width int) {
 	if q.size != 0 || q.debt != 0 {
 		panic(fmt.Sprintf("comm: queue %q: SetColumnar on non-empty queue", q.name))
@@ -254,7 +240,6 @@ func (q *Queue) SetColumnar(width int) {
 	if width < 0 {
 		panic(fmt.Sprintf("comm: queue %q: negative columnar width %d", q.name, width))
 	}
-	q.colMode = true
 	q.colw = width
 	for len(q.cols) < width {
 		q.cols = append(q.cols, nil)
@@ -266,15 +251,10 @@ func (q *Queue) SetColumnar(width int) {
 			q.cols[c] = q.cols[c][:q.capacity]
 		}
 	}
-	if cap(q.pass) < q.capacity {
-		q.pass = make([]bool, q.capacity)
-	} else {
-		q.pass = q.pass[:q.capacity]
-	}
 }
 
-// Columnar reports whether the ring is in columnar mode.
-func (q *Queue) Columnar() bool { return q.colMode }
+// Width returns the live-column count of the ring's slots.
+func (q *Queue) Width() int { return q.colw }
 
 // idx maps a head-relative offset to a physical ring index. The capacity
 // is not a power of two, so the ring index wraps with a branch instead of a
@@ -287,77 +267,15 @@ func (q *Queue) idx(i int) int {
 	return idx
 }
 
-// Push appends a tuple with its arrival time. It panics if the queue is
-// full or arrivals go backwards: both indicate a wrapper simulation bug.
-func (q *Queue) Push(t relation.Tuple, arrival time.Duration) {
-	if q.colMode {
-		panic(fmt.Sprintf("comm: queue %q: row push on columnar queue", q.name))
-	}
-	if q.size+q.debt == q.capacity {
-		panic(fmt.Sprintf("comm: queue %q: push on full queue", q.name))
-	}
-	if q.size > 0 {
-		if last := q.arrivals[q.idx(q.size-1)]; arrival < last {
-			panic(fmt.Sprintf("comm: queue %q: arrival went backwards: %v < %v", q.name, arrival, last))
-		}
-	}
-	if q.tuples == nil {
-		q.tuples = make([]relation.Tuple, q.capacity)
-	}
-	i := q.idx(q.size)
-	q.tuples[i] = t
-	q.arrivals[i] = arrival
-	q.size++
-	// Keep the arrived-prefix invariant: when every older tuple had already
-	// arrived by arrivedAt and the new one has too, count it immediately —
-	// otherwise a later Available(now < arrivedAt) would miss it.
-	if q.arrived == q.size-1 && arrival <= q.arrivedAt {
-		q.arrived++
-	}
-}
-
-// PushN appends a run of tuples with monotonically non-decreasing arrival
-// times, equivalent to calling Push once per element but with the ring and
-// cache bookkeeping done on whole segments.
-func (q *Queue) PushN(tuples []relation.Tuple, arrivals []time.Duration) {
-	if q.colMode {
-		panic(fmt.Sprintf("comm: queue %q: row push on columnar queue", q.name))
-	}
-	n := len(tuples)
-	if n != len(arrivals) {
-		panic(fmt.Sprintf("comm: queue %q: PushN length mismatch: %d tuples, %d arrivals", q.name, n, len(arrivals)))
-	}
-	if n == 0 {
-		return
-	}
-	start := q.pushPrep(arrivals)
-	if q.tuples == nil {
-		q.tuples = make([]relation.Tuple, q.capacity)
-	}
-	first := n
-	if start+first > q.capacity {
-		first = q.capacity - start
-	}
-	copy(q.tuples[start:], tuples[:first])
-	copy(q.arrivals[start:], arrivals[:first])
-	if first < n {
-		copy(q.tuples, tuples[first:])
-		copy(q.arrivals, arrivals[first:])
-	}
-	q.pushCommit(arrivals)
-}
-
-// PushColsN is the columnar PushN: it appends a run of slots whose values
-// arrive as flat per-column segments (vals[c][i] is column c of slot i) plus
-// a pushdown pass mask. Filtered slots (pass[i] false) occupy a real window
-// slot with a real arrival — flow control and rate estimation are defined on
-// pre-filter arrivals — but their positions in vals are unspecified and are
-// never read. Window, monotonicity and arrived-prefix bookkeeping are
-// identical to PushN.
+// PushColsN appends a run of slots with monotonically non-decreasing arrival
+// times. Their values arrive as flat per-column segments (vals[c][i] is
+// column c of slot i) plus a pushdown pass mask. Filtered slots (pass[i]
+// false) occupy a real window slot with a real arrival — flow control and
+// rate estimation are defined on pre-filter arrivals — but their positions
+// in vals are unspecified and are never read. It panics if the run does not
+// fit the window or arrivals go backwards: both indicate a wrapper
+// simulation bug.
 func (q *Queue) PushColsN(vals [][]int64, pass []bool, arrivals []time.Duration) {
-	if !q.colMode {
-		panic(fmt.Sprintf("comm: queue %q: columnar push on row queue", q.name))
-	}
 	n := len(arrivals)
 	if len(pass) != n {
 		panic(fmt.Sprintf("comm: queue %q: PushColsN length mismatch: %d pass bits, %d arrivals", q.name, len(pass), n))
@@ -412,8 +330,10 @@ func (q *Queue) pushPrep(arrivals []time.Duration) int {
 	return q.idx(q.size)
 }
 
-// pushCommit advances the arrived-prefix cache over the appended run — the
-// same rule as per-element Push — and publishes the new size.
+// pushCommit advances the arrived-prefix cache over the appended run and
+// publishes the new size: when every older tuple had already arrived by
+// arrivedAt, the leading new ones that have too are counted immediately —
+// otherwise a later Available(now < arrivedAt) would miss them.
 func (q *Queue) pushCommit(arrivals []time.Duration) {
 	if q.arrived == q.size {
 		for _, at := range arrivals {
@@ -472,79 +392,15 @@ func (q *Queue) NextArrival() (time.Duration, bool) {
 	return q.arrivals[q.head], true
 }
 
-// Pop removes and returns the oldest tuple. It panics if the tuple has not
-// arrived by now or the queue is empty: the engine must check Available
-// first. Popping frees a window slot, so the producer is resumed.
-func (q *Queue) Pop(now time.Duration) relation.Tuple {
-	if q.colMode {
-		panic(fmt.Sprintf("comm: queue %q: row pop on columnar queue", q.name))
-	}
-	q.Settle()
-	if q.size == 0 {
-		panic(fmt.Sprintf("comm: queue %q: pop on empty queue", q.name))
-	}
-	if at := q.arrivals[q.head]; at > now {
-		panic(fmt.Sprintf("comm: queue %q: pop of future tuple (arrival %v > now %v)", q.name, at, now))
-	}
-	t := q.tuples[q.head]
-	q.tuples[q.head] = nil
-	q.head++
-	if q.head == q.capacity {
-		q.head = 0
-	}
-	q.size--
-	if q.arrived > 0 {
-		q.arrived--
-	}
-	if q.observed > 0 {
-		q.observed--
-	}
-	q.totalPopped++
-	if q.producer != nil {
-		q.producer.Resume(now)
-	}
-	return t
-}
-
-// PopN bulk-removes up to len(dst) arrived tuples into dst and returns how
-// many it moved. The freed slots stay reserved as debt — the producer is
-// NOT resumed — until the consumer calls Credit once per tuple at the
-// virtual instant it processes it. Ring and cache bookkeeping is done once
-// per call instead of once per tuple.
-func (q *Queue) PopN(now time.Duration, dst []relation.Tuple) int {
-	if q.colMode {
-		panic(fmt.Sprintf("comm: queue %q: row pop on columnar queue", q.name))
-	}
-	n := q.Available(now)
-	if n > len(dst) {
-		n = len(dst)
-	}
-	if n == 0 {
-		return 0
-	}
-	first := n
-	if q.head+first > q.capacity {
-		first = q.capacity - q.head
-	}
-	copy(dst, q.tuples[q.head:q.head+first])
-	if first < n {
-		copy(dst[first:], q.tuples[:n-first])
-	}
-	q.popCommit(n)
-	return n
-}
-
-// PopColsN is the columnar PopN: it bulk-moves up to len(pass) arrived slots
-// into dst (which must be Reset to this queue's columnar width) and the
-// per-slot pass mask into pass, returning how many slots it moved. Filtered
-// slots are transferred too — the consumer owes each one its credit at the
-// virtual instant it reaches it, just like a passing tuple — but their batch
-// positions hold unspecified values masked by pass. Window/debt/estimator
-// accounting is slot-for-slot identical to PopN.
+// PopColsN bulk-moves up to len(pass) arrived slots into dst (which must be
+// Reset to this queue's width) and the per-slot pass mask into pass,
+// returning how many slots it moved. The freed slots stay reserved as debt —
+// the producer is NOT resumed — until the consumer calls Credit once per
+// slot at the virtual instant it processes it. Filtered slots are
+// transferred too — the consumer owes each one its credit just like a
+// passing tuple — but their batch positions hold unspecified values masked
+// by pass.
 func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) int {
-	if !q.colMode {
-		panic(fmt.Sprintf("comm: queue %q: columnar pop on row queue", q.name))
-	}
 	if dst.Width() != q.colw {
 		panic(fmt.Sprintf("comm: queue %q: PopColsN into width-%d batch, ring has %d columns", q.name, dst.Width(), q.colw))
 	}
@@ -575,7 +431,7 @@ func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) in
 }
 
 // popCommit retires n popped slots into debt, with the estimator fed-prefix
-// bookkeeping shared by PopN and PopColsN.
+// bookkeeping.
 func (q *Queue) popCommit(n int) {
 	take := q.observed // popped tuples already fed to the estimator
 	if take > n {
@@ -584,7 +440,7 @@ func (q *Queue) popCommit(n int) {
 	// The obsDebt counter relies on fed debt tuples being the oldest
 	// prefix of the debt region. Appending fed tuples behind unfed debt
 	// (only possible if ObserveArrivals ran while an unfed tail from an
-	// earlier PopN was still in debt) would break that, so fail loudly
+	// earlier pop was still in debt) would break that, so fail loudly
 	// instead of silently mis-restoring `observed` later.
 	if take > 0 && q.obsDebt < q.debt {
 		panic(fmt.Sprintf("comm: queue %q: bulk pop of observed tuples behind unobserved debt", q.name))
@@ -598,22 +454,14 @@ func (q *Queue) popCommit(n int) {
 	q.totalPopped += int64(n)
 }
 
-// Credit releases the oldest debt slot at virtual time now, exactly as a
-// per-tuple Pop at now would have: the producer sees the slot free itself at
-// the instant the consumer reached the tuple, so refill send floors — and
-// every arrival time derived from them — match the unbatched path bit for
-// bit. A BulkProducer is not resumed here: the instant is recorded and the
-// refill simulated when the queue next settles.
+// Credit releases the oldest debt slot at virtual time now: the producer
+// sees the slot free itself at the instant the consumer reached the tuple,
+// so refill send floors — and every arrival time derived from them — do not
+// depend on the batch size. A BulkProducer is not resumed here: the instant
+// is recorded and the refill simulated when the queue next settles.
 func (q *Queue) Credit(now time.Duration) {
 	if q.debt == 0 {
 		panic(fmt.Sprintf("comm: queue %q: credit without debt", q.name))
-	}
-	if !q.colMode {
-		i := q.head - q.debt
-		if i < 0 {
-			i += q.capacity
-		}
-		q.tuples[i] = nil
 	}
 	q.debt--
 	// The oldest debt slot is a fed one whenever any fed debt remains
@@ -633,8 +481,8 @@ func (q *Queue) Credit(now time.Duration) {
 }
 
 // UnpopN returns the newest n uncredited tuples to the buffer, undoing the
-// tail of a PopN batch the consumer could not process (e.g. a memory
-// overflow mid-batch). Their ring slots were left intact by PopN, so this
+// tail of a popped batch the consumer could not process (e.g. a memory
+// overflow mid-batch). Their ring slots were left intact by the pop, so this
 // is pure index arithmetic.
 func (q *Queue) UnpopN(n int) {
 	if n == 0 {
@@ -673,8 +521,8 @@ func (q *Queue) UnpopN(n int) {
 // The CM calls this between scheduling rounds, when bulk-pop debt is fully
 // settled (every fragment credits or unpops its whole batch before
 // yielding). Observing new arrivals while an unfed debt tail is still
-// outstanding would let a later PopN place fed tuples behind unfed debt,
-// which the fed-prefix accounting cannot represent; PopN panics if that
+// outstanding would let a later pop place fed tuples behind unfed debt,
+// which the fed-prefix accounting cannot represent; the pop panics if that
 // ever happens.
 func (q *Queue) ObserveArrivals(now time.Duration) int {
 	n := q.Available(now)

@@ -11,24 +11,54 @@ import (
 // branch-based wraparound instead of % (the capacity is config-driven and
 // not a power of two, so the compiler cannot strength-reduce the modulo)
 // and the O(1)-amortized arrived-count cache behind Available.
-//
-// Pre-optimization reference on the baseline machine (2.1 GHz Xeon, same
-// benchmarks against the modulo ring with rescanning Available):
-// BenchmarkQueuePushPop 12.6 ns/op (now ~7.9), BenchmarkQueueAvailable
-// 1455 ns/op at depth 384 (now ~3.1 — the rescan scaled linearly with
-// depth, the cache is O(1)).
 
-// BenchmarkQueuePushPop cycles tuples through the ring across many
-// wraparounds: the Push/Pop index arithmetic dominates.
-func BenchmarkQueuePushPop(b *testing.B) {
-	q := NewQueue("w", 96) // default window size; not a power of two
-	tup := relation.Tuple{1, 2, 3}
-	at := time.Duration(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at += time.Microsecond
-		q.Push(tup, at)
-		q.Pop(at)
+// benchRing is a two-column queue with one run of n slots staged for
+// PushColsN and the buffers to pop them back.
+type benchRing struct {
+	q        *Queue
+	vals     [][]int64
+	pass     []bool
+	arrivals []time.Duration
+	batch    *relation.Batch
+	popPass  []bool
+	at       time.Duration
+}
+
+func newBenchRing(capacity, n int) *benchRing {
+	r := &benchRing{
+		q:        NewQueue("w", capacity),
+		vals:     [][]int64{make([]int64, n), make([]int64, n)},
+		pass:     make([]bool, n),
+		arrivals: make([]time.Duration, n),
+		batch:    relation.NewBatch(2),
+		popPass:  make([]bool, n),
+	}
+	r.q.SetColumnar(2)
+	for i := range r.pass {
+		r.vals[0][i], r.vals[1][i] = int64(i), int64(i)
+		r.pass[i] = i%3 != 0
+	}
+	return r
+}
+
+// push appends the staged run, one microsecond between arrivals.
+func (r *benchRing) push() {
+	for j := range r.arrivals {
+		r.at += time.Microsecond
+		r.arrivals[j] = r.at
+	}
+	r.q.PushColsN(r.vals, r.pass, r.arrivals)
+}
+
+// pop bulk-pops the run back and credits every slot.
+func (r *benchRing) pop(b *testing.B) {
+	r.batch.Reset(2)
+	n := r.q.PopColsN(r.at, r.batch, r.popPass)
+	if n != len(r.popPass) {
+		b.Fatal("short pop")
+	}
+	for j := 0; j < n; j++ {
+		r.q.Credit(r.at)
 	}
 }
 
@@ -37,80 +67,42 @@ func BenchmarkQueuePushPop(b *testing.B) {
 // each call O(1) amortized instead of a rescan of the arrived prefix.
 func BenchmarkQueueAvailable(b *testing.B) {
 	const depth = 384
-	q := NewQueue("w", depth)
-	for i := 0; i < depth; i++ {
-		q.Push(relation.Tuple{int64(i)}, time.Duration(i)*time.Microsecond)
-	}
-	now := depth * time.Microsecond
+	r := newBenchRing(depth, depth)
+	r.push()
+	now := r.at
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += time.Nanosecond
-		if q.Available(now) != depth {
+		if r.q.Available(now) != depth {
 			b.Fatal("wrong availability")
 		}
 	}
 }
 
-// BenchmarkQueueObserveDrain measures the estimator feed plus a full
-// pop-refill cycle at engine batch granularity.
+// BenchmarkQueueObserveDrain measures the estimator feed plus a pop-refill
+// cycle of eight slots on a full default window.
 func BenchmarkQueueObserveDrain(b *testing.B) {
 	const depth = 96
-	q := NewQueue("w", depth)
-	at := time.Duration(0)
-	tup := relation.Tuple{1, 2}
-	for i := 0; i < depth; i++ {
-		at += time.Microsecond
-		q.Push(tup, at)
-	}
+	fill := newBenchRing(depth, depth)
+	fill.push()
+	r := newBenchRing(1, 8)
+	r.q, r.at = fill.q, fill.at
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.ObserveArrivals(at)
-		for j := 0; j < 8; j++ {
-			q.Pop(at)
-		}
-		for j := 0; j < 8; j++ {
-			at += time.Microsecond
-			q.Push(tup, at)
-		}
+		r.q.ObserveArrivals(r.at)
+		r.pop(b)
+		r.push()
 	}
 }
 
-// BenchmarkColumnarScan cycles a full window of 2-column batches through a
-// columnar queue — PushColsN ring copies in, PopColsN ring copies out into a
-// recycled batch — the wrapper→mediator hot path of the columnar dataflow.
-// Compare with BenchmarkQueuePushPop ×96 for the row-at-a-time equivalent.
+// BenchmarkColumnarScan cycles a full window of 2-column batches through
+// the queue — PushColsN ring copies in, PopColsN ring copies out into a
+// recycled batch — the wrapper→mediator hot path.
 func BenchmarkColumnarScan(b *testing.B) {
-	const depth = 96
-	q := NewQueue("w", depth)
-	q.SetColumnar(2)
-	vals := make([][]int64, 2)
-	arrivals := make([]time.Duration, depth)
-	pass := make([]bool, depth)
-	for c := range vals {
-		vals[c] = make([]int64, depth)
-		for i := range vals[c] {
-			vals[c][i] = int64(i)
-		}
-	}
-	for i := range pass {
-		pass[i] = i%3 != 0
-	}
-	batch := relation.NewBatch(2)
-	popPass := make([]bool, depth)
-	at := time.Duration(0)
+	r := newBenchRing(96, 96)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range arrivals {
-			at += time.Microsecond
-			arrivals[j] = at
-		}
-		q.PushColsN(vals, pass, arrivals)
-		batch.Reset(2)
-		if q.PopColsN(at, batch, popPass) != depth {
-			b.Fatal("short pop")
-		}
-		for j := 0; j < depth; j++ {
-			q.Credit(at)
-		}
+		r.push()
+		r.pop(b)
 	}
 }

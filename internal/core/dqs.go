@@ -150,13 +150,13 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 }
 
 // candidates assembles the schedulable-fragment set for one planning pass.
-// With incremental replanning on (the default), chains whose cached
-// planning verdict is still valid skip the full eligibility evaluation:
-// cached candidates only recompute their priority from the live waiting
-// time, and cached wait-dependent rejections are re-derived only when the
-// CM estimate they read has changed. Structural transitions invalidate the
-// per-chain cache (see chainState), so the incremental pass is
-// byte-identical to the full one.
+// Replanning is incremental: chains whose cached planning verdict is still
+// valid skip the full eligibility evaluation — cached candidates only
+// recompute their priority from the live waiting time, and cached
+// wait-dependent rejections are re-derived only when the CM estimate they
+// read has changed. Structural transitions invalidate the per-chain cache
+// (see chainState), so a pass decides exactly what evaluating every chain
+// afresh would.
 func (p *dsePolicy) candidates(st *State) []cand {
 	med := st.Mediator()
 	// Lift memory suspensions once the grant has visibly grown.
@@ -168,7 +168,7 @@ func (p *dsePolicy) candidates(st *State) []cand {
 	}
 	cands := make([]cand, 0, len(p.states))
 	for _, cs := range p.states {
-		if p.incremental && cs.pcValid {
+		if cs.pcValid {
 			if cs.pcCand {
 				// Eligibility of a known candidate does not depend on the
 				// waiting time — only its priority does.

@@ -35,10 +35,6 @@ type dsePolicy struct {
 	// byRuntime groups chain states per query, for completion tracking.
 	byRuntime map[*exec.Runtime][]*chainState
 
-	// incremental enables the per-chain planning cache (on unless
-	// Config.FullReplan forces the always-full evaluation path; the two are
-	// byte-identical by construction and differential-tested).
-	incremental bool
 	// splitBudget bounds the memory-repair splits of one planning point.
 	// Every split consumes at least one chain step for its head segment, so
 	// a legitimate repair sequence can never need more than the total step
@@ -64,7 +60,6 @@ func NewDSEPolicy(st *State) (Policy, error) {
 		descendants: make(map[*plan.Chain]int),
 		byRuntime:   make(map[*exec.Runtime][]*chainState),
 	}
-	p.incremental = !st.Config().FullReplan
 	for _, rt := range st.Runtimes() {
 		p.addRuntime(rt)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,32 +8,6 @@ import (
 	"dqs/internal/exec"
 	"dqs/internal/sim"
 )
-
-// TestIncrementalReplanMatchesFullUnderMemoryPressure is the core-level
-// differential check of the planning cache on the path the experiment-level
-// tests do not stress: a memory grant tight enough to force suspensions and
-// memory-repair splits at planning points.
-func TestIncrementalReplanMatchesFullUnderMemoryPressure(t *testing.T) {
-	w := smallFig5(t)
-	del := uniform(w, 10*time.Microsecond)
-	run := func(full bool) exec.Result {
-		cfg := testConfig()
-		cfg.MemoryBytes = 1 << 20
-		cfg.FullReplan = full
-		res, err := RunDSE(newRT(t, w, cfg, del))
-		if err != nil {
-			t.Fatalf("full=%v: %v", full, err)
-		}
-		return res
-	}
-	ref, inc := run(true), run(false)
-	if ref.MemRepairs == 0 {
-		t.Fatal("1MB grant triggered no memory repairs; the test lost its point")
-	}
-	if !reflect.DeepEqual(ref, inc) {
-		t.Errorf("incremental replanning diverged from full under memory pressure:\nfull:        %+v\nincremental: %+v", ref, inc)
-	}
-}
 
 // TestSplitBudgetExhaustion forces the memory-repair loop over its split
 // budget and expects the traced, descriptive error the budget was added

@@ -84,28 +84,6 @@ type Config struct {
 	// parallel builds. Results are identical at any partition count; the
 	// knob exists so differential tests can pin the grid.
 	Partitions int
-	// PerTupleDataflow switches fragments and the DPHJ network back to the
-	// pop-one-tuple-at-a-time input protocol instead of the batched PopN/
-	// Credit path. The two paths are bit-identical by construction; the
-	// toggle exists so differential tests can prove it. Off (batched) in
-	// production.
-	PerTupleDataflow bool
-	// RowDataflow switches the engine back to the row-oriented dataflow:
-	// wrapper queues carry full-width []relation.Tuple rows, predicates are
-	// evaluated mediator-side, and no projection happens on the wire. Off,
-	// the engine runs columnar: queues carry flat per-column batches of only
-	// the live (key/predicate) columns with selection pushed into the
-	// wrapper. The two paths are bit-identical by construction — window
-	// credits and rate estimation are defined on pre-filter arrivals either
-	// way — and the toggle exists so differential tests can prove it. Off
-	// (columnar) in production. PerTupleDataflow implies the row path.
-	RowDataflow bool
-	// FullReplan switches the DQS policy back to re-deriving every chain's
-	// eligibility at every planning point instead of reusing cached
-	// verdicts for chains untouched by the phase's events. The two paths
-	// are bit-identical by construction; the toggle exists so differential
-	// tests can prove it. Off (incremental) in production.
-	FullReplan bool
 	// Plans, when non-nil, memoizes pipeline-chain decompositions keyed by
 	// plan root, so repeated runs of the same (immutable) plan share one
 	// decomposition with precomputed closures. Safe to share across
@@ -170,11 +148,6 @@ type Config struct {
 	// bit-identical with or without it. A Scratch serves one run at a time.
 	Scratch *Scratch
 }
-
-// columnarDataflow reports whether wrapper queues run in columnar pushdown
-// mode: the per-tuple reference dataflow needs row queues, so it forces the
-// row path too.
-func (c Config) columnarDataflow() bool { return !c.RowDataflow && !c.PerTupleDataflow }
 
 // workers returns the effective intra-run worker count (>= 1).
 func (c Config) workers() int {

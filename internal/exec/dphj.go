@@ -31,12 +31,10 @@ func RunDPHJ(rt *Runtime) (Result, error) {
 	}
 	defer net.reclaim()
 	type feed struct {
-		src  TupleSource
-		qs   *queueSource
+		src  *queueSource
 		leaf *symLeaf
-		col  bool
-		at   []int          // columnar: batch-column → full-schema gather map
-		row  relation.Tuple // columnar: reused scan-width gather row
+		at   []int          // batch-column → full-schema gather map
+		row  relation.Tuple // reused scan-width gather row
 	}
 	feeds := make([]feed, 0, len(rt.Dec.Chains))
 	for _, c := range rt.Dec.Chains {
@@ -44,22 +42,13 @@ func RunDPHJ(rt *Runtime) (Result, error) {
 		if !ok {
 			return Result{}, fmt.Errorf("exec: DPHJ leaf for %s missing", c.Scan.Rel.Name)
 		}
-		qs := rt.qsrcs[c.Scan.Rel.Name]
-		fd := feed{src: qs, qs: qs, leaf: leaf}
-		if qs.Columnar() {
-			fd.col = true
-			fd.at = rt.colPush[c.Scan.Rel.Name].keep
-			fd.row = make(relation.Tuple, c.Scan.Schema.Width())
-		}
-		feeds = append(feeds, fd)
+		feeds = append(feeds, feed{
+			src:  rt.qsrcs[c.Scan.Rel.Name],
+			leaf: leaf,
+			at:   rt.colPush[c.Scan.Rel.Name].keep,
+			row:  make(relation.Tuple, c.Scan.Schema.Width()),
+		})
 	}
-	perTuple := rt.Cfg.PerTupleDataflow
-	popBuf := rt.Cfg.Scratch.GetTuples()
-	if cap(popBuf) < rt.Cfg.BatchTuples {
-		popBuf = make([]relation.Tuple, rt.Cfg.BatchTuples)
-	}
-	popBuf = popBuf[:rt.Cfg.BatchTuples]
-	defer rt.Cfg.Scratch.PutTuples(popBuf)
 	colBatch := rt.Cfg.Scratch.GetBatch(0)
 	defer rt.Cfg.Scratch.PutBatch(colBatch)
 	passBuf := rt.Cfg.Scratch.GetBools()
@@ -76,53 +65,20 @@ func RunDPHJ(rt *Runtime) (Result, error) {
 				exhausted++
 				continue
 			}
-			n := f.src.Available(rt.Now())
-			if n > rt.Cfg.BatchTuples {
-				n = rt.Cfg.BatchTuples
-			}
-			if f.col {
-				// Columnar feed: same per-slot credits and receive/move
-				// charges as the row path, with wrapper-filtered slots
-				// skipped by their pass bit instead of a mediator-side
-				// predicate evaluation.
-				colBatch.Reset(len(f.at))
-				n = f.qs.PopBatch(rt.Now(), colBatch, passBuf[:n])
-				for i := 0; i < n; i++ {
-					f.src.Credit(rt.Now())
-					rt.Costs.ChargeReceive()
-					rt.Costs.ChargeMove()
-					if !passBuf[i] {
-						continue
-					}
-					colBatch.Gather(i, f.row, f.at)
-					if !net.arrive(f.leaf.join, f.leaf.fromBuild, f.row) {
-						return Result{}, fmt.Errorf("%w (symmetric join network)", ErrMemoryExceeded)
-					}
-				}
-				if n > 0 {
-					progressed = true
-				}
-				continue
-			}
-			if !perTuple {
-				// Bulk removal with per-tuple slot credits at the instants
-				// the per-tuple pops would have happened; see Fragment.
-				n = f.src.PopN(rt.Now(), popBuf[:n])
-			}
+			// Bulk removal with per-slot credits at the instants the tuples
+			// are reached (see Fragment.processColumnar); wrapper-filtered
+			// slots are skipped by their pass bit.
+			colBatch.Reset(len(f.at))
+			n := f.src.PopBatch(rt.Now(), colBatch, passBuf)
 			for i := 0; i < n; i++ {
-				var t relation.Tuple
-				if perTuple {
-					t = f.src.Pop(rt.Now())
-				} else {
-					t = popBuf[i]
-					f.src.Credit(rt.Now())
-				}
+				f.src.Credit(rt.Now())
 				rt.Costs.ChargeReceive()
 				rt.Costs.ChargeMove()
-				if f.leaf.pred != nil && !operator.EvalPred(t, f.leaf.predIdx, f.leaf.pred.Less) {
+				if !passBuf[i] {
 					continue
 				}
-				if !net.arrive(f.leaf.join, f.leaf.fromBuild, t) {
+				colBatch.Gather(i, f.row, f.at)
+				if !net.arrive(f.leaf.join, f.leaf.fromBuild, f.row) {
 					return Result{}, fmt.Errorf("%w (symmetric join network)", ErrMemoryExceeded)
 				}
 			}
@@ -176,8 +132,6 @@ type symJoin struct {
 type symLeaf struct {
 	join      *symJoin
 	fromBuild bool
-	pred      *plan.Pred
-	predIdx   int
 }
 
 // symNet is the whole join network.
@@ -223,15 +177,9 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 			}
 			return build(n.Probe, sj, false)
 		case plan.KindScan:
-			leaf := &symLeaf{join: parent, fromBuild: fromBuild, pred: n.Pred}
-			if n.Pred != nil {
-				leaf.predIdx = n.Schema.MustIndexOf(n.Pred.Col)
-			}
-			if parent == nil {
-				// Single-relation plan: tuples go straight to the output.
-				leaf.join = nil
-			}
-			net.leaves[n.Rel.Name] = leaf
+			// A nil parent is a single-relation plan: tuples go straight to
+			// the output.
+			net.leaves[n.Rel.Name] = &symLeaf{join: parent, fromBuild: fromBuild}
 			return nil
 		default:
 			return fmt.Errorf("exec: DPHJ cannot compile node kind %v", n.Kind)

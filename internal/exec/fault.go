@@ -196,15 +196,13 @@ func (m *Mediator) registerFaultEntry(rt *Runtime, rel, cmName string, table *re
 		if rwait == 0 {
 			rwait = d.MeanWait
 		}
-		repOpts := []source.Option{source.WithMeanWait(rwait), source.AsStandby()}
-		if p, ok := rt.colPush[rel]; ok {
-			// The replica shares the primary's columnar queue, so it must
-			// deliver the same projected columns and wrapper-side predicate.
-			repOpts = append(repOpts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess))
-		}
+		// The replica shares the primary's queue, so it must deliver the same
+		// projected columns and wrapper-side predicate.
+		p := rt.colPush[rel]
 		repl, err := source.New(cmName+"~replica", table, e.qs.q,
 			sim.NewRNG(fault.SeedFor(m.Cfg.FaultSeed, cmName+"~replica")), netTime,
-			repOpts...)
+			source.WithMeanWait(rwait), source.AsStandby(),
+			source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess))
 		if err != nil {
 			return err
 		}

@@ -52,17 +52,15 @@ type Fragment struct {
 	// FromStep/ToStep bound the probed joins: Chain.Joins[FromStep:ToStep].
 	FromStep, ToStep int
 	// QueueInput distinguishes wrapper-fed fragments (which pay receive
-	// costs and apply the pushed-down predicate) from temp-fed ones.
+	// costs and whose scan predicate the wrapper already applied) from
+	// temp-fed ones.
 	QueueInput bool
 	In         TupleSource
 	Term       TerminalKind
 	// Temp receives output tuples when Term == TermTemp.
 	Temp *mem.Temp
 
-	predIdx  int
-	predLess int64
-	hasPred  bool
-	steps    []stepExec
+	steps []stepExec
 
 	// Per-batch scratch storage, reused across input tuples: curBuf/nextBuf
 	// hold the intermediate tuple headers of the probe cascade, arena backs
@@ -81,7 +79,9 @@ type Fragment struct {
 	processed int64
 	done      bool
 
+	// Row input state (temp-fed fragments): tempIn is the reader behind In,
 	// popBuf stages bulk-popped input tuples between PopN and processing.
+	tempIn *mem.Reader
 	popBuf []relation.Tuple
 
 	// prefixSig, when non-empty (governor mode, temp terminals), is the
@@ -89,10 +89,10 @@ type Fragment struct {
 	// registered for reuse by replans of the same segment.
 	prefixSig string
 
-	// Columnar input state (wrapper-fed fragments on a columnar queue).
-	// colIn is the batch protocol view of In; gatherAt maps batch columns to
-	// their full-schema positions in rowBuf, the reused scan-width processing
-	// row whose dead (projected-away) positions stay permanently zero.
+	// Columnar input state (wrapper-fed fragments). colIn is the batch
+	// protocol view of In; gatherAt maps batch columns to their full-schema
+	// positions in rowBuf, the reused scan-width processing row whose dead
+	// (projected-away) positions stay permanently zero.
 	colIn    *queueSource
 	gatherAt []int
 	rowBuf   relation.Tuple
@@ -117,7 +117,7 @@ type parLane struct {
 	outs    []relation.Tuple
 	cnts    []int64
 	durs    []time.Duration
-	rowBuf  relation.Tuple // columnar: private gather row
+	rowBuf  relation.Tuple // wrapper-fed: private gather row
 }
 
 // reset clears the lane's per-batch results; scratch capacity is kept.
@@ -154,26 +154,21 @@ func inputSchemaAt(c *plan.Chain, i int) *relation.Schema {
 	return c.Joins[i-1].Schema
 }
 
-// newFragment builds a fragment over chain steps [fromStep, toStep).
-func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int, queueInput bool, in TupleSource, term TerminalKind, temp *mem.Temp) *Fragment {
+// newFragment builds a fragment over chain steps [fromStep, toStep), fed by
+// the chain's wrapper queue or by a temp reader.
+func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int, in TupleSource, term TerminalKind, temp *mem.Temp) *Fragment {
 	if fromStep < 0 || toStep > len(c.Joins) || fromStep > toStep {
 		panic(fmt.Sprintf("exec: bad fragment step range [%d,%d) for %s", fromStep, toStep, c.Name))
 	}
 	f := &Fragment{
-		rt:         rt,
-		Chain:      c,
-		Label:      label,
-		FromStep:   fromStep,
-		ToStep:     toStep,
-		QueueInput: queueInput,
-		In:         in,
-		Term:       term,
-		Temp:       temp,
-	}
-	if queueInput && c.Scan.Pred != nil {
-		f.hasPred = true
-		f.predIdx = c.Scan.Schema.MustIndexOf(c.Scan.Pred.Col)
-		f.predLess = c.Scan.Pred.Less
+		rt:       rt,
+		Chain:    c,
+		Label:    label,
+		FromStep: fromStep,
+		ToStep:   toStep,
+		In:       in,
+		Term:     term,
+		Temp:     temp,
 	}
 	for i := fromStep; i < toStep; i++ {
 		j := c.Joins[i]
@@ -187,17 +182,16 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 		f.pendArena.Recycle(s.GetInts())
 		f.curBuf = s.GetTuples()
 		f.nextBuf = s.GetTuples()
-		f.popBuf = s.GetTuples()
 	}
-	if queueInput {
-		if qs, ok := in.(*queueSource); ok && qs.Columnar() {
-			p := rt.colPush[c.Scan.Rel.Name]
-			f.colIn = qs
-			f.gatherAt = p.keep
-			f.rowBuf = make(relation.Tuple, c.Scan.Schema.Width())
-			f.colBatch = rt.Cfg.Scratch.GetBatch(len(p.keep))
-			f.passBuf = rt.Cfg.Scratch.GetBools()
-		}
+	if qs, ok := in.(*queueSource); ok {
+		f.QueueInput, f.colIn = true, qs
+		f.gatherAt = rt.colPush[c.Scan.Rel.Name].keep
+		f.rowBuf = make(relation.Tuple, c.Scan.Schema.Width())
+		f.colBatch = rt.Cfg.Scratch.GetBatch(len(f.gatherAt))
+		f.passBuf = rt.Cfg.Scratch.GetBools()
+	} else {
+		f.tempIn = in.(tempSource).Reader
+		f.popBuf = rt.Cfg.Scratch.GetTuples()
 	}
 	rt.frags = append(rt.frags, f)
 	return f
@@ -209,7 +203,7 @@ func (rt *Runtime) NewPCFragment(c *plan.Chain) *Fragment {
 	if c.BuildsFor != nil {
 		term = TermBuild
 	}
-	return rt.newFragment(c, c.Name, 0, len(c.Joins), true, rt.QueueSource(c.Scan.Rel.Name), term, nil)
+	return rt.newFragment(c, c.Name, 0, len(c.Joins), rt.qsrcs[c.Scan.Rel.Name], term, nil)
 }
 
 // NewMF creates the materialization fragment of a degraded chain: wrapper
@@ -229,9 +223,9 @@ func (rt *Runtime) NewCF(c *plan.Chain, temp *mem.Temp) *Fragment {
 // explicitly assumes asynchronous I/O for its fragments (§4.4); MA does
 // not.
 func (rt *Runtime) NewMFSync(c *plan.Chain) *Fragment {
-	in := rt.QueueSource(c.Scan.Rel.Name)
+	in := rt.qsrcs[c.Scan.Rel.Name]
 	temp := rt.Temps.CreateSyncSized("MF("+c.Name+")", c.Scan.Schema, rt.segmentRowsHint(c, 0, 0, true, in))
-	return rt.newFragment(c, "MF("+c.Name+")", 0, 0, true, in, TermTemp, temp)
+	return rt.newFragment(c, "MF("+c.Name+")", 0, 0, in, TermTemp, temp)
 }
 
 // NewCFSync is NewCF with synchronous page reads (no prefetch overlap).
@@ -241,7 +235,7 @@ func (rt *Runtime) NewCFSync(c *plan.Chain, temp *mem.Temp) *Fragment {
 		term = TermBuild
 	}
 	in := tempSource{temp.NewSyncReader()}
-	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), false, in, term, nil)
+	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), in, term, nil)
 }
 
 // NewSegment creates the fragment executing chain steps [fromStep, toStep).
@@ -274,7 +268,7 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 	}
 	var in TupleSource
 	if queueInput {
-		in = rt.QueueSource(c.Scan.Rel.Name)
+		in = rt.qsrcs[c.Scan.Rel.Name]
 	} else {
 		in = tempSource{prev.NewReader(rt.Cfg.PrefetchPages)}
 	}
@@ -283,7 +277,7 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 		if c.BuildsFor != nil {
 			term = TermBuild
 		}
-		return rt.newFragment(c, label, fromStep, toStep, queueInput, in, term, nil)
+		return rt.newFragment(c, label, fromStep, toStep, in, term, nil)
 	}
 	if rt.Cfg.Governor {
 		sig := rt.prefixSig(c, fromStep, toStep, prev)
@@ -292,20 +286,20 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 			// materialized (and closed) its result; adopt it instead of
 			// re-consuming the input. The fragment is born done — the
 			// scheduler advances straight to the successor reading the temp.
-			f := rt.newFragment(c, label, fromStep, toStep, queueInput, in, TermTemp, t)
+			f := rt.newFragment(c, label, fromStep, toStep, in, TermTemp, t)
 			f.done = true
 			rt.Trace.Add(rt.Now(), sim.EvMaterialize, "%s reused materialized prefix (%d tuples)", label, t.Len())
 			return f
 		}
 		temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep),
 			rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
-		f := rt.newFragment(c, label, fromStep, toStep, queueInput, in, TermTemp, temp)
+		f := rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
 		f.prefixSig = sig
 		return f
 	}
 	temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep),
 		rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
-	return rt.newFragment(c, label, fromStep, toStep, queueInput, in, TermTemp, temp)
+	return rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
 }
 
 // PrefixKey returns the signature prefix shared by every materialized-
@@ -397,9 +391,6 @@ func (f *Fragment) cascade(t relation.Tuple, arena *relation.Arena, curBuf, next
 	d = costs.MoveT
 	if f.QueueInput {
 		d += costs.ReceiveT
-	}
-	if f.hasPred && t[f.predIdx] >= f.predLess {
-		return nil, curBuf, nextBuf, d
 	}
 	cur, next := append(curBuf[:0], t), nextBuf[:0]
 	for _, s := range f.steps {
@@ -495,12 +486,9 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 	}
 	var n int
 	var overflow bool
-	switch {
-	case f.colIn != nil:
+	if f.colIn != nil {
 		n, overflow = f.processColumnar(max)
-	case f.rt.Cfg.PerTupleDataflow:
-		n, overflow = f.processPerTuple(max)
-	default:
+	} else {
 		n, overflow = f.processBulk(max)
 	}
 	if overflow {
@@ -510,37 +498,11 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 	return n, false
 }
 
-// processPerTuple is the reference dataflow: pop one tuple at a time, each
-// pop immediately releasing its window slot. Kept behind
-// Config.PerTupleDataflow so differential tests can prove the bulk path
-// below is bit-identical to it.
-func (f *Fragment) processPerTuple(max int) (int, bool) {
-	n := 0
-	for n < max {
-		now := f.rt.Now()
-		if f.In.Available(now) == 0 {
-			break
-		}
-		t := f.In.Pop(now)
-		if f.processed == 0 {
-			f.rt.Trace.Add(now, sim.EvBatch, "%s first batch", f.Label)
-		}
-		f.processed++
-		n++
-		if !f.sinkAll(f.applyTuple(t)) {
-			return n, true
-		}
-	}
-	return n, false
-}
-
-// processBulk consumes input in bulk chunks: every tuple available at the
-// chunk instant is removed from the source in one PopN, then each is
-// credited back at the virtual instant its processing starts — the instant
-// a per-tuple Pop would have freed its window slot. After a chunk the
-// availability check repeats at the advanced clock, exactly like the
-// per-tuple loop's per-iteration check, so refills arriving while a chunk
-// was processed are picked up at the same instants.
+// processBulk consumes a temp reader's rows in bulk chunks: every tuple
+// available at the chunk instant (up to the page edge) is removed from the
+// reader in one PopN and processed in order. After a chunk the availability
+// check repeats at the advanced clock, so pages whose reads completed while
+// a chunk was processed are picked up at once.
 func (f *Fragment) processBulk(max int) (int, bool) {
 	n := 0
 	for n < max {
@@ -550,7 +512,7 @@ func (f *Fragment) processBulk(max int) (int, bool) {
 			f.popBuf = make([]relation.Tuple, want)
 		}
 		buf := f.popBuf[:want]
-		k := f.In.PopN(now, buf)
+		k := f.tempIn.PopN(now, buf)
 		if k == 0 {
 			break
 		}
@@ -564,14 +526,13 @@ func (f *Fragment) processBulk(max int) (int, bool) {
 		}
 		for i := 0; i < k; i++ {
 			t := buf[i]
-			f.In.Credit(f.rt.Now())
 			if f.processed == 0 {
 				f.rt.Trace.Add(f.rt.Now(), sim.EvBatch, "%s first batch", f.Label)
 			}
 			f.processed++
 			n++
 			if !f.sinkAll(f.applyTuple(t)) {
-				f.In.UnpopN(k - i - 1)
+				f.tempIn.UnpopN(k - i - 1)
 				return n, true
 			}
 		}
@@ -632,7 +593,7 @@ func (f *Fragment) runParallelRow(k int) (int, bool) {
 
 // runParallelCol is runParallelRow over a popped columnar batch: each lane
 // gathers passing slots into its private full-width row and cascades it,
-// while filtered slots record a zero-output result carrying the same
+// while filtered slots record a zero-output result carrying the
 // receive+move charge the serial path bills them.
 func (f *Fragment) runParallelCol(k int, pass []bool) (int, bool) {
 	f.rt.parallelBatches++
@@ -694,14 +655,15 @@ func (f *Fragment) mergeLanes(k, chunks int) (int, bool) {
 	return n, false
 }
 
-// processColumnar is processBulk over a columnar queue: slots come out as
-// flat column runs plus a pass mask, and each is credited at the virtual
-// instant its processing starts — slot for slot the same protocol events as
-// the row path. A filtered slot (predicate already applied wrapper-side)
-// charges the same receive+move the row path's mediator-side predicate
-// rejection charges, at the same instant; a passing slot is gathered into
-// the reused full-width row (dead columns stay zero) and runs the same
-// cascade.
+// processColumnar consumes a wrapper queue in bulk chunks: every slot
+// arrived at the chunk instant comes out in one PopBatch as flat column runs
+// plus a pass mask, and each is credited back at the virtual instant its
+// processing starts, so the window refills exactly as the tuples are
+// reached. A filtered slot (predicate already applied wrapper-side) still
+// charges its receive+move; a passing slot is gathered into the reused
+// full-width row (dead columns stay zero) and runs the cascade. After a
+// chunk the availability check repeats at the advanced clock, so refills
+// arriving while a chunk was processed are picked up at once.
 func (f *Fragment) processColumnar(max int) (int, bool) {
 	costs := &f.rt.Costs
 	filteredCharge := costs.MoveT + costs.ReceiveT

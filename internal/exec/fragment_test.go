@@ -270,13 +270,14 @@ func TestPerTupleCostMonotonicInSteps(t *testing.T) {
 	}
 }
 
-// TestOverflowUnpopKeepsEstimatorExact is the differential proof that a
-// mid-batch memory overflow — PopN, a partial run of Credits, then UnpopN
-// of the unprocessed tail — leaves the wrapper's rate estimator in exactly
-// the state the per-tuple reference path produces. The communication
-// manager observes arrivals at every round boundary, as the engine does, so
-// any arrival double-fed (or skipped) around the overflow shows up as a
-// diverging observation count or EWMA mean.
+// TestOverflowUnpopKeepsEstimatorExact pins that a mid-batch memory overflow
+// — a bulk pop, a partial run of Credits, then UnpopN of the unprocessed tail
+// — neither double-feeds nor skips an arrival in the wrapper's rate
+// estimator. The communication manager observes arrivals at every round
+// boundary, as the engine does, so the estimator must end having seen each of
+// the wrapper's tuples exactly once; the build size, EWMA mean and final
+// clock are pinned to the values recorded while a per-tuple reference
+// dataflow still existed to agree with them.
 func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 	type outcome struct {
 		rows  int64
@@ -285,68 +286,68 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 		ok    bool
 		clock time.Duration
 	}
-	run := func(perTuple bool) outcome {
-		w := smallFig5(t)
-		cfg := testConfig()
-		// Same tight grant as TestFragmentOverflowSuspendsAndResumes: the
-		// p_A build overflows mid-batch with a large popped backlog, so
-		// UnpopN returns a non-trivial tail of already-observed arrivals.
-		cfg.MemoryBytes = 520 << 10
-		cfg.PerTupleDataflow = perTuple
-		rt, err := NewRuntime(cfg, w.Root, w.Dataset, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cE, _ := rt.Dec.ChainOf("E")
-		drainFrag(t, rt, rt.NewPCFragment(cE))
-		cA, _ := rt.Dec.ChainOf("A")
-		f := rt.NewPCFragment(cA)
-		overflowed := false
-		for !f.Done() {
-			// Round boundary: bulk-pop debt is settled, the CM observes.
-			rt.CM.Observe(rt.Now())
-			n, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
-			if overflow {
-				if overflowed {
-					t.Fatal("fragment overflowed again after memory was freed")
-				}
-				overflowed = true
-				// Free memory (as a completed prober would) and resume.
-				rt.Mem.Release(60 << 10)
-				continue
-			}
-			if f.Done() {
-				break
-			}
-			if n == 0 {
-				if f.In.Available(rt.Now()) == 0 {
-					if at, ok := f.NextArrival(); ok {
-						rt.Clock.Stall(at)
-					} else if f.In.Exhausted() {
-						f.ProcessBatch(0)
-					}
-				}
-			}
-		}
-		if !overflowed {
-			t.Fatal("fragment did not overflow under the tight grant")
-		}
+	w := smallFig5(t)
+	cfg := testConfig()
+	// Same tight grant as TestFragmentOverflowSuspendsAndResumes: the
+	// p_A build overflows mid-batch with a large popped backlog, so
+	// UnpopN returns a non-trivial tail of already-observed arrivals.
+	cfg.MemoryBytes = 520 << 10
+	rt, err := NewRuntime(cfg, w.Root, w.Dataset, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cE, _ := rt.Dec.ChainOf("E")
+	drainFrag(t, rt, rt.NewPCFragment(cE))
+	cA, _ := rt.Dec.ChainOf("A")
+	f := rt.NewPCFragment(cA)
+	overflowed := false
+	for !f.Done() {
+		// Round boundary: bulk-pop debt is settled, the CM observes.
 		rt.CM.Observe(rt.Now())
-		q, okQ := rt.CM.Queue(rt.cmName("A"))
-		if !okQ {
-			t.Fatal("queue for wrapper A missing")
+		n, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
+		if overflow {
+			if overflowed {
+				t.Fatal("fragment overflowed again after memory was freed")
+			}
+			overflowed = true
+			// Free memory (as a completed prober would) and resume.
+			rt.Mem.Release(60 << 10)
+			continue
 		}
-		wait, ok := q.EstimatedWait()
-		return outcome{
-			rows:  rt.TableRows(cA.BuildsFor),
-			obs:   q.Observations(),
-			wait:  wait,
-			ok:    ok,
-			clock: rt.Now(),
+		if f.Done() {
+			break
+		}
+		if n == 0 {
+			if f.In.Available(rt.Now()) == 0 {
+				if at, ok := f.NextArrival(); ok {
+					rt.Clock.Stall(at)
+				} else if f.In.Exhausted() {
+					f.ProcessBatch(0)
+				}
+			}
 		}
 	}
-	ref, batched := run(true), run(false)
-	if ref != batched {
-		t.Errorf("batched overflow path diverged from per-tuple reference:\nper-tuple: %+v\nbatched:   %+v", ref, batched)
+	if !overflowed {
+		t.Fatal("fragment did not overflow under the tight grant")
+	}
+	rt.CM.Observe(rt.Now())
+	q, okQ := rt.CM.Queue(rt.cmName("A"))
+	if !okQ {
+		t.Fatal("queue for wrapper A missing")
+	}
+	wait, ok := q.EstimatedWait()
+	got := outcome{
+		rows:  rt.TableRows(cA.BuildsFor),
+		obs:   q.Observations(),
+		wait:  wait,
+		ok:    ok,
+		clock: rt.Now(),
+	}
+	if card := int64(w.Dataset["A"].Len()); got.obs != card {
+		t.Errorf("estimator saw %d arrivals of wrapper A's %d tuples", got.obs, card)
+	}
+	want := outcome{rows: 12211, obs: 15000, wait: 5558 * time.Nanosecond, ok: true, clock: 91744700 * time.Nanosecond}
+	if got != want {
+		t.Errorf("overflow path diverged from the recorded run:\nrecorded: %+v\ngot:      %+v", want, got)
 	}
 }

@@ -191,16 +191,13 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			}
 			opts = append(opts, source.WithSharedStream(sh))
 		}
-		if m.Cfg.columnarDataflow() {
-			// Columnar dataflow: the queue ring carries only the plan's live
-			// columns, and the scan predicate moves into the wrapper. Window
-			// slots and arrivals stay pre-filter, so scheduling inputs are
-			// untouched.
-			p := compileColPush(root, c.Scan)
-			q.SetColumnar(len(p.keep))
-			opts = append(opts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess))
-			rt.colPush[name] = p
-		}
+		// The queue ring carries only the plan's live columns, and the scan
+		// predicate is evaluated in the wrapper. Window slots and arrivals
+		// stay pre-filter, so scheduling sees every produced tuple.
+		p := compileColPush(root, c.Scan)
+		q.SetColumnar(len(p.keep))
+		opts = append(opts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess))
+		rt.colPush[name] = p
 		opts = m.compileFaults(name, cmName, opts)
 		src, err := source.New(cmName, table, q, rng.Fork(int64(i+1)), netTime, opts...)
 		if err != nil {

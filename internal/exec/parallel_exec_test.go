@@ -101,6 +101,40 @@ func TestParallelBuildEngagesAndMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelRowBatchesEngageThroughTempFedCF covers the row half of the
+// parallel batch path. Under materialize-all every probe step runs in a
+// complement fragment reading a temp (the step-less materialization
+// fragments stay serial), so every parallel batch of the run is a popped row
+// run: at Workers 8 they must engage and leave the run summary equal to the
+// serial one.
+func TestParallelRowBatchesEngageThroughTempFedCF(t *testing.T) {
+	w := smallFig5(t)
+	run := func(workers int) (Result, int64) {
+		cfg := testConfig()
+		cfg.Workers = workers
+		rt, err := NewRuntime(cfg, w.Root, w.Dataset, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runMA(rt)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, rt.parallelBatches
+	}
+	ref, batches := run(1)
+	if batches != 0 {
+		t.Fatalf("serial run took %d parallel batches", batches)
+	}
+	res, batches := run(8)
+	if batches == 0 {
+		t.Error("workers=8: no complement fragment took the parallel row path")
+	}
+	if !reflect.DeepEqual(ref, res) {
+		t.Errorf("workers=8 diverged from serial:\nserial:   %+v\nparallel: %+v", ref, res)
+	}
+}
+
 // TestWorkerPoolRunCoversAllTasks pins the pool's task distribution: every
 // task index runs exactly once regardless of worker/task ratio.
 func TestWorkerPoolRunCoversAllTasks(t *testing.T) {

@@ -40,7 +40,7 @@ type Runtime struct {
 	sources map[string]*source.Source
 	qsrcs   map[string]*queueSource
 	tables  map[int]*tableState
-	colPush map[string]colPush // per-relation pushdown (columnar dataflow only)
+	colPush map[string]colPush // per-relation pushdown
 	frags   []*Fragment
 	// scatter is the radix scatter scratch of partition-parallel builds.
 	// Builds run one at a time inside the merge phase of a batch, so one
@@ -103,9 +103,6 @@ func (rt *Runtime) cmName(rel string) string {
 
 // Now returns the current virtual time.
 func (rt *Runtime) Now() time.Duration { return rt.Clock.Now() }
-
-// QueueSource returns the tuple source of a wrapper-scanned relation.
-func (rt *Runtime) QueueSource(rel string) TupleSource { return rt.qsrcs[rel] }
 
 // Source returns the simulated wrapper of a relation.
 func (rt *Runtime) Source(rel string) *source.Source { return rt.sources[rel] }
@@ -181,7 +178,7 @@ func (rt *Runtime) buildInsert(j *plan.Node, t relation.Tuple) bool {
 // reservation and one bulk hash-table append, returning how many tuples
 // made it in. When the single reservation fails — the grant is nearly
 // exhausted — it falls back to tuple-at-a-time reservation to find the
-// exact overflow boundary the per-tuple path would have found; memory
+// exact overflow boundary inserting one tuple at a time finds; memory
 // accounting (including the peak) is identical either way because the
 // reservations sum to the same total with no interleaved releases.
 // Large runs on a parallel configuration build partition-parallel: a

@@ -9,26 +9,21 @@ import (
 	"dqs/internal/source"
 )
 
-// TupleSource is the uniform input protocol of a query fragment: wrapper
+// TupleSource is the input protocol every query fragment shares: wrapper
 // queues and temp-relation readers both satisfy it, so the DQP schedules
 // pipeline chains, materialization fragments and complement fragments with
-// the same machinery.
+// the same machinery. Consumption itself is input-specific — a wrapper queue
+// hands out columnar batches (queueSource.PopBatch), a temp reader rows
+// (mem.Reader.PopN) — and either way leaves the popped tuples' flow-control
+// slots reserved: the consumer must Credit each tuple at the virtual instant
+// it processes it, or return unprocessed ones with UnpopN.
 type TupleSource interface {
 	// Available returns how many tuples can be popped at virtual time now.
 	Available(now time.Duration) int
 	// NextArrival returns when the next tuple becomes available; false
 	// means no tuple will ever arrive again.
 	NextArrival() (time.Duration, bool)
-	// Pop consumes the next tuple; only legal when Available(now) > 0.
-	Pop(now time.Duration) relation.Tuple
-	// PopN bulk-consumes up to len(dst) available tuples into dst without
-	// releasing their flow-control slots; the consumer must Credit each
-	// tuple at the virtual instant it processes it (or return unprocessed
-	// ones with UnpopN). Implementations may return fewer tuples than are
-	// available — temp readers chunk at page boundaries so I/O charges land
-	// on the same instants as per-tuple consumption.
-	PopN(now time.Duration, dst []relation.Tuple) int
-	// Credit releases one PopN'd tuple's flow-control slot at time now.
+	// Credit releases one popped tuple's flow-control slot at time now.
 	Credit(now time.Duration)
 	// UnpopN returns the newest n uncredited tuples to the source.
 	UnpopN(n int)
@@ -52,32 +47,13 @@ func newQueueSource(q *comm.Queue, src *source.Source) *queueSource {
 
 func (s *queueSource) Available(now time.Duration) int { return s.q.Available(now) }
 
-func (s *queueSource) NextArrival() (time.Duration, bool) {
-	if at, ok := s.q.NextArrival(); ok {
-		return at, true
-	}
-	// The source pumps eagerly, so an empty queue means it is exhausted.
-	return 0, false
-}
+// NextArrival proxies the queue: the source pumps eagerly, so an empty queue
+// means it is exhausted.
+func (s *queueSource) NextArrival() (time.Duration, bool) { return s.q.NextArrival() }
 
-func (s *queueSource) Pop(now time.Duration) relation.Tuple {
-	s.popped++
-	return s.q.Pop(now)
-}
-
-func (s *queueSource) PopN(now time.Duration, dst []relation.Tuple) int {
-	n := s.q.PopN(now, dst)
-	s.popped += n
-	return n
-}
-
-// Columnar reports whether the underlying queue transfers columnar batches.
-func (s *queueSource) Columnar() bool { return s.q.Columnar() }
-
-// PopBatch is the columnar PopN: it bulk-consumes up to len(pass) arrived
-// slots as flat column runs appended to dst, with the pushdown pass mask in
-// pass. Slot accounting (debt, credits, estimator feeds) is identical to
-// PopN, so the consumer owes a Credit per slot — filtered ones included.
+// PopBatch bulk-consumes up to len(pass) arrived slots as flat column runs
+// appended to dst, with the pushdown pass mask in pass. The consumer owes a
+// Credit per slot — filtered ones included.
 func (s *queueSource) PopBatch(now time.Duration, dst *relation.Batch, pass []bool) int {
 	n := s.q.PopColsN(now, dst, pass)
 	s.popped += n
@@ -102,9 +78,8 @@ func (s *queueSource) Remaining() int { return s.src.Rows() - s.popped }
 // over; only the producer consulted for exhaustion changes.
 func (s *queueSource) swap(src *source.Source) { s.src = src }
 
-// tempSource adapts a temp-relation reader; mem.Reader implements the
-// bulk protocol natively, and Credit is a no-op: a temp reader has no
-// window protocol, so there is no producer to resume.
+// tempSource adapts a temp-relation reader. Credit is a no-op: a temp reader
+// has no window protocol, so there is no producer to resume.
 type tempSource struct{ *mem.Reader }
 
 func (tempSource) Credit(time.Duration) {}

@@ -4,19 +4,19 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dqs/internal/relation"
 )
 
 func TestQueueSourceAccounting(t *testing.T) {
 	w := smallFig5(t)
-	cfg := testConfig()
-	// Per-tuple Pop is a row-queue protocol; columnar queues only serve
-	// PopBatch.
-	cfg.RowDataflow = true
-	rt, err := NewRuntime(cfg, w.Root, w.Dataset, uniform(w, time.Microsecond))
+	rt, err := NewRuntime(testConfig(), w.Root, w.Dataset, uniform(w, time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rt.QueueSource("E")
+	src := rt.qsrcs["E"]
+	batch := relation.NewBatch(len(rt.colPush["E"].keep))
+	pass := make([]bool, rt.Cfg.QueueTuples)
 	total := 1500 // |E| at small scale
 	if got := src.Remaining(); got != total {
 		t.Fatalf("Remaining = %d, want %d", got, total)
@@ -36,10 +36,14 @@ func TestQueueSourceAccounting(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("no availability at announced arrival %v", at)
 		}
-		for i := 0; i < n; i++ {
-			src.Pop(rt.Now())
-			popped++
+		batch.Reset(batch.Width())
+		if got := src.PopBatch(rt.Now(), batch, pass); got != n {
+			t.Fatalf("PopBatch moved %d of %d available", got, n)
 		}
+		for i := 0; i < n; i++ {
+			src.Credit(rt.Now())
+		}
+		popped += n
 		if got := src.Remaining(); got != total-popped {
 			t.Fatalf("Remaining = %d after %d pops", got, popped)
 		}

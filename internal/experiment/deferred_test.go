@@ -98,7 +98,7 @@ func deferredDiff(t *testing.T, name string, w *workload.Workload, cfg exec.Conf
 func TestDeferredProductionMatchesEager(t *testing.T) {
 	o := Options{Small: true}
 	cfg := exec.DefaultConfig()
-	for class, mk := range dataflowDeliveries(cfg, o) {
+	for class, mk := range goldenDeliveries(cfg, o) {
 		for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
 			for _, seed := range []int64{1, 2, 3} {
 				w, err := o.loadWorkload(seed)

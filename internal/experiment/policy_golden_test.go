@@ -2,67 +2,270 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"testing"
+	"time"
 
 	"dqs/internal/exec"
+	"dqs/internal/fault"
+	"dqs/internal/plan"
+	"dqs/internal/reftest"
+	"dqs/internal/relation"
+	"dqs/internal/source"
+	"dqs/internal/workload"
 )
 
 // updateGoldens refreshes the committed strategy goldens. The goldens pin
-// the exact per-run results and figure bytes across refactors of the
-// execution engine: regenerate them only for a deliberate, explained
-// behaviour change.
+// the exact per-run results, traces and figure bytes of the execution
+// engine: regenerate them only for a deliberate, explained behaviour change.
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata strategy goldens")
 
-// goldenStrategies are the fragment-scheduling strategies whose behaviour
-// the policy-kernel refactor must preserve bit for bit.
-var goldenStrategies = []string{"SEQ", "MA", "SCR", "DSE"}
+// goldenStrategies are the strategies of the golden grid: the four
+// fragment-scheduling policies and the symmetric-join network of the
+// delay-class figure.
+var goldenStrategies = []string{"SEQ", "MA", "SCR", "DSE", "DPHJ"}
 
-// TestStrategyResultsMatchGolden pins the full Result of every strategy ×
-// seed × delay class against the committed pre-refactor golden: any change
-// to scheduling order, stall instants or counters shows up as a diff in
-// some field of some run.
+// goldenDeliveries builds the two delay classes of §1.2 the grid runs under
+// an ample grant — a slow-delivery wrapper and a bursty one — which stress
+// the window protocol from both sides (steady back-pressure vs. alternating
+// famine and flood).
+func goldenDeliveries(cfg exec.Config, o Options) map[string]func(w *workload.Workload) map[string]exec.Delivery {
+	return map[string]func(w *workload.Workload) map[string]exec.Delivery{
+		"slow-delivery": func(w *workload.Workload) map[string]exec.Delivery {
+			d := uniformDeliveries(w, cfg.InitialWaitEstimate)
+			d["A"] = exec.Delivery{MeanWait: 10 * cfg.InitialWaitEstimate}
+			return d
+		},
+		"bursty": func(w *workload.Workload) map[string]exec.Delivery {
+			d := uniformDeliveries(w, cfg.InitialWaitEstimate)
+			card := o.cardOf("C")
+			var phases []source.Phase
+			chunk := card / 6
+			for row, fast := 0, true; row < card; row, fast = row+chunk, !fast {
+				wph := 5 * time.Microsecond
+				if !fast {
+					wph = 300 * time.Microsecond
+				}
+				phases = append(phases, source.Phase{FromRow: row, W: wph})
+			}
+			d["C"] = exec.Delivery{Phases: phases}
+			return d
+		},
+	}
+}
+
+// goldenClass is one row block of the golden grid: a configuration and the
+// deliveries it runs under. engaged, when set, says whether a DSE result
+// shows the machinery the class exists to drive; a class that stops
+// engaging it has lost its point.
+type goldenClass struct {
+	name    string
+	cfg     exec.Config
+	mk      func(w *workload.Workload) map[string]exec.Delivery
+	engaged func(res exec.Result) bool
+}
+
+// goldenClasses is the grid's scenario axis: both delay classes, the
+// ablation study's 2 MiB pressure point (strand, mid-batch UnpopN, temp
+// spill), a 1 MiB grant (suspensions and memory-repair splits at planning
+// points), a fault plan covering every failure class — transient stall,
+// burst storm, disconnect/reconnect and a death with replica failover — a
+// death without a replica under PartialResults, and the governed engine
+// (resident materialization, largest-release-first repair, prefix reuse) at
+// an ample grant and at the 2 MiB point with one moderately slowed wrapper.
+func goldenClasses(t *testing.T, o Options) []goldenClass {
+	t.Helper()
+	base := exec.DefaultConfig()
+	uniform := func(w *workload.Workload) map[string]exec.Delivery {
+		return uniformDeliveries(w, base.InitialWaitEstimate)
+	}
+	var classes []goldenClass
+	for name, mk := range goldenDeliveries(base, o) {
+		classes = append(classes, goldenClass{name: name, cfg: base, mk: mk})
+	}
+	repaired := func(res exec.Result) bool { return res.MemRepairs > 0 }
+	degraded := func(res exec.Result) bool { return len(res.DegradedFragments) > 0 }
+	for _, m := range []struct {
+		name    string
+		bytes   int64
+		engaged func(exec.Result) bool
+	}{{"mem-2MiB", 2 << 20, nil}, {"mem-1MiB", 1 << 20, repaired}} {
+		cfg := base
+		cfg.MemoryBytes = m.bytes
+		classes = append(classes, goldenClass{m.name, cfg, uniform, m.engaged})
+	}
+	for _, g := range []struct {
+		name  string
+		bytes int64
+	}{{"governed", base.MemoryBytes}, {"governed-2MiB", 2 << 20}} {
+		cfg := base
+		cfg.Governor = true
+		cfg.MemoryBytes = g.bytes
+		classes = append(classes, goldenClass{name: g.name, cfg: cfg, mk: o.ablationDeliveries(cfg)})
+	}
+	at := func(rel string, frac float64) int { return int(frac * float64(o.cardOf(rel))) }
+	faults := fmt.Sprintf("C:stall@%d+%v;C:burst@%d+%dx300us;D:drop@%d+%v;A:kill@%d",
+		at("C", 0.10), 20*time.Millisecond, at("C", 0.30), at("C", 0.20),
+		at("D", 0.50), 8*time.Millisecond, at("A", 0.60))
+	for _, f := range []struct {
+		name, spec string
+		engaged    func(exec.Result) bool
+	}{
+		{"faults", faults + fmt.Sprintf(";A:replica,connect=%v", time.Millisecond), nil},
+		{"faults-partial", faults, degraded},
+	} {
+		p, err := fault.Parse(f.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := base
+		cfg.Faults = p
+		cfg.PartialResults = f.engaged != nil
+		classes = append(classes, goldenClass{f.name, cfg, uniform, f.engaged})
+	}
+	sort.Slice(classes, func(i, j int) bool { return classes[i].name < classes[j].name })
+	return classes
+}
+
+// liveOutputColumns returns the positions of the plan's output schema that
+// carry data: the join keys and scan-predicate columns. Everything else is
+// projected away at the wrapper and reads zero in the engine's output.
+func liveOutputColumns(root *plan.Node) []int {
+	live := make(map[relation.ColRef]bool)
+	for _, j := range plan.Joins(root) {
+		live[j.BuildKey], live[j.ProbeKey] = true, true
+	}
+	for _, s := range plan.Scans(root) {
+		if s.Pred != nil {
+			live[s.Pred.Col] = true
+		}
+	}
+	var cols []int
+	for i, c := range root.Schema.Cols {
+		if live[c] {
+			cols = append(cols, i)
+		}
+	}
+	return cols
+}
+
+// tupleBag is a multiset of tuples projected onto a fixed column list.
+type tupleBag struct {
+	cols  []int
+	count map[string]int
+	n     int
+	key   []byte
+}
+
+func newTupleBag(cols []int) *tupleBag {
+	return &tupleBag{cols: cols, count: make(map[string]int)}
+}
+
+func (b *tupleBag) add(t relation.Tuple) {
+	b.key = b.key[:0]
+	for _, c := range b.cols {
+		b.key = append(strconv.AppendInt(b.key, t[c], 10), ',')
+	}
+	b.count[string(b.key)]++
+	b.n++
+}
+
+// excess counts the tuples of b beyond their multiplicity in ref.
+func (b *tupleBag) excess(ref *tupleBag) int {
+	x := 0
+	for k, n := range b.count {
+		if d := n - ref.count[k]; d > 0 {
+			x += d
+		}
+	}
+	return x
+}
+
+// TestStrategyResultsMatchGolden pins every strategy × seed × scenario of
+// the golden grid against the committed goldens, at Workers 1 and 8: the
+// full Result plus a digest of the rendered trace, so a change to any
+// scheduling order, stall instant, counter or trace line shows up as a diff
+// in some run. Cells a strategy cannot run (a grant too small, a fault plan
+// under a runner-only strategy) pin their error. Each run's streamed output
+// is also checked as a tuple multiset, over the plan's live columns, against
+// the reference evaluator: equal for complete runs, contained in it under
+// PartialResults.
+//
+// strategy_results.golden is the original grid (delay classes × policy
+// strategies, summary fields only); strategy_grid.golden is the whole grid.
 func TestStrategyResultsMatchGolden(t *testing.T) {
 	o := Options{Small: true}
-	cfg := exec.DefaultConfig()
-	classes := dataflowDeliveries(cfg, o)
-	classNames := make([]string, 0, len(classes))
-	for name := range classes {
-		classNames = append(classNames, name)
+	seeds := []int64{1, 2, 3}
+	workloads := make(map[int64]*workload.Workload)
+	reference := make(map[int64]*tupleBag)
+	for _, seed := range seeds {
+		w, err := o.loadWorkload(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newTupleBag(liveOutputColumns(w.Root))
+		for _, tup := range reftest.Eval(w.Root, w.Dataset) {
+			ref.add(tup)
+		}
+		workloads[seed], reference[seed] = w, ref
 	}
-	sort.Strings(classNames)
 
-	var buf bytes.Buffer
-	for _, class := range classNames {
-		mk := classes[class]
+	var legacy, grid bytes.Buffer
+	for _, class := range goldenClasses(t, o) {
 		for _, strategy := range goldenStrategies {
-			for _, seed := range []int64{1, 2, 3} {
-				w, err := o.loadWorkload(seed)
-				if err != nil {
-					t.Fatal(err)
+			for _, seed := range seeds {
+				w, ref := workloads[seed], reference[seed]
+				cell := fmt.Sprintf("%s/%s/seed%d", class.name, strategy, seed)
+				var line string
+				for _, workers := range []int{1, 8} {
+					out := newTupleBag(ref.cols)
+					cfg := class.cfg
+					cfg.Seed = seed
+					cfg.Workers = workers
+					cfg.Stream = exec.SinkFunc(func(_ time.Duration, tup relation.Tuple) { out.add(tup) })
+					res, trace, _, err := runTraced(w, cfg, class.mk(w), strategy, false)
+					got := fmt.Sprintf("%s: error: %v\n", cell, err)
+					if err == nil {
+						if x := out.excess(ref); x > 0 || (out.n != ref.n && !cfg.PartialResults) {
+							t.Errorf("%s workers=%d: streamed %d tuples, %d of them not in the reference evaluator's %d",
+								cell, workers, out.n, x, ref.n)
+						}
+						if strategy == "DSE" && class.engaged != nil && !class.engaged(res) {
+							t.Errorf("%s workers=%d: the class lost its point: %+v", cell, workers, res)
+						}
+						// Every Result field is spelled out: the golden must catch a
+						// drift in any counter, not only the String() summary.
+						summary := fmt.Sprintf(
+							"%s: strat=%s resp=%d busy=%d idle=%d out=%d disk=%+v peak=%d mat=%d replans=%d degr=%d timeouts=%d memrep=%d maxerr=%.9f",
+							cell, res.Strategy,
+							res.ResponseTime.Nanoseconds(), res.BusyTime.Nanoseconds(), res.IdleTime.Nanoseconds(),
+							res.OutputRows, res.Disk, res.PeakMemBytes, res.MaterializedTuples,
+							res.Replans, res.Degradations, res.Timeouts, res.MemRepairs, res.MaxEstError)
+						if workers == 1 && strategy != "DPHJ" && (class.name == "bursty" || class.name == "slow-delivery") {
+							legacy.WriteString(summary + "\n")
+						}
+						got = fmt.Sprintf("%s first=%d timeline=%v degraded=%v plancache=%d/%d trace=%x\n",
+							summary, res.FirstTupleTime.Nanoseconds(), res.TupleTimeline, res.DegradedFragments,
+							res.PlanCacheHits, res.PlanCacheMisses, sha256.Sum256(trace))
+					}
+					if workers == 1 {
+						line = got
+					} else if got != line {
+						t.Errorf("workers=8 diverged from workers=1:\n1: %s8: %s", line, got)
+					}
 				}
-				c := cfg
-				c.Seed = seed
-				res, err := runStrategy(w, c, mk(w), strategy)
-				if err != nil {
-					t.Fatalf("%s/%s seed %d: %v", class, strategy, seed, err)
-				}
-				// Every Result field is spelled out: the golden must catch a
-				// drift in any counter, not only the String() summary.
-				fmt.Fprintf(&buf,
-					"%s/%s/seed%d: strat=%s resp=%d busy=%d idle=%d out=%d disk=%+v peak=%d mat=%d replans=%d degr=%d timeouts=%d memrep=%d maxerr=%.9f\n",
-					class, strategy, seed, res.Strategy,
-					res.ResponseTime.Nanoseconds(), res.BusyTime.Nanoseconds(), res.IdleTime.Nanoseconds(),
-					res.OutputRows, res.Disk, res.PeakMemBytes, res.MaterializedTuples,
-					res.Replans, res.Degradations, res.Timeouts, res.MemRepairs, res.MaxEstError)
+				grid.WriteString(line)
 			}
 		}
 	}
-	compareGolden(t, "strategy_results.golden", buf.Bytes())
+	compareGolden(t, "strategy_results.golden", legacy.Bytes())
+	compareGolden(t, "strategy_grid.golden", grid.Bytes())
 }
 
 // TestDelayClassesFigureMatchesGolden pins the rendered DelayClasses figure
@@ -80,8 +283,8 @@ func TestDelayClassesFigureMatchesGolden(t *testing.T) {
 }
 
 // TestDelayClassesFigureGoldenAtHighParallelism re-renders the figure on an
-// 8-worker pool against the same golden: the policy refactor must stay
-// byte-identical at any -parallel setting, not only serially.
+// 8-worker pool against the same golden: the figure must stay byte-identical
+// at any -parallel setting, not only serially.
 func TestDelayClassesFigureGoldenAtHighParallelism(t *testing.T) {
 	o := Options{Small: true, Seeds: []int64{1, 2, 3}, Parallel: 8}
 	fig, err := DelayClasses(o)
@@ -114,6 +317,6 @@ func compareGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("missing golden %s (run `go test ./internal/experiment -run Golden -update-goldens` on the known-good tree): %v", path, err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s diverged from the pre-refactor golden.\n--- want\n%s\n--- got\n%s", name, want, got)
+		t.Errorf("%s diverged from the committed golden.\n--- want\n%s\n--- got\n%s", name, want, got)
 	}
 }

@@ -2,70 +2,8 @@ package experiment
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
-
-	"dqs/internal/core"
-	"dqs/internal/exec"
 )
-
-// TestIncrementalReplanMatchesFull is the differential proof behind the DQS
-// planning cache: for every registered policy, across seeds and both delay
-// classes, the run summary with incremental replanning (the default) must
-// equal — field for field, virtual nanosecond for virtual nanosecond — the
-// always-full evaluation path kept behind Config.FullReplan.
-func TestIncrementalReplanMatchesFull(t *testing.T) {
-	o := Options{Small: true}
-	cfg := exec.DefaultConfig()
-	for class, mk := range dataflowDeliveries(cfg, o) {
-		for _, strategy := range core.StrategyNames() {
-			for _, seed := range []int64{1, 2, 3} {
-				w, err := o.loadWorkload(seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run := func(full bool) exec.Result {
-					c := cfg
-					c.Seed = seed
-					c.FullReplan = full
-					res, err := runStrategy(w, c, mk(w), strategy)
-					if err != nil {
-						t.Fatalf("%s/%s seed %d (full=%v): %v", class, strategy, seed, full, err)
-					}
-					return res
-				}
-				ref, inc := run(true), run(false)
-				if !reflect.DeepEqual(ref, inc) {
-					t.Errorf("%s/%s seed %d: incremental replanning diverged from full:\nfull:        %+v\nincremental: %+v",
-						class, strategy, seed, ref, inc)
-				}
-			}
-		}
-	}
-}
-
-// TestIncrementalReplanFigureBytesMatchFull renders the DelayClasses figure
-// through both replanning paths and requires byte-identical output, the
-// same check the committed golden figures rely on.
-func TestIncrementalReplanFigureBytesMatchFull(t *testing.T) {
-	render := func(full bool) []byte {
-		cfg := exec.DefaultConfig()
-		cfg.FullReplan = full
-		o := Options{Small: true, Seeds: []int64{1, 2, 3}, Config: &cfg}
-		fig, err := DelayClasses(o)
-		if err != nil {
-			t.Fatalf("full=%v: %v", full, err)
-		}
-		var buf bytes.Buffer
-		fig.Print(&buf)
-		buf.WriteString(fig.CSV())
-		return buf.Bytes()
-	}
-	ref, inc := render(true), render(false)
-	if !bytes.Equal(ref, inc) {
-		t.Errorf("figure bytes diverged between replanning paths:\nfull:\n%s\nincremental:\n%s", ref, inc)
-	}
-}
 
 // TestPlanCacheKeepsFigureBytes proves the shared decomposition cache is
 // invisible to the simulation: the DelayClasses figure must be

@@ -47,7 +47,7 @@ func workersDiff(t *testing.T, name string, w *workload.Workload, cfg exec.Confi
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	o := Options{Small: true}
 	cfg := exec.DefaultConfig()
-	for class, mk := range dataflowDeliveries(cfg, o) {
+	for class, mk := range goldenDeliveries(cfg, o) {
 		for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
 			for _, seed := range []int64{1, 2, 3} {
 				w, err := o.loadWorkload(seed)
@@ -82,30 +82,6 @@ func TestParallelKernelsMatchSerialUnderMemoryPressure(t *testing.T) {
 			c := cfg
 			c.Seed = seed
 			workersDiff(t, fmt.Sprintf("mem-pressure/%s seed %d", strategy, seed), w, c, mk, strategy)
-		}
-	}
-}
-
-// TestParallelKernelsMatchSerialRowDataflow repeats the check over the
-// row-oriented dataflow (the default path above is columnar), so both
-// parallel batch shapes — gathered per-lane rows and popped row runs — get
-// the differential treatment.
-func TestParallelKernelsMatchSerialRowDataflow(t *testing.T) {
-	o := Options{Small: true}
-	cfg := exec.DefaultConfig()
-	cfg.RowDataflow = true
-	for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
-		for _, seed := range []int64{1, 2, 3} {
-			w, err := o.loadWorkload(seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := cfg
-			c.Seed = seed
-			mk := func(w *workload.Workload) map[string]exec.Delivery {
-				return uniformDeliveries(w, cfg.InitialWaitEstimate)
-			}
-			workersDiff(t, fmt.Sprintf("columnar/%s seed %d", strategy, seed), w, c, mk, strategy)
 		}
 	}
 }

@@ -139,7 +139,7 @@ func TestGovernorInvariantsRandomized(t *testing.T) {
 				tmp := temps[rng.Intn(len(temps))]
 				r := tmp.NewReader(4)
 				for i := 0; i < rng.Intn(tmp.Len()+1); i++ {
-					r.Pop(1 << 62)
+					pop(r, 1<<62)
 				}
 			}
 		}
@@ -184,7 +184,7 @@ func TestChunkedTempKeepsPagesResident(t *testing.T) {
 	}
 	// Draining the reader releases the consumed pages' grant.
 	for i := 0; i < rows; i++ {
-		got := r.Pop(clock.Now())
+		got := pop(r, clock.Now())
 		if got[0] != int64(i) {
 			t.Fatalf("tuple %d = %v", i, got)
 		}
@@ -232,7 +232,7 @@ func TestGovernorFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
 	// it; contents are what matters here).
 	r := large.NewReader(2)
 	for i := 0; i < large.Len(); i++ {
-		if got := r.Pop(1 << 62); got[0] != int64(i) {
+		if got := pop(r, 1<<62); got[0] != int64(i) {
 			t.Fatalf("tuple %d = %v after spill", i, got)
 		}
 	}
@@ -288,7 +288,7 @@ func TestChunkedSpillReloadRoundTrip(t *testing.T) {
 			if r.Exhausted() {
 				t.Fatalf("temp %d exhausted at %d/%d", i, j, len(want[i]))
 			}
-			got := r.Pop(now)
+			got := pop(r, now)
 			if got[0] != want[i][j] {
 				t.Fatalf("temp %d tuple %d = %v, want %d", i, j, got, want[i][j])
 			}

@@ -58,7 +58,7 @@ func TestCreateSizedMatchesCreate(t *testing.T) {
 	ra, rb := a.NewReader(1), b.NewReader(1)
 	var now time.Duration = 1 << 62
 	for i := 0; i < 300; i++ {
-		va, vb := ra.Pop(now), rb.Pop(now)
+		va, vb := pop(ra, now), pop(rb, now)
 		if va[0] != vb[0] {
 			t.Fatalf("row %d: %v vs %v", i, va, vb)
 		}

@@ -467,7 +467,7 @@ func (r *Reader) ensureIssued() {
 
 // Available returns how many unread tuples are in memory at time now. In
 // synchronous mode every remaining tuple counts as available: the wait is
-// paid on Pop. Ready pages are counted page-at-a-time: reads are issued in
+// paid on PopN. Ready pages are counted page-at-a-time: reads are issued in
 // page order on one disk timeline, so completion times are nondecreasing.
 func (r *Reader) Available(now time.Duration) int {
 	if r.sync {
@@ -506,39 +506,11 @@ func (r *Reader) NextArrival() (time.Duration, bool) {
 	return r.readyAt[k], true
 }
 
-// Pop consumes the next tuple; it panics if the tuple is not in memory yet
-// (asynchronous mode) or pays the page read while holding the CPU
-// (synchronous mode).
-func (r *Reader) Pop(now time.Duration) relation.Tuple {
-	if r.pos >= r.temp.nrows {
-		panic(fmt.Sprintf("mem: pop past end of temp %q", r.temp.name))
-	}
-	k := r.pageOf(r.pos)
-	if r.sync {
-		if r.issued <= k {
-			r.temp.store.disk.SyncRead(sim.PageID{Object: r.temp.object, Page: k})
-			r.issued = k + 1
-		}
-	} else {
-		r.ensureIssued()
-		if r.readyAt[k] > now {
-			panic(fmt.Sprintf("mem: pop of future tuple from temp %q (%v > %v)", r.temp.name, r.readyAt[k], now))
-		}
-	}
-	tup := r.temp.row(r.pos)
-	r.pos++
-	if r.temp.resBytes > 0 {
-		r.temp.consumedTo(r.pos)
-	}
-	return tup
-}
-
 // PopN bulk-consumes up to len(dst) tuples into dst, never crossing a page
 // boundary, and returns how many it moved. Bounding the chunk at the page
-// edge keeps the I/O charges of batched consumption on the same virtual
-// instants as per-tuple Pops: the page read (synchronous wait or prefetch
-// issue) is paid exactly when consumption first touches the page, which for
-// a page-bounded chunk is the call itself.
+// edge puts the I/O charges where consumption incurs them: the page read
+// (synchronous wait or prefetch issue) is paid exactly when consumption
+// first touches the page, which for a page-bounded chunk is the call itself.
 func (r *Reader) PopN(now time.Duration, dst []relation.Tuple) int {
 	if r.pos >= r.temp.nrows || len(dst) == 0 {
 		return 0

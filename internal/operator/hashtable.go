@@ -308,12 +308,6 @@ func (h *HashTable) DistinctKeys() int { return h.used }
 // accounting tuple size.
 func (h *HashTable) MemBytes(tupleBytes int) int64 { return h.rows * int64(tupleBytes) }
 
-// EvalPred reports whether tuple t satisfies the pushed-down scan predicate
-// (nil predicates always pass). colIdx is the resolved predicate column.
-func EvalPred(t relation.Tuple, colIdx int, less int64) bool {
-	return t[colIdx] < less
-}
-
 // Costs bundles the per-tuple instruction charges of Table 1 so operator
 // call sites read like the paper's cost model. The charge durations are
 // fixed by the parameter table, so they are converted to time once at

@@ -244,19 +244,6 @@ func TestHashTableGrowthKeepsChains(t *testing.T) {
 	}
 }
 
-func TestEvalPred(t *testing.T) {
-	tup := relation.Tuple{3, 10}
-	if !EvalPred(tup, 0, 5) {
-		t.Error("3 < 5 rejected")
-	}
-	if EvalPred(tup, 1, 5) {
-		t.Error("10 < 5 accepted")
-	}
-	if EvalPred(tup, 1, 10) {
-		t.Error("boundary 10 < 10 accepted")
-	}
-}
-
 func TestCostsChargeTable1Times(t *testing.T) {
 	clock := sim.NewClock()
 	p := sim.DefaultParams()

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"errors"
 	"testing"
 
 	"dqs/internal/comm"
@@ -90,5 +91,26 @@ func TestSourceColumnarValidation(t *testing.T) {
 			WithColumnar(tab.Columns(), tc.keep, tc.predIdx, 5)); err == nil {
 			t.Errorf("%s: New accepted invalid columnar config", tc.name)
 		}
+	}
+}
+
+// TestSourceColumnarMismatch: a source built without its pushdown, or with a
+// projection as wide as anything but its queue's slots, is refused by name at
+// construction instead of panicking inside the first pump.
+func TestSourceColumnarMismatch(t *testing.T) {
+	tab := colTable(10)
+	q := comm.NewQueue("W", 8)
+	q.SetColumnar(2)
+	for name, opts := range map[string][]Option{
+		"no WithColumnar":     {WithMeanWait(us(10))},
+		"narrower than queue": {WithColumnar(tab.Columns(), []int{0}, -1, 0)},
+		"wider than queue":    {WithColumnar(tab.Columns(), []int{0, 1, 2}, -1, 0)},
+	} {
+		if _, err := New("W", tab, q, sim.NewRNG(1), 0, opts...); !errors.Is(err, ErrColumnarMismatch) {
+			t.Errorf("%s: err = %v, want ErrColumnarMismatch", name, err)
+		}
+	}
+	if q.Len() != 0 {
+		t.Errorf("a refused source pushed %d tuples", q.Len())
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"dqs/internal/comm"
 	"dqs/internal/fault"
-	"dqs/internal/relation"
 	"dqs/internal/sim"
 )
 
@@ -18,11 +17,10 @@ import (
 func consume(t *testing.T, q *comm.Queue, src *Source, rows int, seed int64) (arrivals []time.Duration, reads []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	buf := make([]relation.Tuple, 16)
 	var now time.Duration
 	popped := 0
 	for popped < rows {
-		n := q.PopN(now, buf[:1+rng.Intn(len(buf))])
+		n := popN(q, now, 1+rng.Intn(16))
 		if n == 0 {
 			at, ok := q.NextArrival()
 			if !ok {
@@ -78,8 +76,8 @@ func TestDeferredSourceMatchesEager(t *testing.T) {
 					}
 					opts = []Option{WithSharedStream(sh)}
 				}
-				q := comm.NewQueue("W", 24)
-				src, err := New("W", tab, q, sim.NewRNG(seed), us(1), opts...)
+				q := newQueue(tab, 24)
+				src, err := New("W", tab, q, sim.NewRNG(seed), us(1), append(opts, allColumns(tab))...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,16 +114,15 @@ func TestDeferredSourceMatchesEager(t *testing.T) {
 // afterwards.
 func TestDeferralEngagesAndSettlesOnDetach(t *testing.T) {
 	tab := makeTable(t, 100)
-	q := comm.NewQueue("W", 8)
-	src, err := New("W", tab, q, sim.NewRNG(3), 0, WithMeanWait(us(5)))
+	q := newQueue(tab, 8)
+	src, err := New("W", tab, q, sim.NewRNG(3), 0, allColumns(tab), WithMeanWait(us(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]relation.Tuple, 8)
 	// Pop only part of the window: the rest stays buffered with arrivals in
 	// the future of the credit instants, so nothing forces a settle.
 	at, _ := q.NextArrival()
-	n := q.PopN(at, buf)
+	n := popN(q, at, 8)
 	if n == 0 || n == 8 {
 		t.Fatalf("popped %d of 8 at the first arrival; the test needs a partial pop", n)
 	}
@@ -140,8 +137,8 @@ func TestDeferralEngagesAndSettlesOnDetach(t *testing.T) {
 		t.Fatalf("detach left %d pending, %d buffered, next row %d; want 0, 8, %d", q.Deferred(), q.Len(), src.NextRow(), 8+n)
 	}
 	far := time.Hour
-	if got := q.PopN(far, buf); got != 8 {
-		t.Fatalf("PopN = %d after detach, want the full window", got)
+	if got := popN(q, far, 8); got != 8 {
+		t.Fatalf("popped %d after detach, want the full window", got)
 	}
 	for i := 0; i < 8; i++ {
 		q.Credit(far)
@@ -156,28 +153,27 @@ func TestDeferralEngagesAndSettlesOnDetach(t *testing.T) {
 // activated replica — never has credits pending.
 func TestFaultScriptedSourceStaysEager(t *testing.T) {
 	tab := makeTable(t, 100)
-	q := comm.NewQueue("W", 8)
+	q := newQueue(tab, 8)
 	script := &fault.Script{Clauses: []fault.Clause{{Kind: fault.Stall, Row: 50, Down: us(100)}}, RNG: sim.NewRNG(9)}
-	if _, err := New("W", tab, q, sim.NewRNG(3), 0, WithMeanWait(us(5)), WithFaults(script)); err != nil {
+	if _, err := New("W", tab, q, sim.NewRNG(3), 0, allColumns(tab), WithMeanWait(us(5)), WithFaults(script)); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]relation.Tuple, 8)
 	at, _ := q.NextArrival()
-	n := q.PopN(at, buf)
+	n := popN(q, at, 8)
 	for i := 0; i < n; i++ {
 		q.Credit(at)
 		if q.Deferred() != 0 {
 			t.Fatalf("credit %d left %d pending on a fault-scripted source", i, q.Deferred())
 		}
 	}
-	rq := comm.NewQueue("R", 8)
-	rep, err := New("R", tab, rq, sim.NewRNG(4), 0, WithMeanWait(us(5)), AsStandby())
+	rq := newQueue(tab, 8)
+	rep, err := New("R", tab, rq, sim.NewRNG(4), 0, allColumns(tab), WithMeanWait(us(5)), AsStandby())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.Activate(0, 10, us(20), false)
 	at, _ = rq.NextArrival()
-	n = rq.PopN(at, buf)
+	n = popN(rq, at, 8)
 	for i := 0; i < n; i++ {
 		rq.Credit(at)
 	}

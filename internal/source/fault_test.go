@@ -16,7 +16,7 @@ func drain(q *comm.Queue) []time.Duration {
 	for q.Len() > 0 {
 		at, _ := q.NextArrival()
 		out = append(out, at)
-		q.Pop(now)
+		pop(q, now)
 	}
 	return out
 }
@@ -25,8 +25,8 @@ func drain(q *comm.Queue) []time.Duration {
 
 func TestPhaseEmptyScheduleRejected(t *testing.T) {
 	tab := makeTable(t, 10)
-	q := comm.NewQueue("W", 4)
-	if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithPhases()); err == nil {
+	q := newQueue(tab, 4)
+	if _, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab), WithPhases()); err == nil {
 		t.Error("empty phase list accepted; the schedule needs at least one phase")
 	}
 }
@@ -34,8 +34,8 @@ func TestPhaseEmptyScheduleRejected(t *testing.T) {
 func TestPhaseZeroMeanWait(t *testing.T) {
 	// W = 0 is a valid phase: instantaneous production, not an error.
 	tab := makeTable(t, 50)
-	q := comm.NewQueue("W", 50)
-	src, err := New("W", tab, q, sim.NewRNG(1), 0, WithPhases(Phase{FromRow: 0, W: 0}))
+	q := newQueue(tab, 50)
+	src, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab), WithPhases(Phase{FromRow: 0, W: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func TestPhaseInitialDelayWithBoundaryAtRowZero(t *testing.T) {
 	// The initial delay stacks on top of the row-0 phase's wait: both apply
 	// to the first tuple, later tuples only pay their phase wait.
 	tab := makeTable(t, 10)
-	q := comm.NewQueue("W", 10)
-	if _, err := New("W", tab, q, sim.NewRNG(1), 0,
+	q := newQueue(tab, 10)
+	if _, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab),
 		WithPhases(Phase{FromRow: 0, W: 0}, Phase{FromRow: 5, W: 0}),
 		WithInitialDelay(2*time.Second)); err != nil {
 		t.Fatal(err)
@@ -73,8 +73,8 @@ func TestPhaseOutOfOrderRowsRejected(t *testing.T) {
 	// duplicate and non-zero-start schedules are all construction errors.
 	tab := makeTable(t, 10)
 	mk := func(phases ...Phase) error {
-		q := comm.NewQueue("W", 4)
-		_, err := New("W", tab, q, sim.NewRNG(1), 0, WithPhases(phases...))
+		q := newQueue(tab, 4)
+		_, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab), WithPhases(phases...))
 		return err
 	}
 	if err := mk(Phase{FromRow: 0, W: 0}, Phase{FromRow: 7, W: us(1)}, Phase{FromRow: 3, W: us(2)}); err == nil {
@@ -98,8 +98,8 @@ func script(t *testing.T, clauses ...fault.Clause) *fault.Script {
 func TestFaultStallDelaysOneRow(t *testing.T) {
 	tab := makeTable(t, 10)
 	mk := func(opts ...Option) []time.Duration {
-		q := comm.NewQueue("W", 10)
-		if _, err := New("W", tab, q, sim.NewRNG(1), 0, opts...); err != nil {
+		q := newQueue(tab, 10)
+		if _, err := New("W", tab, q, sim.NewRNG(1), 0, append(opts, allColumns(tab))...); err != nil {
 			t.Fatal(err)
 		}
 		return drain(q)
@@ -121,8 +121,8 @@ func TestFaultStallDelaysOneRow(t *testing.T) {
 
 func TestFaultBurstOverridesWait(t *testing.T) {
 	tab := makeTable(t, 100)
-	q := comm.NewQueue("W", 100)
-	src, err := New("W", tab, q, sim.NewRNG(1), 0,
+	q := newQueue(tab, 100)
+	src, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab),
 		WithMeanWait(0), WithFaults(script(t,
 			fault.Clause{Source: "W", Kind: fault.Burst, Row: 10, Rows: 20, Wait: us(500)})))
 	if err != nil {
@@ -153,8 +153,8 @@ func TestFaultBurstOverridesWait(t *testing.T) {
 func TestFaultDisconnectShiftsTail(t *testing.T) {
 	tab := makeTable(t, 10)
 	mk := func(opts ...Option) ([]time.Duration, *Source) {
-		q := comm.NewQueue("W", 10)
-		src, err := New("W", tab, q, sim.NewRNG(1), 0, opts...)
+		q := newQueue(tab, 10)
+		src, err := New("W", tab, q, sim.NewRNG(1), 0, append(opts, allColumns(tab))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +185,8 @@ func TestFaultDisconnectShiftsTail(t *testing.T) {
 func TestFaultDisconnectRestartPaysPrefix(t *testing.T) {
 	tab := makeTable(t, 10)
 	mk := func(restart bool) []time.Duration {
-		q := comm.NewQueue("W", 10)
-		if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithMeanWait(us(10)), WithFaults(script(t,
+		q := newQueue(tab, 10)
+		if _, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab), WithMeanWait(us(10)), WithFaults(script(t,
 			fault.Clause{Source: "W", Kind: fault.Disconnect, Row: 6, Down: time.Second, Restart: restart}))); err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +200,8 @@ func TestFaultDisconnectRestartPaysPrefix(t *testing.T) {
 
 func TestFaultKillStopsDelivery(t *testing.T) {
 	tab := makeTable(t, 10)
-	q := comm.NewQueue("W", 10)
-	src, err := New("W", tab, q, sim.NewRNG(1), 0, WithMeanWait(us(10)), WithFaults(script(t,
+	q := newQueue(tab, 10)
+	src, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab), WithMeanWait(us(10)), WithFaults(script(t,
 		fault.Clause{Source: "W", Kind: fault.Kill, Row: 6})))
 	if err != nil {
 		t.Fatal(err)
@@ -226,13 +226,13 @@ func TestFaultKillStopsDelivery(t *testing.T) {
 
 func TestStandbyReplicaActivate(t *testing.T) {
 	tab := makeTable(t, 10)
-	q := comm.NewQueue("W", 10)
-	if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithMeanWait(us(10)), WithFaults(script(t,
+	q := newQueue(tab, 10)
+	if _, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab), WithMeanWait(us(10)), WithFaults(script(t,
 		fault.Clause{Source: "W", Kind: fault.Kill, Row: 6}))); err != nil {
 		t.Fatal(err)
 	}
 	head := drain(q)
-	rep, err := New("W~replica", tab, q, sim.NewRNG(2), 0, WithMeanWait(us(10)), AsStandby())
+	rep, err := New("W~replica", tab, q, sim.NewRNG(2), 0, allColumns(tab), WithMeanWait(us(10)), AsStandby())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,22 +39,22 @@ type Shared struct {
 func NewShared(name string, table *relation.Table, rng *sim.RNG, opts ...Option) (*Shared, error) {
 	s := &Source{
 		name:   name,
-		rows:   table.Rows,
+		nrows:  table.Len(),
 		rng:    rng,
 		phases: []Phase{{FromRow: 0, W: 0}},
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	if len(s.faults) > 0 || s.standby || s.colMode || s.shared != nil {
+	if len(s.faults) > 0 || s.standby || s.tcols != nil || s.shared != nil {
 		return nil, fmt.Errorf("source %q: shared stream accepts delivery options only", name)
 	}
 	if err := validateSchedule(s); err != nil {
 		return nil, err
 	}
-	sendAt := make([]time.Duration, len(s.rows))
+	sendAt := make([]time.Duration, s.nrows)
 	var at time.Duration
-	for i := range s.rows {
+	for i := range sendAt {
 		d := rng.UniformDelay(s.waitFor(i))
 		if i == 0 {
 			d += s.initialDelay

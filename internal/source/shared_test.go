@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"dqs/internal/comm"
 	"dqs/internal/sim"
 )
 
@@ -45,16 +44,16 @@ func TestSharedTapMatchesPrivateSource(t *testing.T) {
 	tab := makeTable(t, rows)
 	opts := []Option{WithMeanWait(us(10)), WithInitialDelay(us(25))}
 
-	qPriv := comm.NewQueue("W", rows)
-	if _, err := New("W", tab, qPriv, sim.NewRNG(7), us(1), opts...); err != nil {
+	qPriv := newQueue(tab, rows)
+	if _, err := New("W", tab, qPriv, sim.NewRNG(7), us(1), append(opts, allColumns(tab))...); err != nil {
 		t.Fatal(err)
 	}
 	sh, err := NewShared("W", tab, sim.NewRNG(7), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qTap := comm.NewQueue("W", rows)
-	if _, err := New("W", tab, qTap, sim.NewRNG(99), us(1), WithSharedStream(sh)); err != nil {
+	qTap := newQueue(tab, rows)
+	if _, err := New("W", tab, qTap, sim.NewRNG(99), us(1), allColumns(tab), WithSharedStream(sh)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
@@ -66,7 +65,7 @@ func TestSharedTapMatchesPrivateSource(t *testing.T) {
 		if ap != at {
 			t.Fatalf("row %d: tap arrival %v != private arrival %v", i, at, ap)
 		}
-		tp, tt := qPriv.Pop(ap), qTap.Pop(at)
+		tp, tt := pop(qPriv, ap), pop(qTap, at)
 		if tp[0] != tt[0] {
 			t.Fatalf("row %d: tap tuple %v != private tuple %v", i, tt, tp)
 		}
@@ -83,8 +82,8 @@ func TestSharedLateAttachFloorsReplayAtStartTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	attach := sh.SendAt(rows/2) + 1 // mid-stream: half the rows already sent
-	q := comm.NewQueue("W", rows)
-	if _, err := New("W", tab, q, sim.NewRNG(3), us(1), WithSharedStream(sh), WithStartTime(attach)); err != nil {
+	q := newQueue(tab, rows)
+	if _, err := New("W", tab, q, sim.NewRNG(3), us(1), allColumns(tab), WithSharedStream(sh), WithStartTime(attach)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
@@ -98,7 +97,7 @@ func TestSharedLateAttachFloorsReplayAtStartTime(t *testing.T) {
 		if want := sh.SendAt(i) + us(1); at < want {
 			t.Fatalf("row %d arrived at %v, before its physical send %v", i, at, want)
 		}
-		q.Pop(at)
+		pop(q, at)
 	}
 }
 
@@ -110,8 +109,8 @@ func TestSharedRefcountsTaps(t *testing.T) {
 	}
 	var taps []*Source
 	for i := 0; i < 3; i++ {
-		q := comm.NewQueue("W", 16)
-		src, err := New("W", tab, q, sim.NewRNG(int64(i+1)), 0, WithSharedStream(sh))
+		q := newQueue(tab, 16)
+		src, err := New("W", tab, q, sim.NewRNG(int64(i+1)), 0, allColumns(tab), WithSharedStream(sh))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,12 +144,12 @@ func TestSharedRejectsIncompatibleOptions(t *testing.T) {
 	if _, err := NewShared("W", tab, sim.NewRNG(7), WithSharedStream(other)); err == nil {
 		t.Error("shared stream accepted a nested shared-stream option")
 	}
-	q := comm.NewQueue("W", 16)
-	if _, err := New("W", tab, q, sim.NewRNG(1), 0, WithSharedStream(other), AsStandby()); err == nil {
+	q := newQueue(tab, 16)
+	if _, err := New("W", tab, q, sim.NewRNG(1), 0, allColumns(tab), WithSharedStream(other), AsStandby()); err == nil {
 		t.Error("standby replica attached to a shared stream")
 	}
 	small := makeTable(t, 5)
-	if _, err := New("W", small, q, sim.NewRNG(1), 0, WithSharedStream(other)); err == nil {
+	if _, err := New("W", small, q, sim.NewRNG(1), 0, allColumns(small), WithSharedStream(other)); err == nil {
 		t.Error("tap accepted a shared stream with a mismatched row count")
 	}
 }

@@ -23,6 +23,7 @@
 package source
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -43,7 +44,7 @@ type Phase struct {
 // result to the mediator.
 type Source struct {
 	name    string
-	rows    []relation.Tuple
+	nrows   int
 	q       *comm.Queue
 	rng     *sim.RNG
 	netTime time.Duration
@@ -81,30 +82,32 @@ type Source struct {
 	startAt   time.Duration // production start time of the next tuple
 	blocked   bool          // suspended by the window protocol
 
+	// Pushdown state (WithColumnar). tcols is the shared column-major table;
+	// keep lists the live (projected) full-schema columns, in queue column
+	// order; predIdx/predLess is the pushed-down scan predicate (predIdx < 0 =
+	// none).
+	tcols    [][]int64
+	keep     []int
+	predIdx  int
+	predLess int64
+
 	// Staging buffers for the pump: one Resume or ResumeN simulates every
 	// production its credits allow and hands the whole run to the queue in a
-	// single PushN instead of a Push per tuple.
-	stageT  []relation.Tuple
-	stageAt []time.Duration
-
-	// Columnar pushdown state (WithColumnar). tcols is the shared column-major
-	// table; keep lists the live (projected) full-schema columns, in queue
-	// column order; predIdx/predLess is the pushed-down scan predicate
-	// (predIdx < 0 = none). The pump evaluates the predicate wrapper-side and
-	// stages only pass bits — a pump's staged rows are one contiguous table
-	// run, so the flush hands PushColsN sub-slices of the shared transpose
-	// directly, copying each live column into the ring exactly once.
-	// Filtered rows claim their window slot and arrival (flow control and
-	// rate estimation are pre-filter), but their value positions are
-	// unspecified and never read: the pass bit gates every consumer.
-	colMode   bool
-	tcols     [][]int64
-	keep      []int
-	predIdx   int
-	predLess  int64
-	colViews  [][]int64 // flush scratch: per-live-column views of the staged run
+	// single PushColsN. The pump evaluates the predicate wrapper-side and
+	// stages only arrivals and pass bits — a pump's staged rows are one
+	// contiguous table run, so the flush hands PushColsN sub-slices of the
+	// shared transpose directly, copying each live column into the ring
+	// exactly once. Filtered rows claim their window slot and arrival (flow
+	// control and rate estimation are pre-filter), but their value positions
+	// are unspecified and never read: the pass bit gates every consumer.
+	stageAt   []time.Duration
 	stagePass []bool
+	colViews  [][]int64 // flush scratch: per-live-column views of the staged run
 }
+
+// ErrColumnarMismatch reports a source whose WithColumnar option is missing
+// or projects a different number of columns than its queue's slots carry.
+var ErrColumnarMismatch = errors.New("source: columnar projection does not match the queue")
 
 // Option configures a Source.
 type Option func(*Source)
@@ -139,16 +142,15 @@ func WithFaults(sc *fault.Script) Option {
 	}
 }
 
-// WithColumnar switches the source to columnar delivery with selection and
-// projection pushed down to the wrapper. cols is the column-major form of the
-// source's table (relation.Table.Columns, shared and read-only); keep lists
-// the full-schema indices of the live columns that actually cross the wire,
-// in queue column order; predIdx/predLess is the plan's scan predicate
-// (column < less) evaluated wrapper-side, predIdx < 0 for none. The queue
-// must already be in columnar mode with width len(keep).
+// WithColumnar gives the source its data and the selection and projection
+// pushed down to the wrapper; every source needs it. cols is the column-major
+// form of the source's table (relation.Table.Columns, shared and read-only);
+// keep lists the full-schema indices of the live columns that actually cross
+// the wire, in queue column order; predIdx/predLess is the plan's scan
+// predicate (column < less) evaluated wrapper-side, predIdx < 0 for none. The
+// queue must already have width len(keep) (comm.Queue.SetColumnar).
 func WithColumnar(cols [][]int64, keep []int, predIdx int, predLess int64) Option {
 	return func(s *Source) {
-		s.colMode = true
 		s.tcols = cols
 		s.keep = append([]int(nil), keep...)
 		s.predIdx = predIdx
@@ -185,7 +187,7 @@ func WithSharedStream(sh *Shared) Option {
 func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTime time.Duration, opts ...Option) (*Source, error) {
 	s := &Source{
 		name:    name,
-		rows:    table.Rows,
+		nrows:   table.Len(),
 		q:       q,
 		rng:     rng,
 		netTime: netTime,
@@ -212,25 +214,29 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 		if s.standby {
 			return nil, fmt.Errorf("source %q: a standby replica cannot tap a shared stream", name)
 		}
-		if n := s.shared.Rows(); n != len(s.rows) {
-			return nil, fmt.Errorf("source %q: shared stream carries %d rows, table has %d", name, n, len(s.rows))
+		if n := s.shared.Rows(); n != s.nrows {
+			return nil, fmt.Errorf("source %q: shared stream carries %d rows, table has %d", name, n, s.nrows)
 		}
+	}
+	if s.tcols == nil {
+		return nil, fmt.Errorf("source %q: %w: no WithColumnar option", name, ErrColumnarMismatch)
+	}
+	if len(s.keep) != q.Width() {
+		return nil, fmt.Errorf("source %q: %w: %d live columns for a width-%d queue", name, ErrColumnarMismatch, len(s.keep), q.Width())
+	}
+	for _, c := range s.keep {
+		if c < 0 || c >= len(s.tcols) {
+			return nil, fmt.Errorf("source %q: live column %d outside width-%d table", name, c, len(s.tcols))
+		}
+	}
+	if s.predIdx >= len(s.tcols) {
+		return nil, fmt.Errorf("source %q: predicate column %d outside width-%d table", name, s.predIdx, len(s.tcols))
+	}
+	if s.shared != nil {
 		s.shared.attach()
 	}
-	if s.colMode {
-		for _, c := range s.keep {
-			if c < 0 || c >= len(s.tcols) {
-				return nil, fmt.Errorf("source %q: live column %d outside width-%d table", name, c, len(s.tcols))
-			}
-		}
-		if s.predIdx >= len(s.tcols) {
-			return nil, fmt.Errorf("source %q: predicate column %d outside width-%d table", name, s.predIdx, len(s.tcols))
-		}
-		s.colViews = make([][]int64, len(s.keep))
-		s.stagePass = make([]bool, 0, q.Capacity())
-	} else {
-		s.stageT = make([]relation.Tuple, 0, q.Capacity())
-	}
+	s.colViews = make([][]int64, len(s.keep))
+	s.stagePass = make([]bool, 0, q.Capacity())
 	s.stageAt = make([]time.Duration, 0, q.Capacity())
 	if !s.standby {
 		if len(s.faults) > 0 {
@@ -255,7 +261,7 @@ func (p eagerProducer) Resume(now time.Duration) { p.s.Resume(now) }
 func (s *Source) Name() string { return s.name }
 
 // Rows returns the total number of tuples this source delivers.
-func (s *Source) Rows() int { return len(s.rows) }
+func (s *Source) Rows() int { return s.nrows }
 
 // The production-state accessors below settle the queue first: production
 // owed to credits the queue has recorded but not replayed yet is part of the
@@ -264,7 +270,7 @@ func (s *Source) Rows() int { return len(s.rows) }
 // Exhausted reports whether every tuple has been sent to the queue.
 func (s *Source) Exhausted() bool {
 	s.q.Settle()
-	return s.next >= len(s.rows) && !s.producing
+	return s.next >= s.nrows && !s.producing
 }
 
 // Blocked reports whether the window protocol currently suspends the source.
@@ -313,8 +319,8 @@ func (s *Source) Activate(now time.Duration, fromRow int, connect time.Duration,
 	if !s.standby {
 		panic(fmt.Sprintf("source %q: Activate on a non-standby source", s.name))
 	}
-	if fromRow < 0 || fromRow > len(s.rows) {
-		panic(fmt.Sprintf("source %q: Activate from row %d of %d", s.name, fromRow, len(s.rows)))
+	if fromRow < 0 || fromRow > s.nrows {
+		panic(fmt.Sprintf("source %q: Activate from row %d of %d", s.name, fromRow, s.nrows))
 	}
 	s.standby = false
 	start := now + connect
@@ -347,31 +353,31 @@ func (s *Source) waitFor(row int) time.Duration {
 // it is the w used by analytic bounds and by the optimizer's initial
 // annotations.
 func (s *Source) MeanWait() time.Duration {
-	if len(s.rows) == 0 {
+	if s.nrows == 0 {
 		return 0
 	}
 	var total float64
 	for i := 0; i < len(s.phases); i++ {
 		from := s.phases[i].FromRow
-		to := len(s.rows)
+		to := s.nrows
 		if i+1 < len(s.phases) {
 			to = s.phases[i+1].FromRow
 		}
-		if to > len(s.rows) {
-			to = len(s.rows)
+		if to > s.nrows {
+			to = s.nrows
 		}
 		if to > from {
 			total += float64(to-from) * s.phases[i].W.Seconds()
 		}
 	}
-	return time.Duration(total / float64(len(s.rows)) * float64(time.Second))
+	return time.Duration(total / float64(s.nrows) * float64(time.Second))
 }
 
 // ExpectedRetrieval returns the expected total time to produce and deliver
 // every tuple, ignoring window-protocol suspensions: the n_p * w_p term of
 // the paper's lower bound.
 func (s *Source) ExpectedRetrieval() time.Duration {
-	wait := time.Duration(float64(len(s.rows)) * s.MeanWait().Seconds() * float64(time.Second))
+	wait := time.Duration(float64(s.nrows) * s.MeanWait().Seconds() * float64(time.Second))
 	return s.initialDelay + wait + s.netTime
 }
 
@@ -407,16 +413,16 @@ func (s *Source) pump(floor time.Duration) {
 // the number of window slots that look free in the queue but were not yet
 // at this floor's instant (credits granted later, replayed after this one).
 //
-// Productions are staged locally and handed to the queue by flush: a Push
+// Productions are staged locally and handed to the queue by flush: a push
 // has no observable effect besides buffer state (no clock, no RNG), so
 // deferring the buffer writes is exact. Staged tuples count against the
-// window while staging, keeping the suspension point identical to the
-// push-per-tuple loop.
+// window while staging, so the source suspends exactly where the window
+// fills.
 func (s *Source) produce(floor time.Duration, owed int) {
 	if s.dead || s.detached {
 		return
 	}
-	for s.next < len(s.rows) {
+	for s.next < s.nrows {
 		// Skip fault clauses whose boundary has passed (burst start rows are
 		// consumed here: bursts act through effectiveWait, not the cursor).
 		for s.fidx < len(s.faults) && (s.faults[s.fidx].Row < s.next ||
@@ -477,21 +483,16 @@ func (s *Source) produce(floor time.Duration, owed int) {
 			s.outages = append(s.outages, fault.Outage{From: send, To: send + down})
 			send += down
 		}
-		if s.colMode {
-			// Wrapper-side selection: same `col < less` semantics as
-			// operator.EvalPred on the mediator. Only the pass bit is staged
-			// per row — the values flush as contiguous column runs.
-			s.stagePass = append(s.stagePass, s.predIdx < 0 || s.tcols[s.predIdx][s.next] < s.predLess)
-		} else {
-			s.stageT = append(s.stageT, s.rows[s.next])
-		}
+		// Wrapper-side selection (`col < less`). Only the pass bit is staged
+		// per row — the values flush as contiguous column runs.
+		s.stagePass = append(s.stagePass, s.predIdx < 0 || s.tcols[s.predIdx][s.next] < s.predLess)
 		s.stageAt = append(s.stageAt, send+s.netTime)
 		s.next++
 		s.producing = false
 		s.blocked = false
 		s.startAt = send
 	}
-	if s.next >= len(s.rows) {
+	if s.next >= s.nrows {
 		s.blocked = false
 	}
 }
@@ -502,21 +503,16 @@ func (s *Source) flush() {
 	if staged == 0 {
 		return
 	}
-	if s.colMode {
-		// The staged rows are exactly [next-staged, next): the cursor
-		// advances one row per staged slot and every break in produce happens
-		// before staging. Each live column therefore pushes as one
-		// sub-slice of the shared transpose — no per-value staging copy.
-		start := s.next - staged
-		for j, c := range s.keep {
-			s.colViews[j] = s.tcols[c][start:s.next]
-		}
-		s.q.PushColsN(s.colViews, s.stagePass, s.stageAt)
-		s.stagePass = s.stagePass[:0]
-	} else {
-		s.q.PushN(s.stageT, s.stageAt)
-		s.stageT = s.stageT[:0]
+	// The staged rows are exactly [next-staged, next): the cursor advances
+	// one row per staged slot and every break in produce happens before
+	// staging. Each live column therefore pushes as one sub-slice of the
+	// shared transpose — no per-value staging copy.
+	start := s.next - staged
+	for j, c := range s.keep {
+		s.colViews[j] = s.tcols[c][start:s.next]
 	}
+	s.q.PushColsN(s.colViews, s.stagePass, s.stageAt)
+	s.stagePass = s.stagePass[:0]
 	s.stageAt = s.stageAt[:0]
 }
 

@@ -18,10 +18,42 @@ func makeTable(t *testing.T, n int) *relation.Table {
 
 func us(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 
+// newQueue returns a queue whose slots carry every column of tab, and
+// allColumns the matching pushdown — no projection, no predicate: the plain
+// whole-row delivery the tests that do not study pushdown want.
+func newQueue(tab *relation.Table, window int) *comm.Queue {
+	q := comm.NewQueue(tab.Rel.Name, window)
+	q.SetColumnar(tab.Rel.Schema.Width())
+	return q
+}
+
+func allColumns(tab *relation.Table) Option {
+	keep := make([]int, tab.Rel.Schema.Width())
+	for c := range keep {
+		keep[c] = c
+	}
+	return WithColumnar(tab.Columns(), keep, -1, 0)
+}
+
+// popN bulk-pops up to max arrived slots of q without crediting them.
+func popN(q *comm.Queue, now time.Duration, max int) int {
+	return q.PopColsN(now, relation.NewBatch(q.Width()), make([]bool, max))
+}
+
+// pop consumes q's oldest tuple at now, freeing its window slot.
+func pop(q *comm.Queue, now time.Duration) relation.Tuple {
+	b := relation.NewBatch(q.Width())
+	if q.PopColsN(now, b, make([]bool, 1)) != 1 {
+		panic("pop: nothing has arrived")
+	}
+	q.Credit(now)
+	return b.Row(0, make(relation.Tuple, q.Width()))
+}
+
 func TestSourceDeliversEverythingInOrder(t *testing.T) {
 	tab := makeTable(t, 500)
-	q := comm.NewQueue("W", 32)
-	src, err := New("W", tab, q, sim.NewRNG(2), us(1), WithMeanWait(us(10)))
+	q := newQueue(tab, 32)
+	src, err := New("W", tab, q, sim.NewRNG(2), us(1), allColumns(tab), WithMeanWait(us(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +72,7 @@ func TestSourceDeliversEverythingInOrder(t *testing.T) {
 		if at > now {
 			now = at
 		}
-		got := q.Pop(now)
+		got := pop(q, now)
 		if got[0] != popped {
 			t.Fatalf("tuple %d out of order: %v", popped, got)
 		}
@@ -53,8 +85,8 @@ func TestSourceDeliversEverythingInOrder(t *testing.T) {
 
 func TestSourceWindowProtocolBlocks(t *testing.T) {
 	tab := makeTable(t, 100)
-	q := comm.NewQueue("W", 8)
-	src, err := New("W", tab, q, sim.NewRNG(2), 0, WithMeanWait(0))
+	q := newQueue(tab, 8)
+	src, err := New("W", tab, q, sim.NewRNG(2), 0, allColumns(tab), WithMeanWait(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +98,7 @@ func TestSourceWindowProtocolBlocks(t *testing.T) {
 	if !src.Blocked() {
 		t.Error("source not blocked on a full window")
 	}
-	q.Pop(time.Second)
+	pop(q, time.Second)
 	if q.Len() != 8 {
 		t.Errorf("pop did not let the wrapper refill (len=%d)", q.Len())
 	}
@@ -74,12 +106,12 @@ func TestSourceWindowProtocolBlocks(t *testing.T) {
 
 func TestSourceResumeUsesPopTimeAsFloor(t *testing.T) {
 	tab := makeTable(t, 3)
-	q := comm.NewQueue("W", 1)
-	if _, err := New("W", tab, q, sim.NewRNG(2), 0, WithMeanWait(0)); err != nil {
+	q := newQueue(tab, 1)
+	if _, err := New("W", tab, q, sim.NewRNG(2), 0, allColumns(tab), WithMeanWait(0)); err != nil {
 		t.Fatal(err)
 	}
 	// Tuple 0 arrives at ~0 and is held; the queue has one slot.
-	q.Pop(200 * time.Millisecond)
+	pop(q, 200*time.Millisecond)
 	at, ok := q.NextArrival()
 	if !ok {
 		t.Fatal("no refill after pop")
@@ -92,8 +124,8 @@ func TestSourceResumeUsesPopTimeAsFloor(t *testing.T) {
 func TestSourceMeanWaitStatistics(t *testing.T) {
 	const n = 20000
 	tab := makeTable(t, n)
-	q := comm.NewQueue("W", n) // no backpressure
-	src, err := New("W", tab, q, sim.NewRNG(5), 0, WithMeanWait(us(50)))
+	q := newQueue(tab, n) // no backpressure
+	src, err := New("W", tab, q, sim.NewRNG(5), 0, allColumns(tab), WithMeanWait(us(50)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +138,7 @@ func TestSourceMeanWaitStatistics(t *testing.T) {
 	for q.Len() > 0 {
 		at, _ := q.NextArrival()
 		lastArrival = at
-		q.Pop(now)
+		pop(q, now)
 	}
 	want := time.Duration(n) * us(50)
 	if lastArrival < want*9/10 || lastArrival > want*11/10 {
@@ -116,8 +148,8 @@ func TestSourceMeanWaitStatistics(t *testing.T) {
 
 func TestSourceInitialDelay(t *testing.T) {
 	tab := makeTable(t, 5)
-	q := comm.NewQueue("W", 8)
-	if _, err := New("W", tab, q, sim.NewRNG(2), 0,
+	q := newQueue(tab, 8)
+	if _, err := New("W", tab, q, sim.NewRNG(2), 0, allColumns(tab),
 		WithMeanWait(0), WithInitialDelay(3*time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +161,8 @@ func TestSourceInitialDelay(t *testing.T) {
 
 func TestSourcePhases(t *testing.T) {
 	tab := makeTable(t, 1000)
-	q := comm.NewQueue("W", 1000)
-	src, err := New("W", tab, q, sim.NewRNG(2), 0, WithPhases(
+	q := newQueue(tab, 1000)
+	src, err := New("W", tab, q, sim.NewRNG(2), 0, allColumns(tab), WithPhases(
 		Phase{FromRow: 0, W: 0},
 		Phase{FromRow: 500, W: us(100)},
 	))
@@ -151,7 +183,7 @@ func TestSourcePhases(t *testing.T) {
 		case 999:
 			at999 = at
 		}
-		q.Pop(now)
+		pop(q, now)
 	}
 	if at499 > 10*time.Millisecond {
 		t.Errorf("fast phase ended at %v, want ~0", at499)
@@ -170,8 +202,8 @@ func TestSourcePhases(t *testing.T) {
 func TestSourceOptionValidation(t *testing.T) {
 	tab := makeTable(t, 10)
 	mk := func(opts ...Option) error {
-		q := comm.NewQueue("W", 4)
-		_, err := New("W", tab, q, sim.NewRNG(1), 0, opts...)
+		q := newQueue(tab, 4)
+		_, err := New("W", tab, q, sim.NewRNG(1), 0, append(opts, allColumns(tab))...)
 		return err
 	}
 	if err := mk(WithPhases(Phase{FromRow: 5, W: 0})); err == nil {
@@ -190,8 +222,8 @@ func TestSourceOptionValidation(t *testing.T) {
 
 func TestExpectedRetrieval(t *testing.T) {
 	tab := makeTable(t, 1000)
-	q := comm.NewQueue("W", 4)
-	src, err := New("W", tab, q, sim.NewRNG(2), us(3),
+	q := newQueue(tab, 4)
+	src, err := New("W", tab, q, sim.NewRNG(2), us(3), allColumns(tab),
 		WithMeanWait(us(20)), WithInitialDelay(time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +240,8 @@ func TestSourceDeterministicDelaysAcrossConsumptionPatterns(t *testing.T) {
 	// (arrival times may differ only through window-protocol floors).
 	mkArrivals := func(popEvery int) []time.Duration {
 		tab := makeTable(t, 200)
-		q := comm.NewQueue("W", 200) // wide window: no floors
-		if _, err := New("W", tab, q, sim.NewRNG(77), 0, WithMeanWait(us(10))); err != nil {
+		q := newQueue(tab, 200) // wide window: no floors
+		if _, err := New("W", tab, q, sim.NewRNG(77), 0, allColumns(tab), WithMeanWait(us(10))); err != nil {
 			t.Fatal(err)
 		}
 		var out []time.Duration
@@ -220,7 +252,7 @@ func TestSourceDeterministicDelaysAcrossConsumptionPatterns(t *testing.T) {
 			out = append(out, at)
 			i++
 			_ = popEvery
-			q.Pop(now)
+			pop(q, now)
 		}
 		return out
 	}
