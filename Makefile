@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test race check bench bench-update benchsmoke profile repobench repobench-compare loc
+.PHONY: build fmt vet test race check benchsmoke profile repobench repobench-compare loc
 
 build:
 	$(GO) build ./...
@@ -37,36 +37,6 @@ check: fmt build vet race benchsmoke
 # no longer compile without paying for real measurement iterations.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Full benchmark run, compared against the committed baseline
-# (BENCH_6.json, recorded with the budget-aware materialization governor
-# and the BenchmarkFirstTupleLatency first-tuple-ms gate; BENCH_5.json is
-# the partition-parallel join-kernel reference, BENCH_4.json
-# columnar-dataflow, BENCH_3.json planning-cache, BENCH_2.json
-# post-batching, BENCH_1.json pre-batching) via cmd/benchjson: fails if
-# any benchmark regressed more than 20% in ns/op, B/op, allocs/op or a
-# gated custom metric (first-tuple-ms). The raw output is staged in a file under the
-# git-ignored out/ directory so a failing `go test` aborts the target
-# instead of feeding benchjson an empty stream, and the working tree stays
-# clean.
-# -p 1 serializes the package test binaries: `go test ./...` otherwise runs
-# up to GOMAXPROCS packages concurrently, and co-scheduled benchmarks skew
-# each other's timings by 20%+ — enough to trip (or mask) the gate. -count 3
-# repeats every benchmark; benchjson collapses the repeats to their median,
-# which single 1s runs on a shared machine are too jittery to do without.
-BENCHFLAGS ?= -benchtime 1s -count 3
-BASELINE ?= BENCH_6.json
-bench:
-	@mkdir -p out
-	$(GO) test -p 1 -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./... > out/bench.out
-	$(GO) run ./cmd/benchjson -path $(BASELINE) < out/bench.out
-
-# Refresh the baseline after a deliberate performance change; commit the
-# updated baseline together with the change that justifies it.
-bench-update:
-	@mkdir -p out
-	$(GO) test -p 1 -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./... > out/bench.out
-	$(GO) run ./cmd/benchjson -path $(BASELINE) -write < out/bench.out
 
 # The repository benchmark (contract: BENCHMARK.json, harness and metric
 # tables: bench/README.md): four workloads, each an untraced pass for the

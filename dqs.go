@@ -246,7 +246,11 @@ func Run(spec RunSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return core.RunStrategyOn(rt, string(spec.Strategy))
+	results, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, string(spec.Strategy))
+	if err != nil {
+		return Result{}, err
+	}
+	return results[0], nil
 }
 
 // QueryRun is one query of a concurrent execution.
@@ -263,35 +267,29 @@ type QueryRun struct {
 // multi-query direction): fragments of all queries compete by critical
 // degree for the CPU, the memory grant and the local disk. It returns
 // per-query results in input order; each ResponseTime is the instant that
-// query's last result tuple was produced.
+// query's last result tuple was produced. It is a fused Server whose
+// queries all arrive at time zero, with no admission cap and global
+// fairness: one engine over every query from the first round.
 func RunConcurrent(cfg Config, queries []QueryRun) ([]Result, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("dqs: no queries")
-	}
-	med, err := exec.NewMediator(cfg)
+	srv, err := NewServer(ServerConfig{Exec: cfg, Mode: ServerFused})
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(queries))
-	rts := make([]*exec.Runtime, 0, len(queries))
 	for _, q := range queries {
-		if q.Label == "" {
-			return nil, fmt.Errorf("dqs: concurrent queries need non-empty labels")
-		}
-		if seen[q.Label] {
-			return nil, fmt.Errorf("dqs: duplicate query label %q", q.Label)
-		}
-		seen[q.Label] = true
-		if q.Workload == nil {
-			return nil, fmt.Errorf("dqs: query %q has no workload", q.Label)
-		}
-		rt, err := med.AddQuery(q.Label, q.Workload.Root, q.Workload.Dataset, q.Deliveries)
+		err := srv.Submit(ServerQuery{Label: q.Label, Workload: q.Workload, Deliveries: q.Deliveries})
 		if err != nil {
-			return nil, fmt.Errorf("dqs: query %q: %w", q.Label, err)
+			return nil, err
 		}
-		rts = append(rts, rt)
 	}
-	return core.RunMultiDSE(med, rts)
+	reports, _, err := srv.Run()
+	if err != nil {
+		return nil, err
+	}
+	results := make([]Result, len(reports))
+	for i, rep := range reports {
+		results[i] = rep.Result
+	}
+	return results, nil
 }
 
 // LowerBound computes the paper's analytic response-time lower bound LWB

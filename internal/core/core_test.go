@@ -43,6 +43,25 @@ func newRT(t *testing.T, w *workload.Workload, cfg exec.Config, del map[string]e
 	return rt
 }
 
+// runOn executes one single-query runtime under the named strategy.
+func runOn(rt *exec.Runtime, name string) (exec.Result, error) {
+	results, err := RunStrategy(rt.Med, []*exec.Runtime{rt}, name)
+	if err != nil {
+		return exec.Result{}, err
+	}
+	return results[0], nil
+}
+
+// dseEngine builds a DSE engine over one single-query runtime.
+func dseEngine(t testing.TB, rt *exec.Runtime) *Engine {
+	t.Helper()
+	e, err := NewStrategyEngine(rt.Med, []*exec.Runtime{rt}, "DSE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestCriticalDegreeSign(t *testing.T) {
 	w := smallFig5(t)
 	rt := newRT(t, w, testConfig(), nil)
@@ -86,11 +105,11 @@ func TestDSEMatchesSEQOutputAndDoesNotLose(t *testing.T) {
 	for _, wait := range []time.Duration{20 * time.Microsecond, 100 * time.Microsecond} {
 		del := uniform(w, 20*time.Microsecond)
 		del["A"] = exec.Delivery{MeanWait: wait}
-		seqRes, err := RunStrategyOn(newRT(t, w, testConfig(), del), "SEQ")
+		seqRes, err := runOn(newRT(t, w, testConfig(), del), "SEQ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		dseRes, err := RunDSE(newRT(t, w, testConfig(), del))
+		dseRes, err := runOn(newRT(t, w, testConfig(), del), "DSE")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +126,11 @@ func TestDSEDeterminism(t *testing.T) {
 	w := smallFig5(t)
 	del := uniform(w, 20*time.Microsecond)
 	del["A"] = exec.Delivery{MeanWait: 200 * time.Microsecond}
-	a, err := RunDSE(newRT(t, w, testConfig(), del))
+	a, err := runOn(newRT(t, w, testConfig(), del), "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDSE(newRT(t, w, testConfig(), del))
+	b, err := runOn(newRT(t, w, testConfig(), del), "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +146,7 @@ func TestBMTGatesDegradation(t *testing.T) {
 
 	cfgOff := testConfig()
 	cfgOff.BMT = 1e9 // degradation disabled
-	resOff, err := RunDSE(newRT(t, w, cfgOff, del))
+	resOff, err := runOn(newRT(t, w, cfgOff, del), "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +157,7 @@ func TestBMTGatesDegradation(t *testing.T) {
 
 	cfgOn := testConfig()
 	cfgOn.BMT = 0
-	resOn, err := RunDSE(newRT(t, w, cfgOn, del))
+	resOn, err := runOn(newRT(t, w, cfgOn, del), "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +180,14 @@ func TestDSEWithoutDegradationStillInterleaves(t *testing.T) {
 	del["D"] = exec.Delivery{MeanWait: 200 * time.Microsecond}
 	cfg := testConfig()
 	cfg.BMT = 1e9
-	dse, err := RunDSE(newRT(t, w, cfg, del))
+	dse, err := runOn(newRT(t, w, cfg, del), "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dse.Degradations != 0 {
 		t.Fatalf("degradation fired despite bmt=inf")
 	}
-	seq, err := RunStrategyOn(newRT(t, w, cfg, del), "SEQ")
+	seq, err := runOn(newRT(t, w, cfg, del), "SEQ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +202,7 @@ func TestDSEMemoryRepairAndInfeasibility(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.MemoryBytes = 1 << 20
-	res, err := RunDSE(newRT(t, w, cfg, del))
+	res, err := runOn(newRT(t, w, cfg, del), "DSE")
 	if err != nil {
 		t.Fatalf("DSE at 1MB failed: %v", err)
 	}
@@ -193,7 +212,7 @@ func TestDSEMemoryRepairAndInfeasibility(t *testing.T) {
 	if res.PeakMemBytes > cfg.MemoryBytes {
 		t.Errorf("peak memory %d exceeded grant %d", res.PeakMemBytes, cfg.MemoryBytes)
 	}
-	full, err := RunDSE(newRT(t, w, testConfig(), del))
+	full, err := runOn(newRT(t, w, testConfig(), del), "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +222,7 @@ func TestDSEMemoryRepairAndInfeasibility(t *testing.T) {
 
 	tiny := testConfig()
 	tiny.MemoryBytes = 300 << 10
-	if _, err := RunDSE(newRT(t, w, tiny, del)); !errors.Is(err, ErrInsufficientMemory) {
+	if _, err := runOn(newRT(t, w, tiny, del), "DSE"); !errors.Is(err, ErrInsufficientMemory) {
 		t.Errorf("DSE at 300KB: err = %v, want ErrInsufficientMemory", err)
 	}
 }
@@ -216,7 +235,7 @@ func TestDSETimeoutEvent(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Timeout = 500 * time.Millisecond
-	res, err := RunDSE(newRT(t, w, cfg, del))
+	res, err := runOn(newRT(t, w, cfg, del), "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +258,7 @@ func TestDSERateChangeTriggersReplanning(t *testing.T) {
 		{FromRow: 0, W: 10 * time.Microsecond},
 		{FromRow: card.Cardinality / 2, W: 400 * time.Microsecond},
 	}}
-	if _, err := RunDSE(newRT(t, w, cfg, del)); err != nil {
+	if _, err := runOn(newRT(t, w, cfg, del), "DSE"); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Count(sim.EvRateChange) == 0 {
@@ -250,7 +269,7 @@ func TestDSERateChangeTriggersReplanning(t *testing.T) {
 func TestChainStateSplitAndAdvance(t *testing.T) {
 	w := smallFig5(t)
 	rt := newRT(t, w, testConfig(), nil)
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 	var cs *chainState
 	for _, s := range e.pol.(*dsePolicy).states {
 		if s.chain.Scan.Rel.Name == "F" { // two probe steps
@@ -280,7 +299,7 @@ func TestChainStateSplitAndAdvance(t *testing.T) {
 func TestSplitActivePanicsOnMisuse(t *testing.T) {
 	w := smallFig5(t)
 	rt := newRT(t, w, testConfig(), nil)
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 	cs := e.pol.(*dsePolicy).states[0]
 	defer func() {
 		if recover() == nil {
@@ -297,7 +316,7 @@ func TestDSETraceRecordsSchedulingActivity(t *testing.T) {
 	cfg.Trace = tr
 	del := uniform(w, 20*time.Microsecond)
 	del["A"] = exec.Delivery{MeanWait: 300 * time.Microsecond}
-	if _, err := RunDSE(newRT(t, w, cfg, del)); err != nil {
+	if _, err := runOn(newRT(t, w, cfg, del), "DSE"); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Count(sim.EvSchedule) == 0 {

@@ -23,7 +23,7 @@ func TestProcessPhaseFallsThroughPriorities(t *testing.T) {
 	del["E"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: 300 * time.Millisecond}
 	cfg := testConfig()
 	rt := newRT(t, w, cfg, del)
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 
 	cE, _ := rt.Dec.ChainOf("E")
 	cD, _ := rt.Dec.ChainOf("D")
@@ -64,7 +64,7 @@ func TestProcessPhaseStallsWhenAllStarved(t *testing.T) {
 	del["D"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: 150 * time.Millisecond}
 	cfg := testConfig()
 	rt := newRT(t, w, cfg, del)
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 	cE, _ := rt.Dec.ChainOf("E")
 	cD, _ := rt.Dec.ChainOf("D")
 	ev, err := e.processPhase(dsePlan(cfg, rt.NewPCFragment(cE), rt.NewPCFragment(cD)))
@@ -88,7 +88,7 @@ func TestProcessPhaseTimeout(t *testing.T) {
 	del := uniform(w, 10*time.Microsecond)
 	del["E"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: time.Second}
 	rt := newRT(t, w, cfg, del)
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 	cE, _ := rt.Dec.ChainOf("E")
 	ev, err := e.processPhase(dsePlan(cfg, rt.NewPCFragment(cE)))
 	if err != nil {
@@ -109,7 +109,7 @@ func TestScheduleOrdersByCriticalDegree(t *testing.T) {
 	del := uniform(w, 20*time.Microsecond)
 	del["E"] = exec.Delivery{MeanWait: 5 * time.Millisecond}
 	rt := newRT(t, w, cfg, del)
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 	// Let the CM observe both wrappers for a while.
 	rt.Clock.Stall(200 * time.Millisecond)
 	rt.CM.Observe(rt.Now())
@@ -134,7 +134,7 @@ func TestScheduleOrdersByCriticalDegree(t *testing.T) {
 func TestScheduleCreatesMFForBlockedCriticalChain(t *testing.T) {
 	w := smallFig5(t)
 	rt := newRT(t, w, testConfig(), uniform(w, 20*time.Microsecond))
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 	sp, err := e.pol.(*dsePolicy).schedule(e.st)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestScheduleSkipsDegradationBelowBMT(t *testing.T) {
 	cfg := testConfig()
 	cfg.BMT = 10
 	rt := newRT(t, w, cfg, uniform(w, 20*time.Microsecond))
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 	sp, err := e.pol.(*dsePolicy).schedule(e.st)
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,9 @@ type progressMark struct {
 	diskWrites int64
 }
 
-// NewPolicyEngine prepares an engine driving the given query runtimes on
-// the shared mediator under the policy the factory builds.
-func NewPolicyEngine(med *exec.Mediator, rts []*exec.Runtime, factory PolicyFactory) (*Engine, error) {
+// newEngine prepares an engine driving the given query runtimes on the
+// shared mediator under the policy the factory builds.
+func newEngine(med *exec.Mediator, rts []*exec.Runtime, factory PolicyFactory) (*Engine, error) {
 	if len(rts) == 0 {
 		return nil, fmt.Errorf("core: no runtimes")
 	}
@@ -68,22 +68,6 @@ func NewPolicyEngine(med *exec.Mediator, rts []*exec.Runtime, factory PolicyFact
 	return e, nil
 }
 
-// NewEngine prepares a dynamic (DSE) engine over a fresh single-query
-// runtime.
-func NewEngine(rt *exec.Runtime) *Engine {
-	e, err := NewMultiEngine(rt.Med, []*exec.Runtime{rt})
-	if err != nil {
-		panic(err) // single-runtime construction cannot fail
-	}
-	return e
-}
-
-// NewMultiEngine prepares a dynamic (DSE) engine driving every given query
-// runtime on the shared mediator.
-func NewMultiEngine(med *exec.Mediator, rts []*exec.Runtime) (*Engine, error) {
-	return NewPolicyEngine(med, rts, NewDSEPolicy)
-}
-
 // Run executes the attached queries under the engine's policy and returns
 // the per-query results in attachment order.
 func (e *Engine) Run() ([]exec.Result, error) {
@@ -105,9 +89,7 @@ func (e *Engine) Done() bool { return e.pol.Done(e.st) }
 // one event reaction — and reports whether unfinished work remains. It
 // returns (false, nil) without running a phase when the policy already
 // reports every query complete. A stepped engine is how the multi-query
-// server interleaves several queries' planning points: it calls Step on the
-// engine whose virtual clock is furthest behind, admitting and cancelling
-// queries between rounds.
+// server admits, favors and cancels queries between rounds.
 func (e *Engine) Step() (bool, error) {
 	if e.pol.Done(e.st) {
 		return false, nil
@@ -244,27 +226,6 @@ func spLabels(sp []*exec.Fragment) string {
 		labels[i] = f.Label
 	}
 	return strings.Join(labels, " > ")
-}
-
-// RunDSE executes the runtime's plan with the paper's dynamic scheduling
-// strategy and returns the run summary.
-func RunDSE(rt *exec.Runtime) (exec.Result, error) {
-	results, err := NewEngine(rt).Run()
-	if err != nil {
-		return exec.Result{}, err
-	}
-	return results[0], nil
-}
-
-// RunMultiDSE executes several queries concurrently on one mediator with a
-// single global dynamic scheduler and returns per-query results in
-// attachment order (the §6 multi-query extension).
-func RunMultiDSE(med *exec.Mediator, rts []*exec.Runtime) ([]exec.Result, error) {
-	e, err := NewMultiEngine(med, rts)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run()
 }
 
 // debugSchedule enables scheduling-round prints; set via

@@ -34,7 +34,7 @@ func TestDisconnectReconnectCompletes(t *testing.T) {
 		cfg.Faults = parsePlan(t, "D:drop@2000+80ms;C:drop@5000+40ms,restart")
 		tr := &sim.Trace{}
 		cfg.Trace = tr
-		res, err := RunStrategyOn(newRT(t, w, cfg, del), name)
+		res, err := runOn(newRT(t, w, cfg, del), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -66,7 +66,7 @@ func TestDeathFailoverCompletes(t *testing.T) {
 		cfg.Faults = parsePlan(t, "D:kill@7000;D:replica,connect=10ms")
 		tr := &sim.Trace{}
 		cfg.Trace = tr
-		res, err := RunStrategyOn(newRT(t, w, cfg, del), name)
+		res, err := runOn(newRT(t, w, cfg, del), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -94,7 +94,7 @@ func TestColdReplicaRestartIsSlower(t *testing.T) {
 	run := func(spec string) exec.Result {
 		cfg := testConfig()
 		cfg.Faults = parsePlan(t, spec)
-		res, err := RunStrategyOn(newRT(t, w, cfg, del), "DSE")
+		res, err := runOn(newRT(t, w, cfg, del), "DSE")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestPartialResultsReportDegradedFragments(t *testing.T) {
 		cfg.PartialResults = true
 		tr := &sim.Trace{}
 		cfg.Trace = tr
-		res, err := RunStrategyOn(newRT(t, w, cfg, del), name)
+		res, err := runOn(newRT(t, w, cfg, del), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -150,7 +150,7 @@ func TestDeadWrapperWithoutRecoveryFails(t *testing.T) {
 	for _, name := range faultStrategies {
 		cfg := testConfig()
 		cfg.Faults = parsePlan(t, "D:kill@7000")
-		_, err := RunStrategyOn(newRT(t, w, cfg, del), name)
+		_, err := runOn(newRT(t, w, cfg, del), name)
 		if err == nil {
 			t.Fatalf("%s: dead wrapper with no recovery path succeeded", name)
 		}
@@ -185,7 +185,7 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 	run := func() exec.Result {
 		cfg := testConfig()
 		cfg.Faults = parsePlan(t, spec)
-		res, err := RunStrategyOn(newRT(t, w, cfg, del), "DSE")
+		res, err := runOn(newRT(t, w, cfg, del), "DSE")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestRunnerStrategiesRejectFaults(t *testing.T) {
 	w := smallFig5(t)
 	cfg := testConfig()
 	cfg.Faults = parsePlan(t, "D:kill@7000")
-	_, err := RunStrategyOn(newRT(t, w, cfg, uniform(w, 20*time.Microsecond)), "DPHJ")
+	_, err := runOn(newRT(t, w, cfg, uniform(w, 20*time.Microsecond)), "DPHJ")
 	if err == nil || !strings.Contains(err.Error(), "fault") {
 		t.Fatalf("DPHJ under faults: err = %v, want fault-injection rejection", err)
 	}

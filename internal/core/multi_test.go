@@ -42,7 +42,7 @@ func TestMultiQueryMatchesReference(t *testing.T) {
 	cfg := testConfig()
 	cfg.MemoryBytes = 128 << 20
 	med, rts, ws := multiSetup(t, cfg, 3, 20*time.Microsecond)
-	results, err := RunMultiDSE(med, rts)
+	results, err := RunStrategy(med, rts, "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMultiQueryConcurrencyBeatsSerialMakespan(t *testing.T) {
 	const wait = 50 * time.Microsecond
 
 	med, rts, _ := multiSetup(t, cfg, 2, wait)
-	results, err := RunMultiDSE(med, rts)
+	results, err := RunStrategy(med, rts, "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMultiQueryConcurrencyBeatsSerialMakespan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunDSE(rt)
+		res, err := runOn(rt, "DSE")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestMultiQueryDeterminism(t *testing.T) {
 		cfg := testConfig()
 		cfg.MemoryBytes = 128 << 20
 		med, rts, _ := multiSetup(t, cfg, 2, 20*time.Microsecond)
-		results, err := RunMultiDSE(med, rts)
+		results, err := RunStrategy(med, rts, "DSE")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,10 +129,10 @@ func TestMultiEngineRejectsForeignRuntime(t *testing.T) {
 	cfg := testConfig()
 	medA, rtsA, _ := multiSetup(t, cfg, 1, 0)
 	_, rtsB, _ := multiSetup(t, cfg, 1, 0)
-	if _, err := NewMultiEngine(medA, []*exec.Runtime{rtsA[0], rtsB[0]}); err == nil {
+	if _, err := NewStrategyEngine(medA, []*exec.Runtime{rtsA[0], rtsB[0]}, "DSE"); err == nil {
 		t.Error("runtime from another mediator accepted")
 	}
-	if _, err := NewMultiEngine(medA, nil); err == nil {
+	if _, err := NewStrategyEngine(medA, nil, "DSE"); err == nil {
 		t.Error("empty runtime list accepted")
 	}
 }
@@ -143,7 +143,7 @@ func TestMultiQuerySharedMemoryPressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.MemoryBytes = 1600 << 10
 	med, rts, ws := multiSetup(t, cfg, 2, 10*time.Microsecond)
-	results, err := RunMultiDSE(med, rts)
+	results, err := RunStrategy(med, rts, "DSE")
 	if err != nil {
 		t.Fatalf("multi-query under memory pressure failed: %v", err)
 	}

@@ -39,7 +39,7 @@ func TestDSEMatchesReferenceOnRandomWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := RunDSE(rt)
+		res, err := runOn(rt, "DSE")
 		if err != nil {
 			t.Fatalf("seed %d: DSE failed: %v", seed, err)
 		}
@@ -70,7 +70,7 @@ func TestDSEMatchesReferenceUnderMemoryPressure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			res, err := RunDSE(rt)
+			res, err := runOn(rt, "DSE")
 			if err != nil {
 				break // infeasible: acceptable floor
 			}
@@ -96,7 +96,7 @@ func TestDSELWBHolds(t *testing.T) {
 		del := uniform(w, wait)
 		rtL := newRT(t, w, testConfig(), del)
 		lwb := exec.LWB(rtL)
-		res, err := RunDSE(newRT(t, w, testConfig(), del))
+		res, err := runOn(newRT(t, w, testConfig(), del), "DSE")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestStarWorkloadAllStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunStrategyOn(rt, name)
+		res, err := runOn(rt, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -71,10 +71,10 @@ func RegisterPolicy(name string, factory PolicyFactory) error {
 		desc: "user-registered scheduling policy"})
 }
 
-// NewPolicy builds the named registered strategy's policy over st. It is the
-// composition hook for wrapper policies (delegate planning to a built-in and
-// adjust the plan); runner-only strategies cannot be composed this way.
-func NewPolicy(st *State, name string) (Policy, error) {
+// policyFactory resolves a registered strategy name to its policy factory.
+// Unknown names list what is registered; runner-only strategies (DPHJ)
+// bypass the unified executor and have no policy to build.
+func policyFactory(name string) (PolicyFactory, error) {
 	i, ok := strategyIndex[name]
 	if !ok {
 		return nil, errUnknownStrategy(name)
@@ -82,7 +82,26 @@ func NewPolicy(st *State, name string) (Policy, error) {
 	if strategies[i].factory == nil {
 		return nil, fmt.Errorf("core: strategy %s is not a scheduling policy", name)
 	}
-	return strategies[i].factory(st)
+	return strategies[i].factory, nil
+}
+
+// CheckEngineStrategy reports whether NewStrategyEngine can build an engine
+// under the named strategy, so a service can reject a bad name when it is
+// configured instead of at its first admission.
+func CheckEngineStrategy(name string) error {
+	_, err := policyFactory(name)
+	return err
+}
+
+// NewPolicy builds the named registered strategy's policy over st. It is the
+// composition hook for wrapper policies (delegate planning to a built-in and
+// adjust the plan); runner-only strategies cannot be composed this way.
+func NewPolicy(st *State, name string) (Policy, error) {
+	factory, err := policyFactory(name)
+	if err != nil {
+		return nil, err
+	}
+	return factory(st)
 }
 
 // StrategyNames lists every registered strategy in registration order (the
@@ -123,26 +142,18 @@ func errUnknownStrategy(name string) error {
 // unified executor and cannot be stepped, attached to or cancelled; they
 // are rejected here — the multi-query server needs engine-level control.
 func NewStrategyEngine(med *exec.Mediator, rts []*exec.Runtime, name string) (*Engine, error) {
-	i, ok := strategyIndex[name]
-	if !ok {
-		return nil, errUnknownStrategy(name)
+	factory, err := policyFactory(name)
+	if err != nil {
+		return nil, err
 	}
-	if strategies[i].factory == nil {
-		return nil, fmt.Errorf("core: strategy %s is not a scheduling policy", name)
-	}
-	return NewPolicyEngine(med, rts, strategies[i].factory)
+	return newEngine(med, rts, factory)
 }
 
 // RunStrategy executes the attached queries under the named registered
 // strategy and returns per-query results in attachment order. This is the
 // single dispatch point every entry point routes through.
 func RunStrategy(med *exec.Mediator, rts []*exec.Runtime, name string) ([]exec.Result, error) {
-	i, ok := strategyIndex[name]
-	if !ok {
-		return nil, errUnknownStrategy(name)
-	}
-	e := strategies[i]
-	if e.runner != nil {
+	if i, ok := strategyIndex[name]; ok && strategies[i].runner != nil {
 		if len(rts) != 1 {
 			return nil, fmt.Errorf("core: strategy %s runs single queries only (%d given)", name, len(rts))
 		}
@@ -152,28 +163,15 @@ func RunStrategy(med *exec.Mediator, rts []*exec.Runtime, name string) ([]exec.R
 			// on the first dead wrapper.
 			return nil, fmt.Errorf("core: strategy %s does not support fault injection", name)
 		}
-		return runnerResults(e.runner(rts[0]))
+		res, err := strategies[i].runner(rts[0])
+		if err != nil {
+			return nil, err
+		}
+		return []exec.Result{res}, nil
 	}
-	eng, err := NewPolicyEngine(med, rts, e.factory)
+	eng, err := NewStrategyEngine(med, rts, name)
 	if err != nil {
 		return nil, err
 	}
 	return eng.Run()
-}
-
-// RunStrategyOn executes a single query runtime under the named registered
-// strategy.
-func RunStrategyOn(rt *exec.Runtime, name string) (exec.Result, error) {
-	results, err := RunStrategy(rt.Med, []*exec.Runtime{rt}, name)
-	if err != nil {
-		return exec.Result{}, err
-	}
-	return results[0], nil
-}
-
-func runnerResults(res exec.Result, err error) ([]exec.Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []exec.Result{res}, nil
 }

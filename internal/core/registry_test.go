@@ -22,7 +22,7 @@ func TestRegisterPolicyRejectsBadEntries(t *testing.T) {
 
 func TestUnknownStrategyListsRegistered(t *testing.T) {
 	w := smallFig5(t)
-	_, err := RunStrategyOn(newRT(t, w, testConfig(), nil), "BOGUS")
+	_, err := runOn(newRT(t, w, testConfig(), nil), "BOGUS")
 	if err == nil {
 		t.Fatal("unknown strategy did not fail")
 	}
@@ -98,7 +98,7 @@ func TestRegisteredCustomPolicyRunsLikeBuiltins(t *testing.T) {
 func TestNewPolicyRejectsRunnerOnlyStrategies(t *testing.T) {
 	w := smallFig5(t)
 	rt := newRT(t, w, testConfig(), nil)
-	e := NewEngine(rt)
+	e := dseEngine(t, rt)
 	if _, err := NewPolicy(e.st, "DPHJ"); err == nil {
 		t.Error("NewPolicy on the runner-only DPHJ strategy did not fail")
 	}

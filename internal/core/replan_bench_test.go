@@ -15,8 +15,8 @@ import (
 // one scheduling plan (the §6 multi-query setting, where planning overhead
 // actually matters); the planning point reuses the per-chain planning cache
 // and re-evaluates only the touched chain, so its per-event cost should grow
-// with the candidate sort alone. benchjson gates it against the committed
-// baseline.
+// with the candidate sort alone. `make benchsmoke` keeps it running; the
+// repository benchmark's core.plan_us_* rows measure the same step.
 func BenchmarkReplanEvents(b *testing.B) {
 	for _, queries := range []int{1, 8} {
 		b.Run(fmt.Sprintf("queries=%d/incremental", queries), func(b *testing.B) {
@@ -40,7 +40,7 @@ func BenchmarkReplanEvents(b *testing.B) {
 				rts = append(rts, rt)
 			}
 			var p *dsePolicy
-			eng, err := NewPolicyEngine(med, rts, func(st *State) (Policy, error) {
+			eng, err := newEngine(med, rts, func(st *State) (Policy, error) {
 				pol, err := NewDSEPolicy(st)
 				if err == nil {
 					p = pol.(*dsePolicy)

@@ -20,7 +20,7 @@ func TestSplitBudgetExhaustion(t *testing.T) {
 	cfg.MemoryBytes = 1 << 20 // tight enough that DSE must split for memory
 	cfg.Trace = tr
 	rt := newRT(t, w, cfg, del)
-	eng, err := NewPolicyEngine(rt.Med, []*exec.Runtime{rt}, func(st *State) (Policy, error) {
+	eng, err := newEngine(rt.Med, []*exec.Runtime{rt}, func(st *State) (Policy, error) {
 		pol, err := NewDSEPolicy(st)
 		if err != nil {
 			return nil, err
@@ -52,7 +52,7 @@ func TestSplitBudgetCoversLegitimateRepairs(t *testing.T) {
 	del := uniform(w, 10*time.Microsecond)
 	cfg := testConfig()
 	cfg.MemoryBytes = 1 << 20
-	res, err := RunDSE(newRT(t, w, cfg, del))
+	res, err := runOn(newRT(t, w, cfg, del), "DSE")
 	if err != nil {
 		t.Fatalf("default budget rejected a legitimate repair sequence: %v", err)
 	}

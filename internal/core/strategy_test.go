@@ -19,7 +19,7 @@ import (
 
 func runStrategyOn(t *testing.T, rt *exec.Runtime, name string) exec.Result {
 	t.Helper()
-	res, err := RunStrategyOn(rt, name)
+	res, err := runOn(rt, name)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -49,7 +49,7 @@ func TestAllStrategiesMatchReferenceOnRandomWorkloads(t *testing.T) {
 			cfg := testConfig()
 			cfg.Seed = seed
 			rt := newRT(t, w, cfg, uniform(w, 10*time.Microsecond))
-			res, err := RunStrategyOn(rt, name)
+			res, err := runOn(rt, name)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, name, err)
 			}
@@ -121,7 +121,7 @@ func TestSEQFailsOnTinyMemory(t *testing.T) {
 	w := smallFig5(t)
 	cfg := testConfig()
 	cfg.MemoryBytes = 64 << 10
-	if _, err := RunStrategyOn(newRT(t, w, cfg, nil), "SEQ"); !errors.Is(err, exec.ErrMemoryExceeded) {
+	if _, err := runOn(newRT(t, w, cfg, nil), "SEQ"); !errors.Is(err, exec.ErrMemoryExceeded) {
 		t.Errorf("SEQ under tiny grant: err = %v, want ErrMemoryExceeded", err)
 	}
 }

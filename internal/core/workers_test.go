@@ -158,7 +158,7 @@ func TestWorkersLiveOnlyInsideAPhase(t *testing.T) {
 		base := runtime.NumGoroutine()
 		c, _, _ := cfg()
 		med, rts, _ := multiSetup(t, c, 2, 0)
-		e, err := NewMultiEngine(med, rts)
+		e, err := NewStrategyEngine(med, rts, "DSE")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestFinishedRunIsCollectable(t *testing.T) {
 		runtime.SetFinalizer(watch.canary, func(*[64]byte) { close(collected) })
 		cfg.Stream = watch
 		base := runtime.NumGoroutine()
-		res, err := RunDSE(newRT(t, w, cfg, uniform(w, 0)))
+		res, err := runOn(newRT(t, w, cfg, uniform(w, 0)), "DSE")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,10 +129,12 @@ type Config struct {
 	// wrapper streams: when several queries scan the same table object with
 	// identical delivery behaviour, the wrapper executes the sub-query once
 	// on one production schedule and every query taps the stream through
-	// its own credit window (late queries replay the delivered prefix from
-	// the mediator's retention buffer). Sources carrying fault scripts stay
-	// private. Off (the default), every query gets its own simulated
-	// wrapper — the single-query-identical path.
+	// its own credit window. The schedule runs from the mediator's epoch,
+	// whoever taps it and whenever (epoch scheduling, DESIGN.md §5.2): a
+	// late query replays the delivered prefix from the mediator's retention
+	// buffer at CPU speed, so it costs less than the same query run alone.
+	// Sources carrying fault scripts stay private. Off (the default), every
+	// query gets its own simulated wrapper — the single-query-identical path.
 	SharedStreams bool
 	// PartialResults lets the engine complete a QEP minus dead subtrees:
 	// fragments of a wrapper declared dead with no replica are abandoned

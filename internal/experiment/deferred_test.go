@@ -51,10 +51,11 @@ func runTraced(w *workload.Workload, cfg exec.Config, deliveries map[string]exec
 			q.SetProducer(resumeOnly{rt.Source(rel), &resumes})
 		}
 	}
-	res, err = core.RunStrategyOn(rt, strategy)
+	results, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, strategy)
 	if err != nil {
 		return exec.Result{}, nil, 0, err
 	}
+	res = results[0]
 	var buf bytes.Buffer
 	if err := tr.Dump(&buf); err != nil {
 		return exec.Result{}, nil, 0, err

@@ -56,7 +56,7 @@ func MultiQuery(o Options) (*Figure, error) {
 			}
 			rts = append(rts, rt)
 		}
-		results, err := core.RunMultiDSE(med, rts)
+		results, err := core.RunStrategy(med, rts, "DSE")
 		if err != nil {
 			return fmt.Errorf("n=%d: %w", n, err)
 		}
@@ -82,12 +82,7 @@ func MultiQuery(o Options) (*Figure, error) {
 			if err != nil {
 				return err
 			}
-			rt, err := exec.NewRuntime(ucfg, w.Root, w.Dataset, uniformDeliveries(w, wait))
-			if err != nil {
-				return err
-			}
-			res, err := core.RunDSE(rt)
-			rt.Med.Reclaim()
+			res, err := runStrategy(w, ucfg, uniformDeliveries(w, wait), "DSE")
 			if err != nil {
 				return err
 			}

@@ -169,7 +169,11 @@ func runStrategy(w *workload.Workload, cfg exec.Config, deliveries map[string]ex
 		return exec.Result{}, err
 	}
 	defer rt.Med.Reclaim()
-	return core.RunStrategyOn(rt, strategy)
+	results, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, strategy)
+	if err != nil {
+		return exec.Result{}, err
+	}
+	return results[0], nil
 }
 
 // lowerBound computes LWB for a workload/delivery pair.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dqs/internal/core"
-	"dqs/internal/exec"
 	"dqs/internal/server"
 )
 
@@ -15,10 +13,14 @@ import (
 // queries arriving at a swept interarrival gap under a bounded admission
 // cap, and reports — per grant size — the mean completion latency (from
 // arrival to last tuple), the mean first-tuple latency and the mean
-// admission wait. The x axis is the offered load: single-query response
-// times per interarrival gap, so 1.0 means queries arrive exactly as fast
-// as an unloaded server finishes them and higher values mean the admission
-// queue must absorb the difference.
+// admission wait. The x axis is the offered load in arrivals per unloaded
+// response: single-query response times per interarrival gap, so 1.0 means
+// queries arrive exactly as fast as an unloaded server answers one. It is
+// not load per unit of mediator work: shared streams are scheduled from the
+// mediator's epoch (DESIGN.md §5.2), so every query after the first replays
+// the retained prefix at CPU speed and occupies its slot for well under one
+// unloaded response — the admission queue starts to fill past load 1, not
+// at it.
 func ServerLoad(o Options) (*Figure, error) {
 	const (
 		queries   = 6
@@ -64,11 +66,7 @@ func ServerLoad(o Options) (*Figure, error) {
 		ucfg := withSeed(base, seed)
 
 		// Reference: one unloaded serial run sets the interarrival scale.
-		rt, err := exec.NewRuntime(ucfg, w.Root, w.Dataset, uniformDeliveries(w, wait))
-		if err != nil {
-			return err
-		}
-		ref, err := core.RunDSE(rt)
+		ref, err := runStrategy(w, ucfg, uniformDeliveries(w, wait), "DSE")
 		if err != nil {
 			return err
 		}

@@ -2,31 +2,31 @@ package server
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"dqs/internal/core"
 	"dqs/internal/exec"
 )
 
-// fusedQuery is one admitted query of a fused-mode run, attached to the
-// shared mediator.
-type fusedQuery struct {
-	idx        int // index into s.queries
-	rt         *exec.Runtime
-	admittedAt time.Duration // shared-clock instant of admission
-	done       bool
+// admittedQuery is one admitted query of a batch, attached to the batch's
+// mediator.
+type admittedQuery struct {
+	idx  int // index into s.queries and the reports
+	rt   *exec.Runtime
+	done bool
 }
 
-// runFused executes the batch on one shared mediator: one clock, one
-// memory grant (per-query holder attribution, globally arbitrated spills),
-// shared plan caches, optionally shared physical wrapper streams. Queries
-// are admitted at planning points of the single engine — the first
-// admission batch constructs it, later arrivals attach mid-run — and all
-// admitted queries' fragments compete in one scheduling plan, biased by
-// the configured fairness. With every query arriving at time zero, no
-// binding cap and global fairness this is byte-identical to
-// dqs.RunConcurrent (core.RunMultiDSE), the correctness oracle.
-func (s *Server) runFused() ([]Report, Stats, error) {
+// runBatch is the server's one driver: it executes the submitted queries on
+// one mediator — one clock, one memory grant (per-query holder attribution,
+// globally arbitrated spills), shared plan caches, optionally shared
+// physical wrapper streams. Queries are admitted at planning points of the
+// single engine — the first admission batch constructs it, later arrivals
+// attach mid-run — and all admitted queries' fragments compete in one
+// scheduling plan, biased by the configured fairness. A fused server runs
+// its whole batch through it (dqs.RunConcurrent is the case of every query
+// arriving at time zero, no cap, global fairness); an isolated server runs
+// each query through it alone, which is core.RunStrategy step for step.
+func (s *Server) runBatch() ([]Report, Stats, error) {
 	med, err := exec.NewMediator(s.cfg.Exec)
 	if err != nil {
 		return nil, Stats{}, err
@@ -34,7 +34,7 @@ func (s *Server) runFused() ([]Report, Stats, error) {
 	pending := s.arrivalOrder()
 	reports := make([]Report, len(s.queries))
 	stats := Stats{Queries: len(s.queries)}
-	var admitted []*fusedQuery
+	var admitted []*admittedQuery
 	var eng *core.Engine
 	activeCount := 0
 	rrCursor := 0
@@ -42,18 +42,18 @@ func (s *Server) runFused() ([]Report, Stats, error) {
 	admitOne := func() error {
 		pos, at := s.pickAdmission(pending, med.Now())
 		qi := pending[pos]
-		pending = removeAt(pending, pos)
+		pending = slices.Delete(pending, pos, pos+1)
 		q := &s.queries[qi]
 		rt, err := med.AddQuery(q.Label, q.Workload.Root, q.Workload.Dataset, q.Deliveries)
 		if err != nil {
-			return fmt.Errorf("server: query %q: %w", q.Label, err)
+			return q.wrap(err)
 		}
 		if q.Sink != nil {
 			rt.SetSink(q.Sink)
 		}
 		if eng != nil {
 			if err := eng.Attach(rt); err != nil {
-				return fmt.Errorf("server: query %q: %w", q.Label, err)
+				return q.wrap(err)
 			}
 		}
 		reports[qi] = Report{
@@ -63,7 +63,7 @@ func (s *Server) runFused() ([]Report, Stats, error) {
 			AdmissionWait: at - q.ArriveAt,
 		}
 		stats.TotalAdmissionWait += at - q.ArriveAt
-		admitted = append(admitted, &fusedQuery{idx: qi, rt: rt, admittedAt: at})
+		admitted = append(admitted, &admittedQuery{idx: qi, rt: rt})
 		activeCount++
 		if activeCount > stats.PeakActive {
 			stats.PeakActive = activeCount
@@ -107,9 +107,9 @@ func (s *Server) runFused() ([]Report, Stats, error) {
 			if a.done || q.Timeout <= 0 || reports[a.idx].Cancelled {
 				continue
 			}
-			if med.Now()-a.admittedAt >= q.Timeout {
+			if med.Now()-reports[a.idx].AdmittedAt >= q.Timeout {
 				if err := eng.CancelQuery(a.rt); err != nil {
-					return nil, stats, fmt.Errorf("server: query %q: %w", q.Label, err)
+					return nil, stats, q.wrap(err)
 				}
 				reports[a.idx].Cancelled = true
 				stats.Cancelled++
@@ -126,7 +126,13 @@ func (s *Server) runFused() ([]Report, Stats, error) {
 			if a.done {
 				continue
 			}
-			if at, fin := eng.QueryCompletedAt(a.rt); fin {
+			at, fin := eng.QueryCompletedAt(a.rt)
+			if !fin && !ok {
+				// A query its policy never marked complete finishes at the
+				// engine's final clock reading (Engine.Finalize's rule).
+				at, fin = med.Now(), true
+			}
+			if fin {
 				a.done = true
 				activeCount--
 				reports[a.idx].CompletedAt = at
@@ -134,9 +140,6 @@ func (s *Server) runFused() ([]Report, Stats, error) {
 					stats.Makespan = at
 				}
 			}
-		}
-		if !ok && activeCount > 0 {
-			return nil, stats, fmt.Errorf("server: engine finished with %d queries unaccounted", activeCount)
 		}
 	}
 	if eng == nil {
@@ -151,11 +154,11 @@ func (s *Server) runFused() ([]Report, Stats, error) {
 
 // favoredRuntime computes the query the next planning point should favor
 // under the configured fairness (nil for the pure critical-degree order).
-func (s *Server) favoredRuntime(admitted []*fusedQuery, rrCursor *int) *exec.Runtime {
+func (s *Server) favoredRuntime(admitted []*admittedQuery, rrCursor *int) *exec.Runtime {
 	if s.cfg.Fairness == FairGlobal {
 		return nil
 	}
-	unfinished := make([]*fusedQuery, 0, len(admitted))
+	unfinished := make([]*admittedQuery, 0, len(admitted))
 	for _, a := range admitted {
 		if !a.done {
 			unfinished = append(unfinished, a)

@@ -1,135 +1,80 @@
 package server
 
 import (
-	"fmt"
+	"slices"
 	"time"
-
-	"dqs/internal/core"
-	"dqs/internal/exec"
 )
 
-// isoQuery is one admitted query of an isolated-mode run: a private
-// mediator and engine, pinned to the global timeline by its admission
-// instant (global time = admittedAt + the private clock).
-type isoQuery struct {
-	idx        int // index into s.queries
-	rt         *exec.Runtime
-	eng        *core.Engine
-	admittedAt time.Duration
-	seq        int // admission sequence, the deterministic stepping tie-break
-}
-
-// runIsolated executes the batch with a private mediator per query. The
-// server is a discrete-event interleaver: it always steps the engine whose
-// global virtual time (admission instant + local clock) is furthest behind,
-// so admissions and completions are globally ordered and deterministic. A
-// query's execution is untouched by its neighbours — per-query Results are
-// byte-identical to serial dqs.Run at any MaxActive — while the admission
-// cap, wait queue and per-query timeouts play out on the global timeline.
+// runIsolated executes the batch with a private mediator per query.
+// Isolated queries never interact, so a query's Result, its service time
+// and whether its timeout cancelled it do not depend on its neighbours:
+// each query runs alone, to completion, through runBatch — unlabelled and
+// arriving at its mediator's epoch, exactly a serial dqs.Run — in
+// submission order (per-query Sinks fire query by query, not interleaved).
+// The admission cap and the discipline are then replayed over those known
+// service times, which places every admission, wait and completion on the
+// server's global timeline; the peaks are read off the resulting intervals.
 func (s *Server) runIsolated() ([]Report, Stats, error) {
+	n := len(s.queries)
+	reports := make([]Report, n)
+	stats := Stats{Queries: n}
+	for i, q := range s.queries {
+		solo := q
+		solo.Label, solo.ArriveAt = "", 0
+		one := Server{cfg: s.cfg, queries: []Query{solo}, probe: s.probe}
+		rep, st, err := one.runBatch()
+		if err != nil {
+			return nil, stats, q.wrap(err)
+		}
+		reports[i] = rep[0] // CompletedAt is the service time until the replay places it
+		reports[i].Label = q.Label
+		stats.Cancelled += st.Cancelled
+	}
+
+	arrived, admitted, completed := make([]time.Duration, n), make([]time.Duration, n), make([]time.Duration, n)
 	pending := s.arrivalOrder()
-	reports := make([]Report, len(s.queries))
-	stats := Stats{Queries: len(s.queries)}
-	var active []*isoQuery
-	seq := 0
-
-	admitInto := func(t time.Duration) error {
-		if queued := s.countArrived(pending, t); queued-1 > stats.PeakQueued {
-			// The pick below admits one of the arrived queries; the rest
-			// keep waiting.
-			stats.PeakQueued = queued - 1
+	var busy []time.Duration // completion instants of the occupied slots
+	for len(pending) > 0 {
+		var free time.Duration
+		if len(busy) >= s.cfg.cap() {
+			// The next admission takes the slot that completes first.
+			free = slices.Min(busy)
+			m := slices.Index(busy, free)
+			busy = slices.Delete(busy, m, m+1)
 		}
-		pos, at := s.pickAdmission(pending, t)
+		pos, at := s.pickAdmission(pending, free)
 		qi := pending[pos]
-		pending = removeAt(pending, pos)
-		q := &s.queries[qi]
-		cfg := s.cfg.Exec
-		cfg.Stream = q.Sink
-		// A Scratch serves one run at a time; isolated queries interleave
-		// on the real clock, so pooling is per-batch disabled here.
-		cfg.Scratch = nil
-		rt, err := exec.NewRuntime(cfg, q.Workload.Root, q.Workload.Dataset, q.Deliveries)
-		if err != nil {
-			return fmt.Errorf("server: query %q: %w", q.Label, err)
-		}
-		eng, err := core.NewStrategyEngine(rt.Med, []*exec.Runtime{rt}, s.cfg.strategy())
-		if err != nil {
-			return fmt.Errorf("server: query %q: %w", q.Label, err)
-		}
-		reports[qi] = Report{
-			Label:         q.Label,
-			ArrivedAt:     q.ArriveAt,
-			AdmittedAt:    at,
-			AdmissionWait: at - q.ArriveAt,
-		}
-		stats.TotalAdmissionWait += at - q.ArriveAt
-		active = append(active, &isoQuery{idx: qi, rt: rt, eng: eng, admittedAt: at, seq: seq})
-		seq++
-		if len(active) > stats.PeakActive {
-			stats.PeakActive = len(active)
-		}
-		return nil
+		pending = slices.Delete(pending, pos, pos+1)
+		r := &reports[qi]
+		r.ArrivedAt = s.queries[qi].ArriveAt
+		r.AdmittedAt = at
+		r.AdmissionWait = at - r.ArrivedAt
+		r.CompletedAt += at
+		busy = append(busy, r.CompletedAt)
+		arrived[qi], admitted[qi], completed[qi] = r.ArrivedAt, r.AdmittedAt, r.CompletedAt
+		stats.TotalAdmissionWait += r.AdmissionWait
+		stats.Makespan = max(stats.Makespan, r.CompletedAt)
 	}
-
-	for len(active) < s.cfg.cap() && len(pending) > 0 {
-		if err := admitInto(0); err != nil {
-			return nil, stats, err
-		}
-	}
-	for len(active) > 0 {
-		// Step the engine furthest behind in global time.
-		sel := 0
-		for i := 1; i < len(active); i++ {
-			ti := active[i].admittedAt + active[i].rt.Med.Now()
-			ts := active[sel].admittedAt + active[sel].rt.Med.Now()
-			if ti < ts || (ti == ts && active[i].seq < active[sel].seq) {
-				sel = i
-			}
-		}
-		a := active[sel]
-		q := &s.queries[a.idx]
-		if q.Timeout > 0 && a.rt.Med.Now() >= q.Timeout && !reports[a.idx].Cancelled {
-			if err := a.eng.CancelQuery(a.rt); err != nil {
-				return nil, stats, fmt.Errorf("server: query %q: %w", q.Label, err)
-			}
-			reports[a.idx].Cancelled = true
-			stats.Cancelled++
-		}
-		ok, err := a.eng.Step()
-		if err != nil {
-			return nil, stats, fmt.Errorf("server: query %q: %w", q.Label, err)
-		}
-		if s.probe != nil {
-			s.probe(a.rt.Med)
-		}
-		if ok {
-			continue
-		}
-		res := a.eng.Finalize()[0]
-		reports[a.idx].Result = res
-		reports[a.idx].CompletedAt = a.admittedAt + res.ResponseTime
-		if reports[a.idx].CompletedAt > stats.Makespan {
-			stats.Makespan = reports[a.idx].CompletedAt
-		}
-		// The slot frees when the engine drained, which can trail the last
-		// result tuple.
-		freeAt := a.admittedAt + a.rt.Med.Now()
-		active = append(active[:sel], active[sel+1:]...)
-		if len(pending) > 0 {
-			if err := admitInto(freeAt); err != nil {
-				return nil, stats, err
-			}
-		}
-	}
+	stats.PeakQueued = peakOverlap(arrived, admitted)
+	stats.PeakActive = peakOverlap(admitted, completed)
 	return reports, stats, nil
 }
 
-// countArrived returns how many pending queries (in arrival order) have
-// arrived by t.
-func (s *Server) countArrived(pending []int, t time.Duration) int {
-	n := 0
-	for n < len(pending) && s.queries[pending[n]].ArriveAt <= t {
-		n++
+// peakOverlap returns the most intervals [from[i], to[i]) open at one
+// instant. It sorts both slices.
+func peakOverlap(from, to []time.Duration) int {
+	slices.Sort(from)
+	slices.Sort(to)
+	open, peak := 0, 0
+	for i, j := 0, 0; i < len(from); {
+		if j < len(to) && to[j] <= from[i] {
+			open--
+			j++
+		} else {
+			open++
+			i++
+			peak = max(peak, open)
+		}
 	}
-	return n
+	return peak
 }

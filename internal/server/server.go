@@ -10,23 +10,23 @@
 //
 // The server runs in one of two execution modes:
 //
-//   - Isolated (the default): every admitted query executes on a private
-//     mediator — its own virtual clock, disk, memory grant — exactly like a
-//     serial dqs.Run. The server interleaves the per-query engines in
-//     global virtual time (admission instant + local clock) and enforces
-//     the admission cap across them. Per-query Results are byte-identical
-//     to serial runs at any MaxActive; only admission timing changes.
+//   - Isolated (the default): every query executes on a private mediator —
+//     its own virtual clock, disk, memory grant — exactly like a serial
+//     dqs.Run, so queries never interact. Each runs alone to completion;
+//     the server then replays the admission cap and discipline over the
+//     known service times. Per-query Results are byte-identical to serial
+//     runs at any MaxActive; only admission timing changes.
 //
 //   - Fused: every admitted query attaches to one shared mediator — one
 //     clock, one memory grant arbitrated by one governor with per-query
 //     holder attribution, shared decomposition/plan caches, and optionally
 //     shared physical wrapper streams (Config.Exec.SharedStreams). All
 //     queries' fragments compete in one scheduling plan; cross-query
-//     fairness biases the planning order. With every query arriving at
-//     time zero, no cap and global fairness, fused execution is
-//     byte-identical to dqs.RunConcurrent — the multiquery experiment is
-//     the correctness oracle.
+//     fairness biases the planning order. dqs.RunConcurrent is this mode
+//     with every query arriving at time zero, no cap and global fairness.
 //
+// Both modes execute through one driver loop (runBatch): a fused server
+// gives it the whole batch, an isolated server one query at a time.
 // Everything is deterministic: equal seeds, configs and submission orders
 // produce bit-identical reports at any worker count.
 package server
@@ -36,6 +36,7 @@ import (
 	"sort"
 	"time"
 
+	"dqs/internal/core"
 	"dqs/internal/exec"
 	"dqs/internal/workload"
 )
@@ -110,8 +111,7 @@ func ParseDiscipline(s string) (Discipline, error) {
 
 // Fairness selects how a Fused server shares planning attention across its
 // admitted queries. Isolated servers ignore it (each query has its own
-// scheduler; the server always advances the engine furthest behind in
-// global virtual time).
+// scheduler).
 type Fairness int
 
 const (
@@ -215,8 +215,20 @@ type Query struct {
 	// the governor ledger) is untouched.
 	Timeout time.Duration
 	// Sink, when non-nil, receives this query's result tuples the instant
-	// they are produced (per-query streaming delivery).
+	// they are produced (per-query streaming delivery). An isolated server
+	// runs its queries one after another, so their sinks fire query by
+	// query, each stamped on its query's private clock.
 	Sink exec.Sink
+}
+
+// wrap names the query an error belongs to. Submit rejects empty labels:
+// an unlabelled query is an isolated server's private run, and runIsolated
+// names it.
+func (q *Query) wrap(err error) error {
+	if q.Label == "" {
+		return err
+	}
+	return fmt.Errorf("server: query %q: %w", q.Label, err)
 }
 
 // Report is one query's outcome: its execution Result plus the server-side
@@ -280,6 +292,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Mode == Isolated && cfg.Exec.SharedStreams {
 		return nil, fmt.Errorf("server: shared streams need fused mode (isolated queries run on private mediators)")
 	}
+	if err := core.CheckEngineStrategy(cfg.strategy()); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	return &Server{cfg: cfg, labels: make(map[string]bool)}, nil
 }
 
@@ -311,7 +326,7 @@ func (s *Server) Run() ([]Report, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("server: no queries submitted")
 	}
 	if s.cfg.Mode == Fused {
-		return s.runFused()
+		return s.runBatch()
 	}
 	return s.runIsolated()
 }
@@ -337,18 +352,10 @@ func (s *Server) pickAdmission(pending []int, t time.Duration) (pos int, at time
 	// The arrived prefix of the pending queue competes for the slot; with
 	// nothing arrived, the earliest arrivals (there may be ties) compete at
 	// their arrival instant.
-	horizon := t
-	n := 0
-	for n < len(pending) && s.queries[pending[n]].ArriveAt <= horizon {
-		n++
-	}
+	n := s.countArrived(pending, t)
 	if n == 0 {
-		horizon = s.queries[pending[0]].ArriveAt
-		for n < len(pending) && s.queries[pending[n]].ArriveAt <= horizon {
-			n++
-		}
+		n = s.countArrived(pending, s.queries[pending[0]].ArriveAt)
 	}
-	pos = 0
 	if s.cfg.Discipline == Priority {
 		for i := 1; i < n; i++ {
 			if s.queries[pending[i]].Priority > s.queries[pending[pos]].Priority {
@@ -356,15 +363,15 @@ func (s *Server) pickAdmission(pending []int, t time.Duration) (pos int, at time
 			}
 		}
 	}
-	at = t
-	if arr := s.queries[pending[pos]].ArriveAt; arr > at {
-		at = arr
-	}
-	return pos, at
+	return pos, max(t, s.queries[pending[pos]].ArriveAt)
 }
 
-// removeAt deletes position i from an index queue, preserving order.
-func removeAt(q []int, i int) []int {
-	copy(q[i:], q[i+1:])
-	return q[:len(q)-1]
+// countArrived returns how many pending queries (in arrival order) have
+// arrived by t.
+func (s *Server) countArrived(pending []int, t time.Duration) int {
+	n := 0
+	for n < len(pending) && s.queries[pending[n]].ArriveAt <= t {
+		n++
+	}
+	return n
 }

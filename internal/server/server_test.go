@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,6 +36,21 @@ func testQueries(t *testing.T, n int, arrival time.Duration) []Query {
 	return queries
 }
 
+// serialRun executes one query alone through core.RunStrategy, the
+// single-query path of dqs.Run.
+func serialRun(t *testing.T, cfg exec.Config, q Query) exec.Result {
+	t.Helper()
+	rt, err := exec.NewRuntime(cfg, q.Workload.Root, q.Workload.Dataset, q.Deliveries)
+	if err != nil {
+		t.Fatalf("serial %q: %v", q.Label, err)
+	}
+	results, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, "DSE")
+	if err != nil {
+		t.Fatalf("serial %q: %v", q.Label, err)
+	}
+	return results[0]
+}
+
 func runServer(t *testing.T, cfg Config, queries []Query) ([]Report, Stats) {
 	t.Helper()
 	s, err := New(cfg)
@@ -62,14 +78,7 @@ func TestIsolatedMatchesSerial(t *testing.T) {
 
 	serial := make([]exec.Result, len(queries))
 	for i, q := range queries {
-		rt, err := exec.NewRuntime(cfg, q.Workload.Root, q.Workload.Dataset, q.Deliveries)
-		if err != nil {
-			t.Fatalf("serial %q: %v", q.Label, err)
-		}
-		serial[i], err = core.RunStrategyOn(rt, "DSE")
-		if err != nil {
-			t.Fatalf("serial %q: %v", q.Label, err)
-		}
+		serial[i] = serialRun(t, cfg, q)
 	}
 	for _, cap := range []int{1, 2, 8} {
 		reports, stats := runServer(t, Config{Exec: cfg, MaxActive: cap}, queries)
@@ -126,12 +135,28 @@ func TestIsolatedCapOrdersAdmissions(t *testing.T) {
 		t.Errorf("priority query admitted at %v, after lower-priority %v",
 			reports[2].AdmittedAt, reports[1].AdmittedAt)
 	}
+
+	// The peaks are quantities of the global timeline: two queries that
+	// never overlap are never active together, whatever the cap allows, and
+	// a burst queues exactly the arrivals the cap turns away — as the fused
+	// server counts them.
+	_, stats = runServer(t, Config{Exec: cfg, MaxActive: 2}, testQueries(t, 2, 100*time.Second))
+	if stats.PeakActive != 1 {
+		t.Errorf("sparse batch: PeakActive = %d, want 1 (the first query completes long before the second arrives)", stats.PeakActive)
+	}
+	burst := testQueries(t, 5, 0)
+	_, stats = runServer(t, Config{Exec: cfg, MaxActive: 2}, burst)
+	_, fused := runServer(t, Config{Exec: cfg, MaxActive: 2, Mode: Fused}, burst)
+	if stats.PeakQueued != 3 || stats.PeakQueued != fused.PeakQueued {
+		t.Errorf("burst batch: PeakQueued = %d (fused %d), want 3", stats.PeakQueued, fused.PeakQueued)
+	}
 }
 
 // TestFusedMatchesConcurrent is the second oracle: with every query
 // arriving at time zero, no binding cap and global fairness, a fused
-// server is byte-identical to core.RunMultiDSE on one shared mediator —
-// the multiquery experiment's execution path.
+// server is byte-identical to core.RunStrategy (Engine.Run, the other loop
+// over Engine.Step) on one shared mediator — the multiquery experiment's
+// execution path.
 func TestFusedMatchesConcurrent(t *testing.T) {
 	queries := testQueries(t, 3, 0)
 	cfg := exec.DefaultConfig()
@@ -146,7 +171,7 @@ func TestFusedMatchesConcurrent(t *testing.T) {
 			t.Fatalf("AddQuery %q: %v", q.Label, err)
 		}
 	}
-	want, err := core.RunMultiDSE(med, rts)
+	want, err := core.RunStrategy(med, rts, "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +179,7 @@ func TestFusedMatchesConcurrent(t *testing.T) {
 	reports, _ := runServer(t, Config{Exec: cfg, Mode: Fused}, queries)
 	for i, rep := range reports {
 		if !rep.Result.Equal(want[i]) {
-			t.Errorf("query %q: fused server differs from RunMultiDSE\nserver: %v\noracle: %v",
+			t.Errorf("query %q: fused server differs from RunStrategy\nserver: %v\noracle: %v",
 				rep.Label, rep.Result, want[i])
 		}
 	}
@@ -238,14 +263,7 @@ func TestTimeoutCancelIsolated(t *testing.T) {
 	queries[0].Timeout = 50 * time.Microsecond // far below the ~ms full runtime
 	cfg := exec.DefaultConfig()
 
-	rt, err := exec.NewRuntime(cfg, queries[1].Workload.Root, queries[1].Workload.Dataset, queries[1].Deliveries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := core.RunStrategyOn(rt, "DSE")
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialRun(t, cfg, queries[1])
 
 	s, err := New(Config{Exec: cfg, MaxActive: 2})
 	if err != nil {
@@ -479,6 +497,19 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Exec: cfg, Mode: Mode(42)}); err == nil {
 		t.Error("invalid mode accepted")
+	}
+	// A strategy the server cannot build an engine from fails at New, not at
+	// the first admission inside Run.
+	for _, c := range []struct{ strategy, want string }{
+		{"NOPE", `unknown strategy "NOPE" (registered: SEQ, MA, DSE,`},
+		{"DPHJ", "strategy DPHJ is not a scheduling policy"},
+	} {
+		for _, mode := range []Mode{Isolated, Fused} {
+			_, err := New(Config{Exec: cfg, Mode: mode, Strategy: c.strategy})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%v server, strategy %q: New error = %v, want %q", mode, c.strategy, err, c.want)
+			}
+		}
 	}
 	func() {
 		bad := cfg

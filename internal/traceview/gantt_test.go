@@ -126,7 +126,7 @@ func runSmallDSETrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunDSE(rt); err != nil {
+	if _, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, "DSE"); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
