@@ -1,9 +1,16 @@
 package dqs
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"dqs/internal/sim"
 )
 
 func TestRunSpecValidation(t *testing.T) {
@@ -147,5 +154,158 @@ func TestLowerBoundPositive(t *testing.T) {
 	}
 	if lwb <= 0 {
 		t.Errorf("LWB = %v", lwb)
+	}
+}
+
+// tracedRun executes the spec with a fresh trace attached and returns the
+// result with the SHA-256 of the rendered trace.
+func tracedRun(spec RunSpec) (Result, [sha256.Size]byte, error) {
+	tr := &sim.Trace{}
+	spec.Config.Trace = tr
+	res, err := Run(spec)
+	if err != nil {
+		return Result{}, [sha256.Size]byte{}, err
+	}
+	var buf bytes.Buffer
+	if err := tr.Dump(&buf); err != nil {
+		return Result{}, [sha256.Size]byte{}, err
+	}
+	return res, sha256.Sum256(buf.Bytes()), nil
+}
+
+// TestPooledRunIsDeterministicUnderReuse pins the pooling contract on the
+// public path: every mediator draws its storage from one process-wide pool,
+// so a run inherits whatever capacity and build-row hints earlier runs left
+// there. The same spec must give the same Result and the same trace bytes
+// first, after foreign runs of every shape have been through the pool, and
+// from several goroutines at once.
+func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full-scale Fig5")
+	}
+	small, err := Fig5Small(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := UniformDeliveries(small, 20*time.Microsecond)
+	del["A"] = Delivery{MeanWait: 60 * time.Microsecond}
+	spec := RunSpec{Workload: small, Config: DefaultConfig(), Strategy: DSE, Deliveries: del}
+	first, firstSum, err := tracedRun(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Foreign runs: larger tables and arenas, other strategies' temps, a
+	// governed grant, the parallel lanes, and many queries on one mediator.
+	full, err := Fig5(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := []RunSpec{
+		{Workload: full, Config: DefaultConfig(), Strategy: MA, Deliveries: UniformDeliveries(full, 20*time.Microsecond)},
+		{Workload: full, Config: DefaultConfig(), Strategy: SCR, Deliveries: UniformDeliveries(full, 20*time.Microsecond)},
+		{Workload: small, Config: DefaultConfig(), Strategy: DSE, Deliveries: del},
+		{Workload: small, Config: DefaultConfig(), Strategy: DSE, Deliveries: del},
+	}
+	foreign[2].Config.Governor = true
+	foreign[2].Config.MemoryBytes = 1600 << 10
+	foreign[3].Config.Workers = 8
+	for i, f := range foreign {
+		if _, err := Run(f); err != nil {
+			t.Fatalf("foreign run %d: %v", i, err)
+		}
+	}
+	for _, mode := range []ServerMode{ServerFused, ServerIsolated} {
+		cfg := DefaultConfig()
+		cfg.SharedStreams = mode == ServerFused
+		srv, err := NewServer(ServerConfig{Exec: cfg, Mode: mode, MaxActive: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			q := ServerQuery{
+				Label:      fmt.Sprintf("q%d", i),
+				Workload:   small,
+				Deliveries: UniformDeliveries(small, 50*time.Microsecond),
+				ArriveAt:   time.Duration(i) * time.Millisecond,
+			}
+			if err := srv.Submit(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := srv.Run(); err != nil {
+			t.Fatalf("%v server batch: %v", mode, err)
+		}
+	}
+
+	check := func(when string, res Result, sum [sha256.Size]byte) {
+		if !res.Equal(first) {
+			t.Errorf("%s: result diverged from the first run\nfirst: %v\nnow:   %v", when, first, res)
+		}
+		if sum != firstSum {
+			t.Errorf("%s: trace SHA-256 %x, first run %x", when, sum, firstSum)
+		}
+	}
+	res, sum, err := tracedRun(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after foreign runs", res, sum)
+
+	type outcome struct {
+		res Result
+		sum [sha256.Size]byte
+		err error
+	}
+	outs := make([]outcome, 8)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(o *outcome) {
+			defer wg.Done()
+			o.res, o.sum, o.err = tracedRun(spec)
+		}(&outs[i])
+	}
+	wg.Wait()
+	for i, o := range outs {
+		if o.err != nil {
+			t.Fatalf("concurrent run %d: %v", i, o.err)
+		}
+		check(fmt.Sprintf("concurrent run %d", i), o.res, o.sum)
+	}
+}
+
+// TestPooledRunReusesStorage keeps the public path on the pooled allocator:
+// a Run that finds the pool warm allocates a small fraction of the bytes of
+// one that finds it empty (about 3% on this spec).
+func TestPooledRunReusesStorage(t *testing.T) {
+	w, err := Fig5Small(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := RunSpec{Workload: w, Config: DefaultConfig(), Strategy: DSE, Deliveries: UniformDeliveries(w, 20*time.Microsecond)}
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// A sync.Pool forgets what two collections in a row leave untouched, so
+	// the next run starts from nothing.
+	runtime.GC()
+	runtime.GC()
+	cold := allocated()
+	// The best of several warm runs: under the race detector sync.Pool drops
+	// a quarter of its Puts, so any single run may find the pool empty.
+	warm := cold
+	for i := 0; i < 8; i++ {
+		warm = min(warm, allocated())
+	}
+	t.Logf("cold Run %d bytes, warm Run %d bytes", cold, warm)
+	if warm > cold/4 {
+		t.Errorf("a warm Run allocates %d bytes, a cold one %d: the public path is not reusing pooled storage", warm, cold)
 	}
 }

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dqsbench [-exp all|table1|fig5|fig6|fig7|fig8|position|resilience|multiquery|serverload|firsttuple|ablations] \
-//	         [-reps N] [-parallel N] [-workers N] [-partitions N] [-governor] \
+//	         [-reps N] [-parallel N] [-workers N] [-governor] \
 //	         [-small] [-csv] [-chart] \
 //	         [-plan-cache] [-faults SPEC] [-fault-seed N] \
 //	         [-cpuprofile FILE] [-memprofile FILE]
@@ -30,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"dqs/internal/exec"
 	"dqs/internal/experiment"
 	"dqs/internal/fault"
 )
@@ -55,7 +54,6 @@ func main() {
 		reps       = flag.Int("reps", 3, "measurement repetitions (paper: 3)")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulator runs; figure output is identical at any setting")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "intra-run worker pool of the parallel join kernels; figure output is identical at any setting")
-		partitions = flag.Int("partitions", exec.AutoPartitions(runtime.GOMAXPROCS(0)), "radix-partition count of the join hash tables (power of two); figure output is identical at any setting")
 		governor   = flag.Bool("governor", false, "run every sweep with the budget-aware materialization governor enabled (the firsttuple experiment compares both paths regardless)")
 		small      = flag.Bool("small", false, "run at 1/10 scale (fast)")
 		csv        = flag.Bool("csv", false, "also print CSV data")
@@ -82,7 +80,7 @@ func main() {
 			f.Close()
 		}()
 	}
-	err := run(*exp, *reps, *parallel, *workers, *partitions, *governor, *small, *csv, *chart, *planCache, *faults, *faultSeed)
+	err := run(*exp, *reps, *parallel, *workers, *governor, *small, *csv, *chart, *planCache, *faults, *faultSeed)
 	if err == nil && *memprofile != "" {
 		err = writeMemProfile(*memprofile)
 	}
@@ -108,7 +106,7 @@ func writeMemProfile(path string) error {
 	return pprof.Lookup("allocs").WriteTo(f, 0)
 }
 
-func run(exp string, reps, parallel, workers, partitions int, governor, small, csv, chart, planCache bool, faults string, faultSeed int64) error {
+func run(exp string, reps, parallel, workers int, governor, small, csv, chart, planCache bool, faults string, faultSeed int64) error {
 	if reps < 1 {
 		return fmt.Errorf("-reps must be at least 1, got %d", reps)
 	}
@@ -117,12 +115,6 @@ func run(exp string, reps, parallel, workers, partitions int, governor, small, c
 	}
 	if workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", workers)
-	}
-	if partitions < 1 {
-		return fmt.Errorf("-partitions must be at least 1, got %d", partitions)
-	}
-	if partitions&(partitions-1) != 0 {
-		return fmt.Errorf("-partitions must be a power of two, got %d", partitions)
 	}
 	o := experiment.DefaultOptions()
 	o.Small = small
@@ -135,7 +127,6 @@ func run(exp string, reps, parallel, workers, partitions int, governor, small, c
 	}
 	cfg := o.ExecConfig()
 	cfg.Workers = workers
-	cfg.Partitions = partitions
 	cfg.Governor = governor
 	if faults != "" {
 		plan, err := fault.Parse(faults)

@@ -6,7 +6,7 @@
 //
 //	dqsrun [-strategy NAME] [-small] [-slow REL=RETRIEVAL_SECONDS]...
 //	       [-wmin DUR] [-mem MB] [-bmt F] [-trace] [-gantt] [-seed N]
-//	       [-workers N] [-partitions N] [-governor] [-stream]
+//	       [-workers N] [-governor] [-stream]
 //	       [-faults SPEC] [-fault-seed N] [-partial]
 //	       [-plan-cache] [-list-strategies]
 //
@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -47,6 +48,10 @@ import (
 
 type slowFlags map[string]float64
 
+// maxSlowSeconds bounds a -slow retrieval time (some thirty years): much
+// more overflows the virtual clock's int64 nanoseconds.
+const maxSlowSeconds = 1e9
+
 func (s slowFlags) String() string { return fmt.Sprint(map[string]float64(s)) }
 
 func (s slowFlags) Set(v string) error {
@@ -55,8 +60,8 @@ func (s slowFlags) Set(v string) error {
 		return fmt.Errorf("want REL=SECONDS, got %q", v)
 	}
 	secs, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || secs < 0 {
-		return fmt.Errorf("bad retrieval seconds in %q", v)
+	if err != nil || !(secs >= 0 && secs <= maxSlowSeconds) { // the negated form also refuses NaN
+		return fmt.Errorf("-slow wants retrieval seconds in [0, %g], got %q", maxSlowSeconds, v)
 	}
 	s[parts[0]] = secs
 	return nil
@@ -78,7 +83,6 @@ func main() {
 		gantt     = flag.Bool("gantt", false, "draw a Gantt chart of fragment lifetimes")
 		seed      = flag.Int64("seed", 1, "random seed (data and delays)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "intra-run worker pool of the parallel join kernels; the run summary is identical at any setting")
-		parts     = flag.Int("partitions", dqs.AutoPartitions(runtime.GOMAXPROCS(0)), "radix-partition count of the join hash tables (power of two); the run summary is identical at any setting")
 		governor  = flag.Bool("governor", false, "enable the budget-aware materialization governor (chunked resident temps, largest-release-first memory repair, prefix reuse)")
 		stream    = flag.Bool("stream", false, "stream result tuples as they are produced and print the output ramp")
 		faults    = flag.String("faults", "", "fault scenario, e.g. 'C:burst@100+500x300us;D:kill@5000;D:replica,connect=50ms'")
@@ -93,10 +97,19 @@ func main() {
 		listStrategies(os.Stdout)
 		return
 	}
-	if err := run(*strategy, *small, *wmin, *memMB, *bmt, *trace, *gantt, *seed, *workers, *parts, *governor, *stream, *faults, *faultSeed, *partial, *planCache, slow); err != nil {
+	if err := run(*strategy, *small, *wmin, *memMB, *bmt, *trace, *gantt, *seed, *workers, *governor, *stream, *faults, *faultSeed, *partial, *planCache, slow); err != nil {
 		fmt.Fprintln(os.Stderr, "dqsrun:", err)
 		os.Exit(1)
 	}
+}
+
+// memBytes converts the -mem flag to a byte grant, refusing NaN and what an
+// int64 byte count cannot hold.
+func memBytes(mb float64) (int64, error) {
+	if b := mb * (1 << 20); b >= 1 && b < math.MaxInt64 {
+		return int64(b), nil
+	}
+	return 0, fmt.Errorf("-mem must be a positive number of MB below 2^43, got %v", mb)
 }
 
 // listStrategies prints every registered strategy with its description
@@ -114,20 +127,15 @@ func listStrategies(w io.Writer) {
 	}
 }
 
-func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, trace, gantt bool, seed int64, workers, partitions int, governor, stream bool, faults string, faultSeed int64, partial, planCache bool, slow slowFlags) error {
+func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, trace, gantt bool, seed int64, workers int, governor, stream bool, faults string, faultSeed int64, partial, planCache bool, slow slowFlags) error {
 	if workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", workers)
 	}
-	if partitions < 1 {
-		return fmt.Errorf("-partitions must be at least 1, got %d", partitions)
+	mem, err := memBytes(memMB)
+	if err != nil {
+		return err
 	}
-	if partitions&(partitions-1) != 0 {
-		return fmt.Errorf("-partitions must be a power of two, got %d", partitions)
-	}
-	var (
-		w   *dqs.Workload
-		err error
-	)
+	var w *dqs.Workload
 	if small {
 		w, err = dqs.Fig5Small(seed)
 	} else {
@@ -139,9 +147,8 @@ func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, tr
 	cfg := dqs.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Workers = workers
-	cfg.Partitions = partitions
 	cfg.Governor = governor
-	cfg.MemoryBytes = int64(memMB * (1 << 20))
+	cfg.MemoryBytes = mem
 	cfg.BMT = bmt
 	cfg.InitialWaitEstimate = wmin
 	cfg.FaultSeed = faultSeed

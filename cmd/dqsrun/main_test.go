@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,16 @@ func TestSlowFlagsParse(t *testing.T) {
 			t.Errorf("accepted %q", bad)
 		}
 	}
+	// Non-finite and clock-overflowing retrieval times name the flag and
+	// the offending text instead of turning into a garbage waiting time.
+	for _, bad := range []string{"A=NaN", "A=Inf", "A=-Inf", "A=1e30"} {
+		err := s.Set(bad)
+		if err == nil {
+			t.Errorf("accepted %q", bad)
+		} else if !strings.Contains(err.Error(), "-slow") || !strings.Contains(err.Error(), bad) {
+			t.Errorf("%q: error %q does not name the flag and the value", bad, err)
+		}
+	}
 	if s.String() == "" {
 		t.Error("String empty")
 	}
@@ -35,25 +46,25 @@ func TestRunSmallestEndToEnd(t *testing.T) {
 	// workload with every strategy.
 	const wmin = 20 * time.Microsecond
 	for _, strat := range []string{"SEQ", "MA", "DSE", "SCR"} {
-		if err := run(strat, true, wmin, 64, 1, false, false, 1, 2, 1, false, false, "", 1, false, true, slowFlags{"A": 0.5}); err != nil {
+		if err := run(strat, true, wmin, 64, 1, false, false, 1, 2, false, false, "", 1, false, true, slowFlags{"A": 0.5}); err != nil {
 			t.Errorf("%s: %v", strat, err)
 		}
 	}
-	if err := run("BOGUS", true, wmin, 64, 1, false, false, 1, 1, 1, false, false, "", 1, false, false, nil); err == nil {
+	if err := run("BOGUS", true, wmin, 64, 1, false, false, 1, 1, false, false, "", 1, false, false, nil); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if err := run("SEQ", true, wmin, 64, 1, false, false, 1, 1, 1, false, false, "", 1, false, false, slowFlags{"ZZ": 1}); err == nil {
+	if err := run("SEQ", true, wmin, 64, 1, false, false, 1, 1, false, false, "", 1, false, false, slowFlags{"ZZ": 1}); err == nil {
 		t.Error("unknown slow relation accepted")
 	}
 	// Fault flags: a full scenario (disconnect + death + failover) and the
 	// partial-result path both complete through the command entry point.
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, 1, false, false, "C:drop@500+40ms;D:kill@700;D:replica,connect=10ms", 1, false, false, nil); err != nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, false, false, "C:drop@500+40ms;D:kill@700;D:replica,connect=10ms", 1, false, false, nil); err != nil {
 		t.Errorf("fault scenario: %v", err)
 	}
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, 1, false, false, "D:kill@700", 1, true, false, nil); err != nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, false, false, "D:kill@700", 1, true, false, nil); err != nil {
 		t.Errorf("partial-result scenario: %v", err)
 	}
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, 1, false, false, "D:bogus@1", 1, false, false, nil); err == nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, false, false, "D:bogus@1", 1, false, false, nil); err == nil {
 		t.Error("malformed fault spec accepted")
 	}
 }
@@ -65,7 +76,7 @@ func TestRunGovernorAndStream(t *testing.T) {
 	const wmin = 20 * time.Microsecond
 	// The governed engine under memory pressure, with streaming delivery on:
 	// the run must complete through the command path end to end.
-	if err := run("DSE", true, wmin, 1, 1, false, false, 1, 2, 8, true, true, "", 1, false, false, slowFlags{"A": 0.5}); err != nil {
+	if err := run("DSE", true, wmin, 1, 1, false, false, 1, 2, true, true, "", 1, false, false, slowFlags{"A": 0.5}); err != nil {
 		t.Errorf("governed stream run: %v", err)
 	}
 }
@@ -86,7 +97,7 @@ func TestListStrategies(t *testing.T) {
 
 func TestRunRejectsNonPositiveWorkers(t *testing.T) {
 	for _, workers := range []int{0, -2} {
-		err := run("SEQ", true, 20*time.Microsecond, 64, 1, false, false, 1, workers, 1, false, false, "", 1, false, false, nil)
+		err := run("SEQ", true, 20*time.Microsecond, 64, 1, false, false, 1, workers, false, false, "", 1, false, false, nil)
 		if err == nil {
 			t.Fatalf("workers=%d accepted; a non-positive intra-run pool must not silently fall back to serial", workers)
 		}
@@ -96,22 +107,30 @@ func TestRunRejectsNonPositiveWorkers(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadPartitions(t *testing.T) {
-	for _, partitions := range []int{0, -4} {
-		err := run("SEQ", true, 20*time.Microsecond, 64, 1, false, false, 1, 1, partitions, false, false, "", 1, false, false, nil)
+// TestRunRejectsNonFiniteNumbers: a -mem or -bmt that is not a usable number
+// is refused by name, not converted into a garbage grant or run silently.
+func TestRunRejectsNonFiniteNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		memMB, bmt float64
+		want       []string
+	}{
+		{math.NaN(), 1, []string{"-mem", "NaN"}},
+		{math.Inf(1), 1, []string{"-mem", "+Inf"}},
+		{1e30, 1, []string{"-mem", "1e+30"}},
+		{0, 1, []string{"-mem", "0"}},
+		{-4, 1, []string{"-mem", "-4"}},
+		{64, math.NaN(), []string{"BMT", "NaN"}},
+		{64, math.Inf(1), []string{"BMT", "+Inf"}},
+	} {
+		err := run("SEQ", true, 20*time.Microsecond, tc.memMB, tc.bmt, false, false, 1, 1, false, false, "", 1, false, false, nil)
 		if err == nil {
-			t.Fatalf("partitions=%d accepted; a non-positive partition count must be rejected, not silently defaulted", partitions)
+			t.Errorf("mem=%v bmt=%v accepted", tc.memMB, tc.bmt)
+			continue
 		}
-		if !strings.Contains(err.Error(), "-partitions") {
-			t.Errorf("partitions=%d: error %q does not name the flag", partitions, err)
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("mem=%v bmt=%v: error %q does not mention %q", tc.memMB, tc.bmt, err, w)
+			}
 		}
-	}
-	// Positive but not a power of two is rejected with the flag named too.
-	err := run("SEQ", true, 20*time.Microsecond, 64, 1, false, false, 1, 1, 3, false, false, "", 1, false, false, nil)
-	if err == nil {
-		t.Fatal("partitions=3 accepted; the radix tables need a power of two")
-	}
-	if !strings.Contains(err.Error(), "-partitions") {
-		t.Errorf("partitions=3: error %q does not name the flag", err)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -100,11 +101,15 @@ func run(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
+	mem, err := memBytes(o.memMB)
+	if err != nil {
+		return err
+	}
 	cfg := dqs.DefaultConfig()
 	cfg.Seed = o.seed
 	cfg.Workers = o.workers
 	cfg.Governor = o.governor
-	cfg.MemoryBytes = int64(o.memMB * (1 << 20))
+	cfg.MemoryBytes = mem
 	cfg.InitialWaitEstimate = o.wmin
 	cfg.SharedStreams = o.sharedStreams
 	cfg.Plans = dqs.NewDecompositionCache()
@@ -186,6 +191,15 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintf(w, "shared %d wrapper streams serving %d query taps\n", stats.SharedStreams, stats.StreamTaps)
 	}
 	return nil
+}
+
+// memBytes converts the -mem flag to a byte grant, refusing NaN and what an
+// int64 byte count cannot hold.
+func memBytes(mb float64) (int64, error) {
+	if b := mb * (1 << 20); b >= 1 && b < math.MaxInt64 {
+		return int64(b), nil
+	}
+	return 0, fmt.Errorf("-mem must be a positive number of MB below 2^43, got %v", mb)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

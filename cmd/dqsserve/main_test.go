@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -55,18 +56,32 @@ func TestRunFusedSharedStreams(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	for _, mutate := range []func(*options){
-		func(o *options) { o.n = 0 },
-		func(o *options) { o.mode = "bogus" },
-		func(o *options) { o.discipline = "bogus" },
-		func(o *options) { o.fair = "bogus" },
-		func(o *options) { o.mode = "isolated"; o.sharedStreams = true },
+	for _, tc := range []struct {
+		mutate func(*options)
+		want   []string // the error must mention each
+	}{
+		{func(o *options) { o.n = 0 }, []string{"-n"}},
+		{func(o *options) { o.mode = "bogus" }, []string{"bogus"}},
+		{func(o *options) { o.discipline = "bogus" }, []string{"bogus"}},
+		{func(o *options) { o.fair = "bogus" }, []string{"bogus"}},
+		{func(o *options) { o.mode = "isolated"; o.sharedStreams = true }, nil},
+		{func(o *options) { o.memMB = math.NaN() }, []string{"-mem", "NaN"}},
+		{func(o *options) { o.memMB = math.Inf(1) }, []string{"-mem", "+Inf"}},
+		{func(o *options) { o.memMB = 1e30 }, []string{"-mem", "1e+30"}},
+		{func(o *options) { o.memMB = 0 }, []string{"-mem"}},
 	} {
 		o := baseOptions()
-		mutate(&o)
+		tc.mutate(&o)
 		var sb strings.Builder
-		if err := run(&sb, o); err == nil {
+		err := run(&sb, o)
+		if err == nil {
 			t.Errorf("options %+v accepted", o)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("options %+v: error %q does not mention %q", o, err, w)
+			}
 		}
 	}
 }

@@ -85,9 +85,8 @@ type (
 	SinkFunc = exec.SinkFunc
 )
 
-// AutoPartitions returns the hash-table partition count the engine picks
-// for a worker count when Config.Partitions is 0 — the value a CLI
-// -partitions flag should default to.
+// AutoPartitions returns the hash-table partition count the engine uses at
+// a worker count (Config.Workers).
 func AutoPartitions(workers int) int { return exec.AutoPartitions(workers) }
 
 // NewDecompositionCache returns an empty decomposition cache for
@@ -246,6 +245,7 @@ func Run(spec RunSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer rt.Med.Reclaim()
 	results, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, string(spec.Strategy))
 	if err != nil {
 		return Result{}, err
@@ -299,6 +299,7 @@ func LowerBound(spec RunSpec) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer rt.Med.Reclaim()
 	return exec.LWB(rt), nil
 }
 

@@ -17,9 +17,9 @@ import (
 // compare. RateChanged keeps a per-queue verdict — "this wrapper's estimate
 // deviates significantly from its planned baseline" — and re-judges only the
 // queues whose estimator absorbed an arrival since the last call: a verdict
-// is a function of the queue's estimate, its baseline and the detection
-// parameters, so it can only move when one of those does. A new baseline
-// (SnapshotPlanned), a new queue (Adopt) or a parameter change re-judges
+// is a function of the queue's estimate, its baseline and MinObservations,
+// so it can only move when one of those does. A new baseline
+// (SnapshotPlanned), a new queue (Adopt) or a new MinObservations re-judges
 // everything. The answer — the first changed wrapper in name order — is
 // therefore the full scan's, by construction.
 type Manager struct {
@@ -28,22 +28,17 @@ type Manager struct {
 	names   []string    // name-sorted, parallel to ordered
 	rates   []rateState // parallel to ordered
 
-	// ChangeFactor is the ratio beyond which a waiting-time drift is
-	// significant (paper: "any significant change"). Default 2.
-	ChangeFactor float64
-
 	// MinObservations gates change detection until the estimator has seen
 	// enough arrivals to be trusted.
 	MinObservations int64
 
 	// dirty counts the queues flagged for re-judging at the next
 	// RateChanged; allDirty flags every queue at once. changed counts the
-	// standing positive verdicts, judgedFactor/judgedMinObs are the
-	// parameters they were reached under.
+	// standing positive verdicts, judgedMinObs is the MinObservations they
+	// were reached under.
 	dirty        int
 	allDirty     bool
 	changed      int
-	judgedFactor float64
 	judgedMinObs int64
 }
 
@@ -58,6 +53,10 @@ type rateState struct {
 	changed bool // the standing verdict
 }
 
+// changeFactor is the ratio beyond which a waiting-time drift is significant
+// (paper: "any significant change").
+const changeFactor = 2
+
 // NewManager returns a CM with no queues yet.
 func NewManager() *Manager {
 	return &Manager{
@@ -65,7 +64,6 @@ func NewManager() *Manager {
 		// One allocation covers a typical single query (Figure 5 registers
 		// six wrappers); a server's many queues grow it by doubling.
 		rates:           make([]rateState, 0, 8),
-		ChangeFactor:    2,
 		MinObservations: 64,
 	}
 }
@@ -155,7 +153,7 @@ func (m *Manager) SnapshotPlanned(fallback func(name string) time.Duration) {
 	m.allDirty = true
 }
 
-// judge recomputes queue i's verdict under the current parameters.
+// judge recomputes queue i's verdict under the current MinObservations.
 func (m *Manager) judge(i int) {
 	q, r := m.ordered[i], &m.rates[i]
 	if r.dirty {
@@ -164,7 +162,7 @@ func (m *Manager) judge(i int) {
 	}
 	cur, ok := q.EstimatedWait()
 	verdict := ok && q.est.Observations() >= m.MinObservations && r.hasPlan &&
-		SignificantChange(r.planned, cur, m.ChangeFactor)
+		SignificantChange(r.planned, cur, changeFactor)
 	if verdict != r.changed {
 		r.changed = verdict
 		if verdict {
@@ -176,11 +174,11 @@ func (m *Manager) judge(i int) {
 }
 
 // RateChanged reports the first wrapper (in name order) whose current
-// estimate deviates from the planned baseline by more than ChangeFactor, or
+// estimate deviates from the planned baseline by more than changeFactor, or
 // "" if none does.
 func (m *Manager) RateChanged() string {
-	if m.judgedFactor != m.ChangeFactor || m.judgedMinObs != m.MinObservations {
-		m.judgedFactor, m.judgedMinObs = m.ChangeFactor, m.MinObservations
+	if m.judgedMinObs != m.MinObservations {
+		m.judgedMinObs = m.MinObservations
 		m.allDirty = true
 	}
 	if m.allDirty || m.dirty > 0 {

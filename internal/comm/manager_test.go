@@ -21,7 +21,7 @@ func scanRateChanged(m *Manager, planned map[string]time.Duration) string {
 		if !has {
 			continue
 		}
-		if SignificantChange(base, cur, m.ChangeFactor) {
+		if SignificantChange(base, cur, changeFactor) {
 			return name
 		}
 	}
@@ -85,11 +85,7 @@ func TestRateChangedMatchesFullScan(t *testing.T) {
 					planned[name] = m.Wait(name, fallback)
 				}
 			case op == 10:
-				if rng.Intn(2) == 0 {
-					m.ChangeFactor = []float64{1.2, 2, 3}[rng.Intn(3)]
-				} else {
-					m.MinObservations = int64(rng.Intn(12))
-				}
+				m.MinObservations = int64(rng.Intn(12))
 			default:
 				if len(feeds) < 10 {
 					adopt()

@@ -21,6 +21,16 @@ type resilience struct {
 	wrappers map[string]*wrapperState
 }
 
+// The silent-wrapper probe schedule, in virtual time: a scheduled wrapper
+// with nothing buffered, nothing in flight and rows undelivered gets its
+// first retry probe after faultDetect, the next after faultRetryBase
+// (doubling per probe), and is declared dead after faultRetries probes.
+const (
+	faultDetect    = 50 * time.Millisecond
+	faultRetryBase = 100 * time.Millisecond
+	faultRetries   = 4
+)
+
 // wrapperState is the per-wrapper detection state machine.
 type wrapperState struct {
 	watching  bool          // silence observed, detection timer armed
@@ -123,7 +133,7 @@ func (r *resilience) onStarved(window []*exec.Fragment) (faultAction, Event, err
 		}
 		if !ws.watching {
 			ws.watching = true
-			ws.nextProbe = now + cfg.FaultDetect
+			ws.nextProbe = now + faultDetect
 		}
 	}
 	probeName := ""
@@ -145,9 +155,9 @@ func (r *resilience) onStarved(window []*exec.Fragment) (faultAction, Event, err
 	// One probe is a message out and (the hoped-for) reply in.
 	r.st.ChargeInstructions(2 * cfg.Params.MessageInstr)
 	r.med.Trace.Add(r.st.Now(), sim.EvRetry, "retry %d/%d to silent wrapper %s",
-		ws.probes, cfg.FaultRetries, probeName)
-	if ws.probes < cfg.FaultRetries {
-		ws.nextProbe = r.st.Now() + cfg.FaultRetryBase<<(ws.probes-1)
+		ws.probes, faultRetries, probeName)
+	if ws.probes < faultRetries {
+		ws.nextProbe = r.st.Now() + faultRetryBase<<(ws.probes-1)
 		return faultStalled, Event{}, nil
 	}
 	ws.dead = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"dqs/internal/exec"
 	"dqs/internal/sim"
@@ -14,7 +15,7 @@ import (
 // resumes a suspended earlier chain the moment its data arrives (exactly
 // the scrambling engine's resume rule: lowest index first, and everything
 // above the resumed tree stays suspended). When the whole window starves
-// for longer than ScrambleTimeout, the starvation handler fires a
+// for longer than scrambleTimeout, the starvation handler fires a
 // scrambling step: suspend the current tree (paying the switch overhead of
 // saving its in-flight state) and activate another runnable,
 // C-schedulable chain.
@@ -31,6 +32,16 @@ type scrPolicy struct {
 	cur       int // index in order of the chain the engine works on
 	scrambles int
 }
+
+const (
+	// scrambleTimeout is how long SCR idles on a starved operator before a
+	// scrambling step fires.
+	scrambleTimeout = 100 * time.Millisecond
+	// scrambleSwitchInstr is the CPU overhead of one scrambling step: saving
+	// the suspended tree's in-flight state (the materialization overhead of
+	// [2]), which DSE's co-resident fragments never pay (§1.3).
+	scrambleSwitchInstr = 500000
+)
 
 // NewScramblePolicy builds the query-scrambling policy; registry name
 // "SCR".
@@ -144,7 +155,7 @@ func (p *scrPolicy) OnStarved(st *State, sp SchedulingPlan) (bool, error) {
 			if p.frags[i].Runnable(st.Now()) {
 				p.scrambles++
 				st.CountReplan()
-				st.ChargeInstructions(med.Cfg.ScrambleSwitchInstr)
+				st.ChargeInstructions(scrambleSwitchInstr)
 				med.Trace.Add(st.Now(), sim.EvSchedule, "scramble step %d: %s -> %s (no future arrivals)",
 					p.scrambles, f.Label, p.frags[i].Label)
 				p.cur = i
@@ -158,14 +169,14 @@ func (p *scrPolicy) OnStarved(st *State, sp SchedulingPlan) (bool, error) {
 		return false, fmt.Errorf("core: fragment %s starved with no future arrivals", f.Label)
 	}
 	now := st.Now()
-	if arrival-now <= med.Cfg.ScrambleTimeout {
+	if arrival-now <= scrambleTimeout {
 		// Data returns before the timeout would fire: scrambling never
 		// reacts, exactly like SEQ.
 		st.StallUntil(arrival)
 		return false, nil
 	}
 	// Timeout: the engine idled the full timeout before reacting.
-	st.StallUntil(now + med.Cfg.ScrambleTimeout)
+	st.StallUntil(now + scrambleTimeout)
 	cur := p.indexOf(f)
 	alt := -1
 	for i := range p.order {
@@ -187,7 +198,7 @@ func (p *scrPolicy) OnStarved(st *State, sp SchedulingPlan) (bool, error) {
 	// Scrambling step: suspend the current tree, activate another.
 	p.scrambles++
 	st.CountReplan()
-	st.ChargeInstructions(med.Cfg.ScrambleSwitchInstr)
+	st.ChargeInstructions(scrambleSwitchInstr)
 	med.Trace.Add(st.Now(), sim.EvSchedule, "scramble step %d: %s -> %s",
 		p.scrambles, f.Label, p.frags[alt].Label)
 	p.cur = alt

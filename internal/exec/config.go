@@ -9,6 +9,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dqs/internal/fault"
@@ -28,10 +29,22 @@ type Delivery struct {
 	InitialDelay time.Duration
 }
 
-// Config carries every knob of one query execution.
+// Config is what a caller may set about one query execution. A field is here
+// because two callers that exist need different values, or because it hands
+// the engine a resource: a cache, a sink, a trace. Everything else — the
+// scrambling time-out, the retry schedule, the CM's rate-change factor, the
+// hash-table partition count — is a constant beside the code that reads it.
 type Config struct {
+	// Cost model.
+
 	// Params is the simulation cost table (Table 1).
 	Params sim.Params
+	// Seed drives every random stream (delays). Runs with equal seeds and
+	// configs are bit-identical.
+	Seed int64
+
+	// Grant and windows.
+
 	// MemoryBytes is the query's memory grant, fixed for the whole
 	// execution (§3.3).
 	MemoryBytes int64
@@ -39,76 +52,8 @@ type Config struct {
 	QueueTuples int
 	// BatchTuples is the DQP batch size (§3.2).
 	BatchTuples int
-	// BMT is the benefit-materialization threshold (§4.4); the experiments
-	// use 1.
-	BMT float64
-	// Timeout is how long the DQP may be fully starved before returning a
-	// TimeOut interruption (§3.2).
-	Timeout time.Duration
-	// RateChangeFactor is the waiting-time drift ratio the CM treats as
-	// significant.
-	RateChangeFactor float64
-	// InitialWaitEstimate seeds the scheduler's waiting-time knowledge
-	// before the CM has observed arrivals; the natural choice is the
-	// no-problem delivery time w_min.
-	InitialWaitEstimate time.Duration
 	// PrefetchPages is the temp-reader prefetch depth.
 	PrefetchPages int
-	// ScrambleTimeout is how long the scrambling baseline (SCR, §1.2)
-	// waits on a starved operator before reacting. Scrambling is
-	// timeout-driven: the whole timeout elapses idle before a scrambling
-	// step fires — the paper's central argument against it for
-	// slow-delivery cases, where per-tuple gaps never reach the timeout.
-	ScrambleTimeout time.Duration
-	// ScrambleSwitchInstr is the CPU overhead of one scrambling step:
-	// suspending the running operator tree and activating another requires
-	// saving in-flight state (the materialization overhead of [2]). The
-	// DSE fragments need none of this because the scheduling plan
-	// guarantees co-residency (§1.3).
-	ScrambleSwitchInstr int64
-	// Seed drives every random stream (delays). Runs with equal seeds and
-	// configs are bit-identical.
-	Seed int64
-	// Workers bounds the intra-run worker pool that parallelizes the join
-	// kernels: partition-parallel hash builds and probe-cascade
-	// precomputation run across up to Workers goroutines, with a
-	// deterministic input-ordered merge applying every cost charge, window
-	// credit and sink, so emitted tuples, virtual times and figure bytes
-	// are identical at any setting. 0 or 1 (the default) runs serially —
-	// the experiment harness already parallelizes across cells, so
-	// intra-run workers are opt-in (CLIs default them to GOMAXPROCS).
-	Workers int
-	// Partitions overrides the radix-partition count of the join hash
-	// tables (a power of two). 0 picks automatically: 1 partition when
-	// Workers <= 1, otherwise enough partitions to keep Workers busy on
-	// parallel builds. Results are identical at any partition count; the
-	// knob exists so differential tests can pin the grid.
-	Partitions int
-	// Plans, when non-nil, memoizes pipeline-chain decompositions keyed by
-	// plan root, so repeated runs of the same (immutable) plan share one
-	// decomposition with precomputed closures. Safe to share across
-	// concurrent runs; nil decomposes per run.
-	Plans *plan.DecompositionCache
-	// Faults, when active, injects the plan's per-wrapper fault clauses into
-	// this run's sources and arms the engine-side resilience machinery
-	// (silence detection, bounded retry, failover, partial results). A nil
-	// or empty plan is the fault-free path and leaves runs bit-identical to
-	// a build without fault support.
-	Faults *fault.Plan
-	// FaultSeed salts the fault-dedicated random streams (restart re-draws,
-	// replica delays), keyed per wrapper name, so fault randomness never
-	// perturbs the base data and delay streams.
-	FaultSeed int64
-	// FaultDetect is how long a scheduled wrapper must stay silent — nothing
-	// buffered, nothing in flight, rows undelivered — before the engine
-	// sends its first retry probe.
-	FaultDetect time.Duration
-	// FaultRetryBase is the backoff after the first retry probe; each
-	// further probe doubles it (exponential backoff in virtual time).
-	FaultRetryBase time.Duration
-	// FaultRetries bounds the probes before the engine declares the wrapper
-	// dead and recovers (replica failover, partial results, or an error).
-	FaultRetries int
 	// Governor enables the budget-aware materialization scheduler: a
 	// mem.Governor tracks per-chain build reservations and spill priorities,
 	// materialization fragments write chunked temps whose freshly produced
@@ -120,11 +65,55 @@ type Config struct {
 	// fragment/first-overflow path bit-identically to builds without
 	// governor support.
 	Governor bool
-	// Stream, when non-nil, receives every result tuple the instant it is
-	// produced (insert-only, correct-so-far streaming delivery). Streaming
-	// is observation only: timing, costs and results are identical with or
-	// without a sink.
-	Stream Sink
+
+	// Scheduling.
+
+	// BMT is the benefit-materialization threshold (§4.4); the experiments
+	// use 1.
+	BMT float64
+	// Timeout is how long the DQP may be fully starved before returning a
+	// TimeOut interruption (§3.2).
+	Timeout time.Duration
+	// InitialWaitEstimate seeds the scheduler's waiting-time knowledge
+	// before the CM has observed arrivals; the natural choice is the
+	// no-problem delivery time w_min.
+	InitialWaitEstimate time.Duration
+	// Workers bounds the intra-run worker pool that parallelizes the join
+	// kernels: partition-parallel hash builds and probe-cascade
+	// precomputation run across up to Workers goroutines, with a
+	// deterministic input-ordered merge applying every cost charge, window
+	// credit and sink, so emitted tuples, virtual times and figure bytes
+	// are identical at any setting. 0 or 1 (the default) runs serially —
+	// the experiment harness already parallelizes across cells, so
+	// intra-run workers are opt-in (CLIs default them to GOMAXPROCS). The
+	// join hash tables take AutoPartitions(Workers) radix partitions.
+	Workers int
+	// Plans, when non-nil, memoizes pipeline-chain decompositions keyed by
+	// plan root, so repeated runs of the same (immutable) plan share one
+	// decomposition with precomputed closures. Safe to share across
+	// concurrent runs; nil decomposes per run.
+	Plans *plan.DecompositionCache
+
+	// Faults.
+
+	// Faults, when active, injects the plan's per-wrapper fault clauses into
+	// this run's sources and arms the engine-side resilience machinery
+	// (silence detection, bounded retry, failover, partial results). A nil
+	// or empty plan is the fault-free path and leaves runs bit-identical to
+	// a build without fault support.
+	Faults *fault.Plan
+	// FaultSeed salts the fault-dedicated random streams (restart re-draws,
+	// replica delays), keyed per wrapper name, so fault randomness never
+	// perturbs the base data and delay streams.
+	FaultSeed int64
+	// PartialResults lets the engine complete a QEP minus dead subtrees:
+	// fragments of a wrapper declared dead with no replica are abandoned
+	// with whatever they processed, and the Result reports the degraded
+	// fragments. Off, a dead wrapper without a replica fails the run.
+	PartialResults bool
+
+	// Service and observation.
+
 	// SharedStreams lets queries attached to one mediator share physical
 	// wrapper streams: when several queries scan the same table object with
 	// identical delivery behaviour, the wrapper executes the sub-query once
@@ -136,27 +125,13 @@ type Config struct {
 	// Sources carrying fault scripts stay private. Off (the default), every
 	// query gets its own simulated wrapper — the single-query-identical path.
 	SharedStreams bool
-	// PartialResults lets the engine complete a QEP minus dead subtrees:
-	// fragments of a wrapper declared dead with no replica are abandoned
-	// with whatever they processed, and the Result reports the degraded
-	// fragments. Off, a dead wrapper without a replica fails the run.
-	PartialResults bool
+	// Stream, when non-nil, receives every result tuple the instant it is
+	// produced (insert-only, correct-so-far streaming delivery). Streaming
+	// is observation only: timing, costs and results are identical with or
+	// without a sink.
+	Stream Sink
 	// Trace, when non-nil, records execution events.
 	Trace *sim.Trace
-	// Scratch, when non-nil, supplies pooled per-run execution state
-	// (queues, hash tables, arenas, temp storage). The mediator draws its
-	// allocation-heavy structures from it and Mediator.Reclaim returns them;
-	// pooling recycles capacity only, never contents, so runs are
-	// bit-identical with or without it. A Scratch serves one run at a time.
-	Scratch *Scratch
-}
-
-// workers returns the effective intra-run worker count (>= 1).
-func (c Config) workers() int {
-	if c.Workers < 1 {
-		return 1
-	}
-	return c.Workers
 }
 
 // maxAutoPartitions caps the automatic partition count: more partitions
@@ -164,21 +139,12 @@ func (c Config) workers() int {
 // multiplies per-partition fixed storage.
 const maxAutoPartitions = 64
 
-// partitions returns the effective hash-table partition count: the
-// explicit override when set, otherwise the automatic choice for the
-// effective worker count.
-func (c Config) partitions() int {
-	if c.Partitions > 0 {
-		return c.Partitions
-	}
-	return AutoPartitions(c.workers())
-}
+// partitions returns the hash-table partition count of the worker count.
+func (c Config) partitions() int { return AutoPartitions(c.Workers) }
 
-// AutoPartitions returns the hash-table partition count the engine picks
-// when Config.Partitions is 0: one partition for serial runs, otherwise a
-// power of two giving the workers scatter balance, capped at
-// maxAutoPartitions. Exported so CLIs can default their -partitions flag to
-// the same value the engine would choose.
+// AutoPartitions returns the hash-table partition count the engine uses at a
+// worker count: one partition for serial runs, otherwise a power of two
+// giving the workers scatter balance, capped at maxAutoPartitions.
 func AutoPartitions(workers int) int {
 	if workers <= 1 {
 		return 1
@@ -201,14 +167,8 @@ func DefaultConfig() Config {
 		BatchTuples:         256,
 		BMT:                 1,
 		Timeout:             10 * time.Second,
-		RateChangeFactor:    2,
 		InitialWaitEstimate: 20 * time.Microsecond,
 		PrefetchPages:       2,
-		ScrambleTimeout:     100 * time.Millisecond,
-		ScrambleSwitchInstr: 500000,
-		FaultDetect:         50 * time.Millisecond,
-		FaultRetryBase:      100 * time.Millisecond,
-		FaultRetries:        4,
 		Seed:                1,
 	}
 }
@@ -227,37 +187,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("exec: BatchTuples must be positive, got %d", c.BatchTuples)
 	case c.BMT < 0:
 		return fmt.Errorf("exec: BMT must be non-negative, got %v", c.BMT)
+	case math.IsNaN(c.BMT) || math.IsInf(c.BMT, 0):
+		return fmt.Errorf("exec: BMT must be finite, got %v", c.BMT)
 	case c.Timeout <= 0:
 		return fmt.Errorf("exec: Timeout must be positive, got %v", c.Timeout)
-	case c.RateChangeFactor < 1:
-		return fmt.Errorf("exec: RateChangeFactor must be at least 1, got %v", c.RateChangeFactor)
 	case c.InitialWaitEstimate < 0:
 		return fmt.Errorf("exec: InitialWaitEstimate must be non-negative, got %v", c.InitialWaitEstimate)
 	case c.PrefetchPages < 1:
 		return fmt.Errorf("exec: PrefetchPages must be at least 1, got %d", c.PrefetchPages)
-	case c.ScrambleTimeout <= 0:
-		return fmt.Errorf("exec: ScrambleTimeout must be positive, got %v", c.ScrambleTimeout)
-	case c.ScrambleSwitchInstr < 0:
-		return fmt.Errorf("exec: ScrambleSwitchInstr must be non-negative, got %d", c.ScrambleSwitchInstr)
 	case c.Workers < 0:
 		return fmt.Errorf("exec: Workers must be non-negative, got %d", c.Workers)
-	case c.Partitions < 0:
-		return fmt.Errorf("exec: Partitions must be non-negative, got %d", c.Partitions)
-	case c.Partitions > 0 && c.Partitions&(c.Partitions-1) != 0:
-		return fmt.Errorf("exec: Partitions must be a power of two, got %d", c.Partitions)
 	}
-	if c.Faults.Active() {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-		switch {
-		case c.FaultDetect <= 0:
-			return fmt.Errorf("exec: FaultDetect must be positive with faults active, got %v", c.FaultDetect)
-		case c.FaultRetryBase <= 0:
-			return fmt.Errorf("exec: FaultRetryBase must be positive with faults active, got %v", c.FaultRetryBase)
-		case c.FaultRetries < 1:
-			return fmt.Errorf("exec: FaultRetries must be at least 1 with faults active, got %d", c.FaultRetries)
-		}
-	}
-	return nil
+	return c.Faults.Validate()
 }

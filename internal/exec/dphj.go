@@ -49,14 +49,15 @@ func RunDPHJ(rt *Runtime) (Result, error) {
 			row:  make(relation.Tuple, c.Scan.Schema.Width()),
 		})
 	}
-	colBatch := rt.Cfg.Scratch.GetBatch(0)
-	defer rt.Cfg.Scratch.PutBatch(colBatch)
-	passBuf := rt.Cfg.Scratch.GetBools()
+	s := rt.Med.scratch
+	colBatch := s.GetBatch(0)
+	defer s.PutBatch(colBatch)
+	passBuf := s.GetBools()
 	if cap(passBuf) < rt.Cfg.BatchTuples {
 		passBuf = make([]bool, rt.Cfg.BatchTuples)
 	}
 	passBuf = passBuf[:rt.Cfg.BatchTuples]
-	defer rt.Cfg.Scratch.PutBools(passBuf)
+	defer s.PutBools(passBuf)
 	for {
 		progressed := false
 		exhausted := 0
@@ -145,6 +146,7 @@ type symNet struct {
 // newSymNet compiles the plan into a symmetric-hash-join network.
 func newSymNet(rt *Runtime) (*symNet, error) {
 	net := &symNet{rt: rt, joins: make(map[int]*symJoin), leaves: make(map[string]*symLeaf)}
+	s := rt.Med.scratch
 	var build func(n *plan.Node, parent *symJoin, fromBuild bool) error
 	build = func(n *plan.Node, parent *symJoin, fromBuild bool) error {
 		switch n.Kind {
@@ -153,8 +155,8 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 		case plan.KindHashJoin:
 			sj := &symJoin{
 				node:       n,
-				buildTable: rt.Cfg.Scratch.Table(n.Build.Schema.MustIndexOf(n.BuildKey), rt.Cfg.partitions()),
-				probeTable: rt.Cfg.Scratch.Table(n.Probe.Schema.MustIndexOf(n.ProbeKey), rt.Cfg.partitions()),
+				buildTable: s.Table(n.Build.Schema.MustIndexOf(n.BuildKey), rt.Cfg.partitions()),
+				probeTable: s.Table(n.Probe.Schema.MustIndexOf(n.ProbeKey), rt.Cfg.partitions()),
 				buildIdx:   n.Build.Schema.MustIndexOf(n.BuildKey),
 				probeIdx:   n.Probe.Schema.MustIndexOf(n.ProbeKey),
 				parent:     parent,
@@ -164,10 +166,8 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 			// estimates pre-size both tables.
 			sj.buildTable.Reserve(n.Build.Schema.Width(), clampReserveRows(int64(n.Build.EstRows)))
 			sj.probeTable.Reserve(n.Probe.Schema.Width(), clampReserveRows(int64(n.Probe.EstRows)))
-			if s := rt.Cfg.Scratch; s != nil {
-				sj.arena.Recycle(s.GetInts())
-				sj.matchBuf = s.GetTuples()
-			}
+			sj.arena.Recycle(s.GetInts())
+			sj.matchBuf = s.GetTuples()
 			if parent == nil {
 				net.root = sj
 			}
@@ -192,13 +192,10 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 	return net, nil
 }
 
-// reclaim hands the network's pooled tables and scratch back to the run
-// pool; the join network lives only for one RunDPHJ call.
+// reclaim hands the network's pooled tables and scratch back to the
+// mediator's Scratch; the join network lives only for one RunDPHJ call.
 func (net *symNet) reclaim() {
-	s := net.rt.Cfg.Scratch
-	if s == nil {
-		return
-	}
+	s := net.rt.Med.scratch
 	for _, sj := range net.joins {
 		s.PutTable(sj.buildTable)
 		s.PutTable(sj.probeTable)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -46,8 +47,10 @@ func TestConfigValidate(t *testing.T) {
 		{"queue", func(c *Config) { c.QueueTuples = 0 }},
 		{"batch", func(c *Config) { c.BatchTuples = 0 }},
 		{"bmt", func(c *Config) { c.BMT = -1 }},
+		{"bmt NaN", func(c *Config) { c.BMT = math.NaN() }},
+		{"bmt +Inf", func(c *Config) { c.BMT = math.Inf(1) }},
+		{"bmt -Inf", func(c *Config) { c.BMT = math.Inf(-1) }},
 		{"timeout", func(c *Config) { c.Timeout = 0 }},
-		{"rate factor", func(c *Config) { c.RateChangeFactor = 0.5 }},
 		{"wait estimate", func(c *Config) { c.InitialWaitEstimate = -1 }},
 		{"prefetch", func(c *Config) { c.PrefetchPages = 0 }},
 		{"params", func(c *Config) { c.Params.CPUMips = 0 }},

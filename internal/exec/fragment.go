@@ -177,21 +177,20 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 			probeIdx: inputSchemaAt(c, i).MustIndexOf(j.ProbeKey),
 		})
 	}
-	if s := rt.Cfg.Scratch; s != nil {
-		f.arena.Recycle(s.GetInts())
-		f.pendArena.Recycle(s.GetInts())
-		f.curBuf = s.GetTuples()
-		f.nextBuf = s.GetTuples()
-	}
+	s := rt.Med.scratch
+	f.arena.Recycle(s.GetInts())
+	f.pendArena.Recycle(s.GetInts())
+	f.curBuf = s.GetTuples()
+	f.nextBuf = s.GetTuples()
 	if qs, ok := in.(*queueSource); ok {
 		f.QueueInput, f.colIn = true, qs
 		f.gatherAt = rt.colPush[c.Scan.Rel.Name].keep
 		f.rowBuf = make(relation.Tuple, c.Scan.Schema.Width())
-		f.colBatch = rt.Cfg.Scratch.GetBatch(len(f.gatherAt))
-		f.passBuf = rt.Cfg.Scratch.GetBools()
+		f.colBatch = s.GetBatch(len(f.gatherAt))
+		f.passBuf = s.GetBools()
 	} else {
 		f.tempIn = in.(tempSource).Reader
-		f.popBuf = rt.Cfg.Scratch.GetTuples()
+		f.popBuf = s.GetTuples()
 	}
 	rt.frags = append(rt.frags, f)
 	return f
@@ -551,18 +550,17 @@ func (f *Fragment) parallelOK(k int) bool {
 }
 
 // ensureLanes grows the lane list to chunks lanes, drawing scratch from the
-// run pool.
+// mediator's Scratch.
 func (f *Fragment) ensureLanes(chunks int) {
 	for len(f.lanes) < chunks {
 		var ln parLane
-		if s := f.rt.Cfg.Scratch; s != nil {
-			ln.arena.Recycle(s.GetInts())
-			ln.curBuf = s.GetTuples()
-			ln.nextBuf = s.GetTuples()
-			ln.outs = s.GetTuples()
-			ln.cnts = s.GetInts()
-			ln.durs = s.GetDurs()
-		}
+		s := f.rt.Med.scratch
+		ln.arena.Recycle(s.GetInts())
+		ln.curBuf = s.GetTuples()
+		ln.nextBuf = s.GetTuples()
+		ln.outs = s.GetTuples()
+		ln.cnts = s.GetInts()
+		ln.durs = s.GetDurs()
 		if f.colIn != nil {
 			ln.rowBuf = make(relation.Tuple, len(f.rowBuf))
 		}

@@ -34,11 +34,13 @@ type Mediator struct {
 	CM    *comm.Manager
 	Trace *sim.Trace
 
-	rng       *sim.RNG
-	queries   int
-	rts       []*Runtime
-	reclaimed bool
-	flt       *faultState
+	rng     *sim.RNG
+	queries int
+	rts     []*Runtime
+	flt     *faultState
+	// scratch is the pooled execution state this mediator draws from, checked
+	// out of scratchPool at construction; nil once Reclaim has returned it.
+	scratch *Scratch
 	// streams is the shared-wrapper registry (Cfg.SharedStreams): one
 	// physical stream per (table object, delivery behaviour), tapped by
 	// every query scanning it. Lazily allocated on first share.
@@ -67,38 +69,37 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		return nil, err
 	}
 	m := &Mediator{
-		Cfg:   cfg,
-		Clock: clock,
-		Disk:  disk,
-		Costs: operator.NewCosts(clock, cfg.Params),
-		Mem:   memMgr,
-		Gov:   mem.NewGovernor(memMgr),
-		Temps: mem.NewTempStore(cfg.Params, disk, clock),
-		CM:    comm.NewManager(),
-		Trace: cfg.Trace,
-		rng:   sim.NewRNG(cfg.Seed),
-		pool:  newWorkerPool(cfg.workers()),
+		Cfg:     cfg,
+		Clock:   clock,
+		Disk:    disk,
+		Costs:   operator.NewCosts(clock, cfg.Params),
+		Mem:     memMgr,
+		Gov:     mem.NewGovernor(memMgr),
+		Temps:   mem.NewTempStore(cfg.Params, disk, clock),
+		CM:      comm.NewManager(),
+		Trace:   cfg.Trace,
+		rng:     sim.NewRNG(cfg.Seed),
+		pool:    newWorkerPool(cfg.Workers),
+		scratch: scratchPool.Get().(*Scratch),
 	}
-	m.CM.ChangeFactor = cfg.RateChangeFactor
 	m.Temps.SetGovernor(m.Gov, cfg.Governor)
-	if cfg.Scratch != nil {
-		m.Temps.SetPool(cfg.Scratch)
-	}
+	m.Temps.SetPool(m.scratch)
 	return m, nil
 }
 
 // Reclaim returns the mediator's pooled execution state — queues, hash
-// tables, fragment scratch, temp-relation storage — to the configured
-// Scratch, making it available to the pool's next run. It must only be
-// called when every Runtime of this mediator is finished and no tuple
-// handed out by the run is referenced anymore. A second call, or a call
-// without a Scratch, is a no-op.
+// tables, fragment scratch, temp-relation storage — to the process-wide
+// pool, for the next mediator to draw from. Whoever built the mediator for a
+// whole run calls it when the run is over: every Runtime finished, no tuple
+// handed to a Sink still referenced (a Result is a value and stays valid).
+// The mediator must not execute afterwards; a second call is a no-op, and a
+// mediator never reclaimed just leaves its storage to the GC.
 func (m *Mediator) Reclaim() {
-	s := m.Cfg.Scratch
-	if s == nil || m.reclaimed {
+	s := m.scratch
+	if s == nil {
 		return
 	}
-	m.reclaimed = true
+	m.scratch = nil
 	for _, q := range m.CM.Queues() {
 		s.PutQueue(q)
 	}
@@ -106,6 +107,7 @@ func (m *Mediator) Reclaim() {
 		rt.reclaim(s)
 	}
 	m.Temps.Reclaim()
+	scratchPool.Put(s)
 }
 
 // Now returns the mediator's virtual time.
@@ -169,7 +171,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 				name, table.Rel.Cardinality, len(table.Rows))
 		}
 		cmName := rt.cmName(name)
-		q := m.Cfg.Scratch.Queue(cmName, m.Cfg.QueueTuples)
+		q := m.scratch.Queue(cmName, m.Cfg.QueueTuples)
 		m.CM.Adopt(q)
 		d := deliveries[name]
 		opts := []source.Option{source.WithMeanWait(d.MeanWait)}
@@ -210,14 +212,14 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		}
 	}
 	for _, j := range plan.Joins(root) {
-		ht := m.Cfg.Scratch.Table(j.Build.Schema.MustIndexOf(j.BuildKey), m.Cfg.partitions())
+		ht := m.scratch.Table(j.Build.Schema.MustIndexOf(j.BuildKey), m.Cfg.partitions())
 		// Pre-size the build from the best cardinality knowledge available:
 		// the actual row count a prior run of this plan recorded at build
 		// completion, falling back to the optimizer's estimate at first
 		// build. A wrong hint only costs allocator behaviour — simulation
 		// accounting never reads the reservation.
 		rows := int64(j.Build.EstRows)
-		if h, ok := m.Cfg.Scratch.BuildRowsHint(j.ID); ok {
+		if h, ok := m.scratch.BuildRowsHint(j.ID); ok {
 			rows = h
 		}
 		ht.Reserve(j.Build.Schema.Width(), clampReserveRows(rows))

@@ -190,35 +190,19 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-// TestConfigWorkersValidation pins the Workers/Partitions validation and
-// the derived pool shape.
+// TestConfigWorkersValidation pins the Workers validation and the derived
+// pool shape: AutoPartitions maps 1/2/8/16 workers to 1/8/32/64 partitions.
 func TestConfigWorkersValidation(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative Workers accepted")
 	}
-	cfg = testConfig()
-	cfg.Partitions = -2
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative Partitions accepted")
-	}
-	cfg = testConfig()
-	cfg.Partitions = 3
-	if err := cfg.Validate(); err == nil {
-		t.Error("non-power-of-two Partitions accepted")
-	}
-	cfg = testConfig()
-	if got := cfg.partitions(); got != 1 {
-		t.Errorf("serial partitions() = %d, want 1", got)
-	}
-	cfg.Workers = 8
-	if got := cfg.partitions(); got&(got-1) != 0 || got < 8 {
-		t.Errorf("partitions() at 8 workers = %d, want a power of two >= 8", got)
-	}
-	cfg.Partitions = 4
-	if got := cfg.partitions(); got != 4 {
-		t.Errorf("partitions() override = %d, want 4", got)
+	for _, tc := range []struct{ workers, parts int }{{0, 1}, {1, 1}, {2, 8}, {8, 32}, {16, 64}, {1000, 64}} {
+		cfg.Workers = tc.workers
+		if got := cfg.partitions(); got != tc.parts {
+			t.Errorf("partitions() at %d workers = %d, want %d", tc.workers, got, tc.parts)
+		}
 	}
 }
 

@@ -246,11 +246,11 @@ func clampReserveRows(rows int64) int {
 
 // completeTable marks join j's table as fully built and records its exact
 // cardinality as the pre-size hint for the next run of this plan on the same
-// scratch pool.
+// Scratch.
 func (rt *Runtime) completeTable(j *plan.Node) {
 	ts := rt.table(j)
 	ts.complete = true
-	rt.Cfg.Scratch.RecordBuildRows(j.ID, ts.rows)
+	rt.Med.scratch.RecordBuildRows(j.ID, ts.rows)
 }
 
 // releaseTable frees the memory of join j's table once its probing fragment
@@ -265,11 +265,10 @@ func (rt *Runtime) releaseTable(j *plan.Node) {
 	rt.Med.Gov.Note(ts.holder, -ts.reserved)
 	ts.reserved = 0
 	ts.released = true
-	// The table's storage goes back to the run pool right away: nothing
-	// aliases it (probe results are copied into fragment arenas), and no
-	// table is acquired after run start, so it cannot be handed back out
-	// within this run.
-	rt.Cfg.Scratch.PutTable(ts.ht)
+	// The table's storage goes back to the pool right away: nothing aliases
+	// it (probe results are copied into fragment arenas), so a query the
+	// server admits later in this run may be handed it.
+	rt.Med.scratch.PutTable(ts.ht)
 	ts.ht = nil
 }
 
@@ -311,10 +310,8 @@ func (rt *Runtime) Cancel() {
 // tables and every fragment's scratch buffers.
 func (rt *Runtime) reclaim(s *Scratch) {
 	for _, ts := range rt.tables {
-		if ts.ht != nil {
-			s.PutTable(ts.ht)
-			ts.ht = nil
-		}
+		s.PutTable(ts.ht) // nil once released
+		ts.ht = nil
 	}
 	for _, f := range rt.frags {
 		s.PutInts(f.arena.Release())

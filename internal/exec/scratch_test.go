@@ -8,23 +8,31 @@ import (
 	"dqs/internal/workload"
 )
 
-// runPooled executes one strategy with the given scratch (nil means no
-// pooling) and reclaims the mediator afterwards.
-func runPooled(t *testing.T, s *Scratch, strategy func(*Runtime) (Result, error), memory int64) Result {
+// newTestRuntime assembles a Fig5Small runtime. With cold set the mediator
+// is re-seated on a brand-new Scratch, so the run allocates everything
+// itself; otherwise it draws whatever earlier runs left in scratchPool.
+func newTestRuntime(t *testing.T, w *workload.Workload, cfg Config, cold bool) *Runtime {
 	t.Helper()
-	w, err := workload.Fig5Small(1)
+	med, err := NewMediator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	cfg.Scratch = s
-	if memory > 0 {
-		cfg.MemoryBytes = memory
+	if cold {
+		med.scratch = new(Scratch)
+		med.Temps.SetPool(med.scratch)
 	}
-	rt, err := NewRuntime(cfg, w.Root, w.Dataset, uniform(w, 20*time.Microsecond))
+	rt, err := med.AddQuery("", w.Root, w.Dataset, uniform(w, 20*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rt
+}
+
+// runPooled executes one strategy on a cold or pooled Scratch and reclaims
+// the mediator afterwards.
+func runPooled(t *testing.T, w *workload.Workload, cold bool, strategy func(*Runtime) (Result, error)) Result {
+	t.Helper()
+	rt := newTestRuntime(t, w, testConfig(), cold)
 	res, err := strategy(rt)
 	rt.Med.Reclaim()
 	if err != nil {
@@ -35,22 +43,22 @@ func runPooled(t *testing.T, s *Scratch, strategy func(*Runtime) (Result, error)
 
 // TestScratchReuseIsBitIdentical pins the pooling contract: running on a
 // scratch warmed by previous runs (of other strategies, so every pooled kind
-// has been cycled) yields exactly the Result of an unpooled run.
+// has been cycled) yields exactly the Result of a run on an empty one.
 func TestScratchReuseIsBitIdentical(t *testing.T) {
+	w := smallFig5(t)
 	strategies := map[string]func(*Runtime) (Result, error){
 		"SEQ":  runSEQ,
 		"MA":   runMA,
 		"DPHJ": RunDPHJ,
 	}
-	s := NewScratch()
 	// Warm the pool with every strategy so later runs draw recycled queues,
 	// tables, arenas and temp storage in mixed orders.
 	for _, run := range strategies {
-		runPooled(t, s, run, 0)
+		runPooled(t, w, false, run)
 	}
 	for name, run := range strategies {
-		fresh := runPooled(t, nil, run, 0)
-		pooled := runPooled(t, s, run, 0)
+		fresh := runPooled(t, w, true, run)
+		pooled := runPooled(t, w, false, run)
 		if !reflect.DeepEqual(fresh, pooled) {
 			t.Errorf("%s: pooled run diverged:\nfresh:  %+v\npooled: %+v", name, fresh, pooled)
 		}
@@ -60,24 +68,16 @@ func TestScratchReuseIsBitIdentical(t *testing.T) {
 // TestScratchReuseSurvivesMemoryOverflow reuses a scratch after an aborted
 // (memory-exceeded) run: the abandoned run's state must come back clean.
 func TestScratchReuseSurvivesMemoryOverflow(t *testing.T) {
-	s := NewScratch()
-	w, err := workload.Fig5Small(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := smallFig5(t)
 	cfg := testConfig()
-	cfg.Scratch = s
 	cfg.MemoryBytes = 64 << 10 // far too small: MA must overflow
-	rt, err := NewRuntime(cfg, w.Root, w.Dataset, uniform(w, 20*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRuntime(t, w, cfg, false)
 	if _, err := runMA(rt); err == nil {
 		t.Fatal("expected memory overflow with a 64KiB grant")
 	}
 	rt.Med.Reclaim()
-	fresh := runPooled(t, nil, runMA, 0)
-	pooled := runPooled(t, s, runMA, 0)
+	pooled := runPooled(t, w, false, runMA)
+	fresh := runPooled(t, w, true, runMA)
 	if !reflect.DeepEqual(fresh, pooled) {
 		t.Errorf("pooled run after overflow diverged:\nfresh:  %+v\npooled: %+v", fresh, pooled)
 	}
@@ -86,22 +86,16 @@ func TestScratchReuseSurvivesMemoryOverflow(t *testing.T) {
 // TestMediatorReclaimTwiceIsSafe guards the double-reclaim hazard: a second
 // Reclaim must not hand the same structures to the pool twice.
 func TestMediatorReclaimTwiceIsSafe(t *testing.T) {
-	s := NewScratch()
-	w, err := workload.Fig5Small(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig()
-	cfg.Scratch = s
-	rt, err := NewRuntime(cfg, w.Root, w.Dataset, uniform(w, 20*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRuntime(t, smallFig5(t), testConfig(), true)
 	if _, err := runSEQ(rt); err != nil {
 		t.Fatal(err)
 	}
+	s := rt.Med.scratch
 	rt.Med.Reclaim()
 	nq := len(s.queues)
+	if nq == 0 {
+		t.Fatal("reclaim pooled no queue")
+	}
 	rt.Med.Reclaim()
 	if len(s.queues) != nq {
 		t.Errorf("double reclaim grew the queue pool: %d -> %d", nq, len(s.queues))

@@ -31,9 +31,6 @@ func (p resumeOnly) Resume(now time.Duration) {
 // Resume-only producer first, so the whole run takes the per-credit path;
 // resumes then counts the credits that reached a wrapper.
 func runTraced(w *workload.Workload, cfg exec.Config, deliveries map[string]exec.Delivery, strategy string, eager bool) (res exec.Result, trace []byte, resumes int, err error) {
-	st := acquireRunState()
-	defer st.release()
-	cfg.Scratch = st.Scratch
 	tr := &sim.Trace{}
 	cfg.Trace = tr
 	rt, err := exec.NewRuntime(cfg, w.Root, w.Dataset, deliveries)

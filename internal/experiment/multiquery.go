@@ -36,10 +36,7 @@ func MultiQuery(o Options) (*Figure, error) {
 	err := o.forEach(len(units), func(j int) error {
 		n, seed := levels[j/len(seeds)], seeds[j%len(seeds)]
 		start := time.Now()
-		st := acquireRunState()
-		defer st.release()
 		ucfg := withSeed(cfg, seed)
-		ucfg.Scratch = st.Scratch
 		med, err := exec.NewMediator(ucfg)
 		if err != nil {
 			return err

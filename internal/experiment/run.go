@@ -157,13 +157,9 @@ func (o Options) cardOf(name string) int {
 	return n
 }
 
-// runStrategy executes one strategy on a fresh runtime whose
-// allocation-heavy state is checked out of the run pool and returned after
-// the run.
+// runStrategy executes one strategy on a fresh runtime and hands the
+// mediator's pooled storage back when the run is over.
 func runStrategy(w *workload.Workload, cfg exec.Config, deliveries map[string]exec.Delivery, strategy string) (exec.Result, error) {
-	st := acquireRunState()
-	defer st.release()
-	cfg.Scratch = st.Scratch
 	rt, err := exec.NewRuntime(cfg, w.Root, w.Dataset, deliveries)
 	if err != nil {
 		return exec.Result{}, err
@@ -178,9 +174,6 @@ func runStrategy(w *workload.Workload, cfg exec.Config, deliveries map[string]ex
 
 // lowerBound computes LWB for a workload/delivery pair.
 func lowerBound(w *workload.Workload, cfg exec.Config, deliveries map[string]exec.Delivery) (time.Duration, error) {
-	st := acquireRunState()
-	defer st.release()
-	cfg.Scratch = st.Scratch
 	rt, err := exec.NewRuntime(cfg, w.Root, w.Dataset, deliveries)
 	if err != nil {
 		return 0, err

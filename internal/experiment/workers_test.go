@@ -11,32 +11,27 @@ import (
 )
 
 // workersDiff runs one (workload, config, deliveries, strategy) cell on the
-// serial path and on the partition-parallel path at several worker and
-// partition counts, requiring every run summary to be deeply equal to the
-// serial reference — virtual nanosecond for virtual nanosecond. This is
-// the differential proof behind the morsel-style kernels: worker count and
-// partition count are wall-clock knobs only.
+// serial path and on the partition-parallel path at several worker counts —
+// AutoPartitions gives 2/4/8/16 workers 8/16/32/64 hash-table partitions —
+// requiring every run summary to be deeply equal to the serial reference,
+// virtual nanosecond for virtual nanosecond. This is the differential proof
+// behind the morsel-style kernels: the worker count is a wall-clock knob
+// only.
 func workersDiff(t *testing.T, name string, w *workload.Workload, cfg exec.Config, mk func(w *workload.Workload) map[string]exec.Delivery, strategy string) {
 	t.Helper()
-	run := func(workers, partitions int) exec.Result {
+	run := func(workers int) exec.Result {
 		c := cfg
 		c.Workers = workers
-		c.Partitions = partitions
 		res, err := runStrategy(w, c, mk(w), strategy)
 		if err != nil {
-			t.Fatalf("%s (workers=%d partitions=%d): %v", name, workers, partitions, err)
+			t.Fatalf("%s (workers=%d): %v", name, workers, err)
 		}
 		return res
 	}
-	ref := run(1, 0)
-	for _, workers := range []int{2, 4, 8} {
-		if got := run(workers, 0); !reflect.DeepEqual(ref, got) {
+	ref := run(1)
+	for _, workers := range []int{2, 4, 8, 16} {
+		if got := run(workers); !reflect.DeepEqual(ref, got) {
 			t.Errorf("%s: workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", name, workers, ref, got)
-		}
-	}
-	for _, partitions := range []int{2, 8} {
-		if got := run(4, partitions); !reflect.DeepEqual(ref, got) {
-			t.Errorf("%s: workers=4 partitions=%d diverged from serial:\nserial:   %+v\nparallel: %+v", name, partitions, ref, got)
 		}
 	}
 }

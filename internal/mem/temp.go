@@ -33,24 +33,16 @@ type TempStore struct {
 	prefixHits int
 }
 
-// IntRecycler supplies and reclaims flat []int64 arenas, so a run pool can
-// recycle temp-relation storage across simulator runs. Get may return nil
-// (start from scratch); Put receives length-zero slices whose capacity is
-// the reusable storage.
+// IntRecycler supplies and reclaims flat []int64 arenas, so temp-relation
+// storage is recycled across simulator runs. GetInts is size-blind and may
+// return nil (start from scratch); GetIntsCap returns a pooled arena of at
+// least the given capacity or nil, so a large materialization hint finds the
+// pool's grown arena, not the last-returned (possibly tiny) one. PutInts
+// receives length-zero slices whose capacity is the reusable storage.
 type IntRecycler interface {
 	GetInts() []int64
-	PutInts([]int64)
-}
-
-// CapIntRecycler is an optional IntRecycler extension: GetIntsCap returns a
-// pooled arena of at least the given capacity, or nil when none is big
-// enough. Pre-sized temps use it so a large materialization hint finds the
-// pool's grown arena instead of the last-returned (possibly tiny) one —
-// GetInts is size-blind, and under inflated optimizer estimates that
-// mismatch made every sized temp re-allocate its arena from scratch.
-type CapIntRecycler interface {
-	IntRecycler
 	GetIntsCap(capacity int) []int64
+	PutInts([]int64)
 }
 
 // NewTempStore binds a store to the mediator's disk and clock.
@@ -183,9 +175,9 @@ func (s *TempStore) CreateSyncSized(name string, schema *relation.Schema, rows i
 
 // sizeFor grows the (still empty) arena to hold rows tuples, keeping pooled
 // storage when it is already big enough. A too-small pooled arena goes back
-// to the pool (not to the GC), and a size-aware pool is asked for a grown
-// arena first, so repeated sized materializations reach steady state with
-// no arena allocation even when the hint dwarfs the last-returned buffer.
+// to the pool (not to the GC), and the pool is asked for a grown arena
+// first, so repeated sized materializations reach steady state with no arena
+// allocation even when the hint dwarfs the last-returned buffer.
 func (t *Temp) sizeFor(rows int) {
 	if rows <= 0 {
 		return
@@ -194,16 +186,13 @@ func (t *Temp) sizeFor(rows int) {
 	if cap(t.data) >= need {
 		return
 	}
-	pool := t.store.pool
-	if pool != nil {
-		if p, ok := pool.(CapIntRecycler); ok {
-			if b := p.GetIntsCap(need); b != nil {
-				pool.PutInts(t.data)
-				t.data = b[:0]
-				return
-			}
-		}
+	if pool := t.store.pool; pool != nil {
+		b := pool.GetIntsCap(need)
 		pool.PutInts(t.data)
+		if b != nil {
+			t.data = b[:0]
+			return
+		}
 	}
 	t.data = make([]int64, 0, need)
 }

@@ -31,6 +31,7 @@ func (s *Server) runBatch() ([]Report, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	defer med.Reclaim()
 	pending := s.arrivalOrder()
 	reports := make([]Report, len(s.queries))
 	stats := Stats{Queries: len(s.queries)}

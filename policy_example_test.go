@@ -25,7 +25,7 @@ func (p *hybridPolicy) Plan(st *dqs.PolicyState) (dqs.SchedulingPlan, error) {
 	if err != nil {
 		return sp, err
 	}
-	sp.Timeout = st.Config().ScrambleTimeout
+	sp.Timeout = 100 * time.Millisecond // query scrambling's fuse
 	return sp, nil
 }
 
