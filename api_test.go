@@ -3,6 +3,7 @@ package dqs
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"dqs/internal/sim"
+	"dqs/internal/source"
 )
 
 func TestRunSpecValidation(t *testing.T) {
@@ -29,6 +31,14 @@ func TestRunSpecValidation(t *testing.T) {
 	bad.BatchTuples = -1
 	if _, err := Run(RunSpec{Workload: w, Config: bad, Strategy: SEQ}); err == nil {
 		t.Error("invalid config accepted")
+	}
+	// A phase whose [0, 2w] draw interval overflows a time.Duration is a
+	// named error from the library too, not a panic at the first draw.
+	del := UniformDeliveries(w, 20*time.Microsecond)
+	del["B"] = Delivery{Phases: []source.Phase{{FromRow: 0, W: sim.MaxWait + 1}}}
+	_, err = Run(RunSpec{Workload: w, Config: DefaultConfig(), Strategy: DSE, Deliveries: del})
+	if !errors.Is(err, sim.ErrWaitTooLarge) || !strings.Contains(err.Error(), `"B"`) {
+		t.Errorf("overflowing phase wait: err = %v, want ErrWaitTooLarge naming the source", err)
 	}
 }
 

@@ -21,8 +21,8 @@
 //	dqsrun -strategy DSE -small -faults 'D:kill@700;D:replica,connect=10ms'
 //
 // Example: stream the answer as it is produced (insert-only, correct so
-// far) under the budget-aware materialization governor, and watch how much
-// earlier the first tuples land:
+// far) with temp pages kept resident under the grant (-governor), and watch
+// how much earlier the first tuples land:
 //
 //	dqsrun -strategy DSE -small -slow A=2 -mem 1 -governor -stream
 //
@@ -83,7 +83,7 @@ func main() {
 		gantt     = flag.Bool("gantt", false, "draw a Gantt chart of fragment lifetimes")
 		seed      = flag.Int64("seed", 1, "random seed (data and delays)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "intra-run worker pool of the parallel join kernels; the run summary is identical at any setting")
-		governor  = flag.Bool("governor", false, "enable the budget-aware materialization governor (chunked resident temps, largest-release-first memory repair, prefix reuse)")
+		governor  = flag.Bool("governor", false, "let temps keep freshly written pages resident under the memory grant (a quarter of it at most, spilled on demand) instead of writing each one through")
 		stream    = flag.Bool("stream", false, "stream result tuples as they are produced and print the output ramp")
 		faults    = flag.String("faults", "", "fault scenario, e.g. 'C:burst@100+500x300us;D:kill@5000;D:replica,connect=50ms'")
 		faultSeed = flag.Int64("fault-seed", 1, "random seed of the fault scenario's timing draws")
@@ -176,6 +176,11 @@ func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, tr
 		plan, err := dqs.ParseFaults(faults)
 		if err != nil {
 			return err
+		}
+		for _, rel := range plan.Sources() {
+			if _, err := dqs.Cardinality(w, rel); err != nil {
+				return fmt.Errorf("-faults: %w", err)
+			}
 		}
 		cfg.Faults = plan
 	}

@@ -108,28 +108,40 @@ func TestRunRejectsNonPositiveWorkers(t *testing.T) {
 }
 
 // TestRunRejectsNonFiniteNumbers: a -mem or -bmt that is not a usable number
-// is refused by name, not converted into a garbage grant or run silently.
+// is refused by name, not converted into a garbage grant or run silently; a
+// waiting time whose [0, 2w] draw interval overflows a time.Duration (-wmin,
+// a burst or replica wait in -faults) is an error naming the source and the
+// value, not an Int63n panic; and -faults naming a relation the workload
+// does not have is refused like -slow does.
 func TestRunRejectsNonFiniteNumbers(t *testing.T) {
+	const wmin = 20 * time.Microsecond
 	for _, tc := range []struct {
 		memMB, bmt float64
+		wmin       time.Duration
+		faults     string
 		want       []string
 	}{
-		{math.NaN(), 1, []string{"-mem", "NaN"}},
-		{math.Inf(1), 1, []string{"-mem", "+Inf"}},
-		{1e30, 1, []string{"-mem", "1e+30"}},
-		{0, 1, []string{"-mem", "0"}},
-		{-4, 1, []string{"-mem", "-4"}},
-		{64, math.NaN(), []string{"BMT", "NaN"}},
-		{64, math.Inf(1), []string{"BMT", "+Inf"}},
+		{math.NaN(), 1, wmin, "", []string{"-mem", "NaN"}},
+		{math.Inf(1), 1, wmin, "", []string{"-mem", "+Inf"}},
+		{1e30, 1, wmin, "", []string{"-mem", "1e+30"}},
+		{0, 1, wmin, "", []string{"-mem", "0"}},
+		{-4, 1, wmin, "", []string{"-mem", "-4"}},
+		{64, math.NaN(), wmin, "", []string{"BMT", "NaN"}},
+		{64, math.Inf(1), wmin, "", []string{"BMT", "+Inf"}},
+		{64, 1, 5000000000 * time.Second, "", []string{`source "A"`, "1388888h53m20s"}},
+		{64, 1, wmin, "A:burst@100+500x9223372036s", []string{"A burst@100", "2562047h47m16s"}},
+		{64, 1, wmin, "A:kill@5;A:replica,wait=9223372036s", []string{"A replica", "2562047h47m16s"}},
+		{64, 1, wmin, "Z:kill@5", []string{"-faults", `"Z"`}},
+		{64, 1, wmin, "A:kill@5;Z:replica", []string{"-faults", `"Z"`}},
 	} {
-		err := run("SEQ", true, 20*time.Microsecond, tc.memMB, tc.bmt, false, false, 1, 1, false, false, "", 1, false, false, nil)
+		err := run("SEQ", true, tc.wmin, tc.memMB, tc.bmt, false, false, 1, 1, false, false, tc.faults, 1, false, false, nil)
 		if err == nil {
-			t.Errorf("mem=%v bmt=%v accepted", tc.memMB, tc.bmt)
+			t.Errorf("%+v accepted", tc)
 			continue
 		}
 		for _, w := range tc.want {
 			if !strings.Contains(err.Error(), w) {
-				t.Errorf("mem=%v bmt=%v: error %q does not mention %q", tc.memMB, tc.bmt, err, w)
+				t.Errorf("%+v: error %q does not mention %q", tc, err, w)
 			}
 		}
 	}

@@ -69,6 +69,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{func(o *options) { o.memMB = math.Inf(1) }, []string{"-mem", "+Inf"}},
 		{func(o *options) { o.memMB = 1e30 }, []string{"-mem", "1e+30"}},
 		{func(o *options) { o.memMB = 0 }, []string{"-mem"}},
+		{func(o *options) { o.wmin = 5000000000 * time.Second }, []string{`source "A"`, "1388888h53m20s"}},
+		{func(o *options) { o.wmin = 5000000000 * time.Second; o.mode = "fused"; o.sharedStreams = true }, []string{`"A"`, "1388888h53m20s"}},
 	} {
 		o := baseOptions()
 		tc.mutate(&o)

@@ -49,47 +49,6 @@ func (p *dsePolicy) splitForMemory(cs *chainState) bool {
 	return false
 }
 
-// splitForMemoryGoverned is the governed DQO repair: instead of splitting
-// the most critical overflowing chain at its lowest sufficient step, it
-// surveys every candidate with a splittable active segment, finds each
-// one's minimal sufficient split, and applies the one releasing the most
-// memory — largest-release-first rather than first-overflow. Candidates
-// arrive in priority order, so equal releases break toward criticality.
-func (p *dsePolicy) splitForMemoryGoverned(cands []cand) bool {
-	var bestCS *chainState
-	var bestK int
-	var bestReleased int64 = -1
-	for i := range cands {
-		cs := cands[i].cs
-		rt := cs.rt
-		seg := cs.active()
-		if seg == nil || seg.started() {
-			continue
-		}
-		need := rt.EstBuildBytes(cs.chain)
-		avail := rt.Mem.Available()
-		var released int64
-		for k := seg.fromStep + 1; k <= seg.toStep; k++ {
-			released += rt.TableReserved(cs.chain.Joins[k-1])
-			if need <= avail+released {
-				if released > bestReleased {
-					bestCS, bestK, bestReleased = cs, k, released
-				}
-				break
-			}
-		}
-	}
-	if bestCS == nil {
-		return false
-	}
-	rt := bestCS.rt
-	bestCS.splitActive(bestK)
-	rt.CountMemRepair()
-	rt.Trace.Add(rt.Now(), sim.EvMemRepair, "governed split %s%s at step %d (frees %d bytes, best of %d candidates)",
-		prefixLabel(rt.Label), bestCS.chain.Name, bestK, bestReleased, len(cands))
-	return true
-}
-
 // handleOverflow reacts to a fragment exhausting the memory grant while
 // building a hash table. The fragment is suspended until memory is freed;
 // additionally, the DQO tries to free memory structurally by splitting the

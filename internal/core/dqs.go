@@ -82,11 +82,10 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 		sort.Stable(byPriority{cands: cands, descendants: p.descendants, favored: p.favored})
 
 		// Memory fit: take fragments in priority order while their remaining
-		// build-side growth fits the grant. Governed, a candidate that does
-		// not fit first evicts cold resident pages — builds are the grant's
-		// primary tenants, residency lives off the leftovers — and only
-		// counts as skipped if spilling everything still leaves it short.
-		governed := med.Cfg.Governor
+		// build-side growth fits the grant. A candidate that does not fit
+		// first evicts cold resident temp pages, if any — builds are the
+		// grant's primary tenants, residency lives off the leftovers — and
+		// only counts as skipped if spilling everything still leaves it short.
 		avail := med.Mem.Available()
 		var taken int64 // estimated growth of the fragments accepted so far
 		var sp []*exec.Fragment
@@ -95,7 +94,7 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 		for i := range cands {
 			c := &cands[i]
 			add := p.estAdd(c.cs.rt, c.frag)
-			if add > avail && governed && med.Gov.ResidentBytes() > 0 {
+			if add > avail && med.Gov.ResidentBytes() > 0 {
 				if freed := med.Gov.FreeUp(taken + add); freed > 0 {
 					med.Trace.Add(med.Now(), sim.EvMemRepair,
 						"spilled %d resident bytes to schedule %s without a split",
@@ -115,17 +114,9 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 			}
 		}
 		if len(sp) == 0 && skippedTop != nil {
-			// Nothing fits: ask the DQO for a memory-repair split — governed,
-			// the split releasing the most memory across all candidates;
-			// legacy, the lowest sufficient split of the most critical one —
-			// then re-plan.
-			repaired := false
-			if governed {
-				repaired = p.splitForMemoryGoverned(cands)
-			} else {
-				repaired = p.splitForMemory(skippedTop.cs)
-			}
-			if repaired {
+			// Nothing fits: ask the DQO for a memory-repair split of the most
+			// critical candidate (§4.2), then re-plan.
+			if p.splitForMemory(skippedTop.cs) {
 				splits++
 				if splits > p.splitBudget {
 					med.Trace.Add(med.Now(), sim.EvMemRepair,

@@ -128,11 +128,6 @@ func (cs *chainState) splitActive(k int) {
 	cs.segs = segs
 	cs.memSuspended = false
 	cs.invalidate()
-	// The chain's segment boundaries changed: any materialized prefix
-	// registered under the old boundaries no longer matches a future
-	// segment of this chain. (No-op outside governor mode — nothing is
-	// ever registered there.)
-	cs.rt.Temps.InvalidatePrefixes(exec.PrefixKey(cs.rt.Label, cs.chain.Name))
 }
 
 // advance moves past a finished segment, marking the chain complete when it

@@ -54,16 +54,12 @@ type Config struct {
 	BatchTuples int
 	// PrefetchPages is the temp-reader prefetch depth.
 	PrefetchPages int
-	// Governor enables the budget-aware materialization scheduler: a
-	// mem.Governor tracks per-chain build reservations and spill priorities,
-	// materialization fragments write chunked temps whose freshly produced
-	// pages stay memory-resident until evicted (largest temp first, oldest
-	// pages first), memory repair chooses the split releasing the most bytes
-	// across all candidate chains instead of the first overflowing one, and
-	// closed materializations are reused across replans keyed on their step
-	// signature. Off (the default), the engine runs the legacy whole-
-	// fragment/first-overflow path bit-identically to builds without
-	// governor support.
+	// Governor lets asynchronous temps keep freshly written pages resident
+	// under the memory grant instead of writing each one through: residency
+	// is capped at a quarter of the grant and spills on demand, largest temp
+	// first and oldest pages first, whenever a build or the planner needs
+	// the room. Off (the default): every page is written through, the
+	// paper's §4.4 model.
 	Governor bool
 
 	// Scheduling.

@@ -84,11 +84,6 @@ type Fragment struct {
 	tempIn *mem.Reader
 	popBuf []relation.Tuple
 
-	// prefixSig, when non-empty (governor mode, temp terminals), is the
-	// step signature under which this fragment's closed materialization is
-	// registered for reuse by replans of the same segment.
-	prefixSig string
-
 	// Columnar input state (wrapper-fed fragments). colIn is the batch
 	// protocol view of In; gatherAt maps batch columns to their full-schema
 	// positions in rowBuf, the reused scan-width processing row whose dead
@@ -278,44 +273,9 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 		}
 		return rt.newFragment(c, label, fromStep, toStep, in, term, nil)
 	}
-	if rt.Cfg.Governor {
-		sig := rt.prefixSig(c, fromStep, toStep, prev)
-		if t, ok := rt.Temps.ReusePrefix(sig); ok && t.Closed() && t.Schema() == inputSchemaAt(c, toStep) {
-			// An earlier incarnation of exactly this segment already
-			// materialized (and closed) its result; adopt it instead of
-			// re-consuming the input. The fragment is born done — the
-			// scheduler advances straight to the successor reading the temp.
-			f := rt.newFragment(c, label, fromStep, toStep, in, TermTemp, t)
-			f.done = true
-			rt.Trace.Add(rt.Now(), sim.EvMaterialize, "%s reused materialized prefix (%d tuples)", label, t.Len())
-			return f
-		}
-		temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep),
-			rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
-		f := rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
-		f.prefixSig = sig
-		return f
-	}
 	temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep),
 		rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
 	return rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
-}
-
-// PrefixKey returns the signature prefix shared by every materialized-
-// prefix registration of one chain of one query — the invalidation key for
-// structural plan changes touching that chain.
-func PrefixKey(label, chain string) string { return label + "/" + chain + "#" }
-
-// prefixSig identifies a materializing segment for prefix reuse: which
-// query, which chain, which step range, and which input fed it. Two
-// fragments with equal signatures materialize the same tuple prefix, so a
-// replan hitting the registry adopts the earlier result.
-func (rt *Runtime) prefixSig(c *plan.Chain, fromStep, toStep int, prev *mem.Temp) string {
-	src := "queue"
-	if prev != nil {
-		src = "T:" + prev.Name()
-	}
-	return fmt.Sprintf("%s[%d:%d)|%s", PrefixKey(rt.Label, c.Name), fromStep, toStep, src)
 }
 
 // Done reports whether the fragment has fully terminated.
@@ -717,9 +677,6 @@ func (f *Fragment) maybeFinish() {
 		f.rt.completeTable(f.Chain.BuildsFor)
 	case TermTemp:
 		f.Temp.Close()
-		if f.prefixSig != "" {
-			f.rt.Temps.RegisterPrefix(f.prefixSig, f.Temp)
-		}
 	}
 	// The hash tables this fragment probed are now fully consumed: in a
 	// tree-shaped QEP each table is probed by exactly one chain, so their

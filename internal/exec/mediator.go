@@ -25,10 +25,10 @@ type Mediator struct {
 	Disk  *sim.Disk
 	Costs operator.Costs
 	Mem   *mem.Manager
-	// Gov is the budget-aware materialization governor over Mem. It is
-	// always constructed (holder accounting is harmless bookkeeping), but
-	// only Cfg.Governor enables its behaviour — chunked resident temps,
-	// spill-on-pressure, governed memory repair and prefix reuse.
+	// Gov is the per-owner ledger and residency governor over Mem. The
+	// ledger (who holds which bytes of the grant) and FreeUp are live in
+	// both modes; Config.Governor decides one thing, once, in NewMediator:
+	// whether asynchronous temps may keep pages resident under the grant.
 	Gov   *mem.Governor
 	Temps *mem.TempStore
 	CM    *comm.Manager
@@ -82,7 +82,7 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		pool:    newWorkerPool(cfg.Workers),
 		scratch: scratchPool.Get().(*Scratch),
 	}
-	m.Temps.SetGovernor(m.Gov, cfg.Governor)
+	m.Temps.SetGovernor(m.Gov, m.Cfg.Governor)
 	m.Temps.SetPool(m.scratch)
 	return m, nil
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dqs/internal/plan"
@@ -62,41 +63,64 @@ func fanoutPlan(t *testing.T) (*plan.Node, relation.Dataset) {
 	return root, ds
 }
 
-// TestParallelBuildEngagesAndMatchesSerial runs the fanout plan serially
-// and at several worker counts: the run summaries must be deeply equal,
-// and the parallel configurations must actually have exercised both
-// parallel kernels (partition-parallel builds and parallel probe batches)
-// — guarding against the gates silently keeping everything serial.
+// TestParallelBuildEngagesAndMatchesSerial runs each input serially and at
+// several worker counts: the run summaries and rendered traces must be
+// equal, and the parallel configurations must actually have exercised the
+// parallel kernels the input exists to drive — guarding against the gates
+// silently keeping everything serial. The fanout plan drives partition-
+// parallel builds and parallel probe batches; the scan-predicate plan
+// (instantaneous wrappers, so whole windows arrive per batch) drives
+// wrapper-fed parallel batches that mix passing slots with slots the
+// pushed-down predicate filtered, which bill only their receive+move charge.
 func TestParallelBuildEngagesAndMatchesSerial(t *testing.T) {
-	root, ds := fanoutPlan(t)
-	run := func(workers int) (Result, int64, int64) {
-		cfg := testConfig()
-		cfg.Workers = workers
-		cfg.MemoryBytes = 256 << 20
-		rt, err := NewRuntime(cfg, root, ds, nil)
-		if err != nil {
-			t.Fatal(err)
+	fanRoot, fanDS := fanoutPlan(t)
+	predCat, predDS := predWorkload(t)
+	for _, in := range []struct {
+		name   string
+		root   *plan.Node
+		ds     relation.Dataset
+		builds bool // the input's build runs are long enough to go partition-parallel
+	}{
+		{"fanout", fanRoot, fanDS, true},
+		{"scan-predicate", buildPredPlan(t, predCat, 50), predDS, false},
+	} {
+		run := func(workers int) (Result, string, int64, int64) {
+			cfg := testConfig()
+			cfg.Workers = workers
+			cfg.MemoryBytes = 256 << 20
+			cfg.Trace = &sim.Trace{}
+			rt, err := NewRuntime(cfg, in.root, in.ds, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := runSEQ(rt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", in.name, workers, err)
+			}
+			var trace strings.Builder
+			if err := cfg.Trace.Dump(&trace); err != nil {
+				t.Fatal(err)
+			}
+			return res, trace.String(), rt.parallelBuilds, rt.parallelBatches
 		}
-		res, err := runSEQ(rt)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		ref, refTrace, builds, batches := run(1)
+		if builds != 0 || batches != 0 {
+			t.Fatalf("%s: serial run used parallel kernels: builds=%d batches=%d", in.name, builds, batches)
 		}
-		return res, rt.parallelBuilds, rt.parallelBatches
-	}
-	ref, builds, batches := run(1)
-	if builds != 0 || batches != 0 {
-		t.Fatalf("serial run used parallel kernels: builds=%d batches=%d", builds, batches)
-	}
-	for _, workers := range []int{2, 8} {
-		res, builds, batches := run(workers)
-		if !reflect.DeepEqual(ref, res) {
-			t.Errorf("workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", workers, ref, res)
-		}
-		if builds == 0 {
-			t.Errorf("workers=%d: partition-parallel build never engaged", workers)
-		}
-		if batches == 0 {
-			t.Errorf("workers=%d: parallel probe batches never engaged", workers)
+		for _, workers := range []int{2, 8} {
+			res, trace, builds, batches := run(workers)
+			if !reflect.DeepEqual(ref, res) {
+				t.Errorf("%s workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", in.name, workers, ref, res)
+			}
+			if trace != refTrace {
+				t.Errorf("%s workers=%d: trace diverged from serial", in.name, workers)
+			}
+			if in.builds && builds == 0 {
+				t.Errorf("%s workers=%d: partition-parallel build never engaged", in.name, workers)
+			}
+			if batches == 0 {
+				t.Errorf("%s workers=%d: parallel probe batches never engaged", in.name, workers)
+			}
 		}
 	}
 }

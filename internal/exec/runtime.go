@@ -76,7 +76,7 @@ type tableState struct {
 	reserved int64
 	released bool
 	// holder attributes this table's reservations in the governor's
-	// per-chain ledger (governor mode only; 0 and unused otherwise).
+	// per-owner ledger, which is kept whether or not temps are resident.
 	holder mem.HolderID
 }
 
@@ -140,17 +140,13 @@ func (rt *Runtime) EstBuildBytes(c *plan.Chain) int64 {
 }
 
 // reserveBuild claims n bytes of grant for a table build, attributing them
-// to the table's holder. In governor mode a failed reservation first asks
-// the governor to spill resident materialization pages — evicting an
-// already-durable-on-demand prefix is always cheaper than overflowing a
-// build — and retries once.
+// to the table's holder. A failed reservation first asks the governor to
+// spill resident materialization pages — evicting an already-durable-on-
+// demand prefix is always cheaper than overflowing a build — and retries
+// once if that freed anything (with nothing resident it frees nothing).
 func (rt *Runtime) reserveBuild(ts *tableState, n int64) bool {
 	if !rt.Mem.Reserve(n) {
-		if !rt.Cfg.Governor {
-			return false
-		}
-		rt.Med.Gov.FreeUp(n)
-		if !rt.Mem.Reserve(n) {
+		if rt.Med.Gov.FreeUp(n) == 0 || !rt.Mem.Reserve(n) {
 			return false
 		}
 	}
@@ -280,11 +276,11 @@ func (rt *Runtime) SetSink(sink Sink) { rt.Cfg.Stream = sink }
 
 // Cancel abandons the query mid-run, releasing everything it holds on the
 // shared mediator: every unreleased hash-table reservation goes back to the
-// memory grant (with its governor holding zeroed), registered materialized
-// prefixes are dropped, and the query's wrappers are detached so late
-// credits on its queues pump nothing (shared-stream taps release their
-// refcount). The scheduler must have abandoned the query's active fragments
-// first — Cancel only sweeps runtime-held state. Idempotent.
+// memory grant (with its governor holding zeroed) and the query's wrappers
+// are detached so late credits on its queues pump nothing (shared-stream
+// taps release their refcount). The scheduler must have abandoned the
+// query's active fragments first — Cancel only sweeps runtime-held state.
+// Idempotent.
 func (rt *Runtime) Cancel() {
 	ids := make([]int, 0, len(rt.tables))
 	for id := range rt.tables {
@@ -294,7 +290,6 @@ func (rt *Runtime) Cancel() {
 	for _, id := range ids {
 		rt.releaseTable(rt.tables[id].join)
 	}
-	rt.Temps.InvalidatePrefixes(rt.Label + "/")
 	names := make([]string, 0, len(rt.sources))
 	for name := range rt.sources {
 		names = append(names, name)
@@ -455,11 +450,7 @@ func (rt *Runtime) TupleIOTime() time.Duration {
 	return rt.Cfg.Params.PageTransferTime() / time.Duration(rt.Cfg.Params.TuplesPerPage())
 }
 
-// CountReplan, CountDegrade, CountTimeout and CountMemRepair bump the
-// mediator-level statistics from strategy code.
-func (rt *Runtime) CountReplan()    { rt.Med.CountReplan() }
-func (rt *Runtime) CountDegrade()   { rt.Med.CountDegrade() }
-func (rt *Runtime) CountTimeout()   { rt.Med.CountTimeout() }
+// CountMemRepair bumps the mediator-level repair statistic from DQO code.
 func (rt *Runtime) CountMemRepair() { rt.Med.CountMemRepair() }
 
 // CountMaterialized adds n tuples to the materialization volume statistic.

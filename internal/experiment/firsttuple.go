@@ -8,15 +8,14 @@ import (
 )
 
 // FirstTupleLatency sweeps the memory grant and measures latency-to-first-
-// tuple next to total response time, comparing legacy DSE (whole-fragment
-// materialization, first-overflow repair) against governed DSE (chunked
-// resident materialization, largest-release-first repair, prefix reuse)
-// with timeout-driven scrambling (SCR) as the first-tuple reference. Under
-// pressure the governor keeps hot materialization suffixes resident and
-// spills cold prefixes instead of splitting plans, so answers start flowing
-// earlier and fewer fragments are abandoned to memory repair. Infeasible
-// grants (for either engine path, or SCR overflowing — it cannot
-// materialize) are expected per-point outcomes plotted as -1.
+// tuple next to total response time, comparing legacy DSE (every temp page
+// written through, §4.4) against governed DSE (temp pages resident under
+// the grant, spilled on demand; same scheduling and repair otherwise) with
+// timeout-driven scrambling (SCR) as the first-tuple reference. Resident
+// pages never pay a write and fully consumed ones never touch the disk
+// timeline, so answers start flowing earlier wherever the grant has room
+// to spare. Infeasible grants (for either engine path, or SCR overflowing —
+// it cannot materialize) are expected per-point outcomes plotted as -1.
 func FirstTupleLatency(o Options) (*Figure, error) {
 	fig := NewFigure("FirstTuple/memory", "first-tuple latency vs memory grant; -1 = infeasible",
 		"grant(MB)", "value",
@@ -36,11 +35,11 @@ func FirstTupleLatency(o Options) (*Figure, error) {
 		cfg := o.config()
 		cfg.MemoryBytes = int64(mb * (1 << 20))
 		mk := o.ablationDeliveries(cfg)
-		govCfg := cfg
-		govCfg.Governor = true
+		gcfg := cfg
+		gcfg.Governor = true
 		points[i] = point{
 			legacy: sw.add(cfg, "DSE", mk, nil),
-			gov:    sw.add(govCfg, "DSE", mk, nil),
+			gov:    sw.add(gcfg, "DSE", mk, nil),
 			scr:    sw.add(cfg, "SCR", mk, nil),
 		}
 	}

@@ -7,13 +7,13 @@ import (
 	"dqs/internal/exec"
 )
 
-// TestGovernedEngineDeterministic puts the governed engine — chunked
-// resident materialization, largest-release-first repair, prefix reuse —
-// through the same differential battery as the legacy engine: worker count
-// and partition count are wall-clock knobs only, the governed run summary
-// must be virtual-nanosecond identical across all of them. Runs at an ample
-// grant and at the 2 MiB pressure point so both the resident fast path and
-// the spill/repair machinery are covered.
+// TestGovernedEngineDeterministic puts the governed engine — temp pages
+// resident under the grant, spilled on demand — through the same
+// differential battery as the legacy engine: worker count and partition
+// count are wall-clock knobs only, the governed run summary must be
+// virtual-nanosecond identical across all of them. Runs at an ample grant
+// and at the 2 MiB pressure point so both the resident fast path and the
+// spill machinery are covered.
 func TestGovernedEngineDeterministic(t *testing.T) {
 	o := Options{Small: true}
 	for _, grant := range []int64{0, 2 << 20} {

@@ -76,9 +76,10 @@ type goldenClass struct {
 // spill), a 1 MiB grant (suspensions and memory-repair splits at planning
 // points), a fault plan covering every failure class — transient stall,
 // burst storm, disconnect/reconnect and a death with replica failover — a
-// death without a replica under PartialResults, and the governed engine
-// (resident materialization, largest-release-first repair, prefix reuse) at
-// an ample grant and at the 2 MiB point with one moderately slowed wrapper.
+// death without a replica under PartialResults, and resident temps
+// (Config.Governor) at an ample grant, at the 2 MiB point with one
+// moderately slowed wrapper, and at 1 MiB, where the governed run must also
+// repair with a §4.2 split.
 func goldenClasses(t *testing.T, o Options) []goldenClass {
 	t.Helper()
 	base := exec.DefaultConfig()
@@ -109,6 +110,10 @@ func goldenClasses(t *testing.T, o Options) []goldenClass {
 		cfg.MemoryBytes = g.bytes
 		classes = append(classes, goldenClass{name: g.name, cfg: cfg, mk: o.ablationDeliveries(cfg)})
 	}
+	governed1 := base
+	governed1.Governor = true
+	governed1.MemoryBytes = 1 << 20
+	classes = append(classes, goldenClass{"governed-1MiB", governed1, uniform, repaired})
 	at := func(rel string, frac float64) int { return int(frac * float64(o.cardOf(rel))) }
 	faults := fmt.Sprintf("C:stall@%d+%v;C:burst@%d+%dx300us;D:drop@%d+%v;A:kill@%d",
 		at("C", 0.10), 20*time.Millisecond, at("C", 0.30), at("C", 0.20),

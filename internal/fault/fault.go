@@ -142,6 +142,9 @@ func (p *Plan) Validate() error {
 			if c.Wait < 0 {
 				return fmt.Errorf("fault: %s burst@%d has negative waiting time %v", c.Source, c.Row, c.Wait)
 			}
+			if c.Wait > sim.MaxWait {
+				return fmt.Errorf("fault: %s burst@%d waiting time %v: %w", c.Source, c.Row, c.Wait, sim.ErrWaitTooLarge)
+			}
 		case Disconnect:
 			if c.Down <= 0 {
 				return fmt.Errorf("fault: %s drop@%d needs a positive outage, got %v", c.Source, c.Row, c.Down)
@@ -171,6 +174,9 @@ func (p *Plan) Validate() error {
 		seen[r.Source] = true
 		if r.Wait < 0 || r.Connect < 0 {
 			return fmt.Errorf("fault: %s replica has negative timing (wait=%v connect=%v)", r.Source, r.Wait, r.Connect)
+		}
+		if r.Wait > sim.MaxWait {
+			return fmt.Errorf("fault: %s replica waiting time %v: %w", r.Source, r.Wait, sim.ErrWaitTooLarge)
 		}
 	}
 	return nil

@@ -78,6 +78,8 @@ func TestParseErrors(t *testing.T) {
 		"C:kill@5;C:stall@9+1s",    // clause after death (Validate)
 		"C:stall@5+1s;C:drop@5+1s", // two faults on one row (Validate)
 		"C:replica;C:replica",      // double replica (Validate)
+		"C:burst@5+3x9223372036s",  // [0, 2w] overflows a Duration (Validate)
+		"C:replica,wait=5000000000s",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {

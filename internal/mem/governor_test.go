@@ -301,47 +301,3 @@ func TestChunkedSpillReloadRoundTrip(t *testing.T) {
 		t.Error("property run never spilled; grant not tight enough to exercise eviction")
 	}
 }
-
-func TestPrefixRegistry(t *testing.T) {
-	store, _, _, _ := newGovernedStore(t, 64*int64(p0(t)))
-	schema := relation.NewSchema("x", "id")
-	open := store.Create("open", schema)
-	closed := store.Create("closed", schema)
-	closed.Append(relation.Tuple{1})
-	closed.Close()
-
-	// Unclosed temps, nil temps and empty signatures are never registered.
-	store.RegisterPrefix("Q/c1#[0:2)|queue", open)
-	store.RegisterPrefix("", closed)
-	store.RegisterPrefix("Q/c1#[0:2)|nil", nil)
-	if _, ok := store.ReusePrefix("Q/c1#[0:2)|queue"); ok {
-		t.Error("unclosed temp was registered")
-	}
-	if store.PrefixHits() != 0 {
-		t.Errorf("PrefixHits = %d before any hit", store.PrefixHits())
-	}
-
-	store.RegisterPrefix("Q/c1#[0:2)|queue", closed)
-	store.RegisterPrefix("Q/c2#[0:3)|queue", closed)
-	got, ok := store.ReusePrefix("Q/c1#[0:2)|queue")
-	if !ok || got != closed {
-		t.Fatal("registered prefix not found")
-	}
-	if store.PrefixHits() != 1 {
-		t.Errorf("PrefixHits = %d, want 1", store.PrefixHits())
-	}
-
-	// Invalidation is by signature prefix: dropping chain c1 keeps c2.
-	store.InvalidatePrefixes("Q/c1#")
-	if _, ok := store.ReusePrefix("Q/c1#[0:2)|queue"); ok {
-		t.Error("invalidated prefix still served")
-	}
-	if _, ok := store.ReusePrefix("Q/c2#[0:3)|queue"); !ok {
-		t.Error("unrelated prefix invalidated")
-	}
-	// An empty key prefix clears everything; Reclaim does too.
-	store.InvalidatePrefixes("")
-	if _, ok := store.ReusePrefix("Q/c2#[0:3)|queue"); ok {
-		t.Error("prefix survived a full invalidation")
-	}
-}

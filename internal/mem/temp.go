@@ -26,11 +26,6 @@ type TempStore struct {
 	// cannot cover them at all).
 	gov     *Governor
 	chunked bool
-	// prefixes indexes closed materializations by fragment step signature so
-	// a replan that re-creates the same segment can adopt the prefix it
-	// already paid for instead of re-materializing it.
-	prefixes   map[string]*Temp
-	prefixHits int
 }
 
 // IntRecycler supplies and reclaims flat []int64 arenas, so temp-relation
@@ -72,45 +67,6 @@ func (s *TempStore) pageBytes() int64 {
 	return int64(s.params.TuplesPerPage()) * int64(s.params.TupleSize)
 }
 
-// RegisterPrefix publishes a closed temp under a fragment step signature so
-// a later replan of the same steps can reuse it. Re-registering a signature
-// keeps the newest temp.
-func (s *TempStore) RegisterPrefix(sig string, t *Temp) {
-	if sig == "" || t == nil || !t.closed {
-		return
-	}
-	if s.prefixes == nil {
-		s.prefixes = make(map[string]*Temp)
-	}
-	s.prefixes[sig] = t
-}
-
-// ReusePrefix looks up an already-materialized prefix by signature. A hit
-// hands back the temp (still registered: several replans may consult it) and
-// counts toward PrefixHits.
-func (s *TempStore) ReusePrefix(sig string) (*Temp, bool) {
-	t, ok := s.prefixes[sig]
-	if ok {
-		s.prefixHits++
-	}
-	return t, ok
-}
-
-// InvalidatePrefixes drops every registered prefix whose signature starts
-// with keyPrefix — called on structural plan changes (splits, degradation
-// swaps), where the old materialization no longer matches the new segment
-// boundaries. An empty keyPrefix clears everything.
-func (s *TempStore) InvalidatePrefixes(keyPrefix string) {
-	for sig := range s.prefixes {
-		if len(sig) >= len(keyPrefix) && sig[:len(keyPrefix)] == keyPrefix {
-			delete(s.prefixes, sig)
-		}
-	}
-}
-
-// PrefixHits returns how many ReusePrefix calls found a reusable temp.
-func (s *TempStore) PrefixHits() int { return s.prefixHits }
-
 // Reclaim hands every created temp's tuple arena back to the pool. The
 // store and its temps must not be used afterwards: callers reclaim only
 // when the whole simulated run is over.
@@ -123,7 +79,6 @@ func (s *TempStore) Reclaim() {
 		}
 	}
 	s.temps = nil
-	s.prefixes = nil
 }
 
 // Create opens a new temporary relation with the given schema, written with
@@ -136,7 +91,6 @@ func (s *TempStore) Create(name string, schema *relation.Schema) *Temp {
 		store:   s,
 		name:    name,
 		object:  obj,
-		schema:  schema,
 		width:   schema.Width(),
 		chunked: s.chunked,
 	}
@@ -205,7 +159,6 @@ type Temp struct {
 	store  *TempStore
 	name   string
 	object int
-	schema *relation.Schema
 
 	sync      bool
 	width     int     // values per tuple, from the schema
@@ -227,12 +180,6 @@ type Temp struct {
 	resScan       int   // lowest index that can still be resident (spill cursor)
 	inSpillList   bool  // listed in the governor's spill-candidate set
 }
-
-// Name returns the temp relation's name.
-func (t *Temp) Name() string { return t.name }
-
-// Schema returns the tuple layout.
-func (t *Temp) Schema() *relation.Schema { return t.schema }
 
 // Len returns the number of appended tuples.
 func (t *Temp) Len() int { return t.nrows }

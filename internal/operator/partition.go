@@ -26,15 +26,6 @@ type PartitionedHashTable struct {
 	shift uint
 }
 
-// ceilPow2 returns the smallest power of two >= n (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
-}
-
 // NewPartitioned creates a table of the given power-of-two partition count
 // keyed on the keyIdx-th column of inserted tuples.
 func NewPartitioned(keyIdx, parts int) *PartitionedHashTable {

@@ -84,12 +84,6 @@ type Node struct {
 // Parent returns the consumer of this node's output (nil for the root).
 func (n *Node) Parent() *Node { return n.parent }
 
-// IsBuildChild reports whether n feeds the blocking (build) input of its
-// parent.
-func (n *Node) IsBuildChild() bool {
-	return n.parent != nil && n.parent.Kind == KindHashJoin && n.parent.Build == n
-}
-
 // Builder constructs well-formed QEPs with sequential node IDs.
 type Builder struct {
 	nextID int

@@ -22,9 +22,6 @@ type Arena struct {
 // Reset must no longer be referenced.
 func (a *Arena) Reset() { a.buf = a.buf[:0] }
 
-// Len returns the number of values currently held.
-func (a *Arena) Len() int { return len(a.buf) }
-
 // Concat returns a tuple holding left's values followed by right's, backed
 // by the arena. If growing the arena relocates its backing store, tuples
 // handed out earlier keep pointing at the old store and stay intact.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -30,8 +32,17 @@ func (g *RNG) Fork(id int64) *RNG {
 	return NewRNG(int64(z))
 }
 
+// MaxWait is the largest mean waiting time UniformDelay can draw for: the
+// interval [0, 2w] must fit a time.Duration (about 146 years). Whoever
+// accepts a waiting time from outside refuses more with ErrWaitTooLarge.
+const MaxWait = time.Duration(math.MaxInt64 / 2)
+
+// ErrWaitTooLarge reports a mean waiting time above MaxWait.
+var ErrWaitTooLarge = errors.New("waiting time exceeds the largest drawable mean (" + MaxWait.String() + ")")
+
 // UniformDelay draws one tuple-production delay uniformly from [0, 2w],
-// the paper's §5.1.3 methodology, so that the average waiting time is w.
+// the paper's §5.1.3 methodology, so that the average waiting time is w
+// (at most MaxWait).
 func (g *RNG) UniformDelay(w time.Duration) time.Duration {
 	if w <= 0 {
 		return 0

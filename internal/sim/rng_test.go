@@ -54,6 +54,10 @@ func TestUniformDelayBounds(t *testing.T) {
 	if g.UniformDelay(-time.Second) != 0 {
 		t.Error("UniformDelay(negative) != 0")
 	}
+	// MaxWait is the largest mean whose [0, 2w] still fits a Duration.
+	if d := g.UniformDelay(MaxWait); d < 0 {
+		t.Errorf("UniformDelay(MaxWait) = %v", d)
+	}
 }
 
 func TestUniformDelayMean(t *testing.T) {

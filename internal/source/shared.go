@@ -83,6 +83,9 @@ func validateSchedule(s *Source) error {
 		if ph.W < 0 {
 			return fmt.Errorf("source %q: negative waiting time %v", s.name, ph.W)
 		}
+		if ph.W > sim.MaxWait {
+			return fmt.Errorf("source %q: waiting time %v: %w", s.name, ph.W, sim.ErrWaitTooLarge)
+		}
 	}
 	if s.initialDelay < 0 {
 		return fmt.Errorf("source %q: negative initial delay", s.name)
@@ -116,10 +119,6 @@ func (sh *Shared) detach() {
 	}
 	sh.refs--
 }
-
-// SharedStream returns the shared stream this source taps, or nil for a
-// private wrapper.
-func (s *Source) SharedStream() *Shared { return s.shared }
 
 // Detach permanently disconnects the source from its queue: it stops
 // pumping (a cancelled query's queues receive nothing further; credits

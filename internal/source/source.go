@@ -60,7 +60,6 @@ type Source struct {
 	frng    *sim.RNG
 	fidx    int
 	dead    bool
-	deadAt  time.Duration
 	outages []fault.Outage
 
 	// standby marks a replica built inactive: it neither registers as the
@@ -286,13 +285,6 @@ func (s *Source) Dead() bool {
 	return s.dead
 }
 
-// DeadAt returns the virtual instant of a dead source's failure (the send
-// time of its last delivered tuple).
-func (s *Source) DeadAt() time.Duration {
-	s.q.Settle()
-	return s.deadAt
-}
-
 // Outages returns the delivery interruptions recorded so far, in row order.
 // The eager pump records an outage when it produces the row it strikes, so
 // entries can carry future timestamps; callers surface them when virtual
@@ -435,7 +427,6 @@ func (s *Source) produce(floor time.Duration, owed int) {
 			// tuple; that send instant dates the outage.
 			s.fidx++
 			s.dead = true
-			s.deadAt = s.startAt
 			s.outages = append(s.outages, fault.Outage{From: s.startAt, Permanent: true})
 			break
 		}

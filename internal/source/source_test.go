@@ -1,6 +1,8 @@
 package source
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,6 +219,14 @@ func TestSourceOptionValidation(t *testing.T) {
 	}
 	if err := mk(WithInitialDelay(-time.Second)); err == nil {
 		t.Error("negative initial delay accepted")
+	}
+	// [0, 2w] must fit a time.Duration: one nanosecond past the bound is a
+	// named error, not an Int63n panic at the first draw.
+	if err := mk(WithMeanWait(sim.MaxWait + 1)); !errors.Is(err, sim.ErrWaitTooLarge) || !strings.Contains(err.Error(), `"W"`) {
+		t.Errorf("waiting time past sim.MaxWait: err = %v, want ErrWaitTooLarge naming the source", err)
+	}
+	if _, err := NewShared("W", tab, sim.NewRNG(1), WithMeanWait(sim.MaxWait+1)); !errors.Is(err, sim.ErrWaitTooLarge) {
+		t.Errorf("shared stream past sim.MaxWait: err = %v, want ErrWaitTooLarge", err)
 	}
 }
 
