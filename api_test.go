@@ -206,7 +206,7 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 	}
 
 	// Foreign runs: larger tables and arenas, other strategies' temps, a
-	// governed grant, the parallel lanes, and many queries on one mediator.
+	// governed grant, and many queries on one mediator.
 	full, err := Fig5(2)
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +215,9 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 		{Workload: full, Config: DefaultConfig(), Strategy: MA, Deliveries: UniformDeliveries(full, 20*time.Microsecond)},
 		{Workload: full, Config: DefaultConfig(), Strategy: SCR, Deliveries: UniformDeliveries(full, 20*time.Microsecond)},
 		{Workload: small, Config: DefaultConfig(), Strategy: DSE, Deliveries: del},
-		{Workload: small, Config: DefaultConfig(), Strategy: DSE, Deliveries: del},
 	}
 	foreign[2].Config.Governor = true
 	foreign[2].Config.MemoryBytes = 1600 << 10
-	foreign[3].Config.Workers = 8
 	for i, f := range foreign {
 		if _, err := Run(f); err != nil {
 			t.Fatalf("foreign run %d: %v", i, err)
@@ -282,6 +280,40 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 			t.Fatalf("concurrent run %d: %v", i, o.err)
 		}
 		check(fmt.Sprintf("concurrent run %d", i), o.res, o.sum)
+	}
+}
+
+// TestRunIsSingleGoroutine pins that a run never leaves its caller's
+// goroutine, whatever Config.Workers says: the field is kept for bench/ and
+// read by nothing. Instantaneous deliveries hand the engine full 256-slot
+// batches — the shape the deleted worker pool engaged on — and the sink,
+// called mid-phase, must never see a goroutine the caller did not have.
+func TestRunIsSingleGoroutine(t *testing.T) {
+	w, err := Fig5Small(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := RunSpec{Workload: w, Config: DefaultConfig(), Strategy: DSE}
+	want, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, peak := runtime.NumGoroutine(), 0
+	spec.Config.Workers = 8
+	spec.Config.Stream = SinkFunc(func(time.Duration, Tuple) {
+		if n := runtime.NumGoroutine(); n > peak {
+			peak = n
+		}
+	})
+	got, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.OutputRows == 0 || peak != base {
+		t.Errorf("Workers=8 run emitted %d rows with a goroutine peak of %d, %d before the run", got.OutputRows, peak, base)
+	}
+	if !got.Equal(want) {
+		t.Errorf("Workers=8 diverged from Workers=0:\n0: %+v\n8: %+v", want, got)
 	}
 }
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dqsbench [-exp all|table1|fig5|fig6|fig7|fig8|position|resilience|multiquery|serverload|firsttuple|ablations] \
-//	         [-reps N] [-parallel N] [-workers N] [-governor] \
+//	         [-reps N] [-parallel N] [-governor] \
 //	         [-small] [-csv] [-chart] \
 //	         [-plan-cache] [-faults SPEC] [-fault-seed N] \
 //	         [-cpuprofile FILE] [-memprofile FILE]
@@ -14,11 +14,10 @@
 //
 // Every sweep is a grid of independent deterministic simulator runs
 // (cells); -parallel bounds the worker pool executing them (default:
-// GOMAXPROCS), and -workers bounds the intra-run pool the parallel join
-// kernels use inside each simulation (default: GOMAXPROCS). Both change
-// wall-clock time only — the reported virtual times, and therefore the
-// printed figures, are byte-identical at any setting of either. A per-cell
-// profiling summary goes to stderr.
+// GOMAXPROCS). Each simulation is serial, so -parallel changes wall-clock
+// time only — the reported virtual times, and therefore the printed figures,
+// are byte-identical at any setting. A per-cell profiling summary goes to
+// stderr.
 package main
 
 import (
@@ -53,7 +52,6 @@ func main() {
 		exp        = flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames, ", "))
 		reps       = flag.Int("reps", 3, "measurement repetitions (paper: 3)")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulator runs; figure output is identical at any setting")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "intra-run worker pool of the parallel join kernels; figure output is identical at any setting")
 		governor   = flag.Bool("governor", false, "run every sweep with the budget-aware materialization governor enabled (the firsttuple experiment compares both paths regardless)")
 		small      = flag.Bool("small", false, "run at 1/10 scale (fast)")
 		csv        = flag.Bool("csv", false, "also print CSV data")
@@ -80,7 +78,7 @@ func main() {
 			f.Close()
 		}()
 	}
-	err := run(*exp, *reps, *parallel, *workers, *governor, *small, *csv, *chart, *planCache, *faults, *faultSeed)
+	err := run(*exp, *reps, *parallel, *governor, *small, *csv, *chart, *planCache, *faults, *faultSeed)
 	if err == nil && *memprofile != "" {
 		err = writeMemProfile(*memprofile)
 	}
@@ -106,15 +104,12 @@ func writeMemProfile(path string) error {
 	return pprof.Lookup("allocs").WriteTo(f, 0)
 }
 
-func run(exp string, reps, parallel, workers int, governor, small, csv, chart, planCache bool, faults string, faultSeed int64) error {
+func run(exp string, reps, parallel int, governor, small, csv, chart, planCache bool, faults string, faultSeed int64) error {
 	if reps < 1 {
 		return fmt.Errorf("-reps must be at least 1, got %d", reps)
 	}
 	if parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", parallel)
-	}
-	if workers < 1 {
-		return fmt.Errorf("-workers must be at least 1, got %d", workers)
 	}
 	o := experiment.DefaultOptions()
 	o.Small = small
@@ -126,7 +121,6 @@ func run(exp string, reps, parallel, workers int, governor, small, csv, chart, p
 		o.Seeds = append(o.Seeds, int64(i))
 	}
 	cfg := o.ExecConfig()
-	cfg.Workers = workers
 	cfg.Governor = governor
 	if faults != "" {
 		plan, err := fault.Parse(faults)

@@ -6,7 +6,7 @@
 //
 //	dqsrun [-strategy NAME] [-small] [-slow REL=RETRIEVAL_SECONDS]...
 //	       [-wmin DUR] [-mem MB] [-bmt F] [-trace] [-gantt] [-seed N]
-//	       [-workers N] [-governor] [-stream]
+//	       [-governor] [-stream]
 //	       [-faults SPEC] [-fault-seed N] [-partial]
 //	       [-plan-cache] [-list-strategies]
 //
@@ -36,7 +36,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -82,7 +81,6 @@ func main() {
 		trace     = flag.Bool("trace", false, "dump the execution trace")
 		gantt     = flag.Bool("gantt", false, "draw a Gantt chart of fragment lifetimes")
 		seed      = flag.Int64("seed", 1, "random seed (data and delays)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "intra-run worker pool of the parallel join kernels; the run summary is identical at any setting")
 		governor  = flag.Bool("governor", false, "let temps keep freshly written pages resident under the memory grant (a quarter of it at most, spilled on demand) instead of writing each one through")
 		stream    = flag.Bool("stream", false, "stream result tuples as they are produced and print the output ramp")
 		faults    = flag.String("faults", "", "fault scenario, e.g. 'C:burst@100+500x300us;D:kill@5000;D:replica,connect=50ms'")
@@ -97,7 +95,7 @@ func main() {
 		listStrategies(os.Stdout)
 		return
 	}
-	if err := run(*strategy, *small, *wmin, *memMB, *bmt, *trace, *gantt, *seed, *workers, *governor, *stream, *faults, *faultSeed, *partial, *planCache, slow); err != nil {
+	if err := run(*strategy, *small, *wmin, *memMB, *bmt, *trace, *gantt, *seed, *governor, *stream, *faults, *faultSeed, *partial, *planCache, slow); err != nil {
 		fmt.Fprintln(os.Stderr, "dqsrun:", err)
 		os.Exit(1)
 	}
@@ -127,10 +125,7 @@ func listStrategies(w io.Writer) {
 	}
 }
 
-func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, trace, gantt bool, seed int64, workers int, governor, stream bool, faults string, faultSeed int64, partial, planCache bool, slow slowFlags) error {
-	if workers < 1 {
-		return fmt.Errorf("-workers must be at least 1, got %d", workers)
-	}
+func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, trace, gantt bool, seed int64, governor, stream bool, faults string, faultSeed int64, partial, planCache bool, slow slowFlags) error {
 	mem, err := memBytes(memMB)
 	if err != nil {
 		return err
@@ -146,7 +141,6 @@ func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, tr
 	}
 	cfg := dqs.DefaultConfig()
 	cfg.Seed = seed
-	cfg.Workers = workers
 	cfg.Governor = governor
 	cfg.MemoryBytes = mem
 	cfg.BMT = bmt
@@ -178,8 +172,16 @@ func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, tr
 			return err
 		}
 		for _, rel := range plan.Sources() {
-			if _, err := dqs.Cardinality(w, rel); err != nil {
+			card, err := dqs.Cardinality(w, rel)
+			if err != nil {
 				return fmt.Errorf("-faults: %w", err)
+			}
+			// A clause strikes as its row is produced; one at or past the
+			// relation's end would silently never fire.
+			for _, c := range plan.ClausesFor(rel) {
+				if c.Row >= card {
+					return fmt.Errorf("-faults: %s:%v@%d can never strike: %s has %d rows", rel, c.Kind, c.Row, rel, card)
+				}
 			}
 		}
 		cfg.Faults = plan

@@ -46,25 +46,25 @@ func TestRunSmallestEndToEnd(t *testing.T) {
 	// workload with every strategy.
 	const wmin = 20 * time.Microsecond
 	for _, strat := range []string{"SEQ", "MA", "DSE", "SCR"} {
-		if err := run(strat, true, wmin, 64, 1, false, false, 1, 2, false, false, "", 1, false, true, slowFlags{"A": 0.5}); err != nil {
+		if err := run(strat, true, wmin, 64, 1, false, false, 1, false, false, "", 1, false, true, slowFlags{"A": 0.5}); err != nil {
 			t.Errorf("%s: %v", strat, err)
 		}
 	}
-	if err := run("BOGUS", true, wmin, 64, 1, false, false, 1, 1, false, false, "", 1, false, false, nil); err == nil {
+	if err := run("BOGUS", true, wmin, 64, 1, false, false, 1, false, false, "", 1, false, false, nil); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if err := run("SEQ", true, wmin, 64, 1, false, false, 1, 1, false, false, "", 1, false, false, slowFlags{"ZZ": 1}); err == nil {
+	if err := run("SEQ", true, wmin, 64, 1, false, false, 1, false, false, "", 1, false, false, slowFlags{"ZZ": 1}); err == nil {
 		t.Error("unknown slow relation accepted")
 	}
 	// Fault flags: a full scenario (disconnect + death + failover) and the
 	// partial-result path both complete through the command entry point.
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, false, false, "C:drop@500+40ms;D:kill@700;D:replica,connect=10ms", 1, false, false, nil); err != nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, false, "C:drop@500+40ms;D:kill@700;D:replica,connect=10ms", 1, false, false, nil); err != nil {
 		t.Errorf("fault scenario: %v", err)
 	}
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, false, false, "D:kill@700", 1, true, false, nil); err != nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, false, "D:kill@700", 1, true, false, nil); err != nil {
 		t.Errorf("partial-result scenario: %v", err)
 	}
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, 1, false, false, "D:bogus@1", 1, false, false, nil); err == nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, false, "D:bogus@1", 1, false, false, nil); err == nil {
 		t.Error("malformed fault spec accepted")
 	}
 }
@@ -76,7 +76,7 @@ func TestRunGovernorAndStream(t *testing.T) {
 	const wmin = 20 * time.Microsecond
 	// The governed engine under memory pressure, with streaming delivery on:
 	// the run must complete through the command path end to end.
-	if err := run("DSE", true, wmin, 1, 1, false, false, 1, 2, true, true, "", 1, false, false, slowFlags{"A": 0.5}); err != nil {
+	if err := run("DSE", true, wmin, 1, 1, false, false, 1, true, true, "", 1, false, false, slowFlags{"A": 0.5}); err != nil {
 		t.Errorf("governed stream run: %v", err)
 	}
 }
@@ -95,24 +95,13 @@ func TestListStrategies(t *testing.T) {
 	}
 }
 
-func TestRunRejectsNonPositiveWorkers(t *testing.T) {
-	for _, workers := range []int{0, -2} {
-		err := run("SEQ", true, 20*time.Microsecond, 64, 1, false, false, 1, workers, false, false, "", 1, false, false, nil)
-		if err == nil {
-			t.Fatalf("workers=%d accepted; a non-positive intra-run pool must not silently fall back to serial", workers)
-		}
-		if !strings.Contains(err.Error(), "-workers") {
-			t.Errorf("workers=%d: error %q does not name the flag", workers, err)
-		}
-	}
-}
-
 // TestRunRejectsNonFiniteNumbers: a -mem or -bmt that is not a usable number
 // is refused by name, not converted into a garbage grant or run silently; a
 // waiting time whose [0, 2w] draw interval overflows a time.Duration (-wmin,
 // a burst or replica wait in -faults) is an error naming the source and the
 // value, not an Int63n panic; and -faults naming a relation the workload
-// does not have is refused like -slow does.
+// does not have, or a row the relation does not reach, is refused like -slow
+// does.
 func TestRunRejectsNonFiniteNumbers(t *testing.T) {
 	const wmin = 20 * time.Microsecond
 	for _, tc := range []struct {
@@ -133,8 +122,9 @@ func TestRunRejectsNonFiniteNumbers(t *testing.T) {
 		{64, 1, wmin, "A:kill@5;A:replica,wait=9223372036s", []string{"A replica", "2562047h47m16s"}},
 		{64, 1, wmin, "Z:kill@5", []string{"-faults", `"Z"`}},
 		{64, 1, wmin, "A:kill@5;Z:replica", []string{"-faults", `"Z"`}},
+		{64, 1, wmin, "A:kill@99999999", []string{"-faults", "A:kill@99999999", "15000 rows"}},
 	} {
-		err := run("SEQ", true, tc.wmin, tc.memMB, tc.bmt, false, false, 1, 1, false, false, tc.faults, 1, false, false, nil)
+		err := run("SEQ", true, tc.wmin, tc.memMB, tc.bmt, false, false, 1, false, false, tc.faults, 1, false, false, nil)
 		if err == nil {
 			t.Errorf("%+v accepted", tc)
 			continue

@@ -11,7 +11,7 @@
 //	dqsserve [-n N] [-small] [-seed N] [-mode isolated|fused]
 //	         [-max-active N] [-discipline fifo|priority]
 //	         [-fair global|roundrobin|weighted] [-interarrival DUR]
-//	         [-timeout DUR] [-wmin DUR] [-mem MB] [-workers N]
+//	         [-timeout DUR] [-wmin DUR] [-mem MB]
 //	         [-governor] [-shared-streams] [-stream]
 //
 // Example: four small queries through a two-slot isolated server —
@@ -37,7 +37,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"dqs"
@@ -55,7 +54,6 @@ type options struct {
 	timeout       time.Duration
 	wmin          time.Duration
 	memMB         float64
-	workers       int
 	governor      bool
 	sharedStreams bool
 	stream        bool
@@ -74,7 +72,6 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 0, "per-query execution timeout (0 = none); timed-out queries are cancelled at a planning point")
 	flag.DurationVar(&o.wmin, "wmin", 20*time.Microsecond, "baseline per-tuple waiting time of every wrapper")
 	flag.Float64Var(&o.memMB, "mem", 64, "memory grant in MB (per query isolated, shared fused)")
-	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "intra-run worker pool; reports are identical at any setting")
 	flag.BoolVar(&o.governor, "governor", false, "enable the budget-aware materialization governor")
 	flag.BoolVar(&o.sharedStreams, "shared-streams", false, "share physical wrapper streams across queries (fused mode; all queries run the same workload instance)")
 	flag.BoolVar(&o.stream, "stream", false, "attach per-query sinks and report first-tuple latencies from them")
@@ -88,6 +85,12 @@ func main() {
 func run(w io.Writer, o options) error {
 	if o.n < 1 {
 		return fmt.Errorf("-n must be at least 1, got %d", o.n)
+	}
+	if o.maxActive < 0 {
+		return fmt.Errorf("-max-active must be non-negative (0 = unbounded), got %d", o.maxActive)
+	}
+	if o.timeout < 0 {
+		return fmt.Errorf("-timeout must be non-negative (0 = none), got %v", o.timeout)
 	}
 	mode, err := dqs.ParseServerMode(o.mode)
 	if err != nil {
@@ -107,7 +110,6 @@ func run(w io.Writer, o options) error {
 	}
 	cfg := dqs.DefaultConfig()
 	cfg.Seed = o.seed
-	cfg.Workers = o.workers
 	cfg.Governor = o.governor
 	cfg.MemoryBytes = mem
 	cfg.InitialWaitEstimate = o.wmin

@@ -19,7 +19,6 @@ func baseOptions() options {
 		interarrival: time.Millisecond,
 		wmin:         20 * time.Microsecond,
 		memMB:        64,
-		workers:      1,
 	}
 }
 
@@ -61,6 +60,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		want   []string // the error must mention each
 	}{
 		{func(o *options) { o.n = 0 }, []string{"-n"}},
+		{func(o *options) { o.maxActive = -1 }, []string{"-max-active", "-1"}},
+		{func(o *options) { o.timeout = -time.Second }, []string{"-timeout", "-1s"}},
 		{func(o *options) { o.mode = "bogus" }, []string{"bogus"}},
 		{func(o *options) { o.discipline = "bogus" }, []string{"bogus"}},
 		{func(o *options) { o.fair = "bogus" }, []string{"bogus"}},

@@ -85,8 +85,8 @@ type (
 	SinkFunc = exec.SinkFunc
 )
 
-// AutoPartitions returns the hash-table partition count the engine uses at
-// a worker count (Config.Workers).
+// AutoPartitions is read by nothing in the engine, which is serial. Kept only
+// because bench/ calls it — remove with the next [benchmark] PR.
 func AutoPartitions(workers int) int { return exec.AutoPartitions(workers) }
 
 // NewDecompositionCache returns an empty decomposition cache for

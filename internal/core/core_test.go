@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"dqs/internal/exec"
+	"dqs/internal/relation"
 	"dqs/internal/sim"
 	"dqs/internal/source"
 	"dqs/internal/workload"
@@ -328,4 +330,40 @@ func TestDSETraceRecordsSchedulingActivity(t *testing.T) {
 	if tr.Count(sim.EvFragmentEnd) == 0 {
 		t.Error("no fragment completions traced")
 	}
+}
+
+// canarySink is a result sink whose canary lets a test tell when the run it
+// was wired into has become garbage.
+type canarySink struct{ canary *[64]byte }
+
+func (canarySink) Emit(time.Duration, relation.Tuple) {}
+
+// TestFinishedRunIsCollectable: once an engine has run to completion and the
+// caller drops it, nothing — no pooled scratch, no package-level state — may
+// keep the run's state reachable.
+func TestFinishedRunIsCollectable(t *testing.T) {
+	w := smallFig5(t)
+	collected := make(chan struct{})
+	func() {
+		cfg := testConfig()
+		sink := canarySink{canary: new([64]byte)}
+		runtime.SetFinalizer(sink.canary, func(*[64]byte) { close(collected) })
+		cfg.Stream = sink
+		res, err := runOn(newRT(t, w, cfg, uniform(w, 0)), "DSE")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OutputRows == 0 {
+			t.Fatal("run produced no rows")
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Error("the finished run's state is still reachable after it was dropped")
 }

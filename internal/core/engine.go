@@ -117,7 +117,7 @@ func (e *Engine) Step() (bool, error) {
 	if debugSchedule {
 		fmt.Printf("DBG t=%v used=%d SP=[%s]\n", med.Now(), med.Mem.Used(), spLabels(sp.Frags))
 	}
-	ev, err := e.runPhase(sp)
+	ev, err := e.processPhase(sp)
 	if err != nil {
 		return false, err
 	}
@@ -125,15 +125,6 @@ func (e *Engine) Step() (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// runPhase is processPhase inside the mediator's phase bracket: the worker
-// pool's helpers live from the phase's first parallel batch until it
-// returns, on every path out — event, error or panic.
-func (e *Engine) runPhase(sp SchedulingPlan) (Event, error) {
-	e.med.BeginPhase()
-	defer e.med.EndPhase()
-	return e.processPhase(sp)
 }
 
 // Finalize builds the per-query results in attachment order. Call it once,

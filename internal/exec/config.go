@@ -32,8 +32,8 @@ type Delivery struct {
 // Config is what a caller may set about one query execution. A field is here
 // because two callers that exist need different values, or because it hands
 // the engine a resource: a cache, a sink, a trace. Everything else — the
-// scrambling time-out, the retry schedule, the CM's rate-change factor, the
-// hash-table partition count — is a constant beside the code that reads it.
+// scrambling time-out, the retry schedule, the CM's rate-change factor — is a
+// constant beside the code that reads it.
 type Config struct {
 	// Cost model.
 
@@ -74,15 +74,9 @@ type Config struct {
 	// before the CM has observed arrivals; the natural choice is the
 	// no-problem delivery time w_min.
 	InitialWaitEstimate time.Duration
-	// Workers bounds the intra-run worker pool that parallelizes the join
-	// kernels: partition-parallel hash builds and probe-cascade
-	// precomputation run across up to Workers goroutines, with a
-	// deterministic input-ordered merge applying every cost charge, window
-	// credit and sink, so emitted tuples, virtual times and figure bytes
-	// are identical at any setting. 0 or 1 (the default) runs serially —
-	// the experiment harness already parallelizes across cells, so
-	// intra-run workers are opt-in (CLIs default them to GOMAXPROCS). The
-	// join hash tables take AutoPartitions(Workers) radix partitions.
+	// Workers is read by nothing: the engine is serial (DESIGN.md §5 "Why
+	// the engine is serial"). Kept only because bench/ assigns it — remove
+	// with the next [benchmark] PR.
 	Workers int
 	// Plans, when non-nil, memoizes pipeline-chain decompositions keyed by
 	// plan root, so repeated runs of the same (immutable) plan share one
@@ -130,23 +124,15 @@ type Config struct {
 	Trace *sim.Trace
 }
 
-// maxAutoPartitions caps the automatic partition count: more partitions
-// than this buys no extra build parallelism at realistic worker counts but
-// multiplies per-partition fixed storage.
-const maxAutoPartitions = 64
-
-// partitions returns the hash-table partition count of the worker count.
-func (c Config) partitions() int { return AutoPartitions(c.Workers) }
-
-// AutoPartitions returns the hash-table partition count the engine uses at a
-// worker count: one partition for serial runs, otherwise a power of two
-// giving the workers scatter balance, capped at maxAutoPartitions.
+// AutoPartitions is the partition count the deleted parallel build used at a
+// worker count; the engine reads it nowhere. Kept only because bench/ calls
+// it — remove with the next [benchmark] PR.
 func AutoPartitions(workers int) int {
 	if workers <= 1 {
 		return 1
 	}
 	p := 1
-	for p < 4*workers && p < maxAutoPartitions {
+	for p < 4*workers && p < 64 {
 		p *= 2
 	}
 	return p
@@ -191,8 +177,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("exec: InitialWaitEstimate must be non-negative, got %v", c.InitialWaitEstimate)
 	case c.PrefetchPages < 1:
 		return fmt.Errorf("exec: PrefetchPages must be at least 1, got %d", c.PrefetchPages)
-	case c.Workers < 0:
-		return fmt.Errorf("exec: Workers must be non-negative, got %d", c.Workers)
 	}
 	return c.Faults.Validate()
 }

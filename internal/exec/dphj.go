@@ -113,10 +113,10 @@ func RunDPHJ(rt *Runtime) (Result, error) {
 // symJoin is one symmetric join: hash tables on both inputs.
 type symJoin struct {
 	node       *plan.Node
-	buildTable *operator.PartitionedHashTable // over tuples arriving from the Build subtree
-	probeTable *operator.PartitionedHashTable // over tuples arriving from the Probe subtree
-	buildIdx   int                            // key index in Build-side tuples
-	probeIdx   int                            // key index in Probe-side tuples
+	buildTable *operator.HashTable // over tuples arriving from the Build subtree
+	probeTable *operator.HashTable // over tuples arriving from the Probe subtree
+	buildIdx   int                 // key index in Build-side tuples
+	probeIdx   int                 // key index in Probe-side tuples
 
 	parent    *symJoin
 	fromBuild bool // whether this join's output feeds the parent's Build side
@@ -155,8 +155,8 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 		case plan.KindHashJoin:
 			sj := &symJoin{
 				node:       n,
-				buildTable: s.Table(n.Build.Schema.MustIndexOf(n.BuildKey), rt.Cfg.partitions()),
-				probeTable: s.Table(n.Probe.Schema.MustIndexOf(n.ProbeKey), rt.Cfg.partitions()),
+				buildTable: s.Table(n.Build.Schema.MustIndexOf(n.BuildKey)),
+				probeTable: s.Table(n.Probe.Schema.MustIndexOf(n.ProbeKey)),
 				buildIdx:   n.Build.Schema.MustIndexOf(n.BuildKey),
 				probeIdx:   n.Probe.Schema.MustIndexOf(n.ProbeKey),
 				parent:     parent,

@@ -66,6 +66,16 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigWorkersValidation pins the residue bench/ still compiles against:
+// AutoPartitions maps 1/2/8/16 workers to 1/8/32/64 partitions.
+func TestConfigWorkersValidation(t *testing.T) {
+	for _, tc := range []struct{ workers, parts int }{{0, 1}, {1, 1}, {2, 8}, {8, 32}, {16, 64}, {1000, 64}} {
+		if got := AutoPartitions(tc.workers); got != tc.parts {
+			t.Errorf("AutoPartitions(%d) = %d, want %d", tc.workers, got, tc.parts)
+		}
+	}
+}
+
 func TestNewRuntimeErrors(t *testing.T) {
 	w := smallFig5(t)
 	cfg := testConfig()

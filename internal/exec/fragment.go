@@ -93,47 +93,6 @@ type Fragment struct {
 	rowBuf   relation.Tuple
 	colBatch *relation.Batch
 	passBuf  []bool
-
-	// lanes are the per-worker scratch of the parallel batch path (one per
-	// chunk of the largest batch seen); empty on serial configurations.
-	lanes []parLane
-}
-
-// parLane is one worker's private state in the parallel batch path: scratch
-// for running cascades (arena, swap buffers, columnar gather row) plus the
-// chunk's precomputed results — flattened outputs, per-input output counts
-// and per-input CPU durations — which the serial input-ordered merge then
-// replays. Lanes never touch the clock, the input source or any other
-// shared run state, so chunks run concurrently without synchronization.
-type parLane struct {
-	arena   relation.Arena
-	curBuf  []relation.Tuple
-	nextBuf []relation.Tuple
-	outs    []relation.Tuple
-	cnts    []int64
-	durs    []time.Duration
-	rowBuf  relation.Tuple // wrapper-fed: private gather row
-}
-
-// reset clears the lane's per-batch results; scratch capacity is kept.
-func (ln *parLane) reset() {
-	ln.arena.Reset()
-	ln.outs = ln.outs[:0]
-	ln.cnts = ln.cnts[:0]
-	ln.durs = ln.durs[:0]
-}
-
-// run pushes one input tuple through the fragment's cascade on this lane's
-// private scratch and records its outputs, output count and CPU duration.
-// Output headers are copied into the lane's flat result list; their values
-// live in the lane arena, which is only reset between batches, so they
-// survive until the merge.
-func (ln *parLane) run(f *Fragment, t relation.Tuple) {
-	outs, cur, next, d := f.cascade(t, &ln.arena, ln.curBuf, ln.nextBuf)
-	ln.curBuf, ln.nextBuf = cur, next
-	ln.outs = append(ln.outs, outs...)
-	ln.cnts = append(ln.cnts, int64(len(outs)))
-	ln.durs = append(ln.durs, d)
 }
 
 type stepExec struct {
@@ -335,44 +294,6 @@ func (f *Fragment) sink(out relation.Tuple) bool {
 	}
 }
 
-// cascade pushes one input tuple through the fragment's probe steps using
-// the given scratch buffers, returning the terminal-ready results, the
-// (possibly grown) swap buffers and the accumulated CPU charge of the
-// whole cascade. It never touches the clock or any other shared run state
-// — only the read-only completed hash tables and the caller's scratch —
-// which is what makes it safe to precompute cascades on concurrent
-// workers: duration addition is exact integer arithmetic, so whoever
-// charges the returned duration lands the clock on the same instant as
-// per-charge billing. The returned tuples live in the scratch arena and
-// the returned cur buffer; the caller owns their lifetime.
-func (f *Fragment) cascade(t relation.Tuple, arena *relation.Arena, curBuf, nextBuf []relation.Tuple) (outs, cur2, next2 []relation.Tuple, d time.Duration) {
-	costs := &f.rt.Costs
-	d = costs.MoveT
-	if f.QueueInput {
-		d += costs.ReceiveT
-	}
-	cur, next := append(curBuf[:0], t), nextBuf[:0]
-	for _, s := range f.steps {
-		ts := f.rt.table(s.join)
-		if !ts.complete {
-			panic(fmt.Sprintf("exec: %s probes incomplete table of J%d", f.Label, s.join.ID))
-		}
-		next = next[:0]
-		matches := 0
-		for _, u := range cur {
-			var k int
-			next, k = ts.ht.ProbeConcat(next, u, u[s.probeIdx], arena)
-			matches += k
-		}
-		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(matches)*costs.ResultT
-		cur, next = next, cur
-		if len(cur) == 0 {
-			break
-		}
-	}
-	return cur, cur, next, d
-}
-
 // applyTuple pushes one input tuple through the fragment's probe steps and
 // returns the terminal-ready results. All CPU costs of the tuple's cascade
 // are accumulated and charged in one clock addition at the end: no code in
@@ -382,11 +303,34 @@ func (f *Fragment) cascade(t relation.Tuple, arena *relation.Arena, curBuf, next
 // next applyTuple call: sink every result (or copy it out) before
 // processing another input.
 func (f *Fragment) applyTuple(t relation.Tuple) []relation.Tuple {
+	costs := &f.rt.Costs
+	d := costs.MoveT
+	if f.QueueInput {
+		d += costs.ReceiveT
+	}
 	f.arena.Reset()
-	outs, cur, next, d := f.cascade(t, &f.arena, f.curBuf, f.nextBuf)
+	cur, next := append(f.curBuf[:0], t), f.nextBuf[:0]
+	for _, s := range f.steps {
+		ts := f.rt.table(s.join)
+		if !ts.complete {
+			panic(fmt.Sprintf("exec: %s probes incomplete table of J%d", f.Label, s.join.ID))
+		}
+		next = next[:0]
+		matches := 0
+		for _, u := range cur {
+			var k int
+			next, k = ts.ht.ProbeConcat(next, u, u[s.probeIdx], &f.arena)
+			matches += k
+		}
+		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(matches)*costs.ResultT
+		cur, next = next, cur
+		if len(cur) == 0 {
+			break
+		}
+	}
 	f.curBuf, f.nextBuf = cur, next
-	f.rt.Costs.CPU.Clock.Work(d)
-	return outs
+	costs.CPU.Clock.Work(d)
+	return cur
 }
 
 // sinkAll delivers a tuple's terminal-ready outputs. Build terminals go
@@ -475,14 +419,6 @@ func (f *Fragment) processBulk(max int) (int, bool) {
 		if k == 0 {
 			break
 		}
-		if f.parallelOK(k) {
-			n2, overflow := f.runParallelRow(k)
-			n += n2
-			if overflow {
-				return n, true
-			}
-			continue
-		}
 		for i := 0; i < k; i++ {
 			t := buf[i]
 			if f.processed == 0 {
@@ -492,120 +428,6 @@ func (f *Fragment) processBulk(max int) (int, bool) {
 			n++
 			if !f.sinkAll(f.applyTuple(t)) {
 				f.tempIn.UnpopN(k - i - 1)
-				return n, true
-			}
-		}
-	}
-	return n, false
-}
-
-// parallelOK reports whether a popped batch of k inputs takes the
-// partition-parallel path: a worker pool is configured, the batch clears
-// the size gate (small batches stay serial — the merge bookkeeping would
-// cost more than the cascades), and the fragment has probe steps (a
-// step-less materialization fragment does no cascade work worth
-// parallelizing).
-func (f *Fragment) parallelOK(k int) bool {
-	return f.rt.Med.pool != nil && k >= parallelMinBatch && len(f.steps) > 0
-}
-
-// ensureLanes grows the lane list to chunks lanes, drawing scratch from the
-// mediator's Scratch.
-func (f *Fragment) ensureLanes(chunks int) {
-	for len(f.lanes) < chunks {
-		var ln parLane
-		s := f.rt.Med.scratch
-		ln.arena.Recycle(s.GetInts())
-		ln.curBuf = s.GetTuples()
-		ln.nextBuf = s.GetTuples()
-		ln.outs = s.GetTuples()
-		ln.cnts = s.GetInts()
-		ln.durs = s.GetDurs()
-		if f.colIn != nil {
-			ln.rowBuf = make(relation.Tuple, len(f.rowBuf))
-		}
-		f.lanes = append(f.lanes, ln)
-	}
-}
-
-// runParallelRow precomputes the cascades of popBuf[:k] across the worker
-// pool — contiguous chunks, one lane each — then replays the batch through
-// the serial input-ordered merge. Returns inputs consumed and whether the
-// merge hit a memory overflow.
-func (f *Fragment) runParallelRow(k int) (int, bool) {
-	f.rt.parallelBatches++
-	pool := f.rt.Med.pool
-	chunks := chunkCount(k, pool.Width())
-	f.ensureLanes(chunks)
-	buf := f.popBuf[:k]
-	pool.Run(chunks, func(c int) {
-		lane := &f.lanes[c]
-		lane.reset()
-		lo, hi := chunkBounds(c, chunks, k)
-		for i := lo; i < hi; i++ {
-			lane.run(f, buf[i])
-		}
-	})
-	return f.mergeLanes(k, chunks)
-}
-
-// runParallelCol is runParallelRow over a popped columnar batch: each lane
-// gathers passing slots into its private full-width row and cascades it,
-// while filtered slots record a zero-output result carrying the
-// receive+move charge the serial path bills them.
-func (f *Fragment) runParallelCol(k int, pass []bool) (int, bool) {
-	f.rt.parallelBatches++
-	pool := f.rt.Med.pool
-	chunks := chunkCount(k, pool.Width())
-	f.ensureLanes(chunks)
-	costs := &f.rt.Costs
-	filteredCharge := costs.MoveT + costs.ReceiveT
-	pool.Run(chunks, func(c int) {
-		lane := &f.lanes[c]
-		lane.reset()
-		lo, hi := chunkBounds(c, chunks, k)
-		for i := lo; i < hi; i++ {
-			if !pass[i] {
-				lane.cnts = append(lane.cnts, 0)
-				lane.durs = append(lane.durs, filteredCharge)
-				continue
-			}
-			f.colBatch.Gather(i, lane.rowBuf, f.gatherAt)
-			lane.run(f, lane.rowBuf)
-		}
-	})
-	return f.mergeLanes(k, chunks)
-}
-
-// mergeLanes replays a precomputed batch serially in input order, emitting
-// exactly the events the serial loop emits for each input at exactly the
-// same virtual instants: window-slot credit, first-batch trace, one exact
-// clock addition for the input's precomputed CPU duration, then its outputs
-// sunk. Because the cascades were pure and their durations exact, the
-// resulting clock trajectory, trace, estimator feeds and sink contents are
-// bit-identical to the serial path at any worker count. On memory overflow
-// the unprocessed input suffix is returned to the source and its
-// precomputed results are discarded — the serial loop would never have
-// computed them.
-func (f *Fragment) mergeLanes(k, chunks int) (int, bool) {
-	n := 0
-	for c := 0; c < chunks; c++ {
-		lane := &f.lanes[c]
-		lo, hi := chunkBounds(c, chunks, k)
-		oi := 0
-		for i := lo; i < hi; i++ {
-			f.In.Credit(f.rt.Now())
-			if f.processed == 0 {
-				f.rt.Trace.Add(f.rt.Now(), sim.EvBatch, "%s first batch", f.Label)
-			}
-			f.processed++
-			n++
-			cnt := int(lane.cnts[i-lo])
-			f.rt.Costs.CPU.Clock.Work(lane.durs[i-lo])
-			outs := lane.outs[oi : oi+cnt]
-			oi += cnt
-			if !f.sinkAll(outs) {
-				f.In.UnpopN(k - i - 1)
 				return n, true
 			}
 		}
@@ -637,14 +459,6 @@ func (f *Fragment) processColumnar(max int) (int, bool) {
 		k := f.colIn.PopBatch(now, f.colBatch, pass)
 		if k == 0 {
 			break
-		}
-		if f.parallelOK(k) {
-			n2, overflow := f.runParallelCol(k, pass[:k])
-			n += n2
-			if overflow {
-				return n, true
-			}
-			continue
 		}
 		for i := 0; i < k; i++ {
 			f.In.Credit(f.rt.Now())

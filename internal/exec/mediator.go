@@ -45,9 +45,6 @@ type Mediator struct {
 	// physical stream per (table object, delivery behaviour), tapped by
 	// every query scanning it. Lazily allocated on first share.
 	streams map[streamKey]*source.Shared
-	// pool is the intra-run worker pool of the parallel join kernels; nil
-	// on a serial configuration (Workers <= 1).
-	pool *workerPool
 
 	replans    int
 	degrades   int
@@ -79,7 +76,6 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		CM:      comm.NewManager(),
 		Trace:   cfg.Trace,
 		rng:     sim.NewRNG(cfg.Seed),
-		pool:    newWorkerPool(cfg.Workers),
 		scratch: scratchPool.Get().(*Scratch),
 	}
 	m.Temps.SetGovernor(m.Gov, m.Cfg.Governor)
@@ -112,14 +108,6 @@ func (m *Mediator) Reclaim() {
 
 // Now returns the mediator's virtual time.
 func (m *Mediator) Now() time.Duration { return m.Clock.Now() }
-
-// BeginPhase and EndPhase bracket one execution phase for the worker pool of
-// the parallel join kernels: helpers started inside the bracket are reused
-// by every parallel batch of the phase, and EndPhase returns only once they
-// have exited. The engine defers EndPhase, so no path out of a phase leaves
-// a helper behind. Both are no-ops on a serial configuration.
-func (m *Mediator) BeginPhase() { m.pool.beginPhase() }
-func (m *Mediator) EndPhase()   { m.pool.endPhase() }
 
 // AddQuery attaches one query to the mediator: its plan is decomposed, its
 // wrappers start producing (at the current virtual time zero of a fresh
@@ -212,7 +200,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		}
 	}
 	for _, j := range plan.Joins(root) {
-		ht := m.scratch.Table(j.Build.Schema.MustIndexOf(j.BuildKey), m.Cfg.partitions())
+		ht := m.scratch.Table(j.Build.Schema.MustIndexOf(j.BuildKey))
 		// Pre-size the build from the best cardinality knowledge available:
 		// the actual row count a prior run of this plan recorded at build
 		// completion, falling back to the optimizer's estimate at first

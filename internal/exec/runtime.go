@@ -42,10 +42,6 @@ type Runtime struct {
 	tables  map[int]*tableState
 	colPush map[string]colPush // per-relation pushdown
 	frags   []*Fragment
-	// scatter is the radix scatter scratch of partition-parallel builds.
-	// Builds run one at a time inside the merge phase of a batch, so one
-	// per-runtime scratch serves every fragment.
-	scatter relation.Buckets
 
 	outputRows int64
 	matTuples  int64
@@ -58,19 +54,12 @@ type Runtime struct {
 	firstOut   time.Duration
 	milestones [40]time.Duration
 	milestoneN int
-
-	// parallelBuilds and parallelBatches count partition-parallel build
-	// runs and parallel probe batches, for tests asserting the parallel
-	// kernels actually engaged. Deliberately NOT part of Result: they vary
-	// with worker count, and Result must not.
-	parallelBuilds  int64
-	parallelBatches int64
 }
 
 // tableState tracks one join's hash table through its life cycle.
 type tableState struct {
 	join     *plan.Node
-	ht       *operator.PartitionedHashTable
+	ht       *operator.HashTable
 	rows     int64
 	complete bool
 	reserved int64
@@ -177,11 +166,6 @@ func (rt *Runtime) buildInsert(j *plan.Node, t relation.Tuple) bool {
 // exact overflow boundary inserting one tuple at a time finds; memory
 // accounting (including the peak) is identical either way because the
 // reservations sum to the same total with no interleaved releases.
-// Large runs on a parallel configuration build partition-parallel: a
-// serial radix scatter groups the run by partition, workers bulk-insert
-// the partitions concurrently, and because each partition receives its
-// tuples in run order the table contents — per-key chains included — are
-// identical to the serial route-per-tuple insert.
 func (rt *Runtime) buildInsertBatch(j *plan.Node, ts []relation.Tuple) int {
 	state := rt.table(j)
 	if state.complete {
@@ -189,11 +173,7 @@ func (rt *Runtime) buildInsertBatch(j *plan.Node, ts []relation.Tuple) int {
 	}
 	n := int64(rt.Cfg.Params.TupleSize)
 	if rt.reserveBuild(state, n*int64(len(ts))) {
-		if pool := rt.Med.pool; pool != nil && len(ts) >= parallelMinBatch && state.ht.Parts() > 1 {
-			rt.parallelBuild(state.ht, ts)
-		} else {
-			state.ht.InsertBatch(ts)
-		}
+		state.ht.InsertBatch(ts)
 		state.rows += int64(len(ts))
 		return len(ts)
 	}
@@ -205,23 +185,6 @@ func (rt *Runtime) buildInsertBatch(j *plan.Node, ts []relation.Tuple) int {
 		state.rows++
 	}
 	return len(ts)
-}
-
-// parallelBuild bulk-inserts a run of build tuples partition-parallel: the
-// serial scatter pass routes each tuple once, then every partition's bucket
-// is appended by a pool worker. Partitions are disjoint, so workers share
-// nothing but the read-only bucket slices; clocks, memory accounting and
-// trace are untouched (the caller charges the run's move costs).
-func (rt *Runtime) parallelBuild(ht *operator.PartitionedHashTable, ts []relation.Tuple) {
-	rt.parallelBuilds++
-	parts := ht.Parts()
-	rt.scatter.Ensure(parts)
-	for _, t := range ts {
-		rt.scatter.Add(ht.Route(t), t)
-	}
-	rt.Med.pool.Run(parts, func(p int) {
-		ht.Part(p).InsertBatch(rt.scatter.Part(p))
-	})
 }
 
 // maxReserveRows caps pre-size hints so a wildly skewed estimate (or a hint
@@ -316,20 +279,10 @@ func (rt *Runtime) reclaim(s *Scratch) {
 		s.PutTuples(f.popBuf)
 		s.PutBatch(f.colBatch)
 		s.PutBools(f.passBuf)
-		for i := range f.lanes {
-			ln := &f.lanes[i]
-			s.PutInts(ln.arena.Release())
-			s.PutInts(ln.cnts)
-			s.PutTuples(ln.curBuf)
-			s.PutTuples(ln.nextBuf)
-			s.PutTuples(ln.outs)
-			s.PutDurs(ln.durs)
-		}
 		f.curBuf, f.nextBuf, f.popBuf, f.pending = nil, nil, nil, nil
-		f.colBatch, f.passBuf, f.lanes = nil, nil, nil
+		f.colBatch, f.passBuf = nil, nil
 	}
 	rt.frags = nil
-	rt.scatter.Clear()
 }
 
 // emitOutput accounts one result tuple leaving the engine: the output

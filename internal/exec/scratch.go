@@ -2,7 +2,6 @@ package exec
 
 import (
 	"sync"
-	"time"
 
 	"dqs/internal/comm"
 	"dqs/internal/operator"
@@ -29,12 +28,11 @@ const (
 // A Scratch is NOT safe for concurrent use: it serves one mediator at a time.
 type Scratch struct {
 	queues  []*comm.Queue
-	tables  []*operator.PartitionedHashTable
+	tables  []*operator.HashTable
 	ints    [][]int64
 	tuples  [][]relation.Tuple
 	batches []*relation.Batch
 	bools   [][]bool
-	durs    [][]time.Duration
 
 	// buildRows remembers the exact cardinality of each completed hash-table
 	// build, keyed by plan join-node ID, as the pre-size hint for the next
@@ -72,14 +70,12 @@ func putSlice[T any](p *[][]T, b []T) {
 // The slice pools, one per element type: Get* returns a recycled length-zero
 // slice (nil when the pool is empty), Put* reclaims one. The int64 arenas —
 // flat tuple storage — make Scratch a mem.IntRecycler with GetIntsCap below;
-// tuples are header scratch, bools pass masks, durs per-tuple CPU durations.
+// tuples are header scratch, bools pass masks.
 func (s *Scratch) GetInts() []int64            { return pop(&s.ints) }
 func (s *Scratch) PutInts(b []int64)           { putSlice(&s.ints, b) }
 func (s *Scratch) GetTuples() []relation.Tuple { return pop(&s.tuples) }
 func (s *Scratch) GetBools() []bool            { return pop(&s.bools) }
 func (s *Scratch) PutBools(b []bool)           { putSlice(&s.bools, b) }
-func (s *Scratch) GetDurs() []time.Duration    { return pop(&s.durs) }
-func (s *Scratch) PutDurs(b []time.Duration)   { putSlice(&s.durs, b) }
 
 // PutTuples reclaims a tuple-header scratch slice. The headers are cleared
 // so pooled slices don't pin tuple storage from finished runs.
@@ -113,18 +109,18 @@ func (s *Scratch) PutQueue(q *comm.Queue) {
 	s.queues = append(s.queues, q)
 }
 
-// Table returns an empty hash table keyed on keyIdx with the given
-// power-of-two partition count, recycled when available.
-func (s *Scratch) Table(keyIdx, parts int) *operator.PartitionedHashTable {
+// Table returns an empty hash table keyed on keyIdx, recycled when
+// available.
+func (s *Scratch) Table(keyIdx int) *operator.HashTable {
 	if h := pop(&s.tables); h != nil {
-		h.Recycle(keyIdx, parts)
+		h.Recycle(keyIdx)
 		return h
 	}
-	return operator.NewPartitioned(keyIdx, parts)
+	return operator.NewHashTable(keyIdx)
 }
 
 // PutTable returns a hash table to the pool once its run is over.
-func (s *Scratch) PutTable(h *operator.PartitionedHashTable) {
+func (s *Scratch) PutTable(h *operator.HashTable) {
 	if h == nil || len(s.tables) >= maxPooledTables {
 		return
 	}

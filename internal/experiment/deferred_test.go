@@ -61,32 +61,27 @@ func runTraced(w *workload.Workload, cfg exec.Config, deliveries map[string]exec
 }
 
 // deferredDiff requires the deferred-production run of one cell to equal the
-// eager one — Result and trace bytes — at Workers 1 and 8, and returns it.
-func deferredDiff(t *testing.T, name string, w *workload.Workload, cfg exec.Config, del map[string]exec.Delivery, strategy string) (res exec.Result) {
+// eager one — Result and trace bytes — and returns it.
+func deferredDiff(t *testing.T, name string, w *workload.Workload, cfg exec.Config, del map[string]exec.Delivery, strategy string) exec.Result {
 	t.Helper()
-	for _, workers := range []int{1, 8} {
-		c := cfg
-		c.Workers = workers
-		want, wantTrace, resumes, err := runTraced(w, c, del, strategy, true)
-		if err != nil {
-			t.Fatalf("%s workers=%d eager: %v", name, workers, err)
-		}
-		got, gotTrace, _, err := runTraced(w, c, del, strategy, false)
-		if err != nil {
-			t.Fatalf("%s workers=%d deferred: %v", name, workers, err)
-		}
-		if resumes == 0 {
-			t.Fatalf("%s workers=%d: the eager run resumed no wrapper through the shim", name, workers)
-		}
-		if !got.Equal(want) {
-			t.Errorf("%s workers=%d: deferred production diverged from eager:\neager:    %+v\ndeferred: %+v", name, workers, want, got)
-		}
-		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Errorf("%s workers=%d: trace bytes differ (%d deferred, %d eager)", name, workers, len(gotTrace), len(wantTrace))
-		}
-		res = got
+	want, wantTrace, resumes, err := runTraced(w, cfg, del, strategy, true)
+	if err != nil {
+		t.Fatalf("%s eager: %v", name, err)
 	}
-	return res
+	got, gotTrace, _, err := runTraced(w, cfg, del, strategy, false)
+	if err != nil {
+		t.Fatalf("%s deferred: %v", name, err)
+	}
+	if resumes == 0 {
+		t.Fatalf("%s: the eager run resumed no wrapper through the shim", name)
+	}
+	if !got.Equal(want) {
+		t.Errorf("%s: deferred production diverged from eager:\neager:    %+v\ndeferred: %+v", name, want, got)
+	}
+	if !bytes.Equal(gotTrace, wantTrace) {
+		t.Errorf("%s: trace bytes differ (%d deferred, %d eager)", name, len(gotTrace), len(wantTrace))
+	}
+	return got
 }
 
 // TestDeferredProductionMatchesEager is the differential proof behind

@@ -8,12 +8,11 @@ import (
 )
 
 // TestGovernedEngineDeterministic puts the governed engine — temp pages
-// resident under the grant, spilled on demand — through the same
-// differential battery as the legacy engine: worker count and partition
-// count are wall-clock knobs only, the governed run summary must be
-// virtual-nanosecond identical across all of them. Runs at an ample grant
-// and at the 2 MiB pressure point so both the resident fast path and the
-// spill machinery are covered.
+// resident under the grant, spilled on demand — through the repeat check:
+// a second run of the same cell (on scratch the first one pooled) must be
+// virtual-nanosecond identical to the first. Runs at an ample grant and at
+// the 2 MiB pressure point so both the resident fast path and the spill
+// machinery are covered.
 func TestGovernedEngineDeterministic(t *testing.T) {
 	o := Options{Small: true}
 	for _, grant := range []int64{0, 2 << 20} {
@@ -34,7 +33,17 @@ func TestGovernedEngineDeterministic(t *testing.T) {
 				c := cfg
 				c.Seed = seed
 				name := fmt.Sprintf("governed/%s/%s seed %d", label, strategy, seed)
-				workersDiff(t, name, w, c, mk, strategy)
+				first, err := runStrategy(w, c, mk(w), strategy)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				repeat, err := runStrategy(w, c, mk(w), strategy)
+				if err != nil {
+					t.Fatalf("%s (repeat): %v", name, err)
+				}
+				if !first.Equal(repeat) {
+					t.Errorf("%s: repeat diverged from first:\nfirst:  %+v\nrepeat: %+v", name, first, repeat)
+				}
 			}
 		}
 	}

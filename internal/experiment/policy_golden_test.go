@@ -193,14 +193,13 @@ func (b *tupleBag) excess(ref *tupleBag) int {
 }
 
 // TestStrategyResultsMatchGolden pins every strategy × seed × scenario of
-// the golden grid against the committed goldens, at Workers 1 and 8: the
-// full Result plus a digest of the rendered trace, so a change to any
-// scheduling order, stall instant, counter or trace line shows up as a diff
-// in some run. Cells a strategy cannot run (a grant too small, a fault plan
-// under a runner-only strategy) pin their error. Each run's streamed output
-// is also checked as a tuple multiset, over the plan's live columns, against
-// the reference evaluator: equal for complete runs, contained in it under
-// PartialResults.
+// the golden grid against the committed goldens: the full Result plus a
+// digest of the rendered trace, so a change to any scheduling order, stall
+// instant, counter or trace line shows up as a diff in some run. Cells a
+// strategy cannot run (a grant too small, a fault plan under a runner-only
+// strategy) pin their error. Each run's streamed output is also checked as a
+// tuple multiset, over the plan's live columns, against the reference
+// evaluator: equal for complete runs, contained in it under PartialResults.
 //
 // strategy_results.golden is the original grid (delay classes × policy
 // strategies, summary fields only); strategy_grid.golden is the whole grid.
@@ -227,43 +226,34 @@ func TestStrategyResultsMatchGolden(t *testing.T) {
 			for _, seed := range seeds {
 				w, ref := workloads[seed], reference[seed]
 				cell := fmt.Sprintf("%s/%s/seed%d", class.name, strategy, seed)
-				var line string
-				for _, workers := range []int{1, 8} {
-					out := newTupleBag(ref.cols)
-					cfg := class.cfg
-					cfg.Seed = seed
-					cfg.Workers = workers
-					cfg.Stream = exec.SinkFunc(func(_ time.Duration, tup relation.Tuple) { out.add(tup) })
-					res, trace, _, err := runTraced(w, cfg, class.mk(w), strategy, false)
-					got := fmt.Sprintf("%s: error: %v\n", cell, err)
-					if err == nil {
-						if x := out.excess(ref); x > 0 || (out.n != ref.n && !cfg.PartialResults) {
-							t.Errorf("%s workers=%d: streamed %d tuples, %d of them not in the reference evaluator's %d",
-								cell, workers, out.n, x, ref.n)
-						}
-						if strategy == "DSE" && class.engaged != nil && !class.engaged(res) {
-							t.Errorf("%s workers=%d: the class lost its point: %+v", cell, workers, res)
-						}
-						// Every Result field is spelled out: the golden must catch a
-						// drift in any counter, not only the String() summary.
-						summary := fmt.Sprintf(
-							"%s: strat=%s resp=%d busy=%d idle=%d out=%d disk=%+v peak=%d mat=%d replans=%d degr=%d timeouts=%d memrep=%d maxerr=%.9f",
-							cell, res.Strategy,
-							res.ResponseTime.Nanoseconds(), res.BusyTime.Nanoseconds(), res.IdleTime.Nanoseconds(),
-							res.OutputRows, res.Disk, res.PeakMemBytes, res.MaterializedTuples,
-							res.Replans, res.Degradations, res.Timeouts, res.MemRepairs, res.MaxEstError)
-						if workers == 1 && strategy != "DPHJ" && (class.name == "bursty" || class.name == "slow-delivery") {
-							legacy.WriteString(summary + "\n")
-						}
-						got = fmt.Sprintf("%s first=%d timeline=%v degraded=%v plancache=%d/%d trace=%x\n",
-							summary, res.FirstTupleTime.Nanoseconds(), res.TupleTimeline, res.DegradedFragments,
-							res.PlanCacheHits, res.PlanCacheMisses, sha256.Sum256(trace))
+				out := newTupleBag(ref.cols)
+				cfg := class.cfg
+				cfg.Seed = seed
+				cfg.Stream = exec.SinkFunc(func(_ time.Duration, tup relation.Tuple) { out.add(tup) })
+				res, trace, _, err := runTraced(w, cfg, class.mk(w), strategy, false)
+				line := fmt.Sprintf("%s: error: %v\n", cell, err)
+				if err == nil {
+					if x := out.excess(ref); x > 0 || (out.n != ref.n && !cfg.PartialResults) {
+						t.Errorf("%s: streamed %d tuples, %d of them not in the reference evaluator's %d",
+							cell, out.n, x, ref.n)
 					}
-					if workers == 1 {
-						line = got
-					} else if got != line {
-						t.Errorf("workers=8 diverged from workers=1:\n1: %s8: %s", line, got)
+					if strategy == "DSE" && class.engaged != nil && !class.engaged(res) {
+						t.Errorf("%s: the class lost its point: %+v", cell, res)
 					}
+					// Every Result field is spelled out: the golden must catch a
+					// drift in any counter, not only the String() summary.
+					summary := fmt.Sprintf(
+						"%s: strat=%s resp=%d busy=%d idle=%d out=%d disk=%+v peak=%d mat=%d replans=%d degr=%d timeouts=%d memrep=%d maxerr=%.9f",
+						cell, res.Strategy,
+						res.ResponseTime.Nanoseconds(), res.BusyTime.Nanoseconds(), res.IdleTime.Nanoseconds(),
+						res.OutputRows, res.Disk, res.PeakMemBytes, res.MaterializedTuples,
+						res.Replans, res.Degradations, res.Timeouts, res.MemRepairs, res.MaxEstError)
+					if strategy != "DPHJ" && (class.name == "bursty" || class.name == "slow-delivery") {
+						legacy.WriteString(summary + "\n")
+					}
+					line = fmt.Sprintf("%s first=%d timeline=%v degraded=%v plancache=%d/%d trace=%x\n",
+						summary, res.FirstTupleTime.Nanoseconds(), res.TupleTimeline, res.DegradedFragments,
+						res.PlanCacheHits, res.PlanCacheMisses, sha256.Sum256(trace))
 				}
 				grid.WriteString(line)
 			}

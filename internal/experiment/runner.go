@@ -166,8 +166,7 @@ func (o Options) forEach(n int, job func(i int) error) error {
 
 // runCell executes one cell on a fresh mediator and profiles it. The run
 // carries pprof labels (dqs_figure, dqs_cell = strategy, dqs_seed) so CPU
-// profiles of a sweep break down by grid entry; together with the kernels'
-// dqs_worker labels a profile attributes samples to (figure, cell, worker).
+// profiles of a sweep break down by grid entry.
 func (o Options) runCell(c Cell) CellResult {
 	start := time.Now()
 	load := c.Load

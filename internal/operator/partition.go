@@ -1,3 +1,7 @@
+// Residue: the engine is serial and builds plain HashTables; nothing outside
+// bench/ uses this file. Kept only because bench/replay.go compiles against
+// NewPartitioned/Route/Part — remove with the next [benchmark] PR.
+
 package operator
 
 import (

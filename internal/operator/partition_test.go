@@ -1,3 +1,6 @@
+// Residue: tests of partition.go, kept with it for bench/ — remove with the
+// next [benchmark] PR.
+
 package operator
 
 import (
@@ -175,7 +178,7 @@ const benchParallelParts = 8
 
 // BenchmarkHashBuildParallel measures the partition-parallel build kernel
 // in isolation: serial radix scatter, then per-partition bulk inserts on
-// one goroutine per partition, the exact shape Runtime.parallelBuild runs.
+// one goroutine per partition, the shape bench/replay.go's replayBuild runs.
 // Compare against BenchmarkHashBuildPresized for the flat serial baseline
 // (speedups require GOMAXPROCS > 1; on one core the scatter+goroutine
 // overhead is the interesting number).

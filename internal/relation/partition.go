@@ -1,3 +1,7 @@
+// Residue: the engine is serial and scatters nothing; nothing outside bench/
+// uses this file. Kept only because bench/replay.go compiles against Buckets
+// — remove with the next [benchmark] PR.
+
 package relation
 
 // Buckets is the reusable scatter scratch of a partition-parallel build:

@@ -93,7 +93,6 @@ func TestFusedCancelAtEveryPlanningPoint(t *testing.T) {
 	cfg.Governor = true
 	cfg.SharedStreams = true
 	cfg.MemoryBytes = 1 << 20
-	cfg.Workers = 4
 
 	// run executes the batch with query victim (if any) timing out after
 	// timeout, checking the ledger after every round; it returns the

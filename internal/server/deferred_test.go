@@ -76,7 +76,6 @@ func TestFusedDeferredMatchesEagerAcrossCancel(t *testing.T) {
 	cfg := exec.DefaultConfig()
 	cfg.Governor = true
 	cfg.SharedStreams = true
-	cfg.Workers = 8
 	run := func(strategy string, timeout time.Duration) ([]Report, Stats, int) {
 		queries := testQueries(t, 4, 300*time.Microsecond)
 		queries[0].Timeout = timeout

@@ -28,7 +28,7 @@
 // Both modes execute through one driver loop (runBatch): a fused server
 // gives it the whole batch, an isolated server one query at a time.
 // Everything is deterministic: equal seeds, configs and submission orders
-// produce bit-identical reports at any worker count.
+// produce bit-identical reports.
 package server
 
 import (
