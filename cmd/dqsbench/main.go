@@ -31,6 +31,7 @@ import (
 
 	"dqs/internal/experiment"
 	"dqs/internal/fault"
+	"dqs/internal/workload"
 )
 
 // experimentNames lists every value -exp accepts, in run order; the
@@ -125,6 +126,9 @@ func run(exp string, reps, parallel int, governor, small, csv, chart, planCache 
 	if faults != "" {
 		plan, err := fault.Parse(faults)
 		if err != nil {
+			return err
+		}
+		if err := checkFaults(plan, exp, small); err != nil {
 			return err
 		}
 		cfg.Faults = plan
@@ -260,4 +264,57 @@ func run(exp string, reps, parallel int, governor, small, csv, chart, planCache 
 		fmt.Fprintf(os.Stderr, "harness: workers=%d %s\n", o.Workers(), o.Stats.Summary())
 	}
 	return nil
+}
+
+// checkFaults refuses a -faults clause that could never strike in the
+// selected experiments: one naming a relation none of their workloads
+// scans, or one at or past its relation's last row (a clause strikes as its
+// row is produced).
+func checkFaults(plan *fault.Plan, exp string, small bool) error {
+	cards := scannedCards(exp, small)
+	unscanned := func(clause, rel string) error {
+		return fmt.Errorf("-faults: %s can never strike: no workload of -exp %s scans %q", clause, exp, rel)
+	}
+	for _, c := range plan.Clauses {
+		clause := (&fault.Plan{Clauses: []fault.Clause{c}}).String()
+		card, ok := cards[c.Source]
+		if !ok {
+			return unscanned(clause, c.Source)
+		}
+		if c.Row >= card {
+			return fmt.Errorf("-faults: %s can never strike: %s has %d rows", clause, c.Source, card)
+		}
+	}
+	for _, r := range plan.Replicas {
+		if _, ok := cards[r.Source]; !ok {
+			return unscanned((&fault.Plan{Replicas: []fault.Replica{r}}).String(), r.Source)
+		}
+	}
+	return nil
+}
+
+// scannedCards maps every relation the workloads of -exp scan to its
+// cardinality at the selected scale: the Figure-5 relations for every
+// experiment, plus the star schema's for star and all.
+func scannedCards(exp string, small bool) map[string]int {
+	cards := map[string]int{
+		"A": workload.Fig5CardA, "B": workload.Fig5CardB, "C": workload.Fig5CardC,
+		"D": workload.Fig5CardD, "E": workload.Fig5CardE, "F": workload.Fig5CardF,
+	}
+	if small {
+		for rel := range cards {
+			cards[rel] /= 10 // as workload.Fig5Small scales them
+		}
+	}
+	if exp == "all" || exp == "star" {
+		spec := workload.DefaultStarSpec()
+		if small {
+			spec = workload.SmallStarSpec()
+		}
+		cards["FACT"] = spec.FactRows
+		for i := 0; i < spec.Dimensions; i++ {
+			cards[fmt.Sprintf("DIM%d", i)] = spec.DimRows
+		}
+	}
+	return cards
 }

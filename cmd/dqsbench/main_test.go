@@ -46,6 +46,28 @@ func TestExperimentNamesAreCurrent(t *testing.T) {
 	}
 }
 
+// A -faults clause that can never strike used to run the sweep fault-free
+// and exit 0: one naming a relation no workload scans, and one at or past
+// the relation's last row at the selected scale (A has 15000 rows at -small,
+// so row 15000 would strike at full scale only).
+func TestRunRejectsFaultsThatCanNeverStrike(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"Z:kill@5", `"Z"`},
+		{"A:kill@15000", "15000 rows"},
+	} {
+		err := run("fig6", 1, 1, false, true, false, false, false, tc.spec, 1)
+		if err == nil {
+			t.Errorf("-faults %q accepted; it can never strike", tc.spec)
+			continue
+		}
+		for _, want := range []string{"-faults", tc.spec, tc.want} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("-faults %q: error %q does not name %s", tc.spec, err, want)
+			}
+		}
+	}
+}
+
 func TestRunRejectsNonPositiveParallel(t *testing.T) {
 	for _, parallel := range []int{0, -4} {
 		err := run("table1", 1, parallel, false, true, false, false, false, "", 1)

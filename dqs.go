@@ -93,9 +93,10 @@ func AutoPartitions(workers int) int { return exec.AutoPartitions(workers) }
 // Config.Plans.
 func NewDecompositionCache() *DecompositionCache { return plan.NewDecompositionCache() }
 
-// NewPlanCache returns an empty query-shape-keyed optimizer cache. Its
-// Decompositions() layer plugs into Config.Plans so execution reuses the
-// decompositions the optimizer derived.
+// NewPlanCache returns an empty query-shape-keyed optimizer cache: Load
+// solves the join-order DP once per query shape and serves each literal
+// binding its own decomposed plan. It is independent of Config.Plans, which
+// takes a NewDecompositionCache.
 func NewPlanCache() *PlanCache { return optimizer.NewPlanCache() }
 
 // ParseFaults builds a fault plan from the compact CLI spec grammar, e.g.

@@ -59,7 +59,6 @@ func (p *dsePolicy) handleOverflow(f *exec.Fragment) {
 	rt := cs.rt
 	cs.memSuspended = true
 	cs.suspendAvail = rt.Mem.Available()
-	cs.invalidate()
 	rt.Trace.Add(rt.Now(), sim.EvMemRepair, "suspend %s: memory grant exhausted (%d/%d bytes used)",
 		f.Label, rt.Mem.Used(), rt.Mem.Total())
 	if f.Term != exec.TermBuild {

@@ -21,7 +21,7 @@ type cand struct {
 // toward chains with more descendants, then by the precomputed per-chain
 // label for determinism. A concrete sort.Interface keeps the per-planning-
 // point sort off sort.Slice's reflection-based swapper — this runs at every
-// planning point, including the incremental ones.
+// planning point.
 type byPriority struct {
 	cands       []cand
 	descendants map[*plan.Chain]int
@@ -141,36 +141,18 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 }
 
 // candidates assembles the schedulable-fragment set for one planning pass.
-// Replanning is incremental: chains whose cached planning verdict is still
-// valid skip the full eligibility evaluation — cached candidates only
-// recompute their priority from the live waiting time, and cached
-// wait-dependent rejections are re-derived only when the CM estimate they
-// read has changed. Structural transitions invalidate the per-chain cache
-// (see chainState), so a pass decides exactly what evaluating every chain
-// afresh would.
+// Every chain is evaluated afresh against the state the scheduler sees now:
+// no verdict is carried from one planning point to the next.
 func (p *dsePolicy) candidates(st *State) []cand {
 	med := st.Mediator()
 	// Lift memory suspensions once the grant has visibly grown.
 	for _, cs := range p.states {
 		if cs.memSuspended && med.Mem.Available() > cs.suspendAvail {
 			cs.memSuspended = false
-			cs.invalidate()
 		}
 	}
 	cands := make([]cand, 0, len(p.states))
 	for _, cs := range p.states {
-		if cs.pcValid {
-			if cs.pcCand {
-				// Eligibility of a known candidate does not depend on the
-				// waiting time — only its priority does.
-				cands = append(cands, cand{cs: cs, frag: cs.pcFrag,
-					prio: priorityFrom(cs.pcFrag, fragmentWait(cs.rt, cs.pcFrag), cs.pcCp)})
-				continue
-			}
-			if !cs.pcUsedWait || cs.rt.Wait(cs.chain) == cs.pcWait {
-				continue // rejection verdict still holds
-			}
-		}
 		if c, ok := p.evalChain(st, cs); ok {
 			cands = append(cands, c)
 		}
@@ -178,19 +160,11 @@ func (p *dsePolicy) candidates(st *State) []cand {
 	return cands
 }
 
-// evalChain runs the full eligibility evaluation of one chain — input
-// readiness, C-schedulability, the §4.4 degradation consideration, lazy
-// fragment creation — and records the verdict in the chain's planning
-// cache.
+// evalChain runs the eligibility evaluation of one chain — input readiness,
+// C-schedulability, the §4.4 degradation consideration, lazy fragment
+// creation — and returns its candidate, if it has one.
 func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 	med := st.Mediator()
-	cs.pcCand, cs.pcFrag, cs.pcCp = false, nil, 0
-	cs.pcUsedWait, cs.pcWait = false, 0
-	// The verdict is recorded whichever way the evaluation exits; the defer
-	// also re-validates after a mid-evaluation splitActive (degradation)
-	// invalidated the cache.
-	defer func() { cs.pcValid = true }()
-
 	seg := cs.active()
 	if seg == nil || cs.memSuspended {
 		return cand{}, false
@@ -210,10 +184,8 @@ func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 		if cs.degraded || len(cs.segs) != 1 || seg.started() {
 			return cand{}, false
 		}
-		w := rt.Wait(cs.chain)
-		cs.pcUsedWait, cs.pcWait = true, w
 		n := cs.chain.Scan.Rel.Cardinality
-		if CriticalDegree(rt, cs.chain, n, w) <= 0 {
+		if CriticalDegree(rt, cs.chain, n, rt.Wait(cs.chain)) <= 0 {
 			return cand{}, false
 		}
 		if bmi := BMI(rt, cs.chain); bmi <= rt.Cfg.BMT {
@@ -232,9 +204,7 @@ func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 	if seg.frag.Done() {
 		return cand{}, false
 	}
-	cp := fragmentCost(rt, seg.frag)
-	cs.pcCand, cs.pcFrag, cs.pcCp = true, seg.frag, cp
-	return cand{cs: cs, frag: seg.frag, prio: priorityFrom(seg.frag, fragmentWait(rt, seg.frag), cp)}, true
+	return cand{cs: cs, frag: seg.frag, prio: fragmentPriority(rt, seg.frag)}, true
 }
 
 // estAdd estimates the additional memory a fragment will reserve: the

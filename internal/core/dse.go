@@ -102,9 +102,8 @@ func (p *dsePolicy) Attach(st *State, rt *exec.Runtime) error {
 // segment temps dropped, the chains marked complete, and the runtime's
 // remaining execution state — hash-table grant, prefix registrations, late
 // wrapper credits — swept by Runtime.Cancel. Shared infrastructure (other
-// queries' state, the planning caches, the ledger) is untouched; every
-// cached planning verdict is dropped because the freed memory can turn
-// other chains schedulable.
+// queries' state, the ledger) is untouched; the next planning point sees
+// the freed memory.
 func (p *dsePolicy) Cancel(st *State, rt *exec.Runtime) error {
 	chains, ok := p.byRuntime[rt]
 	if !ok {
@@ -125,11 +124,9 @@ func (p *dsePolicy) Cancel(st *State, rt *exec.Runtime) error {
 		}
 		cs.cur = len(cs.segs)
 		cs.complete = true
-		cs.invalidate()
 	}
 	st.MarkQueryDone(rt)
 	rt.Cancel()
-	p.invalidateAll()
 	return nil
 }
 
@@ -194,16 +191,10 @@ func (p *dsePolicy) Plan(st *State) (SchedulingPlan, error) {
 func (p *dsePolicy) OnEvent(st *State, ev Event) error {
 	med := st.Mediator()
 	switch ev.Kind {
-	case EventEndOfQF, EventSPDone:
-		p.advanceFinished(st)
-	case EventSourceDown, EventSourceUp, EventFailover:
+	case EventEndOfQF, EventSPDone, EventSourceDown, EventSourceUp, EventFailover:
 		// Fault transitions and recoveries end the phase like completions
 		// do: abandoned fragments read as Done, failover brings fresh
 		// arrivals — either way the next planning point sees current state.
-		// They are structural for the planning cache: delivery streams swap
-		// and fragments complete with partial state, so every cached
-		// verdict is suspect.
-		p.invalidateAll()
 		p.advanceFinished(st)
 	case EventRateChange:
 		// Replanning with the fresh estimates happens at the next planning
@@ -229,21 +220,12 @@ func (p *dsePolicy) OnEvent(st *State, ev Event) error {
 // its next segment, and records query completion times.
 func (p *dsePolicy) advanceFinished(st *State) {
 	for _, cs := range p.states {
-		advanced := false
 		for {
 			seg := cs.active()
 			if seg == nil || seg.frag == nil || !seg.frag.Done() {
 				break
 			}
 			cs.advance()
-			advanced = true
-		}
-		// Completing the chain seals the hash table it builds, which can
-		// turn its prober C-schedulable — drop the prober's cached verdict.
-		if advanced && cs.complete && cs.chain.BuildsFor != nil {
-			if prober := p.proberOf[rtNode{cs.rt, cs.chain.BuildsFor}]; prober != nil {
-				prober.invalidate()
-			}
 		}
 	}
 	for rt, chains := range p.byRuntime {
@@ -257,13 +239,6 @@ func (p *dsePolicy) advanceFinished(st *State) {
 		if finished {
 			st.MarkQueryDone(rt)
 		}
-	}
-}
-
-// invalidateAll drops every chain's cached planning verdict.
-func (p *dsePolicy) invalidateAll() {
-	for _, cs := range p.states {
-		cs.invalidate()
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -114,9 +113,6 @@ func (e *Engine) Step() (bool, error) {
 			e.pol.Name(), e.pendingSummary())
 	}
 	e.st.lastPlan = sp
-	if debugSchedule {
-		fmt.Printf("DBG t=%v used=%d SP=[%s]\n", med.Now(), med.Mem.Used(), spLabels(sp.Frags))
-	}
 	ev, err := e.processPhase(sp)
 	if err != nil {
 		return false, err
@@ -218,7 +214,3 @@ func spLabels(sp []*exec.Fragment) string {
 	}
 	return strings.Join(labels, " > ")
 }
-
-// debugSchedule enables scheduling-round prints; set via
-// DQS_DEBUG_SCHEDULE=1 for engine debugging.
-var debugSchedule = os.Getenv("DQS_DEBUG_SCHEDULE") == "1"

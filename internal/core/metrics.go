@@ -26,33 +26,18 @@ func CriticalDegree(rt *exec.Runtime, c *plan.Chain, n int, w time.Duration) tim
 	return time.Duration(n) * (w - cp)
 }
 
-// fragmentPriority computes the critical degree of an arbitrary fragment:
-// wrapper-fed fragments use the CM's waiting-time estimate; temp-fed ones
-// use the per-tuple disk pace (their delivery is the local disk).
+// fragmentPriority computes the critical degree of an arbitrary fragment
+// from its remaining tuples: wrapper-fed fragments use the CM's
+// waiting-time estimate; temp-fed ones use the per-tuple disk pace (their
+// delivery is the local disk).
 func fragmentPriority(rt *exec.Runtime, f *exec.Fragment) time.Duration {
-	return priorityFrom(f, fragmentWait(rt, f), fragmentCost(rt, f))
-}
-
-// fragmentWait returns the delivery wait a fragment's priority is computed
-// from: the CM estimate for wrapper-fed fragments, the per-tuple disk pace
-// for temp-fed ones.
-func fragmentWait(rt *exec.Runtime, f *exec.Fragment) time.Duration {
+	var w time.Duration
 	if f.QueueInput {
-		return rt.Wait(f.Chain)
+		w = rt.Wait(f.Chain)
+	} else {
+		w = rt.TupleIOTime()
 	}
-	return rt.TupleIOTime()
-}
-
-// fragmentCost returns the mediator's per-tuple processing time for a
-// fragment. It depends only on the fragment's structure and the cost table,
-// so schedulers may cache it across planning points.
-func fragmentCost(rt *exec.Runtime, f *exec.Fragment) time.Duration {
-	return rt.PerTupleCost(f.Chain, f.FromStep, f.ToStep, f.QueueInput, f.Term)
-}
-
-// priorityFrom computes a fragment's critical degree from already-derived
-// wait and per-tuple cost; only the remaining-tuple count is read live.
-func priorityFrom(f *exec.Fragment, w, cp time.Duration) time.Duration {
+	cp := rt.PerTupleCost(f.Chain, f.FromStep, f.ToStep, f.QueueInput, f.Term)
 	return time.Duration(f.Remaining()) * (w - cp)
 }
 

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"dqs/internal/exec"
 	"dqs/internal/mem"
@@ -17,8 +16,8 @@ import (
 // rtChain and rtNode scope a chain or plan node to the query runtime
 // executing it: queries submitted from the same workload object share plan
 // pointers, so policy state keyed on the pointer alone would alias across
-// queries (the last registration would win and earlier queries' planning
-// caches would miss their invalidations).
+// queries (the last registration would win, and an overflow would suspend or
+// split another query's chain).
 type rtChain struct {
 	rt *exec.Runtime
 	c  *plan.Chain
@@ -58,31 +57,7 @@ type chainState struct {
 	// memory has been freed.
 	memSuspended bool
 	suspendAvail int64
-
-	// Planning cache (incremental replanning): the outcome of this chain's
-	// last full eligibility evaluation, valid until an event touches one of
-	// its inputs. Structural transitions — segment advance, split,
-	// suspension and its lift — invalidate it; continuous waiting-time
-	// drift is handled at the planning point (candidates recompute their
-	// priority from the live wait, non-candidate degradation verdicts are
-	// re-derived when the wait they read has changed).
-	pcValid bool
-	// pcCand records whether the evaluation yielded a schedulable
-	// candidate; pcFrag/pcCp are that candidate's fragment and per-tuple
-	// cost (the cost depends only on the fragment's structure).
-	pcCand bool
-	pcFrag *exec.Fragment
-	pcCp   time.Duration
-	// pcUsedWait marks a non-candidate verdict that read the CM waiting
-	// time (the §4.4 degradation consideration); pcWait is the value it
-	// read, so the verdict is reusable only while the estimate is
-	// unchanged.
-	pcUsedWait bool
-	pcWait     time.Duration
 }
-
-// invalidate drops the chain's cached planning verdict.
-func (cs *chainState) invalidate() { cs.pcValid = false }
 
 // active returns the current segment, or nil when the chain is complete.
 func (cs *chainState) active() *segSpec {
@@ -127,14 +102,12 @@ func (cs *chainState) splitActive(k int) {
 	segs = append(segs, cs.segs[cs.cur+1:]...)
 	cs.segs = segs
 	cs.memSuspended = false
-	cs.invalidate()
 }
 
 // advance moves past a finished segment, marking the chain complete when it
 // was the last one.
 func (cs *chainState) advance() {
 	cs.memSuspended = false
-	cs.invalidate()
 	cs.cur++
 	if cs.cur >= len(cs.segs) {
 		cs.complete = true

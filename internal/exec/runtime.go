@@ -324,10 +324,6 @@ func (rt *Runtime) FirstTupleAt() time.Duration { return rt.firstOut }
 // OutputRows returns the number of result tuples produced so far.
 func (rt *Runtime) OutputRows() int64 { return rt.outputRows }
 
-// Degraded returns the labels of fragments abandoned in partial-result mode,
-// in abandonment order (empty for complete executions).
-func (rt *Runtime) Degraded() []string { return rt.degraded }
-
 // predSelectivity returns the estimated surviving fraction of a chain's
 // pushed-down predicate (1 when absent).
 func predSelectivity(c *plan.Chain) float64 {

@@ -73,11 +73,6 @@ func NewPlanCache() *PlanCache {
 	}
 }
 
-// Decompositions exposes the cache's decomposition layer, suitable for
-// exec.Config.Plans: runs configured with it reuse the decompositions the
-// optimizer already derived for cached plans.
-func (c *PlanCache) Decompositions() *plan.DecompositionCache { return c.decs }
-
 // Load returns the optimized plan for the query, solving the DP at most once
 // per query shape and constructing at most once per literal binding. A load
 // that finds the shape entry counts as a hit even when its literal binding
