@@ -206,7 +206,7 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 	}
 
 	// Foreign runs: larger tables and arenas, other strategies' temps, a
-	// governed grant, and many queries on one mediator.
+	// tight grant, and many queries on one mediator.
 	full, err := Fig5(2)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,6 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 		{Workload: full, Config: DefaultConfig(), Strategy: SCR, Deliveries: UniformDeliveries(full, 20*time.Microsecond)},
 		{Workload: small, Config: DefaultConfig(), Strategy: DSE, Deliveries: del},
 	}
-	foreign[2].Config.Governor = true
 	foreign[2].Config.MemoryBytes = 1600 << 10
 	for i, f := range foreign {
 		if _, err := Run(f); err != nil {

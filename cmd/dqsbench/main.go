@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dqsbench [-exp all|table1|fig5|fig6|fig7|fig8|position|resilience|multiquery|serverload|firsttuple|ablations] \
-//	         [-reps N] [-parallel N] [-governor] \
+//	         [-reps N] [-parallel N] \
 //	         [-small] [-csv] [-chart] \
 //	         [-plan-cache] [-faults SPEC] [-fault-seed N] \
 //	         [-cpuprofile FILE] [-memprofile FILE]
@@ -53,7 +53,6 @@ func main() {
 		exp        = flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames, ", "))
 		reps       = flag.Int("reps", 3, "measurement repetitions (paper: 3)")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulator runs; figure output is identical at any setting")
-		governor   = flag.Bool("governor", false, "run every sweep with the budget-aware materialization governor enabled (the firsttuple experiment compares both paths regardless)")
 		small      = flag.Bool("small", false, "run at 1/10 scale (fast)")
 		csv        = flag.Bool("csv", false, "also print CSV data")
 		chart      = flag.Bool("chart", false, "also draw ASCII charts")
@@ -79,7 +78,7 @@ func main() {
 			f.Close()
 		}()
 	}
-	err := run(*exp, *reps, *parallel, *governor, *small, *csv, *chart, *planCache, *faults, *faultSeed)
+	err := run(*exp, *reps, *parallel, *small, *csv, *chart, *planCache, *faults, *faultSeed)
 	if err == nil && *memprofile != "" {
 		err = writeMemProfile(*memprofile)
 	}
@@ -105,7 +104,7 @@ func writeMemProfile(path string) error {
 	return pprof.Lookup("allocs").WriteTo(f, 0)
 }
 
-func run(exp string, reps, parallel int, governor, small, csv, chart, planCache bool, faults string, faultSeed int64) error {
+func run(exp string, reps, parallel int, small, csv, chart, planCache bool, faults string, faultSeed int64) error {
 	if reps < 1 {
 		return fmt.Errorf("-reps must be at least 1, got %d", reps)
 	}
@@ -122,7 +121,6 @@ func run(exp string, reps, parallel int, governor, small, csv, chart, planCache 
 		o.Seeds = append(o.Seeds, int64(i))
 	}
 	cfg := o.ExecConfig()
-	cfg.Governor = governor
 	if faults != "" {
 		plan, err := fault.Parse(faults)
 		if err != nil {

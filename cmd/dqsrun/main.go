@@ -6,7 +6,7 @@
 //
 //	dqsrun [-strategy NAME] [-small] [-slow REL=RETRIEVAL_SECONDS]...
 //	       [-wmin DUR] [-mem MB] [-bmt F] [-trace] [-gantt] [-seed N]
-//	       [-governor] [-stream]
+//	       [-stream]
 //	       [-faults SPEC] [-fault-seed N] [-partial]
 //	       [-plan-cache] [-list-strategies]
 //
@@ -21,10 +21,9 @@
 //	dqsrun -strategy DSE -small -faults 'D:kill@700;D:replica,connect=10ms'
 //
 // Example: stream the answer as it is produced (insert-only, correct so
-// far) with temp pages kept resident under the grant (-governor), and watch
-// how much earlier the first tuples land:
+// far) under a tight grant, and watch when the first tuples land:
 //
-//	dqsrun -strategy DSE -small -slow A=2 -mem 1 -governor -stream
+//	dqsrun -strategy DSE -small -slow A=2 -mem 1 -stream
 //
 // The -strategy values come from the scheduling-policy registry, so the
 // flag's help text always lists exactly the runnable strategies.
@@ -81,7 +80,6 @@ func main() {
 		trace     = flag.Bool("trace", false, "dump the execution trace")
 		gantt     = flag.Bool("gantt", false, "draw a Gantt chart of fragment lifetimes")
 		seed      = flag.Int64("seed", 1, "random seed (data and delays)")
-		governor  = flag.Bool("governor", false, "let temps keep freshly written pages resident under the memory grant (a quarter of it at most, spilled on demand) instead of writing each one through")
 		stream    = flag.Bool("stream", false, "stream result tuples as they are produced and print the output ramp")
 		faults    = flag.String("faults", "", "fault scenario, e.g. 'C:burst@100+500x300us;D:kill@5000;D:replica,connect=50ms'")
 		faultSeed = flag.Int64("fault-seed", 1, "random seed of the fault scenario's timing draws")
@@ -95,7 +93,7 @@ func main() {
 		listStrategies(os.Stdout)
 		return
 	}
-	if err := run(*strategy, *small, *wmin, *memMB, *bmt, *trace, *gantt, *seed, *governor, *stream, *faults, *faultSeed, *partial, *planCache, slow); err != nil {
+	if err := run(*strategy, *small, *wmin, *memMB, *bmt, *trace, *gantt, *seed, *stream, *faults, *faultSeed, *partial, *planCache, slow); err != nil {
 		fmt.Fprintln(os.Stderr, "dqsrun:", err)
 		os.Exit(1)
 	}
@@ -125,7 +123,7 @@ func listStrategies(w io.Writer) {
 	}
 }
 
-func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, trace, gantt bool, seed int64, governor, stream bool, faults string, faultSeed int64, partial, planCache bool, slow slowFlags) error {
+func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, trace, gantt bool, seed int64, stream bool, faults string, faultSeed int64, partial, planCache bool, slow slowFlags) error {
 	mem, err := memBytes(memMB)
 	if err != nil {
 		return err
@@ -141,7 +139,6 @@ func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, tr
 	}
 	cfg := dqs.DefaultConfig()
 	cfg.Seed = seed
-	cfg.Governor = governor
 	cfg.MemoryBytes = mem
 	cfg.BMT = bmt
 	cfg.InitialWaitEstimate = wmin

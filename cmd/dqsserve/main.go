@@ -12,7 +12,7 @@
 //	         [-max-active N] [-discipline fifo|priority]
 //	         [-fair global|roundrobin|weighted] [-interarrival DUR]
 //	         [-timeout DUR] [-wmin DUR] [-mem MB]
-//	         [-governor] [-shared-streams] [-stream]
+//	         [-shared-streams] [-stream]
 //
 // Example: four small queries through a two-slot isolated server —
 // identical results to four serial runs, plus admission waits:
@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"dqs"
+	"dqs/internal/sim"
 )
 
 type options struct {
@@ -54,7 +55,6 @@ type options struct {
 	timeout       time.Duration
 	wmin          time.Duration
 	memMB         float64
-	governor      bool
 	sharedStreams bool
 	stream        bool
 }
@@ -72,7 +72,6 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 0, "per-query execution timeout (0 = none); timed-out queries are cancelled at a planning point")
 	flag.DurationVar(&o.wmin, "wmin", 20*time.Microsecond, "baseline per-tuple waiting time of every wrapper")
 	flag.Float64Var(&o.memMB, "mem", 64, "memory grant in MB (per query isolated, shared fused)")
-	flag.BoolVar(&o.governor, "governor", false, "enable the budget-aware materialization governor")
 	flag.BoolVar(&o.sharedStreams, "shared-streams", false, "share physical wrapper streams across queries (fused mode; all queries run the same workload instance)")
 	flag.BoolVar(&o.stream, "stream", false, "attach per-query sinks and report first-tuple latencies from them")
 	flag.Parse()
@@ -92,6 +91,13 @@ func run(w io.Writer, o options) error {
 	if o.timeout < 0 {
 		return fmt.Errorf("-timeout must be non-negative (0 = none), got %v", o.timeout)
 	}
+	if o.interarrival < 0 {
+		return fmt.Errorf("-interarrival must be non-negative, got %v", o.interarrival)
+	}
+	// The last arrival, (n-1)*gap, is a waiting time: sim.MaxWait bounds it.
+	if o.interarrival > 0 && int64(o.n-1) > int64(sim.MaxWait/o.interarrival) {
+		return fmt.Errorf("-n %d queries at -interarrival %v arrive past %v", o.n, o.interarrival, sim.MaxWait)
+	}
 	mode, err := dqs.ParseServerMode(o.mode)
 	if err != nil {
 		return err
@@ -110,7 +116,6 @@ func run(w io.Writer, o options) error {
 	}
 	cfg := dqs.DefaultConfig()
 	cfg.Seed = o.seed
-	cfg.Governor = o.governor
 	cfg.MemoryBytes = mem
 	cfg.InitialWaitEstimate = o.wmin
 	cfg.SharedStreams = o.sharedStreams

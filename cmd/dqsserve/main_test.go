@@ -62,6 +62,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{func(o *options) { o.n = 0 }, []string{"-n"}},
 		{func(o *options) { o.maxActive = -1 }, []string{"-max-active", "-1"}},
 		{func(o *options) { o.timeout = -time.Second }, []string{"-timeout", "-1s"}},
+		{func(o *options) { o.interarrival = -time.Second }, []string{"-interarrival", "-1s"}},
+		{func(o *options) { o.interarrival = 9223372036 * time.Second }, []string{"-interarrival", "2562047h47m16s", "-n", "3"}},
+		{func(o *options) { o.n = 1 << 20; o.interarrival = 5000000 * time.Second }, []string{"-interarrival", "1388h53m20s", "-n", "1048576"}},
 		{func(o *options) { o.mode = "bogus" }, []string{"bogus"}},
 		{func(o *options) { o.discipline = "bogus" }, []string{"bogus"}},
 		{func(o *options) { o.fair = "bogus" }, []string{"bogus"}},

@@ -99,9 +99,9 @@ func (p *dsePolicy) Attach(st *State, rt *exec.Runtime) error {
 
 // Cancel abandons one attached query between scheduling rounds
 // (Engine.CancelQuery): active fragments are abandoned, materialized
-// segment temps dropped, the chains marked complete, and the runtime's
-// remaining execution state — hash-table grant, prefix registrations, late
-// wrapper credits — swept by Runtime.Cancel. Shared infrastructure (other
+// segment temps dropped with their resident pages, the chains marked
+// complete, and the runtime's remaining execution state — hash-table grant,
+// late wrapper credits — swept by Runtime.Cancel. Shared infrastructure (other
 // queries' state, the ledger) is untouched; the next planning point sees
 // the freed memory.
 func (p *dsePolicy) Cancel(st *State, rt *exec.Runtime) error {

@@ -54,12 +54,11 @@ type Config struct {
 	BatchTuples int
 	// PrefetchPages is the temp-reader prefetch depth.
 	PrefetchPages int
-	// Governor lets asynchronous temps keep freshly written pages resident
-	// under the memory grant instead of writing each one through: residency
-	// is capped at a quarter of the grant and spills on demand, largest temp
-	// first and oldest pages first, whenever a build or the planner needs
-	// the room. Off (the default): every page is written through, the
-	// paper's §4.4 model.
+	// Governor is true in DefaultConfig. False writes every temp page
+	// through from the start (the paper's §4.4 model), which the engine
+	// otherwise does only for a query whose builds are estimated not to fit
+	// the grant. Kept only because bench/ clears it for its write-through
+	// comparison — remove with the next [benchmark] PR.
 	Governor bool
 
 	// Scheduling.
@@ -151,6 +150,7 @@ func DefaultConfig() Config {
 		Timeout:             10 * time.Second,
 		InitialWaitEstimate: 20 * time.Microsecond,
 		PrefetchPages:       2,
+		Governor:            true,
 		Seed:                1,
 	}
 }

@@ -137,10 +137,11 @@ type symLeaf struct {
 
 // symNet is the whole join network.
 type symNet struct {
-	rt     *Runtime
-	joins  map[int]*symJoin
-	leaves map[string]*symLeaf
-	root   *symJoin // nil for single-scan plans
+	rt       *Runtime
+	joins    map[int]*symJoin
+	leaves   map[string]*symLeaf
+	root     *symJoin // nil for single-scan plans
+	reserved int64    // grant bytes held by both sides' tables
 }
 
 // newSymNet compiles the plan into a symmetric-hash-join network.
@@ -192,9 +193,11 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 	return net, nil
 }
 
-// reclaim hands the network's pooled tables and scratch back to the
-// mediator's Scratch; the join network lives only for one RunDPHJ call.
+// reclaim returns the tables' grant and hands the network's pooled tables
+// and scratch back to the mediator's Scratch; the join network lives only
+// for one RunDPHJ call.
 func (net *symNet) reclaim() {
+	net.rt.Mem.Release(net.reserved)
 	s := net.rt.Med.scratch
 	for _, sj := range net.joins {
 		s.PutTable(sj.buildTable)
@@ -219,6 +222,7 @@ func (net *symNet) arrive(sj *symJoin, fromBuild bool, t relation.Tuple) bool {
 	if !rt.Mem.Reserve(int64(rt.Cfg.Params.TupleSize)) {
 		return false
 	}
+	net.reserved += int64(rt.Cfg.Params.TupleSize)
 	rt.Costs.ChargeMove()
 	sj.arena.Reset()
 	matches := sj.matchBuf[:0]

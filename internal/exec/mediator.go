@@ -25,10 +25,10 @@ type Mediator struct {
 	Disk  *sim.Disk
 	Costs operator.Costs
 	Mem   *mem.Manager
-	// Gov is the per-owner ledger and residency governor over Mem. The
-	// ledger (who holds which bytes of the grant) and FreeUp are live in
-	// both modes; Config.Governor decides one thing, once, in NewMediator:
-	// whether asynchronous temps may keep pages resident under the grant.
+	// Gov is the per-owner ledger and residency governor over Mem: who holds
+	// which bytes of the grant, which temp pages stay resident under it, and
+	// FreeUp to spill them. AddQuery switches it to write-through for a query
+	// whose builds are estimated not to fit the grant.
 	Gov   *mem.Governor
 	Temps *mem.TempStore
 	CM    *comm.Manager
@@ -78,7 +78,10 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		rng:     sim.NewRNG(cfg.Seed),
 		scratch: scratchPool.Get().(*Scratch),
 	}
-	m.Temps.SetGovernor(m.Gov, m.Cfg.Governor)
+	m.Temps.SetGovernor(m.Gov, true)
+	if !cfg.Governor {
+		m.Gov.WriteThrough()
+	}
 	m.Temps.SetPool(m.scratch)
 	return m, nil
 }
@@ -145,6 +148,15 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		qsrcs:   make(map[string]*queueSource),
 		tables:  make(map[int]*tableState),
 		colPush: make(map[string]colPush),
+	}
+	// A query whose builds are estimated not to fit the grant spends it on
+	// builds and a split: resident pages would only spill late. Write through.
+	var est int64
+	for _, c := range dec.Chains {
+		est += rt.EstBuildBytes(c)
+	}
+	if est > m.Cfg.MemoryBytes {
+		m.Gov.WriteThrough()
 	}
 	rng := m.rng.Fork(int64(m.queries))
 	netTime := m.Cfg.Params.NetworkTupleTime()

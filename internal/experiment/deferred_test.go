@@ -29,8 +29,10 @@ func (p resumeOnly) Resume(now time.Duration) {
 // runTraced executes one strategy like runStrategy and returns the result
 // with the rendered trace. With eager set every wrapper is put behind a
 // Resume-only producer first, so the whole run takes the per-credit path;
-// resumes then counts the credits that reached a wrapper.
-func runTraced(w *workload.Workload, cfg exec.Config, deliveries map[string]exec.Delivery, strategy string, eager bool) (res exec.Result, trace []byte, resumes int, err error) {
+// resumes then counts the credits that reached a wrapper. A completed run
+// must hand its whole grant back: builds released, every resident temp page
+// consumed or spilled.
+func runTraced(t *testing.T, w *workload.Workload, cfg exec.Config, deliveries map[string]exec.Delivery, strategy string, eager bool) (res exec.Result, trace []byte, resumes int, err error) {
 	tr := &sim.Trace{}
 	cfg.Trace = tr
 	rt, err := exec.NewRuntime(cfg, w.Root, w.Dataset, deliveries)
@@ -53,6 +55,9 @@ func runTraced(w *workload.Workload, cfg exec.Config, deliveries map[string]exec
 		return exec.Result{}, nil, 0, err
 	}
 	res = results[0]
+	if used := rt.Med.Mem.Used(); used != 0 {
+		t.Errorf("%s: %d grant bytes still in use after the run (%d resident)", strategy, used, rt.Med.Gov.ResidentBytes())
+	}
 	var buf bytes.Buffer
 	if err := tr.Dump(&buf); err != nil {
 		return exec.Result{}, nil, 0, err
@@ -64,11 +69,11 @@ func runTraced(w *workload.Workload, cfg exec.Config, deliveries map[string]exec
 // eager one — Result and trace bytes — and returns it.
 func deferredDiff(t *testing.T, name string, w *workload.Workload, cfg exec.Config, del map[string]exec.Delivery, strategy string) exec.Result {
 	t.Helper()
-	want, wantTrace, resumes, err := runTraced(w, cfg, del, strategy, true)
+	want, wantTrace, resumes, err := runTraced(t, w, cfg, del, strategy, true)
 	if err != nil {
 		t.Fatalf("%s eager: %v", name, err)
 	}
-	got, gotTrace, _, err := runTraced(w, cfg, del, strategy, false)
+	got, gotTrace, _, err := runTraced(t, w, cfg, del, strategy, false)
 	if err != nil {
 		t.Fatalf("%s deferred: %v", name, err)
 	}
@@ -107,30 +112,27 @@ func TestDeferredProductionMatchesEager(t *testing.T) {
 }
 
 // TestDeferredProductionMatchesEagerUnderMemoryPressure repeats the check
-// under tight grants, legacy ledger and governor: every strategy at the
-// ablation study's 2 MiB point, and DSE at 1 MiB, where a build overflows
-// mid-batch and hands the uncredited tail back with credits pending.
+// under tight grants: every strategy at the ablation study's 2 MiB point,
+// and DSE at 1 MiB, where a build overflows mid-batch and hands the
+// uncredited tail back with credits pending.
 func TestDeferredProductionMatchesEagerUnderMemoryPressure(t *testing.T) {
 	o := Options{Small: true}
-	for _, governed := range []bool{false, true} {
-		for _, seed := range []int64{1, 2, 3} {
-			w, err := o.loadWorkload(seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := exec.DefaultConfig()
-			cfg.Seed = seed
-			cfg.Governor = governed
-			del := uniformDeliveries(w, cfg.InitialWaitEstimate)
-			cfg.MemoryBytes = 2 << 20
-			for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
-				deferredDiff(t, fmt.Sprintf("2MiB governed=%v/%s seed %d", governed, strategy, seed), w, cfg, del, strategy)
-			}
-			cfg.MemoryBytes = 1 << 20
-			res := deferredDiff(t, fmt.Sprintf("1MiB governed=%v/DSE seed %d", governed, seed), w, cfg, del, "DSE")
-			if res.MemRepairs == 0 {
-				t.Errorf("governed=%v seed %d: the 1 MiB grant forced no memory repair; the test lost its point", governed, seed)
-			}
+	for _, seed := range []int64{1, 2, 3} {
+		w, err := o.loadWorkload(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := exec.DefaultConfig()
+		cfg.Seed = seed
+		del := uniformDeliveries(w, cfg.InitialWaitEstimate)
+		cfg.MemoryBytes = 2 << 20
+		for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
+			deferredDiff(t, fmt.Sprintf("2MiB/%s seed %d", strategy, seed), w, cfg, del, strategy)
+		}
+		cfg.MemoryBytes = 1 << 20
+		res := deferredDiff(t, fmt.Sprintf("1MiB/DSE seed %d", seed), w, cfg, del, "DSE")
+		if res.MemRepairs == 0 {
+			t.Errorf("seed %d: the 1 MiB grant forced no memory repair; the test lost its point", seed)
 		}
 	}
 }

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"dqs/internal/core"
 	"dqs/internal/exec"
 )
 
-// TestGovernedEngineDeterministic puts the governed engine — temp pages
-// resident under the grant, spilled on demand — through the repeat check:
-// a second run of the same cell (on scratch the first one pooled) must be
+// TestGovernedEngineDeterministic puts the engine's resident temps — pages
+// kept under the grant, spilled on demand — through the repeat check: a
+// second run of the same cell (on scratch the first one pooled) must be
 // virtual-nanosecond identical to the first. Runs at an ample grant and at
 // the 2 MiB pressure point so both the resident fast path and the spill
 // machinery are covered.
@@ -17,7 +18,6 @@ func TestGovernedEngineDeterministic(t *testing.T) {
 	o := Options{Small: true}
 	for _, grant := range []int64{0, 2 << 20} {
 		cfg := exec.DefaultConfig()
-		cfg.Governor = true
 		label := "ample"
 		if grant != 0 {
 			cfg.MemoryBytes = grant
@@ -49,63 +49,58 @@ func TestGovernedEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestGovernedImprovesFirstTupleLatency pins the governor's payoff: on the
-// memory grants where both engines complete, governed DSE delivers the
-// first result tuple strictly earlier at the moderate-and-up grants, never
-// needs more memory repairs than legacy, and reaches the same answer.
-func TestGovernedImprovesFirstTupleLatency(t *testing.T) {
+// TestWriteThroughWhenBuildsExceedGrant pins the one residency rule: a query
+// whose estimated build bytes exceed the grant writes every temp page
+// through, so a DSE run of the firsttuple cell at 1 MiB (which needs a §4.2
+// split) never holds a resident page, while the same cell at 6.4 MB does.
+func TestWriteThroughWhenBuildsExceedGrant(t *testing.T) {
 	o := Options{Small: true}
-	base := exec.DefaultConfig()
-	mk := o.ablationDeliveries(base)
-	run := func(grant int64, governed bool) exec.Result {
-		t.Helper()
-		cfg := base
-		cfg.MemoryBytes = grant
-		cfg.Governor = governed
-		w, err := o.loadWorkload(1)
+	w, err := o.loadWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		mb       float64
+		resident bool
+	}{{1, false}, {6.4, true}} {
+		cfg := exec.DefaultConfig()
+		cfg.MemoryBytes = int64(tc.mb * (1 << 20))
+		rt, err := exec.NewRuntime(cfg, w.Root, w.Dataset, o.ablationDeliveries(cfg)(w))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runStrategy(w, cfg, mk(w), "DSE")
+		var est int64
+		for _, c := range rt.Dec.Chains {
+			est += rt.EstBuildBytes(c)
+		}
+		if over := est > cfg.MemoryBytes; over == tc.resident {
+			t.Fatalf("%v MB: estimated build bytes %d; the case lost its premise", tc.mb, est)
+		}
+		eng, err := core.NewStrategyEngine(rt.Med, []*exec.Runtime{rt}, "DSE")
 		if err != nil {
-			t.Fatalf("grant=%d governed=%v: %v", grant, governed, err)
+			t.Fatal(err)
 		}
-		return res
-	}
-	// Grants from the small firsttuple sweep where the resident fast path
-	// has room to work (the quarter-of-grant residency cap).
-	improved := 0
-	for _, mb := range []float64{1.6, 3.2, 6.4} {
-		grant := int64(mb * (1 << 20))
-		legacy, gov := run(grant, false), run(grant, true)
-		if gov.OutputRows != legacy.OutputRows {
-			t.Errorf("grant=%.1fMB: governed produced %d rows, legacy %d", mb, gov.OutputRows, legacy.OutputRows)
+		var peak int64
+		for more := true; more; {
+			if more, err = eng.Step(); err != nil {
+				t.Fatalf("%v MB: %v", tc.mb, err)
+			}
+			peak = max(peak, rt.Med.Gov.ResidentBytes())
 		}
-		if gov.MemRepairs > legacy.MemRepairs {
-			t.Errorf("grant=%.1fMB: governed needed %d repairs, legacy %d", mb, gov.MemRepairs, legacy.MemRepairs)
+		res := eng.Finalize()[0]
+		rt.Med.Reclaim()
+		if got := peak > 0; got != tc.resident {
+			t.Errorf("%v MB: peak resident bytes %d, want resident pages %v", tc.mb, peak, tc.resident)
 		}
-		if len(gov.DegradedFragments) > len(legacy.DegradedFragments) {
-			t.Errorf("grant=%.1fMB: governed abandoned %d fragments, legacy %d",
-				mb, len(gov.DegradedFragments), len(legacy.DegradedFragments))
+		if !tc.resident && res.MemRepairs == 0 {
+			t.Errorf("%v MB: no memory repair; the case lost its point", tc.mb)
 		}
-		if gov.FirstTupleTime > legacy.FirstTupleTime {
-			t.Errorf("grant=%.1fMB: governed first tuple at %v, legacy at %v",
-				mb, gov.FirstTupleTime, legacy.FirstTupleTime)
-		} else if gov.FirstTupleTime < legacy.FirstTupleTime {
-			improved++
-		}
-		if gov.FirstTupleTime == 0 || legacy.FirstTupleTime == 0 {
-			t.Errorf("grant=%.1fMB: zero first-tuple time (gov=%v legacy=%v)", mb, gov.FirstTupleTime, legacy.FirstTupleTime)
-		}
-	}
-	if improved == 0 {
-		t.Error("governed DSE never delivered the first tuple strictly earlier than legacy")
 	}
 }
 
 // TestFirstTupleLatencyFigure smoke-tests the sweep itself: the figure has
-// the full series set, the infeasible grants plot as -1, and wherever both
-// engines completed the governed first-tuple series is populated.
+// the full series set, the infeasible grants plot as -1, and wherever DSE
+// completed its first-tuple series is populated.
 func TestFirstTupleLatencyFigure(t *testing.T) {
 	o := Options{Small: true, Seeds: []int64{1}}
 	fig, err := FirstTupleLatency(o)
@@ -115,21 +110,21 @@ func TestFirstTupleLatencyFigure(t *testing.T) {
 	if len(fig.X) != 7 {
 		t.Fatalf("figure has %d grant points, want 7", len(fig.X))
 	}
-	for _, series := range []string{"DSE(s)", "DSEgov(s)", "DSE-first(s)", "DSEgov-first(s)", "SCR-first(s)", "repairs", "gov-repairs"} {
+	for _, series := range []string{"DSE(s)", "DSE-first(s)", "SCR-first(s)", "repairs"} {
 		vals := fig.Get(series)
 		if len(vals) != len(fig.X) {
 			t.Fatalf("series %q has %d values for %d points", series, len(vals), len(fig.X))
 		}
 	}
-	legacy, gov := fig.Get("DSE-first(s)"), fig.Get("DSEgov-first(s)")
+	resp, first := fig.Get("DSE(s)"), fig.Get("DSE-first(s)")
 	feasible := 0
 	for i := range fig.X {
-		if legacy[i] < 0 || gov[i] < 0 {
+		if resp[i] < 0 {
 			continue // infeasible grant: plotted as -1 by design
 		}
 		feasible++
-		if gov[i] == 0 || legacy[i] == 0 {
-			t.Errorf("grant %.1fMB: zero first-tuple latency (legacy=%v gov=%v)", fig.X[i], legacy[i], gov[i])
+		if first[i] <= 0 || first[i] > resp[i] {
+			t.Errorf("grant %.1fMB: first tuple at %v, response %v", fig.X[i], first[i], resp[i])
 		}
 	}
 	if feasible == 0 {

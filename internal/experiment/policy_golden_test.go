@@ -73,13 +73,12 @@ type goldenClass struct {
 
 // goldenClasses is the grid's scenario axis: both delay classes, the
 // ablation study's 2 MiB pressure point (strand, mid-batch UnpopN, temp
-// spill), a 1 MiB grant (suspensions and memory-repair splits at planning
-// points), a fault plan covering every failure class — transient stall,
-// burst storm, disconnect/reconnect and a death with replica failover — a
-// death without a replica under PartialResults, and resident temps
-// (Config.Governor) at an ample grant, at the 2 MiB point with one
-// moderately slowed wrapper, and at 1 MiB, where the governed run must also
-// repair with a §4.2 split.
+// spill), a 1 MiB grant (suspensions, memory-repair splits at planning
+// points, temps written through), a fault plan covering every failure
+// class — transient stall, burst storm, disconnect/reconnect and a death
+// with replica failover — a death without a replica under PartialResults,
+// and the ablation study's deliveries (one moderately slowed wrapper) at an
+// ample grant and at 2 MiB.
 func goldenClasses(t *testing.T, o Options) []goldenClass {
 	t.Helper()
 	base := exec.DefaultConfig()
@@ -104,16 +103,11 @@ func goldenClasses(t *testing.T, o Options) []goldenClass {
 	for _, g := range []struct {
 		name  string
 		bytes int64
-	}{{"governed", base.MemoryBytes}, {"governed-2MiB", 2 << 20}} {
+	}{{"ablation", base.MemoryBytes}, {"ablation-2MiB", 2 << 20}} {
 		cfg := base
-		cfg.Governor = true
 		cfg.MemoryBytes = g.bytes
 		classes = append(classes, goldenClass{name: g.name, cfg: cfg, mk: o.ablationDeliveries(cfg)})
 	}
-	governed1 := base
-	governed1.Governor = true
-	governed1.MemoryBytes = 1 << 20
-	classes = append(classes, goldenClass{"governed-1MiB", governed1, uniform, repaired})
 	at := func(rel string, frac float64) int { return int(frac * float64(o.cardOf(rel))) }
 	faults := fmt.Sprintf("C:stall@%d+%v;C:burst@%d+%dx300us;D:drop@%d+%v;A:kill@%d",
 		at("C", 0.10), 20*time.Millisecond, at("C", 0.30), at("C", 0.20),
@@ -230,7 +224,7 @@ func TestStrategyResultsMatchGolden(t *testing.T) {
 				cfg := class.cfg
 				cfg.Seed = seed
 				cfg.Stream = exec.SinkFunc(func(_ time.Duration, tup relation.Tuple) { out.add(tup) })
-				res, trace, _, err := runTraced(w, cfg, class.mk(w), strategy, false)
+				res, trace, _, err := runTraced(t, w, cfg, class.mk(w), strategy, false)
 				line := fmt.Sprintf("%s: error: %v\n", cell, err)
 				if err == nil {
 					if x := out.excess(ref); x > 0 || (out.n != ref.n && !cfg.PartialResults) {

@@ -74,11 +74,6 @@ func ServerLoad(o Options) (*Figure, error) {
 
 		ucfg.MemoryBytes = grants[gi].bytes
 		ucfg.SharedStreams = true
-		// The governor arbitrates the shared grant across the admitted
-		// queries (owner-attributed holdings, globally ranked spills), so
-		// the grant axis measures cross-query memory pressure, not just
-		// repair-split feasibility.
-		ucfg.Governor = true
 		srv, err := server.New(server.Config{
 			Exec:      ucfg,
 			Mode:      server.Fused,

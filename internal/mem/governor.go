@@ -23,13 +23,12 @@ type Holding struct {
 // Governor is the budget-aware materialization scheduler over a Manager
 // ledger. Where the Manager answers only "does n fit?", the Governor knows
 // *who* holds the grant (per-chain build reservations, registered with Bind/
-// Note) and *what can be evicted* (resident pages of chunked temp relations,
-// see Temp): under pressure it frees memory by spilling already-materialized
+// Note) and *what can be evicted* (resident pages of temp relations, see
+// Temp): under pressure it frees memory by spilling already-materialized
 // prefixes — largest resident temp first, oldest pages first — instead of
 // forcing the planner to degrade another chain. The Manager itself stays the
 // single ledger: every byte the Governor tracks is reserved and released
-// through it, so legacy code paths that talk to the Manager directly keep
-// working unchanged.
+// through it.
 type Governor struct {
 	mgr     *Manager
 	holders []Holding
@@ -39,6 +38,9 @@ type Governor struct {
 	resident      []*Temp
 	residentBytes int64
 	spilledPages  int64
+	// writeThrough, once set, admits no more resident pages: every page
+	// written afterwards goes straight to disk.
+	writeThrough bool
 }
 
 // NewGovernor wraps an existing Manager ledger.
@@ -138,9 +140,9 @@ func (g *Governor) SpilledPages() int64 { return g.spilledPages }
 // a quarter of the total grant so hash-table builds — the grant's primary
 // tenants — are never crowded out, and never evicts other resident pages
 // (that would be zero-sum churn: spill one page to defer another's write).
-// False sends the page straight to disk, the legacy behaviour.
+// After WriteThrough it admits nothing. False writes the page through.
 func (g *Governor) reservePage(t *Temp, bytes int64) bool {
-	if g.residentBytes+bytes > g.mgr.Total()/4 {
+	if g.writeThrough || g.residentBytes+bytes > g.mgr.Total()/4 {
 		return false
 	}
 	if !g.mgr.Reserve(bytes) {
@@ -153,6 +155,10 @@ func (g *Governor) reservePage(t *Temp, bytes int64) bool {
 	g.residentBytes += bytes
 	return true
 }
+
+// WriteThrough makes every page written from now on go straight to disk.
+// Pages already resident stay until they are read, spilled or dropped.
+func (g *Governor) WriteThrough() { g.writeThrough = true }
 
 // releaseResident returns resident-page bytes to the grant (page fully
 // consumed by its reader, or the store reclaimed).

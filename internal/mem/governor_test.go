@@ -123,7 +123,7 @@ func TestGovernorInvariantsRandomized(t *testing.T) {
 					held[h] -= n
 				}
 			}
-		case 2: // write a chunked temp (a few pages, resident when the grant allows)
+		case 2: // write a temp (a few pages, resident when the grant allows)
 			tmp := store.Create(fmt.Sprintf("t%d", next), schema)
 			next++
 			rows := p.TuplesPerPage() * (1 + rng.Intn(3))
@@ -239,7 +239,7 @@ func TestGovernorFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
 }
 
 // TestChunkedSpillReloadRoundTrip is the spill/reload property test: several
-// chunked temps written under a grant that cannot hold them all, with random
+// temps written under a grant that cannot hold them all, with random
 // eviction pressure applied between writes, must read back exactly the
 // tuples a brute-force reference recorded — resident fast path, spilled
 // write+read path, and consumed-release path all mixed.

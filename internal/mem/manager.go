@@ -3,8 +3,8 @@
 // materialize-all baseline. Memory accounting follows the paper's
 // abstraction level: a hash table of n tuples occupies n times the
 // accounting tuple size (Table 1: 40 bytes); temporary relations live on
-// the simulated local disk and consume no query memory beyond one transfer
-// page.
+// the simulated local disk, except the pages a Governor keeps resident
+// under the grant.
 package mem
 
 import "fmt"

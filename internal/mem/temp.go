@@ -20,12 +20,10 @@ type TempStore struct {
 	pool    IntRecycler
 	temps   []*Temp
 
-	// gov, when set, governs chunked materialization: freshly written pages
-	// stay memory-resident under the grant and spill to disk only when the
-	// governor evicts them (or fall straight through to disk when the grant
-	// cannot cover them at all).
-	gov     *Governor
-	chunked bool
+	// gov, when set, keeps freshly written pages of asynchronous temps
+	// memory-resident under the grant; they spill to disk only when the
+	// governor evicts them, and a page it refuses is written through.
+	gov *Governor
 }
 
 // IntRecycler supplies and reclaims flat []int64 arenas, so temp-relation
@@ -50,15 +48,13 @@ func NewTempStore(params sim.Params, disk *sim.Disk, clock *sim.Clock) *TempStor
 // far.
 func (s *TempStore) SetPool(p IntRecycler) { s.pool = p }
 
-// SetGovernor attaches a memory governor. With chunked materialization
-// enabled, asynchronous temps keep freshly written pages resident under the
-// governor's grant (spilled on demand, oldest first) instead of writing
-// every page to disk eagerly; synchronous temps — the classic-iterator
-// materialize-all path — are unaffected.
-func (s *TempStore) SetGovernor(g *Governor, chunked bool) {
-	s.gov = g
-	s.chunked = chunked && g != nil
-}
+// SetGovernor attaches a memory governor: asynchronous temps then keep
+// freshly written pages resident under the governor's grant (spilled on
+// demand, oldest first) instead of writing every page to disk eagerly;
+// synchronous temps — the classic-iterator materialize-all path — are
+// unaffected. The bool is ignored. It stays only because bench/ passes it —
+// remove with the next [benchmark] PR.
+func (s *TempStore) SetGovernor(g *Governor, _ bool) { s.gov = g }
 
 // pageBytes is the grant charge for one resident page. Partial trailing
 // pages are charged as full pages, matching the disk model's page-granular
@@ -88,11 +84,10 @@ func (s *TempStore) Create(name string, schema *relation.Schema) *Temp {
 	obj := s.nextObj
 	s.nextObj++
 	t := &Temp{
-		store:   s,
-		name:    name,
-		object:  obj,
-		width:   schema.Width(),
-		chunked: s.chunked,
+		store:  s,
+		name:   name,
+		object: obj,
+		width:  schema.Width(),
 	}
 	if s.pool != nil {
 		t.data = s.pool.GetInts()
@@ -169,11 +164,10 @@ type Temp struct {
 	closed    bool
 	closedLen int
 
-	// Chunked-materialization state (governor mode only). resident is
-	// aligned with pageDone: true means the page's disk write is deferred —
-	// it is available at its (in-memory) completion time and holds one page
-	// of grant until the governor spills it or its reader fully consumes it.
-	chunked       bool
+	// Residency state. resident is aligned with pageDone: true means the
+	// page's disk write is deferred — it is available at its (in-memory)
+	// completion time and holds one page of grant until the governor spills
+	// it or its reader fully consumes it.
 	resident      []bool
 	resBytes      int64 // grant bytes currently held by resident pages
 	consumedPages int   // pages fully consumed by the reader (release watermark)
@@ -220,7 +214,7 @@ func (t *Temp) flushPage() {
 	case t.sync:
 		t.store.disk.SyncWrite(id)
 		t.pageDone = append(t.pageDone, t.store.clock.Now())
-	case t.chunked && t.store.gov.reservePage(t, t.store.pageBytes()):
+	case t.store.gov != nil && t.store.gov.reservePage(t, t.store.pageBytes()):
 		// Resident page: the disk write is deferred until the governor
 		// spills it. The page is readable right away — no transfer stands
 		// between producing the tuples and consuming them.
@@ -232,9 +226,7 @@ func (t *Temp) flushPage() {
 	default:
 		t.pageDone = append(t.pageDone, t.store.disk.AsyncWrite(id))
 	}
-	if t.chunked {
-		t.resident = append(t.resident, false)
-	}
+	t.resident = append(t.resident, false)
 	t.inPage = 0
 }
 
@@ -260,9 +252,13 @@ func (t *Temp) spillOldestPage() int64 {
 
 // consumedTo releases resident pages the reader has fully consumed: their
 // tuples will never be read again, so neither the deferred disk write nor
-// the grant charge is needed. pos is the reader's next-tuple index.
+// the grant charge is needed. pos is the reader's next-tuple index; at the
+// end of the (closed) temp that includes the trailing partial page.
 func (t *Temp) consumedTo(pos int) {
 	done := pos / t.store.params.TuplesPerPage()
+	if pos >= t.nrows {
+		done = len(t.resident)
+	}
 	for k := t.consumedPages; k < done && k < len(t.resident); k++ {
 		if t.resident[k] {
 			t.resident[k] = false
@@ -389,7 +385,7 @@ func (r *Reader) ensureIssued() {
 	}
 	for r.issued < want {
 		k := r.issued
-		if k < len(r.temp.resident) && r.temp.resident[k] {
+		if r.temp.resident[k] {
 			// Resident page: no read I/O — the tuples never left memory, so
 			// they are available the instant the page was produced.
 			r.readyAt[k] = r.temp.pageDone[k]

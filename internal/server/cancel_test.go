@@ -61,9 +61,10 @@ func (b tupleBag) equal(o tupleBag) bool {
 }
 
 // TestFusedCancelAtEveryPlanningPoint cancels each query of one fused batch
-// at every planning point of its execution in turn. The batch runs governed
-// over shared streams behind a cap of three, two of its four queries scanning
-// one workload instance. A reference run records the planning instants; then,
+// at every planning point of its execution in turn. The batch runs at a
+// 1 MiB grant over shared streams behind a cap of three, two of its four
+// queries scanning one workload instance. A reference run records the
+// planning instants; then,
 // per (query, instant), that query's Timeout is set so the cancel lands
 // exactly there, and the run must keep the governor ledger consistent after
 // every round and empty at exit, cancel that query and no other, stream every
@@ -90,7 +91,6 @@ func TestFusedCancelAtEveryPlanningPoint(t *testing.T) {
 		}
 	}
 	cfg := exec.DefaultConfig()
-	cfg.Governor = true
 	cfg.SharedStreams = true
 	cfg.MemoryBytes = 1 << 20
 

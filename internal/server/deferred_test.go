@@ -66,15 +66,14 @@ func (p *eagerPolicy) Cancel(st *core.State, rt *exec.Runtime) error {
 func (p *eagerPolicy) SetFavored(rt *exec.Runtime) { p.Policy.(core.FavorSetter).SetFavored(rt) }
 
 // TestFusedDeferredMatchesEagerAcrossCancel runs one fused batch — staggered
-// arrivals behind an admission cap, shared wrapper streams, a governed
-// grant, the first query timing out — with deferred production and with every
+// arrivals behind an admission cap, shared wrapper streams, resident temp
+// pages, the first query timing out — with deferred production and with every
 // wrapper forced eager: reports and statistics must be identical. Across the
 // timeouts tried, the cancel has to strike at least once while the doomed
 // query's queues still hold unsettled credits, the case where a lost or
 // late settle would show.
 func TestFusedDeferredMatchesEagerAcrossCancel(t *testing.T) {
 	cfg := exec.DefaultConfig()
-	cfg.Governor = true
 	cfg.SharedStreams = true
 	run := func(strategy string, timeout time.Duration) ([]Report, Stats, int) {
 		queries := testQueries(t, 4, 300*time.Microsecond)

@@ -117,9 +117,9 @@ func runCell(t *testing.T, out *bytes.Buffer, cell string, cfg server.Config, qu
 // MaxActive {1, 2, unbounded} × FIFO/priority × the three fairness modes
 // (fused; isolated servers ignore fairness) × timeouts off/on × burst,
 // spaced (overlapping) and sparse (never overlapping) arrivals — every
-// Report, the Stats and a digest of the trace. Around the grid: a governed
-// fused batch over shared streams, isolated servers under the other engine
-// strategies, and dqs.RunConcurrent.
+// Report, the Stats and a digest of the trace. Around the grid: a fused
+// batch over shared streams at a 4 MiB grant, isolated servers under the
+// other engine strategies, and dqs.RunConcurrent.
 func TestServerGridMatchesGolden(t *testing.T) {
 	ws := make([]*workload.Workload, 4)
 	for i := range ws {
@@ -156,16 +156,15 @@ func TestServerGridMatchesGolden(t *testing.T) {
 		}
 	}
 
-	// Governed grant, shared streams: the first two queries scan one
+	// Shared streams under a 4 MiB grant: the first two queries scan one
 	// workload instance, so their wrappers share physical streams.
 	shared := gridQueries(t, []*workload.Workload{ws[0], ws[0], ws[1], ws[2]}, 200*time.Millisecond, true)
-	governed := exec.DefaultConfig()
-	governed.Governor = true
-	governed.SharedStreams = true
-	governed.MemoryBytes = 4 << 20
+	sharedCfg := exec.DefaultConfig()
+	sharedCfg.SharedStreams = true
+	sharedCfg.MemoryBytes = 4 << 20
 	for _, fair := range fairness[server.Fused] {
-		runCell(t, &grid, fmt.Sprintf("fused/governed-shared/cap2/%v", fair),
-			server.Config{Exec: governed, MaxActive: 2, Mode: server.Fused, Fairness: fair}, shared)
+		runCell(t, &grid, fmt.Sprintf("fused/shared-4MiB/cap2/%v", fair),
+			server.Config{Exec: sharedCfg, MaxActive: 2, Mode: server.Fused, Fairness: fair}, shared)
 	}
 	// The static policies never mark a query complete (it finishes at the
 	// engine's final clock reading) and cannot cancel one.
@@ -178,14 +177,12 @@ func TestServerGridMatchesGolden(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		name     string
-		n        int
-		governor bool
-	}{{"one", 1, false}, {"three", 3, false}, {"four-governed", 4, true}} {
+		name string
+		n    int
+	}{{"one", 1}, {"three", 3}, {"four", 4}} {
 		cell := "runconcurrent/" + c.name
 		tr := &sim.Trace{}
 		cfg := dqs.DefaultConfig()
-		cfg.Governor = c.governor
 		cfg.Trace = tr
 		var runs []dqs.QueryRun
 		for _, q := range gridQueries(t, ws[:c.n], 0, false) {

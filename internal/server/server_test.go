@@ -209,13 +209,13 @@ func TestFusedLateArrivalsComplete(t *testing.T) {
 }
 
 // TestFusedGovernorLedger asserts the cross-query ledger invariant at
-// every scheduling round of a governed fused run: the governor's holder
-// attributions plus its resident-page bytes account for every byte of the
-// shared grant, and per-owner holdings sum to the global total.
+// every scheduling round of a fused run: the governor's holder attributions
+// plus its resident-page bytes account for every byte of the shared grant,
+// and per-owner holdings sum to the global total. After the last round the
+// grant is empty: no finished query keeps a resident page.
 func TestFusedGovernorLedger(t *testing.T) {
 	queries := testQueries(t, 3, 1*time.Millisecond)
 	cfg := exec.DefaultConfig()
-	cfg.Governor = true
 	s, err := New(Config{Exec: cfg, Mode: Fused, MaxActive: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -226,11 +226,13 @@ func TestFusedGovernorLedger(t *testing.T) {
 		}
 	}
 	var lastMed *exec.Mediator
+	var lastUsed int64
 	rounds := 0
 	s.probe = func(med *exec.Mediator) {
 		lastMed = med
 		rounds++
 		held, resident, used := med.Gov.HeldTotal(), med.Gov.ResidentBytes(), med.Mem.Used()
+		lastUsed = used
 		if held+resident != used {
 			t.Fatalf("round %d: ledger mismatch: held %d + resident %d != used %d", rounds, held, resident, used)
 		}
@@ -252,6 +254,9 @@ func TestFusedGovernorLedger(t *testing.T) {
 		if held := lastMed.Gov.OwnerHeld(q.Label); held != 0 {
 			t.Errorf("query %q still holds %d bytes after completion", q.Label, held)
 		}
+	}
+	if lastUsed != 0 {
+		t.Errorf("%d grant bytes still in use after the last round", lastUsed)
 	}
 }
 
@@ -307,7 +312,6 @@ func TestTimeoutCancelFused(t *testing.T) {
 	queries := testQueries(t, 3, 0)
 	queries[1].Timeout = 50 * time.Microsecond
 	cfg := exec.DefaultConfig()
-	cfg.Governor = true
 	s, err := New(Config{Exec: cfg, Mode: Fused})
 	if err != nil {
 		t.Fatal(err)
