@@ -17,29 +17,22 @@ import (
 // compare. RateChanged keeps a per-queue verdict — "this wrapper's estimate
 // deviates significantly from its planned baseline" — and re-judges only the
 // queues whose estimator absorbed an arrival since the last call: a verdict
-// is a function of the queue's estimate, its baseline and MinObservations,
-// so it can only move when one of those does. A new baseline
-// (SnapshotPlanned), a new queue (Adopt) or a new MinObservations re-judges
-// everything. The answer — the first changed wrapper in name order — is
-// therefore the full scan's, by construction.
+// is a function of the queue's estimate and its baseline, so it can only
+// move when one of those does. A new baseline (SnapshotPlanned) or a new
+// queue (Adopt) re-judges everything. The answer — the first changed wrapper
+// in name order — is therefore the full scan's, by construction.
 type Manager struct {
 	queues  map[string]*Queue
 	ordered []*Queue    // name-sorted, the CM's deterministic scan order
 	names   []string    // name-sorted, parallel to ordered
 	rates   []rateState // parallel to ordered
 
-	// MinObservations gates change detection until the estimator has seen
-	// enough arrivals to be trusted.
-	MinObservations int64
-
 	// dirty counts the queues flagged for re-judging at the next
 	// RateChanged; allDirty flags every queue at once. changed counts the
-	// standing positive verdicts, judgedMinObs is the MinObservations they
-	// were reached under.
-	dirty        int
-	allDirty     bool
-	changed      int
-	judgedMinObs int64
+	// standing positive verdicts.
+	dirty    int
+	allDirty bool
+	changed  int
 }
 
 // rateState is the change-detection state of one queue.
@@ -57,14 +50,17 @@ type rateState struct {
 // (paper: "any significant change").
 const changeFactor = 2
 
+// minObservations gates change detection until the estimator has seen
+// enough arrivals to be trusted.
+const minObservations = 64
+
 // NewManager returns a CM with no queues yet.
 func NewManager() *Manager {
 	return &Manager{
 		queues: make(map[string]*Queue),
 		// One allocation covers a typical single query (Figure 5 registers
 		// six wrappers); a server's many queues grow it by doubling.
-		rates:           make([]rateState, 0, 8),
-		MinObservations: 64,
+		rates: make([]rateState, 0, 8),
 	}
 }
 
@@ -153,7 +149,7 @@ func (m *Manager) SnapshotPlanned(fallback func(name string) time.Duration) {
 	m.allDirty = true
 }
 
-// judge recomputes queue i's verdict under the current MinObservations.
+// judge recomputes queue i's verdict.
 func (m *Manager) judge(i int) {
 	q, r := m.ordered[i], &m.rates[i]
 	if r.dirty {
@@ -161,7 +157,7 @@ func (m *Manager) judge(i int) {
 		m.dirty--
 	}
 	cur, ok := q.EstimatedWait()
-	verdict := ok && q.est.Observations() >= m.MinObservations && r.hasPlan &&
+	verdict := ok && q.est.Observations() >= minObservations && r.hasPlan &&
 		SignificantChange(r.planned, cur, changeFactor)
 	if verdict != r.changed {
 		r.changed = verdict
@@ -177,10 +173,6 @@ func (m *Manager) judge(i int) {
 // estimate deviates from the planned baseline by more than changeFactor, or
 // "" if none does.
 func (m *Manager) RateChanged() string {
-	if m.judgedMinObs != m.MinObservations {
-		m.judgedMinObs = m.MinObservations
-		m.allDirty = true
-	}
 	if m.allDirty || m.dirty > 0 {
 		for i := range m.rates {
 			if m.allDirty || m.rates[i].dirty {

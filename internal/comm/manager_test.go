@@ -14,7 +14,7 @@ func scanRateChanged(m *Manager, planned map[string]time.Duration) string {
 	for i, q := range m.Queues() {
 		name := m.Names()[i]
 		cur, ok := q.EstimatedWait()
-		if !ok || q.Observations() < m.MinObservations {
+		if !ok || q.Observations() < minObservations {
 			continue
 		}
 		base, has := planned[name]
@@ -29,17 +29,16 @@ func scanRateChanged(m *Manager, planned map[string]time.Duration) string {
 }
 
 // TestRateChangedMatchesFullScan drives the CM through pushes at drifting
-// delivery rates, pops, Observe, SnapshotPlanned, mid-run Adopt and
-// detection-parameter changes in arbitrary order, and requires the
-// incremental RateChanged to give the full scan's answer after every step —
-// including several calls in a row with nothing in between, and steps where
-// the answer is a wrapper other than the one that just moved.
+// delivery rates, pops, Observe, SnapshotPlanned and mid-run Adopt in
+// arbitrary order, and requires the incremental RateChanged to give the full
+// scan's answer after every step — including several calls in a row with
+// nothing in between, and steps where the answer is a wrapper other than the
+// one that just moved.
 func TestRateChangedMatchesFullScan(t *testing.T) {
 	answers := map[string]int{}
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(300 + trial)))
 		m := NewManager()
-		m.MinObservations = int64(rng.Intn(6))
 		planned := map[string]time.Duration{}
 		type feed struct {
 			q    *Queue
@@ -53,7 +52,7 @@ func TestRateChangedMatchesFullScan(t *testing.T) {
 			if _, dup := m.Queue(name); dup {
 				return
 			}
-			q := NewQueue(name, 16)
+			q := NewQueue(name, 64)
 			m.Adopt(q)
 			feeds = append(feeds, &feed{q: q, gap: time.Duration(1+rng.Intn(5)) * time.Millisecond})
 		}
@@ -63,9 +62,10 @@ func TestRateChangedMatchesFullScan(t *testing.T) {
 		var now time.Duration
 		for step := 0; step < 1500; step++ {
 			f := feeds[rng.Intn(len(feeds))]
-			switch op := rng.Intn(12); {
-			case op <= 3: // a few arrivals at the wrapper's current rate
-				for n := 1 + rng.Intn(4); n > 0 && f.q.size+f.q.debt < f.q.capacity; n-- {
+			switch op := rng.Intn(11); {
+			case op <= 3: // arrivals at the wrapper's current rate, enough
+				// that wrappers soon pass minObservations
+				for n := 1 + rng.Intn(16); n > 0 && f.q.size+f.q.debt < f.q.capacity; n-- {
 					f.last += f.gap
 					push(f.q, 0, f.last)
 				}
@@ -84,8 +84,6 @@ func TestRateChangedMatchesFullScan(t *testing.T) {
 				for _, name := range m.Names() {
 					planned[name] = m.Wait(name, fallback)
 				}
-			case op == 10:
-				m.MinObservations = int64(rng.Intn(12))
 			default:
 				if len(feeds) < 10 {
 					adopt()

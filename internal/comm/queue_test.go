@@ -720,7 +720,6 @@ func TestManagerDuplicateRegisterPanics(t *testing.T) {
 
 func TestManagerRateChangeDetection(t *testing.T) {
 	m := NewManager()
-	m.MinObservations = 4
 	q := m.Register("A", 1024)
 	at := time.Duration(0)
 	for i := 0; i < 10; i++ {

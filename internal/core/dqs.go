@@ -94,8 +94,8 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 		for i := range cands {
 			c := &cands[i]
 			add := p.estAdd(c.cs.rt, c.frag)
-			if add > avail && med.Gov.ResidentBytes() > 0 {
-				if freed := med.Gov.FreeUp(taken + add); freed > 0 {
+			if add > avail && med.Mem.ResidentBytes() > 0 {
+				if freed := med.Mem.FreeUp(taken + add); freed > 0 {
 					med.Trace.Add(med.Now(), sim.EvMemRepair,
 						"spilled %d resident bytes to schedule %s without a split",
 						freed, c.frag.Label)

@@ -5,6 +5,7 @@ import (
 
 	"fmt"
 
+	"dqs/internal/mem"
 	"dqs/internal/operator"
 	"dqs/internal/plan"
 	"dqs/internal/relation"
@@ -137,16 +138,17 @@ type symLeaf struct {
 
 // symNet is the whole join network.
 type symNet struct {
-	rt       *Runtime
-	joins    map[int]*symJoin
-	leaves   map[string]*symLeaf
-	root     *symJoin // nil for single-scan plans
-	reserved int64    // grant bytes held by both sides' tables
+	rt     *Runtime
+	joins  map[int]*symJoin
+	leaves map[string]*symLeaf
+	root   *symJoin     // nil for single-scan plans
+	holder mem.HolderID // names the grant bytes held by both sides' tables
 }
 
 // newSymNet compiles the plan into a symmetric-hash-join network.
 func newSymNet(rt *Runtime) (*symNet, error) {
-	net := &symNet{rt: rt, joins: make(map[int]*symJoin), leaves: make(map[string]*symLeaf)}
+	net := &symNet{rt: rt, joins: make(map[int]*symJoin), leaves: make(map[string]*symLeaf),
+		holder: rt.Mem.Bind(rt.Label, "DPHJ")}
 	s := rt.Med.scratch
 	var build func(n *plan.Node, parent *symJoin, fromBuild bool) error
 	build = func(n *plan.Node, parent *symJoin, fromBuild bool) error {
@@ -197,7 +199,7 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 // and scratch back to the mediator's Scratch; the join network lives only
 // for one RunDPHJ call.
 func (net *symNet) reclaim() {
-	net.rt.Mem.Release(net.reserved)
+	net.rt.Mem.Release(net.holder, net.rt.Mem.Held(net.holder))
 	s := net.rt.Med.scratch
 	for _, sj := range net.joins {
 		s.PutTable(sj.buildTable)
@@ -219,10 +221,9 @@ func (net *symNet) arrive(sj *symJoin, fromBuild bool, t relation.Tuple) bool {
 		rt.emitOutput(t)
 		return true
 	}
-	if !rt.Mem.Reserve(int64(rt.Cfg.Params.TupleSize)) {
+	if !rt.Mem.Reserve(net.holder, int64(rt.Cfg.Params.TupleSize)) {
 		return false
 	}
-	net.reserved += int64(rt.Cfg.Params.TupleSize)
 	rt.Costs.ChargeMove()
 	sj.arena.Reset()
 	matches := sj.matchBuf[:0]

@@ -185,8 +185,10 @@ func TestFragmentOverflowSuspendsAndResumes(t *testing.T) {
 		t.Fatal("overflowed fragment claims completion")
 	}
 	rows := rt.TableRows(cA.BuildsFor)
-	// Artificially free memory (as a completed prober would) and resume.
-	rt.Mem.Release(60 << 10)
+	// Artificially free E's table memory (as a completed prober would) and
+	// resume. The table itself stays: p_A still probes it.
+	h := rt.table(cE.BuildsFor).holder
+	rt.Mem.Release(h, rt.Mem.Held(h))
 	for !f.Done() {
 		_, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
 		if overflow {
@@ -310,8 +312,10 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 				t.Fatal("fragment overflowed again after memory was freed")
 			}
 			overflowed = true
-			// Free memory (as a completed prober would) and resume.
-			rt.Mem.Release(60 << 10)
+			// Free E's table memory (as a completed prober would) and
+			// resume; p_A still probes the table.
+			h := rt.table(cE.BuildsFor).holder
+			rt.Mem.Release(h, rt.Mem.Held(h))
 			continue
 		}
 		if f.Done() {

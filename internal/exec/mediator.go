@@ -25,11 +25,6 @@ type Mediator struct {
 	Disk  *sim.Disk
 	Costs operator.Costs
 	Mem   *mem.Manager
-	// Gov is the per-owner ledger and residency governor over Mem: who holds
-	// which bytes of the grant, which temp pages stay resident under it, and
-	// FreeUp to spill them. AddQuery switches it to write-through for a query
-	// whose builds are estimated not to fit the grant.
-	Gov   *mem.Governor
 	Temps *mem.TempStore
 	CM    *comm.Manager
 	Trace *sim.Trace
@@ -71,16 +66,15 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		Disk:    disk,
 		Costs:   operator.NewCosts(clock, cfg.Params),
 		Mem:     memMgr,
-		Gov:     mem.NewGovernor(memMgr),
 		Temps:   mem.NewTempStore(cfg.Params, disk, clock),
 		CM:      comm.NewManager(),
 		Trace:   cfg.Trace,
 		rng:     sim.NewRNG(cfg.Seed),
 		scratch: scratchPool.Get().(*Scratch),
 	}
-	m.Temps.SetGovernor(m.Gov, true)
+	m.Temps.SetGovernor(m.Mem, true)
 	if !cfg.Governor {
-		m.Gov.WriteThrough()
+		m.Mem.WriteThrough()
 	}
 	m.Temps.SetPool(m.scratch)
 	return m, nil
@@ -156,7 +150,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		est += rt.EstBuildBytes(c)
 	}
 	if est > m.Cfg.MemoryBytes {
-		m.Gov.WriteThrough()
+		m.Mem.WriteThrough()
 	}
 	rng := m.rng.Fork(int64(m.queries))
 	netTime := m.Cfg.Params.NetworkTupleTime()
@@ -223,7 +217,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			rows = h
 		}
 		ht.Reserve(j.Build.Schema.Width(), clampReserveRows(rows))
-		holder := m.Gov.BindOwned(label, fmt.Sprintf("%s:J%d", label, j.ID))
+		holder := m.Mem.Bind(label, fmt.Sprintf("%s:J%d", label, j.ID))
 		rt.tables[j.ID] = &tableState{join: j, ht: ht, holder: holder}
 	}
 	m.rts = append(m.rts, rt)

@@ -62,10 +62,8 @@ type tableState struct {
 	ht       *operator.HashTable
 	rows     int64
 	complete bool
-	reserved int64
 	released bool
-	// holder attributes this table's reservations in the governor's
-	// per-owner ledger, which is kept whether or not temps are resident.
+	// holder names this table's reservations in the grant's ledger.
 	holder mem.HolderID
 }
 
@@ -114,7 +112,7 @@ func (rt *Runtime) TableComplete(j *plan.Node) bool { return rt.table(j).complet
 func (rt *Runtime) TableRows(j *plan.Node) int64 { return rt.table(j).rows }
 
 // TableReserved returns the memory currently reserved by join j's table.
-func (rt *Runtime) TableReserved(j *plan.Node) int64 { return rt.table(j).reserved }
+func (rt *Runtime) TableReserved(j *plan.Node) int64 { return rt.Mem.Held(rt.table(j).holder) }
 
 // TableReleased reports whether join j's table memory has been released.
 func (rt *Runtime) TableReleased(j *plan.Node) bool { return rt.table(j).released }
@@ -128,22 +126,6 @@ func (rt *Runtime) EstBuildBytes(c *plan.Chain) int64 {
 	return int64(c.Root().EstRows) * int64(rt.Cfg.Params.TupleSize)
 }
 
-// reserveBuild claims n bytes of grant for a table build, attributing them
-// to the table's holder. A failed reservation first asks the governor to
-// spill resident materialization pages — evicting an already-durable-on-
-// demand prefix is always cheaper than overflowing a build — and retries
-// once if that freed anything (with nothing resident it frees nothing).
-func (rt *Runtime) reserveBuild(ts *tableState, n int64) bool {
-	if !rt.Mem.Reserve(n) {
-		if rt.Med.Gov.FreeUp(n) == 0 || !rt.Mem.Reserve(n) {
-			return false
-		}
-	}
-	ts.reserved += n
-	rt.Med.Gov.Note(ts.holder, n)
-	return true
-}
-
 // buildInsert adds one tuple to join j's table, reserving its memory.
 // It returns false when the memory grant is exhausted.
 func (rt *Runtime) buildInsert(j *plan.Node, t relation.Tuple) bool {
@@ -151,7 +133,7 @@ func (rt *Runtime) buildInsert(j *plan.Node, t relation.Tuple) bool {
 	if ts.complete {
 		panic(fmt.Sprintf("exec: insert into completed table of J%d", j.ID))
 	}
-	if !rt.reserveBuild(ts, int64(rt.Cfg.Params.TupleSize)) {
+	if !rt.Mem.Reserve(ts.holder, int64(rt.Cfg.Params.TupleSize)) {
 		return false
 	}
 	ts.ht.Insert(t)
@@ -172,13 +154,13 @@ func (rt *Runtime) buildInsertBatch(j *plan.Node, ts []relation.Tuple) int {
 		panic(fmt.Sprintf("exec: insert into completed table of J%d", j.ID))
 	}
 	n := int64(rt.Cfg.Params.TupleSize)
-	if rt.reserveBuild(state, n*int64(len(ts))) {
+	if rt.Mem.Reserve(state.holder, n*int64(len(ts))) {
 		state.ht.InsertBatch(ts)
 		state.rows += int64(len(ts))
 		return len(ts)
 	}
 	for i, t := range ts {
-		if !rt.reserveBuild(state, n) {
+		if !rt.Mem.Reserve(state.holder, n) {
 			return i
 		}
 		state.ht.Insert(t)
@@ -220,9 +202,7 @@ func (rt *Runtime) releaseTable(j *plan.Node) {
 	if ts.released {
 		return
 	}
-	rt.Mem.Release(ts.reserved)
-	rt.Med.Gov.Note(ts.holder, -ts.reserved)
-	ts.reserved = 0
+	rt.Mem.Release(ts.holder, rt.Mem.Held(ts.holder))
 	ts.released = true
 	// The table's storage goes back to the pool right away: nothing aliases
 	// it (probe results are copied into fragment arenas), so a query the
@@ -239,7 +219,7 @@ func (rt *Runtime) SetSink(sink Sink) { rt.Cfg.Stream = sink }
 
 // Cancel abandons the query mid-run, releasing everything it holds on the
 // shared mediator: every unreleased hash-table reservation goes back to the
-// memory grant (with its governor holding zeroed) and the query's wrappers
+// memory grant (its ledger holding zeroed) and the query's wrappers
 // are detached so late credits on its queues pump nothing (shared-stream
 // taps release their refcount). The scheduler must have abandoned the
 // query's active fragments first — Cancel only sweeps runtime-held state.

@@ -9,6 +9,7 @@ import (
 	"dqs/internal/core"
 	"dqs/internal/exec"
 	"dqs/internal/fault"
+	"dqs/internal/relation"
 	"dqs/internal/sim"
 	"dqs/internal/source"
 	"dqs/internal/workload"
@@ -29,9 +30,11 @@ func (p resumeOnly) Resume(now time.Duration) {
 // runTraced executes one strategy like runStrategy and returns the result
 // with the rendered trace. With eager set every wrapper is put behind a
 // Resume-only producer first, so the whole run takes the per-credit path;
-// resumes then counts the credits that reached a wrapper. A completed run
-// must hand its whole grant back: builds released, every resident temp page
-// consumed or spilled.
+// resumes then counts the credits that reached a wrapper. At every emitted
+// tuple the grant's ledger must balance — every used byte held by a named
+// holder or backing a resident page — and a completed run must hand its
+// whole grant back: builds released, every resident temp page consumed or
+// spilled.
 func runTraced(t *testing.T, w *workload.Workload, cfg exec.Config, deliveries map[string]exec.Delivery, strategy string, eager bool) (res exec.Result, trace []byte, resumes int, err error) {
 	tr := &sim.Trace{}
 	cfg.Trace = tr
@@ -40,6 +43,15 @@ func runTraced(t *testing.T, w *workload.Workload, cfg exec.Config, deliveries m
 		return exec.Result{}, nil, 0, err
 	}
 	defer rt.Med.Reclaim()
+	m, sink := rt.Mem, cfg.Stream
+	rt.SetSink(exec.SinkFunc(func(at time.Duration, tup relation.Tuple) {
+		if held, resident, used := m.HeldTotal(), m.ResidentBytes(), m.Used(); held+resident != used {
+			t.Fatalf("%s: ledger: held %d + resident %d != used %d", strategy, held, resident, used)
+		}
+		if sink != nil {
+			sink.Emit(at, tup)
+		}
+	}))
 	if eager {
 		for _, c := range rt.Dec.Chains {
 			rel := c.Scan.Rel.Name
@@ -55,8 +67,8 @@ func runTraced(t *testing.T, w *workload.Workload, cfg exec.Config, deliveries m
 		return exec.Result{}, nil, 0, err
 	}
 	res = results[0]
-	if used := rt.Med.Mem.Used(); used != 0 {
-		t.Errorf("%s: %d grant bytes still in use after the run (%d resident)", strategy, used, rt.Med.Gov.ResidentBytes())
+	if used := rt.Mem.Used(); used != 0 {
+		t.Errorf("%s: %d grant bytes still in use after the run (%d resident)", strategy, used, rt.Mem.ResidentBytes())
 	}
 	var buf bytes.Buffer
 	if err := tr.Dump(&buf); err != nil {

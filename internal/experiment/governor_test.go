@@ -85,7 +85,7 @@ func TestWriteThroughWhenBuildsExceedGrant(t *testing.T) {
 			if more, err = eng.Step(); err != nil {
 				t.Fatalf("%v MB: %v", tc.mb, err)
 			}
-			peak = max(peak, rt.Med.Gov.ResidentBytes())
+			peak = max(peak, rt.Med.Mem.ResidentBytes())
 		}
 		res := eng.Finalize()[0]
 		rt.Med.Reclaim()

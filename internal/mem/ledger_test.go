@@ -10,7 +10,7 @@ import (
 	"dqs/internal/sim"
 )
 
-func newGovernedStore(t *testing.T, grant int64) (*TempStore, *Governor, *sim.Clock, sim.Params) {
+func newGovernedStore(t *testing.T, grant int64) (*TempStore, *Manager, *sim.Clock, sim.Params) {
 	t.Helper()
 	p := sim.DefaultParams()
 	clock := sim.NewClock()
@@ -20,57 +20,48 @@ func newGovernedStore(t *testing.T, grant int64) (*TempStore, *Governor, *sim.Cl
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGovernor(m)
-	store.SetGovernor(g, true)
-	return store, g, clock, p
+	store.SetGovernor(m, true)
+	return store, m, clock, p
 }
 
-func TestGovernorNilManagerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("governor over nil manager did not panic")
-		}
-	}()
-	NewGovernor(nil)
-}
-
-func TestGovernorHoldingsAccounting(t *testing.T) {
+func TestLedgerHoldingsAccounting(t *testing.T) {
 	m, _ := NewManager(1000)
-	g := NewGovernor(m)
-	if g.Manager() != m {
-		t.Fatal("Manager() does not return the wrapped ledger")
+	a, b, c := m.Bind("Q1", "Q1:J1"), m.Bind("Q1", "Q1:J2"), m.Bind("Q2", "Q2:J1")
+	for _, r := range []struct {
+		h HolderID
+		n int64
+	}{{a, 100}, {b, 300}, {c, 50}, {a, 25}} {
+		if !m.Reserve(r.h, r.n) {
+			t.Fatalf("Reserve(%d, %d) failed with %d available", r.h, r.n, m.Available())
+		}
 	}
-	a, b, c := g.Bind("Q1:J1"), g.Bind("Q1:J2"), g.Bind("Q2:J1")
-	g.Note(a, 100)
-	g.Note(b, 300)
-	g.Note(c, 50)
-	g.Note(a, 25)
-	if g.Held(a) != 125 || g.Held(b) != 300 || g.Held(c) != 50 {
-		t.Errorf("held = %d/%d/%d", g.Held(a), g.Held(b), g.Held(c))
+	if m.Held(a) != 125 || m.Held(b) != 300 || m.Held(c) != 50 {
+		t.Errorf("held = %d/%d/%d", m.Held(a), m.Held(b), m.Held(c))
 	}
-	if g.HeldTotal() != 475 {
-		t.Errorf("HeldTotal = %d", g.HeldTotal())
+	if m.HeldTotal() != 475 || m.Used() != 475 {
+		t.Errorf("HeldTotal = %d, Used = %d", m.HeldTotal(), m.Used())
 	}
-	// Holdings: largest first, zero-byte holders filtered out.
-	g.Note(c, -50)
-	hs := g.Holdings()
-	if len(hs) != 2 || hs[0].Name != "Q1:J2" || hs[0].Bytes != 300 || hs[1].Name != "Q1:J1" || hs[1].Bytes != 125 {
-		t.Errorf("Holdings = %+v", hs)
+	m.Release(c, 50)
+	if byOwner := m.HoldingsByOwner(); len(byOwner) != 2 || byOwner["Q1"] != 425 || byOwner["Q2"] != 0 {
+		t.Errorf("HoldingsByOwner = %v", byOwner)
+	}
+	if m.Reserve(c, 600) || m.Held(c) != 0 || m.Used() != 425 {
+		t.Errorf("over-grant Reserve took bytes: held %d, used %d", m.Held(c), m.Used())
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("negative holding did not panic")
+			t.Error("release beyond the holding did not panic")
 		}
 	}()
-	g.Note(a, -126)
+	m.Release(a, 126)
 }
 
-// TestGovernorInvariantsRandomized drives a governor through randomized
-// bind/note/reserve-page/free-up/consume sequences and checks the ledger
-// invariant after every step: the manager's used bytes are exactly the sum
-// of the holdings plus the resident-page bytes — nothing leaks, nothing is
+// TestLedgerInvariantsRandomized drives the ledger through randomized
+// bind/reserve/release/reserve-page/free-up/consume sequences and checks its
+// invariant after every step: the used bytes are exactly the sum of the
+// holdings plus the resident-page bytes — nothing leaks, nothing is
 // double-counted.
-func TestGovernorInvariantsRandomized(t *testing.T) {
+func TestLedgerInvariantsRandomized(t *testing.T) {
 	store, g, _, p := newGovernedStore(t, 16*int64(p0(t)))
 	pb := int64(p.TuplesPerPage()) * int64(p.TupleSize)
 	rng := rand.New(rand.NewSource(7))
@@ -97,7 +88,7 @@ func TestGovernorInvariantsRandomized(t *testing.T) {
 		if res != g.ResidentBytes() {
 			t.Fatalf("step %d: ResidentBytes %d != per-temp resident sum %d", step, g.ResidentBytes(), res)
 		}
-		if used := g.Manager().Used(); used != g.HeldTotal()+g.ResidentBytes() {
+		if used := g.Used(); used != g.HeldTotal()+g.ResidentBytes() {
 			t.Fatalf("step %d: used %d != holdings %d + resident %d",
 				step, used, g.HeldTotal(), g.ResidentBytes())
 		}
@@ -105,12 +96,11 @@ func TestGovernorInvariantsRandomized(t *testing.T) {
 
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(5) {
-		case 0: // bind a holder and reserve through the manager
-			h := g.Bind(fmt.Sprintf("H%d", len(holders)))
+		case 0: // bind a holder and reserve for it (spilling if need be)
+			h := g.Bind("", fmt.Sprintf("H%d", len(holders)))
 			holders = append(holders, h)
 			n := pb / int64(1+rng.Intn(4))
-			if g.Manager().Reserve(n) {
-				g.Note(h, n)
+			if g.Reserve(h, n) {
 				held[h] += n
 			}
 		case 1: // release part of a holding
@@ -118,8 +108,7 @@ func TestGovernorInvariantsRandomized(t *testing.T) {
 				h := holders[rng.Intn(len(holders))]
 				if held[h] > 0 {
 					n := 1 + rng.Int63n(held[h])
-					g.Manager().Release(n)
-					g.Note(h, -n)
+					g.Release(h, n)
 					held[h] -= n
 				}
 			}
@@ -150,7 +139,7 @@ func TestGovernorInvariantsRandomized(t *testing.T) {
 	if g.ResidentBytes() != 0 {
 		t.Errorf("ResidentBytes after Reclaim = %d", g.ResidentBytes())
 	}
-	if used := g.Manager().Used(); used != g.HeldTotal() {
+	if used := g.Used(); used != g.HeldTotal() {
 		t.Errorf("used %d != holdings %d after Reclaim", used, g.HeldTotal())
 	}
 }
@@ -192,12 +181,12 @@ func TestChunkedTempKeepsPagesResident(t *testing.T) {
 	if g.ResidentBytes() != 0 {
 		t.Errorf("ResidentBytes after drain = %d", g.ResidentBytes())
 	}
-	if g.SpilledPages() != 0 {
-		t.Errorf("SpilledPages = %d, want 0 (consumed, not spilled)", g.SpilledPages())
+	if w := store.disk.Stats().Writes; w != 0 {
+		t.Errorf("%d page writes, want 0 (consumed, not spilled)", w)
 	}
 }
 
-func TestGovernorFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
+func TestFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
 	pb := int64(p0(t))
 	// Grant sized so the quarter-of-total residency cap (10 pages) admits
 	// both temps' pages.
@@ -214,7 +203,7 @@ func TestGovernorFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
 	fill(small, 2)
 	fill(large, 5)
 	// Exhaust the rest of the grant so FreeUp must actually spill.
-	g.Manager().Reserve(g.Manager().Available())
+	g.Reserve(g.Bind("", "filler"), g.Available())
 	if freed := g.FreeUp(2 * pb); freed != 2*pb {
 		t.Fatalf("FreeUp freed %d, want %d", freed, 2*pb)
 	}
@@ -225,8 +214,8 @@ func TestGovernorFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
 	if got := small.ResidentPages(); got != 2 {
 		t.Errorf("small ResidentPages = %d, want 2 (untouched)", got)
 	}
-	if g.SpilledPages() != 2 {
-		t.Errorf("SpilledPages = %d", g.SpilledPages())
+	if w := store.disk.Stats().Writes; w != 2 {
+		t.Errorf("%d page writes, want 2 spills", w)
 	}
 	// The spilled prefix reads back intact (the I/O cache may still serve
 	// it; contents are what matters here).
@@ -235,6 +224,33 @@ func TestGovernorFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
 		if got := pop(r, 1<<62); got[0] != int64(i) {
 			t.Fatalf("tuple %d = %v after spill", i, got)
 		}
+	}
+}
+
+// TestReserveSpillsBeforeOverflow pins the spill-before-overflow rule: a
+// reservation that does not fit spills resident pages, oldest first, and
+// retries; one that still does not fit reserves nothing.
+func TestReserveSpillsBeforeOverflow(t *testing.T) {
+	pb := int64(p0(t))
+	store, g, _, p := newGovernedStore(t, 40*pb)
+	tmp := store.Create("t", relation.NewSchema("x", "id"))
+	for i := 0; i < p.TuplesPerPage()*5; i++ {
+		tmp.Append(relation.Tuple{int64(i)})
+	}
+	tmp.Close()
+	g.Reserve(g.Bind("", "filler"), g.Available())
+	build := g.Bind("", "build")
+	if !g.Reserve(build, pb+1) {
+		t.Fatal("Reserve failed with resident pages to spill")
+	}
+	if g.Held(build) != pb+1 || tmp.ResidentPages() != 3 {
+		t.Errorf("held %d, %d pages resident; want %d held after spilling 2 of 5", g.Held(build), tmp.ResidentPages(), pb+1)
+	}
+	if g.Reserve(build, 10*pb) || g.Held(build) != pb+1 {
+		t.Errorf("Reserve beyond everything spillable succeeded: held %d", g.Held(build))
+	}
+	if used := g.Used(); used != g.HeldTotal()+g.ResidentBytes() {
+		t.Errorf("used %d != holdings %d + resident %d", used, g.HeldTotal(), g.ResidentBytes())
 	}
 }
 
@@ -251,8 +267,9 @@ func TestChunkedSpillReloadRoundTrip(t *testing.T) {
 
 	// spill forces at least one eviction regardless of how much grant is
 	// free, modelling a build burst that claims everything.
+	var spilled int64
 	spill := func(pages int) {
-		g.FreeUp(g.Manager().Available() + int64(pages)*pb)
+		spilled += g.FreeUp(g.Available() + int64(pages)*pb)
 	}
 
 	const ntemps = 6
@@ -297,7 +314,7 @@ func TestChunkedSpillReloadRoundTrip(t *testing.T) {
 			t.Errorf("temp %d not exhausted after full drain", i)
 		}
 	}
-	if g.SpilledPages() == 0 {
+	if spilled == 0 {
 		t.Error("property run never spilled; grant not tight enough to exercise eviction")
 	}
 }

@@ -13,19 +13,20 @@ func TestManagerReserveReleasePeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Reserve(60) {
+	h := m.Bind("", "h")
+	if !m.Reserve(h, 60) {
 		t.Fatal("reserve 60/100 failed")
 	}
-	if m.Reserve(50) {
+	if m.Reserve(h, 50) {
 		t.Fatal("over-reserve succeeded")
 	}
 	if m.Used() != 60 || m.Available() != 40 {
 		t.Errorf("used/avail = %d/%d", m.Used(), m.Available())
 	}
-	if !m.Reserve(40) {
+	if !m.Reserve(h, 40) {
 		t.Fatal("exact-fit reserve failed")
 	}
-	m.Release(30)
+	m.Release(h, 30)
 	if m.Used() != 70 || m.Peak() != 100 {
 		t.Errorf("after release: used=%d peak=%d", m.Used(), m.Peak())
 	}
@@ -50,10 +51,13 @@ func TestManagerValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("negative reserve", func() { m.Reserve(-1) })
-	mustPanic("over-release", func() { m.Release(1) })
-	m.Reserve(5)
-	mustPanic("negative release", func() { m.Release(-1) })
+	a, b := m.Bind("", "a"), m.Bind("", "b")
+	mustPanic("negative reserve", func() { m.Reserve(a, -1) })
+	mustPanic("over-release", func() { m.Release(a, 1) })
+	m.Reserve(a, 5)
+	mustPanic("negative release", func() { m.Release(a, -1) })
+	mustPanic("release of another holder's bytes", func() { m.Release(b, 5) })
+	mustPanic("resident over-release", func() { m.releaseResident(1) })
 }
 
 func newStore() (*TempStore, *sim.Clock, sim.Params) {

@@ -20,10 +20,10 @@ type TempStore struct {
 	pool    IntRecycler
 	temps   []*Temp
 
-	// gov, when set, keeps freshly written pages of asynchronous temps
+	// grant, when set, keeps freshly written pages of asynchronous temps
 	// memory-resident under the grant; they spill to disk only when the
-	// governor evicts them, and a page it refuses is written through.
-	gov *Governor
+	// ledger evicts them, and a page it refuses is written through.
+	grant *Manager
 }
 
 // IntRecycler supplies and reclaims flat []int64 arenas, so temp-relation
@@ -48,13 +48,13 @@ func NewTempStore(params sim.Params, disk *sim.Disk, clock *sim.Clock) *TempStor
 // far.
 func (s *TempStore) SetPool(p IntRecycler) { s.pool = p }
 
-// SetGovernor attaches a memory governor: asynchronous temps then keep
-// freshly written pages resident under the governor's grant (spilled on
-// demand, oldest first) instead of writing every page to disk eagerly;
-// synchronous temps — the classic-iterator materialize-all path — are
-// unaffected. The bool is ignored. It stays only because bench/ passes it —
-// remove with the next [benchmark] PR.
-func (s *TempStore) SetGovernor(g *Governor, _ bool) { s.gov = g }
+// SetGovernor attaches the grant's ledger: asynchronous temps then keep
+// freshly written pages resident under the grant (spilled on demand, oldest
+// first) instead of writing every page to disk eagerly; synchronous temps —
+// the classic-iterator materialize-all path — are unaffected. The bool is
+// ignored. It stays only because bench/ passes it — remove with the next
+// [benchmark] PR.
+func (s *TempStore) SetGovernor(m *Manager, _ bool) { s.grant = m }
 
 // pageBytes is the grant charge for one resident page. Partial trailing
 // pages are charged as full pages, matching the disk model's page-granular
@@ -166,13 +166,13 @@ type Temp struct {
 
 	// Residency state. resident is aligned with pageDone: true means the
 	// page's disk write is deferred — it is available at its (in-memory)
-	// completion time and holds one page of grant until the governor spills
+	// completion time and holds one page of grant until the ledger spills
 	// it or its reader fully consumes it.
 	resident      []bool
 	resBytes      int64 // grant bytes currently held by resident pages
 	consumedPages int   // pages fully consumed by the reader (release watermark)
 	resScan       int   // lowest index that can still be resident (spill cursor)
-	inSpillList   bool  // listed in the governor's spill-candidate set
+	inSpillList   bool  // listed in the ledger's spill-candidate set
 }
 
 // Len returns the number of appended tuples.
@@ -214,8 +214,8 @@ func (t *Temp) flushPage() {
 	case t.sync:
 		t.store.disk.SyncWrite(id)
 		t.pageDone = append(t.pageDone, t.store.clock.Now())
-	case t.store.gov != nil && t.store.gov.reservePage(t, t.store.pageBytes()):
-		// Resident page: the disk write is deferred until the governor
+	case t.store.grant != nil && t.store.grant.reservePage(t, t.store.pageBytes()):
+		// Resident page: the disk write is deferred until the ledger
 		// spills it. The page is readable right away — no transfer stands
 		// between producing the tuples and consuming them.
 		t.resBytes += t.store.pageBytes()
@@ -232,8 +232,8 @@ func (t *Temp) flushPage() {
 
 // spillOldestPage evicts the temp's oldest resident page: the deferred disk
 // write is charged now (the page becomes durable at the async transfer's
-// completion) and one page of grant is returned to the governor's ledger by
-// the caller. Returns the bytes released, 0 when nothing is resident.
+// completion) and one page of grant is returned to the ledger by the
+// caller. Returns the bytes released, 0 when nothing is resident.
 func (t *Temp) spillOldestPage() int64 {
 	for k := t.resScan; k < len(t.resident); k++ {
 		if !t.resident[k] {
@@ -264,7 +264,7 @@ func (t *Temp) consumedTo(pos int) {
 			t.resident[k] = false
 			pb := t.store.pageBytes()
 			t.resBytes -= pb
-			t.store.gov.releaseResident(pb)
+			t.store.grant.releaseResident(pb)
 		}
 	}
 	if done > t.consumedPages {
@@ -281,7 +281,7 @@ func (t *Temp) releaseAllResident() {
 	for k := range t.resident {
 		if t.resident[k] {
 			t.resident[k] = false
-			t.store.gov.releaseResident(t.store.pageBytes())
+			t.store.grant.releaseResident(t.store.pageBytes())
 		}
 	}
 	t.resBytes = 0

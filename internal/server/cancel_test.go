@@ -127,7 +127,7 @@ func TestFusedCancelAtEveryPlanningPoint(t *testing.T) {
 		s.probe = func(m *exec.Mediator) {
 			med = m
 			instants = append(instants, m.Now())
-			held, resident, used := m.Gov.HeldTotal(), m.Gov.ResidentBytes(), m.Mem.Used()
+			held, resident, used := m.Mem.HeldTotal(), m.Mem.ResidentBytes(), m.Mem.Used()
 			if held+resident != used {
 				t.Fatalf("victim q%d timeout %v, t=%v: ledger mismatch: held %d + resident %d != used %d",
 					victim, timeout, m.Now(), held, resident, used)
@@ -138,8 +138,8 @@ func TestFusedCancelAtEveryPlanningPoint(t *testing.T) {
 			t.Fatalf("victim q%d timeout %v: %v", victim, timeout, err)
 		}
 		shared = stats.SharedStreams
-		if held := med.Gov.HeldTotal(); held != 0 {
-			t.Errorf("victim q%d timeout %v: %d grant bytes still held at exit", victim, timeout, held)
+		if held, used := med.Mem.HeldTotal(), med.Mem.Used(); held != 0 || used != 0 {
+			t.Errorf("victim q%d timeout %v: %d grant bytes still held, %d in use at exit", victim, timeout, held, used)
 		}
 		return reports, instants, got
 	}

@@ -209,8 +209,8 @@ func TestFusedLateArrivalsComplete(t *testing.T) {
 }
 
 // TestFusedGovernorLedger asserts the cross-query ledger invariant at
-// every scheduling round of a fused run: the governor's holder attributions
-// plus its resident-page bytes account for every byte of the shared grant,
+// every scheduling round of a fused run: the holder attributions plus the
+// resident-page bytes account for every byte of the shared grant,
 // and per-owner holdings sum to the global total. After the last round the
 // grant is empty: no finished query keeps a resident page.
 func TestFusedGovernorLedger(t *testing.T) {
@@ -231,13 +231,13 @@ func TestFusedGovernorLedger(t *testing.T) {
 	s.probe = func(med *exec.Mediator) {
 		lastMed = med
 		rounds++
-		held, resident, used := med.Gov.HeldTotal(), med.Gov.ResidentBytes(), med.Mem.Used()
+		held, resident, used := med.Mem.HeldTotal(), med.Mem.ResidentBytes(), med.Mem.Used()
 		lastUsed = used
 		if held+resident != used {
 			t.Fatalf("round %d: ledger mismatch: held %d + resident %d != used %d", rounds, held, resident, used)
 		}
 		var sum int64
-		for _, b := range med.Gov.HoldingsByOwner() {
+		for _, b := range med.Mem.HoldingsByOwner() {
 			sum += b
 		}
 		if sum != held {
@@ -251,7 +251,7 @@ func TestFusedGovernorLedger(t *testing.T) {
 		t.Fatal("probe never ran")
 	}
 	for _, q := range queries {
-		if held := lastMed.Gov.OwnerHeld(q.Label); held != 0 {
+		if held := lastMed.Mem.HoldingsByOwner()[q.Label]; held != 0 {
 			t.Errorf("query %q still holds %d bytes after completion", q.Label, held)
 		}
 	}
@@ -299,7 +299,7 @@ func TestTimeoutCancelIsolated(t *testing.T) {
 			reports[1].Result, serial)
 	}
 	for med := range meds {
-		if held := med.Gov.HeldTotal(); held != 0 {
+		if held := med.Mem.HeldTotal(); held != 0 {
 			t.Errorf("mediator still holds %d grant bytes after run", held)
 		}
 	}
@@ -324,7 +324,7 @@ func TestTimeoutCancelFused(t *testing.T) {
 	var lastMed *exec.Mediator
 	s.probe = func(med *exec.Mediator) {
 		lastMed = med
-		if held, resident, used := med.Gov.HeldTotal(), med.Gov.ResidentBytes(), med.Mem.Used(); held+resident != used {
+		if held, resident, used := med.Mem.HeldTotal(), med.Mem.ResidentBytes(), med.Mem.Used(); held+resident != used {
 			t.Fatalf("ledger mismatch after cancel: held %d + resident %d != used %d", held, resident, used)
 		}
 	}
@@ -341,7 +341,7 @@ func TestTimeoutCancelFused(t *testing.T) {
 			t.Errorf("surviving query %q produced no output", reports[i].Label)
 		}
 	}
-	if held := lastMed.Gov.OwnerHeld(queries[1].Label); held != 0 {
+	if held := lastMed.Mem.HoldingsByOwner()[queries[1].Label]; held != 0 {
 		t.Errorf("cancelled query still holds %d bytes", held)
 	}
 }
