@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dqs/internal/exec"
 	"dqs/internal/sim"
 	"dqs/internal/source"
 )
@@ -186,7 +187,8 @@ func tracedRun(spec RunSpec) (Result, [sha256.Size]byte, error) {
 // TestPooledRunIsDeterministicUnderReuse pins the pooling contract on the
 // public path: every mediator draws its storage from one process-wide pool,
 // so a run inherits whatever capacity and build-row hints earlier runs left
-// there. The same spec must give the same Result and the same trace bytes
+// there. The same spec — a DSE run, and a DPHJ run whose join network draws
+// twice the tables — must give the same Result and the same trace bytes
 // first, after foreign runs of every shape have been through the pool, and
 // from several goroutines at once.
 func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
@@ -199,10 +201,16 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 	}
 	del := UniformDeliveries(small, 20*time.Microsecond)
 	del["A"] = Delivery{MeanWait: 60 * time.Microsecond}
-	spec := RunSpec{Workload: small, Config: DefaultConfig(), Strategy: DSE, Deliveries: del}
-	first, firstSum, err := tracedRun(spec)
-	if err != nil {
-		t.Fatal(err)
+	specs := []RunSpec{
+		{Workload: small, Config: DefaultConfig(), Strategy: DSE, Deliveries: del},
+		{Workload: small, Config: DefaultConfig(), Strategy: DPHJ, Deliveries: del},
+	}
+	firsts := make([]Result, len(specs))
+	firstSums := make([][sha256.Size]byte, len(specs))
+	for i, spec := range specs {
+		if firsts[i], firstSums[i], err = tracedRun(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Foreign runs: larger tables and arenas, other strategies' temps, a
@@ -245,19 +253,21 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 		}
 	}
 
-	check := func(when string, res Result, sum [sha256.Size]byte) {
-		if !res.Equal(first) {
-			t.Errorf("%s: result diverged from the first run\nfirst: %v\nnow:   %v", when, first, res)
+	check := func(when string, k int, res Result, sum [sha256.Size]byte) {
+		if !res.Equal(firsts[k]) {
+			t.Errorf("%s: result diverged from the first run\nfirst: %v\nnow:   %v", when, firsts[k], res)
 		}
-		if sum != firstSum {
-			t.Errorf("%s: trace SHA-256 %x, first run %x", when, sum, firstSum)
+		if sum != firstSums[k] {
+			t.Errorf("%s: trace SHA-256 %x, first run %x", when, sum, firstSums[k])
 		}
 	}
-	res, sum, err := tracedRun(spec)
-	if err != nil {
-		t.Fatal(err)
+	for k, spec := range specs {
+		res, sum, err := tracedRun(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%s after foreign runs", spec.Strategy), k, res, sum)
 	}
-	check("after foreign runs", res, sum)
 
 	type outcome struct {
 		res Result
@@ -268,17 +278,18 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := range outs {
 		wg.Add(1)
-		go func(o *outcome) {
+		go func(o *outcome, spec RunSpec) {
 			defer wg.Done()
 			o.res, o.sum, o.err = tracedRun(spec)
-		}(&outs[i])
+		}(&outs[i], specs[i%len(specs)])
 	}
 	wg.Wait()
 	for i, o := range outs {
 		if o.err != nil {
 			t.Fatalf("concurrent run %d: %v", i, o.err)
 		}
-		check(fmt.Sprintf("concurrent run %d", i), o.res, o.sum)
+		k := i % len(specs)
+		check(fmt.Sprintf("%s concurrent run %d", specs[k].Strategy, i), k, o.res, o.sum)
 	}
 }
 
@@ -334,17 +345,17 @@ func TestPooledRunReusesStorage(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	// A sync.Pool forgets what two collections in a row leave untouched, so
-	// the next run starts from nothing.
+	// A mediator of our own, never reclaimed, takes the last reclaimed
+	// Scratch, and the sync.Pool forgets what two collections in a row leave
+	// untouched, so the next run starts from nothing; the run after it gets
+	// that run's Scratch back.
+	if _, err := exec.NewMediator(DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
 	runtime.GC()
 	runtime.GC()
 	cold := allocated()
-	// The best of several warm runs: under the race detector sync.Pool drops
-	// a quarter of its Puts, so any single run may find the pool empty.
-	warm := cold
-	for i := 0; i < 8; i++ {
-		warm = min(warm, allocated())
-	}
+	warm := allocated()
 	t.Logf("cold Run %d bytes, warm Run %d bytes", cold, warm)
 	if warm > cold/4 {
 		t.Errorf("a warm Run allocates %d bytes, a cold one %d: the public path is not reusing pooled storage", warm, cold)

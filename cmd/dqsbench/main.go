@@ -58,7 +58,7 @@ func main() {
 		chart      = flag.Bool("chart", false, "also draw ASCII charts")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken after the sweep to this file")
-		faults     = flag.String("faults", "", "inject a fault scenario into every run, e.g. 'D:drop@5000+2s' (experiments running DPHJ reject it)")
+		faults     = flag.String("faults", "", "inject a fault scenario into every run, e.g. 'D:drop@5000+2s'")
 		faultSeed  = flag.Int64("fault-seed", 1, "random seed of the fault scenario's timing draws")
 		planCache  = flag.Bool("plan-cache", false, "share one plan/decomposition cache across every cell (hit/miss counts go to the stderr summary)")
 	)

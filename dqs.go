@@ -116,7 +116,8 @@ type Strategy string
 // discusses: SCR is phase-1 query scrambling (§1.2, the timeout-driven
 // scheduling-level reaction) and DPHJ is the double-pipelined symmetric
 // hash join (§1.1, the operator-level reaction, at roughly double the
-// memory footprint).
+// memory footprint). All five are scheduling policies on one engine, so
+// each runs under faults, in either server mode and over several queries.
 const (
 	SEQ  Strategy = "SEQ"
 	MA   Strategy = "MA"

@@ -233,18 +233,16 @@ func TestDSETimeoutEvent(t *testing.T) {
 	w := smallFig5(t)
 	del := make(map[string]exec.Delivery)
 	for _, name := range w.Catalog.Names() {
-		del[name] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: 2 * time.Second}
+		del[name] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: 12 * time.Second}
 	}
-	cfg := testConfig()
-	cfg.Timeout = 500 * time.Millisecond
-	res, err := runOn(newRT(t, w, cfg, del), "DSE")
+	res, err := runOn(newRT(t, w, testConfig(), del), "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Timeouts == 0 {
-		t.Errorf("universal 2s initial delay with 0.5s timeout produced no TimeOut events")
+		t.Errorf("universal 12s initial delay with the %v DQP timeout produced no TimeOut events", dqpTimeout)
 	}
-	if res.ResponseTime < 2*time.Second {
+	if res.ResponseTime < 12*time.Second {
 		t.Errorf("response %v impossibly fast", res.ResponseTime)
 	}
 }

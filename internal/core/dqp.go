@@ -169,8 +169,8 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 	}
 }
 
-// processRoundRobin is the materialization sweep of MA phase 1: one batch
-// from every runnable fragment per pass, stalling to the earliest arrival
+// processRoundRobin is the sweep of MA phase 1 and of the DPHJ feeds: one
+// batch from every runnable fragment per pass, stalling to the earliest arrival
 // when a full pass made no progress. Fragment completions do not interrupt
 // the phase; it ends only when every fragment is done (or has no future
 // arrival) or on overflow.

@@ -8,9 +8,9 @@ import (
 )
 
 // dsePlan wraps fragments in the execution mode the DSE policy uses: rate
-// observation, the configured timeout and stall tracing.
-func dsePlan(cfg exec.Config, frags ...*exec.Fragment) SchedulingPlan {
-	return SchedulingPlan{Frags: frags, ObserveRates: true, Timeout: cfg.Timeout, TraceStalls: true}
+// observation, the DQP timeout and stall tracing.
+func dsePlan(frags ...*exec.Fragment) SchedulingPlan {
+	return SchedulingPlan{Frags: frags, ObserveRates: true, Timeout: dqpTimeout, TraceStalls: true}
 }
 
 // TestProcessPhaseFallsThroughPriorities drives one DQP execution phase
@@ -29,7 +29,7 @@ func TestProcessPhaseFallsThroughPriorities(t *testing.T) {
 	cD, _ := rt.Dec.ChainOf("D")
 	fE := rt.NewPCFragment(cE) // starved for 300ms
 	fD := rt.NewPCFragment(cD) // flowing immediately
-	ev, err := e.processPhase(dsePlan(cfg, fE, fD))
+	ev, err := e.processPhase(dsePlan(fE, fD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestProcessPhaseFallsThroughPriorities(t *testing.T) {
 		t.Errorf("processed: D=%d E=%d; want D>0, E=0", fD.Processed(), fE.Processed())
 	}
 	// Finish the phase: p_E completes next.
-	ev, err = e.processPhase(dsePlan(cfg, fE, fD))
+	ev, err = e.processPhase(dsePlan(fE, fD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestProcessPhaseStallsWhenAllStarved(t *testing.T) {
 	e := dseEngine(t, rt)
 	cE, _ := rt.Dec.ChainOf("E")
 	cD, _ := rt.Dec.ChainOf("D")
-	ev, err := e.processPhase(dsePlan(cfg, rt.NewPCFragment(cE), rt.NewPCFragment(cD)))
+	ev, err := e.processPhase(dsePlan(rt.NewPCFragment(cE), rt.NewPCFragment(cD)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +80,17 @@ func TestProcessPhaseStallsWhenAllStarved(t *testing.T) {
 }
 
 // TestProcessPhaseTimeout verifies the TimeOut interruption when the
-// starvation exceeds the configured timeout.
+// starvation exceeds the plan's timeout.
 func TestProcessPhaseTimeout(t *testing.T) {
 	w := smallFig5(t)
-	cfg := testConfig()
-	cfg.Timeout = 50 * time.Millisecond
 	del := uniform(w, 10*time.Microsecond)
 	del["E"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: time.Second}
-	rt := newRT(t, w, cfg, del)
+	rt := newRT(t, w, testConfig(), del)
 	e := dseEngine(t, rt)
 	cE, _ := rt.Dec.ChainOf("E")
-	ev, err := e.processPhase(dsePlan(cfg, rt.NewPCFragment(cE)))
+	sp := dsePlan(rt.NewPCFragment(cE))
+	sp.Timeout = 50 * time.Millisecond
+	ev, err := e.processPhase(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,10 @@ type dsePolicy struct {
 	favored *exec.Runtime
 }
 
+// dqpTimeout is how long a DSE execution phase may be fully starved before
+// the DQP returns a TimeOut interruption (§3.2).
+const dqpTimeout = 10 * time.Second
+
 // NewDSEPolicy builds the paper's dynamic scheduling policy over the
 // state's attached queries. It is the default entry of the policy registry
 // under the name "DSE".
@@ -180,7 +184,7 @@ func (p *dsePolicy) Plan(st *State) (SchedulingPlan, error) {
 	return SchedulingPlan{
 		Frags:        sp,
 		ObserveRates: true,
-		Timeout:      med.Cfg.Timeout,
+		Timeout:      dqpTimeout,
 		TraceStalls:  true,
 	}, nil
 }

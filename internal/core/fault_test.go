@@ -7,11 +7,13 @@ import (
 
 	"dqs/internal/exec"
 	"dqs/internal/fault"
+	"dqs/internal/reftest"
 	"dqs/internal/sim"
 )
 
-// The four policy strategies that must survive every recovery scenario.
-var faultStrategies = []string{"SEQ", "MA", "SCR", "DSE"}
+// The built-in strategies, every one of which must survive every recovery
+// scenario.
+var faultStrategies = []string{"SEQ", "MA", "SCR", "DSE", "DPHJ"}
 
 func parsePlan(t *testing.T, spec string) *fault.Plan {
 	t.Helper()
@@ -197,14 +199,35 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunnerStrategiesRejectFaults: DPHJ bypasses the unified executor, so
-// running it under a fault plan must fail loudly instead of hanging.
-func TestRunnerStrategiesRejectFaults(t *testing.T) {
+// TestDPHJUnderFaults: the symmetric join network runs on the unified
+// executor, so it inherits the resilience layer. A dead wrapper with no
+// recovery path is a descriptive error, a replica restores the reference
+// result, and partial results complete minus the dead relation's feed.
+func TestDPHJUnderFaults(t *testing.T) {
 	w := smallFig5(t)
-	cfg := testConfig()
-	cfg.Faults = parsePlan(t, "D:kill@7000")
-	_, err := runOn(newRT(t, w, cfg, uniform(w, 20*time.Microsecond)), "DPHJ")
-	if err == nil || !strings.Contains(err.Error(), "fault") {
-		t.Fatalf("DPHJ under faults: err = %v, want fault-injection rejection", err)
+	del := uniform(w, 20*time.Microsecond)
+	want := reftest.Count(w.Root, w.Dataset)
+	run := func(spec string, partial bool) (exec.Result, error) {
+		cfg := testConfig()
+		cfg.Faults = parsePlan(t, spec)
+		cfg.PartialResults = partial
+		return runOn(newRT(t, w, cfg, del), "DPHJ")
+	}
+	if _, err := run("D:kill@7000", false); err == nil || !strings.Contains(err.Error(), "dead") {
+		t.Errorf("kill without recovery: err = %v, want the dead-wrapper error", err)
+	}
+	res, err := run("D:kill@7000;D:replica,connect=10ms", false)
+	if err != nil {
+		t.Fatalf("kill with replica: %v", err)
+	}
+	if res.OutputRows != want || len(res.DegradedFragments) != 0 {
+		t.Errorf("kill with replica: %d rows, degraded %v; want the reference %d, none", res.OutputRows, res.DegradedFragments, want)
+	}
+	res, err = run("D:kill@7000", true)
+	if err != nil {
+		t.Fatalf("partial results: %v", err)
+	}
+	if res.OutputRows == 0 || res.OutputRows >= want || len(res.DegradedFragments) != 1 || res.DegradedFragments[0] != "p_D" {
+		t.Errorf("partial results: %d rows, degraded %v; want fewer than the reference %d, [p_D]", res.OutputRows, res.DegradedFragments, want)
 	}
 }

@@ -17,7 +17,7 @@ func TestFragmentPriorityUsesDiskPaceForTempInput(t *testing.T) {
 	pQueue := fragmentPriority(rt, pc)
 
 	// Temp-fed fragment over the same chain: the pace is the local disk.
-	mf := rt.NewMF(c)
+	mf := rt.NewSegment(c, 0, 0, nil, false)
 	for !mf.Done() {
 		if n, _ := mf.ProcessBatch(4096); n == 0 && !mf.Done() {
 			if at, ok := mf.NextArrival(); ok {
@@ -25,7 +25,7 @@ func TestFragmentPriorityUsesDiskPaceForTempInput(t *testing.T) {
 			}
 		}
 	}
-	cf := rt.NewCF(c, mf.Temp)
+	cf := rt.NewSegment(c, 0, len(c.Joins), mf.Temp, true)
 	pTemp := fragmentPriority(rt, cf)
 
 	// After the MF drained the wrapper the CM knows A is slow (~500µs),

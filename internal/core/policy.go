@@ -86,9 +86,9 @@ type SchedulingPlan struct {
 	Frags []*exec.Fragment
 	// RoundRobin switches the phase from priority order (process batches
 	// from the highest-priority runnable fragment, returning to the top
-	// after every batch, interrupting on fragment completion) to a
-	// materialization sweep (one batch from every runnable fragment per
-	// pass, completions do not interrupt the phase).
+	// after every batch, interrupting on fragment completion) to a sweep
+	// (one batch from every runnable fragment per pass, completions do not
+	// interrupt the phase): MA's materialization phase, DPHJ's feeds.
 	RoundRobin bool
 	// Sticky narrows the plan as the phase runs: once a batch is processed
 	// from the fragment at position i, fragments after i drop out of the
@@ -109,7 +109,7 @@ type SchedulingPlan struct {
 
 // Policy decides, at every planning point, which fragments the unified DQP
 // executor runs next and how it reacts to the interruption events the
-// execution phase ends with. Every strategy — SEQ, MA, SCR, DSE, the
+// execution phase ends with. Every strategy — SEQ, MA, SCR, DSE, DPHJ, the
 // multi-query engine and user-registered policies — is one implementation.
 type Policy interface {
 	// Name labels the policy: results, traces and Gantt charts carry it.

@@ -12,15 +12,12 @@ import (
 // attached, so it can inspect the queries it will schedule.
 type PolicyFactory func(st *State) (Policy, error)
 
-// strategyEntry is one registered strategy: either a policy factory for the
-// unified executor, or — for strategies that do not decompose into
-// fragment scheduling (the operator-level DPHJ reaction) — a standalone
-// single-query runner.
+// strategyEntry is one registered strategy: a policy factory for the
+// unified executor.
 type strategyEntry struct {
 	name    string
 	desc    string
 	factory PolicyFactory
-	runner  func(rt *exec.Runtime) (exec.Result, error)
 }
 
 var (
@@ -55,8 +52,8 @@ func init() {
 		desc: "the paper's dynamic scheduling: critical-degree fragment plans with degradation"})
 	mustRegister(strategyEntry{name: "SCR", factory: NewScramblePolicy,
 		desc: "phase-1 query scrambling: iterator model with a timeout-driven tree switch"})
-	mustRegister(strategyEntry{name: "DPHJ", runner: exec.RunDPHJ,
-		desc: "double-pipelined hash joins: operator-level reactive baseline (single query)"})
+	mustRegister(strategyEntry{name: "DPHJ", factory: NewDPHJPolicy,
+		desc: "double-pipelined hash joins: operator-level reactive baseline"})
 }
 
 // RegisterPolicy adds a named scheduling policy to the strategy registry,
@@ -72,15 +69,11 @@ func RegisterPolicy(name string, factory PolicyFactory) error {
 }
 
 // policyFactory resolves a registered strategy name to its policy factory.
-// Unknown names list what is registered; runner-only strategies (DPHJ)
-// bypass the unified executor and have no policy to build.
+// Unknown names list what is registered.
 func policyFactory(name string) (PolicyFactory, error) {
 	i, ok := strategyIndex[name]
 	if !ok {
 		return nil, errUnknownStrategy(name)
-	}
-	if strategies[i].factory == nil {
-		return nil, fmt.Errorf("core: strategy %s is not a scheduling policy", name)
 	}
 	return strategies[i].factory, nil
 }
@@ -95,7 +88,7 @@ func CheckEngineStrategy(name string) error {
 
 // NewPolicy builds the named registered strategy's policy over st. It is the
 // composition hook for wrapper policies (delegate planning to a built-in and
-// adjust the plan); runner-only strategies cannot be composed this way.
+// adjust the plan).
 func NewPolicy(st *State, name string) (Policy, error) {
 	factory, err := policyFactory(name)
 	if err != nil {
@@ -138,9 +131,7 @@ func errUnknownStrategy(name string) error {
 }
 
 // NewStrategyEngine builds an engine driving the given runtimes under the
-// named registered strategy. Runner-only strategies (DPHJ) bypass the
-// unified executor and cannot be stepped, attached to or cancelled; they
-// are rejected here — the multi-query server needs engine-level control.
+// named registered strategy.
 func NewStrategyEngine(med *exec.Mediator, rts []*exec.Runtime, name string) (*Engine, error) {
 	factory, err := policyFactory(name)
 	if err != nil {
@@ -153,22 +144,6 @@ func NewStrategyEngine(med *exec.Mediator, rts []*exec.Runtime, name string) (*E
 // strategy and returns per-query results in attachment order. This is the
 // single dispatch point every entry point routes through.
 func RunStrategy(med *exec.Mediator, rts []*exec.Runtime, name string) ([]exec.Result, error) {
-	if i, ok := strategyIndex[name]; ok && strategies[i].runner != nil {
-		if len(rts) != 1 {
-			return nil, fmt.Errorf("core: strategy %s runs single queries only (%d given)", name, len(rts))
-		}
-		if med.FaultsActive() {
-			// Runner strategies bypass the unified executor and with it the
-			// resilience layer; running them under a fault plan would hang
-			// on the first dead wrapper.
-			return nil, fmt.Errorf("core: strategy %s does not support fault injection", name)
-		}
-		res, err := strategies[i].runner(rts[0])
-		if err != nil {
-			return nil, err
-		}
-		return []exec.Result{res}, nil
-	}
 	eng, err := NewStrategyEngine(med, rts, name)
 	if err != nil {
 		return nil, err

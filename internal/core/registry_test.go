@@ -62,45 +62,58 @@ func (p *renamedPolicy) Done(st *State) bool                    { return p.inner
 func (p *renamedPolicy) Plan(st *State) (SchedulingPlan, error) { return p.inner.Plan(st) }
 func (p *renamedPolicy) OnEvent(st *State, ev Event) error      { return p.inner.OnEvent(st, ev) }
 
+// TestRegisteredCustomPolicyRunsLikeBuiltins composes a custom policy over
+// built-ins through NewPolicy — the iterator-model SEQ and the join-network
+// DPHJ alike — and checks the alias runs bit-identically to its inner
+// strategy.
 func TestRegisteredCustomPolicyRunsLikeBuiltins(t *testing.T) {
-	const name = "SEQ-ALIAS"
-	err := RegisterPolicy(name, func(st *State) (Policy, error) {
-		inner, err := NewPolicy(st, "SEQ")
-		if err != nil {
-			return nil, err
-		}
-		return &renamedPolicy{name: name, inner: inner}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, n := range StrategyNames() {
-		found = found || n == name
-	}
-	if !found {
-		t.Fatalf("%s missing from StrategyNames() %v", name, StrategyNames())
-	}
-
 	w := smallFig5(t)
 	del := uniform(w, 20*time.Microsecond)
-	alias := runStrategyOn(t, newRT(t, w, testConfig(), del), name)
-	seq := runStrategyOn(t, newRT(t, w, testConfig(), del), "SEQ")
-	if alias.Strategy != name {
-		t.Errorf("Result.Strategy = %q, want %q", alias.Strategy, name)
-	}
-	alias.Strategy = seq.Strategy
-	if !alias.Equal(seq) {
-		t.Errorf("aliased SEQ diverged from SEQ:\n%v\n%v", alias, seq)
+	for _, builtin := range []string{"SEQ", "DPHJ"} {
+		name := builtin + "-ALIAS"
+		err := RegisterPolicy(name, func(st *State) (Policy, error) {
+			inner, err := NewPolicy(st, builtin)
+			if err != nil {
+				return nil, err
+			}
+			return &renamedPolicy{name: name, inner: inner}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, n := range StrategyNames() {
+			found = found || n == name
+		}
+		if !found {
+			t.Fatalf("%s missing from StrategyNames() %v", name, StrategyNames())
+		}
+
+		alias := runStrategyOn(t, newRT(t, w, testConfig(), del), name)
+		base := runStrategyOn(t, newRT(t, w, testConfig(), del), builtin)
+		if alias.Strategy != name {
+			t.Errorf("Result.Strategy = %q, want %q", alias.Strategy, name)
+		}
+		alias.Strategy = base.Strategy
+		if !alias.Equal(base) {
+			t.Errorf("aliased %s diverged from %s:\n%v\n%v", builtin, builtin, alias, base)
+		}
 	}
 }
 
-func TestNewPolicyRejectsRunnerOnlyStrategies(t *testing.T) {
+// TestNewPolicyBuildsEveryRegisteredStrategy: every registered name is a
+// scheduling policy NewPolicy can build; an unknown name fails.
+func TestNewPolicyBuildsEveryRegisteredStrategy(t *testing.T) {
 	w := smallFig5(t)
 	rt := newRT(t, w, testConfig(), nil)
 	e := dseEngine(t, rt)
-	if _, err := NewPolicy(e.st, "DPHJ"); err == nil {
-		t.Error("NewPolicy on the runner-only DPHJ strategy did not fail")
+	for _, name := range StrategyNames() {
+		pol, err := NewPolicy(e.st, name)
+		if err != nil {
+			t.Errorf("NewPolicy(%s): %v", name, err)
+		} else if pol.Name() != name {
+			t.Errorf("NewPolicy(%s) built a policy named %s", name, pol.Name())
+		}
 	}
 	if _, err := NewPolicy(e.st, "NOPE"); err == nil {
 		t.Error("NewPolicy on an unknown strategy did not fail")

@@ -126,12 +126,12 @@ func TestSEQFailsOnTinyMemory(t *testing.T) {
 	}
 }
 
-// TestResultStrategyNamesComeFromPolicy checks every fragment-based
-// strategy stamps its policy name into the Result.
+// TestResultStrategyNamesComeFromPolicy checks every built-in strategy
+// stamps its policy name into the Result.
 func TestResultStrategyNamesComeFromPolicy(t *testing.T) {
 	w := smallFig5(t)
 	del := uniform(w, 20*time.Microsecond)
-	for _, name := range []string{"SEQ", "MA", "SCR", "DSE"} {
+	for _, name := range []string{"SEQ", "MA", "SCR", "DSE", "DPHJ"} {
 		res := runStrategyOn(t, newRT(t, w, testConfig(), del), name)
 		if res.Strategy != name {
 			t.Errorf("Result.Strategy = %q, want %q", res.Strategy, name)

@@ -1,10 +1,9 @@
 // Package exec provides the shared execution runtime of the mediator query
-// engine — wrapper sources, queues, hash tables, fragments, cost charging —
-// plus the two baseline strategies of the paper's evaluation (SEQ, the
-// classic iterator model, and MA, materialize-all) and the analytic lower
-// bound LWB. The paper's own strategy (DSE) lives in package core and runs
-// on this same runtime, so performance differences between strategies can
-// only stem from scheduling decisions (§5.1.2).
+// engine — wrapper sources, queues, hash tables, fragments, the DPHJ join
+// network, cost charging — plus the analytic lower bound LWB. Every
+// strategy (package core) is a scheduling policy over this same runtime, so
+// performance differences between strategies can only stem from scheduling
+// decisions (§5.1.2).
 package exec
 
 import (
@@ -32,8 +31,8 @@ type Delivery struct {
 // Config is what a caller may set about one query execution. A field is here
 // because two callers that exist need different values, or because it hands
 // the engine a resource: a cache, a sink, a trace. Everything else — the
-// scrambling time-out, the retry schedule, the CM's rate-change factor — is a
-// constant beside the code that reads it.
+// DQP and scrambling time-outs, the retry schedule, the CM's rate-change
+// factor — is a constant beside the code that reads it.
 type Config struct {
 	// Cost model.
 
@@ -66,9 +65,6 @@ type Config struct {
 	// BMT is the benefit-materialization threshold (§4.4); the experiments
 	// use 1.
 	BMT float64
-	// Timeout is how long the DQP may be fully starved before returning a
-	// TimeOut interruption (§3.2).
-	Timeout time.Duration
 	// InitialWaitEstimate seeds the scheduler's waiting-time knowledge
 	// before the CM has observed arrivals; the natural choice is the
 	// no-problem delivery time w_min.
@@ -147,7 +143,6 @@ func DefaultConfig() Config {
 		QueueTuples:         4 * p.TuplesPerPage(),
 		BatchTuples:         256,
 		BMT:                 1,
-		Timeout:             10 * time.Second,
 		InitialWaitEstimate: 20 * time.Microsecond,
 		PrefetchPages:       2,
 		Governor:            true,
@@ -171,8 +166,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("exec: BMT must be non-negative, got %v", c.BMT)
 	case math.IsNaN(c.BMT) || math.IsInf(c.BMT, 0):
 		return fmt.Errorf("exec: BMT must be finite, got %v", c.BMT)
-	case c.Timeout <= 0:
-		return fmt.Errorf("exec: Timeout must be positive, got %v", c.Timeout)
 	case c.InitialWaitEstimate < 0:
 		return fmt.Errorf("exec: InitialWaitEstimate must be non-negative, got %v", c.InitialWaitEstimate)
 	case c.PrefetchPages < 1:

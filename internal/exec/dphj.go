@@ -1,114 +1,52 @@
 package exec
 
 import (
-	"time"
-
 	"fmt"
+	"time"
 
 	"dqs/internal/mem"
 	"dqs/internal/operator"
 	"dqs/internal/plan"
 	"dqs/internal/relation"
-	"dqs/internal/sim"
 )
 
-// RunDPHJ executes the plan as a network of double-pipelined (symmetric)
-// hash joins — the operator-level adaptation the paper's §1.1 discusses
-// ([8], after the parallel-database design of [16]). Every join keeps a
+// NewDPHJFeeds compiles the plan into a network of double-pipelined
+// (symmetric) hash joins — the operator-level adaptation the paper's §1.1
+// discusses ([8], after the parallel-database design of [16]) — and returns
+// one wrapper-fed fragment per relation, in decomposition order, whose
+// terminal is that relation's entry into the network. Every join keeps a
 // hash table on BOTH inputs and every edge is pipelinable: a tuple arriving
 // from either side is inserted into its side's table and probed against the
-// other, so the engine reacts to any wrapper's data the instant it arrives,
-// with no scheduling decisions at all.
+// other, so the engine reacts to any wrapper's data the instant it arrives;
+// the feeds need no scheduling beyond a round-robin sweep.
 //
 // The price is the one the paper alludes to: every input and intermediate
 // result is retained in memory on both sides of its join (roughly twice
 // the footprint of the asymmetric plan), the approach only works for
 // hash-based (equi-join) plans, and there is no memory adaptation — an
-// overflow is fatal.
-func RunDPHJ(rt *Runtime) (Result, error) {
+// overflow is fatal. The network holds its tables until ReleaseJoinNet.
+func (rt *Runtime) NewDPHJFeeds() ([]*Fragment, error) {
 	net, err := newSymNet(rt)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	defer net.reclaim()
-	type feed struct {
-		src  *queueSource
-		leaf *symLeaf
-		at   []int          // batch-column → full-schema gather map
-		row  relation.Tuple // reused scan-width gather row
-	}
-	feeds := make([]feed, 0, len(rt.Dec.Chains))
+	rt.net = net
+	feeds := make([]*Fragment, 0, len(rt.Dec.Chains))
 	for _, c := range rt.Dec.Chains {
-		leaf, ok := net.leaves[c.Scan.Rel.Name]
-		if !ok {
-			return Result{}, fmt.Errorf("exec: DPHJ leaf for %s missing", c.Scan.Rel.Name)
-		}
-		feeds = append(feeds, feed{
-			src:  rt.qsrcs[c.Scan.Rel.Name],
-			leaf: leaf,
-			at:   rt.colPush[c.Scan.Rel.Name].keep,
-			row:  make(relation.Tuple, c.Scan.Schema.Width()),
-		})
+		rel := c.Scan.Rel.Name
+		f := rt.newFragment(c, c.Name, 0, 0, rt.qsrcs[rel], TermJoinNet, nil)
+		f.leaf = net.leaves[rel]
+		feeds = append(feeds, f)
 	}
-	s := rt.Med.scratch
-	colBatch := s.GetBatch(0)
-	defer s.PutBatch(colBatch)
-	passBuf := s.GetBools()
-	if cap(passBuf) < rt.Cfg.BatchTuples {
-		passBuf = make([]bool, rt.Cfg.BatchTuples)
+	return feeds, nil
+}
+
+// ReleaseJoinNet returns the join network's grant and pooled tables once
+// the query is complete. Idempotent; a runtime without a network ignores it.
+func (rt *Runtime) ReleaseJoinNet() {
+	if rt.net != nil {
+		rt.net.release(rt.Med.scratch)
 	}
-	passBuf = passBuf[:rt.Cfg.BatchTuples]
-	defer s.PutBools(passBuf)
-	for {
-		progressed := false
-		exhausted := 0
-		for _, f := range feeds {
-			if f.src.Exhausted() {
-				exhausted++
-				continue
-			}
-			// Bulk removal with per-slot credits at the instants the tuples
-			// are reached (see Fragment.processColumnar); wrapper-filtered
-			// slots are skipped by their pass bit.
-			colBatch.Reset(len(f.at))
-			n := f.src.PopBatch(rt.Now(), colBatch, passBuf)
-			for i := 0; i < n; i++ {
-				f.src.Credit(rt.Now())
-				rt.Costs.ChargeReceive()
-				rt.Costs.ChargeMove()
-				if !passBuf[i] {
-					continue
-				}
-				colBatch.Gather(i, f.row, f.at)
-				if !net.arrive(f.leaf.join, f.leaf.fromBuild, f.row) {
-					return Result{}, fmt.Errorf("%w (symmetric join network)", ErrMemoryExceeded)
-				}
-			}
-			if n > 0 {
-				progressed = true
-			}
-		}
-		if exhausted == len(feeds) {
-			break
-		}
-		if !progressed {
-			var next time.Duration = -1
-			for _, f := range feeds {
-				if f.src.Exhausted() {
-					continue
-				}
-				if at, ok := f.src.NextArrival(); ok && (next < 0 || at < next) {
-					next = at
-				}
-			}
-			if next < 0 {
-				return Result{}, fmt.Errorf("exec: DPHJ starved with no future arrivals")
-			}
-			rt.Trace.Add(rt.Now(), sim.EvStall, "DPHJ stall")
-			rt.Clock.Stall(next)
-		}
-	}
-	return rt.Finish("DPHJ"), nil
 }
 
 // symJoin is one symmetric join: hash tables on both inputs.
@@ -141,7 +79,6 @@ type symNet struct {
 	rt     *Runtime
 	joins  map[int]*symJoin
 	leaves map[string]*symLeaf
-	root   *symJoin     // nil for single-scan plans
 	holder mem.HolderID // names the grant bytes held by both sides' tables
 }
 
@@ -156,24 +93,21 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 		case plan.KindOutput:
 			return build(n.Child, nil, false)
 		case plan.KindHashJoin:
-			sj := &symJoin{
-				node:       n,
-				buildTable: s.Table(n.Build.Schema.MustIndexOf(n.BuildKey)),
-				probeTable: s.Table(n.Probe.Schema.MustIndexOf(n.ProbeKey)),
-				buildIdx:   n.Build.Schema.MustIndexOf(n.BuildKey),
-				probeIdx:   n.Probe.Schema.MustIndexOf(n.ProbeKey),
-				parent:     parent,
-				fromBuild:  fromBuild,
-			}
 			// Both sides retain their full input, so the optimizer's subtree
 			// estimates pre-size both tables.
-			sj.buildTable.Reserve(n.Build.Schema.Width(), clampReserveRows(int64(n.Build.EstRows)))
-			sj.probeTable.Reserve(n.Probe.Schema.Width(), clampReserveRows(int64(n.Probe.EstRows)))
+			sj := &symJoin{
+				node: n,
+				buildTable: s.Table(n.Build.Schema.MustIndexOf(n.BuildKey),
+					n.Build.Schema.Width(), clampReserveRows(int64(n.Build.EstRows))),
+				probeTable: s.Table(n.Probe.Schema.MustIndexOf(n.ProbeKey),
+					n.Probe.Schema.Width(), clampReserveRows(int64(n.Probe.EstRows))),
+				buildIdx:  n.Build.Schema.MustIndexOf(n.BuildKey),
+				probeIdx:  n.Probe.Schema.MustIndexOf(n.ProbeKey),
+				parent:    parent,
+				fromBuild: fromBuild,
+			}
 			sj.arena.Recycle(s.GetInts())
 			sj.matchBuf = s.GetTuples()
-			if parent == nil {
-				net.root = sj
-			}
 			net.joins[n.ID] = sj
 			if err := build(n.Build, sj, true); err != nil {
 				return err
@@ -189,18 +123,17 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 		}
 	}
 	if err := build(rt.Root, nil, false); err != nil {
-		net.reclaim()
+		net.release(s)
 		return nil, err
 	}
 	return net, nil
 }
 
-// reclaim returns the tables' grant and hands the network's pooled tables
-// and scratch back to the mediator's Scratch; the join network lives only
-// for one RunDPHJ call.
-func (net *symNet) reclaim() {
+// release returns the tables' grant and hands the network's pooled tables
+// and scratch back to s. Idempotent: the query's completion releases the
+// network, and Mediator.Reclaim sweeps whatever an aborted run left.
+func (net *symNet) release(s *Scratch) {
 	net.rt.Mem.Release(net.holder, net.rt.Mem.Held(net.holder))
-	s := net.rt.Med.scratch
 	for _, sj := range net.joins {
 		s.PutTable(sj.buildTable)
 		s.PutTable(sj.probeTable)

@@ -1,22 +1,36 @@
-package exec
+package exec_test
 
 import (
 	"errors"
 	"testing"
 	"time"
 
+	"dqs/internal/core"
+	"dqs/internal/exec"
 	"dqs/internal/reftest"
 	"dqs/internal/sim"
 	"dqs/internal/workload"
 )
 
-func TestDPHJMatchesReference(t *testing.T) {
-	w := smallFig5(t)
-	rt, err := NewRuntime(testConfig(), w.Root, w.Dataset, uniform(w, 10*time.Microsecond))
+// runOn executes one single-query runtime under the named strategy through
+// the engine every entry point uses; the join network has no driver of its
+// own.
+func runOn(t *testing.T, cfg exec.Config, w *workload.Workload, del map[string]exec.Delivery, name string) (exec.Result, error) {
+	t.Helper()
+	rt, err := exec.NewRuntime(cfg, w.Root, w.Dataset, del)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDPHJ(rt)
+	res, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, name)
+	if err != nil {
+		return exec.Result{}, err
+	}
+	return res[0], nil
+}
+
+func TestDPHJMatchesReference(t *testing.T) {
+	w := exec.SmallFig5(t)
+	res, err := runOn(t, exec.TestingConfig(), w, exec.Uniform(w, 10*time.Microsecond), "DPHJ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +45,9 @@ func TestDPHJMatchesReferenceOnRandomWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cfg := testConfig()
+		cfg := exec.TestingConfig()
 		cfg.Seed = seed
-		rt, err := NewRuntime(cfg, w.Root, w.Dataset, uniform(w, 5*time.Microsecond))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		res, err := RunDPHJ(rt)
+		res, err := runOn(t, cfg, w, exec.Uniform(w, 5*time.Microsecond), "DPHJ")
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -48,21 +58,13 @@ func TestDPHJMatchesReferenceOnRandomWorkloads(t *testing.T) {
 }
 
 func TestDPHJDoublesMemoryFootprint(t *testing.T) {
-	w := smallFig5(t)
-	del := uniform(w, 10*time.Microsecond)
-	rtA, err := NewRuntime(testConfig(), w.Root, w.Dataset, del)
+	w := exec.SmallFig5(t)
+	del := exec.Uniform(w, 10*time.Microsecond)
+	seq, err := runOn(t, exec.TestingConfig(), w, del, "SEQ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := runSEQ(rtA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtB, err := NewRuntime(testConfig(), w.Root, w.Dataset, del)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dphj, err := RunDPHJ(rtB)
+	dphj, err := runOn(t, exec.TestingConfig(), w, del, "DPHJ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +76,10 @@ func TestDPHJDoublesMemoryFootprint(t *testing.T) {
 }
 
 func TestDPHJFailsOnMemoryExhaustion(t *testing.T) {
-	w := smallFig5(t)
-	cfg := testConfig()
+	w := exec.SmallFig5(t)
+	cfg := exec.TestingConfig()
 	cfg.MemoryBytes = 1 << 20 // the asymmetric plan fits in ~1.3MB; DPHJ cannot
-	rt, err := NewRuntime(cfg, w.Root, w.Dataset, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunDPHJ(rt); !errors.Is(err, ErrMemoryExceeded) {
+	if _, err := runOn(t, cfg, w, nil, "DPHJ"); !errors.Is(err, exec.ErrMemoryExceeded) {
 		t.Errorf("err = %v, want ErrMemoryExceeded", err)
 	}
 }
@@ -89,23 +87,15 @@ func TestDPHJFailsOnMemoryExhaustion(t *testing.T) {
 func TestDPHJAbsorbsAnySourceDelay(t *testing.T) {
 	// The operator-level adaptation reacts to any wrapper instantly: with
 	// one slow wrapper it should perform at least as well as SEQ.
-	w := smallFig5(t)
+	w := exec.SmallFig5(t)
 	for _, slowRel := range []string{"A", "C", "F"} {
-		del := uniform(w, 20*time.Microsecond)
-		del[slowRel] = Delivery{MeanWait: 200 * time.Microsecond}
-		rt1, err := NewRuntime(testConfig(), w.Root, w.Dataset, del)
+		del := exec.Uniform(w, 20*time.Microsecond)
+		del[slowRel] = exec.Delivery{MeanWait: 200 * time.Microsecond}
+		dphj, err := runOn(t, exec.TestingConfig(), w, del, "DPHJ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		dphj, err := RunDPHJ(rt1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt2, err := NewRuntime(testConfig(), w.Root, w.Dataset, del)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := runSEQ(rt2)
+		seq, err := runOn(t, exec.TestingConfig(), w, del, "SEQ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,13 +106,10 @@ func TestDPHJAbsorbsAnySourceDelay(t *testing.T) {
 }
 
 func TestDPHJAppliesScanPredicates(t *testing.T) {
-	cat, ds := predWorkload(t)
-	root := buildPredPlan(t, cat, 50)
-	rt, err := NewRuntime(testConfig(), root, ds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunDPHJ(rt)
+	cat, ds := exec.PredWorkload(t)
+	root := exec.BuildPredPlan(t, cat, 50)
+	w := &workload.Workload{Catalog: cat, Dataset: ds, Root: root}
+	res, err := runOn(t, exec.TestingConfig(), w, nil, "DPHJ")
 	if err != nil {
 		t.Fatal(err)
 	}

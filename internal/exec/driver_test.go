@@ -25,7 +25,7 @@ func runSEQ(rt *Runtime) (Result, error) {
 			return Result{}, err
 		}
 	}
-	return rt.Finish("SEQ"), nil
+	return rt.FinishAt("SEQ", rt.Now()), nil
 }
 
 // drain runs a single fragment to completion, stalling on data gaps.
@@ -104,5 +104,5 @@ func runMA(rt *Runtime) (Result, error) {
 			return Result{}, err
 		}
 	}
-	return rt.Finish("MA"), nil
+	return rt.FinishAt("MA", rt.Now()), nil
 }

@@ -50,7 +50,6 @@ func TestConfigValidate(t *testing.T) {
 		{"bmt NaN", func(c *Config) { c.BMT = math.NaN() }},
 		{"bmt +Inf", func(c *Config) { c.BMT = math.Inf(1) }},
 		{"bmt -Inf", func(c *Config) { c.BMT = math.Inf(-1) }},
-		{"timeout", func(c *Config) { c.Timeout = 0 }},
 		{"wait estimate", func(c *Config) { c.InitialWaitEstimate = -1 }},
 		{"prefetch", func(c *Config) { c.PrefetchPages = 0 }},
 		{"params", func(c *Config) { c.Params.CPUMips = 0 }},
@@ -160,7 +159,7 @@ func TestFragmentMFAppliesScanPredicate(t *testing.T) {
 	if !ok {
 		t.Fatal("no chain for A")
 	}
-	f := rt.NewMF(c)
+	f := rt.NewSegment(c, 0, 0, nil, false)
 	for !f.Done() {
 		if n, overflow := f.ProcessBatch(256); overflow {
 			t.Fatal("MF overflowed")

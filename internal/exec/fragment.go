@@ -23,6 +23,9 @@ const (
 	TermTemp
 	// TermOutput emits final query results.
 	TermOutput
+	// TermJoinNet delivers into the runtime's symmetric join network at the
+	// fragment's relation leaf (the DPHJ feeds, see NewDPHJFeeds).
+	TermJoinNet
 )
 
 // String names the terminal kind.
@@ -34,16 +37,18 @@ func (k TerminalKind) String() string {
 		return "temp"
 	case TermOutput:
 		return "output"
+	case TermJoinNet:
+		return "joinnet"
 	default:
 		return fmt.Sprintf("terminal(%d)", int(k))
 	}
 }
 
 // Fragment is one schedulable unit of work: a (sub-)pipeline-chain with an
-// input tuple source and a terminal. A full PC, an MF, a CF and the halves
-// of a memory-repair split are all Fragments differing only in step range,
-// input and terminal. Fragments are resumable: the DQP can process a batch,
-// switch away, and come back with no loss.
+// input tuple source and a terminal. A full PC, an MF, a CF, the halves of a
+// memory-repair split and a DPHJ feed are all Fragments differing only in
+// step range, input and terminal. Fragments are resumable: the DQP can
+// process a batch, switch away, and come back with no loss.
 type Fragment struct {
 	rt    *Runtime
 	Chain *plan.Chain
@@ -59,6 +64,8 @@ type Fragment struct {
 	Term       TerminalKind
 	// Temp receives output tuples when Term == TermTemp.
 	Temp *mem.Temp
+	// leaf is the join-network entry point when Term == TermJoinNet.
+	leaf *symLeaf
 
 	steps []stepExec
 
@@ -159,29 +166,20 @@ func (rt *Runtime) NewPCFragment(c *plan.Chain) *Fragment {
 	return rt.newFragment(c, c.Name, 0, len(c.Joins), rt.qsrcs[c.Scan.Rel.Name], term, nil)
 }
 
-// NewMF creates the materialization fragment of a degraded chain: wrapper
-// input, first scan applied, output spilled to a fresh temp (§4.4).
-func (rt *Runtime) NewMF(c *plan.Chain) *Fragment {
-	return rt.NewSegment(c, 0, 0, nil, false)
-}
-
-// NewCF creates the complement fragment over a completed MF's temp.
-func (rt *Runtime) NewCF(c *plan.Chain, temp *mem.Temp) *Fragment {
-	return rt.NewSegment(c, 0, len(c.Joins), temp, true)
-}
-
-// NewMFSync is NewMF with synchronous page writes: the materializing
-// strategy holds the CPU for every transfer, as a strategy implemented on
-// the classic iterator engine (materialize-all) does. The paper's DSE
-// explicitly assumes asynchronous I/O for its fragments (§4.4); MA does
-// not.
+// NewMFSync creates the materialization fragment of a chain (wrapper input,
+// first scan applied, output spilled to a fresh temp; §4.4) with
+// synchronous page writes: the materializing strategy holds the CPU for
+// every transfer, as a strategy implemented on the classic iterator engine
+// (materialize-all) does. The paper's DSE explicitly assumes asynchronous
+// I/O for its fragments (NewSegment); MA does not.
 func (rt *Runtime) NewMFSync(c *plan.Chain) *Fragment {
 	in := rt.qsrcs[c.Scan.Rel.Name]
 	temp := rt.Temps.CreateSyncSized("MF("+c.Name+")", c.Scan.Schema, rt.segmentRowsHint(c, 0, 0, true, in))
 	return rt.newFragment(c, "MF("+c.Name+")", 0, 0, in, TermTemp, temp)
 }
 
-// NewCFSync is NewCF with synchronous page reads (no prefetch overlap).
+// NewCFSync creates the complement fragment over a completed MF's temp,
+// with synchronous page reads (no prefetch overlap).
 func (rt *Runtime) NewCFSync(c *plan.Chain, temp *mem.Temp) *Fragment {
 	term := TermOutput
 	if c.BuildsFor != nil {
@@ -270,7 +268,7 @@ func (f *Fragment) Runnable(now time.Duration) bool {
 }
 
 // sink delivers one terminal-ready tuple; false means the memory grant is
-// exhausted (only possible for TermBuild).
+// exhausted (only possible for TermBuild and TermJoinNet).
 func (f *Fragment) sink(out relation.Tuple) bool {
 	switch f.Term {
 	case TermBuild:
@@ -289,6 +287,8 @@ func (f *Fragment) sink(out relation.Tuple) bool {
 	case TermOutput:
 		f.rt.emitOutput(out)
 		return true
+	case TermJoinNet:
+		return f.rt.net.arrive(f.leaf.join, f.leaf.fromBuild, out)
 	default:
 		panic("exec: unknown terminal")
 	}

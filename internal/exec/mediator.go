@@ -34,7 +34,7 @@ type Mediator struct {
 	rts     []*Runtime
 	flt     *faultState
 	// scratch is the pooled execution state this mediator draws from, checked
-	// out of scratchPool at construction; nil once Reclaim has returned it.
+	// out (getScratch) at construction; nil once Reclaim has returned it.
 	scratch *Scratch
 	// streams is the shared-wrapper registry (Cfg.SharedStreams): one
 	// physical stream per (table object, delivery behaviour), tapped by
@@ -70,7 +70,7 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		CM:      comm.NewManager(),
 		Trace:   cfg.Trace,
 		rng:     sim.NewRNG(cfg.Seed),
-		scratch: scratchPool.Get().(*Scratch),
+		scratch: getScratch(),
 	}
 	m.Temps.SetGovernor(m.Mem, true)
 	if !cfg.Governor {
@@ -100,7 +100,7 @@ func (m *Mediator) Reclaim() {
 		rt.reclaim(s)
 	}
 	m.Temps.Reclaim()
-	scratchPool.Put(s)
+	putScratch(s)
 }
 
 // Now returns the mediator's virtual time.
@@ -206,7 +206,6 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		}
 	}
 	for _, j := range plan.Joins(root) {
-		ht := m.scratch.Table(j.Build.Schema.MustIndexOf(j.BuildKey))
 		// Pre-size the build from the best cardinality knowledge available:
 		// the actual row count a prior run of this plan recorded at build
 		// completion, falling back to the optimizer's estimate at first
@@ -216,7 +215,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		if h, ok := m.scratch.BuildRowsHint(j.ID); ok {
 			rows = h
 		}
-		ht.Reserve(j.Build.Schema.Width(), clampReserveRows(rows))
+		ht := m.scratch.Table(j.Build.Schema.MustIndexOf(j.BuildKey), j.Build.Schema.Width(), clampReserveRows(rows))
 		holder := m.Mem.Bind(label, fmt.Sprintf("%s:J%d", label, j.ID))
 		rt.tables[j.ID] = &tableState{join: j, ht: ht, holder: holder}
 	}

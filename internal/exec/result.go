@@ -109,15 +109,9 @@ func (r Result) String() string {
 	return s
 }
 
-// Finish snapshots the runtime into a Result for the named strategy, with
-// the response time being the current virtual time.
-func (rt *Runtime) Finish(strategy string) Result {
-	return rt.FinishAt(strategy, rt.Clock.Now())
-}
-
-// FinishAt is Finish with an explicit response time, used by multi-query
-// execution where each query completes at its own instant while the shared
-// mediator keeps running.
+// FinishAt snapshots the runtime into a Result for the named strategy, with
+// the given response time: each query of a shared mediator completes at its
+// own instant while the mediator keeps running.
 func (rt *Runtime) FinishAt(strategy string, response time.Duration) Result {
 	m := rt.Med
 	return Result{

@@ -18,7 +18,7 @@ import (
 // decomposition, its wrapper sources and its hash-table registry. The
 // clock, disk, memory pool and communication manager are the mediator's —
 // shared with any concurrently attached queries. Every strategy (SEQ, MA,
-// SCR, DSE) drives a Runtime; constructing a fresh Mediator per measured
+// SCR, DSE, DPHJ) drives a Runtime; constructing a fresh Mediator per measured
 // run keeps runs independent and deterministic.
 type Runtime struct {
 	Med *Mediator
@@ -42,6 +42,7 @@ type Runtime struct {
 	tables  map[int]*tableState
 	colPush map[string]colPush // per-relation pushdown
 	frags   []*Fragment
+	net     *symNet // the DPHJ join network, nil under every other strategy
 
 	outputRows int64
 	matTuples  int64
@@ -245,11 +246,15 @@ func (rt *Runtime) Cancel() {
 }
 
 // reclaim hands the runtime's pooled structures back to s: surviving hash
-// tables and every fragment's scratch buffers.
+// tables, a join network an aborted run left, and every fragment's scratch
+// buffers. It takes s because Mediator.Reclaim has already cleared its own.
 func (rt *Runtime) reclaim(s *Scratch) {
 	for _, ts := range rt.tables {
 		s.PutTable(ts.ht) // nil once released
 		ts.ht = nil
+	}
+	if rt.net != nil {
+		rt.net.release(s)
 	}
 	for _, f := range rt.frags {
 		s.PutInts(f.arena.Release())
@@ -296,10 +301,6 @@ func (rt *Runtime) timeline() []time.Duration {
 	copy(tl, rt.milestones[:rt.milestoneN])
 	return tl
 }
-
-// FirstTupleAt returns when the first result tuple was produced (zero if
-// none yet).
-func (rt *Runtime) FirstTupleAt() time.Duration { return rt.firstOut }
 
 // OutputRows returns the number of result tuples produced so far.
 func (rt *Runtime) OutputRows() int64 { return rt.outputRows }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dqs/internal/comm"
 	"dqs/internal/operator"
@@ -19,8 +20,8 @@ const (
 
 // Scratch recycles the allocation-heavy execution state of one mediator —
 // wrapper queues, hash tables, tuple arenas, temp-relation storage and
-// probe-cascade scratch buffers — across runs. NewMediator checks one out of
-// scratchPool and Mediator.Reclaim returns it, so repeated runs reuse grown
+// probe-cascade scratch buffers — across runs. NewMediator checks one out
+// (getScratch) and Mediator.Reclaim returns it, so repeated runs reuse grown
 // storage instead of re-allocating it; pooling recycles only capacity, never
 // contents (every object is Reset on checkout), so a run's results do not
 // depend on what the Scratch served before.
@@ -42,22 +43,50 @@ type Scratch struct {
 	buildRows map[int]int64
 }
 
-// scratchPool hands every mediator its Scratch. sync.Pool gives concurrent
-// mediators (experiment cells, isolated server queries) one each, and lets
-// the GC drop what an idle process no longer uses.
+// scratchPool hands concurrent mediators (experiment cells, isolated server
+// queries) a Scratch each, and lets the GC drop what an idle process no
+// longer uses.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// pop removes and returns the most recently pooled element, or the zero
-// value (nil, for every pool here) when the pool is empty.
-func pop[T any](p *[]T) (x T) {
-	if last := len(*p) - 1; last >= 0 {
-		x = (*p)[last]
+// lastScratch holds the last reclaimed Scratch outside scratchPool, whose
+// Put a Get on another processor never sees: a run the scheduler moved since
+// the previous Reclaim would start cold, re-allocating tens of megabytes on
+// a full-scale plan. An idle process keeps this one Scratch alive.
+var lastScratch atomic.Pointer[Scratch]
+
+// getScratch checks out a new mediator's Scratch: lastScratch's if free,
+// else one from scratchPool.
+func getScratch() *Scratch {
+	if s := lastScratch.Swap(nil); s != nil {
+		return s
+	}
+	return scratchPool.Get().(*Scratch)
+}
+
+// putScratch returns a reclaimed Scratch; the one it displaces from
+// lastScratch goes to scratchPool.
+func putScratch(s *Scratch) {
+	if old := lastScratch.Swap(s); old != nil {
+		scratchPool.Put(old)
+	}
+}
+
+// take removes element i from a pool, moving the last one into its place,
+// and returns it; i < 0 returns the zero value (nil, for every pool here).
+func take[T any](p *[]T, i int) (x T) {
+	if i >= 0 {
+		last := len(*p) - 1
+		x, (*p)[i] = (*p)[i], (*p)[last]
 		var zero T
 		(*p)[last] = zero
 		*p = (*p)[:last]
 	}
 	return x
 }
+
+// pop removes and returns the most recently pooled element, or the zero
+// value when the pool is empty.
+func pop[T any](p *[]T) T { return take(p, len(*p)-1) }
 
 // putSlice keeps b's storage, length zero, unless it has none or the pool
 // is full.
@@ -89,11 +118,8 @@ func (s *Scratch) PutTuples(b []relation.Tuple) {
 // an exact match preserves the protocol).
 func (s *Scratch) Queue(name string, capacity int) *comm.Queue {
 	for i := len(s.queues) - 1; i >= 0; i-- {
-		if q := s.queues[i]; q.Capacity() == capacity {
-			last := len(s.queues) - 1
-			s.queues[i] = s.queues[last]
-			s.queues[last] = nil
-			s.queues = s.queues[:last]
+		if s.queues[i].Capacity() == capacity {
+			q := take(&s.queues, i)
 			q.Reset(name)
 			return q
 		}
@@ -109,14 +135,27 @@ func (s *Scratch) PutQueue(q *comm.Queue) {
 	s.queues = append(s.queues, q)
 }
 
-// Table returns an empty hash table keyed on keyIdx, recycled when
-// available.
-func (s *Scratch) Table(keyIdx int) *operator.HashTable {
-	if h := pop(&s.tables); h != nil {
-		h.Recycle(keyIdx)
-		return h
+// Table returns an empty hash table keyed on keyIdx and reserved for about
+// rows tuples of the given width: the smallest pooled table that already
+// holds the reservation or, when none does, the smallest of all, so a
+// repeated plan's joins get back tables of their own size.
+func (s *Scratch) Table(keyIdx, width, rows int) *operator.HashTable {
+	best, bestHolds := -1, false
+	for i, h := range s.tables {
+		holds := h.Holds(width, rows)
+		if best < 0 || (holds && !bestHolds) ||
+			(holds == bestHolds && h.Footprint() < s.tables[best].Footprint()) {
+			best, bestHolds = i, holds
+		}
 	}
-	return operator.NewHashTable(keyIdx)
+	h := take(&s.tables, best)
+	if h == nil {
+		h = operator.NewHashTable(keyIdx)
+	} else {
+		h.Recycle(keyIdx)
+	}
+	h.Reserve(width, rows)
+	return h
 }
 
 // PutTable returns a hash table to the pool once its run is over.
@@ -140,15 +179,7 @@ func (s *Scratch) GetIntsCap(capacity int) []int64 {
 			best = i
 		}
 	}
-	if best < 0 {
-		return nil
-	}
-	b := s.ints[best]
-	last := len(s.ints) - 1
-	s.ints[best] = s.ints[last]
-	s.ints[last] = nil
-	s.ints = s.ints[:last]
-	return b
+	return take(&s.ints, best)
 }
 
 // GetBatch returns a recycled columnar batch reset to the given width (the

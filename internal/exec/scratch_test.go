@@ -2,9 +2,11 @@ package exec
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"dqs/internal/operator"
 	"dqs/internal/workload"
 )
 
@@ -47,9 +49,8 @@ func runPooled(t *testing.T, w *workload.Workload, cold bool, strategy func(*Run
 func TestScratchReuseIsBitIdentical(t *testing.T) {
 	w := smallFig5(t)
 	strategies := map[string]func(*Runtime) (Result, error){
-		"SEQ":  runSEQ,
-		"MA":   runMA,
-		"DPHJ": RunDPHJ,
+		"SEQ": runSEQ,
+		"MA":  runMA,
 	}
 	// Warm the pool with every strategy so later runs draw recycled queues,
 	// tables, arenas and temp storage in mixed orders.
@@ -80,6 +81,52 @@ func TestScratchReuseSurvivesMemoryOverflow(t *testing.T) {
 	fresh := runPooled(t, w, true, runMA)
 	if !reflect.DeepEqual(fresh, pooled) {
 		t.Errorf("pooled run after overflow diverged:\nfresh:  %+v\npooled: %+v", fresh, pooled)
+	}
+}
+
+// TestNextMediatorGetsLastScratch pins the slot beside the pool: the next
+// mediator gets the Scratch the last one reclaimed even after collections
+// that empty a sync.Pool.
+func TestNextMediatorGetsLastScratch(t *testing.T) {
+	med, err := NewMediator(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := med.scratch
+	med.Reclaim()
+	runtime.GC()
+	runtime.GC()
+	next, err := NewMediator(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Reclaim()
+	if next.scratch != s {
+		t.Error("the next mediator did not get the Scratch the last one reclaimed")
+	}
+}
+
+// TestScratchTableFitsEachJoin pins how pooled hash tables are handed out:
+// each request gets the smallest table that already holds its reservation,
+// whatever order the tables were pooled in, and a request nothing holds
+// takes the smallest table and regrows it.
+func TestScratchTableFitsEachJoin(t *testing.T) {
+	s := new(Scratch)
+	small, large := s.Table(0, 2, 100), s.Table(0, 2, 10000)
+	for _, order := range [][2]*operator.HashTable{{small, large}, {large, small}} {
+		s.PutTable(order[0])
+		s.PutTable(order[1])
+		if got := s.Table(1, 2, 5000); got != large {
+			t.Fatal("a 5000-row request was not given the 10000-row table")
+		}
+		if got := s.Table(1, 2, 50); got != small {
+			t.Fatal("a 50-row request was not given the 100-row table")
+		}
+	}
+	s.PutTable(small)
+	s.PutTable(large)
+	if got := s.Table(0, 2, 20000); got != small || !got.Holds(2, 20000) {
+		t.Fatal("a request no pooled table holds did not regrow the smallest")
 	}
 }
 

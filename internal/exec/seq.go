@@ -43,7 +43,7 @@ func IteratorOrder(dec *plan.Decomposition) []*plan.Chain {
 }
 
 // The strategy engines themselves live in package core: every strategy —
-// SEQ, MA, SCR, DSE — is a scheduling policy over the unified DQP
+// SEQ, MA, SCR, DSE, DPHJ — is a scheduling policy over the unified DQP
 // executor (see core.Policy). This package keeps the strategy-neutral
-// building blocks they share: fragments, the iterator order, and the
-// memory-exceeded sentinel.
+// building blocks they share: fragments, the iterator order, the DPHJ join
+// network, and the memory-exceeded sentinel.

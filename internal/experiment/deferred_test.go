@@ -109,7 +109,7 @@ func TestDeferredProductionMatchesEager(t *testing.T) {
 	o := Options{Small: true}
 	cfg := exec.DefaultConfig()
 	for class, mk := range goldenDeliveries(cfg, o) {
-		for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
+		for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE", "DPHJ"} {
 			for _, seed := range []int64{1, 2, 3} {
 				w, err := o.loadWorkload(seed)
 				if err != nil {
@@ -151,8 +151,9 @@ func TestDeferredProductionMatchesEagerUnderMemoryPressure(t *testing.T) {
 
 // TestDeferredProductionMatchesEagerUnderFaults runs a full fault plan —
 // stall, disconnect with restart, death with replica failover: the scripted
-// wrappers stay eager on both sides, the untouched ones defer beside them,
-// and the resilience layer must not see a difference.
+// wrappers and the activated replica defer like every other wrapper, and the
+// resilience layer, which reads their outages and death between iterations,
+// must not see a difference.
 func TestDeferredProductionMatchesEagerUnderFaults(t *testing.T) {
 	o := Options{Small: true}
 	plan, err := fault.Parse("B:stall@1000+20ms;C:drop@5000+40ms,restart;D:kill@7000;D:replica,connect=10ms")
@@ -166,7 +167,7 @@ func TestDeferredProductionMatchesEagerUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE"} {
+	for _, strategy := range []string{"SEQ", "MA", "SCR", "DSE", "DPHJ"} {
 		deferredDiff(t, "faults/"+strategy, w, cfg, uniformDeliveries(w, cfg.InitialWaitEstimate), strategy)
 	}
 }

@@ -26,9 +26,8 @@ import (
 // engine: regenerate them only for a deliberate, explained behaviour change.
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata strategy goldens")
 
-// goldenStrategies are the strategies of the golden grid: the four
-// fragment-scheduling policies and the symmetric-join network of the
-// delay-class figure.
+// goldenStrategies are the strategies of the golden grid: every built-in
+// policy, the symmetric-join network of the delay-class figure included.
 var goldenStrategies = []string{"SEQ", "MA", "SCR", "DSE", "DPHJ"}
 
 // goldenDeliveries builds the two delay classes of §1.2 the grid runs under
@@ -190,8 +189,7 @@ func (b *tupleBag) excess(ref *tupleBag) int {
 // the golden grid against the committed goldens: the full Result plus a
 // digest of the rendered trace, so a change to any scheduling order, stall
 // instant, counter or trace line shows up as a diff in some run. Cells a
-// strategy cannot run (a grant too small, a fault plan under a runner-only
-// strategy) pin their error. Each run's streamed output is also checked as a
+// strategy cannot run (a grant too small) pin their error. Each run's streamed output is also checked as a
 // tuple multiset, over the plan's live columns, against the reference
 // evaluator: equal for complete runs, contained in it under PartialResults.
 //

@@ -9,7 +9,7 @@ import (
 	"dqs/internal/workload"
 )
 
-// Resilience sweeps the four policy strategies over a fault-intensity grid:
+// Resilience sweeps SEQ, MA, SCR and DSE over a fault-intensity grid:
 // level 0 is the fault-free baseline, each following level layers another
 // failure class onto the same scenario — transient wrapper hiccups (a stall
 // and a burst storm on C), a mid-stream disconnect with reconnect (D), and

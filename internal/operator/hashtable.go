@@ -81,6 +81,20 @@ func (h *HashTable) Reserve(width, rows int) {
 	}
 }
 
+// Holds reports whether Reserve(width, rows) would allocate nothing.
+func (h *HashTable) Holds(width, rows int) bool {
+	if width <= 0 || rows <= 0 {
+		return true
+	}
+	n := len(h.bkeys)
+	return cap(h.arena) >= width*rows && cap(h.next) >= rows && n-n/4 > rows
+}
+
+// Footprint returns the bytes of storage the table holds, used or not.
+func (h *HashTable) Footprint() int {
+	return 8*cap(h.arena) + 4*cap(h.next) + 16*len(h.bkeys)
+}
+
 // hashKey mixes a join key into a well-distributed 64-bit hash
 // (splitmix64/murmur3 finalizer).
 func hashKey(k int64) uint64 {

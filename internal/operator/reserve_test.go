@@ -67,6 +67,22 @@ func TestHashTableReserveMatchesUnreservedProbes(t *testing.T) {
 	}
 }
 
+// TestHashTableHoldsMatchesReserve pins Holds to Reserve: a table holds a
+// reservation exactly when reserving it leaves its storage as it was.
+func TestHashTableHoldsMatchesReserve(t *testing.T) {
+	for _, c := range []struct{ width, rows int }{
+		{3, 1}, {3, 1000}, {3, 1001}, {1, 3000}, {6, 500}, {6, 501}, {0, 1 << 20}, {3, 0},
+	} {
+		h := NewHashTable(0)
+		h.Reserve(3, 1000)
+		fp, holds := h.Footprint(), h.Holds(c.width, c.rows)
+		h.Reserve(c.width, c.rows)
+		if grew := h.Footprint() != fp; holds == grew {
+			t.Errorf("Holds(%d, %d) = %v, but Reserve grew the table: %v", c.width, c.rows, holds, grew)
+		}
+	}
+}
+
 func TestHashTableReservePanicsOnNonEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -79,38 +79,3 @@ func (s *Stats) Annotate(root *Node) error {
 		return nil
 	})
 }
-
-// HashMemBytes returns the estimated memory requirement of a join's hash
-// table: the estimated build cardinality times the accounting tuple size
-// (Table 1 charges every tuple as one 40-byte unit).
-func HashMemBytes(join *Node, tupleBytes int) int64 {
-	if join.Kind != KindHashJoin {
-		return 0
-	}
-	return int64(join.Build.EstRows) * int64(tupleBytes)
-}
-
-// ChainMemBytes returns the estimated memory needed to run a chain: the hash
-// tables of every join it probes, plus the table it builds at its top
-// (paper §4.1, M-schedulability). Completed hash tables have exact sizes;
-// the caller may override estimates with actuals via the sizes map
-// (join node ID -> exact build rows), passing nil to use estimates only.
-func ChainMemBytes(c *Chain, tupleBytes int, exactBuildRows map[int]int64) int64 {
-	var total int64
-	rows := func(j *Node) int64 {
-		if exactBuildRows != nil {
-			if r, ok := exactBuildRows[j.ID]; ok {
-				return r
-			}
-		}
-		return int64(j.Build.EstRows)
-	}
-	for _, j := range c.Joins {
-		total += rows(j) * int64(tupleBytes)
-	}
-	if c.BuildsFor != nil {
-		// The chain's own output builds a table estimated from its root.
-		total += int64(c.Root().EstRows) * int64(tupleBytes)
-	}
-	return total
-}

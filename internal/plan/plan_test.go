@@ -346,32 +346,6 @@ func TestStatsSkewAndValidation(t *testing.T) {
 	}
 }
 
-func TestHashAndChainMemBytes(t *testing.T) {
-	root, joins, _ := buildFig5(t)
-	if err := NewStats().Annotate(root); err != nil {
-		t.Fatal(err)
-	}
-	j1 := joins[0]
-	if got := HashMemBytes(j1, 40); got != int64(j1.Build.EstRows)*40 {
-		t.Errorf("HashMemBytes = %d", got)
-	}
-	if got := HashMemBytes(root, 40); got != 0 {
-		t.Errorf("HashMemBytes(non-join) = %d", got)
-	}
-	dec, _ := Decompose(root)
-	cF, _ := dec.ChainOf("F")
-	want := int64(joins[2].Build.EstRows)*40 + int64(joins[3].Build.EstRows)*40 + int64(cF.Root().EstRows)*40
-	if got := ChainMemBytes(cF, 40, nil); got != want {
-		t.Errorf("ChainMemBytes(p_F) = %d, want %d", got, want)
-	}
-	exact := map[int]int64{joins[2].ID: 7}
-	got := ChainMemBytes(cF, 40, exact)
-	wantExact := 7*40 + int64(joins[3].Build.EstRows)*40 + int64(cF.Root().EstRows)*40
-	if got != wantExact {
-		t.Errorf("ChainMemBytes with exact = %d, want %d", got, wantExact)
-	}
-}
-
 func TestRenderMarksEdges(t *testing.T) {
 	root, _, _ := buildFig5(t)
 	out := Render(root)

@@ -50,7 +50,7 @@ func (b *Batch) Len() int { return b.n }
 func (b *Batch) Width() int { return b.width }
 
 // Col returns column c as a flat value run of length Len. The slice aliases
-// batch storage and is invalidated by Reset, Extend and Truncate.
+// batch storage and is invalidated by Reset and Extend.
 func (b *Batch) Col(c int) []int64 { return b.cols[c][:b.n] }
 
 // Extend appends k unset rows and returns one writable view per column
@@ -127,12 +127,4 @@ func (b *Batch) Row(i int, dst Tuple) Tuple {
 		dst[c] = b.cols[c][i]
 	}
 	return dst
-}
-
-// Truncate drops every row from n on.
-func (b *Batch) Truncate(n int) {
-	if n < 0 || n > b.n {
-		panic(fmt.Sprintf("relation: truncate %d of %d-row batch", n, b.n))
-	}
-	b.n = n
 }

@@ -46,13 +46,6 @@ func TestBatchAppendTupleAndRow(t *testing.T) {
 	if got := b.Row(1, make(Tuple, 2)); got[0] != 3 || got[1] != 4 {
 		t.Fatalf("Row(1) = %v", got)
 	}
-	b.Truncate(1)
-	if b.Len() != 1 {
-		t.Fatalf("Len after Truncate(1) = %d", b.Len())
-	}
-	if got := b.Col(0); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("col 0 after truncate = %v", got)
-	}
 }
 
 func TestBatchGatherScattersByMap(t *testing.T) {

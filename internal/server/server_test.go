@@ -37,14 +37,14 @@ func testQueries(t *testing.T, n int, arrival time.Duration) []Query {
 }
 
 // serialRun executes one query alone through core.RunStrategy, the
-// single-query path of dqs.Run.
-func serialRun(t *testing.T, cfg exec.Config, q Query) exec.Result {
+// single-query path of dqs.Run, under the named strategy.
+func serialRun(t *testing.T, cfg exec.Config, q Query, strategy string) exec.Result {
 	t.Helper()
 	rt, err := exec.NewRuntime(cfg, q.Workload.Root, q.Workload.Dataset, q.Deliveries)
 	if err != nil {
 		t.Fatalf("serial %q: %v", q.Label, err)
 	}
-	results, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, "DSE")
+	results, err := core.RunStrategy(rt.Med, []*exec.Runtime{rt}, strategy)
 	if err != nil {
 		t.Fatalf("serial %q: %v", q.Label, err)
 	}
@@ -71,29 +71,32 @@ func runServer(t *testing.T, cfg Config, queries []Query) ([]Report, Stats) {
 
 // TestIsolatedMatchesSerial is the first oracle: an isolated-mode server's
 // per-query Results are byte-identical to serial single-query runs at any
-// admission cap — concurrency changes admission timing only.
+// admission cap — concurrency changes admission timing only — under DSE and
+// under the join-network DPHJ alike.
 func TestIsolatedMatchesSerial(t *testing.T) {
 	queries := testQueries(t, 4, 3*time.Millisecond)
 	cfg := exec.DefaultConfig()
 
-	serial := make([]exec.Result, len(queries))
-	for i, q := range queries {
-		serial[i] = serialRun(t, cfg, q)
-	}
-	for _, cap := range []int{1, 2, 8} {
-		reports, stats := runServer(t, Config{Exec: cfg, MaxActive: cap}, queries)
-		for i, rep := range reports {
-			if !rep.Result.Equal(serial[i]) {
-				t.Errorf("cap=%d query %q: server result differs from serial run\nserver: %v\nserial: %v",
-					cap, rep.Label, rep.Result, serial[i])
-			}
-			if rep.CompletedAt != rep.AdmittedAt+rep.Result.ResponseTime {
-				t.Errorf("cap=%d query %q: CompletedAt %v != AdmittedAt %v + response %v",
-					cap, rep.Label, rep.CompletedAt, rep.AdmittedAt, rep.Result.ResponseTime)
-			}
+	for _, strategy := range []string{"DSE", "DPHJ"} {
+		serial := make([]exec.Result, len(queries))
+		for i, q := range queries {
+			serial[i] = serialRun(t, cfg, q, strategy)
 		}
-		if want := min(cap, len(queries)); stats.PeakActive > want {
-			t.Errorf("cap=%d: PeakActive %d exceeds cap", cap, stats.PeakActive)
+		for _, cap := range []int{1, 2, 8} {
+			reports, stats := runServer(t, Config{Exec: cfg, MaxActive: cap, Strategy: strategy}, queries)
+			for i, rep := range reports {
+				if !rep.Result.Equal(serial[i]) {
+					t.Errorf("%s cap=%d query %q: server result differs from serial run\nserver: %v\nserial: %v",
+						strategy, cap, rep.Label, rep.Result, serial[i])
+				}
+				if rep.CompletedAt != rep.AdmittedAt+rep.Result.ResponseTime {
+					t.Errorf("%s cap=%d query %q: CompletedAt %v != AdmittedAt %v + response %v",
+						strategy, cap, rep.Label, rep.CompletedAt, rep.AdmittedAt, rep.Result.ResponseTime)
+				}
+			}
+			if want := min(cap, len(queries)); stats.PeakActive > want {
+				t.Errorf("%s cap=%d: PeakActive %d exceeds cap", strategy, cap, stats.PeakActive)
+			}
 		}
 	}
 }
@@ -268,7 +271,7 @@ func TestTimeoutCancelIsolated(t *testing.T) {
 	queries[0].Timeout = 50 * time.Microsecond // far below the ~ms full runtime
 	cfg := exec.DefaultConfig()
 
-	serial := serialRun(t, cfg, queries[1])
+	serial := serialRun(t, cfg, queries[1], "DSE")
 
 	s, err := New(Config{Exec: cfg, MaxActive: 2})
 	if err != nil {
@@ -494,15 +497,10 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	// A strategy the server cannot build an engine from fails at New, not at
 	// the first admission inside Run.
-	for _, c := range []struct{ strategy, want string }{
-		{"NOPE", `unknown strategy "NOPE" (registered: SEQ, MA, DSE,`},
-		{"DPHJ", "strategy DPHJ is not a scheduling policy"},
-	} {
-		for _, mode := range []Mode{Isolated, Fused} {
-			_, err := New(Config{Exec: cfg, Mode: mode, Strategy: c.strategy})
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%v server, strategy %q: New error = %v, want %q", mode, c.strategy, err, c.want)
-			}
+	for _, mode := range []Mode{Isolated, Fused} {
+		_, err := New(Config{Exec: cfg, Mode: mode, Strategy: "NOPE"})
+		if want := `unknown strategy "NOPE" (registered: SEQ, MA, DSE,`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v server, strategy NOPE: New error = %v, want %q", mode, err, want)
 		}
 	}
 	func() {

@@ -58,6 +58,3 @@ func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
 
 // Float64 returns a uniform float64 in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -73,15 +73,3 @@ func TestUniformDelayMean(t *testing.T) {
 		t.Errorf("mean delay %v deviates from w=%v by more than 3%%", mean, w)
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	g := NewRNG(5)
-	perm := g.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range perm {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("bad permutation %v", perm)
-		}
-		seen[v] = true
-	}
-}

@@ -2,11 +2,14 @@ package source
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"dqs/internal/comm"
 	"dqs/internal/fault"
+	"dqs/internal/relation"
 	"dqs/internal/sim"
 )
 
@@ -57,54 +60,138 @@ func consume(t *testing.T, q *comm.Queue, src *Source, rows int, seed int64) (ar
 	return arrivals, reads
 }
 
-// TestDeferredSourceMatchesEager runs the same consumer script against a
-// source the queue resumes in bulk and against one forced onto the eager
-// per-credit path (behind eagerProducer, which hides its ResumeN): every arrival instant and every state read must agree —
-// private wrappers under a rate schedule with an initial delay, and taps on
-// a shared stream.
-func TestDeferredSourceMatchesEager(t *testing.T) {
-	const rows = 2000
-	tab := makeTable(t, rows)
-	for _, shared := range []bool{false, true} {
+// resumeOnly hides a source's ResumeN from its queue, so the queue resumes
+// it once per credit: the eager reference path.
+type resumeOnly struct{ s *Source }
+
+func (p resumeOnly) Resume(now time.Duration) { p.s.Resume(now) }
+
+// deferCase opens one source on q for a deferred-versus-eager comparison;
+// from is its first row.
+type deferCase struct {
+	name string
+	from int
+	open func(q *comm.Queue, seed int64) (*Source, error)
+}
+
+// deferSched is the rate schedule, with an initial delay, that private
+// wrappers in a deferCase run under.
+var deferSched = []Option{WithPhases(Phase{0, us(2)}, Phase{700, us(40)}, Phase{1400, 0}), WithInitialDelay(us(30))}
+
+// privateOpts returns a private wrapper's options on tab: the schedule,
+// every column, plus extra.
+func privateOpts(tab *relation.Table, extra ...Option) []Option {
+	return append(append(slices.Clone(deferSched), allColumns(tab)), extra...)
+}
+
+// matchEager runs the same consumer script against each case's source as the
+// queue resumes it in bulk and as forced onto the eager per-credit path
+// (behind resumeOnly): every arrival instant, every state read and the final
+// outage record, next row and death flag must agree.
+func matchEager(t *testing.T, tab *relation.Table, cases []deferCase) {
+	t.Helper()
+	type run struct {
+		arrivals []time.Duration
+		reads    []int
+		outages  []fault.Outage
+		next     int
+		dead     bool
+	}
+	for _, tc := range cases {
 		for seed := int64(1); seed <= 5; seed++ {
-			build := func(eager bool) ([]time.Duration, []int, *comm.Queue) {
-				opts := []Option{WithPhases(Phase{0, us(2)}, Phase{700, us(40)}, Phase{1400, 0}), WithInitialDelay(us(30))}
-				if shared {
-					sh, err := NewShared("W", tab, sim.NewRNG(seed), opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts = []Option{WithSharedStream(sh)}
-				}
+			build := func(eager bool) run {
 				q := newQueue(tab, 24)
-				src, err := New("W", tab, q, sim.NewRNG(seed), us(1), append(opts, allColumns(tab))...)
+				src, err := tc.open(q, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if eager {
-					q.SetProducer(eagerProducer{src})
+					q.SetProducer(resumeOnly{src})
 				}
-				arrivals, reads := consume(t, q, src, rows, seed)
-				return arrivals, reads, q
+				arrivals, reads := consume(t, q, src, tab.Len()-tc.from, seed)
+				return run{arrivals, reads, src.Outages(), src.NextRow(), src.Dead()}
 			}
-			wantAt, wantReads, _ := build(true)
-			gotAt, gotReads, _ := build(false)
-			if len(gotAt) != len(wantAt) || len(gotReads) != len(wantReads) {
-				t.Fatalf("shared=%v seed %d: %d stalls and %d reads deferred, %d and %d eager",
-					shared, seed, len(gotAt), len(gotReads), len(wantAt), len(wantReads))
-			}
-			for i := range wantAt {
-				if gotAt[i] != wantAt[i] {
-					t.Fatalf("shared=%v seed %d: stall %d ends at %v deferred, %v eager", shared, seed, i, gotAt[i], wantAt[i])
-				}
-			}
-			for i := range wantReads {
-				if gotReads[i] != wantReads[i] {
-					t.Fatalf("shared=%v seed %d: state read %d = %d deferred, %d eager", shared, seed, i, gotReads[i], wantReads[i])
-				}
+			want, got := build(true), build(false)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: deferred run diverged from eager:\neager:    %+v\ndeferred: %+v", tc.name, seed, want, got)
 			}
 		}
 	}
+}
+
+// TestDeferredSourceMatchesEager: a deferring queue reproduces the eager
+// per-credit run exactly, for private wrappers under a rate schedule with an
+// initial delay and for taps on a shared stream.
+func TestDeferredSourceMatchesEager(t *testing.T) {
+	tab := makeTable(t, 2000)
+	matchEager(t, tab, []deferCase{
+		{"private", 0, func(q *comm.Queue, seed int64) (*Source, error) {
+			return New("W", tab, q, sim.NewRNG(seed), us(1), privateOpts(tab)...)
+		}},
+		{"shared", 0, func(q *comm.Queue, seed int64) (*Source, error) {
+			sh, err := NewShared("W", tab, sim.NewRNG(seed), deferSched...)
+			if err != nil {
+				return nil, err
+			}
+			return New("W", tab, q, sim.NewRNG(seed), us(1), WithSharedStream(sh), allColumns(tab))
+		}},
+	})
+}
+
+// TestFaultScriptedSourceDefers: a fault-scripted wrapper and an activated
+// replica defer like every source — credits stay pending on their queues —
+// and their deferred runs, outage records and death flags included, match
+// the eager per-credit runs for a stall and a disconnect with restart, and
+// for a replica activated mid-stream.
+func TestFaultScriptedSourceDefers(t *testing.T) {
+	small := makeTable(t, 100)
+	q := newQueue(small, 8)
+	script := &fault.Script{Clauses: []fault.Clause{{Kind: fault.Stall, Row: 50, Down: us(100)}}, RNG: sim.NewRNG(9)}
+	if _, err := New("W", small, q, sim.NewRNG(3), 0, allColumns(small), WithMeanWait(us(5)), WithFaults(script)); err != nil {
+		t.Fatal(err)
+	}
+	at, _ := q.NextArrival()
+	n := popN(q, at, 8)
+	for i := 0; i < n; i++ {
+		q.Credit(at)
+	}
+	if n == 0 || q.Deferred() != n {
+		t.Fatalf("fault-scripted source: popped %d, %d credits pending; want all pending", n, q.Deferred())
+	}
+	rq := newQueue(small, 8)
+	rep, err := New("R", small, rq, sim.NewRNG(4), 0, allColumns(small), WithMeanWait(us(5)), AsStandby())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Activate(0, 10, us(20), false)
+	at, _ = rq.NextArrival()
+	n = popN(rq, at, 8)
+	for i := 0; i < n; i++ {
+		rq.Credit(at)
+	}
+	if n == 0 || rq.Deferred() != n {
+		t.Fatalf("activated replica: popped %d, %d credits pending; want all pending", n, rq.Deferred())
+	}
+
+	tab := makeTable(t, 2000)
+	const resumeAt = 600 // the activated replica's first row
+	matchEager(t, tab, []deferCase{
+		{"fault-scripted", 0, func(q *comm.Queue, seed int64) (*Source, error) {
+			script := &fault.Script{Clauses: []fault.Clause{
+				{Kind: fault.Stall, Row: 500, Down: us(300)},
+				{Kind: fault.Disconnect, Row: 1200, Down: us(200), Restart: true},
+			}, RNG: sim.NewRNG(seed + 100)}
+			return New("W", tab, q, sim.NewRNG(seed), us(1), privateOpts(tab, WithFaults(script))...)
+		}},
+		{"activated replica", resumeAt, func(q *comm.Queue, seed int64) (*Source, error) {
+			rep, err := New("R", tab, q, sim.NewRNG(seed), us(1), privateOpts(tab, AsStandby())...)
+			if err != nil {
+				return nil, err
+			}
+			rep.Activate(us(50), resumeAt, us(20), seed%2 == 0)
+			return rep, nil
+		}},
+	})
 }
 
 // TestDeferralEngagesAndSettlesOnDetach pins both ends of the mechanism: a
@@ -145,39 +232,5 @@ func TestDeferralEngagesAndSettlesOnDetach(t *testing.T) {
 	}
 	if !q.Empty() || src.NextRow() != 8+n {
 		t.Errorf("a detached source produced: Empty=%v next row %d", q.Empty(), src.NextRow())
-	}
-}
-
-// TestFaultScriptedSourceStaysEager: the resilience layer reads a faulted
-// source's outages and death between iterations, so such a source — and an
-// activated replica — never has credits pending.
-func TestFaultScriptedSourceStaysEager(t *testing.T) {
-	tab := makeTable(t, 100)
-	q := newQueue(tab, 8)
-	script := &fault.Script{Clauses: []fault.Clause{{Kind: fault.Stall, Row: 50, Down: us(100)}}, RNG: sim.NewRNG(9)}
-	if _, err := New("W", tab, q, sim.NewRNG(3), 0, allColumns(tab), WithMeanWait(us(5)), WithFaults(script)); err != nil {
-		t.Fatal(err)
-	}
-	at, _ := q.NextArrival()
-	n := popN(q, at, 8)
-	for i := 0; i < n; i++ {
-		q.Credit(at)
-		if q.Deferred() != 0 {
-			t.Fatalf("credit %d left %d pending on a fault-scripted source", i, q.Deferred())
-		}
-	}
-	rq := newQueue(tab, 8)
-	rep, err := New("R", tab, rq, sim.NewRNG(4), 0, allColumns(tab), WithMeanWait(us(5)), AsStandby())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Activate(0, 10, us(20), false)
-	at, _ = rq.NextArrival()
-	n = popN(rq, at, 8)
-	for i := 0; i < n; i++ {
-		rq.Credit(at)
-	}
-	if n == 0 || rq.Deferred() != 0 {
-		t.Fatalf("activated replica: popped %d, %d credits pending", n, rq.Deferred())
 	}
 }

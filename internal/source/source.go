@@ -238,23 +238,11 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 	s.stagePass = make([]bool, 0, q.Capacity())
 	s.stageAt = make([]time.Duration, 0, q.Capacity())
 	if !s.standby {
-		if len(s.faults) > 0 {
-			q.SetProducer(eagerProducer{s})
-		} else {
-			q.SetProducer(s)
-		}
+		q.SetProducer(s)
 		s.pump(s.startAt)
 	}
 	return s, nil
 }
-
-// eagerProducer hides a source's ResumeN from its queue, so the queue resumes
-// it once per credit. Fault-scripted sources and activated replicas use it:
-// the resilience layer reads their outage record and death between scheduling
-// iterations, which would settle a deferring queue every iteration anyway.
-type eagerProducer struct{ s *Source }
-
-func (p eagerProducer) Resume(now time.Duration) { p.s.Resume(now) }
 
 // Name returns the wrapper name.
 func (s *Source) Name() string { return s.name }
@@ -324,7 +312,7 @@ func (s *Source) Activate(now time.Duration, fromRow int, connect time.Duration,
 	s.next = fromRow
 	s.firstRow = fromRow
 	s.startAt = start
-	s.q.SetProducer(eagerProducer{s})
+	s.q.SetProducer(s)
 	s.pump(start)
 }
 
