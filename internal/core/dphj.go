@@ -16,7 +16,6 @@ import (
 // is fatal.
 type dphjPolicy struct {
 	feeds []*exec.Fragment
-	done  bool
 }
 
 // NewDPHJPolicy builds the double-pipelined hash-join policy; registry name
@@ -25,11 +24,16 @@ func NewDPHJPolicy(st *State) (Policy, error) { return &dphjPolicy{}, nil }
 
 func (p *dphjPolicy) Name() string { return "DPHJ" }
 
-func (p *dphjPolicy) Done(st *State) bool { return p.done }
+// Done reports whether every query is marked complete: the end of the one
+// phase marks them all, a cancellation one.
+func (p *dphjPolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 func (p *dphjPolicy) Plan(st *State) (SchedulingPlan, error) {
 	if p.feeds == nil {
 		for _, rt := range st.Runtimes() {
+			if st.queryDone(rt) {
+				continue
+			}
 			feeds, err := rt.NewDPHJFeeds()
 			if err != nil {
 				return SchedulingPlan{}, err
@@ -46,7 +50,7 @@ func (p *dphjPolicy) OnEvent(st *State, ev Event) error {
 		return fmt.Errorf("%w (symmetric join network)", exec.ErrMemoryExceeded)
 	case EventSPDone:
 		for _, f := range p.feeds {
-			if !f.Done() && !f.In.Exhausted() {
+			if !f.Done() {
 				return fmt.Errorf("core: DPHJ starved with no future arrivals")
 			}
 		}
@@ -54,7 +58,6 @@ func (p *dphjPolicy) OnEvent(st *State, ev Event) error {
 			rt.ReleaseJoinNet()
 			st.MarkQueryDone(rt)
 		}
-		p.done = true
 	}
 	return nil
 }

@@ -30,13 +30,13 @@ func nextArrival(frags []*exec.Fragment) (time.Duration, bool) {
 // highest-priority fragment that has data, falling down the priority list
 // on data gaps and returning to the top after every batch; in round-robin
 // mode it sweeps the plan processing one batch from every runnable
-// fragment per pass (the materialization discipline of MA's phase 1). It
-// returns the interruption event that ends the phase; the error is
-// non-nil only when the policy's starvation handler failed.
+// fragment per pass (the materialization discipline of MA's phase 1).
+// Both modes share everything else: fault transitions, finalization of
+// fragments whose input ran out, starvation handling and the stall to the
+// next arrival. It returns the interruption event that ends the phase; the
+// error is non-nil when the policy's starvation handler failed or the
+// phase spins without advancing the clock.
 func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
-	if sp.RoundRobin {
-		return e.processRoundRobin(sp)
-	}
 	med := e.med
 	starve, _ := e.pol.(StarvationHandler)
 	// window is the effective plan: Sticky plans narrow it to end at the
@@ -55,7 +55,7 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 					detail += fmt.Sprintf(" [%s done=%v runnable=%v avail=%d exhausted=%v next=%v,%v]",
 						f.Label, f.Done(), f.Runnable(now), f.In.Available(now), f.In.Exhausted(), at, ok)
 				}
-				panic("core: DQP spin at t=" + now.String() + detail)
+				return Event{}, fmt.Errorf("core: DQP spin at t=%v; %s;%s", now, e.pendingSummary(), detail)
 			}
 		} else {
 			lastNow, spins = now, 0
@@ -81,7 +81,10 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 				continue
 			}
 			alldone = false
-			if f.Runnable(now) {
+			// Only a processed batch moves the clock: a priority pass reads
+			// its start instant here, a sweep the instant after the previous
+			// fragment's batch.
+			if f.Runnable(med.Now()) {
 				if sp.Sticky {
 					window = window[:i+1]
 				}
@@ -89,26 +92,31 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 				if overflow {
 					return Event{Kind: EventOverflow, Frag: f, Window: window}, nil
 				}
-				if f.Done() {
+				if f.Done() && !sp.RoundRobin {
 					return Event{Kind: EventEndOfQF, Frag: f, Window: window}, nil
 				}
 				acted = true
+				if sp.RoundRobin {
+					continue // sweep on to the next fragment
+				}
 				break // return to the highest-priority queue
 			}
 			if f.In.Exhausted() {
 				// Input is gone; let the fragment finalize.
 				pendingBefore := f.PendingOutputs()
 				f.ProcessBatch(0)
-				if f.Done() {
+				if f.Done() && !sp.RoundRobin {
 					return Event{Kind: EventEndOfQF, Frag: f, Window: window}, nil
 				}
-				if f.PendingOutputs() < pendingBefore {
-					// Finalization sank stranded output: that is progress,
-					// so re-enter at the top of the priority list rather
-					// than falling through to the stall/timeout
-					// computation below.
+				if f.Done() || f.PendingOutputs() < pendingBefore {
+					// Finalization completed the fragment or sank stranded
+					// output: that is progress, so re-enter at the top of the
+					// priority list (or sweep on) rather than falling through
+					// to the stall/timeout computation below.
 					acted = true
-					break
+					if !sp.RoundRobin {
+						break
+					}
 				}
 			}
 		}
@@ -166,60 +174,5 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 			med.Trace.Add(now, sim.EvStall, "stall %.6fs", (next - now).Seconds())
 		}
 		med.Clock.Stall(next)
-	}
-}
-
-// processRoundRobin is the sweep of MA phase 1 and of the DPHJ feeds: one
-// batch from every runnable fragment per pass, stalling to the earliest arrival
-// when a full pass made no progress. Fragment completions do not interrupt
-// the phase; it ends only when every fragment is done (or has no future
-// arrival) or on overflow.
-func (e *Engine) processRoundRobin(sp SchedulingPlan) (Event, error) {
-	med := e.med
-	for {
-		if e.flt != nil {
-			if ev, ok := e.flt.transition(med.Now(), sp.Frags); ok {
-				return ev, nil
-			}
-		}
-		progressed := false
-		alldone := true
-		for _, f := range sp.Frags {
-			if f.Done() {
-				continue
-			}
-			alldone = false
-			if f.Runnable(med.Now()) {
-				if _, overflow := f.ProcessBatch(med.Cfg.BatchTuples); overflow {
-					return Event{Kind: EventOverflow, Frag: f, Window: sp.Frags}, nil
-				}
-				progressed = true
-			}
-		}
-		if alldone {
-			return Event{Kind: EventSPDone, Window: sp.Frags}, nil
-		}
-		if !progressed {
-			// Every unfinished wrapper is quiet: check for dead wrappers,
-			// then stall to the earliest arrival, or end the phase when no
-			// arrival is ever coming.
-			if e.flt != nil {
-				act, ev, err := e.flt.onStarved(sp.Frags)
-				if err != nil {
-					return Event{}, err
-				}
-				switch act {
-				case faultStalled:
-					continue
-				case faultEvent:
-					return ev, nil
-				}
-			}
-			next, ok := e.st.NextArrival(sp)
-			if !ok {
-				return Event{Kind: EventSPDone, Window: sp.Frags}, nil
-			}
-			med.Clock.Stall(next)
-		}
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"dqs/internal/exec"
+	"dqs/internal/sim"
 )
 
 // dsePlan wraps fragments in the execution mode the DSE policy uses: rate
@@ -178,5 +180,137 @@ func TestScheduleSkipsDegradationBelowBMT(t *testing.T) {
 			labels[i] = f.Label
 		}
 		t.Errorf("SP = %v, want the two leaf chains", labels)
+	}
+}
+
+// sweep is a round-robin plan over fragments.
+func sweep(frags ...*exec.Fragment) SchedulingPlan {
+	return SchedulingPlan{Frags: frags, RoundRobin: true}
+}
+
+// TestSweepCompletionDoesNotEndPhase: in round-robin mode the fragment that
+// finishes first does not interrupt the phase; it ends with SPDone once
+// every fragment has finished.
+func TestSweepCompletionDoesNotEndPhase(t *testing.T) {
+	w := smallFig5(t)
+	del := uniform(w, 10*time.Microsecond)
+	del["E"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: 300 * time.Millisecond}
+	rt := newRT(t, w, testConfig(), del)
+	e := dseEngine(t, rt)
+	cE, _ := rt.Dec.ChainOf("E")
+	cD, _ := rt.Dec.ChainOf("D")
+	fE, fD := rt.NewPCFragment(cE), rt.NewPCFragment(cD)
+	ev, err := e.processPhase(sweep(fD, fE))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != EventSPDone || !fD.Done() || !fE.Done() {
+		t.Fatalf("event %v, D done=%v, E done=%v; want SPDone with both done", ev.Kind, fD.Done(), fE.Done())
+	}
+}
+
+// TestSweepOverflowEndsPhase: a build that exhausts the grant ends the sweep
+// with an Overflow naming it.
+func TestSweepOverflowEndsPhase(t *testing.T) {
+	w := smallFig5(t)
+	cfg := testConfig()
+	cfg.MemoryBytes = 64 << 10
+	rt := newRT(t, w, cfg, uniform(w, 10*time.Microsecond))
+	e := dseEngine(t, rt)
+	cE, _ := rt.Dec.ChainOf("E")
+	cD, _ := rt.Dec.ChainOf("D")
+	fE, fD := rt.NewPCFragment(cE), rt.NewPCFragment(cD)
+	ev, err := e.processPhase(sweep(fD, fE))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != EventOverflow || (ev.Frag != fD && ev.Frag != fE) {
+		t.Fatalf("event %v (frag %v), want Overflow of p_D or p_E", ev.Kind, ev.Frag)
+	}
+}
+
+// TestSweepStallsToEarliestArrival: when a whole sweep finds nothing to do,
+// the phase stalls to the earliest arrival among its fragments, not to a
+// later one.
+func TestSweepStallsToEarliestArrival(t *testing.T) {
+	w := smallFig5(t)
+	del := uniform(w, 10*time.Microsecond)
+	del["E"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: 100 * time.Millisecond}
+	del["D"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: 150 * time.Millisecond}
+	cfg := testConfig()
+	tr := &sim.Trace{}
+	cfg.Trace = tr
+	rt := newRT(t, w, cfg, del)
+	e := dseEngine(t, rt)
+	cE, _ := rt.Dec.ChainOf("E")
+	cD, _ := rt.Dec.ChainOf("D")
+	fE, fD := rt.NewPCFragment(cE), rt.NewPCFragment(cD)
+	first, ok := fE.NextArrival()
+	if !ok || first < 100*time.Millisecond {
+		t.Fatalf("p_E's first arrival %v (%v), want after its 100ms delay", first, ok)
+	}
+	if _, err := e.processPhase(sweep(fD, fE)); err != nil {
+		t.Fatal(err)
+	}
+	var at time.Duration = -1
+	for _, ev := range tr.Events {
+		if ev.Kind == sim.EvBatch && ev.Note == "p_E first batch" {
+			at = ev.At
+		}
+	}
+	if at != first {
+		t.Errorf("p_E's first batch at %v, want its first arrival %v", at, first)
+	}
+}
+
+// silentInput is a wrapper that will never deliver again but has not
+// finished either.
+type silentInput struct{ exec.TupleSource }
+
+func (silentInput) Available(time.Duration) int        { return 0 }
+func (silentInput) NextArrival() (time.Duration, bool) { return 0, false }
+func (silentInput) Exhausted() bool                    { return false }
+
+// TestSweepEndsWhenNothingWillArrive: a sweep whose unfinished fragments will
+// never see input again ends with SPDone instead of waiting.
+func TestSweepEndsWhenNothingWillArrive(t *testing.T) {
+	w := smallFig5(t)
+	rt := newRT(t, w, testConfig(), uniform(w, 10*time.Microsecond))
+	e := dseEngine(t, rt)
+	cE, _ := rt.Dec.ChainOf("E")
+	cD, _ := rt.Dec.ChainOf("D")
+	fE, fD := rt.NewPCFragment(cE), rt.NewPCFragment(cD)
+	fE.In = silentInput{fE.In}
+	ev, err := e.processPhase(sweep(fD, fE))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != EventSPDone || !fD.Done() || fE.Done() {
+		t.Fatalf("event %v, D done=%v, E done=%v; want SPDone with only D done", ev.Kind, fD.Done(), fE.Done())
+	}
+}
+
+// starvedNoOp is a starvation handler that neither advances the clock nor
+// asks for a new planning point: a broken user policy.
+type starvedNoOp struct{ Policy }
+
+func (starvedNoOp) OnStarved(*State, SchedulingPlan) (bool, error) { return false, nil }
+
+// TestDQPSpinIsAnError: a phase that loops without advancing the clock ends
+// with an error naming the policy, the plan and the fragments — not a panic.
+func TestDQPSpinIsAnError(t *testing.T) {
+	w := smallFig5(t)
+	rt := newRT(t, w, testConfig(), uniform(w, 20*time.Millisecond))
+	e, err := newEngine(rt.Med, []*exec.Runtime{rt}, func(st *State) (Policy, error) {
+		inner, err := NewSeqPolicy(st)
+		return starvedNoOp{inner}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.Run()
+	if err == nil || !strings.Contains(err.Error(), "DQP spin") ||
+		!strings.Contains(err.Error(), "policy SEQ, plan [") || !strings.Contains(err.Error(), "runnable=false") {
+		t.Fatalf("err = %v, want a DQP spin error naming policy, plan and fragments", err)
 	}
 }

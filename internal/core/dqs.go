@@ -166,10 +166,10 @@ func (p *dsePolicy) candidates(st *State) []cand {
 func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 	med := st.Mediator()
 	seg := cs.active()
-	if seg == nil || cs.memSuspended {
+	rt := cs.rt
+	if seg == nil || cs.memSuspended || st.queryDone(rt) {
 		return cand{}, false
 	}
-	rt := cs.rt
 	// Input readiness: the first segment reads its wrapper queue; later
 	// segments need the previous segment's temp to be complete.
 	if cs.cur > 0 {

@@ -101,54 +101,15 @@ func (p *dsePolicy) Attach(st *State, rt *exec.Runtime) error {
 	return nil
 }
 
-// Cancel abandons one attached query between scheduling rounds
-// (Engine.CancelQuery): active fragments are abandoned, materialized
-// segment temps dropped with their resident pages, the chains marked
-// complete, and the runtime's remaining execution state — hash-table grant,
-// late wrapper credits — swept by Runtime.Cancel. Shared infrastructure (other
-// queries' state, the ledger) is untouched; the next planning point sees
-// the freed memory.
-func (p *dsePolicy) Cancel(st *State, rt *exec.Runtime) error {
-	chains, ok := p.byRuntime[rt]
-	if !ok {
-		return fmt.Errorf("core: runtime %q is not attached", rt.Label)
-	}
-	for _, cs := range chains {
-		if cs.complete {
-			continue
-		}
-		for _, seg := range cs.segs {
-			if seg.frag == nil {
-				continue
-			}
-			seg.frag.Abandon()
-			if seg.frag.Temp != nil {
-				seg.frag.Temp.Drop()
-			}
-		}
-		cs.cur = len(cs.segs)
-		cs.complete = true
-	}
-	st.MarkQueryDone(rt)
-	rt.Cancel()
-	return nil
-}
-
 // SetFavored biases the planning order toward one query (Engine.Favor);
 // nil restores the global critical-degree order.
 func (p *dsePolicy) SetFavored(rt *exec.Runtime) { p.favored = rt }
 
 func (p *dsePolicy) Name() string { return "DSE" }
 
-// Done reports whether every chain of every query has terminated.
-func (p *dsePolicy) Done(st *State) bool {
-	for _, cs := range p.states {
-		if !cs.complete {
-			return false
-		}
-	}
-	return true
-}
+// Done reports whether every query has finished or been cancelled: a query
+// is marked done when its last chain terminates.
+func (p *dsePolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 // tablesComplete reports whether every hash table probed by the segment is
 // fully built.

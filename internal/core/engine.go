@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -158,18 +159,20 @@ func (e *Engine) Attach(rt *exec.Runtime) error {
 	return nil
 }
 
-// CancelQuery abandons one attached query between scheduling rounds: its
-// active fragments are abandoned, its materialized state is dropped, its
-// memory is returned to the shared grant and its wrappers stop feeding the
-// communication manager. The cancelled query still yields a Result from
-// Finalize (marked complete at cancellation time, with whatever tuples it
-// produced). Only policies implementing Canceller support cancellation.
+// CancelQuery abandons one attached query between scheduling rounds, under
+// every policy: Runtime.Cancel abandons the query's unfinished fragments,
+// drops their temps, returns its memory to the shared grant and stops its
+// wrappers feeding the communication manager; the query is then marked
+// complete, which is how every built-in policy knows to stop planning it.
+// The cancelled query still yields a Result from Finalize (complete at
+// cancellation time, with whatever tuples it produced).
 func (e *Engine) CancelQuery(rt *exec.Runtime) error {
-	c, ok := e.pol.(Canceller)
-	if !ok {
-		return fmt.Errorf("core: policy %s does not support query cancellation", e.pol.Name())
+	if !slices.Contains(e.st.rts, rt) {
+		return fmt.Errorf("core: runtime %q is not attached", rt.Label)
 	}
-	return c.Cancel(e.st, rt)
+	rt.Cancel()
+	e.st.MarkQueryDone(rt)
+	return nil
 }
 
 // Favor biases the next planning points toward one query: the policy orders

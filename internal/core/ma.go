@@ -20,25 +20,19 @@ type maPolicy struct {
 	temps map[*exec.Runtime]map[string]*mem.Temp
 
 	phase2 bool
-	order  []chainRef
-	idx    int
-	cur    *exec.Fragment
+	chainCursor
 }
 
 // NewMAPolicy builds the materialize-all policy; registry name "MA".
 func NewMAPolicy(st *State) (Policy, error) {
 	p := &maPolicy{
-		temps: make(map[*exec.Runtime]map[string]*mem.Temp),
-		order: iteratorChains(st),
+		temps:       make(map[*exec.Runtime]map[string]*mem.Temp),
+		chainCursor: chainCursor{order: iteratorChains(st)},
 	}
 	return p, nil
 }
 
 func (p *maPolicy) Name() string { return "MA" }
-
-func (p *maPolicy) Done(st *State) bool {
-	return p.phase2 && p.idx >= len(p.order) && p.cur != nil && p.cur.Done()
-}
 
 func (p *maPolicy) Plan(st *State) (SchedulingPlan, error) {
 	med := st.Mediator()
@@ -47,6 +41,9 @@ func (p *maPolicy) Plan(st *State) (SchedulingPlan, error) {
 		// attached query, serviced round-robin as data arrives.
 		if p.mfs == nil {
 			for _, rt := range st.Runtimes() {
+				if st.queryDone(rt) {
+					continue
+				}
 				ts := make(map[string]*mem.Temp, len(rt.Dec.Chains))
 				for _, c := range rt.Dec.Chains {
 					f := rt.NewMFSync(c)
@@ -60,15 +57,9 @@ func (p *maPolicy) Plan(st *State) (SchedulingPlan, error) {
 		return SchedulingPlan{Frags: p.mfs, RoundRobin: true}, nil
 	}
 	// Phase 2: iterator-model execution over the local temps.
-	for p.cur == nil || p.cur.Done() {
-		if p.idx >= len(p.order) {
-			return SchedulingPlan{}, fmt.Errorf("core: MA planned past the last chain")
-		}
-		next := p.order[p.idx]
-		p.idx++
-		p.cur = next.rt.NewCFSync(next.chain, p.temps[next.rt][next.chain.Scan.Rel.Name])
-	}
-	return SchedulingPlan{Frags: []*exec.Fragment{p.cur}}, nil
+	return p.plan(st, "MA", func(c chainRef) *exec.Fragment {
+		return c.rt.NewCFSync(c.chain, p.temps[c.rt][c.chain.Scan.Rel.Name])
+	})
 }
 
 func (p *maPolicy) OnEvent(st *State, ev Event) error {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"dqs/internal/exec"
 	"dqs/internal/reftest"
+	"dqs/internal/sim"
 	"dqs/internal/workload"
 )
 
@@ -155,5 +158,107 @@ func TestMultiQuerySharedMemoryPressure(t *testing.T) {
 	}
 	if got := med.Mem.Peak(); got > cfg.MemoryBytes {
 		t.Errorf("peak memory %d exceeded the shared grant %d", got, cfg.MemoryBytes)
+	}
+}
+
+// TestCancelQueryAtEveryRound cancels one of three queries sharing a mediator
+// before a sample of the engine's scheduling rounds, the first included,
+// under every registered strategy. DPHJ runs the whole batch in one round, so
+// this is where its cancellation runs. The cancelled query must complete at
+// the cancel instant, every other query must return the reference
+// evaluator's result, and the grant must be empty at exit.
+func TestCancelQueryAtEveryRound(t *testing.T) {
+	cfg := testConfig()
+	const wait = 20 * time.Microsecond
+	for _, name := range StrategyNames() {
+		med, rts, _ := multiSetup(t, cfg, 3, wait)
+		eng, err := NewStrategyEngine(med, rts, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := 0
+		for ok := true; ok; rounds++ {
+			if ok, err = eng.Step(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		for victim := range rts {
+			for k := 0; k < rounds; k += max(1, rounds/3) {
+				med, rts, ws := multiSetup(t, cfg, 3, wait)
+				eng, err := NewStrategyEngine(med, rts, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for range k {
+					if _, err := eng.Step(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+				if _, done := eng.QueryCompletedAt(rts[victim]); done {
+					continue // finished before the cancel could strike
+				}
+				at := med.Now()
+				if err := eng.CancelQuery(rts[victim]); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				results, err := eng.Run()
+				if err != nil {
+					t.Fatalf("%s, query %d cancelled before round %d: %v", name, victim, k, err)
+				}
+				for i, res := range results {
+					if i == victim {
+						if res.ResponseTime != at {
+							t.Errorf("%s: query %d cancelled at %v completed at %v", name, i, at, res.ResponseTime)
+						}
+					} else if want := reftest.Count(ws[i].Root, ws[i].Dataset); res.OutputRows != want {
+						t.Errorf("%s, query %d cancelled before round %d: survivor %d produced %d rows, want %d",
+							name, victim, k, i, res.OutputRows, want)
+					}
+				}
+				if held, used := med.Mem.HeldTotal(), med.Mem.Used(); held != 0 || used != 0 {
+					t.Errorf("%s, query %d cancelled before round %d: %d grant bytes held, %d in use at exit",
+						name, victim, k, held, used)
+				}
+			}
+		}
+	}
+}
+
+// TestCancelSkipsSupersededFragment: at a 1 MiB grant DSE degrades p_B into
+// MF(p_B) + CF(p_B), then replaces the unstarted CF(p_B) by a memory-repair
+// split. Cancelling the query right after abandons what the split left
+// unfinished, never CF(p_B): it was no part of the execution, so it gets no
+// abandon note and no degraded label.
+func TestCancelSkipsSupersededFragment(t *testing.T) {
+	w := smallFig5(t)
+	cfg := testConfig()
+	cfg.MemoryBytes = 1 << 20
+	tr := &sim.Trace{}
+	cfg.Trace = tr
+	rt := newRT(t, w, cfg, uniform(w, 20*time.Microsecond))
+	e := dseEngine(t, rt)
+	split := func() bool {
+		for _, ev := range tr.Events {
+			if strings.HasPrefix(ev.Note, "split p_B ") {
+				return true
+			}
+		}
+		return false
+	}
+	for !split() {
+		if ok, err := e.Step(); err != nil || !ok {
+			t.Fatalf("the run ended without splitting p_B (err %v)", err)
+		}
+	}
+	if err := e.CancelQuery(rt); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range tr.Events {
+		if strings.HasPrefix(ev.Note, "CF(p_B) abandoned") {
+			t.Errorf("the superseded fragment was abandoned: %q", ev.Note)
+		}
+	}
+	if res := e.Finalize()[0]; slices.Contains(res.DegradedFragments, "CF(p_B)") {
+		t.Errorf("degraded fragments %v name the superseded CF(p_B)", res.DegradedFragments)
 	}
 }

@@ -84,11 +84,11 @@ type Event struct {
 type SchedulingPlan struct {
 	// Frags are the scheduled fragments in strictly decreasing priority.
 	Frags []*exec.Fragment
-	// RoundRobin switches the phase from priority order (process batches
-	// from the highest-priority runnable fragment, returning to the top
-	// after every batch, interrupting on fragment completion) to a sweep
-	// (one batch from every runnable fragment per pass, completions do not
-	// interrupt the phase): MA's materialization phase, DPHJ's feeds.
+	// RoundRobin switches the phase from priority order to a sweep: the
+	// same phase loop, with two conditions changed — after a batch it moves
+	// on to the next fragment instead of returning to the top, and a
+	// completed fragment does not end the phase. MA's materialization phase
+	// and DPHJ's feeds run this way.
 	RoundRobin bool
 	// Sticky narrows the plan as the phase runs: once a batch is processed
 	// from the fragment at position i, fragments after i drop out of the
@@ -152,10 +152,9 @@ type Attacher interface {
 	Attach(st *State, rt *exec.Runtime) error
 }
 
-// Canceller is an optional policy capability: abandoning one attached query
-// between scheduling rounds (Engine.CancelQuery). The policy must release
-// the query's execution state — fragments, materializations, memory — and
-// mark it complete so Done and Plan stop considering it.
+// Canceller is no longer consulted: Engine.CancelQuery cancels through the
+// runtime under every policy. It stays only because bench/ names it —
+// remove with the next [benchmark] PR.
 type Canceller interface {
 	Cancel(st *State, rt *exec.Runtime) error
 }
@@ -213,6 +212,24 @@ func (st *State) CurrentPlan() SchedulingPlan { return st.lastPlan }
 // fragments of the plan.
 func (st *State) NextArrival(sp SchedulingPlan) (time.Duration, bool) {
 	return nextArrival(sp.Frags)
+}
+
+// queryDone reports whether rt's query is marked complete — finished, or
+// cancelled by Engine.CancelQuery. The built-in policies skip such a query's
+// chains wherever they plan.
+func (st *State) queryDone(rt *exec.Runtime) bool {
+	_, done := st.completedAt[rt]
+	return done
+}
+
+// allQueriesDone reports whether every attached query is marked complete.
+func (st *State) allQueriesDone() bool {
+	for _, rt := range st.rts {
+		if !st.queryDone(rt) {
+			return false
+		}
+	}
+	return true
 }
 
 // MarkQueryDone records that rt's query produced its final tuple at the

@@ -54,8 +54,8 @@ func NewScramblePolicy(st *State) (Policy, error) {
 func (p *scrPolicy) Name() string { return "SCR" }
 
 func (p *scrPolicy) Done(st *State) bool {
-	for _, f := range p.frags {
-		if f == nil || !f.Done() {
+	for i, f := range p.frags {
+		if (f == nil || !f.Done()) && !st.queryDone(p.order[i].rt) {
 			return false
 		}
 	}
@@ -78,7 +78,7 @@ func (p *scrPolicy) Plan(st *State) (SchedulingPlan, error) {
 	// complete when a building fragment finishes, which always ends the
 	// execution phase, so checking at planning points loses nothing.
 	for i, c := range p.order {
-		if p.frags[i] == nil && p.tablesReady(c) {
+		if p.frags[i] == nil && !st.queryDone(c.rt) && p.tablesReady(c) {
 			p.frags[i] = c.rt.NewPCFragment(c.chain)
 		}
 	}

@@ -27,39 +27,62 @@ func iteratorChains(st *State) []chainRef {
 	return order
 }
 
+// chainCursor drains pipeline chains strictly one after another in iterator
+// order, one single-fragment plan at a time: SEQ's whole execution and MA's
+// phase 2. Chains of a query already marked done (cancelled) are skipped.
+type chainCursor struct {
+	order []chainRef
+	idx   int            // next chain to open
+	cur   *exec.Fragment // chain being drained
+}
+
+// Done reports whether the current chain has finished and every chain left
+// belongs to a query marked done.
+func (c *chainCursor) Done(st *State) bool {
+	if c.cur != nil && !c.cur.Done() {
+		return false
+	}
+	for _, next := range c.order[c.idx:] {
+		if !st.queryDone(next.rt) {
+			return false
+		}
+	}
+	return true
+}
+
+// plan returns the current chain's fragment, opening the next chain with
+// open once the current one has finished.
+func (c *chainCursor) plan(st *State, policy string, open func(chainRef) *exec.Fragment) (SchedulingPlan, error) {
+	for c.cur == nil || c.cur.Done() {
+		if c.idx >= len(c.order) {
+			return SchedulingPlan{}, fmt.Errorf("core: %s planned past the last chain", policy)
+		}
+		next := c.order[c.idx]
+		c.idx++
+		if !st.queryDone(next.rt) {
+			c.cur = open(next)
+		}
+	}
+	return SchedulingPlan{Frags: []*exec.Fragment{c.cur}}, nil
+}
+
 // seqPolicy is the paper's SEQ baseline as a scheduling policy: the classic
 // iterator model drains pipeline chains strictly one after another, the
 // engine stalling whenever the current chain's wrapper has not delivered.
 // Every plan is a single fragment; starvation uses the executor's default
 // silent stall (no timeout, no rate observation — the static engine never
 // reacts to delivery problems).
-type seqPolicy struct {
-	order []chainRef
-	idx   int            // next chain to instantiate
-	cur   *exec.Fragment // chain being drained
-}
+type seqPolicy struct{ chainCursor }
 
 // NewSeqPolicy builds the static iterator-model policy; registry name "SEQ".
 func NewSeqPolicy(st *State) (Policy, error) {
-	return &seqPolicy{order: iteratorChains(st)}, nil
+	return &seqPolicy{chainCursor{order: iteratorChains(st)}}, nil
 }
 
 func (p *seqPolicy) Name() string { return "SEQ" }
 
-func (p *seqPolicy) Done(st *State) bool {
-	return p.idx >= len(p.order) && p.cur != nil && p.cur.Done()
-}
-
 func (p *seqPolicy) Plan(st *State) (SchedulingPlan, error) {
-	for p.cur == nil || p.cur.Done() {
-		if p.idx >= len(p.order) {
-			return SchedulingPlan{}, fmt.Errorf("core: SEQ planned past the last chain")
-		}
-		next := p.order[p.idx]
-		p.idx++
-		p.cur = next.rt.NewPCFragment(next.chain)
-	}
-	return SchedulingPlan{Frags: []*exec.Fragment{p.cur}}, nil
+	return p.plan(st, "SEQ", func(c chainRef) *exec.Fragment { return c.rt.NewPCFragment(c.chain) })
 }
 
 func (p *seqPolicy) OnEvent(st *State, ev Event) error {

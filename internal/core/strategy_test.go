@@ -7,6 +7,7 @@ import (
 
 	"dqs/internal/exec"
 	"dqs/internal/reftest"
+	"dqs/internal/relation"
 	"dqs/internal/sim"
 	"dqs/internal/workload"
 )
@@ -135,6 +136,41 @@ func TestResultStrategyNamesComeFromPolicy(t *testing.T) {
 		res := runStrategyOn(t, newRT(t, w, testConfig(), del), name)
 		if res.Strategy != name {
 			t.Errorf("Result.Strategy = %q, want %q", res.Strategy, name)
+		}
+	}
+}
+
+// TestEmptyRelationEveryStrategy empties each relation of the small Figure 5
+// plan in turn: every registered strategy must finish without error and
+// return what the reference evaluator does — nothing. A wrapper that runs dry
+// before its first batch must still let its fragment finish, in a sweep as
+// in a priority phase.
+func TestEmptyRelationEveryStrategy(t *testing.T) {
+	w := smallFig5(t)
+	for _, empty := range w.Catalog.Names() {
+		ds := make(relation.Dataset, len(w.Dataset))
+		for name, tab := range w.Dataset {
+			ds[name] = tab
+		}
+		// The plan keeps the catalog's estimates; only the wrapper's data
+		// (and the cardinality it reports) is gone.
+		rel := *w.Dataset[empty].Rel
+		rel.Cardinality = 0
+		ds[empty] = &relation.Table{Rel: &rel}
+		want := int64(len(reftest.Eval(w.Root, ds)))
+		for _, name := range StrategyNames() {
+			rt, err := exec.NewRuntime(testConfig(), w.Root, ds, uniform(w, 20*time.Microsecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := runOn(rt, name)
+			if err != nil {
+				t.Errorf("%s empty, %s: %v", empty, name, err)
+				continue
+			}
+			if res.OutputRows != want {
+				t.Errorf("%s empty, %s: %d rows, reference says %d", empty, name, res.OutputRows, want)
+			}
 		}
 	}
 }

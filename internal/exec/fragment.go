@@ -85,6 +85,10 @@ type Fragment struct {
 	pendArena relation.Arena
 	processed int64
 	done      bool
+	// superseded marks a fragment replaced before it started: a re-plan
+	// split its segment and the chain opened a new fragment at the same
+	// step. It never runs again and Cancel skips it.
+	superseded bool
 
 	// Row input state (temp-fed fragments): tempIn is the reader behind In,
 	// popBuf stages bulk-popped input tuples between PopN and processing.
@@ -137,6 +141,11 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 			join:     j,
 			probeIdx: inputSchemaAt(c, i).MustIndexOf(j.ProbeKey),
 		})
+	}
+	for _, g := range rt.frags {
+		if g.Chain == c && g.FromStep == fromStep && g.processed == 0 && !g.done {
+			g.superseded = true
+		}
 	}
 	s := rt.Med.scratch
 	f.arena.Recycle(s.GetInts())

@@ -218,14 +218,29 @@ func (rt *Runtime) releaseTable(j *plan.Node) {
 // results are identical with or without one.
 func (rt *Runtime) SetSink(sink Sink) { rt.Cfg.Stream = sink }
 
-// Cancel abandons the query mid-run, releasing everything it holds on the
-// shared mediator: every unreleased hash-table reservation goes back to the
-// memory grant (its ledger holding zeroed) and the query's wrappers
-// are detached so late credits on its queues pump nothing (shared-stream
-// taps release their refcount). The scheduler must have abandoned the
-// query's active fragments first — Cancel only sweeps runtime-held state.
-// Idempotent.
+// Cancel abandons the query mid-run under any strategy and releases what it
+// holds on the shared mediator. Chain by chain in decomposition order, each
+// fragment of an unfinished chain is abandoned and its temp dropped, in
+// creation order; finished chains keep their temps, because dropping one
+// evicts the disk's cached pages, and superseded fragments were never part
+// of the query. Then the hash tables and the DPHJ join network return their
+// grant and the wrappers are detached, so late credits on the query's queues
+// pump nothing (shared-stream taps release their refcount). Idempotent.
 func (rt *Runtime) Cancel() {
+	for _, c := range rt.Dec.Chains {
+		if rt.chainFinished(c) {
+			continue
+		}
+		for _, f := range rt.frags {
+			if f.Chain != c || f.superseded {
+				continue
+			}
+			f.Abandon()
+			if f.Temp != nil {
+				f.Temp.Drop()
+			}
+		}
+	}
 	ids := make([]int, 0, len(rt.tables))
 	for id := range rt.tables {
 		ids = append(ids, id)
@@ -234,6 +249,7 @@ func (rt *Runtime) Cancel() {
 	for _, id := range ids {
 		rt.releaseTable(rt.tables[id].join)
 	}
+	rt.ReleaseJoinNet()
 	names := make([]string, 0, len(rt.sources))
 	for name := range rt.sources {
 		names = append(names, name)
@@ -243,6 +259,17 @@ func (rt *Runtime) Cancel() {
 		rt.sources[name].Detach()
 		rt.qsrcs[name].q.ClearProducer()
 	}
+}
+
+// chainFinished reports whether a fragment delivering chain c's real
+// terminal — its build or the query output — has completed.
+func (rt *Runtime) chainFinished(c *plan.Chain) bool {
+	for _, f := range rt.frags {
+		if f.Chain == c && f.done && (f.Term == TermBuild || f.Term == TermOutput) {
+			return true
+		}
+	}
+	return false
 }
 
 // reclaim hands the runtime's pooled structures back to s: surviving hash

@@ -59,10 +59,6 @@ func (p *eagerPolicy) Attach(st *core.State, rt *exec.Runtime) error {
 	return nil
 }
 
-func (p *eagerPolicy) Cancel(st *core.State, rt *exec.Runtime) error {
-	return p.Policy.(core.Canceller).Cancel(st, rt)
-}
-
 func (p *eagerPolicy) SetFavored(rt *exec.Runtime) { p.Policy.(core.FavorSetter).SetFavored(rt) }
 
 // TestFusedDeferredMatchesEagerAcrossCancel runs one fused batch — staggered

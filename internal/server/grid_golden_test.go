@@ -167,8 +167,10 @@ func TestServerGridMatchesGolden(t *testing.T) {
 			server.Config{Exec: sharedCfg, MaxActive: 2, Mode: server.Fused, Fairness: fair}, shared)
 	}
 	// The static policies never mark a query complete (it finishes at the
-	// engine's final clock reading) and cannot cancel one.
-	for _, strategy := range []string{"SEQ", "MA", "SCR"} {
+	// engine's final clock reading); a timeout cancels under them as under
+	// DSE. DPHJ runs each query in one phase, so no planning point falls
+	// inside it for a timeout to strike at.
+	for _, strategy := range []string{"SEQ", "MA", "SCR", "DPHJ"} {
 		for _, timeouts := range []bool{false, true} {
 			runCell(t, &grid, fmt.Sprintf("isolated/%s/cap2/timeouts=%v/spaced", strategy, timeouts),
 				server.Config{Exec: exec.DefaultConfig(), Strategy: strategy, MaxActive: 2},
