@@ -66,12 +66,14 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
-# CPU and allocation profiles of the DSE-heavy delay-class sweep, the
-# workload the scheduler benchmarks exercise. Prints the top 15 cumulative
-# entries of each profile so perf work starts from evidence, and leaves
-# cpu.prof / mem.prof behind for interactive `go tool pprof`.
+# CPU and allocation profiles of serial full-scale Figure 6, the command
+# behind ROADMAP's "where host time goes" table: full-scale tables overflow
+# L2 as the benchmark's scale_full does, which -small runs never do. Prints
+# the top 15 cumulative entries of each profile so perf work starts from
+# evidence, and leaves cpu.prof / mem.prof behind for interactive
+# `go tool pprof`.
 profile:
 	$(GO) build -o dqsbench.bin ./cmd/dqsbench
-	./dqsbench.bin -exp delays -small -reps 1 -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
+	./dqsbench.bin -exp fig6 -reps 1 -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
 	$(GO) tool pprof -top -cum -nodecount 15 dqsbench.bin cpu.prof
 	$(GO) tool pprof -top -cum -nodecount 15 dqsbench.bin mem.prof

@@ -104,10 +104,19 @@ type Fragment struct {
 	rowBuf   relation.Tuple
 	colBatch *relation.Batch
 	passBuf  []bool
+
+	// Chunk probe state, used only with probe steps: heads holds the first
+	// step's chain heads for the popped chunk, resolved in one call; keys
+	// stages a temp-fed chunk's probe keys for it, while a wrapper-fed
+	// chunk's keys are already batch column keyCol.
+	keys   []int64
+	heads  []int32
+	keyCol int
 }
 
 type stepExec struct {
 	join     *plan.Node
+	table    *tableState
 	probeIdx int
 }
 
@@ -139,6 +148,7 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 		j := c.Joins[i]
 		f.steps = append(f.steps, stepExec{
 			join:     j,
+			table:    rt.table(j),
 			probeIdx: inputSchemaAt(c, i).MustIndexOf(j.ProbeKey),
 		})
 	}
@@ -152,15 +162,30 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 	f.pendArena.Recycle(s.GetInts())
 	f.curBuf = s.GetTuples()
 	f.nextBuf = s.GetTuples()
+	if len(f.steps) > 0 {
+		f.heads = s.GetHeads()
+	}
 	if qs, ok := in.(*queueSource); ok {
 		f.QueueInput, f.colIn = true, qs
 		f.gatherAt = rt.colPush[c.Scan.Rel.Name].keep
 		f.rowBuf = make(relation.Tuple, c.Scan.Schema.Width())
 		f.colBatch = s.GetBatch(len(f.gatherAt))
 		f.passBuf = s.GetBools()
+		if len(f.steps) > 0 {
+			// The first probe key is live on the wire (liveColumns keeps
+			// every join key), so exactly one batch column maps to it.
+			for col, at := range f.gatherAt {
+				if at == f.steps[0].probeIdx {
+					f.keyCol = col
+				}
+			}
+		}
 	} else {
 		f.tempIn = in.(tempSource).Reader
 		f.popBuf = s.GetTuples()
+		if len(f.steps) > 0 {
+			f.keys = s.GetKeys()
+		}
 	}
 	rt.frags = append(rt.frags, f)
 	return f
@@ -304,14 +329,15 @@ func (f *Fragment) sink(out relation.Tuple) bool {
 }
 
 // applyTuple pushes one input tuple through the fragment's probe steps and
-// returns the terminal-ready results. All CPU costs of the tuple's cascade
-// are accumulated and charged in one clock addition at the end: no code in
-// the cascade reads the clock, and duration addition is exact, so the clock
-// lands on the same instant as per-charge billing. The returned slice and
-// its tuples live in the fragment's scratch buffers and are recycled by the
-// next applyTuple call: sink every result (or copy it out) before
-// processing another input.
-func (f *Fragment) applyTuple(t relation.Tuple) []relation.Tuple {
+// returns the terminal-ready results. heads holds the first step's chain
+// heads for the tuple's chunk (nil without probe steps) and i is the tuple's
+// position in it. All CPU costs of the tuple's cascade are accumulated and
+// charged in one clock addition at the end: no code in the cascade reads the
+// clock, and duration addition is exact, so the clock lands on the same
+// instant as per-charge billing. The returned slice and its tuples live in
+// the fragment's scratch buffers and are recycled by the next applyTuple
+// call: sink every result (or copy it out) before processing another input.
+func (f *Fragment) applyTuple(t relation.Tuple, heads []int32, i int) []relation.Tuple {
 	costs := &f.rt.Costs
 	d := costs.MoveT
 	if f.QueueInput {
@@ -319,17 +345,18 @@ func (f *Fragment) applyTuple(t relation.Tuple) []relation.Tuple {
 	}
 	f.arena.Reset()
 	cur, next := append(f.curBuf[:0], t), f.nextBuf[:0]
-	for _, s := range f.steps {
-		ts := f.rt.table(s.join)
-		if !ts.complete {
-			panic(fmt.Sprintf("exec: %s probes incomplete table of J%d", f.Label, s.join.ID))
-		}
+	for step, s := range f.steps {
+		ht := s.table.ht
 		next = next[:0]
 		matches := 0
-		for _, u := range cur {
-			var k int
-			next, k = ts.ht.ProbeConcat(next, u, u[s.probeIdx], &f.arena)
-			matches += k
+		if step == 0 {
+			next, matches = ht.ConcatChain(next, t, heads[i], &f.arena)
+		} else {
+			for _, u := range cur {
+				var k int
+				next, k = ht.ProbeConcat(next, u, u[s.probeIdx], &f.arena)
+				matches += k
+			}
 		}
 		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(matches)*costs.ResultT
 		cur, next = next, cur
@@ -340,6 +367,30 @@ func (f *Fragment) applyTuple(t relation.Tuple) []relation.Tuple {
 	f.curBuf, f.nextBuf = cur, next
 	costs.CPU.Clock.Work(d)
 	return cur
+}
+
+// probeHeads checks once per chunk that every table the fragment probes is
+// complete, then resolves the first step's chain heads for the chunk's
+// probe keys in one call. It reads only those completed tables (a fragment
+// never builds a table it probes) and no clock, so it moves no virtual
+// instant.
+func (f *Fragment) probeHeads(keys []int64) []int32 {
+	for _, s := range f.steps {
+		if !s.table.complete {
+			panic(fmt.Sprintf("exec: %s probes incomplete table of J%d", f.Label, s.join.ID))
+		}
+	}
+	f.heads = sized(f.heads, len(keys))
+	f.steps[0].table.ht.Heads(keys, f.heads)
+	return f.heads
+}
+
+// sized returns s resliced to length n, reallocated when it is too short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // sinkAll delivers a tuple's terminal-ready outputs. Build terminals go
@@ -419,23 +470,27 @@ func (f *Fragment) processBulk(max int) (int, bool) {
 	n := 0
 	for n < max {
 		now := f.rt.Now()
-		want := max - n
-		if cap(f.popBuf) < want {
-			f.popBuf = make([]relation.Tuple, want)
-		}
-		buf := f.popBuf[:want]
-		k := f.tempIn.PopN(now, buf)
+		f.popBuf = sized(f.popBuf, max-n)
+		k := f.tempIn.PopN(now, f.popBuf)
 		if k == 0 {
 			break
 		}
-		for i := 0; i < k; i++ {
-			t := buf[i]
+		buf := f.popBuf[:k]
+		var heads []int32
+		if len(f.steps) > 0 {
+			f.keys = sized(f.keys, k)
+			for i, t := range buf {
+				f.keys[i] = t[f.steps[0].probeIdx]
+			}
+			heads = f.probeHeads(f.keys)
+		}
+		for i, t := range buf {
 			if f.processed == 0 {
 				f.rt.Trace.Add(f.rt.Now(), sim.EvBatch, "%s first batch", f.Label)
 			}
 			f.processed++
 			n++
-			if !f.sinkAll(f.applyTuple(t)) {
+			if !f.sinkAll(f.applyTuple(t, heads, i)) {
 				f.tempIn.UnpopN(k - i - 1)
 				return n, true
 			}
@@ -459,15 +514,16 @@ func (f *Fragment) processColumnar(max int) (int, bool) {
 	n := 0
 	for n < max {
 		now := f.rt.Now()
-		want := max - n
-		if cap(f.passBuf) < want {
-			f.passBuf = make([]bool, want)
-		}
-		pass := f.passBuf[:want]
+		f.passBuf = sized(f.passBuf, max-n)
+		pass := f.passBuf
 		f.colBatch.Reset(len(f.gatherAt))
 		k := f.colIn.PopBatch(now, f.colBatch, pass)
 		if k == 0 {
 			break
+		}
+		var heads []int32
+		if len(f.steps) > 0 {
+			heads = f.probeHeads(f.colBatch.Col(f.keyCol))
 		}
 		for i := 0; i < k; i++ {
 			f.In.Credit(f.rt.Now())
@@ -481,7 +537,7 @@ func (f *Fragment) processColumnar(max int) (int, bool) {
 				continue
 			}
 			f.colBatch.Gather(i, f.rowBuf, f.gatherAt)
-			if !f.sinkAll(f.applyTuple(f.rowBuf)) {
+			if !f.sinkAll(f.applyTuple(f.rowBuf, heads, i)) {
 				f.In.UnpopN(k - i - 1)
 				return n, true
 			}

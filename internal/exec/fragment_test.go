@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dqs/internal/plan"
+	"dqs/internal/relation"
 )
 
 // drainFrag runs a fragment to completion on its runtime, stalling on gaps.
@@ -353,5 +354,145 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 	want := outcome{rows: 12211, obs: 15000, wait: 5558 * time.Nanosecond, ok: true, clock: 91744700 * time.Nanosecond}
 	if got != want {
 		t.Errorf("overflow path diverged from the recorded run:\nrecorded: %+v\ngot:      %+v", want, got)
+	}
+}
+
+// refProcessBatch is ProcessBatch for a temp-fed fragment driven one tuple
+// at a time, with every probe step's table looked up and every key probed on
+// its own: the per-tuple reference the chunked probe path must agree with.
+func refProcessBatch(f *Fragment, max int) (int, bool) {
+	if f.done {
+		return 0, false
+	}
+	for len(f.pending) > 0 {
+		if !f.sink(f.pending[0]) {
+			return 0, true
+		}
+		f.pending = f.pending[1:]
+	}
+	n := 0
+	for n < max {
+		buf := make([]relation.Tuple, max-n)
+		k := f.tempIn.PopN(f.rt.Now(), buf)
+		if k == 0 {
+			break
+		}
+		for i, t := range buf[:k] {
+			f.processed++
+			n++
+			if !f.sinkAll(refApplyTuple(f, t)) {
+				f.tempIn.UnpopN(k - i - 1)
+				return n, true
+			}
+		}
+	}
+	f.maybeFinish()
+	return n, false
+}
+
+// refApplyTuple is applyTuple for a temp-fed fragment, probing key by key.
+func refApplyTuple(f *Fragment, t relation.Tuple) []relation.Tuple {
+	costs := &f.rt.Costs
+	d := costs.MoveT
+	f.arena.Reset()
+	cur, next := append(f.curBuf[:0], t), f.nextBuf[:0]
+	for _, s := range f.steps {
+		ht := f.rt.table(s.join).ht
+		next = next[:0]
+		matches := 0
+		for _, u := range cur {
+			var k int
+			next, k = ht.ProbeConcat(next, u, u[s.probeIdx], &f.arena)
+			matches += k
+		}
+		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(matches)*costs.ResultT
+		cur, next = next, cur
+		if len(cur) == 0 {
+			break
+		}
+	}
+	f.curBuf, f.nextBuf = cur, next
+	costs.CPU.Clock.Work(d)
+	return cur
+}
+
+// TestChunkedProbeOverflowMatchesPerTupleDriver pins the chunked probe path
+// against refProcessBatch where the two could part: a temp-fed single-step
+// CF(p_A) whose build sink overflows partway through a 256-tuple chunk, so
+// heads resolved for the whole chunk are dropped with the UnpopN'd tail and
+// resolved again on resume. Input consumed, stranded outputs, reader
+// position, build rows and the clock must agree at the overflow and after
+// the resumed run completes.
+func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
+	type state struct {
+		processed       int64
+		pending, unread int
+		rows            int64
+		clock           time.Duration
+	}
+	const room = 300 // build rows that fit: the overflow lands in chunk 2
+	run := func(process func(*Fragment, int) (int, bool)) (atOverflow, atEnd state) {
+		w := smallFig5(t)
+		cfg := testConfig()
+		cfg.Params.PageSize = cfg.BatchTuples * cfg.Params.TupleSize // one chunk per page
+		rt, err := NewRuntime(cfg, w.Root, w.Dataset, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Mem.WriteThrough() // no resident pages: the grant holds tables only
+		cE, _ := rt.Dec.ChainOf("E")
+		drainFrag(t, rt, rt.NewPCFragment(cE))
+		cA, _ := rt.Dec.ChainOf("A")
+		mf := rt.NewSegment(cA, 0, 0, nil, false)
+		drainFrag(t, rt, mf)
+		cf := rt.NewSegment(cA, 0, len(cA.Joins), mf.Temp, true)
+		if len(cf.steps) != 1 || cf.QueueInput || cf.Term != TermBuild {
+			t.Fatalf("%s: %d steps, queue input %v, terminal %v; want a temp-fed single-step build", cf.Label, len(cf.steps), cf.QueueInput, cf.Term)
+		}
+		hold := rt.Mem.Bind("", "test")
+		if !rt.Mem.Reserve(hold, rt.Mem.Available()-room*int64(cfg.Params.TupleSize)) {
+			t.Fatal("could not narrow the grant")
+		}
+		snap := func() state {
+			return state{cf.Processed(), cf.PendingOutputs(), cf.tempIn.Remaining(), rt.TableRows(cA.BuildsFor), rt.Now()}
+		}
+		drive := func(wantOverflow bool) {
+			for !cf.Done() {
+				n, overflow := process(cf, cfg.BatchTuples)
+				if overflow {
+					if !wantOverflow {
+						t.Fatal("fragment overflowed again after memory was freed")
+					}
+					return
+				}
+				if n == 0 && !cf.Done() {
+					at, ok := cf.NextArrival()
+					if !ok {
+						t.Fatalf("%s starved", cf.Label)
+					}
+					rt.Clock.Stall(at)
+				}
+			}
+			if wantOverflow {
+				t.Fatal("fragment completed without overflowing")
+			}
+		}
+		drive(true)
+		atOverflow = snap()
+		rt.Mem.Release(hold, rt.Mem.Held(hold))
+		drive(false)
+		return atOverflow, snap()
+	}
+	gotOver, gotEnd := run((*Fragment).ProcessBatch)
+	wantOver, wantEnd := run(refProcessBatch)
+	t.Logf("at overflow %+v, after resume %+v", gotOver, gotEnd)
+	if gotOver.processed%256 == 0 || gotOver.pending == 0 {
+		t.Fatalf("overflow not partway through a chunk: %+v", gotOver)
+	}
+	if gotOver != wantOver {
+		t.Errorf("at overflow:\nchunked:   %+v\nper-tuple: %+v", gotOver, wantOver)
+	}
+	if gotEnd != wantEnd {
+		t.Errorf("after resume:\nchunked:   %+v\nper-tuple: %+v", gotEnd, wantEnd)
 	}
 }

@@ -291,8 +291,10 @@ func (rt *Runtime) reclaim(s *Scratch) {
 		s.PutTuples(f.popBuf)
 		s.PutBatch(f.colBatch)
 		s.PutBools(f.passBuf)
+		s.PutKeys(f.keys)
+		s.PutHeads(f.heads)
 		f.curBuf, f.nextBuf, f.popBuf, f.pending = nil, nil, nil, nil
-		f.colBatch, f.passBuf = nil, nil
+		f.colBatch, f.passBuf, f.keys, f.heads = nil, nil, nil, nil
 	}
 	rt.frags = nil
 }

@@ -34,6 +34,8 @@ type Scratch struct {
 	tuples  [][]relation.Tuple
 	batches []*relation.Batch
 	bools   [][]bool
+	keys    [][]int64
+	heads   [][]int32
 
 	// buildRows remembers the exact cardinality of each completed hash-table
 	// build, keyed by plan join-node ID, as the pre-size hint for the next
@@ -99,12 +101,18 @@ func putSlice[T any](p *[][]T, b []T) {
 // The slice pools, one per element type: Get* returns a recycled length-zero
 // slice (nil when the pool is empty), Put* reclaims one. The int64 arenas —
 // flat tuple storage — make Scratch a mem.IntRecycler with GetIntsCap below;
-// tuples are header scratch, bools pass masks.
+// tuples are header scratch, bools pass masks, keys and heads a fragment's
+// chunk of probe keys and their chain heads (kept apart from the arenas so
+// they never take an arena's place).
 func (s *Scratch) GetInts() []int64            { return pop(&s.ints) }
 func (s *Scratch) PutInts(b []int64)           { putSlice(&s.ints, b) }
 func (s *Scratch) GetTuples() []relation.Tuple { return pop(&s.tuples) }
 func (s *Scratch) GetBools() []bool            { return pop(&s.bools) }
 func (s *Scratch) PutBools(b []bool)           { putSlice(&s.bools, b) }
+func (s *Scratch) GetKeys() []int64            { return pop(&s.keys) }
+func (s *Scratch) PutKeys(b []int64)           { putSlice(&s.keys, b) }
+func (s *Scratch) GetHeads() []int32           { return pop(&s.heads) }
+func (s *Scratch) PutHeads(b []int32)          { putSlice(&s.heads, b) }
 
 // PutTuples reclaims a tuple-header scratch slice. The headers are cleared
 // so pooled slices don't pin tuple storage from finished runs.

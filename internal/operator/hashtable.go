@@ -1,8 +1,8 @@
 // Package operator provides the physical operator kernels shared by every
-// execution strategy: the hash table of the asymmetric hash join, predicate
-// evaluation, and per-tuple cost charging. Because SEQ, MA and DSE all run
-// on these same kernels, performance differences between strategies can only
-// come from scheduling — the paper's §5.1.2 methodological requirement.
+// execution strategy: the hash table of the asymmetric hash join and
+// per-tuple cost charging. Because SEQ, MA and DSE all run on these same
+// kernels, performance differences between strategies can only come from
+// scheduling — the paper's §5.1.2 methodological requirement.
 package operator
 
 import (
@@ -13,28 +13,41 @@ import (
 	"dqs/internal/sim"
 )
 
-// HashTable is the in-memory build side of a hash join. It is an
-// open-addressing table whose tuples live in a flat per-table arena: entry i
-// occupies arena[i*width : (i+1)*width], and entries with the same key are
-// chained through next[] in insertion order, so probes replay matches exactly
-// as a map[int64][]Tuple of append-order slices would — the property the
-// deterministic golden figures rely on. Steady-state Insert and Probe do not
-// allocate; growth is geometric and amortized.
+// HashTable is the in-memory build side of a hash join. Its tuples live in a
+// flat per-table arena: entry i occupies arena[i*width : (i+1)*width], and
+// entries with the same key are chained through next[] in insertion order, so
+// probes replay matches exactly as a map[int64][]Tuple of append-order slices
+// would — the property the deterministic golden figures rely on.
+//
+// Inserts only append: the tuple goes to the arena and its chain link is
+// pending. The first probe after any inserts (Probe, ProbeConcat,
+// ProbeConcatRev, Heads or DistinctKeys) links every pending entry into the
+// bucket array — one 16-byte {key, head, tail} record per distinct key — in
+// one tight pass, in insertion order, so the bucket misses of a build overlap
+// instead of each insert waiting on its own. Because a probe
+// may link, a table's probes must stay on one goroutine (or follow one that
+// already linked it). Steady-state inserts and probes do not allocate; growth
+// is geometric and amortized.
 type HashTable struct {
 	keyIdx int
 	width  int     // tuple width, fixed by the first insert (-1 = unset)
 	arena  []int64 // flat tuple storage
 	next   []int32 // same-key chain, insertion order, -1 terminates
-	rows   int64
+	linked int     // entries [0, linked) are chained; the rest are pending
 
 	// Open-addressing bucket array (linear probing, capacity a power of
-	// two). A bucket holds one distinct key with the head and tail of its
-	// entry chain; bhead[i] < 0 marks an empty slot. Tables never delete
-	// individual keys, so no tombstones are needed.
-	bkeys []int64
-	bhead []int32
-	btail []int32
-	used  int // occupied buckets (distinct keys)
+	// two). Tables never delete individual keys, so no tombstones are
+	// needed.
+	buckets []bucket
+	used    int // occupied buckets (distinct linked keys)
+}
+
+// bucket is one distinct key with the first and last entries of its chain,
+// both stored as entry index + 1, so the zero record is an empty bucket and
+// head-1 is the chain head, or -1 for an empty bucket.
+type bucket struct {
+	key        int64
+	head, tail int32
 }
 
 // NewHashTable creates a table keyed on the given column index of inserted
@@ -46,6 +59,16 @@ func NewHashTable(keyIdx int) *HashTable {
 	return &HashTable{keyIdx: keyIdx, width: -1}
 }
 
+// bucketsFor returns the bucket count that keeps keys distinct keys under
+// the 3/4 load factor: the smallest power of two n ≥ 8 with n-n/4 > keys.
+func bucketsFor(keys int) int {
+	n := 8
+	for n-n/4 <= keys {
+		n *= 2
+	}
+	return n
+}
+
 // Reserve pre-sizes an empty table for about rows build tuples of the given
 // width: the entry arena, the chain array and the bucket array are allocated
 // up front, so a build that stays within the reservation never rehashes its
@@ -53,8 +76,8 @@ func NewHashTable(keyIdx int) *HashTable {
 // cardinality observations or optimizer estimates — and inserts beyond it
 // simply fall back to amortized growth; correctness never depends on it.
 func (h *HashTable) Reserve(width, rows int) {
-	if h.rows > 0 {
-		panic(fmt.Sprintf("operator: reserve on non-empty table (%d rows)", h.rows))
+	if len(h.next) > 0 {
+		panic(fmt.Sprintf("operator: reserve on non-empty table (%d rows)", len(h.next)))
 	}
 	if width <= 0 || rows <= 0 {
 		return
@@ -65,19 +88,9 @@ func (h *HashTable) Reserve(width, rows int) {
 	if cap(h.next) < rows {
 		h.next = make([]int32, 0, rows)
 	}
-	// Bucket array sized so `rows` distinct keys stay under the 3/4 load
-	// factor (fewer distinct keys just leave it sparser).
-	n := 8
-	for n-n/4 <= rows {
-		n *= 2
-	}
-	if len(h.bkeys) < n {
-		h.bkeys = make([]int64, n)
-		h.bhead = make([]int32, n)
-		h.btail = make([]int32, n)
-		for i := range h.bhead {
-			h.bhead[i] = -1
-		}
+	// Sized so `rows` distinct keys fit (fewer just leave it sparser).
+	if n := bucketsFor(rows); len(h.buckets) < n {
+		h.buckets = make([]bucket, n)
 	}
 }
 
@@ -86,13 +99,13 @@ func (h *HashTable) Holds(width, rows int) bool {
 	if width <= 0 || rows <= 0 {
 		return true
 	}
-	n := len(h.bkeys)
+	n := len(h.buckets)
 	return cap(h.arena) >= width*rows && cap(h.next) >= rows && n-n/4 > rows
 }
 
 // Footprint returns the bytes of storage the table holds, used or not.
 func (h *HashTable) Footprint() int {
-	return 8*cap(h.arena) + 4*cap(h.next) + 16*len(h.bkeys)
+	return 8*cap(h.arena) + 4*cap(h.next) + 16*len(h.buckets)
 }
 
 // hashKey mixes a join key into a well-distributed 64-bit hash
@@ -107,69 +120,35 @@ func hashKey(k int64) uint64 {
 	return x
 }
 
-// grow doubles the bucket array and rehashes every distinct key. Entry
-// storage (arena, chains) is untouched: only the (key, head, tail) bucket
-// records move.
-func (h *HashTable) grow() {
-	n := len(h.bkeys) * 2
-	if n == 0 {
-		n = 8
-	}
-	oldKeys, oldHead, oldTail := h.bkeys, h.bhead, h.btail
-	h.bkeys = make([]int64, n)
-	h.bhead = make([]int32, n)
-	h.btail = make([]int32, n)
-	for i := range h.bhead {
-		h.bhead[i] = -1
-	}
+// rehash moves every bucket record into a new array of n buckets. Entry
+// storage (arena, chains) is untouched.
+func (h *HashTable) rehash(n int) {
+	old := h.buckets
+	h.buckets = make([]bucket, n)
 	mask := n - 1
-	for i, head := range oldHead {
-		if head < 0 {
+	for _, b := range old {
+		if b.head == 0 {
 			continue
 		}
-		j := int(hashKey(oldKeys[i])) & mask
-		for h.bhead[j] >= 0 {
-			j = (j + 1) & mask
+		i := int(hashKey(b.key)) & mask
+		for h.buckets[i].head != 0 {
+			i = (i + 1) & mask
 		}
-		h.bkeys[j], h.bhead[j], h.btail[j] = oldKeys[i], head, oldTail[i]
+		h.buckets[i] = b
 	}
 }
 
-// Insert adds one build tuple, copying its values into the table's arena;
-// the caller's backing array may be reused afterwards.
-func (h *HashTable) Insert(t relation.Tuple) { h.insertHashed(t, hashKey(t[h.keyIdx])) }
-
-// insertHashed is Insert given hashKey of the tuple's join key. It and the
-// other *Hashed helpers (head's hash parameter included) are split out only
-// for partition.go, which hashes once to route — residue kept for bench/;
-// fold them back with the next [benchmark] PR.
-func (h *HashTable) insertHashed(t relation.Tuple, hash uint64) {
+// Insert appends one build tuple, copying its values into the table's arena;
+// the caller's backing array may be reused afterwards. The entry joins its
+// key's chain at the next probe.
+func (h *HashTable) Insert(t relation.Tuple) {
 	if h.width < 0 {
 		h.width = len(t)
 	} else if len(t) != h.width {
 		panic(fmt.Sprintf("operator: tuple width %d inserted into width-%d table", len(t), h.width))
 	}
-	idx := int32(len(h.next))
 	h.arena = append(h.arena, t...)
 	h.next = append(h.next, -1)
-	h.rows++
-
-	if h.used >= len(h.bkeys)-len(h.bkeys)/4 { // load factor 3/4
-		h.grow()
-	}
-	k := t[h.keyIdx]
-	mask := len(h.bkeys) - 1
-	i := int(hash) & mask
-	for h.bhead[i] >= 0 && h.bkeys[i] != k {
-		i = (i + 1) & mask
-	}
-	if h.bhead[i] < 0 {
-		h.bkeys[i], h.bhead[i], h.btail[i] = k, idx, idx
-		h.used++
-	} else {
-		h.next[h.btail[i]] = idx
-		h.btail[i] = idx
-	}
 }
 
 // InsertBatch adds a run of build tuples, equivalent to calling Insert per
@@ -204,6 +183,43 @@ func growTo[E any](s []E, need int) []E {
 	return out
 }
 
+// linkPending chains the entries inserted since the last probe, if any.
+func (h *HashTable) linkPending() {
+	if h.linked < len(h.next) {
+		h.link()
+	}
+}
+
+// link chains every pending entry into the buckets, in insertion order. The
+// bucket array grows at most once, up front, to the size that would hold
+// every pending entry as a new key, so the pass is one loop of independent
+// bucket lookups.
+func (h *HashTable) link() {
+	n := len(h.next)
+	if keys := h.used + n - h.linked; keys >= len(h.buckets)-len(h.buckets)/4 {
+		h.rehash(bucketsFor(keys))
+	}
+	buckets, mask, used := h.buckets, len(h.buckets)-1, h.used
+	for idx := h.linked; idx < n; idx++ {
+		k := h.arena[idx*h.width+h.keyIdx]
+		e := int32(idx) + 1
+		for i := int(hashKey(k)) & mask; ; i = (i + 1) & mask {
+			b := &buckets[i]
+			if b.head == 0 {
+				*b = bucket{key: k, head: e, tail: e}
+				used++
+				break
+			}
+			if b.key == k {
+				h.next[b.tail-1] = int32(idx)
+				b.tail = e
+				break
+			}
+		}
+	}
+	h.linked, h.used = n, used
+}
+
 // Matches iterates the build tuples of one key in insertion order. The zero
 // value is an empty iteration.
 type Matches struct {
@@ -215,7 +231,7 @@ type Matches struct {
 // exhausted. The returned tuple aliases the table's arena; callers must not
 // mutate it, and it stays valid for the life of the table.
 func (m *Matches) Next() relation.Tuple {
-	if m.idx < 0 {
+	if m.h == nil || m.idx < 0 {
 		return nil
 	}
 	h := m.h
@@ -232,21 +248,44 @@ func (h *HashTable) Probe(key int64) Matches {
 }
 
 // head returns the first entry of key's chain, -1 when the key is absent,
-// given hashKey(key).
+// given hashKey(key). It and probeConcatRevHashed take the hash only for
+// partition.go, which hashes once to route — residue kept for bench/; fold
+// them back with the next [benchmark] PR.
 func (h *HashTable) head(key int64, hash uint64) int32 {
+	h.linkPending()
 	if h.used == 0 {
 		return -1
 	}
-	mask := len(h.bkeys) - 1
-	i := int(hash) & mask
-	for {
-		if h.bhead[i] < 0 {
-			return -1
+	mask := len(h.buckets) - 1
+	for i := int(hash) & mask; ; i = (i + 1) & mask {
+		if b := &h.buckets[i]; b.head == 0 || b.key == key {
+			return b.head - 1
 		}
-		if h.bkeys[i] == key {
-			return h.bhead[i]
+	}
+}
+
+// Heads resolves the chains of a run of probe keys in one pass: heads[i]
+// becomes the first entry matching keys[i], -1 when none does, for
+// ConcatChain. Resolving a whole chunk before walking any chain lets the
+// bucket misses of neighbouring keys overlap. heads must be at least as long
+// as keys.
+func (h *HashTable) Heads(keys []int64, heads []int32) {
+	heads = heads[:len(keys)]
+	h.linkPending()
+	if h.used == 0 {
+		for i := range heads {
+			heads[i] = -1
 		}
-		i = (i + 1) & mask
+		return
+	}
+	buckets, mask := h.buckets, len(h.buckets)-1
+	for j, k := range keys {
+		for i := int(hashKey(k)) & mask; ; i = (i + 1) & mask {
+			if b := &buckets[i]; b.head == 0 || b.key == k {
+				heads[j] = b.head - 1
+				break
+			}
+		}
 	}
 }
 
@@ -255,13 +294,13 @@ func (h *HashTable) head(key int64, hash uint64) int32 {
 // slice plus the match count. It is the probe cascade's inner loop with the
 // iterator hop and per-match call overhead flattened away.
 func (h *HashTable) ProbeConcat(dst []relation.Tuple, prefix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int) {
-	return h.probeConcatHashed(dst, prefix, key, hashKey(key), arena)
+	return h.ConcatChain(dst, prefix, h.head(key, hashKey(key)), arena)
 }
 
-// probeConcatHashed is ProbeConcat given hashKey(key).
-func (h *HashTable) probeConcatHashed(dst []relation.Tuple, prefix relation.Tuple, key int64, hash uint64, arena *relation.Arena) ([]relation.Tuple, int) {
+// ConcatChain is ProbeConcat from a chain head that Heads resolved.
+func (h *HashTable) ConcatChain(dst []relation.Tuple, prefix relation.Tuple, head int32, arena *relation.Arena) ([]relation.Tuple, int) {
 	n := 0
-	for idx := h.head(key, hash); idx >= 0; idx = h.next[idx] {
+	for idx := head; idx >= 0; idx = h.next[idx] {
 		off := int(idx) * h.width
 		m := relation.Tuple(h.arena[off : off+h.width : off+h.width])
 		dst = append(dst, arena.Concat(prefix, m))
@@ -295,12 +334,12 @@ func (h *HashTable) probeConcatRevHashed(dst []relation.Tuple, suffix relation.T
 func (h *HashTable) Reset() {
 	h.arena = h.arena[:0]
 	h.next = h.next[:0]
-	h.rows = 0
 	h.width = -1
-	for i := range h.bhead {
-		h.bhead[i] = -1
+	h.linked = 0
+	if h.used > 0 {
+		clear(h.buckets)
+		h.used = 0
 	}
-	h.used = 0
 }
 
 // Recycle is Reset rekeyed: it empties the table and re-targets it at a new
@@ -315,14 +354,18 @@ func (h *HashTable) Recycle(keyIdx int) {
 }
 
 // Rows returns the number of inserted tuples.
-func (h *HashTable) Rows() int64 { return h.rows }
+func (h *HashTable) Rows() int64 { return int64(len(h.next)) }
 
-// DistinctKeys returns the number of distinct join keys inserted.
-func (h *HashTable) DistinctKeys() int { return h.used }
+// DistinctKeys returns the number of distinct join keys inserted. Like a
+// probe, it links pending entries first.
+func (h *HashTable) DistinctKeys() int {
+	h.linkPending()
+	return h.used
+}
 
 // MemBytes returns the accounting size of the table: rows times the
 // accounting tuple size.
-func (h *HashTable) MemBytes(tupleBytes int) int64 { return h.rows * int64(tupleBytes) }
+func (h *HashTable) MemBytes(tupleBytes int) int64 { return h.Rows() * int64(tupleBytes) }
 
 // Costs bundles the per-tuple instruction charges of Table 1 so operator
 // call sites read like the paper's cost model. The charge durations are

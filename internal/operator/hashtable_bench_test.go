@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"math/rand"
 	"testing"
 
 	"dqs/internal/relation"
@@ -35,6 +36,61 @@ func BenchmarkHashBuildGrowing(b *testing.B) {
 			b.Fatal("short build")
 		}
 	}
+}
+
+// joinKernelMatches keeps BenchmarkJoinKernel's probe loop observable.
+var joinKernelMatches int
+
+// BenchmarkJoinKernel times build and probe at a size that overflows L2,
+// which the 4 096-row builds here cannot: a J2-shaped build — 120 K width-5
+// rows keyed over a 144 K domain, like full-scale Figure 5's A⋈E built on
+// A.k2 — inserted in 256-row batches and linked by its first probe, then
+// 150 K probe keys resolved 256 at a time with Heads and walked with
+// ConcatChain into a per-chunk arena, the shape of a temp-fed fragment's
+// chunk. ns/tuple divides by build rows plus probe keys.
+func BenchmarkJoinKernel(b *testing.B) {
+	const buildRows, probeKeys, domain, chunk = 120_000, 150_000, 144_000, 256
+	rng := rand.New(rand.NewSource(1))
+	build := make([]relation.Tuple, buildRows)
+	for i := range build {
+		build[i] = relation.Tuple{int64(i), rng.Int63n(domain), rng.Int63n(domain), int64(i), rng.Int63n(domain)}
+	}
+	keys := make([]int64, probeKeys)
+	for i := range keys {
+		keys[i] = rng.Int63n(domain)
+	}
+	prefix := relation.Tuple{0, 0, 0}
+	heads := make([]int32, chunk)
+	var arena relation.Arena
+	var out []relation.Tuple
+	h := NewHashTable(2)
+	join := func() int {
+		h.Reset()
+		h.Reserve(len(build[0]), buildRows)
+		for j := 0; j < buildRows; j += chunk {
+			h.InsertBatch(build[j:min(j+chunk, buildRows)])
+		}
+		matches := 0
+		for j := 0; j < probeKeys; j += chunk {
+			run := keys[j:min(j+chunk, probeKeys)]
+			h.Heads(run, heads)
+			arena.Reset()
+			out = out[:0]
+			for _, head := range heads[:len(run)] {
+				var k int
+				out, k = h.ConcatChain(out, prefix, head, &arena)
+				matches += k
+			}
+		}
+		return matches
+	}
+	join() // grow the table, arena and match buffer: time the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		joinKernelMatches = join()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(buildRows+probeKeys)), "ns/tuple")
 }
 
 // BenchmarkHashBuildPresized builds into a table reserved at the exact

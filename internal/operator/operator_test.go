@@ -12,7 +12,7 @@ import (
 )
 
 // collect drains a probe iterator into a slice, in match order.
-func collect(h *HashTable, key int64) []relation.Tuple {
+func collect(h interface{ Probe(int64) Matches }, key int64) []relation.Tuple {
 	var out []relation.Tuple
 	for it := h.Probe(key); ; {
 		m := it.Next()
@@ -107,50 +107,148 @@ func (r *referenceTable) Insert(t relation.Tuple) {
 
 func (r *referenceTable) Probe(key int64) []relation.Tuple { return r.buckets[key] }
 
-// TestHashTableDifferentialVsMap drives the flat table and the old map-based
-// implementation through identical randomized insert/probe sequences and
-// requires identical results, including insertion order — the ordering the
-// deterministic golden figures rely on.
+// probeTable is the API HashTable and PartitionedHashTable share, so one
+// differential test drives both.
+type probeTable interface {
+	Reserve(width, rows int)
+	Insert(relation.Tuple)
+	InsertBatch([]relation.Tuple)
+	Probe(key int64) Matches
+	ProbeConcat(dst []relation.Tuple, prefix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int)
+	ProbeConcatRev(dst []relation.Tuple, suffix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int)
+	Rows() int64
+	DistinctKeys() int
+	Reset()
+}
+
+// concatAll returns a++m++b for every match m, in order: the expected
+// output of ProbeConcat (a = prefix) and ProbeConcatRev (b = suffix).
+func concatAll(a relation.Tuple, ms []relation.Tuple, b relation.Tuple) []relation.Tuple {
+	var out []relation.Tuple
+	for _, m := range ms {
+		out = append(out, append(append(append(relation.Tuple{}, a...), m...), b...))
+	}
+	return out
+}
+
+// TestHashTableDifferentialVsMap drives the flat table, and the partitioned
+// one at 1 and 4 parts, through randomized interleavings of Reserve, Insert,
+// InsertBatch, Reset, Recycle and every probe entry point — Probe,
+// ProbeConcat, ProbeConcatRev, Heads with ConcatChain, DistinctKeys — against
+// the map-based model, and requires identical results, including insertion
+// order: the ordering the deterministic golden figures rely on. Every probe
+// links what was inserted since the previous one; odd trials alternate one
+// insert with one probe, as DPHJ's symmetric tables do, so the link pass
+// also runs one pending row at a time.
 func TestHashTableDifferentialVsMap(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 90; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		keyIdx := rng.Intn(3)
 		width := keyIdx + 1 + rng.Intn(3)
-		h := NewHashTable(keyIdx)
-		ref := newReferenceTable(keyIdx)
-		keySpace := int64(1 + rng.Intn(40))
-		n := rng.Intn(500)
-		for i := 0; i < n; i++ {
+		keySpace := int64(1 + rng.Intn(60))
+		var tab probeTable
+		var recycle func(keyIdx int)
+		switch parts := []int{0, 1, 4}[trial%3]; parts {
+		case 0:
+			h := NewHashTable(keyIdx)
+			tab, recycle = h, h.Recycle
+		default:
+			h := NewPartitioned(keyIdx, parts)
+			tab, recycle = h, func(k int) { h.Recycle(k, parts) }
+		}
+		flat, _ := tab.(*HashTable)
+		ref, rows := newReferenceTable(keyIdx), int64(0)
+		randKey := func() int64 { return rng.Int63n(keySpace) - keySpace/2 }
+		newTuple := func() relation.Tuple {
 			tup := make(relation.Tuple, width)
 			for c := range tup {
-				tup[c] = rng.Int63n(keySpace) - keySpace/2
+				tup[c] = randKey()
 			}
-			h.Insert(tup)
+			return tup
+		}
+		insert := func(tup relation.Tuple) {
+			tab.Insert(tup)
 			ref.Insert(tup)
-			// Interleave probes with inserts.
-			if rng.Intn(4) == 0 {
-				k := rng.Int63n(keySpace) - keySpace/2
-				got, want := collect(h, k), ref.Probe(k)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d: probe(%d) after %d inserts: %d matches, want %d", trial, k, i+1, len(got), len(want))
+			rows++
+		}
+		probe := func(op int) {
+			k := randKey()
+			got, want := collect(tab, k), ref.Probe(k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d op %d: Probe(%d) = %v, want %v", trial, op, k, got, want)
+			}
+			var arena relation.Arena
+			fix := relation.Tuple{-7, k}
+			if got, n := tab.ProbeConcat(nil, fix, k, &arena); n != len(want) || !reflect.DeepEqual(got, concatAll(fix, want, nil)) {
+				t.Fatalf("trial %d op %d: ProbeConcat(%d) = %v", trial, op, k, got)
+			}
+			if got, n := tab.ProbeConcatRev(nil, fix, k, &arena); n != len(want) || !reflect.DeepEqual(got, concatAll(nil, want, fix)) {
+				t.Fatalf("trial %d op %d: ProbeConcatRev(%d) = %v", trial, op, k, got)
+			}
+			if flat == nil {
+				return
+			}
+			keys := []int64{k, randKey(), randKey(), k}
+			heads := make([]int32, len(keys))
+			flat.Heads(keys, heads)
+			for i, key := range keys {
+				want := ref.Probe(key)
+				if got, n := flat.ConcatChain(nil, fix, heads[i], &arena); n != len(want) || !reflect.DeepEqual(got, concatAll(fix, want, nil)) {
+					t.Fatalf("trial %d op %d: Heads/ConcatChain(%d) = %v", trial, op, key, got)
 				}
 			}
 		}
-		if h.Rows() != int64(n) {
-			t.Fatalf("trial %d: Rows = %d, want %d", trial, h.Rows(), n)
-		}
-		// Full sweep of the key space: identical multisets in insertion order.
-		for k := -keySpace; k <= keySpace; k++ {
-			got, want := collect(h, k), ref.Probe(k)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: probe(%d): %d matches, want %d", trial, k, len(got), len(want))
+		for op := 0; op < 400; op++ {
+			if trial%2 == 1 && op < 300 {
+				insert(newTuple())
+				probe(op)
+				continue
 			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("trial %d: probe(%d) match %d = %v, want %v (insertion order violated)", trial, k, i, got[i], want[i])
+			switch r := rng.Intn(40); {
+			case r < 16:
+				insert(newTuple())
+			case r < 20:
+				batch := make([]relation.Tuple, rng.Intn(40))
+				for i := range batch {
+					batch[i] = newTuple()
+				}
+				tab.InsertBatch(batch)
+				for _, tup := range batch {
+					ref.Insert(tup)
+				}
+				rows += int64(len(batch))
+			case r < 33:
+				probe(op)
+			case r < 37:
+				if tab.Rows() != rows || tab.DistinctKeys() != len(ref.buckets) {
+					t.Fatalf("trial %d op %d: Rows %d DistinctKeys %d, want %d and %d",
+						trial, op, tab.Rows(), tab.DistinctKeys(), rows, len(ref.buckets))
+				}
+			default:
+				// Empty the table, sometimes rekeyed, to a new width and
+				// sometimes a reservation: stale buckets must not leak.
+				if r == 37 {
+					tab.Reset()
+				} else {
+					keyIdx = rng.Intn(3)
+					recycle(keyIdx)
+				}
+				width = keyIdx + 1 + rng.Intn(3)
+				ref, rows = newReferenceTable(keyIdx), 0
+				if rng.Intn(2) == 0 {
+					tab.Reserve(width, rng.Intn(300))
 				}
 			}
 		}
+	}
+}
+
+// TestZeroMatchesIsEmpty pins Matches' documented zero value: an empty
+// iteration, not a nil dereference.
+func TestZeroMatchesIsEmpty(t *testing.T) {
+	var m Matches
+	if got := m.Next(); got != nil {
+		t.Fatalf("zero Matches yielded %v", got)
 	}
 }
 

@@ -113,15 +113,13 @@ func (h *PartitionedHashTable) Reserve(width, rows int) {
 	}
 }
 
-// Insert adds one build tuple to its key's partition. The key is hashed
-// once: the top bits route, the partition's buckets use the low bits.
+// Insert adds one build tuple to its key's partition.
 func (h *PartitionedHashTable) Insert(t relation.Tuple) {
 	if h.single != nil {
 		h.single.Insert(t)
 		return
 	}
-	hash := hashKey(t[h.keyIdx])
-	h.parts[hash>>h.shift].insertHashed(t, hash)
+	h.parts[h.Route(t)].Insert(t)
 }
 
 // InsertBatch adds a run of build tuples serially, each routed to its
@@ -154,7 +152,8 @@ func (h *PartitionedHashTable) ProbeConcat(dst []relation.Tuple, prefix relation
 		return h.single.ProbeConcat(dst, prefix, key, arena)
 	}
 	hash := hashKey(key)
-	return h.parts[hash>>h.shift].probeConcatHashed(dst, prefix, key, hash, arena)
+	p := h.parts[hash>>h.shift]
+	return p.ConcatChain(dst, prefix, p.head(key, hash), arena)
 }
 
 // ProbeConcatRev is HashTable.ProbeConcatRev routed to the key's partition.

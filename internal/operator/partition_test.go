@@ -220,6 +220,7 @@ func BenchmarkProbeParallel(b *testing.B) {
 	h := NewPartitioned(0, benchParallelParts)
 	h.Reserve(3, benchBuildRows)
 	h.InsertBatch(tuples)
+	h.DistinctKeys() // link every partition before the probes share them
 	workers := benchParallelParts
 	arenas := make([]relation.Arena, workers)
 	outs := make([][]relation.Tuple, workers)

@@ -7,32 +7,40 @@ import (
 )
 
 // TestHashTableReserveAvoidsGrowth pins the pre-sizing contract: after
-// Reserve(width, rows), inserting exactly `rows` tuples of that width — even
-// all-distinct keys, the worst case for the bucket array — performs zero
-// allocations, i.e. no arena growth and no mid-build rehash.
+// Reserve(width, rows) on a new table, inserting exactly `rows` tuples of
+// that width — even all-distinct keys, the worst case for the bucket array —
+// and the first probe, which links them, perform zero allocations, i.e. no
+// arena growth and no rehash in the link pass.
 func TestHashTableReserveAvoidsGrowth(t *testing.T) {
 	const rows = 1000
 	tuples := make([]relation.Tuple, rows)
 	for i := range tuples {
 		tuples[i] = relation.Tuple{int64(i), int64(-i)}
 	}
-	h := NewHashTable(0)
-	fill := func() {
-		h.Reset()
+	var h *HashTable
+	reserve := func() {
+		h = NewHashTable(0)
 		h.Reserve(2, rows)
+	}
+	fill := func() {
+		reserve()
 		for _, tup := range tuples {
 			h.Insert(tup)
+		}
+		if m := h.Probe(rows - 1); m.Next() == nil {
+			t.Fatal("first probe missed the last inserted key")
 		}
 	}
 	fill()
 	if h.Rows() != rows || h.DistinctKeys() != rows {
 		t.Fatalf("after fill: rows=%d keys=%d", h.Rows(), h.DistinctKeys())
 	}
-	if got := testing.AllocsPerRun(10, fill); got != 0 {
-		t.Errorf("Reserve+Insert×%d allocates %v times per run, want 0", rows, got)
+	if got, want := testing.AllocsPerRun(10, fill), testing.AllocsPerRun(10, reserve); got != want {
+		t.Errorf("new table, Reserve+Insert×%d+first probe allocates %v times per run, Reserve alone %v: want no allocation after Reserve", rows, got, want)
 	}
 	// The reservation is a floor, not a ceiling: inserting past it still
 	// works (growing as needed).
+	fill()
 	for i := 0; i < 100; i++ {
 		h.Insert(relation.Tuple{int64(rows + i), 0})
 	}
