@@ -24,8 +24,7 @@ func NewDPHJPolicy(st *State) (Policy, error) { return &dphjPolicy{}, nil }
 
 func (p *dphjPolicy) Name() string { return "DPHJ" }
 
-// Done reports whether every query is marked complete: the end of the one
-// phase marks them all, a cancellation one.
+// Done reports whether every query has finished or been cancelled.
 func (p *dphjPolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 func (p *dphjPolicy) Plan(st *State) (SchedulingPlan, error) {
@@ -53,10 +52,6 @@ func (p *dphjPolicy) OnEvent(st *State, ev Event) error {
 			if !f.Done() {
 				return fmt.Errorf("core: DPHJ starved with no future arrivals")
 			}
-		}
-		for _, rt := range st.Runtimes() {
-			rt.ReleaseJoinNet()
-			st.MarkQueryDone(rt)
 		}
 	}
 	return nil

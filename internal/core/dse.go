@@ -32,9 +32,6 @@ type dsePolicy struct {
 	// pointer key is safe here.
 	descendants map[*plan.Chain]int
 
-	// byRuntime groups chain states per query, for completion tracking.
-	byRuntime map[*exec.Runtime][]*chainState
-
 	// splitBudget bounds the memory-repair splits of one planning point.
 	// Every split consumes at least one chain step for its head segment, so
 	// a legitimate repair sequence can never need more than the total step
@@ -62,7 +59,6 @@ func NewDSEPolicy(st *State) (Policy, error) {
 		stateOf:     make(map[rtChain]*chainState),
 		proberOf:    make(map[rtNode]*chainState),
 		descendants: make(map[*plan.Chain]int),
-		byRuntime:   make(map[*exec.Runtime][]*chainState),
 	}
 	for _, rt := range st.Runtimes() {
 		p.addRuntime(rt)
@@ -81,7 +77,6 @@ func (p *dsePolicy) addRuntime(rt *exec.Runtime) {
 		}
 		p.states = append(p.states, cs)
 		p.stateOf[rtChain{rt, c}] = cs
-		p.byRuntime[rt] = append(p.byRuntime[rt], cs)
 		for _, j := range c.Joins {
 			p.proberOf[rtNode{rt, j}] = cs
 		}
@@ -94,9 +89,6 @@ func (p *dsePolicy) addRuntime(rt *exec.Runtime) {
 // chains enter the global critical-degree competition at the next planning
 // point, exactly as if the query had been attached at construction.
 func (p *dsePolicy) Attach(st *State, rt *exec.Runtime) error {
-	if _, ok := p.byRuntime[rt]; ok {
-		return fmt.Errorf("core: runtime %q already attached", rt.Label)
-	}
 	p.addRuntime(rt)
 	return nil
 }
@@ -107,8 +99,7 @@ func (p *dsePolicy) SetFavored(rt *exec.Runtime) { p.favored = rt }
 
 func (p *dsePolicy) Name() string { return "DSE" }
 
-// Done reports whether every query has finished or been cancelled: a query
-// is marked done when its last chain terminates.
+// Done reports whether every query has finished or been cancelled.
 func (p *dsePolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 // tablesComplete reports whether every hash table probed by the segment is
@@ -160,7 +151,7 @@ func (p *dsePolicy) OnEvent(st *State, ev Event) error {
 		// Fault transitions and recoveries end the phase like completions
 		// do: abandoned fragments read as Done, failover brings fresh
 		// arrivals — either way the next planning point sees current state.
-		p.advanceFinished(st)
+		p.advanceFinished()
 	case EventRateChange:
 		// Replanning with the fresh estimates happens at the next planning
 		// point.
@@ -176,14 +167,14 @@ func (p *dsePolicy) OnEvent(st *State, ev Event) error {
 		}
 	case EventOverflow:
 		p.handleOverflow(ev.Frag)
-		p.advanceFinished(st)
+		p.advanceFinished()
 	}
 	return nil
 }
 
 // advanceFinished moves every chain whose active fragment has completed to
-// its next segment, and records query completion times.
-func (p *dsePolicy) advanceFinished(st *State) {
+// its next segment.
+func (p *dsePolicy) advanceFinished() {
 	for _, cs := range p.states {
 		for {
 			seg := cs.active()
@@ -191,18 +182,6 @@ func (p *dsePolicy) advanceFinished(st *State) {
 				break
 			}
 			cs.advance()
-		}
-	}
-	for rt, chains := range p.byRuntime {
-		finished := true
-		for _, cs := range chains {
-			if !cs.complete {
-				finished = false
-				break
-			}
-		}
-		if finished {
-			st.MarkQueryDone(rt)
 		}
 	}
 }

@@ -52,11 +52,7 @@ func newEngine(med *exec.Mediator, rts []*exec.Runtime, factory PolicyFactory) (
 			return nil, fmt.Errorf("core: runtime %q is not attached to the engine's mediator", rt.Label)
 		}
 	}
-	st := &State{
-		med:         med,
-		rts:         rts,
-		completedAt: make(map[*exec.Runtime]time.Duration),
-	}
+	st := &State{med: med, rts: rts}
 	pol, err := factory(st)
 	if err != nil {
 		return nil, err
@@ -125,11 +121,14 @@ func (e *Engine) Step() (bool, error) {
 }
 
 // Finalize builds the per-query results in attachment order. Call it once,
-// after Step has reported no work remaining (Run does both).
+// after Step has reported no work remaining (Run does both). Each query's
+// response time is its runtime's completion instant; a user-registered
+// policy whose Done reports the work finished before a runtime completed
+// leaves that query to finish at the engine's final clock reading.
 func (e *Engine) Finalize() []exec.Result {
 	results := make([]exec.Result, 0, len(e.st.rts))
 	for _, rt := range e.st.rts {
-		at, ok := e.st.completedAt[rt]
+		at, ok := rt.CompletedAt()
 		if !ok {
 			at = e.med.Now()
 		}
@@ -148,6 +147,9 @@ func (e *Engine) Attach(rt *exec.Runtime) error {
 	if rt.Med != e.med {
 		return fmt.Errorf("core: runtime %q is not attached to the engine's mediator", rt.Label)
 	}
+	if slices.Contains(e.st.rts, rt) {
+		return fmt.Errorf("core: runtime %q already attached", rt.Label)
+	}
 	a, ok := e.pol.(Attacher)
 	if !ok {
 		return fmt.Errorf("core: policy %s does not support mid-run query attachment", e.pol.Name())
@@ -161,17 +163,16 @@ func (e *Engine) Attach(rt *exec.Runtime) error {
 
 // CancelQuery abandons one attached query between scheduling rounds, under
 // every policy: Runtime.Cancel abandons the query's unfinished fragments,
-// drops their temps, returns its memory to the shared grant and stops its
-// wrappers feeding the communication manager; the query is then marked
-// complete, which is how every built-in policy knows to stop planning it.
-// The cancelled query still yields a Result from Finalize (complete at
-// cancellation time, with whatever tuples it produced).
+// drops their temps, returns its memory to the shared grant, stops its
+// wrappers feeding the communication manager and completes the query, which
+// is how every built-in policy knows to stop planning it. The cancelled
+// query still yields a Result from Finalize (complete at cancellation time,
+// with whatever tuples it produced).
 func (e *Engine) CancelQuery(rt *exec.Runtime) error {
 	if !slices.Contains(e.st.rts, rt) {
 		return fmt.Errorf("core: runtime %q is not attached", rt.Label)
 	}
 	rt.Cancel()
-	e.st.MarkQueryDone(rt)
 	return nil
 }
 
@@ -183,13 +184,6 @@ func (e *Engine) Favor(rt *exec.Runtime) {
 	if f, ok := e.pol.(FavorSetter); ok {
 		f.SetFavored(rt)
 	}
-}
-
-// QueryCompletedAt returns when rt's query produced its final tuple, if it
-// has.
-func (e *Engine) QueryCompletedAt(rt *exec.Runtime) (time.Duration, bool) {
-	at, ok := e.st.completedAt[rt]
-	return at, ok
 }
 
 // pendingSummary describes the stuck engine for diagnostics: the active

@@ -34,6 +34,8 @@ func NewMAPolicy(st *State) (Policy, error) {
 
 func (p *maPolicy) Name() string { return "MA" }
 
+func (p *maPolicy) Done(st *State) bool { return st.allQueriesDone() }
+
 func (p *maPolicy) Plan(st *State) (SchedulingPlan, error) {
 	med := st.Mediator()
 	if !p.phase2 {

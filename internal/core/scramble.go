@@ -53,14 +53,7 @@ func NewScramblePolicy(st *State) (Policy, error) {
 
 func (p *scrPolicy) Name() string { return "SCR" }
 
-func (p *scrPolicy) Done(st *State) bool {
-	for i, f := range p.frags {
-		if (f == nil || !f.Done()) && !st.queryDone(p.order[i].rt) {
-			return false
-		}
-	}
-	return true
-}
+func (p *scrPolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 // tablesReady reports C-schedulability: every hash table the chain probes
 // is fully built.

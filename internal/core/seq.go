@@ -29,25 +29,11 @@ func iteratorChains(st *State) []chainRef {
 
 // chainCursor drains pipeline chains strictly one after another in iterator
 // order, one single-fragment plan at a time: SEQ's whole execution and MA's
-// phase 2. Chains of a query already marked done (cancelled) are skipped.
+// phase 2. Chains of a query already complete (cancelled) are skipped.
 type chainCursor struct {
 	order []chainRef
 	idx   int            // next chain to open
 	cur   *exec.Fragment // chain being drained
-}
-
-// Done reports whether the current chain has finished and every chain left
-// belongs to a query marked done.
-func (c *chainCursor) Done(st *State) bool {
-	if c.cur != nil && !c.cur.Done() {
-		return false
-	}
-	for _, next := range c.order[c.idx:] {
-		if !st.queryDone(next.rt) {
-			return false
-		}
-	}
-	return true
 }
 
 // plan returns the current chain's fragment, opening the next chain with
@@ -80,6 +66,8 @@ func NewSeqPolicy(st *State) (Policy, error) {
 }
 
 func (p *seqPolicy) Name() string { return "SEQ" }
+
+func (p *seqPolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 func (p *seqPolicy) Plan(st *State) (SchedulingPlan, error) {
 	return p.plan(st, "SEQ", func(c chainRef) *exec.Fragment { return c.rt.NewPCFragment(c.chain) })

@@ -24,7 +24,7 @@ import (
 // result is retained in memory on both sides of its join (roughly twice
 // the footprint of the asymmetric plan), the approach only works for
 // hash-based (equi-join) plans, and there is no memory adaptation — an
-// overflow is fatal. The network holds its tables until ReleaseJoinNet.
+// overflow is fatal. The network holds its tables until the query completes.
 func (rt *Runtime) NewDPHJFeeds() ([]*Fragment, error) {
 	net, err := newSymNet(rt)
 	if err != nil {
@@ -39,14 +39,6 @@ func (rt *Runtime) NewDPHJFeeds() ([]*Fragment, error) {
 		feeds = append(feeds, f)
 	}
 	return feeds, nil
-}
-
-// ReleaseJoinNet returns the join network's grant and pooled tables once
-// the query is complete. Idempotent; a runtime without a network ignores it.
-func (rt *Runtime) ReleaseJoinNet() {
-	if rt.net != nil {
-		rt.net.release(rt.Med.scratch)
-	}
 }
 
 // symJoin is one symmetric join: hash tables on both inputs.

@@ -565,6 +565,9 @@ func (f *Fragment) maybeFinish() {
 	}
 	f.done = true
 	f.rt.Trace.Add(f.rt.Now(), sim.EvFragmentEnd, "%s done (%d tuples in)", f.Label, f.processed)
+	if f.Term != TermTemp {
+		f.rt.terminalDone()
+	}
 }
 
 // Abandon terminates the fragment with its input permanently dead — the
@@ -590,4 +593,7 @@ func (f *Fragment) Abandon() {
 	f.done = true
 	f.rt.degraded = append(f.rt.degraded, f.Label)
 	f.rt.Trace.Add(f.rt.Now(), sim.EvFragmentEnd, "%s abandoned (%d tuples in, input dead)", f.Label, f.processed)
+	if f.Term != TermTemp {
+		f.rt.terminalDone()
+	}
 }
