@@ -255,45 +255,6 @@ func Run(spec RunSpec) (Result, error) {
 	return results[0], nil
 }
 
-// QueryRun is one query of a concurrent execution.
-type QueryRun struct {
-	// Label names the query (used in traces and wrapper scoping); must be
-	// unique and non-empty.
-	Label      string
-	Workload   *Workload
-	Deliveries map[string]Delivery
-}
-
-// RunConcurrent executes several queries concurrently on one shared
-// mediator under a single global dynamic scheduler (the paper's §6
-// multi-query direction): fragments of all queries compete by critical
-// degree for the CPU, the memory grant and the local disk. It returns
-// per-query results in input order; each ResponseTime is the instant that
-// query's last result tuple was produced. It is a fused Server whose
-// queries all arrive at time zero, with no admission cap and global
-// fairness: one engine over every query from the first round.
-func RunConcurrent(cfg Config, queries []QueryRun) ([]Result, error) {
-	srv, err := NewServer(ServerConfig{Exec: cfg, Mode: ServerFused})
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range queries {
-		err := srv.Submit(ServerQuery{Label: q.Label, Workload: q.Workload, Deliveries: q.Deliveries})
-		if err != nil {
-			return nil, err
-		}
-	}
-	reports, _, err := srv.Run()
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(reports))
-	for i, rep := range reports {
-		results[i] = rep.Result
-	}
-	return results, nil
-}
-
 // LowerBound computes the paper's analytic response-time lower bound LWB
 // for the spec's workload and deliveries.
 func LowerBound(spec RunSpec) (time.Duration, error) {

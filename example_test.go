@@ -51,26 +51,34 @@ func ExampleRun() {
 	// rows: 5432
 }
 
-// ExampleRunConcurrent executes two queries on one shared mediator; both
-// finish and report their own result sizes.
-func ExampleRunConcurrent() {
-	mk := func(seed int64) dqs.QueryRun {
+// ExampleNewServer executes two queries on one shared mediator — a fused
+// server whose queries both arrive at time zero; both finish and report
+// their own result sizes.
+func ExampleNewServer() {
+	srv, err := dqs.NewServer(dqs.ServerConfig{Exec: dqs.DefaultConfig(), Mode: dqs.ServerFused})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
 		w, err := dqs.Fig5Small(seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return dqs.QueryRun{
+		err = srv.Submit(dqs.ServerQuery{
 			Label:      fmt.Sprintf("q%d", seed),
 			Workload:   w,
 			Deliveries: dqs.UniformDeliveries(w, 20*time.Microsecond),
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
 	}
-	results, err := dqs.RunConcurrent(dqs.DefaultConfig(), []dqs.QueryRun{mk(1), mk(2)})
+	reports, _, err := srv.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, r := range results {
-		fmt.Printf("q%d rows: %d\n", i+1, r.OutputRows)
+	for _, rep := range reports {
+		fmt.Printf("%s rows: %d\n", rep.Label, rep.Result.OutputRows)
 	}
 	// Output:
 	// q1 rows: 5432

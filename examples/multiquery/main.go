@@ -19,30 +19,36 @@ func main() {
 	cfg.MemoryBytes = 256 << 20 // shared pool for all queries
 	const wait = 50 * time.Microsecond
 
-	var queries []dqs.QueryRun
+	// A fused server runs every query on one shared mediator; all three
+	// arrive at time zero and none waits for admission.
+	srv, err := dqs.NewServer(dqs.ServerConfig{Exec: cfg, Mode: dqs.ServerFused})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var queries []dqs.ServerQuery
 	for i := 0; i < 3; i++ {
 		w, err := dqs.Fig5Small(int64(100 + i)) // three distinct datasets
 		if err != nil {
 			log.Fatal(err)
 		}
-		queries = append(queries, dqs.QueryRun{
+		q := dqs.ServerQuery{
 			Label:      fmt.Sprintf("q%d", i+1),
 			Workload:   w,
 			Deliveries: dqs.UniformDeliveries(w, wait),
-		})
+		}
+		if err := srv.Submit(q); err != nil {
+			log.Fatal(err)
+		}
+		queries = append(queries, q)
 	}
 
-	results, err := dqs.RunConcurrent(cfg, queries)
+	reports, stats, err := srv.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Concurrent execution (one mediator, global dynamic scheduler):")
-	var makespan time.Duration
-	for i, r := range results {
-		fmt.Printf("  %s finished at %7.3fs  (%d rows)\n", queries[i].Label, r.ResponseTime.Seconds(), r.OutputRows)
-		if r.ResponseTime > makespan {
-			makespan = r.ResponseTime
-		}
+	for _, rep := range reports {
+		fmt.Printf("  %s finished at %7.3fs  (%d rows)\n", rep.Label, rep.CompletedAt.Seconds(), rep.Result.OutputRows)
 	}
 
 	var serial time.Duration
@@ -56,7 +62,7 @@ func main() {
 		serial += res.ResponseTime
 	}
 	fmt.Printf("\nmakespan %0.3fs vs serial %0.3fs  (speedup %.2fx)\n",
-		makespan.Seconds(), serial.Seconds(), serial.Seconds()/makespan.Seconds())
+		stats.Makespan.Seconds(), serial.Seconds(), serial.Seconds()/stats.Makespan.Seconds())
 	fmt.Println("The concurrent batch overlaps every query's delivery waits; the §6")
 	fmt.Println("tradeoff is the extra total work (materialization) and memory pressure.")
 }

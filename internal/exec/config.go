@@ -28,6 +28,21 @@ type Delivery struct {
 	InitialDelay time.Duration
 }
 
+// appendSourceOptions appends the delivery's wrapper schedule options to
+// opts, for a private source and a shared stream alike. A non-zero initial
+// delay always passes, so the source refuses a negative one by name.
+func (d Delivery) appendSourceOptions(opts []source.Option) []source.Option {
+	if len(d.Phases) > 0 {
+		opts = append(opts, source.WithPhases(d.Phases...))
+	} else {
+		opts = append(opts, source.WithMeanWait(d.MeanWait))
+	}
+	if d.InitialDelay != 0 {
+		opts = append(opts, source.WithInitialDelay(d.InitialDelay))
+	}
+	return opts
+}
+
 // Config is what a caller may set about one query execution. A field is here
 // because two callers that exist need different values, or because it hands
 // the engine a resource: a cache, a sink, a trace. Everything else — the

@@ -168,13 +168,8 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		q := m.scratch.Queue(cmName, m.Cfg.QueueTuples)
 		m.CM.Adopt(q)
 		d := deliveries[name]
-		opts := []source.Option{source.WithMeanWait(d.MeanWait)}
-		if len(d.Phases) > 0 {
-			opts = []source.Option{source.WithPhases(d.Phases...)}
-		}
-		if d.InitialDelay > 0 {
-			opts = append(opts, source.WithInitialDelay(d.InitialDelay))
-		}
+		// Room for every option appended below, faults included.
+		opts := d.appendSourceOptions(make([]source.Option, 0, 6))
 		if now := m.Clock.Now(); now > 0 {
 			// Mid-run admission: this query's sub-queries go out now, so its
 			// wrappers start producing now, not at the mediator's epoch.
@@ -258,15 +253,9 @@ func (m *Mediator) sharedStream(rel string, table *relation.Table, d Delivery) (
 	if m.streams == nil {
 		m.streams = make(map[streamKey]*source.Shared)
 	}
-	opts := []source.Option{source.WithMeanWait(d.MeanWait)}
-	if len(d.Phases) > 0 {
-		opts = []source.Option{source.WithPhases(d.Phases...)}
-	}
-	if d.InitialDelay > 0 {
-		opts = append(opts, source.WithInitialDelay(d.InitialDelay))
-	}
 	rng := m.rng.Fork(streamSeedBase + int64(len(m.streams)))
-	sh, err := source.NewShared(rel, table, rng, opts...)
+	var buf [2]source.Option
+	sh, err := source.NewShared(rel, table, rng, d.appendSourceOptions(buf[:0])...)
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,9 @@ import (
 // Result summarizes one query execution.
 type Result struct {
 	Strategy string
-	// ResponseTime is the virtual time at which the last result tuple was
-	// produced — the metric of every figure in the paper.
+	// ResponseTime is the query's completion instant — the metric of every
+	// figure in the paper: when its last chain finished, never before its
+	// last result tuple, or when it was cancelled.
 	ResponseTime time.Duration
 	// BusyTime is mediator CPU (and synchronous-I/O wait) time.
 	BusyTime time.Duration
@@ -26,7 +27,10 @@ type Result struct {
 	// MaterializedTuples counts tuples spilled to temporary relations.
 	MaterializedTuples int64
 	// Replans, Degradations, Timeouts and MemRepairs count scheduler
-	// activity (zero for the static strategies).
+	// activity: DSE planning points, degradations, DQP time-outs and memory
+	// repairs. SCR counts its scrambling steps as replans; SEQ, MA and DPHJ
+	// leave all four at zero. On a shared mediator they count the whole
+	// mediator's activity, not this query's.
 	Replans      int
 	Degradations int
 	Timeouts     int

@@ -22,8 +22,9 @@
 //     holder attribution, shared decomposition/plan caches, and optionally
 //     shared physical wrapper streams (Config.Exec.SharedStreams). All
 //     queries' fragments compete in one scheduling plan; cross-query
-//     fairness biases the planning order. dqs.RunConcurrent is this mode
-//     with every query arriving at time zero, no cap and global fairness.
+//     fairness biases the planning order. A policy without mid-run attach
+//     (every built-in but DSE) serves the one shape that needs none: every
+//     query arriving at time zero with no cap.
 //
 // Both modes execute through one driver loop (runBatch): a fused server
 // gives it the whole batch, an isolated server one query at a time.
@@ -160,9 +161,10 @@ type Config struct {
 	// cache) is shared by every query in both modes; Exec.SharedStreams
 	// lets fused queries share physical wrapper streams.
 	Exec exec.Config
-	// Strategy names the registered scheduling strategy ("" = DSE). Fused
-	// servers need a strategy whose policy supports mid-run attachment;
-	// of the built-ins, only DSE does.
+	// Strategy names the registered scheduling strategy ("" = DSE). A fused
+	// server admitting a query after its first planning point needs a
+	// strategy whose policy supports mid-run attachment; of the built-ins,
+	// only DSE does.
 	Strategy string
 	// MaxActive caps concurrently executing queries; submissions beyond the
 	// cap wait in the admission queue. 0 or negative admits without bound.

@@ -476,6 +476,9 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := s.Run(); err == nil {
+		t.Error("empty batch ran")
+	}
 	w, err := workload.Fig5Small(1)
 	if err != nil {
 		t.Fatal(err)
@@ -495,6 +498,11 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := New(Config{Exec: cfg, Mode: Mode(42)}); err == nil {
 		t.Error("invalid mode accepted")
 	}
+	bad := cfg
+	bad.QueueTuples = 0
+	if _, err := New(Config{Exec: bad, Mode: Fused}); err == nil {
+		t.Error("invalid execution config accepted")
+	}
 	// A strategy the server cannot build an engine from fails at New, not at
 	// the first admission inside Run.
 	for _, mode := range []Mode{Isolated, Fused} {
@@ -503,13 +511,11 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%v server, strategy NOPE: New error = %v, want %q", mode, err, want)
 		}
 	}
-	func() {
-		bad := cfg
-		bad.SharedStreams = true
-		if _, err := New(Config{Exec: bad, Mode: Isolated}); err == nil {
-			t.Error("isolated + shared streams accepted")
-		}
-	}()
+	shared := cfg
+	shared.SharedStreams = true
+	if _, err := New(Config{Exec: shared, Mode: Isolated}); err == nil {
+		t.Error("isolated + shared streams accepted")
+	}
 }
 
 func min(a, b int) int {
