@@ -412,3 +412,41 @@ func TestPooledRunReusesStorage(t *testing.T) {
 		t.Errorf("a warm Run allocates %d bytes, a cold one %d: the public path is not reusing pooled storage", warm, cold)
 	}
 }
+
+// TestOversizedWindowsAreRefusedOrBounded: a DQP batch far beyond any
+// window runs chain-at-a-time — every strategy returns what it returns at
+// the default — and a wrapper window the ring could never allocate is a
+// named error from Run and NewServer, not a dead process.
+func TestOversizedWindowsAreRefusedOrBounded(t *testing.T) {
+	w, err := Fig5Small(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := UniformDeliveries(w, 20*time.Microsecond)
+	for _, s := range []Strategy{SEQ, MA, SCR, DSE, DPHJ} {
+		spec := RunSpec{Workload: w, Config: DefaultConfig(), Strategy: s, Deliveries: del}
+		want, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Config.BatchTuples = 1 << 40
+		got, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%s at BatchTuples=2^40: %v", s, err)
+		}
+		if got.OutputRows != want.OutputRows {
+			t.Errorf("%s: %d rows at BatchTuples=2^40, %d at the default", s, got.OutputRows, want.OutputRows)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.QueueTuples = 1 << 40
+	named := func(what string, err error) {
+		if err == nil || !strings.Contains(err.Error(), "QueueTuples") || !strings.Contains(err.Error(), "1048576") {
+			t.Errorf("%s with QueueTuples=2^40: err = %v, want one naming QueueTuples and its bound", what, err)
+		}
+	}
+	_, err = Run(RunSpec{Workload: w, Config: cfg, Strategy: DSE, Deliveries: del})
+	named("Run", err)
+	_, err = NewServer(ServerConfig{Exec: cfg, Mode: ServerFused})
+	named("NewServer", err)
+}

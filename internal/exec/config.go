@@ -64,7 +64,8 @@ type Config struct {
 	MemoryBytes int64
 	// QueueTuples is the per-wrapper window size in tuples.
 	QueueTuples int
-	// BatchTuples is the DQP batch size (§3.2).
+	// BatchTuples is the DQP batch size (§3.2). A pop never takes more than
+	// a window or a page, so a huge value runs a chain at a time.
 	BatchTuples int
 	// PrefetchPages is the temp-reader prefetch depth.
 	PrefetchPages int
@@ -165,6 +166,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxQueueTuples bounds the per-wrapper window, whose ring is allocated up
+// front: 80 times the queue ablation's largest window (64 pages).
+const maxQueueTuples = 1 << 20
+
 // Validate reports the first invalid configuration field.
 func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
@@ -175,6 +180,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("exec: MemoryBytes must be positive, got %d", c.MemoryBytes)
 	case c.QueueTuples <= 0:
 		return fmt.Errorf("exec: QueueTuples must be positive, got %d", c.QueueTuples)
+	case c.QueueTuples > maxQueueTuples:
+		return fmt.Errorf("exec: QueueTuples must be at most %d, got %d", maxQueueTuples, c.QueueTuples)
 	case c.BatchTuples <= 0:
 		return fmt.Errorf("exec: BatchTuples must be positive, got %d", c.BatchTuples)
 	case c.BMT < 0:

@@ -90,28 +90,9 @@ type Fragment struct {
 	// step. It never runs again and Cancel skips it.
 	superseded bool
 
-	// Row input state (temp-fed fragments): tempIn is the reader behind In,
-	// popBuf stages bulk-popped input tuples between PopN and processing.
-	tempIn *mem.Reader
-	popBuf []relation.Tuple
-
-	// Columnar input state (wrapper-fed fragments). colIn is the batch
-	// protocol view of In; gatherAt maps batch columns to their full-schema
-	// positions in rowBuf, the reused scan-width processing row whose dead
-	// (projected-away) positions stay permanently zero.
-	colIn    *queueSource
-	gatherAt []int
-	rowBuf   relation.Tuple
-	colBatch *relation.Batch
-	passBuf  []bool
-
-	// Chunk probe state, used only with probe steps: heads holds the first
-	// step's chain heads for the popped chunk, resolved in one call; keys
-	// stages a temp-fed chunk's probe keys for it, while a wrapper-fed
-	// chunk's keys are already batch column keyCol.
-	keys   []int64
-	heads  []int32
-	keyCol int
+	// heads holds the first probe step's chain heads for the popped chunk,
+	// resolved in one call (probe steps only).
+	heads []int32
 }
 
 type stepExec struct {
@@ -165,39 +146,23 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 	if len(f.steps) > 0 {
 		f.heads = s.GetHeads()
 	}
-	if qs, ok := in.(*queueSource); ok {
-		f.QueueInput, f.colIn = true, qs
-		f.gatherAt = rt.colPush[c.Scan.Rel.Name].keep
-		f.rowBuf = make(relation.Tuple, c.Scan.Schema.Width())
-		f.colBatch = s.GetBatch(len(f.gatherAt))
-		f.passBuf = s.GetBools()
-		if len(f.steps) > 0 {
-			// The first probe key is live on the wire (liveColumns keeps
-			// every join key), so exactly one batch column maps to it.
-			for col, at := range f.gatherAt {
-				if at == f.steps[0].probeIdx {
-					f.keyCol = col
-				}
-			}
-		}
-	} else {
-		f.tempIn = in.(tempSource).Reader
-		f.popBuf = s.GetTuples()
-		if len(f.steps) > 0 {
-			f.keys = s.GetKeys()
-		}
-	}
+	_, f.QueueInput = in.(*queueSource)
 	rt.frags = append(rt.frags, f)
 	return f
 }
 
+// chainTerm returns the real terminal of chain c: its parent's build, or the
+// query output at the root.
+func chainTerm(c *plan.Chain) TerminalKind {
+	if c.BuildsFor != nil {
+		return TermBuild
+	}
+	return TermOutput
+}
+
 // NewPCFragment creates the fragment executing the whole pipeline chain.
 func (rt *Runtime) NewPCFragment(c *plan.Chain) *Fragment {
-	term := TermOutput
-	if c.BuildsFor != nil {
-		term = TermBuild
-	}
-	return rt.newFragment(c, c.Name, 0, len(c.Joins), rt.qsrcs[c.Scan.Rel.Name], term, nil)
+	return rt.newFragment(c, c.Name, 0, len(c.Joins), rt.qsrcs[c.Scan.Rel.Name], chainTerm(c), nil)
 }
 
 // NewMFSync creates the materialization fragment of a chain (wrapper input,
@@ -215,12 +180,7 @@ func (rt *Runtime) NewMFSync(c *plan.Chain) *Fragment {
 // NewCFSync creates the complement fragment over a completed MF's temp,
 // with synchronous page reads (no prefetch overlap).
 func (rt *Runtime) NewCFSync(c *plan.Chain, temp *mem.Temp) *Fragment {
-	term := TermOutput
-	if c.BuildsFor != nil {
-		term = TermBuild
-	}
-	in := tempSource{temp.NewSyncReader()}
-	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), in, term, nil)
+	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), rt.tempSource(temp.NewSyncReader()), chainTerm(c), nil)
 }
 
 // NewSegment creates the fragment executing chain steps [fromStep, toStep).
@@ -255,18 +215,21 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 	if queueInput {
 		in = rt.qsrcs[c.Scan.Rel.Name]
 	} else {
-		in = tempSource{prev.NewReader(rt.Cfg.PrefetchPages)}
+		in = rt.tempSource(prev.NewReader(rt.Cfg.PrefetchPages))
 	}
 	if last {
-		term := TermOutput
-		if c.BuildsFor != nil {
-			term = TermBuild
-		}
-		return rt.newFragment(c, label, fromStep, toStep, in, term, nil)
+		return rt.newFragment(c, label, fromStep, toStep, in, chainTerm(c), nil)
 	}
 	temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep),
 		rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
 	return rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
+}
+
+// tempSource wraps a reader of one of the query's temps as fragment input,
+// its chunk staging taken from the mediator's scratch.
+func (rt *Runtime) tempSource(r *mem.Reader) *tempSource {
+	s := rt.Med.scratch
+	return &tempSource{Reader: r, page: rt.Cfg.Params.TuplesPerPage(), ch: chunk{rows: s.GetTuples(), keyBuf: s.GetKeys()}}
 }
 
 // Done reports whether the fragment has fully terminated.
@@ -301,31 +264,43 @@ func (f *Fragment) Runnable(now time.Duration) bool {
 	return len(f.pending) > 0 || f.In.Available(now) > 0
 }
 
-// sink delivers one terminal-ready tuple; false means the memory grant is
-// exhausted (only possible for TermBuild and TermJoinNet).
-func (f *Fragment) sink(out relation.Tuple) bool {
+// sink delivers terminal-ready tuples in order and returns how many it
+// delivered; fewer than len(outs) means the memory grant is exhausted (only
+// possible for TermBuild and TermJoinNet). A build takes the whole run with
+// one batched insert, its move charges merged into one clock addition (the
+// insert path never reads the clock, so the merge is exact).
+func (f *Fragment) sink(outs []relation.Tuple) int {
+	costs := &f.rt.Costs
 	switch f.Term {
 	case TermBuild:
+		if len(outs) == 0 {
+			return 0
+		}
 		// Reserve before charging so a failed insert costs nothing and can
 		// be retried when memory is freed.
-		if !f.rt.buildInsert(f.Chain.BuildsFor, out) {
-			return false
-		}
-		f.rt.Costs.ChargeMove()
-		return true
+		k := f.rt.buildInsert(f.Chain.BuildsFor, outs)
+		costs.CPU.Clock.Work(time.Duration(k) * costs.MoveT)
+		return k
 	case TermTemp:
-		f.rt.Costs.ChargeMove()
-		f.Temp.Append(out)
-		f.rt.CountMaterialized(1)
-		return true
+		for _, out := range outs {
+			costs.ChargeMove()
+			f.Temp.Append(out)
+		}
+		f.rt.CountMaterialized(int64(len(outs)))
 	case TermOutput:
-		f.rt.emitOutput(out)
-		return true
+		for _, out := range outs {
+			f.rt.emitOutput(out)
+		}
 	case TermJoinNet:
-		return f.rt.net.arrive(f.leaf.join, f.leaf.fromBuild, out)
+		for i, out := range outs {
+			if !f.rt.net.arrive(f.leaf.join, f.leaf.fromBuild, out) {
+				return i
+			}
+		}
 	default:
 		panic("exec: unknown terminal")
 	}
+	return len(outs)
 }
 
 // applyTuple pushes one input tuple through the fragment's probe steps and
@@ -393,31 +368,6 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// sinkAll delivers a tuple's terminal-ready outputs. Build terminals go
-// through the bulk insert path: one memory reservation and one hash-table
-// batch append for the whole run, with the per-tuple move charges merged
-// into a single clock addition (the insert path never reads the clock, so
-// the merge is exact). It returns false on memory overflow, with the unsunk
-// suffix copied to pending.
-func (f *Fragment) sinkAll(outs []relation.Tuple) bool {
-	if f.Term == TermBuild && len(outs) > 1 {
-		k := f.rt.buildInsertBatch(f.Chain.BuildsFor, outs)
-		f.rt.Costs.CPU.Clock.Work(time.Duration(k) * f.rt.Costs.MoveT)
-		if k < len(outs) {
-			f.strand(outs[k:])
-			return false
-		}
-		return true
-	}
-	for i, out := range outs {
-		if !f.sink(out) {
-			f.strand(outs[i:])
-			return false
-		}
-	}
-	return true
-}
-
 // strand copies overflow-stranded outputs into the pending retry buffer;
 // they must outlive the per-tuple scratch arena, so they go into the
 // fragment's dedicated pending arena. Stranding only ever starts from an
@@ -440,134 +390,66 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 	if f.done {
 		return 0, false
 	}
-	// Retry output stranded by a previous overflow first.
+	// Retry output stranded by a previous overflow first, one tuple at a
+	// time as it was stranded: a batched reservation could spill resident
+	// pages at another instant.
 	for len(f.pending) > 0 {
-		if !f.sink(f.pending[0]) {
+		if f.sink(f.pending[:1]) == 0 {
 			return 0, true
 		}
 		f.pending = f.pending[1:]
 	}
-	var n int
-	var overflow bool
-	if f.colIn != nil {
-		n, overflow = f.processColumnar(max)
-	} else {
-		n, overflow = f.processBulk(max)
+	n, overflow := f.process(max)
+	if !overflow && f.In.Exhausted() {
+		f.finish("done", "")
 	}
-	if overflow {
-		return n, true
-	}
-	f.maybeFinish()
-	return n, false
+	return n, overflow
 }
 
-// processBulk consumes a temp reader's rows in bulk chunks: every tuple
-// available at the chunk instant (up to the page edge) is removed from the
-// reader in one PopN and processed in order. After a chunk the availability
-// check repeats at the advanced clock, so pages whose reads completed while
-// a chunk was processed are picked up at once.
-func (f *Fragment) processBulk(max int) (int, bool) {
-	n := 0
-	for n < max {
-		now := f.rt.Now()
-		f.popBuf = sized(f.popBuf, max-n)
-		k := f.tempIn.PopN(now, f.popBuf)
-		if k == 0 {
-			break
-		}
-		buf := f.popBuf[:k]
-		var heads []int32
-		if len(f.steps) > 0 {
-			f.keys = sized(f.keys, k)
-			for i, t := range buf {
-				f.keys[i] = t[f.steps[0].probeIdx]
-			}
-			heads = f.probeHeads(f.keys)
-		}
-		for i, t := range buf {
-			if f.processed == 0 {
-				f.rt.Trace.Add(f.rt.Now(), sim.EvBatch, "%s first batch", f.Label)
-			}
-			f.processed++
-			n++
-			if !f.sinkAll(f.applyTuple(t, heads, i)) {
-				f.tempIn.UnpopN(k - i - 1)
-				return n, true
-			}
-		}
-	}
-	return n, false
-}
-
-// processColumnar consumes a wrapper queue in bulk chunks: every slot
-// arrived at the chunk instant comes out in one PopBatch as flat column runs
-// plus a pass mask, and each is credited back at the virtual instant its
-// processing starts, so the window refills exactly as the tuples are
-// reached. A filtered slot (predicate already applied wrapper-side) still
-// charges its receive+move; a passing slot is gathered into the reused
-// full-width row (dead columns stay zero) and runs the cascade. After a
-// chunk the availability check repeats at the advanced clock, so refills
-// arriving while a chunk was processed are picked up at once.
-func (f *Fragment) processColumnar(max int) (int, bool) {
+// process consumes the input in chunks: every tuple available at the chunk
+// instant comes out in one pop, up to the source's window or page, and the
+// first probe step's heads are resolved for the whole chunk. Each slot is
+// credited back at the virtual instant its processing starts, so a wrapper's
+// window refills exactly as its tuples are reached. A slot the wrapper's
+// pushdown filtered still charges its receive+move; any other runs the
+// cascade into the sink. On overflow the unsunk outputs are stranded and the
+// chunk's unprocessed tail goes back to the source. After a chunk the
+// availability check repeats at the advanced clock, so tuples arriving while
+// it was processed are picked up at once.
+func (f *Fragment) process(max int) (int, bool) {
 	costs := &f.rt.Costs
 	filteredCharge := costs.MoveT + costs.ReceiveT
 	n := 0
 	for n < max {
-		now := f.rt.Now()
-		f.passBuf = sized(f.passBuf, max-n)
-		pass := f.passBuf
-		f.colBatch.Reset(len(f.gatherAt))
-		k := f.colIn.PopBatch(now, f.colBatch, pass)
-		if k == 0 {
+		c := f.In.pop(f.rt.Now(), max-n)
+		if c.n == 0 {
 			break
 		}
 		var heads []int32
 		if len(f.steps) > 0 {
-			heads = f.probeHeads(f.colBatch.Col(f.keyCol))
+			heads = f.probeHeads(c.keys(f.steps[0].probeIdx))
 		}
-		for i := 0; i < k; i++ {
+		for i := 0; i < c.n; i++ {
 			f.In.Credit(f.rt.Now())
 			if f.processed == 0 {
 				f.rt.Trace.Add(f.rt.Now(), sim.EvBatch, "%s first batch", f.Label)
 			}
 			f.processed++
 			n++
-			if !pass[i] {
+			t := c.row(i)
+			if t == nil {
 				costs.CPU.Clock.Work(filteredCharge)
 				continue
 			}
-			f.colBatch.Gather(i, f.rowBuf, f.gatherAt)
-			if !f.sinkAll(f.applyTuple(f.rowBuf, heads, i)) {
-				f.In.UnpopN(k - i - 1)
+			outs := f.applyTuple(t, heads, i)
+			if k := f.sink(outs); k < len(outs) {
+				f.strand(outs[k:])
+				f.In.UnpopN(c.n - i - 1)
 				return n, true
 			}
 		}
 	}
 	return n, false
-}
-
-// maybeFinish completes the fragment when its input is exhausted.
-func (f *Fragment) maybeFinish() {
-	if f.done || len(f.pending) > 0 || !f.In.Exhausted() {
-		return
-	}
-	switch f.Term {
-	case TermBuild:
-		f.rt.completeTable(f.Chain.BuildsFor)
-	case TermTemp:
-		f.Temp.Close()
-	}
-	// The hash tables this fragment probed are now fully consumed: in a
-	// tree-shaped QEP each table is probed by exactly one chain, so their
-	// memory can be released.
-	for _, s := range f.steps {
-		f.rt.releaseTable(s.join)
-	}
-	f.done = true
-	f.rt.Trace.Add(f.rt.Now(), sim.EvFragmentEnd, "%s done (%d tuples in)", f.Label, f.processed)
-	if f.Term != TermTemp {
-		f.rt.terminalDone()
-	}
 }
 
 // Abandon terminates the fragment with its input permanently dead — the
@@ -577,10 +459,19 @@ func (f *Fragment) maybeFinish() {
 // are dropped with the rest of the dead stream. The fragment is recorded as
 // degraded on its runtime.
 func (f *Fragment) Abandon() {
-	if f.done {
-		return
+	if !f.done {
+		f.pending = nil
+		f.rt.degraded = append(f.rt.degraded, f.Label)
+		f.finish("abandoned", ", input dead")
 	}
-	f.pending = nil
+}
+
+// finish terminates the fragment: a build terminal completes its table, a
+// temp terminal closes its spill, and the hash tables the fragment probed
+// are released — in a tree-shaped QEP each table is probed by exactly one
+// chain, so their memory is no longer needed. The trace line reads
+// "<label> <verb> (<n> tuples in<detail>)".
+func (f *Fragment) finish(verb, detail string) {
 	switch f.Term {
 	case TermBuild:
 		f.rt.completeTable(f.Chain.BuildsFor)
@@ -591,8 +482,9 @@ func (f *Fragment) Abandon() {
 		f.rt.releaseTable(s.join)
 	}
 	f.done = true
-	f.rt.degraded = append(f.rt.degraded, f.Label)
-	f.rt.Trace.Add(f.rt.Now(), sim.EvFragmentEnd, "%s abandoned (%d tuples in, input dead)", f.Label, f.processed)
+	if f.rt.Trace.Enabled() { // boxing the arguments allocates even when off
+		f.rt.Trace.Add(f.rt.Now(), sim.EvFragmentEnd, "%s %s (%d tuples in%s)", f.Label, verb, f.processed, detail)
+	}
 	if f.Term != TermTemp {
 		f.rt.terminalDone()
 	}

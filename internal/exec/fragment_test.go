@@ -6,6 +6,7 @@ import (
 
 	"dqs/internal/plan"
 	"dqs/internal/relation"
+	"dqs/internal/sim"
 )
 
 // drainFrag runs a fragment to completion on its runtime, stalling on gaps.
@@ -357,43 +358,80 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 	}
 }
 
-// refProcessBatch is ProcessBatch for a temp-fed fragment driven one tuple
-// at a time, with every probe step's table looked up and every key probed on
-// its own: the per-tuple reference the chunked probe path must agree with.
+// refProcessBatch is ProcessBatch for a temp-fed, build-terminated fragment
+// driven one tuple at a time, with every probe step's table looked up, every
+// key probed and every output sunk on its own: the per-tuple reference the
+// chunked probe path must agree with.
 func refProcessBatch(f *Fragment, max int) (int, bool) {
 	if f.done {
 		return 0, false
 	}
-	for len(f.pending) > 0 {
-		if !f.sink(f.pending[0]) {
-			return 0, true
-		}
-		f.pending = f.pending[1:]
+	if !refRetry(f) {
+		return 0, true
 	}
+	r := f.In.(*tempSource).Reader
 	n := 0
 	for n < max {
 		buf := make([]relation.Tuple, max-n)
-		k := f.tempIn.PopN(f.rt.Now(), buf)
+		k := r.PopN(f.rt.Now(), buf)
 		if k == 0 {
 			break
 		}
 		for i, t := range buf[:k] {
 			f.processed++
 			n++
-			if !f.sinkAll(refApplyTuple(f, t)) {
-				f.tempIn.UnpopN(k - i - 1)
+			if !refSink(f, refApplyTuple(f, t)) {
+				r.UnpopN(k - i - 1)
 				return n, true
 			}
 		}
 	}
-	f.maybeFinish()
+	f.ProcessBatch(0) // finishes the fragment once its input is exhausted
 	return n, false
 }
 
-// refApplyTuple is applyTuple for a temp-fed fragment, probing key by key.
+// refSinkTuple delivers one output of a build-terminated fragment the
+// per-tuple way: one reservation, one hash-table insert and one move charge.
+func refSinkTuple(f *Fragment, out relation.Tuple) bool {
+	ts := f.rt.table(f.Chain.BuildsFor)
+	if !f.rt.Mem.Reserve(ts.holder, int64(f.rt.Cfg.Params.TupleSize)) {
+		return false
+	}
+	ts.ht.Insert(out)
+	ts.rows++
+	f.rt.Costs.ChargeMove()
+	return true
+}
+
+// refSink sinks outputs tuple by tuple, stranding the rest at an overflow.
+func refSink(f *Fragment, outs []relation.Tuple) bool {
+	for i, out := range outs {
+		if !refSinkTuple(f, out) {
+			f.strand(outs[i:])
+			return false
+		}
+	}
+	return true
+}
+
+// refRetry retries stranded outputs tuple by tuple.
+func refRetry(f *Fragment) bool {
+	for len(f.pending) > 0 {
+		if !refSinkTuple(f, f.pending[0]) {
+			return false
+		}
+		f.pending = f.pending[1:]
+	}
+	return true
+}
+
+// refApplyTuple is applyTuple probing key by key.
 func refApplyTuple(f *Fragment, t relation.Tuple) []relation.Tuple {
 	costs := &f.rt.Costs
 	d := costs.MoveT
+	if f.QueueInput {
+		d += costs.ReceiveT
+	}
 	f.arena.Reset()
 	cur, next := append(f.curBuf[:0], t), f.nextBuf[:0]
 	for _, s := range f.steps {
@@ -454,7 +492,7 @@ func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
 			t.Fatal("could not narrow the grant")
 		}
 		snap := func() state {
-			return state{cf.Processed(), cf.PendingOutputs(), cf.tempIn.Remaining(), rt.TableRows(cA.BuildsFor), rt.Now()}
+			return state{cf.Processed(), cf.PendingOutputs(), cf.Remaining(), rt.TableRows(cA.BuildsFor), rt.Now()}
 		}
 		drive := func(wantOverflow bool) {
 			for !cf.Done() {
@@ -494,5 +532,192 @@ func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
 	}
 	if gotEnd != wantEnd {
 		t.Errorf("after resume:\nchunked:   %+v\nper-tuple: %+v", gotEnd, wantEnd)
+	}
+}
+
+// refProcessSlots is ProcessBatch for a wrapper-fed, build-terminated
+// fragment driven one queue slot at a time: each slot is popped with
+// PopColsN into a one-slot mask, credited, gathered into a full-width row
+// and run through refApplyTuple, and each output is sunk on its own.
+func refProcessSlots(f *Fragment, max int) (int, bool) {
+	if f.done {
+		return 0, false
+	}
+	if !refRetry(f) {
+		return 0, true
+	}
+	rel := f.Chain.Scan.Rel.Name
+	qs, keep := f.rt.qsrcs[rel], f.rt.colPush[rel].keep
+	batch := relation.NewBatch(len(keep))
+	pass := make([]bool, 1)
+	row := make(relation.Tuple, f.Chain.Scan.Schema.Width())
+	costs := &f.rt.Costs
+	n := 0
+	for n < max {
+		batch.Reset(len(keep))
+		if qs.q.PopColsN(f.rt.Now(), batch, pass) == 0 {
+			break
+		}
+		qs.popped++
+		qs.Credit(f.rt.Now())
+		f.processed++
+		n++
+		if !pass[0] {
+			costs.CPU.Clock.Work(costs.MoveT + costs.ReceiveT)
+			continue
+		}
+		batch.Gather(0, row, keep)
+		if !refSink(f, refApplyTuple(f, row)) {
+			return n, true
+		}
+	}
+	f.ProcessBatch(0) // finishes the fragment once its input is exhausted
+	return n, false
+}
+
+// buildPredChainPlan builds Output(HashJoin(build=HashJoin(build=B, probe=A
+// with predicate A.k < less), probe=C)) over predWorkload's catalog plus a
+// relation C: chain p_A is wrapper-fed, filtered at the wrapper, probes B's
+// table and builds the root join's table.
+func buildPredChainPlan(t *testing.T, cat *relation.Catalog, less int64) *plan.Node {
+	t.Helper()
+	b := plan.NewBuilder()
+	col := func(r, c string) relation.ColRef { return relation.ColRef{Rel: r, Col: c} }
+	scan := func(name string, pred *plan.Pred) *plan.Node {
+		rel, _ := cat.Lookup(name)
+		s, err := b.Scan(rel, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sa := scan("A", &plan.Pred{Col: col("A", "k"), Less: less})
+	sb, sc := scan("B", nil), scan("C", nil)
+	j1, err := b.HashJoin(sb, sa, col("B", "k"), col("A", "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := b.HashJoin(j1, sc, col("B", "k"), col("C", "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := b.Output(j2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := plan.NewStats()
+	for _, r := range []string{"A", "B", "C"} {
+		st.SetDomain(col(r, "k"), 100)
+	}
+	if err := st.Annotate(root); err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
+// unpopSpy counts the slots a fragment hands back to its input.
+type unpopSpy struct {
+	TupleSource
+	unpopped int
+}
+
+func (s *unpopSpy) UnpopN(n int) {
+	s.unpopped += n
+	s.TupleSource.UnpopN(n)
+}
+
+// TestChunkedWrapperProbeOverflowMatchesPerSlotDriver is the wrapper-fed
+// twin of TestChunkedProbeOverflowMatchesPerTupleDriver: p_A pops its queue
+// in chunks whose pushdown mask filters about half the slots, probes B's
+// table for the rest and builds the root join, whose grant runs out partway
+// through a chunk. A's window is small and A delivers at about p_A's pace,
+// so the window binds and the run alternates backlog and stalls: credit
+// instants move arrivals, and arrivals move the clock. The chunked path
+// (heads resolved once per chunk, the unprocessed tail UnpopN'd) must agree
+// with refProcessSlots at the overflow and after the resumed run completes:
+// input consumed, stranded outputs, queue debt, unconsumed input, estimator
+// observations, build rows and the clock.
+func TestChunkedWrapperProbeOverflowMatchesPerSlotDriver(t *testing.T) {
+	type state struct {
+		processed     int64
+		pending, debt int
+		remaining     int
+		obs, rows     int64
+		clock         time.Duration
+	}
+	const room = 120 // build rows that fit: the overflow lands mid-chunk
+	run := func(process func(*Fragment, int) (int, bool)) (atOverflow, atEnd state, unpopped int) {
+		cat, ds := predWorkload(t)
+		c := cat.MustAdd("C", 100, "id", "k")
+		ds["C"] = relation.NewGenerator(sim.NewRNG(4)).MustGenerate(c, relation.ColumnSpec{Col: "k", Domain: 100})
+		root := buildPredChainPlan(t, cat, 50)
+		cfg := testConfig()
+		cfg.QueueTuples = 64
+		rt, err := NewRuntime(cfg, root, ds, map[string]Delivery{"A": {MeanWait: 6 * time.Microsecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cB, _ := rt.Dec.ChainOf("B")
+		drainFrag(t, rt, rt.NewPCFragment(cB))
+		cA, _ := rt.Dec.ChainOf("A")
+		f := rt.NewPCFragment(cA)
+		if len(f.steps) != 1 || !f.QueueInput || f.Term != TermBuild {
+			t.Fatalf("%s: %d steps, queue input %v, terminal %v; want a wrapper-fed single-step build", f.Label, len(f.steps), f.QueueInput, f.Term)
+		}
+		q := rt.qsrcs["A"].q
+		spy := &unpopSpy{TupleSource: f.In}
+		f.In = spy
+		hold := rt.Mem.Bind("", "test")
+		if !rt.Mem.Reserve(hold, rt.Mem.Available()-room*int64(cfg.Params.TupleSize)) {
+			t.Fatal("could not narrow the grant")
+		}
+		snap := func() state {
+			rt.CM.Observe(rt.Now())
+			return state{f.Processed(), f.PendingOutputs(), q.Debt(), f.Remaining(),
+				q.Observations(), rt.TableRows(cA.BuildsFor), rt.Now()}
+		}
+		drive := func(wantOverflow bool) {
+			for !f.Done() {
+				// Round boundary: bulk-pop debt is settled, the CM observes.
+				rt.CM.Observe(rt.Now())
+				n, overflow := process(f, cfg.BatchTuples)
+				if overflow {
+					if !wantOverflow {
+						t.Fatal("fragment overflowed again after memory was freed")
+					}
+					return
+				}
+				if n == 0 && !f.Done() {
+					at, ok := f.NextArrival()
+					if !ok {
+						t.Fatalf("%s starved", f.Label)
+					}
+					rt.Clock.Stall(at)
+				}
+			}
+			if wantOverflow {
+				t.Fatal("fragment completed without overflowing")
+			}
+		}
+		drive(true)
+		atOverflow, unpopped = snap(), spy.unpopped
+		rt.Mem.Release(hold, rt.Mem.Held(hold))
+		drive(false)
+		return atOverflow, snap(), unpopped
+	}
+	gotOver, gotEnd, unpopped := run((*Fragment).ProcessBatch)
+	wantOver, wantEnd, _ := run(refProcessSlots)
+	t.Logf("at overflow %+v (%d slots unpopped), after resume %+v", gotOver, unpopped, gotEnd)
+	if unpopped == 0 || gotOver.pending == 0 {
+		t.Fatalf("overflow not partway through a chunk: %+v", gotOver)
+	}
+	if gotEnd.processed != 1000 || gotEnd.remaining != 0 || gotOver.obs == gotEnd.obs {
+		t.Errorf("run did not consume A's 1000 slots with arrivals observed after the overflow: %+v", gotEnd)
+	}
+	if gotOver != wantOver {
+		t.Errorf("at overflow:\nchunked:  %+v\nper-slot: %+v", gotOver, wantOver)
+	}
+	if gotEnd != wantEnd {
+		t.Errorf("after resume:\nchunked:  %+v\nper-slot: %+v", gotEnd, wantEnd)
 	}
 }

@@ -20,11 +20,12 @@ type colPush struct {
 // base relation the mediator actually reads: every column the plan references
 // as a build or probe key at any join depth (composite-schema key refs name
 // their originating base relation) plus the scan's pushed-down predicate
-// column. Everything else is projected away by the columnar wrapper;
-// fragments gather the live columns back into a full-width processing row
-// whose dead positions stay zero, which is unobservable because no operator
-// reads them — result and materialization accounting count rows, and probes
-// touch only key columns.
+// column. Everything else is projected away by the columnar wrapper. A
+// wrapper chunk gathers each passing slot's live columns into a reused row
+// of full scan width and never writes its dead positions, so every tuple a
+// fragment builds, spills or emits reads zero there: no operator reads them
+// — result and materialization accounting count rows, and probes touch only
+// key columns — and a Sink sees zeros.
 func liveColumns(root *plan.Node, scan *plan.Node) []int {
 	schema := scan.Schema
 	rel := scan.Rel.Name

@@ -13,11 +13,7 @@ func LWB(rt *Runtime) time.Duration {
 	var cpu time.Duration
 	var maxRetrieval time.Duration
 	for _, c := range rt.Dec.Chains {
-		term := TermOutput
-		if c.BuildsFor != nil {
-			term = TermBuild
-		}
-		cp := rt.PerTupleCost(c, 0, len(c.Joins), true, term)
+		cp := rt.PerTupleCost(c, 0, len(c.Joins), true, chainTerm(c))
 		cpu += time.Duration(int64(c.Scan.Rel.Cardinality)) * cp
 		if r := rt.Source(c.Scan.Rel.Name).ExpectedRetrieval(); r > maxRetrieval {
 			maxRetrieval = r

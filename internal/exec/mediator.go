@@ -195,7 +195,8 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			return nil, err
 		}
 		rt.sources[name] = src
-		rt.qsrcs[name] = newQueueSource(q, src)
+		rt.qsrcs[name] = &queueSource{q: q, src: src, ch: chunk{cols: m.scratch.GetBatch(len(p.keep)),
+			pass: m.scratch.GetBools(), at: p.keep, full: make(relation.Tuple, c.Scan.Schema.Width())}}
 		if err := m.registerFaultEntry(rt, name, cmName, table, d, netTime); err != nil {
 			return nil, err
 		}

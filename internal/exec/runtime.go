@@ -132,29 +132,14 @@ func (rt *Runtime) EstBuildBytes(c *plan.Chain) int64 {
 	return int64(c.Root().EstRows) * int64(rt.Cfg.Params.TupleSize)
 }
 
-// buildInsert adds one tuple to join j's table, reserving its memory.
-// It returns false when the memory grant is exhausted.
-func (rt *Runtime) buildInsert(j *plan.Node, t relation.Tuple) bool {
-	ts := rt.table(j)
-	if ts.complete {
-		panic(fmt.Sprintf("exec: insert into completed table of J%d", j.ID))
-	}
-	if !rt.Mem.Reserve(ts.holder, int64(rt.Cfg.Params.TupleSize)) {
-		return false
-	}
-	ts.ht.Insert(t)
-	ts.rows++
-	return true
-}
-
-// buildInsertBatch adds a run of tuples to join j's table with one memory
+// buildInsert adds a run of tuples to join j's table with one memory
 // reservation and one bulk hash-table append, returning how many tuples
 // made it in. When the single reservation fails — the grant is nearly
 // exhausted — it falls back to tuple-at-a-time reservation to find the
 // exact overflow boundary inserting one tuple at a time finds; memory
 // accounting (including the peak) is identical either way because the
 // reservations sum to the same total with no interleaved releases.
-func (rt *Runtime) buildInsertBatch(j *plan.Node, ts []relation.Tuple) int {
+func (rt *Runtime) buildInsert(j *plan.Node, ts []relation.Tuple) int {
 	state := rt.table(j)
 	if state.complete {
 		panic(fmt.Sprintf("exec: insert into completed table of J%d", j.ID))
@@ -311,8 +296,9 @@ func (rt *Runtime) complete() {
 func (rt *Runtime) CompletedAt() (time.Duration, bool) { return rt.completedAt, rt.completed }
 
 // reclaim hands the runtime's pooled structures back to s: surviving hash
-// tables, a join network an aborted run left, and every fragment's scratch
-// buffers. It takes s because Mediator.Reclaim has already cleared its own.
+// tables, a join network an aborted run left, every input's chunk staging
+// and every fragment's scratch buffers. It takes s because Mediator.Reclaim
+// has already cleared its own.
 func (rt *Runtime) reclaim(s *Scratch) {
 	for _, ts := range rt.tables {
 		s.PutTable(ts.ht) // nil once released
@@ -321,18 +307,19 @@ func (rt *Runtime) reclaim(s *Scratch) {
 	if rt.net != nil {
 		rt.net.release(s)
 	}
+	for _, qs := range rt.qsrcs {
+		qs.ch.reclaim(s)
+	}
 	for _, f := range rt.frags {
+		if ts, ok := f.In.(*tempSource); ok {
+			ts.ch.reclaim(s)
+		}
 		s.PutInts(f.arena.Release())
 		s.PutInts(f.pendArena.Release())
 		s.PutTuples(f.curBuf)
 		s.PutTuples(f.nextBuf)
-		s.PutTuples(f.popBuf)
-		s.PutBatch(f.colBatch)
-		s.PutBools(f.passBuf)
-		s.PutKeys(f.keys)
 		s.PutHeads(f.heads)
-		f.curBuf, f.nextBuf, f.popBuf, f.pending = nil, nil, nil, nil
-		f.colBatch, f.passBuf, f.keys, f.heads = nil, nil, nil, nil
+		f.curBuf, f.nextBuf, f.pending, f.heads = nil, nil, nil, nil
 	}
 	rt.frags = nil
 }

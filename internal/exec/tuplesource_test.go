@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dqs/internal/relation"
 )
 
 func TestQueueSourceAccounting(t *testing.T) {
@@ -15,8 +13,6 @@ func TestQueueSourceAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rt.qsrcs["E"]
-	batch := relation.NewBatch(len(rt.colPush["E"].keep))
-	pass := make([]bool, rt.Cfg.QueueTuples)
 	total := 1500 // |E| at small scale
 	if got := src.Remaining(); got != total {
 		t.Fatalf("Remaining = %d, want %d", got, total)
@@ -36,9 +32,8 @@ func TestQueueSourceAccounting(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("no availability at announced arrival %v", at)
 		}
-		batch.Reset(batch.Width())
-		if got := src.PopBatch(rt.Now(), batch, pass); got != n {
-			t.Fatalf("PopBatch moved %d of %d available", got, n)
+		if got := src.pop(rt.Now(), 1<<40).n; got != n {
+			t.Fatalf("pop moved %d of %d available", got, n)
 		}
 		for i := 0; i < n; i++ {
 			src.Credit(rt.Now())

@@ -153,6 +153,72 @@ func liveOutputColumns(root *plan.Node) []int {
 	return cols
 }
 
+// TestProjectedAwayColumnsStreamZero pins what a Sink sees at the output
+// positions the wrappers project away (every Fig5 relation's id): zero, in
+// every tuple, under every strategy on Fig5Small with A slowed, and under
+// DSE at a 1 MiB grant, where degraded chains and memory-repair splits feed
+// their results through temps. The answer goldens compare live columns only,
+// so without this nothing would pin those positions.
+func TestProjectedAwayColumnsStreamZero(t *testing.T) {
+	o := Options{Small: true}
+	w, err := o.loadWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make(map[int]bool)
+	for _, i := range liveOutputColumns(w.Root) {
+		live[i] = true
+	}
+	var dead []int
+	for i := range w.Root.Schema.Cols {
+		if !live[i] {
+			dead = append(dead, i)
+		}
+	}
+	if len(dead) < 6 {
+		t.Fatalf("dead output positions %v: want at least every relation's id", dead)
+	}
+	base := exec.DefaultConfig()
+	slow := goldenDeliveries(base, o)["slow-delivery"](w)
+	tight := base
+	tight.MemoryBytes = 1 << 20
+	type cell struct {
+		name, strategy string
+		cfg            exec.Config
+	}
+	var cells []cell
+	for _, s := range goldenStrategies {
+		cells = append(cells, cell{s, s, base})
+	}
+	cells = append(cells, cell{"DSE/1MiB", "DSE", tight})
+	for _, c := range cells {
+		var n, bad int64
+		c.cfg.Stream = exec.SinkFunc(func(_ time.Duration, tup relation.Tuple) {
+			n++
+			for _, i := range dead {
+				if tup[i] != 0 {
+					bad++
+					break
+				}
+			}
+		})
+		res, _, _, err := runTraced(t, w, c.cfg, slow, c.strategy, false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n == 0 || n != res.OutputRows {
+			t.Errorf("%s: sink saw %d tuples, result says %d", c.name, n, res.OutputRows)
+		}
+		if bad > 0 {
+			t.Errorf("%s: %d of %d streamed tuples are non-zero at a projected-away position", c.name, bad, n)
+		}
+		if c.name == "DSE/1MiB" && (res.Degradations == 0 || res.MemRepairs == 0) {
+			t.Errorf("%s: no degradation or no memory repair: %+v", c.name, res)
+		}
+		t.Logf("%s: %d tuples, %d degradations, %d repairs, %d materialized", c.name, n, res.Degradations, res.MemRepairs, res.MaterializedTuples)
+	}
+}
+
 // tupleBag is a multiset of tuples projected onto a fixed column list.
 type tupleBag struct {
 	cols  []int
