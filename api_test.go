@@ -413,6 +413,94 @@ func TestPooledRunReusesStorage(t *testing.T) {
 	}
 }
 
+// TestFusedServerReusesStorage keeps the fused server on the pooled
+// allocator: a batch of the repo benchmark's serve_fused shape — 16 queries
+// under shared streams, half of them on one shared Fig5Small instance, four
+// at a time, every fourth with a timeout — allocates, on the third batch
+// after a cold start, at most a tenth of the cold batch's bytes, and reports
+// byte-identical results. The test runs the batches back to back, so a
+// warm-up of a few batches has to reach the steady state.
+func TestFusedServerReusesStorage(t *testing.T) {
+	shared, err := Fig5Small(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(RunSpec{Workload: shared, Config: DefaultConfig(), Strategy: DSE,
+		Deliveries: UniformDeliveries(shared, 50*time.Microsecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]ServerQuery, 16)
+	for i := range queries {
+		w := shared
+		if i%2 == 1 {
+			if w, err = Fig5Small(int64(2 + i/2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		queries[i] = ServerQuery{
+			Label:      fmt.Sprintf("q%02d", i),
+			Workload:   w,
+			Deliveries: UniformDeliveries(w, 50*time.Microsecond),
+			ArriveAt:   time.Duration(i) * ref.BusyTime / 2,
+		}
+		if i%4 == 3 {
+			queries[i].Timeout = ref.ResponseTime * 3 / 2
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.SharedStreams = true
+	batch := func() ([]ServerReport, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv, err := NewServer(ServerConfig{Exec: cfg, Mode: ServerFused, MaxActive: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if err := srv.Submit(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reports, _, err := srv.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return reports, after.TotalAlloc - before.TotalAlloc
+	}
+	// As in TestPooledRunReusesStorage: a mediator never reclaimed holds the
+	// last reclaimed Scratch and two collections empty the sync.Pool.
+	if _, err := exec.NewMediator(DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	cold, coldBytes := batch()
+	var warm []ServerReport
+	var warmBytes uint64
+	for i := 0; i < 3; i++ {
+		warm, warmBytes = batch()
+	}
+	t.Logf("cold batch %d bytes, third warm batch %d bytes (%.1f%%)", coldBytes, warmBytes, 100*float64(warmBytes)/float64(coldBytes))
+	if warmBytes > coldBytes/10 {
+		t.Errorf("the third warm batch allocates %d bytes, the cold one %d: more than a tenth", warmBytes, coldBytes)
+	}
+	cancelled := 0
+	for i := range cold {
+		c, w := cold[i], warm[i]
+		if !w.Result.Equal(c.Result) || w.ArrivedAt != c.ArrivedAt || w.Cancelled != c.Cancelled {
+			t.Errorf("%s: warm report differs from the cold one\ncold: %+v\nwarm: %+v", c.Label, c, w)
+		}
+		if c.Cancelled {
+			cancelled++
+		}
+	}
+	if cancelled == 0 {
+		t.Error("no query timed out: the batch does not exercise cancellation")
+	}
+}
+
 // TestOversizedWindowsAreRefusedOrBounded: a DQP batch far beyond any
 // window runs chain-at-a-time — every strategy returns what it returns at
 // the default — and a wrapper window the ring could never allocate is a

@@ -253,6 +253,10 @@ func (q *Queue) SetColumnar(width int) {
 	}
 }
 
+// ColumnCapacity returns the widest live-column count SetColumnar can set
+// without allocating ring storage.
+func (q *Queue) ColumnCapacity() int { return len(q.cols) }
+
 // Width returns the live-column count of the ring's slots.
 func (q *Queue) Width() int { return q.colw }
 

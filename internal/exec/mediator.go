@@ -30,6 +30,7 @@ type Mediator struct {
 	Trace *sim.Trace
 
 	rng     *sim.RNG
+	rngs    []*sim.RNG // every stream drawn from scratch, for Reclaim
 	queries int
 	rts     []*Runtime
 	flt     *faultState
@@ -69,9 +70,9 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		Temps:   mem.NewTempStore(cfg.Params, disk, clock),
 		CM:      comm.NewManager(),
 		Trace:   cfg.Trace,
-		rng:     sim.NewRNG(cfg.Seed),
 		scratch: getScratch(),
 	}
+	m.rng = m.newRNG(cfg.Seed)
 	m.Temps.SetGovernor(m.Mem, true)
 	if !cfg.Governor {
 		m.Mem.WriteThrough()
@@ -81,12 +82,13 @@ func NewMediator(cfg Config) (*Mediator, error) {
 }
 
 // Reclaim returns the mediator's pooled execution state — queues, hash
-// tables, fragment scratch, temp-relation storage — to the process-wide
-// pool, for the next mediator to draw from. Whoever built the mediator for a
-// whole run calls it when the run is over: every Runtime finished, no tuple
-// handed to a Sink still referenced (a Result is a value and stays valid).
-// The mediator must not execute afterwards; a second call is a no-op, and a
-// mediator never reclaimed just leaves its storage to the GC.
+// tables, fragment scratch, temp-relation storage, stream schedules, wrapper
+// staging, RNG streams — to the process-wide pool, for the next mediator to
+// draw from. Whoever built the mediator for a whole run calls it when the
+// run is over: every Runtime finished, no tuple handed to a Sink still
+// referenced (a Result is a value and stays valid). The mediator must not
+// execute afterwards; a second call is a no-op, and a mediator never
+// reclaimed just leaves its storage to the GC.
 func (m *Mediator) Reclaim() {
 	s := m.scratch
 	if s == nil {
@@ -100,7 +102,22 @@ func (m *Mediator) Reclaim() {
 		rt.reclaim(s)
 	}
 	m.Temps.Reclaim()
+	for _, sh := range m.streams {
+		sh.Release()
+	}
+	for _, g := range m.rngs {
+		s.PutRNG(g)
+	}
+	m.rngs = nil
 	putScratch(s)
+}
+
+// newRNG returns a generator seeded with seed, recycled from the scratch
+// (NewRNG's stream exactly) and handed back at Reclaim.
+func (m *Mediator) newRNG(seed int64) *sim.RNG {
+	g := m.scratch.RNG(seed)
+	m.rngs = append(m.rngs, g)
+	return g
 }
 
 // Now returns the mediator's virtual time.
@@ -152,7 +169,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 	if est > m.Cfg.MemoryBytes {
 		m.Mem.WriteThrough()
 	}
-	rng := m.rng.Fork(int64(m.queries))
+	rng := m.newRNG(m.rng.ForkSeed(int64(m.queries)))
 	netTime := m.Cfg.Params.NetworkTupleTime()
 	for i, c := range dec.Chains {
 		name := c.Scan.Rel.Name
@@ -165,11 +182,15 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 				name, table.Rel.Cardinality, len(table.Rows))
 		}
 		cmName := rt.cmName(name)
-		q := m.scratch.Queue(cmName, m.Cfg.QueueTuples)
+		// The queue ring carries only the plan's live columns, and the scan
+		// predicate is evaluated in the wrapper. Window slots and arrivals
+		// stay pre-filter, so scheduling sees every produced tuple.
+		p := compileColPush(root, c.Scan)
+		q := m.scratch.Queue(cmName, m.Cfg.QueueTuples, len(p.keep))
 		m.CM.Adopt(q)
 		d := deliveries[name]
 		// Room for every option appended below, faults included.
-		opts := d.appendSourceOptions(make([]source.Option, 0, 6))
+		opts := d.appendSourceOptions(make([]source.Option, 0, 7))
 		if now := m.Clock.Now(); now > 0 {
 			// Mid-run admission: this query's sub-queries go out now, so its
 			// wrappers start producing now, not at the mediator's epoch.
@@ -182,15 +203,11 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			}
 			opts = append(opts, source.WithSharedStream(sh))
 		}
-		// The queue ring carries only the plan's live columns, and the scan
-		// predicate is evaluated in the wrapper. Window slots and arrivals
-		// stay pre-filter, so scheduling sees every produced tuple.
-		p := compileColPush(root, c.Scan)
-		q.SetColumnar(len(p.keep))
-		opts = append(opts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess))
+		opts = append(opts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess),
+			source.WithRecycler(m.scratch))
 		rt.colPush[name] = p
 		opts = m.compileFaults(name, cmName, opts)
-		src, err := source.New(cmName, table, q, rng.Fork(int64(i+1)), netTime, opts...)
+		src, err := source.New(cmName, table, q, m.newRNG(rng.ForkSeed(int64(i+1))), netTime, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -254,9 +271,10 @@ func (m *Mediator) sharedStream(rel string, table *relation.Table, d Delivery) (
 	if m.streams == nil {
 		m.streams = make(map[streamKey]*source.Shared)
 	}
-	rng := m.rng.Fork(streamSeedBase + int64(len(m.streams)))
-	var buf [2]source.Option
-	sh, err := source.NewShared(rel, table, rng, d.appendSourceOptions(buf[:0])...)
+	rng := m.newRNG(m.rng.ForkSeed(streamSeedBase + int64(len(m.streams))))
+	var buf [3]source.Option
+	opts := append(d.appendSourceOptions(buf[:0]), source.WithRecycler(m.scratch))
+	sh, err := source.NewShared(rel, table, rng, opts...)
 	if err != nil {
 		return nil, err
 	}

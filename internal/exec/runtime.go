@@ -296,9 +296,9 @@ func (rt *Runtime) complete() {
 func (rt *Runtime) CompletedAt() (time.Duration, bool) { return rt.completedAt, rt.completed }
 
 // reclaim hands the runtime's pooled structures back to s: surviving hash
-// tables, a join network an aborted run left, every input's chunk staging
-// and every fragment's scratch buffers. It takes s because Mediator.Reclaim
-// has already cleared its own.
+// tables, a join network an aborted run left, every input's chunk and
+// wrapper staging and every fragment's scratch buffers. It takes s because
+// Mediator.Reclaim has already cleared its own.
 func (rt *Runtime) reclaim(s *Scratch) {
 	for _, ts := range rt.tables {
 		s.PutTable(ts.ht) // nil once released
@@ -309,6 +309,7 @@ func (rt *Runtime) reclaim(s *Scratch) {
 	}
 	for _, qs := range rt.qsrcs {
 		qs.ch.reclaim(s)
+		qs.src.Release()
 	}
 	for _, f := range rt.frags {
 		if ts, ok := f.In.(*tempSource); ok {

@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"dqs/internal/operator"
+	"dqs/internal/plan"
 	"dqs/internal/workload"
 )
 
@@ -139,12 +141,114 @@ func TestMediatorReclaimTwiceIsSafe(t *testing.T) {
 	}
 	s := rt.Med.scratch
 	rt.Med.Reclaim()
-	nq := len(s.queues)
+	nq := s.queues.len()
 	if nq == 0 {
 		t.Fatal("reclaim pooled no queue")
 	}
 	rt.Med.Reclaim()
-	if len(s.queues) != nq {
-		t.Errorf("double reclaim grew the queue pool: %d -> %d", nq, len(s.queues))
+	if s.queues.len() != nq {
+		t.Errorf("double reclaim grew the queue pool: %d -> %d", nq, s.queues.len())
+	}
+}
+
+// len returns the number of pooled objects.
+func (p *pool[T]) len() int { return len(p.idle) + len(p.stale) }
+
+// onScratch re-seats a new mediator on s, as newTestRuntime does on a cold
+// Scratch.
+func onScratch(t *testing.T, cfg Config, s *Scratch) *Mediator {
+	t.Helper()
+	med, err := NewMediator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	med.scratch = s
+	med.Temps.SetPool(s)
+	return med
+}
+
+// TestScratchRetainsItsWorkingSet pins the retention rule. A 16-query fused
+// batch — one mediator, shared streams, half the queries on one shared
+// instance — leaves its whole working set pooled: every queue, table, temp
+// arena, RNG stream, stream schedule and staging buffer it checked out, and
+// no more. A single-query run after it with another window size must
+// allocate its queues (no pooled ring has that capacity), so the batch's
+// queues are stale and dropped, leaving exactly the run's own; every other
+// kind it drew from the pool without a miss keeps the batch's count, the
+// most the last mediator to allocate one checked out.
+func TestScratchRetainsItsWorkingSet(t *testing.T) {
+	s := new(Scratch)
+	cfg := testConfig()
+	cfg.SharedStreams = true
+	med := onScratch(t, cfg, s)
+	shared := smallFig5(t)
+	var rts []*Runtime
+	for i := 0; i < 16; i++ {
+		w := shared
+		if i%2 == 1 {
+			var err error
+			if w, err = workload.Fig5Small(int64(2 + i/2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt, err := med.AddQuery(fmt.Sprintf("q%02d", i), w.Root, w.Dataset, uniform(w, 20*time.Microsecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts = append(rts, rt)
+	}
+	var temps int
+	for _, rt := range rts {
+		if _, err := runMA(rt); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range rt.frags {
+			if f.Temp != nil {
+				temps++
+			}
+		}
+	}
+	streams, _ := med.SharedStreamCount()
+	queues, joins := 16*len(shared.Catalog.Names()), 16*len(plan.Joins(shared.Root))
+	med.Reclaim()
+	want := map[string][2]int{
+		"queues": {s.queues.len(), queues},
+		"tables": {s.tables.len(), joins},
+		"temps":  {s.temps.len(), temps},
+		// The mediator's own stream, one per query, per wrapper, per stream.
+		"rngs": {s.rngs.len(), 1 + 16 + queues + streams},
+		// One staging buffer per wrapper, one schedule per stream.
+		"times": {s.times.len(), queues + streams},
+	}
+	for kind, n := range want {
+		if n[0] != n[1] {
+			t.Errorf("after the batch the Scratch pools %d %s, want %d", n[0], kind, n[1])
+		}
+	}
+	if temps == 0 || streams == 0 {
+		t.Fatalf("the batch made %d temps and %d shared streams: nothing to retain", temps, streams)
+	}
+
+	single := testConfig()
+	single.QueueTuples /= 2
+	med = onScratch(t, single, s)
+	rt, err := med.AddQuery("", shared.Root, shared.Dataset, uniform(shared, 20*time.Microsecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runMA(rt); err != nil {
+		t.Fatal(err)
+	}
+	med.Reclaim()
+	want = map[string][2]int{
+		"queues": {s.queues.len(), len(shared.Catalog.Names())},
+		"tables": {s.tables.len(), joins},
+		"temps":  {s.temps.len(), temps},
+		"times":  {s.times.len(), queues + streams},
+	}
+	for kind, n := range want {
+		if n[0] != n[1] {
+			t.Errorf("after the single run the Scratch pools %d %s, want %d", n[0], kind, n[1])
+		}
 	}
 }

@@ -20,6 +20,13 @@ type TempStore struct {
 	pool    IntRecycler
 	temps   []*Temp
 
+	// perPage is params.TuplesPerPage(), computed once: Append and every
+	// reader position divide by it. pageBytes is the grant charge for one
+	// resident page; partial trailing pages are charged as full pages,
+	// matching the disk model's page-granular transfers.
+	perPage   int
+	pageBytes int64
+
 	// grant, when set, keeps freshly written pages of asynchronous temps
 	// memory-resident under the grant; they spill to disk only when the
 	// ledger evicts them, and a page it refuses is written through.
@@ -27,20 +34,21 @@ type TempStore struct {
 }
 
 // IntRecycler supplies and reclaims flat []int64 arenas, so temp-relation
-// storage is recycled across simulator runs. GetInts is size-blind and may
-// return nil (start from scratch); GetIntsCap returns a pooled arena of at
-// least the given capacity or nil, so a large materialization hint finds the
-// pool's grown arena, not the last-returned (possibly tiny) one. PutInts
-// receives length-zero slices whose capacity is the reusable storage.
+// storage is recycled across simulator runs. GetTempInts returns a pooled
+// arena of at least the given capacity or nil (start from scratch), so a
+// large materialization hint finds the pool's grown arena, not the
+// last-returned (possibly tiny) one. PutTempInts receives length-zero
+// slices whose capacity is the reusable storage.
 type IntRecycler interface {
-	GetInts() []int64
-	GetIntsCap(capacity int) []int64
-	PutInts([]int64)
+	GetTempInts(capacity int) []int64
+	PutTempInts([]int64)
 }
 
 // NewTempStore binds a store to the mediator's disk and clock.
 func NewTempStore(params sim.Params, disk *sim.Disk, clock *sim.Clock) *TempStore {
-	return &TempStore{params: params, disk: disk, clock: clock, nextObj: 1}
+	perPage := params.TuplesPerPage()
+	return &TempStore{params: params, disk: disk, clock: clock, nextObj: 1,
+		perPage: perPage, pageBytes: int64(perPage) * int64(params.TupleSize)}
 }
 
 // SetPool attaches an arena recycler; subsequent Creates draw their tuple
@@ -56,13 +64,6 @@ func (s *TempStore) SetPool(p IntRecycler) { s.pool = p }
 // [benchmark] PR.
 func (s *TempStore) SetGovernor(m *Manager, _ bool) { s.grant = m }
 
-// pageBytes is the grant charge for one resident page. Partial trailing
-// pages are charged as full pages, matching the disk model's page-granular
-// transfers.
-func (s *TempStore) pageBytes() int64 {
-	return int64(s.params.TuplesPerPage()) * int64(s.params.TupleSize)
-}
-
 // Reclaim hands every created temp's tuple arena back to the pool. The
 // store and its temps must not be used afterwards: callers reclaim only
 // when the whole simulated run is over.
@@ -70,7 +71,7 @@ func (s *TempStore) Reclaim() {
 	for _, t := range s.temps {
 		t.releaseAllResident()
 		if s.pool != nil && t.data != nil {
-			s.pool.PutInts(t.data[:0])
+			s.pool.PutTempInts(t.data[:0])
 			t.data = nil
 		}
 	}
@@ -81,6 +82,23 @@ func (s *TempStore) Reclaim() {
 // asynchronous I/O (the §4.4 cost assumption for materialization
 // fragments).
 func (s *TempStore) Create(name string, schema *relation.Schema) *Temp {
+	return s.CreateSized(name, schema, 0)
+}
+
+// CreateSync opens a temporary relation whose page writes hold the CPU
+// until the transfer completes — the behaviour of a strategy built on the
+// classic synchronous iterator engine, like materialize-all.
+func (s *TempStore) CreateSync(name string, schema *relation.Schema) *Temp {
+	return s.CreateSyncSized(name, schema, 0)
+}
+
+// CreateSized is Create with a row-count hint: the tuple arena is sized for
+// about rows tuples up front — the smallest pooled arena that holds them, so
+// repeated sized materializations reach steady state with no arena
+// allocation — and a materialization that stays within the hint never
+// re-copies its arena. The hint only steers allocation — page bookkeeping,
+// I/O charges and contents are identical with any hint.
+func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int) *Temp {
 	obj := s.nextObj
 	s.nextObj++
 	t := &Temp{
@@ -89,61 +107,22 @@ func (s *TempStore) Create(name string, schema *relation.Schema) *Temp {
 		object: obj,
 		width:  schema.Width(),
 	}
+	need := max(rows, 0) * t.width
 	if s.pool != nil {
-		t.data = s.pool.GetInts()
+		t.data = s.pool.GetTempInts(need)
+	}
+	if t.data == nil && need > 0 {
+		t.data = make([]int64, 0, need)
 	}
 	s.temps = append(s.temps, t)
 	return t
 }
 
-// CreateSync opens a temporary relation whose page writes hold the CPU
-// until the transfer completes — the behaviour of a strategy built on the
-// classic synchronous iterator engine, like materialize-all.
-func (s *TempStore) CreateSync(name string, schema *relation.Schema) *Temp {
-	t := s.Create(name, schema)
-	t.sync = true
-	return t
-}
-
-// CreateSized is Create with a row-count hint: the tuple arena is sized for
-// about rows tuples up front, so a materialization that stays within the
-// hint never re-copies its arena. The hint only steers allocation — page
-// bookkeeping, I/O charges and contents are identical with any hint.
-func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int) *Temp {
-	t := s.Create(name, schema)
-	t.sizeFor(rows)
-	return t
-}
-
 // CreateSyncSized is CreateSync with a row-count hint.
 func (s *TempStore) CreateSyncSized(name string, schema *relation.Schema, rows int) *Temp {
-	t := s.CreateSync(name, schema)
-	t.sizeFor(rows)
+	t := s.CreateSized(name, schema, rows)
+	t.sync = true
 	return t
-}
-
-// sizeFor grows the (still empty) arena to hold rows tuples, keeping pooled
-// storage when it is already big enough. A too-small pooled arena goes back
-// to the pool (not to the GC), and the pool is asked for a grown arena
-// first, so repeated sized materializations reach steady state with no arena
-// allocation even when the hint dwarfs the last-returned buffer.
-func (t *Temp) sizeFor(rows int) {
-	if rows <= 0 {
-		return
-	}
-	need := rows * t.width
-	if cap(t.data) >= need {
-		return
-	}
-	if pool := t.store.pool; pool != nil {
-		b := pool.GetIntsCap(need)
-		pool.PutInts(t.data)
-		if b != nil {
-			t.data = b[:0]
-			return
-		}
-	}
-	t.data = make([]int64, 0, need)
 }
 
 // Temp is one temporary relation: tuples plus the virtual times at which
@@ -203,7 +182,7 @@ func (t *Temp) Append(tup relation.Tuple) {
 	t.data = append(t.data, tup...)
 	t.nrows++
 	t.inPage++
-	if t.inPage == t.store.params.TuplesPerPage() {
+	if t.inPage == t.store.perPage {
 		t.flushPage()
 	}
 }
@@ -214,11 +193,11 @@ func (t *Temp) flushPage() {
 	case t.sync:
 		t.store.disk.SyncWrite(id)
 		t.pageDone = append(t.pageDone, t.store.clock.Now())
-	case t.store.grant != nil && t.store.grant.reservePage(t, t.store.pageBytes()):
+	case t.store.grant != nil && t.store.grant.reservePage(t, t.store.pageBytes):
 		// Resident page: the disk write is deferred until the ledger
 		// spills it. The page is readable right away — no transfer stands
 		// between producing the tuples and consuming them.
-		t.resBytes += t.store.pageBytes()
+		t.resBytes += t.store.pageBytes
 		t.pageDone = append(t.pageDone, t.store.clock.Now())
 		t.resident = append(t.resident, true)
 		t.inPage = 0
@@ -242,7 +221,7 @@ func (t *Temp) spillOldestPage() int64 {
 		t.resident[k] = false
 		t.resScan = k + 1
 		t.pageDone[k] = t.store.disk.AsyncWrite(sim.PageID{Object: t.object, Page: k})
-		pb := t.store.pageBytes()
+		pb := t.store.pageBytes
 		t.resBytes -= pb
 		return pb
 	}
@@ -255,14 +234,14 @@ func (t *Temp) spillOldestPage() int64 {
 // the grant charge is needed. pos is the reader's next-tuple index; at the
 // end of the (closed) temp that includes the trailing partial page.
 func (t *Temp) consumedTo(pos int) {
-	done := pos / t.store.params.TuplesPerPage()
+	done := pos / t.store.perPage
 	if pos >= t.nrows {
 		done = len(t.resident)
 	}
 	for k := t.consumedPages; k < done && k < len(t.resident); k++ {
 		if t.resident[k] {
 			t.resident[k] = false
-			pb := t.store.pageBytes()
+			pb := t.store.pageBytes
 			t.resBytes -= pb
 			t.store.grant.releaseResident(pb)
 		}
@@ -281,7 +260,7 @@ func (t *Temp) releaseAllResident() {
 	for k := range t.resident {
 		if t.resident[k] {
 			t.resident[k] = false
-			t.store.grant.releaseResident(t.store.pageBytes())
+			t.store.grant.releaseResident(t.store.pageBytes)
 		}
 	}
 	t.resBytes = 0
@@ -371,9 +350,9 @@ type Reader struct {
 	readyAt  []time.Duration // read-completion time per issued page
 }
 
-func (r *Reader) tuplesPerPage() int { return r.temp.store.params.TuplesPerPage() }
+func (r *Reader) tuplesPerPage() int { return r.temp.store.perPage }
 
-func (r *Reader) pageOf(i int) int { return i / r.tuplesPerPage() }
+func (r *Reader) pageOf(i int) int { return i / r.temp.store.perPage }
 
 // ensureIssued issues page reads up to the prefetch window beyond the
 // current position. Reads start no earlier than the page's write

@@ -38,7 +38,7 @@ func testQueries(t *testing.T, n int, arrival time.Duration) []Query {
 
 // serialRun executes one query alone through core.RunStrategy, the
 // single-query path of dqs.Run, under the named strategy.
-func serialRun(t *testing.T, cfg exec.Config, q Query, strategy string) exec.Result {
+func serialRun(t testing.TB, cfg exec.Config, q Query, strategy string) exec.Result {
 	t.Helper()
 	rt, err := exec.NewRuntime(cfg, q.Workload.Root, q.Workload.Dataset, q.Deliveries)
 	if err != nil {
@@ -51,7 +51,7 @@ func serialRun(t *testing.T, cfg exec.Config, q Query, strategy string) exec.Res
 	return results[0]
 }
 
-func runServer(t *testing.T, cfg Config, queries []Query) ([]Report, Stats) {
+func runServer(t testing.TB, cfg Config, queries []Query) ([]Report, Stats) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

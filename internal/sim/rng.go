@@ -20,16 +20,25 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Seed resets the generator to the state NewRNG(seed) starts in: it then
+// draws exactly that stream, whatever it drew before. Reseeding recycles a
+// generator's state instead of allocating a new one.
+func (g *RNG) Seed(seed int64) { g.r.Seed(seed) }
+
 // Fork derives an independent stream from this one, labelled by id. Distinct
 // ids yield distinct, reproducible streams regardless of consumption order
 // on the parent.
-func (g *RNG) Fork(id int64) *RNG {
+func (g *RNG) Fork(id int64) *RNG { return NewRNG(g.ForkSeed(id)) }
+
+// ForkSeed draws the seed of the stream Fork(id) returns, for a recycled
+// generator to Seed with: the parent advances exactly as Fork advances it.
+func (g *RNG) ForkSeed(id int64) int64 {
 	// SplitMix-style mixing of the parent's seed material with the id.
 	z := uint64(g.r.Int63()) ^ (uint64(id) * 0x9E3779B97F4A7C15)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
-	return NewRNG(int64(z))
+	return int64(z)
 }
 
 // MaxWait is the largest mean waiting time UniformDelay can draw for: the

@@ -73,3 +73,36 @@ func TestUniformDelayMean(t *testing.T) {
 		t.Errorf("mean delay %v deviates from w=%v by more than 3%%", mean, w)
 	}
 }
+
+// TestRecycledRNGDrawsTheForkedStream pins the recycling contract behind
+// pooled RNG streams: a generator that already drew part of another stream,
+// reseeded with ForkSeed(id), draws exactly what Fork(id) of an identical
+// parent draws, and Seed(seed) exactly what NewRNG(seed) draws — and the
+// parent advances the same way under either.
+func TestRecycledRNGDrawsTheForkedStream(t *testing.T) {
+	recycled := NewRNG(99)
+	for i := 0; i < 1000; i++ {
+		recycled.Int63n(1 << 40) // partly consumed: mid-buffer state
+	}
+	parentA, parentB := NewRNG(7), NewRNG(7)
+	for id := int64(1); id <= 4; id++ {
+		fresh := parentA.Fork(id)
+		recycled.Seed(parentB.ForkSeed(id))
+		for i := 0; i < 700; i++ {
+			if a, b := fresh.UniformDelay(time.Millisecond), recycled.UniformDelay(time.Millisecond); a != b {
+				t.Fatalf("fork %d: draw %d: fresh %v, recycled %v", id, i, a, b)
+			}
+		}
+		if a, b := parentA.Int63n(1<<62), parentB.Int63n(1<<62); a != b {
+			t.Fatalf("after fork %d the parents diverged: %d vs %d", id, a, b)
+		}
+	}
+	recycled.Float64()
+	recycled.Seed(42)
+	fresh := NewRNG(42)
+	for i := 0; i < 700; i++ {
+		if a, b := fresh.Intn(1000), recycled.Intn(1000); a != b {
+			t.Fatalf("Seed(42): draw %d: NewRNG %d, recycled %d", i, a, b)
+		}
+	}
+}

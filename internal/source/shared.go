@@ -28,14 +28,16 @@ type Shared struct {
 	// schedule (initial delay + per-row uniform delays, monotone).
 	sendAt []time.Duration
 	refs   int
-	taps   int // total attaches ever, for diagnostics
+	taps   int      // total attaches ever, for diagnostics
+	pool   Recycler // supplied sendAt (WithRecycler); Release returns it
 }
 
 // NewShared builds the shared stream's production schedule for a table. The
 // options describe the delivery behaviour (WithMeanWait, WithPhases,
-// WithInitialDelay); fault, standby, columnar and shared-stream options are
-// rejected — the first two are incompatible with sharing, the last two are
-// per-tap concerns.
+// WithInitialDelay) and may supply the schedule's storage (WithRecycler);
+// fault, standby, columnar and shared-stream options are rejected — the
+// first two are incompatible with sharing, the last two are per-tap
+// concerns.
 func NewShared(name string, table *relation.Table, rng *sim.RNG, opts ...Option) (*Shared, error) {
 	s := &Source{
 		name:   name,
@@ -52,17 +54,33 @@ func NewShared(name string, table *relation.Table, rng *sim.RNG, opts ...Option)
 	if err := validateSchedule(s); err != nil {
 		return nil, err
 	}
-	sendAt := make([]time.Duration, s.nrows)
+	var sendAt []time.Duration
+	if s.pool != nil {
+		sendAt = s.pool.GetTimes(s.nrows)
+	}
+	if sendAt == nil {
+		sendAt = make([]time.Duration, 0, s.nrows)
+	}
 	var at time.Duration
-	for i := range sendAt {
+	for i := 0; i < s.nrows; i++ {
 		d := rng.UniformDelay(s.waitFor(i))
 		if i == 0 {
 			d += s.initialDelay
 		}
 		at += d
-		sendAt[i] = at
+		sendAt = append(sendAt, at)
 	}
-	return &Shared{name: name, sendAt: sendAt}, nil
+	return &Shared{name: name, sendAt: sendAt, pool: s.pool}, nil
+}
+
+// Release hands the schedule's storage back to the Recycler that supplied
+// it (see WithRecycler). Every tap's run is over: the stream must not be
+// read again.
+func (sh *Shared) Release() {
+	if sh.pool != nil {
+		sh.pool.PutTimes(sh.sendAt)
+	}
+	sh.sendAt = nil
 }
 
 // validateSchedule checks the delivery-schedule invariants shared between

@@ -102,6 +102,23 @@ type Source struct {
 	stageAt   []time.Duration
 	stagePass []bool
 	colViews  [][]int64 // flush scratch: per-live-column views of the staged run
+
+	// pool, when set (WithRecycler), supplies the staging buffers and takes
+	// them back on Release.
+	pool Recycler
+}
+
+// Recycler supplies the per-run buffers of sources and shared streams — a
+// shared stream's schedule, a source's staging — and takes them back on
+// Release, so a mediator running batch after batch reuses them. GetTimes
+// returns a length-zero slice of at least the given capacity or nil;
+// GetBools a length-zero slice of any capacity or nil. Recycled buffers
+// carry capacity only: every value is written before it is read.
+type Recycler interface {
+	GetTimes(capacity int) []time.Duration
+	PutTimes([]time.Duration)
+	GetBools() []bool
+	PutBools([]bool)
 }
 
 // ErrColumnarMismatch reports a source whose WithColumnar option is missing
@@ -171,6 +188,12 @@ func WithStartTime(t time.Duration) Option {
 	return func(s *Source) { s.startAt = t }
 }
 
+// WithRecycler draws the source's (or shared stream's) buffers from r; the
+// owner hands them back with Release once the run is over.
+func WithRecycler(r Recycler) Option {
+	return func(s *Source) { s.pool = r }
+}
+
 // WithSharedStream attaches the source to a shared physical stream: instead
 // of simulating its own wrapper, it replays sh's production schedule into
 // its queue under this query's own credit window. The attach is refcounted
@@ -235,13 +258,30 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 		s.shared.attach()
 	}
 	s.colViews = make([][]int64, len(s.keep))
-	s.stagePass = make([]bool, 0, q.Capacity())
-	s.stageAt = make([]time.Duration, 0, q.Capacity())
+	if s.pool != nil {
+		s.stageAt, s.stagePass = s.pool.GetTimes(q.Capacity()), s.pool.GetBools()
+	}
+	if s.stageAt == nil {
+		s.stageAt = make([]time.Duration, 0, q.Capacity())
+	}
+	if s.stagePass == nil {
+		s.stagePass = make([]bool, 0, q.Capacity())
+	}
 	if !s.standby {
 		q.SetProducer(s)
 		s.pump(s.startAt)
 	}
 	return s, nil
+}
+
+// Release hands the source's staging buffers back to its Recycler (see
+// WithRecycler). The run is over: the source must not produce again.
+func (s *Source) Release() {
+	if s.pool != nil {
+		s.pool.PutTimes(s.stageAt)
+		s.pool.PutBools(s.stagePass)
+	}
+	s.stageAt, s.stagePass = nil, nil
 }
 
 // Name returns the wrapper name.
