@@ -177,6 +177,14 @@ func TestServerGridMatchesGolden(t *testing.T) {
 				gridQueries(t, ws, 300*time.Millisecond, timeouts))
 		}
 	}
+	// Staggered arrivals behind a cap of two: later queries attach mid-run.
+	for _, strategy := range []string{"SEQ", "MA", "SCR", "DPHJ"} {
+		for _, timeouts := range []bool{false, true} {
+			runCell(t, &grid, fmt.Sprintf("fused/%s/cap2/timeouts=%v/spaced", strategy, timeouts),
+				server.Config{Exec: exec.DefaultConfig(), Strategy: strategy, MaxActive: 2, Mode: server.Fused},
+				gridQueries(t, ws, 300*time.Millisecond, timeouts))
+		}
+	}
 	// Simultaneous arrivals with no cap: the one fused shape a policy
 	// without mid-run attach can serve. Each query completes at its own
 	// instant, not at the batch makespan.
