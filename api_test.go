@@ -107,7 +107,7 @@ func TestRunConcurrentValidation(t *testing.T) {
 	mk := func(label string) ServerQuery {
 		return ServerQuery{Label: label, Workload: w, Deliveries: UniformDeliveries(w, time.Microsecond)}
 	}
-	srv, err := NewServer(ServerConfig{Exec: cfg, Mode: ServerFused})
+	srv, err := NewServer(ServerConfig{Exec: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRunConcurrentValidation(t *testing.T) {
 	}
 	bad := cfg
 	bad.QueueTuples = 0
-	if _, err := NewServer(ServerConfig{Exec: bad, Mode: ServerFused}); err == nil {
+	if _, err := NewServer(ServerConfig{Exec: bad}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -147,7 +147,7 @@ func TestFusedServerSingleQueryMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{Exec: cfg, Mode: ServerFused})
+	srv, err := NewServer(ServerConfig{Exec: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestNegativeInitialDelayIsRefused(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.SharedStreams = true
-	srv, err := NewServer(ServerConfig{Exec: cfg, Mode: ServerFused})
+	srv, err := NewServer(ServerConfig{Exec: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +191,33 @@ func TestNegativeInitialDelayIsRefused(t *testing.T) {
 	}
 	if _, _, err := srv.Run(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("shared-streams fused server: err = %v, want %q", err, want)
+	}
+}
+
+// TestUnknownDeliveryIsRefused: a Deliveries key naming no relation the
+// query scans is refused by name through Run and through a server, never
+// ignored (a misspelled wrapper would otherwise get instantaneous delivery).
+func TestUnknownDeliveryIsRefused(t *testing.T) {
+	w, err := Fig5Small(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := UniformDeliveries(w, 20*time.Microsecond)
+	del["Zzz"] = Delivery{MeanWait: time.Millisecond}
+	const want = `exec: delivery for unknown relation "Zzz"`
+	_, err = Run(RunSpec{Workload: w, Config: DefaultConfig(), Strategy: DSE, Deliveries: del})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run: err = %v, want %q", err, want)
+	}
+	srv, err := NewServer(ServerConfig{Exec: DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Submit(ServerQuery{Label: "q", Workload: w, Deliveries: del}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.Run(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Server.Run: err = %v, want %q", err, want)
 	}
 }
 
@@ -281,10 +308,10 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 			t.Fatalf("foreign run %d: %v", i, err)
 		}
 	}
-	for _, mode := range []ServerMode{ServerFused, ServerIsolated} {
+	for _, shared := range []bool{true, false} {
 		cfg := DefaultConfig()
-		cfg.SharedStreams = mode == ServerFused
-		srv, err := NewServer(ServerConfig{Exec: cfg, Mode: mode, MaxActive: 4})
+		cfg.SharedStreams = shared
+		srv, err := NewServer(ServerConfig{Exec: cfg, MaxActive: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +327,7 @@ func TestPooledRunIsDeterministicUnderReuse(t *testing.T) {
 			}
 		}
 		if _, _, err := srv.Run(); err != nil {
-			t.Fatalf("%v server batch: %v", mode, err)
+			t.Fatalf("server batch (shared streams %v): %v", shared, err)
 		}
 	}
 
@@ -453,7 +480,7 @@ func TestFusedServerReusesStorage(t *testing.T) {
 	batch := func() ([]ServerReport, uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		srv, err := NewServer(ServerConfig{Exec: cfg, Mode: ServerFused, MaxActive: 4})
+		srv, err := NewServer(ServerConfig{Exec: cfg, MaxActive: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,6 +562,6 @@ func TestOversizedWindowsAreRefusedOrBounded(t *testing.T) {
 	}
 	_, err = Run(RunSpec{Workload: w, Config: cfg, Strategy: DSE, Deliveries: del})
 	named("Run", err)
-	_, err = NewServer(ServerConfig{Exec: cfg, Mode: ServerFused})
+	_, err = NewServer(ServerConfig{Exec: cfg})
 	named("NewServer", err)
 }

@@ -1,29 +1,28 @@
 // Command dqsserve runs the multi-query mediator service on a synthetic
 // batch: n queries arriving at a fixed interarrival gap, admitted under a
-// max-active cap and a queueing discipline, executed isolated (private
-// mediator per query, byte-identical to serial runs) or fused (one shared
-// mediator: shared memory grant, shared plan caches, optionally shared
-// wrapper streams, one global scheduling plan). It prints a per-query
+// max-active cap and a queueing discipline, executed on one shared mediator
+// (shared memory grant, shared plan caches, optionally shared wrapper
+// streams, one global scheduling plan). It prints a per-query
 // admission/completion table and the aggregate service statistics.
 //
 // Usage:
 //
-//	dqsserve [-n N] [-small] [-seed N] [-mode isolated|fused]
+//	dqsserve [-n N] [-small] [-seed N]
 //	         [-max-active N] [-discipline fifo|priority]
 //	         [-fair global|roundrobin|weighted] [-interarrival DUR]
 //	         [-timeout DUR] [-wmin DUR] [-mem MB]
 //	         [-shared-streams] [-stream]
 //
-// Example: four small queries through a two-slot isolated server —
-// identical results to four serial runs, plus admission waits:
+// Example: four small queries through a two-slot server — the later two
+// wait for a slot, then join the running plan:
 //
 //	dqsserve -n 4 -small -max-active 2
 //
-// Example: a fused server sharing one memory grant and the physical
-// wrapper streams across three copies of the same query, round-robin
-// planning fairness:
+// Example: a server sharing one memory grant and the physical wrapper
+// streams across three copies of the same query, round-robin planning
+// fairness:
 //
-//	dqsserve -n 3 -small -mode fused -shared-streams -fair roundrobin
+//	dqsserve -n 3 -small -shared-streams -fair roundrobin
 //
 // Example: per-query timeouts cancelling the stragglers of a loaded
 // one-slot server:
@@ -47,7 +46,6 @@ type options struct {
 	n             int
 	small         bool
 	seed          int64
-	mode          string
 	maxActive     int
 	discipline    string
 	fair          string
@@ -64,15 +62,14 @@ func main() {
 	flag.IntVar(&o.n, "n", 4, "number of queries in the batch")
 	flag.BoolVar(&o.small, "small", false, "1/10-scale workload")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed (query i draws seed+i unless -shared-streams)")
-	flag.StringVar(&o.mode, "mode", "isolated", "execution mode: isolated (private mediator per query) or fused (one shared mediator)")
 	flag.IntVar(&o.maxActive, "max-active", 2, "admission cap on concurrently executing queries (0 = unbounded)")
 	flag.StringVar(&o.discipline, "discipline", "fifo", "admission queue discipline: fifo or priority (priority ranks later submissions higher, demonstrating queue jumps)")
-	flag.StringVar(&o.fair, "fair", "global", "fused cross-query fairness: global, roundrobin or weighted")
+	flag.StringVar(&o.fair, "fair", "global", "cross-query fairness: global, roundrobin or weighted")
 	flag.DurationVar(&o.interarrival, "interarrival", 2*time.Millisecond, "gap between query arrivals (query i arrives at i*gap)")
 	flag.DurationVar(&o.timeout, "timeout", 0, "per-query execution timeout (0 = none); timed-out queries are cancelled at a planning point")
 	flag.DurationVar(&o.wmin, "wmin", 20*time.Microsecond, "baseline per-tuple waiting time of every wrapper")
-	flag.Float64Var(&o.memMB, "mem", 64, "memory grant in MB (per query isolated, shared fused)")
-	flag.BoolVar(&o.sharedStreams, "shared-streams", false, "share physical wrapper streams across queries (fused mode; all queries run the same workload instance)")
+	flag.Float64Var(&o.memMB, "mem", 64, "memory grant in MB, shared by every query")
+	flag.BoolVar(&o.sharedStreams, "shared-streams", false, "share physical wrapper streams across queries (all queries run the same workload instance)")
 	flag.BoolVar(&o.stream, "stream", false, "attach per-query sinks and report first-tuple latencies from them")
 	flag.Parse()
 	if err := run(os.Stdout, o); err != nil {
@@ -98,10 +95,6 @@ func run(w io.Writer, o options) error {
 	if o.interarrival > 0 && int64(o.n-1) > int64(sim.MaxWait/o.interarrival) {
 		return fmt.Errorf("-n %d queries at -interarrival %v arrive past %v", o.n, o.interarrival, sim.MaxWait)
 	}
-	mode, err := dqs.ParseServerMode(o.mode)
-	if err != nil {
-		return err
-	}
 	discipline, err := dqs.ParseServerDiscipline(o.discipline)
 	if err != nil {
 		return err
@@ -123,7 +116,6 @@ func run(w io.Writer, o options) error {
 	srv, err := dqs.NewServer(dqs.ServerConfig{
 		Exec:       cfg,
 		MaxActive:  o.maxActive,
-		Mode:       mode,
 		Discipline: discipline,
 		Fairness:   fair,
 	})

@@ -12,7 +12,6 @@ func baseOptions() options {
 		n:            3,
 		small:        true,
 		seed:         1,
-		mode:         "isolated",
 		maxActive:    2,
 		discipline:   "fifo",
 		fair:         "global",
@@ -22,22 +21,8 @@ func baseOptions() options {
 	}
 }
 
-func TestRunIsolated(t *testing.T) {
-	var sb strings.Builder
-	if err := run(&sb, baseOptions()); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"q0", "q1", "q2", "served 3 queries (0 cancelled)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRunFusedSharedStreams(t *testing.T) {
 	o := baseOptions()
-	o.mode = "fused"
 	o.sharedStreams = true
 	o.fair = "roundrobin"
 	o.stream = true
@@ -46,6 +31,11 @@ func TestRunFusedSharedStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	for _, want := range []string{"q0", "q1", "q2", "served 3 queries (0 cancelled)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
 	if !strings.Contains(out, "shared ") || !strings.Contains(out, "query taps") {
 		t.Errorf("output missing stream-sharing summary:\n%s", out)
 	}
@@ -65,16 +55,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{func(o *options) { o.interarrival = -time.Second }, []string{"-interarrival", "-1s"}},
 		{func(o *options) { o.interarrival = 9223372036 * time.Second }, []string{"-interarrival", "2562047h47m16s", "-n", "3"}},
 		{func(o *options) { o.n = 1 << 20; o.interarrival = 5000000 * time.Second }, []string{"-interarrival", "1388h53m20s", "-n", "1048576"}},
-		{func(o *options) { o.mode = "bogus" }, []string{"bogus"}},
 		{func(o *options) { o.discipline = "bogus" }, []string{"bogus"}},
 		{func(o *options) { o.fair = "bogus" }, []string{"bogus"}},
-		{func(o *options) { o.mode = "isolated"; o.sharedStreams = true }, nil},
 		{func(o *options) { o.memMB = math.NaN() }, []string{"-mem", "NaN"}},
 		{func(o *options) { o.memMB = math.Inf(1) }, []string{"-mem", "+Inf"}},
 		{func(o *options) { o.memMB = 1e30 }, []string{"-mem", "1e+30"}},
 		{func(o *options) { o.memMB = 0 }, []string{"-mem"}},
-		{func(o *options) { o.wmin = 5000000000 * time.Second }, []string{`source "A"`, "1388888h53m20s"}},
-		{func(o *options) { o.wmin = 5000000000 * time.Second; o.mode = "fused"; o.sharedStreams = true }, []string{`"A"`, "1388888h53m20s"}},
+		{func(o *options) { o.wmin = 5000000000 * time.Second }, []string{`source "q0:A"`, "1388888h53m20s"}},
+		{func(o *options) { o.wmin = 5000000000 * time.Second; o.sharedStreams = true }, []string{`"A"`, "1388888h53m20s"}},
 	} {
 		o := baseOptions()
 		tc.mutate(&o)

@@ -51,11 +51,10 @@ func ExampleRun() {
 	// rows: 5432
 }
 
-// ExampleNewServer executes two queries on one shared mediator — a fused
-// server whose queries both arrive at time zero; both finish and report
-// their own result sizes.
+// ExampleNewServer executes two queries on one shared mediator, both
+// arriving at time zero; both finish and report their own result sizes.
 func ExampleNewServer() {
-	srv, err := dqs.NewServer(dqs.ServerConfig{Exec: dqs.DefaultConfig(), Mode: dqs.ServerFused})
+	srv, err := dqs.NewServer(dqs.ServerConfig{Exec: dqs.DefaultConfig()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,9 +19,9 @@ func main() {
 	cfg.MemoryBytes = 256 << 20 // shared pool for all queries
 	const wait = 50 * time.Microsecond
 
-	// A fused server runs every query on one shared mediator; all three
-	// arrive at time zero and none waits for admission.
-	srv, err := dqs.NewServer(dqs.ServerConfig{Exec: cfg, Mode: dqs.ServerFused})
+	// The server runs every query on one shared mediator; all three arrive
+	// at time zero and none waits for admission.
+	srv, err := dqs.NewServer(dqs.ServerConfig{Exec: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}

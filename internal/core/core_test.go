@@ -54,13 +54,15 @@ func runOn(rt *exec.Runtime, name string) (exec.Result, error) {
 	return results[0], nil
 }
 
-// dseEngine builds a DSE engine over one single-query runtime.
+// dseEngine builds a DSE engine over one single-query runtime, its chains
+// registered as the first planning point would register them.
 func dseEngine(t testing.TB, rt *exec.Runtime) *Engine {
 	t.Helper()
 	e, err := NewStrategyEngine(rt.Med, []*exec.Runtime{rt}, "DSE")
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.pol.(*dsePolicy).addRuntimes(e.st)
 	return e
 }
 

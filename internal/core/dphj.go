@@ -13,8 +13,10 @@ import (
 // the single plan services every feed round-robin as its data arrives, and
 // the network turns each arrival into results at once. There is nothing to
 // decide: no priorities, no degradation, no memory adaptation — an overflow
-// is fatal.
+// is fatal. A query attached mid-run joins at the next planning point, once
+// the running feeds have finished.
 type dphjPolicy struct {
+	uptake
 	feeds []*exec.Fragment
 }
 
@@ -28,17 +30,15 @@ func (p *dphjPolicy) Name() string { return "DPHJ" }
 func (p *dphjPolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 func (p *dphjPolicy) Plan(st *State) (SchedulingPlan, error) {
-	if p.feeds == nil {
-		for _, rt := range st.Runtimes() {
-			if st.queryDone(rt) {
-				continue
-			}
-			feeds, err := rt.NewDPHJFeeds()
-			if err != nil {
-				return SchedulingPlan{}, err
-			}
-			p.feeds = append(p.feeds, feeds...)
+	for _, rt := range p.fresh(st) {
+		if st.queryDone(rt) {
+			continue
 		}
+		feeds, err := rt.NewDPHJFeeds()
+		if err != nil {
+			return SchedulingPlan{}, err
+		}
+		p.feeds = append(p.feeds, feeds...)
 	}
 	return SchedulingPlan{Frags: p.feeds, RoundRobin: true}, nil
 }

@@ -17,6 +17,7 @@ import (
 // makes it the multi-query engine of §6: all queries' fragments compete in
 // one scheduling plan under the global critical-degree order.
 type dsePolicy struct {
+	uptake
 	states []*chainState
 
 	// stateOf and proberOf are keyed per (runtime, chain/node): several
@@ -51,47 +52,42 @@ type dsePolicy struct {
 // the DQP returns a TimeOut interruption (§3.2).
 const dqpTimeout = 10 * time.Second
 
-// NewDSEPolicy builds the paper's dynamic scheduling policy over the
-// state's attached queries. It is the default entry of the policy registry
-// under the name "DSE".
+// NewDSEPolicy builds the paper's dynamic scheduling policy. It is the
+// default entry of the policy registry under the name "DSE".
 func NewDSEPolicy(st *State) (Policy, error) {
-	p := &dsePolicy{
+	return &dsePolicy{
 		stateOf:     make(map[rtChain]*chainState),
 		proberOf:    make(map[rtNode]*chainState),
 		descendants: make(map[*plan.Chain]int),
-	}
-	for _, rt := range st.Runtimes() {
-		p.addRuntime(rt)
-	}
-	return p, nil
+	}, nil
 }
 
-// addRuntime registers one query's chains with the policy.
-func (p *dsePolicy) addRuntime(rt *exec.Runtime) {
-	for _, c := range rt.Dec.Chains {
-		cs := &chainState{
-			rt:      rt,
-			chain:   c,
-			sortKey: rt.Label + c.Name,
-			segs:    []*segSpec{{fromStep: 0, toStep: len(c.Joins)}},
+// addRuntimes registers the chains of the queries attached since the last
+// planning point: they enter the global critical-degree competition there.
+func (p *dsePolicy) addRuntimes(st *State) {
+	for _, rt := range p.fresh(st) {
+		for _, c := range rt.Dec.Chains {
+			cs := &chainState{
+				rt:      rt,
+				chain:   c,
+				sortKey: rt.Label + c.Name,
+				segs:    []*segSpec{{fromStep: 0, toStep: len(c.Joins)}},
+			}
+			p.states = append(p.states, cs)
+			p.stateOf[rtChain{rt, c}] = cs
+			for _, j := range c.Joins {
+				p.proberOf[rtNode{rt, j}] = cs
+			}
+			p.descendants[c] = len(rt.Dec.Descendants(c))
+			p.splitBudget += len(c.Joins) + 2
 		}
-		p.states = append(p.states, cs)
-		p.stateOf[rtChain{rt, c}] = cs
-		for _, j := range c.Joins {
-			p.proberOf[rtNode{rt, j}] = cs
-		}
-		p.descendants[c] = len(rt.Dec.Descendants(c))
-		p.splitBudget += len(c.Joins) + 2
 	}
 }
 
-// Attach accepts a new query between scheduling rounds (Engine.Attach): its
-// chains enter the global critical-degree competition at the next planning
-// point, exactly as if the query had been attached at construction.
-func (p *dsePolicy) Attach(st *State, rt *exec.Runtime) error {
-	p.addRuntime(rt)
-	return nil
-}
+// Attach does nothing: the next Plan takes the runtime up. It stays only
+// because bench/'s timing policy attaches its producer shim through it —
+// remove with the next [benchmark] PR.
+func (p *dsePolicy) Attach(st *State, rt *exec.Runtime) error { return nil }
 
 // SetFavored biases the planning order toward one query (Engine.Favor);
 // nil restores the global critical-degree order.
@@ -118,6 +114,7 @@ func (p *dsePolicy) tablesComplete(cs *chainState, seg *segSpec) bool {
 // snapshots the CM estimates the plan was built from.
 func (p *dsePolicy) Plan(st *State) (SchedulingPlan, error) {
 	med := st.Mediator()
+	p.addRuntimes(st)
 	sp, err := p.schedule(st)
 	if err != nil {
 		return SchedulingPlan{}, err

@@ -138,11 +138,11 @@ func (e *Engine) Finalize() []exec.Result {
 }
 
 // Attach adds a query runtime to a (possibly running) engine between
-// scheduling rounds: the policy starts planning the new query's chains at
-// the next Step. The runtime must have been added to the engine's mediator
+// scheduling rounds: every built-in policy takes the new query's chains up
+// at its next Plan. The runtime must have been added to the engine's mediator
 // (Mediator.AddQuery) at the current virtual time, so its wrappers start
-// producing now rather than at the mediator's epoch. Only policies
-// implementing Attacher — the DSE policy does — support mid-run attachment.
+// producing now rather than at the mediator's epoch. A policy implementing
+// Attacher is told first.
 func (e *Engine) Attach(rt *exec.Runtime) error {
 	if rt.Med != e.med {
 		return fmt.Errorf("core: runtime %q is not attached to the engine's mediator", rt.Label)
@@ -150,12 +150,10 @@ func (e *Engine) Attach(rt *exec.Runtime) error {
 	if slices.Contains(e.st.rts, rt) {
 		return fmt.Errorf("core: runtime %q already attached", rt.Label)
 	}
-	a, ok := e.pol.(Attacher)
-	if !ok {
-		return fmt.Errorf("core: policy %s does not support mid-run query attachment", e.pol.Name())
-	}
-	if err := a.Attach(e.st, rt); err != nil {
-		return err
+	if a, ok := e.pol.(Attacher); ok {
+		if err := a.Attach(e.st, rt); err != nil {
+			return err
+		}
 	}
 	e.st.rts = append(e.st.rts, rt)
 	return nil

@@ -14,7 +14,9 @@ import (
 // draining all wrappers to local disk concurrently (overlapping all
 // delivery delays, at full I/O cost); phase 2 then drains the plan with
 // iterator-model scheduling over the local temps — single-fragment plans
-// exactly like SEQ.
+// exactly like SEQ. A query attached during phase 2 sends the policy back to
+// phase 1 for the newcomer's wrappers; the iterator then resumes where it
+// stopped.
 type maPolicy struct {
 	mfs   []*exec.Fragment
 	temps map[*exec.Runtime]map[string]*mem.Temp
@@ -25,11 +27,7 @@ type maPolicy struct {
 
 // NewMAPolicy builds the materialize-all policy; registry name "MA".
 func NewMAPolicy(st *State) (Policy, error) {
-	p := &maPolicy{
-		temps:       make(map[*exec.Runtime]map[string]*mem.Temp),
-		chainCursor: chainCursor{order: iteratorChains(st)},
-	}
-	return p, nil
+	return &maPolicy{temps: make(map[*exec.Runtime]map[string]*mem.Temp)}, nil
 }
 
 func (p *maPolicy) Name() string { return "MA" }
@@ -38,24 +36,28 @@ func (p *maPolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 func (p *maPolicy) Plan(st *State) (SchedulingPlan, error) {
 	med := st.Mediator()
-	if !p.phase2 {
-		// Phase 1: one materialization fragment per wrapper of every
-		// attached query, serviced round-robin as data arrives.
-		if p.mfs == nil {
-			for _, rt := range st.Runtimes() {
-				if st.queryDone(rt) {
-					continue
-				}
-				ts := make(map[string]*mem.Temp, len(rt.Dec.Chains))
-				for _, c := range rt.Dec.Chains {
-					f := rt.NewMFSync(c)
-					p.mfs = append(p.mfs, f)
-					ts[c.Scan.Rel.Name] = f.Temp
-				}
-				p.temps[rt] = ts
-			}
-			med.Trace.Add(med.Now(), sim.EvPhase, "MA phase 1: materialize %d relations", len(p.mfs))
+	rts := p.fresh(st)
+	p.order = appendIteratorChains(p.order, rts)
+	// Phase 1: one materialization fragment per wrapper of every new query,
+	// serviced round-robin as data arrives.
+	n := len(p.mfs)
+	for _, rt := range rts {
+		if st.queryDone(rt) {
+			continue
 		}
+		ts := make(map[string]*mem.Temp, len(rt.Dec.Chains))
+		for _, c := range rt.Dec.Chains {
+			f := rt.NewMFSync(c)
+			p.mfs = append(p.mfs, f)
+			ts[c.Scan.Rel.Name] = f.Temp
+		}
+		p.temps[rt] = ts
+	}
+	if len(p.mfs) > n {
+		p.phase2 = false
+		med.Trace.Add(med.Now(), sim.EvPhase, "MA phase 1: materialize %d relations", len(p.mfs)-n)
+	}
+	if !p.phase2 {
 		return SchedulingPlan{Frags: p.mfs, RoundRobin: true}, nil
 	}
 	// Phase 2: iterator-model execution over the local temps.

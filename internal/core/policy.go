@@ -142,11 +142,11 @@ type PendingDescriber interface {
 	PendingSummary() string
 }
 
-// Attacher is an optional policy capability: accepting a new query runtime
-// between scheduling rounds (Engine.Attach). The policy must start planning
-// the runtime's chains from its next Plan call. The state still lists only
-// the previously attached runtimes when Attach is called; the engine
-// appends rt after the policy accepts it.
+// Attacher is an optional policy capability: being told of a query runtime
+// attached between scheduling rounds (Engine.Attach), before the engine
+// appends it to the state. No built-in needs it — each takes new runtimes up
+// from State.Runtimes at its next Plan — but a policy that wraps another can
+// prepare the newcomer here.
 type Attacher interface {
 	Attach(st *State, rt *exec.Runtime) error
 }

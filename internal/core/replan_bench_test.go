@@ -51,6 +51,7 @@ func BenchmarkPlanningPoint(b *testing.B) {
 			}
 			// The first planning point creates every chain's fragment;
 			// later ones only re-derive verdicts.
+			p.addRuntimes(eng.st)
 			if _, err := p.schedule(eng.st); err != nil {
 				b.Fatal(err)
 			}

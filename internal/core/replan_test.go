@@ -25,7 +25,9 @@ func TestSplitBudgetExhaustion(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		pol.(*dsePolicy).splitBudget = 0
+		p := pol.(*dsePolicy)
+		p.addRuntimes(st)
+		p.splitBudget = 0
 		return pol, nil
 	})
 	if err != nil {

@@ -24,8 +24,9 @@ import (
 // timeout must fully elapse (idle) before any reaction, so repeated
 // sub-timeout gaps (slow delivery) degrade SCR to SEQ; and a delayed
 // *last* chain leaves nothing to scramble to (§1.2's "no more work to
-// scramble").
+// scramble"). A query attached mid-run appends its chains to the order.
 type scrPolicy struct {
+	uptake
 	order []chainRef
 	frags []*exec.Fragment // nil until the chain is C-schedulable
 
@@ -45,11 +46,7 @@ const (
 
 // NewScramblePolicy builds the query-scrambling policy; registry name
 // "SCR".
-func NewScramblePolicy(st *State) (Policy, error) {
-	p := &scrPolicy{order: iteratorChains(st), cur: -1}
-	p.frags = make([]*exec.Fragment, len(p.order))
-	return p, nil
-}
+func NewScramblePolicy(st *State) (Policy, error) { return &scrPolicy{cur: -1}, nil }
 
 func (p *scrPolicy) Name() string { return "SCR" }
 
@@ -67,6 +64,8 @@ func (p *scrPolicy) tablesReady(c chainRef) bool {
 }
 
 func (p *scrPolicy) Plan(st *State) (SchedulingPlan, error) {
+	p.order = appendIteratorChains(p.order, p.fresh(st))
+	p.frags = append(p.frags, make([]*exec.Fragment, len(p.order)-len(p.frags))...)
 	// Instantiate fragments as chains become C-schedulable. Tables only
 	// complete when a building fragment finishes, which always ends the
 	// execution phase, so checking at planning points loses nothing.

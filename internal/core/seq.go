@@ -15,11 +15,10 @@ type chainRef struct {
 	chain *plan.Chain
 }
 
-// iteratorChains lists the chains of every attached query in the classic
+// appendIteratorChains appends the chains of rts to order in the classic
 // iterator-model order (open/next/close, §2.3), query after query.
-func iteratorChains(st *State) []chainRef {
-	var order []chainRef
-	for _, rt := range st.Runtimes() {
+func appendIteratorChains(order []chainRef, rts []*exec.Runtime) []chainRef {
+	for _, rt := range rts {
 		for _, c := range exec.IteratorOrder(rt.Dec) {
 			order = append(order, chainRef{rt: rt, chain: c})
 		}
@@ -27,10 +26,25 @@ func iteratorChains(st *State) []chainRef {
 	return order
 }
 
+// uptake counts the runtimes a built-in policy has taken up from
+// State.Runtimes. Every built-in calls fresh at the top of Plan, so the
+// queries present at construction join at the first planning point and a
+// query attached mid-run (Engine.Attach) joins at the next one.
+type uptake struct{ seen int }
+
+// fresh returns the runtimes attached since the last call.
+func (u *uptake) fresh(st *State) []*exec.Runtime {
+	rts := st.Runtimes()[u.seen:]
+	u.seen += len(rts)
+	return rts
+}
+
 // chainCursor drains pipeline chains strictly one after another in iterator
 // order, one single-fragment plan at a time: SEQ's whole execution and MA's
-// phase 2. Chains of a query already complete (cancelled) are skipped.
+// phase 2. Chains of a query already complete (cancelled) are skipped; the
+// chains of a query attached mid-run queue behind every earlier one.
 type chainCursor struct {
+	uptake
 	order []chainRef
 	idx   int            // next chain to open
 	cur   *exec.Fragment // chain being drained
@@ -61,15 +75,14 @@ func (c *chainCursor) plan(st *State, policy string, open func(chainRef) *exec.F
 type seqPolicy struct{ chainCursor }
 
 // NewSeqPolicy builds the static iterator-model policy; registry name "SEQ".
-func NewSeqPolicy(st *State) (Policy, error) {
-	return &seqPolicy{chainCursor{order: iteratorChains(st)}}, nil
-}
+func NewSeqPolicy(st *State) (Policy, error) { return &seqPolicy{}, nil }
 
 func (p *seqPolicy) Name() string { return "SEQ" }
 
 func (p *seqPolicy) Done(st *State) bool { return st.allQueriesDone() }
 
 func (p *seqPolicy) Plan(st *State) (SchedulingPlan, error) {
+	p.order = appendIteratorChains(p.order, p.fresh(st))
 	return p.plan(st, "SEQ", func(c chainRef) *exec.Fragment { return c.rt.NewPCFragment(c.chain) })
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dqs/internal/comm"
@@ -133,6 +134,15 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 	dec, hit, err := m.Cfg.Plans.Load(root)
 	if err != nil {
 		return nil, err
+	}
+	var unknown []string
+	for name := range deliveries {
+		if _, ok := dec.ChainOf(name); !ok {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("exec: delivery for unknown relation %q", slices.Min(unknown))
 	}
 	if m.Cfg.Plans != nil {
 		if hit {

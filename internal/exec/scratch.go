@@ -144,9 +144,8 @@ func (s *Scratch) settle() {
 	s.rngs.settle()
 }
 
-// scratchPool hands concurrent mediators (experiment cells, isolated server
-// queries) a Scratch each, and lets the GC drop what an idle process no
-// longer uses.
+// scratchPool hands concurrent mediators (experiment cells, server batches)
+// a Scratch each, and lets the GC drop what an idle process no longer uses.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // lastScratch holds the last reclaimed Scratch outside scratchPool, whose

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"dqs/internal/core"
 	"dqs/internal/exec"
+	"dqs/internal/server"
 	"dqs/internal/workload"
 )
 
@@ -24,11 +24,11 @@ func MultiQuery(o Options) (*Figure, error) {
 	fig := NewFigure("MultiQuery", "concurrent queries on one mediator (DSE, global scheduler)",
 		"queries", "value", "avg-response(s)", "makespan(s)", "serial(s)", "speedup")
 
-	// A multi-query measurement is not a plain Cell (it drives one shared
-	// mediator with several runtimes plus a serial reference), but each
-	// (concurrency level, seed) pair is still an independent deterministic
-	// simulation, so they all run concurrently on the same bounded pool and
-	// are folded back in deterministic order.
+	// A multi-query measurement is not a plain Cell (it drives one server
+	// batch plus a serial reference), but each (concurrency level, seed) pair
+	// is still an independent deterministic simulation, so they all run
+	// concurrently on the same bounded pool and are folded back in
+	// deterministic order.
 	levels := []int{1, 2, 3, 4}
 	seeds := o.seeds()
 	type unit struct{ avgResp, makespan, serial float64 }
@@ -37,37 +37,33 @@ func MultiQuery(o Options) (*Figure, error) {
 		n, seed := levels[j/len(seeds)], seeds[j%len(seeds)]
 		start := time.Now()
 		ucfg := withSeed(cfg, seed)
-		med, err := exec.NewMediator(ucfg)
+		srv, err := server.New(server.Config{Exec: ucfg, Strategy: "DSE"})
 		if err != nil {
 			return err
 		}
-		var rts []*exec.Runtime
 		for i := 0; i < n; i++ {
 			w, err := o.loadQueryInstance(seed, i)
 			if err != nil {
 				return err
 			}
-			rt, err := med.AddQuery(fmt.Sprintf("q%d", i+1), w.Root, w.Dataset, uniformDeliveries(w, wait))
-			if err != nil {
+			if err := srv.Submit(server.Query{Label: fmt.Sprintf("q%d", i+1), Workload: w,
+				Deliveries: uniformDeliveries(w, wait)}); err != nil {
 				return err
 			}
-			rts = append(rts, rt)
 		}
-		results, err := core.RunStrategy(med, rts, "DSE")
+		reports, _, err := srv.Run()
 		if err != nil {
 			return fmt.Errorf("n=%d: %w", n, err)
 		}
-		med.Reclaim()
 		var sumResp, maxResp float64
-		var last exec.Result
-		for _, r := range results {
-			s := r.ResponseTime.Seconds()
+		for _, rep := range reports {
+			s := rep.Result.ResponseTime.Seconds()
 			sumResp += s
 			if s > maxResp {
 				maxResp = s
 			}
-			last = r
 		}
+		last := reports[n-1].Result
 		units[j].avgResp = sumResp / float64(n)
 		units[j].makespan = maxResp
 

@@ -8,7 +8,7 @@ import (
 )
 
 // ServerLoad sweeps the multi-query mediator service across arrival rates
-// and memory grants: a fused dqs server (one shared mediator, shared plan
+// and memory grants: a dqs server (one shared mediator, shared plan
 // caches, shared wrapper streams) admits a fixed batch of identical
 // queries arriving at a swept interarrival gap under a bounded admission
 // cap, and reports — per grant size — the mean completion latency (from
@@ -76,7 +76,6 @@ func ServerLoad(o Options) (*Figure, error) {
 		ucfg.SharedStreams = true
 		srv, err := server.New(server.Config{
 			Exec:      ucfg,
-			Mode:      server.Fused,
 			MaxActive: maxActive,
 		})
 		if err != nil {

@@ -16,16 +16,16 @@ type admittedQuery struct {
 	done bool
 }
 
-// runBatch is the server's one driver: it executes the submitted queries on
+// runBatch is the server's driver: it executes the submitted queries on
 // one mediator — one clock, one memory grant (per-query holder attribution,
 // globally arbitrated spills), shared plan caches, optionally shared
 // physical wrapper streams. Queries are admitted at planning points of the
 // single engine — the first admission batch constructs it, later arrivals
-// attach mid-run — and all admitted queries' fragments compete in one
-// scheduling plan, biased by the configured fairness. A fused server runs
-// its whole batch through it; an isolated server runs each query through it
-// alone, which is core.RunStrategy step for step. Each query completes at
-// its runtime's completion instant.
+// attach mid-run and join the plan at its next planning point — and all
+// admitted queries' fragments compete in one scheduling plan, biased by the
+// configured fairness. With every query arriving at time zero and no cap it
+// is core.RunStrategy step for step. Each query completes at its runtime's
+// completion instant.
 func (s *Server) runBatch() ([]Report, Stats, error) {
 	med, err := exec.NewMediator(s.cfg.Exec)
 	if err != nil {
@@ -41,7 +41,8 @@ func (s *Server) runBatch() ([]Report, Stats, error) {
 	rrCursor := 0
 
 	admitOne := func() error {
-		pos, at := s.pickAdmission(pending, med.Now())
+		at := med.Now()
+		pos := s.pickAdmission(pending, at)
 		qi := pending[pos]
 		pending = slices.Delete(pending, pos, pos+1)
 		q := &s.queries[qi]

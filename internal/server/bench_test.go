@@ -51,7 +51,7 @@ func fusedBatch(tb testing.TB, seed int64) (Config, []Query) {
 			queries[i].Timeout = ref.ResponseTime * 3 / 2
 		}
 	}
-	return Config{Exec: cfg, Mode: Fused, MaxActive: 4}, queries
+	return Config{Exec: cfg, MaxActive: 4}, queries
 }
 
 // BenchmarkFusedBatch times one fused batch of the serve_fused shape on a

@@ -64,15 +64,13 @@ func (b tupleBag) equal(o tupleBag) bool {
 // TestFusedCancelAtEveryPlanningPoint cancels each query of one fused batch
 // at every planning point of its execution in turn, under every registered
 // strategy. The batch runs at a 1 MiB grant over shared streams, two of its
-// four queries scanning one workload instance. Under DSE the queries arrive
-// staggered behind a cap of three (DSE attaches mid-run); the other
-// strategies cannot attach, so their queries all arrive at once, uncapped. A
-// reference run records the planning instants; then, per (query, instant),
-// that query's Timeout is set so the cancel lands exactly there, and the run
-// must keep the governor ledger consistent after every round and empty at
-// exit, cancel that query and no other, stream every survivor's full result
-// (as a tuple multiset against the reference evaluator) and leave no
-// goroutine behind.
+// four queries scanning one workload instance, arriving staggered behind a
+// cap of three, so later queries attach mid-run. A reference run records the
+// planning instants; then, per (query, instant), that query's Timeout is set
+// so the cancel lands exactly there, and the run must keep the governor
+// ledger consistent after every round and empty at exit, cancel that query
+// and no other, stream every survivor's full result (as a tuple multiset
+// against the reference evaluator) and leave no goroutine behind.
 func TestFusedCancelAtEveryPlanningPoint(t *testing.T) {
 	rng := sim.NewRNG(11)
 	spec := workload.RandomSpec{Relations: 4, MinCard: 150, MaxCard: 500, FanoutCap: 1.5}
@@ -100,11 +98,7 @@ func TestFusedCancelAtEveryPlanningPoint(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	runs := 0
 	for _, strategy := range core.StrategyNames() {
-		attaches := strategy == "DSE" || strategy == eagerDSE
-		gap, maxActive := time.Duration(0), 0
-		if attaches {
-			gap, maxActive = 2*time.Millisecond, 3
-		}
+		gap, maxActive := 2*time.Millisecond, 3
 		// run executes the batch with query victim (if any) timing out after
 		// timeout, checking the ledger after every round; it returns the
 		// reports, the planning instants and each query's streamed multiset.
@@ -112,7 +106,7 @@ func TestFusedCancelAtEveryPlanningPoint(t *testing.T) {
 		run := func(victim int, timeout time.Duration) ([]Report, []time.Duration, []tupleBag) {
 			t.Helper()
 			runs++
-			s, err := New(Config{Exec: cfg, Mode: Fused, MaxActive: maxActive, Strategy: strategy})
+			s, err := New(Config{Exec: cfg, MaxActive: maxActive, Strategy: strategy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,8 +188,8 @@ func TestFusedCancelAtEveryPlanningPoint(t *testing.T) {
 		}
 		t.Logf("%s: %d planning instants, %d (query, instant) cancellations", strategy, len(instants), cases)
 		if strategy == "DPHJ" {
-			// DPHJ runs the whole batch in one phase: its one planning point
-			// is the admission instant, where no timeout can fall. Core's
+			// DPHJ runs everything admitted in one phase: its planning points
+			// are admission instants, where no timeout can fall. Core's
 			// TestCancelQueryAtEveryRound cancels it there.
 			continue
 		}

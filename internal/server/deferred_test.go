@@ -48,13 +48,11 @@ func shimWrappers(med *exec.Mediator, rt *exec.Runtime) {
 	}
 }
 
-// eagerPolicy forwards the optional capabilities the fused server uses.
+// eagerPolicy shims the wrappers of every query attached mid-run (the inner
+// DSE takes the query up at its next Plan) and forwards the fairness bias.
 type eagerPolicy struct{ core.Policy }
 
 func (p *eagerPolicy) Attach(st *core.State, rt *exec.Runtime) error {
-	if err := p.Policy.(core.Attacher).Attach(st, rt); err != nil {
-		return err
-	}
 	shimWrappers(st.Mediator(), rt)
 	return nil
 }
@@ -74,7 +72,7 @@ func TestFusedDeferredMatchesEagerAcrossCancel(t *testing.T) {
 	run := func(strategy string, timeout time.Duration) ([]Report, Stats, int) {
 		queries := testQueries(t, 4, 300*time.Microsecond)
 		queries[0].Timeout = timeout
-		s, err := New(Config{Exec: cfg, Mode: Fused, MaxActive: 3, Strategy: strategy})
+		s, err := New(Config{Exec: cfg, MaxActive: 3, Strategy: strategy})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
 	"dqs/internal/exec"
+	"dqs/internal/reftest"
 	"dqs/internal/server"
 	"dqs/internal/sim"
 	"dqs/internal/workload"
@@ -60,22 +60,14 @@ func resultLine(res exec.Result) string {
 		res.PlanCacheHits, res.PlanCacheMisses)
 }
 
-// traceDigest hashes the rendered trace. An isolated server's queries run on
-// private mediators that never interact, so the order in which their events
-// reach the one trace is not an observable; there the digest is over the
-// sorted lines — the multiset of events.
-func traceDigest(t *testing.T, tr *sim.Trace, sorted bool) [sha256.Size]byte {
+// traceDigest hashes the rendered trace.
+func traceDigest(t *testing.T, tr *sim.Trace) [sha256.Size]byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !sorted {
-		return sha256.Sum256(buf.Bytes())
-	}
-	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
-	sort.Slice(lines, func(i, j int) bool { return bytes.Compare(lines[i], lines[j]) < 0 })
-	return sha256.Sum256(bytes.Join(lines, nil))
+	return sha256.Sum256(buf.Bytes())
 }
 
 // serve runs one server batch, tracing into a fresh trace.
@@ -93,8 +85,12 @@ func serve(cfg server.Config, queries []server.Query) ([]server.Report, server.S
 	return reports, stats, tr, err
 }
 
+// refRows caches the reference evaluator's row count per workload.
+var refRows = map[*workload.Workload]int64{}
+
 // runCell runs one server batch and renders its reports, statistics and
-// trace digest (or its error) as golden lines.
+// trace digest (or its error) as golden lines. Every query that was not
+// cancelled must return the reference evaluator's row count.
 func runCell(t *testing.T, out *bytes.Buffer, cell string, cfg server.Config, queries []server.Query) {
 	t.Helper()
 	reports, stats, tr, err := serve(cfg, queries)
@@ -102,7 +98,14 @@ func runCell(t *testing.T, out *bytes.Buffer, cell string, cfg server.Config, qu
 		fmt.Fprintf(out, "%s: error: %v\n", cell, err)
 		return
 	}
-	for _, rep := range reports {
+	for i, rep := range reports {
+		w := queries[i].Workload
+		if _, ok := refRows[w]; !ok {
+			refRows[w] = int64(len(reftest.Eval(w.Root, w.Dataset)))
+		}
+		if !rep.Cancelled && rep.Result.OutputRows != refRows[w] {
+			t.Errorf("%s/%s: %d rows, the reference evaluator returns %d", cell, rep.Label, rep.Result.OutputRows, refRows[w])
+		}
 		fmt.Fprintf(out, "%s/%s: arrived=%d admitted=%d completed=%d wait=%d cancelled=%v %s\n",
 			cell, rep.Label, rep.ArrivedAt.Nanoseconds(), rep.AdmittedAt.Nanoseconds(),
 			rep.CompletedAt.Nanoseconds(), rep.AdmissionWait.Nanoseconds(), rep.Cancelled, resultLine(rep.Result))
@@ -110,17 +113,17 @@ func runCell(t *testing.T, out *bytes.Buffer, cell string, cfg server.Config, qu
 	fmt.Fprintf(out, "%s: queries=%d cancelled=%d peakactive=%d peakqueued=%d totalwait=%d makespan=%d sharedstreams=%d taps=%d trace=%x\n",
 		cell, stats.Queries, stats.Cancelled, stats.PeakActive, stats.PeakQueued,
 		stats.TotalAdmissionWait.Nanoseconds(), stats.Makespan.Nanoseconds(),
-		stats.SharedStreams, stats.StreamTaps, traceDigest(t, tr, cfg.Mode == server.Isolated))
+		stats.SharedStreams, stats.StreamTaps, traceDigest(t, tr))
 }
 
-// TestServerGridMatchesGolden pins the multi-query drivers: both modes ×
-// MaxActive {1, 2, unbounded} × FIFO/priority × the three fairness modes
-// (fused; isolated servers ignore fairness) × timeouts off/on × burst,
-// spaced (overlapping) and sparse (never overlapping) arrivals — every
-// Report, the Stats and a digest of the trace. Around the grid: a fused
-// batch over shared streams at a 4 MiB grant, isolated servers under the
-// other engine strategies, fused bursts under them, and a fused burst with no
-// cap and global fairness at one, three and four queries.
+// TestServerGridMatchesGolden pins the multi-query driver: MaxActive {1, 2,
+// unbounded} × FIFO/priority × the three fairness modes × timeouts off/on ×
+// burst, spaced (overlapping) and sparse (never overlapping) arrivals —
+// every Report, the Stats and a digest of the trace. Around the grid: a
+// batch over shared streams at a 4 MiB grant, staggered batches and bursts
+// under the other engine strategies, and a burst with no cap and global
+// fairness at one, three and four queries. The cells keep the "fused/" prefix
+// of the retired two-mode grid, so their lines stay comparable.
 func TestServerGridMatchesGolden(t *testing.T) {
 	ws := make([]*workload.Workload, 4)
 	for i := range ws {
@@ -134,23 +137,17 @@ func TestServerGridMatchesGolden(t *testing.T) {
 		name string
 		gap  time.Duration
 	}{{"burst", 0}, {"spaced", 300 * time.Millisecond}, {"sparse", 100 * time.Second}}
-	fairness := map[server.Mode][]server.Fairness{
-		server.Isolated: {server.FairGlobal},
-		server.Fused:    {server.FairGlobal, server.FairRoundRobin, server.FairWeightedByWait},
-	}
+	fairness := []server.Fairness{server.FairGlobal, server.FairRoundRobin, server.FairWeightedByWait}
 
 	var grid bytes.Buffer
-	for _, mode := range []server.Mode{server.Isolated, server.Fused} {
-		for _, maxActive := range []int{1, 2, 0} {
-			for _, disc := range []server.Discipline{server.FIFO, server.Priority} {
-				for _, fair := range fairness[mode] {
-					for _, timeouts := range []bool{false, true} {
-						for _, arr := range arrivals {
-							cell := fmt.Sprintf("%v/cap%d/%v/%v/timeouts=%v/%s", mode, maxActive, disc, fair, timeouts, arr.name)
-							cfg := server.Config{Exec: exec.DefaultConfig(), MaxActive: maxActive,
-								Mode: mode, Discipline: disc, Fairness: fair}
-							runCell(t, &grid, cell, cfg, gridQueries(t, ws, arr.gap, timeouts))
-						}
+	for _, maxActive := range []int{1, 2, 0} {
+		for _, disc := range []server.Discipline{server.FIFO, server.Priority} {
+			for _, fair := range fairness {
+				for _, timeouts := range []bool{false, true} {
+					for _, arr := range arrivals {
+						cell := fmt.Sprintf("fused/cap%d/%v/%v/timeouts=%v/%s", maxActive, disc, fair, timeouts, arr.name)
+						cfg := server.Config{Exec: exec.DefaultConfig(), MaxActive: maxActive, Discipline: disc, Fairness: fair}
+						runCell(t, &grid, cell, cfg, gridQueries(t, ws, arr.gap, timeouts))
 					}
 				}
 			}
@@ -163,45 +160,38 @@ func TestServerGridMatchesGolden(t *testing.T) {
 	sharedCfg := exec.DefaultConfig()
 	sharedCfg.SharedStreams = true
 	sharedCfg.MemoryBytes = 4 << 20
-	for _, fair := range fairness[server.Fused] {
+	for _, fair := range fairness {
 		runCell(t, &grid, fmt.Sprintf("fused/shared-4MiB/cap2/%v", fair),
-			server.Config{Exec: sharedCfg, MaxActive: 2, Mode: server.Fused, Fairness: fair}, shared)
+			server.Config{Exec: sharedCfg, MaxActive: 2, Fairness: fair}, shared)
 	}
-	// A timeout cancels under the static policies as under DSE. DPHJ runs
-	// each query in one phase, so no planning point falls inside it for a
-	// timeout to strike at.
+	// Staggered arrivals behind a cap of two: later queries attach mid-run,
+	// and a timeout cancels under the static policies as under DSE. DPHJ
+	// admits a query once the running feeds finish, so no planning point
+	// falls inside a query for a timeout to strike at.
 	for _, strategy := range []string{"SEQ", "MA", "SCR", "DPHJ"} {
 		for _, timeouts := range []bool{false, true} {
-			runCell(t, &grid, fmt.Sprintf("isolated/%s/cap2/timeouts=%v/spaced", strategy, timeouts),
+			runCell(t, &grid, fmt.Sprintf("fused/%s/cap2/timeouts=%v/spaced", strategy, timeouts),
 				server.Config{Exec: exec.DefaultConfig(), Strategy: strategy, MaxActive: 2},
 				gridQueries(t, ws, 300*time.Millisecond, timeouts))
 		}
 	}
-	// Staggered arrivals behind a cap of two: later queries attach mid-run.
-	for _, strategy := range []string{"SEQ", "MA", "SCR", "DPHJ"} {
-		for _, timeouts := range []bool{false, true} {
-			runCell(t, &grid, fmt.Sprintf("fused/%s/cap2/timeouts=%v/spaced", strategy, timeouts),
-				server.Config{Exec: exec.DefaultConfig(), Strategy: strategy, MaxActive: 2, Mode: server.Fused},
-				gridQueries(t, ws, 300*time.Millisecond, timeouts))
-		}
-	}
-	// Simultaneous arrivals with no cap: the one fused shape a policy
-	// without mid-run attach can serve. Each query completes at its own
-	// instant, not at the batch makespan.
+	// Simultaneous arrivals with no cap: one engine over every query from
+	// the first round. Each query completes at its own instant, not at the
+	// batch makespan.
 	for _, strategy := range []string{"SEQ", "MA", "SCR", "DPHJ"} {
 		runCell(t, &grid, fmt.Sprintf("fused/%s/cap0/burst", strategy),
-			server.Config{Exec: exec.DefaultConfig(), Strategy: strategy, Mode: server.Fused},
+			server.Config{Exec: exec.DefaultConfig(), Strategy: strategy},
 			gridQueries(t, ws, 0, false))
 	}
 
-	// A fused server whose queries all arrive at time zero, with no cap and
-	// global fairness: one engine over every query from the first round.
+	// A server whose queries all arrive at time zero, with no cap and global
+	// fairness: one engine over every query from the first round.
 	for _, c := range []struct {
 		name string
 		n    int
 	}{{"one", 1}, {"three", 3}, {"four", 4}} {
 		cell := "runconcurrent/" + c.name
-		reports, _, tr, err := serve(server.Config{Exec: exec.DefaultConfig(), Mode: server.Fused},
+		reports, _, tr, err := serve(server.Config{Exec: exec.DefaultConfig()},
 			gridQueries(t, ws[:c.n], 0, false))
 		if err != nil {
 			fmt.Fprintf(&grid, "%s: error: %v\n", cell, err)
@@ -210,7 +200,7 @@ func TestServerGridMatchesGolden(t *testing.T) {
 		for _, rep := range reports {
 			fmt.Fprintf(&grid, "%s/%s: %s\n", cell, rep.Label, resultLine(rep.Result))
 		}
-		fmt.Fprintf(&grid, "%s: trace=%x\n", cell, traceDigest(t, tr, false))
+		fmt.Fprintf(&grid, "%s: trace=%x\n", cell, traceDigest(t, tr))
 	}
 
 	path := filepath.Join("testdata", "server_grid.golden")

@@ -8,28 +8,15 @@
 // the memory grant, the plan caches and (optionally) the physical wrapper
 // streams.
 //
-// The server runs in one of two execution modes:
-//
-//   - Isolated (the default): every query executes on a private mediator —
-//     its own virtual clock, disk, memory grant — exactly like a serial
-//     dqs.Run, so queries never interact. Each runs alone to completion;
-//     the server then replays the admission cap and discipline over the
-//     known service times. Per-query Results are byte-identical to serial
-//     runs at any MaxActive; only admission timing changes.
-//
-//   - Fused: every admitted query attaches to one shared mediator — one
-//     clock, one memory grant arbitrated by one governor with per-query
-//     holder attribution, shared decomposition/plan caches, and optionally
-//     shared physical wrapper streams (Config.Exec.SharedStreams). All
-//     queries' fragments compete in one scheduling plan; cross-query
-//     fairness biases the planning order. A policy without mid-run attach
-//     (every built-in but DSE) serves the one shape that needs none: every
-//     query arriving at time zero with no cap.
-//
-// Both modes execute through one driver loop (runBatch): a fused server
-// gives it the whole batch, an isolated server one query at a time.
-// Everything is deterministic: equal seeds, configs and submission orders
-// produce bit-identical reports.
+// Every admitted query attaches to one shared mediator — one clock, one
+// memory grant arbitrated by one governor with per-query holder
+// attribution, shared decomposition/plan caches, and optionally shared
+// physical wrapper streams (Config.Exec.SharedStreams). All queries'
+// fragments compete in one scheduling plan; cross-query fairness biases the
+// planning order. A query admitted after the first planning point joins the
+// plan at the next one, under every strategy. One driver loop (runBatch)
+// executes the batch. Everything is deterministic: equal seeds, configs and
+// submission orders produce bit-identical reports.
 package server
 
 import (
@@ -42,40 +29,10 @@ import (
 	"dqs/internal/workload"
 )
 
-// Mode selects the server's execution mode.
-type Mode int
-
-const (
-	// Isolated runs every admitted query on a private mediator, byte-
-	// identical to a serial run; the server arbitrates admission only.
-	Isolated Mode = iota
-	// Fused attaches every admitted query to one shared mediator: shared
-	// grant, shared caches, optionally shared wrapper streams, one global
-	// scheduling plan.
-	Fused
-)
-
-// String names the mode for flags and reports.
-func (m Mode) String() string {
-	switch m {
-	case Isolated:
-		return "isolated"
-	case Fused:
-		return "fused"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ParseMode resolves a mode name from a CLI flag.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "isolated":
-		return Isolated, nil
-	case "fused":
-		return Fused, nil
-	}
-	return 0, fmt.Errorf("server: unknown mode %q (valid: isolated, fused)", s)
-}
+// Fused names the server's one execution mode. Config.Mode is ignored; it
+// and Fused stay only because bench/ sets one to the other —
+// remove with the next [benchmark] PR.
+const Fused = 1
 
 // Discipline orders the admission wait queue.
 type Discipline int
@@ -110,9 +67,8 @@ func ParseDiscipline(s string) (Discipline, error) {
 	return 0, fmt.Errorf("server: unknown discipline %q (valid: fifo, priority)", s)
 }
 
-// Fairness selects how a Fused server shares planning attention across its
-// admitted queries. Isolated servers ignore it (each query has its own
-// scheduler).
+// Fairness selects how a server shares planning attention across its
+// admitted queries.
 type Fairness int
 
 const (
@@ -158,22 +114,21 @@ func ParseFairness(s string) (Fairness, error) {
 type Config struct {
 	// Exec is the execution configuration every admitted query runs under.
 	// Shared infrastructure rides in here: Exec.Plans (the decomposition
-	// cache) is shared by every query in both modes; Exec.SharedStreams
-	// lets fused queries share physical wrapper streams.
+	// cache) is shared by every query; Exec.SharedStreams lets queries share
+	// physical wrapper streams.
 	Exec exec.Config
-	// Strategy names the registered scheduling strategy ("" = DSE). A fused
-	// server admitting a query after its first planning point needs a
-	// strategy whose policy supports mid-run attachment; of the built-ins,
-	// only DSE does.
+	// Strategy names the registered scheduling strategy ("" = DSE). Every
+	// built-in strategy takes a query admitted mid-run up at its next
+	// planning point.
 	Strategy string
 	// MaxActive caps concurrently executing queries; submissions beyond the
 	// cap wait in the admission queue. 0 or negative admits without bound.
 	MaxActive int
-	// Mode selects isolated or fused execution.
-	Mode Mode
+	// Mode is ignored (see Fused) — remove with the next [benchmark] PR.
+	Mode int
 	// Discipline orders the admission wait queue.
 	Discipline Discipline
-	// Fairness selects the fused cross-query planning bias.
+	// Fairness selects the cross-query planning bias.
 	Fairness Fairness
 }
 
@@ -217,19 +172,13 @@ type Query struct {
 	// the governor ledger) is untouched.
 	Timeout time.Duration
 	// Sink, when non-nil, receives this query's result tuples the instant
-	// they are produced (per-query streaming delivery). An isolated server
-	// runs its queries one after another, so their sinks fire query by
-	// query, each stamped on its query's private clock.
+	// they are produced (per-query streaming delivery), stamped on the
+	// server's global virtual timeline.
 	Sink exec.Sink
 }
 
-// wrap names the query an error belongs to. Submit rejects empty labels:
-// an unlabelled query is an isolated server's private run, and runIsolated
-// names it.
+// wrap names the query an error belongs to.
 func (q *Query) wrap(err error) error {
-	if q.Label == "" {
-		return err
-	}
 	return fmt.Errorf("server: query %q: %w", q.Label, err)
 }
 
@@ -261,9 +210,9 @@ type Stats struct {
 	TotalAdmissionWait time.Duration
 	// Makespan is the latest completion instant.
 	Makespan time.Duration
-	// SharedStreams and StreamTaps count the physical wrapper streams a
-	// fused server shared and the query taps they served (zero in isolated
-	// mode or with Exec.SharedStreams off).
+	// SharedStreams and StreamTaps count the physical wrapper streams the
+	// server shared and the query taps they served (zero with
+	// Exec.SharedStreams off).
 	SharedStreams int
 	StreamTaps    int
 }
@@ -286,13 +235,11 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Exec.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Mode {
-	case Isolated, Fused:
-	default:
-		return nil, fmt.Errorf("server: invalid mode %d", int(cfg.Mode))
+	if cfg.Discipline != FIFO && cfg.Discipline != Priority {
+		return nil, fmt.Errorf("server: unknown discipline %v", cfg.Discipline)
 	}
-	if cfg.Mode == Isolated && cfg.Exec.SharedStreams {
-		return nil, fmt.Errorf("server: shared streams need fused mode (isolated queries run on private mediators)")
+	if cfg.Fairness < FairGlobal || cfg.Fairness > FairWeightedByWait {
+		return nil, fmt.Errorf("server: unknown fairness %v", cfg.Fairness)
 	}
 	if err := core.CheckEngineStrategy(cfg.strategy()); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -327,10 +274,7 @@ func (s *Server) Run() ([]Report, Stats, error) {
 	if len(s.queries) == 0 {
 		return nil, Stats{}, fmt.Errorf("server: no queries submitted")
 	}
-	if s.cfg.Mode == Fused {
-		return s.runBatch()
-	}
-	return s.runIsolated()
+	return s.runBatch()
 }
 
 // arrivalOrder returns query indices sorted by (ArriveAt, submission
@@ -347,25 +291,17 @@ func (s *Server) arrivalOrder() []int {
 }
 
 // pickAdmission selects the next admission from pending (indices into
-// s.queries, in arrival order) for a slot freeing at time t. When nothing
-// has arrived by t, admission jumps to the earliest arrival. It returns the
-// position within pending and the admission instant.
-func (s *Server) pickAdmission(pending []int, t time.Duration) (pos int, at time.Duration) {
-	// The arrived prefix of the pending queue competes for the slot; with
-	// nothing arrived, the earliest arrivals (there may be ties) compete at
-	// their arrival instant.
-	n := s.countArrived(pending, t)
-	if n == 0 {
-		n = s.countArrived(pending, s.queries[pending[0]].ArriveAt)
-	}
+// s.queries, in arrival order), among the queries arrived by t, and returns
+// its position within pending.
+func (s *Server) pickAdmission(pending []int, t time.Duration) (pos int) {
 	if s.cfg.Discipline == Priority {
-		for i := 1; i < n; i++ {
+		for i, n := 1, s.countArrived(pending, t); i < n; i++ {
 			if s.queries[pending[i]].Priority > s.queries[pending[pos]].Priority {
 				pos = i
 			}
 		}
 	}
-	return pos, max(t, s.queries[pending[pos]].ArriveAt)
+	return pos
 }
 
 // countArrived returns how many pending queries (in arrival order) have

@@ -69,97 +69,64 @@ func runServer(t testing.TB, cfg Config, queries []Query) ([]Report, Stats) {
 	return reports, stats
 }
 
-// TestIsolatedMatchesSerial is the first oracle: an isolated-mode server's
-// per-query Results are byte-identical to serial single-query runs at any
-// admission cap — concurrency changes admission timing only — under DSE and
-// under the join-network DPHJ alike.
-func TestIsolatedMatchesSerial(t *testing.T) {
-	queries := testQueries(t, 4, 3*time.Millisecond)
-	cfg := exec.DefaultConfig()
-
-	for _, strategy := range []string{"DSE", "DPHJ"} {
-		serial := make([]exec.Result, len(queries))
-		for i, q := range queries {
-			serial[i] = serialRun(t, cfg, q, strategy)
-		}
-		for _, cap := range []int{1, 2, 8} {
-			reports, stats := runServer(t, Config{Exec: cfg, MaxActive: cap, Strategy: strategy}, queries)
-			for i, rep := range reports {
-				if !rep.Result.Equal(serial[i]) {
-					t.Errorf("%s cap=%d query %q: server result differs from serial run\nserver: %v\nserial: %v",
-						strategy, cap, rep.Label, rep.Result, serial[i])
-				}
-				if rep.CompletedAt != rep.AdmittedAt+rep.Result.ResponseTime {
-					t.Errorf("%s cap=%d query %q: CompletedAt %v != AdmittedAt %v + response %v",
-						strategy, cap, rep.Label, rep.CompletedAt, rep.AdmittedAt, rep.Result.ResponseTime)
-				}
-			}
-			if want := min(cap, len(queries)); stats.PeakActive > want {
-				t.Errorf("%s cap=%d: PeakActive %d exceeds cap", strategy, cap, stats.PeakActive)
-			}
-		}
-	}
-}
-
-// TestIsolatedCapOrdersAdmissions checks the admission machinery: under a
-// cap of one, queries queue (not fail), admissions are serial and waits
-// accumulate; the priority discipline reorders the queue.
-func TestIsolatedCapOrdersAdmissions(t *testing.T) {
+// TestCapOrdersAdmissions checks the admission machinery under every
+// registered strategy: under a cap of one, queries queue (not fail),
+// admissions are serial and waits accumulate; the priority discipline
+// reorders the queue; and the peaks are quantities of the global timeline.
+func TestCapOrdersAdmissions(t *testing.T) {
 	queries := testQueries(t, 3, 0) // all arrive at t=0
-	cfg := exec.DefaultConfig()
-	reports, stats := runServer(t, Config{Exec: cfg, MaxActive: 1}, queries)
-	var prev time.Duration
-	for i, rep := range reports {
-		if rep.AdmittedAt < prev {
-			t.Errorf("FIFO admissions out of order: %q admitted at %v after %v", rep.Label, rep.AdmittedAt, prev)
-		}
-		prev = rep.AdmittedAt
-		if i == 0 && rep.AdmissionWait != 0 {
-			t.Errorf("first query waited %v", rep.AdmissionWait)
-		}
-		if i > 0 && rep.AdmissionWait == 0 {
-			t.Errorf("query %q admitted with zero wait under cap 1", rep.Label)
-		}
-	}
-	if stats.PeakActive != 1 {
-		t.Errorf("PeakActive = %d, want 1", stats.PeakActive)
-	}
-	if stats.PeakQueued == 0 {
-		t.Errorf("PeakQueued = 0, want > 0 with 3 queries and cap 1")
-	}
-
-	// Priority: the highest-priority query jumps the whole queue (among
-	// those arrived when the first slot frees).
 	prio := make([]Query, len(queries))
 	copy(prio, queries)
 	prio[2].Priority = 10
-	reports, _ = runServer(t, Config{Exec: cfg, MaxActive: 1, Discipline: Priority}, prio)
-	if reports[2].AdmittedAt >= reports[1].AdmittedAt {
-		t.Errorf("priority query admitted at %v, after lower-priority %v",
-			reports[2].AdmittedAt, reports[1].AdmittedAt)
-	}
+	cfg := exec.DefaultConfig()
+	for _, strategy := range core.StrategyNames() {
+		reports, stats := runServer(t, Config{Exec: cfg, MaxActive: 1, Strategy: strategy}, queries)
+		var prev time.Duration
+		for i, rep := range reports {
+			if rep.AdmittedAt < prev {
+				t.Errorf("%s: FIFO admissions out of order: %q admitted at %v after %v", strategy, rep.Label, rep.AdmittedAt, prev)
+			}
+			prev = rep.AdmittedAt
+			if i == 0 && rep.AdmissionWait != 0 {
+				t.Errorf("%s: first query waited %v", strategy, rep.AdmissionWait)
+			}
+			if i > 0 && rep.AdmissionWait == 0 {
+				t.Errorf("%s: query %q admitted with zero wait under cap 1", strategy, rep.Label)
+			}
+		}
+		if stats.PeakActive != 1 {
+			t.Errorf("%s: PeakActive = %d, want 1", strategy, stats.PeakActive)
+		}
+		if stats.PeakQueued != 2 {
+			t.Errorf("%s: PeakQueued = %d, want 2 with 3 queries and cap 1", strategy, stats.PeakQueued)
+		}
 
-	// The peaks are quantities of the global timeline: two queries that
-	// never overlap are never active together, whatever the cap allows, and
-	// a burst queues exactly the arrivals the cap turns away — as the fused
-	// server counts them.
-	_, stats = runServer(t, Config{Exec: cfg, MaxActive: 2}, testQueries(t, 2, 100*time.Second))
-	if stats.PeakActive != 1 {
-		t.Errorf("sparse batch: PeakActive = %d, want 1 (the first query completes long before the second arrives)", stats.PeakActive)
-	}
-	burst := testQueries(t, 5, 0)
-	_, stats = runServer(t, Config{Exec: cfg, MaxActive: 2}, burst)
-	_, fused := runServer(t, Config{Exec: cfg, MaxActive: 2, Mode: Fused}, burst)
-	if stats.PeakQueued != 3 || stats.PeakQueued != fused.PeakQueued {
-		t.Errorf("burst batch: PeakQueued = %d (fused %d), want 3", stats.PeakQueued, fused.PeakQueued)
+		// Priority: the highest-priority query jumps the whole queue (among
+		// those arrived when the first slot frees).
+		reports, _ = runServer(t, Config{Exec: cfg, MaxActive: 1, Discipline: Priority, Strategy: strategy}, prio)
+		if reports[2].AdmittedAt >= reports[1].AdmittedAt {
+			t.Errorf("%s: priority query admitted at %v, after lower-priority %v",
+				strategy, reports[2].AdmittedAt, reports[1].AdmittedAt)
+		}
+
+		// Two queries that never overlap are never active together, whatever
+		// the cap allows, and a burst queues exactly the arrivals the cap
+		// turns away.
+		_, stats = runServer(t, Config{Exec: cfg, MaxActive: 2, Strategy: strategy}, testQueries(t, 2, 100*time.Second))
+		if stats.PeakActive != 1 {
+			t.Errorf("%s: sparse batch: PeakActive = %d, want 1 (the first query completes long before the second arrives)", strategy, stats.PeakActive)
+		}
+		_, stats = runServer(t, Config{Exec: cfg, MaxActive: 2, Strategy: strategy}, testQueries(t, 5, 0))
+		if stats.PeakQueued != 3 {
+			t.Errorf("%s: burst batch: PeakQueued = %d, want 3", strategy, stats.PeakQueued)
+		}
 	}
 }
 
-// TestFusedMatchesConcurrent is the second oracle: with every query
-// arriving at time zero, no binding cap and global fairness, a fused
-// server is byte-identical to core.RunStrategy (Engine.Run, the other loop
-// over Engine.Step) on one shared mediator — the multiquery experiment's
-// execution path.
+// TestFusedMatchesConcurrent is the driver's oracle: with every query
+// arriving at time zero, no binding cap and global fairness, the server is
+// byte-identical to core.RunStrategy (Engine.Run, the other loop over
+// Engine.Step) on one shared mediator.
 func TestFusedMatchesConcurrent(t *testing.T) {
 	queries := testQueries(t, 3, 0)
 	cfg := exec.DefaultConfig()
@@ -179,7 +146,7 @@ func TestFusedMatchesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reports, _ := runServer(t, Config{Exec: cfg, Mode: Fused}, queries)
+	reports, _ := runServer(t, Config{Exec: cfg}, queries)
 	for i, rep := range reports {
 		if !rep.Result.Equal(want[i]) {
 			t.Errorf("query %q: fused server differs from RunStrategy\nserver: %v\noracle: %v",
@@ -194,7 +161,7 @@ func TestFusedMatchesConcurrent(t *testing.T) {
 func TestFusedLateArrivalsComplete(t *testing.T) {
 	queries := testQueries(t, 4, 2*time.Millisecond)
 	cfg := exec.DefaultConfig()
-	reports, stats := runServer(t, Config{Exec: cfg, Mode: Fused, MaxActive: 2}, queries)
+	reports, stats := runServer(t, Config{Exec: cfg, MaxActive: 2}, queries)
 	for _, rep := range reports {
 		if rep.Result.OutputRows == 0 {
 			t.Errorf("query %q produced no output", rep.Label)
@@ -219,7 +186,7 @@ func TestFusedLateArrivalsComplete(t *testing.T) {
 func TestFusedGovernorLedger(t *testing.T) {
 	queries := testQueries(t, 3, 1*time.Millisecond)
 	cfg := exec.DefaultConfig()
-	s, err := New(Config{Exec: cfg, Mode: Fused, MaxActive: 2})
+	s, err := New(Config{Exec: cfg, MaxActive: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,51 +230,6 @@ func TestFusedGovernorLedger(t *testing.T) {
 	}
 }
 
-// TestTimeoutCancelIsolated checks that a per-query timeout cancels the
-// query at a planning point without corrupting its mediator's ledger, and
-// without touching its neighbours.
-func TestTimeoutCancelIsolated(t *testing.T) {
-	queries := testQueries(t, 2, 0)
-	queries[0].Timeout = 50 * time.Microsecond // far below the ~ms full runtime
-	cfg := exec.DefaultConfig()
-
-	serial := serialRun(t, cfg, queries[1], "DSE")
-
-	s, err := New(Config{Exec: cfg, MaxActive: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		if err := s.Submit(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	meds := make(map[*exec.Mediator]bool)
-	s.probe = func(med *exec.Mediator) { meds[med] = true }
-	reports, stats, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reports[0].Cancelled {
-		t.Errorf("query %q not cancelled (completed at %v)", reports[0].Label, reports[0].CompletedAt)
-	}
-	if stats.Cancelled != 1 {
-		t.Errorf("stats.Cancelled = %d, want 1", stats.Cancelled)
-	}
-	if reports[1].Cancelled {
-		t.Errorf("untimed query %q cancelled", reports[1].Label)
-	}
-	if !reports[1].Result.Equal(serial) {
-		t.Errorf("neighbour of cancelled query diverged from serial run\nserver: %v\nserial: %v",
-			reports[1].Result, serial)
-	}
-	for med := range meds {
-		if held := med.Mem.HeldTotal(); held != 0 {
-			t.Errorf("mediator still holds %d grant bytes after run", held)
-		}
-	}
-}
-
 // TestTimeoutCancelFused checks cancellation against the shared ledger: the
 // cancelled query's holdings return to the grant while the survivors
 // complete normally.
@@ -315,7 +237,7 @@ func TestTimeoutCancelFused(t *testing.T) {
 	queries := testQueries(t, 3, 0)
 	queries[1].Timeout = 50 * time.Microsecond
 	cfg := exec.DefaultConfig()
-	s, err := New(Config{Exec: cfg, Mode: Fused})
+	s, err := New(Config{Exec: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +276,7 @@ func TestTimeoutCancelFused(t *testing.T) {
 func TestServerDeterminism(t *testing.T) {
 	queries := testQueries(t, 3, 1*time.Millisecond)
 	run := func() []Report {
-		reports, _ := runServer(t, Config{Exec: exec.DefaultConfig(), Mode: Fused, MaxActive: 2, Fairness: FairRoundRobin}, queries)
+		reports, _ := runServer(t, Config{Exec: exec.DefaultConfig(), MaxActive: 2, Fairness: FairRoundRobin}, queries)
 		return reports
 	}
 	base, again := run(), run()
@@ -385,11 +307,11 @@ func TestFairnessModes(t *testing.T) {
 	rows := make(map[Fairness][]int64)
 	for _, f := range []Fairness{FairGlobal, FairRoundRobin, FairWeightedByWait} {
 		cfg := exec.DefaultConfig()
-		reports, _ := runServer(t, Config{Exec: cfg, Mode: Fused, Fairness: f}, queries)
+		reports, _ := runServer(t, Config{Exec: cfg, Fairness: f}, queries)
 		for _, rep := range reports {
 			rows[f] = append(rows[f], rep.Result.OutputRows)
 		}
-		again, _ := runServer(t, Config{Exec: cfg, Mode: Fused, Fairness: f}, queries)
+		again, _ := runServer(t, Config{Exec: cfg, Fairness: f}, queries)
 		for i := range reports {
 			if !reports[i].Result.Equal(again[i].Result) {
 				t.Errorf("fairness %v: repeat run differs for %q", f, reports[i].Label)
@@ -423,7 +345,7 @@ func TestSharedStreamsFused(t *testing.T) {
 	}
 	cfg := exec.DefaultConfig()
 	cfg.SharedStreams = true
-	s, err := New(Config{Exec: cfg, Mode: Fused})
+	s, err := New(Config{Exec: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +383,7 @@ func TestPerQuerySinks(t *testing.T) {
 		queries[i].Sink = exec.SinkFunc(func(time.Duration, relation.Tuple) { counts[i]++ })
 	}
 	cfg := exec.DefaultConfig()
-	reports, _ := runServer(t, Config{Exec: cfg, Mode: Fused}, queries)
+	reports, _ := runServer(t, Config{Exec: cfg}, queries)
 	for i, rep := range reports {
 		if counts[i] != rep.Result.OutputRows {
 			t.Errorf("query %q sink saw %d tuples, result reports %d", rep.Label, counts[i], rep.Result.OutputRows)
@@ -495,32 +417,27 @@ func TestSubmitValidation(t *testing.T) {
 	if err := s.Submit(Query{Label: "q", Workload: w}); err == nil {
 		t.Error("duplicate label accepted")
 	}
-	if _, err := New(Config{Exec: cfg, Mode: Mode(42)}); err == nil {
-		t.Error("invalid mode accepted")
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Exec: cfg, Discipline: Discipline(7)}, "unknown discipline Discipline(7)"},
+		{Config{Exec: cfg, Fairness: Fairness(9)}, "unknown fairness Fairness(9)"},
+		{Config{Exec: cfg, Fairness: Fairness(-1)}, "unknown fairness Fairness(-1)"},
+	} {
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New error = %v, want %q", err, c.want)
+		}
 	}
 	bad := cfg
 	bad.QueueTuples = 0
-	if _, err := New(Config{Exec: bad, Mode: Fused}); err == nil {
+	if _, err := New(Config{Exec: bad}); err == nil {
 		t.Error("invalid execution config accepted")
 	}
 	// A strategy the server cannot build an engine from fails at New, not at
 	// the first admission inside Run.
-	for _, mode := range []Mode{Isolated, Fused} {
-		_, err := New(Config{Exec: cfg, Mode: mode, Strategy: "NOPE"})
-		if want := `unknown strategy "NOPE" (registered: SEQ, MA, DSE,`; err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%v server, strategy NOPE: New error = %v, want %q", mode, err, want)
-		}
+	_, err = New(Config{Exec: cfg, Strategy: "NOPE"})
+	if want := `unknown strategy "NOPE" (registered: SEQ, MA, DSE,`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("strategy NOPE: New error = %v, want %q", err, want)
 	}
-	shared := cfg
-	shared.SharedStreams = true
-	if _, err := New(Config{Exec: shared, Mode: Isolated}); err == nil {
-		t.Error("isolated + shared streams accepted")
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

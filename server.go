@@ -14,7 +14,7 @@ type (
 	// Server is the multi-query mediator service: Submit a batch, then Run.
 	Server = server.Server
 	// ServerConfig configures a Server (execution config, strategy,
-	// admission cap, mode, discipline, fairness).
+	// admission cap, discipline, fairness).
 	ServerConfig = server.Config
 	// ServerQuery is one submitted query: workload, deliveries, arrival
 	// time, priority, timeout and optional per-query streaming sink.
@@ -25,23 +25,16 @@ type (
 	// ServerStats aggregates one server run (peak concurrency, queue
 	// depth, admission waits, makespan, stream sharing).
 	ServerStats = server.Stats
-	// ServerMode selects isolated or fused execution.
-	ServerMode = server.Mode
 	// ServerDiscipline orders the admission wait queue.
 	ServerDiscipline = server.Discipline
-	// ServerFairness selects the fused cross-query planning bias.
+	// ServerFairness selects the cross-query planning bias.
 	ServerFairness = server.Fairness
 )
 
-// Server execution modes. Isolated (the default) runs every admitted query
-// on a private mediator — per-query results are byte-identical to serial
-// dqs.Run at any cap. Fused attaches every query to one shared mediator:
-// one memory grant arbitrated across queries, shared caches, optionally
-// shared wrapper streams, one global scheduling plan.
-const (
-	ServerIsolated = server.Isolated
-	ServerFused    = server.Fused
-)
+// ServerFused names the server's one mode: every query attaches to one
+// shared mediator. ServerConfig.Mode is ignored; both stay only because
+// bench/ sets them — remove with the next [benchmark] PR.
+const ServerFused = server.Fused
 
 // Admission disciplines.
 const (
@@ -49,7 +42,7 @@ const (
 	ServerPriority = server.Priority
 )
 
-// Fused fairness modes: pure critical-degree order, round-robin planning
+// Fairness modes: pure critical-degree order, round-robin planning
 // favor, or favor-longest-waiting.
 const (
 	ServerFairGlobal         = server.FairGlobal
@@ -61,8 +54,6 @@ const (
 // configuration.
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
-// ParseServerMode, ParseServerDiscipline and ParseServerFairness resolve
-// CLI flag values.
-func ParseServerMode(s string) (ServerMode, error)             { return server.ParseMode(s) }
+// ParseServerDiscipline and ParseServerFairness resolve CLI flag values.
 func ParseServerDiscipline(s string) (ServerDiscipline, error) { return server.ParseDiscipline(s) }
 func ParseServerFairness(s string) (ServerFairness, error)     { return server.ParseFairness(s) }
