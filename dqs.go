@@ -117,7 +117,7 @@ type Strategy string
 // scheduling-level reaction) and DPHJ is the double-pipelined symmetric
 // hash join (§1.1, the operator-level reaction, at roughly double the
 // memory footprint). All five are scheduling policies on one engine, so
-// each runs under faults, in either server mode and over several queries.
+// each runs under faults, in a server and over several queries.
 const (
 	SEQ  Strategy = "SEQ"
 	MA   Strategy = "MA"
@@ -150,7 +150,8 @@ type (
 	// absorbs the interruption events that end execution phases.
 	Policy = core.Policy
 	// PolicyState is the execution state the engine shares with a policy:
-	// clock, attached query runtimes, stalls, cost charging, counters.
+	// clock, attached query runtimes, stalls, cost charging, the replan
+	// counter, and the mediator for everything else.
 	PolicyState = core.State
 	// PolicyFactory builds a policy once the engine's queries are attached.
 	PolicyFactory = core.PolicyFactory
@@ -159,12 +160,6 @@ type (
 	SchedulingPlan = core.SchedulingPlan
 	// PolicyEvent is one DQP interruption delivered to the policy.
 	PolicyEvent = core.Event
-	// StarvationHandler is an optional policy capability: custom reaction
-	// when every scheduled fragment is starved (scrambling's switch rule).
-	StarvationHandler = core.StarvationHandler
-	// PendingDescriber is an optional policy capability: extra detail for
-	// livelock and no-progress diagnostics.
-	PendingDescriber = core.PendingDescriber
 	// Fragment is the schedulable unit of work (a pipeline-chain segment).
 	Fragment = exec.Fragment
 	// QueryRuntime is one attached query's execution runtime.
@@ -173,14 +168,15 @@ type (
 
 // Interruption-event kinds delivered to Policy.OnEvent. The three fault
 // kinds (SourceDown, SourceUp, Failover) are only raised under an active
-// fault plan.
+// fault plan, and Starved only ends a Sticky plan, whose policy then reacts
+// to the starvation itself (SCR waits or scrambles).
 const (
 	EventSPDone     = core.EventSPDone
 	EventEndOfQF    = core.EventEndOfQF
 	EventRateChange = core.EventRateChange
 	EventTimeout    = core.EventTimeout
 	EventOverflow   = core.EventOverflow
-	EventResched    = core.EventResched
+	EventStarved    = core.EventStarved
 	EventSourceDown = core.EventSourceDown
 	EventSourceUp   = core.EventSourceUp
 	EventFailover   = core.EventFailover

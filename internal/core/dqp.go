@@ -9,8 +9,7 @@ import (
 )
 
 // nextArrival returns the earliest next input arrival among the unfinished
-// fragments. It is the hot stall primitive of the phase loop, shared with
-// State.NextArrival.
+// fragments. It is the hot stall primitive of the phase loop.
 func nextArrival(frags []*exec.Fragment) (time.Duration, bool) {
 	var best time.Duration
 	found := false
@@ -34,11 +33,10 @@ func nextArrival(frags []*exec.Fragment) (time.Duration, bool) {
 // Both modes share everything else: fault transitions, finalization of
 // fragments whose input ran out, starvation handling and the stall to the
 // next arrival. It returns the interruption event that ends the phase; the
-// error is non-nil when the policy's starvation handler failed or the
-// phase spins without advancing the clock.
+// error is non-nil when the resilience layer failed or the phase spins
+// without advancing the clock.
 func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 	med := e.med
-	starve, _ := e.pol.(StarvationHandler)
 	// window is the effective plan: Sticky plans narrow it to end at the
 	// last fragment a batch was processed from.
 	window := sp.Frags
@@ -128,8 +126,8 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 		}
 		// Every fragment of the window is starved. The resilience layer (when
 		// faults are active) checks for permanently silent wrappers first —
-		// probing, declaring death, failing over — before the policy's own
-		// starvation reaction or the default stall/timeout.
+		// probing, declaring death, failing over — before the scrambling
+		// reaction or the default stall/timeout.
 		if e.flt != nil {
 			act, ev, err := e.flt.onStarved(window)
 			if err != nil {
@@ -142,20 +140,11 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 				return ev, nil
 			}
 		}
-		// A policy with its own starvation reaction (scrambling) takes over
-		// here; otherwise the engine stalls until the earliest arrival, or
-		// reports a timeout.
-		if starve != nil {
-			eff := sp
-			eff.Frags = window
-			resched, err := starve.OnStarved(e.st, eff)
-			if err != nil {
-				return Event{}, err
-			}
-			if resched {
-				return Event{Kind: EventResched, Window: window}, nil
-			}
-			continue
+		// A Sticky window is the scrambling engine's, and so is its reaction
+		// to starvation; otherwise the engine stalls until the earliest
+		// arrival, or reports a timeout.
+		if sp.Sticky {
+			return Event{Kind: EventStarved, Window: window}, nil
 		}
 		next, ok := nextArrival(window)
 		if !ok {

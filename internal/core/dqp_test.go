@@ -290,11 +290,25 @@ func TestSweepEndsWhenNothingWillArrive(t *testing.T) {
 	}
 }
 
-// starvedNoOp is a starvation handler that neither advances the clock nor
-// asks for a new planning point: a broken user policy.
-type starvedNoOp struct{ Policy }
+// dueInput is a wrapper that reports an arrival already due but never makes
+// a tuple available: a broken input the phase can neither process nor
+// stall on.
+type dueInput struct{ exec.TupleSource }
 
-func (starvedNoOp) OnStarved(*State, SchedulingPlan) (bool, error) { return false, nil }
+func (dueInput) Available(time.Duration) int        { return 0 }
+func (dueInput) NextArrival() (time.Duration, bool) { return 0, true }
+func (dueInput) Exhausted() bool                    { return false }
+
+// dueSeq is SEQ with every planned fragment reading through dueInput.
+type dueSeq struct{ Policy }
+
+func (p dueSeq) Plan(st *State) (SchedulingPlan, error) {
+	sp, err := p.Policy.Plan(st)
+	for _, f := range sp.Frags {
+		f.In = dueInput{f.In}
+	}
+	return sp, err
+}
 
 // TestDQPSpinIsAnError: a phase that loops without advancing the clock ends
 // with an error naming the policy, the plan and the fragments — not a panic.
@@ -303,7 +317,7 @@ func TestDQPSpinIsAnError(t *testing.T) {
 	rt := newRT(t, w, testConfig(), uniform(w, 20*time.Millisecond))
 	e, err := newEngine(rt.Med, []*exec.Runtime{rt}, func(st *State) (Policy, error) {
 		inner, err := NewSeqPolicy(st)
-		return starvedNoOp{inner}, err
+		return dueSeq{inner}, err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,5 +326,29 @@ func TestDQPSpinIsAnError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "DQP spin") ||
 		!strings.Contains(err.Error(), "policy SEQ, plan [") || !strings.Contains(err.Error(), "runnable=false") {
 		t.Fatalf("err = %v, want a DQP spin error naming policy, plan and fragments", err)
+	}
+}
+
+// TestStickyPhaseEndsStarved: when every fragment of a Sticky window is out
+// of data, the phase ends with EventStarved at once — no stall, no timeout —
+// and hands the policy the window.
+func TestStickyPhaseEndsStarved(t *testing.T) {
+	w := smallFig5(t)
+	del := uniform(w, 10*time.Microsecond)
+	del["D"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: time.Second}
+	del["E"] = exec.Delivery{MeanWait: 10 * time.Microsecond, InitialDelay: time.Second}
+	rt := newRT(t, w, testConfig(), del)
+	e := dseEngine(t, rt)
+	cE, _ := rt.Dec.ChainOf("E")
+	cD, _ := rt.Dec.ChainOf("D")
+	fE, fD := rt.NewPCFragment(cE), rt.NewPCFragment(cD)
+	before := rt.Med.Now()
+	ev, err := e.processPhase(SchedulingPlan{Frags: []*exec.Fragment{fD, fE}, Sticky: true, Timeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != EventStarved || len(ev.Window) != 2 || rt.Med.Now() != before {
+		t.Fatalf("event %v, window %d, clock %v → %v; want Starved over both fragments with the clock unmoved",
+			ev.Kind, len(ev.Window), before, rt.Med.Now())
 	}
 }

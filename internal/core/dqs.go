@@ -26,9 +26,10 @@ type byPriority struct {
 	cands       []cand
 	descendants map[*plan.Chain]int
 	// favored, when non-nil, sorts that query's candidates before every
-	// other query's (cross-query fairness, see dsePolicy.SetFavored); the
-	// order among the favored query's own candidates — and among everyone
-	// else's — is the normal priority order.
+	// other query's (cross-query fairness, see Engine.Favor); the order
+	// among the favored query's own candidates — and among everyone else's
+	// — is the normal priority order. The candidate set is untouched, so a
+	// plan never empties, and nil is the global critical-degree order.
 	favored *exec.Runtime
 }
 
@@ -79,7 +80,7 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 		// Priority order: critical degree descending; ties broken toward
 		// chains that unblock more downstream work, then by name for
 		// determinism.
-		sort.Stable(byPriority{cands: cands, descendants: p.descendants, favored: p.favored})
+		sort.Stable(byPriority{cands: cands, descendants: p.descendants, favored: st.favored})
 
 		// Memory fit: take fragments in priority order while their remaining
 		// build-side growth fits the grant. A candidate that does not fit

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"dqs/internal/exec"
@@ -39,13 +38,6 @@ type dsePolicy struct {
 	// count (plus one degenerate top split per chain); exceeding the budget
 	// means the repair loop is not converging.
 	splitBudget int
-
-	// favored, when non-nil, sorts that query's schedulable fragments before
-	// every other query's at the planning points (Engine.Favor) — the hook a
-	// multi-query server's fair scheduler uses. Within-query order and the
-	// candidate set itself are untouched, so plans never empty and the nil
-	// (global) mode is byte-identical to the pre-favoring scheduler.
-	favored *exec.Runtime
 }
 
 // dqpTimeout is how long a DSE execution phase may be fully starved before
@@ -89,10 +81,6 @@ func (p *dsePolicy) addRuntimes(st *State) {
 // remove with the next [benchmark] PR.
 func (p *dsePolicy) Attach(st *State, rt *exec.Runtime) error { return nil }
 
-// SetFavored biases the planning order toward one query (Engine.Favor);
-// nil restores the global critical-degree order.
-func (p *dsePolicy) SetFavored(rt *exec.Runtime) { p.favored = rt }
-
 func (p *dsePolicy) Name() string { return "DSE" }
 
 // Done reports whether every query has finished or been cancelled.
@@ -125,7 +113,7 @@ func (p *dsePolicy) Plan(st *State) (SchedulingPlan, error) {
 				return SchedulingPlan{}, errInsufficientMemory(cs.chain.Name, med.Mem.Total())
 			}
 		}
-		return SchedulingPlan{}, fmt.Errorf("core: no schedulable work but %s", p.PendingSummary())
+		return SchedulingPlan{}, fmt.Errorf("core: no schedulable work but %s", st.pending())
 	}
 	med.CountReplan()
 	med.Trace.Add(med.Now(), sim.EvSchedule, "SP = [%s]", spLabels(sp))
@@ -157,7 +145,7 @@ func (p *dsePolicy) OnEvent(st *State, ev Event) error {
 		// The full re-optimization of scrambling phase 2 is the DQO's job
 		// in the paper; without a re-optimizer the engine waits out the
 		// delay and replans.
-		if next, ok := st.NextArrival(st.CurrentPlan()); ok {
+		if next, ok := nextArrival(ev.Window); ok {
 			med.Clock.Stall(next)
 		} else {
 			return fmt.Errorf("core: timeout with no future arrivals")
@@ -181,16 +169,4 @@ func (p *dsePolicy) advanceFinished() {
 			cs.advance()
 		}
 	}
-}
-
-// PendingSummary describes unfinished chains for diagnostics.
-func (p *dsePolicy) PendingSummary() string {
-	var parts []string
-	for _, cs := range p.states {
-		if !cs.complete {
-			parts = append(parts, fmt.Sprintf("%s%s(seg %d/%d)",
-				prefixLabel(cs.rt.Label), cs.chain.Name, cs.cur+1, len(cs.segs)))
-		}
-	}
-	return "pending: " + strings.Join(parts, ", ")
 }

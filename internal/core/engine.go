@@ -24,6 +24,8 @@ type Engine struct {
 	// flt is the fault-reaction layer, non-nil only under an active fault
 	// plan; the fault-free path takes no new branches.
 	flt *resilience
+	// lastPlan is the plan of the latest phase, for diagnostics.
+	lastPlan SchedulingPlan
 
 	// Livelock guard state (see Step): scheduling rounds that advance
 	// neither virtual time nor any progress counter indicate an engine or
@@ -109,7 +111,7 @@ func (e *Engine) Step() (bool, error) {
 		return false, fmt.Errorf("core: policy %s planned no work with queries unfinished; %s",
 			e.pol.Name(), e.pendingSummary())
 	}
-	e.st.lastPlan = sp
+	e.lastPlan = sp
 	ev, err := e.processPhase(sp)
 	if err != nil {
 		return false, err
@@ -174,25 +176,17 @@ func (e *Engine) CancelQuery(rt *exec.Runtime) error {
 	return nil
 }
 
-// Favor biases the next planning points toward one query: the policy orders
+// Favor biases the next planning points toward one query: the engine holds
+// it on State, and DSE — or a policy that delegates planning to DSE — orders
 // that query's schedulable fragments before every other query's, keeping
 // the within-query order unchanged. A nil runtime restores the global
-// critical-degree order. Policies not implementing FavorSetter ignore it.
-func (e *Engine) Favor(rt *exec.Runtime) {
-	if f, ok := e.pol.(FavorSetter); ok {
-		f.SetFavored(rt)
-	}
-}
+// critical-degree order. The other built-in policies ignore it.
+func (e *Engine) Favor(rt *exec.Runtime) { e.st.favored = rt }
 
 // pendingSummary describes the stuck engine for diagnostics: the active
-// policy, the current scheduling plan, and whatever per-strategy detail the
-// policy can add.
+// policy, the current scheduling plan and every unfinished chain.
 func (e *Engine) pendingSummary() string {
-	s := fmt.Sprintf("policy %s, plan [%s]", e.pol.Name(), spLabels(e.st.lastPlan.Frags))
-	if d, ok := e.pol.(PendingDescriber); ok {
-		s += "; " + d.PendingSummary()
-	}
-	return s
+	return fmt.Sprintf("policy %s, plan [%s]; %s", e.pol.Name(), spLabels(e.lastPlan.Frags), e.st.pending())
 }
 
 func prefixLabel(label string) string {

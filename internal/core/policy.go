@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"time"
 
 	"dqs/internal/exec"
@@ -25,9 +26,10 @@ const (
 	EventTimeout
 	// EventOverflow: a fragment exhausted the memory grant.
 	EventOverflow
-	// EventResched: the policy's starvation handler asked for a fresh
-	// planning phase.
-	EventResched
+	// EventStarved: every fragment of a Sticky plan's window starved. The
+	// scrambling engine's reaction to starvation is the policy's, so the
+	// phase ends here instead of stalling (see SchedulingPlan.Sticky).
+	EventStarved
 	// EventSourceDown: a wrapper stopped delivering — a fault transition
 	// crossed the current virtual time (disconnect or permanent death), or
 	// the resilience layer abandoned the wrapper's fragments in
@@ -52,8 +54,8 @@ func (k EventKind) String() string {
 		return "TimeOut"
 	case EventOverflow:
 		return "Overflow"
-	case EventResched:
-		return "Resched"
+	case EventStarved:
+		return "Starved"
 	case EventSourceDown:
 		return "SourceDown"
 	case EventSourceUp:
@@ -94,6 +96,8 @@ type SchedulingPlan struct {
 	// scan. This is the scrambling engine's suspended-tree rule — work
 	// returns to the earliest resumable operator tree and everything the
 	// engine scrambled away from stays suspended until a new planning point.
+	// When the whole window starves, the phase ends with EventStarved and
+	// the policy decides whether to wait or scramble.
 	Sticky bool
 	// ObserveRates feeds the communication manager every iteration and
 	// raises EventRateChange on significant delivery-rate changes.
@@ -125,23 +129,6 @@ type Policy interface {
 	OnEvent(st *State, ev Event) error
 }
 
-// StarvationHandler is an optional policy capability: when every fragment
-// of the effective scheduling window is starved, the executor consults it
-// instead of applying the default stall-or-timeout reaction. The sp it
-// receives carries the effective window (narrowed for Sticky plans).
-// Returning resched=true ends the phase with EventResched (a new planning
-// point); false resumes the phase scan after whatever clock advance the
-// handler performed.
-type StarvationHandler interface {
-	OnStarved(st *State, sp SchedulingPlan) (resched bool, err error)
-}
-
-// PendingDescriber is an optional policy capability: extra per-strategy
-// detail for livelock and no-progress diagnostics.
-type PendingDescriber interface {
-	PendingSummary() string
-}
-
 // Attacher is an optional policy capability: being told of a query runtime
 // attached between scheduling rounds (Engine.Attach), before the engine
 // appends it to the state. No built-in needs it — each takes new runtimes up
@@ -151,29 +138,38 @@ type Attacher interface {
 	Attach(st *State, rt *exec.Runtime) error
 }
 
-// Canceller is no longer consulted: Engine.CancelQuery cancels through the
-// runtime under every policy. It stays only because bench/ names it —
-// remove with the next [benchmark] PR.
-type Canceller interface {
-	Cancel(st *State, rt *exec.Runtime) error
-}
-
-// FavorSetter is an optional policy capability: biasing planning toward one
-// query's fragments (Engine.Favor) so a multi-query service can impose
-// cross-query fairness on top of the policy's own priority order. nil
-// restores the policy's global order.
-type FavorSetter interface {
-	SetFavored(rt *exec.Runtime)
-}
+// Canceller, FavorSetter, PendingDescriber and StarvationHandler are no
+// longer consulted: the runtime cancels queries (Engine.CancelQuery), the
+// engine holds the favoured query on State (Engine.Favor) and describes
+// what is pending, and a starved Sticky window ends with EventStarved. They
+// stay only because bench/ names them — remove with the next [benchmark] PR.
+type (
+	Canceller interface {
+		Cancel(st *State, rt *exec.Runtime) error
+	}
+	FavorSetter interface {
+		SetFavored(rt *exec.Runtime)
+	}
+	PendingDescriber interface {
+		PendingSummary() string
+	}
+	StarvationHandler interface {
+		OnStarved(st *State, sp SchedulingPlan) (resched bool, err error)
+	}
+)
 
 // State is the execution state the engine shares with its policy: the
-// mediator, the attached query runtimes and the current plan. Policies use
-// it for clock access, stalls, cost charging and scheduler counters, keeping
-// user policies free of internal package imports.
+// mediator, the attached query runtimes and the query a multi-query service
+// favours. Policies use it for clock access, stalls, cost charging and the
+// replan counter, keeping user policies free of internal package imports;
+// everything else is reachable through Mediator.
 type State struct {
-	med      *exec.Mediator
-	rts      []*exec.Runtime
-	lastPlan SchedulingPlan
+	med *exec.Mediator
+	rts []*exec.Runtime
+	// favored is the query Engine.Favor biases planning toward (nil for
+	// none). DSE reads it, so a policy that delegates planning to DSE keeps
+	// the bias.
+	favored *exec.Runtime
 }
 
 // Mediator returns the shared execution site.
@@ -181,9 +177,6 @@ func (st *State) Mediator() *exec.Mediator { return st.med }
 
 // Runtimes returns the attached query runtimes in attachment order.
 func (st *State) Runtimes() []*exec.Runtime { return st.rts }
-
-// Config returns the execution configuration.
-func (st *State) Config() exec.Config { return st.med.Cfg }
 
 // Now returns the current virtual time.
 func (st *State) Now() time.Duration { return st.med.Now() }
@@ -195,21 +188,8 @@ func (st *State) StallUntil(t time.Duration) { st.med.Clock.Stall(t) }
 // advancing the clock by the configured MIPS rate.
 func (st *State) ChargeInstructions(n int64) { st.med.Costs.CPU.Charge(n) }
 
-// CountReplan, CountTimeout, CountDegrade and CountMemRepair bump the
-// scheduler-activity counters reported in every Result.
-func (st *State) CountReplan()    { st.med.CountReplan() }
-func (st *State) CountTimeout()   { st.med.CountTimeout() }
-func (st *State) CountDegrade()   { st.med.CountDegrade() }
-func (st *State) CountMemRepair() { st.med.CountMemRepair() }
-
-// CurrentPlan returns the plan of the execution phase that just ended.
-func (st *State) CurrentPlan() SchedulingPlan { return st.lastPlan }
-
-// NextArrival returns the earliest next input arrival among the unfinished
-// fragments of the plan.
-func (st *State) NextArrival(sp SchedulingPlan) (time.Duration, bool) {
-	return nextArrival(sp.Frags)
-}
+// CountReplan bumps the replan counter reported in every Result.
+func (st *State) CountReplan() { st.med.CountReplan() }
 
 // queryDone reports whether rt's query is complete — every chain finished,
 // or cancelled by Engine.CancelQuery. The built-in policies skip such a
@@ -228,4 +208,21 @@ func (st *State) allQueriesDone() bool {
 		}
 	}
 	return true
+}
+
+// pending lists every unfinished chain of every unfinished query, for
+// livelock and no-progress diagnostics.
+func (st *State) pending() string {
+	var parts []string
+	for _, rt := range st.rts {
+		if st.queryDone(rt) {
+			continue
+		}
+		for _, c := range rt.Dec.Chains {
+			if !rt.ChainFinished(c) {
+				parts = append(parts, prefixLabel(rt.Label)+c.Name)
+			}
+		}
+	}
+	return "pending: " + strings.Join(parts, ", ")
 }

@@ -43,8 +43,8 @@ type wrapperState struct {
 type faultAction int
 
 const (
-	// faultIdle: nothing fault-related to do now — fall through to the
-	// policy's starvation handler or the default stall/timeout reaction.
+	// faultIdle: nothing fault-related to do now — fall through to a Sticky
+	// plan's EventStarved or the default stall/timeout reaction.
 	faultIdle faultAction = iota
 	// faultStalled: the clock advanced to a probe instant; resume the scan.
 	faultStalled

@@ -15,7 +15,7 @@ import (
 // resumes a suspended earlier chain the moment its data arrives (exactly
 // the scrambling engine's resume rule: lowest index first, and everything
 // above the resumed tree stays suspended). When the whole window starves
-// for longer than scrambleTimeout, the starvation handler fires a
+// for longer than scrambleTimeout, the EventStarved reaction fires a
 // scrambling step: suspend the current tree (paying the switch overhead of
 // saving its in-flight state) and activate another runnable,
 // C-schedulable chain.
@@ -114,7 +114,7 @@ func (p *scrPolicy) OnEvent(st *State, ev Event) error {
 	switch ev.Kind {
 	case EventOverflow:
 		return fmt.Errorf("%w (fragment %s)", exec.ErrMemoryExceeded, ev.Frag.Label)
-	case EventEndOfQF, EventSPDone:
+	case EventEndOfQF, EventSPDone, EventStarved:
 		// Re-sync cur with the executor: resuming an earlier chain moves the
 		// engine's attention permanently down to it.
 		if n := len(ev.Window); n > 0 {
@@ -122,26 +122,30 @@ func (p *scrPolicy) OnEvent(st *State, ev Event) error {
 				p.cur = i
 			}
 		}
+		if ev.Kind == EventStarved {
+			return p.starved(st, ev.Window)
+		}
 	}
 	return nil
 }
 
-// OnStarved is the scrambling reaction (§1.2): every chain of the window —
-// the current one and all resume candidates — is out of data.
-func (p *scrPolicy) OnStarved(st *State, sp SchedulingPlan) (bool, error) {
+// starved is the scrambling reaction (§1.2): every chain of the window —
+// the current one and all resume candidates — is out of data. It either
+// waits, or scrambles by moving cur; the next planning point resumes from
+// there.
+func (p *scrPolicy) starved(st *State, window []*exec.Fragment) error {
 	med := st.Mediator()
-	f := sp.Frags[len(sp.Frags)-1] // the chain the engine is working on
+	f := window[len(window)-1] // the chain the engine is working on
 	arrival, ok := f.NextArrival()
 	if !ok {
 		// The current chain will never see data again (its wrapper is dead
 		// or mid-disconnect with nothing buffered): scramble away without
 		// waiting for the timeout — there is nothing to time out on. The
 		// all-dead case is the resilience layer's to resolve; it runs before
-		// this handler, so reaching here with no alternative and no arrival
+		// this reaction, so reaching here with no alternative and no arrival
 		// anywhere is a real planning bug.
-		cur := p.indexOf(f)
 		for i := range p.order {
-			if i == cur || p.frags[i] == nil || p.frags[i].Done() {
+			if i == p.cur || p.frags[i] == nil || p.frags[i].Done() {
 				continue
 			}
 			if p.frags[i].Runnable(st.Now()) {
@@ -151,28 +155,27 @@ func (p *scrPolicy) OnStarved(st *State, sp SchedulingPlan) (bool, error) {
 				med.Trace.Add(st.Now(), sim.EvSchedule, "scramble step %d: %s -> %s (no future arrivals)",
 					p.scrambles, f.Label, p.frags[i].Label)
 				p.cur = i
-				return true, nil
+				return nil
 			}
 		}
-		if next, ok := nextArrival(sp.Frags); ok {
+		if next, ok := nextArrival(window); ok {
 			st.StallUntil(next)
-			return false, nil
+			return nil
 		}
-		return false, fmt.Errorf("core: fragment %s starved with no future arrivals", f.Label)
+		return fmt.Errorf("core: fragment %s starved with no future arrivals", f.Label)
 	}
 	now := st.Now()
 	if arrival-now <= scrambleTimeout {
 		// Data returns before the timeout would fire: scrambling never
 		// reacts, exactly like SEQ.
 		st.StallUntil(arrival)
-		return false, nil
+		return nil
 	}
 	// Timeout: the engine idled the full timeout before reacting.
 	st.StallUntil(now + scrambleTimeout)
-	cur := p.indexOf(f)
 	alt := -1
 	for i := range p.order {
-		if i == cur || p.frags[i] == nil || p.frags[i].Done() {
+		if i == p.cur || p.frags[i] == nil || p.frags[i].Done() {
 			continue
 		}
 		if p.frags[i].Runnable(st.Now()) {
@@ -185,7 +188,7 @@ func (p *scrPolicy) OnStarved(st *State, sp SchedulingPlan) (bool, error) {
 		// failure case): wait out the delay.
 		med.Trace.Add(st.Now(), sim.EvTimeout, "scramble found no alternative to %s", f.Label)
 		st.StallUntil(arrival)
-		return false, nil
+		return nil
 	}
 	// Scrambling step: suspend the current tree, activate another.
 	p.scrambles++
@@ -194,5 +197,5 @@ func (p *scrPolicy) OnStarved(st *State, sp SchedulingPlan) (bool, error) {
 	med.Trace.Add(st.Now(), sim.EvSchedule, "scramble step %d: %s -> %s",
 		p.scrambles, f.Label, p.frags[alt].Label)
 	p.cur = alt
-	return true, nil
+	return nil
 }

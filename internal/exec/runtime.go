@@ -219,7 +219,7 @@ func (rt *Runtime) SetSink(sink Sink) { rt.Cfg.Stream = sink }
 // Idempotent.
 func (rt *Runtime) Cancel() {
 	for _, c := range rt.Dec.Chains {
-		if rt.chainFinished(c) {
+		if rt.ChainFinished(c) {
 			continue
 		}
 		for _, f := range rt.frags {
@@ -252,10 +252,10 @@ func (rt *Runtime) Cancel() {
 	rt.complete()
 }
 
-// chainFinished reports whether a fragment delivering chain c's real
+// ChainFinished reports whether a fragment delivering chain c's real
 // terminal — its build, the query output or a join-network feed, anything
 // but a temp — has finished or been abandoned.
-func (rt *Runtime) chainFinished(c *plan.Chain) bool {
+func (rt *Runtime) ChainFinished(c *plan.Chain) bool {
 	for _, f := range rt.frags {
 		if f.Chain == c && f.done && f.Term != TermTemp {
 			return true
@@ -269,7 +269,7 @@ func (rt *Runtime) chainFinished(c *plan.Chain) bool {
 // query is complete.
 func (rt *Runtime) terminalDone() {
 	for _, c := range rt.Dec.Chains {
-		if !rt.chainFinished(c) {
+		if !rt.ChainFinished(c) {
 			return
 		}
 	}

@@ -49,15 +49,13 @@ func shimWrappers(med *exec.Mediator, rt *exec.Runtime) {
 }
 
 // eagerPolicy shims the wrappers of every query attached mid-run (the inner
-// DSE takes the query up at its next Plan) and forwards the fairness bias.
+// DSE takes the query up at its next Plan).
 type eagerPolicy struct{ core.Policy }
 
 func (p *eagerPolicy) Attach(st *core.State, rt *exec.Runtime) error {
 	shimWrappers(st.Mediator(), rt)
 	return nil
 }
-
-func (p *eagerPolicy) SetFavored(rt *exec.Runtime) { p.Policy.(core.FavorSetter).SetFavored(rt) }
 
 // TestFusedDeferredMatchesEagerAcrossCancel runs one fused batch — staggered
 // arrivals behind an admission cap, shared wrapper streams, resident temp

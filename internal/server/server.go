@@ -78,9 +78,9 @@ const (
 	// FairRoundRobin rotates planning favor through the active unfinished
 	// queries in admission order, one per scheduling round.
 	FairRoundRobin
-	// FairWeightedByWait favors the query that has been running-but-
-	// unfinished longest (max now - admission, i.e. the earliest admitted
-	// unfinished query; ties in admission order).
+	// FairWeightedByWait favors the unfinished query that has waited
+	// longest since its arrival (the earliest ArriveAt; ties in admission
+	// order).
 	FairWeightedByWait
 )
 
@@ -128,7 +128,9 @@ type Config struct {
 	Mode int
 	// Discipline orders the admission wait queue.
 	Discipline Discipline
-	// Fairness selects the cross-query planning bias.
+	// Fairness selects the cross-query planning bias. Only DSE, and
+	// policies that delegate planning to it, read the favour; the other
+	// built-ins ignore it.
 	Fairness Fairness
 }
 
