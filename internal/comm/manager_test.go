@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -11,8 +12,8 @@ import (
 // order against baselines the test keeps itself, with no memory between
 // calls.
 func scanRateChanged(m *Manager, planned map[string]time.Duration) string {
-	for i, q := range m.Queues() {
-		name := m.Names()[i]
+	for _, q := range m.Queues() {
+		name := q.Name()
 		cur, ok := q.EstimatedWait()
 		if !ok || q.Observations() < minObservations {
 			continue
@@ -29,7 +30,7 @@ func scanRateChanged(m *Manager, planned map[string]time.Duration) string {
 }
 
 // TestRateChangedMatchesFullScan drives the CM through pushes at drifting
-// delivery rates, pops, Observe, SnapshotPlanned and mid-run Adopt in
+// delivery rates, pops, Observe, SnapshotPlanned, mid-run Adopt and Drop in
 // arbitrary order, and requires the incremental RateChanged to give the full
 // scan's answer after every step — including several calls in a row with
 // nothing in between, and steps where the answer is a wrapper other than the
@@ -62,7 +63,7 @@ func TestRateChangedMatchesFullScan(t *testing.T) {
 		var now time.Duration
 		for step := 0; step < 1500; step++ {
 			f := feeds[rng.Intn(len(feeds))]
-			switch op := rng.Intn(11); {
+			switch op := rng.Intn(12); {
 			case op <= 3: // arrivals at the wrapper's current rate, enough
 				// that wrappers soon pass minObservations
 				for n := 1 + rng.Intn(16); n > 0 && f.q.size+f.q.debt < f.q.capacity; n-- {
@@ -80,13 +81,23 @@ func TestRateChangedMatchesFullScan(t *testing.T) {
 				m.Observe(now)
 			case op == 9:
 				fallback := time.Duration(1+rng.Intn(5)) * time.Millisecond
-				m.SnapshotPlanned(func(string) time.Duration { return fallback })
-				for _, name := range m.Names() {
-					planned[name] = m.Wait(name, fallback)
+				m.SnapshotPlanned(fallback)
+				for _, q := range m.Queues() {
+					planned[q.Name()] = fallback
+					if w, ok := q.EstimatedWait(); ok {
+						planned[q.Name()] = w
+					}
 				}
-			default:
+			case op == 10:
 				if len(feeds) < 10 {
 					adopt()
+				}
+			default: // a query leaves, whatever its queue's verdict
+				if len(feeds) > 1 {
+					i := slices.Index(feeds, f)
+					feeds = slices.Delete(feeds, i, i+1)
+					m.Drop(f.q)
+					delete(planned, f.q.Name())
 				}
 			}
 			for rep := 0; rep < 1+rng.Intn(2); rep++ {
@@ -100,5 +111,61 @@ func TestRateChangedMatchesFullScan(t *testing.T) {
 	}
 	if len(answers) < 5 || answers[""] == 0 {
 		t.Errorf("the run produced too few distinct answers to mean anything: %v", answers)
+	}
+}
+
+// TestManagerDrop checks that a dropped queue leaves the CM: Queue misses it
+// and its standing verdict is no longer reported, while dropping a queue the
+// CM does not hold changes nothing.
+func TestManagerDrop(t *testing.T) {
+	m := NewManager()
+	a, b := NewQueue("A", 1024), NewQueue("B", 1024)
+	m.Adopt(b)
+	m.Adopt(a)
+	if got, ok := m.Queue("A"); !ok || got != a {
+		t.Error("Queue lookup failed")
+	}
+	if _, ok := m.Queue("C"); ok {
+		t.Error("unknown queue found")
+	}
+	var at time.Duration
+	feed := func(gap time.Duration, n int) {
+		for i := 0; i < n; i++ {
+			at += gap
+			push(a, int64(i), at)
+			push(b, int64(i), at)
+		}
+		m.Observe(at)
+	}
+	// Both wrappers slow down tenfold after the plan: both verdicts stand.
+	feed(ms(1), 10)
+	m.SnapshotPlanned(ms(1))
+	feed(ms(10), 60)
+	if got := m.RateChanged(); got != "A" {
+		t.Fatalf("RateChanged = %q, want A", got)
+	}
+
+	m.Drop(NewQueue("A", 8)) // a stranger under a held name
+	m.Drop(NewQueue("Z", 8))
+	if got := m.Queues(); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("dropping queues the CM does not hold changed its queues to %v", got)
+	}
+	if got := m.RateChanged(); got != "A" {
+		t.Errorf("after no-op drops RateChanged = %q, want A", got)
+	}
+
+	feed(ms(10), 5) // both queues wait to be re-judged when A leaves
+	m.Drop(a)
+	if _, ok := m.Queue("A"); ok {
+		t.Error("dropped queue still found")
+	}
+	if got := m.RateChanged(); got != "B" {
+		t.Errorf("after dropping A RateChanged = %q, want B", got)
+	}
+	m.Drop(b)
+	m.Drop(b)
+	if got := m.RateChanged(); got != "" || len(m.Queues()) != 0 || m.changed != 0 || m.dirty != 0 {
+		t.Errorf("after dropping both: RateChanged = %q, %d queues, %d verdicts, %d dirty; want an empty CM",
+			got, len(m.Queues()), m.changed, m.dirty)
 	}
 }

@@ -105,6 +105,9 @@ type Queue struct {
 
 	est      *RateEstimator
 	observed int // ring-relative count of arrivals already fed to est
+	// rate is the CM's change-detection state of this wrapper: baseline
+	// and standing verdict (see Manager).
+	rate rateState
 
 	// obsDebt counts debt tuples whose arrivals were fed to est before
 	// PopColsN removed them. Fed tuples are always the oldest prefix of the
@@ -144,9 +147,9 @@ func (q *Queue) SetProducer(p Producer) {
 }
 
 // ClearProducer detaches the queue's producer: credits stop resuming it. A
-// multi-query service uses this when cancelling a query — the wrapper is
-// detached so late credits on the dead query's queues pump nothing. Credits
-// granted before the detach still produce.
+// query's runtime uses this when the query completes or is cancelled, so
+// late credits on its queues pump nothing. Credits granted before the
+// detach still produce.
 func (q *Queue) ClearProducer() {
 	q.Settle()
 	q.producer, q.bulk = nil, nil
@@ -384,11 +387,11 @@ func (q *Queue) Available(now time.Duration) int {
 // NextArrival returns the arrival time of the oldest buffered tuple, or
 // false if the queue is empty (once deferred production is settled). Because
 // producers pump eagerly until the window protocol suspends them, an empty
-// queue means the producer has nothing more to give right now: either it is exhausted, or — under fault
-// injection — it is dead. The resilience layer relies on this contract to
-// tell silence (empty queue, dead source) apart from an in-progress
-// disconnect, whose outage-shifted arrivals are already buffered with
-// future timestamps.
+// queue means the producer has nothing more to give right now: either it is
+// exhausted or, under fault injection, it is dead. The resilience layer
+// relies on this contract to tell silence (empty queue, dead source) apart
+// from an in-progress disconnect, whose outage-shifted arrivals are already
+// buffered with future timestamps.
 func (q *Queue) NextArrival() (time.Duration, bool) {
 	if q.Empty() {
 		return 0, false

@@ -684,50 +684,28 @@ func TestSignificantChange(t *testing.T) {
 	}
 }
 
-func TestManagerRegisterAndWait(t *testing.T) {
-	m := NewManager()
-	q := m.Register("A", 8)
-	if got, ok := m.Queue("A"); !ok || got != q {
-		t.Error("Queue lookup failed")
-	}
-	if _, ok := m.Queue("B"); ok {
-		t.Error("unknown queue found")
-	}
-	if got := m.Wait("A", ms(42)); got != ms(42) {
-		t.Errorf("Wait fallback = %v", got)
-	}
-	if got := m.Wait("missing", ms(42)); got != ms(42) {
-		t.Errorf("Wait for missing wrapper = %v", got)
-	}
-	push(q, 1, ms(10))
-	push(q, 2, ms(20))
-	m.Observe(ms(30))
-	if got := m.Wait("A", ms(42)); got != ms(10) {
-		t.Errorf("Wait after observation = %v, want 10ms", got)
-	}
-}
-
 func TestManagerDuplicateRegisterPanics(t *testing.T) {
 	m := NewManager()
-	m.Register("A", 8)
+	m.Adopt(NewQueue("A", 8))
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate register did not panic")
 		}
 	}()
-	m.Register("A", 8)
+	m.Adopt(NewQueue("A", 8))
 }
 
 func TestManagerRateChangeDetection(t *testing.T) {
 	m := NewManager()
-	q := m.Register("A", 1024)
+	q := NewQueue("A", 1024)
+	m.Adopt(q)
 	at := time.Duration(0)
 	for i := 0; i < 10; i++ {
 		at += ms(1)
 		push(q, int64(i), at)
 	}
 	m.Observe(at)
-	m.SnapshotPlanned(func(string) time.Duration { return ms(1) })
+	m.SnapshotPlanned(ms(1))
 	if got := m.RateChanged(); got != "" {
 		t.Errorf("rate change on stable stream: %q", got)
 	}

@@ -114,7 +114,7 @@ func TestScheduleOrdersByCriticalDegree(t *testing.T) {
 	e := dseEngine(t, rt)
 	// Let the CM observe both wrappers for a while.
 	rt.Clock.Stall(200 * time.Millisecond)
-	rt.CM.Observe(rt.Now())
+	rt.Med.CM.Observe(rt.Now())
 	sp, err := e.pol.(*dsePolicy).schedule(e.st)
 	if err != nil {
 		t.Fatal(err)

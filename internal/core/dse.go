@@ -117,7 +117,7 @@ func (p *dsePolicy) Plan(st *State) (SchedulingPlan, error) {
 	}
 	med.CountReplan()
 	med.Trace.Add(med.Now(), sim.EvSchedule, "SP = [%s]", spLabels(sp))
-	med.CM.SnapshotPlanned(func(string) time.Duration { return med.Cfg.InitialWaitEstimate })
+	med.CM.SnapshotPlanned(med.Cfg.InitialWaitEstimate)
 	return SchedulingPlan{
 		Frags:        sp,
 		ObserveRates: true,

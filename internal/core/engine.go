@@ -163,11 +163,11 @@ func (e *Engine) Attach(rt *exec.Runtime) error {
 
 // CancelQuery abandons one attached query between scheduling rounds, under
 // every policy: Runtime.Cancel abandons the query's unfinished fragments,
-// drops their temps, returns its memory to the shared grant, stops its
-// wrappers feeding the communication manager and completes the query, which
-// is how every built-in policy knows to stop planning it. The cancelled
-// query still yields a Result from Finalize (complete at cancellation time,
-// with whatever tuples it produced).
+// drops their temps, returns its memory to the shared grant and completes
+// the query, which detaches its wrappers and drops its queues from the
+// communication manager; completion is how every built-in policy knows to
+// stop planning it. The cancelled query still yields a Result from Finalize
+// (complete at cancellation time, with whatever tuples it produced).
 func (e *Engine) CancelQuery(rt *exec.Runtime) error {
 	if !slices.Contains(e.st.rts, rt) {
 		return fmt.Errorf("core: runtime %q is not attached", rt.Label)

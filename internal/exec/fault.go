@@ -67,8 +67,9 @@ func (m *Mediator) FaultsActive() bool { return m.flt != nil }
 
 // NextFaultTransition pops the earliest unreported wrapper availability
 // change at or before now. The scheduler drains these at planning points and
-// turns them into policy events; each transition is reported exactly once.
-// Ties break in wrapper chain order, keeping the event stream deterministic.
+// turns them into policy events; each transition is reported exactly once,
+// and never for a completed query. Ties break in wrapper chain order,
+// keeping the event stream deterministic.
 func (m *Mediator) NextFaultTransition(now time.Duration) (FaultTransition, bool) {
 	if m.flt == nil {
 		return FaultTransition{}, false
@@ -77,6 +78,9 @@ func (m *Mediator) NextFaultTransition(now time.Duration) (FaultTransition, bool
 	var bestTr FaultTransition
 	for _, name := range m.flt.order {
 		e := m.flt.entries[name]
+		if e.rt.completed {
+			continue
+		}
 		tr, ok := e.boundary(e.reported)
 		if !ok || tr.At > now {
 			continue

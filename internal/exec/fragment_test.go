@@ -307,7 +307,7 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 	overflowed := false
 	for !f.Done() {
 		// Round boundary: bulk-pop debt is settled, the CM observes.
-		rt.CM.Observe(rt.Now())
+		rt.Med.CM.Observe(rt.Now())
 		n, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
 		if overflow {
 			if overflowed {
@@ -336,8 +336,8 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 	if !overflowed {
 		t.Fatal("fragment did not overflow under the tight grant")
 	}
-	rt.CM.Observe(rt.Now())
-	q, okQ := rt.CM.Queue(rt.cmName("A"))
+	rt.Med.CM.Observe(rt.Now())
+	q, okQ := rt.Med.CM.Queue(rt.cmName("A"))
 	if !okQ {
 		t.Fatal("queue for wrapper A missing")
 	}
@@ -672,14 +672,14 @@ func TestChunkedWrapperProbeOverflowMatchesPerSlotDriver(t *testing.T) {
 			t.Fatal("could not narrow the grant")
 		}
 		snap := func() state {
-			rt.CM.Observe(rt.Now())
+			rt.Med.CM.Observe(rt.Now())
 			return state{f.Processed(), f.PendingOutputs(), q.Debt(), f.Remaining(),
 				q.Observations(), rt.TableRows(cA.BuildsFor), rt.Now()}
 		}
 		drive := func(wantOverflow bool) {
 			for !f.Done() {
 				// Round boundary: bulk-pop debt is settled, the CM observes.
-				rt.CM.Observe(rt.Now())
+				rt.Med.CM.Observe(rt.Now())
 				n, overflow := process(f, cfg.BatchTuples)
 				if overflow {
 					if !wantOverflow {

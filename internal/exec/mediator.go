@@ -96,9 +96,6 @@ func (m *Mediator) Reclaim() {
 		return
 	}
 	m.scratch = nil
-	for _, q := range m.CM.Queues() {
-		s.PutQueue(q)
-	}
 	for _, rt := range m.rts {
 		rt.reclaim(s)
 	}
@@ -161,7 +158,6 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		Costs:   m.Costs,
 		Mem:     m.Mem,
 		Temps:   m.Temps,
-		CM:      m.CM,
 		Root:    root,
 		Dec:     dec,
 		Trace:   m.Trace,

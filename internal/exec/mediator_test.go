@@ -24,13 +24,55 @@ func TestMediatorLabelScopesWrapperNames(t *testing.T) {
 	if _, err := med.AddQuery("q2", w2.Root, w2.Dataset, nil); err != nil {
 		t.Fatal(err)
 	}
-	names := med.CM.Names()
-	if len(names) != 12 {
-		t.Fatalf("CM has %d queues, want 12", len(names))
+	queues := med.CM.Queues()
+	if len(queues) != 12 {
+		t.Fatalf("CM has %d queues, want 12", len(queues))
 	}
-	for _, n := range names {
-		if !strings.HasPrefix(n, "q1:") && !strings.HasPrefix(n, "q2:") {
+	for _, q := range queues {
+		if n := q.Name(); !strings.HasPrefix(n, "q1:") && !strings.HasPrefix(n, "q2:") {
 			t.Errorf("unscoped wrapper name %q", n)
+		}
+	}
+}
+
+// TestFinishedQueryLeavesTheCM attaches two queries to one mediator and ends
+// the first, cancelled or run to its end: from then on the communication
+// manager holds only the second query's queues.
+func TestFinishedQueryLeavesTheCM(t *testing.T) {
+	w2, err := workload.Fig5Small(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cancel := range []bool{true, false} {
+		med, err := NewMediator(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w1 := smallFig5(t)
+		rt1, err := med.AddQuery("q1", w1.Root, w1.Dataset, uniform(w1, 20*time.Microsecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := med.AddQuery("q2", w2.Root, w2.Dataset, uniform(w2, 20*time.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+		if cancel {
+			rt1.Clock.Stall(time.Millisecond)
+			rt1.Cancel()
+		} else if _, err := runSEQ(rt1); err != nil {
+			t.Fatal(err)
+		}
+		if _, done := rt1.CompletedAt(); !done {
+			t.Fatalf("cancel=%v: q1 did not complete", cancel)
+		}
+		queues := med.CM.Queues()
+		if len(queues) != 6 {
+			t.Errorf("cancel=%v: the CM holds %d queues after q1 completed, want q2's 6", cancel, len(queues))
+		}
+		for _, q := range queues {
+			if !strings.HasPrefix(q.Name(), "q2:") {
+				t.Errorf("cancel=%v: the CM still holds %q after q1 completed", cancel, q.Name())
+			}
 		}
 	}
 }
@@ -70,7 +112,7 @@ func TestMediatorSharedClockAndMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt1.Clock != rt2.Clock || rt1.Mem != rt2.Mem || rt1.Disk != rt2.Disk || rt1.CM != rt2.CM {
+	if rt1.Clock != rt2.Clock || rt1.Mem != rt2.Mem || rt1.Disk != rt2.Disk || rt1.Med != rt2.Med {
 		t.Error("runtimes do not share the mediator's components")
 	}
 	rt1.Clock.Work(time.Second)

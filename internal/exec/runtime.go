@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"dqs/internal/comm"
 	"dqs/internal/mem"
 	"dqs/internal/operator"
 	"dqs/internal/plan"
@@ -32,7 +31,6 @@ type Runtime struct {
 	Costs operator.Costs
 	Mem   *mem.Manager
 	Temps *mem.TempStore
-	CM    *comm.Manager
 	Root  *plan.Node
 	Dec   *plan.Decomposition
 	Trace *sim.Trace
@@ -213,10 +211,9 @@ func (rt *Runtime) SetSink(sink Sink) { rt.Cfg.Stream = sink }
 // fragment of an unfinished chain is abandoned and its temp dropped, in
 // creation order; finished chains keep their temps, because dropping one
 // evicts the disk's cached pages, and superseded fragments were never part
-// of the query. Then the hash tables return their grant and the wrappers are
-// detached, so late credits on the query's queues pump nothing (shared-stream
-// taps release their refcount). The query completes at the cancel instant.
-// Idempotent.
+// of the query. Then the hash tables return their grant, and the query
+// completes at the cancel instant, leaving the mediator as a finished query
+// does (see complete). Idempotent.
 func (rt *Runtime) Cancel() {
 	for _, c := range rt.Dec.Chains {
 		if rt.ChainFinished(c) {
@@ -239,15 +236,6 @@ func (rt *Runtime) Cancel() {
 	sort.Ints(ids)
 	for _, id := range ids {
 		rt.releaseTable(rt.tables[id].join)
-	}
-	names := make([]string, 0, len(rt.sources))
-	for name := range rt.sources {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rt.sources[name].Detach()
-		rt.qsrcs[name].q.ClearProducer()
 	}
 	rt.complete()
 }
@@ -277,12 +265,22 @@ func (rt *Runtime) terminalDone() {
 }
 
 // complete records the query's completion instant — its response time —
-// and returns the DPHJ join network's grant. Idempotent.
+// and, finished or cancelled, leaves the shared mediator: chain by chain its
+// wrapper is detached (late credits pump nothing; a shared-stream tap drops
+// its refcount) and its queue leaves the CM, so it interrupts no survivor.
+// The DPHJ join network returns its grant. Idempotent.
 func (rt *Runtime) complete() {
 	if rt.completed {
 		return
 	}
 	rt.completed, rt.completedAt = true, rt.Now()
+	for _, c := range rt.Dec.Chains {
+		name := c.Scan.Rel.Name
+		rt.sources[name].Detach()
+		q := rt.qsrcs[name].q
+		q.ClearProducer()
+		rt.Med.CM.Drop(q)
+	}
 	if rt.net != nil {
 		rt.net.release(rt.Med.scratch)
 	}
@@ -296,7 +294,7 @@ func (rt *Runtime) complete() {
 func (rt *Runtime) CompletedAt() (time.Duration, bool) { return rt.completedAt, rt.completed }
 
 // reclaim hands the runtime's pooled structures back to s: surviving hash
-// tables, a join network an aborted run left, every input's chunk and
+// tables, a join network an aborted run left, every input's queue, chunk and
 // wrapper staging and every fragment's scratch buffers. It takes s because
 // Mediator.Reclaim has already cleared its own.
 func (rt *Runtime) reclaim(s *Scratch) {
@@ -308,6 +306,7 @@ func (rt *Runtime) reclaim(s *Scratch) {
 		rt.net.release(s)
 	}
 	for _, qs := range rt.qsrcs {
+		s.PutQueue(qs.q)
 		qs.ch.reclaim(s)
 		qs.src.Release()
 	}
@@ -422,10 +421,13 @@ func (rt *Runtime) PerTupleCost(c *plan.Chain, fromStep, toStep int, queueInput 
 }
 
 // Wait returns the scheduler's best waiting-time knowledge for a chain's
-// wrapper: the CM estimate when available, the configured initial estimate
-// otherwise.
+// wrapper: its queue's estimate when available, the configured initial
+// estimate otherwise.
 func (rt *Runtime) Wait(c *plan.Chain) time.Duration {
-	return rt.CM.Wait(rt.cmName(c.Scan.Rel.Name), rt.Cfg.InitialWaitEstimate)
+	if w, ok := rt.qsrcs[c.Scan.Rel.Name].q.EstimatedWait(); ok {
+		return w
+	}
+	return rt.Cfg.InitialWaitEstimate
 }
 
 // TupleIOTime returns IO_p of the paper's bmi formula: the amortized

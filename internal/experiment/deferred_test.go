@@ -55,7 +55,7 @@ func runTraced(t *testing.T, w *workload.Workload, cfg exec.Config, deliveries m
 	if eager {
 		for _, c := range rt.Dec.Chains {
 			rel := c.Scan.Rel.Name
-			q, ok := rt.CM.Queue(rel)
+			q, ok := rt.Med.CM.Queue(rel)
 			if !ok {
 				return exec.Result{}, nil, 0, fmt.Errorf("no queue for %s", rel)
 			}
