@@ -61,9 +61,10 @@ func (p *bulkPump) ResumeN(floors []time.Duration) {
 // TestDeferredCreditsAgreeWithEagerModel drives a queue whose producer
 // defers (BulkProducer) against the brute-force model refilled eagerly at
 // every credit: bulk pops that strand late arrivals, credits, UnpopN of
-// unprocessed tails, CM observations, NextArrival, and Available probes at
-// back-dated instants must all read exactly what the eager model reads,
-// although the queue simulates production only when it settles.
+// unprocessed tails, CM observations at any point, NextArrival, and
+// Available probes at back-dated instants must all read exactly what the
+// eager model reads, although the queue simulates production only when it
+// settles.
 func TestDeferredCreditsAgreeWithEagerModel(t *testing.T) {
 	// How often the interesting interleavings actually happened: bulk replays
 	// of more than one credit, and UnpopN / back-dated probes hitting a queue
@@ -108,7 +109,7 @@ func TestDeferredCreditsAgreeWithEagerModel(t *testing.T) {
 				}
 				q.UnpopN(n)
 				m.unpopN(n)
-			case op == 5 && q.Debt() == 0: // CM observation at a round boundary
+			case op == 5: // CM observation, possibly with a batch in debt
 				if got, want := q.ObserveArrivals(now), m.observeArrivals(now); got != want {
 					t.Fatalf("%s: ObserveArrivals fed %d, want %d", where, got, want)
 				}
@@ -201,12 +202,10 @@ func TestRateEstimatorGapFastPathIsBitIdentical(t *testing.T) {
 			gaps = append(gaps, -time.Duration(rng.Int63n(int64(2*time.Second))))
 		}
 	}
-	e := NewRateEstimator(defaultEWMAAlpha)
 	for _, gap := range gaps {
 		base := time.Duration(rng.Int63n(int64(time.Hour)))
-		e.Reset()
-		e.Observe(base)
-		e.Observe(base + gap)
+		var e rateEstimator
+		e.observe([]time.Duration{base, base + gap})
 		want := gap.Seconds()
 		if want < 0 {
 			want = 0

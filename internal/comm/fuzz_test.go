@@ -19,7 +19,8 @@ func (r resumeOnly) Resume(now time.Duration) { r.p.Resume(now) }
 // every op — once with an eager producer refilling the window at each credit
 // and once with a BulkProducer whose refills the queue defers. The model is
 // always refilled eagerly, so the deferring run also proves deferral
-// invisible. Byte 0 picks the capacity and byte 1 how many tuples the
+// invisible. ObserveArrivals may come at any point, a batch in debt
+// included. Byte 0 picks the capacity and byte 1 how many tuples the
 // producer holds (direct pushes take over once it runs dry); each further
 // byte is one op (low bits) with its argument (high bits).
 func FuzzQueueOps(f *testing.F) {
@@ -90,7 +91,7 @@ func fuzzQueueOps(t *testing.T, in []byte, bulk bool) {
 			n := 1 + arg%q.Debt()
 			q.UnpopN(n)
 			m.unpopN(n)
-		case op == 4 && q.Debt() == 0: // CM observation at a round boundary
+		case op == 4: // CM observation, possibly with a batch in debt
 			if got, want := q.ObserveArrivals(now), m.observeArrivals(now); got != want {
 				t.Fatalf("%s: ObserveArrivals fed %d, want %d", where, got, want)
 			}

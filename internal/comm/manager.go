@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -14,24 +15,17 @@ import (
 // scheduler planned with.
 //
 // The CM sits on the engine's per-batch hot loop (Observe + RateChanged run
-// once per scheduling iteration, over every queue of every active query), so
-// both are incremental. Observe skips a queue with nothing due after one
-// compare. RateChanged keeps a verdict on each queue — "this wrapper's
-// estimate deviates significantly from its planned baseline" — and
-// re-judges only the queues whose estimator absorbed an arrival since the
-// last call: a verdict is a function of the queue's estimate and its
-// baseline, so it can only move when one of those does. A new baseline
-// (SnapshotPlanned) or a new queue (Adopt) re-judges everything. The answer
-// — the first changed wrapper in name order — is therefore the full scan's.
+// once per scheduling iteration, over every queue of every active query).
+// Observe skips a queue with nothing due after one compare, and judges a
+// queue when it feeds it: its verdict — "this wrapper's estimate deviates
+// significantly from its planned baseline" — is a function of the queue's
+// estimate and its baseline, so it can only move when one of those does.
+// A new baseline (SnapshotPlanned) clears every verdict, and a new queue
+// (Adopt) has none. RateChanged only reads the standing verdicts, so its
+// answer — the first changed wrapper in name order — is the full scan's.
 type Manager struct {
 	ordered []*Queue // name-sorted, the CM's deterministic scan order
-
-	// dirty counts the queues flagged for re-judging at the next
-	// RateChanged; allDirty flags every queue at once. changed counts the
-	// standing positive verdicts.
-	dirty    int
-	allDirty bool
-	changed  int
+	changed int      // standing positive verdicts
 }
 
 // rateState is the change-detection state of one queue.
@@ -41,13 +35,30 @@ type rateState struct {
 	// after the last snapshot, which has no baseline to deviate from.
 	planned time.Duration
 	hasPlan bool
-	dirty   bool // absorbed arrivals since its verdict was reached
 	changed bool // the standing verdict
 }
 
 // changeFactor is the ratio beyond which a waiting-time drift is significant
 // (paper: "any significant change").
 const changeFactor = 2
+
+// significantChange reports whether two waiting-time estimates differ by
+// more than changeFactor (either direction). Zero estimates are treated as
+// equal to avoid division blowups on instantaneous sources.
+func significantChange(old, new time.Duration) bool {
+	a, b := old.Seconds(), new.Seconds()
+	if a == 0 && b == 0 {
+		return false
+	}
+	if a == 0 || b == 0 {
+		return true
+	}
+	r := a / b
+	if r < 1 {
+		r = 1 / r
+	}
+	return r > changeFactor && math.Abs(a-b) > 1e-9
+}
 
 // minObservations gates change detection until the estimator has seen
 // enough arrivals to be trusted.
@@ -73,7 +84,6 @@ func (m *Manager) Adopt(q *Queue) {
 	}
 	q.rate = rateState{}
 	m.ordered = slices.Insert(m.ordered, i, q)
-	m.allDirty = true
 }
 
 // Drop removes a queue from the CM: its wrapper no longer feeds the
@@ -83,9 +93,6 @@ func (m *Manager) Drop(q *Queue) {
 	i, ok := slices.BinarySearchFunc(m.ordered, q.name, byName)
 	if !ok || m.ordered[i] != q {
 		return
-	}
-	if q.rate.dirty {
-		m.dirty--
 	}
 	if q.rate.changed {
 		m.changed--
@@ -106,43 +113,37 @@ func (m *Manager) Queue(name string) (*Queue, bool) {
 }
 
 // Observe refreshes every rate estimator with the arrivals visible at time
-// now.
+// now, and judges each queue it fed.
 func (m *Manager) Observe(now time.Duration) {
 	for _, q := range m.ordered {
-		if !q.observeDue(now) || q.ObserveArrivals(now) == 0 {
-			continue
-		}
-		if !q.rate.dirty {
-			q.rate.dirty = true
-			m.dirty++
+		if q.observeDue(now) && q.ObserveArrivals(now) > 0 {
+			m.judge(q)
 		}
 	}
 }
 
 // SnapshotPlanned records the estimates the scheduler is about to plan
 // with — fallback for a wrapper with too few observed arrivals; subsequent
-// RateChanged calls compare against this baseline.
+// verdicts compare against this baseline. Every verdict clears: a baseline
+// equals its queue's estimate when there is one, and a queue without an
+// estimate has no verdict.
 func (m *Manager) SnapshotPlanned(fallback time.Duration) {
 	for _, q := range m.ordered {
 		w := fallback
 		if est, ok := q.EstimatedWait(); ok {
 			w = est
 		}
-		q.rate.planned, q.rate.hasPlan = w, true
+		q.rate = rateState{planned: w, hasPlan: true}
 	}
-	m.allDirty = true
+	m.changed = 0
 }
 
 // judge recomputes q's verdict.
 func (m *Manager) judge(q *Queue) {
 	r := &q.rate
-	if r.dirty {
-		r.dirty = false
-		m.dirty--
-	}
 	cur, ok := q.EstimatedWait()
-	verdict := ok && q.est.Observations() >= minObservations && r.hasPlan &&
-		SignificantChange(r.planned, cur, changeFactor)
+	verdict := ok && q.Observations() >= minObservations && r.hasPlan &&
+		significantChange(r.planned, cur)
 	if verdict != r.changed {
 		r.changed = verdict
 		if verdict {
@@ -157,14 +158,6 @@ func (m *Manager) judge(q *Queue) {
 // estimate deviates from the planned baseline by more than changeFactor, or
 // "" if none does.
 func (m *Manager) RateChanged() string {
-	if m.allDirty || m.dirty > 0 {
-		for _, q := range m.ordered {
-			if m.allDirty || q.rate.dirty {
-				m.judge(q)
-			}
-		}
-		m.allDirty = false
-	}
 	if m.changed == 0 {
 		return ""
 	}

@@ -22,7 +22,7 @@ func scanRateChanged(m *Manager, planned map[string]time.Duration) string {
 		if !has {
 			continue
 		}
-		if SignificantChange(base, cur, changeFactor) {
+		if significantChange(base, cur) {
 			return name
 		}
 	}
@@ -154,7 +154,7 @@ func TestManagerDrop(t *testing.T) {
 		t.Errorf("after no-op drops RateChanged = %q, want A", got)
 	}
 
-	feed(ms(10), 5) // both queues wait to be re-judged when A leaves
+	feed(ms(10), 5) // both queues are re-judged as they are fed
 	m.Drop(a)
 	if _, ok := m.Queue("A"); ok {
 		t.Error("dropped queue still found")
@@ -164,8 +164,8 @@ func TestManagerDrop(t *testing.T) {
 	}
 	m.Drop(b)
 	m.Drop(b)
-	if got := m.RateChanged(); got != "" || len(m.Queues()) != 0 || m.changed != 0 || m.dirty != 0 {
-		t.Errorf("after dropping both: RateChanged = %q, %d queues, %d verdicts, %d dirty; want an empty CM",
-			got, len(m.Queues()), m.changed, m.dirty)
+	if got := m.RateChanged(); got != "" || len(m.Queues()) != 0 || m.changed != 0 {
+		t.Errorf("after dropping both: RateChanged = %q, %d queues, %d verdicts; want an empty CM",
+			got, len(m.Queues()), m.changed)
 	}
 }

@@ -6,7 +6,6 @@ package comm
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"dqs/internal/relation"
@@ -59,6 +58,11 @@ type BulkProducer interface {
 // instant as its send floor. Refill arrival times, and therefore every
 // downstream rate estimate and scheduling decision, depend only on when each
 // tuple is processed, never on how many were popped together.
+//
+// The rate estimator sees arrivals in push order through one feed cursor.
+// Pops and unpops move the head, not the cursor, so a tuple given back is
+// never fed twice, one popped before it was observed is passed over, and
+// the feed never goes backwards.
 type Queue struct {
 	name     string
 	capacity int
@@ -103,21 +107,15 @@ type Queue struct {
 	bulk BulkProducer
 	pend []time.Duration
 
-	est      *RateEstimator
-	observed int // ring-relative count of arrivals already fed to est
+	// totalPopped and fed count tuples from the queue's first push, so
+	// buffered slot i is tuple totalPopped+i. fed is the feed cursor: the
+	// estimator has passed every arrival before it and none after it.
+	totalPopped int64
+	fed         int64
+	est         rateEstimator
 	// rate is the CM's change-detection state of this wrapper: baseline
 	// and standing verdict (see Manager).
 	rate rateState
-
-	// obsDebt counts debt tuples whose arrivals were fed to est before
-	// PopColsN removed them. Fed tuples are always the oldest prefix of the
-	// debt region (PopColsN pops the buffer's fed prefix and Credit retires
-	// oldest-first), so a single counter is exact: Credit consumes it as
-	// fed slots retire, and UnpopN uses it to restore `observed` so a
-	// returned tuple is never re-fed to the estimator.
-	obsDebt int
-
-	totalPopped int64
 }
 
 // NewQueue creates a queue with room for capacity tuples. Its slots carry no
@@ -131,7 +129,6 @@ func NewQueue(name string, capacity int) *Queue {
 		capacity: capacity,
 		pass:     make([]bool, capacity),
 		arrivals: make([]time.Duration, capacity),
-		est:      NewRateEstimator(defaultEWMAAlpha),
 	}
 }
 
@@ -227,10 +224,8 @@ func (q *Queue) Reset(name string) {
 	q.arrivedAt = 0
 	q.producer, q.bulk = nil, nil
 	q.pend = q.pend[:0]
-	q.observed = 0
-	q.obsDebt = 0
-	q.totalPopped = 0
-	q.est.Reset()
+	q.totalPopped, q.fed = 0, 0
+	q.est = rateEstimator{}
 }
 
 // SetColumnar sets an empty queue's live-column count: the projected columns
@@ -433,32 +428,12 @@ func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) in
 		}
 		copy(pass[first:], q.pass[:n-first])
 	}
-	q.popCommit(n)
-	return n
-}
-
-// popCommit retires n popped slots into debt, with the estimator fed-prefix
-// bookkeeping.
-func (q *Queue) popCommit(n int) {
-	take := q.observed // popped tuples already fed to the estimator
-	if take > n {
-		take = n
-	}
-	// The obsDebt counter relies on fed debt tuples being the oldest
-	// prefix of the debt region. Appending fed tuples behind unfed debt
-	// (only possible if ObserveArrivals ran while an unfed tail from an
-	// earlier pop was still in debt) would break that, so fail loudly
-	// instead of silently mis-restoring `observed` later.
-	if take > 0 && q.obsDebt < q.debt {
-		panic(fmt.Sprintf("comm: queue %q: bulk pop of observed tuples behind unobserved debt", q.name))
-	}
 	q.head = q.idx(n)
 	q.size -= n
 	q.debt += n
 	q.arrived -= n // Available guarantees arrived >= n
-	q.observed -= take
-	q.obsDebt += take
 	q.totalPopped += int64(n)
+	return n
 }
 
 // Credit releases the oldest debt slot at virtual time now: the producer
@@ -471,11 +446,6 @@ func (q *Queue) Credit(now time.Duration) {
 		panic(fmt.Sprintf("comm: queue %q: credit without debt", q.name))
 	}
 	q.debt--
-	// The oldest debt slot is a fed one whenever any fed debt remains
-	// (fed tuples are the oldest prefix of the debt region).
-	if q.obsDebt > 0 {
-		q.obsDebt--
-	}
 	switch {
 	case q.bulk != nil:
 		if q.pend == nil {
@@ -498,17 +468,6 @@ func (q *Queue) UnpopN(n int) {
 	if n > q.debt {
 		panic(fmt.Sprintf("comm: queue %q: unpop %d exceeds debt %d", q.name, n, q.debt))
 	}
-	// Fed tuples are the oldest prefix of the debt region, so of the
-	// newest n being restored, the fed ones are those reaching back past
-	// the unfed tail: n - (debt - obsDebt), clamped at zero. Restoring
-	// them into `observed` keeps the next ObserveArrivals from re-feeding
-	// arrivals the estimator has already absorbed.
-	restoredFed := n - (q.debt - q.obsDebt)
-	if restoredFed < 0 {
-		restoredFed = 0
-	}
-	q.observed += restoredFed
-	q.obsDebt -= restoredFed
 	q.head -= n
 	if q.head < 0 {
 		q.head += q.capacity
@@ -519,149 +478,104 @@ func (q *Queue) UnpopN(n int) {
 	q.totalPopped -= int64(n)
 }
 
-// ObserveArrivals feeds the rate estimator every buffered arrival that has
-// happened by now and was not fed before, returning how many were fed. The
-// communication manager calls this as the engine's clock advances, so
-// estimation is causal: the CM never peeks at future arrivals. The unseen
-// arrived prefix is handed to the estimator as whole ring segments.
-//
-// The CM calls this between scheduling rounds, when bulk-pop debt is fully
-// settled (every fragment credits or unpops its whole batch before
-// yielding). Observing new arrivals while an unfed debt tail is still
-// outstanding would let a later pop place fed tuples behind unfed debt,
-// which the fed-prefix accounting cannot represent; the pop panics if that
-// ever happens.
+// ObserveArrivals feeds the rate estimator every buffered arrival from
+// the feed cursor up to the arrived prefix at now, returning how many were
+// fed. The communication manager calls this as the engine's clock
+// advances, so estimation is causal: the CM never peeks at future
+// arrivals. The unseen arrived run is handed to the estimator as whole
+// ring segments.
 func (q *Queue) ObserveArrivals(now time.Duration) int {
 	n := q.Available(now)
-	if n <= q.observed {
+	from := q.feedFrom()
+	if n <= from {
 		return 0
 	}
-	fed := n - q.observed
-	lo, hi := q.idx(q.observed), q.idx(n)
+	lo, hi := q.idx(from), q.idx(n)
 	if lo < hi {
-		q.est.ObserveBatch(q.arrivals[lo:hi])
+		q.est.observe(q.arrivals[lo:hi])
 	} else {
-		q.est.ObserveBatch(q.arrivals[lo:q.capacity])
-		q.est.ObserveBatch(q.arrivals[:hi])
+		q.est.observe(q.arrivals[lo:q.capacity])
+		q.est.observe(q.arrivals[:hi])
 	}
-	q.observed = n
-	return fed
+	q.fed = q.totalPopped + int64(n)
+	return n - from
 }
 
+// feedFrom is the buffer position of the feed cursor: the oldest buffered
+// slot the estimator has not passed, 0 when the cursor lies among the
+// popped tuples.
+func (q *Queue) feedFrom() int { return int(max(q.fed-q.totalPopped, 0)) }
+
 // observeDue reports whether ObserveArrivals(now) could feed the estimator:
-// the oldest un-fed buffered arrival has happened by now, or everything
-// buffered is fed and deferred production may have delivered more. Arrivals
-// are monotone, so when the oldest un-fed one is still in the future nothing
-// is due. The CM asks this before every ObserveArrivals: one compare per
-// queue keeps its per-iteration sweep cheap.
+// the buffered arrival at the feed cursor has happened by now, or
+// everything buffered is fed and deferred production may have delivered
+// more. Arrivals are monotone, so when the one at the cursor is still in
+// the future nothing is due. The CM asks this before every
+// ObserveArrivals: one compare per queue keeps its per-iteration sweep
+// cheap.
 func (q *Queue) observeDue(now time.Duration) bool {
-	if q.observed < q.size {
-		return q.arrivals[q.idx(q.observed)] <= now
+	if from := q.feedFrom(); from < q.size {
+		return q.arrivals[q.idx(from)] <= now
 	}
 	return len(q.pend) > 0
 }
 
 // EstimatedWait returns the current estimate of the mean inter-arrival time
 // (the paper's waiting time w_p) and whether enough observations exist.
-func (q *Queue) EstimatedWait() (time.Duration, bool) { return q.est.Mean() }
+func (q *Queue) EstimatedWait() (time.Duration, bool) { return q.est.wait() }
 
 // Observations returns the number of arrivals fed to the rate estimator.
-func (q *Queue) Observations() int64 { return q.est.Observations() }
+func (q *Queue) Observations() int64 { return q.est.n }
 
 // TotalPopped returns the number of tuples consumed from this queue.
 func (q *Queue) TotalPopped() int64 { return q.totalPopped }
 
-const defaultEWMAAlpha = 0.05
+// ewmaAlpha is the estimator's smoothing factor: each new gap moves the
+// mean by 5% of its distance from it.
+const ewmaAlpha = 0.05
 
-// RateEstimator tracks a smoothed mean inter-arrival time with an
+// rateEstimator tracks a smoothed mean inter-arrival time with an
 // exponentially weighted moving average.
-type RateEstimator struct {
-	alpha float64
-	last  time.Duration
-	mean  float64 // seconds
-	n     int64
+type rateEstimator struct {
+	last time.Duration
+	mean float64 // seconds
+	n    int64
 }
 
-// NewRateEstimator returns an estimator with the given smoothing factor in
-// (0, 1]; larger alpha reacts faster.
-func NewRateEstimator(alpha float64) *RateEstimator {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("comm: EWMA alpha must be in (0,1], got %v", alpha))
-	}
-	return &RateEstimator{alpha: alpha}
-}
-
-// Reset clears all observations, keeping the smoothing factor.
-func (e *RateEstimator) Reset() {
-	e.last = 0
-	e.mean = 0
-	e.n = 0
-}
-
-// Observe records one arrival instant.
-func (e *RateEstimator) Observe(at time.Duration) {
-	if e.n > 0 {
-		// Sub-second gaps — all but initial delays and outages — skip
-		// Duration.Seconds' two integer divisions: for 0 <= d < 1s it
-		// computes 0 + float64(d)/1e9, which is this quotient bit for bit.
-		d := at - e.last
-		var gap float64
-		switch {
-		case d < 0:
-			gap = 0
-		case d < time.Second:
-			gap = float64(d) / 1e9
-		default:
-			gap = d.Seconds()
-		}
-		if e.n == 1 {
-			e.mean = gap
-		} else {
-			e.mean = e.alpha*gap + (1-e.alpha)*e.mean
-		}
-	}
-	e.last = at
-	e.n++
-}
-
-// ObserveBatch records a run of arrival instants. The arithmetic is the
-// same sequence of float operations as calling Observe per element, so the
-// smoothed mean is bit-identical; only the call overhead is amortized.
-func (e *RateEstimator) ObserveBatch(at []time.Duration) {
+// observe records a run of arrival instants.
+func (e *rateEstimator) observe(at []time.Duration) {
 	for _, a := range at {
-		e.Observe(a)
+		if e.n > 0 {
+			// Sub-second gaps — all but initial delays and outages — skip
+			// Duration.Seconds' two integer divisions: for 0 <= d < 1s it
+			// computes 0 + float64(d)/1e9, which is this quotient bit for
+			// bit.
+			d := a - e.last
+			var gap float64
+			switch {
+			case d < 0:
+				gap = 0
+			case d < time.Second:
+				gap = float64(d) / 1e9
+			default:
+				gap = d.Seconds()
+			}
+			if e.n == 1 {
+				e.mean = gap
+			} else {
+				e.mean = ewmaAlpha*gap + (1-ewmaAlpha)*e.mean
+			}
+		}
+		e.last = a
+		e.n++
 	}
 }
 
-// Mean returns the smoothed inter-arrival time. The boolean is false until
+// wait returns the smoothed inter-arrival time. The boolean is false until
 // at least two arrivals (one gap) have been observed.
-func (e *RateEstimator) Mean() (time.Duration, bool) {
+func (e *rateEstimator) wait() (time.Duration, bool) {
 	if e.n < 2 {
 		return 0, false
 	}
 	return time.Duration(e.mean * float64(time.Second)), true
-}
-
-// Observations returns the number of arrivals seen.
-func (e *RateEstimator) Observations() int64 { return e.n }
-
-// SignificantChange reports whether two waiting-time estimates differ by
-// more than the given factor (either direction). Zero estimates are treated
-// as equal to avoid division blowups on instantaneous sources.
-func SignificantChange(old, new time.Duration, factor float64) bool {
-	if factor <= 1 {
-		factor = 1
-	}
-	a, b := old.Seconds(), new.Seconds()
-	if a == 0 && b == 0 {
-		return false
-	}
-	if a == 0 || b == 0 {
-		return true
-	}
-	r := a / b
-	if r < 1 {
-		r = 1 / r
-	}
-	return r > factor && math.Abs(a-b) > 1e-9
 }

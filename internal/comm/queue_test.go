@@ -149,30 +149,34 @@ type slot struct {
 	vals relation.Tuple
 	pass bool
 	at   time.Duration
-	fed  bool // arrival already fed to the reference estimator
+	ord  int64 // push ordinal, from 1
 }
 
 // popModel is the brute-force reference for the queue protocol: a plain
 // slice for the buffer plus a slice for popped-but-uncredited tuples, scanned
 // end to end, with none of the ring arithmetic, debt accounting, or cache
-// maintenance. It also models the rate-estimator feed with an exact
-// per-tuple fed flag (instead of the queue's prefix counters), feeding a
-// reference estimator so the tests can prove no arrival is ever skipped or
-// fed twice across pop/Credit/UnpopN traffic.
+// maintenance. It also models the rate-estimator feed by push ordinal
+// (instead of the queue's cursor arithmetic), feeding a reference estimator
+// so the tests can prove no arrival is ever fed twice or out of push order
+// across pop/Credit/UnpopN traffic.
 type popModel struct {
 	buf      []slot
 	debt     []slot // popped, window slot still reserved
 	capacity int
-	est      *RateEstimator
+	pushed   int64 // ordinal of the newest pushed slot
+	fedOrd   int64 // ordinal of the newest arrival fed to est
+	est      rateEstimator
 }
 
-func newPopModel(capacity int) *popModel {
-	return &popModel{capacity: capacity, est: NewRateEstimator(defaultEWMAAlpha)}
-}
+func newPopModel(capacity int) *popModel { return &popModel{capacity: capacity} }
 
 func (m *popModel) full() bool { return len(m.buf)+len(m.debt) == m.capacity }
 
-func (m *popModel) push(s slot) { m.buf = append(m.buf, s) }
+func (m *popModel) push(s slot) {
+	m.pushed++
+	s.ord = m.pushed
+	m.buf = append(m.buf, s)
+}
 
 func (m *popModel) available(now time.Duration) int {
 	n := 0
@@ -204,19 +208,19 @@ func (m *popModel) unpopN(n int) {
 	m.debt = m.debt[:cut]
 }
 
-// observeArrivals feeds every buffered, arrived, not-yet-fed arrival to the
-// reference estimator in order — the per-tuple reference semantics of
-// Queue.ObserveArrivals.
+// observeArrivals feeds the reference estimator, in order, every buffered,
+// arrived slot pushed after the newest arrival it has fed — the per-tuple
+// reference semantics of Queue.ObserveArrivals. A slot popped before it was
+// fed and given back after a newer one was is passed over.
 func (m *popModel) observeArrivals(now time.Duration) int {
 	fedCount := 0
-	for i := range m.buf {
-		s := &m.buf[i]
+	for _, s := range m.buf {
 		if s.at > now {
 			break
 		}
-		if !s.fed {
-			m.est.Observe(s.at)
-			s.fed = true
+		if s.ord > m.fedOrd {
+			m.est.observe([]time.Duration{s.at})
+			m.fedOrd = s.ord
 			fedCount++
 		}
 	}
@@ -328,10 +332,10 @@ func checkState(t *testing.T, where string, q *Queue, m *popModel) {
 func checkEstimator(t *testing.T, where string, q *Queue, m *popModel) {
 	t.Helper()
 	gotW, gotOK := q.EstimatedWait()
-	wantW, wantOK := m.est.Mean()
-	if gotW != wantW || gotOK != wantOK || q.Observations() != m.est.Observations() {
+	wantW, wantOK := m.est.wait()
+	if gotW != wantW || gotOK != wantOK || q.Observations() != m.est.n {
 		t.Fatalf("%s: estimator = %v,%v after %d, want %v,%v after %d",
-			where, gotW, gotOK, q.Observations(), wantW, wantOK, m.est.Observations())
+			where, gotW, gotOK, q.Observations(), wantW, wantOK, m.est.n)
 	}
 }
 
@@ -410,10 +414,9 @@ func (p *refillProducer) Resume(now time.Duration) {
 // TestQueuePopNAgreesWithBruteForceModel drives the bulk protocol — pushes
 // of whole runs, PopColsN with partial-arrival batches and wrapper-filtered
 // slots, per-tuple Credit with a live producer that refills the window
-// mid-batch, UnpopN of unprocessed tails, and ObserveArrivals at the
-// debt-settled instants the communication manager uses — against the
-// brute-force model, requiring slot-for-slot and estimator-state agreement
-// at every step.
+// mid-batch, UnpopN of unprocessed tails, and ObserveArrivals at any point,
+// mid-batch included — against the brute-force model, requiring
+// slot-for-slot and estimator-state agreement at every step.
 func TestQueuePopNAgreesWithBruteForceModel(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -445,7 +448,7 @@ func TestQueuePopNAgreesWithBruteForceModel(t *testing.T) {
 				n := 1 + rng.Intn(q.Debt())
 				q.UnpopN(n)
 				m.unpopN(n)
-			case op == 5 && q.Debt() == 0: // CM observation at a round boundary
+			case op == 5: // CM observation, possibly with a batch in debt
 				if got, want := q.ObserveArrivals(now), m.observeArrivals(now); got != want {
 					t.Fatalf("%s: ObserveArrivals fed %d, want %d", where, got, want)
 				}
@@ -507,11 +510,11 @@ func TestQueuePopNDoesNotResumeUntilCredit(t *testing.T) {
 	}
 }
 
-// TestUnpopNRestoresObservedAccounting pins the estimator bookkeeping of a
+// TestUnpopNRestoresObservedAccounting pins the estimator feed across a
 // mid-batch overflow (a fragment's PopColsN → Credit… → UnpopN): an arrival
 // already fed to the rate estimator must not be fed again after its tuple is
-// returned to the buffer, and an arrival that was never fed must still be
-// fed later.
+// returned to the buffer, an arrival that was never fed must still be fed
+// later, and the feed never goes back behind an arrival it has fed.
 func TestUnpopNRestoresObservedAccounting(t *testing.T) {
 	push5 := func(q *Queue) {
 		for i := 0; i < 5; i++ {
@@ -544,7 +547,7 @@ func TestUnpopNRestoresObservedAccounting(t *testing.T) {
 	if m, _ := q.EstimatedWait(); m != mean {
 		t.Fatalf("duplicate feed moved the estimate: %v, want %v", m, mean)
 	}
-	if obs := q.est.Observations(); obs != 5 {
+	if obs := q.Observations(); obs != 5 {
 		t.Fatalf("Observations = %d, want 5", obs)
 	}
 
@@ -563,19 +566,39 @@ func TestUnpopNRestoresObservedAccounting(t *testing.T) {
 	if fed := q.ObserveArrivals(ms(200)); fed != 3 {
 		t.Fatalf("observation after UnpopN fed %d, want 3", fed)
 	}
-	if obs := q.est.Observations(); obs != 5 {
-		t.Fatalf("Observations = %d, want 5", obs)
-	}
 	// The feed order was arrival order (0,10 then 20,30,40 ms), so the EWMA
 	// over the 10ms gaps is exact.
-	ref := NewRateEstimator(defaultEWMAAlpha)
-	for i := 0; i < 5; i++ {
-		ref.Observe(ms(10 * i))
+	checkFeed := func(want ...time.Duration) {
+		t.Helper()
+		var ref rateEstimator
+		ref.observe(want)
+		w, _ := ref.wait()
+		if m, _ := q.EstimatedWait(); m != w || q.Observations() != int64(len(want)) {
+			t.Fatalf("EstimatedWait = %v after %d, want %v after %d", m, q.Observations(), w, len(want))
+		}
 	}
-	want, _ := ref.Mean()
-	if m, _ := q.EstimatedWait(); m != want {
-		t.Fatalf("EstimatedWait = %v, want %v", m, want)
+	checkFeed(0, ms(10), ms(20), ms(30), ms(40))
+
+	// Observation while a partly observed batch is in debt: 2 of the 5
+	// popped arrivals were fed, then two newer ones. The 3 unfed tuples
+	// given back lie behind the feed, so they are passed over, not fed
+	// late and out of push order.
+	q = newQueue("w", 8)
+	push5(q)
+	if fed := q.ObserveArrivals(ms(15)); fed != 2 {
+		t.Fatalf("partial observation fed %d, want 2", fed)
 	}
+	pop5(q)
+	push(q, 5, ms(50))
+	push(q, 6, ms(60))
+	if fed := q.ObserveArrivals(ms(100)); fed != 2 {
+		t.Fatalf("observation with the batch in debt fed %d, want 2", fed)
+	}
+	q.UnpopN(3)
+	if fed := q.ObserveArrivals(ms(200)); fed != 0 {
+		t.Fatalf("observation after UnpopN fed %d, want 0", fed)
+	}
+	checkFeed(0, ms(10), ms(50), ms(60))
 }
 
 // TestQueuePushNMatchesPush: one PushColsN of a run leaves the queue exactly
@@ -612,37 +635,25 @@ func TestQueuePushNMatchesPush(t *testing.T) {
 }
 
 func TestRateEstimatorEWMA(t *testing.T) {
-	e := NewRateEstimator(0.5)
-	if _, ok := e.Mean(); ok {
+	var e rateEstimator
+	if _, ok := e.wait(); ok {
 		t.Error("estimator reported a mean with no observations")
 	}
-	e.Observe(0)
-	if _, ok := e.Mean(); ok {
+	e.observe([]time.Duration{0})
+	if _, ok := e.wait(); ok {
 		t.Error("estimator reported a mean after one observation")
 	}
-	e.Observe(ms(10)) // first gap: 10ms
-	if m, ok := e.Mean(); !ok || m != ms(10) {
+	e.observe([]time.Duration{ms(10)}) // first gap: 10ms
+	if m, ok := e.wait(); !ok || m != ms(10) {
 		t.Errorf("mean after first gap = %v,%v", m, ok)
 	}
-	e.Observe(ms(30)) // gap 20ms: mean = 0.5*20 + 0.5*10 = 15ms
-	if m, _ := e.Mean(); m != ms(15) {
-		t.Errorf("EWMA mean = %v, want 15ms", m)
+	e.observe([]time.Duration{ms(30), ms(40)}) // gaps 20ms, 10ms
+	// mean = 0.05*20 + 0.95*10 = 10.5ms, then 0.05*10 + 0.95*10.5 = 10.475ms
+	if m, _ := e.wait(); m < 10474*time.Microsecond || m > 10476*time.Microsecond {
+		t.Errorf("EWMA mean = %v, want 10.475ms", m)
 	}
-	if e.Observations() != 3 {
-		t.Errorf("Observations = %d", e.Observations())
-	}
-}
-
-func TestRateEstimatorAlphaValidation(t *testing.T) {
-	for _, alpha := range []float64{0, -0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("alpha %v accepted", alpha)
-				}
-			}()
-			NewRateEstimator(alpha)
-		}()
+	if e.n != 4 {
+		t.Errorf("Observations = %d", e.n)
 	}
 }
 
@@ -665,21 +676,20 @@ func TestObserveArrivalsIsCausalAndIncremental(t *testing.T) {
 func TestSignificantChange(t *testing.T) {
 	cases := []struct {
 		old, new time.Duration
-		factor   float64
 		want     bool
 	}{
-		{ms(10), ms(10), 2, false},
-		{ms(10), ms(25), 2, true},
-		{ms(25), ms(10), 2, true},
-		{ms(10), ms(19), 2, false},
-		{0, 0, 2, false},
-		{0, ms(5), 2, true},
-		{ms(5), 0, 2, true},
-		{ms(10), ms(15), 1, true}, // factor clamped to 1: any change significant
+		{ms(10), ms(10), false},
+		{ms(10), ms(25), true},
+		{ms(25), ms(10), true},
+		{ms(10), ms(19), false},
+		{ms(10), ms(20), false}, // exactly changeFactor is not beyond it
+		{0, 0, false},
+		{0, ms(5), true},
+		{ms(5), 0, true},
 	}
 	for _, tc := range cases {
-		if got := SignificantChange(tc.old, tc.new, tc.factor); got != tc.want {
-			t.Errorf("SignificantChange(%v, %v, %v) = %v, want %v", tc.old, tc.new, tc.factor, got, tc.want)
+		if got := significantChange(tc.old, tc.new); got != tc.want {
+			t.Errorf("significantChange(%v, %v) = %v, want %v", tc.old, tc.new, got, tc.want)
 		}
 	}
 }

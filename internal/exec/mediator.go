@@ -126,8 +126,15 @@ func (m *Mediator) Now() time.Duration { return m.Clock.Now() }
 // mediator), and a Runtime scoped to this query is returned. label scopes
 // wrapper names in the communication manager so concurrent queries reading
 // the same relation get independent sub-queries, as the mediator/wrapper
-// architecture prescribes.
+// architecture prescribes. A label any earlier query of this mediator
+// carried, finished or not, is refused: its fault entries and ledger
+// holders still name it.
 func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, deliveries map[string]Delivery) (*Runtime, error) {
+	for _, rt := range m.rts {
+		if rt.Label == label {
+			return nil, fmt.Errorf("exec: query label %q is already in use", label)
+		}
+	}
 	dec, hit, err := m.Cfg.Plans.Load(root)
 	if err != nil {
 		return nil, err
@@ -140,6 +147,17 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 	}
 	if len(unknown) > 0 {
 		return nil, fmt.Errorf("exec: delivery for unknown relation %q", slices.Min(unknown))
+	}
+	for _, c := range dec.Chains {
+		name := c.Scan.Rel.Name
+		table, ok := ds[name]
+		if !ok {
+			return nil, fmt.Errorf("exec: dataset is missing relation %q", name)
+		}
+		if table.Rel.Cardinality != len(table.Rows) {
+			return nil, fmt.Errorf("exec: relation %q: catalog cardinality %d != generated rows %d",
+				name, table.Rel.Cardinality, len(table.Rows))
+		}
 	}
 	if m.Cfg.Plans != nil {
 		if hit {
@@ -179,14 +197,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 	netTime := m.Cfg.Params.NetworkTupleTime()
 	for i, c := range dec.Chains {
 		name := c.Scan.Rel.Name
-		table, ok := ds[name]
-		if !ok {
-			return nil, fmt.Errorf("exec: dataset is missing relation %q", name)
-		}
-		if table.Rel.Cardinality != len(table.Rows) {
-			return nil, fmt.Errorf("exec: relation %q: catalog cardinality %d != generated rows %d",
-				name, table.Rel.Cardinality, len(table.Rows))
-		}
+		table := ds[name]
 		cmName := rt.cmName(name)
 		// The queue ring carries only the plan's live columns, and the scan
 		// predicate is evaluated in the wrapper. Window slots and arrivals

@@ -1,10 +1,14 @@
 package exec
 
 import (
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"dqs/internal/relation"
 	"dqs/internal/workload"
 )
 
@@ -77,21 +81,49 @@ func TestFinishedQueryLeavesTheCM(t *testing.T) {
 	}
 }
 
-func TestMediatorDuplicateLabelPanics(t *testing.T) {
+// TestMediatorRefusesDuplicateLabel checks that AddQuery refuses a label an
+// earlier query carried, live or finished, and a dataset missing a relation
+// or miscounting its rows, each by name and before it touches the CM.
+func TestMediatorRefusesDuplicateLabel(t *testing.T) {
 	med, err := NewMediator(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := smallFig5(t)
-	if _, err := med.AddQuery("q", w.Root, w.Dataset, nil); err != nil {
+	rt, err := med.AddQuery("q", w.Root, w.Dataset, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate label (duplicate CM queues) did not panic")
+	refused := func(label string, ds relation.Dataset, name string) {
+		t.Helper()
+		before := slices.Clone(med.CM.Queues())
+		_, err := med.AddQuery(label, w.Root, ds, nil)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("AddQuery(%q) = %v, want an error naming %q", label, err, name)
 		}
-	}()
-	med.AddQuery("q", w.Root, w.Dataset, nil) //nolint:errcheck // panics first
+		if got := med.CM.Queues(); !slices.Equal(got, before) {
+			t.Errorf("AddQuery(%q) changed the CM's queues from %d to %d", label, len(before), len(got))
+		}
+	}
+	refused("q", w.Dataset, "q")
+	for _, name := range w.Catalog.Names() {
+		ds := maps.Clone(w.Dataset)
+		delete(ds, name)
+		refused("r", ds, name)
+		rel := *w.Dataset[name].Rel
+		rel.Cardinality++
+		ds[name] = &relation.Table{Rel: &rel, Rows: w.Dataset[name].Rows}
+		refused("r", ds, name)
+	}
+	rt.Clock.Stall(time.Millisecond)
+	rt.Cancel()
+	if _, done := rt.CompletedAt(); !done || len(med.CM.Queues()) != 0 {
+		t.Fatalf("q did not leave the mediator: done=%v, %d queues", done, len(med.CM.Queues()))
+	}
+	refused("q", w.Dataset, "q")
+	if _, err := med.AddQuery("r", w.Root, w.Dataset, nil); err != nil {
+		t.Errorf("a fresh label after the refusals: %v", err)
+	}
 }
 
 func TestMediatorSharedClockAndMemory(t *testing.T) {
