@@ -262,6 +262,42 @@ func tracedRun(spec RunSpec) (Result, [sha256.Size]byte, error) {
 	return res, sha256.Sum256(buf.Bytes()), nil
 }
 
+// TestDecompositionCacheIsInvisible: Config.Plans only memoizes structure,
+// so a run through a shared decomposition cache must equal the uncached run
+// in trace bytes and in every Result field but the two lookup counters — a
+// miss on first use, a hit after.
+func TestDecompositionCacheIsInvisible(t *testing.T) {
+	w, err := Fig5Small(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := UniformDeliveries(w, 20*time.Microsecond)
+	del["A"] = Delivery{MeanWait: 100 * time.Microsecond}
+	spec := RunSpec{Workload: w, Config: DefaultConfig(), Strategy: DSE, Deliveries: del}
+	spec.Config.MemoryBytes = 2 << 20
+	want, wantSum, err := tracedRun(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Config.Plans = NewDecompositionCache()
+	for i, counts := range [][2]int{{0, 1}, {1, 0}} {
+		got, sum, err := tracedRun(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := got.PlanCacheHits, got.PlanCacheMisses; hits != counts[0] || misses != counts[1] {
+			t.Errorf("cached run %d: hits=%d misses=%d, want %d/%d", i, hits, misses, counts[0], counts[1])
+		}
+		got.PlanCacheHits, got.PlanCacheMisses = 0, 0
+		if !got.Equal(want) {
+			t.Errorf("cached run %d diverged:\nuncached: %+v\ncached:   %+v", i, want, got)
+		}
+		if sum != wantSum {
+			t.Errorf("cached run %d: trace bytes differ from the uncached run", i)
+		}
+	}
+}
+
 // TestPooledRunIsDeterministicUnderReuse pins the pooling contract on the
 // public path: every mediator draws its storage from one process-wide pool,
 // so a run inherits whatever capacity and build-row hints earlier runs left

@@ -6,7 +6,7 @@
 //	dqsbench [-exp all|table1|fig5|fig6|fig7|fig8|position|resilience|multiquery|serverload|firsttuple|ablations] \
 //	         [-reps N] [-parallel N] \
 //	         [-small] [-csv] [-chart] \
-//	         [-plan-cache] [-faults SPEC] [-fault-seed N] \
+//	         [-faults SPEC] [-fault-seed N] \
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // Output is the same rows/series the paper plots; -csv additionally emits
@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,23 +35,57 @@ import (
 	"dqs/internal/workload"
 )
 
+// figures lists the experiments that print one figure, in run order after
+// table1 and fig5; -exp ablations runs the ones named "ablation-…".
+var figures = []struct {
+	name string
+	run  func(experiment.Options) (*experiment.Figure, error)
+}{
+	{"fig6", experiment.Fig6},
+	{"fig7", experiment.Fig7},
+	{"fig8", experiment.Fig8},
+	{"position", func(o experiment.Options) (*experiment.Figure, error) {
+		retrieval := 6.0
+		if o.Small {
+			retrieval = 0.6
+		}
+		return experiment.PositionSweep(o, retrieval)
+	}},
+	{"delays", experiment.DelayClasses},
+	{"resilience", experiment.Resilience},
+	{"multiquery", experiment.MultiQuery},
+	{"serverload", experiment.ServerLoad},
+	{"star", experiment.StarSweep},
+	{"firsttuple", experiment.FirstTupleLatency},
+	{"ablation-bmt", experiment.AblationBMT},
+	{"ablation-batch", experiment.AblationBatch},
+	{"ablation-queue", experiment.AblationQueue},
+	{"ablation-message", experiment.AblationMessage},
+	{"ablation-skew", experiment.AblationSkew},
+	{"ablation-memory", experiment.AblationMemory},
+}
+
 // experimentNames lists every value -exp accepts, in run order; the
 // unknown-experiment error echoes it so callers see what is available.
-var experimentNames = []string{
-	"all", "table1", "fig5", "fig6", "fig7", "fig8", "position", "delays",
-	"resilience", "multiquery", "serverload", "star", "firsttuple",
-	"ablations", "ablation-bmt", "ablation-batch", "ablation-queue",
-	"ablation-message", "ablation-skew", "ablation-memory",
+func experimentNames() []string {
+	names := []string{"all", "table1", "fig5"}
+	for _, f := range figures {
+		if strings.HasPrefix(f.name, "ablation-") && !slices.Contains(names, "ablations") {
+			names = append(names, "ablations")
+		}
+		names = append(names, f.name)
+	}
+	return names
 }
 
 func errUnknownExperiment(exp string) error {
 	return fmt.Errorf("unknown experiment %q (available: %s)",
-		exp, strings.Join(experimentNames, ", "))
+		exp, strings.Join(experimentNames(), ", "))
 }
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames, ", "))
+		exp        = flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames(), ", "))
 		reps       = flag.Int("reps", 3, "measurement repetitions (paper: 3)")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulator runs; figure output is identical at any setting")
 		small      = flag.Bool("small", false, "run at 1/10 scale (fast)")
@@ -60,7 +95,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken after the sweep to this file")
 		faults     = flag.String("faults", "", "inject a fault scenario into every run, e.g. 'D:drop@5000+2s'")
 		faultSeed  = flag.Int64("fault-seed", 1, "random seed of the fault scenario's timing draws")
-		planCache  = flag.Bool("plan-cache", false, "share one plan/decomposition cache across every cell (hit/miss counts go to the stderr summary)")
 	)
 	flag.Parse()
 	if *cpuprofile != "" {
@@ -78,7 +112,7 @@ func main() {
 			f.Close()
 		}()
 	}
-	err := run(*exp, *reps, *parallel, *small, *csv, *chart, *planCache, *faults, *faultSeed)
+	err := run(*exp, *reps, *parallel, *small, *csv, *chart, *faults, *faultSeed)
 	if err == nil && *memprofile != "" {
 		err = writeMemProfile(*memprofile)
 	}
@@ -104,7 +138,7 @@ func writeMemProfile(path string) error {
 	return pprof.Lookup("allocs").WriteTo(f, 0)
 }
 
-func run(exp string, reps, parallel int, small, csv, chart, planCache bool, faults string, faultSeed int64) error {
+func run(exp string, reps, parallel int, small, csv, chart bool, faults string, faultSeed int64) error {
 	if reps < 1 {
 		return fmt.Errorf("-reps must be at least 1, got %d", reps)
 	}
@@ -114,7 +148,6 @@ func run(exp string, reps, parallel int, small, csv, chart, planCache bool, faul
 	o := experiment.DefaultOptions()
 	o.Small = small
 	o.Parallel = parallel
-	o.PlanCache = planCache
 	o.Stats = &experiment.RunStats{}
 	o.Seeds = o.Seeds[:0]
 	for i := 1; i <= reps; i++ {
@@ -135,28 +168,10 @@ func run(exp string, reps, parallel int, small, csv, chart, planCache bool, faul
 	o.Config = &cfg
 	out := os.Stdout
 
-	show := func(fig *experiment.Figure, err error) error {
-		if err != nil {
-			return err
-		}
-		fig.Print(out)
-		if chart {
-			fig.Chart(out, 64, 16)
-		}
-		if csv {
-			fmt.Fprintln(out, fig.CSV())
-		}
-		return nil
-	}
-
 	matched := false
 	want := func(name string) bool {
-		ok := exp == "all" || exp == name
-		matched = matched || ok
-		return ok
-	}
-	wantAblation := func(name string) bool {
-		ok := exp == "all" || exp == "ablations" || exp == "ablation-"+name
+		ok := exp == "all" || exp == name ||
+			exp == "ablations" && strings.HasPrefix(name, "ablation-")
 		matched = matched || ok
 		return ok
 	}
@@ -170,88 +185,20 @@ func run(exp string, reps, parallel int, small, csv, chart, planCache bool, faul
 			return err
 		}
 	}
-	if want("fig6") {
-		if err := show(experiment.Fig6(o)); err != nil {
-			return fmt.Errorf("fig6: %w", err)
+	for _, f := range figures {
+		if !want(f.name) {
+			continue
 		}
-	}
-	if want("fig7") {
-		if err := show(experiment.Fig7(o)); err != nil {
-			return fmt.Errorf("fig7: %w", err)
+		fig, err := f.run(o)
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.name, err)
 		}
-	}
-	if want("fig8") {
-		if err := show(experiment.Fig8(o)); err != nil {
-			return fmt.Errorf("fig8: %w", err)
+		fig.Print(out)
+		if chart {
+			fig.Chart(out, 64, 16)
 		}
-	}
-	if want("position") {
-		retrieval := 6.0
-		if small {
-			retrieval = 0.6
-		}
-		if err := show(experiment.PositionSweep(o, retrieval)); err != nil {
-			return fmt.Errorf("position: %w", err)
-		}
-	}
-	if want("delays") {
-		if err := show(experiment.DelayClasses(o)); err != nil {
-			return fmt.Errorf("delays: %w", err)
-		}
-	}
-	if want("resilience") {
-		if err := show(experiment.Resilience(o)); err != nil {
-			return fmt.Errorf("resilience: %w", err)
-		}
-	}
-	if want("multiquery") {
-		if err := show(experiment.MultiQuery(o)); err != nil {
-			return fmt.Errorf("multiquery: %w", err)
-		}
-	}
-	if want("serverload") {
-		if err := show(experiment.ServerLoad(o)); err != nil {
-			return fmt.Errorf("serverload: %w", err)
-		}
-	}
-	if want("star") {
-		if err := show(experiment.StarSweep(o)); err != nil {
-			return fmt.Errorf("star: %w", err)
-		}
-	}
-	if want("firsttuple") {
-		if err := show(experiment.FirstTupleLatency(o)); err != nil {
-			return fmt.Errorf("firsttuple: %w", err)
-		}
-	}
-	if wantAblation("bmt") {
-		if err := show(experiment.AblationBMT(o)); err != nil {
-			return fmt.Errorf("ablation-bmt: %w", err)
-		}
-	}
-	if wantAblation("batch") {
-		if err := show(experiment.AblationBatch(o)); err != nil {
-			return fmt.Errorf("ablation-batch: %w", err)
-		}
-	}
-	if wantAblation("queue") {
-		if err := show(experiment.AblationQueue(o)); err != nil {
-			return fmt.Errorf("ablation-queue: %w", err)
-		}
-	}
-	if wantAblation("message") {
-		if err := show(experiment.AblationMessage(o)); err != nil {
-			return fmt.Errorf("ablation-message: %w", err)
-		}
-	}
-	if wantAblation("skew") {
-		if err := show(experiment.AblationSkew(o)); err != nil {
-			return fmt.Errorf("ablation-skew: %w", err)
-		}
-	}
-	if wantAblation("memory") {
-		if err := show(experiment.AblationMemory(o)); err != nil {
-			return fmt.Errorf("ablation-memory: %w", err)
+		if csv {
+			fmt.Fprintln(out, fig.CSV())
 		}
 	}
 	if !matched {

@@ -7,7 +7,7 @@ import (
 
 func TestRunRejectsNonPositiveReps(t *testing.T) {
 	for _, reps := range []int{0, -1, -3} {
-		err := run("table1", reps, 1, true, false, false, true, "", 1)
+		err := run("table1", reps, 1, true, false, false, "", 1)
 		if err == nil {
 			t.Fatalf("reps=%d accepted; a non-positive repetition count must not silently fall back to one run", reps)
 		}
@@ -18,7 +18,7 @@ func TestRunRejectsNonPositiveReps(t *testing.T) {
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	err := run("bogus", 1, 1, true, false, false, false, "", 1)
+	err := run("bogus", 1, 1, true, false, false, "", 1)
 	if err == nil {
 		t.Fatal("unknown experiment accepted; it must not silently run nothing")
 	}
@@ -27,7 +27,7 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 	// The error must list every valid name, mirroring the scheduler
 	// registry's unknown-strategy error.
-	for _, name := range experimentNames {
+	for _, name := range experimentNames() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list experiment %q", err, name)
 		}
@@ -38,8 +38,8 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 // entries in experimentNames): with an invalid rep count the run fails on
 // flag validation for valid names, never on the unknown-experiment check.
 func TestExperimentNamesAreCurrent(t *testing.T) {
-	for _, name := range experimentNames {
-		err := run(name, 0, 1, true, false, false, false, "", 1)
+	for _, name := range experimentNames() {
+		err := run(name, 0, 1, true, false, false, "", 1)
 		if err == nil || !strings.Contains(err.Error(), "-reps") {
 			t.Errorf("%s: want the -reps validation error, got %v", name, err)
 		}
@@ -55,7 +55,7 @@ func TestRunRejectsFaultsThatCanNeverStrike(t *testing.T) {
 		{"Z:kill@5", `"Z"`},
 		{"A:kill@15000", "15000 rows"},
 	} {
-		err := run("fig6", 1, 1, true, false, false, false, tc.spec, 1)
+		err := run("fig6", 1, 1, true, false, false, tc.spec, 1)
 		if err == nil {
 			t.Errorf("-faults %q accepted; it can never strike", tc.spec)
 			continue
@@ -70,7 +70,7 @@ func TestRunRejectsFaultsThatCanNeverStrike(t *testing.T) {
 
 func TestRunRejectsNonPositiveParallel(t *testing.T) {
 	for _, parallel := range []int{0, -4} {
-		err := run("table1", 1, parallel, true, false, false, false, "", 1)
+		err := run("table1", 1, parallel, true, false, false, "", 1)
 		if err == nil {
 			t.Fatalf("parallel=%d accepted", parallel)
 		}

@@ -8,7 +8,7 @@
 //	       [-wmin DUR] [-mem MB] [-bmt F] [-trace] [-gantt] [-seed N]
 //	       [-stream]
 //	       [-faults SPEC] [-fault-seed N] [-partial]
-//	       [-plan-cache] [-list-strategies]
+//	       [-list-strategies]
 //
 // Example: watch DSE degrade the blocked chains while wrapper A crawls,
 // with a Gantt chart of fragment lifetimes:
@@ -84,7 +84,6 @@ func main() {
 		faults    = flag.String("faults", "", "fault scenario, e.g. 'C:burst@100+500x300us;D:kill@5000;D:replica,connect=50ms'")
 		faultSeed = flag.Int64("fault-seed", 1, "random seed of the fault scenario's timing draws")
 		partial   = flag.Bool("partial", false, "allow partial results when a wrapper dies with no replica")
-		planCache = flag.Bool("plan-cache", false, "attach the query through a plan/decomposition cache and report its hit/miss counts")
 		list      = flag.Bool("list-strategies", false, "list the registered strategies and exit")
 	)
 	flag.Var(slow, "slow", "slow one relation: REL=RETRIEVAL_SECONDS (repeatable)")
@@ -93,7 +92,7 @@ func main() {
 		listStrategies(os.Stdout)
 		return
 	}
-	if err := run(*strategy, *small, *wmin, *memMB, *bmt, *trace, *gantt, *seed, *stream, *faults, *faultSeed, *partial, *planCache, slow); err != nil {
+	if err := run(*strategy, *small, *wmin, *memMB, *bmt, *trace, *gantt, *seed, *stream, *faults, *faultSeed, *partial, slow); err != nil {
 		fmt.Fprintln(os.Stderr, "dqsrun:", err)
 		os.Exit(1)
 	}
@@ -123,7 +122,7 @@ func listStrategies(w io.Writer) {
 	}
 }
 
-func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, trace, gantt bool, seed int64, stream bool, faults string, faultSeed int64, partial, planCache bool, slow slowFlags) error {
+func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, trace, gantt bool, seed int64, stream bool, faults string, faultSeed int64, partial bool, slow slowFlags) error {
 	mem, err := memBytes(memMB)
 	if err != nil {
 		return err
@@ -154,9 +153,6 @@ func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, tr
 				fmt.Printf("stream: tuple %-8d at %.6fs  %v\n", streamed, at.Seconds(), tup)
 			}
 		})
-	}
-	if planCache {
-		cfg.Plans = dqs.NewDecompositionCache()
 	}
 	var tr *sim.Trace
 	if trace || gantt || faults != "" {
@@ -232,8 +228,5 @@ func run(strategy string, small bool, wmin time.Duration, memMB, bmt float64, tr
 	fmt.Printf("LWB=%.3fs  total-work=%.3fs  first-tuple=%.3fs  peak-mem=%.1fMB  replans=%d degradations=%d timeouts=%d mem-repairs=%d\n",
 		lwb.Seconds(), res.TotalWork().Seconds(), res.FirstTupleTime.Seconds(), float64(res.PeakMemBytes)/(1<<20),
 		res.Replans, res.Degradations, res.Timeouts, res.MemRepairs)
-	if planCache {
-		fmt.Printf("plan-cache: hits=%d misses=%d\n", res.PlanCacheHits, res.PlanCacheMisses)
-	}
 	return nil
 }

@@ -46,25 +46,25 @@ func TestRunSmallestEndToEnd(t *testing.T) {
 	// workload with every strategy.
 	const wmin = 20 * time.Microsecond
 	for _, strat := range []string{"SEQ", "MA", "DSE", "SCR"} {
-		if err := run(strat, true, wmin, 64, 1, false, false, 1, false, "", 1, false, true, slowFlags{"A": 0.5}); err != nil {
+		if err := run(strat, true, wmin, 64, 1, false, false, 1, false, "", 1, false, slowFlags{"A": 0.5}); err != nil {
 			t.Errorf("%s: %v", strat, err)
 		}
 	}
-	if err := run("BOGUS", true, wmin, 64, 1, false, false, 1, false, "", 1, false, false, nil); err == nil {
+	if err := run("BOGUS", true, wmin, 64, 1, false, false, 1, false, "", 1, false, nil); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if err := run("SEQ", true, wmin, 64, 1, false, false, 1, false, "", 1, false, false, slowFlags{"ZZ": 1}); err == nil {
+	if err := run("SEQ", true, wmin, 64, 1, false, false, 1, false, "", 1, false, slowFlags{"ZZ": 1}); err == nil {
 		t.Error("unknown slow relation accepted")
 	}
 	// Fault flags: a full scenario (disconnect + death + failover) and the
 	// partial-result path both complete through the command entry point.
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, "C:drop@500+40ms;D:kill@700;D:replica,connect=10ms", 1, false, false, nil); err != nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, "C:drop@500+40ms;D:kill@700;D:replica,connect=10ms", 1, false, nil); err != nil {
 		t.Errorf("fault scenario: %v", err)
 	}
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, "D:kill@700", 1, true, false, nil); err != nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, "D:kill@700", 1, true, nil); err != nil {
 		t.Errorf("partial-result scenario: %v", err)
 	}
-	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, "D:bogus@1", 1, false, false, nil); err == nil {
+	if err := run("DSE", true, wmin, 64, 1, false, false, 1, false, "D:bogus@1", 1, false, nil); err == nil {
 		t.Error("malformed fault spec accepted")
 	}
 }
@@ -76,7 +76,7 @@ func TestRunGovernorAndStream(t *testing.T) {
 	const wmin = 20 * time.Microsecond
 	// The engine under memory pressure, with streaming delivery on: the run
 	// must complete through the command path end to end.
-	if err := run("DSE", true, wmin, 1, 1, false, false, 1, true, "", 1, false, false, slowFlags{"A": 0.5}); err != nil {
+	if err := run("DSE", true, wmin, 1, 1, false, false, 1, true, "", 1, false, slowFlags{"A": 0.5}); err != nil {
 		t.Errorf("stream run at 1 MB: %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestRunRejectsNonFiniteNumbers(t *testing.T) {
 		{64, 1, wmin, "A:kill@5;Z:replica", []string{"-faults", `"Z"`}},
 		{64, 1, wmin, "A:kill@99999999", []string{"-faults", "A:kill@99999999", "15000 rows"}},
 	} {
-		err := run("SEQ", true, tc.wmin, tc.memMB, tc.bmt, false, false, 1, false, tc.faults, 1, false, false, nil)
+		err := run("SEQ", true, tc.wmin, tc.memMB, tc.bmt, false, false, 1, false, tc.faults, 1, false, nil)
 		if err == nil {
 			t.Errorf("%+v accepted", tc)
 			continue

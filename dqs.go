@@ -68,9 +68,8 @@ type (
 	// StrategyInfo describes one registered strategy for listings.
 	StrategyInfo = core.StrategyInfo
 	// DecompositionCache memoizes pipeline-chain decompositions keyed by
-	// plan root; set Config.Plans to one to share decompositions (with
-	// their precomputed ancestor/descendant closures) across repeated runs
-	// of the same plans. Safe for concurrent use.
+	// plan root; set Config.Plans to one to share decompositions across
+	// repeated runs of the same plans. Safe for concurrent use.
 	DecompositionCache = plan.DecompositionCache
 	// PlanCache memoizes optimizer output keyed by query shape: repeated
 	// structurally identical queries share one DP enumeration, and literal

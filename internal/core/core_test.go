@@ -286,13 +286,10 @@ func TestChainStateSplitAndAdvance(t *testing.T) {
 		t.Fatalf("split shape wrong: %+v", cs.segs)
 	}
 	cs.advance()
-	if cs.cur != 1 || cs.complete {
-		t.Errorf("advance state wrong: cur=%d complete=%v", cs.cur, cs.complete)
+	if cs.cur != 1 || cs.active() != cs.segs[1] {
+		t.Errorf("advance state wrong: cur=%d", cs.cur)
 	}
 	cs.advance()
-	if !cs.complete {
-		t.Error("chain not complete after final segment")
-	}
 	if cs.active() != nil {
 		t.Error("active() on complete chain")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dqs/internal/exec"
 	"dqs/internal/sim"
@@ -55,8 +56,8 @@ func (p *dsePolicy) splitForMemory(cs *chainState) bool {
 // chain that will probe the overflowing table: its head part probes (and
 // then releases) the tables below the blocked join (§4.2).
 func (p *dsePolicy) handleOverflow(f *exec.Fragment) {
-	cs := p.stateOf[rtChain{f.Runtime(), f.Chain}]
-	rt := cs.rt
+	rt := f.Runtime()
+	cs := p.state(rt, f.Chain)
 	cs.memSuspended = true
 	cs.suspendAvail = rt.Mem.Available()
 	rt.Trace.Add(rt.Now(), sim.EvMemRepair, "suspend %s: memory grant exhausted (%d/%d bytes used)",
@@ -65,27 +66,17 @@ func (p *dsePolicy) handleOverflow(f *exec.Fragment) {
 		return
 	}
 	blocked := f.Chain.BuildsFor
-	prober := p.proberOf[rtNode{f.Runtime(), blocked}]
-	if prober == nil {
-		return
-	}
+	prober := p.state(rt, rt.Dec.ProberOf(blocked))
 	seg := prober.active()
 	if seg == nil || seg.started() {
 		return
 	}
-	// Index of the blocked join within the prober chain.
-	sj := -1
-	for i, j := range prober.chain.Joins {
-		if j == blocked {
-			sj = i
-			break
-		}
-	}
+	sj := slices.Index(prober.chain.Joins, blocked)
 	if sj <= seg.fromStep || sj >= seg.toStep {
 		return // the head would release nothing, or the join is in a later segment
 	}
 	prober.splitActive(sj)
 	rt.CountMemRepair()
 	rt.Trace.Add(rt.Now(), sim.EvMemRepair, "split %s%s below J%d to free its lower tables",
-		prefixLabel(prober.rt.Label), prober.chain.Name, blocked.ID)
+		prefixLabel(rt.Label), prober.chain.Name, blocked.ID)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dqs/internal/exec"
-	"dqs/internal/plan"
 	"dqs/internal/sim"
 )
 
@@ -23,8 +22,7 @@ type cand struct {
 // point sort off sort.Slice's reflection-based swapper — this runs at every
 // planning point.
 type byPriority struct {
-	cands       []cand
-	descendants map[*plan.Chain]int
+	cands []cand
 	// favored, when non-nil, sorts that query's candidates before every
 	// other query's (cross-query fairness, see Engine.Favor); the order
 	// among the favored query's own candidates — and among everyone else's
@@ -46,8 +44,7 @@ func (s byPriority) Less(i, j int) bool {
 	if ci.prio != cj.prio {
 		return ci.prio > cj.prio
 	}
-	di, dj := s.descendants[ci.cs.chain], s.descendants[cj.cs.chain]
-	if di != dj {
+	if di, dj := ci.cs.descendants, cj.cs.descendants; di != dj {
 		return di > dj
 	}
 	return ci.cs.sortKey < cj.cs.sortKey
@@ -80,7 +77,7 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 		// Priority order: critical degree descending; ties broken toward
 		// chains that unblock more downstream work, then by name for
 		// determinism.
-		sort.Stable(byPriority{cands: cands, descendants: p.descendants, favored: st.favored})
+		sort.Stable(byPriority{cands: cands, favored: st.favored})
 
 		// Memory fit: take fragments in priority order while their remaining
 		// build-side growth fits the grant. A candidate that does not fit
@@ -179,7 +176,7 @@ func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 			return cand{}, false
 		}
 	}
-	if !p.tablesComplete(cs, seg) {
+	if !tablesComplete(rt, cs.chain.Joins[seg.fromStep:seg.toStep]) {
 		// Degradation consideration (§4.4): only plain, never-started,
 		// never-degraded full PCs qualify.
 		if cs.degraded || len(cs.segs) != 1 || seg.started() {

@@ -19,19 +19,6 @@ type dsePolicy struct {
 	uptake
 	states []*chainState
 
-	// stateOf and proberOf are keyed per (runtime, chain/node): several
-	// queries submitted from one workload object share chain and plan-node
-	// pointers, so the pointer alone does not identify a chain execution.
-	stateOf map[rtChain]*chainState
-	// proberOf maps a join node to the chain state (of the same query)
-	// that probes it.
-	proberOf map[rtNode]*chainState
-	// descendants is the number of chains transitively blocked by each
-	// chain (tie-breaking toward enabling more downstream work). Chain
-	// pointers shared across queries map to the same count, so the plain
-	// pointer key is safe here.
-	descendants map[*plan.Chain]int
-
 	// splitBudget bounds the memory-repair splits of one planning point.
 	// Every split consumes at least one chain step for its head segment, so
 	// a legitimate repair sequence can never need more than the total step
@@ -47,11 +34,7 @@ const dqpTimeout = 10 * time.Second
 // NewDSEPolicy builds the paper's dynamic scheduling policy. It is the
 // default entry of the policy registry under the name "DSE".
 func NewDSEPolicy(st *State) (Policy, error) {
-	return &dsePolicy{
-		stateOf:     make(map[rtChain]*chainState),
-		proberOf:    make(map[rtNode]*chainState),
-		descendants: make(map[*plan.Chain]int),
-	}, nil
+	return &dsePolicy{}, nil
 }
 
 // addRuntimes registers the chains of the queries attached since the last
@@ -65,15 +48,27 @@ func (p *dsePolicy) addRuntimes(st *State) {
 				sortKey: rt.Label + c.Name,
 				segs:    []*segSpec{{fromStep: 0, toStep: len(c.Joins)}},
 			}
-			p.states = append(p.states, cs)
-			p.stateOf[rtChain{rt, c}] = cs
-			for _, j := range c.Joins {
-				p.proberOf[rtNode{rt, j}] = cs
+			// The chains c blocks form a path: each probes the table the
+			// previous one builds.
+			for j := c.BuildsFor; j != nil; j = rt.Dec.ProberOf(j).BuildsFor {
+				cs.descendants++
 			}
-			p.descendants[c] = len(rt.Dec.Descendants(c))
+			p.states = append(p.states, cs)
 			p.splitBudget += len(c.Joins) + 2
 		}
 	}
+}
+
+// state returns the state of chain c of the query rt. The runtime is part of
+// the key: queries submitted from one workload object through one
+// decomposition cache share chain pointers.
+func (p *dsePolicy) state(rt *exec.Runtime, c *plan.Chain) *chainState {
+	for _, cs := range p.states {
+		if cs.rt == rt && cs.chain == c {
+			return cs
+		}
+	}
+	return nil
 }
 
 // Attach does nothing: the next Plan takes the runtime up. It stays only
@@ -85,17 +80,6 @@ func (p *dsePolicy) Name() string { return "DSE" }
 
 // Done reports whether every query has finished or been cancelled.
 func (p *dsePolicy) Done(st *State) bool { return st.allQueriesDone() }
-
-// tablesComplete reports whether every hash table probed by the segment is
-// fully built.
-func (p *dsePolicy) tablesComplete(cs *chainState, seg *segSpec) bool {
-	for i := seg.fromStep; i < seg.toStep; i++ {
-		if !cs.rt.TableComplete(cs.chain.Joins[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // Plan is one DQS planning phase: it computes the scheduling plan via
 // schedule (§4.5), resolves empty plans (memory infeasibility), and

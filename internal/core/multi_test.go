@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dqs/internal/exec"
+	"dqs/internal/plan"
 	"dqs/internal/reftest"
 	"dqs/internal/relation"
 	"dqs/internal/sim"
@@ -306,5 +307,74 @@ func TestQueryCompletesAtItsOwnEnd(t *testing.T) {
 			seen[res.ResponseTime] = i
 		}
 		t.Logf("%s: responses %v %v %v", name, results[0].ResponseTime, results[1].ResponseTime, results[2].ResponseTime)
+	}
+}
+
+// TestAliasedQueriesRepairTheirOwnChains: queries built from one workload
+// object share plan nodes, and through one decomposition cache (as the
+// server attaches them) chain pointers too, so DSE's chain states are keyed
+// by runtime as well as chain. An overflow of one query's build must suspend
+// that query's chain and split that query's prober, never the other's. The
+// build chosen is the one whose table p_F probes at step 1, so the split
+// lands below the blocked join and is visible in the prober's segments.
+func TestAliasedQueriesRepairTheirOwnChains(t *testing.T) {
+	w := smallFig5(t)
+	cfg := testConfig()
+	cfg.Plans = plan.NewDecompositionCache()
+	med, err := exec.NewMediator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rts []*exec.Runtime
+	for _, label := range []string{"q0", "q1"} {
+		rt, err := med.AddQuery(label, w.Root, w.Dataset, uniform(w, 20*time.Microsecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts = append(rts, rt)
+	}
+	e, err := NewStrategyEngine(med, rts, "DSE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := e.pol.(*dsePolicy)
+	p.addRuntimes(e.st)
+	if rts[0].Dec != rts[1].Dec {
+		t.Fatal("the queries do not share one decomposition")
+	}
+	prober, _ := rts[0].Dec.ChainOf("F")
+	builder := rts[0].Dec.BuilderOf(prober.Joins[1])
+	find := func(rt *exec.Runtime, c *plan.Chain) *chainState {
+		for _, cs := range p.states {
+			if cs.rt == rt && cs.chain == c {
+				return cs
+			}
+		}
+		t.Fatalf("no state for %s of %s", c, rt.Label)
+		return nil
+	}
+	// q1 overflows first, then q0: a lookup that ignores the runtime picks
+	// the same query's states both times, whichever registration it finds.
+	for _, q := range []int{1, 0} {
+		f := rts[q].NewPCFragment(builder)
+		if f.Term != exec.TermBuild {
+			t.Fatalf("%s is not a build fragment", f.Label)
+		}
+		p.handleOverflow(f)
+		for i, rt := range rts {
+			repaired := i == q || i == 1 // q1 stays repaired once q0 overflows
+			if got := find(rt, builder).memSuspended; got != repaired {
+				t.Errorf("after %s overflowed: %s%s suspended=%v, want %v",
+					rts[q].Label, rt.Label, builder.Name, got, repaired)
+			}
+			want := 1
+			if repaired {
+				want = 2
+			}
+			if segs := find(rt, prober).segs; len(segs) != want || want == 2 && segs[0].toStep != 1 {
+				t.Errorf("after %s overflowed: %s%s has segments %+v, want %d split at step 1",
+					rts[q].Label, rt.Label, prober.Name, segs, want)
+			}
+		}
 	}
 }

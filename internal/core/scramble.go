@@ -52,17 +52,6 @@ func (p *scrPolicy) Name() string { return "SCR" }
 
 func (p *scrPolicy) Done(st *State) bool { return st.allQueriesDone() }
 
-// tablesReady reports C-schedulability: every hash table the chain probes
-// is fully built.
-func (p *scrPolicy) tablesReady(c chainRef) bool {
-	for _, j := range c.chain.Joins {
-		if !c.rt.TableComplete(j) {
-			return false
-		}
-	}
-	return true
-}
-
 func (p *scrPolicy) Plan(st *State) (SchedulingPlan, error) {
 	p.order = appendIteratorChains(p.order, p.fresh(st))
 	p.frags = append(p.frags, make([]*exec.Fragment, len(p.order)-len(p.frags))...)
@@ -70,7 +59,7 @@ func (p *scrPolicy) Plan(st *State) (SchedulingPlan, error) {
 	// complete when a building fragment finishes, which always ends the
 	// execution phase, so checking at planning points loses nothing.
 	for i, c := range p.order {
-		if p.frags[i] == nil && !st.queryDone(c.rt) && p.tablesReady(c) {
+		if p.frags[i] == nil && !st.queryDone(c.rt) && tablesComplete(c.rt, c.chain.Joins) {
 			p.frags[i] = c.rt.NewPCFragment(c.chain)
 		}
 	}
@@ -134,7 +123,6 @@ func (p *scrPolicy) OnEvent(st *State, ev Event) error {
 // waits, or scrambles by moving cur; the next planning point resumes from
 // there.
 func (p *scrPolicy) starved(st *State, window []*exec.Fragment) error {
-	med := st.Mediator()
 	f := window[len(window)-1] // the chain the engine is working on
 	arrival, ok := f.NextArrival()
 	if !ok {
@@ -144,19 +132,9 @@ func (p *scrPolicy) starved(st *State, window []*exec.Fragment) error {
 		// all-dead case is the resilience layer's to resolve; it runs before
 		// this reaction, so reaching here with no alternative and no arrival
 		// anywhere is a real planning bug.
-		for i := range p.order {
-			if i == p.cur || p.frags[i] == nil || p.frags[i].Done() {
-				continue
-			}
-			if p.frags[i].Runnable(st.Now()) {
-				p.scrambles++
-				st.CountReplan()
-				st.ChargeInstructions(scrambleSwitchInstr)
-				med.Trace.Add(st.Now(), sim.EvSchedule, "scramble step %d: %s -> %s (no future arrivals)",
-					p.scrambles, f.Label, p.frags[i].Label)
-				p.cur = i
-				return nil
-			}
+		if alt := p.alternative(st); alt >= 0 {
+			p.scramble(st, f, alt, " (no future arrivals)")
+			return nil
 		}
 		if next, ok := nextArrival(window); ok {
 			st.StallUntil(next)
@@ -173,29 +151,35 @@ func (p *scrPolicy) starved(st *State, window []*exec.Fragment) error {
 	}
 	// Timeout: the engine idled the full timeout before reacting.
 	st.StallUntil(now + scrambleTimeout)
-	alt := -1
-	for i := range p.order {
-		if i == p.cur || p.frags[i] == nil || p.frags[i].Done() {
-			continue
-		}
-		if p.frags[i].Runnable(st.Now()) {
-			alt = i
-			break
-		}
-	}
-	if alt < 0 {
-		// Nothing to scramble to (the paper's "last accessed source"
-		// failure case): wait out the delay.
-		med.Trace.Add(st.Now(), sim.EvTimeout, "scramble found no alternative to %s", f.Label)
-		st.StallUntil(arrival)
+	if alt := p.alternative(st); alt >= 0 {
+		p.scramble(st, f, alt, "")
 		return nil
 	}
-	// Scrambling step: suspend the current tree, activate another.
+	// Nothing to scramble to (the paper's "last accessed source" failure
+	// case): wait out the delay.
+	st.Mediator().Trace.Add(st.Now(), sim.EvTimeout, "scramble found no alternative to %s", f.Label)
+	st.StallUntil(arrival)
+	return nil
+}
+
+// alternative returns the order index of the first instantiated, unfinished
+// chain other than cur that has data now, or -1.
+func (p *scrPolicy) alternative(st *State) int {
+	for i, f := range p.frags {
+		if i != p.cur && f != nil && !f.Done() && f.Runnable(st.Now()) {
+			return i
+		}
+	}
+	return -1
+}
+
+// scramble is one scrambling step: suspend the current tree (paying the
+// switch overhead) and activate chain alt.
+func (p *scrPolicy) scramble(st *State, from *exec.Fragment, alt int, why string) {
 	p.scrambles++
 	st.CountReplan()
 	st.ChargeInstructions(scrambleSwitchInstr)
-	med.Trace.Add(st.Now(), sim.EvSchedule, "scramble step %d: %s -> %s",
-		p.scrambles, f.Label, p.frags[alt].Label)
+	st.Mediator().Trace.Add(st.Now(), sim.EvSchedule, "scramble step %d: %s -> %s%s",
+		p.scrambles, from.Label, p.frags[alt].Label, why)
 	p.cur = alt
-	return nil
 }

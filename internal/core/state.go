@@ -13,21 +13,6 @@ import (
 	"dqs/internal/plan"
 )
 
-// rtChain and rtNode scope a chain or plan node to the query runtime
-// executing it: queries submitted from the same workload object share plan
-// pointers, so policy state keyed on the pointer alone would alias across
-// queries (the last registration would win, and an overflow would suspend or
-// split another query's chain).
-type rtChain struct {
-	rt *exec.Runtime
-	c  *plan.Chain
-}
-
-type rtNode struct {
-	rt *exec.Runtime
-	n  *plan.Node
-}
-
 // segSpec is one segment of a (possibly split) pipeline chain: chain steps
 // [fromStep, toStep), reading either the wrapper queue (first segment) or
 // the previous segment's temp. Fragments are created lazily, when the
@@ -42,12 +27,14 @@ type segSpec struct {
 // degradation (§4.4) and memory repair (§4.2) split not-yet-started
 // segments into smaller ones.
 type chainState struct {
-	rt       *exec.Runtime // the query this chain belongs to
-	chain    *plan.Chain
-	sortKey  string // rt.Label + chain.Name, the deterministic sort tie-break
-	segs     []*segSpec
-	cur      int // index of the active (first unfinished) segment
-	complete bool
+	rt      *exec.Runtime // the query this chain belongs to
+	chain   *plan.Chain
+	sortKey string // rt.Label + chain.Name, the deterministic sort tie-break
+	// descendants is the number of chains this chain transitively blocks,
+	// the §4.3 tie-break toward enabling more downstream work.
+	descendants int
+	segs        []*segSpec
+	cur         int // index of the active (first unfinished) segment
 
 	degraded bool // an MF/CF degradation was applied
 
@@ -61,7 +48,7 @@ type chainState struct {
 
 // active returns the current segment, or nil when the chain is complete.
 func (cs *chainState) active() *segSpec {
-	if cs.complete || cs.cur >= len(cs.segs) {
+	if cs.cur >= len(cs.segs) {
 		return nil
 	}
 	return cs.segs[cs.cur]
@@ -104,12 +91,20 @@ func (cs *chainState) splitActive(k int) {
 	cs.memSuspended = false
 }
 
-// advance moves past a finished segment, marking the chain complete when it
-// was the last one.
+// advance moves past a finished segment; past the last one the chain is
+// complete and active returns nil.
 func (cs *chainState) advance() {
 	cs.memSuspended = false
 	cs.cur++
-	if cs.cur >= len(cs.segs) {
-		cs.complete = true
+}
+
+// tablesComplete reports C-schedulability: every hash table the joins probe
+// is fully built.
+func tablesComplete(rt *exec.Runtime, joins []*plan.Node) bool {
+	for _, j := range joins {
+		if !rt.TableComplete(j) {
+			return false
+		}
 	}
+	return true
 }

@@ -91,8 +91,9 @@ type Config struct {
 	Workers int
 	// Plans, when non-nil, memoizes pipeline-chain decompositions keyed by
 	// plan root, so repeated runs of the same (immutable) plan share one
-	// decomposition with precomputed closures. Safe to share across
-	// concurrent runs; nil decomposes per run.
+	// decomposition and count their lookups in Result.PlanCacheHits/Misses.
+	// It changes no run's behaviour. Safe to share across concurrent runs;
+	// nil decomposes per run.
 	Plans *plan.DecompositionCache
 
 	// Faults.

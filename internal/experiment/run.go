@@ -7,7 +7,6 @@ import (
 
 	"dqs/internal/core"
 	"dqs/internal/exec"
-	"dqs/internal/plan"
 	"dqs/internal/workload"
 )
 
@@ -24,13 +23,6 @@ type Options struct {
 	// cells are independent deterministic simulations assembled in a fixed
 	// order, so figure output is byte-identical at any setting.
 	Parallel int
-	// PlanCache shares one decomposition cache across every cell of the
-	// experiments: sweeps run the same few cached plans through hundreds of
-	// configurations, so all but the first run per plan reuse its
-	// decomposition. Results stay byte-identical (decompositions are
-	// read-only during execution); the per-run cache hit/miss counts
-	// surface in the results and in RunStats.
-	PlanCache bool
 	// Stats, when non-nil, accumulates per-cell profiling counters across
 	// every sweep run with these options.
 	Stats *RunStats
@@ -94,12 +86,6 @@ var (
 	// exactly-once guarantee under contention.
 	workloadBuilds atomic.Int64
 )
-
-// sharedPlans is the process-wide decomposition cache behind
-// Options.PlanCache. Like the workload cache it is keyed by immutable
-// shared state (the cached workloads' plan roots), so entries stay valid
-// and bounded for the life of the process.
-var sharedPlans = plan.NewDecompositionCache()
 
 // loadCachedWorkload returns the cached workload for key, building it via
 // build on first use.

@@ -57,13 +57,11 @@ type CellResult struct {
 // profiling surface. All methods are safe for concurrent use; a nil
 // *RunStats discards observations.
 type RunStats struct {
-	cells      atomic.Int64
-	wall       atomic.Int64 // summed cell wall-clock, nanoseconds
-	replans    atomic.Int64
-	timeouts   atomic.Int64
-	errs       atomic.Int64
-	planHits   atomic.Int64
-	planMisses atomic.Int64
+	cells    atomic.Int64
+	wall     atomic.Int64 // summed cell wall-clock, nanoseconds
+	replans  atomic.Int64
+	timeouts atomic.Int64
+	errs     atomic.Int64
 }
 
 // observe folds one executed cell into the counters.
@@ -79,8 +77,6 @@ func (s *RunStats) observe(r CellResult) {
 	}
 	s.replans.Add(int64(r.Replans))
 	s.timeouts.Add(int64(r.Timeouts))
-	s.planHits.Add(int64(r.PlanCacheHits))
-	s.planMisses.Add(int64(r.PlanCacheMisses))
 }
 
 // Cells returns the number of cells executed.
@@ -90,21 +86,11 @@ func (s *RunStats) Cells() int64 { return s.cells.Load() }
 // than elapsed time when cells overlap).
 func (s *RunStats) CellWall() time.Duration { return time.Duration(s.wall.Load()) }
 
-// PlanCacheCounts returns the summed decomposition-cache hits and misses
-// of the observed cells (zero unless runs were configured with a cache).
-func (s *RunStats) PlanCacheCounts() (hits, misses int64) {
-	return s.planHits.Load(), s.planMisses.Load()
-}
-
 // Summary renders the counters as one line.
 func (s *RunStats) Summary() string {
-	line := fmt.Sprintf("cells=%d cell-time=%v replans=%d timeouts=%d errors=%d",
+	return fmt.Sprintf("cells=%d cell-time=%v replans=%d timeouts=%d errors=%d",
 		s.cells.Load(), time.Duration(s.wall.Load()).Round(time.Millisecond),
 		s.replans.Load(), s.timeouts.Load(), s.errs.Load())
-	if h, m := s.PlanCacheCounts(); h+m > 0 {
-		line += fmt.Sprintf(" plan-cache=%d/%d", h, h+m)
-	}
-	return line
 }
 
 // Workers returns the effective worker-pool size for these options.
@@ -180,9 +166,6 @@ func (o Options) runCell(c Cell) CellResult {
 		if err == nil {
 			cfg := c.Config
 			cfg.Seed = c.Seed
-			if o.PlanCache {
-				cfg.Plans = sharedPlans
-			}
 			out.Result, err = runStrategy(w, cfg, c.Deliveries(w), c.Strategy)
 		}
 		out.Err = err

@@ -18,11 +18,10 @@ type decEntry struct {
 
 // DecompositionCache memoizes pipeline-chain decompositions keyed by plan
 // root. Plans are immutable during execution (all mutable run state lives in
-// the per-run mediator), and a Decomposition only derives structure from its
-// plan — including the precomputed ancestor/descendant closures — so one
-// cached decomposition can safely back any number of concurrent runs of the
-// same plan. All methods are safe for concurrent use; a nil cache loads
-// without memoizing.
+// the per-run mediator), and a Decomposition only indexes its plan's chains,
+// so one cached decomposition can safely back any number of concurrent runs
+// of the same plan. All methods are safe for concurrent use; a nil cache
+// loads without memoizing.
 type DecompositionCache struct {
 	mu      sync.Mutex
 	entries map[*Node]*decEntry

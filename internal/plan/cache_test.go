@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -9,10 +10,9 @@ import (
 	"dqs/internal/sim"
 )
 
-// referenceAncestorsStar recomputes one chain's transitive ancestor closure
-// from the direct Ancestors relation alone, in the output order the
-// precomputed closures promise (chain-ID order).
-func referenceAncestorsStar(d *Decomposition, c *Chain) []*Chain {
+// referenceAncestorClosure recomputes one chain's transitive ancestor closure
+// from the direct Ancestors relation alone, in chain-ID order.
+func referenceAncestorClosure(d *Decomposition, c *Chain) []*Chain {
 	seen := map[*Chain]bool{}
 	var visit func(*Chain)
 	visit = func(x *Chain) {
@@ -32,11 +32,12 @@ func referenceAncestorsStar(d *Decomposition, c *Chain) []*Chain {
 	return out
 }
 
-// referenceDescendants inverts the reference closure.
+// referenceDescendants inverts the reference closure: every chain that
+// transitively depends on c, in chain-ID order.
 func referenceDescendants(d *Decomposition, c *Chain) []*Chain {
 	var out []*Chain
 	for _, other := range d.Chains {
-		for _, a := range referenceAncestorsStar(d, other) {
+		for _, a := range referenceAncestorClosure(d, other) {
 			if a == c {
 				out = append(out, other)
 				break
@@ -46,10 +47,21 @@ func referenceDescendants(d *Decomposition, c *Chain) []*Chain {
 	return out
 }
 
-// TestPrecomputedClosuresMatchReference checks the closures Decompose now
-// precomputes against a brute-force walk of the direct ancestor relation,
-// on the paper's Figure-5 plan and on random bushy plans.
-func TestPrecomputedClosuresMatchReference(t *testing.T) {
+// proberPath walks the chains c blocks: the prober of the table c builds,
+// then the prober of the table that one builds, up to the output.
+func proberPath(d *Decomposition, c *Chain) []*Chain {
+	var out []*Chain
+	for j := c.BuildsFor; j != nil; j = d.ProberOf(j).BuildsFor {
+		out = append(out, d.ProberOf(j))
+	}
+	return out
+}
+
+// TestProberPathMatchesReference checks that ProberOf names the chain that
+// probes each join, and that the prober path from a chain is exactly the set
+// of chains it transitively blocks (a brute-force walk of the direct ancestor
+// relation), on the paper's Figure-5 plan and on random bushy plans.
+func TestProberPathMatchesReference(t *testing.T) {
 	roots := []*Node{}
 	fig5, _, _ := buildFig5(t)
 	roots = append(roots, fig5)
@@ -62,12 +74,16 @@ func TestPrecomputedClosuresMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range dec.Chains {
-			if got, want := dec.AncestorsStar(c), referenceAncestorsStar(dec, c); !reflect.DeepEqual(got, want) {
-				t.Errorf("plan %d: AncestorsStar(%s) = %v, want %v", i, c.Name, got, want)
+		for _, j := range Joins(root) {
+			if p := dec.ProberOf(j); !slices.Contains(p.Joins, j) {
+				t.Errorf("plan %d: ProberOf(J%d) = %s, which does not probe it", i, j.ID, p)
 			}
-			if got, want := dec.Descendants(c), referenceDescendants(dec, c); !reflect.DeepEqual(got, want) {
-				t.Errorf("plan %d: Descendants(%s) = %v, want %v", i, c.Name, got, want)
+		}
+		for _, c := range dec.Chains {
+			got := proberPath(dec, c)
+			sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+			if want := referenceDescendants(dec, c); !reflect.DeepEqual(got, want) {
+				t.Errorf("plan %d: prober path of %s = %v, want %v", i, c.Name, got, want)
 			}
 		}
 	}

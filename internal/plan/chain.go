@@ -62,13 +62,6 @@ type Decomposition struct {
 	builderOf map[int]*Chain
 	// chainOfScan maps a scanned relation name to its chain.
 	chainOfScan map[string]*Chain
-	// ancStar and desc are the transitive ancestor/descendant closures,
-	// indexed by chain ID and precomputed once in Decompose: schedulers
-	// query them at every planning point, and a cached decomposition is
-	// shared across runs, so the closures must be derived exactly once.
-	// The inner slices are shared and must be treated as read-only.
-	ancStar [][]*Chain
-	desc    [][]*Chain
 }
 
 // Decompose computes the pipeline-chain decomposition of a validated plan.
@@ -120,51 +113,7 @@ func Decompose(root *Node) (*Decomposition, error) {
 			return nil, fmt.Errorf("plan: join J%d has no building chain", j.ID)
 		}
 	}
-	d.closeChains()
 	return d, nil
-}
-
-// closeChains precomputes the transitive ancestor and descendant closures of
-// every chain, both in deterministic chain-ID order.
-func (d *Decomposition) closeChains() {
-	d.ancStar = make([][]*Chain, len(d.Chains))
-	d.desc = make([][]*Chain, len(d.Chains))
-	seen := make([]bool, len(d.Chains))
-	for _, c := range d.Chains {
-		for i := range seen {
-			seen[i] = false
-		}
-		var visit func(*Chain)
-		visit = func(x *Chain) {
-			for _, a := range d.Ancestors(x) {
-				if !seen[a.ID] {
-					seen[a.ID] = true
-					visit(a)
-				}
-			}
-		}
-		visit(c)
-		n := 0
-		for _, ok := range seen {
-			if ok {
-				n++
-			}
-		}
-		out := make([]*Chain, 0, n)
-		for _, ch := range d.Chains {
-			if seen[ch.ID] {
-				out = append(out, ch)
-			}
-		}
-		d.ancStar[c.ID] = out
-	}
-	// Invert: iterating others in chain-ID order keeps each descendant list
-	// in chain-ID order too.
-	for _, other := range d.Chains {
-		for _, a := range d.ancStar[other.ID] {
-			d.desc[a.ID] = append(d.desc[a.ID], other)
-		}
-	}
 }
 
 // ChainOf returns the chain scanning the named relation.
@@ -176,6 +125,17 @@ func (d *Decomposition) ChainOf(rel string) (*Chain, bool) {
 // BuilderOf returns the chain that builds the hash table of join j.
 func (d *Decomposition) BuilderOf(j *Node) *Chain { return d.builderOf[j.ID] }
 
+// ProberOf returns the chain that probes the hash table of join j: the chain
+// of the scan at the bottom of j's probe edges. In a tree plan every table
+// has exactly one prober, so the chains a chain c blocks (paper §4.1) form a
+// path: for j := c.BuildsFor; j != nil; j = d.ProberOf(j).BuildsFor.
+func (d *Decomposition) ProberOf(j *Node) *Chain {
+	for j.Kind == KindHashJoin {
+		j = j.Probe
+	}
+	return d.chainOfScan[j.Rel.Name]
+}
+
 // Ancestors returns the direct ancestors of chain c: the chains connected
 // to c by one blocking edge, i.e. the builders of the hash tables c probes
 // (paper §4.1: p1 blocks p2 iff a blocking edge directly connects them).
@@ -185,21 +145,6 @@ func (d *Decomposition) Ancestors(c *Chain) []*Chain {
 		out = append(out, d.builderOf[j.ID])
 	}
 	return out
-}
-
-// AncestorsStar returns the transitive closure of the ancestor relation for
-// chain c, excluding c itself, in deterministic (chain-ID) order. The
-// returned slice is the precomputed closure and must not be mutated.
-func (d *Decomposition) AncestorsStar(c *Chain) []*Chain {
-	return d.ancStar[c.ID]
-}
-
-// Descendants returns every chain that (transitively) depends on c through
-// blocking edges — the work that cannot be scheduled until c terminates —
-// in deterministic (chain-ID) order. The returned slice is the precomputed
-// closure and must not be mutated.
-func (d *Decomposition) Descendants(c *Chain) []*Chain {
-	return d.desc[c.ID]
 }
 
 // TopoOrder returns the chains in a blocking-dependency topological order
