@@ -173,14 +173,15 @@ func (rt *Runtime) NewPCFragment(c *plan.Chain) *Fragment {
 // I/O for its fragments (NewSegment); MA does not.
 func (rt *Runtime) NewMFSync(c *plan.Chain) *Fragment {
 	in := rt.qsrcs[c.Scan.Rel.Name]
-	temp := rt.Temps.CreateSyncSized("MF("+c.Name+")", c.Scan.Schema, rt.segmentRowsHint(c, 0, 0, true, in))
+	temp := rt.Temps.CreateSyncSized("MF("+c.Name+")", c.Scan.Schema, rt.segmentRowsHint(c, 0, 0, true, in),
+		liveColumns(c.Scan.Schema, rt.live)...)
 	return rt.newFragment(c, "MF("+c.Name+")", 0, 0, in, TermTemp, temp)
 }
 
 // NewCFSync creates the complement fragment over a completed MF's temp,
 // with synchronous page reads (no prefetch overlap).
 func (rt *Runtime) NewCFSync(c *plan.Chain, temp *mem.Temp) *Fragment {
-	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), rt.tempSource(temp.NewSyncReader()), chainTerm(c), nil)
+	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), rt.tempSource(temp.NewSyncReader(), c.Scan.Schema), chainTerm(c), nil)
 }
 
 // NewSegment creates the fragment executing chain steps [fromStep, toStep).
@@ -215,21 +216,21 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 	if queueInput {
 		in = rt.qsrcs[c.Scan.Rel.Name]
 	} else {
-		in = rt.tempSource(prev.NewReader(rt.Cfg.PrefetchPages))
+		in = rt.tempSource(prev.NewReader(rt.Cfg.PrefetchPages), inputSchemaAt(c, fromStep))
 	}
 	if last {
 		return rt.newFragment(c, label, fromStep, toStep, in, chainTerm(c), nil)
 	}
-	temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep),
-		rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
+	out := inputSchemaAt(c, toStep)
+	temp := rt.Temps.CreateSized(label, out, rt.segmentRowsHint(c, fromStep, toStep, queueInput, in),
+		liveColumns(out, rt.live)...)
 	return rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
 }
 
-// tempSource wraps a reader of one of the query's temps as fragment input,
-// its chunk staging taken from the mediator's scratch.
-func (rt *Runtime) tempSource(r *mem.Reader) *tempSource {
-	s := rt.Med.scratch
-	return &tempSource{Reader: r, page: rt.Cfg.Params.TuplesPerPage(), ch: chunk{rows: s.GetTuples(), keyBuf: s.GetKeys()}}
+// tempSource wraps a reader of a query temp whose rows have the given schema
+// as fragment input, its chunk staging taken from the mediator's scratch.
+func (rt *Runtime) tempSource(r *mem.Reader, schema *relation.Schema) *tempSource {
+	return &tempSource{Reader: r, ch: newChunk(rt.Med.scratch, liveColumns(schema, rt.live), schema.Width())}
 }
 
 // Done reports whether the fragment has fully terminated.

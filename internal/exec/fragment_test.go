@@ -369,15 +369,18 @@ func refProcessBatch(f *Fragment, max int) (int, bool) {
 	if !refRetry(f) {
 		return 0, true
 	}
-	r := f.In.(*tempSource).Reader
+	r := f.In.(*tempSource)
+	at, width := r.ch.at, inputSchemaAt(f.Chain, f.FromStep).Width()
 	n := 0
 	for n < max {
-		buf := make([]relation.Tuple, max-n)
-		k := r.PopN(f.rt.Now(), buf)
+		b := relation.NewBatch(len(at))
+		k := r.Pop(f.rt.Now(), b, max-n)
 		if k == 0 {
 			break
 		}
-		for i, t := range buf[:k] {
+		for i := 0; i < k; i++ {
+			t := make(relation.Tuple, width)
+			b.Gather(i, t, at)
 			f.processed++
 			n++
 			if !refSink(f, refApplyTuple(f, t)) {

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"dqs/internal/plan"
 	"dqs/internal/relation"
@@ -16,46 +16,45 @@ type colPush struct {
 	predLess int64
 }
 
-// liveColumns returns the full-schema indices of the columns of one scanned
-// base relation the mediator actually reads: every column the plan references
-// as a build or probe key at any join depth (composite-schema key refs name
-// their originating base relation) plus the scan's pushed-down predicate
-// column. Everything else is projected away by the columnar wrapper. A
-// wrapper chunk gathers each passing slot's live columns into a reused row
-// of full scan width and never writes its dead positions, so every tuple a
-// fragment builds, spills or emits reads zero there: no operator reads them
-// — result and materialization accounting count rows, and probes touch only
-// key columns — and a Sink sees zeros.
-func liveColumns(root *plan.Node, scan *plan.Node) []int {
-	schema := scan.Schema
-	rel := scan.Rel.Name
-	seen := make(map[int]bool)
-	mark := func(key relation.ColRef) {
-		if key.Rel != rel {
-			return
+// liveRefs returns the columns the mediator reads of a plan: every join's
+// build and probe key (composite-schema key refs name their originating
+// base relation) and every scan's pushed-down predicate column. Everything
+// else is projected away by the columnar wrapper and never stored in a temp.
+func liveRefs(root *plan.Node) []relation.ColRef {
+	var refs []relation.ColRef
+	plan.Walk(root, func(n *plan.Node) error { //nolint:errcheck // fn never fails
+		switch {
+		case n.Kind == plan.KindHashJoin:
+			refs = append(refs, n.BuildKey, n.ProbeKey)
+		case n.Pred != nil:
+			refs = append(refs, n.Pred.Col)
 		}
-		if i := schema.IndexOf(key); i >= 0 {
-			seen[i] = true
+		return nil
+	})
+	return refs
+}
+
+// liveColumns returns the positions, ascending, of the columns of schema —
+// a scan's or any chain step's — that carry one of the live refs. A chunk
+// gathers each passing slot's live columns into a reused row of full schema
+// width and never writes its dead positions, so every tuple a fragment
+// builds, spills or emits reads zero there: no operator reads them — result
+// and materialization accounting count rows, and probes touch only key
+// columns — and a Sink sees zeros. The result is never nil: a temp given
+// no live column stores none.
+func liveColumns(schema *relation.Schema, refs []relation.ColRef) []int {
+	keep := make([]int, 0, schema.Width())
+	for i, c := range schema.Cols {
+		if slices.Contains(refs, c) {
+			keep = append(keep, i)
 		}
 	}
-	for _, j := range plan.Joins(root) {
-		mark(j.BuildKey)
-		mark(j.ProbeKey)
-	}
-	if scan.Pred != nil {
-		seen[schema.MustIndexOf(scan.Pred.Col)] = true
-	}
-	keep := make([]int, 0, len(seen))
-	for i := range seen {
-		keep = append(keep, i)
-	}
-	sort.Ints(keep)
 	return keep
 }
 
 // compileColPush builds the pushdown descriptor of one chain's scan.
-func compileColPush(root *plan.Node, scan *plan.Node) colPush {
-	p := colPush{keep: liveColumns(root, scan), predIdx: -1}
+func compileColPush(scan *plan.Node, refs []relation.ColRef) colPush {
+	p := colPush{keep: liveColumns(scan.Schema, refs), predIdx: -1}
 	if scan.Pred != nil {
 		p.predIdx = scan.Schema.MustIndexOf(scan.Pred.Col)
 		p.predLess = scan.Pred.Less

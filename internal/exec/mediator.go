@@ -183,6 +183,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		qsrcs:   make(map[string]*queueSource),
 		tables:  make(map[int]*tableState),
 		colPush: make(map[string]colPush),
+		live:    liveRefs(root),
 	}
 	// A query whose builds are estimated not to fit the grant spends it on
 	// builds and a split: resident pages would only spill late. Write through.
@@ -202,7 +203,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		// The queue ring carries only the plan's live columns, and the scan
 		// predicate is evaluated in the wrapper. Window slots and arrivals
 		// stay pre-filter, so scheduling sees every produced tuple.
-		p := compileColPush(root, c.Scan)
+		p := compileColPush(c.Scan, rt.live)
 		q := m.scratch.Queue(cmName, m.Cfg.QueueTuples, len(p.keep))
 		m.CM.Adopt(q)
 		d := deliveries[name]
@@ -229,8 +230,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			return nil, err
 		}
 		rt.sources[name] = src
-		rt.qsrcs[name] = &queueSource{q: q, src: src, ch: chunk{cols: m.scratch.GetBatch(len(p.keep)),
-			pass: m.scratch.GetBools(), at: p.keep, full: make(relation.Tuple, c.Scan.Schema.Width())}}
+		rt.qsrcs[name] = &queueSource{q: q, src: src, ch: newChunk(m.scratch, p.keep, c.Scan.Schema.Width())}
 		if err := m.registerFaultEntry(rt, name, cmName, table, d, netTime); err != nil {
 			return nil, err
 		}

@@ -39,6 +39,7 @@ type Runtime struct {
 	qsrcs   map[string]*queueSource
 	tables  map[int]*tableState
 	colPush map[string]colPush // per-relation pushdown
+	live    []relation.ColRef  // the columns the plan reads (liveRefs)
 	frags   []*Fragment
 	net     *symNet // the DPHJ join network, nil under every other strategy
 

@@ -38,7 +38,6 @@ type Scratch struct {
 	tuples  pool[[]relation.Tuple]
 	batches pool[*relation.Batch]
 	bools   pool[[]bool]
-	keys    pool[[]int64]
 	heads   pool[[]int32]
 	times   pool[[]time.Duration] // stream schedules and wrapper staging, best-fit
 	rngs    pool[*sim.RNG]
@@ -138,7 +137,6 @@ func (s *Scratch) settle() {
 	s.tuples.settle()
 	s.batches.settle()
 	s.bools.settle()
-	s.keys.settle()
 	s.heads.settle()
 	s.times.settle()
 	s.rngs.settle()
@@ -176,16 +174,12 @@ func putScratch(s *Scratch) {
 // slice (nil when the pool is empty), Put* reclaims one. The int64 arenas
 // back fragment and join-network scratch tuples (temp-relation storage has
 // its own pool, below); tuples are header scratch, bools pass masks and
-// wrapper staging, keys and heads a fragment's chunk of probe keys and their
-// chain heads (kept apart from the arenas so they never take an arena's
-// place).
+// wrapper staging, heads the chain heads of a fragment's chunk.
 func (s *Scratch) GetInts() []int64            { return s.ints.pop() }
 func (s *Scratch) PutInts(b []int64)           { putSlice(&s.ints, b) }
 func (s *Scratch) GetTuples() []relation.Tuple { return s.tuples.pop() }
 func (s *Scratch) GetBools() []bool            { return s.bools.pop() }
 func (s *Scratch) PutBools(b []bool)           { putSlice(&s.bools, b) }
-func (s *Scratch) GetKeys() []int64            { return s.keys.pop() }
-func (s *Scratch) PutKeys(b []int64)           { putSlice(&s.keys, b) }
 func (s *Scratch) GetHeads() []int32           { return s.heads.pop() }
 func (s *Scratch) PutHeads(b []int32)          { putSlice(&s.heads, b) }
 

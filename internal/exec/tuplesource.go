@@ -39,57 +39,39 @@ type TupleSource interface {
 	pop(now time.Duration, max int) *chunk
 }
 
-// chunk is one popped run of a fragment's input, in whichever layout its
-// source produced. A temp chunk holds row views into the reader's arena. A
-// wrapper chunk holds the popped columns and the pushdown pass mask, and
-// gathers one passing slot at a time into a reused row of full scan width;
-// the row's dead (projected-away) positions are never written, so they
-// stay zero.
+// chunk is one popped run of a fragment's input: the popped live columns,
+// the full-schema position of each, and a per-slot pass mask — a wrapper's
+// pushdown filter, all true for a temp, which stores only passing slots. A
+// passing slot is gathered into a reused row of full input width whose dead
+// (projected-away) positions are never written, so they stay zero.
 type chunk struct {
-	n      int
-	rows   []relation.Tuple // temp: the popped rows
-	keyBuf []int64          // temp: staged key column
-
-	cols *relation.Batch // wrapper: the popped live columns
-	pass []bool          // wrapper: per-slot pushdown mask
-	at   []int           // wrapper: full-schema position of each batch column
-	full relation.Tuple  // wrapper: the reused gather row
+	n    int
+	cols *relation.Batch
+	pass []bool
+	at   []int
+	full relation.Tuple
 }
 
-// keys returns the chunk's values of full-schema column col. A wrapper
-// chunk must carry col live, which liveColumns guarantees for every join
-// key.
+// newChunk returns chunk staging from s for input rows of the given width
+// that carry the columns at the positions keep.
+func newChunk(s *Scratch, keep []int, width int) chunk {
+	return chunk{cols: s.GetBatch(len(keep)), pass: s.GetBools(), at: keep, full: make(relation.Tuple, width)}
+}
+
+// keys returns the chunk's values of full-schema column col, which must be
+// live: liveColumns keeps every join key.
 func (c *chunk) keys(col int) []int64 {
-	if c.cols == nil {
-		c.keyBuf = sized(c.keyBuf, c.n)
-		for i, t := range c.rows[:c.n] {
-			c.keyBuf[i] = t[col]
-		}
-		return c.keyBuf
-	}
 	for b, p := range c.at {
 		if p == col {
 			return c.cols.Col(b)
 		}
 	}
-	panic(fmt.Sprintf("exec: column %d is not live on the wire", col))
+	panic(fmt.Sprintf("exec: column %d is not live", col))
 }
 
-// row returns slot i of the chunk, or nil for a slot the wrapper's
-// pushdown filtered. A wrapper slot is gathered into the reused row, so it
-// is valid only until the next call.
+// row returns slot i of the chunk gathered into the reused row, valid only
+// until the next call, or nil for a slot the wrapper's pushdown filtered.
 func (c *chunk) row(i int) relation.Tuple {
-	if c.cols == nil {
-		return c.rows[i]
-	}
-	return c.gather(i)
-}
-
-// gather is row's wrapper half, kept out of line so the temp half inlines
-// into the fragment loop.
-//
-//go:noinline
-func (c *chunk) gather(i int) relation.Tuple {
 	if !c.pass[i] {
 		return nil
 	}
@@ -99,8 +81,6 @@ func (c *chunk) gather(i int) relation.Tuple {
 
 // reclaim hands the chunk's staging back to s. Idempotent.
 func (c *chunk) reclaim(s *Scratch) {
-	s.PutTuples(c.rows)
-	s.PutKeys(c.keyBuf)
 	s.PutBatch(c.cols)
 	s.PutBools(c.pass)
 	*c = chunk{}
@@ -153,15 +133,18 @@ func (s *queueSource) swap(src *source.Source) { s.src = src }
 // has no window protocol, so there is no producer to resume.
 type tempSource struct {
 	*mem.Reader
-	page int // tuples per page: the most one pop can return
-	ch   chunk
+	ch chunk
 }
 
 func (*tempSource) Credit(time.Duration) {}
 
 func (s *tempSource) pop(now time.Duration, max int) *chunk {
 	c := &s.ch
-	c.rows = sized(c.rows, min(max, s.page))
-	c.n = s.PopN(now, c.rows)
+	c.cols.Reset(len(c.at))
+	c.n = s.Pop(now, c.cols, max)
+	c.pass = sized(c.pass, c.n)
+	for i := range c.pass {
+		c.pass[i] = true
+	}
 	return c
 }

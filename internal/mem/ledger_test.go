@@ -113,7 +113,7 @@ func TestLedgerInvariantsRandomized(t *testing.T) {
 				}
 			}
 		case 2: // write a temp (a few pages, resident when the grant allows)
-			tmp := store.Create(fmt.Sprintf("t%d", next), schema)
+			tmp := store.CreateSized(fmt.Sprintf("t%d", next), schema, 0)
 			next++
 			rows := p.TuplesPerPage() * (1 + rng.Intn(3))
 			for i := 0; i < rows; i++ {
@@ -153,7 +153,7 @@ func p0(t *testing.T) int {
 
 func TestChunkedTempKeepsPagesResident(t *testing.T) {
 	store, g, clock, p := newGovernedStore(t, 64*int64(p0(t)))
-	tmp := store.Create("t", relation.NewSchema("x", "id"))
+	tmp := store.CreateSized("t", relation.NewSchema("x", "id"), 0)
 	rows := p.TuplesPerPage() * 3
 	for i := 0; i < rows; i++ {
 		tmp.Append(relation.Tuple{int64(i)})
@@ -192,8 +192,8 @@ func TestFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
 	// both temps' pages.
 	store, g, _, p := newGovernedStore(t, 40*pb)
 	schema := relation.NewSchema("x", "id")
-	small := store.Create("small", schema)
-	large := store.Create("large", schema)
+	small := store.CreateSized("small", schema, 0)
+	large := store.CreateSized("large", schema, 0)
 	fill := func(tmp *Temp, pages int) {
 		for i := 0; i < p.TuplesPerPage()*pages; i++ {
 			tmp.Append(relation.Tuple{int64(i)})
@@ -233,7 +233,7 @@ func TestFreeUpSpillsLargestTempOldestPageFirst(t *testing.T) {
 func TestReserveSpillsBeforeOverflow(t *testing.T) {
 	pb := int64(p0(t))
 	store, g, _, p := newGovernedStore(t, 40*pb)
-	tmp := store.Create("t", relation.NewSchema("x", "id"))
+	tmp := store.CreateSized("t", relation.NewSchema("x", "id"), 0)
 	for i := 0; i < p.TuplesPerPage()*5; i++ {
 		tmp.Append(relation.Tuple{int64(i)})
 	}
@@ -279,7 +279,7 @@ func TestChunkedSpillReloadRoundTrip(t *testing.T) {
 	)
 	val := int64(0)
 	for i := 0; i < ntemps; i++ {
-		tmp := store.Create(fmt.Sprintf("t%d", i), schema)
+		tmp := store.CreateSized(fmt.Sprintf("t%d", i), schema, 0)
 		rows := rng.Intn(p.TuplesPerPage()*4 + 1)
 		ref := make([]int64, 0, rows)
 		for j := 0; j < rows; j++ {

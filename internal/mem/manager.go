@@ -1,10 +1,10 @@
 // Package mem provides the mediator's query-memory manager and the
 // temporary-relation store used by materialization fragments and the
 // materialize-all baseline. Memory accounting follows the paper's
-// abstraction level: a hash table of n tuples occupies n times the
-// accounting tuple size (Table 1: 40 bytes); temporary relations live on
-// the simulated local disk, except the pages the Manager keeps resident
-// under the grant.
+// abstraction level: a hash table or temp page of n tuples occupies n times
+// the accounting tuple size (Table 1: 40 bytes), however few columns it
+// stores. A temp keeps its live columns, column-major per page, on the
+// simulated local disk, except the pages the Manager keeps resident.
 package mem
 
 import "fmt"

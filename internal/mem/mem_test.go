@@ -67,19 +67,20 @@ func newStore() (*TempStore, *sim.Clock, sim.Params) {
 	return NewTempStore(p, disk, clock), clock, p
 }
 
-// pop consumes r's next tuple, which must be in memory at now.
+// pop consumes r's next tuple, which must be in memory at now, as a row of
+// the temp's stored columns.
 func pop(r *Reader, now time.Duration) relation.Tuple {
-	var dst [1]relation.Tuple
-	if r.PopN(now, dst[:]) != 1 {
+	b := relation.NewBatch(len(r.temp.keep))
+	if r.Pop(now, b, 1) != 1 {
 		panic("pop: next tuple not in memory")
 	}
-	return dst[0]
+	return b.Row(0, make(relation.Tuple, b.Width()))
 }
 
 func TestTempWriteReadRoundTrip(t *testing.T) {
 	store, _, p := newStore()
 	schema := relation.NewSchema("x", "id")
-	temp := store.Create("t", schema)
+	temp := store.CreateSized("t", schema, 0)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		temp.Append(relation.Tuple{int64(i)})
@@ -110,7 +111,7 @@ func TestTempWriteReadRoundTrip(t *testing.T) {
 
 func TestTempReaderAvailabilityFollowsDisk(t *testing.T) {
 	store, clock, p := newStore()
-	temp := store.Create("t", relation.NewSchema("x", "id"))
+	temp := store.CreateSized("t", relation.NewSchema("x", "id"), 0)
 	// Write more pages than the I/O cache holds, so the first page is
 	// evicted and must be re-read from disk.
 	n := p.TuplesPerPage() * (p.IOCachePages + 4)
@@ -137,7 +138,7 @@ func TestTempReaderCachedPagesAreInstant(t *testing.T) {
 	// A small temp whose pages all fit the I/O cache is readable without
 	// waiting for write durability: write-behind caching.
 	store, clock, _ := newStore()
-	temp := store.Create("t", relation.NewSchema("x", "id"))
+	temp := store.CreateSized("t", relation.NewSchema("x", "id"), 0)
 	for i := 0; i < 100; i++ {
 		temp.Append(relation.Tuple{int64(i)})
 	}
@@ -153,18 +154,18 @@ func TestTempReaderCachedPagesAreInstant(t *testing.T) {
 
 func TestTempReaderPopFutureReturnsNothing(t *testing.T) {
 	store, clock, _ := newStore()
-	temp := store.Create("t", relation.NewSchema("x", "id"))
+	temp := store.CreateSized("t", relation.NewSchema("x", "id"), 0)
 	temp.Append(relation.Tuple{1})
 	temp.Close()
 	r := temp.NewReader(1)
-	if n := r.PopN(clock.Now(), make([]relation.Tuple, 1)); n != 0 || r.Remaining() != 1 {
+	if n := r.Pop(clock.Now(), relation.NewBatch(1), 1); n != 0 || r.Remaining() != 1 {
 		t.Errorf("pop of a page still in flight moved %d tuples, %d remaining", n, r.Remaining())
 	}
 }
 
 func TestTempSyncReaderHoldsCPU(t *testing.T) {
 	store, clock, _ := newStore()
-	temp := store.CreateSync("t", relation.NewSchema("x", "id"))
+	temp := store.CreateSyncSized("t", relation.NewSchema("x", "id"), 0)
 	for i := 0; i < 300; i++ {
 		temp.Append(relation.Tuple{int64(i)})
 	}
@@ -203,12 +204,12 @@ func TestTempMisusePanics(t *testing.T) {
 		f()
 	}
 	mustPanic("append after close", func() {
-		temp := store.Create("t", relation.NewSchema("x", "id"))
+		temp := store.CreateSized("t", relation.NewSchema("x", "id"), 0)
 		temp.Close()
 		temp.Append(relation.Tuple{1})
 	})
 	mustPanic("reader before close", func() {
-		temp := store.Create("t2", relation.NewSchema("x", "id"))
+		temp := store.CreateSized("t2", relation.NewSchema("x", "id"), 0)
 		temp.Append(relation.Tuple{1})
 		temp.NewReader(1)
 	})
@@ -216,7 +217,7 @@ func TestTempMisusePanics(t *testing.T) {
 
 func TestTempDoubleCloseAndEmpty(t *testing.T) {
 	store, _, _ := newStore()
-	temp := store.Create("t", relation.NewSchema("x", "id"))
+	temp := store.CreateSized("t", relation.NewSchema("x", "id"), 0)
 	temp.Close()
 	temp.Close() // idempotent
 	if temp.Len() != 0 || temp.Pages() != 0 || temp.DurableAt() != 0 {
@@ -233,7 +234,7 @@ func TestTempDoubleCloseAndEmpty(t *testing.T) {
 
 func TestTempEvictedReadNeverBeforeWriteDurable(t *testing.T) {
 	store, clock, p := newStore()
-	temp := store.Create("t", relation.NewSchema("x", "id"))
+	temp := store.CreateSized("t", relation.NewSchema("x", "id"), 0)
 	perPage := p.TuplesPerPage()
 	pages := p.IOCachePages + 4 // first pages get evicted
 	for i := 0; i < perPage*pages; i++ {

@@ -45,7 +45,7 @@ func TestCreateSizedMatchesCreate(t *testing.T) {
 	store, _, _ := newStore()
 	schema := relation.NewSchema("x", "id")
 	a := store.CreateSized("a", schema, 300)
-	b := store.Create("b", schema)
+	b := store.CreateSized("b", schema, 0)
 	for i := 0; i < 300; i++ {
 		a.Append(relation.Tuple{int64(i)})
 		b.Append(relation.Tuple{int64(i)})

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dqs/internal/relation"
@@ -78,36 +79,32 @@ func (s *TempStore) Reclaim() {
 	s.temps = nil
 }
 
-// Create opens a new temporary relation with the given schema, written with
-// asynchronous I/O (the §4.4 cost assumption for materialization
-// fragments).
-func (s *TempStore) Create(name string, schema *relation.Schema) *Temp {
-	return s.CreateSized(name, schema, 0)
-}
-
-// CreateSync opens a temporary relation whose page writes hold the CPU
-// until the transfer completes — the behaviour of a strategy built on the
-// classic synchronous iterator engine, like materialize-all.
-func (s *TempStore) CreateSync(name string, schema *relation.Schema) *Temp {
-	return s.CreateSyncSized(name, schema, 0)
-}
-
-// CreateSized is Create with a row-count hint: the tuple arena is sized for
-// about rows tuples up front — the smallest pooled arena that holds them, so
-// repeated sized materializations reach steady state with no arena
-// allocation — and a materialization that stays within the hint never
-// re-copies its arena. The hint only steers allocation — page bookkeeping,
-// I/O charges and contents are identical with any hint.
-func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int) *Temp {
+// CreateSized opens a new temporary relation with the given schema, written
+// with asynchronous I/O (the §4.4 cost assumption for materialization
+// fragments). keep lists the schema positions the temp stores, ascending
+// (a non-nil empty list stores none); with no keep argument it stores every
+// column. rows is a row-count hint: the arena is sized for about rows
+// tuples up front — the smallest pooled arena that holds them, so repeated
+// sized materializations reach steady state with no arena allocation — and
+// a materialization that stays within the hint never re-copies its arena.
+// Neither keep nor the hint changes page bookkeeping or I/O charges.
+func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int, keep ...int) *Temp {
 	obj := s.nextObj
 	s.nextObj++
+	if keep == nil {
+		keep = make([]int, schema.Width())
+		for i := range keep {
+			keep[i] = i
+		}
+	}
 	t := &Temp{
 		store:  s,
 		name:   name,
 		object: obj,
 		width:  schema.Width(),
+		keep:   keep,
 	}
-	need := max(rows, 0) * t.width
+	need := (max(rows, 0) + s.perPage - 1) / s.perPage * t.pageVals()
 	if s.pool != nil {
 		t.data = s.pool.GetTempInts(need)
 	}
@@ -118,30 +115,34 @@ func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int) 
 	return t
 }
 
-// CreateSyncSized is CreateSync with a row-count hint.
-func (s *TempStore) CreateSyncSized(name string, schema *relation.Schema, rows int) *Temp {
-	t := s.CreateSized(name, schema, rows)
+// CreateSyncSized is CreateSized for a temp whose page writes hold the CPU
+// until the transfer completes — the behaviour of a strategy built on the
+// classic synchronous iterator engine, like materialize-all.
+func (s *TempStore) CreateSyncSized(name string, schema *relation.Schema, rows int, keep ...int) *Temp {
+	t := s.CreateSized(name, schema, rows, keep...)
 	t.sync = true
 	return t
 }
 
 // Temp is one temporary relation: tuples plus the virtual times at which
-// each page became durable on disk. Tuple values live in one flat []int64
-// arena (the schema fixes the width), so materializing n tuples costs a few
-// geometric arena growths instead of one allocation per tuple.
+// each page became durable on disk. It stores only its kept columns, in one
+// flat []int64 arena laid out page after page and column-major within a
+// page: kept column c of row i is at pageBase(i) + c·perPage + i%perPage.
+// Materializing n tuples costs a few geometric arena growths instead of one
+// allocation per tuple, and a reader pops one contiguous run per column.
 type Temp struct {
 	store  *TempStore
 	name   string
 	object int
 
-	sync      bool
-	width     int     // values per tuple, from the schema
-	data      []int64 // flat tuple arena: row i at [i*width, (i+1)*width)
-	nrows     int
-	pageDone  []time.Duration // write-completion time per full page
-	inPage    int             // tuples buffered in the current page
-	closed    bool
-	closedLen int
+	sync     bool
+	width    int     // values per appended row, from the schema
+	keep     []int   // stored schema positions, ascending
+	data     []int64 // the page-major, column-major arena
+	nrows    int
+	pageDone []time.Duration // write-completion time per full page
+	inPage   int             // tuples buffered in the current page
+	closed   bool
 
 	// Residency state. resident is aligned with pageDone: true means the
 	// page's disk write is deferred — it is available at its (in-memory)
@@ -157,21 +158,17 @@ type Temp struct {
 // Len returns the number of appended tuples.
 func (t *Temp) Len() int { return t.nrows }
 
-// row returns tuple i as a slice into the arena. The arena is append-only,
-// so returned tuples stay valid (and stable) for the life of the temp.
-func (t *Temp) row(i int) relation.Tuple {
-	off := i * t.width
-	return relation.Tuple(t.data[off : off+t.width : off+t.width])
-}
+// pageVals is the number of arena values one page occupies.
+func (t *Temp) pageVals() int { return t.store.perPage * len(t.keep) }
 
 // Pages returns the number of pages written so far.
 func (t *Temp) Pages() int { return len(t.pageDone) }
 
-// Append adds one tuple, copying its values into the temp's arena; the
-// caller's backing array may be reused afterwards. When a page fills up, its
-// write is issued asynchronously: the caller's CPU is charged the I/O-issue
-// cost, the disk timeline absorbs the transfer, and the completion time is
-// recorded so readers never see a page before it is durable.
+// Append adds one full-width row, copying its kept values into the arena;
+// the caller's backing array may be reused afterwards. When a page fills
+// up, its write is issued asynchronously: the caller's CPU is charged the
+// I/O-issue cost, the disk timeline absorbs the transfer, and the completion
+// time is recorded so readers never see a page before it is durable.
 func (t *Temp) Append(tup relation.Tuple) {
 	if t.closed {
 		panic(fmt.Sprintf("mem: append to closed temp %q", t.name))
@@ -179,7 +176,14 @@ func (t *Temp) Append(tup relation.Tuple) {
 	if len(tup) != t.width {
 		panic(fmt.Sprintf("mem: width-%d tuple appended to temp %q of width %d", len(tup), t.name, t.width))
 	}
-	t.data = append(t.data, tup...)
+	if t.inPage == 0 {
+		t.data = slices.Grow(t.data, t.pageVals())[:len(t.data)+t.pageVals()]
+	}
+	at := len(t.data) - t.pageVals() + t.inPage
+	for _, p := range t.keep {
+		t.data[at] = tup[p]
+		at += t.store.perPage
+	}
 	t.nrows++
 	t.inPage++
 	if t.inPage == t.store.perPage {
@@ -286,7 +290,6 @@ func (t *Temp) Close() {
 		t.flushPage()
 	}
 	t.closed = true
-	t.closedLen = t.nrows
 }
 
 // Closed reports whether the writer has finished.
@@ -323,7 +326,6 @@ func (t *Temp) NewReader(prefetch int) *Reader {
 		temp:     t,
 		prefetch: prefetch,
 		readyAt:  make([]time.Duration, len(t.pageDone)),
-		issued:   0,
 	}
 }
 
@@ -348,6 +350,9 @@ type Reader struct {
 	pos      int             // next tuple index
 	issued   int             // pages whose reads have been issued
 	readyAt  []time.Duration // read-completion time per issued page
+
+	shim     *relation.Batch // PopN's staging
+	shimRows []int64         // PopN's row storage
 }
 
 func (r *Reader) tuplesPerPage() int { return r.temp.store.perPage }
@@ -378,7 +383,7 @@ func (r *Reader) ensureIssued() {
 
 // Available returns how many unread tuples are in memory at time now. In
 // synchronous mode every remaining tuple counts as available: the wait is
-// paid on PopN. Ready pages are counted page-at-a-time: reads are issued in
+// paid on Pop. Ready pages are counted page-at-a-time: reads are issued in
 // page order on one disk timeline, so completion times are nondecreasing.
 func (r *Reader) Available(now time.Duration) int {
 	if r.sync {
@@ -417,27 +422,26 @@ func (r *Reader) NextArrival() (time.Duration, bool) {
 	return r.readyAt[k], true
 }
 
-// PopN bulk-consumes up to len(dst) tuples into dst, never crossing a page
+// Pop moves up to max tuples into dst, which must have the temp's stored
+// width, as one contiguous run per stored column, never crossing a page
 // boundary, and returns how many it moved. Bounding the chunk at the page
 // edge puts the I/O charges where consumption incurs them: the page read
 // (synchronous wait or prefetch issue) is paid exactly when consumption
 // first touches the page, which for a page-bounded chunk is the call itself.
-func (r *Reader) PopN(now time.Duration, dst []relation.Tuple) int {
-	if r.pos >= r.temp.nrows || len(dst) == 0 {
+func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
+	t := r.temp
+	if dst.Width() != len(t.keep) {
+		panic(fmt.Sprintf("mem: pop of temp %q storing %d columns into a width-%d batch", t.name, len(t.keep), dst.Width()))
+	}
+	if r.pos >= t.nrows || max <= 0 {
 		return 0
 	}
-	k := r.pageOf(r.pos)
-	end := (k + 1) * r.tuplesPerPage()
-	if end > r.temp.nrows {
-		end = r.temp.nrows
-	}
-	n := end - r.pos
-	if n > len(dst) {
-		n = len(dst)
-	}
+	per := r.tuplesPerPage()
+	k, off := r.pageOf(r.pos), r.pos%per
+	n := min(per-off, t.nrows-r.pos, max)
 	if r.sync {
 		if r.issued <= k {
-			r.temp.store.disk.SyncRead(sim.PageID{Object: r.temp.object, Page: k})
+			t.store.disk.SyncRead(sim.PageID{Object: t.object, Page: k})
 			r.issued = k + 1
 		}
 	} else {
@@ -446,20 +450,40 @@ func (r *Reader) PopN(now time.Duration, dst []relation.Tuple) int {
 			return 0 // page still in flight: nothing available yet
 		}
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.temp.row(r.pos + i)
+	at := k*t.pageVals() + off
+	for _, v := range dst.Extend(n) {
+		copy(v, t.data[at:at+n])
+		at += per
 	}
 	r.pos += n
-	if r.temp.resBytes > 0 {
-		// Tuples stay valid in the arena (UnpopN can still rewind within the
+	if t.resBytes > 0 {
+		// Values stay in the arena (UnpopN can still rewind within the
 		// page), but a fully consumed page's grant and deferred write are no
 		// longer needed.
-		r.temp.consumedTo(r.pos)
+		t.consumedTo(r.pos)
 	}
 	return n
 }
 
-// UnpopN rewinds the reader by n tuples, undoing the tail of a PopN batch
+// PopN is Pop into full-width rows, which stay valid until the next call;
+// after its first call it allocates nothing. It stays only because bench/
+// calls it — remove with the next [benchmark] PR.
+func (r *Reader) PopN(now time.Duration, dst []relation.Tuple) int {
+	t := r.temp
+	if r.shim == nil {
+		r.shim = relation.NewBatch(len(t.keep))
+	}
+	r.shim.Reset(len(t.keep))
+	n := r.Pop(now, r.shim, len(dst))
+	r.shimRows = slices.Grow(r.shimRows[:0], n*t.width)[:n*t.width]
+	for i := range n {
+		dst[i] = r.shimRows[i*t.width : (i+1)*t.width : (i+1)*t.width]
+		r.shim.Gather(i, dst[i], t.keep)
+	}
+	return n
+}
+
+// UnpopN rewinds the reader by n tuples, undoing the tail of a Pop batch
 // the consumer could not process. The rewind stays within the chunk's page,
 // whose read was already issued or paid, so no I/O is re-charged when the
 // tuples are consumed again.
