@@ -46,8 +46,8 @@ type symJoin struct {
 	node       *plan.Node
 	buildTable *operator.HashTable // over tuples arriving from the Build subtree
 	probeTable *operator.HashTable // over tuples arriving from the Probe subtree
-	buildIdx   int                 // key index in Build-side tuples
-	probeIdx   int                 // key index in Probe-side tuples
+	buildIdx   int                 // key index in Build-side (Build.Live) rows
+	probeIdx   int                 // key index in Probe-side (Probe.Live) rows
 
 	parent    *symJoin
 	fromBuild bool // whether this join's output feeds the parent's Build side
@@ -87,16 +87,15 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 		case plan.KindHashJoin:
 			// Both sides retain their full input, so the optimizer's subtree
 			// estimates pre-size both tables.
+			bi, pi := n.Build.Live.MustIndexOf(n.BuildKey), n.Probe.Live.MustIndexOf(n.ProbeKey)
 			sj := &symJoin{
-				node: n,
-				buildTable: s.Table(n.Build.Schema.MustIndexOf(n.BuildKey),
-					n.Build.Schema.Width(), clampReserveRows(int64(n.Build.EstRows))),
-				probeTable: s.Table(n.Probe.Schema.MustIndexOf(n.ProbeKey),
-					n.Probe.Schema.Width(), clampReserveRows(int64(n.Probe.EstRows))),
-				buildIdx:  n.Build.Schema.MustIndexOf(n.BuildKey),
-				probeIdx:  n.Probe.Schema.MustIndexOf(n.ProbeKey),
-				parent:    parent,
-				fromBuild: fromBuild,
+				node:       n,
+				buildTable: s.Table(bi, n.Build.Live.Width(), clampReserveRows(int64(n.Build.EstRows))),
+				probeTable: s.Table(pi, n.Probe.Live.Width(), clampReserveRows(int64(n.Probe.EstRows))),
+				buildIdx:   bi,
+				probeIdx:   pi,
+				parent:     parent,
+				fromBuild:  fromBuild,
 			}
 			sj.arena.Recycle(s.GetInts())
 			sj.matchBuf = s.GetTuples()
@@ -156,7 +155,7 @@ func (net *symNet) arrive(sj *symJoin, fromBuild bool, t relation.Tuple) bool {
 	if fromBuild {
 		sj.buildTable.Insert(t)
 		rt.Costs.ChargeProbe()
-		// Result schema is probe ++ build, matching the plan schema.
+		// Result rows are probe ++ build, matching the join's Live schema.
 		matches, k = sj.probeTable.ProbeConcatRev(matches, t, t[sj.buildIdx], &sj.arena)
 	} else {
 		sj.probeTable.Insert(t)

@@ -101,12 +101,13 @@ type stepExec struct {
 	probeIdx int
 }
 
-// inputSchemaAt returns the tuple schema entering step i of chain c.
+// inputSchemaAt returns the schema of the rows entering step i of chain c:
+// the Live schema of the step's input node.
 func inputSchemaAt(c *plan.Chain, i int) *relation.Schema {
 	if i == 0 {
-		return c.Scan.Schema
+		return c.Scan.Live
 	}
-	return c.Joins[i-1].Schema
+	return c.Joins[i-1].Live
 }
 
 // newFragment builds a fragment over chain steps [fromStep, toStep), fed by
@@ -173,15 +174,14 @@ func (rt *Runtime) NewPCFragment(c *plan.Chain) *Fragment {
 // I/O for its fragments (NewSegment); MA does not.
 func (rt *Runtime) NewMFSync(c *plan.Chain) *Fragment {
 	in := rt.qsrcs[c.Scan.Rel.Name]
-	temp := rt.Temps.CreateSyncSized("MF("+c.Name+")", c.Scan.Schema, rt.segmentRowsHint(c, 0, 0, true, in),
-		liveColumns(c.Scan.Schema, rt.live)...)
+	temp := rt.Temps.CreateSyncSized("MF("+c.Name+")", c.Scan.Live, rt.segmentRowsHint(c, 0, 0, true, in))
 	return rt.newFragment(c, "MF("+c.Name+")", 0, 0, in, TermTemp, temp)
 }
 
 // NewCFSync creates the complement fragment over a completed MF's temp,
 // with synchronous page reads (no prefetch overlap).
 func (rt *Runtime) NewCFSync(c *plan.Chain, temp *mem.Temp) *Fragment {
-	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), rt.tempSource(temp.NewSyncReader(), c.Scan.Schema), chainTerm(c), nil)
+	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), rt.tempSource(temp.NewSyncReader(), c.Scan.Live), chainTerm(c), nil)
 }
 
 // NewSegment creates the fragment executing chain steps [fromStep, toStep).
@@ -221,16 +221,14 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 	if last {
 		return rt.newFragment(c, label, fromStep, toStep, in, chainTerm(c), nil)
 	}
-	out := inputSchemaAt(c, toStep)
-	temp := rt.Temps.CreateSized(label, out, rt.segmentRowsHint(c, fromStep, toStep, queueInput, in),
-		liveColumns(out, rt.live)...)
+	temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep), rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
 	return rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
 }
 
 // tempSource wraps a reader of a query temp whose rows have the given schema
 // as fragment input, its chunk staging taken from the mediator's scratch.
 func (rt *Runtime) tempSource(r *mem.Reader, schema *relation.Schema) *tempSource {
-	return &tempSource{Reader: r, ch: newChunk(rt.Med.scratch, liveColumns(schema, rt.live), schema.Width())}
+	return &tempSource{Reader: r, ch: newChunk(rt.Med.scratch, schema.Width())}
 }
 
 // Done reports whether the fragment has fully terminated.

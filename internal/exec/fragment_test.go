@@ -370,17 +370,16 @@ func refProcessBatch(f *Fragment, max int) (int, bool) {
 		return 0, true
 	}
 	r := f.In.(*tempSource)
-	at, width := r.ch.at, inputSchemaAt(f.Chain, f.FromStep).Width()
+	width := inputSchemaAt(f.Chain, f.FromStep).Width()
 	n := 0
 	for n < max {
-		b := relation.NewBatch(len(at))
+		b := relation.NewBatch(width)
 		k := r.Pop(f.rt.Now(), b, max-n)
 		if k == 0 {
 			break
 		}
 		for i := 0; i < k; i++ {
-			t := make(relation.Tuple, width)
-			b.Gather(i, t, at)
+			t := b.Row(i, make(relation.Tuple, width))
 			f.processed++
 			n++
 			if !refSink(f, refApplyTuple(f, t)) {
@@ -540,8 +539,9 @@ func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
 
 // refProcessSlots is ProcessBatch for a wrapper-fed, build-terminated
 // fragment driven one queue slot at a time: each slot is popped with
-// PopColsN into a one-slot mask, credited, gathered into a full-width row
-// and run through refApplyTuple, and each output is sunk on its own.
+// PopColsN into a one-slot mask, credited, read into a row of the scan's
+// Live width and run through refApplyTuple, and each output is sunk on its
+// own.
 func refProcessSlots(f *Fragment, max int) (int, bool) {
 	if f.done {
 		return 0, false
@@ -553,7 +553,7 @@ func refProcessSlots(f *Fragment, max int) (int, bool) {
 	qs, keep := f.rt.qsrcs[rel], f.rt.colPush[rel].keep
 	batch := relation.NewBatch(len(keep))
 	pass := make([]bool, 1)
-	row := make(relation.Tuple, f.Chain.Scan.Schema.Width())
+	row := make(relation.Tuple, len(keep))
 	costs := &f.rt.Costs
 	n := 0
 	for n < max {
@@ -569,8 +569,7 @@ func refProcessSlots(f *Fragment, max int) (int, bool) {
 			costs.CPU.Clock.Work(costs.MoveT + costs.ReceiveT)
 			continue
 		}
-		batch.Gather(0, row, keep)
-		if !refSink(f, refApplyTuple(f, row)) {
+		if !refSink(f, refApplyTuple(f, batch.Row(0, row))) {
 			return n, true
 		}
 	}

@@ -1,10 +1,7 @@
 package exec
 
 import (
-	"slices"
-
 	"dqs/internal/plan"
-	"dqs/internal/relation"
 )
 
 // colPush is the compiled pushdown of one scanned relation: which full-schema
@@ -16,45 +13,20 @@ type colPush struct {
 	predLess int64
 }
 
-// liveRefs returns the columns the mediator reads of a plan: every join's
-// build and probe key (composite-schema key refs name their originating
-// base relation) and every scan's pushed-down predicate column. Everything
-// else is projected away by the columnar wrapper and never stored in a temp.
-func liveRefs(root *plan.Node) []relation.ColRef {
-	var refs []relation.ColRef
-	plan.Walk(root, func(n *plan.Node) error { //nolint:errcheck // fn never fails
-		switch {
-		case n.Kind == plan.KindHashJoin:
-			refs = append(refs, n.BuildKey, n.ProbeKey)
-		case n.Pred != nil:
-			refs = append(refs, n.Pred.Col)
-		}
-		return nil
-	})
-	return refs
-}
-
-// liveColumns returns the positions, ascending, of the columns of schema —
-// a scan's or any chain step's — that carry one of the live refs. A chunk
-// gathers each passing slot's live columns into a reused row of full schema
-// width and never writes its dead positions, so every tuple a fragment
-// builds, spills or emits reads zero there: no operator reads them — result
-// and materialization accounting count rows, and probes touch only key
-// columns — and a Sink sees zeros. The result is never nil: a temp given
-// no live column stores none.
-func liveColumns(schema *relation.Schema, refs []relation.ColRef) []int {
-	keep := make([]int, 0, schema.Width())
-	for i, c := range schema.Cols {
-		if slices.Contains(refs, c) {
-			keep = append(keep, i)
-		}
+// livePositions returns where each column of n.Live sits in n.Schema,
+// ascending: the columns a scan's wrapper projects onto the wire, or the
+// positions a Sink's full-width output row takes the live values at.
+func livePositions(n *plan.Node) []int {
+	at := make([]int, n.Live.Width())
+	for i, c := range n.Live.Cols {
+		at[i] = n.Schema.MustIndexOf(c)
 	}
-	return keep
+	return at
 }
 
 // compileColPush builds the pushdown descriptor of one chain's scan.
-func compileColPush(scan *plan.Node, refs []relation.ColRef) colPush {
-	p := colPush{keep: liveColumns(scan.Schema, refs), predIdx: -1}
+func compileColPush(scan *plan.Node) colPush {
+	p := colPush{keep: livePositions(scan), predIdx: -1}
 	if scan.Pred != nil {
 		p.predIdx = scan.Schema.MustIndexOf(scan.Pred.Col)
 		p.predLess = scan.Pred.Less

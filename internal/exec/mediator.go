@@ -183,7 +183,6 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		qsrcs:   make(map[string]*queueSource),
 		tables:  make(map[int]*tableState),
 		colPush: make(map[string]colPush),
-		live:    liveRefs(root),
 	}
 	// A query whose builds are estimated not to fit the grant spends it on
 	// builds and a split: resident pages would only spill late. Write through.
@@ -203,7 +202,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		// The queue ring carries only the plan's live columns, and the scan
 		// predicate is evaluated in the wrapper. Window slots and arrivals
 		// stay pre-filter, so scheduling sees every produced tuple.
-		p := compileColPush(c.Scan, rt.live)
+		p := compileColPush(c.Scan)
 		q := m.scratch.Queue(cmName, m.Cfg.QueueTuples, len(p.keep))
 		m.CM.Adopt(q)
 		d := deliveries[name]
@@ -230,7 +229,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			return nil, err
 		}
 		rt.sources[name] = src
-		rt.qsrcs[name] = &queueSource{q: q, src: src, ch: newChunk(m.scratch, p.keep, c.Scan.Schema.Width())}
+		rt.qsrcs[name] = &queueSource{q: q, src: src, ch: newChunk(m.scratch, len(p.keep))}
 		if err := m.registerFaultEntry(rt, name, cmName, table, d, netTime); err != nil {
 			return nil, err
 		}
@@ -245,7 +244,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		if h, ok := m.scratch.BuildRowsHint(j.ID); ok {
 			rows = h
 		}
-		ht := m.scratch.Table(j.Build.Schema.MustIndexOf(j.BuildKey), j.Build.Schema.Width(), clampReserveRows(rows))
+		ht := m.scratch.Table(j.Build.Live.MustIndexOf(j.BuildKey), j.Build.Live.Width(), clampReserveRows(rows))
 		holder := m.Mem.Bind(label, fmt.Sprintf("%s:J%d", label, j.ID))
 		rt.tables[j.ID] = &tableState{join: j, ht: ht, holder: holder}
 	}

@@ -39,7 +39,6 @@ type Runtime struct {
 	qsrcs   map[string]*queueSource
 	tables  map[int]*tableState
 	colPush map[string]colPush // per-relation pushdown
-	live    []relation.ColRef  // the columns the plan reads (liveRefs)
 	frags   []*Fragment
 	net     *symNet // the DPHJ join network, nil under every other strategy
 
@@ -54,6 +53,11 @@ type Runtime struct {
 	firstOut   time.Duration
 	milestones [40]time.Duration
 	milestoneN int
+
+	// sinkRow is the full-width row a Sink is handed, its live values at
+	// sinkAt and zero elsewhere; both are made at the first emit to a Sink.
+	sinkRow relation.Tuple
+	sinkAt  []int
 
 	// completedAt is the instant every chain finished or the query was
 	// cancelled; completed says it has been recorded.
@@ -325,10 +329,12 @@ func (rt *Runtime) reclaim(s *Scratch) {
 	rt.frags = nil
 }
 
-// emitOutput accounts one result tuple leaving the engine: the output
-// count, the first-tuple time and power-of-two timeline milestones, and
-// streaming delivery to the configured sink, which sees the tuple at the
-// virtual instant it was produced.
+// emitOutput accounts one result tuple, a row of the output's Live width,
+// leaving the engine: the output count, the first-tuple time and
+// power-of-two timeline milestones, and streaming delivery to the
+// configured sink, which sees the tuple at the virtual instant it was
+// produced, widened to the output's full schema with zero at every
+// position the plan never reads.
 func (rt *Runtime) emitOutput(out relation.Tuple) {
 	rt.outputRows++
 	if n := rt.outputRows; n&(n-1) == 0 { // power of two: milestone tuple
@@ -343,7 +349,13 @@ func (rt *Runtime) emitOutput(out relation.Tuple) {
 		}
 	}
 	if rt.Cfg.Stream != nil {
-		rt.Cfg.Stream.Emit(rt.Clock.Now(), out)
+		if rt.sinkRow == nil {
+			rt.sinkRow, rt.sinkAt = make(relation.Tuple, rt.Root.Schema.Width()), livePositions(rt.Root)
+		}
+		for i, p := range rt.sinkAt {
+			rt.sinkRow[p] = out[i]
+		}
+		rt.Cfg.Stream.Emit(rt.Clock.Now(), rt.sinkRow)
 	}
 }
 

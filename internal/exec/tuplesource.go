@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"time"
 
 	"dqs/internal/comm"
@@ -39,44 +38,32 @@ type TupleSource interface {
 	pop(now time.Duration, max int) *chunk
 }
 
-// chunk is one popped run of a fragment's input: the popped live columns,
-// the full-schema position of each, and a per-slot pass mask — a wrapper's
+// chunk is one popped run of a fragment's input: the popped rows' columns,
+// at the input node's Live width, and a per-slot pass mask — a wrapper's
 // pushdown filter, all true for a temp, which stores only passing slots. A
-// passing slot is gathered into a reused row of full input width whose dead
-// (projected-away) positions are never written, so they stay zero.
+// passing slot is read into one reused row.
 type chunk struct {
 	n    int
 	cols *relation.Batch
 	pass []bool
-	at   []int
-	full relation.Tuple
+	buf  relation.Tuple
 }
 
-// newChunk returns chunk staging from s for input rows of the given width
-// that carry the columns at the positions keep.
-func newChunk(s *Scratch, keep []int, width int) chunk {
-	return chunk{cols: s.GetBatch(len(keep)), pass: s.GetBools(), at: keep, full: make(relation.Tuple, width)}
+// newChunk returns chunk staging from s for input rows of the given width.
+func newChunk(s *Scratch, width int) chunk {
+	return chunk{cols: s.GetBatch(width), pass: s.GetBools(), buf: make(relation.Tuple, width)}
 }
 
-// keys returns the chunk's values of full-schema column col, which must be
-// live: liveColumns keeps every join key.
-func (c *chunk) keys(col int) []int64 {
-	for b, p := range c.at {
-		if p == col {
-			return c.cols.Col(b)
-		}
-	}
-	panic(fmt.Sprintf("exec: column %d is not live", col))
-}
+// keys returns the chunk's values of column col.
+func (c *chunk) keys(col int) []int64 { return c.cols.Col(col) }
 
-// row returns slot i of the chunk gathered into the reused row, valid only
-// until the next call, or nil for a slot the wrapper's pushdown filtered.
+// row returns slot i of the chunk read into the reused row, valid only until
+// the next call, or nil for a slot the wrapper's pushdown filtered.
 func (c *chunk) row(i int) relation.Tuple {
 	if !c.pass[i] {
 		return nil
 	}
-	c.cols.Gather(i, c.full, c.at)
-	return c.full
+	return c.cols.Row(i, c.buf)
 }
 
 // reclaim hands the chunk's staging back to s. Idempotent.
@@ -105,7 +92,7 @@ func (s *queueSource) NextArrival() (time.Duration, bool) { return s.q.NextArriv
 func (s *queueSource) pop(now time.Duration, max int) *chunk {
 	c := &s.ch
 	c.pass = sized(c.pass, min(max, s.q.Capacity()))
-	c.cols.Reset(len(c.at))
+	c.cols.Reset(c.cols.Width())
 	c.n = s.q.PopColsN(now, c.cols, c.pass)
 	s.popped += c.n
 	return c
@@ -140,7 +127,7 @@ func (*tempSource) Credit(time.Duration) {}
 
 func (s *tempSource) pop(now time.Duration, max int) *chunk {
 	c := &s.ch
-	c.cols.Reset(len(c.at))
+	c.cols.Reset(c.cols.Width())
 	c.n = s.Pop(now, c.cols, max)
 	c.pass = sized(c.pass, c.n)
 	for i := range c.pass {

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"dqs/internal/mem"
+	"dqs/internal/operator"
+	"dqs/internal/plan"
 	"dqs/internal/relation"
 )
 
@@ -78,11 +80,10 @@ func TestResultStringAndTotalWork(t *testing.T) {
 }
 
 // readTemp reads a closed temp whose rows have the given schema back through
-// a tempSource, stalling on page reads, and returns its full-width rows and
-// the stored positions. A Pop into the chunk's batch panics unless the
-// batch's width is the temp's stored width, so len(at) is what the temp
-// stores.
-func readTemp(rt *Runtime, temp *mem.Temp, schema *relation.Schema) (rows []relation.Tuple, at []int) {
+// a tempSource, stalling on page reads, and returns its rows. A Pop into the
+// chunk's batch panics unless the batch's width is the temp's, so every row
+// read has the width the temp stores.
+func readTemp(rt *Runtime, temp *mem.Temp, schema *relation.Schema) (rows []relation.Tuple) {
 	ts := rt.tempSource(temp.NewReader(rt.Cfg.PrefetchPages), schema)
 	for !ts.Exhausted() {
 		c := ts.pop(rt.Now(), 1<<40)
@@ -94,23 +95,23 @@ func readTemp(rt *Runtime, temp *mem.Temp, schema *relation.Schema) (rows []rela
 			rows = append(rows, slices.Clone(c.row(i)))
 		}
 	}
-	return rows, ts.ch.at
+	return rows
 }
 
-// live copies t with every position outside keep zeroed: the row a
-// projecting wrapper delivers.
-func live(t relation.Tuple, keep []int) relation.Tuple {
-	out := make(relation.Tuple, len(t))
-	for _, p := range keep {
-		out[p] = t[p]
+// project returns t's values at the positions keep, in order: the row a
+// plan node's Live schema carries.
+func project(t relation.Tuple, keep []int) relation.Tuple {
+	out := make(relation.Tuple, len(keep))
+	for i, p := range keep {
+		out[i] = t[p]
 	}
 	return out
 }
 
-// TestTempStoredWidth pins that a temp stores only the plan's live columns
-// and reads back what was appended, zero at the dead positions: on Figure 5,
-// MF(p_A) stores A.k1 and A.k2 of A's three columns, and the split segment
-// p_A[0:1] over A⋈E stores A.k1, A.k2 and E.k1 of five.
+// TestTempStoredWidth pins that a temp is given the rows of its plan node's
+// Live schema and reads them back as appended: on Figure 5, MF(p_A) stores
+// A.k1 and A.k2 of A's three columns, and the split segment p_A[0:1] over
+// A⋈E stores A.k1, A.k2 and E.k1 of five.
 func TestTempStoredWidth(t *testing.T) {
 	w := smallFig5(t)
 	rt, err := NewRuntime(testConfig(), w.Root, w.Dataset, nil)
@@ -125,16 +126,18 @@ func TestTempStoredWidth(t *testing.T) {
 
 	col := func(rel, c string) relation.ColRef { return relation.ColRef{Rel: rel, Col: c} }
 	sA, sAE := c.Scan.Schema, c.Joins[0].Schema
-	keepA := []int{sA.MustIndexOf(col("A", "k1")), sA.MustIndexOf(col("A", "k2"))}
-	keepAE := []int{sAE.MustIndexOf(col("A", "k1")), sAE.MustIndexOf(col("A", "k2")), sAE.MustIndexOf(col("E", "k1"))}
+	liveA := []relation.ColRef{col("A", "k1"), col("A", "k2")}
+	liveAE := []relation.ColRef{col("A", "k1"), col("A", "k2"), col("E", "k1")}
+	keepA := []int{sA.MustIndexOf(liveA[0]), sA.MustIndexOf(liveA[1])}
+	keepAE := []int{sAE.MustIndexOf(liveAE[0]), sAE.MustIndexOf(liveAE[1]), sAE.MustIndexOf(liveAE[2])}
 
 	var wantA, wantAE []relation.Tuple
 	aKey, eKey := keepA[0], w.Dataset["E"].Rel.Schema.MustIndexOf(col("E", "k1"))
 	for _, a := range w.Dataset["A"].Rows {
-		wantA = append(wantA, live(a, keepA))
+		wantA = append(wantA, project(a, keepA))
 		for _, e := range w.Dataset["E"].Rows {
 			if e[eKey] == a[aKey] {
-				wantAE = append(wantAE, live(relation.Concat(a, e), keepAE))
+				wantAE = append(wantAE, project(relation.Concat(a, e), keepAE))
 			}
 		}
 	}
@@ -147,23 +150,90 @@ func TestTempStoredWidth(t *testing.T) {
 	for _, tc := range []struct {
 		frag   *Fragment
 		schema *relation.Schema
-		keep   []int
+		live   []relation.ColRef
 		want   []relation.Tuple
 		sorted bool
 	}{
-		{mf, sA, keepA, wantA, false},
-		{split, sAE, keepAE, wantAE, true},
+		{mf, c.Scan.Live, liveA, wantA, false},
+		{split, c.Joins[0].Live, liveAE, wantAE, true},
 	} {
-		got, at := readTemp(rt, tc.frag.Temp, tc.schema)
-		if !slices.Equal(at, tc.keep) {
-			t.Errorf("%s stores positions %v of %s, want %v", tc.frag.Label, at, tc.schema, tc.keep)
+		if !slices.Equal(tc.schema.Cols, tc.live) {
+			t.Errorf("%s stores %s, want %v", tc.frag.Label, tc.schema, tc.live)
 		}
+		got := readTemp(rt, tc.frag.Temp, tc.schema)
 		if tc.sorted {
 			slices.SortFunc(got, byValue)
 		}
 		if !slices.EqualFunc(got, tc.want, slices.Equal) {
 			t.Errorf("%s read back %d rows differing from the %d appended (first got %v, want %v)",
 				tc.frag.Label, len(got), len(tc.want), firstRow(got), firstRow(tc.want))
+		}
+	}
+}
+
+// builtWidth probes ht with the values of column key of its base relation
+// until one matches and returns the width of that key's first entry.
+func builtWidth(t *testing.T, ht *operator.HashTable, ds relation.Dataset, key relation.ColRef) int {
+	t.Helper()
+	tab := ds[key.Rel]
+	k := tab.Rel.Schema.MustIndexOf(key)
+	for _, r := range tab.Rows {
+		m := ht.Probe(r[k])
+		if e := m.Next(); e != nil {
+			return len(e)
+		}
+	}
+	t.Fatalf("no value of %s is in the table", key)
+	return 0
+}
+
+// TestTablesHoldLiveWidthRows pins that every hash table holds entries of
+// its input node's Live width, never the full schema's: on Figure 5, each
+// build table as its builder chain completes, and both tables of each DPHJ
+// join once every wrapper but the last has been drained and the last has one
+// tuple left.
+func TestTablesHoldLiveWidthRows(t *testing.T) {
+	w := smallFig5(t)
+	rt, err := NewRuntime(testConfig(), w.Root, w.Dataset, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range IteratorOrder(rt.Dec) {
+		drainFrag(t, rt, rt.NewPCFragment(c))
+		j := c.BuildsFor
+		if j == nil {
+			continue
+		}
+		if got, want := builtWidth(t, rt.table(j).ht, w.Dataset, j.BuildKey), j.Build.Live.Width(); got != want {
+			t.Errorf("J%d's build table holds width-%d entries, want %d of %s", j.ID, got, want, j.Build.Schema)
+		}
+	}
+
+	rt, err = NewRuntime(testConfig(), w.Root, w.Dataset, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feeds, err := rt.NewDPHJFeeds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range feeds[:len(feeds)-1] {
+		drainFrag(t, rt, f)
+	}
+	last := feeds[len(feeds)-1]
+	for last.Remaining() > 1 {
+		if n, _ := last.ProcessBatch(last.Remaining() - 1); n == 0 {
+			at, _ := last.NextArrival()
+			rt.Clock.Stall(at)
+		}
+	}
+	for _, j := range plan.Joins(w.Root) {
+		sj := rt.net.joins[j.ID]
+		if got, want := builtWidth(t, sj.buildTable, w.Dataset, j.BuildKey), j.Build.Live.Width(); got != want {
+			t.Errorf("DPHJ J%d's build-side table holds width-%d entries, want %d", j.ID, got, want)
+		}
+		if got, want := builtWidth(t, sj.probeTable, w.Dataset, j.ProbeKey), j.Probe.Live.Width(); got != want {
+			t.Errorf("DPHJ J%d's probe-side table holds width-%d entries, want %d", j.ID, got, want)
 		}
 	}
 }

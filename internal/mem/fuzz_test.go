@@ -9,16 +9,17 @@ import (
 	"dqs/internal/sim"
 )
 
-// fuzzWidth is the full row width of every fuzzed temp; each temp stores the
-// subset of its positions its keep mask names.
+// fuzzWidth is the width of every model row; each temp is given the
+// projection of its model rows onto the positions its keep mask names, as
+// the engine gives a temp a plan node's live columns.
 const fuzzWidth = 4
 
-// fuzzTemp is one fuzzed temp beside its brute-force model: every appended
-// full-width row, the stored positions, and the reader's model position and
-// the size of its last popped chunk (the most UnpopN may give back).
+// fuzzTemp is one fuzzed temp beside its brute-force model: every model row,
+// the positions the temp is given, and the reader's model position and the
+// size of its last popped chunk (the most UnpopN may give back).
 type fuzzTemp struct {
 	temp  *Temp
-	keep  []int
+	proj  []int
 	rows  [][]int64
 	r     *Reader
 	pos   int
@@ -28,11 +29,12 @@ type fuzzTemp struct {
 // FuzzTempOps interprets its input as an op stream over temps written under
 // a grant with three-tuple pages, so page edges, residency, spills and
 // write-through come often. Each byte is one op (low three bits) with its
-// argument (high bits): create a synchronous or asynchronous temp with a
-// keep mask, append rows, close, open a synchronous or prefetching reader,
-// Pop with a random max, UnpopN within the last chunk, stall the clock, and
-// Reserve or FreeUp from a ledger holder. Every popped column is checked
-// against the model rows at the stored positions, and the ledger's
+// argument (high bits): create a synchronous or asynchronous temp whose
+// width is its keep mask's popcount, append rows, close, open a synchronous
+// or prefetching reader, Pop with a random max, UnpopN within the last
+// chunk, stall the clock, and Reserve or FreeUp from a ledger holder. Every
+// popped column is checked against the model rows' projection, and the
+// ledger's
 // Used == HeldTotal + ResidentBytes after every op. At the end every temp is
 // closed and read to its end, which must leave no resident byte, and
 // Reclaim must leave only the holder's bytes.
@@ -72,18 +74,18 @@ func fuzzTempOps(in []byte) error {
 		arg := int(b >> 3)
 		switch b & 7 {
 		case 0: // create; bit 0 of arg: sync, bits 1-4: keep mask
-			keep := []int{}
+			keep, cols := []int{}, []string{}
 			for c := 0; c < fuzzWidth; c++ {
 				if arg>>(1+c)&1 == 1 {
-					keep = append(keep, c)
+					keep, cols = append(keep, c), append(cols, string(rune('a'+c)))
 				}
 			}
 			create := store.CreateSized
 			if arg&1 == 1 {
 				create = store.CreateSyncSized
 			}
-			tmp := create(fmt.Sprintf("t%d", len(temps)), relation.NewSchema("x", "a", "b", "c", "d"), arg%5, keep...)
-			temps = append(temps, &fuzzTemp{temp: tmp, keep: keep})
+			tmp := create(fmt.Sprintf("t%d", len(temps)), relation.NewSchema("x", cols...), arg%5)
+			temps = append(temps, &fuzzTemp{temp: tmp, proj: keep})
 		case 1: // append arg rows to the newest open temp
 			if ft := pick(len(temps) - 1); ft != nil && !ft.temp.Closed() {
 				for range arg {
@@ -92,7 +94,11 @@ func fuzzTempOps(in []byte) error {
 						val++
 						row[c] = val
 					}
-					ft.temp.Append(row)
+					stored := make(relation.Tuple, len(ft.proj))
+					for c, p := range ft.proj {
+						stored[c] = row[p]
+					}
+					ft.temp.Append(stored)
 					ft.rows = append(ft.rows, row)
 				}
 			}
@@ -164,14 +170,14 @@ func fuzzTempOps(in []byte) error {
 // fuzzPop pops up to max tuples at now from the first of temps whose reader
 // has tuples left and checks the chunk against its model: within the page,
 // no more than Available promised and, when it promised any, at least one;
-// every stored column equal to the model rows at its position.
+// column c equal to the model rows at position proj[c].
 func fuzzPop(temps []*fuzzTemp, now time.Duration, max, perPage int) error {
 	for _, ft := range temps {
 		if ft.r == nil || ft.r.Remaining() == 0 {
 			continue
 		}
 		avail := ft.r.Available(now)
-		dst := relation.NewBatch(len(ft.keep))
+		dst := relation.NewBatch(len(ft.proj))
 		n := ft.r.Pop(now, dst, max)
 		switch {
 		case n > max || n > avail || (avail > 0 && max > 0 && n == 0):
@@ -181,7 +187,7 @@ func fuzzPop(temps []*fuzzTemp, now time.Duration, max, perPage int) error {
 		case dst.Len() != n:
 			return fmt.Errorf("%s: batch holds %d of %d popped", ft.temp.name, dst.Len(), n)
 		}
-		for c, p := range ft.keep {
+		for c, p := range ft.proj {
 			for i, v := range dst.Col(c) {
 				if want := ft.rows[ft.pos+i][p]; v != want {
 					return fmt.Errorf("%s: row %d column %d = %d, want %d", ft.temp.name, ft.pos+i, p, v, want)

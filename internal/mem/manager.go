@@ -3,8 +3,9 @@
 // materialize-all baseline. Memory accounting follows the paper's
 // abstraction level: a hash table or temp page of n tuples occupies n times
 // the accounting tuple size (Table 1: 40 bytes), however few columns it
-// stores. A temp keeps its live columns, column-major per page, on the
-// simulated local disk, except the pages the Manager keeps resident.
+// stores. A temp keeps every column of its schema (the engine gives it a
+// plan node's live columns), column-major per page, on the simulated local
+// disk, except the pages the Manager keeps resident.
 package mem
 
 import "fmt"

@@ -67,10 +67,9 @@ func newStore() (*TempStore, *sim.Clock, sim.Params) {
 	return NewTempStore(p, disk, clock), clock, p
 }
 
-// pop consumes r's next tuple, which must be in memory at now, as a row of
-// the temp's stored columns.
+// pop consumes r's next tuple, which must be in memory at now.
 func pop(r *Reader, now time.Duration) relation.Tuple {
-	b := relation.NewBatch(len(r.temp.keep))
+	b := relation.NewBatch(r.temp.width)
 	if r.Pop(now, b, 1) != 1 {
 		panic("pop: next tuple not in memory")
 	}

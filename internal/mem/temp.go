@@ -81,28 +81,21 @@ func (s *TempStore) Reclaim() {
 
 // CreateSized opens a new temporary relation with the given schema, written
 // with asynchronous I/O (the §4.4 cost assumption for materialization
-// fragments). keep lists the schema positions the temp stores, ascending
-// (a non-nil empty list stores none); with no keep argument it stores every
-// column. rows is a row-count hint: the arena is sized for about rows
-// tuples up front — the smallest pooled arena that holds them, so repeated
-// sized materializations reach steady state with no arena allocation — and
-// a materialization that stays within the hint never re-copies its arena.
-// Neither keep nor the hint changes page bookkeeping or I/O charges.
-func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int, keep ...int) *Temp {
+// fragments). The temp stores every column of its schema; the engine gives
+// it a plan node's Live schema, so it holds only the columns the plan
+// reads. rows is a row-count hint: the arena is sized for about rows tuples
+// up front — the smallest pooled arena that holds them, so repeated sized
+// materializations reach steady state with no arena allocation — and a
+// materialization that stays within the hint never re-copies its arena.
+// Neither the width nor the hint changes page bookkeeping or I/O charges.
+func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int) *Temp {
 	obj := s.nextObj
 	s.nextObj++
-	if keep == nil {
-		keep = make([]int, schema.Width())
-		for i := range keep {
-			keep[i] = i
-		}
-	}
 	t := &Temp{
 		store:  s,
 		name:   name,
 		object: obj,
 		width:  schema.Width(),
-		keep:   keep,
 	}
 	need := (max(rows, 0) + s.perPage - 1) / s.perPage * t.pageVals()
 	if s.pool != nil {
@@ -118,16 +111,16 @@ func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int, 
 // CreateSyncSized is CreateSized for a temp whose page writes hold the CPU
 // until the transfer completes — the behaviour of a strategy built on the
 // classic synchronous iterator engine, like materialize-all.
-func (s *TempStore) CreateSyncSized(name string, schema *relation.Schema, rows int, keep ...int) *Temp {
-	t := s.CreateSized(name, schema, rows, keep...)
+func (s *TempStore) CreateSyncSized(name string, schema *relation.Schema, rows int) *Temp {
+	t := s.CreateSized(name, schema, rows)
 	t.sync = true
 	return t
 }
 
 // Temp is one temporary relation: tuples plus the virtual times at which
-// each page became durable on disk. It stores only its kept columns, in one
-// flat []int64 arena laid out page after page and column-major within a
-// page: kept column c of row i is at pageBase(i) + c·perPage + i%perPage.
+// each page became durable on disk. It stores its rows in one flat []int64
+// arena laid out page after page and column-major within a page: column c
+// of row i is at pageBase(i) + c·perPage + i%perPage.
 // Materializing n tuples costs a few geometric arena growths instead of one
 // allocation per tuple, and a reader pops one contiguous run per column.
 type Temp struct {
@@ -136,8 +129,7 @@ type Temp struct {
 	object int
 
 	sync     bool
-	width    int     // values per appended row, from the schema
-	keep     []int   // stored schema positions, ascending
+	width    int     // values per row, from the schema
 	data     []int64 // the page-major, column-major arena
 	nrows    int
 	pageDone []time.Duration // write-completion time per full page
@@ -159,12 +151,12 @@ type Temp struct {
 func (t *Temp) Len() int { return t.nrows }
 
 // pageVals is the number of arena values one page occupies.
-func (t *Temp) pageVals() int { return t.store.perPage * len(t.keep) }
+func (t *Temp) pageVals() int { return t.store.perPage * t.width }
 
 // Pages returns the number of pages written so far.
 func (t *Temp) Pages() int { return len(t.pageDone) }
 
-// Append adds one full-width row, copying its kept values into the arena;
+// Append adds one row of the temp's width, copying it into the arena;
 // the caller's backing array may be reused afterwards. When a page fills
 // up, its write is issued asynchronously: the caller's CPU is charged the
 // I/O-issue cost, the disk timeline absorbs the transfer, and the completion
@@ -180,8 +172,8 @@ func (t *Temp) Append(tup relation.Tuple) {
 		t.data = slices.Grow(t.data, t.pageVals())[:len(t.data)+t.pageVals()]
 	}
 	at := len(t.data) - t.pageVals() + t.inPage
-	for _, p := range t.keep {
-		t.data[at] = tup[p]
+	for _, v := range tup {
+		t.data[at] = v
 		at += t.store.perPage
 	}
 	t.nrows++
@@ -422,16 +414,16 @@ func (r *Reader) NextArrival() (time.Duration, bool) {
 	return r.readyAt[k], true
 }
 
-// Pop moves up to max tuples into dst, which must have the temp's stored
-// width, as one contiguous run per stored column, never crossing a page
-// boundary, and returns how many it moved. Bounding the chunk at the page
-// edge puts the I/O charges where consumption incurs them: the page read
-// (synchronous wait or prefetch issue) is paid exactly when consumption
-// first touches the page, which for a page-bounded chunk is the call itself.
+// Pop moves up to max tuples into dst, which must have the temp's width, as
+// one contiguous run per column, never crossing a page boundary, and
+// returns how many it moved. Bounding the chunk at the page edge puts the
+// I/O charges where consumption incurs them: the page read (synchronous
+// wait or prefetch issue) is paid exactly when consumption first touches
+// the page, which for a page-bounded chunk is the call itself.
 func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
 	t := r.temp
-	if dst.Width() != len(t.keep) {
-		panic(fmt.Sprintf("mem: pop of temp %q storing %d columns into a width-%d batch", t.name, len(t.keep), dst.Width()))
+	if dst.Width() != t.width {
+		panic(fmt.Sprintf("mem: pop of width-%d temp %q into a width-%d batch", t.width, t.name, dst.Width()))
 	}
 	if r.pos >= t.nrows || max <= 0 {
 		return 0
@@ -465,20 +457,19 @@ func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
 	return n
 }
 
-// PopN is Pop into full-width rows, which stay valid until the next call;
-// after its first call it allocates nothing. It stays only because bench/
-// calls it — remove with the next [benchmark] PR.
+// PopN is Pop into rows, which stay valid until the next call; after its
+// first call it allocates nothing. It stays only because bench/ calls it —
+// remove with the next [benchmark] PR.
 func (r *Reader) PopN(now time.Duration, dst []relation.Tuple) int {
-	t := r.temp
+	w := r.temp.width
 	if r.shim == nil {
-		r.shim = relation.NewBatch(len(t.keep))
+		r.shim = relation.NewBatch(w)
 	}
-	r.shim.Reset(len(t.keep))
+	r.shim.Reset(w)
 	n := r.Pop(now, r.shim, len(dst))
-	r.shimRows = slices.Grow(r.shimRows[:0], n*t.width)[:n*t.width]
+	r.shimRows = slices.Grow(r.shimRows[:0], n*w)[:n*w]
 	for i := range n {
-		dst[i] = r.shimRows[i*t.width : (i+1)*t.width : (i+1)*t.width]
-		r.shim.Gather(i, dst[i], t.keep)
+		dst[i] = r.shim.Row(i, r.shimRows[i*w:(i+1)*w:(i+1)*w])
 	}
 	return n
 }

@@ -14,6 +14,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"dqs/internal/relation"
 )
@@ -72,6 +73,13 @@ type Node struct {
 
 	// Schema of this operator's result.
 	Schema *relation.Schema
+	// Live is Schema narrowed to the columns the engine reads — every join
+	// key and scan predicate column of the whole plan — in schema order, so
+	// a join's Live is its probe's Live followed by its build's and the
+	// output's is its child's. Output sets it on every node of the finished
+	// plan. The engine holds, probes, spills and stages rows of this width;
+	// only the wrapper's projection and a result Sink see Schema.
+	Live *relation.Schema
 
 	// EstRows is the optimizer's cardinality estimate for this operator's
 	// result; used for memory-requirement and materialization-cost
@@ -147,7 +155,7 @@ func (b *Builder) HashJoin(build, probe *Node, buildKey, probeKey relation.ColRe
 }
 
 // Output wraps the root operator; the output node is where result tuples
-// leave the engine.
+// leave the engine. It finishes the plan: every node's Live is set here.
 func (b *Builder) Output(child *Node) (*Node, error) {
 	if child == nil {
 		return nil, fmt.Errorf("plan: output of nil child")
@@ -163,6 +171,25 @@ func (b *Builder) Output(child *Node) (*Node, error) {
 		EstRows: child.EstRows,
 	}
 	child.parent = n
+	var refs []relation.ColRef
+	Walk(n, func(m *Node) error { //nolint:errcheck // fn never fails
+		switch {
+		case m.Kind == KindHashJoin:
+			refs = append(refs, m.BuildKey, m.ProbeKey)
+		case m.Pred != nil:
+			refs = append(refs, m.Pred.Col)
+		}
+		return nil
+	})
+	Walk(n, func(m *Node) error { //nolint:errcheck // fn never fails
+		m.Live = &relation.Schema{}
+		for _, c := range m.Schema.Cols {
+			if slices.Contains(refs, c) {
+				m.Live.Cols = append(m.Live.Cols, c)
+			}
+		}
+		return nil
+	})
 	return n, nil
 }
 

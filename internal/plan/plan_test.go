@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,7 +115,6 @@ func TestValidateRejectsNonOutputRoot(t *testing.T) {
 
 func TestJoinSchemaIsProbeThenBuild(t *testing.T) {
 	root, joins, _ := buildFig5(t)
-	_ = root
 	j1 := joins[0] // build E, probe A
 	if got := j1.Schema.String(); !strings.HasPrefix(got, "(A.id") || !strings.Contains(got, "E.id") {
 		t.Errorf("J1 schema = %s, want probe (A) columns first", got)
@@ -122,6 +122,75 @@ func TestJoinSchemaIsProbeThenBuild(t *testing.T) {
 	if !j1.Schema.HasRel("A") || !j1.Schema.HasRel("E") || j1.Schema.HasRel("B") {
 		t.Errorf("J1 schema contents wrong: %s", j1.Schema)
 	}
+	// The live layout follows the same order: probe's live columns, then
+	// build's.
+	if got, want := j1.Live.String(), "(A.k1, A.k2, E.k1)"; got != want {
+		t.Errorf("J1 live = %s, want %s", got, want)
+	}
+	checkLive(t, root)
+
+	// A single-relation plan reads no column unless its scan has a
+	// predicate.
+	cat := relation.NewCatalog()
+	a := cat.MustAdd("A", 10, "id", "k")
+	for _, tc := range []struct {
+		pred *Pred
+		want string
+	}{
+		{nil, "()"},
+		{&Pred{Col: relation.ColRef{Rel: "A", Col: "k"}, Less: 5}, "(A.k)"},
+	} {
+		b := NewBuilder()
+		s, err := b.Scan(a, tc.pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := b.Output(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Live.String(); got != tc.want {
+			t.Errorf("single-relation plan (pred %v): live = %s, want %s", tc.pred, got, tc.want)
+		}
+		checkLive(t, out)
+	}
+}
+
+// checkLive asserts the plan's live layout on every node: Live is Schema
+// filtered to the plan's join keys and scan predicate columns, in schema
+// order; a join's Live is its probe's followed by its build's; the output's
+// Live is its child's.
+func checkLive(t *testing.T, root *Node) {
+	t.Helper()
+	var refs []relation.ColRef
+	Walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
+		switch {
+		case n.Kind == KindHashJoin:
+			refs = append(refs, n.BuildKey, n.ProbeKey)
+		case n.Pred != nil:
+			refs = append(refs, n.Pred.Col)
+		}
+		return nil
+	})
+	Walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
+		var want []relation.ColRef
+		for _, c := range n.Schema.Cols {
+			if slices.Contains(refs, c) {
+				want = append(want, c)
+			}
+		}
+		switch {
+		case n.Live == nil:
+			t.Errorf("node %d (%s) has no live schema", n.ID, n.Kind)
+		case !slices.Equal(n.Live.Cols, want):
+			t.Errorf("node %d (%s): live %s, want %v", n.ID, n.Kind, n.Live, want)
+		case n.Kind == KindHashJoin && !slices.Equal(n.Live.Cols, append(slices.Clone(n.Probe.Live.Cols), n.Build.Live.Cols...)):
+			t.Errorf("join %d: live %s is not probe %s then build %s", n.ID, n.Live, n.Probe.Live, n.Build.Live)
+		case n.Kind == KindOutput && !slices.Equal(n.Live.Cols, n.Child.Live.Cols):
+			t.Errorf("output: live %s, child's %s", n.Live, n.Child.Live)
+		}
+		return nil
+	})
 }
 
 func TestDecomposeFig5Chains(t *testing.T) {

@@ -62,7 +62,8 @@ func randomPlan(t *testing.T, rng *sim.RNG, n int) *Node {
 //  2. every join is probed by exactly one chain and built by exactly one;
 //  3. exactly one chain ends at the output;
 //  4. the ancestor relation is acyclic (topological order exists);
-//  5. every chain's operator count sums to the plan's operator count.
+//  5. every chain's operator count sums to the plan's operator count;
+//  6. every node's live layout is the one checkLive describes.
 func TestDecomposeInvariantsOnRandomPlans(t *testing.T) {
 	rng := sim.NewRNG(42)
 	for trial := 0; trial < 60; trial++ {
@@ -71,6 +72,7 @@ func TestDecomposeInvariantsOnRandomPlans(t *testing.T) {
 		if err := Validate(root); err != nil {
 			t.Fatalf("trial %d: invalid plan: %v", trial, err)
 		}
+		checkLive(t, root)
 		dec, err := Decompose(root)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -4,7 +4,7 @@ import "fmt"
 
 // Batch is a fixed-width columnar tuple batch: column c of row i is
 // Col(c)[i]. It is the unit of the engine's columnar dataflow — wrapper
-// queues fill batches with flat per-column runs, fragments gather rows back
+// queues fill batches with flat per-column runs, fragments read rows back
 // out — replacing the slice-of-slices row batches whose per-tuple headers
 // made every transfer a pointer-chasing, write-barriered copy.
 //
@@ -106,24 +106,11 @@ func (b *Batch) AppendTuple(t Tuple) {
 	b.n++
 }
 
-// Gather scatters row i into dst at the given destination positions:
-// dst[at[c]] = Col(c)[i]. It is how a fragment reconstructs a (possibly
-// wider) processing row from a projected batch; positions absent from `at`
-// keep whatever dst already holds.
-func (b *Batch) Gather(i int, dst Tuple, at []int) {
-	if len(at) != b.width {
-		panic(fmt.Sprintf("relation: gather map of %d positions for width-%d batch", len(at), b.width))
-	}
-	for c, p := range at {
-		dst[p] = b.cols[c][i]
-	}
-}
-
 // Row copies row i into dst[:Width] and returns it as a tuple; dst must
 // have capacity for Width values.
 func (b *Batch) Row(i int, dst Tuple) Tuple {
 	dst = dst[:b.width]
-	for c := range b.cols {
+	for c := range dst {
 		dst[c] = b.cols[c][i]
 	}
 	return dst

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -48,19 +49,31 @@ func TestBatchAppendTupleAndRow(t *testing.T) {
 	}
 }
 
-func TestBatchGatherScattersByMap(t *testing.T) {
-	// A 2-column batch holding live columns of a 4-wide schema at positions
-	// 1 and 3: Gather must scatter into those positions and leave the dead
-	// positions untouched by the batch (the caller zeroes them).
+func TestBatchRowFillsDstPrefix(t *testing.T) {
+	// Row writes the batch's Width values into dst's prefix and returns that
+	// prefix; dst's values past Width stay as the caller left them.
 	b := NewBatch(2)
 	b.AppendTuple(Tuple{7, 9})
-	dst := Tuple{0, 0, 0, 0}
-	b.Gather(0, dst, []int{1, 3})
-	want := Tuple{0, 7, 0, 9}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("Gather dst = %v, want %v", dst, want)
-		}
+	dst := Tuple{0, 0, -1, -1}
+	got := b.Row(0, dst)
+	if len(got) != 2 || got[0] != 7 || got[1] != 9 {
+		t.Fatalf("Row(0) = %v, want [7 9]", got)
+	}
+	if want := (Tuple{7, 9, -1, -1}); !slices.Equal(dst, want) {
+		t.Fatalf("Row dst = %v, want %v", dst, want)
+	}
+}
+
+// TestBatchRowAfterNarrowingReset pins that Row reads only the batch's
+// current columns: a Reset to a smaller width keeps the wider batch's
+// column slices, and Row must not walk them.
+func TestBatchRowAfterNarrowingReset(t *testing.T) {
+	b := NewBatch(3)
+	b.AppendTuple(Tuple{1, 2, 3})
+	b.Reset(1)
+	b.AppendTuple(Tuple{7})
+	if got := b.Row(0, make(Tuple, 1)); !slices.Equal(got, Tuple{7}) {
+		t.Fatalf("Row(0) after Reset(1) = %v, want [7]", got)
 	}
 }
 
@@ -98,20 +111,21 @@ func TestBatchResetKeepsCapacityAndRewidths(t *testing.T) {
 	}
 }
 
-func TestBatchGatherDoesNotAllocate(t *testing.T) {
+// TestBatchRowDoesNotAllocate guards a fragment's per-slot path: a chunk
+// reads every row into one reused tuple.
+func TestBatchRowDoesNotAllocate(t *testing.T) {
 	b := NewBatch(3)
 	for i := 0; i < 64; i++ {
 		b.AppendTuple(Tuple{int64(i), int64(i * 2), int64(i * 3)})
 	}
-	dst := make(Tuple, 6)
-	at := []int{0, 2, 4}
-	gather := func() {
+	dst := make(Tuple, 3)
+	read := func() {
 		for i := 0; i < b.Len(); i++ {
-			b.Gather(i, dst, at)
+			b.Row(i, dst)
 		}
 	}
-	if got := testing.AllocsPerRun(20, gather); got != 0 {
-		t.Errorf("Gather allocates %v times per run, want 0", got)
+	if got := testing.AllocsPerRun(20, read); got != 0 {
+		t.Errorf("Row allocates %v times per run, want 0", got)
 	}
 }
 
