@@ -69,11 +69,13 @@ loc:
 # CPU and allocation profiles of serial full-scale Figure 6, the command
 # behind ROADMAP's "where host time goes" table: full-scale tables overflow
 # L2 as the benchmark's scale_full does, which -small runs never do. Prints
-# the top 15 cumulative entries of each profile so perf work starts from
-# evidence, and leaves cpu.prof / mem.prof behind for interactive
-# `go tool pprof`.
+# the top 15 cumulative entries of each profile, and the top 15 allocation
+# sites by object count (the benchmark's allocs_per_op, which bytes alone
+# hide), so perf work starts from evidence, and leaves cpu.prof / mem.prof
+# behind for interactive `go tool pprof`.
 profile:
 	$(GO) build -o dqsbench.bin ./cmd/dqsbench
 	./dqsbench.bin -exp fig6 -reps 1 -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
 	$(GO) tool pprof -top -cum -nodecount 15 dqsbench.bin cpu.prof
 	$(GO) tool pprof -top -cum -nodecount 15 dqsbench.bin mem.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 15 dqsbench.bin mem.prof

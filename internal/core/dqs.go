@@ -86,7 +86,7 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 		// only counts as skipped if spilling everything still leaves it short.
 		avail := med.Mem.Available()
 		var taken int64 // estimated growth of the fragments accepted so far
-		var sp []*exec.Fragment
+		sp := p.sp[:0]
 		var skippedTop *cand
 		var skippedAdd int64
 		for i := range cands {
@@ -134,6 +134,7 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 				skippedTop.frag.Label, skippedAdd, avail)
 			sp = append(sp, skippedTop.frag)
 		}
+		p.sp = sp
 		return sp, nil
 	}
 }
@@ -149,12 +150,13 @@ func (p *dsePolicy) candidates(st *State) []cand {
 			cs.memSuspended = false
 		}
 	}
-	cands := make([]cand, 0, len(p.states))
+	cands := p.cands[:0]
 	for _, cs := range p.states {
 		if c, ok := p.evalChain(st, cs); ok {
 			cands = append(cands, c)
 		}
 	}
+	p.cands = cands
 	return cands
 }
 

@@ -19,6 +19,11 @@ type dsePolicy struct {
 	uptake
 	states []*chainState
 
+	// sp and cands are the last planning point's plan and candidates, their
+	// storage reused by the next (see SchedulingPlan.Frags).
+	sp    []*exec.Fragment
+	cands []cand
+
 	// splitBudget bounds the memory-repair splits of one planning point.
 	// Every split consumes at least one chain step for its head segment, so
 	// a legitimate repair sequence can never need more than the total step
@@ -100,7 +105,9 @@ func (p *dsePolicy) Plan(st *State) (SchedulingPlan, error) {
 		return SchedulingPlan{}, fmt.Errorf("core: no schedulable work but %s", st.pending())
 	}
 	med.CountReplan()
-	med.Trace.Add(med.Now(), sim.EvSchedule, "SP = [%s]", spLabels(sp))
+	if med.Trace.Enabled() { // the labels are built even when tracing is off
+		med.Trace.Add(med.Now(), sim.EvSchedule, "SP = [%s]", spLabels(sp))
+	}
 	med.CM.SnapshotPlanned(med.Cfg.InitialWaitEstimate)
 	return SchedulingPlan{
 		Frags:        sp,

@@ -84,6 +84,9 @@ type Event struct {
 // point: the fragments to run and the execution mode of the phase.
 type SchedulingPlan struct {
 	// Frags are the scheduled fragments in strictly decreasing priority.
+	// The slice is valid until the policy's next Plan, which may reuse its
+	// storage (DSE's plan, MA's materialization fragments and DPHJ's feeds
+	// do).
 	Frags []*exec.Fragment
 	// RoundRobin switches the phase from priority order to a sweep: the
 	// same phase loop, with two conditions changed — after a batch it moves

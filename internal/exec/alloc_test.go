@@ -24,8 +24,9 @@ func TestStrandReusesPendingArena(t *testing.T) {
 	if got := testing.AllocsPerRun(50, strand); got != 0 {
 		t.Errorf("steady-state strand of %d tuples allocates %v times per run, want 0", len(outs), got)
 	}
-	// Stranded tuples are deep copies: mutating the originals afterwards must
-	// not reach the pending buffer.
+	// Stranded tuples are deep copies: they come from the mediator's cascade
+	// arena, which the next batch of any fragment overwrites, so mutating
+	// the originals afterwards must not reach the pending buffer.
 	strand()
 	outs[0][0] = 999
 	if f.pending[0][0] != 0 {
@@ -35,9 +36,9 @@ func TestStrandReusesPendingArena(t *testing.T) {
 
 // TestColumnarSteadyStateRunAllocations pins the pool-recycle contract of
 // the columnar path: once the Scratch a mediator draws is warm, repeat
-// columnar runs reuse the recycled batches, pass masks, queues, hash tables
-// and arenas, so a steady-state run allocates a small fraction of a cold
-// one.
+// columnar runs reuse its queues, hash tables and staging, and its cascade's
+// chunk, headers and arena as grown, so a steady-state run allocates a small
+// fraction of a cold one.
 func TestColumnarSteadyStateRunAllocations(t *testing.T) {
 	w := smallFig5(t)
 	run := func(cold bool) func() {
@@ -47,8 +48,8 @@ func TestColumnarSteadyStateRunAllocations(t *testing.T) {
 	// Each pooled run gets the Scratch the run before it reclaimed.
 	warm := testing.AllocsPerRun(3, run(false))
 	// A run carries irreducible per-run setup (sources, fragments, trace);
-	// the pooled share — queues, tables, arenas, batches, masks — must be
-	// gone. Cold runs measure ~500 allocations here, warm ~300.
+	// the pooled share — queues, tables, staging, the cascade — must be
+	// gone. Cold runs measure ~330 allocations here, warm ~160.
 	if warm > 3*cold/4 {
 		t.Errorf("warm columnar run allocates %v times, cold run %v: pool recycle is not engaging", warm, cold)
 	}

@@ -48,7 +48,9 @@ func (k TerminalKind) String() string {
 // input tuple source and a terminal. A full PC, an MF, a CF, the halves of a
 // memory-repair split and a DPHJ feed are all Fragments differing only in
 // step range, input and terminal. Fragments are resumable: the DQP can
-// process a batch, switch away, and come back with no loss.
+// process a batch, switch away, and come back with no loss. A batch runs on
+// the mediator's one cascade and leaves nothing there: the chunk is drained
+// or its tail unpopped, and every output is sunk or stranded (copied).
 type Fragment struct {
 	rt    *Runtime
 	Chain *plan.Chain
@@ -69,18 +71,12 @@ type Fragment struct {
 
 	steps []stepExec
 
-	// Per-batch scratch storage, reused across input tuples: curBuf/nextBuf
-	// hold the intermediate tuple headers of the probe cascade, arena backs
-	// the concatenated tuple values. Both sinks (hash-table insert, temp
-	// append) copy, so recycling the scratch between input tuples is safe.
-	curBuf, nextBuf []relation.Tuple
-	arena           relation.Arena
-
 	// pending holds terminal-ready tuples that could not be sunk because
 	// the memory grant was exhausted; they are retried on resume. Pending
-	// tuples are copied out of the scratch arena into pendArena, which is
-	// reset only when the retry buffer has fully drained, so the overflow
-	// path allocates nothing in steady state either.
+	// tuples are copied out of the mediator's cascade arena into pendArena,
+	// which grows only for a fragment that strands outputs and is reset only
+	// when the retry buffer has fully drained, so a repeated overflow
+	// allocates nothing either.
 	pending   []relation.Tuple
 	pendArena relation.Arena
 	processed int64
@@ -89,10 +85,6 @@ type Fragment struct {
 	// split its segment and the chain opened a new fragment at the same
 	// step. It never runs again and Cancel skips it.
 	superseded bool
-
-	// heads holds the first probe step's chain heads for the popped chunk,
-	// resolved in one call (probe steps only).
-	heads []int32
 }
 
 type stepExec struct {
@@ -139,14 +131,6 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 			g.superseded = true
 		}
 	}
-	s := rt.Med.scratch
-	f.arena.Recycle(s.GetInts())
-	f.pendArena.Recycle(s.GetInts())
-	f.curBuf = s.GetTuples()
-	f.nextBuf = s.GetTuples()
-	if len(f.steps) > 0 {
-		f.heads = s.GetHeads()
-	}
 	_, f.QueueInput = in.(*queueSource)
 	rt.frags = append(rt.frags, f)
 	return f
@@ -181,7 +165,7 @@ func (rt *Runtime) NewMFSync(c *plan.Chain) *Fragment {
 // NewCFSync creates the complement fragment over a completed MF's temp,
 // with synchronous page reads (no prefetch overlap).
 func (rt *Runtime) NewCFSync(c *plan.Chain, temp *mem.Temp) *Fragment {
-	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), rt.tempSource(temp.NewSyncReader(), c.Scan.Live), chainTerm(c), nil)
+	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), tempSource{temp.NewSyncReader()}, chainTerm(c), nil)
 }
 
 // NewSegment creates the fragment executing chain steps [fromStep, toStep).
@@ -216,19 +200,13 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 	if queueInput {
 		in = rt.qsrcs[c.Scan.Rel.Name]
 	} else {
-		in = rt.tempSource(prev.NewReader(rt.Cfg.PrefetchPages), inputSchemaAt(c, fromStep))
+		in = tempSource{prev.NewReader(rt.Cfg.PrefetchPages)}
 	}
 	if last {
 		return rt.newFragment(c, label, fromStep, toStep, in, chainTerm(c), nil)
 	}
 	temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep), rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
 	return rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
-}
-
-// tempSource wraps a reader of a query temp whose rows have the given schema
-// as fragment input, its chunk staging taken from the mediator's scratch.
-func (rt *Runtime) tempSource(r *mem.Reader, schema *relation.Schema) *tempSource {
-	return &tempSource{Reader: r, ch: newChunk(rt.Med.scratch, schema.Width())}
 }
 
 // Done reports whether the fragment has fully terminated.
@@ -302,33 +280,33 @@ func (f *Fragment) sink(outs []relation.Tuple) int {
 	return len(outs)
 }
 
-// applyTuple pushes one input tuple through the fragment's probe steps and
-// returns the terminal-ready results. heads holds the first step's chain
-// heads for the tuple's chunk (nil without probe steps) and i is the tuple's
-// position in it. All CPU costs of the tuple's cascade are accumulated and
-// charged in one clock addition at the end: no code in the cascade reads the
-// clock, and duration addition is exact, so the clock lands on the same
-// instant as per-charge billing. The returned slice and its tuples live in
-// the fragment's scratch buffers and are recycled by the next applyTuple
-// call: sink every result (or copy it out) before processing another input.
-func (f *Fragment) applyTuple(t relation.Tuple, heads []int32, i int) []relation.Tuple {
+// applyTuple pushes input tuple t, slot i of the cascade's chunk, through
+// the fragment's probe steps and returns the terminal-ready results; the
+// first step reads the chunk's chain heads from cs.heads. All CPU costs of
+// the tuple's cascade are accumulated and charged in one clock addition at
+// the end: no code in the cascade reads the clock, and duration addition is
+// exact, so the clock lands on the same instant as per-charge billing. The
+// returned slice and its tuples live in the mediator's cascade and are
+// recycled by the next applyTuple call, this fragment's or another's: sink
+// every result (or strand it, which copies) before processing another input.
+func (f *Fragment) applyTuple(cs *cascade, t relation.Tuple, i int) []relation.Tuple {
 	costs := &f.rt.Costs
 	d := costs.MoveT
 	if f.QueueInput {
 		d += costs.ReceiveT
 	}
-	f.arena.Reset()
-	cur, next := append(f.curBuf[:0], t), f.nextBuf[:0]
+	cs.arena.Reset()
+	cur, next := append(cs.cur[:0], t), cs.next[:0]
 	for step, s := range f.steps {
 		ht := s.table.ht
 		next = next[:0]
 		matches := 0
 		if step == 0 {
-			next, matches = ht.ConcatChain(next, t, heads[i], &f.arena)
+			next, matches = ht.ConcatChain(next, t, cs.heads[i], &cs.arena)
 		} else {
 			for _, u := range cur {
 				var k int
-				next, k = ht.ProbeConcat(next, u, u[s.probeIdx], &f.arena)
+				next, k = ht.ProbeConcat(next, u, u[s.probeIdx], &cs.arena)
 				matches += k
 			}
 		}
@@ -338,25 +316,24 @@ func (f *Fragment) applyTuple(t relation.Tuple, heads []int32, i int) []relation
 			break
 		}
 	}
-	f.curBuf, f.nextBuf = cur, next
+	cs.cur, cs.next = cur, next
 	costs.CPU.Clock.Work(d)
 	return cur
 }
 
 // probeHeads checks once per chunk that every table the fragment probes is
-// complete, then resolves the first step's chain heads for the chunk's
-// probe keys in one call. It reads only those completed tables (a fragment
-// never builds a table it probes) and no clock, so it moves no virtual
-// instant.
-func (f *Fragment) probeHeads(keys []int64) []int32 {
+// complete, then resolves the first step's chain heads for the cascade's
+// chunk into cs.heads in one call. It reads only those completed tables (a
+// fragment never builds a table it probes) and no clock, so it moves no
+// virtual instant.
+func (f *Fragment) probeHeads(cs *cascade) {
 	for _, s := range f.steps {
 		if !s.table.complete {
 			panic(fmt.Sprintf("exec: %s probes incomplete table of J%d", f.Label, s.join.ID))
 		}
 	}
-	f.heads = sized(f.heads, len(keys))
-	f.steps[0].table.ht.Heads(keys, f.heads)
-	return f.heads
+	cs.heads = sized(cs.heads, cs.ch.n)
+	f.steps[0].table.ht.Heads(cs.ch.keys(f.steps[0].probeIdx), cs.heads)
 }
 
 // sized returns s resliced to length n, reallocated when it is too short.
@@ -368,10 +345,11 @@ func sized[T any](s []T, n int) []T {
 }
 
 // strand copies overflow-stranded outputs into the pending retry buffer;
-// they must outlive the per-tuple scratch arena, so they go into the
-// fragment's dedicated pending arena. Stranding only ever starts from an
-// empty retry buffer (ProcessBatch drains pending before consuming input),
-// so resetting the arena here cannot invalidate live pending tuples.
+// they must outlive the cascade arena, which the next batch of any fragment
+// on the mediator reuses, so they go into the fragment's own pending arena.
+// Stranding only ever starts from an empty retry buffer (ProcessBatch drains
+// pending before consuming input), so resetting the arena here cannot
+// invalidate live pending tuples.
 func (f *Fragment) strand(outs []relation.Tuple) {
 	if len(f.pending) == 0 {
 		f.pendArena.Reset()
@@ -406,31 +384,32 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 }
 
 // process consumes the input in chunks: every tuple available at the chunk
-// instant comes out in one pop, up to the source's window or page, and the
-// first probe step's heads are resolved for the whole chunk. Each slot is
-// credited back at the virtual instant its processing starts, so a wrapper's
-// window refills exactly as its tuples are reached. A slot the wrapper's
-// pushdown filtered still charges its receive+move; any other runs the
-// cascade into the sink. On overflow the unsunk outputs are stranded and the
-// chunk's unprocessed tail goes back to the source. After a chunk the
-// availability check repeats at the advanced clock, so tuples arriving while
-// it was processed are picked up at once.
+// instant comes out in one pop into the mediator's cascade, up to the
+// source's window or page, and the first probe step's heads are resolved for
+// the whole chunk. Each slot is credited back at the virtual instant its
+// processing starts, so a wrapper's window refills exactly as its tuples are
+// reached. A slot the wrapper's pushdown filtered still charges its
+// receive+move; any other runs the cascade into the sink. On overflow the
+// unsunk outputs are stranded and the chunk's unprocessed tail goes back to
+// the source. After a chunk the availability check repeats at the advanced
+// clock, so tuples arriving while it was processed are picked up at once.
 func (f *Fragment) process(max int) (int, bool) {
 	costs := &f.rt.Costs
 	filteredCharge := costs.MoveT + costs.ReceiveT
+	cs := &f.rt.Med.scratch.cascade
+	c := &cs.ch
 	n := 0
 	for n < max {
-		c := f.In.pop(f.rt.Now(), max-n)
+		f.In.pop(c, f.rt.Now(), max-n)
 		if c.n == 0 {
 			break
 		}
-		var heads []int32
 		if len(f.steps) > 0 {
-			heads = f.probeHeads(c.keys(f.steps[0].probeIdx))
+			f.probeHeads(cs)
 		}
 		for i := 0; i < c.n; i++ {
 			f.In.Credit(f.rt.Now())
-			if f.processed == 0 {
+			if f.processed == 0 && f.rt.Trace.Enabled() {
 				f.rt.Trace.Add(f.rt.Now(), sim.EvBatch, "%s first batch", f.Label)
 			}
 			f.processed++
@@ -440,7 +419,7 @@ func (f *Fragment) process(max int) (int, bool) {
 				costs.CPU.Clock.Work(filteredCharge)
 				continue
 			}
-			outs := f.applyTuple(t, heads, i)
+			outs := f.applyTuple(cs, t, i)
 			if k := f.sink(outs); k < len(outs) {
 				f.strand(outs[k:])
 				f.In.UnpopN(c.n - i - 1)

@@ -369,7 +369,7 @@ func refProcessBatch(f *Fragment, max int) (int, bool) {
 	if !refRetry(f) {
 		return 0, true
 	}
-	r := f.In.(*tempSource)
+	r := f.In.(tempSource)
 	width := inputSchemaAt(f.Chain, f.FromStep).Width()
 	n := 0
 	for n < max {
@@ -434,15 +434,15 @@ func refApplyTuple(f *Fragment, t relation.Tuple) []relation.Tuple {
 	if f.QueueInput {
 		d += costs.ReceiveT
 	}
-	f.arena.Reset()
-	cur, next := append(f.curBuf[:0], t), f.nextBuf[:0]
+	var arena relation.Arena
+	cur, next := []relation.Tuple{t}, []relation.Tuple(nil)
 	for _, s := range f.steps {
 		ht := f.rt.table(s.join).ht
 		next = next[:0]
 		matches := 0
 		for _, u := range cur {
 			var k int
-			next, k = ht.ProbeConcat(next, u, u[s.probeIdx], &f.arena)
+			next, k = ht.ProbeConcat(next, u, u[s.probeIdx], &arena)
 			matches += k
 		}
 		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(matches)*costs.ResultT
@@ -451,7 +451,6 @@ func refApplyTuple(f *Fragment, t relation.Tuple) []relation.Tuple {
 			break
 		}
 	}
-	f.curBuf, f.nextBuf = cur, next
 	costs.CPU.Clock.Work(d)
 	return cur
 }

@@ -229,7 +229,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			return nil, err
 		}
 		rt.sources[name] = src
-		rt.qsrcs[name] = &queueSource{q: q, src: src, ch: newChunk(m.scratch, len(p.keep))}
+		rt.qsrcs[name] = &queueSource{q: q, src: src}
 		if err := m.registerFaultEntry(rt, name, cmName, table, d, netTime); err != nil {
 			return nil, err
 		}

@@ -199,7 +199,7 @@ func (rt *Runtime) releaseTable(j *plan.Node) {
 	rt.Mem.Release(ts.holder, rt.Mem.Held(ts.holder))
 	ts.released = true
 	// The table's storage goes back to the pool right away: nothing aliases
-	// it (probe results are copied into fragment arenas), so a query the
+	// it (probe results are copied into the cascade arena), so a query the
 	// server admits later in this run may be handed it.
 	rt.Med.scratch.PutTable(ts.ht)
 	ts.ht = nil
@@ -299,9 +299,9 @@ func (rt *Runtime) complete() {
 func (rt *Runtime) CompletedAt() (time.Duration, bool) { return rt.completedAt, rt.completed }
 
 // reclaim hands the runtime's pooled structures back to s: surviving hash
-// tables, a join network an aborted run left, every input's queue, chunk and
-// wrapper staging and every fragment's scratch buffers. It takes s because
-// Mediator.Reclaim has already cleared its own.
+// tables, a join network an aborted run left, and every input's queue and
+// wrapper staging. It takes s because Mediator.Reclaim has already cleared
+// its own.
 func (rt *Runtime) reclaim(s *Scratch) {
 	for _, ts := range rt.tables {
 		s.PutTable(ts.ht) // nil once released
@@ -312,19 +312,7 @@ func (rt *Runtime) reclaim(s *Scratch) {
 	}
 	for _, qs := range rt.qsrcs {
 		s.PutQueue(qs.q)
-		qs.ch.reclaim(s)
 		qs.src.Release()
-	}
-	for _, f := range rt.frags {
-		if ts, ok := f.In.(*tempSource); ok {
-			ts.ch.reclaim(s)
-		}
-		s.PutInts(f.arena.Release())
-		s.PutInts(f.pendArena.Release())
-		s.PutTuples(f.curBuf)
-		s.PutTuples(f.nextBuf)
-		s.PutHeads(f.heads)
-		f.curBuf, f.nextBuf, f.pending, f.heads = nil, nil, nil, nil
 	}
 	rt.frags = nil
 }

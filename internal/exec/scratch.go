@@ -12,9 +12,10 @@ import (
 )
 
 // Scratch recycles the allocation-heavy execution state of one mediator —
-// wrapper queues, hash tables, tuple arenas, temp-relation storage,
-// probe-cascade scratch buffers, shared-stream schedules, wrapper staging
-// buffers and RNG streams — across runs. NewMediator checks one out
+// wrapper queues, hash tables, join-network arenas, temp-relation storage,
+// shared-stream schedules, wrapper staging buffers and RNG streams — across
+// runs, and holds the mediator's one fragment cascade, whose grown storage
+// the next run reuses as it is. NewMediator checks one out
 // (getScratch) and Mediator.Reclaim returns it, so repeated runs reuse grown
 // storage instead of re-allocating it; pooling recycles only capacity, never
 // contents (every object is reset or overwritten on checkout), so a run's
@@ -31,16 +32,17 @@ import (
 //
 // A Scratch is NOT safe for concurrent use: it serves one mediator at a time.
 type Scratch struct {
-	queues  pool[*comm.Queue]
-	tables  pool[*operator.HashTable]
-	temps   pool[[]int64] // temp-relation tuple storage, handed out best-fit
-	ints    pool[[]int64] // fragment and join-network arenas
-	tuples  pool[[]relation.Tuple]
-	batches pool[*relation.Batch]
-	bools   pool[[]bool]
-	heads   pool[[]int32]
-	times   pool[[]time.Duration] // stream schedules and wrapper staging, best-fit
-	rngs    pool[*sim.RNG]
+	queues pool[*comm.Queue]
+	tables pool[*operator.HashTable]
+	temps  pool[[]int64] // temp-relation tuple storage, handed out best-fit
+	ints   pool[[]int64] // join-network arenas
+	tuples pool[[]relation.Tuple]
+	bools  pool[[]bool]
+	times  pool[[]time.Duration] // stream schedules and wrapper staging, best-fit
+	rngs   pool[*sim.RNG]
+
+	// cascade is the running fragment's execution state (see cascade).
+	cascade cascade
 
 	// buildRows remembers the exact cardinality of each completed hash-table
 	// build, keyed by plan join-node ID, as the pre-size hint for the next
@@ -135,9 +137,7 @@ func (s *Scratch) settle() {
 	s.temps.settle()
 	s.ints.settle()
 	s.tuples.settle()
-	s.batches.settle()
 	s.bools.settle()
-	s.heads.settle()
 	s.times.settle()
 	s.rngs.settle()
 }
@@ -172,16 +172,14 @@ func putScratch(s *Scratch) {
 
 // The slice pools, one per element type: Get* returns a recycled length-zero
 // slice (nil when the pool is empty), Put* reclaims one. The int64 arenas
-// back fragment and join-network scratch tuples (temp-relation storage has
-// its own pool, below); tuples are header scratch, bools pass masks and
-// wrapper staging, heads the chain heads of a fragment's chunk.
+// back join-network scratch tuples (temp-relation storage has its own pool,
+// below); tuples are the join network's match headers, bools wrapper
+// staging.
 func (s *Scratch) GetInts() []int64            { return s.ints.pop() }
 func (s *Scratch) PutInts(b []int64)           { putSlice(&s.ints, b) }
 func (s *Scratch) GetTuples() []relation.Tuple { return s.tuples.pop() }
 func (s *Scratch) GetBools() []bool            { return s.bools.pop() }
 func (s *Scratch) PutBools(b []bool)           { putSlice(&s.bools, b) }
-func (s *Scratch) GetHeads() []int32           { return s.heads.pop() }
-func (s *Scratch) PutHeads(b []int32)          { putSlice(&s.heads, b) }
 
 // PutTuples reclaims a tuple-header scratch slice. The headers are cleared
 // so pooled slices don't pin tuple storage from finished runs.
@@ -275,24 +273,6 @@ func (s *Scratch) Table(keyIdx, width, rows int) *operator.HashTable {
 func (s *Scratch) PutTable(h *operator.HashTable) {
 	if h != nil {
 		s.tables.put(h)
-	}
-}
-
-// GetBatch returns a recycled columnar batch reset to the given width (the
-// NextBatch half of the batch recycle contract).
-func (s *Scratch) GetBatch(width int) *relation.Batch {
-	if b := s.batches.pop(); b != nil {
-		b.Reset(width)
-		return b
-	}
-	return relation.NewBatch(width)
-}
-
-// PutBatch returns a batch to the pool (the Release half of the contract);
-// its grown column capacity is kept for the next run.
-func (s *Scratch) PutBatch(b *relation.Batch) {
-	if b != nil {
-		s.batches.put(b)
 	}
 }
 

@@ -31,11 +31,11 @@ type TupleSource interface {
 	// Remaining returns the number of tuples not yet consumed.
 	Remaining() int
 
-	// pop removes up to max tuples available at now as one chunk, never
-	// more than the source's window (a queue) or page (a temp reader), so
-	// the staging it allocates is bounded whatever max is. The chunk lives
-	// in the source's staging until the next pop.
-	pop(now time.Duration, max int) *chunk
+	// pop fills c with up to max tuples available at now, never more than
+	// the source's window (a queue) or page (a temp reader), so the chunk's
+	// storage is bounded whatever max is. c is the running fragment's
+	// cascade chunk (see cascade); c.n == 0 means nothing was available.
+	pop(c *chunk, now time.Duration, max int)
 }
 
 // chunk is one popped run of a fragment's input: the popped rows' columns,
@@ -44,14 +44,15 @@ type TupleSource interface {
 // passing slot is read into one reused row.
 type chunk struct {
 	n    int
-	cols *relation.Batch
+	cols relation.Batch
 	pass []bool
 	buf  relation.Tuple
 }
 
-// newChunk returns chunk staging from s for input rows of the given width.
-func newChunk(s *Scratch, width int) chunk {
-	return chunk{cols: s.GetBatch(width), pass: s.GetBools(), buf: make(relation.Tuple, width)}
+// reset empties the chunk for rows of the given width.
+func (c *chunk) reset(width int) {
+	c.cols.Reset(width)
+	c.buf = sized(c.buf, width)
 }
 
 // keys returns the chunk's values of column col.
@@ -66,21 +67,26 @@ func (c *chunk) row(i int) relation.Tuple {
 	return c.cols.Row(i, c.buf)
 }
 
-// reclaim hands the chunk's staging back to s. Idempotent.
-func (c *chunk) reclaim(s *Scratch) {
-	s.PutBatch(c.cols)
-	s.PutBools(c.pass)
-	*c = chunk{}
+// cascade is the execution state of whichever fragment is running on a
+// mediator: the chunk its input popped, the first probe step's chain heads
+// for that chunk, the tuple headers of the probe cascade and the arena
+// backing the concatenated rows. The mediator's DQP runs one fragment's
+// batch at a time, and a batch drains or unpops its chunk and sinks or
+// strands (copies) every output before it yields, so one cascade per
+// mediator serves every fragment of every query on it. It lives in the
+// mediator's Scratch, so its grown storage carries over to the next run.
+type cascade struct {
+	ch        chunk
+	heads     []int32
+	cur, next []relation.Tuple
+	arena     relation.Arena
 }
 
-// queueSource adapts a wrapper queue plus its producing source. Its chunk
-// staging is shared by every fragment the wrapper feeds: a fragment drains
-// or unpops a chunk before it yields.
+// queueSource adapts a wrapper queue plus its producing source.
 type queueSource struct {
 	q      *comm.Queue
 	src    *source.Source
 	popped int
-	ch     chunk
 }
 
 func (s *queueSource) Available(now time.Duration) int { return s.q.Available(now) }
@@ -89,13 +95,11 @@ func (s *queueSource) Available(now time.Duration) int { return s.q.Available(no
 // means it is exhausted.
 func (s *queueSource) NextArrival() (time.Duration, bool) { return s.q.NextArrival() }
 
-func (s *queueSource) pop(now time.Duration, max int) *chunk {
-	c := &s.ch
+func (s *queueSource) pop(c *chunk, now time.Duration, max int) {
+	c.reset(s.q.Width())
 	c.pass = sized(c.pass, min(max, s.q.Capacity()))
-	c.cols.Reset(c.cols.Width())
-	c.n = s.q.PopColsN(now, c.cols, c.pass)
+	c.n = s.q.PopColsN(now, &c.cols, c.pass)
 	s.popped += c.n
-	return c
 }
 
 func (s *queueSource) Credit(now time.Duration) { s.q.Credit(now) }
@@ -118,20 +122,15 @@ func (s *queueSource) swap(src *source.Source) { s.src = src }
 
 // tempSource adapts a temp-relation reader. Credit is a no-op: a temp reader
 // has no window protocol, so there is no producer to resume.
-type tempSource struct {
-	*mem.Reader
-	ch chunk
-}
+type tempSource struct{ *mem.Reader }
 
-func (*tempSource) Credit(time.Duration) {}
+func (tempSource) Credit(time.Duration) {}
 
-func (s *tempSource) pop(now time.Duration, max int) *chunk {
-	c := &s.ch
-	c.cols.Reset(c.cols.Width())
-	c.n = s.Pop(now, c.cols, max)
+func (s tempSource) pop(c *chunk, now time.Duration, max int) {
+	c.reset(s.Width())
+	c.n = s.Pop(now, &c.cols, max)
 	c.pass = sized(c.pass, c.n)
 	for i := range c.pass {
 		c.pass[i] = true
 	}
-	return c
 }

@@ -39,8 +39,9 @@ func TestQueueSourceAccounting(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("no availability at announced arrival %v", at)
 		}
-		if got := src.pop(rt.Now(), 1<<40).n; got != n {
-			t.Fatalf("pop moved %d of %d available", got, n)
+		var c chunk
+		if src.pop(&c, rt.Now(), 1<<40); c.n != n {
+			t.Fatalf("pop moved %d of %d available", c.n, n)
 		}
 		for i := 0; i < n; i++ {
 			src.Credit(rt.Now())
@@ -79,14 +80,13 @@ func TestResultStringAndTotalWork(t *testing.T) {
 	}
 }
 
-// readTemp reads a closed temp whose rows have the given schema back through
-// a tempSource, stalling on page reads, and returns its rows. A Pop into the
-// chunk's batch panics unless the batch's width is the temp's, so every row
-// read has the width the temp stores.
-func readTemp(rt *Runtime, temp *mem.Temp, schema *relation.Schema) (rows []relation.Tuple) {
-	ts := rt.tempSource(temp.NewReader(rt.Cfg.PrefetchPages), schema)
+// readTemp reads a closed temp back through a tempSource, stalling on page
+// reads, and returns its rows, each of the width the temp stores.
+func readTemp(rt *Runtime, temp *mem.Temp) (rows []relation.Tuple) {
+	ts := tempSource{temp.NewReader(rt.Cfg.PrefetchPages)}
+	var c chunk
 	for !ts.Exhausted() {
-		c := ts.pop(rt.Now(), 1<<40)
+		ts.pop(&c, rt.Now(), 1<<40)
 		if c.n == 0 {
 			next, _ := ts.NextArrival()
 			rt.Clock.Stall(next)
@@ -160,7 +160,7 @@ func TestTempStoredWidth(t *testing.T) {
 		if !slices.Equal(tc.schema.Cols, tc.live) {
 			t.Errorf("%s stores %s, want %v", tc.frag.Label, tc.schema, tc.live)
 		}
-		got := readTemp(rt, tc.frag.Temp, tc.schema)
+		got := readTemp(rt, tc.frag.Temp)
 		if tc.sorted {
 			slices.SortFunc(got, byValue)
 		}

@@ -347,6 +347,10 @@ type Reader struct {
 	shimRows []int64         // PopN's row storage
 }
 
+// Width returns the number of values per row the temp stores, the width of
+// the batch Pop fills.
+func (r *Reader) Width() int { return r.temp.width }
+
 func (r *Reader) tuplesPerPage() int { return r.temp.store.perPage }
 
 func (r *Reader) pageOf(i int) int { return i / r.temp.store.perPage }
@@ -461,7 +465,7 @@ func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
 // first call it allocates nothing. It stays only because bench/ calls it —
 // remove with the next [benchmark] PR.
 func (r *Reader) PopN(now time.Duration, dst []relation.Tuple) int {
-	w := r.temp.width
+	w := r.Width()
 	if r.shim == nil {
 		r.shim = relation.NewBatch(w)
 	}

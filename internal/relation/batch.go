@@ -8,11 +8,11 @@ import "fmt"
 // out — replacing the slice-of-slices row batches whose per-tuple headers
 // made every transfer a pointer-chasing, write-barriered copy.
 //
-// Batches follow an explicit NextBatch/Release recycle contract: the
-// consumer obtains an empty batch from a pool (exec.Scratch), fills and
-// drains it, and releases it back. A released batch's columns keep their
-// grown capacity, so steady-state batch traffic allocates nothing. A Batch
-// is single-owner scratch state; it is not safe for concurrent use.
+// A batch has one owner, which Resets it before every fill and drains it
+// before the next (the engine's is the running fragment's cascade in
+// exec.Scratch). Reset keeps the columns' grown capacity, so steady-state
+// batch traffic allocates nothing. A Batch is single-owner scratch state;
+// it is not safe for concurrent use.
 type Batch struct {
 	width int
 	n     int

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"container/list"
+	"slices"
 	"time"
 )
 
@@ -36,7 +36,7 @@ type Disk struct {
 	p        Params
 	clock    *Clock
 	nextFree time.Duration
-	cache    *pageCache
+	cache    pageCache
 	lastPage map[int]int // object -> last physically accessed page
 	stats    DiskStats
 }
@@ -46,7 +46,7 @@ func NewDisk(p Params, clock *Clock) *Disk {
 	return &Disk{
 		p:        p,
 		clock:    clock,
-		cache:    newPageCache(p.IOCachePages),
+		cache:    pageCache{capacity: p.IOCachePages, pages: make([]PageID, 0, p.IOCachePages)},
 		lastPage: make(map[int]int),
 	}
 }
@@ -135,56 +135,37 @@ func (d *Disk) Forget(object int) {
 }
 
 // pageCache is a tiny LRU cache of page identities. It models the I/O cache
-// of Table 1: hits cost no disk traffic.
+// of Table 1: hits cost no disk traffic. Its few pages are one slice in
+// recency order, most recently used first, scanned linearly.
 type pageCache struct {
 	capacity int
-	order    *list.List // front = most recently used; values are PageID
-	index    map[PageID]*list.Element
-}
-
-func newPageCache(capacity int) *pageCache {
-	return &pageCache{
-		capacity: capacity,
-		order:    list.New(),
-		index:    make(map[PageID]*list.Element),
-	}
+	pages    []PageID
 }
 
 // touch reports whether id is cached, marking it most recently used if so.
 func (c *pageCache) touch(id PageID) bool {
-	e, ok := c.index[id]
-	if !ok {
+	i := slices.Index(c.pages, id)
+	if i < 0 {
 		return false
 	}
-	c.order.MoveToFront(e)
+	copy(c.pages[1:i+1], c.pages[:i])
+	c.pages[0] = id
 	return true
 }
 
 // insert adds id as most recently used, evicting the LRU page if full.
 func (c *pageCache) insert(id PageID) {
-	if c.capacity == 0 {
+	if c.capacity == 0 || c.touch(id) {
 		return
 	}
-	if e, ok := c.index[id]; ok {
-		c.order.MoveToFront(e)
-		return
+	if len(c.pages) < c.capacity {
+		c.pages = append(c.pages, id)
 	}
-	if c.order.Len() >= c.capacity {
-		lru := c.order.Back()
-		c.order.Remove(lru)
-		delete(c.index, lru.Value.(PageID))
-	}
-	c.index[id] = c.order.PushFront(id)
+	copy(c.pages[1:], c.pages) // the last page falls off the end
+	c.pages[0] = id
 }
 
 // dropObject evicts every cached page of the given object.
 func (c *pageCache) dropObject(object int) {
-	for e := c.order.Front(); e != nil; {
-		next := e.Next()
-		if id := e.Value.(PageID); id.Object == object {
-			c.order.Remove(e)
-			delete(c.index, id)
-		}
-		e = next
-	}
+	c.pages = slices.DeleteFunc(c.pages, func(id PageID) bool { return id.Object == object })
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -148,5 +150,137 @@ func TestDiskBusyTimeAccumulates(t *testing.T) {
 	want := p.DiskAccessTime() + 2*p.PageTransferTime()
 	if d.Stats().BusyTime != want {
 		t.Errorf("busy time = %v, want %v", d.Stats().BusyTime, want)
+	}
+}
+
+// refCache is a reference LRU kept apart from the page cache's recency
+// slice: every cached page carries the tick of its last use, and a full
+// cache evicts the page with the oldest tick.
+type refCache struct {
+	capacity int
+	tick     int
+	used     map[PageID]int
+}
+
+func (c *refCache) touch(id PageID) bool {
+	_, ok := c.used[id]
+	if ok {
+		c.tick++
+		c.used[id] = c.tick
+	}
+	return ok
+}
+
+func (c *refCache) insert(id PageID) {
+	if c.capacity == 0 || c.touch(id) {
+		return
+	}
+	if len(c.used) >= c.capacity {
+		var lru PageID
+		oldest := c.tick + 1
+		for p, at := range c.used {
+			if at < oldest {
+				lru, oldest = p, at
+			}
+		}
+		delete(c.used, lru)
+	}
+	c.tick++
+	c.used[id] = c.tick
+}
+
+func (c *refCache) dropObject(object int) {
+	for p := range c.used {
+		if p.Object == object {
+			delete(c.used, p)
+		}
+	}
+}
+
+// refDisk predicts a Disk's statistics from refCache and its own
+// sequentiality tracking.
+type refDisk struct {
+	p        Params
+	cache    refCache
+	lastPage map[int]int
+	stats    DiskStats
+}
+
+func (d *refDisk) transfer(id PageID) {
+	dur := d.p.PageTransferTime()
+	if last, ok := d.lastPage[id.Object]; !ok || id.Page != last+1 {
+		dur += d.p.DiskAccessTime()
+	}
+	d.lastPage[id.Object] = id.Page
+	d.stats.BusyTime += dur
+}
+
+// read returns whether the read is a cache hit.
+func (d *refDisk) read(id PageID) bool {
+	if d.cache.touch(id) {
+		d.stats.CacheHits++
+		return true
+	}
+	d.transfer(id)
+	d.stats.Reads++
+	d.cache.insert(id)
+	return false
+}
+
+// TestDiskCacheMatchesReferenceLRU drives random SyncRead, AsyncRead,
+// AsyncWrite and Forget streams over a few objects' pages at cache
+// capacities 0, 1 and 8 and checks every read's hit or miss, and the
+// statistics after every operation, against the reference LRU. Pages are
+// drawn from more identities than the cache holds, so which page a hit
+// promotes decides later evictions.
+func TestDiskCacheMatchesReferenceLRU(t *testing.T) {
+	for _, capacity := range []int{0, 1, 8} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("cap%d/seed%d", capacity, seed), func(t *testing.T) {
+				p := DefaultParams()
+				p.IOCachePages = capacity
+				d := NewDisk(p, NewClock())
+				ref := &refDisk{p: p, lastPage: make(map[int]int),
+					cache: refCache{capacity: capacity, used: make(map[PageID]int)}}
+				rng := rand.New(rand.NewSource(seed))
+				for op := 0; op < 3000; op++ {
+					id := PageID{Object: rng.Intn(3), Page: rng.Intn(5)}
+					var what string
+					switch k := rng.Intn(20); {
+					case k < 8:
+						what = "SyncRead"
+						hits := d.Stats().CacheHits
+						d.SyncRead(id)
+						if got, want := d.Stats().CacheHits > hits, ref.read(id); got != want {
+							t.Fatalf("op %d: SyncRead(%v) hit=%v, want %v", op, id, got, want)
+						}
+					case k < 15:
+						what = "AsyncRead"
+						hits := d.Stats().CacheHits
+						d.AsyncRead(id, 0)
+						if got, want := d.Stats().CacheHits > hits, ref.read(id); got != want {
+							t.Fatalf("op %d: AsyncRead(%v) hit=%v, want %v", op, id, got, want)
+						}
+					case k < 19:
+						what = "AsyncWrite"
+						d.AsyncWrite(id)
+						ref.transfer(id)
+						ref.stats.Writes++
+						ref.cache.insert(id)
+					default:
+						what = "Forget"
+						d.Forget(id.Object)
+						delete(ref.lastPage, id.Object)
+						ref.cache.dropObject(id.Object)
+					}
+					if got := d.Stats(); got != ref.stats {
+						t.Fatalf("op %d: after %s(%v) stats %+v, want %+v", op, what, id, got, ref.stats)
+					}
+				}
+				if capacity > 0 && ref.stats.CacheHits == 0 {
+					t.Fatal("the stream produced no cache hit")
+				}
+			})
+		}
 	}
 }
