@@ -58,13 +58,18 @@ repobench-compare:
 	$(GO) run ./bench -compare $(REPOBENCH_BASE) $(REPOBENCH_OUT)
 
 # Production Go lines — non-test files outside bench/ and examples/ — per
-# package directory and in total: the number ROADMAP wants to go down. Raw
-# line counts (comments and blanks included), so a delta is only a real
-# reduction when it is code that left, not formatting.
+# package directory and in total, then the exported-symbol count that
+# TestInternalExportsAreUsed logs (exported package-level declarations and
+# methods outside bench/, examples/ and package main): the two numbers
+# ROADMAP wants to go down. Raw line counts (comments and blanks included),
+# so a delta is only a real reduction when it is code that left, not
+# formatting.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+	@$(GO) test -count=1 -run '^TestInternalExportsAreUsed$$' -v . \
+		| awk '/exported symbols:/ { printf "%6d exported symbols\n", $$NF }'
 
 # CPU and allocation profiles of serial full-scale Figure 6, the command
 # behind ROADMAP's "where host time goes" table: full-scale tables overflow

@@ -460,9 +460,9 @@ func TestPooledRunReusesStorage(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	// A mediator of our own, never reclaimed, takes the last reclaimed
-	// Scratch, and the sync.Pool forgets what two collections in a row leave
+	// scratch, and the sync.Pool forgets what two collections in a row leave
 	// untouched, so the next run starts from nothing; the run after it gets
-	// that run's Scratch back.
+	// that run's scratch back.
 	if _, err := exec.NewMediator(DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestFusedServerReusesStorage(t *testing.T) {
 		return reports, after.TotalAlloc - before.TotalAlloc
 	}
 	// As in TestPooledRunReusesStorage: a mediator never reclaimed holds the
-	// last reclaimed Scratch and two collections empty the sync.Pool.
+	// last reclaimed scratch and two collections empty the sync.Pool.
 	if _, err := exec.NewMediator(DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func (p *refillPump) refill(floor time.Duration) time.Duration {
 	return at
 }
 
-// bulkPump is the queue-side pump: a BulkProducer staging every refill of a
+// bulkPump is the queue-side pump: a bulkProducer staging every refill of a
 // run of credits and delivering it in one PushColsN.
 type bulkPump struct {
 	refillPump
@@ -59,7 +59,7 @@ func (p *bulkPump) ResumeN(floors []time.Duration) {
 }
 
 // TestDeferredCreditsAgreeWithEagerModel drives a queue whose producer
-// defers (BulkProducer) against the brute-force model refilled eagerly at
+// defers (bulkProducer) against the brute-force model refilled eagerly at
 // every credit: bulk pops that strand late arrivals, credits, UnpopN of
 // unprocessed tails, CM observations at any point, NextArrival, and
 // Available probes at back-dated instants must all read exactly what the

@@ -17,7 +17,7 @@ func (r resumeOnly) Resume(now time.Duration) { r.p.Resume(now) }
 // stream over PushColsN, PopColsN, Credit, UnpopN, ObserveArrivals, Settle
 // and Available, and checks the queue against the brute-force popModel after
 // every op — once with an eager producer refilling the window at each credit
-// and once with a BulkProducer whose refills the queue defers. The model is
+// and once with a bulkProducer whose refills the queue defers. The model is
 // always refilled eagerly, so the deferring run also proves deferral
 // invisible. ObserveArrivals may come at any point, a batch in debt
 // included. Byte 0 picks the capacity and byte 1 how many tuples the

@@ -20,7 +20,7 @@ type Producer interface {
 	Resume(now time.Duration)
 }
 
-// BulkProducer is a Producer that can replay a whole run of credits at once.
+// bulkProducer is a Producer that can replay a whole run of credits at once.
 // A queue whose producer implements it defers production: Credit only
 // records its instant, and the run of recorded instants is handed over in
 // one ResumeN when the queue settles (see Queue.Settle). ResumeN(floors)
@@ -30,7 +30,7 @@ type Producer interface {
 // have already left the queue's debt but must still count against the
 // window. A producer offering Resume only is resumed eagerly, once per
 // credit.
-type BulkProducer interface {
+type bulkProducer interface {
 	Producer
 	ResumeN(floors []time.Duration)
 }
@@ -104,7 +104,7 @@ type Queue struct {
 	// Everything that could otherwise tell the difference — Len, Full,
 	// SetProducer, ClearProducer and the producer's own state accessors —
 	// settles first.
-	bulk BulkProducer
+	bulk bulkProducer
 	pend []time.Duration
 
 	// totalPopped and fed count tuples from the queue's first push, so
@@ -140,7 +140,7 @@ func (q *Queue) Name() string { return q.name }
 func (q *Queue) SetProducer(p Producer) {
 	q.Settle()
 	q.producer = p
-	q.bulk, _ = p.(BulkProducer)
+	q.bulk, _ = p.(bulkProducer)
 }
 
 // ClearProducer detaches the queue's producer: credits stop resuming it. A
@@ -439,7 +439,7 @@ func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) in
 // Credit releases the oldest debt slot at virtual time now: the producer
 // sees the slot free itself at the instant the consumer reached the tuple,
 // so refill send floors — and every arrival time derived from them — do not
-// depend on the batch size. A BulkProducer is not resumed here: the instant
+// depend on the batch size. A bulkProducer is not resumed here: the instant
 // is recorded and the refill simulated when the queue next settles.
 func (q *Queue) Credit(now time.Duration) {
 	if q.debt == 0 {

@@ -71,16 +71,16 @@ func TestCriticalDegreeSign(t *testing.T) {
 	rt := newRT(t, w, testConfig(), nil)
 	c, _ := rt.Dec.ChainOf("A")
 	// Huge waiting time: clearly critical.
-	if got := CriticalDegree(rt, c, c.Scan.Rel.Cardinality, time.Millisecond); got <= 0 {
+	if got := criticalDegree(rt, c, c.Scan.Rel.Cardinality, time.Millisecond); got <= 0 {
 		t.Errorf("critical degree with 1ms wait = %v, want positive", got)
 	}
 	// Zero waiting time: processing dominates, not critical.
-	if got := CriticalDegree(rt, c, c.Scan.Rel.Cardinality, 0); got >= 0 {
+	if got := criticalDegree(rt, c, c.Scan.Rel.Cardinality, 0); got >= 0 {
 		t.Errorf("critical degree with 0 wait = %v, want negative", got)
 	}
 	// Scales linearly with remaining tuples.
-	a := CriticalDegree(rt, c, 1000, time.Millisecond)
-	b := CriticalDegree(rt, c, 2000, time.Millisecond)
+	a := criticalDegree(rt, c, 1000, time.Millisecond)
+	b := criticalDegree(rt, c, 2000, time.Millisecond)
 	if b != 2*a {
 		t.Errorf("critical degree not linear in n: %v vs %v", a, b)
 	}
@@ -94,12 +94,12 @@ func TestBMIFormula(t *testing.T) {
 	c, _ := rt.Dec.ChainOf("A")
 	io := rt.TupleIOTime().Seconds()
 	want := (20e-6) / (2 * io)
-	if got := BMI(rt, c); got < want*0.99 || got > want*1.01 {
+	if got := chainBMI(rt, c); got < want*0.99 || got > want*1.01 {
 		t.Errorf("BMI = %v, want ≈%v", got, want)
 	}
 	// Table 1 numbers: IO_p = 1.365ms/204 ≈ 6.69µs, so bmi(20µs) ≈ 1.49 —
 	// above the paper's bmt of 1, explaining degradation at w_min.
-	if got := BMI(rt, c); got < 1.3 || got > 1.7 {
+	if got := chainBMI(rt, c); got < 1.3 || got > 1.7 {
 		t.Errorf("BMI at w_min = %v, want ≈1.5", got)
 	}
 }

@@ -20,9 +20,9 @@ type dphjPolicy struct {
 	feeds []*exec.Fragment
 }
 
-// NewDPHJPolicy builds the double-pipelined hash-join policy; registry name
+// newDPHJPolicy builds the double-pipelined hash-join policy; registry name
 // "DPHJ".
-func NewDPHJPolicy(st *State) (Policy, error) { return &dphjPolicy{}, nil }
+func newDPHJPolicy(st *State) (Policy, error) { return &dphjPolicy{}, nil }
 
 func (p *dphjPolicy) Name() string { return "DPHJ" }
 

@@ -63,7 +63,7 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 				return ev, nil
 			}
 		}
-		if sp.ObserveRates {
+		if sp.Timeout > 0 {
 			med.CM.Observe(now)
 			if w := med.CM.RateChanged(); w != "" {
 				if med.Trace.Enabled() {
@@ -159,7 +159,7 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 			}
 			return Event{Kind: EventTimeout, Window: window}, nil
 		}
-		if sp.TraceStalls && med.Trace.Enabled() {
+		if sp.Timeout > 0 && med.Trace.Enabled() {
 			med.Trace.Add(now, sim.EvStall, "stall %.6fs", (next - now).Seconds())
 		}
 		med.Clock.Stall(next)

@@ -9,10 +9,10 @@ import (
 	"dqs/internal/sim"
 )
 
-// dsePlan wraps fragments in the execution mode the DSE policy uses: rate
-// observation, the DQP timeout and stall tracing.
+// dsePlan wraps fragments in the execution mode the DSE policy uses: an
+// adaptive phase on the DQP timeout.
 func dsePlan(frags ...*exec.Fragment) SchedulingPlan {
-	return SchedulingPlan{Frags: frags, ObserveRates: true, Timeout: dqpTimeout, TraceStalls: true}
+	return SchedulingPlan{Frags: frags, Timeout: dqpTimeout}
 }
 
 // TestProcessPhaseFallsThroughPriorities drives one DQP execution phase
@@ -316,7 +316,7 @@ func TestDQPSpinIsAnError(t *testing.T) {
 	w := smallFig5(t)
 	rt := newRT(t, w, testConfig(), uniform(w, 20*time.Millisecond))
 	e, err := newEngine(rt.Med, []*exec.Runtime{rt}, func(st *State) (Policy, error) {
-		inner, err := NewSeqPolicy(st)
+		inner, err := newSeqPolicy(st)
 		return dueSeq{inner}, err
 	})
 	if err != nil {

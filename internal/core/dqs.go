@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"dqs/internal/exec"
@@ -18,36 +20,28 @@ type cand struct {
 
 // byPriority orders candidates by critical degree descending, breaking ties
 // toward chains with more descendants, then by the precomputed per-chain
-// label for determinism. A concrete sort.Interface keeps the per-planning-
-// point sort off sort.Slice's reflection-based swapper — this runs at every
-// planning point.
-type byPriority struct {
-	cands []cand
-	// favored, when non-nil, sorts that query's candidates before every
-	// other query's (cross-query fairness, see Engine.Favor); the order
-	// among the favored query's own candidates — and among everyone else's
-	// — is the normal priority order. The candidate set is untouched, so a
-	// plan never empties, and nil is the global critical-degree order.
-	favored *exec.Runtime
-}
-
-func (s byPriority) Len() int      { return len(s.cands) }
-func (s byPriority) Swap(i, j int) { s.cands[i], s.cands[j] = s.cands[j], s.cands[i] }
-func (s byPriority) Less(i, j int) bool {
-	ci, cj := &s.cands[i], &s.cands[j]
-	if s.favored != nil {
-		fi, fj := ci.cs.rt == s.favored, cj.cs.rt == s.favored
-		if fi != fj {
-			return fi
+// label for determinism; it returns a negative number when a goes first.
+// favored, when non-nil, sorts that query's candidates before every other
+// query's (cross-query fairness, see Engine.Favor); the order among the
+// favored query's own candidates — and among everyone else's — is the normal
+// priority order. The candidate set is untouched, so a plan never empties,
+// and nil is the global critical-degree order.
+func byPriority(a, b *cand, favored *exec.Runtime) int {
+	if favored != nil {
+		if fa, fb := a.cs.rt == favored, b.cs.rt == favored; fa != fb {
+			if fa {
+				return -1
+			}
+			return 1
 		}
 	}
-	if ci.prio != cj.prio {
-		return ci.prio > cj.prio
+	if a.prio != b.prio {
+		return cmp.Compare(b.prio, a.prio)
 	}
-	if di, dj := ci.cs.descendants, cj.cs.descendants; di != dj {
-		return di > dj
+	if da, db := a.cs.descendants, b.cs.descendants; da != db {
+		return cmp.Compare(db, da)
 	}
-	return ci.cs.sortKey < cj.cs.sortKey
+	return strings.Compare(a.cs.sortKey, b.cs.sortKey)
 }
 
 // schedule is one DQS planning phase (§4.5). It:
@@ -77,7 +71,7 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 		// Priority order: critical degree descending; ties broken toward
 		// chains that unblock more downstream work, then by name for
 		// determinism.
-		sort.Stable(byPriority{cands: cands, favored: st.favored})
+		slices.SortStableFunc(cands, func(a, b cand) int { return byPriority(&a, &b, st.favored) })
 
 		// Memory fit: take fragments in priority order while their remaining
 		// build-side growth fits the grant. A candidate that does not fit
@@ -185,17 +179,20 @@ func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 			return cand{}, false
 		}
 		n := cs.chain.Scan.Rel.Cardinality
-		if CriticalDegree(rt, cs.chain, n, rt.Wait(cs.chain)) <= 0 {
+		if criticalDegree(rt, cs.chain, n, rt.Wait(cs.chain)) <= 0 {
 			return cand{}, false
 		}
-		if bmi := BMI(rt, cs.chain); bmi <= rt.Cfg.BMT {
+		bmi := chainBMI(rt, cs.chain)
+		if bmi <= rt.Cfg.BMT {
 			return cand{}, false
 		}
 		cs.splitActive(seg.fromStep) // MF [0,0) + CF [0,len)
 		cs.degraded = true
 		med.CountDegrade()
-		med.Trace.Add(med.Now(), sim.EvDegrade, "degrade %s%s (bmi=%.2f > bmt=%.2f)",
-			prefixLabel(rt.Label), cs.chain.Name, BMI(rt, cs.chain), rt.Cfg.BMT)
+		if med.Trace.Enabled() {
+			med.Trace.Add(med.Now(), sim.EvDegrade, "degrade %s%s (bmi=%.2f > bmt=%.2f)",
+				prefixLabel(rt.Label), cs.chain.Name, bmi, rt.Cfg.BMT)
+		}
 		seg = cs.active() // the MF: no probed tables, always C-schedulable
 	}
 	if seg.frag == nil {

@@ -36,9 +36,9 @@ type dsePolicy struct {
 // the DQP returns a TimeOut interruption (§3.2).
 const dqpTimeout = 10 * time.Second
 
-// NewDSEPolicy builds the paper's dynamic scheduling policy. It is the
+// newDSEPolicy builds the paper's dynamic scheduling policy. It is the
 // default entry of the policy registry under the name "DSE".
-func NewDSEPolicy(st *State) (Policy, error) {
+func newDSEPolicy(st *State) (Policy, error) {
 	return &dsePolicy{}, nil
 }
 
@@ -109,12 +109,7 @@ func (p *dsePolicy) Plan(st *State) (SchedulingPlan, error) {
 		med.Trace.Add(med.Now(), sim.EvSchedule, "SP = [%s]", spLabels(sp))
 	}
 	med.CM.SnapshotPlanned(med.Cfg.InitialWaitEstimate)
-	return SchedulingPlan{
-		Frags:        sp,
-		ObserveRates: true,
-		Timeout:      dqpTimeout,
-		TraceStalls:  true,
-	}, nil
+	return SchedulingPlan{Frags: sp, Timeout: dqpTimeout}, nil
 }
 
 // OnEvent absorbs the DQP interruption that ended the phase: completions

@@ -25,8 +25,8 @@ type maPolicy struct {
 	chainCursor
 }
 
-// NewMAPolicy builds the materialize-all policy; registry name "MA".
-func NewMAPolicy(st *State) (Policy, error) {
+// newMAPolicy builds the materialize-all policy; registry name "MA".
+func newMAPolicy(st *State) (Policy, error) {
 	return &maPolicy{temps: make(map[*exec.Runtime]map[string]*mem.Temp)}, nil
 }
 

@@ -7,7 +7,7 @@ import (
 	"dqs/internal/plan"
 )
 
-// CriticalDegree computes the paper's §4.3 metric for a chain executed as a
+// criticalDegree computes the paper's §4.3 metric for a chain executed as a
 // plain PC:
 //
 //	critical(p) = n_p · (w_p − c_p)
@@ -17,7 +17,7 @@ import (
 // per-tuple processing time. It is the total CPU idle time p would cause if
 // executed with nothing scheduled concurrently; a positive value makes p
 // critical.
-func CriticalDegree(rt *exec.Runtime, c *plan.Chain, n int, w time.Duration) time.Duration {
+func criticalDegree(rt *exec.Runtime, c *plan.Chain, n int, w time.Duration) time.Duration {
 	term := exec.TermOutput
 	if c.BuildsFor != nil {
 		term = exec.TermBuild
@@ -41,7 +41,7 @@ func fragmentPriority(rt *exec.Runtime, f *exec.Fragment) time.Duration {
 	return time.Duration(f.Remaining()) * (w - cp)
 }
 
-// BMI computes the benefit materialization indicator of §4.4:
+// chainBMI computes the benefit materialization indicator of §4.4:
 //
 //	bmi(p) = w_p / (2 · IO_p)
 //
@@ -49,7 +49,7 @@ func fragmentPriority(rt *exec.Runtime, f *exec.Fragment) time.Duration {
 // per-tuple time to write and later read back the materialized stream. High
 // bmi means the wrapper is so slow that spilling its tuples costs nothing
 // relative to the waiting it hides.
-func BMI(rt *exec.Runtime, c *plan.Chain) float64 {
+func chainBMI(rt *exec.Runtime, c *plan.Chain) float64 {
 	w := rt.Wait(c)
 	io := rt.TupleIOTime()
 	if io <= 0 {

@@ -81,7 +81,7 @@ func TestCriticalDegreeMatchesPaperFormula(t *testing.T) {
 	wWait := 50 * time.Microsecond
 	cp := rt.PerTupleCost(c, 0, 0, true, exec.TermBuild)
 	want := time.Duration(n) * (wWait - cp)
-	if got := CriticalDegree(rt, c, n, wWait); got != want {
+	if got := criticalDegree(rt, c, n, wWait); got != want {
 		t.Errorf("critical = %v, want n*(w-c) = %v", got, want)
 	}
 }

@@ -19,7 +19,7 @@ const (
 	// EventEndOfQF: one query fragment terminated (normal interruption).
 	EventEndOfQF
 	// EventRateChange: the CM detected a significant delivery-rate change
-	// (only raised for plans with ObserveRates set).
+	// (only raised for plans with a positive Timeout).
 	EventRateChange
 	// EventTimeout: every scheduled fragment starved past the plan's
 	// Timeout (only raised for plans with a positive Timeout).
@@ -102,15 +102,14 @@ type SchedulingPlan struct {
 	// When the whole window starves, the phase ends with EventStarved and
 	// the policy decides whether to wait or scramble.
 	Sticky bool
-	// ObserveRates feeds the communication manager every iteration and
-	// raises EventRateChange on significant delivery-rate changes.
-	ObserveRates bool
-	// Timeout, when positive, bounds how long the phase may stall on a
-	// fully starved plan before raising EventTimeout; zero waits silently,
-	// like the static strategies.
+	// Timeout, when positive, makes the phase adaptive: the DQP raises the
+	// paper's RateChange and TimeOut interruptions (§1). The communication
+	// manager observes every iteration and EventRateChange ends the phase on
+	// a significant delivery-rate change; a fully starved plan whose next
+	// arrival is more than Timeout away ends it with EventTimeout; stalls
+	// are traced. Zero runs the phase like the static strategies: no
+	// observation, and starvation is waited out silently.
 	Timeout time.Duration
-	// TraceStalls records EvStall trace events for starvation stalls.
-	TraceStalls bool
 }
 
 // Policy decides, at every planning point, which fragments the unified DQP

@@ -44,15 +44,15 @@ func mustRegister(e strategyEntry) {
 }
 
 func init() {
-	mustRegister(strategyEntry{name: "SEQ", factory: NewSeqPolicy,
+	mustRegister(strategyEntry{name: "SEQ", factory: newSeqPolicy,
 		desc: "classic iterator model: drain pipeline chains strictly one after another"})
-	mustRegister(strategyEntry{name: "MA", factory: NewMAPolicy,
+	mustRegister(strategyEntry{name: "MA", factory: newMAPolicy,
 		desc: "materialize-all: spool every wrapper to local disk, then execute locally"})
-	mustRegister(strategyEntry{name: "DSE", factory: NewDSEPolicy,
+	mustRegister(strategyEntry{name: "DSE", factory: newDSEPolicy,
 		desc: "the paper's dynamic scheduling: critical-degree fragment plans with degradation"})
-	mustRegister(strategyEntry{name: "SCR", factory: NewScramblePolicy,
+	mustRegister(strategyEntry{name: "SCR", factory: newScramblePolicy,
 		desc: "phase-1 query scrambling: iterator model with a timeout-driven tree switch"})
-	mustRegister(strategyEntry{name: "DPHJ", factory: NewDPHJPolicy,
+	mustRegister(strategyEntry{name: "DPHJ", factory: newDPHJPolicy,
 		desc: "double-pipelined hash joins: operator-level reactive baseline"})
 }
 

@@ -7,12 +7,12 @@ import (
 )
 
 func TestRegisterPolicyRejectsBadEntries(t *testing.T) {
-	if err := RegisterPolicy("SEQ", NewSeqPolicy); err == nil {
+	if err := RegisterPolicy("SEQ", newSeqPolicy); err == nil {
 		t.Error("duplicate registration of SEQ did not fail")
 	} else if !strings.Contains(err.Error(), "already registered") {
 		t.Errorf("duplicate error = %q, want mention of prior registration", err)
 	}
-	if err := RegisterPolicy("", NewSeqPolicy); err == nil {
+	if err := RegisterPolicy("", newSeqPolicy); err == nil {
 		t.Error("empty policy name did not fail")
 	}
 	if err := RegisterPolicy("NILFAC", nil); err == nil {

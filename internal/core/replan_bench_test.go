@@ -40,7 +40,7 @@ func BenchmarkPlanningPoint(b *testing.B) {
 			}
 			var p *dsePolicy
 			eng, err := newEngine(med, rts, func(st *State) (Policy, error) {
-				pol, err := NewDSEPolicy(st)
+				pol, err := newDSEPolicy(st)
 				if err == nil {
 					p = pol.(*dsePolicy)
 				}

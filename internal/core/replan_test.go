@@ -21,7 +21,7 @@ func TestSplitBudgetExhaustion(t *testing.T) {
 	cfg.Trace = tr
 	rt := newRT(t, w, cfg, del)
 	eng, err := newEngine(rt.Med, []*exec.Runtime{rt}, func(st *State) (Policy, error) {
-		pol, err := NewDSEPolicy(st)
+		pol, err := newDSEPolicy(st)
 		if err != nil {
 			return nil, err
 		}

@@ -44,9 +44,9 @@ const (
 	scrambleSwitchInstr = 500000
 )
 
-// NewScramblePolicy builds the query-scrambling policy; registry name
+// newScramblePolicy builds the query-scrambling policy; registry name
 // "SCR".
-func NewScramblePolicy(st *State) (Policy, error) { return &scrPolicy{cur: -1}, nil }
+func newScramblePolicy(st *State) (Policy, error) { return &scrPolicy{cur: -1}, nil }
 
 func (p *scrPolicy) Name() string { return "SCR" }
 

@@ -48,6 +48,8 @@ type chainCursor struct {
 	order []chainRef
 	idx   int            // next chain to open
 	cur   *exec.Fragment // chain being drained
+	// sp backs every plan's Frags (see SchedulingPlan.Frags).
+	sp [1]*exec.Fragment
 }
 
 // plan returns the current chain's fragment, opening the next chain with
@@ -63,7 +65,8 @@ func (c *chainCursor) plan(st *State, policy string, open func(chainRef) *exec.F
 			c.cur = open(next)
 		}
 	}
-	return SchedulingPlan{Frags: []*exec.Fragment{c.cur}}, nil
+	c.sp[0] = c.cur
+	return SchedulingPlan{Frags: c.sp[:]}, nil
 }
 
 // seqPolicy is the paper's SEQ baseline as a scheduling policy: the classic
@@ -74,8 +77,8 @@ func (c *chainCursor) plan(st *State, policy string, open func(chainRef) *exec.F
 // reacts to delivery problems).
 type seqPolicy struct{ chainCursor }
 
-// NewSeqPolicy builds the static iterator-model policy; registry name "SEQ".
-func NewSeqPolicy(st *State) (Policy, error) { return &seqPolicy{}, nil }
+// newSeqPolicy builds the static iterator-model policy; registry name "SEQ".
+func newSeqPolicy(st *State) (Policy, error) { return &seqPolicy{}, nil }
 
 func (p *seqPolicy) Name() string { return "SEQ" }
 

@@ -90,15 +90,15 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 			bi, pi := n.Build.Live.MustIndexOf(n.BuildKey), n.Probe.Live.MustIndexOf(n.ProbeKey)
 			sj := &symJoin{
 				node:       n,
-				buildTable: s.Table(bi, n.Build.Live.Width(), clampReserveRows(int64(n.Build.EstRows))),
-				probeTable: s.Table(pi, n.Probe.Live.Width(), clampReserveRows(int64(n.Probe.EstRows))),
+				buildTable: s.table(bi, n.Build.Live.Width(), clampReserveRows(int64(n.Build.EstRows))),
+				probeTable: s.table(pi, n.Probe.Live.Width(), clampReserveRows(int64(n.Probe.EstRows))),
 				buildIdx:   bi,
 				probeIdx:   pi,
 				parent:     parent,
 				fromBuild:  fromBuild,
 			}
-			sj.arena.Recycle(s.GetInts())
-			sj.matchBuf = s.GetTuples()
+			sj.arena.Recycle(s.getInts())
+			sj.matchBuf = s.getTuples()
 			net.joins[n.ID] = sj
 			if err := build(n.Build, sj, true); err != nil {
 				return err
@@ -123,13 +123,13 @@ func newSymNet(rt *Runtime) (*symNet, error) {
 // release returns the tables' grant and hands the network's pooled tables
 // and scratch back to s. Idempotent: the query's completion releases the
 // network, and Mediator.Reclaim sweeps whatever an aborted run left.
-func (net *symNet) release(s *Scratch) {
+func (net *symNet) release(s *scratch) {
 	net.rt.Mem.Release(net.holder, net.rt.Mem.Held(net.holder))
 	for _, sj := range net.joins {
-		s.PutTable(sj.buildTable)
-		s.PutTable(sj.probeTable)
-		s.PutInts(sj.arena.Release())
-		s.PutTuples(sj.matchBuf)
+		s.putTable(sj.buildTable)
+		s.putTable(sj.probeTable)
+		s.putInts(sj.arena.Release())
+		s.putTuples(sj.matchBuf)
 		sj.buildTable, sj.probeTable, sj.matchBuf = nil, nil, nil
 	}
 }

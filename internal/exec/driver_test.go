@@ -16,7 +16,7 @@ import (
 // the policy engines against the exact behaviour encoded here.
 
 // runSEQ drains the pipeline chains strictly one after another with the
-// classic iterator model — the paper's SEQ baseline (core.NewSeqPolicy is
+// classic iterator model — the paper's SEQ baseline (core's "SEQ" policy is
 // the production engine).
 func runSEQ(rt *Runtime) (Result, error) {
 	for _, c := range IteratorOrder(rt.Dec) {
@@ -51,7 +51,7 @@ func drain(rt *Runtime, f *Fragment) error {
 
 // runMA materializes every wrapper to local disk round-robin, then runs the
 // plan with iterator-model scheduling over the local temps — the
-// Materialize-All comparison strategy (core.NewMAPolicy is the production
+// Materialize-All comparison strategy (core's "MA" policy is the production
 // engine).
 func runMA(rt *Runtime) (Result, error) {
 	frags := make([]*Fragment, 0, len(rt.Dec.Chains))

@@ -37,7 +37,7 @@ type Mediator struct {
 	flt     *faultState
 	// scratch is the pooled execution state this mediator draws from, checked
 	// out (getScratch) at construction; nil once Reclaim has returned it.
-	scratch *Scratch
+	scratch *scratch
 	// streams is the shared-wrapper registry (Cfg.SharedStreams): one
 	// physical stream per (table object, delivery behaviour), tapped by
 	// every query scanning it. Lazily allocated on first share.
@@ -104,7 +104,7 @@ func (m *Mediator) Reclaim() {
 		sh.Release()
 	}
 	for _, g := range m.rngs {
-		s.PutRNG(g)
+		s.putRNG(g)
 	}
 	m.rngs = nil
 	putScratch(s)
@@ -113,7 +113,7 @@ func (m *Mediator) Reclaim() {
 // newRNG returns a generator seeded with seed, recycled from the scratch
 // (NewRNG's stream exactly) and handed back at Reclaim.
 func (m *Mediator) newRNG(seed int64) *sim.RNG {
-	g := m.scratch.RNG(seed)
+	g := m.scratch.rng(seed)
 	m.rngs = append(m.rngs, g)
 	return g
 }
@@ -203,7 +203,7 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		// predicate is evaluated in the wrapper. Window slots and arrivals
 		// stay pre-filter, so scheduling sees every produced tuple.
 		p := compileColPush(c.Scan)
-		q := m.scratch.Queue(cmName, m.Cfg.QueueTuples, len(p.keep))
+		q := m.scratch.queue(cmName, m.Cfg.QueueTuples, len(p.keep))
 		m.CM.Adopt(q)
 		d := deliveries[name]
 		// Room for every option appended below, faults included.
@@ -241,10 +241,10 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		// build. A wrong hint only costs allocator behaviour — simulation
 		// accounting never reads the reservation.
 		rows := int64(j.Build.EstRows)
-		if h, ok := m.scratch.BuildRowsHint(j.ID); ok {
+		if h, ok := m.scratch.buildRowsHint(j.ID); ok {
 			rows = h
 		}
-		ht := m.scratch.Table(j.Build.Live.MustIndexOf(j.BuildKey), j.Build.Live.Width(), clampReserveRows(rows))
+		ht := m.scratch.table(j.Build.Live.MustIndexOf(j.BuildKey), j.Build.Live.Width(), clampReserveRows(rows))
 		holder := m.Mem.Bind(label, fmt.Sprintf("%s:J%d", label, j.ID))
 		rt.tables[j.ID] = &tableState{join: j, ht: ht, holder: holder}
 	}

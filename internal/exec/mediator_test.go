@@ -191,7 +191,7 @@ func TestEstimationErrorsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := rt.EstimationErrors()
+	errs := rt.estimationErrors()
 	if len(errs) != 5 { // five builds (the root chain outputs)
 		t.Fatalf("%d estimation records, want 5", len(errs))
 	}

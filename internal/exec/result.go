@@ -131,7 +131,7 @@ func (rt *Runtime) FinishAt(strategy string, response time.Duration) Result {
 		Degradations:       m.degrades,
 		Timeouts:           m.timeouts,
 		MemRepairs:         m.memRepairs,
-		MaxEstError:        rt.MaxEstErrorFactor(),
+		MaxEstError:        rt.maxEstErrorFactor(),
 		FirstTupleTime:     rt.firstOut,
 		TupleTimeline:      rt.timeline(),
 		DegradedFragments:  rt.degraded,

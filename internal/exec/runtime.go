@@ -181,11 +181,11 @@ func clampReserveRows(rows int64) int {
 
 // completeTable marks join j's table as fully built and records its exact
 // cardinality as the pre-size hint for the next run of this plan on the same
-// Scratch.
+// scratch.
 func (rt *Runtime) completeTable(j *plan.Node) {
 	ts := rt.table(j)
 	ts.complete = true
-	rt.Med.scratch.RecordBuildRows(j.ID, ts.rows)
+	rt.Med.scratch.recordBuildRows(j.ID, ts.rows)
 }
 
 // releaseTable frees the memory of join j's table once its probing fragment
@@ -201,7 +201,7 @@ func (rt *Runtime) releaseTable(j *plan.Node) {
 	// The table's storage goes back to the pool right away: nothing aliases
 	// it (probe results are copied into the cascade arena), so a query the
 	// server admits later in this run may be handed it.
-	rt.Med.scratch.PutTable(ts.ht)
+	rt.Med.scratch.putTable(ts.ht)
 	ts.ht = nil
 }
 
@@ -302,16 +302,16 @@ func (rt *Runtime) CompletedAt() (time.Duration, bool) { return rt.completedAt, 
 // tables, a join network an aborted run left, and every input's queue and
 // wrapper staging. It takes s because Mediator.Reclaim has already cleared
 // its own.
-func (rt *Runtime) reclaim(s *Scratch) {
+func (rt *Runtime) reclaim(s *scratch) {
 	for _, ts := range rt.tables {
-		s.PutTable(ts.ht) // nil once released
+		s.putTable(ts.ht) // nil once released
 		ts.ht = nil
 	}
 	if rt.net != nil {
 		rt.net.release(s)
 	}
 	for _, qs := range rt.qsrcs {
-		s.PutQueue(qs.q)
+		s.putQueue(qs.q)
 		qs.src.Release()
 	}
 	rt.frags = nil
@@ -444,18 +444,18 @@ func (rt *Runtime) CountMemRepair() { rt.Med.CountMemRepair() }
 // CountMaterialized adds n tuples to the materialization volume statistic.
 func (rt *Runtime) CountMaterialized(n int64) { rt.matTuples += n }
 
-// EstError records the optimizer's estimate versus the exact cardinality of
+// estError records the optimizer's estimate versus the exact cardinality of
 // one completed hash-table build — the statistics the paper's §3.1 says the
 // engine should collect for the dynamic optimizer.
-type EstError struct {
+type estError struct {
 	Join      int // join node ID
 	Estimated float64
 	Actual    int64
 }
 
-// Factor returns the error magnitude: max(actual/est, est/actual), 1 for a
+// factor returns the error magnitude: max(actual/est, est/actual), 1 for a
 // perfect estimate.
-func (e EstError) Factor() float64 {
+func (e estError) factor() float64 {
 	a, b := e.Estimated, float64(e.Actual)
 	if a <= 0 || b <= 0 {
 		if a == b {
@@ -469,16 +469,16 @@ func (e EstError) Factor() float64 {
 	return b / a
 }
 
-// EstimationErrors reports estimate-vs-actual for every completed build of
+// estimationErrors reports estimate-vs-actual for every completed build of
 // this query, in join-ID order.
-func (rt *Runtime) EstimationErrors() []EstError {
-	var out []EstError
+func (rt *Runtime) estimationErrors() []estError {
+	var out []estError
 	for _, c := range rt.Dec.Chains {
 		j := c.BuildsFor
 		if j == nil || !rt.table(j).complete {
 			continue
 		}
-		out = append(out, EstError{
+		out = append(out, estError{
 			Join:      j.ID,
 			Estimated: j.Build.EstRows,
 			Actual:    rt.TableRows(j),
@@ -488,13 +488,13 @@ func (rt *Runtime) EstimationErrors() []EstError {
 	return out
 }
 
-// MaxEstErrorFactor returns the worst estimation-error factor observed
+// maxEstErrorFactor returns the worst estimation-error factor observed
 // across completed builds (1 when everything was exact or nothing
 // completed).
-func (rt *Runtime) MaxEstErrorFactor() float64 {
+func (rt *Runtime) maxEstErrorFactor() float64 {
 	worst := 1.0
-	for _, e := range rt.EstimationErrors() {
-		if f := e.Factor(); f > worst {
+	for _, e := range rt.estimationErrors() {
+		if f := e.factor(); f > worst {
 			worst = f
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"dqs/internal/sim"
 )
 
-// Scratch recycles the allocation-heavy execution state of one mediator —
+// scratch recycles the allocation-heavy execution state of one mediator —
 // wrapper queues, hash tables, join-network arenas, temp-relation storage,
 // shared-stream schedules, wrapper staging buffers and RNG streams — across
 // runs, and holds the mediator's one fragment cascade, whose grown storage
@@ -19,19 +19,19 @@ import (
 // (getScratch) and Mediator.Reclaim returns it, so repeated runs reuse grown
 // storage instead of re-allocating it; pooling recycles only capacity, never
 // contents (every object is reset or overwritten on checkout), so a run's
-// results do not depend on what the Scratch served before.
+// results do not depend on what the scratch served before.
 //
-// Retention. A Scratch keeps every object its mediators return and drops
+// Retention. A scratch keeps every object its mediators return and drops
 // leftovers only when they are shown to be stale: when a checkout had to
 // allocate an object of some kind because nothing pooled fitted (a queue of
 // another capacity, an arena too small), every pooled object of that kind
-// it left untouched is dropped at Reclaim. So a Scratch never holds more
+// it left untouched is dropped at Reclaim. So a scratch never holds more
 // objects of a kind than the last mediator that allocated one of that kind
 // had checked out, and for the kinds handed out without regard to size,
 // never more than its mediators ever had out at once.
 //
-// A Scratch is NOT safe for concurrent use: it serves one mediator at a time.
-type Scratch struct {
+// A scratch is NOT safe for concurrent use: it serves one mediator at a time.
+type scratch struct {
 	queues pool[*comm.Queue]
 	tables pool[*operator.HashTable]
 	temps  pool[[]int64] // temp-relation tuple storage, handed out best-fit
@@ -131,7 +131,7 @@ func bestSlice[T any](p *pool[[]T], capacity int) []T {
 }
 
 // settle ends a mediator's checkout of s (see the retention rule above).
-func (s *Scratch) settle() {
+func (s *scratch) settle() {
 	s.queues.settle()
 	s.tables.settle()
 	s.temps.settle()
@@ -143,70 +143,71 @@ func (s *Scratch) settle() {
 }
 
 // scratchPool hands concurrent mediators (experiment cells, server batches)
-// a Scratch each, and lets the GC drop what an idle process no longer uses.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// a scratch each, and lets the GC drop what an idle process no longer uses.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// lastScratch holds the last reclaimed Scratch outside scratchPool, whose
+// lastScratch holds the last reclaimed scratch outside scratchPool, whose
 // Put a Get on another processor never sees: a run the scheduler moved since
 // the previous Reclaim would start cold, re-allocating tens of megabytes on
-// a full-scale plan. An idle process keeps this one Scratch alive.
-var lastScratch atomic.Pointer[Scratch]
+// a full-scale plan. An idle process keeps this one scratch alive.
+var lastScratch atomic.Pointer[scratch]
 
-// getScratch checks out a new mediator's Scratch: lastScratch's if free,
+// getScratch checks out a new mediator's scratch: lastScratch's if free,
 // else one from scratchPool.
-func getScratch() *Scratch {
+func getScratch() *scratch {
 	if s := lastScratch.Swap(nil); s != nil {
 		return s
 	}
-	return scratchPool.Get().(*Scratch)
+	return scratchPool.Get().(*scratch)
 }
 
-// putScratch returns a reclaimed Scratch, ending its checkout; the one it
+// putScratch returns a reclaimed scratch, ending its checkout; the one it
 // displaces from lastScratch goes to scratchPool.
-func putScratch(s *Scratch) {
+func putScratch(s *scratch) {
 	s.settle()
 	if old := lastScratch.Swap(s); old != nil {
 		scratchPool.Put(old)
 	}
 }
 
-// The slice pools, one per element type: Get* returns a recycled length-zero
-// slice (nil when the pool is empty), Put* reclaims one. The int64 arenas
-// back join-network scratch tuples (temp-relation storage has its own pool,
-// below); tuples are the join network's match headers, bools wrapper
-// staging.
-func (s *Scratch) GetInts() []int64            { return s.ints.pop() }
-func (s *Scratch) PutInts(b []int64)           { putSlice(&s.ints, b) }
-func (s *Scratch) GetTuples() []relation.Tuple { return s.tuples.pop() }
-func (s *Scratch) GetBools() []bool            { return s.bools.pop() }
-func (s *Scratch) PutBools(b []bool)           { putSlice(&s.bools, b) }
+// The slice pools, one per element type: each get returns a recycled
+// length-zero slice (nil when the pool is empty), each put reclaims one; the
+// exported ones are those source.Recycler and mem.IntRecycler need. The
+// int64 arenas back join-network scratch tuples (temp-relation storage has
+// its own pool, below); tuples are the join network's match headers, bools
+// wrapper staging.
+func (s *scratch) getInts() []int64            { return s.ints.pop() }
+func (s *scratch) putInts(b []int64)           { putSlice(&s.ints, b) }
+func (s *scratch) getTuples() []relation.Tuple { return s.tuples.pop() }
+func (s *scratch) GetBools() []bool            { return s.bools.pop() }
+func (s *scratch) PutBools(b []bool)           { putSlice(&s.bools, b) }
 
-// PutTuples reclaims a tuple-header scratch slice. The headers are cleared
+// putTuples reclaims a tuple-header scratch slice. The headers are cleared
 // so pooled slices don't pin tuple storage from finished runs.
-func (s *Scratch) PutTuples(b []relation.Tuple) {
+func (s *scratch) putTuples(b []relation.Tuple) {
 	clear(b[:cap(b)])
 	putSlice(&s.tuples, b)
 }
 
 // GetTempInts returns the best-fitting pooled temp-relation arena of at
 // least the given capacity — the smallest one that is big enough — or nil
-// when none qualifies. With PutTempInts it makes Scratch a mem.IntRecycler.
-func (s *Scratch) GetTempInts(capacity int) []int64 { return bestSlice(&s.temps, capacity) }
+// when none qualifies. With PutTempInts it makes scratch a mem.IntRecycler.
+func (s *scratch) GetTempInts(capacity int) []int64 { return bestSlice(&s.temps, capacity) }
 
 // PutTempInts reclaims a temp relation's arena.
-func (s *Scratch) PutTempInts(b []int64) { putSlice(&s.temps, b) }
+func (s *scratch) PutTempInts(b []int64) { putSlice(&s.temps, b) }
 
 // GetTimes returns the best-fitting pooled []time.Duration of at least the
 // given capacity, or nil. With PutTimes, GetBools and PutBools it makes
-// Scratch a source.Recycler: shared-stream schedules and wrapper staging.
-func (s *Scratch) GetTimes(capacity int) []time.Duration { return bestSlice(&s.times, capacity) }
+// scratch a source.Recycler: shared-stream schedules and wrapper staging.
+func (s *scratch) GetTimes(capacity int) []time.Duration { return bestSlice(&s.times, capacity) }
 
 // PutTimes reclaims a schedule or staging buffer.
-func (s *Scratch) PutTimes(b []time.Duration) { putSlice(&s.times, b) }
+func (s *scratch) PutTimes(b []time.Duration) { putSlice(&s.times, b) }
 
-// RNG returns a generator seeded with seed: a recycled one reseeded, which
+// rng returns a generator seeded with seed: a recycled one reseeded, which
 // draws exactly the stream sim.NewRNG(seed) would, else a new one.
-func (s *Scratch) RNG(seed int64) *sim.RNG {
+func (s *scratch) rng(seed int64) *sim.RNG {
 	if g := s.rngs.pop(); g != nil {
 		g.Seed(seed)
 		return g
@@ -214,15 +215,15 @@ func (s *Scratch) RNG(seed int64) *sim.RNG {
 	return sim.NewRNG(seed)
 }
 
-// PutRNG reclaims a generator once its run is over.
-func (s *Scratch) PutRNG(g *sim.RNG) { s.rngs.put(g) }
+// putRNG reclaims a generator once its run is over.
+func (s *scratch) putRNG(g *sim.RNG) { s.rngs.put(g) }
 
-// Queue returns a reset queue of the given capacity whose ring carries width
+// queue returns a reset queue of the given capacity whose ring carries width
 // live columns, recycled when the pool holds one of matching capacity
 // (window sizes are sweep parameters, so only an exact match preserves the
 // protocol): the narrowest that already holds width columns, else the
 // widest.
-func (s *Scratch) Queue(name string, capacity, width int) *comm.Queue {
+func (s *scratch) queue(name string, capacity, width int) *comm.Queue {
 	q := s.queues.best(func(q *comm.Queue) bool { return q.Capacity() == capacity },
 		func(a, b *comm.Queue) bool {
 			ha, hb := a.ColumnCapacity() >= width, b.ColumnCapacity() >= width
@@ -243,18 +244,18 @@ func (s *Scratch) Queue(name string, capacity, width int) *comm.Queue {
 	return q
 }
 
-// PutQueue returns a queue to the pool once its run is over.
-func (s *Scratch) PutQueue(q *comm.Queue) {
+// putQueue returns a queue to the pool once its run is over.
+func (s *scratch) putQueue(q *comm.Queue) {
 	if q != nil {
 		s.queues.put(q)
 	}
 }
 
-// Table returns an empty hash table keyed on keyIdx and reserved for about
+// table returns an empty hash table keyed on keyIdx and reserved for about
 // rows tuples of the given width: the smallest pooled table that already
 // holds the reservation or, when none does, the smallest of all, so a
 // repeated plan's joins get back tables of their own size.
-func (s *Scratch) Table(keyIdx, width, rows int) *operator.HashTable {
+func (s *scratch) table(keyIdx, width, rows int) *operator.HashTable {
 	h := s.tables.best(func(*operator.HashTable) bool { return true },
 		func(a, b *operator.HashTable) bool {
 			ha, hb := a.Holds(width, rows), b.Holds(width, rows)
@@ -269,25 +270,25 @@ func (s *Scratch) Table(keyIdx, width, rows int) *operator.HashTable {
 	return h
 }
 
-// PutTable returns a hash table to the pool once its run is over.
-func (s *Scratch) PutTable(h *operator.HashTable) {
+// putTable returns a hash table to the pool once its run is over.
+func (s *scratch) putTable(h *operator.HashTable) {
 	if h != nil {
 		s.tables.put(h)
 	}
 }
 
-// RecordBuildRows stores the exact cardinality of a completed build as the
+// recordBuildRows stores the exact cardinality of a completed build as the
 // pre-size hint for the next run touching the same join node.
-func (s *Scratch) RecordBuildRows(joinID int, rows int64) {
+func (s *scratch) recordBuildRows(joinID int, rows int64) {
 	if s.buildRows == nil {
 		s.buildRows = make(map[int]int64)
 	}
 	s.buildRows[joinID] = rows
 }
 
-// BuildRowsHint returns the recorded cardinality of a join's build, if a
+// buildRowsHint returns the recorded cardinality of a join's build, if a
 // prior run completed it on this pool.
-func (s *Scratch) BuildRowsHint(joinID int) (int64, bool) {
+func (s *scratch) buildRowsHint(joinID int) (int64, bool) {
 	rows, ok := s.buildRows[joinID]
 	return rows, ok
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // newTestRuntime assembles a Fig5Small runtime. With cold set the mediator
-// is re-seated on a brand-new Scratch, so the run allocates everything
+// is re-seated on a brand-new scratch, so the run allocates everything
 // itself; otherwise it draws whatever earlier runs left in scratchPool.
 func newTestRuntime(t *testing.T, w *workload.Workload, cfg Config, cold bool) *Runtime {
 	t.Helper()
@@ -22,7 +22,7 @@ func newTestRuntime(t *testing.T, w *workload.Workload, cfg Config, cold bool) *
 		t.Fatal(err)
 	}
 	if cold {
-		med.scratch = new(Scratch)
+		med.scratch = new(scratch)
 		med.Temps.SetPool(med.scratch)
 	}
 	rt, err := med.AddQuery("", w.Root, w.Dataset, uniform(w, 20*time.Microsecond))
@@ -32,7 +32,7 @@ func newTestRuntime(t *testing.T, w *workload.Workload, cfg Config, cold bool) *
 	return rt
 }
 
-// runPooled executes one strategy on a cold or pooled Scratch and reclaims
+// runPooled executes one strategy on a cold or pooled scratch and reclaims
 // the mediator afterwards.
 func runPooled(t *testing.T, w *workload.Workload, cold bool, strategy func(*Runtime) (Result, error)) Result {
 	t.Helper()
@@ -87,7 +87,7 @@ func TestScratchReuseSurvivesMemoryOverflow(t *testing.T) {
 }
 
 // TestNextMediatorGetsLastScratch pins the slot beside the pool: the next
-// mediator gets the Scratch the last one reclaimed even after collections
+// mediator gets the scratch the last one reclaimed even after collections
 // that empty a sync.Pool.
 func TestNextMediatorGetsLastScratch(t *testing.T) {
 	med, err := NewMediator(testConfig())
@@ -104,7 +104,7 @@ func TestNextMediatorGetsLastScratch(t *testing.T) {
 	}
 	defer next.Reclaim()
 	if next.scratch != s {
-		t.Error("the next mediator did not get the Scratch the last one reclaimed")
+		t.Error("the next mediator did not get the scratch the last one reclaimed")
 	}
 }
 
@@ -113,21 +113,21 @@ func TestNextMediatorGetsLastScratch(t *testing.T) {
 // whatever order the tables were pooled in, and a request nothing holds
 // takes the smallest table and regrows it.
 func TestScratchTableFitsEachJoin(t *testing.T) {
-	s := new(Scratch)
-	small, large := s.Table(0, 2, 100), s.Table(0, 2, 10000)
+	s := new(scratch)
+	small, large := s.table(0, 2, 100), s.table(0, 2, 10000)
 	for _, order := range [][2]*operator.HashTable{{small, large}, {large, small}} {
-		s.PutTable(order[0])
-		s.PutTable(order[1])
-		if got := s.Table(1, 2, 5000); got != large {
+		s.putTable(order[0])
+		s.putTable(order[1])
+		if got := s.table(1, 2, 5000); got != large {
 			t.Fatal("a 5000-row request was not given the 10000-row table")
 		}
-		if got := s.Table(1, 2, 50); got != small {
+		if got := s.table(1, 2, 50); got != small {
 			t.Fatal("a 50-row request was not given the 100-row table")
 		}
 	}
-	s.PutTable(small)
-	s.PutTable(large)
-	if got := s.Table(0, 2, 20000); got != small || !got.Holds(2, 20000) {
+	s.putTable(small)
+	s.putTable(large)
+	if got := s.table(0, 2, 20000); got != small || !got.Holds(2, 20000) {
 		t.Fatal("a request no pooled table holds did not regrow the smallest")
 	}
 }
@@ -155,8 +155,8 @@ func TestMediatorReclaimTwiceIsSafe(t *testing.T) {
 func (p *pool[T]) len() int { return len(p.idle) + len(p.stale) }
 
 // onScratch re-seats a new mediator on s, as newTestRuntime does on a cold
-// Scratch.
-func onScratch(t *testing.T, cfg Config, s *Scratch) *Mediator {
+// scratch.
+func onScratch(t *testing.T, cfg Config, s *scratch) *Mediator {
 	t.Helper()
 	med, err := NewMediator(cfg)
 	if err != nil {
@@ -177,7 +177,7 @@ func onScratch(t *testing.T, cfg Config, s *Scratch) *Mediator {
 // kind it drew from the pool without a miss keeps the batch's count, the
 // most the last mediator to allocate one checked out.
 func TestScratchRetainsItsWorkingSet(t *testing.T) {
-	s := new(Scratch)
+	s := new(scratch)
 	cfg := testConfig()
 	cfg.SharedStreams = true
 	med := onScratch(t, cfg, s)
@@ -222,7 +222,7 @@ func TestScratchRetainsItsWorkingSet(t *testing.T) {
 	}
 	for kind, n := range want {
 		if n[0] != n[1] {
-			t.Errorf("after the batch the Scratch pools %d %s, want %d", n[0], kind, n[1])
+			t.Errorf("after the batch the scratch pools %d %s, want %d", n[0], kind, n[1])
 		}
 	}
 	if temps == 0 || streams == 0 {
@@ -248,7 +248,7 @@ func TestScratchRetainsItsWorkingSet(t *testing.T) {
 	}
 	for kind, n := range want {
 		if n[0] != n[1] {
-			t.Errorf("after the single run the Scratch pools %d %s, want %d", n[0], kind, n[1])
+			t.Errorf("after the single run the scratch pools %d %s, want %d", n[0], kind, n[1])
 		}
 	}
 }

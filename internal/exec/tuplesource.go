@@ -74,7 +74,7 @@ func (c *chunk) row(i int) relation.Tuple {
 // batch at a time, and a batch drains or unpops its chunk and sinks or
 // strands (copies) every output before it yields, so one cascade per
 // mediator serves every fragment of every query on it. It lives in the
-// mediator's Scratch, so its grown storage carries over to the next run.
+// mediator's scratch, so its grown storage carries over to the next run.
 type cascade struct {
 	ch        chunk
 	heads     []int32

@@ -28,7 +28,7 @@ func (o Options) ablationDeliveries(cfg exec.Config) func(w *workload.Workload) 
 // AblationBMT sweeps the benefit-materialization threshold (§4.4): bmt = 0
 // degrades every blocked critical chain, large bmt disables degradation.
 func AblationBMT(o Options) (*Figure, error) {
-	fig := NewFigure("Ablation/bmt", "benefit materialization threshold sweep",
+	fig := newFigure("Ablation/bmt", "benefit materialization threshold sweep",
 		"bmt", "value", "DSE(s)", "degradations", "mat(Ktuples)")
 	sw := o.newSweep(fig.ID)
 	bmts := []float64{0, 0.25, 0.5, 1, 1.5, 2, 4, 1e9}
@@ -46,7 +46,7 @@ func AblationBMT(o Options) (*Figure, error) {
 		if x > 100 {
 			x = 100 // plot sentinel for "disabled"
 		}
-		fig.AddPoint(x,
+		fig.addPoint(x,
 			sw.meanResponse(groups[i]),
 			sw.mean(groups[i], func(r exec.Result) float64 { return float64(r.Degradations) }),
 			sw.mean(groups[i], func(r exec.Result) float64 { return float64(r.MaterializedTuples) / 1000 }))
@@ -57,7 +57,7 @@ func AblationBMT(o Options) (*Figure, error) {
 // AblationBatch sweeps the DQP batch size (§3.2): tiny batches switch
 // fragments constantly; huge batches approach chain-at-a-time behaviour.
 func AblationBatch(o Options) (*Figure, error) {
-	fig := NewFigure("Ablation/batch", "DQP batch size sweep",
+	fig := newFigure("Ablation/batch", "DQP batch size sweep",
 		"batch(tuples)", "value", "DSE(s)", "replans")
 	sw := o.newSweep(fig.ID)
 	batches := []int{16, 64, 256, 1024, 4096, 16384}
@@ -71,7 +71,7 @@ func AblationBatch(o Options) (*Figure, error) {
 		return nil, err
 	}
 	for i, batch := range batches {
-		fig.AddPoint(float64(batch),
+		fig.addPoint(float64(batch),
 			sw.meanResponse(groups[i]),
 			sw.mean(groups[i], func(r exec.Result) float64 { return float64(r.Replans) }))
 	}
@@ -82,7 +82,7 @@ func AblationBatch(o Options) (*Figure, error) {
 // window bounds how much delivery the mediator can buffer ahead, which is
 // exactly what lets concurrent fragments overlap delays.
 func AblationQueue(o Options) (*Figure, error) {
-	fig := NewFigure("Ablation/queue", "wrapper queue (window) size sweep",
+	fig := newFigure("Ablation/queue", "wrapper queue (window) size sweep",
 		"queue(pages)", "response time (s)", "SEQ", "DSE")
 	pageSizes := []int{1, 2, 4, 8, 16, 64}
 	mkCfg := func(pages int) exec.Config {
@@ -118,7 +118,7 @@ func (o Options) twoStrategySweep(fig *Figure, xs []float64, mkCfg func(x int) e
 		return nil, err
 	}
 	for i, x := range xs {
-		fig.AddPoint(x, sw.meanResponse(points[i].seq), sw.meanResponse(points[i].dse))
+		fig.addPoint(x, sw.meanResponse(points[i].seq), sw.meanResponse(points[i].dse))
 	}
 	return fig, nil
 }
@@ -126,7 +126,7 @@ func (o Options) twoStrategySweep(fig *Figure, xs []float64, mkCfg func(x int) e
 // AblationMessage sweeps the message payload (pages per message), the one
 // Table 1 degree of freedom the paper does not pin down (see DESIGN.md §3).
 func AblationMessage(o Options) (*Figure, error) {
-	fig := NewFigure("Ablation/message", "message payload sweep",
+	fig := newFigure("Ablation/message", "message payload sweep",
 		"pages/msg", "response time (s)", "SEQ", "DSE")
 	mkCfg := func(pages int) exec.Config {
 		cfg := o.config()
@@ -143,7 +143,7 @@ func AblationMessage(o Options) (*Figure, error) {
 // from wrong numbers; the run must stay correct and should stay close to
 // the accurate-estimate response time.
 func AblationSkew(o Options) (*Figure, error) {
-	fig := NewFigure("Ablation/skew", "optimizer estimation-error sweep",
+	fig := newFigure("Ablation/skew", "optimizer estimation-error sweep",
 		"skew(x)", "value", "DSE(s)", "memRepairs")
 	sw := o.newSweep(fig.ID)
 	skews := []float64{0.25, 0.5, 1, 2, 4}
@@ -164,7 +164,7 @@ func AblationSkew(o Options) (*Figure, error) {
 		return nil, fmt.Errorf("skew: %w", err)
 	}
 	for i, skew := range skews {
-		fig.AddPoint(skew,
+		fig.addPoint(skew,
 			sw.meanResponse(groups[i]),
 			sw.mean(groups[i], func(r exec.Result) float64 { return float64(r.MemRepairs) }))
 	}
@@ -195,7 +195,7 @@ func loadSkewed(o Options, seed int64, skew float64) (*workload.Workload, error)
 // (§4.2), trading I/O for feasibility. Grants too small for even a single
 // required hash table are genuinely infeasible and reported as -1.
 func AblationMemory(o Options) (*Figure, error) {
-	fig := NewFigure("Ablation/memory", "memory grant sweep (DSE); -1 = infeasible",
+	fig := newFigure("Ablation/memory", "memory grant sweep (DSE); -1 = infeasible",
 		"grant(MB)", "value", "DSE(s)", "memRepairs", "peak(MB)")
 	grantsMB := []float64{3, 5, 8, 9, 10, 12, 16, 32, 64}
 	if o.Small {
@@ -216,10 +216,10 @@ func AblationMemory(o Options) (*Figure, error) {
 	}
 	for i, mb := range grantsMB {
 		if sw.failed(groups[i]) {
-			fig.AddPoint(mb, -1, 0, 0)
+			fig.addPoint(mb, -1, 0, 0)
 			continue
 		}
-		fig.AddPoint(mb,
+		fig.addPoint(mb,
 			sw.meanResponse(groups[i]),
 			sw.mean(groups[i], func(r exec.Result) float64 { return float64(r.MemRepairs) }),
 			sw.mean(groups[i], func(r exec.Result) float64 { return float64(r.PeakMemBytes) / (1 << 20) }))

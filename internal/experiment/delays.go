@@ -22,7 +22,7 @@ func DelayClasses(o Options) (*Figure, error) {
 	// joins; give all strategies the same ample grant so delay behaviour,
 	// not memory, is the variable here (the memory ablation covers that).
 	cfg.MemoryBytes *= 4
-	fig := NewFigure("DelayClasses", "three delay classes (§1.2): SEQ vs SCR vs DPHJ vs DSE",
+	fig := newFigure("DelayClasses", "three delay classes (§1.2): SEQ vs SCR vs DPHJ vs DSE",
 		"class#", "response time (s)", "SEQ", "SCR", "DPHJ", "DSE")
 
 	scale := 1.0
@@ -75,7 +75,7 @@ func DelayClasses(o Options) (*Figure, error) {
 		for _, g := range groups[i] {
 			values = append(values, sw.meanResponse(g))
 		}
-		fig.AddPoint(float64(i), values...)
+		fig.addPoint(float64(i), values...)
 	}
 	return fig, nil
 }

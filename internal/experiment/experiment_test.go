@@ -10,28 +10,28 @@ func smallOptions() Options {
 }
 
 func TestFigureAddPointAndAccessors(t *testing.T) {
-	f := NewFigure("id", "title", "x", "y", "a", "b")
-	f.AddPoint(1, 10, 20)
-	f.AddPoint(2, 11, 21)
+	f := newFigure("id", "title", "x", "y", "a", "b")
+	f.addPoint(1, 10, 20)
+	f.addPoint(2, 11, 21)
 	if len(f.X) != 2 || f.Get("a")[1] != 11 || f.Get("b")[0] != 20 {
 		t.Errorf("figure data wrong: %+v", f)
 	}
 }
 
 func TestFigureAddPointArityPanics(t *testing.T) {
-	f := NewFigure("id", "title", "x", "y", "a", "b")
+	f := newFigure("id", "title", "x", "y", "a", "b")
 	defer func() {
 		if recover() == nil {
 			t.Error("wrong arity accepted")
 		}
 	}()
-	f.AddPoint(1, 10)
+	f.addPoint(1, 10)
 }
 
 func TestFigurePrintCSVChart(t *testing.T) {
-	f := NewFigure("Figure 6", "demo", "retrieval(s)", "response (s)", "SEQ", "DSE")
-	f.AddPoint(1, 10, 5)
-	f.AddPoint(2, 12, 6)
+	f := newFigure("Figure 6", "demo", "retrieval(s)", "response (s)", "SEQ", "DSE")
+	f.addPoint(1, 10, 5)
+	f.addPoint(2, 12, 6)
 	var sb strings.Builder
 	f.Print(&sb)
 	out := sb.String()
@@ -52,7 +52,7 @@ func TestFigurePrintCSVChart(t *testing.T) {
 	}
 	// Degenerate charts must not panic or emit.
 	sb.Reset()
-	NewFigure("e", "e", "x", "y", "a").Chart(&sb, 32, 8)
+	newFigure("e", "e", "x", "y", "a").Chart(&sb, 32, 8)
 	if sb.Len() != 0 {
 		t.Error("empty figure drew a chart")
 	}
@@ -86,7 +86,7 @@ func TestFig5PrintsPlanAndChains(t *testing.T) {
 }
 
 func TestSlowOneUnknownRelation(t *testing.T) {
-	if _, err := SlowOne(smallOptions(), "Z"); err == nil {
+	if _, err := slowOne(smallOptions(), "Z"); err == nil {
 		t.Error("unknown relation accepted")
 	}
 }

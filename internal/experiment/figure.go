@@ -30,8 +30,8 @@ type Figure struct {
 	Series map[string][]float64
 }
 
-// NewFigure allocates an empty figure with the given series order.
-func NewFigure(id, title, xlabel, ylabel string, order ...string) *Figure {
+// newFigure allocates an empty figure with the given series order.
+func newFigure(id, title, xlabel, ylabel string, order ...string) *Figure {
 	return &Figure{
 		ID:     id,
 		Title:  title,
@@ -42,8 +42,8 @@ func NewFigure(id, title, xlabel, ylabel string, order ...string) *Figure {
 	}
 }
 
-// AddPoint appends one x value with its series values (in Order).
-func (f *Figure) AddPoint(x float64, values ...float64) {
+// addPoint appends one x value with its series values (in Order).
+func (f *Figure) addPoint(x float64, values ...float64) {
 	if len(values) != len(f.Order) {
 		panic(fmt.Sprintf("experiment: %s: %d values for %d series", f.ID, len(values), len(f.Order)))
 	}

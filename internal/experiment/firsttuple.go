@@ -15,7 +15,7 @@ import (
 // room to spare. Infeasible grants (DSE below its floor, or SCR overflowing
 // — it cannot materialize) are expected per-point outcomes plotted as -1.
 func FirstTupleLatency(o Options) (*Figure, error) {
-	fig := NewFigure("FirstTuple/memory", "first-tuple latency vs memory grant; -1 = infeasible",
+	fig := newFigure("FirstTuple/memory", "first-tuple latency vs memory grant; -1 = infeasible",
 		"grant(MB)", "value",
 		"DSE(s)", "DSE-first(s)", "SCR-first(s)", "repairs")
 	grantsMB := []float64{5, 8, 10, 12, 16, 32, 64}
@@ -51,7 +51,7 @@ func FirstTupleLatency(o Options) (*Figure, error) {
 	}
 	for i, mb := range grantsMB {
 		p := points[i]
-		fig.AddPoint(mb,
+		fig.addPoint(mb,
 			metric(p.dse, response),
 			metric(p.dse, first),
 			metric(p.scr, first),

@@ -21,10 +21,10 @@ func MultiQuery(o Options) (*Figure, error) {
 	// here (the memory ablation covers that axis).
 	cfg.MemoryBytes *= 4
 	wait := 50 * time.Microsecond
-	fig := NewFigure("MultiQuery", "concurrent queries on one mediator (DSE, global scheduler)",
+	fig := newFigure("MultiQuery", "concurrent queries on one mediator (DSE, global scheduler)",
 		"queries", "value", "avg-response(s)", "makespan(s)", "serial(s)", "speedup")
 
-	// A multi-query measurement is not a plain Cell (it drives one server
+	// A multi-query measurement is not a plain cell (it drives one server
 	// batch plus a serial reference), but each (concurrency level, seed) pair
 	// is still an independent deterministic simulation, so they all run
 	// concurrently on the same bounded pool and are folded back in
@@ -82,7 +82,7 @@ func MultiQuery(o Options) (*Figure, error) {
 			tot += res.ResponseTime.Seconds()
 		}
 		units[j].serial = tot
-		o.Stats.observe(CellResult{Result: last, Wall: time.Since(start)})
+		o.Stats.observe(cellResult{Result: last, Wall: time.Since(start)})
 		return nil
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func MultiQuery(o Options) (*Figure, error) {
 		if makespan > 0 {
 			speedup = serial / makespan
 		}
-		fig.AddPoint(float64(n), avgResp, makespan, serial, speedup)
+		fig.addPoint(float64(n), avgResp, makespan, serial, speedup)
 	}
 	return fig, nil
 }

@@ -70,12 +70,12 @@ func (o Options) slowdownPoints() []float64 {
 	return pts
 }
 
-// SlowOne regenerates Figure 6 (relation A slowed) or Figure 7 (relation F
+// slowOne regenerates Figure 6 (relation A slowed) or Figure 7 (relation F
 // slowed), depending on the relation argument. Every other wrapper delivers
 // at the no-problem waiting time w_min. The x-axis is the total time to
 // retrieve the slowed relation; series are the response times of the three
 // strategies plus the analytic lower bound LWB.
-func SlowOne(o Options, relName string) (*Figure, error) {
+func slowOne(o Options, relName string) (*Figure, error) {
 	cfg := o.config()
 	card := o.cardOf(relName)
 	if card == 0 {
@@ -88,7 +88,7 @@ func SlowOne(o Options, relName string) (*Figure, error) {
 	if relName == "F" {
 		id = "Figure 7"
 	}
-	fig := NewFigure(id,
+	fig := newFigure(id,
 		fmt.Sprintf("one slowed-down relation (%s)", relName),
 		"retrieval(s)", "response time (s)",
 		append(append([]string{}, strategies...), "LWB")...)
@@ -140,16 +140,16 @@ func SlowOne(o Options, relName string) (*Figure, error) {
 			return nil, err
 		}
 		values = append(values, lwb.Seconds())
-		fig.AddPoint(p.x, values...)
+		fig.addPoint(p.x, values...)
 	}
 	return fig, nil
 }
 
 // Fig6 regenerates Figure 6 (A slowed).
-func Fig6(o Options) (*Figure, error) { return SlowOne(o, "A") }
+func Fig6(o Options) (*Figure, error) { return slowOne(o, "A") }
 
 // Fig7 regenerates Figure 7 (F slowed).
-func Fig7(o Options) (*Figure, error) { return SlowOne(o, "F") }
+func Fig7(o Options) (*Figure, error) { return slowOne(o, "F") }
 
 // wminPoints returns the x-axis of Figure 8: the uniform per-tuple waiting
 // time of every wrapper, in microseconds.
@@ -163,7 +163,7 @@ func wminPoints() []float64 {
 // computes a poor total order.
 func Fig8(o Options) (*Figure, error) {
 	cfg := o.config()
-	fig := NewFigure("Figure 8", "several slowed-down relations (uniform w_min)",
+	fig := newFigure("Figure 8", "several slowed-down relations (uniform w_min)",
 		"w_min(us)", "value", "SEQ(s)", "DSE(s)", "gain(%)")
 	sw := o.newSweep(fig.ID)
 	type point struct {
@@ -194,7 +194,7 @@ func Fig8(o Options) (*Figure, error) {
 		if seq > 0 {
 			gain = (seq - dse) / seq * 100
 		}
-		fig.AddPoint(p.us, seq, dse, gain)
+		fig.addPoint(p.us, seq, dse, gain)
 	}
 	return fig, nil
 }
@@ -205,7 +205,7 @@ func Fig8(o Options) (*Figure, error) {
 // picture.
 func PositionSweep(o Options, retrievalSeconds float64) (*Figure, error) {
 	cfg := o.config()
-	fig := NewFigure("Position", fmt.Sprintf("slowed relation position (retrieval=%.1fs)", retrievalSeconds),
+	fig := newFigure("Position", fmt.Sprintf("slowed relation position (retrieval=%.1fs)", retrievalSeconds),
 		"relation#", "response time (s)", strategies...)
 	names := []string{"A", "B", "C", "D", "E", "F"}
 	sw := o.newSweep(fig.ID)
@@ -231,7 +231,7 @@ func PositionSweep(o Options, retrievalSeconds float64) (*Figure, error) {
 		for _, g := range groups[i] {
 			values = append(values, sw.meanResponse(g))
 		}
-		fig.AddPoint(float64(i), values...)
+		fig.addPoint(float64(i), values...)
 	}
 	return fig, nil
 }

@@ -107,14 +107,14 @@ func TestRunCellsDeterministicAcrossWorkerCounts(t *testing.T) {
 		d["A"] = exec.Delivery{MeanWait: 5 * cfg.InitialWaitEstimate}
 		return d
 	}
-	var cells []Cell
+	var cells []cell
 	for _, strat := range []string{"SEQ", "MA", "DSE"} {
 		for _, seed := range []int64{1, 2} {
-			cells = append(cells, Cell{Seed: seed, Config: cfg, Strategy: strat, Deliveries: mk})
+			cells = append(cells, cell{Seed: seed, Config: cfg, Strategy: strat, Deliveries: mk})
 		}
 	}
-	seq := Options{Small: true, Parallel: 1}.RunCells(cells)
-	par := Options{Small: true, Parallel: 8}.RunCells(cells)
+	seq := Options{Small: true, Parallel: 1}.runCells(cells)
+	par := Options{Small: true, Parallel: 8}.runCells(cells)
 	if len(seq) != len(cells) || len(par) != len(cells) {
 		t.Fatalf("result lengths %d/%d, want %d", len(seq), len(par), len(cells))
 	}
@@ -176,12 +176,12 @@ func TestRunStatsObserves(t *testing.T) {
 	mk := func(w *workload.Workload) map[string]exec.Delivery {
 		return uniformDeliveries(w, cfg.InitialWaitEstimate)
 	}
-	cells := []Cell{
+	cells := []cell{
 		{Seed: 1, Config: cfg, Strategy: "SEQ", Deliveries: mk},
 		{Seed: 1, Config: cfg, Strategy: "DSE", Deliveries: mk},
 		{Seed: 1, Config: cfg, Strategy: "BOGUS", Deliveries: mk},
 	}
-	res := o.RunCells(cells)
+	res := o.runCells(cells)
 	if res[2].Err == nil {
 		t.Error("bogus strategy did not error")
 	}
@@ -199,7 +199,7 @@ func TestRunStatsObserves(t *testing.T) {
 	}
 	// A nil stats receiver discards observations without panicking.
 	var nilStats *RunStats
-	nilStats.observe(CellResult{})
+	nilStats.observe(cellResult{})
 }
 
 func TestSweepToleratedErrors(t *testing.T) {
@@ -234,7 +234,7 @@ func TestSweepToleratedErrors(t *testing.T) {
 func TestCellWallClockIsRealTime(t *testing.T) {
 	cfg := exec.DefaultConfig()
 	o := Options{Small: true}
-	res := o.runCell(Cell{Seed: 1, Config: cfg, Strategy: "SEQ", Deliveries: func(w *workload.Workload) map[string]exec.Delivery {
+	res := o.runCell(cell{Seed: 1, Config: cfg, Strategy: "SEQ", Deliveries: func(w *workload.Workload) map[string]exec.Delivery {
 		return uniformDeliveries(w, cfg.InitialWaitEstimate)
 	}})
 	if res.Err != nil {

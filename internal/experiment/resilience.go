@@ -19,7 +19,7 @@ import (
 // story at 1/10 size.
 func Resilience(o Options) (*Figure, error) {
 	cfg := o.config()
-	fig := NewFigure("Resilience", "fault-intensity grid: SEQ vs MA vs SCR vs DSE under injected wrapper faults",
+	fig := newFigure("Resilience", "fault-intensity grid: SEQ vs MA vs SCR vs DSE under injected wrapper faults",
 		"fault level#", "response time (s)", "SEQ", "MA", "SCR", "DSE")
 
 	scale := 1.0
@@ -69,7 +69,7 @@ func Resilience(o Options) (*Figure, error) {
 		for _, g := range groups[i] {
 			values = append(values, sw.meanResponse(g))
 		}
-		fig.AddPoint(float64(i), values...)
+		fig.addPoint(float64(i), values...)
 	}
 	return fig, nil
 }

@@ -17,14 +17,14 @@ import (
 // deliveriesFn builds the per-wrapper delivery behaviour for a workload.
 type deliveriesFn func(w *workload.Workload) map[string]exec.Delivery
 
-// Cell is one independent simulator run of an experiment grid: a workload
+// cell is one independent simulator run of an experiment grid: a workload
 // (usually a cached seed of the Figure-5 family), an execution
 // configuration, a strategy and a delivery generator. Every sweep in the
 // paper's evaluation — figure × config × strategy × seed — decomposes into
 // cells, and cells are the unit of parallelism: each runs on its own
 // mediator with its own virtual clock, so any number can execute
 // concurrently without changing the virtual times they report.
-type Cell struct {
+type cell struct {
 	// Figure names the figure (or sweep) the cell belongs to; it becomes
 	// the cell's dqs_figure pprof label. Empty means unlabeled.
 	Figure string
@@ -43,9 +43,9 @@ type Cell struct {
 	Deliveries deliveriesFn
 }
 
-// CellResult is one executed cell: the run summary plus the harness's own
+// cellResult is one executed cell: the run summary plus the harness's own
 // profiling of the run (real wall-clock, not virtual time).
-type CellResult struct {
+type cellResult struct {
 	exec.Result
 	// Wall is the real time the cell took to simulate.
 	Wall time.Duration
@@ -65,7 +65,7 @@ type RunStats struct {
 }
 
 // observe folds one executed cell into the counters.
-func (s *RunStats) observe(r CellResult) {
+func (s *RunStats) observe(r cellResult) {
 	if s == nil {
 		return
 	}
@@ -153,13 +153,13 @@ func (o Options) forEach(n int, job func(i int) error) error {
 // runCell executes one cell on a fresh mediator and profiles it. The run
 // carries pprof labels (dqs_figure, dqs_cell = strategy, dqs_seed) so CPU
 // profiles of a sweep break down by grid entry.
-func (o Options) runCell(c Cell) CellResult {
+func (o Options) runCell(c cell) cellResult {
 	start := time.Now()
 	load := c.Load
 	if load == nil {
 		load = func() (*workload.Workload, error) { return o.loadWorkload(c.Seed) }
 	}
-	var out CellResult
+	var out cellResult
 	labels := pprof.Labels("dqs_figure", c.Figure, "dqs_cell", c.Strategy, "dqs_seed", strconv.FormatInt(c.Seed, 10))
 	pprof.Do(context.Background(), labels, func(context.Context) {
 		w, err := load()
@@ -175,12 +175,12 @@ func (o Options) runCell(c Cell) CellResult {
 	return out
 }
 
-// RunCells executes every cell on the bounded worker pool and returns the
+// runCells executes every cell on the bounded worker pool and returns the
 // results in cell order: assembly order is the caller's enqueue order, so
 // parallelism never reorders figure rows. Per-cell errors are reported in
 // the results, not returned.
-func (o Options) RunCells(cells []Cell) []CellResult {
-	results := make([]CellResult, len(cells))
+func (o Options) runCells(cells []cell) []cellResult {
+	results := make([]cellResult, len(cells))
 	o.forEach(len(cells), func(i int) error { //nolint:errcheck // jobs store errors in results
 		results[i] = o.runCell(cells[i])
 		return nil
@@ -199,8 +199,8 @@ type seedGroup struct{ start, n int }
 type sweep struct {
 	o       Options
 	figure  string
-	cells   []Cell
-	results []CellResult
+	cells   []cell
+	results []cellResult
 	// tolerate marks errors that are expected per-point outcomes (e.g. an
 	// infeasible memory grant) rather than sweep failures.
 	tolerate func(error) bool
@@ -216,7 +216,7 @@ func (o Options) newSweep(figure string) *sweep { return &sweep{o: o, figure: fi
 func (s *sweep) add(cfg exec.Config, strategy string, mk deliveriesFn, load func(seed int64) (*workload.Workload, error)) seedGroup {
 	g := seedGroup{start: len(s.cells)}
 	for _, seed := range s.o.seeds() {
-		c := Cell{Figure: s.figure, Seed: seed, Config: cfg, Strategy: strategy, Deliveries: mk}
+		c := cell{Figure: s.figure, Seed: seed, Config: cfg, Strategy: strategy, Deliveries: mk}
 		if load != nil {
 			seed := seed
 			c.Load = func() (*workload.Workload, error) { return load(seed) }
@@ -231,7 +231,7 @@ func (s *sweep) add(cfg exec.Config, strategy string, mk deliveriesFn, load func
 // lowest-index non-tolerated cell error — the one the sequential
 // loops would have reported first.
 func (s *sweep) run() error {
-	s.results = s.o.RunCells(s.cells)
+	s.results = s.o.runCells(s.cells)
 	for i, r := range s.results {
 		if r.Err != nil && (s.tolerate == nil || !s.tolerate(r.Err)) {
 			return fmt.Errorf("%s seed %d: %w", s.cells[i].Strategy, s.cells[i].Seed, r.Err)

@@ -47,7 +47,7 @@ func ServerLoad(o Options) (*Figure, error) {
 			"first-tuple(s) "+g.label,
 			"adm-wait(s) "+g.label)
 	}
-	fig := NewFigure("ServerLoad", "mediator service under arrival load (fused, shared streams)",
+	fig := newFigure("ServerLoad", "mediator service under arrival load (fused, shared streams)",
 		"offered-load", "seconds", order...)
 
 	seeds := o.seeds()
@@ -105,7 +105,7 @@ func ServerLoad(o Options) (*Figure, error) {
 		u.firstTuple /= queries
 		u.admWait /= queries
 		units[j] = u
-		o.Stats.observe(CellResult{Result: reports[len(reports)-1].Result, Wall: time.Since(start)})
+		o.Stats.observe(cellResult{Result: reports[len(reports)-1].Result, Wall: time.Since(start)})
 		return nil
 	})
 	if err != nil {
@@ -124,7 +124,7 @@ func ServerLoad(o Options) (*Figure, error) {
 			reps := float64(len(seeds))
 			values = append(values, u.latency/reps, u.firstTuple/reps, u.admWait/reps)
 		}
-		fig.AddPoint(load, values...)
+		fig.addPoint(load, values...)
 	}
 	return fig, nil
 }

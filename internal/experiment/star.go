@@ -21,7 +21,7 @@ func StarSweep(o Options) (*Figure, error) {
 	if o.Small {
 		spec = workload.SmallStarSpec()
 	}
-	fig := NewFigure("Star", fmt.Sprintf("star schema: %d slow dimensions, fast fact", spec.Dimensions),
+	fig := newFigure("Star", fmt.Sprintf("star schema: %d slow dimensions, fast fact", spec.Dimensions),
 		"dim-wait(us)", "response time (s)",
 		append(append([]string{}, strategies...), "LWB")...)
 	sw := o.newSweep(fig.ID)
@@ -63,7 +63,7 @@ func StarSweep(o Options) (*Figure, error) {
 			return nil, err
 		}
 		values = append(values, lwb.Seconds())
-		fig.AddPoint(p.us, values...)
+		fig.addPoint(p.us, values...)
 	}
 	return fig, nil
 }

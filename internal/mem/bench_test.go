@@ -8,7 +8,7 @@ import (
 )
 
 // arenaSlot is a one-arena IntRecycler: the benchmark's temps reuse one
-// arena as the engine's Scratch lets repeated runs do.
+// arena as the engine's pooled scratch lets repeated runs do.
 type arenaSlot struct{ buf []int64 }
 
 func (a *arenaSlot) GetTempInts(capacity int) []int64 {

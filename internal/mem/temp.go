@@ -97,7 +97,12 @@ func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int) 
 		object: obj,
 		width:  schema.Width(),
 	}
-	need := (max(rows, 0) + s.perPage - 1) / s.perPage * t.pageVals()
+	pages := (max(rows, 0) + s.perPage - 1) / s.perPage
+	if pages > 0 {
+		t.pageDone = make([]time.Duration, 0, pages)
+		t.resident = make([]bool, 0, pages)
+	}
+	need := pages * t.pageVals()
 	if s.pool != nil {
 		t.data = s.pool.GetTempInts(need)
 	}

@@ -78,7 +78,7 @@ func NewPlanCache() *PlanCache {
 // that finds the shape entry counts as a hit even when its literal binding
 // still needs constructing — the expensive DP work is shared.
 func (c *PlanCache) Load(cat *relation.Catalog, q *Query, stats *plan.Stats) (*CachedPlan, error) {
-	key := ShapeKey(cat, q, stats)
+	key := shapeKey(cat, q, stats)
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -145,12 +145,12 @@ func (c *PlanCache) Stats() CacheStats {
 	}
 }
 
-// ShapeKey canonicalizes everything the DP enumeration reads except filter
+// shapeKey canonicalizes everything the DP enumeration reads except filter
 // literals: relation order, names, cardinalities and schemas; join
 // predicates in query order; which columns carry filters; and the statistic
 // domains and skew. Two queries receive equal keys iff the solver would walk
 // an identical search space for them (up to literal values).
-func ShapeKey(cat *relation.Catalog, q *Query, stats *plan.Stats) string {
+func shapeKey(cat *relation.Catalog, q *Query, stats *plan.Stats) string {
 	var b strings.Builder
 	for _, name := range q.Relations {
 		fmt.Fprintf(&b, "R|%s", name)
@@ -188,7 +188,7 @@ func ShapeKey(cat *relation.Catalog, q *Query, stats *plan.Stats) string {
 }
 
 // literalKey canonicalizes the filter literals of a query — the only query
-// input ShapeKey leaves out.
+// input shapeKey leaves out.
 func literalKey(q *Query) string {
 	var b strings.Builder
 	for _, rel := range sortedFilterRels(q) {

@@ -143,8 +143,8 @@ func TestPlanCacheSeparatesDistinctShapes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cat, q, s := base()
 			mcat, mq, ms := tc.mutate(cat, q, s)
-			baseKey := ShapeKey(chainCatalog(), chainQuery(), chainStats())
-			if got := ShapeKey(mcat, mq, ms); got == baseKey {
+			baseKey := shapeKey(chainCatalog(), chainQuery(), chainStats())
+			if got := shapeKey(mcat, mq, ms); got == baseKey {
 				t.Fatalf("shape key collision: %q", got)
 			}
 			c := NewPlanCache()

@@ -46,7 +46,7 @@ func (s *Stats) Annotate(root *Node) error {
 	if skew <= 0 {
 		return fmt.Errorf("plan: non-positive estimation skew %v", skew)
 	}
-	return Walk(root, func(n *Node) error {
+	return walk(root, func(n *Node) error {
 		switch n.Kind {
 		case KindScan:
 			rows := float64(n.Rel.Cardinality)

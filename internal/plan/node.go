@@ -172,7 +172,7 @@ func (b *Builder) Output(child *Node) (*Node, error) {
 	}
 	child.parent = n
 	var refs []relation.ColRef
-	Walk(n, func(m *Node) error { //nolint:errcheck // fn never fails
+	walk(n, func(m *Node) error { //nolint:errcheck // fn never fails
 		switch {
 		case m.Kind == KindHashJoin:
 			refs = append(refs, m.BuildKey, m.ProbeKey)
@@ -181,7 +181,7 @@ func (b *Builder) Output(child *Node) (*Node, error) {
 		}
 		return nil
 	})
-	Walk(n, func(m *Node) error { //nolint:errcheck // fn never fails
+	walk(n, func(m *Node) error { //nolint:errcheck // fn never fails
 		m.Live = &relation.Schema{}
 		for _, c := range m.Schema.Cols {
 			if slices.Contains(refs, c) {
@@ -193,22 +193,22 @@ func (b *Builder) Output(child *Node) (*Node, error) {
 	return n, nil
 }
 
-// Walk visits every node of the plan rooted at n in post-order (inputs
+// walk visits every node of the plan rooted at n in post-order (inputs
 // before consumers). It stops early if fn returns an error.
-func Walk(n *Node, fn func(*Node) error) error {
+func walk(n *Node, fn func(*Node) error) error {
 	if n == nil {
 		return nil
 	}
 	switch n.Kind {
 	case KindHashJoin:
-		if err := Walk(n.Build, fn); err != nil {
+		if err := walk(n.Build, fn); err != nil {
 			return err
 		}
-		if err := Walk(n.Probe, fn); err != nil {
+		if err := walk(n.Probe, fn); err != nil {
 			return err
 		}
 	case KindOutput:
-		if err := Walk(n.Child, fn); err != nil {
+		if err := walk(n.Child, fn); err != nil {
 			return err
 		}
 	}
@@ -218,7 +218,7 @@ func Walk(n *Node, fn func(*Node) error) error {
 // Scans returns every wrapper scan of the plan, in post-order.
 func Scans(root *Node) []*Node {
 	var out []*Node
-	Walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
+	walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
 		if n.Kind == KindScan {
 			out = append(out, n)
 		}
@@ -230,7 +230,7 @@ func Scans(root *Node) []*Node {
 // Joins returns every hash join of the plan, in post-order.
 func Joins(root *Node) []*Node {
 	var out []*Node
-	Walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
+	walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
 		if n.Kind == KindHashJoin {
 			out = append(out, n)
 		}
@@ -250,7 +250,7 @@ func Validate(root *Node) error {
 		return fmt.Errorf("plan: root must be an output node, got %s", root.Kind)
 	}
 	seen := make(map[string]bool)
-	return Walk(root, func(n *Node) error {
+	return walk(root, func(n *Node) error {
 		switch n.Kind {
 		case KindScan:
 			if seen[n.Rel.Name] {

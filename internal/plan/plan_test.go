@@ -163,7 +163,7 @@ func TestJoinSchemaIsProbeThenBuild(t *testing.T) {
 func checkLive(t *testing.T, root *Node) {
 	t.Helper()
 	var refs []relation.ColRef
-	Walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
+	walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
 		switch {
 		case n.Kind == KindHashJoin:
 			refs = append(refs, n.BuildKey, n.ProbeKey)
@@ -172,7 +172,7 @@ func checkLive(t *testing.T, root *Node) {
 		}
 		return nil
 	})
-	Walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
+	walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
 		var want []relation.ColRef
 		for _, c := range n.Schema.Cols {
 			if slices.Contains(refs, c) {
@@ -298,7 +298,7 @@ func TestChainStringAndDecompositionString(t *testing.T) {
 func TestWalkPostOrderAndCollectors(t *testing.T) {
 	root, joins, _ := buildFig5(t)
 	var order []int
-	if err := Walk(root, func(n *Node) error {
+	if err := walk(root, func(n *Node) error {
 		order = append(order, n.ID)
 		return nil
 	}); err != nil {

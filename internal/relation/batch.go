@@ -10,7 +10,7 @@ import "fmt"
 //
 // A batch has one owner, which Resets it before every fill and drains it
 // before the next (the engine's is the running fragment's cascade in
-// exec.Scratch). Reset keeps the columns' grown capacity, so steady-state
+// exec's per-mediator scratch). Reset keeps the columns' grown capacity, so steady-state
 // batch traffic allocates nothing. A Batch is single-owner scratch state;
 // it is not safe for concurrent use.
 type Batch struct {

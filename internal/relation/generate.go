@@ -18,28 +18,6 @@ type Generator struct {
 // NewGenerator returns a generator drawing from the given random stream.
 func NewGenerator(rng *sim.RNG) *Generator { return &Generator{rng: rng} }
 
-// ExpectedJoinSize returns the expected cardinality of an equi-join of
-// relations with left and right rows over a shared uniform domain.
-func ExpectedJoinSize(left, right int, domain int64) float64 {
-	if domain <= 0 {
-		return 0
-	}
-	return float64(left) * float64(right) / float64(domain)
-}
-
-// DomainFor returns the domain size that makes the expected join output of
-// |left| x |right| equal to target rows.
-func DomainFor(left, right, target int) int64 {
-	if target <= 0 {
-		return int64(left) * int64(right) // selectivity ~ 1 match total
-	}
-	d := int64(float64(left) * float64(right) / float64(target))
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // ColumnSpec tells the generator how to fill one column.
 type ColumnSpec struct {
 	Col    string

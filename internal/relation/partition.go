@@ -34,15 +34,3 @@ func (b *Buckets) Add(p int, t Tuple) { b.parts[p] = append(b.parts[p], t) }
 
 // Part returns the tuples scattered to partition p.
 func (b *Buckets) Part(p int) []Tuple { return b.parts[p] }
-
-// Clear drops the tuple headers of every partition (keeping capacity), so
-// pooled buckets don't pin batch storage from finished runs.
-func (b *Buckets) Clear() {
-	for i := range b.parts {
-		s := b.parts[i][:cap(b.parts[i])]
-		for j := range s {
-			s[j] = nil
-		}
-		b.parts[i] = s[:0]
-	}
-}

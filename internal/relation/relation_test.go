@@ -2,7 +2,6 @@ package relation
 
 import (
 	"testing"
-	"testing/quick"
 
 	"dqs/internal/sim"
 )
@@ -157,39 +156,6 @@ func TestGeneratorDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestExpectedJoinSizeAndDomainFor(t *testing.T) {
-	if got := ExpectedJoinSize(100, 200, 50); got != 400 {
-		t.Errorf("ExpectedJoinSize = %v, want 400", got)
-	}
-	if got := ExpectedJoinSize(100, 200, 0); got != 0 {
-		t.Errorf("ExpectedJoinSize(domain 0) = %v", got)
-	}
-	d := DomainFor(100, 200, 400)
-	if d != 50 {
-		t.Errorf("DomainFor = %d, want 50", d)
-	}
-	if d := DomainFor(10, 10, 0); d != 100 {
-		t.Errorf("DomainFor(target 0) = %d, want |L|*|R|", d)
-	}
-	// Round trip property: the domain chosen for a target yields that
-	// expected size within rounding slack. A target above |L|·|R| is
-	// unreachable (domain clamps to 1), so the reachable expectation is
-	// min(target, |L|·|R|).
-	f := func(l, r uint8, target uint8) bool {
-		ll, rr, tt := int(l)+1, int(r)+1, int(target)+1
-		d := DomainFor(ll, rr, tt)
-		got := ExpectedJoinSize(ll, rr, d)
-		reachable := float64(tt)
-		if m := float64(ll) * float64(rr); m < reachable {
-			reachable = m
-		}
-		return got >= reachable*0.5 && got <= float64(tt)*2+1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGeneratedSelectivityMatchesExpectation(t *testing.T) {
 	// Generate two relations sharing a domain and check the real join size
 	// is within 10% of the expectation.
@@ -197,7 +163,7 @@ func TestGeneratedSelectivityMatchesExpectation(t *testing.T) {
 	a := c.MustAdd("A", 20000, "id", "k")
 	b := c.MustAdd("B", 10000, "id", "k")
 	g := NewGenerator(sim.NewRNG(3))
-	domain := DomainFor(20000, 10000, 40000)
+	domain := int64(5000) // |A|·|B| / 5000 = 40000 expected matches
 	ta := g.MustGenerate(a, ColumnSpec{Col: "k", Domain: domain})
 	tb := g.MustGenerate(b, ColumnSpec{Col: "k", Domain: domain})
 	counts := make(map[int64]int)
@@ -208,7 +174,7 @@ func TestGeneratedSelectivityMatchesExpectation(t *testing.T) {
 	for _, row := range tb.Rows {
 		matches += float64(counts[row[1]])
 	}
-	want := ExpectedJoinSize(20000, 10000, domain)
+	want := 20000.0 * 10000 / float64(domain)
 	if matches < want*0.9 || matches > want*1.1 {
 		t.Errorf("actual join size %v deviates from expected %v by more than 10%%", matches, want)
 	}

@@ -11,8 +11,7 @@ type EventKind int
 
 // Trace event kinds.
 const (
-	EvPlanning    EventKind = iota // a DQS planning phase ran
-	EvSchedule                     // a scheduling plan was adopted
+	EvSchedule    EventKind = iota // a scheduling plan was adopted
 	EvBatch                        // a fragment processed a batch
 	EvStall                        // the processor stalled waiting for data
 	EvFragmentEnd                  // a query fragment terminated
@@ -20,7 +19,6 @@ const (
 	EvTimeout                      // all scheduled fragments starved
 	EvDegrade                      // a PC was degraded into MF/CF
 	EvMemRepair                    // the DQO repaired a non-M-schedulable PC
-	EvMaterialize                  // tuples were spilled to a temp relation
 	EvPhase                        // a strategy phase boundary (e.g. MA)
 	EvSourceDown                   // a wrapper stopped delivering (fault)
 	EvSourceUp                     // a wrapper resumed delivering
@@ -30,7 +28,6 @@ const (
 )
 
 var eventNames = map[EventKind]string{
-	EvPlanning:    "planning",
 	EvSchedule:    "schedule",
 	EvBatch:       "batch",
 	EvStall:       "stall",
@@ -39,7 +36,6 @@ var eventNames = map[EventKind]string{
 	EvTimeout:     "timeout",
 	EvDegrade:     "degrade",
 	EvMemRepair:   "mem-repair",
-	EvMaterialize: "materialize",
 	EvPhase:       "phase",
 	EvSourceDown:  "source-down",
 	EvSourceUp:    "source-up",

@@ -58,10 +58,10 @@ func TestEventKindStrings(t *testing.T) {
 		k    EventKind
 		want string
 	}{
-		{EvPlanning, "planning"}, {EvSchedule, "schedule"}, {EvBatch, "batch"},
+		{EvSchedule, "schedule"}, {EvBatch, "batch"},
 		{EvStall, "stall"}, {EvFragmentEnd, "fragment-end"}, {EvRateChange, "rate-change"},
 		{EvTimeout, "timeout"}, {EvDegrade, "degrade"}, {EvMemRepair, "mem-repair"},
-		{EvMaterialize, "materialize"}, {EvPhase, "phase"}, {EventKind(99), "event(99)"},
+		{EvPhase, "phase"}, {EventKind(99), "event(99)"},
 	} {
 		if got := tc.k.String(); got != tc.want {
 			t.Errorf("EventKind(%d).String() = %q, want %q", int(tc.k), got, tc.want)

@@ -106,8 +106,8 @@ func TestSourceColumnarMismatch(t *testing.T) {
 		"narrower than queue": {WithColumnar(tab.Columns(), []int{0}, -1, 0)},
 		"wider than queue":    {WithColumnar(tab.Columns(), []int{0, 1, 2}, -1, 0)},
 	} {
-		if _, err := New("W", tab, q, sim.NewRNG(1), 0, opts...); !errors.Is(err, ErrColumnarMismatch) {
-			t.Errorf("%s: err = %v, want ErrColumnarMismatch", name, err)
+		if _, err := New("W", tab, q, sim.NewRNG(1), 0, opts...); !errors.Is(err, errColumnarMismatch) {
+			t.Errorf("%s: err = %v, want errColumnarMismatch", name, err)
 		}
 	}
 	if q.Len() != 0 {

@@ -18,7 +18,7 @@
 // "Eagerly" is a statement about what readers observe, not about when the
 // simulation runs: the queue records the instants of the consumer's credits
 // and the source replays the whole run in one ResumeN when the queue settles
-// (comm.BulkProducer). Every accessor of a source's production state settles
+// (Queue.Settle in comm). Every accessor of a source's production state settles
 // its queue first, so no reader can tell the replay from a resume per credit.
 package source
 
@@ -121,9 +121,9 @@ type Recycler interface {
 	PutBools([]bool)
 }
 
-// ErrColumnarMismatch reports a source whose WithColumnar option is missing
+// errColumnarMismatch reports a source whose WithColumnar option is missing
 // or projects a different number of columns than its queue's slots carry.
-var ErrColumnarMismatch = errors.New("source: columnar projection does not match the queue")
+var errColumnarMismatch = errors.New("source: columnar projection does not match the queue")
 
 // Option configures a Source.
 type Option func(*Source)
@@ -241,10 +241,10 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 		}
 	}
 	if s.tcols == nil {
-		return nil, fmt.Errorf("source %q: %w: no WithColumnar option", name, ErrColumnarMismatch)
+		return nil, fmt.Errorf("source %q: %w: no WithColumnar option", name, errColumnarMismatch)
 	}
 	if len(s.keep) != q.Width() {
-		return nil, fmt.Errorf("source %q: %w: %d live columns for a width-%d queue", name, ErrColumnarMismatch, len(s.keep), q.Width())
+		return nil, fmt.Errorf("source %q: %w: %d live columns for a width-%d queue", name, errColumnarMismatch, len(s.keep), q.Width())
 	}
 	for _, c := range s.keep {
 		if c < 0 || c >= len(s.tcols) {
@@ -408,7 +408,7 @@ func (s *Source) Resume(now time.Duration) {
 	s.pump(now)
 }
 
-// ResumeN implements comm.BulkProducer: the consumer freed one window slot
+// ResumeN is the bulk replay a comm queue defers credits for: the consumer freed one window slot
 // at each of the given instants, in order. Each floor is replayed against
 // the window as it stood at its own credit — the later credits have already
 // left the queue's debt, so they are counted back in as owed — and the whole

@@ -22,7 +22,7 @@ type span struct {
 	hasEnd     bool
 }
 
-// GanttFor renders like Gantt with a leading header naming the scheduling
+// GanttFor renders like gantt with a leading header naming the scheduling
 // policy that produced the trace (callers pass the run's Result.Strategy, so
 // charts of user-registered policies are labelled like the built-ins).
 func GanttFor(w io.Writer, tr *sim.Trace, width int, policy string) error {
@@ -31,12 +31,12 @@ func GanttFor(w io.Writer, tr *sim.Trace, width int, policy string) error {
 			return err
 		}
 	}
-	return Gantt(w, tr, width)
+	return gantt(w, tr, width)
 }
 
-// Gantt renders fragment lifetimes from a trace, one row per fragment in
+// gantt renders fragment lifetimes from a trace, one row per fragment in
 // start order. width is the number of time columns.
-func Gantt(w io.Writer, tr *sim.Trace, width int) error {
+func gantt(w io.Writer, tr *sim.Trace, width int) error {
 	if tr == nil || len(tr.Events) == 0 {
 		_, err := fmt.Fprintln(w, "(empty trace)")
 		return err

@@ -18,7 +18,7 @@ func TestGanttRendersSpans(t *testing.T) {
 	tr.Add(0, sim.EvBatch, "MF(p_B) first batch")
 	tr.Add(time.Second, sim.EvFragmentEnd, "MF(p_B) done (5 tuples in)")
 	var sb strings.Builder
-	if err := Gantt(&sb, tr, 40); err != nil {
+	if err := gantt(&sb, tr, 40); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -68,7 +68,7 @@ func TestGanttUnfinishedSpan(t *testing.T) {
 	tr.Add(0, sim.EvBatch, "p_A first batch")
 	tr.Add(time.Second, sim.EvBatch, "p_B first batch") // extends horizon
 	var sb strings.Builder
-	if err := Gantt(&sb, tr, 32); err != nil {
+	if err := gantt(&sb, tr, 32); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), ">") {
@@ -78,7 +78,7 @@ func TestGanttUnfinishedSpan(t *testing.T) {
 
 func TestGanttDegenerateInputs(t *testing.T) {
 	var sb strings.Builder
-	if err := Gantt(&sb, nil, 40); err != nil {
+	if err := gantt(&sb, nil, 40); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "empty trace") {
@@ -87,7 +87,7 @@ func TestGanttDegenerateInputs(t *testing.T) {
 	sb.Reset()
 	tr := &sim.Trace{}
 	tr.Add(0, sim.EvStall, "stall")
-	if err := Gantt(&sb, tr, 40); err != nil {
+	if err := gantt(&sb, tr, 40); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "no fragment activity") {
@@ -130,7 +130,7 @@ func runSmallDSETrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := Gantt(&sb, tr, 60); err != nil {
+	if err := gantt(&sb, tr, 60); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()

@@ -5,23 +5,7 @@ import (
 	"io"
 	"strings"
 	"time"
-
-	"dqs/internal/sim"
 )
-
-// FirstTupleAt extracts the first-tuple instant from a trace (the engine's
-// first-tuple event), with ok reporting whether the run produced output.
-func FirstTupleAt(tr *sim.Trace) (time.Duration, bool) {
-	if tr == nil {
-		return 0, false
-	}
-	for _, e := range tr.Events {
-		if e.Kind == sim.EvFirstTuple {
-			return e.At, true
-		}
-	}
-	return 0, false
-}
 
 // TupleTimeline renders the output ramp of one run: one row per result-
 // count milestone (tuple 1, 2, 4, ... — Result.TupleTimeline), its

@@ -4,29 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dqs/internal/sim"
 )
-
-func TestFirstTupleAt(t *testing.T) {
-	tr := &sim.Trace{}
-	tr.Add(50*time.Millisecond, sim.EvBatch, "p_A first batch")
-	tr.Add(230*time.Millisecond, sim.EvFirstTuple, "first output tuple")
-	tr.Add(900*time.Millisecond, sim.EvFragmentEnd, "p_A done")
-	at, ok := FirstTupleAt(tr)
-	if !ok || at != 230*time.Millisecond {
-		t.Fatalf("FirstTupleAt = %v, %v; want 230ms, true", at, ok)
-	}
-
-	empty := &sim.Trace{}
-	empty.Add(time.Second, sim.EvFragmentEnd, "p_A done (no output)")
-	if at, ok := FirstTupleAt(empty); ok || at != 0 {
-		t.Fatalf("trace without EvFirstTuple: got %v, %v; want 0, false", at, ok)
-	}
-	if at, ok := FirstTupleAt(nil); ok || at != 0 {
-		t.Fatalf("nil trace: got %v, %v; want 0, false", at, ok)
-	}
-}
 
 func TestTupleTimelineRendersRamp(t *testing.T) {
 	timeline := []time.Duration{ // tuples 1, 2, 4, 8

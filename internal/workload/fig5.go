@@ -44,7 +44,7 @@ func fig5Catalog() *relation.Catalog {
 	return cat
 }
 
-// Fig5Plan hand-builds the experiment QEP. Its pipeline-chain structure
+// fig5Plan hand-builds the experiment QEP. Its pipeline-chain structure
 // reproduces every behavioural statement of §5.2:
 //
 //	p_E: scan(E)                         => build(J1)
@@ -56,7 +56,7 @@ func fig5Catalog() *relation.Catalog {
 //
 // so p_A transitively blocks p_B and p_F (≈ half the execution), and p_C
 // blocks no other chain.
-func Fig5Plan(cat *relation.Catalog, stats *plan.Stats) (*plan.Node, error) {
+func fig5Plan(cat *relation.Catalog, stats *plan.Stats) (*plan.Node, error) {
 	b := plan.NewBuilder()
 	rel := func(name string) *relation.Relation {
 		r, ok := cat.Lookup(name)
@@ -122,7 +122,7 @@ func Fig5Skewed(seed int64, skew float64) (*Workload, error) {
 		return nil, err
 	}
 	stats.Skew = skew
-	root, err := Fig5Plan(cat, stats)
+	root, err := fig5Plan(cat, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func Fig5SmallSkewed(seed int64, skew float64) (*Workload, error) {
 		return nil, err
 	}
 	stats.Skew = skew
-	root, err := Fig5Plan(cat, stats)
+	root, err := fig5Plan(cat, stats)
 	if err != nil {
 		return nil, err
 	}
