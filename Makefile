@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test race check benchsmoke profile repobench repobench-compare loc
+.PHONY: build fmt vet test race check benchsmoke profile profile-fused repobench repobench-compare loc
 
 build:
 	$(GO) build ./...
@@ -84,3 +84,17 @@ profile:
 	$(GO) tool pprof -top -cum -nodecount 15 dqsbench.bin cpu.prof
 	$(GO) tool pprof -top -cum -nodecount 15 dqsbench.bin mem.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 15 dqsbench.bin mem.prof
+
+# CPU and allocation profiles of one warm fused server batch
+# (BenchmarkFusedBatch: 16 Fig5Small queries, MaxActive 4, shared streams),
+# the commands behind ROADMAP's "Fused" tables. The CPU pass and the
+# allocation pass run separately, because recording every allocation
+# (-memprofilerate 1) distorts the CPU samples. Prints the top 15
+# cumulative CPU entries and the top 15 allocation sites by object count,
+# and leaves fused.test, fused-cpu.prof and fused-mem.prof behind for
+# interactive `go tool pprof`. It reads host timings, so CI does not run it.
+profile-fused:
+	$(GO) test -run '^$$' -bench FusedBatch -benchtime 30x -benchmem -o fused.test -cpuprofile fused-cpu.prof ./internal/server/
+	$(GO) test -run '^$$' -bench FusedBatch -benchtime 10x -benchmem -o fused.test -memprofilerate 1 -memprofile fused-mem.prof ./internal/server/
+	$(GO) tool pprof -top -cum -nodecount 15 fused.test fused-cpu.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 15 fused.test fused-mem.prof

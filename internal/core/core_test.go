@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"dqs/internal/exec"
+	"dqs/internal/plan"
 	"dqs/internal/relation"
 	"dqs/internal/sim"
 	"dqs/internal/source"
@@ -286,7 +288,7 @@ func TestChainStateSplitAndAdvance(t *testing.T) {
 		t.Fatalf("split shape wrong: %+v", cs.segs)
 	}
 	cs.advance()
-	if cs.cur != 1 || cs.active() != cs.segs[1] {
+	if cs.cur != 1 || cs.active() != &cs.segs[1] {
 		t.Errorf("advance state wrong: cur=%d", cs.cur)
 	}
 	cs.advance()
@@ -363,4 +365,24 @@ func TestFinishedRunIsCollectable(t *testing.T) {
 		}
 	}
 	t.Error("the finished run's state is still reachable after it was dropped")
+}
+
+// TestCompareKeysIsConcatenationOrder pins DSE's last tie-break: chains
+// order as their label+name strings do, so "q10" and "q1" interleave by the
+// name that follows the label, exactly as the built key would.
+func TestCompareKeysIsConcatenationOrder(t *testing.T) {
+	parts := []string{"", "q", "q1", "q10", "q1p", "p_A", "p_B", "0p_A", "A"}
+	for _, al := range parts {
+		for _, an := range parts {
+			for _, bl := range parts {
+				for _, bn := range parts {
+					a := &chainState{rt: &exec.Runtime{Label: al}, chain: &plan.Chain{Name: an}}
+					b := &chainState{rt: &exec.Runtime{Label: bl}, chain: &plan.Chain{Name: bn}}
+					if got, want := compareKeys(a, b), strings.Compare(al+an, bl+bn); got != want {
+						t.Fatalf("compareKeys(%q+%q, %q+%q) = %d, want %d", al, an, bl, bn, got, want)
+					}
+				}
+			}
+		}
+	}
 }

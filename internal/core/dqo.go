@@ -42,8 +42,10 @@ func (p *dsePolicy) splitForMemory(cs *chainState) bool {
 		if need <= avail+released {
 			cs.splitActive(k)
 			rt.CountMemRepair()
-			rt.Trace.Add(rt.Now(), sim.EvMemRepair, "split %s%s at step %d (frees %d bytes)",
-				prefixLabel(rt.Label), cs.chain.Name, k, released)
+			if rt.Trace.Enabled() {
+				rt.Trace.Add(rt.Now(), sim.EvMemRepair, "split %s%s at step %d (frees %d bytes)",
+					prefixLabel(rt.Label), cs.chain.Name, k, released)
+			}
 			return true
 		}
 	}

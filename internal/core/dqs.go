@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"dqs/internal/exec"
@@ -41,7 +40,7 @@ func byPriority(a, b *cand, favored *exec.Runtime) int {
 	if da, db := a.cs.descendants, b.cs.descendants; da != db {
 		return cmp.Compare(db, da)
 	}
-	return strings.Compare(a.cs.sortKey, b.cs.sortKey)
+	return compareKeys(a.cs, b.cs)
 }
 
 // schedule is one DQS planning phase (§4.5). It:
@@ -88,9 +87,11 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 			add := p.estAdd(c.cs.rt, c.frag)
 			if add > avail && med.Mem.ResidentBytes() > 0 {
 				if freed := med.Mem.FreeUp(taken + add); freed > 0 {
-					med.Trace.Add(med.Now(), sim.EvMemRepair,
-						"spilled %d resident bytes to schedule %s without a split",
-						freed, c.frag.Label)
+					if med.Trace.Enabled() {
+						med.Trace.Add(med.Now(), sim.EvMemRepair,
+							"spilled %d resident bytes to schedule %s without a split",
+							freed, c.frag.Label)
+					}
 					avail = med.Mem.Available() - taken
 				}
 			}
@@ -123,9 +124,11 @@ func (p *dsePolicy) schedule(st *State) ([]*exec.Fragment, error) {
 			// candidate optimistically: if the build really overflows, the
 			// overflow machinery suspends it and genuine infeasibility is
 			// detected when no suspended fragment can ever resume.
-			med.Trace.Add(med.Now(), sim.EvMemRepair,
-				"optimistic schedule of %s (estimated need %d > available %d)",
-				skippedTop.frag.Label, skippedAdd, avail)
+			if med.Trace.Enabled() {
+				med.Trace.Add(med.Now(), sim.EvMemRepair,
+					"optimistic schedule of %s (estimated need %d > available %d)",
+					skippedTop.frag.Label, skippedAdd, avail)
+			}
 			sp = append(sp, skippedTop.frag)
 		}
 		p.sp = sp
@@ -167,8 +170,7 @@ func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 	// Input readiness: the first segment reads its wrapper queue; later
 	// segments need the previous segment's temp to be complete.
 	if cs.cur > 0 {
-		prev := cs.segs[cs.cur-1]
-		if prev.frag == nil || !prev.frag.Done() {
+		if prev := cs.segs[cs.cur-1].frag; prev == nil || !prev.Done() {
 			return cand{}, false
 		}
 	}

@@ -44,22 +44,29 @@ func newDSEPolicy(st *State) (Policy, error) {
 
 // addRuntimes registers the chains of the queries attached since the last
 // planning point: they enter the global critical-degree competition there.
+// A query's chain states, and their segments, come from one slab each.
 func (p *dsePolicy) addRuntimes(st *State) {
 	for _, rt := range p.fresh(st) {
-		for _, c := range rt.Dec.Chains {
-			cs := &chainState{
-				rt:      rt,
-				chain:   c,
-				sortKey: rt.Label + c.Name,
-				segs:    []*segSpec{{fromStep: 0, toStep: len(c.Joins)}},
-			}
+		chains := rt.Dec.Chains
+		n := 0
+		for _, c := range chains {
+			n += len(c.Joins) + 2
+		}
+		states, segs := make([]chainState, len(chains)), make([]segSpec, n)
+		for i, c := range chains {
+			cs := &states[i]
+			n := len(c.Joins) + 2
+			cs.rt, cs.chain = rt, c
+			cs.segs = segs[:1:n]
+			cs.segs[0] = segSpec{fromStep: 0, toStep: len(c.Joins)}
+			segs = segs[n:]
 			// The chains c blocks form a path: each probes the table the
 			// previous one builds.
 			for j := c.BuildsFor; j != nil; j = rt.Dec.ProberOf(j).BuildsFor {
 				cs.descendants++
 			}
 			p.states = append(p.states, cs)
-			p.splitBudget += len(c.Joins) + 2
+			p.splitBudget += n
 		}
 	}
 }

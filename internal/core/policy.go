@@ -85,8 +85,8 @@ type Event struct {
 type SchedulingPlan struct {
 	// Frags are the scheduled fragments in strictly decreasing priority.
 	// The slice is valid until the policy's next Plan, which may reuse its
-	// storage (DSE's plan, MA's materialization fragments and DPHJ's feeds
-	// do).
+	// storage (DSE's plan, SCR's window, MA's materialization fragments and
+	// DPHJ's feeds do).
 	Frags []*exec.Fragment
 	// RoundRobin switches the phase from priority order to a sweep: the
 	// same phase loop, with two conditions changed — after a batch it moves

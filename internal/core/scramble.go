@@ -29,6 +29,8 @@ type scrPolicy struct {
 	uptake
 	order []chainRef
 	frags []*exec.Fragment // nil until the chain is C-schedulable
+	// window backs every plan's Frags (see SchedulingPlan.Frags).
+	window []*exec.Fragment
 
 	cur       int // index in order of the chain the engine works on
 	scrambles int
@@ -80,13 +82,13 @@ func (p *scrPolicy) Plan(st *State) (SchedulingPlan, error) {
 	// The window: suspended earlier chains (resume candidates) and the
 	// current chain. Chains the engine scrambled away from sit above cur
 	// and stay suspended until cur finishes or another scrambling step.
-	var frags []*exec.Fragment
+	p.window = p.window[:0]
 	for i := 0; i <= p.cur; i++ {
 		if p.frags[i] != nil && !p.frags[i].Done() {
-			frags = append(frags, p.frags[i])
+			p.window = append(p.window, p.frags[i])
 		}
 	}
-	return SchedulingPlan{Frags: frags, Sticky: true}, nil
+	return SchedulingPlan{Frags: p.window, Sticky: true}, nil
 }
 
 // indexOf maps a fragment back to its chain-order index.

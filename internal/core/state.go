@@ -6,7 +6,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"dqs/internal/exec"
 	"dqs/internal/mem"
@@ -27,14 +30,15 @@ type segSpec struct {
 // degradation (§4.4) and memory repair (§4.2) split not-yet-started
 // segments into smaller ones.
 type chainState struct {
-	rt      *exec.Runtime // the query this chain belongs to
-	chain   *plan.Chain
-	sortKey string // rt.Label + chain.Name, the deterministic sort tie-break
+	rt    *exec.Runtime // the query this chain belongs to
+	chain *plan.Chain
 	// descendants is the number of chains this chain transitively blocks,
 	// the §4.3 tie-break toward enabling more downstream work.
 	descendants int
-	segs        []*segSpec
-	cur         int // index of the active (first unfinished) segment
+	// segs is split in place; its capacity, carved from the query's segment
+	// slab, holds the degradation and a split per step without growing.
+	segs []segSpec
+	cur  int // index of the active (first unfinished) segment
 
 	degraded bool // an MF/CF degradation was applied
 
@@ -51,7 +55,7 @@ func (cs *chainState) active() *segSpec {
 	if cs.cur >= len(cs.segs) {
 		return nil
 	}
-	return cs.segs[cs.cur]
+	return &cs.segs[cs.cur]
 }
 
 // prevTemp returns the temp relation feeding the active segment (nil for a
@@ -60,7 +64,7 @@ func (cs *chainState) prevTemp() *mem.Temp {
 	if cs.cur == 0 {
 		return nil
 	}
-	prev := cs.segs[cs.cur-1]
+	prev := &cs.segs[cs.cur-1]
 	if prev.frag == nil {
 		panic(fmt.Sprintf("core: %s segment %d has no completed predecessor", cs.chain.Name, cs.cur))
 	}
@@ -71,7 +75,9 @@ func (cs *chainState) prevTemp() *mem.Temp {
 func (s *segSpec) started() bool { return s.frag != nil && s.frag.Processed() > 0 }
 
 // splitActive replaces the active, not-yet-started segment [from, to) with
-// [from, k) + [k, to). It panics on misuse; callers must validate.
+// [from, k) + [k, to), in place; both halves create their fragments afresh.
+// It panics on misuse; callers must validate. A pointer to a segment is
+// stale after a split.
 func (cs *chainState) splitActive(k int) {
 	seg := cs.active()
 	if seg == nil || seg.started() {
@@ -81,13 +87,9 @@ func (cs *chainState) splitActive(k int) {
 		panic(fmt.Sprintf("core: split point %d outside segment [%d,%d) of %s",
 			k, seg.fromStep, seg.toStep, cs.chain.Name))
 	}
-	head := &segSpec{fromStep: seg.fromStep, toStep: k}
-	tail := &segSpec{fromStep: k, toStep: seg.toStep}
-	segs := make([]*segSpec, 0, len(cs.segs)+1)
-	segs = append(segs, cs.segs[:cs.cur]...)
-	segs = append(segs, head, tail)
-	segs = append(segs, cs.segs[cs.cur+1:]...)
-	cs.segs = segs
+	tail := segSpec{fromStep: k, toStep: seg.toStep}
+	*seg = segSpec{fromStep: seg.fromStep, toStep: k}
+	cs.segs = slices.Insert(cs.segs, cs.cur+1, tail)
 	cs.memSuspended = false
 }
 
@@ -107,4 +109,27 @@ func tablesComplete(rt *exec.Runtime, joins []*plan.Node) bool {
 		}
 	}
 	return true
+}
+
+// compareKeys orders chains by their query label and chain name read as one
+// string, label+name, without building it: the deterministic tie-break of
+// byPriority.
+func compareKeys(a, b *chainState) int {
+	a1, a2, b1, b2 := a.rt.Label, a.chain.Name, b.rt.Label, b.chain.Name
+	for {
+		if a1 == "" {
+			a1, a2 = a2, ""
+		}
+		if b1 == "" {
+			b1, b2 = b2, ""
+		}
+		if a1 == "" || b1 == "" {
+			return cmp.Compare(len(a1), len(b1))
+		}
+		n := min(len(a1), len(b1))
+		if c := strings.Compare(a1[:n], b1[:n]); c != 0 {
+			return c
+		}
+		a1, b1 = a1[n:], b1[n:]
+	}
 }

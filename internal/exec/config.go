@@ -29,18 +29,14 @@ type Delivery struct {
 }
 
 // appendSourceOptions appends the delivery's wrapper schedule options to
-// opts, for a private source and a shared stream alike. A non-zero initial
-// delay always passes, so the source refuses a negative one by name.
+// opts, for a private source and a shared stream alike. The initial delay
+// always passes, so the source refuses a negative one by name.
 func (d Delivery) appendSourceOptions(opts []source.Option) []source.Option {
+	opts = append(opts, source.WithInitialDelay(d.InitialDelay))
 	if len(d.Phases) > 0 {
-		opts = append(opts, source.WithPhases(d.Phases...))
-	} else {
-		opts = append(opts, source.WithMeanWait(d.MeanWait))
+		return append(opts, source.WithPhases(d.Phases...))
 	}
-	if d.InitialDelay != 0 {
-		opts = append(opts, source.WithInitialDelay(d.InitialDelay))
-	}
-	return opts
+	return append(opts, source.WithMeanWait(d.MeanWait))
 }
 
 // Config is what a caller may set about one query execution. A field is here

@@ -151,39 +151,12 @@ func WrapperFault(in TupleSource) (string, bool) {
 	return qs.q.Name(), qs.src.Dead() && qs.q.Len() == 0
 }
 
-// compileFaults wires the active fault plan into one query's wrapper as its
-// chain is built: the clause schedule goes into the primary's options, a
-// declared replica is constructed standby on the same queue, and a tracking
-// entry is registered. rel is the plan-facing relation name; cmName the
-// CM-scoped wrapper name (they differ under multi-query labels, so fault
-// randomness stays per-wrapper while clauses stay per-relation).
-func (m *Mediator) compileFaults(rel, cmName string, opts []source.Option) []source.Option {
-	plan := m.Cfg.Faults
-	if !plan.Active() {
-		return opts
-	}
-	if clauses := plan.ClausesFor(rel); len(clauses) > 0 {
-		opts = append(opts, source.WithFaults(&fault.Script{
-			Clauses: clauses,
-			RNG:     sim.NewRNG(fault.SeedFor(m.Cfg.FaultSeed, cmName)),
-		}))
-	}
-	return opts
-}
-
-// registerFaultEntry records the fault bookkeeping of one wrapper after its
-// primary source exists, building the standby replica when the plan declares
-// one. A wrapper outside the plan gets no entry: the fault-free fast paths
-// stay untouched.
+// registerFaultEntry records the fault bookkeeping of one wrapper the plan
+// names, after its primary source exists, building the standby replica when
+// the plan declares one. AddQuery registers no other wrapper: the fault-free
+// fast paths stay untouched.
 func (m *Mediator) registerFaultEntry(rt *Runtime, rel, cmName string, table *relation.Table, d Delivery, netTime time.Duration) error {
-	plan := m.Cfg.Faults
-	if !plan.Active() {
-		return nil
-	}
-	rep, hasRep := plan.ReplicaFor(rel)
-	if len(plan.ClausesFor(rel)) == 0 && !hasRep {
-		return nil
-	}
+	rep, hasRep := m.Cfg.Faults.ReplicaFor(rel)
 	if m.flt == nil {
 		m.flt = &faultState{entries: make(map[string]*faultEntry)}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dqs/internal/comm"
+	"dqs/internal/fault"
 	"dqs/internal/mem"
 	"dqs/internal/operator"
 	"dqs/internal/plan"
@@ -40,8 +41,8 @@ type Mediator struct {
 	scratch *scratch
 	// streams is the shared-wrapper registry (Cfg.SharedStreams): one
 	// physical stream per (table object, delivery behaviour), tapped by
-	// every query scanning it. Lazily allocated on first share.
-	streams map[streamKey]*source.Shared
+	// every query scanning it, in creation order.
+	streams []stream
 
 	replans    int
 	degrades   int
@@ -100,8 +101,8 @@ func (m *Mediator) Reclaim() {
 		rt.reclaim(s)
 	}
 	m.Temps.Reclaim()
-	for _, sh := range m.streams {
-		sh.Release()
+	for _, st := range m.streams {
+		st.sh.Release()
 	}
 	for _, g := range m.rngs {
 		s.putRNG(g)
@@ -207,13 +208,19 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		m.CM.Adopt(q)
 		d := deliveries[name]
 		// Room for every option appended below, faults included.
-		opts := d.appendSourceOptions(make([]source.Option, 0, 7))
+		var buf [7]source.Option
+		opts := d.appendSourceOptions(buf[:0])
 		if now := m.Clock.Now(); now > 0 {
 			// Mid-run admission: this query's sub-queries go out now, so its
 			// wrappers start producing now, not at the mediator's epoch.
 			opts = append(opts, source.WithStartTime(now))
 		}
-		if m.Cfg.SharedStreams && m.shareable(name) {
+		// Fault clauses and replicas bind faults to one private wrapper's
+		// row cursor, so a faulted source never rides a shared stream.
+		// Clauses are per relation, their randomness per CM-scoped wrapper.
+		clauses := m.Cfg.Faults.ClausesFor(name)
+		_, replicated := m.Cfg.Faults.ReplicaFor(name)
+		if m.Cfg.SharedStreams && len(clauses) == 0 && !replicated {
 			sh, err := m.sharedStream(name, table, d)
 			if err != nil {
 				return nil, err
@@ -223,15 +230,20 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		opts = append(opts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess),
 			source.WithRecycler(m.scratch))
 		rt.colPush[name] = p
-		opts = m.compileFaults(name, cmName, opts)
+		if len(clauses) > 0 {
+			opts = append(opts, source.WithFaults(&fault.Script{
+				Clauses: clauses, RNG: sim.NewRNG(fault.SeedFor(m.Cfg.FaultSeed, cmName))}))
+		}
 		src, err := source.New(cmName, table, q, m.newRNG(rng.ForkSeed(int64(i+1))), netTime, opts...)
 		if err != nil {
 			return nil, err
 		}
 		rt.sources[name] = src
 		rt.qsrcs[name] = &queueSource{q: q, src: src}
-		if err := m.registerFaultEntry(rt, name, cmName, table, d, netTime); err != nil {
-			return nil, err
+		if len(clauses) > 0 || replicated {
+			if err := m.registerFaultEntry(rt, name, cmName, table, d, netTime); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for _, j := range plan.Joins(root) {
@@ -245,34 +257,20 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			rows = h
 		}
 		ht := m.scratch.table(j.Build.Live.MustIndexOf(j.BuildKey), j.Build.Live.Width(), clampReserveRows(rows))
-		holder := m.Mem.Bind(label, fmt.Sprintf("%s:J%d", label, j.ID))
+		holder := m.Mem.Bind(label, "hash table")
 		rt.tables[j.ID] = &tableState{join: j, ht: ht, holder: holder}
 	}
 	m.rts = append(m.rts, rt)
 	return rt, nil
 }
 
-// streamKey identifies one shared physical wrapper stream: the same table
-// object delivered with the same behaviour. Distinct table objects (even of
-// equally named relations) carry distinct data and never share.
-type streamKey struct {
+// stream is one shared physical wrapper stream: the same table object
+// delivered with the same behaviour. Distinct table objects (even of equally
+// named relations) carry distinct data and never share.
+type stream struct {
 	tbl *relation.Table
-	fp  string
-}
-
-// shareable reports whether rel's wrapper may ride a shared stream: fault
-// clauses and replicas bind faults to one private wrapper's row cursor, so
-// faulted sources always stay private.
-func (m *Mediator) shareable(rel string) bool {
-	plan := m.Cfg.Faults
-	if !plan.Active() {
-		return true
-	}
-	if len(plan.ClausesFor(rel)) > 0 {
-		return false
-	}
-	_, hasRep := plan.ReplicaFor(rel)
-	return !hasRep
+	d   Delivery
+	sh  *source.Shared
 }
 
 // sharedStream returns the shared physical stream for (table, delivery),
@@ -280,12 +278,11 @@ func (m *Mediator) shareable(rel string) bool {
 // dedicated RNG namespace so it is deterministic in creation order and
 // independent of the per-query delay streams.
 func (m *Mediator) sharedStream(rel string, table *relation.Table, d Delivery) (*source.Shared, error) {
-	key := streamKey{tbl: table, fp: fmt.Sprintf("%v|%v|%v", d.MeanWait, d.Phases, d.InitialDelay)}
-	if sh, ok := m.streams[key]; ok {
-		return sh, nil
-	}
-	if m.streams == nil {
-		m.streams = make(map[streamKey]*source.Shared)
+	for _, st := range m.streams {
+		if st.tbl == table && st.d.MeanWait == d.MeanWait && st.d.InitialDelay == d.InitialDelay &&
+			slices.Equal(st.d.Phases, d.Phases) {
+			return st.sh, nil
+		}
 	}
 	rng := m.newRNG(m.rng.ForkSeed(streamSeedBase + int64(len(m.streams))))
 	var buf [3]source.Option
@@ -294,7 +291,7 @@ func (m *Mediator) sharedStream(rel string, table *relation.Table, d Delivery) (
 	if err != nil {
 		return nil, err
 	}
-	m.streams[key] = sh
+	m.streams = append(m.streams, stream{tbl: table, d: d, sh: sh})
 	return sh, nil
 }
 
@@ -306,11 +303,10 @@ const streamSeedBase = int64(1) << 32
 // SharedStreamCount returns how many physical shared streams the mediator
 // created, and the total taps they served.
 func (m *Mediator) SharedStreamCount() (streams, taps int) {
-	for _, sh := range m.streams {
-		streams++
-		taps += sh.Taps()
+	for _, st := range m.streams {
+		taps += st.sh.Taps()
 	}
-	return streams, taps
+	return len(m.streams), taps
 }
 
 // CountReplan, CountDegrade, CountTimeout and CountMemRepair accumulate

@@ -191,9 +191,26 @@ func TestEstimationErrorsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := rt.estimationErrors()
-	if len(errs) != 5 { // five builds (the root chain outputs)
-		t.Fatalf("%d estimation records, want 5", len(errs))
+	// Every completed build carries an estimate and an actual count, and
+	// MaxEstError is the worst of their ratios.
+	builds, worst := 0, 1.0
+	for _, c := range rt.Dec.Chains {
+		j := c.BuildsFor
+		if j == nil || !rt.TableComplete(j) {
+			continue
+		}
+		builds++
+		est, actual := j.Build.EstRows, float64(rt.TableRows(j))
+		if est <= 0 || actual <= 0 {
+			t.Fatalf("J%d: estimate %v, actual %v", j.ID, est, actual)
+		}
+		worst = max(worst, est/actual, actual/est)
+	}
+	if builds != 5 { // five builds (the root chain outputs)
+		t.Fatalf("%d completed builds, want 5", builds)
+	}
+	if res.MaxEstError != worst {
+		t.Errorf("MaxEstError = %v, want the worst build factor %v", res.MaxEstError, worst)
 	}
 	// Build-side estimates combine the skew multiplicatively along the
 	// chain, so the worst factor must be at least 2.

@@ -444,58 +444,21 @@ func (rt *Runtime) CountMemRepair() { rt.Med.CountMemRepair() }
 // CountMaterialized adds n tuples to the materialization volume statistic.
 func (rt *Runtime) CountMaterialized(n int64) { rt.matTuples += n }
 
-// estError records the optimizer's estimate versus the exact cardinality of
-// one completed hash-table build — the statistics the paper's §3.1 says the
-// engine should collect for the dynamic optimizer.
-type estError struct {
-	Join      int // join node ID
-	Estimated float64
-	Actual    int64
-}
-
-// factor returns the error magnitude: max(actual/est, est/actual), 1 for a
-// perfect estimate.
-func (e estError) factor() float64 {
-	a, b := e.Estimated, float64(e.Actual)
-	if a <= 0 || b <= 0 {
-		if a == b {
-			return 1
-		}
-		return 0 // degenerate: one side empty
-	}
-	if a > b {
-		return a / b
-	}
-	return b / a
-}
-
-// estimationErrors reports estimate-vs-actual for every completed build of
-// this query, in join-ID order.
-func (rt *Runtime) estimationErrors() []estError {
-	var out []estError
+// maxEstErrorFactor returns the worst estimate-vs-actual factor,
+// max(actual/est, est/actual), across the completed hash-table builds of
+// this query — the statistics the paper's §3.1 says the engine should
+// collect for the dynamic optimizer. It is 1 when every estimate was exact
+// or nothing completed; a build with an empty side cannot raise it.
+func (rt *Runtime) maxEstErrorFactor() float64 {
+	worst := 1.0
 	for _, c := range rt.Dec.Chains {
 		j := c.BuildsFor
 		if j == nil || !rt.table(j).complete {
 			continue
 		}
-		out = append(out, estError{
-			Join:      j.ID,
-			Estimated: j.Build.EstRows,
-			Actual:    rt.TableRows(j),
-		})
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Join < out[k].Join })
-	return out
-}
-
-// maxEstErrorFactor returns the worst estimation-error factor observed
-// across completed builds (1 when everything was exact or nothing
-// completed).
-func (rt *Runtime) maxEstErrorFactor() float64 {
-	worst := 1.0
-	for _, e := range rt.estimationErrors() {
-		if f := e.factor(); f > worst {
-			worst = f
+		est, actual := j.Build.EstRows, float64(rt.TableRows(j))
+		if est > 0 && actual > 0 {
+			worst = max(worst, est/actual, actual/est)
 		}
 	}
 	return worst

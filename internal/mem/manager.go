@@ -120,7 +120,7 @@ func (m *Manager) Reserve(h HolderID, n int64) bool {
 func (m *Manager) Release(h HolderID, n int64) {
 	hd := &m.holders[h]
 	if n < 0 || n > hd.bytes {
-		panic(fmt.Sprintf("mem: bad release of %d bytes from holder %q holding %d", n, hd.name, hd.bytes))
+		panic(fmt.Sprintf("mem: bad release of %d bytes from holder %d (%s of %q) holding %d", n, h, hd.name, hd.owner, hd.bytes))
 	}
 	hd.bytes -= n
 	m.used -= n

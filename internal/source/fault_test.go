@@ -252,3 +252,59 @@ func TestStandbyReplicaActivate(t *testing.T) {
 		t.Error("replica not exhausted after draining")
 	}
 }
+
+// burstModel is the clause scan the pump ran before bursts were compiled
+// into the schedule: the first listed burst covering row sets its wait,
+// otherwise the advertised phase does.
+func burstModel(phases []Phase, faults []fault.Clause, row int) time.Duration {
+	for _, c := range faults {
+		if c.Kind == fault.Burst && row >= c.Row && row < c.Row+c.Rows {
+			return c.Wait
+		}
+	}
+	return waitIn(phases, row)
+}
+
+// TestSpliceBurstsMatchesClauseScan compares the compiled schedule row by
+// row against the clause scan, over overlapping, adjacent and end-of-table
+// bursts, mixed with the clauses the pump's cursor handles.
+func TestSpliceBurstsMatchesClauseScan(t *testing.T) {
+	const nrows = 40
+	burst := func(row, rows int, w time.Duration) fault.Clause {
+		return fault.Clause{Kind: fault.Burst, Row: row, Rows: rows, Wait: w}
+	}
+	two := []Phase{{FromRow: 0, W: us(10)}, {FromRow: 20, W: us(30)}}
+	for _, tc := range []struct {
+		name   string
+		phases []Phase
+		faults []fault.Clause
+	}{
+		{"none", two, []fault.Clause{{Kind: fault.Stall, Row: 3, Down: us(5)}}},
+		{"inside a phase", two, []fault.Clause{burst(5, 4, us(90))}},
+		{"across a phase boundary", two, []fault.Clause{burst(15, 10, us(90))}},
+		{"at row zero", two, []fault.Clause{burst(0, 3, us(90))}},
+		{"adjacent", two, []fault.Clause{burst(5, 5, us(90)), burst(10, 5, us(70))}},
+		{"overlapping", two, []fault.Clause{burst(5, 10, us(90)), burst(8, 10, us(70)), burst(8, 2, us(50))}},
+		{"nested", two, []fault.Clause{burst(5, 20, us(90)), burst(10, 2, us(70))}},
+		{"end of table", two, []fault.Clause{burst(35, 5, us(90))}},
+		{"past the end", two, []fault.Clause{burst(38, 100, us(90))}},
+		{"whole table, one phase", []Phase{{W: us(10)}}, []fault.Clause{burst(0, nrows, us(90))}},
+		{"same wait as the phase", two, []fault.Clause{burst(18, 4, us(30))}},
+		{"among other clauses", two, []fault.Clause{
+			{Kind: fault.Stall, Row: 2, Down: us(5)}, burst(4, 6, us(90)),
+			{Kind: fault.Disconnect, Row: 6, Down: us(5)}, burst(9, 3, us(70)),
+			{Kind: fault.Kill, Row: 30},
+		}},
+	} {
+		sched := spliceBursts(tc.phases, tc.faults, nrows)
+		if err := validateSchedule(tc.name, sched, 0); err != nil {
+			t.Errorf("%s: compiled schedule %v: %v", tc.name, sched, err)
+			continue
+		}
+		for row := range nrows {
+			if got, want := waitIn(sched, row), burstModel(tc.phases, tc.faults, row); got != want {
+				t.Errorf("%s: row %d waits %v in %v, the clause scan says %v", tc.name, row, got, sched, want)
+			}
+		}
+	}
+}

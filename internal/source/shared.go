@@ -39,31 +39,28 @@ type Shared struct {
 // first two are incompatible with sharing, the last two are per-tap
 // concerns.
 func NewShared(name string, table *relation.Table, rng *sim.RNG, opts ...Option) (*Shared, error) {
-	s := &Source{
-		name:   name,
-		nrows:  table.Len(),
-		rng:    rng,
-		phases: []Phase{{FromRow: 0, W: 0}},
-	}
-	for _, o := range opts {
-		o(s)
+	var s Source // the options' target only: it stays on the stack
+	s.apply(opts)
+	phases := s.phases
+	if phases == nil {
+		phases = s.wait1[:]
 	}
 	if len(s.faults) > 0 || s.standby || s.tcols != nil || s.shared != nil {
 		return nil, fmt.Errorf("source %q: shared stream accepts delivery options only", name)
 	}
-	if err := validateSchedule(s); err != nil {
+	if err := validateSchedule(name, phases, s.initialDelay); err != nil {
 		return nil, err
 	}
 	var sendAt []time.Duration
 	if s.pool != nil {
-		sendAt = s.pool.GetTimes(s.nrows)
+		sendAt = s.pool.GetTimes(table.Len())
 	}
 	if sendAt == nil {
-		sendAt = make([]time.Duration, 0, s.nrows)
+		sendAt = make([]time.Duration, 0, table.Len())
 	}
 	var at time.Duration
-	for i := 0; i < s.nrows; i++ {
-		d := rng.UniformDelay(s.waitFor(i))
+	for i := range table.Len() {
+		d := rng.UniformDelay(waitIn(phases, i))
 		if i == 0 {
 			d += s.initialDelay
 		}
@@ -85,47 +82,35 @@ func (sh *Shared) Release() {
 
 // validateSchedule checks the delivery-schedule invariants shared between
 // Source construction and Shared construction.
-func validateSchedule(s *Source) error {
-	if len(s.phases) == 0 {
-		return fmt.Errorf("source %q: empty waiting-time schedule (need at least one phase)", s.name)
+func validateSchedule(name string, phases []Phase, initialDelay time.Duration) error {
+	if len(phases) == 0 {
+		return fmt.Errorf("source %q: empty waiting-time schedule (need at least one phase)", name)
 	}
-	if s.phases[0].FromRow != 0 {
-		return fmt.Errorf("source %q: waiting-time schedule must start at row 0", s.name)
+	if phases[0].FromRow != 0 {
+		return fmt.Errorf("source %q: waiting-time schedule must start at row 0", name)
 	}
-	for i := 1; i < len(s.phases); i++ {
-		if s.phases[i].FromRow <= s.phases[i-1].FromRow {
-			return fmt.Errorf("source %q: phase rows must be strictly increasing", s.name)
+	for i := 1; i < len(phases); i++ {
+		if phases[i].FromRow <= phases[i-1].FromRow {
+			return fmt.Errorf("source %q: phase rows must be strictly increasing", name)
 		}
 	}
-	for _, ph := range s.phases {
+	for _, ph := range phases {
 		if ph.W < 0 {
-			return fmt.Errorf("source %q: negative waiting time %v", s.name, ph.W)
+			return fmt.Errorf("source %q: negative waiting time %v", name, ph.W)
 		}
 		if ph.W > sim.MaxWait {
-			return fmt.Errorf("source %q: waiting time %v: %w", s.name, ph.W, sim.ErrWaitTooLarge)
+			return fmt.Errorf("source %q: waiting time %v: %w", name, ph.W, sim.ErrWaitTooLarge)
 		}
 	}
-	if s.initialDelay < 0 {
-		return fmt.Errorf("source %q: negative initial delay", s.name)
+	if initialDelay < 0 {
+		return fmt.Errorf("source %q: negative initial delay", name)
 	}
 	return nil
 }
 
-// Name returns the shared stream's wrapper name.
-func (sh *Shared) Name() string { return sh.name }
-
-// Rows returns the number of rows the stream delivers.
-func (sh *Shared) Rows() int { return len(sh.sendAt) }
-
-// Refs returns the number of currently attached taps.
-func (sh *Shared) Refs() int { return sh.refs }
-
 // Taps returns the total number of taps ever attached — how many query
 // scans one physical stream served.
 func (sh *Shared) Taps() int { return sh.taps }
-
-// SendAt returns the physical send instant of row i.
-func (sh *Shared) SendAt(i int) time.Duration { return sh.sendAt[i] }
 
 // attach refcounts a new tap (called by Source construction).
 func (sh *Shared) attach() { sh.refs++; sh.taps++ }

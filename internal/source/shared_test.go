@@ -17,21 +17,21 @@ func TestSharedScheduleDeterministicAndMonotone(t *testing.T) {
 		return sh
 	}
 	a, b := build(), build()
-	if a.Rows() != 200 {
-		t.Fatalf("schedule carries %d rows, want 200", a.Rows())
+	if len(a.sendAt) != 200 {
+		t.Fatalf("schedule carries %d rows, want 200", len(a.sendAt))
 	}
 	last := time.Duration(-1)
-	for i := 0; i < a.Rows(); i++ {
-		if a.SendAt(i) != b.SendAt(i) {
-			t.Fatalf("row %d: schedules diverge with equal seeds: %v vs %v", i, a.SendAt(i), b.SendAt(i))
+	for i := 0; i < len(a.sendAt); i++ {
+		if a.sendAt[i] != b.sendAt[i] {
+			t.Fatalf("row %d: schedules diverge with equal seeds: %v vs %v", i, a.sendAt[i], b.sendAt[i])
 		}
-		if a.SendAt(i) < last {
-			t.Fatalf("row %d: schedule went backwards: %v < %v", i, a.SendAt(i), last)
+		if a.sendAt[i] < last {
+			t.Fatalf("row %d: schedule went backwards: %v < %v", i, a.sendAt[i], last)
 		}
-		last = a.SendAt(i)
+		last = a.sendAt[i]
 	}
-	if a.SendAt(0) < us(50) {
-		t.Errorf("first send %v before the initial delay", a.SendAt(0))
+	if a.sendAt[0] < us(50) {
+		t.Errorf("first send %v before the initial delay", a.sendAt[0])
 	}
 }
 
@@ -81,7 +81,7 @@ func TestSharedLateAttachFloorsReplayAtStartTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attach := sh.SendAt(rows/2) + 1 // mid-stream: half the rows already sent
+	attach := sh.sendAt[rows/2] + 1 // mid-stream: half the rows already sent
 	q := newQueue(tab, rows)
 	if _, err := New("W", tab, q, sim.NewRNG(3), us(1), allColumns(tab), WithSharedStream(sh), WithStartTime(attach)); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestSharedLateAttachFloorsReplayAtStartTime(t *testing.T) {
 		if at < attach+us(1) {
 			t.Fatalf("row %d arrived at %v, before the attach instant %v", i, at, attach)
 		}
-		if want := sh.SendAt(i) + us(1); at < want {
+		if want := sh.sendAt[i] + us(1); at < want {
 			t.Fatalf("row %d arrived at %v, before its physical send %v", i, at, want)
 		}
 		pop(q, at)
@@ -116,19 +116,19 @@ func TestSharedRefcountsTaps(t *testing.T) {
 		}
 		taps = append(taps, src)
 	}
-	if sh.Refs() != 3 || sh.Taps() != 3 {
-		t.Fatalf("refs=%d taps=%d after 3 attaches, want 3/3", sh.Refs(), sh.Taps())
+	if sh.refs != 3 || sh.Taps() != 3 {
+		t.Fatalf("refs=%d taps=%d after 3 attaches, want 3/3", sh.refs, sh.Taps())
 	}
 	taps[0].Detach()
 	taps[0].Detach() // idempotent
-	if sh.Refs() != 2 || sh.Taps() != 3 {
-		t.Fatalf("refs=%d taps=%d after one detach, want 2/3", sh.Refs(), sh.Taps())
+	if sh.refs != 2 || sh.Taps() != 3 {
+		t.Fatalf("refs=%d taps=%d after one detach, want 2/3", sh.refs, sh.Taps())
 	}
 	for _, src := range taps[1:] {
 		src.Detach()
 	}
-	if sh.Refs() != 0 || sh.Taps() != 3 {
-		t.Fatalf("refs=%d taps=%d after all detaches, want 0/3", sh.Refs(), sh.Taps())
+	if sh.refs != 0 || sh.Taps() != 3 {
+		t.Fatalf("refs=%d taps=%d after all detaches, want 0/3", sh.refs, sh.Taps())
 	}
 }
 

@@ -25,6 +25,7 @@ package source
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dqs/internal/comm"
@@ -49,7 +50,11 @@ type Source struct {
 	rng     *sim.RNG
 	netTime time.Duration
 
+	// phases is the advertised schedule, wait1 backs a one-phase one, and
+	// sched is phases with the fault script's bursts spliced in (the pump's).
 	phases       []Phase
+	wait1        [1]Phase
+	sched        []Phase
 	initialDelay time.Duration
 
 	// Fault-injection state. faults is the compiled per-source schedule in
@@ -125,81 +130,123 @@ type Recycler interface {
 // or projects a different number of columns than its queue's slots carry.
 var errColumnarMismatch = errors.New("source: columnar projection does not match the queue")
 
-// Option configures a Source.
-type Option func(*Source)
-
-// WithMeanWait sets a single constant mean waiting time for all rows.
-func WithMeanWait(w time.Duration) Option {
-	return func(s *Source) { s.phases = []Phase{{FromRow: 0, W: w}} }
+// Option configures a Source (New) or a shared stream (NewShared). It is a
+// plain value, applied in order by New and NewShared, so configuring a
+// source allocates nothing. Ownership: New and NewShared keep no Option, but
+// they retain — without copying — the phases of WithPhases, the keep list
+// and columns of WithColumnar and the fault script's clauses; the caller
+// must not modify those slices while the source or stream lives.
+type Option struct {
+	kind     optionKind
+	d        time.Duration // mean wait, initial delay or start time
+	phases   []Phase
+	script   *fault.Script
+	cols     [][]int64
+	keep     []int
+	predIdx  int
+	predLess int64
+	pool     Recycler
+	shared   *Shared
 }
 
+type optionKind uint8
+
+const (
+	optMeanWait optionKind = iota + 1
+	optPhases
+	optInitialDelay
+	optFaults
+	optColumnar
+	optStandby
+	optStartTime
+	optRecycler
+	optShared
+)
+
+// WithMeanWait sets a single constant mean waiting time for all rows.
+func WithMeanWait(w time.Duration) Option { return Option{kind: optMeanWait, d: w} }
+
 // WithPhases sets a piecewise waiting-time schedule. Phases must start at
-// row 0 and be strictly increasing in FromRow.
+// row 0 and be strictly increasing in FromRow. The slice is retained.
 func WithPhases(phases ...Phase) Option {
-	return func(s *Source) { s.phases = append([]Phase(nil), phases...) }
+	if phases == nil {
+		phases = []Phase{} // no phases: an empty schedule, refused by name
+	}
+	return Option{kind: optPhases, phases: phases}
 }
 
 // WithInitialDelay delays the production of the first tuple by d on top of
 // its regular random delay (the "initial delay" class of §1.2).
-func WithInitialDelay(d time.Duration) Option {
-	return func(s *Source) { s.initialDelay = d }
-}
+func WithInitialDelay(d time.Duration) Option { return Option{kind: optInitialDelay, d: d} }
 
 // WithFaults injects a compiled fault schedule: the script's clauses strike
 // at their row boundaries as the source produces. Clauses must be sorted by
-// row (fault.Plan.ClausesFor compiles them that way).
-func WithFaults(sc *fault.Script) Option {
-	return func(s *Source) {
-		if sc == nil {
-			return
-		}
-		s.faults = sc.Clauses
-		s.frng = sc.RNG
-	}
-}
+// row (fault.Plan.ClausesFor compiles them that way). A nil script injects
+// nothing.
+func WithFaults(sc *fault.Script) Option { return Option{kind: optFaults, script: sc} }
 
 // WithColumnar gives the source its data and the selection and projection
 // pushed down to the wrapper; every source needs it. cols is the column-major
 // form of the source's table (relation.Table.Columns, shared and read-only);
 // keep lists the full-schema indices of the live columns that actually cross
-// the wire, in queue column order; predIdx/predLess is the plan's scan
-// predicate (column < less) evaluated wrapper-side, predIdx < 0 for none. The
-// queue must already have width len(keep) (comm.Queue.SetColumnar).
+// the wire, in queue column order, and is retained; predIdx/predLess is the
+// plan's scan predicate (column < less) evaluated wrapper-side, predIdx < 0
+// for none. The queue must already have width len(keep)
+// (comm.Queue.SetColumnar).
 func WithColumnar(cols [][]int64, keep []int, predIdx int, predLess int64) Option {
-	return func(s *Source) {
-		s.tcols = cols
-		s.keep = append([]int(nil), keep...)
-		s.predIdx = predIdx
-		s.predLess = predLess
-	}
+	return Option{kind: optColumnar, cols: cols, keep: keep, predIdx: predIdx, predLess: predLess}
 }
 
 // AsStandby builds the source inactive: it does not register as the queue's
 // producer and does not pump until Activate — the replica half of a
 // failover pair.
-func AsStandby() Option {
-	return func(s *Source) { s.standby = true }
-}
+func AsStandby() Option { return Option{kind: optStandby} }
 
 // WithStartTime starts production at virtual time t instead of zero: the
 // mediator sent this sub-query out mid-run (a query admitted to an already
 // running multi-query service). The first tuple's delay is drawn from t.
-func WithStartTime(t time.Duration) Option {
-	return func(s *Source) { s.startAt = t }
-}
+func WithStartTime(t time.Duration) Option { return Option{kind: optStartTime, d: t} }
 
 // WithRecycler draws the source's (or shared stream's) buffers from r; the
 // owner hands them back with Release once the run is over.
-func WithRecycler(r Recycler) Option {
-	return func(s *Source) { s.pool = r }
-}
+func WithRecycler(r Recycler) Option { return Option{kind: optRecycler, pool: r} }
 
 // WithSharedStream attaches the source to a shared physical stream: instead
 // of simulating its own wrapper, it replays sh's production schedule into
 // its queue under this query's own credit window. The attach is refcounted
 // on sh; Detach releases it.
-func WithSharedStream(sh *Shared) Option {
-	return func(s *Source) { s.shared = sh }
+func WithSharedStream(sh *Shared) Option { return Option{kind: optShared, shared: sh} }
+
+// apply configures s from opts in order. It leaves a one-wait schedule (the
+// default: one zero-wait phase) in wait1 with phases nil; pointing phases at
+// it here would move every Source it configures to the heap.
+func (s *Source) apply(opts []Option) {
+	for i := range opts {
+		o := &opts[i]
+		switch o.kind {
+		case optMeanWait:
+			s.wait1[0] = Phase{W: o.d}
+			s.phases = nil
+		case optPhases:
+			s.phases = o.phases
+		case optInitialDelay:
+			s.initialDelay = o.d
+		case optFaults:
+			if o.script != nil {
+				s.faults, s.frng = o.script.Clauses, o.script.RNG
+			}
+		case optColumnar:
+			s.tcols, s.keep, s.predIdx, s.predLess = o.cols, o.keep, o.predIdx, o.predLess
+		case optStandby:
+			s.standby = true
+		case optStartTime:
+			s.startAt = o.d
+		case optRecycler:
+			s.pool = o.pool
+		case optShared:
+			s.shared = o.shared
+		}
+	}
 }
 
 // New creates a source delivering the given table into q. netTime is the
@@ -213,12 +260,12 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 		q:       q,
 		rng:     rng,
 		netTime: netTime,
-		phases:  []Phase{{FromRow: 0, W: 0}},
 	}
-	for _, o := range opts {
-		o(s)
+	s.apply(opts)
+	if s.phases == nil {
+		s.phases = s.wait1[:]
 	}
-	if err := validateSchedule(s); err != nil {
+	if err := validateSchedule(name, s.phases, s.initialDelay); err != nil {
 		return nil, err
 	}
 	for i := 1; i < len(s.faults); i++ {
@@ -229,6 +276,7 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 	if len(s.faults) > 0 && s.frng == nil {
 		return nil, fmt.Errorf("source %q: fault script without an RNG", name)
 	}
+	s.sched = spliceBursts(s.phases, s.faults, s.nrows)
 	if s.shared != nil {
 		if len(s.faults) > 0 {
 			return nil, fmt.Errorf("source %q: fault scripts cannot ride a shared stream", name)
@@ -236,7 +284,7 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 		if s.standby {
 			return nil, fmt.Errorf("source %q: a standby replica cannot tap a shared stream", name)
 		}
-		if n := s.shared.Rows(); n != s.nrows {
+		if n := len(s.shared.sendAt); n != s.nrows {
 			return nil, fmt.Errorf("source %q: shared stream carries %d rows, table has %d", name, n, s.nrows)
 		}
 	}
@@ -283,9 +331,6 @@ func (s *Source) Release() {
 	}
 	s.stageAt, s.stagePass = nil, nil
 }
-
-// Name returns the wrapper name.
-func (s *Source) Name() string { return s.name }
 
 // Rows returns the total number of tuples this source delivers.
 func (s *Source) Rows() int { return s.nrows }
@@ -346,7 +391,7 @@ func (s *Source) Activate(now time.Duration, fromRow int, connect time.Duration,
 	start := now + connect
 	if restart {
 		for i := 0; i < fromRow; i++ {
-			start += s.rng.UniformDelay(s.waitFor(i))
+			start += s.rng.UniformDelay(waitIn(s.phases, i))
 		}
 	}
 	s.next = fromRow
@@ -356,10 +401,10 @@ func (s *Source) Activate(now time.Duration, fromRow int, connect time.Duration,
 	s.pump(start)
 }
 
-// waitFor returns the mean waiting time in force for the given row.
-func (s *Source) waitFor(row int) time.Duration {
-	w := s.phases[0].W
-	for _, ph := range s.phases {
+// waitIn returns the mean waiting time schedule sched gives row.
+func waitIn(sched []Phase, row int) time.Duration {
+	w := sched[0].W
+	for _, ph := range sched {
 		if row >= ph.FromRow {
 			w = ph.W
 		} else {
@@ -535,17 +580,46 @@ func (s *Source) flush() {
 	s.stageAt = s.stageAt[:0]
 }
 
-// effectiveWait is waitFor with burst clauses applied: the schedule the pump
-// sees. Analytic accessors (MeanWait, ExpectedRetrieval) intentionally keep
-// the fault-free schedule — bounds are computed from the advertised
-// behaviour, faults are the surprise.
-func (s *Source) effectiveWait(row int) time.Duration {
-	for _, c := range s.faults {
-		if c.Kind == fault.Burst && row >= c.Row && row < c.Row+c.Rows {
-			return c.Wait
+// effectiveWait is the mean waiting time the pump draws row's delay with:
+// the advertised schedule with burst clauses applied. Analytic accessors
+// (MeanWait, ExpectedRetrieval) intentionally keep the advertised schedule —
+// bounds are computed from the advertised behaviour, faults are the
+// surprise.
+func (s *Source) effectiveWait(row int) time.Duration { return waitIn(s.sched, row) }
+
+// spliceBursts compiles a fault schedule's burst clauses into phases: a row
+// in a burst waits the first such burst's mean wait, any other row its
+// phase's. Both are piecewise constant, so the result needs a phase only at
+// their boundaries inside [0, nrows). Without bursts it returns phases.
+func spliceBursts(phases []Phase, faults []fault.Clause, nrows int) []Phase {
+	var rows []int
+	for _, c := range faults {
+		if c.Kind == fault.Burst {
+			rows = append(rows, c.Row, c.Row+c.Rows)
 		}
 	}
-	return s.waitFor(row)
+	if rows == nil {
+		return phases
+	}
+	for _, ph := range phases {
+		rows = append(rows, ph.FromRow)
+	}
+	slices.Sort(rows)
+	sched := make([]Phase, 0, len(rows))
+	for _, r := range slices.Compact(rows) {
+		if r < 0 || (r >= nrows && r > 0) {
+			continue
+		}
+		w := waitIn(phases, r)
+		for _, c := range faults {
+			if c.Kind == fault.Burst && r >= c.Row && r < c.Row+c.Rows {
+				w = c.Wait
+				break
+			}
+		}
+		sched = append(sched, Phase{FromRow: r, W: w})
+	}
+	return sched
 }
 
 // reproduceTime draws the virtual time a restarted wrapper spends
