@@ -88,13 +88,18 @@ profile:
 # CPU and allocation profiles of one warm fused server batch
 # (BenchmarkFusedBatch: 16 Fig5Small queries, MaxActive 4, shared streams),
 # the commands behind ROADMAP's "Fused" tables. The CPU pass and the
-# allocation pass run separately, because recording every allocation
-# (-memprofilerate 1) distorts the CPU samples. Prints the top 15
-# cumulative CPU entries and the top 15 allocation sites by object count,
-# and leaves fused.test, fused-cpu.prof and fused-mem.prof behind for
-# interactive `go tool pprof`. It reads host timings, so CI does not run it.
+# allocation passes run separately, because recording every allocation
+# (-memprofilerate 1) distorts the CPU samples. The allocation table is per
+# warm batch: it is the difference between a 30x and a 10x pass, so the
+# cold batch and the benchmark's workload setup, which both passes pay,
+# cancel, and what is left is what 20 warm batches allocate. Prints the top
+# 15 cumulative CPU entries and the top 15 allocation sites by object count
+# over those 20 batches, and leaves fused.test, fused-cpu.prof,
+# fused-mem10.prof and fused-mem30.prof behind for interactive `go tool
+# pprof`. It reads host timings, so CI does not run it.
 profile-fused:
 	$(GO) test -run '^$$' -bench FusedBatch -benchtime 30x -benchmem -o fused.test -cpuprofile fused-cpu.prof ./internal/server/
-	$(GO) test -run '^$$' -bench FusedBatch -benchtime 10x -benchmem -o fused.test -memprofilerate 1 -memprofile fused-mem.prof ./internal/server/
+	$(GO) test -run '^$$' -bench FusedBatch -benchtime 10x -benchmem -o fused.test -memprofilerate 1 -memprofile fused-mem10.prof ./internal/server/
+	$(GO) test -run '^$$' -bench FusedBatch -benchtime 30x -benchmem -o fused.test -memprofilerate 1 -memprofile fused-mem30.prof ./internal/server/
 	$(GO) tool pprof -top -cum -nodecount 15 fused.test fused-cpu.prof
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 15 fused.test fused-mem.prof
+	$(GO) tool pprof -sample_index=alloc_objects -diff_base fused-mem10.prof -top -nodecount 15 fused.test fused-mem30.prof

@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
+	"dqs/internal/plan"
 	"dqs/internal/relation"
 	"dqs/internal/workload"
 )
@@ -53,9 +56,12 @@ func TestColumnarSteadyStateRunAllocations(t *testing.T) {
 	cold := testing.AllocsPerRun(3, run(true))
 	// Each pooled run gets the scratch the run before it reclaimed.
 	warm := testing.AllocsPerRun(3, run(false))
+	t.Logf("a cold SEQ run allocates %v objects, a warm one %v", cold, warm)
 	// A run carries irreducible per-run setup (sources, fragments, trace);
 	// the pooled share — queues, tables, staging, the cascade — must be
-	// gone. Cold runs measure ~330 allocations here, warm ~160.
+	// gone. On go1.24 a cold run measures 231 allocations here, a warm one
+	// 68 (warm ~160 before a query's inputs, tables and fragments came
+	// from per-query slabs and temps from the scratch).
 	if warm > 3*cold/4 {
 		t.Errorf("warm columnar run allocates %v times, cold run %v: pool recycle is not engaging", warm, cold)
 	}
@@ -77,9 +83,119 @@ func TestColumnarSteadyStateRunAllocations(t *testing.T) {
 			run() // the first run at a new scale regrows what the last one outgrew
 			return testing.AllocsPerRun(3, run)
 		}
-		if small, large := warmAt(w), warmAt(full); small != large {
+		small, large := warmAt(w), warmAt(full)
+		t.Logf("a warm %s run allocates %v objects on Fig5Small, %v on Fig5", st.name, small, large)
+		if small != large {
 			t.Errorf("warm %s run allocates %v times on Fig5Small but %v on Fig5: allocation grows with the data",
 				st.name, small, large)
 		}
+	}
+}
+
+// TestAddQueryAllocatesPerQuery pins what admitting a query costs on a warm
+// scratch: NewMediator, AddQuery, Cancel and Reclaim allocate per query —
+// the runtime, its input, table and fragment slabs, one string of CM names,
+// each wrapper's source — the same count on Fig5Small as on full Fig5, and
+// nothing per fragment, temp or tuple.
+func TestAddQueryAllocatesPerQuery(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's own allocations blur exact counts")
+	}
+	cfg := testConfig()
+	cfg.Plans = plan.NewDecompositionCache()
+	admitAt := func(w *workload.Workload) float64 {
+		d := uniform(w, 20*time.Microsecond)
+		admit := func() {
+			med, err := NewMediator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := med.AddQuery("q0", w.Root, w.Dataset, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Cancel()
+			med.Reclaim()
+		}
+		admit() // the first admission at a new scale regrows what the last one outgrew
+		return testing.AllocsPerRun(10, admit)
+	}
+	full, err := workload.Fig5(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, large := admitAt(smallFig5(t)), admitAt(full)
+	t.Logf("a warm admission allocates %v objects on Fig5Small, %v on Fig5", small, large)
+	if small != large {
+		t.Errorf("a warm admission allocates %v times on Fig5Small but %v on Fig5", small, large)
+	}
+	// 31 objects measured on go1.24, plus 10%: the mediator with its clock,
+	// disk, ledger, temp store and CM; the runtime and its five slabs; one
+	// string of CM names; six sources; and the growth of the mediator's RNG
+	// and ledger-holder lists.
+	if small > 34 {
+		t.Errorf("a warm admission allocates %v times, want at most 34", small)
+	}
+}
+
+// TestFragmentSlabOverflowKeepsFragments creates twice the fragments a
+// query's slabs reserve, by re-splitting every chain's head segment over and
+// over as DSE's memory repair does. A slab that runs out is replaced, never
+// grown, so every fragment made before stays where it was handed out, as
+// built; and the last fragment of each chain, run as SEQ runs its chains,
+// gives SEQ's result.
+func TestFragmentSlabOverflowKeepsFragments(t *testing.T) {
+	w := smallFig5(t)
+	rt := newTestRuntime(t, w, testConfig(), false)
+	defer rt.Med.Reclaim()
+	type shape struct {
+		label      string
+		chain      string
+		from, to   int
+		term       TerminalKind
+		stepTables []*tableState
+	}
+	shapeOf := func(f *Fragment) shape {
+		s := shape{f.Label, f.Chain.Name, f.FromStep, f.ToStep, f.Term, nil}
+		for _, st := range f.steps {
+			s.stepTables = append(s.stepTables, st.table)
+		}
+		return s
+	}
+	reserved, _ := fragmentSlabs(rt.Dec)
+	var made []*Fragment
+	var shapes []shape
+	last := make(map[*plan.Chain]*Fragment)
+	for len(made) < 2*reserved {
+		for _, c := range rt.Dec.Chains {
+			for k := 0; k <= len(c.Joins); k++ {
+				f := rt.NewSegment(c, 0, k, nil, k == len(c.Joins))
+				made, shapes, last[c] = append(made, f), append(shapes, shapeOf(f)), f
+			}
+		}
+	}
+	if len(rt.frags) != len(made) {
+		t.Fatalf("the runtime lists %d fragments, %d were made", len(rt.frags), len(made))
+	}
+	for i, f := range made {
+		if rt.frags[i] != f {
+			t.Fatalf("fragment %d (%s) moved", i, f.Label)
+		}
+		if got := shapeOf(f); !reflect.DeepEqual(got, shapes[i]) {
+			t.Fatalf("fragment %d changed after later fragments were made:\nbuilt: %+v\nnow:   %+v", i, shapes[i], got)
+		}
+		if f != last[f.Chain] && !f.superseded {
+			t.Errorf("fragment %d (%s) was re-split but is not superseded", i, f.Label)
+		}
+	}
+	for _, c := range IteratorOrder(rt.Dec) {
+		if err := drain(rt, last[c]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := rt.FinishAt("SEQ", rt.Now())
+	want := runPooled(t, w, false, runSEQ)
+	if !got.Equal(want) {
+		t.Errorf("the last fragments ran to another result:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }

@@ -33,9 +33,8 @@ func (rt *Runtime) NewDPHJFeeds() ([]*Fragment, error) {
 	rt.net = net
 	feeds := make([]*Fragment, 0, len(rt.Dec.Chains))
 	for _, c := range rt.Dec.Chains {
-		rel := c.Scan.Rel.Name
-		f := rt.newFragment(c, c.Name, 0, 0, rt.qsrcs[rel], TermJoinNet, nil)
-		f.leaf = net.leaves[rel]
+		f := rt.newFragment(c, c.Name, 0, 0, rt.queueIn(c), TermJoinNet, nil)
+		f.leaf = net.leaves[c.Scan.Rel.Name]
 		feeds = append(feeds, f)
 	}
 	return feeds, nil

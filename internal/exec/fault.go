@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dqs/internal/fault"
+	"dqs/internal/plan"
 	"dqs/internal/relation"
 	"dqs/internal/sim"
 	"dqs/internal/source"
@@ -155,16 +156,16 @@ func WrapperFault(in TupleSource) (string, bool) {
 // names, after its primary source exists, building the standby replica when
 // the plan declares one. AddQuery registers no other wrapper: the fault-free
 // fast paths stay untouched.
-func (m *Mediator) registerFaultEntry(rt *Runtime, rel, cmName string, table *relation.Table, d Delivery, netTime time.Duration) error {
-	rep, hasRep := m.Cfg.Faults.ReplicaFor(rel)
+func (m *Mediator) registerFaultEntry(rt *Runtime, c *plan.Chain, cmName string, table *relation.Table, d Delivery, netTime time.Duration) error {
+	rep, hasRep := m.Cfg.Faults.ReplicaFor(c.Scan.Rel.Name)
 	if m.flt == nil {
 		m.flt = &faultState{entries: make(map[string]*faultEntry)}
 	}
 	e := &faultEntry{
 		name:    cmName,
 		rt:      rt,
-		qs:      rt.qsrcs[rel],
-		primary: rt.sources[rel],
+		qs:      rt.queueIn(c),
+		primary: rt.inputs[c.ID].src,
 		spec:    rep,
 		hasRep:  hasRep,
 	}
@@ -175,7 +176,7 @@ func (m *Mediator) registerFaultEntry(rt *Runtime, rel, cmName string, table *re
 		}
 		// The replica shares the primary's queue, so it must deliver the same
 		// projected columns and wrapper-side predicate.
-		p := rt.colPush[rel]
+		p := compileColPush(c)
 		repl, err := source.New(cmName+"~replica", table, e.qs.q,
 			sim.NewRNG(fault.SeedFor(m.Cfg.FaultSeed, cmName+"~replica")), netTime,
 			source.WithMeanWait(rwait), source.AsStandby(),

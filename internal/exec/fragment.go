@@ -66,6 +66,8 @@ type Fragment struct {
 	Term       TerminalKind
 	// Temp receives output tuples when Term == TermTemp.
 	Temp *mem.Temp
+	// build is the table the fragment builds when Term == TermBuild.
+	build *tableState
 	// leaf is the join-network entry point when Term == TermJoinNet.
 	leaf *symLeaf
 
@@ -102,13 +104,44 @@ func inputSchemaAt(c *plan.Chain, i int) *relation.Schema {
 	return c.Joins[i-1].Live
 }
 
+// fragmentSlabs returns how many fragments, and steps of theirs, a query of
+// decomposition dec reserves room for: per chain a plain fragment, an MF/CF
+// degradation and a split at every step (DSE's segment budget), and every
+// step twice.
+func fragmentSlabs(dec *plan.Decomposition) (frags, steps int) {
+	for _, c := range dec.Chains {
+		frags += len(c.Joins) + 2
+		steps += 2 * len(c.Joins)
+	}
+	return frags, steps
+}
+
+// carve takes a fragment with room for n steps from the query's slabs. A
+// slab that runs out is replaced by a fresh chunk, never grown in place, so
+// every fragment carved before stays where it is.
+func (rt *Runtime) carve(n int) (*Fragment, []stepExec) {
+	if len(rt.fragRoom) == 0 || len(rt.stepRoom) < n {
+		frags, steps := fragmentSlabs(rt.Dec)
+		if len(rt.fragRoom) == 0 {
+			rt.fragRoom = make([]Fragment, frags)
+		}
+		if len(rt.stepRoom) < n {
+			rt.stepRoom = make([]stepExec, max(n, steps))
+		}
+	}
+	f, s := &rt.fragRoom[0], rt.stepRoom[:n:n]
+	rt.fragRoom, rt.stepRoom = rt.fragRoom[1:], rt.stepRoom[n:]
+	return f, s
+}
+
 // newFragment builds a fragment over chain steps [fromStep, toStep), fed by
 // the chain's wrapper queue or by a temp reader.
 func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int, in TupleSource, term TerminalKind, temp *mem.Temp) *Fragment {
 	if fromStep < 0 || toStep > len(c.Joins) || fromStep > toStep {
 		panic(fmt.Sprintf("exec: bad fragment step range [%d,%d) for %s", fromStep, toStep, c.Name))
 	}
-	f := &Fragment{
+	f, steps := rt.carve(toStep - fromStep)
+	*f = Fragment{
 		rt:       rt,
 		Chain:    c,
 		Label:    label,
@@ -117,14 +150,19 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 		In:       in,
 		Term:     term,
 		Temp:     temp,
+		steps:    steps,
 	}
-	for i := fromStep; i < toStep; i++ {
+	for k := range steps {
+		i := fromStep + k
 		j := c.Joins[i]
-		f.steps = append(f.steps, stepExec{
+		steps[k] = stepExec{
 			join:     j,
 			table:    rt.table(j),
 			probeIdx: inputSchemaAt(c, i).MustIndexOf(j.ProbeKey),
-		})
+		}
+	}
+	if term == TermBuild {
+		f.build = rt.table(c.BuildsFor)
 	}
 	for _, g := range rt.frags {
 		if g.Chain == c && g.FromStep == fromStep && g.processed == 0 && !g.done {
@@ -147,7 +185,7 @@ func chainTerm(c *plan.Chain) TerminalKind {
 
 // NewPCFragment creates the fragment executing the whole pipeline chain.
 func (rt *Runtime) NewPCFragment(c *plan.Chain) *Fragment {
-	return rt.newFragment(c, c.Name, 0, len(c.Joins), rt.qsrcs[c.Scan.Rel.Name], chainTerm(c), nil)
+	return rt.newFragment(c, c.Name, 0, len(c.Joins), rt.queueIn(c), chainTerm(c), nil)
 }
 
 // NewMFSync creates the materialization fragment of a chain (wrapper input,
@@ -157,15 +195,15 @@ func (rt *Runtime) NewPCFragment(c *plan.Chain) *Fragment {
 // (materialize-all) does. The paper's DSE explicitly assumes asynchronous
 // I/O for its fragments (NewSegment); MA does not.
 func (rt *Runtime) NewMFSync(c *plan.Chain) *Fragment {
-	in := rt.qsrcs[c.Scan.Rel.Name]
-	temp := rt.Temps.CreateSyncSized("MF("+c.Name+")", c.Scan.Live, rt.segmentRowsHint(c, 0, 0, true, in))
-	return rt.newFragment(c, "MF("+c.Name+")", 0, 0, in, TermTemp, temp)
+	in := rt.queueIn(c)
+	temp := rt.Temps.CreateSyncSized(c.MF, c.Scan.Live, rt.segmentRowsHint(c, 0, 0, true, in))
+	return rt.newFragment(c, c.MF, 0, 0, in, TermTemp, temp)
 }
 
 // NewCFSync creates the complement fragment over a completed MF's temp,
 // with synchronous page reads (no prefetch overlap).
 func (rt *Runtime) NewCFSync(c *plan.Chain, temp *mem.Temp) *Fragment {
-	return rt.newFragment(c, "CF("+c.Name+")", 0, len(c.Joins), tempSource{temp.NewSyncReader()}, chainTerm(c), nil)
+	return rt.newFragment(c, c.CF, 0, len(c.Joins), tempSource{temp.NewSyncReader()}, chainTerm(c), nil)
 }
 
 // NewSegment creates the fragment executing chain steps [fromStep, toStep).
@@ -190,15 +228,15 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 	case queueInput && last && fromStep == 0:
 		label = c.Name
 	case queueInput && fromStep == 0 && toStep == 0:
-		label = "MF(" + c.Name + ")"
+		label = c.MF
 	case !queueInput && fromStep == 0 && last:
-		label = "CF(" + c.Name + ")"
+		label = c.CF
 	default:
 		label = fmt.Sprintf("%s[%d:%d]", c.Name, fromStep, toStep)
 	}
 	var in TupleSource
 	if queueInput {
-		in = rt.qsrcs[c.Scan.Rel.Name]
+		in = rt.queueIn(c)
 	} else {
 		in = tempSource{prev.NewReader(rt.Cfg.PrefetchPages)}
 	}
@@ -255,7 +293,7 @@ func (f *Fragment) sink(outs []relation.Tuple) int {
 		}
 		// Reserve before charging so a failed insert costs nothing and can
 		// be retried when memory is freed.
-		k := f.rt.buildInsert(f.Chain.BuildsFor, outs)
+		k := f.rt.buildInsert(f.build, outs)
 		costs.CPU.Clock.Work(time.Duration(k) * costs.MoveT)
 		return k
 	case TermTemp:
@@ -452,12 +490,12 @@ func (f *Fragment) Abandon() {
 func (f *Fragment) finish(verb, detail string) {
 	switch f.Term {
 	case TermBuild:
-		f.rt.completeTable(f.Chain.BuildsFor)
+		f.rt.completeTable(f.build)
 	case TermTemp:
 		f.Temp.Close()
 	}
 	for _, s := range f.steps {
-		f.rt.releaseTable(s.join)
+		f.rt.releaseTable(s.table)
 	}
 	f.done = true
 	if f.rt.Trace.Enabled() { // boxing the arguments allocates even when off

@@ -337,7 +337,7 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 		t.Fatal("fragment did not overflow under the tight grant")
 	}
 	rt.Med.CM.Observe(rt.Now())
-	q, okQ := rt.Med.CM.Queue(rt.cmName("A"))
+	q, okQ := rt.Med.CM.Queue("A")
 	if !okQ {
 		t.Fatal("queue for wrapper A missing")
 	}
@@ -548,8 +548,7 @@ func refProcessSlots(f *Fragment, max int) (int, bool) {
 	if !refRetry(f) {
 		return 0, true
 	}
-	rel := f.Chain.Scan.Rel.Name
-	qs, keep := f.rt.qsrcs[rel], f.rt.colPush[rel].keep
+	qs, keep := f.rt.queueIn(f.Chain), f.Chain.LiveAt
 	batch := relation.NewBatch(len(keep))
 	pass := make([]bool, 1)
 	row := make(relation.Tuple, len(keep))
@@ -665,7 +664,7 @@ func TestChunkedWrapperProbeOverflowMatchesPerSlotDriver(t *testing.T) {
 		if len(f.steps) != 1 || !f.QueueInput || f.Term != TermBuild {
 			t.Fatalf("%s: %d steps, queue input %v, terminal %v; want a wrapper-fed single-step build", f.Label, len(f.steps), f.QueueInput, f.Term)
 		}
-		q := rt.qsrcs["A"].q
+		q := rt.queueIn(cA).q
 		spy := &unpopSpy{TupleSource: f.In}
 		f.In = spy
 		hold := rt.Mem.Bind("", "test")

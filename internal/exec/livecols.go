@@ -13,21 +13,11 @@ type colPush struct {
 	predLess int64
 }
 
-// livePositions returns where each column of n.Live sits in n.Schema,
-// ascending: the columns a scan's wrapper projects onto the wire, or the
-// positions a Sink's full-width output row takes the live values at.
-func livePositions(n *plan.Node) []int {
-	at := make([]int, n.Live.Width())
-	for i, c := range n.Live.Cols {
-		at[i] = n.Schema.MustIndexOf(c)
-	}
-	return at
-}
-
-// compileColPush builds the pushdown descriptor of one chain's scan.
-func compileColPush(scan *plan.Node) colPush {
-	p := colPush{keep: livePositions(scan), predIdx: -1}
-	if scan.Pred != nil {
+// compileColPush builds the pushdown descriptor of one chain's scan; its
+// live columns are the plan's, so it allocates nothing.
+func compileColPush(c *plan.Chain) colPush {
+	p := colPush{keep: c.LiveAt, predIdx: -1}
+	if scan := c.Scan; scan.Pred != nil {
 		p.predIdx = scan.Schema.MustIndexOf(scan.Pred.Col)
 		p.predLess = scan.Pred.Less
 	}

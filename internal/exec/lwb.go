@@ -15,7 +15,7 @@ func LWB(rt *Runtime) time.Duration {
 	for _, c := range rt.Dec.Chains {
 		cp := rt.PerTupleCost(c, 0, len(c.Joins), true, chainTerm(c))
 		cpu += time.Duration(int64(c.Scan.Rel.Cardinality)) * cp
-		if r := rt.Source(c.Scan.Rel.Name).ExpectedRetrieval(); r > maxRetrieval {
+		if r := rt.inputs[c.ID].src.ExpectedRetrieval(); r > maxRetrieval {
 			maxRetrieval = r
 		}
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"dqs/internal/comm"
@@ -168,22 +169,24 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		}
 	}
 	m.queries++
+	frags, steps := fragmentSlabs(dec)
 	rt := &Runtime{
-		Med:     m,
-		Label:   label,
-		Cfg:     m.Cfg,
-		Clock:   m.Clock,
-		Disk:    m.Disk,
-		Costs:   m.Costs,
-		Mem:     m.Mem,
-		Temps:   m.Temps,
-		Root:    root,
-		Dec:     dec,
-		Trace:   m.Trace,
-		sources: make(map[string]*source.Source),
-		qsrcs:   make(map[string]*queueSource),
-		tables:  make(map[int]*tableState),
-		colPush: make(map[string]colPush),
+		Med:      m,
+		Label:    label,
+		Cfg:      m.Cfg,
+		Clock:    m.Clock,
+		Disk:     m.Disk,
+		Costs:    m.Costs,
+		Mem:      m.Mem,
+		Temps:    m.Temps,
+		Root:     root,
+		Dec:      dec,
+		Trace:    m.Trace,
+		inputs:   make([]input, len(dec.Chains)),
+		tables:   make([]tableState, len(dec.Joins)),
+		frags:    make([]*Fragment, 0, frags),
+		fragRoom: make([]Fragment, frags),
+		stepRoom: make([]stepExec, steps),
 	}
 	// A query whose builds are estimated not to fit the grant spends it on
 	// builds and a split: resident pages would only spill late. Write through.
@@ -196,14 +199,20 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 	}
 	rng := m.newRNG(m.rng.ForkSeed(int64(m.queries)))
 	netTime := m.Cfg.Params.NetworkTupleTime()
+	names := cmNames(label, dec.Chains)
 	for i, c := range dec.Chains {
 		name := c.Scan.Rel.Name
 		table := ds[name]
-		cmName := rt.cmName(name)
+		// The wrapper's CM name scopes the relation by the query's label.
+		cmName := name
+		if label != "" {
+			n := len(label) + 1 + len(name)
+			cmName, names = names[:n], names[n:]
+		}
 		// The queue ring carries only the plan's live columns, and the scan
 		// predicate is evaluated in the wrapper. Window slots and arrivals
 		// stay pre-filter, so scheduling sees every produced tuple.
-		p := compileColPush(c.Scan)
+		p := compileColPush(c)
 		q := m.scratch.queue(cmName, m.Cfg.QueueTuples, len(p.keep))
 		m.CM.Adopt(q)
 		d := deliveries[name]
@@ -229,7 +238,6 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		}
 		opts = append(opts, source.WithColumnar(table.Columns(), p.keep, p.predIdx, p.predLess),
 			source.WithRecycler(m.scratch))
-		rt.colPush[name] = p
 		if len(clauses) > 0 {
 			opts = append(opts, source.WithFaults(&fault.Script{
 				Clauses: clauses, RNG: sim.NewRNG(fault.SeedFor(m.Cfg.FaultSeed, cmName))}))
@@ -238,15 +246,14 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		if err != nil {
 			return nil, err
 		}
-		rt.sources[name] = src
-		rt.qsrcs[name] = &queueSource{q: q, src: src}
+		rt.inputs[c.ID] = input{src: src, qs: queueSource{q: q, src: src}}
 		if len(clauses) > 0 || replicated {
-			if err := m.registerFaultEntry(rt, name, cmName, table, d, netTime); err != nil {
+			if err := m.registerFaultEntry(rt, c, cmName, table, d, netTime); err != nil {
 				return nil, err
 			}
 		}
 	}
-	for _, j := range plan.Joins(root) {
+	for i, j := range dec.Joins {
 		// Pre-size the build from the best cardinality knowledge available:
 		// the actual row count a prior run of this plan recorded at build
 		// completion, falling back to the optimizer's estimate at first
@@ -258,10 +265,31 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 		}
 		ht := m.scratch.table(j.Build.Live.MustIndexOf(j.BuildKey), j.Build.Live.Width(), clampReserveRows(rows))
 		holder := m.Mem.Bind(label, "hash table")
-		rt.tables[j.ID] = &tableState{join: j, ht: ht, holder: holder}
+		rt.tables[i] = tableState{join: j, ht: ht, holder: holder}
 	}
 	m.rts = append(m.rts, rt)
 	return rt, nil
+}
+
+// cmNames returns the communication-manager names of a labelled query's
+// wrappers, "label:rel" in chain order, concatenated into one string for
+// AddQuery to cut; an unlabelled query's names are its relation names.
+func cmNames(label string, chains []*plan.Chain) string {
+	if label == "" {
+		return ""
+	}
+	n := 0
+	for _, c := range chains {
+		n += len(label) + 1 + len(c.Scan.Rel.Name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, c := range chains {
+		b.WriteString(label)
+		b.WriteByte(':')
+		b.WriteString(c.Scan.Rel.Name)
+	}
+	return b.String()
 }
 
 // stream is one shared physical wrapper stream: the same table object

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"dqs/internal/mem"
@@ -35,12 +34,18 @@ type Runtime struct {
 	Dec   *plan.Decomposition
 	Trace *sim.Trace
 
-	sources map[string]*source.Source
-	qsrcs   map[string]*queueSource
-	tables  map[int]*tableState
-	colPush map[string]colPush // per-relation pushdown
-	frags   []*Fragment
-	net     *symNet // the DPHJ join network, nil under every other strategy
+	// inputs holds each chain's wrapper by Chain.ID, and tables each join's
+	// hash table in Dec.Joins order: one slab each per query, never grown,
+	// so a pointer into either stays valid while the runtime lives.
+	inputs []input
+	tables []tableState
+	// frags lists every fragment in creation order. Fragments and their
+	// steps are carved from fragRoom and stepRoom, what is left of the
+	// query's fragment slabs (see carve).
+	frags    []*Fragment
+	fragRoom []Fragment
+	stepRoom []stepExec
+	net      *symNet // the DPHJ join network, nil under every other strategy
 
 	outputRows int64
 	matTuples  int64
@@ -55,14 +60,21 @@ type Runtime struct {
 	milestoneN int
 
 	// sinkRow is the full-width row a Sink is handed, its live values at
-	// sinkAt and zero elsewhere; both are made at the first emit to a Sink.
+	// Dec.LiveAt and zero elsewhere, made at the first emit to a Sink.
 	sinkRow relation.Tuple
-	sinkAt  []int
 
 	// completedAt is the instant every chain finished or the query was
 	// cancelled; completed says it has been recorded.
 	completedAt time.Duration
 	completed   bool
+}
+
+// input is one chain's wrapper: its primary source, and the queue the source
+// fills as the TupleSource of the chain's wrapper-fed fragments, whose
+// producer a failover replaces.
+type input struct {
+	src *source.Source
+	qs  queueSource
 }
 
 // tableState tracks one join's hash table through its life cycle.
@@ -88,28 +100,29 @@ func NewRuntime(cfg Config, root *plan.Node, ds relation.Dataset, deliveries map
 	return med.AddQuery("", root, ds, deliveries)
 }
 
-// cmName returns the communication-manager name of one of this query's
-// wrappers.
-func (rt *Runtime) cmName(rel string) string {
-	if rt.Label == "" {
-		return rel
-	}
-	return rt.Label + ":" + rel
-}
-
 // Now returns the current virtual time.
 func (rt *Runtime) Now() time.Duration { return rt.Clock.Now() }
 
 // Source returns the simulated wrapper of a relation.
-func (rt *Runtime) Source(rel string) *source.Source { return rt.sources[rel] }
+func (rt *Runtime) Source(rel string) *source.Source {
+	c, ok := rt.Dec.ChainOf(rel)
+	if !ok {
+		return nil
+	}
+	return rt.inputs[c.ID].src
+}
+
+// queueIn returns chain c's wrapper queue, as its fragments read it.
+func (rt *Runtime) queueIn(c *plan.Chain) *queueSource { return &rt.inputs[c.ID].qs }
 
 // table returns the registry entry of a join.
 func (rt *Runtime) table(j *plan.Node) *tableState {
-	ts, ok := rt.tables[j.ID]
-	if !ok {
-		panic(fmt.Sprintf("exec: no table registered for join J%d", j.ID))
+	for i := range rt.tables {
+		if ts := &rt.tables[i]; ts.join.ID == j.ID {
+			return ts
+		}
 	}
-	return ts
+	panic(fmt.Sprintf("exec: no table registered for join J%d", j.ID))
 }
 
 // TableComplete reports whether the hash table of join j has been fully
@@ -135,17 +148,16 @@ func (rt *Runtime) EstBuildBytes(c *plan.Chain) int64 {
 	return int64(c.Root().EstRows) * int64(rt.Cfg.Params.TupleSize)
 }
 
-// buildInsert adds a run of tuples to join j's table with one memory
+// buildInsert adds a run of tuples to a join's table with one memory
 // reservation and one bulk hash-table append, returning how many tuples
 // made it in. When the single reservation fails — the grant is nearly
 // exhausted — it falls back to tuple-at-a-time reservation to find the
 // exact overflow boundary inserting one tuple at a time finds; memory
 // accounting (including the peak) is identical either way because the
 // reservations sum to the same total with no interleaved releases.
-func (rt *Runtime) buildInsert(j *plan.Node, ts []relation.Tuple) int {
-	state := rt.table(j)
+func (rt *Runtime) buildInsert(state *tableState, ts []relation.Tuple) int {
 	if state.complete {
-		panic(fmt.Sprintf("exec: insert into completed table of J%d", j.ID))
+		panic(fmt.Sprintf("exec: insert into completed table of J%d", state.join.ID))
 	}
 	n := int64(rt.Cfg.Params.TupleSize)
 	if rt.Mem.Reserve(state.holder, n*int64(len(ts))) {
@@ -179,20 +191,18 @@ func clampReserveRows(rows int64) int {
 	return int(rows)
 }
 
-// completeTable marks join j's table as fully built and records its exact
+// completeTable marks a join's table as fully built and records its exact
 // cardinality as the pre-size hint for the next run of this plan on the same
 // scratch.
-func (rt *Runtime) completeTable(j *plan.Node) {
-	ts := rt.table(j)
+func (rt *Runtime) completeTable(ts *tableState) {
 	ts.complete = true
-	rt.Med.scratch.recordBuildRows(j.ID, ts.rows)
+	rt.Med.scratch.recordBuildRows(ts.join.ID, ts.rows)
 }
 
-// releaseTable frees the memory of join j's table once its probing fragment
+// releaseTable frees the memory of a join's table once its probing fragment
 // has fully consumed it. Releasing twice is a no-op (split fragments may
 // both reach the release point of already-released lower tables).
-func (rt *Runtime) releaseTable(j *plan.Node) {
-	ts := rt.table(j)
+func (rt *Runtime) releaseTable(ts *tableState) {
 	if ts.released {
 		return
 	}
@@ -234,13 +244,17 @@ func (rt *Runtime) Cancel() {
 			}
 		}
 	}
-	ids := make([]int, 0, len(rt.tables))
-	for id := range rt.tables {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		rt.releaseTable(rt.tables[id].join)
+	// In ascending join ID: the next table is the lowest ID above the last.
+	last := -1
+	for range rt.tables {
+		var next *tableState
+		for i := range rt.tables {
+			if ts := &rt.tables[i]; ts.join.ID > last && (next == nil || ts.join.ID < next.join.ID) {
+				next = ts
+			}
+		}
+		rt.releaseTable(next)
+		last = next.join.ID
 	}
 	rt.complete()
 }
@@ -279,12 +293,11 @@ func (rt *Runtime) complete() {
 		return
 	}
 	rt.completed, rt.completedAt = true, rt.Now()
-	for _, c := range rt.Dec.Chains {
-		name := c.Scan.Rel.Name
-		rt.sources[name].Detach()
-		q := rt.qsrcs[name].q
-		q.ClearProducer()
-		rt.Med.CM.Drop(q)
+	for i := range rt.inputs {
+		in := &rt.inputs[i]
+		in.src.Detach()
+		in.qs.q.ClearProducer()
+		rt.Med.CM.Drop(in.qs.q)
 	}
 	if rt.net != nil {
 		rt.net.release(rt.Med.scratch)
@@ -303,14 +316,16 @@ func (rt *Runtime) CompletedAt() (time.Duration, bool) { return rt.completedAt, 
 // wrapper staging. It takes s because Mediator.Reclaim has already cleared
 // its own.
 func (rt *Runtime) reclaim(s *scratch) {
-	for _, ts := range rt.tables {
+	for i := range rt.tables {
+		ts := &rt.tables[i]
 		s.putTable(ts.ht) // nil once released
 		ts.ht = nil
 	}
 	if rt.net != nil {
 		rt.net.release(s)
 	}
-	for _, qs := range rt.qsrcs {
+	for i := range rt.inputs {
+		qs := &rt.inputs[i].qs
 		s.putQueue(qs.q)
 		qs.src.Release()
 	}
@@ -338,9 +353,9 @@ func (rt *Runtime) emitOutput(out relation.Tuple) {
 	}
 	if rt.Cfg.Stream != nil {
 		if rt.sinkRow == nil {
-			rt.sinkRow, rt.sinkAt = make(relation.Tuple, rt.Root.Schema.Width()), livePositions(rt.Root)
+			rt.sinkRow = make(relation.Tuple, rt.Root.Schema.Width())
 		}
-		for i, p := range rt.sinkAt {
+		for i, p := range rt.Dec.LiveAt {
 			rt.sinkRow[p] = out[i]
 		}
 		rt.Cfg.Stream.Emit(rt.Clock.Now(), rt.sinkRow)
@@ -425,7 +440,7 @@ func (rt *Runtime) PerTupleCost(c *plan.Chain, fromStep, toStep int, queueInput 
 // wrapper: its queue's estimate when available, the configured initial
 // estimate otherwise.
 func (rt *Runtime) Wait(c *plan.Chain) time.Duration {
-	if w, ok := rt.qsrcs[c.Scan.Rel.Name].q.EstimatedWait(); ok {
+	if w, ok := rt.queueIn(c).q.EstimatedWait(); ok {
 		return w
 	}
 	return rt.Cfg.InitialWaitEstimate

@@ -6,20 +6,22 @@ import (
 	"time"
 
 	"dqs/internal/comm"
+	"dqs/internal/mem"
 	"dqs/internal/operator"
 	"dqs/internal/relation"
 	"dqs/internal/sim"
 )
 
 // scratch recycles the allocation-heavy execution state of one mediator —
-// wrapper queues, hash tables, join-network arenas, temp-relation storage,
-// shared-stream schedules, wrapper staging buffers and RNG streams — across
-// runs, and holds the mediator's one fragment cascade, whose grown storage
-// the next run reuses as it is. NewMediator checks one out
-// (getScratch) and Mediator.Reclaim returns it, so repeated runs reuse grown
-// storage instead of re-allocating it; pooling recycles only capacity, never
-// contents (every object is reset or overwritten on checkout), so a run's
-// results do not depend on what the scratch served before.
+// wrapper queues, hash tables, join-network arenas, temp relations (arena,
+// page bookkeeping and reader alike), shared-stream schedules, wrapper
+// staging buffers and RNG streams — across runs, and holds the mediator's
+// one fragment cascade, whose grown storage the next run reuses as it is.
+// NewMediator checks one out (getScratch) and Mediator.Reclaim returns it,
+// so repeated runs reuse grown storage instead of re-allocating it; pooling
+// recycles only capacity, never contents (every object is reset or
+// overwritten on checkout), so a run's results do not depend on what the
+// scratch served before.
 //
 // Retention. A scratch keeps every object its mediators return and drops
 // leftovers only when they are shown to be stale: when a checkout had to
@@ -34,8 +36,8 @@ import (
 type scratch struct {
 	queues pool[*comm.Queue]
 	tables pool[*operator.HashTable]
-	temps  pool[[]int64] // temp-relation tuple storage, handed out best-fit
-	ints   pool[[]int64] // join-network arenas
+	temps  pool[pooledTemp] // temp relations with their storage, best-fit by arena
+	ints   pool[[]int64]    // join-network arenas
 	tuples pool[[]relation.Tuple]
 	bools  pool[[]bool]
 	times  pool[[]time.Duration] // stream schedules and wrapper staging, best-fit
@@ -172,10 +174,9 @@ func putScratch(s *scratch) {
 
 // The slice pools, one per element type: each get returns a recycled
 // length-zero slice (nil when the pool is empty), each put reclaims one; the
-// exported ones are those source.Recycler and mem.IntRecycler need. The
-// int64 arenas back join-network scratch tuples (temp-relation storage has
-// its own pool, below); tuples are the join network's match headers, bools
-// wrapper staging.
+// exported ones are those source.Recycler needs. The int64 arenas back
+// join-network scratch tuples (temp relations have their own pool, below);
+// tuples are the join network's match headers, bools wrapper staging.
 func (s *scratch) getInts() []int64            { return s.ints.pop() }
 func (s *scratch) putInts(b []int64)           { putSlice(&s.ints, b) }
 func (s *scratch) getTuples() []relation.Tuple { return s.tuples.pop() }
@@ -189,13 +190,22 @@ func (s *scratch) putTuples(b []relation.Tuple) {
 	putSlice(&s.tuples, b)
 }
 
-// GetTempInts returns the best-fitting pooled temp-relation arena of at
-// least the given capacity — the smallest one that is big enough — or nil
-// when none qualifies. With PutTempInts it makes scratch a mem.IntRecycler.
-func (s *scratch) GetTempInts(capacity int) []int64 { return bestSlice(&s.temps, capacity) }
+// pooledTemp is a reclaimed temp relation and its arena's capacity.
+type pooledTemp struct {
+	t        *mem.Temp
+	capacity int
+}
 
-// PutTempInts reclaims a temp relation's arena.
-func (s *scratch) PutTempInts(b []int64) { putSlice(&s.temps, b) }
+// GetTemp returns the pooled temp relation whose arena fits best — the
+// smallest that holds the given capacity — or nil when none does. With
+// PutTemp it makes scratch a mem.IntRecycler.
+func (s *scratch) GetTemp(capacity int) *mem.Temp {
+	return s.temps.best(func(p pooledTemp) bool { return p.capacity >= capacity },
+		func(a, b pooledTemp) bool { return a.capacity < b.capacity }).t
+}
+
+// PutTemp reclaims a temp relation, header, arena and reader alike.
+func (s *scratch) PutTemp(t *mem.Temp, capacity int) { s.temps.put(pooledTemp{t, capacity}) }
 
 // GetTimes returns the best-fitting pooled []time.Duration of at least the
 // given capacity, or nil. With PutTimes, GetBools and PutBools it makes

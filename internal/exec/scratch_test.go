@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dqs/internal/operator"
-	"dqs/internal/plan"
 	"dqs/internal/workload"
 )
 
@@ -209,7 +208,7 @@ func TestScratchRetainsItsWorkingSet(t *testing.T) {
 		}
 	}
 	streams, _ := med.SharedStreamCount()
-	queues, joins := 16*len(shared.Catalog.Names()), 16*len(plan.Joins(shared.Root))
+	queues, joins := 16*len(shared.Catalog.Names()), 16*len(rts[0].Dec.Joins)
 	med.Reclaim()
 	want := map[string][2]int{
 		"queues": {s.queues.len(), queues},

@@ -95,7 +95,13 @@ func (s *queueSource) Available(now time.Duration) int { return s.q.Available(no
 // means it is exhausted.
 func (s *queueSource) NextArrival() (time.Duration, bool) { return s.q.NextArrival() }
 
+// pop answers an empty queue before touching the chunk: process ends every
+// batch with a pop that finds nothing has arrived.
 func (s *queueSource) pop(c *chunk, now time.Duration, max int) {
+	if s.q.Available(now) == 0 {
+		c.n = 0
+		return
+	}
 	c.reset(s.q.Width())
 	c.pass = sized(c.pass, min(max, s.q.Capacity()))
 	c.n = s.q.PopColsN(now, &c.cols, c.pass)

@@ -9,7 +9,6 @@ import (
 
 	"dqs/internal/mem"
 	"dqs/internal/operator"
-	"dqs/internal/plan"
 	"dqs/internal/relation"
 )
 
@@ -19,7 +18,8 @@ func TestQueueSourceAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rt.qsrcs["E"]
+	cE, _ := rt.Dec.ChainOf("E")
+	src := rt.queueIn(cE)
 	total := 1500 // |E| at small scale
 	if got := src.Remaining(); got != total {
 		t.Fatalf("Remaining = %d, want %d", got, total)
@@ -227,7 +227,7 @@ func TestTablesHoldLiveWidthRows(t *testing.T) {
 			rt.Clock.Stall(at)
 		}
 	}
-	for _, j := range plan.Joins(w.Root) {
+	for _, j := range rt.Dec.Joins {
 		sj := rt.net.joins[j.ID]
 		if got, want := builtWidth(t, sj.buildTable, w.Dataset, j.BuildKey), j.Build.Live.Width(); got != want {
 			t.Errorf("DPHJ J%d's build-side table holds width-%d entries, want %d", j.ID, got, want)

@@ -136,7 +136,11 @@ func goldenClasses(t *testing.T, o Options) []goldenClass {
 // projected away at the wrapper and reads zero in the engine's output.
 func liveOutputColumns(root *plan.Node) []int {
 	live := make(map[relation.ColRef]bool)
-	for _, j := range plan.Joins(root) {
+	dec, err := plan.Decompose(root)
+	if err != nil {
+		panic(err)
+	}
+	for _, j := range dec.Joins {
 		live[j.BuildKey], live[j.ProbeKey] = true, true
 	}
 	for _, s := range plan.Scans(root) {

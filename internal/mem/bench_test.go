@@ -1,26 +1,40 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 
 	"dqs/internal/relation"
 	"dqs/internal/sim"
 )
 
-// arenaSlot is a one-arena IntRecycler: the benchmark's temps reuse one
-// arena as the engine's pooled scratch lets repeated runs do.
-type arenaSlot struct{ buf []int64 }
-
-func (a *arenaSlot) GetTempInts(capacity int) []int64 {
-	if cap(a.buf) < capacity {
-		return nil
-	}
-	b := a.buf
-	a.buf = nil
-	return b
+// tempPool is an IntRecycler over a plain list, handing out the best-fitting
+// temp as the engine's pooled scratch does: the benchmark's temps reuse one
+// temp as repeated runs do, and the fuzzer's runs reuse every temp of the
+// run before.
+type tempPool struct {
+	temps []*Temp
+	caps  []int
 }
 
-func (a *arenaSlot) PutTempInts(b []int64) { a.buf = b }
+func (p *tempPool) GetTemp(capacity int) *Temp {
+	at := -1
+	for i, c := range p.caps {
+		if c >= capacity && (at < 0 || c < p.caps[at]) {
+			at = i
+		}
+	}
+	if at < 0 {
+		return nil
+	}
+	t := p.temps[at]
+	p.temps, p.caps = slices.Delete(p.temps, at, at+1), slices.Delete(p.caps, at, at+1)
+	return t
+}
+
+func (p *tempPool) PutTemp(t *Temp, capacity int) {
+	p.temps, p.caps = append(p.temps, t), append(p.caps, capacity)
+}
 
 // BenchmarkTempAppendPop times the engine's temp path at Figure 5's A⋈E
 // live width: 15 000 rows of A⋈E's three live columns (of five), appended to
@@ -32,7 +46,7 @@ func BenchmarkTempAppendPop(b *testing.B) {
 	schema := relation.NewSchema("AE", "a_k1", "a_k2", "e_k1")
 	row := make(relation.Tuple, schema.Width())
 	dst := relation.NewBatch(schema.Width())
-	pool := &arenaSlot{}
+	pool := &tempPool{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		clock := sim.NewClock()

@@ -19,7 +19,9 @@ type TempStore struct {
 	clock   *sim.Clock
 	nextObj int
 	pool    IntRecycler
-	temps   []*Temp
+	// first and last end the list of the temps created so far, in creation
+	// order and linked through Temp.next, so creating a temp grows no slice.
+	first, last *Temp
 
 	// perPage is params.TuplesPerPage(), computed once: Append and every
 	// reader position divide by it. pageBytes is the grant charge for one
@@ -34,15 +36,16 @@ type TempStore struct {
 	grant *Manager
 }
 
-// IntRecycler supplies and reclaims flat []int64 arenas, so temp-relation
-// storage is recycled across simulator runs. GetTempInts returns a pooled
-// arena of at least the given capacity or nil (start from scratch), so a
+// IntRecycler supplies and reclaims temp relations, so a temp's storage —
+// its flat []int64 arena, its page bookkeeping and the reader it is read by —
+// is recycled across simulator runs. GetTemp returns a pooled temp whose
+// arena holds at least capacity values, or nil (start from scratch), so a
 // large materialization hint finds the pool's grown arena, not the
-// last-returned (possibly tiny) one. PutTempInts receives length-zero
-// slices whose capacity is the reusable storage.
+// last-returned (possibly tiny) one. PutTemp receives a temp its store has
+// reclaimed, emptied to its capacity, with its arena's capacity in values.
 type IntRecycler interface {
-	GetTempInts(capacity int) []int64
-	PutTempInts([]int64)
+	GetTemp(capacity int) *Temp
+	PutTemp(t *Temp, capacity int)
 }
 
 // NewTempStore binds a store to the mediator's disk and clock.
@@ -52,9 +55,8 @@ func NewTempStore(params sim.Params, disk *sim.Disk, clock *sim.Clock) *TempStor
 		perPage: perPage, pageBytes: int64(perPage) * int64(params.TupleSize)}
 }
 
-// SetPool attaches an arena recycler; subsequent Creates draw their tuple
-// storage from it and Reclaim returns the storage of every temp created so
-// far.
+// SetPool attaches a temp recycler; subsequent Creates draw their temps
+// from it and Reclaim returns every temp created so far.
 func (s *TempStore) SetPool(p IntRecycler) { s.pool = p }
 
 // SetGovernor attaches the grant's ledger: asynchronous temps then keep
@@ -65,18 +67,21 @@ func (s *TempStore) SetPool(p IntRecycler) { s.pool = p }
 // [benchmark] PR.
 func (s *TempStore) SetGovernor(m *Manager, _ bool) { s.grant = m }
 
-// Reclaim hands every created temp's tuple arena back to the pool. The
-// store and its temps must not be used afterwards: callers reclaim only
-// when the whole simulated run is over.
+// Reclaim hands every created temp — header, arena, page bookkeeping and
+// reader — back to the pool. The store, its temps and their readers must
+// not be used afterwards: callers reclaim only when the whole simulated run
+// is over.
 func (s *TempStore) Reclaim() {
-	for _, t := range s.temps {
+	for t := s.first; t != nil; {
+		next := t.next
 		t.releaseAllResident()
-		if s.pool != nil && t.data != nil {
-			s.pool.PutTempInts(t.data[:0])
-			t.data = nil
+		if s.pool != nil {
+			t.empty()
+			s.pool.PutTemp(t, cap(t.data))
 		}
+		t = next
 	}
-	s.temps = nil
+	s.first, s.last = nil, nil
 }
 
 // CreateSized opens a new temporary relation with the given schema, written
@@ -89,27 +94,26 @@ func (s *TempStore) Reclaim() {
 // materialization that stays within the hint never re-copies its arena.
 // Neither the width nor the hint changes page bookkeeping or I/O charges.
 func (s *TempStore) CreateSized(name string, schema *relation.Schema, rows int) *Temp {
-	obj := s.nextObj
-	s.nextObj++
-	t := &Temp{
-		store:  s,
-		name:   name,
-		object: obj,
-		width:  schema.Width(),
-	}
 	pages := (max(rows, 0) + s.perPage - 1) / s.perPage
-	if pages > 0 {
-		t.pageDone = make([]time.Duration, 0, pages)
-		t.resident = make([]bool, 0, pages)
-	}
-	need := pages * t.pageVals()
+	need := pages * s.perPage * schema.Width()
+	var t *Temp
 	if s.pool != nil {
-		t.data = s.pool.GetTempInts(need)
+		t = s.pool.GetTemp(need)
 	}
-	if t.data == nil && need > 0 {
-		t.data = make([]int64, 0, need)
+	if t == nil {
+		t = &Temp{}
 	}
-	s.temps = append(s.temps, t)
+	t.store, t.name, t.object, t.width = s, name, s.nextObj, schema.Width()
+	s.nextObj++
+	t.data = slices.Grow(t.data, need)
+	t.pageDone = slices.Grow(t.pageDone, pages)
+	t.resident = slices.Grow(t.resident, pages)
+	if s.last == nil {
+		s.first = t
+	} else {
+		s.last.next = t
+	}
+	s.last = t
 	return t
 }
 
@@ -150,6 +154,19 @@ type Temp struct {
 	consumedPages int   // pages fully consumed by the reader (release watermark)
 	resScan       int   // lowest index that can still be resident (spill cursor)
 	inSpillList   bool  // listed in the ledger's spill-candidate set
+
+	// rd is the reader the temp is read by: NewReader hands it out first,
+	// and it is recycled with the temp, its readyAt capacity included.
+	rd Reader
+	// next is the temp its store created after this one.
+	next *Temp
+}
+
+// empty resets a reclaimed temp to its zero state, keeping only the
+// capacity of its arena, its page bookkeeping and its reader's readyAt.
+func (t *Temp) empty() {
+	*t = Temp{data: t.data[:0], pageDone: t.pageDone[:0], resident: t.resident[:0],
+		rd: Reader{readyAt: t.rd.readyAt[:0]}}
 }
 
 // Len returns the number of appended tuples.
@@ -319,11 +336,14 @@ func (t *Temp) NewReader(prefetch int) *Reader {
 	if prefetch < 1 {
 		prefetch = 1
 	}
-	return &Reader{
-		temp:     t,
-		prefetch: prefetch,
-		readyAt:  make([]time.Duration, len(t.pageDone)),
+	r := &t.rd
+	if r.temp != nil {
+		r = new(Reader) // a second reader over the temp
 	}
+	readyAt := slices.Grow(r.readyAt[:0], len(t.pageDone))[:len(t.pageDone)]
+	clear(readyAt)
+	*r = Reader{temp: t, prefetch: prefetch, readyAt: readyAt}
+	return r
 }
 
 // NewSyncReader opens a reader whose page reads hold the CPU (classic

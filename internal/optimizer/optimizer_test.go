@@ -79,8 +79,8 @@ func TestOptimizeProducesValidAnnotatedPlan(t *testing.T) {
 	if err := plan.Validate(root); err != nil {
 		t.Fatalf("optimizer produced invalid plan: %v", err)
 	}
-	if len(plan.Scans(root)) != 3 || len(plan.Joins(root)) != 2 {
-		t.Fatalf("plan shape wrong: %d scans, %d joins", len(plan.Scans(root)), len(plan.Joins(root)))
+	if len(plan.Scans(root)) != 3 || len(joinsOf(t, root)) != 2 {
+		t.Fatalf("plan shape wrong: %d scans, %d joins", len(plan.Scans(root)), len(joinsOf(t, root)))
 	}
 	// Final cardinality: 1000*100/100 = 1000 joined with T: *10/10 = 1000.
 	if root.EstRows != 1000 {
@@ -99,7 +99,7 @@ func TestOptimizeBuildsOnSmallerSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range plan.Joins(root) {
+	for _, j := range joinsOf(t, root) {
 		if j.Build.EstRows > j.Probe.EstRows {
 			t.Errorf("join J%d builds on larger side (%v > %v)", j.ID, j.Build.EstRows, j.Probe.EstRows)
 		}
@@ -163,7 +163,7 @@ func TestOptimizeMinimizesIntermediateSize(t *testing.T) {
 	if root.EstRows != 100 {
 		t.Errorf("final est = %v, want 100", root.EstRows)
 	}
-	joins := plan.Joins(root)
+	joins := joinsOf(t, root)
 	// The first join (bottom-most) must involve a dimension, not a cross
 	// of dimensions (which is disconnected and illegal anyway); and its
 	// result must be 1000.
@@ -210,4 +210,15 @@ func TestOptimizeDeterministic(t *testing.T) {
 	if plan.Render(a) != plan.Render(b) {
 		t.Errorf("same inputs produced different plans:\n%s\nvs\n%s", plan.Render(a), plan.Render(b))
 	}
+}
+
+// joinsOf returns the plan's hash joins in post-order, as its decomposition
+// lists them.
+func joinsOf(t *testing.T, root *plan.Node) []*plan.Node {
+	t.Helper()
+	dec, err := plan.Decompose(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec.Joins
 }

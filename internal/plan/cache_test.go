@@ -74,7 +74,7 @@ func TestProberPathMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, j := range Joins(root) {
+		for _, j := range joins(root) {
 			if p := dec.ProberOf(j); !slices.Contains(p.Joins, j) {
 				t.Errorf("plan %d: ProberOf(J%d) = %s, which does not probe it", i, j.ID, p)
 			}

@@ -22,6 +22,12 @@ type Chain struct {
 	// BuildsFor is the join whose hash table this chain's output builds,
 	// or nil when the chain ends at the query output.
 	BuildsFor *Node
+	// LiveAt lists where each column of Scan.Live sits in Scan.Schema,
+	// ascending: the columns the chain's wrapper projects onto the wire.
+	LiveAt []int
+	// MF and CF label the chain's materialization and complement fragments
+	// (§4.4): "MF(p_X)" and "CF(p_X)".
+	MF, CF string
 }
 
 // Root returns the topmost node of the chain (the last probed join, or the
@@ -56,6 +62,12 @@ func (c *Chain) String() string {
 type Decomposition struct {
 	Root   *Node
 	Chains []*Chain
+	// Joins lists every hash join of the plan in post-order (inputs before
+	// consumers, build before probe).
+	Joins []*Node
+	// LiveAt lists where each column of Root.Live sits in Root.Schema: the
+	// positions a full-width result row takes the live values at.
+	LiveAt []int
 
 	// builderOf maps a join node ID to the chain that builds its hash
 	// table.
@@ -69,19 +81,40 @@ func Decompose(root *Node) (*Decomposition, error) {
 	if err := Validate(root); err != nil {
 		return nil, err
 	}
-	d := &Decomposition{
-		Root:        root,
-		builderOf:   make(map[int]*Chain),
-		chainOfScan: make(map[string]*Chain),
-	}
 	scans := Scans(root)
 	// Deterministic chain numbering: by relation name.
 	sort.Slice(scans, func(i, j int) bool { return scans[i].Rel.Name < scans[j].Rel.Name })
+	// Every chain's names are cut from one string, and every LiveAt from one
+	// slab.
+	bytes, positions := 0, root.Live.Width()
 	for _, s := range scans {
+		bytes += len("p_MF(p_)CF(p_)") + 3*len(s.Rel.Name)
+		positions += s.Live.Width()
+	}
+	var names strings.Builder
+	names.Grow(bytes)
+	for _, s := range scans {
+		for _, part := range [...]string{"p_", s.Rel.Name, "MF(p_", s.Rel.Name, ")CF(p_", s.Rel.Name, ")"} {
+			names.WriteString(part)
+		}
+	}
+	labels, slab := names.String(), make([]int, positions)
+	d := &Decomposition{
+		Root:        root,
+		Joins:       joins(root),
+		LiveAt:      liveAt(root, &slab),
+		builderOf:   make(map[int]*Chain),
+		chainOfScan: make(map[string]*Chain),
+	}
+	for _, s := range scans {
+		rel := len(s.Rel.Name)
 		c := &Chain{
-			ID:   len(d.Chains),
-			Name: "p_" + s.Rel.Name,
-			Scan: s,
+			ID:     len(d.Chains),
+			Name:   cutString(&labels, len("p_")+rel),
+			Scan:   s,
+			LiveAt: liveAt(s, &slab),
+			MF:     cutString(&labels, len("MF(p_)")+rel),
+			CF:     cutString(&labels, len("CF(p_)")+rel),
 		}
 		// Climb while we feed the pipelinable (probe) side.
 		n := s
@@ -108,12 +141,31 @@ func Decompose(root *Node) (*Decomposition, error) {
 		d.chainOfScan[s.Rel.Name] = c
 	}
 	// Sanity: every join's build side must be produced by exactly one chain.
-	for _, j := range Joins(root) {
+	for _, j := range d.Joins {
 		if d.builderOf[j.ID] == nil {
 			return nil, fmt.Errorf("plan: join J%d has no building chain", j.ID)
 		}
 	}
 	return d, nil
+}
+
+// liveAt returns where each column of n.Live sits in n.Schema, ascending,
+// cut from the front of slab.
+func liveAt(n *Node, slab *[]int) []int {
+	w := n.Live.Width()
+	at := (*slab)[:w:w]
+	*slab = (*slab)[w:]
+	for i, c := range n.Live.Cols {
+		at[i] = n.Schema.MustIndexOf(c)
+	}
+	return at
+}
+
+// cutString returns the first n bytes of s and advances s past them.
+func cutString(s *string, n int) string {
+	x := (*s)[:n]
+	*s = (*s)[n:]
+	return x
 }
 
 // ChainOf returns the chain scanning the named relation.

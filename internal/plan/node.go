@@ -227,8 +227,8 @@ func Scans(root *Node) []*Node {
 	return out
 }
 
-// Joins returns every hash join of the plan, in post-order.
-func Joins(root *Node) []*Node {
+// joins returns every hash join of the plan, in post-order.
+func joins(root *Node) []*Node {
 	var out []*Node
 	walk(root, func(n *Node) error { //nolint:errcheck // fn never fails
 		if n.Kind == KindHashJoin {

@@ -296,7 +296,7 @@ func TestChainStringAndDecompositionString(t *testing.T) {
 }
 
 func TestWalkPostOrderAndCollectors(t *testing.T) {
-	root, joins, _ := buildFig5(t)
+	root, built, _ := buildFig5(t)
 	var order []int
 	if err := walk(root, func(n *Node) error {
 		order = append(order, n.ID)
@@ -309,7 +309,7 @@ func TestWalkPostOrderAndCollectors(t *testing.T) {
 	for _, id := range order {
 		seen[id] = true
 	}
-	for _, j := range joins {
+	for _, j := range built {
 		idx := indexOf(order, j.ID)
 		if indexOf(order, j.Build.ID) > idx || indexOf(order, j.Probe.ID) > idx {
 			t.Errorf("join J%d visited before its inputs", j.ID)
@@ -318,8 +318,8 @@ func TestWalkPostOrderAndCollectors(t *testing.T) {
 	if len(Scans(root)) != 6 {
 		t.Errorf("Scans found %d", len(Scans(root)))
 	}
-	if len(Joins(root)) != 5 {
-		t.Errorf("Joins found %d", len(Joins(root)))
+	if len(joins(root)) != 5 {
+		t.Errorf("Joins found %d", len(joins(root)))
 	}
 }
 

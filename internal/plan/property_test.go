@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"dqs/internal/relation"
@@ -96,7 +97,33 @@ func TestDecomposeInvariantsOnRandomPlans(t *testing.T) {
 				outputs++
 			}
 		}
-		joins := Joins(root)
+		joins := joins(root)
+		if !slices.Equal(dec.Joins, joins) {
+			t.Errorf("trial %d: decomposition lists joins %v, the walk %v", trial, dec.Joins, joins)
+		}
+		// The per-plan constants: labels, and where each live column sits.
+		liveAtOK := func(n *Node, at []int) bool {
+			if len(at) != n.Live.Width() {
+				return false
+			}
+			for i, c := range n.Live.Cols {
+				if n.Schema.Cols[at[i]] != c {
+					return false
+				}
+			}
+			return true
+		}
+		if !liveAtOK(root, dec.LiveAt) {
+			t.Errorf("trial %d: output LiveAt %v does not place %v", trial, dec.LiveAt, root.Live.Cols)
+		}
+		for _, c := range dec.Chains {
+			if name := "p_" + c.Scan.Rel.Name; c.Name != name || c.MF != "MF("+name+")" || c.CF != "CF("+name+")" {
+				t.Errorf("trial %d: chain of %s labelled %q, %q, %q", trial, c.Scan.Rel.Name, c.Name, c.MF, c.CF)
+			}
+			if !liveAtOK(c.Scan, c.LiveAt) {
+				t.Errorf("trial %d: %s LiveAt %v does not place %v", trial, c.Name, c.LiveAt, c.Scan.Live.Cols)
+			}
+		}
 		for _, j := range joins {
 			if probed[j.ID] != 1 {
 				t.Errorf("trial %d: join J%d probed %d times", trial, j.ID, probed[j.ID])

@@ -21,7 +21,11 @@ import (
 // wrapper and reads zero in the engine's output.
 func liveColumns(root *plan.Node) []int {
 	live := make(map[relation.ColRef]bool)
-	for _, j := range plan.Joins(root) {
+	dec, err := plan.Decompose(root)
+	if err != nil {
+		panic(err)
+	}
+	for _, j := range dec.Joins {
 		live[j.BuildKey], live[j.ProbeKey] = true, true
 	}
 	for _, s := range plan.Scans(root) {

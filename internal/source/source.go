@@ -106,7 +106,8 @@ type Source struct {
 	// are unspecified and never read: the pass bit gates every consumer.
 	stageAt   []time.Duration
 	stagePass []bool
-	colViews  [][]int64 // flush scratch: per-live-column views of the staged run
+	colViews  [][]int64  // flush scratch: per-live-column views of the staged run
+	views     [4][]int64 // backs colViews for up to four live columns
 
 	// pool, when set (WithRecycler), supplies the staging buffers and takes
 	// them back on Release.
@@ -305,7 +306,11 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 	if s.shared != nil {
 		s.shared.attach()
 	}
-	s.colViews = make([][]int64, len(s.keep))
+	if len(s.keep) <= len(s.views) {
+		s.colViews = s.views[:len(s.keep)]
+	} else {
+		s.colViews = make([][]int64, len(s.keep))
+	}
 	if s.pool != nil {
 		s.stageAt, s.stagePass = s.pool.GetTimes(q.Capacity()), s.pool.GetBools()
 	}

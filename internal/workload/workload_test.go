@@ -46,8 +46,8 @@ func TestFig5PlanStructureMatchesPaperBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec.Chains) != 6 || len(plan.Joins(w.Root)) != 5 {
-		t.Fatalf("plan shape: %d chains, %d joins", len(dec.Chains), len(plan.Joins(w.Root)))
+	if len(dec.Chains) != 6 || len(dec.Joins) != 5 {
+		t.Fatalf("plan shape: %d chains, %d joins", len(dec.Chains), len(dec.Joins))
 	}
 	chain := func(name string) *plan.Chain {
 		c, ok := dec.ChainOf(name)
@@ -85,7 +85,11 @@ func TestFig5EstimatesMatchGeneratedData(t *testing.T) {
 	// Exact join sizes via reference counting on key histograms would be
 	// O(n^2) naively; instead verify the *final* output estimate through a
 	// real evaluation in the exec tests, and here check the base ones.
-	joins := plan.Joins(w.Root)
+	dec, err := plan.Decompose(w.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins := dec.Joins
 	j1 := joins[0]
 	counts := make(map[int64]int)
 	eIdx := 1 // E.k1
