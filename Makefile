@@ -86,7 +86,8 @@ profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 15 dqsbench.bin mem.prof
 
 # CPU and allocation profiles of one warm fused server batch
-# (BenchmarkFusedBatch: 16 Fig5Small queries, MaxActive 4, shared streams),
+# (BenchmarkFusedBatch: 16 Fig5Small queries, MaxActive 4, shared streams,
+# no Config.Plans — the configuration dqs.NewServer users start from),
 # the commands behind ROADMAP's "Fused" tables. The CPU pass and the
 # allocation passes run separately, because recording every allocation
 # (-memprofilerate 1) distorts the CPU samples. The allocation table is per

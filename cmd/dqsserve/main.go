@@ -112,7 +112,6 @@ func run(w io.Writer, o options) error {
 	cfg.MemoryBytes = mem
 	cfg.InitialWaitEstimate = o.wmin
 	cfg.SharedStreams = o.sharedStreams
-	cfg.Plans = dqs.NewDecompositionCache()
 	srv, err := dqs.NewServer(dqs.ServerConfig{
 		Exec:       cfg,
 		MaxActive:  o.maxActive,

@@ -67,9 +67,11 @@ type (
 	FaultReplica = fault.Replica
 	// StrategyInfo describes one registered strategy for listings.
 	StrategyInfo = core.StrategyInfo
-	// DecompositionCache memoizes pipeline-chain decompositions keyed by
-	// plan root; set Config.Plans to one to share decompositions across
-	// repeated runs of the same plans. Safe for concurrent use.
+	// DecompositionCache counts, per plan root, the runs that reused a plan
+	// (Result.PlanCacheHits/Misses) when set as Config.Plans. It shares
+	// nothing: every plan carries its one pipeline-chain decomposition, and
+	// every run of the plan reads it. Kept only because bench/ uses it —
+	// remove with the next [benchmark] PR.
 	DecompositionCache = plan.DecompositionCache
 	// PlanCache memoizes optimizer output keyed by query shape: repeated
 	// structurally identical queries share one DP enumeration, and literal
@@ -89,13 +91,13 @@ type (
 func AutoPartitions(workers int) int { return exec.AutoPartitions(workers) }
 
 // NewDecompositionCache returns an empty decomposition cache for
-// Config.Plans.
+// Config.Plans. Kept only because bench/ calls it — remove with the next
+// [benchmark] PR.
 func NewDecompositionCache() *DecompositionCache { return plan.NewDecompositionCache() }
 
 // NewPlanCache returns an empty query-shape-keyed optimizer cache: Load
 // solves the join-order DP once per query shape and serves each literal
-// binding its own decomposed plan. It is independent of Config.Plans, which
-// takes a NewDecompositionCache.
+// binding its own plan, decomposed once when it was built.
 func NewPlanCache() *PlanCache { return optimizer.NewPlanCache() }
 
 // ParseFaults builds a fault plan from the compact CLI spec grammar, e.g.
@@ -264,8 +266,8 @@ func LowerBound(spec RunSpec) (time.Duration, error) {
 // RenderPlan returns an ASCII rendering of the workload's physical plan.
 func RenderPlan(w *Workload) string { return plan.Render(w.Root) }
 
-// RenderChains returns the pipeline-chain decomposition of the workload's
-// plan, with the direct ancestor (blocking) relation.
+// RenderChains returns the pipeline-chain decomposition the workload's plan
+// carries, with the direct ancestor (blocking) relation.
 func RenderChains(w *Workload) (string, error) {
 	dec, err := plan.Decompose(w.Root)
 	if err != nil {

@@ -43,7 +43,6 @@ var exportAllowList = map[string]string{
 	"fault.Kind":                    named, // Clause.Kind
 	"mem.IntRecycler":               named, // TempStore.SetPool
 	"operator.Matches":              named, // HashTable.Probe
-	"optimizer.CachedPlan":          named, // PlanCache.Load
 	"plan.NodeKind":                 named, // Node.Kind
 	"relation.Generator":            named, // NewGenerator
 	"sim.EventKind":                 named, // Event.Kind
@@ -51,7 +50,6 @@ var exportAllowList = map[string]string{
 	"workload.RandomSpec":           named, // Random
 	"workload.StarSpec":             named, // Star
 	"plan.Scans":                    testOnly,
-	"plan.Validate":                 testOnly,
 	"reftest.Count":                 testOnly,
 	"reftest.Eval":                  testOnly,
 	"relation.NewSchema":            testOnly,

@@ -34,11 +34,7 @@ func (p *dphjPolicy) Plan(st *State) (SchedulingPlan, error) {
 		if st.queryDone(rt) {
 			continue
 		}
-		feeds, err := rt.NewDPHJFeeds()
-		if err != nil {
-			return SchedulingPlan{}, err
-		}
-		p.feeds = append(p.feeds, feeds...)
+		p.feeds = append(p.feeds, rt.NewDPHJFeeds()...)
 	}
 	return SchedulingPlan{Frags: p.feeds, RoundRobin: true}, nil
 }

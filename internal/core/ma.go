@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dqs/internal/exec"
-	"dqs/internal/mem"
 	"dqs/internal/sim"
 )
 
@@ -18,17 +17,14 @@ import (
 // phase 1 for the newcomer's wrappers; the iterator then resumes where it
 // stopped.
 type maPolicy struct {
-	mfs   []*exec.Fragment
-	temps map[*exec.Runtime]map[string]*mem.Temp
+	mfs []*exec.Fragment
 
 	phase2 bool
 	chainCursor
 }
 
 // newMAPolicy builds the materialize-all policy; registry name "MA".
-func newMAPolicy(st *State) (Policy, error) {
-	return &maPolicy{temps: make(map[*exec.Runtime]map[string]*mem.Temp)}, nil
-}
+func newMAPolicy(st *State) (Policy, error) { return &maPolicy{}, nil }
 
 func (p *maPolicy) Name() string { return "MA" }
 
@@ -45,13 +41,9 @@ func (p *maPolicy) Plan(st *State) (SchedulingPlan, error) {
 		if st.queryDone(rt) {
 			continue
 		}
-		ts := make(map[string]*mem.Temp, len(rt.Dec.Chains))
 		for _, c := range rt.Dec.Chains {
-			f := rt.NewMFSync(c)
-			p.mfs = append(p.mfs, f)
-			ts[c.Scan.Rel.Name] = f.Temp
+			p.mfs = append(p.mfs, rt.NewMFSync(c))
 		}
-		p.temps[rt] = ts
 	}
 	if len(p.mfs) > n {
 		p.phase2 = false
@@ -62,8 +54,19 @@ func (p *maPolicy) Plan(st *State) (SchedulingPlan, error) {
 	}
 	// Phase 2: iterator-model execution over the local temps.
 	return p.plan(st, "MA", func(c chainRef) *exec.Fragment {
-		return c.rt.NewCFSync(c.chain, p.temps[c.rt][c.chain.Scan.Rel.Name])
+		return c.rt.NewCFSync(c.chain, p.mfOf(c).Temp)
 	})
+}
+
+// mfOf returns the materialization fragment of chain c. Queries of one plan
+// share its chains, so the runtime tells their fragments apart.
+func (p *maPolicy) mfOf(c chainRef) *exec.Fragment {
+	for _, f := range p.mfs {
+		if f.Runtime() == c.rt && f.Chain == c.chain {
+			return f
+		}
+	}
+	panic(fmt.Sprintf("core: MA has no materialization of %s for query %q", c.chain.Name, c.rt.Label))
 }
 
 func (p *maPolicy) OnEvent(st *State, ev Event) error {

@@ -310,18 +310,64 @@ func TestQueryCompletesAtItsOwnEnd(t *testing.T) {
 	}
 }
 
+// TestAliasedQueriesReadTheirOwnData: queries of one plan over different
+// datasets share the plan's chain pointers, so whatever a policy keeps per
+// chain it must keep per (runtime, chain) — MA's materialization temps, DSE's
+// chain states, DPHJ's join networks. Under every strategy, each query's
+// answer must be its own dataset's.
+func TestAliasedQueriesReadTheirOwnData(t *testing.T) {
+	var ws []*workload.Workload
+	var want []int64
+	for seed := int64(1); seed <= 3; seed++ {
+		w, err := workload.Fig5Small(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+		// Every query runs the first workload's plan over its own data.
+		want = append(want, reftest.Count(ws[0].Root, w.Dataset))
+	}
+	if want[0] == want[1] || want[1] == want[2] || want[0] == want[2] {
+		t.Fatalf("reference counts %v do not tell the datasets apart", want)
+	}
+	for _, name := range StrategyNames() {
+		cfg := testConfig()
+		cfg.MemoryBytes = 128 << 20
+		med, err := exec.NewMediator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rts []*exec.Runtime
+		for i, w := range ws {
+			rt, err := med.AddQuery(string(rune('a'+i)), ws[0].Root, w.Dataset, uniform(w, 20*time.Microsecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts = append(rts, rt)
+		}
+		results, err := RunStrategy(med, rts, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, res := range results {
+			if res.OutputRows != want[i] {
+				t.Errorf("%s: query %d produced %d rows, its dataset gives %d", name, i, res.OutputRows, want[i])
+			}
+		}
+		med.Reclaim()
+	}
+}
+
 // TestAliasedQueriesRepairTheirOwnChains: queries built from one workload
-// object share plan nodes, and through one decomposition cache (as the
-// server attaches them) chain pointers too, so DSE's chain states are keyed
-// by runtime as well as chain. An overflow of one query's build must suspend
+// object share plan nodes and, through the plan's one decomposition, chain
+// pointers too — with no Config.Plans, the default — so DSE's chain states
+// are keyed by runtime as well as chain. An overflow of one query's build must suspend
 // that query's chain and split that query's prober, never the other's. The
 // build chosen is the one whose table p_F probes at step 1, so the split
 // lands below the blocked join and is visible in the prober's segments.
 func TestAliasedQueriesRepairTheirOwnChains(t *testing.T) {
 	w := smallFig5(t)
-	cfg := testConfig()
-	cfg.Plans = plan.NewDecompositionCache()
-	med, err := exec.NewMediator(cfg)
+	med, err := exec.NewMediator(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

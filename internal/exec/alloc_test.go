@@ -96,45 +96,52 @@ func TestColumnarSteadyStateRunAllocations(t *testing.T) {
 // scratch: NewMediator, AddQuery, Cancel and Reclaim allocate per query —
 // the runtime, its input, table and fragment slabs, one string of CM names,
 // each wrapper's source — the same count on Fig5Small as on full Fig5, and
-// nothing per fragment, temp or tuple.
+// nothing per fragment, temp or tuple. No admission decomposes the plan
+// again, so the count is the same with Config.Plans set or nil.
 func TestAddQueryAllocatesPerQuery(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations blur exact counts")
-	}
-	cfg := testConfig()
-	cfg.Plans = plan.NewDecompositionCache()
-	admitAt := func(w *workload.Workload) float64 {
-		d := uniform(w, 20*time.Microsecond)
-		admit := func() {
-			med, err := NewMediator(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt, err := med.AddQuery("q0", w.Root, w.Dataset, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt.Cancel()
-			med.Reclaim()
-		}
-		admit() // the first admission at a new scale regrows what the last one outgrew
-		return testing.AllocsPerRun(10, admit)
 	}
 	full, err := workload.Fig5(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, large := admitAt(smallFig5(t)), admitAt(full)
-	t.Logf("a warm admission allocates %v objects on Fig5Small, %v on Fig5", small, large)
-	if small != large {
-		t.Errorf("a warm admission allocates %v times on Fig5Small but %v on Fig5", small, large)
-	}
-	// 31 objects measured on go1.24, plus 10%: the mediator with its clock,
-	// disk, ledger, temp store and CM; the runtime and its five slabs; one
-	// string of CM names; six sources; and the growth of the mediator's RNG
-	// and ledger-holder lists.
-	if small > 34 {
-		t.Errorf("a warm admission allocates %v times, want at most 34", small)
+	small := smallFig5(t)
+	for _, tc := range []struct {
+		name  string
+		plans *plan.DecompositionCache
+	}{{"no cache", nil}, {"cache", plan.NewDecompositionCache()}} {
+		cfg := testConfig()
+		cfg.Plans = tc.plans
+		admitAt := func(w *workload.Workload) float64 {
+			d := uniform(w, 20*time.Microsecond)
+			admit := func() {
+				med, err := NewMediator(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt, err := med.AddQuery("q0", w.Root, w.Dataset, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt.Cancel()
+				med.Reclaim()
+			}
+			admit() // the first admission at a new scale regrows what the last one outgrew
+			return testing.AllocsPerRun(10, admit)
+		}
+		atSmall, atFull := admitAt(small), admitAt(full)
+		t.Logf("%s: a warm admission allocates %v objects on Fig5Small, %v on Fig5", tc.name, atSmall, atFull)
+		if atSmall != atFull {
+			t.Errorf("%s: a warm admission allocates %v times on Fig5Small but %v on Fig5", tc.name, atSmall, atFull)
+		}
+		// 31 objects measured on go1.24, plus 10%: the mediator with its
+		// clock, disk, ledger, temp store and CM; the runtime and its five
+		// slabs; one string of CM names; six sources; and the growth of the
+		// mediator's RNG and ledger-holder lists.
+		if atSmall > 34 {
+			t.Errorf("%s: a warm admission allocates %v times, want at most 34", tc.name, atSmall)
+		}
 	}
 }
 

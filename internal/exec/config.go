@@ -85,11 +85,12 @@ type Config struct {
 	// the engine is serial"). Kept only because bench/ assigns it — remove
 	// with the next [benchmark] PR.
 	Workers int
-	// Plans, when non-nil, memoizes pipeline-chain decompositions keyed by
-	// plan root, so repeated runs of the same (immutable) plan share one
-	// decomposition and count their lookups in Result.PlanCacheHits/Misses.
-	// It changes no run's behaviour. Safe to share across concurrent runs;
-	// nil decomposes per run.
+	// Plans, when non-nil, counts each query's plan as a hit or a miss in
+	// Result.PlanCacheHits/Misses (a miss the first time the cache sees the
+	// plan root). It shares nothing: every run of a plan reads the one
+	// decomposition plan.Builder.Output made, with or without it. Kept only
+	// because bench/ sets it and reads those counts — remove with the next
+	// [benchmark] PR.
 	Plans *plan.DecompositionCache
 
 	// Faults.

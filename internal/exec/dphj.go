@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"fmt"
+	"slices"
 	"time"
 
 	"dqs/internal/mem"
@@ -25,19 +25,16 @@ import (
 // the footprint of the asymmetric plan), the approach only works for
 // hash-based (equi-join) plans, and there is no memory adaptation — an
 // overflow is fatal. The network holds its tables until the query completes.
-func (rt *Runtime) NewDPHJFeeds() ([]*Fragment, error) {
-	net, err := newSymNet(rt)
-	if err != nil {
-		return nil, err
-	}
+func (rt *Runtime) NewDPHJFeeds() []*Fragment {
+	net := newSymNet(rt)
 	rt.net = net
 	feeds := make([]*Fragment, 0, len(rt.Dec.Chains))
 	for _, c := range rt.Dec.Chains {
 		f := rt.newFragment(c, c.Name, 0, 0, rt.queueIn(c), TermJoinNet, nil)
-		f.leaf = net.leaves[c.Scan.Rel.Name]
+		f.leaf = &net.leaves[c.ID]
 		feeds = append(feeds, f)
 	}
-	return feeds, nil
+	return feeds
 }
 
 // symJoin is one symmetric join: hash tables on both inputs.
@@ -65,66 +62,64 @@ type symLeaf struct {
 	fromBuild bool
 }
 
-// symNet is the whole join network.
+// symNet is the whole join network: one slab of joins in Dec.Joins order and
+// one of leaves indexed by Chain.ID, neither grown after newSymNet, so the
+// parent and leaf pointers into them stay valid.
 type symNet struct {
 	rt     *Runtime
-	joins  map[int]*symJoin
-	leaves map[string]*symLeaf
+	joins  []symJoin
+	leaves []symLeaf
 	holder mem.HolderID // names the grant bytes held by both sides' tables
 }
 
 // newSymNet compiles the plan into a symmetric-hash-join network.
-func newSymNet(rt *Runtime) (*symNet, error) {
-	net := &symNet{rt: rt, joins: make(map[int]*symJoin), leaves: make(map[string]*symLeaf),
+func newSymNet(rt *Runtime) *symNet {
+	dec := rt.Dec
+	net := &symNet{rt: rt, joins: make([]symJoin, len(dec.Joins)), leaves: make([]symLeaf, len(dec.Chains)),
 		holder: rt.Mem.Bind(rt.Label, "DPHJ")}
 	s := rt.Med.scratch
-	var build func(n *plan.Node, parent *symJoin, fromBuild bool) error
-	build = func(n *plan.Node, parent *symJoin, fromBuild bool) error {
-		switch n.Kind {
-		case plan.KindOutput:
-			return build(n.Child, nil, false)
-		case plan.KindHashJoin:
-			// Both sides retain their full input, so the optimizer's subtree
-			// estimates pre-size both tables.
-			bi, pi := n.Build.Live.MustIndexOf(n.BuildKey), n.Probe.Live.MustIndexOf(n.ProbeKey)
-			sj := &symJoin{
-				node:       n,
-				buildTable: s.table(bi, n.Build.Live.Width(), clampReserveRows(int64(n.Build.EstRows))),
-				probeTable: s.table(pi, n.Probe.Live.Width(), clampReserveRows(int64(n.Probe.EstRows))),
-				buildIdx:   bi,
-				probeIdx:   pi,
-				parent:     parent,
-				fromBuild:  fromBuild,
-			}
-			sj.arena.Recycle(s.getInts())
-			sj.matchBuf = s.getTuples()
-			net.joins[n.ID] = sj
-			if err := build(n.Build, sj, true); err != nil {
-				return err
-			}
-			return build(n.Probe, sj, false)
-		case plan.KindScan:
-			// A nil parent is a single-relation plan: tuples go straight to
-			// the output.
-			net.leaves[n.Rel.Name] = &symLeaf{join: parent, fromBuild: fromBuild}
-			return nil
-		default:
-			return fmt.Errorf("exec: DPHJ cannot compile node kind %v", n.Kind)
+	// consumer returns the network entry fed by node n: its parent join and
+	// side, or nil when n feeds the output.
+	consumer := func(n *plan.Node) (*symJoin, bool) {
+		p := n.Parent()
+		if p.Kind != plan.KindHashJoin {
+			return nil, false
 		}
+		return &net.joins[slices.Index(dec.Joins, p)], p.Build == n
 	}
-	if err := build(rt.Root, nil, false); err != nil {
-		net.release(s)
-		return nil, err
+	for i, n := range dec.Joins {
+		// Both sides retain their full input, so the optimizer's subtree
+		// estimates pre-size both tables.
+		bi, pi := n.Build.Live.MustIndexOf(n.BuildKey), n.Probe.Live.MustIndexOf(n.ProbeKey)
+		sj := &net.joins[i]
+		*sj = symJoin{
+			node:       n,
+			buildTable: s.table(bi, n.Build.Live.Width(), clampReserveRows(int64(n.Build.EstRows))),
+			probeTable: s.table(pi, n.Probe.Live.Width(), clampReserveRows(int64(n.Probe.EstRows))),
+			buildIdx:   bi,
+			probeIdx:   pi,
+		}
+		sj.parent, sj.fromBuild = consumer(n)
+		sj.arena.Recycle(s.getInts())
+		sj.matchBuf = s.getTuples()
 	}
-	return net, nil
+	// A leaf with a nil join is a single-relation plan: tuples go straight
+	// to the output.
+	for _, c := range dec.Chains {
+		leaf := &net.leaves[c.ID]
+		leaf.join, leaf.fromBuild = consumer(c.Scan)
+	}
+	return net
 }
 
 // release returns the tables' grant and hands the network's pooled tables
-// and scratch back to s. Idempotent: the query's completion releases the
-// network, and Mediator.Reclaim sweeps whatever an aborted run left.
+// and scratch back to s, in Dec.Joins order. Idempotent: the query's
+// completion releases the network, and Mediator.Reclaim sweeps whatever an
+// aborted run left.
 func (net *symNet) release(s *scratch) {
 	net.rt.Mem.Release(net.holder, net.rt.Mem.Held(net.holder))
-	for _, sj := range net.joins {
+	for i := range net.joins {
+		sj := &net.joins[i]
 		s.putTable(sj.buildTable)
 		s.putTable(sj.probeTable)
 		s.putInts(sj.arena.Release())

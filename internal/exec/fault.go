@@ -10,17 +10,11 @@ import (
 	"dqs/internal/source"
 )
 
-// faultState is the mediator's bookkeeping for an active fault plan: one
-// entry per wrapper the plan names, in chain order, so transition reporting
-// is deterministic across runs.
-type faultState struct {
-	entries map[string]*faultEntry
-	order   []string
-}
-
 // faultEntry tracks one faulted wrapper: its primary source, the standby
 // replica (if the plan defines one) and how much of the primary's outage
-// record has been surfaced to the scheduler.
+// record has been surfaced to the scheduler. The mediator keeps one entry
+// per wrapper the fault plan names, in registration (chain) order, so
+// transition reporting is deterministic across runs.
 type faultEntry struct {
 	name    string
 	rt      *Runtime
@@ -64,7 +58,7 @@ func (e *faultEntry) boundary(idx int) (FaultTransition, bool) {
 }
 
 // FaultsActive reports whether this mediator runs under a fault plan.
-func (m *Mediator) FaultsActive() bool { return m.flt != nil }
+func (m *Mediator) FaultsActive() bool { return len(m.flt) > 0 }
 
 // NextFaultTransition pops the earliest unreported wrapper availability
 // change at or before now. The scheduler drains these at planning points and
@@ -72,13 +66,10 @@ func (m *Mediator) FaultsActive() bool { return m.flt != nil }
 // and never for a completed query. Ties break in wrapper chain order,
 // keeping the event stream deterministic.
 func (m *Mediator) NextFaultTransition(now time.Duration) (FaultTransition, bool) {
-	if m.flt == nil {
-		return FaultTransition{}, false
-	}
 	var best *faultEntry
 	var bestTr FaultTransition
-	for _, name := range m.flt.order {
-		e := m.flt.entries[name]
+	for i := range m.flt {
+		e := &m.flt[i]
 		if e.rt.completed {
 			continue
 		}
@@ -103,10 +94,7 @@ func (m *Mediator) NextFaultTransition(now time.Duration) (FaultTransition, bool
 // takes the primary's place as the queue's producer. It returns false when
 // the wrapper has no replica or already failed over.
 func (m *Mediator) FailoverWrapper(name string, now time.Duration) bool {
-	if m.flt == nil {
-		return false
-	}
-	e := m.flt.entries[name]
+	e := m.faultEntry(name)
 	if e == nil || !e.hasRep || e.failedOver {
 		return false
 	}
@@ -123,10 +111,7 @@ func (m *Mediator) FailoverWrapper(name string, now time.Duration) bool {
 // order. Abandoned build fragments seal their hash tables with whatever they
 // inserted, so the rest of the QEP completes against the partial table.
 func (m *Mediator) AbandonWrapper(name string) []string {
-	if m.flt == nil {
-		return nil
-	}
-	e := m.flt.entries[name]
+	e := m.faultEntry(name)
 	if e == nil {
 		return nil
 	}
@@ -138,6 +123,16 @@ func (m *Mediator) AbandonWrapper(name string) []string {
 		}
 	}
 	return labels
+}
+
+// faultEntry returns the fault entry of the named wrapper, or nil.
+func (m *Mediator) faultEntry(name string) *faultEntry {
+	for i := range m.flt {
+		if m.flt[i].name == name {
+			return &m.flt[i]
+		}
+	}
+	return nil
 }
 
 // WrapperFault inspects a fragment input: it returns the wrapper name and
@@ -158,10 +153,7 @@ func WrapperFault(in TupleSource) (string, bool) {
 // fast paths stay untouched.
 func (m *Mediator) registerFaultEntry(rt *Runtime, c *plan.Chain, cmName string, table *relation.Table, d Delivery, netTime time.Duration) error {
 	rep, hasRep := m.Cfg.Faults.ReplicaFor(c.Scan.Rel.Name)
-	if m.flt == nil {
-		m.flt = &faultState{entries: make(map[string]*faultEntry)}
-	}
-	e := &faultEntry{
+	e := faultEntry{
 		name:    cmName,
 		rt:      rt,
 		qs:      rt.queueIn(c),
@@ -186,7 +178,6 @@ func (m *Mediator) registerFaultEntry(rt *Runtime, c *plan.Chain, cmName string,
 		}
 		e.replica = repl
 	}
-	m.flt.entries[cmName] = e
-	m.flt.order = append(m.flt.order, cmName)
+	m.flt = append(m.flt, e)
 	return nil
 }

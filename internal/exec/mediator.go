@@ -36,7 +36,7 @@ type Mediator struct {
 	rngs    []*sim.RNG // every stream drawn from scratch, for Reclaim
 	queries int
 	rts     []*Runtime
-	flt     *faultState
+	flt     []faultEntry // one per faulted wrapper, in registration order
 	// scratch is the pooled execution state this mediator draws from, checked
 	// out (getScratch) at construction; nil once Reclaim has returned it.
 	scratch *scratch
@@ -123,9 +123,10 @@ func (m *Mediator) newRNG(seed int64) *sim.RNG {
 // Now returns the mediator's virtual time.
 func (m *Mediator) Now() time.Duration { return m.Clock.Now() }
 
-// AddQuery attaches one query to the mediator: its plan is decomposed, its
-// wrappers start producing (at the current virtual time zero of a fresh
-// mediator), and a Runtime scoped to this query is returned. label scopes
+// AddQuery attaches one query to the mediator: it reads the plan's
+// decomposition (computed once, by plan.Builder.Output), its wrappers start
+// producing (at the current virtual time zero of a fresh mediator), and a
+// Runtime scoped to this query is returned. label scopes
 // wrapper names in the communication manager so concurrent queries reading
 // the same relation get independent sub-queries, as the mediator/wrapper
 // architecture prescribes. A label any earlier query of this mediator

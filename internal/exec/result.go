@@ -52,8 +52,9 @@ type Result struct {
 	// executions.
 	DegradedFragments []string
 	// PlanCacheHits and PlanCacheMisses count decomposition-cache lookups
-	// made while attaching this run's queries (zero without a configured
-	// cache).
+	// made while attaching this run's queries (zero without Config.Plans).
+	// Kept only because bench/ reads them — remove with the next [benchmark]
+	// PR.
 	PlanCacheHits   int
 	PlanCacheMisses int
 }

@@ -213,10 +213,7 @@ func TestTablesHoldLiveWidthRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feeds, err := rt.NewDPHJFeeds()
-	if err != nil {
-		t.Fatal(err)
-	}
+	feeds := rt.NewDPHJFeeds()
 	for _, f := range feeds[:len(feeds)-1] {
 		drainFrag(t, rt, f)
 	}
@@ -227,8 +224,8 @@ func TestTablesHoldLiveWidthRows(t *testing.T) {
 			rt.Clock.Stall(at)
 		}
 	}
-	for _, j := range rt.Dec.Joins {
-		sj := rt.net.joins[j.ID]
+	for i, j := range rt.Dec.Joins {
+		sj := &rt.net.joins[i]
 		if got, want := builtWidth(t, sj.buildTable, w.Dataset, j.BuildKey), j.Build.Live.Width(); got != want {
 			t.Errorf("DPHJ J%d's build-side table holds width-%d entries, want %d", j.ID, got, want)
 		}

@@ -11,19 +11,10 @@ import (
 	"dqs/internal/relation"
 )
 
-// CachedPlan is one optimized, decomposed plan served by a PlanCache. Root
-// and Dec are immutable during execution (mutable run state lives in the
-// per-run mediator), so one CachedPlan can back any number of concurrent
-// runs.
-type CachedPlan struct {
-	Root *plan.Node
-	Dec  *plan.Decomposition
-}
-
 // boundPlan is the singleflight slot for one literal binding of a shape.
 type boundPlan struct {
 	once sync.Once
-	p    *CachedPlan
+	root *plan.Node
 	err  error
 }
 
@@ -58,7 +49,6 @@ type planEntry struct {
 type PlanCache struct {
 	mu      sync.Mutex
 	entries map[string]*planEntry
-	decs    *plan.DecompositionCache
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -67,17 +57,17 @@ type PlanCache struct {
 
 // NewPlanCache returns an empty plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{
-		entries: make(map[string]*planEntry),
-		decs:    plan.NewDecompositionCache(),
-	}
+	return &PlanCache{entries: make(map[string]*planEntry)}
 }
 
-// Load returns the optimized plan for the query, solving the DP at most once
-// per query shape and constructing at most once per literal binding. A load
-// that finds the shape entry counts as a hit even when its literal binding
-// still needs constructing — the expensive DP work is shared.
-func (c *PlanCache) Load(cat *relation.Catalog, q *Query, stats *plan.Stats) (*CachedPlan, error) {
+// Load returns the root of the optimized plan for the query, solving the DP
+// at most once per query shape and constructing at most once per literal
+// binding. The plan and its decomposition (plan.Decompose) are immutable
+// during execution (mutable run state lives in the per-run mediator), so one
+// served plan can back any number of concurrent runs. A load that finds the
+// shape entry counts as a hit even when its literal binding still needs
+// constructing — the expensive DP work is shared.
+func (c *PlanCache) Load(cat *relation.Catalog, q *Query, stats *plan.Stats) (*plan.Node, error) {
 	key := shapeKey(cat, q, stats)
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -107,19 +97,9 @@ func (c *PlanCache) Load(cat *relation.Catalog, q *Query, stats *plan.Stats) (*C
 	e.mu.Unlock()
 	b.once.Do(func() {
 		c.builds.Add(1)
-		root, err := e.sol.construct(q, stats)
-		if err != nil {
-			b.err = err
-			return
-		}
-		dec, _, err := c.decs.Load(root)
-		if err != nil {
-			b.err = err
-			return
-		}
-		b.p = &CachedPlan{Root: root, Dec: dec}
+		b.root, b.err = e.sol.construct(q, stats)
 	})
-	return b.p, b.err
+	return b.root, b.err
 }
 
 // CacheStats snapshots a PlanCache's counters.

@@ -30,7 +30,7 @@ func TestPlanCacheSharesIdenticalQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != second || first.Root != second.Root || first.Dec != second.Dec {
+	if first != second {
 		t.Error("identical queries did not share the cached plan")
 	}
 	s := c.Stats()
@@ -42,9 +42,9 @@ func TestPlanCacheSharesIdenticalQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Render(first.Root) != plan.Render(direct) {
+	if plan.Render(first) != plan.Render(direct) {
 		t.Errorf("cached plan differs from Optimize output:\ncached:\n%s\ndirect:\n%s",
-			plan.Render(first.Root), plan.Render(direct))
+			plan.Render(first), plan.Render(direct))
 	}
 }
 
@@ -54,7 +54,7 @@ func TestPlanCacheSharesIdenticalQueries(t *testing.T) {
 func TestPlanCacheSharesShapeAcrossLiterals(t *testing.T) {
 	c := NewPlanCache()
 	cat := chainCatalog()
-	load := func(less int64) *CachedPlan {
+	load := func(less int64) *plan.Node {
 		q := chainQuery()
 		q.Filters = map[string]plan.Pred{"R": {Col: col("R", "id"), Less: less}}
 		p, err := c.Load(cat, q, chainStats())
@@ -71,7 +71,7 @@ func TestPlanCacheSharesShapeAcrossLiterals(t *testing.T) {
 	if s.Builds != 2 {
 		t.Errorf("want one construction per literal binding, got %d", s.Builds)
 	}
-	if p1 == p2 || p1.Root == p2.Root {
+	if p1 == p2 {
 		t.Error("different literals must not share a constructed plan")
 	}
 	if p1again != p1 {
@@ -79,11 +79,11 @@ func TestPlanCacheSharesShapeAcrossLiterals(t *testing.T) {
 	}
 	// Each served plan carries its own literal and row estimates.
 	for _, tc := range []struct {
-		p    *CachedPlan
+		p    *plan.Node
 		less int64
 	}{{p1, 100}, {p2, 700}} {
 		found := false
-		for _, scan := range plan.Scans(tc.p.Root) {
+		for _, scan := range plan.Scans(tc.p) {
 			if scan.Rel.Name != "R" {
 				continue
 			}
@@ -96,8 +96,8 @@ func TestPlanCacheSharesShapeAcrossLiterals(t *testing.T) {
 			t.Fatal("no scan of R in constructed plan")
 		}
 	}
-	if p1.Root.EstRows == p2.Root.EstRows {
-		t.Errorf("literal rebinding kept stale estimates: both roots estimate %v rows", p1.Root.EstRows)
+	if p1.EstRows == p2.EstRows {
+		t.Errorf("literal rebinding kept stale estimates: both roots estimate %v rows", p1.EstRows)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestPlanCacheSeparatesDistinctShapes(t *testing.T) {
 func TestPlanCacheSingleflight(t *testing.T) {
 	c := NewPlanCache()
 	const workers = 16
-	plans := make([]*CachedPlan, workers)
+	plans := make([]*plan.Node, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)

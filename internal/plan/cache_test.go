@@ -112,16 +112,14 @@ func TestDecompositionCache(t *testing.T) {
 	if d2 == d1 {
 		t.Error("distinct roots shared a decomposition")
 	}
-	if h, m := c.Stats(); h != 1 || m != 2 {
-		t.Errorf("stats = %d/%d, want hits=1 misses=2", h, m)
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len() = %d, want 2", c.Len())
+	if _, hit, err := c.Load(r2); err != nil || !hit {
+		t.Errorf("second load of the distinct root: hit=%v err=%v", hit, err)
 	}
 }
 
-// TestDecompositionCacheNil: a nil cache decomposes per call and stays
-// usable — the not-configured path of Config.Plans.
+// TestDecompositionCacheNil: a nil cache — the not-configured path of
+// Config.Plans — counts no hit and returns the plan's one decomposition, the
+// one Output memoized.
 func TestDecompositionCacheNil(t *testing.T) {
 	var c *DecompositionCache
 	root, _, _ := buildFig5(t)
@@ -129,51 +127,53 @@ func TestDecompositionCacheNil(t *testing.T) {
 	if err != nil || hit || d1 == nil {
 		t.Fatalf("nil-cache load: dec=%v hit=%v err=%v", d1, hit, err)
 	}
-	d2, _, err := c.Load(root)
-	if err != nil {
-		t.Fatal(err)
+	d2, hit, err := c.Load(root)
+	if err != nil || hit {
+		t.Fatalf("second nil-cache load: hit=%v err=%v", hit, err)
 	}
-	if d1 == d2 {
-		t.Error("nil cache memoized a decomposition")
+	if d1 != d2 {
+		t.Error("nil cache did not return the plan's own decomposition")
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Errorf("nil cache reported stats %d/%d", h, m)
-	}
-	if c.Len() != 0 {
-		t.Errorf("nil cache reported Len %d", c.Len())
+	if _, _, err := c.Load(nil); err == nil {
+		t.Error("nil root loaded")
 	}
 }
 
-// TestDecompositionCacheSingleflight: concurrent loads of one root
-// decompose once and all callers share the result.
+// TestDecompositionCacheSingleflight: concurrent loads of one root all get
+// the plan's one decomposition, and exactly one of them is the miss.
 func TestDecompositionCacheSingleflight(t *testing.T) {
 	c := NewDecompositionCache()
 	root, _, _ := buildFig5(t)
 	const workers = 16
 	decs := make([]*Decomposition, workers)
+	hits := make([]bool, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, _, err := c.Load(root)
+			d, hit, err := c.Load(root)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			decs[i] = d
+			decs[i], hits[i] = d, hit
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < workers; i++ {
-		if decs[i] != decs[0] {
+	want, _ := Decompose(root)
+	for i := 0; i < workers; i++ {
+		if decs[i] != want {
 			t.Fatalf("worker %d got a different decomposition", i)
 		}
 	}
-	if h, m := c.Stats(); h+m != workers || m < 1 {
-		t.Errorf("lookup accounting off: hits=%d misses=%d", h, m)
+	misses := 0
+	for _, hit := range hits {
+		if !hit {
+			misses++
+		}
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len() = %d, want 1", c.Len())
+	if misses != 1 {
+		t.Errorf("%d misses among %d concurrent loads of one root, want 1", misses, workers)
 	}
 }

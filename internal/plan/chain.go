@@ -76,9 +76,20 @@ type Decomposition struct {
 	chainOfScan map[string]*Chain
 }
 
-// Decompose computes the pipeline-chain decomposition of a validated plan.
+// Decompose returns the pipeline-chain decomposition of a finished plan: the
+// one value Builder.Output computed, shared by every run of the plan. A
+// Decomposition only indexes its plan's chains and is never written after
+// Output, so any number of concurrent runs may read it.
 func Decompose(root *Node) (*Decomposition, error) {
-	if err := Validate(root); err != nil {
+	if root == nil || root.dec == nil {
+		return nil, fmt.Errorf("plan: not a finished plan (no Builder.Output root)")
+	}
+	return root.dec, nil
+}
+
+// decompose validates a plan and computes its pipeline-chain decomposition.
+func decompose(root *Node) (*Decomposition, error) {
+	if err := validate(root); err != nil {
 		return nil, err
 	}
 	scans := Scans(root)

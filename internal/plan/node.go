@@ -9,7 +9,9 @@
 //
 // The package also computes the QEP's decomposition into maximal pipeline
 // chains (PCs) and the blocking-dependency (ancestor) relation between them,
-// which together drive every scheduling decision in the paper.
+// which together drive every scheduling decision in the paper. The
+// decomposition is a static property of the plan: Builder.Output computes it
+// once, and every run of the plan reads that one value (Decompose).
 package plan
 
 import (
@@ -87,6 +89,9 @@ type Node struct {
 	EstRows float64
 
 	parent *Node
+	// dec is the plan's pipeline-chain decomposition, set by Output on the
+	// output node only.
+	dec *Decomposition
 }
 
 // Parent returns the consumer of this node's output (nil for the root).
@@ -155,7 +160,10 @@ func (b *Builder) HashJoin(build, probe *Node, buildKey, probeKey relation.ColRe
 }
 
 // Output wraps the root operator; the output node is where result tuples
-// leave the engine. It finishes the plan: every node's Live is set here.
+// leave the engine. It finishes the plan: every node's Live is set here, and
+// the plan is validated and decomposed into its pipeline chains, so a plan
+// that cannot be decomposed (one scanning a relation twice, say) is refused
+// here rather than by the run that would execute it.
 func (b *Builder) Output(child *Node) (*Node, error) {
 	if child == nil {
 		return nil, fmt.Errorf("plan: output of nil child")
@@ -190,6 +198,11 @@ func (b *Builder) Output(child *Node) (*Node, error) {
 		}
 		return nil
 	})
+	dec, err := decompose(n)
+	if err != nil {
+		return nil, err
+	}
+	n.dec = dec
 	return n, nil
 }
 
@@ -239,10 +252,10 @@ func joins(root *Node) []*Node {
 	return out
 }
 
-// Validate checks structural invariants of a complete plan: a single output
+// validate checks structural invariants of a complete plan: a single output
 // root, every relation scanned at most once, parent pointers consistent and
 // join keys resolvable.
-func Validate(root *Node) error {
+func validate(root *Node) error {
 	if root == nil {
 		return fmt.Errorf("plan: nil root")
 	}

@@ -95,7 +95,7 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := b.Output(j); err == nil {
 		t.Error("double output accepted")
 	}
-	if err := Validate(out); err != nil {
+	if err := validate(out); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }
@@ -105,11 +105,50 @@ func TestValidateRejectsNonOutputRoot(t *testing.T) {
 	a := cat.MustAdd("A", 10, "id")
 	b := NewBuilder()
 	s, _ := b.Scan(a, nil)
-	if err := Validate(s); err == nil {
+	if err := validate(s); err == nil {
 		t.Error("scan root accepted")
 	}
-	if err := Validate(nil); err == nil {
+	if err := validate(nil); err == nil {
 		t.Error("nil root accepted")
+	}
+	if _, err := Decompose(s); err == nil {
+		t.Error("scan root decomposed")
+	}
+}
+
+// TestOutputDecomposesOnce: Output refuses a plan that scans one relation
+// twice, which no decomposition can give one chain per relation, and a
+// finished plan has exactly one decomposition, the one every Decompose call
+// returns.
+func TestOutputDecomposesOnce(t *testing.T) {
+	cat := relation.NewCatalog()
+	a := cat.MustAdd("A", 10, "id", "k")
+	b := NewBuilder()
+	s1, _ := b.Scan(a, nil)
+	s2, _ := b.Scan(a, nil)
+	k := relation.ColRef{Rel: "A", Col: "k"}
+	j, err := b.HashJoin(s1, s2, k, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := b.Output(j); err == nil || !strings.Contains(err.Error(), "scanned twice") {
+		t.Errorf("self-join over one scanned relation: Output = %v, %v; want a scanned-twice error", out, err)
+	}
+
+	root, _, _ := buildFig5(t)
+	d1, err := Decompose(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Decompose(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1 != d2 {
+		t.Error("two Decompose calls on one plan returned different decompositions")
+	}
+	if d1.Root != root {
+		t.Errorf("decomposition root = %p, want the output node %p", d1.Root, root)
 	}
 }
 

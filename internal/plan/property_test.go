@@ -70,7 +70,7 @@ func TestDecomposeInvariantsOnRandomPlans(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(9)
 		root := randomPlan(t, rng.Fork(int64(trial)), n)
-		if err := Validate(root); err != nil {
+		if err := validate(root); err != nil {
 			t.Fatalf("trial %d: invalid plan: %v", trial, err)
 		}
 		checkLive(t, root)

@@ -6,20 +6,20 @@ import (
 	"time"
 
 	"dqs/internal/exec"
-	"dqs/internal/plan"
 	"dqs/internal/workload"
 )
 
 // fusedBatch builds the repo benchmark's serve_fused shape: 16 Fig5Small
 // queries, half of them on one shared instance (so they tap shared wrapper
 // streams), arriving at offered CPU load 2.0 under MaxActive 4, every fourth
-// one with a timeout of 1.5 times an unloaded run's response time.
+// one with a timeout of 1.5 times an unloaded run's response time. It
+// attaches no decomposition cache (Exec.Plans), the configuration
+// dqs.NewServer users start from.
 func fusedBatch(tb testing.TB, seed int64) (Config, []Query) {
 	tb.Helper()
 	cfg := exec.DefaultConfig()
 	cfg.Seed = seed
 	cfg.SharedStreams = true
-	cfg.Plans = plan.NewDecompositionCache()
 	deliveries := func(w *workload.Workload) map[string]exec.Delivery {
 		d := make(map[string]exec.Delivery, w.Catalog.Len())
 		for _, name := range w.Catalog.Names() {

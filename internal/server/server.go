@@ -5,15 +5,15 @@
 // strategies, and reports per-query results with admission timing. It is
 // the paper's §6 multi-query direction grown into a service: one mediator
 // process serving a stream of queries that contend for admission slots,
-// the memory grant, the plan caches and (optionally) the physical wrapper
-// streams.
+// the memory grant and (optionally) the physical wrapper streams.
 //
 // Every admitted query attaches to one shared mediator — one clock, one
 // memory grant arbitrated by one governor with per-query holder
-// attribution, shared decomposition/plan caches, and optionally shared
-// physical wrapper streams (Config.Exec.SharedStreams). All queries'
-// fragments compete in one scheduling plan; cross-query fairness biases the
-// planning order. A query admitted after the first planning point joins the
+// attribution, and optionally shared physical wrapper streams
+// (Config.Exec.SharedStreams). Queries of one plan share its one
+// decomposition, which the plan carries (plan.Builder.Output), so the
+// server keeps no plan cache of its own. All queries' fragments compete in
+// one scheduling plan; cross-query fairness biases the planning order. A query admitted after the first planning point joins the
 // plan at the next one, under every strategy. One driver loop (runBatch)
 // executes the batch. Everything is deterministic: equal seeds, configs and
 // submission orders produce bit-identical reports.
@@ -113,9 +113,8 @@ func ParseFairness(s string) (Fairness, error) {
 // Config describes a server.
 type Config struct {
 	// Exec is the execution configuration every admitted query runs under.
-	// Shared infrastructure rides in here: Exec.Plans (the decomposition
-	// cache) is shared by every query; Exec.SharedStreams lets queries share
-	// physical wrapper streams.
+	// Shared infrastructure rides in here: Exec.SharedStreams lets queries
+	// share physical wrapper streams.
 	Exec exec.Config
 	// Strategy names the registered scheduling strategy ("" = DSE). Every
 	// built-in strategy takes a query admitted mid-run up at its next

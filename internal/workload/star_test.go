@@ -11,9 +11,6 @@ func TestStarStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Validate(w.Root); err != nil {
-		t.Fatalf("invalid plan: %v", err)
-	}
 	dec, err := plan.Decompose(w.Root)
 	if err != nil {
 		t.Fatal(err)
