@@ -35,7 +35,6 @@ var exportAllowList = map[string]string{
 	"relation.Buckets":              benchOnly,
 	"comm.Producer":                 named, // Queue.SetProducer
 	"core.EventKind":                named, // Event.Kind
-	"exec.FaultTransition":          named, // Mediator.NextFaultTransition
 	"exec.TerminalKind":             named, // Fragment.Term
 	"exec.TermJoinNet":              named, // a value of Fragment.Term
 	"exec.TermTemp":                 named, // a value of Fragment.Term
@@ -45,7 +44,6 @@ var exportAllowList = map[string]string{
 	"operator.Matches":              named, // HashTable.Probe
 	"plan.NodeKind":                 named, // Node.Kind
 	"relation.Generator":            named, // NewGenerator
-	"sim.EventKind":                 named, // Event.Kind
 	"source.Recycler":               named, // WithRecycler
 	"workload.RandomSpec":           named, // Random
 	"workload.StarSpec":             named, // Star

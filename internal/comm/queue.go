@@ -383,7 +383,7 @@ func (q *Queue) Available(now time.Duration) int {
 // false if the queue is empty (once deferred production is settled). Because
 // producers pump eagerly until the window protocol suspends them, an empty
 // queue means the producer has nothing more to give right now: either it is
-// exhausted or, under fault injection, it is dead. The resilience layer
+// exhausted or, under fault injection, it is dead. The mediator's fault layer
 // relies on this contract to tell silence (empty queue, dead source) apart
 // from an in-progress disconnect, whose outage-shifted arrivals are already
 // buffered with future timestamps.
@@ -394,18 +394,16 @@ func (q *Queue) NextArrival() (time.Duration, bool) {
 	return q.arrivals[q.head], true
 }
 
-// PopColsN bulk-moves up to len(pass) arrived slots into dst (which must be
-// Reset to this queue's width) and the per-slot pass mask into pass,
-// returning how many slots it moved. The freed slots stay reserved as debt —
+// PopColsN bulk-moves up to len(pass) arrived slots into dst and the
+// per-slot pass mask into pass, returning how many slots it moved. When it
+// moves any, it first resets dst to the ring's width; when it moves none,
+// dst is untouched. The freed slots stay reserved as debt —
 // the producer is NOT resumed — until the consumer calls Credit once per
 // slot at the virtual instant it processes it. Filtered slots are
 // transferred too — the consumer owes each one its credit just like a
 // passing tuple — but their batch positions hold unspecified values masked
 // by pass.
 func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) int {
-	if dst.Width() != q.colw {
-		panic(fmt.Sprintf("comm: queue %q: PopColsN into width-%d batch, ring has %d columns", q.name, dst.Width(), q.colw))
-	}
 	n := q.Available(now)
 	if n > len(pass) {
 		n = len(pass)
@@ -413,6 +411,7 @@ func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) in
 	if n == 0 {
 		return 0
 	}
+	dst.Reset(q.colw)
 	first := n
 	if q.head+first > q.capacity {
 		first = q.capacity - q.head

@@ -24,6 +24,19 @@ func nextArrival(frags []*exec.Fragment) (time.Duration, bool) {
 	return best, found
 }
 
+// wrapperEvent maps the mediator's report on a faulted wrapper onto the
+// policy event that ends the phase.
+func wrapperEvent(ev exec.WrapperEvent, window []*exec.Fragment) Event {
+	kind := EventSourceDown
+	switch ev.Kind {
+	case sim.EvSourceUp:
+		kind = EventSourceUp
+	case sim.EvFailover:
+		kind = EventFailover
+	}
+	return Event{Kind: kind, Wrapper: ev.Wrapper, Window: window}
+}
+
 // processPhase is one DQP execution phase (§3.2) over an arbitrary policy's
 // scheduling plan. In priority mode it processes batches from the
 // highest-priority fragment that has data, falling down the priority list
@@ -33,7 +46,7 @@ func nextArrival(frags []*exec.Fragment) (time.Duration, bool) {
 // Both modes share everything else: fault transitions, finalization of
 // fragments whose input ran out, starvation handling and the stall to the
 // next arrival. It returns the interruption event that ends the phase; the
-// error is non-nil when the resilience layer failed or the phase spins
+// error is non-nil when a dead wrapper has no recovery or the phase spins
 // without advancing the clock.
 func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 	med := e.med
@@ -58,10 +71,8 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 		} else {
 			lastNow, spins = now, 0
 		}
-		if e.flt != nil {
-			if ev, ok := e.flt.transition(now, window); ok {
-				return ev, nil
-			}
+		if ev, ok := med.WrapperTransition(now); ok {
+			return wrapperEvent(ev, window), nil
 		}
 		if sp.Timeout > 0 {
 			med.CM.Observe(now)
@@ -124,21 +135,19 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 		if acted {
 			continue
 		}
-		// Every fragment of the window is starved. The resilience layer (when
-		// faults are active) checks for permanently silent wrappers first —
-		// probing, declaring death, failing over — before the scrambling
-		// reaction or the default stall/timeout.
-		if e.flt != nil {
-			act, ev, err := e.flt.onStarved(window)
-			if err != nil {
-				return Event{}, err
+		// Every fragment of the window is starved. The mediator's fault layer
+		// checks for permanently silent wrappers first — probing, declaring
+		// death, failing over — before the scrambling reaction or the default
+		// stall/timeout.
+		ev, ok, err := med.ProbeSilent(window)
+		if err != nil {
+			return Event{}, err
+		}
+		if ok {
+			if ev.Kind == sim.EvRetry {
+				continue // the clock stalled to a probe
 			}
-			switch act {
-			case faultStalled:
-				continue
-			case faultEvent:
-				return ev, nil
-			}
+			return wrapperEvent(ev, window), nil
 		}
 		// A Sticky window is the scrambling engine's, and so is its reaction
 		// to starvation; otherwise the engine stalls until the earliest

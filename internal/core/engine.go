@@ -21,9 +21,6 @@ type Engine struct {
 	med *exec.Mediator
 	st  *State
 	pol Policy
-	// flt is the fault-reaction layer, non-nil only under an active fault
-	// plan; the fault-free path takes no new branches.
-	flt *resilience
 	// lastPlan is the plan of the latest phase, for diagnostics.
 	lastPlan SchedulingPlan
 
@@ -59,11 +56,7 @@ func newEngine(med *exec.Mediator, rts []*exec.Runtime, factory PolicyFactory) (
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{med: med, st: st, pol: pol}
-	if med.FaultsActive() {
-		e.flt = &resilience{med: med, st: st, wrappers: make(map[string]*wrapperState)}
-	}
-	return e, nil
+	return &Engine{med: med, st: st, pol: pol}, nil
 }
 
 // Run executes the attached queries under the engine's policy and returns
@@ -79,9 +72,6 @@ func (e *Engine) Run() ([]exec.Result, error) {
 		}
 	}
 }
-
-// Done reports whether every attached query has produced its full result.
-func (e *Engine) Done() bool { return e.pol.Done(e.st) }
 
 // Step runs one scheduling round — one planning point, one execution phase,
 // one event reaction — and reports whether unfinished work remains. It

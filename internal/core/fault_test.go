@@ -200,7 +200,7 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 }
 
 // TestDPHJUnderFaults: the symmetric join network runs on the unified
-// executor, so it inherits the resilience layer. A dead wrapper with no
+// executor, so it inherits the mediator's fault layer. A dead wrapper with no
 // recovery path is a descriptive error, a replica restores the reference
 // result, and partial results complete minus the dead relation's feed.
 func TestDPHJUnderFaults(t *testing.T) {

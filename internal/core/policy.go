@@ -32,7 +32,7 @@ const (
 	EventStarved
 	// EventSourceDown: a wrapper stopped delivering — a fault transition
 	// crossed the current virtual time (disconnect or permanent death), or
-	// the resilience layer abandoned the wrapper's fragments in
+	// the mediator's fault layer abandoned the wrapper's fragments in
 	// partial-result mode. Only raised under an active fault plan.
 	EventSourceDown
 	// EventSourceUp: a disconnected wrapper resumed delivering.

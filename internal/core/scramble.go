@@ -131,9 +131,9 @@ func (p *scrPolicy) starved(st *State, window []*exec.Fragment) error {
 		// The current chain will never see data again (its wrapper is dead
 		// or mid-disconnect with nothing buffered): scramble away without
 		// waiting for the timeout — there is nothing to time out on. The
-		// all-dead case is the resilience layer's to resolve; it runs before
-		// this reaction, so reaching here with no alternative and no arrival
-		// anywhere is a real planning bug.
+		// all-dead case is the mediator's fault layer's to resolve; it runs
+		// before this reaction, so reaching here with no alternative and no
+		// arrival anywhere is a real planning bug.
 		if alt := p.alternative(st); alt >= 0 {
 			p.scramble(st, f, alt, " (no future arrivals)")
 			return nil

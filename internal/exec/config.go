@@ -39,6 +39,14 @@ func (d Delivery) appendSourceOptions(opts []source.Option) []source.Option {
 	return append(opts, source.WithMeanWait(d.MeanWait))
 }
 
+// validate refuses a schedule the delivery's wrapper would refuse.
+func (d Delivery) validate() error {
+	if len(d.Phases) > 0 {
+		return source.ValidateSchedule(d.Phases, d.InitialDelay)
+	}
+	return source.ValidateSchedule([]source.Phase{{W: d.MeanWait}}, d.InitialDelay)
+}
+
 // Config is what a caller may set about one query execution. A field is here
 // because two callers that exist need different values, or because it hands
 // the engine a resource: a cache, a sink, a trace. Everything else — the
@@ -96,8 +104,8 @@ type Config struct {
 	// Faults.
 
 	// Faults, when active, injects the plan's per-wrapper fault clauses into
-	// this run's sources and arms the engine-side resilience machinery
-	// (silence detection, bounded retry, failover, partial results). A nil
+	// this run's sources and arms the mediator's fault layer (silence
+	// detection, bounded retry, failover, partial results; fault.go). A nil
 	// or empty plan is the fault-free path and leaves runs bit-identical to
 	// a build without fault support.
 	Faults *fault.Plan

@@ -555,11 +555,9 @@ func refProcessSlots(f *Fragment, max int) (int, bool) {
 	costs := &f.rt.Costs
 	n := 0
 	for n < max {
-		batch.Reset(len(keep))
 		if qs.q.PopColsN(f.rt.Now(), batch, pass) == 0 {
 			break
 		}
-		qs.popped++
 		qs.Credit(f.rt.Now())
 		f.processed++
 		n++

@@ -36,7 +36,7 @@ type Mediator struct {
 	rngs    []*sim.RNG // every stream drawn from scratch, for Reclaim
 	queries int
 	rts     []*Runtime
-	flt     []faultEntry // one per faulted wrapper, in registration order
+	flt     []*faultEntry // one per faulted wrapper, in registration order
 	// scratch is the pooled execution state this mediator draws from, checked
 	// out (getScratch) at construction; nil once Reclaim has returned it.
 	scratch *scratch
@@ -131,14 +131,18 @@ func (m *Mediator) Now() time.Duration { return m.Clock.Now() }
 // the same relation get independent sub-queries, as the mediator/wrapper
 // architecture prescribes. A label any earlier query of this mediator
 // carried, finished or not, is refused: its fault entries and ledger
-// holders still name it.
+// holders still name it. Everything AddQuery refuses — the label, the
+// relations, each wrapper's and replica's schedule — it refuses before it
+// adopts a queue, forks an RNG, creates a shared stream, registers a fault
+// entry or counts a Config.Plans load, so a refused query leaves the
+// mediator as it found it.
 func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, deliveries map[string]Delivery) (*Runtime, error) {
 	for _, rt := range m.rts {
 		if rt.Label == label {
 			return nil, fmt.Errorf("exec: query label %q is already in use", label)
 		}
 	}
-	dec, hit, err := m.Cfg.Plans.Load(root)
+	dec, err := plan.Decompose(root)
 	if err != nil {
 		return nil, err
 	}
@@ -161,9 +165,25 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 			return nil, fmt.Errorf("exec: relation %q: catalog cardinality %d != generated rows %d",
 				name, table.Rel.Cardinality, len(table.Rows))
 		}
+		d := deliveries[name]
+		rep, replicated := m.Cfg.Faults.ReplicaFor(name)
+		if err := d.validate(); err != nil {
+			// Named as the wrapper's constructor names it: a shared stream
+			// (no fault clause, no replica) by its relation.
+			if !m.Cfg.SharedStreams || replicated || len(m.Cfg.Faults.ClausesFor(name)) > 0 {
+				name = scopedName(label, name)
+			}
+			return nil, fmt.Errorf("source %q: %w", name, err)
+		}
+		if replicated {
+			if err := source.ValidateSchedule([]source.Phase{{W: replicaWait(rep, d)}}, 0); err != nil {
+				return nil, fmt.Errorf("source %q: %w", scopedName(label, name)+"~replica", err)
+			}
+		}
 	}
 	if m.Cfg.Plans != nil {
-		if hit {
+		// Load fails only as Decompose did above.
+		if _, hit, _ := m.Cfg.Plans.Load(root); hit {
 			m.planHits++
 		} else {
 			m.planMisses++
@@ -270,6 +290,15 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 	}
 	m.rts = append(m.rts, rt)
 	return rt, nil
+}
+
+// scopedName returns the communication-manager name of a query's wrapper of
+// relation rel: "label:rel", or rel for an unlabelled query.
+func scopedName(label, rel string) string {
+	if label == "" {
+		return rel
+	}
+	return label + ":" + rel
 }
 
 // cmNames returns the communication-manager names of a labelled query's

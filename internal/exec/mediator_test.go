@@ -2,13 +2,17 @@ package exec
 
 import (
 	"maps"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"dqs/internal/fault"
+	"dqs/internal/plan"
 	"dqs/internal/relation"
+	"dqs/internal/source"
 	"dqs/internal/workload"
 )
 
@@ -123,6 +127,78 @@ func TestMediatorRefusesDuplicateLabel(t *testing.T) {
 	refused("q", w.Dataset, "q")
 	if _, err := med.AddQuery("r", w.Root, w.Dataset, nil); err != nil {
 		t.Errorf("a fresh label after the refusals: %v", err)
+	}
+}
+
+// TestRefusedAddQueryLeavesNoTrace has AddQuery refuse a query whose last
+// wrapper's schedule is invalid — its own mean wait, its replica's inherited
+// wait, its own wait on shared streams or under a plan cache — and then
+// admit the same query under the same label with valid deliveries: the retry
+// must run exactly as on a fresh mediator. A refusal that had already
+// adopted queues, forked RNG streams, created shared streams, registered
+// fault entries or counted a plan-cache load would panic on the retry or
+// change its result.
+func TestRefusedAddQueryLeavesNoTrace(t *testing.T) {
+	w := smallFig5(t)
+	good := uniform(w, 20*time.Microsecond)
+	cases := []struct {
+		name   string
+		faults string
+		shared bool
+		plans  bool
+		bad    Delivery
+		source string // the refused wrapper, as its constructor names it
+	}{
+		{"mean wait", "", false, false, Delivery{MeanWait: -time.Microsecond}, "q:F"},
+		{"replica wait", "A:stall@100+1ms;F:replica", false, false,
+			Delivery{Phases: []source.Phase{{W: 20 * time.Microsecond}}, MeanWait: -time.Microsecond}, "q:F~replica"},
+		{"shared streams", "A:stall@100+1ms", true, false, Delivery{MeanWait: -time.Microsecond}, "F"},
+		{"plan cache", "", false, true, Delivery{MeanWait: -time.Microsecond}, "q:F"},
+	}
+	for _, tc := range cases {
+		cfg := testConfig()
+		cfg.SharedStreams = tc.shared
+		if tc.faults != "" {
+			p, err := fault.Parse(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = p
+		}
+		run := func(refuse bool) (res Result) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: retry after a refusal panicked: %v", tc.name, r)
+				}
+			}()
+			cfg := cfg
+			if tc.plans {
+				cfg.Plans = plan.NewDecompositionCache()
+			}
+			med, err := NewMediator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refuse {
+				bad := maps.Clone(good)
+				bad["F"] = tc.bad
+				if _, err := med.AddQuery("q", w.Root, w.Dataset, bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.source)) {
+					t.Fatalf("%s: AddQuery = %v, want an error naming %q", tc.name, err, tc.source)
+				}
+			}
+			rt, err := med.AddQuery("q", w.Root, w.Dataset, good)
+			if err != nil {
+				t.Fatalf("%s: retry: %v", tc.name, err)
+			}
+			if res, err = runSEQ(rt); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return res
+		}
+		if fresh, retried := run(false), run(true); !reflect.DeepEqual(fresh, retried) {
+			t.Errorf("%s: the retry after a refusal differs from a fresh mediator's run:\n%v, plan cache %d/%d\n%v, plan cache %d/%d",
+				tc.name, retried, retried.PlanCacheHits, retried.PlanCacheMisses, fresh, fresh.PlanCacheHits, fresh.PlanCacheMisses)
+		}
 	}
 }
 

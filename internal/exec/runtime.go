@@ -372,9 +372,6 @@ func (rt *Runtime) timeline() []time.Duration {
 	return tl
 }
 
-// OutputRows returns the number of result tuples produced so far.
-func (rt *Runtime) OutputRows() int64 { return rt.outputRows }
-
 // predSelectivity returns the estimated surviving fraction of a chain's
 // pushed-down predicate (1 when absent).
 func predSelectivity(c *plan.Chain) float64 {

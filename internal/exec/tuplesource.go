@@ -82,11 +82,12 @@ type cascade struct {
 	arena     relation.Arena
 }
 
-// queueSource adapts a wrapper queue plus its producing source.
+// queueSource adapts a wrapper queue plus its producing source, and points
+// at the wrapper's fault entry when the fault plan names it.
 type queueSource struct {
-	q      *comm.Queue
-	src    *source.Source
-	popped int
+	q   *comm.Queue
+	src *source.Source
+	flt *faultEntry
 }
 
 func (s *queueSource) Available(now time.Duration) int { return s.q.Available(now) }
@@ -95,36 +96,25 @@ func (s *queueSource) Available(now time.Duration) int { return s.q.Available(no
 // means it is exhausted.
 func (s *queueSource) NextArrival() (time.Duration, bool) { return s.q.NextArrival() }
 
-// pop answers an empty queue before touching the chunk: process ends every
-// batch with a pop that finds nothing has arrived.
+// pop reads availability once, in PopColsN, which resets the chunk's batch
+// only when it moves slots: process ends every batch with a pop that finds
+// nothing has arrived.
 func (s *queueSource) pop(c *chunk, now time.Duration, max int) {
-	if s.q.Available(now) == 0 {
-		c.n = 0
-		return
-	}
-	c.reset(s.q.Width())
 	c.pass = sized(c.pass, min(max, s.q.Capacity()))
-	c.n = s.q.PopColsN(now, &c.cols, c.pass)
-	s.popped += c.n
+	if c.n = s.q.PopColsN(now, &c.cols, c.pass); c.n > 0 {
+		c.buf = sized(c.buf, s.q.Width())
+	}
 }
 
 func (s *queueSource) Credit(now time.Duration) { s.q.Credit(now) }
 
-func (s *queueSource) UnpopN(n int) {
-	s.q.UnpopN(n)
-	s.popped -= n
-}
+func (s *queueSource) UnpopN(n int) { s.q.UnpopN(n) }
 
 // Exhausted tests the queue first: a non-empty buffer answers without making
 // the queue settle its deferred production, which asking the source would.
 func (s *queueSource) Exhausted() bool { return s.q.Empty() && s.src.Exhausted() }
 
-func (s *queueSource) Remaining() int { return s.src.Rows() - s.popped }
-
-// swap replaces the producing source behind the queue — failover handed the
-// stream to a replica. The queue itself (and its buffered tuples) carries
-// over; only the producer consulted for exhaustion changes.
-func (s *queueSource) swap(src *source.Source) { s.src = src }
+func (s *queueSource) Remaining() int { return s.src.Rows() - int(s.q.TotalPopped()) }
 
 // tempSource adapts a temp-relation reader. Credit is a no-op: a temp reader
 // has no window protocol, so there is no producer to resume.

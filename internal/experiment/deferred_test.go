@@ -152,8 +152,8 @@ func TestDeferredProductionMatchesEagerUnderMemoryPressure(t *testing.T) {
 // TestDeferredProductionMatchesEagerUnderFaults runs a full fault plan —
 // stall, disconnect with restart, death with replica failover: the scripted
 // wrappers and the activated replica defer like every other wrapper, and the
-// resilience layer, which reads their outages and death between iterations,
-// must not see a difference.
+// mediator's fault layer, which reads their outages and death between
+// iterations, must not see a difference.
 func TestDeferredProductionMatchesEagerUnderFaults(t *testing.T) {
 	o := Options{Small: true}
 	plan, err := fault.Parse("B:stall@1000+20ms;C:drop@5000+40ms,restart;D:kill@7000;D:replica,connect=10ms")

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,7 +77,8 @@ type goldenClass struct {
 // points, temps written through), a fault plan covering every failure
 // class — transient stall, burst storm, disconnect/reconnect and a death
 // with replica failover — a death without a replica under PartialResults,
-// and the ablation study's deliveries (one moderately slowed wrapper) at an
+// two wrappers dying without replicas under PartialResults, and the
+// ablation study's deliveries (one moderately slowed wrapper) at an
 // ample grant and at 2 MiB.
 func goldenClasses(t *testing.T, o Options) []goldenClass {
 	t.Helper()
@@ -111,12 +113,23 @@ func goldenClasses(t *testing.T, o Options) []goldenClass {
 	faults := fmt.Sprintf("C:stall@%d+%v;C:burst@%d+%dx300us;D:drop@%d+%v;A:kill@%d",
 		at("C", 0.10), 20*time.Millisecond, at("C", 0.30), at("C", 0.20),
 		at("D", 0.50), 8*time.Millisecond, at("A", 0.60))
+	// Two deaths pin the silence detector across wrappers: de-duplicating
+	// the silent ones and probing the earliest due first.
+	bothDead := func(res exec.Result) bool {
+		var a, d bool
+		for _, l := range res.DegradedFragments {
+			a = a || strings.Contains(l, "p_A")
+			d = d || strings.Contains(l, "p_D")
+		}
+		return a && d
+	}
 	for _, f := range []struct {
 		name, spec string
 		engaged    func(exec.Result) bool
 	}{
 		{"faults", faults + fmt.Sprintf(";A:replica,connect=%v", time.Millisecond), nil},
 		{"faults-partial", faults, degraded},
+		{"faults-two-deaths", fmt.Sprintf("A:kill@%d;D:kill@%d", at("A", 0.60), at("D", 0.50)), bothDead},
 	} {
 		p, err := fault.Parse(f.spec)
 		if err != nil {

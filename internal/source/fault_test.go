@@ -297,7 +297,7 @@ func TestSpliceBurstsMatchesClauseScan(t *testing.T) {
 		}},
 	} {
 		sched := spliceBursts(tc.phases, tc.faults, nrows)
-		if err := validateSchedule(tc.name, sched, 0); err != nil {
+		if err := ValidateSchedule(sched, 0); err != nil {
 			t.Errorf("%s: compiled schedule %v: %v", tc.name, sched, err)
 			continue
 		}

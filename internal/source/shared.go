@@ -1,6 +1,7 @@
 package source
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -48,8 +49,8 @@ func NewShared(name string, table *relation.Table, rng *sim.RNG, opts ...Option)
 	if len(s.faults) > 0 || s.standby || s.tcols != nil || s.shared != nil {
 		return nil, fmt.Errorf("source %q: shared stream accepts delivery options only", name)
 	}
-	if err := validateSchedule(name, phases, s.initialDelay); err != nil {
-		return nil, err
+	if err := ValidateSchedule(phases, s.initialDelay); err != nil {
+		return nil, fmt.Errorf("source %q: %w", name, err)
 	}
 	var sendAt []time.Duration
 	if s.pool != nil {
@@ -80,30 +81,32 @@ func (sh *Shared) Release() {
 	sh.sendAt = nil
 }
 
-// validateSchedule checks the delivery-schedule invariants shared between
-// Source construction and Shared construction.
-func validateSchedule(name string, phases []Phase, initialDelay time.Duration) error {
+// ValidateSchedule checks the delivery-schedule invariants every wrapper
+// and shared stream enforces: at least one phase, the first at row 0, rows
+// strictly increasing, waits in [0, sim.MaxWait], and a non-negative initial
+// delay. Its error does not name the wrapper; callers do.
+func ValidateSchedule(phases []Phase, initialDelay time.Duration) error {
 	if len(phases) == 0 {
-		return fmt.Errorf("source %q: empty waiting-time schedule (need at least one phase)", name)
+		return errors.New("empty waiting-time schedule (need at least one phase)")
 	}
 	if phases[0].FromRow != 0 {
-		return fmt.Errorf("source %q: waiting-time schedule must start at row 0", name)
+		return errors.New("waiting-time schedule must start at row 0")
 	}
 	for i := 1; i < len(phases); i++ {
 		if phases[i].FromRow <= phases[i-1].FromRow {
-			return fmt.Errorf("source %q: phase rows must be strictly increasing", name)
+			return errors.New("phase rows must be strictly increasing")
 		}
 	}
 	for _, ph := range phases {
 		if ph.W < 0 {
-			return fmt.Errorf("source %q: negative waiting time %v", name, ph.W)
+			return fmt.Errorf("negative waiting time %v", ph.W)
 		}
 		if ph.W > sim.MaxWait {
-			return fmt.Errorf("source %q: waiting time %v: %w", name, ph.W, sim.ErrWaitTooLarge)
+			return fmt.Errorf("waiting time %v: %w", ph.W, sim.ErrWaitTooLarge)
 		}
 	}
 	if initialDelay < 0 {
-		return fmt.Errorf("source %q: negative initial delay", name)
+		return errors.New("negative initial delay")
 	}
 	return nil
 }

@@ -266,8 +266,8 @@ func New(name string, table *relation.Table, q *comm.Queue, rng *sim.RNG, netTim
 	if s.phases == nil {
 		s.phases = s.wait1[:]
 	}
-	if err := validateSchedule(name, s.phases, s.initialDelay); err != nil {
-		return nil, err
+	if err := ValidateSchedule(s.phases, s.initialDelay); err != nil {
+		return nil, fmt.Errorf("source %q: %w", name, err)
 	}
 	for i := 1; i < len(s.faults); i++ {
 		if s.faults[i].Row < s.faults[i-1].Row {
