@@ -51,6 +51,8 @@ type (
 	Delivery = exec.Delivery
 	// Result summarizes one query execution.
 	Result = exec.Result
+	// Work is Result.Work: exact counters of the scheduling loop's work.
+	Work = exec.Work
 	// Workload bundles catalog, query, statistics, plan and dataset.
 	Workload = workload.Workload
 	// Params is the simulation cost table.

@@ -6,6 +6,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dqs/internal/relation"
@@ -64,20 +65,22 @@ type bulkProducer interface {
 // never fed twice, one popped before it was observed is passed over, and
 // the feed never goes backwards.
 type Queue struct {
-	name     string
-	capacity int
-	colw     int
-	cols     [][]int64
-	pass     []bool
+	// The fields every Available call and feed touches come first, so that
+	// they share the struct's first two cache lines.
 	arrivals []time.Duration
 	head     int
 	size     int
+	capacity int
 
 	// debt counts slots handed out by PopColsN whose window slots have not
 	// been released by Credit yet. Their ring slots — the debt positions
 	// immediately before head — keep their contents so UnpopN can restore
 	// the tail of a batch the consumer could not process.
 	debt int
+
+	// avail and replays count Available calls and Settle replays since the
+	// queue was built or Reset (see Work).
+	avail, replays int64
 
 	// arrived caches the number of leading buffered tuples whose arrival is
 	// <= arrivedAt, so the hot Available path is O(1) amortized: the engine
@@ -88,13 +91,11 @@ type Queue struct {
 	arrived   int
 	arrivedAt time.Duration
 
-	producer Producer
-
-	// Deferred production. bulk is the producer's ResumeN form (nil for a
-	// Resume-only producer, which is resumed eagerly); pend holds the
-	// instants of the credits whose refills have not been simulated yet, in
-	// credit order. Every pending credit stands for a free window slot, so
-	// pend never outgrows the window and is allocated once at that size.
+	// Deferred production. pend holds the instants of the credits whose
+	// refills have not been simulated yet, in credit order, and bulk is the
+	// producer's ResumeN form (nil for a Resume-only producer, which is
+	// resumed eagerly). Every pending credit stands for a free window slot,
+	// so pend never outgrows the window and is allocated once at that size.
 	//
 	// Deferral is exact because arrivals are monotone: every refill a
 	// pending credit will produce arrives no earlier than the newest buffered
@@ -104,7 +105,6 @@ type Queue struct {
 	// Everything that could otherwise tell the difference — Len, Full,
 	// SetProducer, ClearProducer and the producer's own state accessors —
 	// settles first.
-	bulk bulkProducer
 	pend []time.Duration
 
 	// totalPopped and fed count tuples from the queue's first push, so
@@ -112,7 +112,20 @@ type Queue struct {
 	// estimator has passed every arrival before it and none after it.
 	totalPopped int64
 	fed         int64
-	est         rateEstimator
+
+	// cm is the CM holding the queue (nil until Adopt and after Drop), and
+	// slot its position in cm's scan order and due index. The queue lowers
+	// its due bound wherever its next due instant can drop (see nextDue).
+	cm   *Manager
+	slot int
+
+	bulk     bulkProducer
+	producer Producer
+	name     string
+	colw     int
+	cols     [][]int64
+	pass     []bool
+	est      rateEstimator
 	// rate is the CM's change-detection state of this wrapper: baseline
 	// and standing verdict (see Manager).
 	rate rateState
@@ -168,6 +181,7 @@ func (q *Queue) Settle() {
 //
 //go:noinline
 func (q *Queue) replay() {
+	q.replays++
 	floors := q.pend
 	q.pend = q.pend[:0]
 	q.bulk.ResumeN(floors)
@@ -226,6 +240,8 @@ func (q *Queue) Reset(name string) {
 	q.pend = q.pend[:0]
 	q.totalPopped, q.fed = 0, 0
 	q.est = rateEstimator{}
+	q.cm = nil
+	q.avail, q.replays = 0, 0
 }
 
 // SetColumnar sets an empty queue's live-column count: the projected columns
@@ -335,8 +351,12 @@ func (q *Queue) pushPrep(arrivals []time.Duration) int {
 // pushCommit advances the arrived-prefix cache over the appended run and
 // publishes the new size: when every older tuple had already arrived by
 // arrivedAt, the leading new ones that have too are counted immediately —
-// otherwise a later Available(now < arrivedAt) would miss them.
+// otherwise a later Available(now < arrivedAt) would miss them. It lowers
+// the CM's due bound when the run's first slot is the next one to feed.
 func (q *Queue) pushCommit(arrivals []time.Duration) {
+	if q.cm != nil && q.feedFrom() == q.size {
+		q.cm.lower(q.slot, arrivals[0])
+	}
 	if q.arrived == q.size {
 		for _, at := range arrivals {
 			if at > q.arrivedAt {
@@ -355,6 +375,7 @@ func (q *Queue) pushCommit(arrivals []time.Duration) {
 // the arrived prefix (arrivals are monotonic), so it stays exact without
 // disturbing the cache.
 func (q *Queue) Available(now time.Duration) int {
+	q.avail++
 	if len(q.pend) > 0 && (q.size == 0 || q.arrivals[q.idx(q.size-1)] <= now) {
 		// Pending refills arrive no earlier than the newest buffered tuple:
 		// they can only be visible at now once that tuple is.
@@ -450,6 +471,10 @@ func (q *Queue) Credit(now time.Duration) {
 		if q.pend == nil {
 			q.pend = make([]time.Duration, 0, q.capacity)
 		}
+		if q.cm != nil && q.feedFrom() == q.size {
+			// Everything buffered is fed: the refill may be observable now.
+			q.cm.lower(q.slot, dueNow)
+		}
 		q.pend = append(q.pend, now)
 	case q.producer != nil:
 		q.producer.Resume(now)
@@ -475,6 +500,11 @@ func (q *Queue) UnpopN(n int) {
 	q.debt -= n
 	q.arrived += n // popped tuples had arrived; restoring keeps the prefix exact
 	q.totalPopped -= int64(n)
+	if q.cm != nil {
+		// The feed cursor may lie among the restored tuples, which have
+		// arrived.
+		q.cm.lower(q.slot, q.nextDue())
+	}
 }
 
 // ObserveArrivals feeds the rate estimator every buffered arrival from
@@ -505,18 +535,29 @@ func (q *Queue) ObserveArrivals(now time.Duration) int {
 // popped tuples.
 func (q *Queue) feedFrom() int { return int(max(q.fed-q.totalPopped, 0)) }
 
-// observeDue reports whether ObserveArrivals(now) could feed the estimator:
-// the buffered arrival at the feed cursor has happened by now, or
-// everything buffered is fed and deferred production may have delivered
-// more. Arrivals are monotone, so when the one at the cursor is still in
-// the future nothing is due. The CM asks this before every
-// ObserveArrivals: one compare per queue keeps its per-iteration sweep
-// cheap.
-func (q *Queue) observeDue(now time.Duration) bool {
+// Sentinels of nextDue: a queue due at any instant, and one that nothing
+// but a push, a credit or an unpop can make due.
+const (
+	dueNow time.Duration = math.MinInt64
+	never  time.Duration = math.MaxInt64
+)
+
+// nextDue returns the first instant at which ObserveArrivals could feed the
+// estimator: the arrival of the buffered slot at the feed cursor, or, when
+// everything buffered is fed, dueNow if deferred production may deliver
+// more and never if not. Arrivals are monotone, so nothing is due before
+// it. It only falls when a push lands at the feed cursor, a deferred
+// credit finds everything buffered fed, or an unpop restores popped slots
+// ahead of the cursor — the three places that lower the CM's due bound.
+// Pops, feeds and a settle's emptying of the credits only raise it.
+func (q *Queue) nextDue() time.Duration {
 	if from := q.feedFrom(); from < q.size {
-		return q.arrivals[q.idx(from)] <= now
+		return q.arrivals[q.idx(from)]
 	}
-	return len(q.pend) > 0
+	if len(q.pend) > 0 {
+		return dueNow
+	}
+	return never
 }
 
 // EstimatedWait returns the current estimate of the mean inter-arrival time

@@ -1,16 +1,18 @@
 package comm
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"dqs/internal/relation"
 )
 
-// The ring benchmarks pin the two hot-path optimizations of this package:
-// branch-based wraparound instead of % (the capacity is config-driven and
-// not a power of two, so the compiler cannot strength-reduce the modulo)
-// and the O(1)-amortized arrived-count cache behind Available.
+// The ring benchmarks pin the hot paths of this package: branch-based
+// wraparound instead of % (the capacity is config-driven and not a power of
+// two, so the compiler cannot strength-reduce the modulo), the
+// O(1)-amortized arrived-count cache behind Available, and the CM's
+// Observe, which visits only the queues its due index names.
 
 // benchRing is a two-column queue with one run of n slots staged for
 // PushColsN and the buffers to pop them back.
@@ -76,6 +78,65 @@ func BenchmarkQueueAvailable(b *testing.B) {
 		if r.q.Available(now) != depth {
 			b.Fatal("wrong availability")
 		}
+	}
+}
+
+// BenchmarkManagerObserve times the CM's per-iteration Observe over the
+// queues of one Figure 5 query (6) and of four fused ones (24), with no
+// queue due and with one due at every call. Each queue buffers a window of
+// arrivals staggered across the queues, one per microsecond, so with the
+// clock advancing a microsecond per call exactly one queue has one arrival
+// to feed and judge; without the advance nothing is ever due.
+func BenchmarkManagerObserve(b *testing.B) {
+	for _, queues := range []int{6, 24} {
+		for _, due := range []int{0, 1} {
+			b.Run(fmt.Sprintf("queues=%d/due=%d", queues, due), func(b *testing.B) {
+				benchObserve(b, queues, due == 1)
+			})
+		}
+	}
+}
+
+func benchObserve(b *testing.B, queues int, due bool) {
+	const depth = 256
+	m := NewManager()
+	rings := make([]*benchRing, queues)
+	for i := range rings {
+		rings[i] = newBenchRing(depth, depth)
+		rings[i].q.name = fmt.Sprintf("w%02d", i)
+		m.Adopt(rings[i].q)
+	}
+	// refill gives every queue its next window: queue i's k-th arrival of
+	// the run is at ((k0+k)·queues + i + 1)µs, after popping and crediting,
+	// at now, whatever the last window left.
+	k0 := 0
+	var now time.Duration
+	refill := func() {
+		for i, r := range rings {
+			r.popPass = r.popPass[:depth]
+			r.batch.Reset(2)
+			for n := r.q.PopColsN(now, r.batch, r.popPass); n > 0; n-- {
+				r.q.Credit(now)
+			}
+			for k := range r.arrivals {
+				r.arrivals[k] = time.Duration((k0+k)*queues+i+1) * time.Microsecond
+			}
+			r.q.PushColsN(r.vals, r.pass, r.arrivals)
+		}
+		k0 += depth
+	}
+	refill()
+	m.SnapshotPlanned(time.Microsecond)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if due {
+			if now += time.Microsecond; now > time.Duration(k0*queues)*time.Microsecond {
+				b.StopTimer()
+				refill()
+				b.StartTimer()
+			}
+		}
+		m.Observe(now)
 	}
 }
 

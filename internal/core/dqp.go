@@ -56,6 +56,7 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 	var lastNow time.Duration = -1
 	spins := 0
 	for {
+		med.Work.Iterations++
 		now := med.Now()
 		if now == lastNow {
 			spins++
@@ -110,6 +111,7 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 				}
 				break // return to the highest-priority queue
 			}
+			med.Work.EmptyAsks++
 			if f.In.Exhausted() {
 				// Input is gone; let the fragment finalize.
 				pendingBefore := f.PendingOutputs()
@@ -171,6 +173,7 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 		if sp.Timeout > 0 && med.Trace.Enabled() {
 			med.Trace.Add(now, sim.EvStall, "stall %.6fs", (next - now).Seconds())
 		}
+		med.Work.Stalls++
 		med.Clock.Stall(next)
 	}
 }

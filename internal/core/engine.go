@@ -97,6 +97,7 @@ func (e *Engine) Step() (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	med.Work.PlanningPoints++
 	if len(sp.Frags) == 0 {
 		return false, fmt.Errorf("core: policy %s planned no work with queries unfinished; %s",
 			e.pol.Name(), e.pendingSummary())
@@ -118,15 +119,22 @@ func (e *Engine) Step() (bool, error) {
 // policy whose Done reports the work finished before a runtime completed
 // leaves that query to finish at the engine's final clock reading.
 func (e *Engine) Finalize() []exec.Result {
-	results := make([]exec.Result, 0, len(e.st.rts))
-	for _, rt := range e.st.rts {
-		at, ok := rt.CompletedAt()
-		if !ok {
-			at = e.med.Now()
-		}
-		results = append(results, rt.FinishAt(e.pol.Name(), at))
+	results := make([]exec.Result, len(e.st.rts))
+	for i := range results {
+		results[i] = e.Result(i)
 	}
 	return results
+}
+
+// Result builds the result of the i-th attached query, Finalize's i-th
+// element, for a caller that keeps results in storage of its own.
+func (e *Engine) Result(i int) exec.Result {
+	rt := e.st.rts[i]
+	at, ok := rt.CompletedAt()
+	if !ok {
+		at = e.med.Now()
+	}
+	return rt.FinishAt(e.pol.Name(), at)
 }
 
 // Attach adds a query runtime to a (possibly running) engine between

@@ -31,6 +31,9 @@ type Mediator struct {
 	Temps *mem.TempStore
 	CM    *comm.Manager
 	Trace *sim.Trace
+	// Work is the scheduling loop's counters (see Work), kept in the
+	// mediator's scratch: the engine increments them in place.
+	Work *Work
 
 	rng     *sim.RNG
 	rngs    []*sim.RNG // every stream drawn from scratch, for Reclaim
@@ -59,9 +62,10 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		return nil, err
 	}
 	clock := sim.NewClock()
-	disk := sim.NewDisk(cfg.Params, clock)
-	memMgr, err := mem.NewManager(cfg.MemoryBytes)
+	s := getScratch()
+	disk, memMgr, temps, err := s.site(cfg, clock)
 	if err != nil {
+		putScratch(s)
 		return nil, err
 	}
 	m := &Mediator{
@@ -70,11 +74,13 @@ func NewMediator(cfg Config) (*Mediator, error) {
 		Disk:    disk,
 		Costs:   operator.NewCosts(clock, cfg.Params),
 		Mem:     memMgr,
-		Temps:   mem.NewTempStore(cfg.Params, disk, clock),
-		CM:      comm.NewManager(),
+		Temps:   temps,
+		CM:      s.manager(),
 		Trace:   cfg.Trace,
-		scratch: getScratch(),
+		Work:    &s.work,
+		scratch: s,
 	}
+	s.work = Work{}
 	m.rng = m.newRNG(cfg.Seed)
 	m.Temps.SetGovernor(m.Mem, true)
 	if !cfg.Governor {
@@ -86,7 +92,9 @@ func NewMediator(cfg Config) (*Mediator, error) {
 
 // Reclaim returns the mediator's pooled execution state — queues, hash
 // tables, fragment scratch, temp-relation storage, stream schedules, wrapper
-// staging, RNG streams — to the process-wide pool, for the next mediator to
+// staging, RNG streams, the communication manager, the simulated disk, the
+// grant ledger, the temp store and the loop counters — to the process-wide
+// pool, for the next mediator to
 // draw from. Whoever built the mediator for a whole run calls it when the
 // run is over: every Runtime finished, no tuple handed to a Sink still
 // referenced (a Result is a value and stays valid). The mediator must not

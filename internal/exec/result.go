@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dqs/internal/comm"
 	"dqs/internal/sim"
 )
 
@@ -57,6 +58,23 @@ type Result struct {
 	// PR.
 	PlanCacheHits   int
 	PlanCacheMisses int
+	// Work counts the mediator's loop work up to the snapshot. Equal
+	// ignores it: eager and deferred production do different work for the
+	// same result.
+	Work Work
+}
+
+// Work counts the work of one mediator's scheduling loop: plain integers,
+// each incremented on a path that already does the counted work, so that
+// a change to the loop is weighed exactly rather than by a noisy host
+// clock. The embedded comm.Work is the CM's and is read when a Result is
+// built; the mediator's own Work leaves it zero.
+type Work struct {
+	Iterations     int64 // DQP loop iterations
+	Stalls         int64 // iterations that stalled the clock to the next arrival
+	EmptyAsks      int64 // the DQP's Runnable asks that found no input
+	PlanningPoints int64 // policy Plan calls
+	comm.Work
 }
 
 // Equal reports field-by-field equality, treating DegradedFragments and
@@ -138,5 +156,13 @@ func (rt *Runtime) FinishAt(strategy string, response time.Duration) Result {
 		DegradedFragments:  rt.degraded,
 		PlanCacheHits:      m.planHits,
 		PlanCacheMisses:    m.planMisses,
+		Work:               m.work(),
 	}
+}
+
+// work returns the mediator's loop counters with the CM's merged in.
+func (m *Mediator) work() Work {
+	w := *m.Work
+	w.Work = m.CM.Work()
+	return w
 }

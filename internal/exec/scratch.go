@@ -15,8 +15,10 @@ import (
 // scratch recycles the allocation-heavy execution state of one mediator —
 // wrapper queues, hash tables, join-network arenas, temp relations (arena,
 // page bookkeeping and reader alike), shared-stream schedules, wrapper
-// staging buffers and RNG streams — across runs, and holds the mediator's
-// one fragment cascade, whose grown storage the next run reuses as it is.
+// staging buffers, RNG streams, the communication manager, the simulated
+// disk, the grant ledger and the temp store — across runs, and holds the
+// mediator's one fragment cascade, whose grown storage the next run reuses
+// as it is.
 // NewMediator checks one out (getScratch) and Mediator.Reclaim returns it,
 // so repeated runs reuse grown storage instead of re-allocating it; pooling
 // recycles only capacity, never contents (every object is reset or
@@ -45,6 +47,14 @@ type scratch struct {
 
 	// cascade is the running fragment's execution state (see cascade).
 	cascade cascade
+	// The mediator's communication manager (whose grown scan order and due
+	// index the next mediator reuses), loop counters, simulated disk, grant
+	// ledger (whose holder list it reuses) and temp store.
+	cm    *comm.Manager
+	work  Work
+	disk  *sim.Disk
+	grant *mem.Manager
+	store *mem.TempStore
 
 	// buildRows remembers the exact cardinality of each completed hash-table
 	// build, keyed by plan join-node ID, as the pre-size hint for the next
@@ -252,6 +262,35 @@ func (s *scratch) queue(name string, capacity, width int) *comm.Queue {
 	}
 	q.SetColumnar(width)
 	return q
+}
+
+// manager returns the scratch's communication manager, emptied, creating it
+// on first use.
+func (s *scratch) manager() *comm.Manager {
+	if s.cm == nil {
+		s.cm = comm.NewManager()
+	} else {
+		s.cm.Reset()
+	}
+	return s.cm
+}
+
+// site returns the scratch's simulated disk, grant ledger and temp store,
+// reset to fresh ones' state, creating them on first use.
+func (s *scratch) site(cfg Config, clock *sim.Clock) (*sim.Disk, *mem.Manager, *mem.TempStore, error) {
+	if s.grant == nil {
+		grant, err := mem.NewManager(cfg.MemoryBytes)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		s.disk, s.grant = sim.NewDisk(cfg.Params, clock), grant
+		s.store = mem.NewTempStore(cfg.Params, s.disk, clock)
+		return s.disk, s.grant, s.store, nil
+	}
+	s.disk.Reset(cfg.Params, clock)
+	s.grant.Reset(cfg.MemoryBytes)
+	s.store.Reset(cfg.Params, s.disk, clock)
+	return s.disk, s.grant, s.store, nil
 }
 
 // putQueue returns a queue to the pool once its run is over.

@@ -18,6 +18,7 @@ import (
 	"dqs/internal/plan"
 	"dqs/internal/reftest"
 	"dqs/internal/relation"
+	"dqs/internal/server"
 	"dqs/internal/source"
 	"dqs/internal/workload"
 )
@@ -295,7 +296,7 @@ func TestStrategyResultsMatchGolden(t *testing.T) {
 		workloads[seed], reference[seed] = w, ref
 	}
 
-	var legacy, grid bytes.Buffer
+	var legacy, grid, work bytes.Buffer
 	for _, class := range goldenClasses(t, o) {
 		for _, strategy := range goldenStrategies {
 			for _, seed := range seeds {
@@ -329,13 +330,86 @@ func TestStrategyResultsMatchGolden(t *testing.T) {
 					line = fmt.Sprintf("%s first=%d timeline=%v degraded=%v plancache=%d/%d trace=%x\n",
 						summary, res.FirstTupleTime.Nanoseconds(), res.TupleTimeline, res.DegradedFragments,
 						res.PlanCacheHits, res.PlanCacheMisses, sha256.Sum256(trace))
+					work.WriteString(workLine(t, cell, res.Work))
 				}
 				grid.WriteString(line)
 			}
 		}
 	}
+	work.WriteString(workLine(t, "serve_fused/seed1", fusedBatchWork(t, 1)))
 	compareGolden(t, "strategy_results.golden", legacy.Bytes())
 	compareGolden(t, "strategy_grid.golden", grid.Bytes())
+	compareGolden(t, "work.golden", work.Bytes())
+}
+
+// workLine renders one cell's loop counters for work.golden, the exact
+// currency a change to the scheduling loop is weighed in: a change that
+// moves the engine's work re-records it, and its per-counter diff is the
+// claim. The engine must not visit a CM queue that has nothing due beyond
+// one look per Observe.
+func workLine(t *testing.T, cell string, w exec.Work) string {
+	t.Helper()
+	if w.Visits > w.Observes+w.Due {
+		t.Errorf("%s: %d CM queue visits over %d Observes that found %d queues due", cell, w.Visits, w.Observes, w.Due)
+	}
+	return fmt.Sprintf("%s: iters=%d stalls=%d empty-asks=%d plans=%d observes=%d visits=%d due=%d judges=%d available=%d replays=%d\n",
+		cell, w.Iterations, w.Stalls, w.EmptyAsks, w.PlanningPoints,
+		w.Observes, w.Visits, w.Due, w.Judges, w.Available, w.Replays)
+}
+
+// fusedBatchWork runs one dqs server batch of the repo benchmark's
+// serve_fused shape — 16 Fig5Small queries, half of them on one shared
+// instance (so they tap shared wrapper streams), arriving at offered CPU
+// load 2.0 under MaxActive 4, every fourth one with a timeout of 1.5 times
+// an unloaded run's response time — and returns the mediator's work.
+func fusedBatchWork(t *testing.T, seed int64) exec.Work {
+	t.Helper()
+	cfg := exec.DefaultConfig()
+	cfg.Seed = seed
+	deliveries := func(w *workload.Workload) map[string]exec.Delivery {
+		d := make(map[string]exec.Delivery, w.Catalog.Len())
+		for _, name := range w.Catalog.Names() {
+			d[name] = exec.Delivery{MeanWait: 50 * time.Microsecond}
+		}
+		return d
+	}
+	shared, err := workload.Fig5Small(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, _, err := runTraced(t, shared, cfg, deliveries(shared), "DSE", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SharedStreams = true
+	srv, err := server.New(server.Config{Exec: cfg, MaxActive: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at time.Duration
+	for i := 0; i < 16; i++ {
+		w := shared
+		if i%2 == 1 {
+			if w, err = workload.Fig5Small(seed + 1 + int64(i/2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i > 0 {
+			at += ref.BusyTime / 2
+		}
+		q := server.Query{Label: fmt.Sprintf("q%02d", i), Workload: w, Deliveries: deliveries(w), ArriveAt: at}
+		if i%4 == 3 {
+			q.Timeout = ref.ResponseTime * 3 / 2
+		}
+		if err := srv.Submit(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reports, _, err := srv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reports[0].Result.Work
 }
 
 // TestDelayClassesFigureMatchesGolden pins the rendered DelayClasses figure

@@ -57,6 +57,15 @@ func NewManager(totalBytes int64) (*Manager, error) {
 	return &Manager{total: totalBytes}, nil
 }
 
+// Reset returns the manager to the state NewManager(totalBytes) builds,
+// keeping its holder and resident storage, so a pooled mediator reuses
+// them. The grant must be positive, as NewManager requires.
+func (m *Manager) Reset(totalBytes int64) {
+	clear(m.holders)
+	clear(m.resident)
+	*m = Manager{total: totalBytes, holders: m.holders[:0], resident: m.resident[:0]}
+}
+
 // Governor is the Manager under its old name. It stays only because bench/
 // names it — remove with the next [benchmark] PR.
 type Governor = Manager

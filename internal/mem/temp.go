@@ -50,8 +50,16 @@ type IntRecycler interface {
 
 // NewTempStore binds a store to the mediator's disk and clock.
 func NewTempStore(params sim.Params, disk *sim.Disk, clock *sim.Clock) *TempStore {
+	s := &TempStore{}
+	s.Reset(params, disk, clock)
+	return s
+}
+
+// Reset returns the store to the state NewTempStore(params, disk, clock)
+// builds, so a pooled mediator reuses it. Reclaim the store's temps first.
+func (s *TempStore) Reset(params sim.Params, disk *sim.Disk, clock *sim.Clock) {
 	perPage := params.TuplesPerPage()
-	return &TempStore{params: params, disk: disk, clock: clock, nextObj: 1,
+	*s = TempStore{params: params, disk: disk, clock: clock, nextObj: 1,
 		perPage: perPage, pageBytes: int64(perPage) * int64(params.TupleSize)}
 }
 

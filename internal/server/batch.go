@@ -148,8 +148,8 @@ func (s *Server) runBatch() ([]Report, Stats, error) {
 	if eng == nil {
 		return nil, stats, fmt.Errorf("server: no queries admitted")
 	}
-	for i, res := range eng.Finalize() {
-		reports[admitted[i].idx].Result = res
+	for i, a := range admitted {
+		reports[a.idx].Result = eng.Result(i)
 	}
 	stats.SharedStreams, stats.StreamTaps = med.SharedStreamCount()
 	return reports, stats, nil

@@ -51,6 +51,17 @@ func NewDisk(p Params, clock *Clock) *Disk {
 	}
 }
 
+// Reset returns the disk to the state NewDisk(p, clock) builds, keeping its
+// cache and head-position storage, so a pooled mediator reuses them.
+func (d *Disk) Reset(p Params, clock *Clock) {
+	pages := d.cache.pages[:0]
+	if cap(pages) < p.IOCachePages {
+		pages = make([]PageID, 0, p.IOCachePages)
+	}
+	clear(d.lastPage)
+	*d = Disk{p: p, clock: clock, cache: pageCache{capacity: p.IOCachePages, pages: pages}, lastPage: d.lastPage}
+}
+
 // Stats returns a copy of the accumulated disk statistics.
 func (d *Disk) Stats() DiskStats { return d.stats }
 
