@@ -159,6 +159,13 @@ func (net *symNet) arrive(sj *symJoin, fromBuild bool, t relation.Tuple) bool {
 	// The probe loop reads no clocks, so the per-match result charges merge
 	// into one exact clock addition.
 	rt.Costs.CPU.Clock.Work(time.Duration(k) * rt.Costs.ResultT)
+	w := rt.Med.Work
+	w.HeadLookups++
+	w.ChainSteps += int64(k)
+	w.ValuesCopied += int64(len(t))
+	if k > 0 {
+		w.ValuesCopied += int64(k * len(matches[0]))
+	}
 	sj.matchBuf = matches
 	for _, out := range matches {
 		if sj.parent == nil {

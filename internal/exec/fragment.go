@@ -295,6 +295,7 @@ func (f *Fragment) sink(outs []relation.Tuple) int {
 		// be retried when memory is freed.
 		k := f.rt.buildInsert(f.build, outs)
 		costs.CPU.Clock.Work(time.Duration(k) * costs.MoveT)
+		f.rt.Med.Work.ValuesCopied += int64(k * len(outs[0]))
 		return k
 	case TermTemp:
 		for _, out := range outs {
@@ -302,6 +303,9 @@ func (f *Fragment) sink(outs []relation.Tuple) int {
 			f.Temp.Append(out)
 		}
 		f.rt.CountMaterialized(int64(len(outs)))
+		if len(outs) > 0 {
+			f.rt.Med.Work.ValuesCopied += int64(len(outs) * len(outs[0]))
+		}
 	case TermOutput:
 		for _, out := range outs {
 			f.rt.emitOutput(out)
@@ -334,6 +338,7 @@ func (f *Fragment) applyTuple(cs *cascade, t relation.Tuple, i int) []relation.T
 		d += costs.ReceiveT
 	}
 	cs.arena.Reset()
+	w := f.rt.Med.Work
 	cur, next := append(cs.cur[:0], t), cs.next[:0]
 	for step, s := range f.steps {
 		ht := s.table.ht
@@ -349,6 +354,13 @@ func (f *Fragment) applyTuple(cs *cascade, t relation.Tuple, i int) []relation.T
 			}
 		}
 		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(matches)*costs.ResultT
+		if step > 0 {
+			w.HeadLookups += int64(len(cur))
+		}
+		w.ChainSteps += int64(matches)
+		if matches > 0 {
+			w.ValuesCopied += int64(matches * len(next[0]))
+		}
 		cur, next = next, cur
 		if len(cur) == 0 {
 			break
@@ -371,6 +383,7 @@ func (f *Fragment) probeHeads(cs *cascade) {
 		}
 	}
 	cs.heads = sized(cs.heads, cs.ch.n)
+	f.rt.Med.Work.HeadLookups += int64(cs.ch.n)
 	f.steps[0].table.ht.Heads(cs.ch.keys(f.steps[0].probeIdx), cs.heads)
 }
 
@@ -394,6 +407,7 @@ func (f *Fragment) strand(outs []relation.Tuple) {
 	}
 	for _, o := range outs {
 		f.pending = append(f.pending, f.pendArena.Append(o))
+		f.rt.Med.Work.ValuesCopied += int64(len(o))
 	}
 }
 
@@ -457,6 +471,7 @@ func (f *Fragment) process(max int) (int, bool) {
 				costs.CPU.Clock.Work(filteredCharge)
 				continue
 			}
+			f.rt.Med.Work.ValuesCopied += int64(len(t))
 			outs := f.applyTuple(cs, t, i)
 			if k := f.sink(outs); k < len(outs) {
 				f.strand(outs[k:])

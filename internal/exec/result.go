@@ -64,16 +64,24 @@ type Result struct {
 	Work Work
 }
 
-// Work counts the work of one mediator's scheduling loop: plain integers,
-// each incremented on a path that already does the counted work, so that
-// a change to the loop is weighed exactly rather than by a noisy host
-// clock. The embedded comm.Work is the CM's and is read when a Result is
-// built; the mediator's own Work leaves it zero.
+// Work counts the work of one mediator's scheduling loop and join data
+// path: plain integers, each incremented on a path that already does the
+// counted work (the join counters by counts that path already holds, never
+// once per value), so that a change to the loop or the kernels is weighed
+// exactly rather than by a noisy host clock. The embedded comm.Work is the
+// CM's and is read when a Result is built; the mediator's own Work leaves
+// it zero.
 type Work struct {
 	Iterations     int64 // DQP loop iterations
 	Stalls         int64 // iterations that stalled the clock to the next arrival
 	EmptyAsks      int64 // the DQP's Runnable asks that found no input
 	PlanningPoints int64 // policy Plan calls
+	HeadLookups    int64 // probe keys resolved to a hash chain's head
+	ChainSteps     int64 // hash-table entries walked by probes: the matches
+	// ValuesCopied counts the int64 values the data path writes into a row
+	// store: a hash-table entry, a temp page, a stranded (pending) row or a
+	// sink's row.
+	ValuesCopied int64
 	comm.Work
 }
 

@@ -358,6 +358,7 @@ func (rt *Runtime) emitOutput(out relation.Tuple) {
 		for i, p := range rt.Dec.LiveAt {
 			rt.sinkRow[p] = out[i]
 		}
+		rt.Med.Work.ValuesCopied += int64(len(rt.Dec.LiveAt))
 		rt.Cfg.Stream.Emit(rt.Clock.Now(), rt.sinkRow)
 	}
 }

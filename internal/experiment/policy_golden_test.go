@@ -342,19 +342,20 @@ func TestStrategyResultsMatchGolden(t *testing.T) {
 	compareGolden(t, "work.golden", work.Bytes())
 }
 
-// workLine renders one cell's loop counters for work.golden, the exact
-// currency a change to the scheduling loop is weighed in: a change that
-// moves the engine's work re-records it, and its per-counter diff is the
-// claim. The engine must not visit a CM queue that has nothing due beyond
+// workLine renders one cell's loop and join counters for work.golden, the
+// exact currency a change to the scheduling loop or the join kernels is
+// weighed in: a change that moves the engine's work re-records it, and its
+// per-counter diff is the claim. The engine must not visit a CM queue that has nothing due beyond
 // one look per Observe.
 func workLine(t *testing.T, cell string, w exec.Work) string {
 	t.Helper()
 	if w.Visits > w.Observes+w.Due {
 		t.Errorf("%s: %d CM queue visits over %d Observes that found %d queues due", cell, w.Visits, w.Observes, w.Due)
 	}
-	return fmt.Sprintf("%s: iters=%d stalls=%d empty-asks=%d plans=%d observes=%d visits=%d due=%d judges=%d available=%d replays=%d\n",
+	return fmt.Sprintf("%s: iters=%d stalls=%d empty-asks=%d plans=%d observes=%d visits=%d due=%d judges=%d available=%d replays=%d heads=%d chain=%d copied=%d\n",
 		cell, w.Iterations, w.Stalls, w.EmptyAsks, w.PlanningPoints,
-		w.Observes, w.Visits, w.Due, w.Judges, w.Available, w.Replays)
+		w.Observes, w.Visits, w.Due, w.Judges, w.Available, w.Replays,
+		w.HeadLookups, w.ChainSteps, w.ValuesCopied)
 }
 
 // fusedBatchWork runs one dqs server batch of the repo benchmark's
