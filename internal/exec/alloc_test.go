@@ -12,29 +12,33 @@ import (
 
 // TestStrandReusesPendingArena pins the overflow-retry path at zero
 // steady-state allocations: once the pending arena has grown to the overflow
-// batch size, re-stranding the same volume of outputs copies into recycled
-// storage instead of allocating per tuple.
+// batch size, re-stranding the same volume of results gathers into recycled
+// storage instead of allocating per row.
 func TestStrandReusesPendingArena(t *testing.T) {
-	f := &Fragment{}
-	outs := make([]relation.Tuple, 32)
-	for i := range outs {
-		outs[i] = relation.Tuple{int64(i), int64(-i), int64(i * 3), 7}
+	f := &Fragment{rt: &Runtime{Med: &Mediator{Work: &Work{}}}, width: 4}
+	var cs cascade
+	cs.ch.cols.Reset(4)
+	for i := range 32 {
+		cs.ch.cols.AppendTuple(relation.Tuple{int64(i), int64(-i), int64(i * 3), 7})
 	}
+	cs.ch.n = 32
 	strand := func() {
 		f.pending = f.pending[:0] // drained by the retry loop
-		f.strand(outs)
+		for i := range cs.ch.n {
+			f.strand(&cs, i, 0, 1) // a zero-step fragment's one result per slot
+		}
 	}
 	strand() // warm arena and pending capacity
 	if got := testing.AllocsPerRun(50, strand); got != 0 {
-		t.Errorf("steady-state strand of %d tuples allocates %v times per run, want 0", len(outs), got)
+		t.Errorf("steady-state strand of %d rows allocates %v times per run, want 0", cs.ch.n, got)
 	}
-	// Stranded tuples are deep copies: they come from the mediator's cascade
-	// arena, which the next batch of any fragment overwrites, so mutating
-	// the originals afterwards must not reach the pending buffer.
+	// Stranded rows are deep copies: they come from the mediator's cascade
+	// chunk, which the next batch of any fragment overwrites, so mutating
+	// the chunk afterwards must not reach the pending buffer.
 	strand()
-	outs[0][0] = 999
-	if f.pending[0][0] != 0 {
-		t.Errorf("pending[0] aliases the stranded output: %v", f.pending[0])
+	cs.ch.cols.Col(0)[0] = 999
+	if f.pending[0][0] != 0 || f.pending[31][2] != 93 {
+		t.Errorf("pending rows alias the chunk or were gathered wrong: %v, %v", f.pending[0], f.pending[31])
 	}
 }
 

@@ -48,12 +48,12 @@ type symJoin struct {
 	parent    *symJoin
 	fromBuild bool // whether this join's output feeds the parent's Build side
 
-	// Per-join match scratch, reused across arrivals. Safe because arrive
-	// recurses strictly upward through distinct joins (the plan is a tree),
-	// so a join's scratch is never re-entered while in use, and the parent's
-	// table inserts copy the tuple values out.
-	arena    relation.Arena
-	matchBuf []relation.Tuple
+	// ents lists one arrival's matches as entries of the opposite table,
+	// reused across arrivals. Safe because arrive recurses strictly upward
+	// through distinct joins (the plan is a tree), so a join's list is never
+	// re-entered while in use, and neither table it reads is inserted into
+	// meanwhile: a result row is gathered straight into the parent's table.
+	ents []int32
 }
 
 // symLeaf maps a wrapper to its entry point in the network.
@@ -100,8 +100,7 @@ func newSymNet(rt *Runtime) *symNet {
 			probeIdx:   pi,
 		}
 		sj.parent, sj.fromBuild = consumer(n)
-		sj.arena.Recycle(s.getInts())
-		sj.matchBuf = s.getTuples()
+		sj.ents = s.getIndices()
 	}
 	// A leaf with a nil join is a single-relation plan: tuples go straight
 	// to the output.
@@ -122,58 +121,99 @@ func (net *symNet) release(s *scratch) {
 		sj := &net.joins[i]
 		s.putTable(sj.buildTable)
 		s.putTable(sj.probeTable)
-		s.putInts(sj.arena.Release())
-		s.putTuples(sj.matchBuf)
-		sj.buildTable, sj.probeTable, sj.matchBuf = nil, nil, nil
+		s.putIndices(sj.ents)
+		sj.buildTable, sj.probeTable, sj.ents = nil, nil, nil
 	}
 }
 
-// arrive delivers one tuple to a join from the given side, inserting,
-// probing the opposite table and propagating matches upward. A nil join
-// means the tuple is already a result. It returns false on memory
+// feed delivers slot i of a feed's chunk at its leaf: the row is gathered
+// from the chunk's columns straight into its side's table, or, in a
+// single-relation plan, it is already a result. It returns false on memory
 // exhaustion.
-func (net *symNet) arrive(sj *symJoin, fromBuild bool, t relation.Tuple) bool {
-	rt := net.rt
+func (net *symNet) feed(leaf *symLeaf, c *chunk, i int) bool {
+	rt, sj := net.rt, leaf.join
 	if sj == nil {
 		rt.Costs.ChargeResult()
-		rt.emitOutput(t)
+		if row := rt.emitOutput(); row != nil {
+			gatherAt(c, i, nil, nil, row, rt.Dec.LiveAt)
+			rt.stream(row)
+		}
 		return true
 	}
-	if !rt.Mem.Reserve(net.holder, int64(rt.Cfg.Params.TupleSize)) {
+	t := net.insert(sj, leaf.fromBuild, c.cols.Width())
+	if t == nil {
 		return false
 	}
-	rt.Costs.ChargeMove()
-	sj.arena.Reset()
-	matches := sj.matchBuf[:0]
-	var k int
-	if fromBuild {
-		sj.buildTable.Insert(t)
-		rt.Costs.ChargeProbe()
-		// Result rows are probe ++ build, matching the join's Live schema.
-		matches, k = sj.probeTable.ProbeConcatRev(matches, t, t[sj.buildIdx], &sj.arena)
-	} else {
-		sj.probeTable.Insert(t)
-		rt.Costs.ChargeProbe()
-		matches, k = sj.buildTable.ProbeConcat(matches, t, t[sj.probeIdx], &sj.arena)
+	gather(c, i, nil, nil, t, 1)
+	return net.probe(sj, leaf.fromBuild, t)
+}
+
+// arrive delivers the row a++b to a join from the given side, inserting it,
+// probing the opposite table and propagating matches upward. It returns
+// false on memory exhaustion.
+func (net *symNet) arrive(sj *symJoin, fromBuild bool, a, b relation.Tuple) bool {
+	t := net.insert(sj, fromBuild, len(a)+len(b))
+	if t == nil {
+		return false
 	}
+	copy(t[copy(t, a):], b)
+	return net.probe(sj, fromBuild, t)
+}
+
+// insert reserves and charges one row of width w on the given side of sj
+// and returns the row's storage in that side's table, for the caller to
+// fill before the table is probed, or nil on memory exhaustion.
+func (net *symNet) insert(sj *symJoin, fromBuild bool, w int) relation.Tuple {
+	rt := net.rt
+	if !rt.Mem.Reserve(net.holder, int64(rt.Cfg.Params.TupleSize)) {
+		return nil
+	}
+	rt.Costs.ChargeMove()
+	rt.Med.Work.ValuesCopied += int64(w)
+	if fromBuild {
+		return sj.buildTable.Extend(w, 1)
+	}
+	return sj.probeTable.Extend(w, 1)
+}
+
+// probe matches t, just inserted on the given side of sj, against the
+// opposite table and passes each result — probe side first, matching the
+// join's Live schema — to the parent join, or to the output at the root.
+// It returns false on memory exhaustion.
+func (net *symNet) probe(sj *symJoin, fromBuild bool, t relation.Tuple) bool {
+	rt := net.rt
+	rt.Costs.ChargeProbe()
+	other, idx := sj.buildTable, sj.probeIdx
+	if fromBuild {
+		other, idx = sj.probeTable, sj.buildIdx
+	}
+	sj.ents = other.Chain(sj.ents[:0], other.Head(t[idx]))
 	// The probe loop reads no clocks, so the per-match result charges merge
 	// into one exact clock addition.
-	rt.Costs.CPU.Clock.Work(time.Duration(k) * rt.Costs.ResultT)
+	rt.Costs.CPU.Clock.Work(time.Duration(len(sj.ents)) * rt.Costs.ResultT)
 	w := rt.Med.Work
 	w.HeadLookups++
-	w.ChainSteps += int64(k)
-	w.ValuesCopied += int64(len(t))
-	if k > 0 {
-		w.ValuesCopied += int64(k * len(matches[0]))
-	}
-	sj.matchBuf = matches
-	for _, out := range matches {
-		if sj.parent == nil {
-			rt.emitOutput(out)
+	w.ChainSteps += int64(len(sj.ents))
+	for _, e := range sj.ents {
+		a, b := t, other.Entry(e)
+		if fromBuild {
+			a, b = b, a
+		}
+		if sj.parent != nil {
+			if !net.arrive(sj.parent, sj.fromBuild, a, b) {
+				return false
+			}
 			continue
 		}
-		if !net.arrive(sj.parent, sj.fromBuild, out) {
-			return false
+		if row := rt.emitOutput(); row != nil {
+			at := rt.Dec.LiveAt
+			for j, v := range a {
+				row[at[j]] = v
+			}
+			for j, v := range b {
+				row[at[len(a)+j]] = v
+			}
+			rt.stream(row)
 		}
 	}
 	return true

@@ -50,7 +50,7 @@ func (k TerminalKind) String() string {
 // step range, input and terminal. Fragments are resumable: the DQP can
 // process a batch, switch away, and come back with no loss. A batch runs on
 // the mediator's one cascade and leaves nothing there: the chunk is drained
-// or its tail unpopped, and every output is sunk or stranded (copied).
+// or its tail unpopped, and every output is sunk or stranded (gathered).
 type Fragment struct {
 	rt    *Runtime
 	Chain *plan.Chain
@@ -72,13 +72,16 @@ type Fragment struct {
 	leaf *symLeaf
 
 	steps []stepExec
+	// width is the width of the fragment's output rows: its input's Live
+	// width plus each step's build side's.
+	width int
 
-	// pending holds terminal-ready tuples that could not be sunk because
-	// the memory grant was exhausted; they are retried on resume. Pending
-	// tuples are copied out of the mediator's cascade arena into pendArena,
-	// which grows only for a fragment that strands outputs and is reset only
-	// when the retry buffer has fully drained, so a repeated overflow
-	// allocates nothing either.
+	// pending holds terminal-ready rows that could not be sunk because the
+	// memory grant was exhausted; they are retried on resume. They are
+	// gathered out of the mediator's cascade into pendArena, which grows
+	// only for a fragment that strands outputs and is reset only when the
+	// retry buffer has fully drained, so a repeated overflow allocates
+	// nothing either.
 	pending   []relation.Tuple
 	pendArena relation.Arena
 	processed int64
@@ -89,10 +92,15 @@ type Fragment struct {
 	superseded bool
 }
 
+// stepExec is one probe step of a fragment: its join, the join's table, and
+// where the step's probe key sits in a cascade result — column col of the
+// fragment's input row when src < 0, else column col of the entry that step
+// src matched. A join's Live is its probe's Live followed by its build's, so
+// every column of a row entering a step is one of these.
 type stepExec struct {
 	join     *plan.Node
 	table    *tableState
-	probeIdx int
+	src, col int
 }
 
 // inputSchemaAt returns the schema of the rows entering step i of chain c:
@@ -152,15 +160,19 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 		Temp:     temp,
 		steps:    steps,
 	}
+	inWidth := inputSchemaAt(c, fromStep).Width()
 	for k := range steps {
-		i := fromStep + k
-		j := c.Joins[i]
-		steps[k] = stepExec{
-			join:     j,
-			table:    rt.table(j),
-			probeIdx: inputSchemaAt(c, i).MustIndexOf(j.ProbeKey),
+		j := c.Joins[fromStep+k]
+		src, col := -1, inputSchemaAt(c, fromStep+k).MustIndexOf(j.ProbeKey)
+		if col >= inWidth {
+			col -= inWidth
+			for src = 0; col >= steps[src].join.Build.Live.Width(); src++ {
+				col -= steps[src].join.Build.Live.Width()
+			}
 		}
+		steps[k] = stepExec{join: j, table: rt.table(j), src: src, col: col}
 	}
+	f.width = inputSchemaAt(c, toStep).Width()
 	if term == TermBuild {
 		f.build = rt.table(c.BuildsFor)
 	}
@@ -279,96 +291,157 @@ func (f *Fragment) Runnable(now time.Duration) bool {
 	return len(f.pending) > 0 || f.In.Available(now) > 0
 }
 
-// sink delivers terminal-ready tuples in order and returns how many it
-// delivered; fewer than len(outs) means the memory grant is exhausted (only
-// possible for TermBuild and TermJoinNet). A build takes the whole run with
-// one batched insert, its move charges merged into one clock addition (the
-// insert path never reads the clock, so the merge is exact).
-func (f *Fragment) sink(outs []relation.Tuple) int {
-	costs := &f.rt.Costs
+// sink delivers slot i's n cascade results (see probe) to the terminal in
+// order, gathering each row once, straight into the storage that keeps it,
+// and returns how many it delivered; fewer than n means the memory grant is
+// exhausted (only possible for TermBuild and TermJoinNet). A build takes
+// the slot's rows with one reservation, its move charges merged into one
+// clock addition (the insert path never reads the clock, so the merge is
+// exact); a temp charges each row's move before placing it, because a page
+// that fills reads the clock; an output gathers a row only for a Sink.
+func (f *Fragment) sink(cs *cascade, i, n int) int {
+	costs, work := &f.rt.Costs, f.rt.Med.Work
+	w, per := f.width, len(f.steps)
 	switch f.Term {
 	case TermBuild:
-		if len(outs) == 0 {
-			return 0
+		rows, k := f.rt.buildRows(f.build, w, n)
+		for r := range k {
+			gather(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], rows[r*w:(r+1)*w], 1)
 		}
-		// Reserve before charging so a failed insert costs nothing and can
-		// be retried when memory is freed.
-		k := f.rt.buildInsert(f.build, outs)
 		costs.CPU.Clock.Work(time.Duration(k) * costs.MoveT)
-		f.rt.Med.Work.ValuesCopied += int64(k * len(outs[0]))
+		work.ValuesCopied += int64(k * w)
 		return k
 	case TermTemp:
-		for _, out := range outs {
+		for r := range n {
 			costs.ChargeMove()
-			f.Temp.Append(out)
+			vals, stride := f.Temp.Slot()
+			gather(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], vals, stride)
 		}
-		f.rt.CountMaterialized(int64(len(outs)))
-		if len(outs) > 0 {
-			f.rt.Med.Work.ValuesCopied += int64(len(outs) * len(outs[0]))
-		}
+		f.rt.CountMaterialized(int64(n))
+		work.ValuesCopied += int64(n * w)
 	case TermOutput:
-		for _, out := range outs {
-			f.rt.emitOutput(out)
+		for r := range n {
+			if row := f.rt.emitOutput(); row != nil {
+				gatherAt(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], row, f.rt.Dec.LiveAt)
+				f.rt.stream(row)
+			}
 		}
 	case TermJoinNet:
-		for i, out := range outs {
-			if !f.rt.net.arrive(f.leaf.join, f.leaf.fromBuild, out) {
-				return i
-			}
+		if !f.rt.net.feed(f.leaf, &cs.ch, i) {
+			return 0
 		}
 	default:
 		panic("exec: unknown terminal")
 	}
-	return len(outs)
+	return n
 }
 
-// applyTuple pushes input tuple t, slot i of the cascade's chunk, through
-// the fragment's probe steps and returns the terminal-ready results; the
-// first step reads the chunk's chain heads from cs.heads. All CPU costs of
-// the tuple's cascade are accumulated and charged in one clock addition at
-// the end: no code in the cascade reads the clock, and duration addition is
-// exact, so the clock lands on the same instant as per-charge billing. The
-// returned slice and its tuples live in the mediator's cascade and are
-// recycled by the next applyTuple call, this fragment's or another's: sink
-// every result (or strand it, which copies) before processing another input.
-func (f *Fragment) applyTuple(cs *cascade, t relation.Tuple, i int) []relation.Tuple {
-	costs := &f.rt.Costs
+// retry delivers one row a memory overflow stranded, as sink would have
+// delivered it, and reports whether it went in. Only a build or a join
+// network strands.
+func (f *Fragment) retry(row relation.Tuple) bool {
+	if f.Term == TermJoinNet {
+		return f.rt.net.arrive(f.leaf.join, f.leaf.fromBuild, row, nil)
+	}
+	dst, k := f.rt.buildRows(f.build, f.width, 1)
+	if k == 0 {
+		return false
+	}
+	copy(dst, row)
+	f.rt.Costs.ChargeMove()
+	f.rt.Med.Work.ValuesCopied += int64(f.width)
+	return true
+}
+
+// gather writes a cascade result of chunk slot i — the slot's row followed
+// by the entry that each of steps matched, ents — into dst, value j at
+// dst[j*stride].
+func gather(c *chunk, i int, steps []stepExec, ents []int32, dst []int64, stride int) {
+	at := 0
+	for col := range c.cols.Width() {
+		dst[at] = c.cols.Col(col)[i]
+		at += stride
+	}
+	for s, e := range ents {
+		for _, v := range steps[s].table.ht.Entry(e) {
+			dst[at] = v
+			at += stride
+		}
+	}
+}
+
+// gatherAt is gather with value j at dst[pos[j]]: a Sink's full-width row.
+func gatherAt(c *chunk, i int, steps []stepExec, ents []int32, dst []int64, pos []int) {
+	j := 0
+	for col := range c.cols.Width() {
+		dst[pos[j]] = c.cols.Col(col)[i]
+		j++
+	}
+	for s, e := range ents {
+		for _, v := range steps[s].table.ht.Entry(e) {
+			dst[pos[j]] = v
+			j++
+		}
+	}
+}
+
+// probe runs slot i of the cascade's chunk through the fragment's probe
+// steps to build-entry indices and returns the slot's result count n:
+// result r matched entry cs.ents[r*len(f.steps)+s] at step s, and the
+// results come in breadth-first order — by the first step's match, then
+// the second's, and so on. The first step walks the chain head cs.heads[i];
+// a later one reads each result's probe key through the step's column map,
+// resolves the keys with one Heads call and walks their chains. A zero-step
+// fragment's one result is the slot itself. All CPU costs of the slot are
+// summed and charged in one clock addition at the end: no code in the
+// cascade reads the clock, and duration addition is exact, so the clock
+// lands on the same instant as per-charge billing. The results live in the
+// mediator's cascade until the next probe call, this fragment's or
+// another's: sink them (or strand them, which gathers) first.
+func (f *Fragment) probe(cs *cascade, i int) int {
+	costs, work := &f.rt.Costs, f.rt.Med.Work
 	d := costs.MoveT
 	if f.QueueInput {
 		d += costs.ReceiveT
 	}
-	cs.arena.Reset()
-	w := f.rt.Med.Work
-	cur, next := append(cs.cur[:0], t), cs.next[:0]
-	for step, s := range f.steps {
-		ht := s.table.ht
-		next = next[:0]
+	n, ents := 1, cs.ents[:0]
+	for s, st := range f.steps {
 		matches := 0
-		if step == 0 {
-			next, matches = ht.ConcatChain(next, t, cs.heads[i], &cs.arena)
+		ht := st.table.ht
+		next := cs.next[:0]
+		if s == 0 {
+			next = ht.Chain(next, cs.heads[i])
+			matches = len(next)
 		} else {
-			for _, u := range cur {
-				var k int
-				next, k = ht.ProbeConcat(next, u, u[s.probeIdx], &cs.arena)
-				matches += k
+			keys, heads := sized(cs.keys, n), sized(cs.subs, n)
+			for r := range n {
+				if st.src < 0 {
+					keys[r] = cs.ch.keys(st.col)[i]
+				} else {
+					keys[r] = f.steps[st.src].table.ht.Entry(ents[r*s+st.src])[st.col]
+				}
 			}
+			ht.Heads(keys, heads)
+			for r, h := range heads {
+				cs.walk = ht.Chain(cs.walk[:0], h)
+				matches += len(cs.walk)
+				for _, e := range cs.walk {
+					next = append(append(next, ents[r*s:(r+1)*s]...), e)
+				}
+			}
+			cs.keys, cs.subs = keys, heads
+			work.HeadLookups += int64(n)
 		}
-		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(matches)*costs.ResultT
-		if step > 0 {
-			w.HeadLookups += int64(len(cur))
-		}
-		w.ChainSteps += int64(matches)
-		if matches > 0 {
-			w.ValuesCopied += int64(matches * len(next[0]))
-		}
-		cur, next = next, cur
-		if len(cur) == 0 {
+		d += time.Duration(n)*costs.ProbeT + time.Duration(matches)*costs.ResultT
+		work.ChainSteps += int64(matches)
+		cs.ents, cs.next = next, ents
+		n, ents = matches, next
+		if n == 0 {
 			break
 		}
 	}
-	cs.cur, cs.next = cur, next
 	costs.CPU.Clock.Work(d)
-	return cur
+	return n
 }
 
 // probeHeads checks once per chunk that every table the fragment probes is
@@ -384,7 +457,7 @@ func (f *Fragment) probeHeads(cs *cascade) {
 	}
 	cs.heads = sized(cs.heads, cs.ch.n)
 	f.rt.Med.Work.HeadLookups += int64(cs.ch.n)
-	f.steps[0].table.ht.Heads(cs.ch.keys(f.steps[0].probeIdx), cs.heads)
+	f.steps[0].table.ht.Heads(cs.ch.keys(f.steps[0].col), cs.heads)
 }
 
 // sized returns s resliced to length n, reallocated when it is too short.
@@ -395,20 +468,23 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// strand copies overflow-stranded outputs into the pending retry buffer;
-// they must outlive the cascade arena, which the next batch of any fragment
-// on the mediator reuses, so they go into the fragment's own pending arena.
-// Stranding only ever starts from an empty retry buffer (ProcessBatch drains
-// pending before consuming input), so resetting the arena here cannot
-// invalidate live pending tuples.
-func (f *Fragment) strand(outs []relation.Tuple) {
+// strand gathers slot i's overflow-stranded cascade results [from, n) into
+// the pending retry buffer: they must outlive the cascade, which the next
+// batch of any fragment on the mediator reuses, so they go into the
+// fragment's own pending arena. Stranding only ever starts from an empty
+// retry buffer (ProcessBatch drains pending before consuming input), so
+// resetting the arena here cannot invalidate live pending rows.
+func (f *Fragment) strand(cs *cascade, i, from, n int) {
 	if len(f.pending) == 0 {
 		f.pendArena.Reset()
 	}
-	for _, o := range outs {
-		f.pending = append(f.pending, f.pendArena.Append(o))
-		f.rt.Med.Work.ValuesCopied += int64(len(o))
+	per := len(f.steps)
+	for r := from; r < n; r++ {
+		row := f.pendArena.Extend(f.width)
+		gather(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], row, 1)
+		f.pending = append(f.pending, row)
 	}
+	f.rt.Med.Work.ValuesCopied += int64((n - from) * f.width)
 }
 
 // ProcessBatch consumes up to max input tuples at the current virtual time,
@@ -423,7 +499,7 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 	// time as it was stranded: a batched reservation could spill resident
 	// pages at another instant.
 	for len(f.pending) > 0 {
-		if f.sink(f.pending[:1]) == 0 {
+		if !f.retry(f.pending[0]) {
 			return 0, true
 		}
 		f.pending = f.pending[1:]
@@ -441,9 +517,9 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 // the whole chunk. Each slot is credited back at the virtual instant its
 // processing starts, so a wrapper's window refills exactly as its tuples are
 // reached. A slot the wrapper's pushdown filtered still charges its
-// receive+move; any other runs the cascade into the sink. On overflow the
-// unsunk outputs are stranded and the chunk's unprocessed tail goes back to
-// the source. After a chunk the availability check repeats at the advanced
+// receive+move; any other is probed to entry indices, whose rows the sink
+// gathers. On overflow the unsunk results are stranded and the chunk's
+// unprocessed tail goes back to the source. After a chunk the availability check repeats at the advanced
 // clock, so tuples arriving while it was processed are picked up at once.
 func (f *Fragment) process(max int) (int, bool) {
 	costs := &f.rt.Costs
@@ -466,17 +542,16 @@ func (f *Fragment) process(max int) (int, bool) {
 			}
 			f.processed++
 			n++
-			t := c.row(i)
-			if t == nil {
+			if !c.pass[i] {
 				costs.CPU.Clock.Work(filteredCharge)
 				continue
 			}
-			f.rt.Med.Work.ValuesCopied += int64(len(t))
-			outs := f.applyTuple(cs, t, i)
-			if k := f.sink(outs); k < len(outs) {
-				f.strand(outs[k:])
-				f.In.UnpopN(c.n - i - 1)
-				return n, true
+			if m := f.probe(cs, i); m > 0 {
+				if k := f.sink(cs, i, m); k < m {
+					f.strand(cs, i, k, m)
+					f.In.UnpopN(c.n - i - 1)
+					return n, true
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // drainFrag runs a fragment to completion on its runtime, stalling on gaps.
-func drainFrag(t *testing.T, rt *Runtime, f *Fragment) {
+func drainFrag(t testing.TB, rt *Runtime, f *Fragment) {
 	t.Helper()
 	for !f.Done() {
 		n, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
@@ -32,7 +33,7 @@ func drainFrag(t *testing.T, rt *Runtime, f *Fragment) {
 
 // runChainsUpTo executes (in dependency order) every chain needed before
 // the named chain is C-schedulable.
-func runChainsUpTo(t *testing.T, rt *Runtime, target string) *plan.Chain {
+func runChainsUpTo(t testing.TB, rt *Runtime, target string) *plan.Chain {
 	t.Helper()
 	var tc *plan.Chain
 	for _, c := range IteratorOrder(rt.Dec) {
@@ -358,10 +359,10 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 	}
 }
 
-// refProcessBatch is ProcessBatch for a temp-fed, build-terminated fragment
-// driven one tuple at a time, with every probe step's table looked up, every
-// key probed and every output sunk on its own: the per-tuple reference the
-// chunked probe path must agree with.
+// refProcessBatch is ProcessBatch for a temp-fed fragment driven one tuple
+// at a time, with every probe step's table looked up, every key probed and
+// every output sunk on its own: the per-tuple reference the chunked probe
+// path must agree with.
 func refProcessBatch(f *Fragment, max int) (int, bool) {
 	if f.done {
 		return 0, false
@@ -392,9 +393,26 @@ func refProcessBatch(f *Fragment, max int) (int, bool) {
 	return n, false
 }
 
-// refSinkTuple delivers one output of a build-terminated fragment the
-// per-tuple way: one reservation, one hash-table insert and one move charge.
+// refSinkTuple delivers one output the per-tuple way. Into a build: one
+// reservation, one hash-table insert and one move charge. Into a temp: a
+// move charge and an append. Into the output: the row is counted and, for
+// a Sink, scattered by hand into the full-width row at Dec.LiveAt.
 func refSinkTuple(f *Fragment, out relation.Tuple) bool {
+	switch f.Term {
+	case TermTemp:
+		f.rt.Costs.ChargeMove()
+		f.Temp.Append(out)
+		f.rt.CountMaterialized(1)
+		return true
+	case TermOutput:
+		if row := f.rt.emitOutput(); row != nil {
+			for j, p := range f.rt.Dec.LiveAt {
+				row[p] = out[j]
+			}
+			f.rt.stream(row)
+		}
+		return true
+	}
 	ts := f.rt.table(f.Chain.BuildsFor)
 	if !f.rt.Mem.Reserve(ts.holder, int64(f.rt.Cfg.Params.TupleSize)) {
 		return false
@@ -405,11 +423,14 @@ func refSinkTuple(f *Fragment, out relation.Tuple) bool {
 	return true
 }
 
-// refSink sinks outputs tuple by tuple, stranding the rest at an overflow.
+// refSink sinks outputs tuple by tuple, stranding copies of the rest at an
+// overflow.
 func refSink(f *Fragment, outs []relation.Tuple) bool {
 	for i, out := range outs {
 		if !refSinkTuple(f, out) {
-			f.strand(outs[i:])
+			for _, o := range outs[i:] {
+				f.pending = append(f.pending, slices.Clone(o))
+			}
 			return false
 		}
 	}
@@ -427,26 +448,30 @@ func refRetry(f *Fragment) bool {
 	return true
 }
 
-// refApplyTuple is applyTuple probing key by key.
+// refApplyTuple is the row cascade the index cascade replaced: each step
+// probes key by key through Probe and Matches.Next, the probe key found by
+// name in the row's schema, and each result row is built by hand as the
+// probing row followed by the match. It charges what Fragment.probe does,
+// in one clock addition.
 func refApplyTuple(f *Fragment, t relation.Tuple) []relation.Tuple {
 	costs := &f.rt.Costs
 	d := costs.MoveT
 	if f.QueueInput {
 		d += costs.ReceiveT
 	}
-	var arena relation.Arena
-	cur, next := []relation.Tuple{t}, []relation.Tuple(nil)
-	for _, s := range f.steps {
+	cur := []relation.Tuple{t}
+	for k, s := range f.steps {
 		ht := f.rt.table(s.join).ht
-		next = next[:0]
-		matches := 0
+		key := inputSchemaAt(f.Chain, f.FromStep+k).MustIndexOf(s.join.ProbeKey)
+		var next []relation.Tuple
 		for _, u := range cur {
-			var k int
-			next, k = ht.ProbeConcat(next, u, u[s.probeIdx], &arena)
-			matches += k
+			m := ht.Probe(u[key])
+			for b := m.Next(); b != nil; b = m.Next() {
+				next = append(next, append(slices.Clone(u), b...))
+			}
 		}
-		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(matches)*costs.ResultT
-		cur, next = next, cur
+		d += time.Duration(len(cur))*costs.ProbeT + time.Duration(len(next))*costs.ResultT
+		cur = next
 		if len(cur) == 0 {
 			break
 		}

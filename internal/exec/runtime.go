@@ -148,31 +148,30 @@ func (rt *Runtime) EstBuildBytes(c *plan.Chain) int64 {
 	return int64(c.Root().EstRows) * int64(rt.Cfg.Params.TupleSize)
 }
 
-// buildInsert adds a run of tuples to a join's table with one memory
-// reservation and one bulk hash-table append, returning how many tuples
-// made it in. When the single reservation fails — the grant is nearly
-// exhausted — it falls back to tuple-at-a-time reservation to find the
-// exact overflow boundary inserting one tuple at a time finds; memory
-// accounting (including the peak) is identical either way because the
-// reservations sum to the same total with no interleaved releases.
-func (rt *Runtime) buildInsert(state *tableState, ts []relation.Tuple) int {
+// buildRows makes room for n rows of width w in a join's table and returns
+// the storage of the k rows that made it in, row after row, for the caller
+// to gather into before the table is probed. One memory reservation covers
+// the run; when it fails — the grant is nearly exhausted — it falls back to
+// one reservation per row to find the exact overflow boundary inserting one
+// row at a time finds; memory accounting (including the peak) is identical
+// either way because the reservations sum to the same total with no
+// interleaved releases, and filling the rows touches neither the grant nor
+// the clock.
+func (rt *Runtime) buildRows(state *tableState, w, n int) ([]int64, int) {
 	if state.complete {
 		panic(fmt.Sprintf("exec: insert into completed table of J%d", state.join.ID))
 	}
-	n := int64(rt.Cfg.Params.TupleSize)
-	if rt.Mem.Reserve(state.holder, n*int64(len(ts))) {
-		state.ht.InsertBatch(ts)
-		state.rows += int64(len(ts))
-		return len(ts)
-	}
-	for i, t := range ts {
-		if !rt.Mem.Reserve(state.holder, n) {
-			return i
+	b := int64(rt.Cfg.Params.TupleSize)
+	k := n
+	if !rt.Mem.Reserve(state.holder, b*int64(n)) {
+		for k = 0; k < n && rt.Mem.Reserve(state.holder, b); k++ {
 		}
-		state.ht.Insert(t)
-		state.rows++
 	}
-	return len(ts)
+	if k == 0 {
+		return nil, 0
+	}
+	state.rows += int64(k)
+	return state.ht.Extend(w, k), k
 }
 
 // maxReserveRows caps pre-size hints so a wildly skewed estimate (or a hint
@@ -209,8 +208,10 @@ func (rt *Runtime) releaseTable(ts *tableState) {
 	rt.Mem.Release(ts.holder, rt.Mem.Held(ts.holder))
 	ts.released = true
 	// The table's storage goes back to the pool right away: nothing aliases
-	// it (probe results are copied into the cascade arena), so a query the
-	// server admits later in this run may be handed it.
+	// it (a slot's results are entry indices its sink gathers before the
+	// next probe, and stranded rows are gathered into their fragment's
+	// pending arena), so a query the server admits later in this run may be
+	// handed it.
 	rt.Med.scratch.putTable(ts.ht)
 	ts.ht = nil
 }
@@ -332,13 +333,13 @@ func (rt *Runtime) reclaim(s *scratch) {
 	rt.frags = nil
 }
 
-// emitOutput accounts one result tuple, a row of the output's Live width,
-// leaving the engine: the output count, the first-tuple time and
-// power-of-two timeline milestones, and streaming delivery to the
-// configured sink, which sees the tuple at the virtual instant it was
-// produced, widened to the output's full schema with zero at every
-// position the plan never reads.
-func (rt *Runtime) emitOutput(out relation.Tuple) {
+// emitOutput accounts one result row leaving the engine: the output count,
+// the first-tuple time and power-of-two timeline milestones. It returns the
+// full-width row to hand the configured sink — the caller writes the row's
+// live values at Dec.LiveAt, leaving zero at every position the plan never
+// reads, and passes it to stream — or nil without a sink, so a result no
+// sink sees is never gathered.
+func (rt *Runtime) emitOutput() relation.Tuple {
 	rt.outputRows++
 	if n := rt.outputRows; n&(n-1) == 0 { // power of two: milestone tuple
 		now := rt.Clock.Now()
@@ -351,16 +352,20 @@ func (rt *Runtime) emitOutput(out relation.Tuple) {
 			rt.Trace.Add(now, sim.EvFirstTuple, "first result tuple delivered")
 		}
 	}
-	if rt.Cfg.Stream != nil {
-		if rt.sinkRow == nil {
-			rt.sinkRow = make(relation.Tuple, rt.Root.Schema.Width())
-		}
-		for i, p := range rt.Dec.LiveAt {
-			rt.sinkRow[p] = out[i]
-		}
-		rt.Med.Work.ValuesCopied += int64(len(rt.Dec.LiveAt))
-		rt.Cfg.Stream.Emit(rt.Clock.Now(), rt.sinkRow)
+	if rt.Cfg.Stream == nil {
+		return nil
 	}
+	if rt.sinkRow == nil {
+		rt.sinkRow = make(relation.Tuple, rt.Root.Schema.Width())
+	}
+	return rt.sinkRow
+}
+
+// stream hands the configured sink its row, which the caller filled, at
+// the virtual instant the row was produced.
+func (rt *Runtime) stream(row relation.Tuple) {
+	rt.Med.Work.ValuesCopied += int64(len(rt.Dec.LiveAt))
+	rt.Cfg.Stream.Emit(rt.Clock.Now(), row)
 }
 
 // timeline snapshots the milestone record for Result.

@@ -8,7 +8,6 @@ import (
 	"dqs/internal/comm"
 	"dqs/internal/mem"
 	"dqs/internal/operator"
-	"dqs/internal/relation"
 	"dqs/internal/sim"
 )
 
@@ -36,14 +35,13 @@ import (
 //
 // A scratch is NOT safe for concurrent use: it serves one mediator at a time.
 type scratch struct {
-	queues pool[*comm.Queue]
-	tables pool[*operator.HashTable]
-	temps  pool[pooledTemp] // temp relations with their storage, best-fit by arena
-	ints   pool[[]int64]    // join-network arenas
-	tuples pool[[]relation.Tuple]
-	bools  pool[[]bool]
-	times  pool[[]time.Duration] // stream schedules and wrapper staging, best-fit
-	rngs   pool[*sim.RNG]
+	queues  pool[*comm.Queue]
+	tables  pool[*operator.HashTable]
+	temps   pool[pooledTemp] // temp relations with their storage, best-fit by arena
+	indices pool[[]int32]    // join-network match lists
+	bools   pool[[]bool]
+	times   pool[[]time.Duration] // stream schedules and wrapper staging, best-fit
+	rngs    pool[*sim.RNG]
 
 	// cascade is the running fragment's execution state (see cascade).
 	cascade cascade
@@ -147,8 +145,7 @@ func (s *scratch) settle() {
 	s.queues.settle()
 	s.tables.settle()
 	s.temps.settle()
-	s.ints.settle()
-	s.tuples.settle()
+	s.indices.settle()
 	s.bools.settle()
 	s.times.settle()
 	s.rngs.settle()
@@ -184,21 +181,12 @@ func putScratch(s *scratch) {
 
 // The slice pools, one per element type: each get returns a recycled
 // length-zero slice (nil when the pool is empty), each put reclaims one; the
-// exported ones are those source.Recycler needs. The int64 arenas back
-// join-network scratch tuples (temp relations have their own pool, below);
-// tuples are the join network's match headers, bools wrapper staging.
-func (s *scratch) getInts() []int64            { return s.ints.pop() }
-func (s *scratch) putInts(b []int64)           { putSlice(&s.ints, b) }
-func (s *scratch) getTuples() []relation.Tuple { return s.tuples.pop() }
-func (s *scratch) GetBools() []bool            { return s.bools.pop() }
-func (s *scratch) PutBools(b []bool)           { putSlice(&s.bools, b) }
-
-// putTuples reclaims a tuple-header scratch slice. The headers are cleared
-// so pooled slices don't pin tuple storage from finished runs.
-func (s *scratch) putTuples(b []relation.Tuple) {
-	clear(b[:cap(b)])
-	putSlice(&s.tuples, b)
-}
+// exported ones are those source.Recycler needs. Indices are the join
+// network's match lists, bools wrapper staging.
+func (s *scratch) getIndices() []int32  { return s.indices.pop() }
+func (s *scratch) putIndices(b []int32) { putSlice(&s.indices, b) }
+func (s *scratch) GetBools() []bool     { return s.bools.pop() }
+func (s *scratch) PutBools(b []bool)    { putSlice(&s.bools, b) }
 
 // pooledTemp is a reclaimed temp relation and its arena's capacity.
 type pooledTemp struct {

@@ -41,45 +41,33 @@ type TupleSource interface {
 // chunk is one popped run of a fragment's input: the popped rows' columns,
 // at the input node's Live width, and a per-slot pass mask — a wrapper's
 // pushdown filter, all true for a temp, which stores only passing slots. A
-// passing slot is read into one reused row.
+// passing slot's values are read in place, from its columns.
 type chunk struct {
 	n    int
 	cols relation.Batch
 	pass []bool
-	buf  relation.Tuple
-}
-
-// reset empties the chunk for rows of the given width.
-func (c *chunk) reset(width int) {
-	c.cols.Reset(width)
-	c.buf = sized(c.buf, width)
 }
 
 // keys returns the chunk's values of column col.
 func (c *chunk) keys(col int) []int64 { return c.cols.Col(col) }
 
-// row returns slot i of the chunk read into the reused row, valid only until
-// the next call, or nil for a slot the wrapper's pushdown filtered.
-func (c *chunk) row(i int) relation.Tuple {
-	if !c.pass[i] {
-		return nil
-	}
-	return c.cols.Row(i, c.buf)
-}
-
 // cascade is the execution state of whichever fragment is running on a
 // mediator: the chunk its input popped, the first probe step's chain heads
-// for that chunk, the tuple headers of the probe cascade and the arena
-// backing the concatenated rows. The mediator's DQP runs one fragment's
-// batch at a time, and a batch drains or unpops its chunk and sinks or
-// strands (copies) every output before it yields, so one cascade per
-// mediator serves every fragment of every query on it. It lives in the
-// mediator's scratch, so its grown storage carries over to the next run.
+// for that chunk, and the probe cascade's index buffers — one slot's
+// results as build-entry indices (ents, with next the step being built), a
+// later step's probe keys and their chain heads (subs), and one chain's
+// walk. A result row is never built here: the terminal gathers it from the
+// chunk and the tables. The mediator's DQP runs one fragment's batch at a
+// time, and a batch drains or unpops its chunk and sinks or strands
+// (gathers) every result before it yields, so one cascade per mediator
+// serves every fragment of every query on it. It lives in the mediator's
+// scratch, so its grown storage carries over to the next run.
 type cascade struct {
-	ch        chunk
-	heads     []int32
-	cur, next []relation.Tuple
-	arena     relation.Arena
+	ch         chunk
+	heads      []int32
+	ents, next []int32
+	keys       []int64
+	subs, walk []int32
 }
 
 // queueSource adapts a wrapper queue plus its producing source, and points
@@ -101,9 +89,7 @@ func (s *queueSource) NextArrival() (time.Duration, bool) { return s.q.NextArriv
 // nothing has arrived.
 func (s *queueSource) pop(c *chunk, now time.Duration, max int) {
 	c.pass = sized(c.pass, min(max, s.q.Capacity()))
-	if c.n = s.q.PopColsN(now, &c.cols, c.pass); c.n > 0 {
-		c.buf = sized(c.buf, s.q.Width())
-	}
+	c.n = s.q.PopColsN(now, &c.cols, c.pass)
 }
 
 func (s *queueSource) Credit(now time.Duration) { s.q.Credit(now) }
@@ -123,7 +109,7 @@ type tempSource struct{ *mem.Reader }
 func (tempSource) Credit(time.Duration) {}
 
 func (s tempSource) pop(c *chunk, now time.Duration, max int) {
-	c.reset(s.Width())
+	c.cols.Reset(s.Width())
 	c.n = s.Pop(now, &c.cols, max)
 	c.pass = sized(c.pass, c.n)
 	for i := range c.pass {

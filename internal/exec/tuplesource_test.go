@@ -92,7 +92,7 @@ func readTemp(rt *Runtime, temp *mem.Temp) (rows []relation.Tuple) {
 			rt.Clock.Stall(next)
 		}
 		for i := 0; i < c.n; i++ {
-			rows = append(rows, slices.Clone(c.row(i)))
+			rows = append(rows, c.cols.Row(i, make(relation.Tuple, c.cols.Width())))
 		}
 	}
 	return rows

@@ -187,30 +187,41 @@ func (t *Temp) pageVals() int { return t.store.perPage * t.width }
 func (t *Temp) Pages() int { return len(t.pageDone) }
 
 // Append adds one row of the temp's width, copying it into the arena;
-// the caller's backing array may be reused afterwards. When a page fills
-// up, its write is issued asynchronously: the caller's CPU is charged the
-// I/O-issue cost, the disk timeline absorbs the transfer, and the completion
-// time is recorded so readers never see a page before it is durable.
+// the caller's backing array may be reused afterwards.
 func (t *Temp) Append(tup relation.Tuple) {
-	if t.closed {
-		panic(fmt.Sprintf("mem: append to closed temp %q", t.name))
-	}
 	if len(tup) != t.width {
 		panic(fmt.Sprintf("mem: width-%d tuple appended to temp %q of width %d", len(tup), t.name, t.width))
+	}
+	vals, stride := t.Slot()
+	for c, v := range tup {
+		vals[c*stride] = v
+	}
+}
+
+// Slot appends one row of the temp's width with its values unset and
+// returns where they go: value c of the row is vals[c*stride], in the
+// current page's column c. The caller fills the row before the temp is
+// read, so a gathered row is written into the page columns once. When the
+// page fills up, its write is issued asynchronously: the caller's CPU is
+// charged the I/O-issue cost, the disk timeline absorbs the transfer, and
+// the completion time is recorded so readers never see a page before it is
+// durable.
+func (t *Temp) Slot() (vals []int64, stride int) {
+	if t.closed {
+		panic(fmt.Sprintf("mem: append to closed temp %q", t.name))
 	}
 	if t.inPage == 0 {
 		t.data = slices.Grow(t.data, t.pageVals())[:len(t.data)+t.pageVals()]
 	}
-	at := len(t.data) - t.pageVals() + t.inPage
-	for _, v := range tup {
-		t.data[at] = v
-		at += t.store.perPage
+	if t.width > 0 { // a width-0 row has no values to place
+		vals = t.data[len(t.data)-t.pageVals()+t.inPage:]
 	}
 	t.nrows++
 	t.inPage++
 	if t.inPage == t.store.perPage {
 		t.flushPage()
 	}
+	return vals, t.store.perPage
 }
 
 func (t *Temp) flushPage() {

@@ -19,15 +19,21 @@ import (
 // probes replay matches exactly as a map[int64][]Tuple of append-order slices
 // would — the property the deterministic golden figures rely on.
 //
+// The engine probes to entry indices, not rows: Heads resolves a run of
+// keys to chain heads (Head one key), Chain walks a chain into a flat index
+// list and Entry reads an entry's values in place, so a probe result is
+// copied only where something stores it. Extend hands a caller the storage
+// of new entries to write its rows straight into.
+//
 // Inserts only append: the tuple goes to the arena and its chain link is
-// pending. The first probe after any inserts (Probe, ProbeConcat,
-// ProbeConcatRev, Heads or DistinctKeys) links every pending entry into the
-// bucket array — one 16-byte {key, head, tail} record per distinct key — in
-// one tight pass, in insertion order, so the bucket misses of a build overlap
-// instead of each insert waiting on its own. Because a probe
-// may link, a table's probes must stay on one goroutine (or follow one that
-// already linked it). Steady-state inserts and probes do not allocate; growth
-// is geometric and amortized.
+// pending. The first probe after any inserts (Head, Heads, Probe,
+// ProbeConcat or DistinctKeys) links every pending entry into the bucket
+// array — one 16-byte {key, head, tail} record per distinct key — in one
+// tight pass, in insertion order, so the bucket misses of a build overlap
+// instead of each insert waiting on its own. Because a probe may link, a
+// table's probes must stay on one goroutine (or follow one that already
+// linked it). Steady-state inserts and probes do not allocate; growth is
+// geometric and amortized.
 type HashTable struct {
 	keyIdx int
 	width  int     // tuple width, fixed by the first insert (-1 = unset)
@@ -141,15 +147,7 @@ func (h *HashTable) rehash(n int) {
 // Insert appends one build tuple, copying its values into the table's arena;
 // the caller's backing array may be reused afterwards. The entry joins its
 // key's chain at the next probe.
-func (h *HashTable) Insert(t relation.Tuple) {
-	if h.width < 0 {
-		h.width = len(t)
-	} else if len(t) != h.width {
-		panic(fmt.Sprintf("operator: tuple width %d inserted into width-%d table", len(t), h.width))
-	}
-	h.arena = append(h.arena, t...)
-	h.next = append(h.next, -1)
-}
+func (h *HashTable) Insert(t relation.Tuple) { copy(h.Extend(len(t), 1), t) }
 
 // InsertBatch adds a run of build tuples, equivalent to calling Insert per
 // element but growing the entry storage once for the whole run.
@@ -157,18 +155,35 @@ func (h *HashTable) InsertBatch(ts []relation.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
-	if h.width < 0 {
-		h.width = len(ts[0])
+	w := len(ts[0])
+	dst := h.Extend(w, len(ts))
+	for i, t := range ts {
+		if len(t) != w {
+			panic(fmt.Sprintf("operator: tuple width %d inserted into width-%d table", len(t), w))
+		}
+		copy(dst[i*w:], t)
 	}
-	if need := len(h.arena) + len(ts)*h.width; cap(h.arena) < need {
+}
+
+// Extend appends n entries of the given width and returns their storage,
+// n*width values row after row, which the caller fills before the table's
+// next probe: the entries join their keys' chains there. The first Extend
+// or insert fixes the table's width.
+func (h *HashTable) Extend(width, n int) []int64 {
+	if h.width < 0 {
+		h.width = width
+	} else if width != h.width {
+		panic(fmt.Sprintf("operator: tuple width %d inserted into width-%d table", width, h.width))
+	}
+	off, need := len(h.arena), len(h.arena)+n*width
+	if cap(h.arena) < need {
 		h.arena = growTo(h.arena, need)
 	}
-	if need := len(h.next) + len(ts); cap(h.next) < need {
-		h.next = growTo(h.next, need)
+	h.arena = h.arena[:need]
+	for range n {
+		h.next = append(h.next, -1)
 	}
-	for _, t := range ts {
-		h.Insert(t)
-	}
+	return h.arena[off:need:need]
 }
 
 // growTo reallocates s to hold at least need elements, doubling so repeated
@@ -234,11 +249,17 @@ func (m *Matches) Next() relation.Tuple {
 	if m.h == nil || m.idx < 0 {
 		return nil
 	}
-	h := m.h
-	off := int(m.idx) * h.width
-	t := relation.Tuple(h.arena[off : off+h.width : off+h.width])
-	m.idx = h.next[m.idx]
+	t := m.h.Entry(m.idx)
+	m.idx = m.h.next[m.idx]
 	return t
+}
+
+// Entry returns entry e's values. The tuple aliases the table's arena:
+// callers must not mutate it, and it stays valid until the table's next
+// Extend or insert.
+func (h *HashTable) Entry(e int32) relation.Tuple {
+	off := int(e) * h.width
+	return relation.Tuple(h.arena[off : off+h.width : off+h.width])
 }
 
 // Probe returns an iterator over the build tuples matching key, in insertion
@@ -247,10 +268,12 @@ func (h *HashTable) Probe(key int64) Matches {
 	return Matches{h: h, idx: h.head(key, hashKey(key))}
 }
 
-// head returns the first entry of key's chain, -1 when the key is absent,
-// given hashKey(key). It and probeConcatRevHashed take the hash only for
-// partition.go, which hashes once to route — residue kept for bench/; fold
-// them back with the next [benchmark] PR.
+// Head returns the first entry matching key, -1 when none does.
+func (h *HashTable) Head(key int64) int32 { return h.head(key, hashKey(key)) }
+
+// head is Head given hashKey(key). It and ConcatChain take the hash or the
+// head only for partition.go, which hashes once to route — residue kept for
+// bench/; fold them back with the next [benchmark] PR.
 func (h *HashTable) head(key int64, hash uint64) int32 {
 	h.linkPending()
 	if h.used == 0 {
@@ -265,10 +288,9 @@ func (h *HashTable) head(key int64, hash uint64) int32 {
 }
 
 // Heads resolves the chains of a run of probe keys in one pass: heads[i]
-// becomes the first entry matching keys[i], -1 when none does, for
-// ConcatChain. Resolving a whole chunk before walking any chain lets the
-// bucket misses of neighbouring keys overlap. heads must be at least as long
-// as keys.
+// becomes the first entry matching keys[i], -1 when none does, for Chain.
+// Resolving a whole run before walking any chain lets the bucket misses of
+// neighbouring keys overlap. heads must be at least as long as keys.
 func (h *HashTable) Heads(keys []int64, heads []int32) {
 	heads = heads[:len(keys)]
 	h.linkPending()
@@ -289,10 +311,21 @@ func (h *HashTable) Heads(keys []int64, heads []int32) {
 	}
 }
 
+// Chain appends the entries of the chain that starts at head (a Head or
+// Heads result; -1 is the empty chain) to dst, in insertion order, and
+// returns the extended slice.
+func (h *HashTable) Chain(dst []int32, head int32) []int32 {
+	for e := head; e >= 0; e = h.next[e] {
+		dst = append(dst, e)
+	}
+	return dst
+}
+
 // ProbeConcat walks the matches of key in insertion order, appending
 // prefix++match for each to dst (backed by arena), and returns the extended
-// slice plus the match count. It is the probe cascade's inner loop with the
-// iterator hop and per-match call overhead flattened away.
+// slice plus the match count. It and ConcatChain stay only because bench/
+// probes a PartitionedHashTable with them — remove with the next
+// [benchmark] PR.
 func (h *HashTable) ProbeConcat(dst []relation.Tuple, prefix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int) {
 	return h.ConcatChain(dst, prefix, h.head(key, hashKey(key)), arena)
 }
@@ -301,29 +334,7 @@ func (h *HashTable) ProbeConcat(dst []relation.Tuple, prefix relation.Tuple, key
 func (h *HashTable) ConcatChain(dst []relation.Tuple, prefix relation.Tuple, head int32, arena *relation.Arena) ([]relation.Tuple, int) {
 	n := 0
 	for idx := head; idx >= 0; idx = h.next[idx] {
-		off := int(idx) * h.width
-		m := relation.Tuple(h.arena[off : off+h.width : off+h.width])
-		dst = append(dst, arena.Concat(prefix, m))
-		n++
-	}
-	return dst, n
-}
-
-// ProbeConcatRev is ProbeConcat with the concatenation order flipped:
-// match++suffix. The symmetric-join network needs both orders because the
-// result schema is always probe-side ++ build-side regardless of which side
-// the arriving tuple came from.
-func (h *HashTable) ProbeConcatRev(dst []relation.Tuple, suffix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int) {
-	return h.probeConcatRevHashed(dst, suffix, key, hashKey(key), arena)
-}
-
-// probeConcatRevHashed is ProbeConcatRev given hashKey(key).
-func (h *HashTable) probeConcatRevHashed(dst []relation.Tuple, suffix relation.Tuple, key int64, hash uint64, arena *relation.Arena) ([]relation.Tuple, int) {
-	n := 0
-	for idx := h.head(key, hash); idx >= 0; idx = h.next[idx] {
-		off := int(idx) * h.width
-		m := relation.Tuple(h.arena[off : off+h.width : off+h.width])
-		dst = append(dst, arena.Concat(m, suffix))
+		dst = append(dst, arena.Concat(prefix, h.Entry(idx)))
 		n++
 	}
 	return dst, n

@@ -45,9 +45,11 @@ var joinKernelMatches int
 // which the 4 096-row builds here cannot: a J2-shaped build — 120 K width-5
 // rows keyed over a 144 K domain, like full-scale Figure 5's A⋈E built on
 // A.k2 — inserted in 256-row batches and linked by its first probe, then
-// 150 K probe keys resolved 256 at a time with Heads and walked with
-// ConcatChain into a per-chunk arena, the shape of a temp-fed fragment's
-// chunk. ns/tuple divides by build rows plus probe keys.
+// 150 K probe keys resolved 256 at a time with Heads, each chain walked to
+// entry indices with Chain and every match gathered once, behind a width-3
+// probe row, straight into a destination table's Extend storage: the
+// engine's path from a temp-fed fragment's chunk into its build terminal.
+// ns/tuple divides by build rows plus probe keys.
 func BenchmarkJoinKernel(b *testing.B) {
 	const buildRows, probeKeys, domain, chunk = 120_000, 150_000, 144_000, 256
 	rng := rand.New(rand.NewSource(1))
@@ -61,30 +63,32 @@ func BenchmarkJoinKernel(b *testing.B) {
 	}
 	prefix := relation.Tuple{0, 0, 0}
 	heads := make([]int32, chunk)
-	var arena relation.Arena
-	var out []relation.Tuple
-	h := NewHashTable(2)
+	var ents []int32
+	h, dst := NewHashTable(2), NewHashTable(0)
+	const w = 3 + 5
 	join := func() int {
 		h.Reset()
 		h.Reserve(len(build[0]), buildRows)
 		for j := 0; j < buildRows; j += chunk {
 			h.InsertBatch(build[j:min(j+chunk, buildRows)])
 		}
-		matches := 0
+		dst.Reset()
+		dst.Reserve(w, buildRows)
 		for j := 0; j < probeKeys; j += chunk {
 			run := keys[j:min(j+chunk, probeKeys)]
 			h.Heads(run, heads)
-			arena.Reset()
-			out = out[:0]
-			for _, head := range heads[:len(run)] {
-				var k int
-				out, k = h.ConcatChain(out, prefix, head, &arena)
-				matches += k
+			for i, head := range heads[:len(run)] {
+				prefix[0] = run[i]
+				ents = h.Chain(ents[:0], head)
+				rows := dst.Extend(w, len(ents))
+				for r, e := range ents {
+					copy(rows[r*w+copy(rows[r*w:], prefix):], h.Entry(e))
+				}
 			}
 		}
-		return matches
+		return int(dst.Rows())
 	}
-	join() // grow the table, arena and match buffer: time the steady state
+	join() // grow the table, destination and index list: time the steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

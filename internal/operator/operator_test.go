@@ -115,14 +115,13 @@ type probeTable interface {
 	InsertBatch([]relation.Tuple)
 	Probe(key int64) Matches
 	ProbeConcat(dst []relation.Tuple, prefix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int)
-	ProbeConcatRev(dst []relation.Tuple, suffix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int)
 	Rows() int64
 	DistinctKeys() int
 	Reset()
 }
 
-// concatAll returns a++m++b for every match m, in order: the expected
-// output of ProbeConcat (a = prefix) and ProbeConcatRev (b = suffix).
+// concatAll returns a++m++b for every match m, in order: with b nil, the
+// expected output of ProbeConcat (a = prefix).
 func concatAll(a relation.Tuple, ms []relation.Tuple, b relation.Tuple) []relation.Tuple {
 	var out []relation.Tuple
 	for _, m := range ms {
@@ -134,7 +133,7 @@ func concatAll(a relation.Tuple, ms []relation.Tuple, b relation.Tuple) []relati
 // TestHashTableDifferentialVsMap drives the flat table, and the partitioned
 // one at 1 and 4 parts, through randomized interleavings of Reserve, Insert,
 // InsertBatch, Reset, Recycle and every probe entry point — Probe,
-// ProbeConcat, ProbeConcatRev, Heads with ConcatChain, DistinctKeys — against
+// ProbeConcat, Head, Heads with Chain, Entry and ConcatChain, DistinctKeys — against
 // the map-based model, and requires identical results, including insertion
 // order: the ordering the deterministic golden figures rely on. Every probe
 // links what was inserted since the previous one; odd trials alternate one
@@ -182,9 +181,6 @@ func TestHashTableDifferentialVsMap(t *testing.T) {
 			if got, n := tab.ProbeConcat(nil, fix, k, &arena); n != len(want) || !reflect.DeepEqual(got, concatAll(fix, want, nil)) {
 				t.Fatalf("trial %d op %d: ProbeConcat(%d) = %v", trial, op, k, got)
 			}
-			if got, n := tab.ProbeConcatRev(nil, fix, k, &arena); n != len(want) || !reflect.DeepEqual(got, concatAll(nil, want, fix)) {
-				t.Fatalf("trial %d op %d: ProbeConcatRev(%d) = %v", trial, op, k, got)
-			}
 			if flat == nil {
 				return
 			}
@@ -195,6 +191,16 @@ func TestHashTableDifferentialVsMap(t *testing.T) {
 				want := ref.Probe(key)
 				if got, n := flat.ConcatChain(nil, fix, heads[i], &arena); n != len(want) || !reflect.DeepEqual(got, concatAll(fix, want, nil)) {
 					t.Fatalf("trial %d op %d: Heads/ConcatChain(%d) = %v", trial, op, key, got)
+				}
+				if h := flat.Head(key); h != heads[i] {
+					t.Fatalf("trial %d op %d: Head(%d) = %d, Heads says %d", trial, op, key, h, heads[i])
+				}
+				var got []relation.Tuple
+				for _, e := range flat.Chain(nil, heads[i]) {
+					got = append(got, flat.Entry(e))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d op %d: Heads/Chain/Entry(%d) = %v, want %v", trial, op, key, got, want)
 				}
 			}
 		}

@@ -156,15 +156,6 @@ func (h *PartitionedHashTable) ProbeConcat(dst []relation.Tuple, prefix relation
 	return p.ConcatChain(dst, prefix, p.head(key, hash), arena)
 }
 
-// ProbeConcatRev is HashTable.ProbeConcatRev routed to the key's partition.
-func (h *PartitionedHashTable) ProbeConcatRev(dst []relation.Tuple, suffix relation.Tuple, key int64, arena *relation.Arena) ([]relation.Tuple, int) {
-	if h.single != nil {
-		return h.single.ProbeConcatRev(dst, suffix, key, arena)
-	}
-	hash := hashKey(key)
-	return h.parts[hash>>h.shift].probeConcatRevHashed(dst, suffix, key, hash, arena)
-}
-
 // Rows returns the number of inserted tuples across all partitions.
 func (h *PartitionedHashTable) Rows() int64 {
 	var n int64

@@ -114,8 +114,9 @@ func TestHashTableReserveIgnoresNonPositiveSizes(t *testing.T) {
 }
 
 // TestProbeConcatCascadeDoesNotAllocate pins the per-probe-hit allocation
-// fix: a warm probe cascade — ProbeConcat/ProbeConcatRev building
-// concatenated results through a recycled arena — runs allocation-free.
+// fix: a warm probe cascade — ProbeConcat building concatenated results
+// through a recycled arena, and Head/Chain walking matches into a recycled
+// index list that Extend gathers into another table — runs allocation-free.
 func TestProbeConcatCascadeDoesNotAllocate(t *testing.T) {
 	h := NewHashTable(0)
 	h.Reserve(2, 256)
@@ -125,10 +126,18 @@ func TestProbeConcatCascadeDoesNotAllocate(t *testing.T) {
 	var arena relation.Arena
 	buf := make([]relation.Tuple, 0, 64)
 	probe := relation.Tuple{3, 77}
+	var ents []int32
+	dst := NewHashTable(0)
 	cascade := func() {
 		arena.Reset()
 		buf, _ = h.ProbeConcat(buf[:0], probe, 3, &arena)
-		buf, _ = h.ProbeConcatRev(buf[:0], probe, 5, &arena)
+		ents = h.Chain(ents[:0], h.Head(5))
+		dst.Reset()
+		rows := dst.Extend(4, len(ents))
+		for i, e := range ents {
+			copy(rows[i*4:], probe)
+			copy(rows[i*4+2:], h.Entry(e))
+		}
 	}
 	cascade() // warm arena and match buffer capacity
 	if got := testing.AllocsPerRun(20, cascade); got != 0 {
