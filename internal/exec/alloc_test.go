@@ -15,7 +15,8 @@ import (
 // batch size, re-stranding the same volume of results gathers into recycled
 // storage instead of allocating per row.
 func TestStrandReusesPendingArena(t *testing.T) {
-	f := &Fragment{rt: &Runtime{Med: &Mediator{Work: &Work{}}}, width: 4}
+	scan := &plan.Node{Live: relation.NewSchema("R", "a", "b", "c", "d")}
+	f := &Fragment{rt: &Runtime{Med: &Mediator{Work: &Work{}}}, Chain: &plan.Chain{Scan: scan}}
 	var cs cascade
 	cs.ch.cols.Reset(4)
 	for i := range 32 {

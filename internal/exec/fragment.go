@@ -72,9 +72,6 @@ type Fragment struct {
 	leaf *symLeaf
 
 	steps []stepExec
-	// width is the width of the fragment's output rows: its input's Live
-	// width plus each step's build side's.
-	width int
 
 	// pending holds terminal-ready rows that could not be sunk because the
 	// memory grant was exhausted; they are retried on resume. They are
@@ -92,13 +89,12 @@ type Fragment struct {
 	superseded bool
 }
 
-// stepExec is one probe step of a fragment: its join, the join's table, and
-// where the step's probe key sits in a cascade result — column col of the
-// fragment's input row when src < 0, else column col of the entry that step
-// src matched. A join's Live is its probe's Live followed by its build's, so
+// stepExec is one probe step of a fragment: its join's table, and where the
+// step's probe key sits in a cascade result — column col of the fragment's
+// input row when src < 0, else column col of the entry that step src
+// matched. A join's Live is its probe's Live followed by its build's, so
 // every column of a row entering a step is one of these.
 type stepExec struct {
-	join     *plan.Node
 	table    *tableState
 	src, col int
 }
@@ -111,6 +107,10 @@ func inputSchemaAt(c *plan.Chain, i int) *relation.Schema {
 	}
 	return c.Joins[i-1].Live
 }
+
+// rowWidth is the width of the fragment's output rows: the Live width of
+// the rows leaving its last step.
+func (f *Fragment) rowWidth() int { return inputSchemaAt(f.Chain, f.ToStep).Width() }
 
 // fragmentSlabs returns how many fragments, and steps of theirs, a query of
 // decomposition dec reserves room for: per chain a plain fragment, an MF/CF
@@ -166,13 +166,12 @@ func (rt *Runtime) newFragment(c *plan.Chain, label string, fromStep, toStep int
 		src, col := -1, inputSchemaAt(c, fromStep+k).MustIndexOf(j.ProbeKey)
 		if col >= inWidth {
 			col -= inWidth
-			for src = 0; col >= steps[src].join.Build.Live.Width(); src++ {
-				col -= steps[src].join.Build.Live.Width()
+			for src = 0; col >= c.Joins[fromStep+src].Build.Live.Width(); src++ {
+				col -= c.Joins[fromStep+src].Build.Live.Width()
 			}
 		}
-		steps[k] = stepExec{join: j, table: rt.table(j), src: src, col: col}
+		steps[k] = stepExec{table: rt.table(j), src: src, col: col}
 	}
-	f.width = inputSchemaAt(c, toStep).Width()
 	if term == TermBuild {
 		f.build = rt.table(c.BuildsFor)
 	}
@@ -301,7 +300,7 @@ func (f *Fragment) Runnable(now time.Duration) bool {
 // that fills reads the clock; an output gathers a row only for a Sink.
 func (f *Fragment) sink(cs *cascade, i, n int) int {
 	costs, work := &f.rt.Costs, f.rt.Med.Work
-	w, per := f.width, len(f.steps)
+	w, per := f.rowWidth(), len(f.steps)
 	switch f.Term {
 	case TermBuild:
 		rows, k := f.rt.buildRows(f.build, w, n)
@@ -343,13 +342,13 @@ func (f *Fragment) retry(row relation.Tuple) bool {
 	if f.Term == TermJoinNet {
 		return f.rt.net.arrive(f.leaf.join, f.leaf.fromBuild, row, nil)
 	}
-	dst, k := f.rt.buildRows(f.build, f.width, 1)
+	dst, k := f.rt.buildRows(f.build, len(row), 1)
 	if k == 0 {
 		return false
 	}
 	copy(dst, row)
 	f.rt.Costs.ChargeMove()
-	f.rt.Med.Work.ValuesCopied += int64(f.width)
+	f.rt.Med.Work.ValuesCopied += int64(len(row))
 	return true
 }
 
@@ -452,7 +451,7 @@ func (f *Fragment) probe(cs *cascade, i int) int {
 func (f *Fragment) probeHeads(cs *cascade) {
 	for _, s := range f.steps {
 		if !s.table.complete {
-			panic(fmt.Sprintf("exec: %s probes incomplete table of J%d", f.Label, s.join.ID))
+			panic(fmt.Sprintf("exec: %s probes incomplete table of J%d", f.Label, s.table.join.ID))
 		}
 	}
 	cs.heads = sized(cs.heads, cs.ch.n)
@@ -478,13 +477,13 @@ func (f *Fragment) strand(cs *cascade, i, from, n int) {
 	if len(f.pending) == 0 {
 		f.pendArena.Reset()
 	}
-	per := len(f.steps)
+	w, per := f.rowWidth(), len(f.steps)
 	for r := from; r < n; r++ {
-		row := f.pendArena.Extend(f.width)
+		row := f.pendArena.Extend(w)
 		gather(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], row, 1)
 		f.pending = append(f.pending, row)
 	}
-	f.rt.Med.Work.ValuesCopied += int64((n - from) * f.width)
+	f.rt.Med.Work.ValuesCopied += int64((n - from) * w)
 }
 
 // ProcessBatch consumes up to max input tuples at the current virtual time,

@@ -460,9 +460,10 @@ func refApplyTuple(f *Fragment, t relation.Tuple) []relation.Tuple {
 		d += costs.ReceiveT
 	}
 	cur := []relation.Tuple{t}
-	for k, s := range f.steps {
-		ht := f.rt.table(s.join).ht
-		key := inputSchemaAt(f.Chain, f.FromStep+k).MustIndexOf(s.join.ProbeKey)
+	for i := f.FromStep; i < f.ToStep; i++ {
+		j := f.Chain.Joins[i]
+		ht := f.rt.table(j).ht
+		key := inputSchemaAt(f.Chain, i).MustIndexOf(j.ProbeKey)
 		var next []relation.Tuple
 		for _, u := range cur {
 			m := ht.Probe(u[key])

@@ -179,6 +179,9 @@ func (h *HashTable) Extend(width, n int) []int64 {
 	if cap(h.arena) < need {
 		h.arena = growTo(h.arena, need)
 	}
+	if cap(h.next) < len(h.next)+n {
+		h.next = growTo(h.next, len(h.next)+n)
+	}
 	h.arena = h.arena[:need]
 	for range n {
 		h.next = append(h.next, -1)
