@@ -300,9 +300,12 @@ func (f *Fragment) Runnable(now time.Duration) bool {
 // that fills reads the clock; an output gathers a row only for a Sink.
 func (f *Fragment) sink(cs *cascade, i, n int) int {
 	costs, work := &f.rt.Costs, f.rt.Med.Work
-	w, per := f.rowWidth(), len(f.steps)
+	per := len(f.steps)
 	switch f.Term {
 	case TermBuild:
+		// Reserve before charging so a failed insert costs nothing and can
+		// be retried when memory is freed.
+		w := f.rowWidth()
 		rows, k := f.rt.buildRows(f.build, w, n)
 		for r := range k {
 			gather(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], rows[r*w:(r+1)*w], 1)
@@ -317,7 +320,7 @@ func (f *Fragment) sink(cs *cascade, i, n int) int {
 			gather(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], vals, stride)
 		}
 		f.rt.CountMaterialized(int64(n))
-		work.ValuesCopied += int64(n * w)
+		work.ValuesCopied += int64(n * f.rowWidth())
 	case TermOutput:
 		for r := range n {
 			if row := f.rt.emitOutput(); row != nil {

@@ -274,9 +274,9 @@ func (h *HashTable) Probe(key int64) Matches {
 // Head returns the first entry matching key, -1 when none does.
 func (h *HashTable) Head(key int64) int32 { return h.head(key, hashKey(key)) }
 
-// head is Head given hashKey(key). It and ConcatChain take the hash or the
-// head only for partition.go, which hashes once to route — residue kept for
-// bench/; fold them back with the next [benchmark] PR.
+// head is Head given hashKey(key). It takes the hash only for
+// partition.go, which hashes once to route — residue kept for bench/; fold
+// it into Head with the next [benchmark] PR.
 func (h *HashTable) head(key int64, hash uint64) int32 {
 	h.linkPending()
 	if h.used == 0 {
