@@ -100,25 +100,6 @@ func cascadeCF(t *testing.T, aRoot bool, cfg Config) (*Runtime, *plan.Chain, *Fr
 	return rt, cA, mf
 }
 
-// drainBy runs a fragment to completion with process, ProcessBatch or a
-// reference driver, stalling on gaps.
-func drainBy(t *testing.T, rt *Runtime, f *Fragment, process func(*Fragment, int) (int, bool)) {
-	t.Helper()
-	for !f.Done() {
-		n, overflow := process(f, rt.Cfg.BatchTuples)
-		if overflow {
-			t.Fatalf("%s overflowed", f.Label)
-		}
-		if n == 0 && !f.Done() {
-			at, ok := f.NextArrival()
-			if !ok {
-				t.Fatalf("%s starved", f.Label)
-			}
-			rt.Clock.Stall(at)
-		}
-	}
-}
-
 // tableRows returns a table's entries in insertion order.
 func tableRows(rt *Runtime, j *plan.Node) []relation.Tuple {
 	ht := rt.table(j).ht

@@ -13,15 +13,19 @@ import (
 // drainFrag runs a fragment to completion on its runtime, stalling on gaps.
 func drainFrag(t testing.TB, rt *Runtime, f *Fragment) {
 	t.Helper()
+	drainBy(t, rt, f, (*Fragment).ProcessBatch)
+}
+
+// drainBy runs a fragment to completion with process, ProcessBatch or a
+// reference driver, stalling on gaps.
+func drainBy(t testing.TB, rt *Runtime, f *Fragment, process func(*Fragment, int) (int, bool)) {
+	t.Helper()
 	for !f.Done() {
-		n, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
+		n, overflow := process(f, rt.Cfg.BatchTuples)
 		if overflow {
 			t.Fatalf("%s overflowed", f.Label)
 		}
-		if f.Done() {
-			return
-		}
-		if n == 0 {
+		if n == 0 && !f.Done() {
 			at, ok := f.NextArrival()
 			if !ok {
 				t.Fatalf("%s starved with no arrivals", f.Label)
