@@ -72,11 +72,14 @@ type Queue struct {
 	size     int
 	capacity int
 
-	// debt counts slots handed out by PopColsN whose window slots have not
-	// been released by Credit yet. Their ring slots — the debt positions
-	// immediately before head — keep their contents so UnpopN can restore
-	// the tail of a batch the consumer could not process.
+	// debt counts popped slots whose window slots have not been released by
+	// Credit yet. Their ring slots — the debt positions immediately before
+	// head — keep their contents, so a borrowed view reads them and UnpopN
+	// can restore the tail of a batch the consumer could not process.
 	debt int
+	// rest counts the arrived slots at head that the last PopView would have
+	// taken but for the ring's end (see PopView).
+	rest int
 
 	// avail and replays count Available calls and Settle replays since the
 	// queue was built or Reset (see Work).
@@ -125,6 +128,7 @@ type Queue struct {
 	colw     int
 	cols     [][]int64
 	pass     []bool
+	shim     [][]int64 // PopColsN's views
 	est      rateEstimator
 	// rate is the CM's change-detection state of this wrapper: baseline
 	// and standing verdict (see Manager).
@@ -234,6 +238,7 @@ func (q *Queue) Reset(name string) {
 	q.head = 0
 	q.size = 0
 	q.debt = 0
+	q.rest = 0
 	q.arrived = 0
 	q.arrivedAt = 0
 	q.producer, q.bulk = nil, nil
@@ -415,44 +420,72 @@ func (q *Queue) NextArrival() (time.Duration, bool) {
 	return q.arrivals[q.head], true
 }
 
-// PopColsN bulk-moves up to len(pass) arrived slots into dst and the
-// per-slot pass mask into pass, returning how many slots it moved. When it
-// moves any, it first resets dst to the ring's width; when it moves none,
-// dst is untouched. The freed slots stay reserved as debt —
-// the producer is NOT resumed — until the consumer calls Credit once per
-// slot at the virtual instant it processes it. Filtered slots are
-// transferred too — the consumer owes each one its credit just like a
-// passing tuple — but their batch positions hold unspecified values masked
-// by pass.
-func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) int {
-	n := q.Available(now)
-	if n > len(pass) {
-		n = len(pass)
-	}
+// PopView removes up to max arrived slots from the head of the ring, never
+// past the ring's end, and returns them in place: cols (its storage reused)
+// holds one view per live column and pass the slots' pass bits, each
+// len(pass) long. The slots stay reserved as debt — the producer is NOT
+// resumed — until the consumer calls Credit once per slot at the virtual
+// instant it processes it. The views are borrowed: a debt slot is never
+// overwritten, so slot i reads the popped values until it is credited, and
+// the consumer reads it no longer. Filtered slots come out too — the consumer
+// owes each one its credit just like a passing tuple — but their values are
+// unspecified and masked by pass. A pop cut at the ring's end leaves the
+// rest of the slots it would have taken to the next pop, which takes them
+// without reading availability again, so a run that wraps reads it as often
+// as one that does not.
+func (q *Queue) PopView(now time.Duration, max int, cols [][]int64) ([][]int64, []bool) {
+	n := q.rest
 	if n == 0 {
-		return 0
+		n = q.Available(now)
 	}
-	dst.Reset(q.colw)
-	first := n
-	if q.head+first > q.capacity {
-		first = q.capacity - q.head
+	n = min(n, max)
+	first := min(n, q.capacity-q.head)
+	q.rest = n - first
+	return q.popView(first, cols)
+}
+
+// popView removes the n slots at the head, which have arrived and do not
+// pass the ring's end, as PopView returns them.
+func (q *Queue) popView(n int, cols [][]int64) ([][]int64, []bool) {
+	cols = cols[:0]
+	if n <= 0 {
+		return cols, nil
 	}
-	views := dst.Extend(n)
-	for c, v := range views {
-		copy(v, q.cols[c][q.head:q.head+first])
-	}
-	copy(pass, q.pass[q.head:q.head+first])
-	if first < n {
-		for c, v := range views {
-			copy(v[first:], q.cols[c][:n-first])
-		}
-		copy(pass[first:], q.pass[:n-first])
+	lo, hi := q.head, q.head+n
+	for _, col := range q.cols[:q.colw] {
+		cols = append(cols, col[lo:hi:hi])
 	}
 	q.head = q.idx(n)
 	q.size -= n
 	q.debt += n
 	q.arrived -= n // Available guarantees arrived >= n
 	q.totalPopped += int64(n)
+	return cols, q.pass[lo:hi:hi]
+}
+
+// PopColsN bulk-moves up to len(pass) arrived slots into dst and the
+// per-slot pass mask into pass, returning how many slots it moved: PopView's
+// slots, and past the ring's end a second PopView's, copied out. When it
+// moves any, it first resets dst to the ring's width; when it moves none,
+// dst is untouched. The slots stay debt until credited, as PopView's do,
+// and the batch positions of filtered slots hold unspecified values. It
+// stays only because bench/ and the queue's tests call it — remove with the
+// next [benchmark] PR.
+func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) int {
+	q.rest = 0
+	n := min(q.Available(now), len(pass))
+	if n == 0 {
+		return 0
+	}
+	dst.Reset(q.colw)
+	for done := 0; done < n; {
+		cols, p := q.popView(min(n-done, q.capacity-q.head), q.shim)
+		for c, v := range dst.Extend(len(p)) {
+			copy(v, cols[c])
+		}
+		done += copy(pass[done:], p)
+		q.shim = cols
+	}
 	return n
 }
 
@@ -498,6 +531,7 @@ func (q *Queue) UnpopN(n int) {
 	}
 	q.size += n
 	q.debt -= n
+	q.rest = 0
 	q.arrived += n // popped tuples had arrived; restoring keeps the prefix exact
 	q.totalPopped -= int64(n)
 	if q.cm != nil {

@@ -2,26 +2,54 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"dqs/internal/exec"
 	"dqs/internal/sim"
 )
 
-// nextArrival returns the earliest next input arrival among the unfinished
-// fragments. It is the hot stall primitive of the phase loop.
-func nextArrival(frags []*exec.Fragment) (time.Duration, bool) {
-	var best time.Duration
-	found := false
-	for _, f := range frags {
+// The values of a window slot in the phase loop's readiness array besides an
+// instant: askNow lies before every instant, so the slot's fragment is
+// asked; noInput (its input will never have a tuple again) and finished (the
+// fragment is done) lie after every instant, so the scan passes them.
+const (
+	askNow   time.Duration = math.MinInt64
+	noInput  time.Duration = math.MaxInt64 - 1
+	finished time.Duration = math.MaxInt64
+)
+
+// resetReady sets every slot of the engine's readiness array for window to
+// askNow, or finished for a done fragment, and returns it.
+func (e *Engine) resetReady(window []*exec.Fragment) []time.Duration {
+	if e.ready == nil {
+		e.ready = e.readyBuf[:0]
+	}
+	e.ready = slices.Grow(e.ready[:0], len(window))[:len(window)]
+	for i, f := range window {
+		e.ready[i] = askNow
 		if f.Done() {
-			continue
-		}
-		if at, ok := f.NextArrival(); ok && (!found || at < best) {
-			best, found = at, true
+			e.ready[i] = finished
 		}
 	}
-	return best, found
+	return e.ready
+}
+
+// readiness is the slot value of a fragment whose input has nothing at the
+// current instant: finished when it is done, askNow while it holds stranded
+// output, else the instant its input's NextArrival names, or noInput.
+func readiness(f *exec.Fragment) time.Duration {
+	switch {
+	case f.Done():
+		return finished
+	case f.PendingOutputs() > 0:
+		return askNow
+	}
+	if at, ok := f.NextArrival(); ok {
+		return at
+	}
+	return noInput
 }
 
 // wrapperEvent maps the mediator's report on a faulted wrapper onto the
@@ -48,11 +76,23 @@ func wrapperEvent(ev exec.WrapperEvent, window []*exec.Fragment) Event {
 // next arrival. It returns the interruption event that ends the phase; the
 // error is non-nil when a dead wrapper has no recovery or the phase spins
 // without advancing the clock.
+//
+// The scan reads one readiness slot per window fragment (see askNow): a
+// fragment is asked for input only when its slot's instant is not after the
+// clock, and the stall wakes at the least slot. A slot learns its instant
+// from the fragment's NextArrival after an ask that found nothing, or after
+// the fragment's own batch ended on a pop that found nothing. It stays exact
+// until the fragment runs again, because only a fragment's own batch pops or
+// credits its input, deferred refills arrive no earlier than the newest
+// buffered tuple, and a temp page's ready instant is fixed when its read is
+// issued. Every slot goes back to askNow at phase start and after a probe of
+// a silent wrapper, which can revive one that read noInput.
 func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 	med := e.med
-	// window is the effective plan: Sticky plans narrow it to end at the
-	// last fragment a batch was processed from.
+	// window is the effective plan: Sticky plans narrow it, and its slots of
+	// ready, to end at the last fragment a batch was processed from.
 	window := sp.Frags
+	ready := e.resetReady(window)
 	var lastNow time.Duration = -1
 	spins := 0
 	for {
@@ -87,23 +127,32 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 		acted := false
 		alldone := true
 		for i, f := range window {
-			if f.Done() {
+			if ready[i] == finished {
 				continue
 			}
 			alldone = false
 			// Only a processed batch moves the clock: a priority pass reads
 			// its start instant here, a sweep the instant after the previous
 			// fragment's batch.
+			if ready[i] > med.Now() {
+				continue // no input before the slot's instant
+			}
 			if f.Runnable(med.Now()) {
 				if sp.Sticky {
-					window = window[:i+1]
+					window, ready = window[:i+1], ready[:i+1]
 				}
-				_, overflow := f.ProcessBatch(med.Cfg.BatchTuples)
+				n, overflow := f.ProcessBatch(med.Cfg.BatchTuples)
 				if overflow {
 					return Event{Kind: EventOverflow, Frag: f, Window: window}, nil
 				}
 				if f.Done() && !sp.RoundRobin {
 					return Event{Kind: EventEndOfQF, Frag: f, Window: window}, nil
+				}
+				// A batch that ended on a pop that found nothing leaves the
+				// input empty at the clock, like an ask that finds nothing.
+				ready[i] = askNow
+				if f.Done() || n < med.Cfg.BatchTuples {
+					ready[i] = readiness(f)
 				}
 				acted = true
 				if sp.RoundRobin {
@@ -113,23 +162,19 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 			}
 			med.Work.EmptyAsks++
 			if f.In.Exhausted() {
-				// Input is gone; let the fragment finalize.
-				pendingBefore := f.PendingOutputs()
+				// Input is gone, and Runnable found no stranded output: the
+				// fragment finalizes, which is progress, so re-enter at the
+				// top of the priority list (or sweep on) rather than falling
+				// through to the stall/timeout computation below.
 				f.ProcessBatch(0)
-				if f.Done() && !sp.RoundRobin {
-					return Event{Kind: EventEndOfQF, Frag: f, Window: window}, nil
-				}
-				if f.Done() || f.PendingOutputs() < pendingBefore {
-					// Finalization completed the fragment or sank stranded
-					// output: that is progress, so re-enter at the top of the
-					// priority list (or sweep on) rather than falling through
-					// to the stall/timeout computation below.
-					acted = true
+				if f.Done() {
 					if !sp.RoundRobin {
-						break
+						return Event{Kind: EventEndOfQF, Frag: f, Window: window}, nil
 					}
+					acted = true
 				}
 			}
+			ready[i] = readiness(f)
 		}
 		if alldone {
 			return Event{Kind: EventSPDone, Window: window}, nil
@@ -147,18 +192,19 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 		}
 		if ok {
 			if ev.Kind == sim.EvRetry {
-				continue // the clock stalled to a probe
+				ready = e.resetReady(window) // the clock stalled to a probe
+				continue
 			}
 			return wrapperEvent(ev, window), nil
 		}
 		// A Sticky window is the scrambling engine's, and so is its reaction
 		// to starvation; otherwise the engine stalls until the earliest
 		// arrival, or reports a timeout.
+		next := slices.Min(ready)
 		if sp.Sticky {
-			return Event{Kind: EventStarved, Window: window}, nil
+			return Event{Kind: EventStarved, Window: window, Next: next, HasNext: next < noInput}, nil
 		}
-		next, ok := nextArrival(window)
-		if !ok {
+		if next >= noInput {
 			// No future arrivals on any scheduled fragment; the remaining
 			// fragments must be able to finish without input.
 			return Event{Kind: EventSPDone, Window: window}, nil
@@ -168,7 +214,7 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 				med.Trace.Add(now, sim.EvTimeout, "all scheduled fragments starved (next arrival %.3fs away)",
 					(next - now).Seconds())
 			}
-			return Event{Kind: EventTimeout, Window: window}, nil
+			return Event{Kind: EventTimeout, Window: window, Next: next, HasNext: true}, nil
 		}
 		if sp.Timeout > 0 && med.Trace.Enabled() {
 			med.Trace.Add(now, sim.EvStall, "stall %.6fs", (next - now).Seconds())

@@ -138,11 +138,10 @@ func (p *dsePolicy) OnEvent(st *State, ev Event) error {
 		// The full re-optimization of scrambling phase 2 is the DQO's job
 		// in the paper; without a re-optimizer the engine waits out the
 		// delay and replans.
-		if next, ok := nextArrival(ev.Window); ok {
-			med.Clock.Stall(next)
-		} else {
+		if !ev.HasNext {
 			return fmt.Errorf("core: timeout with no future arrivals")
 		}
+		med.Clock.Stall(ev.Next)
 	case EventOverflow:
 		p.handleOverflow(ev.Frag)
 		p.advanceFinished()

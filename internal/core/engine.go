@@ -29,6 +29,12 @@ type Engine struct {
 	// policy bug; fail loudly with diagnostics instead of spinning.
 	lastProgress progressMark
 	stuckRounds  int
+
+	// ready is processPhase's readiness array, one slot per window fragment,
+	// kept so that a phase allocates nothing; it starts in readyBuf, so an
+	// engine whose windows fit there never allocates it.
+	ready    []time.Duration
+	readyBuf [32]time.Duration
 }
 
 // progressMark is the livelock guard's comparable progress snapshot. It is a

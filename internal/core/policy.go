@@ -78,6 +78,11 @@ type Event struct {
 	// Sticky plans it is the narrowed prefix of the plan (see
 	// SchedulingPlan.Sticky), otherwise the full plan.
 	Window []*exec.Fragment
+	// Next is the earliest instant at which a fragment of Window can have
+	// input, the instant the phase would have stalled to, when HasNext says
+	// one can (Timeout, Starved).
+	Next    time.Duration
+	HasNext bool
 }
 
 // SchedulingPlan is what a policy hands the executor at each planning

@@ -114,7 +114,7 @@ func (p *scrPolicy) OnEvent(st *State, ev Event) error {
 			}
 		}
 		if ev.Kind == EventStarved {
-			return p.starved(st, ev.Window)
+			return p.starved(st, ev)
 		}
 	}
 	return nil
@@ -124,8 +124,8 @@ func (p *scrPolicy) OnEvent(st *State, ev Event) error {
 // the current one and all resume candidates — is out of data. It either
 // waits, or scrambles by moving cur; the next planning point resumes from
 // there.
-func (p *scrPolicy) starved(st *State, window []*exec.Fragment) error {
-	f := window[len(window)-1] // the chain the engine is working on
+func (p *scrPolicy) starved(st *State, ev Event) error {
+	f := ev.Window[len(ev.Window)-1] // the chain the engine is working on
 	arrival, ok := f.NextArrival()
 	if !ok {
 		// The current chain will never see data again (its wrapper is dead
@@ -138,8 +138,8 @@ func (p *scrPolicy) starved(st *State, window []*exec.Fragment) error {
 			p.scramble(st, f, alt, " (no future arrivals)")
 			return nil
 		}
-		if next, ok := nextArrival(window); ok {
-			st.StallUntil(next)
+		if ev.HasNext {
+			st.StallUntil(ev.Next)
 			return nil
 		}
 		return fmt.Errorf("core: fragment %s starved with no future arrivals", f.Label)

@@ -18,9 +18,11 @@ func TestStrandReusesPendingArena(t *testing.T) {
 	scan := &plan.Node{Live: relation.NewSchema("R", "a", "b", "c", "d")}
 	f := &Fragment{rt: &Runtime{Med: &Mediator{Work: &Work{}}}, Chain: &plan.Chain{Scan: scan}}
 	var cs cascade
-	cs.ch.cols.Reset(4)
+	cs.ch.cols = make([][]int64, 4)
 	for i := range 32 {
-		cs.ch.cols.AppendTuple(relation.Tuple{int64(i), int64(-i), int64(i * 3), 7})
+		for c, v := range []int64{int64(i), int64(-i), int64(i * 3), 7} {
+			cs.ch.cols[c] = append(cs.ch.cols[c], v)
+		}
 	}
 	cs.ch.n = 32
 	strand := func() {
@@ -37,7 +39,7 @@ func TestStrandReusesPendingArena(t *testing.T) {
 	// chunk, which the next batch of any fragment overwrites, so mutating
 	// the chunk afterwards must not reach the pending buffer.
 	strand()
-	cs.ch.cols.Col(0)[0] = 999
+	cs.ch.cols[0][0] = 999
 	if f.pending[0][0] != 0 || f.pending[31][2] != 93 {
 		t.Errorf("pending rows alias the chunk or were gathered wrong: %v, %v", f.pending[0], f.pending[31])
 	}

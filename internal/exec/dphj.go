@@ -140,7 +140,7 @@ func (net *symNet) feed(leaf *symLeaf, c *chunk, i int) bool {
 		}
 		return true
 	}
-	t := net.insert(sj, leaf.fromBuild, c.cols.Width())
+	t := net.insert(sj, leaf.fromBuild, len(c.cols))
 	if t == nil {
 		return false
 	}

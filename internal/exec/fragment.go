@@ -360,8 +360,8 @@ func (f *Fragment) retry(row relation.Tuple) bool {
 // dst[j*stride].
 func gather(c *chunk, i int, steps []stepExec, ents []int32, dst []int64, stride int) {
 	at := 0
-	for col := range c.cols.Width() {
-		dst[at] = c.cols.Col(col)[i]
+	for _, col := range c.cols {
+		dst[at] = col[i]
 		at += stride
 	}
 	for s, e := range ents {
@@ -375,8 +375,8 @@ func gather(c *chunk, i int, steps []stepExec, ents []int32, dst []int64, stride
 // gatherAt is gather with value j at dst[pos[j]]: a Sink's full-width row.
 func gatherAt(c *chunk, i int, steps []stepExec, ents []int32, dst []int64, pos []int) {
 	j := 0
-	for col := range c.cols.Width() {
-		dst[pos[j]] = c.cols.Col(col)[i]
+	for _, col := range c.cols {
+		dst[pos[j]] = col[i]
 		j++
 	}
 	for s, e := range ents {
@@ -392,8 +392,10 @@ func gatherAt(c *chunk, i int, steps []stepExec, ents []int32, dst []int64, pos 
 // result r matched entry cs.ents[r*len(f.steps)+s] at step s, and the
 // results come in breadth-first order — by the first step's match, then
 // the second's, and so on. The first step walks the chain head cs.heads[i];
-// a later one reads each result's probe key through the step's column map,
-// resolves the keys with one Heads call and walks their chains. A zero-step
+// a later step keyed on the input row resolves and walks the slot's key
+// once for all results; any other reads each result's probe key through
+// the step's column map, resolves the keys with one Heads call and walks
+// their chains. A zero-step
 // fragment's one result is the slot itself. All CPU costs of the slot are
 // summed and charged in one clock addition at the end: no code in the
 // cascade reads the clock, and duration addition is exact, so the clock
@@ -411,17 +413,25 @@ func (f *Fragment) probe(cs *cascade, i int) int {
 		matches := 0
 		ht := st.table.ht
 		next := cs.next[:0]
-		if s == 0 {
+		switch {
+		case s == 0:
 			next = ht.Chain(next, cs.heads[i])
 			matches = len(next)
-		} else {
+		case st.src < 0:
+			// Every result carries the slot's own key: resolve and walk it
+			// once, and extend each result by the same walk.
+			cs.walk = ht.Chain(cs.walk[:0], ht.Head(cs.ch.keys(st.col)[i]))
+			for r := range n {
+				for _, e := range cs.walk {
+					next = append(append(next, ents[r*s:(r+1)*s]...), e)
+				}
+			}
+			matches = n * len(cs.walk)
+			work.HeadLookups++
+		default:
 			keys, heads := sized(cs.keys, n), sized(cs.subs, n)
 			for r := range n {
-				if st.src < 0 {
-					keys[r] = cs.ch.keys(st.col)[i]
-				} else {
-					keys[r] = f.steps[st.src].table.ht.Entry(ents[r*s+st.src])[st.col]
-				}
+				keys[r] = f.steps[st.src].table.ht.Entry(ents[r*s+st.src])[st.col]
 			}
 			ht.Heads(keys, heads)
 			for r, h := range heads {
@@ -513,16 +523,19 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 	return n, overflow
 }
 
-// process consumes the input in chunks: every tuple available at the chunk
-// instant comes out in one pop into the mediator's cascade, up to the
-// source's window or page, and the first probe step's heads are resolved for
-// the whole chunk. Each slot is credited back at the virtual instant its
-// processing starts, so a wrapper's window refills exactly as its tuples are
-// reached. A slot the wrapper's pushdown filtered still charges its
-// receive+move; any other is probed to entry indices, whose rows the sink
-// gathers. On overflow the unsunk results are stranded and the chunk's
-// unprocessed tail goes back to the source. After a chunk the availability check repeats at the advanced
-// clock, so tuples arriving while it was processed are picked up at once.
+// process consumes the input in chunks: the tuples available at the chunk
+// instant come out in one pop into the mediator's cascade, borrowed from the
+// source's ring run or page, and the first probe step's heads are resolved
+// for the whole chunk. Each slot is credited once its results are sunk or
+// stranded — a credit may let an eager wrapper refill the slot — at the
+// virtual instant its processing started, so a wrapper's window refills
+// exactly as its tuples are reached. A slot the wrapper's pushdown filtered
+// still charges its receive+move; any other is probed to entry indices,
+// whose rows the sink gathers. On overflow the unsunk results are stranded
+// and the chunk's unprocessed tail goes back to the source. After a chunk
+// the availability check repeats at the advanced clock, so the rest of a
+// ring that wrapped, and tuples arriving while the chunk was processed, are
+// picked up at once.
 func (f *Fragment) process(max int) (int, bool) {
 	costs := &f.rt.Costs
 	filteredCharge := costs.MoveT + costs.ReceiveT
@@ -538,23 +551,23 @@ func (f *Fragment) process(max int) (int, bool) {
 			f.probeHeads(cs)
 		}
 		for i := 0; i < c.n; i++ {
-			f.In.Credit(f.rt.Now())
+			at := f.rt.Now()
 			if f.processed == 0 && f.rt.Trace.Enabled() {
-				f.rt.Trace.Add(f.rt.Now(), sim.EvBatch, "%s first batch", f.Label)
+				f.rt.Trace.Add(at, sim.EvBatch, "%s first batch", f.Label)
 			}
 			f.processed++
 			n++
-			if !c.pass[i] {
+			if !c.passes(i) {
 				costs.CPU.Clock.Work(filteredCharge)
-				continue
-			}
-			if m := f.probe(cs, i); m > 0 {
+			} else if m := f.probe(cs, i); m > 0 {
 				if k := f.sink(cs, i, m); k < m {
 					f.strand(cs, i, k, m)
+					f.In.Credit(at)
 					f.In.UnpopN(c.n - i - 1)
 					return n, true
 				}
 			}
+			f.In.Credit(at)
 		}
 	}
 	return n, false

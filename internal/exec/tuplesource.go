@@ -5,7 +5,6 @@ import (
 
 	"dqs/internal/comm"
 	"dqs/internal/mem"
-	"dqs/internal/relation"
 	"dqs/internal/source"
 )
 
@@ -13,9 +12,10 @@ import (
 // queues and temp-relation readers both satisfy it, so the DQP schedules
 // pipeline chains, materialization fragments and complement fragments with
 // the same machinery, and a fragment consumes either through one loop. pop
-// removes a chunk of the tuples available at an instant and leaves their
-// flow-control slots reserved: the consumer must Credit each slot at the
-// virtual instant it processes it, or return unprocessed ones with UnpopN.
+// removes a chunk of the tuples available at an instant, borrowing the
+// source's storage, and leaves their flow-control slots reserved: the
+// consumer must Credit each slot once it is done reading it, at the virtual
+// instant its processing started, or return unprocessed ones with UnpopN.
 type TupleSource interface {
 	// Available returns how many tuples can be popped at virtual time now.
 	Available(now time.Duration) int
@@ -31,25 +31,29 @@ type TupleSource interface {
 	// Remaining returns the number of tuples not yet consumed.
 	Remaining() int
 
-	// pop fills c with up to max tuples available at now, never more than
-	// the source's window (a queue) or page (a temp reader), so the chunk's
-	// storage is bounded whatever max is. c is the running fragment's
-	// cascade chunk (see cascade); c.n == 0 means nothing was available.
+	// pop points c at up to max tuples available at now, in the source's
+	// own storage: a run of a queue's ring that stops at the ring's end, or
+	// of a temp's page. c is the running fragment's cascade chunk (see
+	// cascade); c.n == 0 means nothing was available.
 	pop(c *chunk, now time.Duration, max int)
 }
 
-// chunk is one popped run of a fragment's input: the popped rows' columns,
-// at the input node's Live width, and a per-slot pass mask — a wrapper's
-// pushdown filter, all true for a temp, which stores only passing slots. A
-// passing slot's values are read in place, from its columns.
+// chunk is one popped run of a fragment's input, borrowed from its source:
+// views of the popped rows' columns, at the input node's Live width, and a
+// per-slot pass mask — a wrapper's pushdown filter, nil for a temp, which
+// stores only passing slots. A queue's slot stays readable until it is
+// credited, a temp's for the whole run.
 type chunk struct {
 	n    int
-	cols relation.Batch
+	cols [][]int64
 	pass []bool
 }
 
 // keys returns the chunk's values of column col.
-func (c *chunk) keys(col int) []int64 { return c.cols.Col(col) }
+func (c *chunk) keys(col int) []int64 { return c.cols[col] }
+
+// passes reports whether slot i passed the wrapper's pushdown filter.
+func (c *chunk) passes(i int) bool { return c.pass == nil || c.pass[i] }
 
 // cascade is the execution state of whichever fragment is running on a
 // mediator: the chunk its input popped, the first probe step's chain heads
@@ -84,12 +88,9 @@ func (s *queueSource) Available(now time.Duration) int { return s.q.Available(no
 // means it is exhausted.
 func (s *queueSource) NextArrival() (time.Duration, bool) { return s.q.NextArrival() }
 
-// pop reads availability once, in PopColsN, which resets the chunk's batch
-// only when it moves slots: process ends every batch with a pop that finds
-// nothing has arrived.
 func (s *queueSource) pop(c *chunk, now time.Duration, max int) {
-	c.pass = sized(c.pass, min(max, s.q.Capacity()))
-	c.n = s.q.PopColsN(now, &c.cols, c.pass)
+	c.cols, c.pass = s.q.PopView(now, max, c.cols)
+	c.n = len(c.pass)
 }
 
 func (s *queueSource) Credit(now time.Duration) { s.q.Credit(now) }
@@ -109,10 +110,6 @@ type tempSource struct{ *mem.Reader }
 func (tempSource) Credit(time.Duration) {}
 
 func (s tempSource) pop(c *chunk, now time.Duration, max int) {
-	c.cols.Reset(s.Width())
-	c.n = s.Pop(now, &c.cols, max)
-	c.pass = sized(c.pass, c.n)
-	for i := range c.pass {
-		c.pass[i] = true
-	}
+	c.cols, c.n = s.PopView(now, max, c.cols)
+	c.pass = nil
 }

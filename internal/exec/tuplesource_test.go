@@ -92,7 +92,11 @@ func readTemp(rt *Runtime, temp *mem.Temp) (rows []relation.Tuple) {
 			rt.Clock.Stall(next)
 		}
 		for i := 0; i < c.n; i++ {
-			rows = append(rows, c.cols.Row(i, make(relation.Tuple, c.cols.Width())))
+			row := make(relation.Tuple, len(c.cols))
+			for col, v := range c.cols {
+				row[col] = v[i]
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows

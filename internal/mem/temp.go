@@ -389,6 +389,7 @@ type Reader struct {
 
 	shim     *relation.Batch // PopN's staging
 	shimRows []int64         // PopN's row storage
+	shimCols [][]int64       // Pop's views
 }
 
 // Width returns the number of values per row the temp stores, the width of
@@ -462,19 +463,19 @@ func (r *Reader) NextArrival() (time.Duration, bool) {
 	return r.readyAt[k], true
 }
 
-// Pop moves up to max tuples into dst, which must have the temp's width, as
-// one contiguous run per column, never crossing a page boundary, and
-// returns how many it moved. Bounding the chunk at the page edge puts the
-// I/O charges where consumption incurs them: the page read (synchronous
-// wait or prefetch issue) is paid exactly when consumption first touches
-// the page, which for a page-bounded chunk is the call itself.
-func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
+// PopView consumes up to max tuples, never crossing a page boundary, and
+// returns them in place: cols (its storage reused) holds one view per
+// column the temp stores, each n long, into the page's column runs. A closed
+// temp's arena never changes, so the views stay valid until the store is
+// reclaimed. Bounding the chunk at the page edge puts the I/O charges where
+// consumption incurs them: the page read (synchronous wait or prefetch
+// issue) is paid exactly when consumption first touches the page, which for
+// a page-bounded chunk is the call itself.
+func (r *Reader) PopView(now time.Duration, max int, cols [][]int64) ([][]int64, int) {
 	t := r.temp
-	if dst.Width() != t.width {
-		panic(fmt.Sprintf("mem: pop of width-%d temp %q into a width-%d batch", t.width, t.name, dst.Width()))
-	}
+	cols = cols[:0]
 	if r.pos >= t.nrows || max <= 0 {
-		return 0
+		return cols, 0
 	}
 	per := r.tuplesPerPage()
 	k, off := r.pageOf(r.pos), r.pos%per
@@ -487,12 +488,12 @@ func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
 	} else {
 		r.ensureIssued()
 		if r.readyAt[k] > now {
-			return 0 // page still in flight: nothing available yet
+			return cols, 0 // page still in flight: nothing available yet
 		}
 	}
 	at := k*t.pageVals() + off
-	for _, v := range dst.Extend(n) {
-		copy(v, t.data[at:at+n])
+	for range t.width {
+		cols = append(cols, t.data[at:at+n:at+n])
 		at += per
 	}
 	r.pos += n
@@ -502,6 +503,24 @@ func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
 		// longer needed.
 		t.consumedTo(r.pos)
 	}
+	return cols, n
+}
+
+// Pop moves up to max tuples into dst, which must have the temp's width:
+// PopView's tuples, copied out as one contiguous run per column. It stays
+// only because PopN and the temp's tests call it — remove with PopN in the
+// next [benchmark] PR.
+func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
+	if dst.Width() != r.temp.width {
+		panic(fmt.Sprintf("mem: pop of width-%d temp %q into a width-%d batch", r.temp.width, r.temp.name, dst.Width()))
+	}
+	cols, n := r.PopView(now, max, r.shimCols)
+	if n > 0 {
+		for c, v := range dst.Extend(n) {
+			copy(v, cols[c])
+		}
+	}
+	r.shimCols = cols
 	return n
 }
 

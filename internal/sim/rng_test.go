@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,4 +106,48 @@ func TestRecycledRNGDrawsTheForkedStream(t *testing.T) {
 			t.Fatalf("Seed(42): draw %d: NewRNG %d, recycled %d", i, a, b)
 		}
 	}
+}
+
+// TestInt63nMatchesMathRand: Int63n and UniformDelay return exactly what
+// math/rand's Int63n returns from the same stream, draw for draw, for bounds
+// whose rejection limits and remainders differ — small, just past a power
+// of two, the wrapper delays' odd bounds, the largest UniformDelay bound —
+// and for powers of two, also when consecutive draws switch bounds.
+func TestInt63nMatchesMathRand(t *testing.T) {
+	bounds := []int64{3, 5, 17, 1<<20 + 1, 1<<40 + 1, 1<<62 + 1, 40_001, 200_001, int64(2*MaxWait) + 1,
+		1, 2, 1 << 10, 1 << 62}
+	const draws = 5000
+	for seed := int64(1); seed <= 24; seed++ {
+		g, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
+		for _, n := range bounds {
+			for i := range draws {
+				if got, want := g.Int63n(n), ref.Int63n(n); got != want {
+					t.Fatalf("seed %d bound %d draw %d: Int63n = %d, math/rand = %d", seed, n, i, got, want)
+				}
+			}
+		}
+		for i := range draws { // alternating bounds refill the cache every draw
+			n := bounds[i%len(bounds)]
+			if got, want := g.Int63n(n), ref.Int63n(n); got != want {
+				t.Fatalf("seed %d alternating draw %d, bound %d: Int63n = %d, math/rand = %d", seed, i, n, got, want)
+			}
+		}
+		for _, w := range []time.Duration{1, 20_000, 100_000, MaxWait} {
+			for i := range draws {
+				if got, want := g.UniformDelay(w), time.Duration(ref.Int63n(int64(2*w)+1)); got != want {
+					t.Fatalf("seed %d wait %v draw %d: UniformDelay = %v, math/rand = %v", seed, w, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkUniformDelay times one wrapper-delay draw at a fixed mean wait.
+func BenchmarkUniformDelay(b *testing.B) {
+	g := NewRNG(1)
+	var sum time.Duration
+	for b.Loop() {
+		sum += g.UniformDelay(20 * time.Microsecond)
+	}
+	_ = sum
 }
