@@ -37,14 +37,11 @@ func (e *Engine) resetReady(window []*exec.Fragment) []time.Duration {
 }
 
 // readiness is the slot value of a fragment whose input has nothing at the
-// current instant: finished when it is done, askNow while it holds stranded
-// output, else the instant its input's NextArrival names, or noInput.
+// current instant: finished when it is done, else the instant its input's
+// NextArrival names, or noInput.
 func readiness(f *exec.Fragment) time.Duration {
-	switch {
-	case f.Done():
+	if f.Done() {
 		return finished
-	case f.PendingOutputs() > 0:
-		return askNow
 	}
 	if at, ok := f.NextArrival(); ok {
 		return at
@@ -85,8 +82,10 @@ func wrapperEvent(ev exec.WrapperEvent, window []*exec.Fragment) Event {
 // until the fragment runs again, because only a fragment's own batch pops or
 // credits its input, deferred refills arrive no earlier than the newest
 // buffered tuple, and a temp page's ready instant is fixed when its read is
-// issued. Every slot goes back to askNow at phase start and after a probe of
-// a silent wrapper, which can revive one that read noInput.
+// issued. A fragment holding stranded output is never learned: it answers
+// every ask, and a batch that leaves output stranded reports an overflow,
+// which ends the phase. Every slot goes back to askNow at phase start and
+// after a probe of a silent wrapper, which can revive one that read noInput.
 func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 	med := e.med
 	// window is the effective plan: Sticky plans narrow it, and its slots of

@@ -352,3 +352,119 @@ func TestStickyPhaseEndsStarved(t *testing.T) {
 			ev.Kind, len(ev.Window), before, rt.Med.Now())
 	}
 }
+
+// TestSweepRunsInputsDueAtOneInstant: two window fragments whose inputs
+// first arrive at the same instant are each asked once before it — the
+// phase's first asks, which find nothing — then both run at it after one
+// stall, the second at the instant the first one's batch ended: a slot due
+// exactly now is asked, not passed.
+func TestSweepRunsInputsDueAtOneInstant(t *testing.T) {
+	w := smallFig5(t)
+	del := uniform(w, 10*time.Microsecond)
+	del["D"] = exec.Delivery{InitialDelay: 100 * time.Millisecond}
+	del["E"] = exec.Delivery{InitialDelay: 100 * time.Millisecond}
+	cfg := testConfig()
+	tr := &sim.Trace{}
+	cfg.Trace = tr
+	rt := newRT(t, w, cfg, del)
+	e := dseEngine(t, rt)
+	cD, _ := rt.Dec.ChainOf("D")
+	cE, _ := rt.Dec.ChainOf("E")
+	fD, fE := rt.NewPCFragment(cD), rt.NewPCFragment(cE)
+	atD, okD := fD.NextArrival()
+	atE, okE := fE.NextArrival()
+	if !okD || !okE || atD != atE || atD < 100*time.Millisecond {
+		t.Fatalf("first arrivals D=%v,%v E=%v,%v; want one instant after the 100ms delay", atD, okD, atE, okE)
+	}
+	work := *rt.Med.Work
+	ev, err := e.processPhase(sweep(fD, fE))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != EventSPDone || !fD.Done() || !fE.Done() {
+		t.Fatalf("event %v, D done=%v, E done=%v; want SPDone with both done", ev.Kind, fD.Done(), fE.Done())
+	}
+	if asks, stalls := rt.Med.Work.EmptyAsks-work.EmptyAsks, rt.Med.Work.Stalls-work.Stalls; asks != 2 || stalls != 1 {
+		t.Errorf("%d empty asks and %d stalls; want the phase's 2 first asks and 1 stall", asks, stalls)
+	}
+	var batches []sim.Event
+	for _, ev := range tr.Events {
+		if ev.Kind == sim.EvBatch {
+			batches = append(batches, ev)
+		}
+	}
+	perBatch := time.Duration(cfg.BatchTuples) * (rt.Costs.MoveT + rt.Costs.ReceiveT)
+	if len(batches) != 2 || batches[0].Note != "p_D first batch" || batches[0].At != atD ||
+		batches[1].Note != "p_E first batch" || batches[1].At <= atD || batches[1].At > atD+2*perBatch {
+		t.Errorf("first batches %v; want p_D at %v, then p_E right after its batch", batches, atD)
+	}
+}
+
+// lateInput reads as a wrapper that will never deliver until the clock
+// reaches from, and as its own input from then on: an input a probe of a
+// silent wrapper, which stalls the clock, can find revived.
+type lateInput struct {
+	exec.TupleSource
+	clock *sim.Clock
+	from  time.Duration
+}
+
+func (l lateInput) Available(now time.Duration) int {
+	if now < l.from {
+		return 0
+	}
+	return l.TupleSource.Available(now)
+}
+
+func (l lateInput) NextArrival() (time.Duration, bool) {
+	if l.clock.Now() < l.from {
+		return 0, false
+	}
+	return l.TupleSource.NextArrival()
+}
+
+func (l lateInput) Exhausted() bool { return l.clock.Now() >= l.from && l.TupleSource.Exhausted() }
+
+// TestProbeRetryReasksEveryFragment: a window whose every input reads
+// "never" — p_D's dead wrapper and p_E's not yet revived one — stalls to
+// the first probe of D. The retry must re-ask every fragment of the window,
+// so p_E's first batch runs at the probe's instant and p_E completes before
+// D's probes run out, which without a replica or partial results would be
+// an error.
+func TestProbeRetryReasksEveryFragment(t *testing.T) {
+	w := smallFig5(t)
+	cfg := testConfig()
+	cfg.Faults = parsePlan(t, "D:kill@0")
+	tr := &sim.Trace{}
+	cfg.Trace = tr
+	rt := newRT(t, w, cfg, uniform(w, 10*time.Microsecond))
+	e := dseEngine(t, rt)
+	cD, _ := rt.Dec.ChainOf("D")
+	cE, _ := rt.Dec.ChainOf("E")
+	fD, fE := rt.NewPCFragment(cD), rt.NewPCFragment(cE)
+	fE.In = lateInput{fE.In, rt.Clock, 10 * time.Millisecond}
+	sp := SchedulingPlan{Frags: []*exec.Fragment{fD, fE}}
+	ev, err := e.processPhase(sp)
+	if err != nil || ev.Kind != EventSourceDown {
+		t.Fatalf("first phase: %v, %v; want D's death reported", ev.Kind, err)
+	}
+	ev, err = e.processPhase(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != EventEndOfQF || ev.Frag != fE {
+		t.Fatalf("event %v (%v); want p_E to finish", ev.Kind, ev.Frag)
+	}
+	var retry, first time.Duration = -1, -1
+	for _, ev := range tr.Events {
+		switch {
+		case ev.Kind == sim.EvRetry && retry < 0:
+			retry = ev.At
+		case ev.Kind == sim.EvBatch && ev.Note == "p_E first batch":
+			first = ev.At
+		}
+	}
+	if retry < 0 || first != retry {
+		t.Errorf("p_E's first batch at %v, want the first retry's instant %v", first, retry)
+	}
+}

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"dqs/internal/comm"
 	"dqs/internal/plan"
 	"dqs/internal/relation"
 	"dqs/internal/sim"
@@ -747,5 +749,78 @@ func TestChunkedWrapperProbeOverflowMatchesPerSlotDriver(t *testing.T) {
 	}
 	if gotEnd != wantEnd {
 		t.Errorf("after resume:\nchunked:  %+v\nper-slot: %+v", gotEnd, wantEnd)
+	}
+}
+
+// eagerProducer hides a wrapper's ResumeN from its queue, so every credit
+// resumes the wrapper at once, and a refill may land in the ring slot just
+// credited.
+type eagerProducer struct{ p comm.Producer }
+
+func (e eagerProducer) Resume(now time.Duration) { e.p.Resume(now) }
+
+// wrapSpy counts a queue-fed fragment's chunks that stop at the ring's end
+// with arrived slots left for the next pop.
+type wrapSpy struct {
+	TupleSource
+	q    *comm.Queue
+	cuts int
+}
+
+func (s *wrapSpy) pop(c *chunk, now time.Duration, max int) {
+	head := int(s.q.TotalPopped() % int64(s.q.Capacity()))
+	s.TupleSource.pop(c, now, max)
+	if c.n > 0 && c.n < max && head+c.n == s.q.Capacity() && s.q.Available(now) > 0 {
+		s.cuts++
+	}
+}
+
+// TestBorrowedChunkUnderEagerProducerMatchesPerSlotDriver: p_A reads its
+// chunks in place from a 7-slot ring in 5-tuple batches, so the arrived run
+// keeps crossing the ring's end, and its wrapper is resumed eagerly, so
+// every credit refills the window at once — into the slot just credited
+// when the window was full. A slot is credited only after its row is
+// gathered into the build; crediting it before would let the refill
+// overwrite the values still being read. The built table, its order, the
+// input consumed and the clock must agree with refProcessSlots, which
+// copies each slot out before crediting it.
+func TestBorrowedChunkUnderEagerProducerMatchesPerSlotDriver(t *testing.T) {
+	type state struct {
+		processed int64
+		rows      []relation.Tuple
+		clock     time.Duration
+	}
+	run := func(process func(*Fragment, int) (int, bool)) (state, int) {
+		cat, ds := predWorkload(t)
+		c := cat.MustAdd("C", 100, "id", "k")
+		ds["C"] = relation.NewGenerator(sim.NewRNG(4)).MustGenerate(c, relation.ColumnSpec{Col: "k", Domain: 100})
+		root := buildPredChainPlan(t, cat, 50)
+		cfg := testConfig()
+		cfg.QueueTuples, cfg.BatchTuples = 7, 5
+		rt, err := NewRuntime(cfg, root, ds, map[string]Delivery{"A": {MeanWait: time.Microsecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cB, _ := rt.Dec.ChainOf("B")
+		drainFrag(t, rt, rt.NewPCFragment(cB))
+		cA, _ := rt.Dec.ChainOf("A")
+		f := rt.NewPCFragment(cA)
+		q := rt.queueIn(cA).q
+		q.SetProducer(eagerProducer{rt.Source("A")})
+		spy := &wrapSpy{TupleSource: f.In, q: q}
+		f.In = spy
+		drainBy(t, rt, f, process)
+		return state{f.Processed(), tableRows(rt, cA.BuildsFor), rt.Now()}, spy.cuts
+	}
+	got, cuts := run((*Fragment).ProcessBatch)
+	want, _ := run(refProcessSlots)
+	t.Logf("%d chunks cut at the ring's end; %d slots, %d rows built", cuts, got.processed, len(got.rows))
+	if cuts == 0 || got.processed != 1000 || len(got.rows) == 0 {
+		t.Fatalf("no chunk cut at the ring's end, or A not consumed into rows: %d cuts, %d slots, %d rows",
+			cuts, got.processed, len(got.rows))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("borrowed chunks built %d rows (clock %v), per-slot %d (clock %v), or the rows differ",
+			len(got.rows), got.clock, len(want.rows), want.clock)
 	}
 }
