@@ -146,7 +146,7 @@ func TestInt63nMatchesMathRand(t *testing.T) {
 func BenchmarkUniformDelay(b *testing.B) {
 	g := NewRNG(1)
 	var sum time.Duration
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		sum += g.UniformDelay(20 * time.Microsecond)
 	}
 	_ = sum
