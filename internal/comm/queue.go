@@ -77,8 +77,7 @@ type Queue struct {
 	// head — keep their contents, so a borrowed view reads them and UnpopN
 	// can restore the tail of a batch the consumer could not process.
 	debt int
-	// rest counts the arrived slots at head that the last PopView would have
-	// taken but for the ring's end (see PopView).
+	// rest counts the slots the last PopView left at the ring's end.
 	rest int
 
 	// avail and replays count Available calls and Settle replays since the
@@ -420,19 +419,11 @@ func (q *Queue) NextArrival() (time.Duration, bool) {
 	return q.arrivals[q.head], true
 }
 
-// PopView removes up to max arrived slots from the head of the ring, never
-// past the ring's end, and returns them in place: cols (its storage reused)
-// holds one view per live column and pass the slots' pass bits, each
-// len(pass) long. The slots stay reserved as debt — the producer is NOT
-// resumed — until the consumer calls Credit once per slot at the virtual
-// instant it processes it. The views are borrowed: a debt slot is never
-// overwritten, so slot i reads the popped values until it is credited, and
-// the consumer reads it no longer. Filtered slots come out too — the consumer
-// owes each one its credit just like a passing tuple — but their values are
-// unspecified and masked by pass. A pop cut at the ring's end leaves the
-// rest of the slots it would have taken to the next pop, which takes them
-// without reading availability again, so a run that wraps reads it as often
-// as one that does not.
+// PopView removes up to max arrived slots, never past the ring's end, and
+// lends them in place: one view per live column in cols (its storage
+// reused), and their pass bits. They stay debt until credited one by one,
+// and a debt slot is never overwritten. A pop cut at the ring's end leaves
+// the rest to the next pop, which takes it without reading availability.
 func (q *Queue) PopView(now time.Duration, max int, cols [][]int64) ([][]int64, []bool) {
 	n := q.rest
 	if n == 0 {
@@ -440,13 +431,7 @@ func (q *Queue) PopView(now time.Duration, max int, cols [][]int64) ([][]int64, 
 	}
 	n = min(n, max)
 	first := min(n, q.capacity-q.head)
-	q.rest = n - first
-	return q.popView(first, cols)
-}
-
-// popView removes the n slots at the head, which have arrived and do not
-// pass the ring's end, as PopView returns them.
-func (q *Queue) popView(n int, cols [][]int64) ([][]int64, []bool) {
+	q.rest, n = n-first, first
 	cols = cols[:0]
 	if n <= 0 {
 		return cols, nil
@@ -463,27 +448,24 @@ func (q *Queue) popView(n int, cols [][]int64) ([][]int64, []bool) {
 	return cols, q.pass[lo:hi:hi]
 }
 
-// PopColsN bulk-moves up to len(pass) arrived slots into dst and the
-// per-slot pass mask into pass, returning how many slots it moved: PopView's
-// slots, and past the ring's end a second PopView's, copied out. When it
-// moves any, it first resets dst to the ring's width; when it moves none,
-// dst is untouched. The slots stay debt until credited, as PopView's do,
-// and the batch positions of filtered slots hold unspecified values. It
-// stays only because bench/ and the queue's tests call it — remove with the
-// next [benchmark] PR.
+// PopColsN copies up to len(pass) arrived slots, across the ring's end, into
+// dst (reset only when any move) and pass, and returns how many. It stays
+// only for bench/ and the tests — remove with the next [benchmark] PR.
 func (q *Queue) PopColsN(now time.Duration, dst *relation.Batch, pass []bool) int {
 	q.rest = 0
-	n := min(q.Available(now), len(pass))
-	if n == 0 {
-		return 0
-	}
-	dst.Reset(q.colw)
-	for done := 0; done < n; {
-		cols, p := q.popView(min(n-done, q.capacity-q.head), q.shim)
+	n := 0
+	for n == 0 || q.rest > 0 {
+		cols, p := q.PopView(now, len(pass)-n, q.shim)
+		if len(p) == 0 {
+			break
+		}
+		if n == 0 {
+			dst.Reset(q.colw)
+		}
 		for c, v := range dst.Extend(len(p)) {
 			copy(v, cols[c])
 		}
-		done += copy(pass[done:], p)
+		n += copy(pass[n:], p)
 		q.shim = cols
 	}
 	return n

@@ -10,10 +10,8 @@ import (
 	"dqs/internal/sim"
 )
 
-// The values of a window slot in the phase loop's readiness array besides an
-// instant: askNow lies before every instant, so the slot's fragment is
-// asked; noInput (its input will never have a tuple again) and finished (the
-// fragment is done) lie after every instant, so the scan passes them.
+// A readiness slot's values besides an instant: askNow lies before every
+// instant; noInput (nothing will arrive) and finished (done) lie after all.
 const (
 	askNow   time.Duration = math.MinInt64
 	noInput  time.Duration = math.MaxInt64 - 1
@@ -23,9 +21,6 @@ const (
 // resetReady sets every slot of the engine's readiness array for window to
 // askNow, or finished for a done fragment, and returns it.
 func (e *Engine) resetReady(window []*exec.Fragment) []time.Duration {
-	if e.ready == nil {
-		e.ready = e.readyBuf[:0]
-	}
 	e.ready = slices.Grow(e.ready[:0], len(window))[:len(window)]
 	for i, f := range window {
 		e.ready[i] = askNow
@@ -36,9 +31,8 @@ func (e *Engine) resetReady(window []*exec.Fragment) []time.Duration {
 	return e.ready
 }
 
-// readiness is the slot value of a fragment whose input has nothing at the
-// current instant: finished when it is done, else the instant its input's
-// NextArrival names, or noInput.
+// readiness is the slot of a fragment whose input has nothing now: finished,
+// or the instant its input's NextArrival names, or noInput.
 func readiness(f *exec.Fragment) time.Duration {
 	if f.Done() {
 		return finished
@@ -73,19 +67,9 @@ func wrapperEvent(ev exec.WrapperEvent, window []*exec.Fragment) Event {
 // next arrival. It returns the interruption event that ends the phase; the
 // error is non-nil when a dead wrapper has no recovery or the phase spins
 // without advancing the clock.
-//
-// The scan reads one readiness slot per window fragment (see askNow): a
-// fragment is asked for input only when its slot's instant is not after the
-// clock, and the stall wakes at the least slot. A slot learns its instant
-// from the fragment's NextArrival after an ask that found nothing, or after
-// the fragment's own batch ended on a pop that found nothing. It stays exact
-// until the fragment runs again, because only a fragment's own batch pops or
-// credits its input, deferred refills arrive no earlier than the newest
-// buffered tuple, and a temp page's ready instant is fixed when its read is
-// issued. A fragment holding stranded output is never learned: it answers
-// every ask, and a batch that leaves output stranded reports an overflow,
-// which ends the phase. Every slot goes back to askNow at phase start and
-// after a probe of a silent wrapper, which can revive one that read noInput.
+// A fragment is asked for input only when its readiness slot is not after
+// the clock, and the stall wakes at the least slot (DESIGN.md, "Readiness
+// array", says when a slot learns its instant and why it stays exact).
 func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 	med := e.med
 	// window is the effective plan: Sticky plans narrow it, and its slots of
@@ -147,8 +131,7 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 				if f.Done() && !sp.RoundRobin {
 					return Event{Kind: EventEndOfQF, Frag: f, Window: window}, nil
 				}
-				// A batch that ended on a pop that found nothing leaves the
-				// input empty at the clock, like an ask that finds nothing.
+				// A batch that ended on an empty pop is an ask that found nothing.
 				ready[i] = askNow
 				if f.Done() || n < med.Cfg.BatchTuples {
 					ready[i] = readiness(f)

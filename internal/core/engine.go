@@ -31,8 +31,7 @@ type Engine struct {
 	stuckRounds  int
 
 	// ready is processPhase's readiness array, one slot per window fragment,
-	// kept so that a phase allocates nothing; it starts in readyBuf, so an
-	// engine whose windows fit there never allocates it.
+	// in readyBuf unless a window outgrows it.
 	ready    []time.Duration
 	readyBuf [32]time.Duration
 }
@@ -62,7 +61,9 @@ func newEngine(med *exec.Mediator, rts []*exec.Runtime, factory PolicyFactory) (
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{med: med, st: st, pol: pol}, nil
+	e := &Engine{med: med, st: st, pol: pol}
+	e.ready = e.readyBuf[:0]
+	return e, nil
 }
 
 // Run executes the attached queries under the engine's policy and returns

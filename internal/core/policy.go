@@ -78,9 +78,8 @@ type Event struct {
 	// Sticky plans it is the narrowed prefix of the plan (see
 	// SchedulingPlan.Sticky), otherwise the full plan.
 	Window []*exec.Fragment
-	// Next is the earliest instant at which a fragment of Window can have
-	// input, the instant the phase would have stalled to, when HasNext says
-	// one can (Timeout, Starved).
+	// Next is the earliest instant a fragment of Window can have input, if
+	// HasNext (Timeout, Starved).
 	Next    time.Duration
 	HasNext bool
 }

@@ -139,7 +139,7 @@ func TestChunkedTwoStepOverflowMatchesPerTupleDriver(t *testing.T) {
 			t.Fatal("could not narrow the grant")
 		}
 		snap := func() state {
-			return state{cf.Processed(), cf.PendingOutputs(), cf.Remaining(), tableRows(rt, cA.BuildsFor), rt.Now()}
+			return state{cf.Processed(), len(cf.pending), cf.Remaining(), tableRows(rt, cA.BuildsFor), rt.Now()}
 		}
 		drive := func(wantOverflow bool) {
 			for !cf.Done() {

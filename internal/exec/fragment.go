@@ -267,11 +267,6 @@ func (f *Fragment) Done() bool { return f.done }
 // pointer alone does not identify a chain execution.
 func (f *Fragment) Runtime() *Runtime { return f.rt }
 
-// PendingOutputs returns the number of terminal-ready tuples stranded by a
-// memory overflow and awaiting retry; a drop between scheduler
-// observations means the fragment made progress without consuming input.
-func (f *Fragment) PendingOutputs() int { return len(f.pending) }
-
 // Processed returns the number of input tuples consumed so far.
 func (f *Fragment) Processed() int64 { return f.processed }
 
@@ -523,19 +518,14 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 	return n, overflow
 }
 
-// process consumes the input in chunks: the tuples available at the chunk
-// instant come out in one pop into the mediator's cascade, borrowed from the
-// source's ring run or page, and the first probe step's heads are resolved
-// for the whole chunk. Each slot is credited once its results are sunk or
-// stranded — a credit may let an eager wrapper refill the slot — at the
-// virtual instant its processing started, so a wrapper's window refills
-// exactly as its tuples are reached. A slot the wrapper's pushdown filtered
+// process consumes the input in chunks borrowed from the source's ring run
+// or page, resolving the first probe step's heads per chunk. A slot is
+// credited with the instant its processing started, so a wrapper's window
+// refills as its tuples are reached, but only once its results are sunk or
+// stranded: an eager wrapper may refill the credited slot. A filtered slot
 // still charges its receive+move; any other is probed to entry indices,
 // whose rows the sink gathers. On overflow the unsunk results are stranded
-// and the chunk's unprocessed tail goes back to the source. After a chunk
-// the availability check repeats at the advanced clock, so the rest of a
-// ring that wrapped, and tuples arriving while the chunk was processed, are
-// picked up at once.
+// and the chunk's tail goes back to the source.
 func (f *Fragment) process(max int) (int, bool) {
 	costs := &f.rt.Costs
 	filteredCharge := costs.MoveT + costs.ReceiveT
@@ -557,7 +547,7 @@ func (f *Fragment) process(max int) (int, bool) {
 			}
 			f.processed++
 			n++
-			if !c.passes(i) {
+			if c.pass != nil && !c.pass[i] {
 				costs.CPU.Clock.Work(filteredCharge)
 			} else if m := f.probe(cs, i); m > 0 {
 				if k := f.sink(cs, i, m); k < m {

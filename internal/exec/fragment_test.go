@@ -525,7 +525,7 @@ func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
 			t.Fatal("could not narrow the grant")
 		}
 		snap := func() state {
-			return state{cf.Processed(), cf.PendingOutputs(), cf.Remaining(), rt.TableRows(cA.BuildsFor), rt.Now()}
+			return state{cf.Processed(), len(cf.pending), cf.Remaining(), rt.TableRows(cA.BuildsFor), rt.Now()}
 		}
 		drive := func(wantOverflow bool) {
 			for !cf.Done() {
@@ -703,7 +703,7 @@ func TestChunkedWrapperProbeOverflowMatchesPerSlotDriver(t *testing.T) {
 		}
 		snap := func() state {
 			rt.Med.CM.Observe(rt.Now())
-			return state{f.Processed(), f.PendingOutputs(), q.Debt(), f.Remaining(),
+			return state{f.Processed(), len(f.pending), q.Debt(), f.Remaining(),
 				q.Observations(), rt.TableRows(cA.BuildsFor), rt.Now()}
 		}
 		drive := func(wantOverflow bool) {

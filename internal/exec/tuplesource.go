@@ -39,10 +39,8 @@ type TupleSource interface {
 }
 
 // chunk is one popped run of a fragment's input, borrowed from its source:
-// views of the popped rows' columns, at the input node's Live width, and a
-// per-slot pass mask — a wrapper's pushdown filter, nil for a temp, which
-// stores only passing slots. A queue's slot stays readable until it is
-// credited, a temp's for the whole run.
+// views of its columns at the input node's Live width, and the wrapper's
+// pushdown pass mask (nil for a temp, which stores only passing slots).
 type chunk struct {
 	n    int
 	cols [][]int64
@@ -51,9 +49,6 @@ type chunk struct {
 
 // keys returns the chunk's values of column col.
 func (c *chunk) keys(col int) []int64 { return c.cols[col] }
-
-// passes reports whether slot i passed the wrapper's pushdown filter.
-func (c *chunk) passes(i int) bool { return c.pass == nil || c.pass[i] }
 
 // cascade is the execution state of whichever fragment is running on a
 // mediator: the chunk its input popped, the first probe step's chain heads

@@ -463,14 +463,11 @@ func (r *Reader) NextArrival() (time.Duration, bool) {
 	return r.readyAt[k], true
 }
 
-// PopView consumes up to max tuples, never crossing a page boundary, and
-// returns them in place: cols (its storage reused) holds one view per
-// column the temp stores, each n long, into the page's column runs. A closed
-// temp's arena never changes, so the views stay valid until the store is
-// reclaimed. Bounding the chunk at the page edge puts the I/O charges where
-// consumption incurs them: the page read (synchronous wait or prefetch
-// issue) is paid exactly when consumption first touches the page, which for
-// a page-bounded chunk is the call itself.
+// PopView consumes up to max tuples of one page and returns, in cols (its
+// storage reused), one view per stored column into the page, which a closed
+// temp never changes. Bounding the chunk at the page edge puts the I/O
+// charges where consumption incurs them: the page read (synchronous wait or
+// prefetch issue) is paid when consumption first touches the page.
 func (r *Reader) PopView(now time.Duration, max int, cols [][]int64) ([][]int64, int) {
 	t := r.temp
 	cols = cols[:0]
@@ -506,10 +503,8 @@ func (r *Reader) PopView(now time.Duration, max int, cols [][]int64) ([][]int64,
 	return cols, n
 }
 
-// Pop moves up to max tuples into dst, which must have the temp's width:
-// PopView's tuples, copied out as one contiguous run per column. It stays
-// only because PopN and the temp's tests call it — remove with PopN in the
-// next [benchmark] PR.
+// Pop copies PopView's tuples into dst, of the temp's width. It stays only
+// for PopN and the tests — remove with the next [benchmark] PR.
 func (r *Reader) Pop(now time.Duration, dst *relation.Batch, max int) int {
 	if dst.Width() != r.temp.width {
 		panic(fmt.Sprintf("mem: pop of width-%d temp %q into a width-%d batch", r.temp.width, r.temp.name, dst.Width()))

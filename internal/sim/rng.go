@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"math"
-	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -14,12 +13,9 @@ import (
 // reproducible.
 type RNG struct {
 	r *rand.Rand
-	// bound is the last bound Int63n drew below that is not a power of two,
-	// limit the largest draw it accepts for it, and recip its reciprocal
-	// 2^64/bound rounded down: every draw below the same bound — a
-	// wrapper's delays, a column's values — reuses them.
+	// limit is the largest draw Int63n accepts below bound, the last bound
+	// it drew below that is not a power of two (a wrapper's, a column's).
 	bound, limit int64
-	recip        uint64
 }
 
 // NewRNG returns a generator seeded with the given value.
@@ -69,31 +65,20 @@ func (g *RNG) UniformDelay(w time.Duration) time.Duration {
 // Intn returns a uniform integer in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63n returns a uniform int64 in [0, n): the value math/rand's Int63n
-// returns, from the same draws. It rejects the same draws against the same
-// limit, cached per bound, and takes the remainder without dividing: with
-// r = 2^64/n rounded down, the high word of v·r is v/n or one less, for any
-// v below 2^63.
+// Int63n returns a uniform int64 in [0, n): math/rand's Int63n, draw for
+// draw, with the rejection limit cached per bound.
 func (g *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: invalid argument to Int63n")
-	}
-	if n&(n-1) == 0 { // a power of two: mask
-		return g.r.Int63() & (n - 1)
+	if n <= 0 || n&(n-1) == 0 {
+		return g.r.Int63n(n) // one masked draw, or the panic on n <= 0
 	}
 	if n != g.bound {
-		g.bound, g.limit, g.recip = n, int64((1<<63)-1-(1<<63)%uint64(n)), ^uint64(0)/uint64(n)
+		g.bound, g.limit = n, int64((1<<63)-1-(1<<63)%uint64(n))
 	}
 	v := g.r.Int63()
 	for v > g.limit {
 		v = g.r.Int63()
 	}
-	q, _ := bits.Mul64(uint64(v), g.recip)
-	r := v - int64(q)*n
-	if r >= n {
-		r -= n
-	}
-	return r
+	return v % n
 }
 
 // Float64 returns a uniform float64 in [0, 1).
