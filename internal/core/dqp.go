@@ -144,10 +144,9 @@ func (e *Engine) processPhase(sp SchedulingPlan) (Event, error) {
 			}
 			med.Work.EmptyAsks++
 			if f.In.Exhausted() {
-				// Input is gone, and Runnable found no stranded output: the
-				// fragment finalizes, which is progress, so re-enter at the
-				// top of the priority list (or sweep on) rather than falling
-				// through to the stall/timeout computation below.
+				// Input is gone, and Runnable found no stranded output, so
+				// the fragment finalizes: that ends a priority phase and is
+				// progress in a sweep, not a reason to stall.
 				f.ProcessBatch(0)
 				if f.Done() {
 					if !sp.RoundRobin {

@@ -355,9 +355,9 @@ func TestStickyPhaseEndsStarved(t *testing.T) {
 
 // TestSweepRunsInputsDueAtOneInstant: two window fragments whose inputs
 // first arrive at the same instant are each asked once before it — the
-// phase's first asks, which find nothing — then both run at it after one
-// stall, the second at the instant the first one's batch ended: a slot due
-// exactly now is asked, not passed.
+// phase's first asks, which find nothing — then both run after one stall
+// to it, the second right after the first one's batch: a slot due exactly
+// now is asked, not passed.
 func TestSweepRunsInputsDueAtOneInstant(t *testing.T) {
 	w := smallFig5(t)
 	del := uniform(w, 10*time.Microsecond)
