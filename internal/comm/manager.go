@@ -22,13 +22,12 @@ import (
 // Observe before that instant is one compare, and otherwise it visits only
 // the queues whose bound has passed, making each bound exact. It judges a
 // queue when it feeds it: its verdict — "this wrapper's estimate deviates
-// significantly from its planned baseline" — is a function of the queue's
-// estimate and its baseline, so it can only move when one of those does,
-// and it is two integer compares against the baseline's verdict band (see
-// band). A new baseline (SnapshotPlanned) clears every verdict, and a new
-// queue (Adopt) has none. RateChanged only reads the standing verdicts, so
-// its answer — the first changed wrapper in name order — is the full
-// scan's.
+// significantly from its planned baseline" (significantChange) — is a
+// function of the queue's estimate and its baseline, so it can only move
+// when one of those does. A new baseline (SnapshotPlanned) clears every
+// verdict, and a new queue (Adopt) has none. RateChanged only reads the
+// standing verdicts, so its answer — the first changed wrapper in name
+// order — is the full scan's.
 type Manager struct {
 	ordered []*Queue // name-sorted, the CM's deterministic scan order
 	// due[i] is a lower bound on ordered[i]'s next due instant, and next a
@@ -60,9 +59,6 @@ type rateState struct {
 	// after the last snapshot, which has no baseline to deviate from.
 	planned time.Duration
 	hasPlan bool
-	// lo and hi bound planned's verdict band: the estimates that
-	// significantChange does not tell apart from planned (see band).
-	lo, hi  time.Duration
 	changed bool // the standing verdict
 }
 
@@ -86,40 +82,6 @@ func significantChange(old, new time.Duration) bool {
 		r = 1 / r
 	}
 	return r > changeFactor && math.Abs(a-b) > 1e-9
-}
-
-// band returns the closed range [lo, hi] of non-negative estimates that
-// significantChange(planned, ·) does not tell apart from a non-negative
-// baseline planned, so that judging an estimate is two integer compares.
-//
-// The range is exact. Over estimates above planned the predicate is
-// monotone: Duration.Seconds is non-decreasing, and a/b falls while |a-b|
-// grows as b rises, under IEEE rounding too. Below planned it is monotone
-// the other way, and 0 is significant against any positive baseline. So
-// each edge is where the predicate first holds, walking away from planned.
-// The walk starts at the closed form — planned×changeFactor above,
-// planned/changeFactor below — from which rounding moves the edge by no
-// more than a few units of the estimates' float resolution.
-func band(planned time.Duration) (lo, hi time.Duration) {
-	if planned <= 0 {
-		return planned, planned
-	}
-	same := func(d time.Duration) bool { return !significantChange(planned, d) }
-	hi = planned + min(planned*(changeFactor-1), math.MaxInt64-planned)
-	for !same(hi) {
-		hi--
-	}
-	for hi < math.MaxInt64 && same(hi+1) {
-		hi++
-	}
-	lo = planned / changeFactor
-	for !same(lo) {
-		lo++
-	}
-	for lo > 1 && same(lo-1) {
-		lo--
-	}
-	return lo, hi
 }
 
 // minObservations gates change detection until the estimator has seen
@@ -253,12 +215,7 @@ func (m *Manager) SnapshotPlanned(fallback time.Duration) {
 		if est, ok := q.EstimatedWait(); ok {
 			w = est
 		}
-		if r := &q.rate; !r.hasPlan || r.planned != w {
-			lo, hi := band(w)
-			*r = rateState{planned: w, hasPlan: true, lo: lo, hi: hi}
-		} else {
-			r.changed = false
-		}
+		q.rate = rateState{planned: w, hasPlan: true}
 	}
 	m.changed = 0
 }
@@ -269,7 +226,7 @@ func (m *Manager) judge(q *Queue) {
 	r := &q.rate
 	cur, ok := q.EstimatedWait()
 	verdict := ok && q.Observations() >= minObservations && r.hasPlan &&
-		(cur < r.lo || cur > r.hi)
+		significantChange(r.planned, cur)
 	if verdict != r.changed {
 		r.changed = verdict
 		if verdict {

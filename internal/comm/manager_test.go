@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -168,53 +167,5 @@ func TestManagerDrop(t *testing.T) {
 	if got := m.RateChanged(); got != "" || len(m.Queues()) != 0 || m.changed != 0 {
 		t.Errorf("after dropping both: RateChanged = %q, %d queues, %d verdicts; want an empty CM",
 			got, len(m.Queues()), m.changed)
-	}
-}
-
-// TestVerdictBandMatchesSignificantChange checks the verdict band against
-// significantChange itself: at the band's edges and two nanoseconds either
-// side of them, and at random estimates near and far from the baseline,
-// for baselines of zero, under a microsecond, over a second (where
-// Duration.Seconds takes its slow path, and up to the range's end) and the
-// engine's default InitialWaitEstimate.
-func TestVerdictBandMatchesSignificantChange(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	baselines := []time.Duration{0, 1, 2, 3, 4, 5, 7, 999,
-		20 * time.Microsecond, // exec.DefaultConfig's InitialWaitEstimate
-		time.Second - 1, time.Second, time.Second + 1, 3*time.Second + 7, time.Hour,
-		math.MaxInt64 / 3, math.MaxInt64/2 + 1, math.MaxInt64 - 1, math.MaxInt64}
-	for i := 0; i < 200; i++ {
-		baselines = append(baselines,
-			time.Duration(1+rng.Int63n(999)),                        // under a microsecond
-			time.Duration(rng.Int63n(int64(time.Second))),           // up to a second
-			time.Second+time.Duration(rng.Int63n(int64(time.Hour))), // the slow path
-			time.Duration(rng.Int63()))                              // anywhere
-	}
-	for _, p := range baselines {
-		lo, hi := band(p)
-		if lo > p || hi < p {
-			t.Fatalf("band(%d) = [%d, %d] does not hold the baseline", p, lo, hi)
-		}
-		check := func(d time.Duration) {
-			if d < 0 {
-				return // estimates are never negative
-			}
-			if in := lo <= d && d <= hi; in == significantChange(p, d) {
-				t.Fatalf("band(%d) = [%d, %d]: estimate %d in band = %v, significantChange says %v",
-					p, lo, hi, d, in, !in)
-			}
-		}
-		for k := time.Duration(-2); k <= 2; k++ {
-			check(lo + k)
-			if hi <= math.MaxInt64-k || k <= 0 {
-				check(hi + k)
-			}
-		}
-		for i := 0; i < 50; i++ {
-			check(time.Duration(rng.Int63()))
-			if p > 0 && p < math.MaxInt64/4 {
-				check(time.Duration(rng.Int63n(int64(4 * p))))
-			}
-		}
 	}
 }

@@ -31,7 +31,7 @@ func (p *dsePolicy) splitForMemory(cs *chainState) bool {
 		return false
 	}
 	need := rt.EstBuildBytes(cs.chain)
-	avail := rt.Mem.Available()
+	avail := rt.Med.Mem.Available()
 	var released int64
 	// k == seg.toStep is the degenerate-but-useful top split: the head runs
 	// every probe and materializes, releasing all its tables before the
@@ -41,9 +41,9 @@ func (p *dsePolicy) splitForMemory(cs *chainState) bool {
 		released += rt.TableReserved(j)
 		if need <= avail+released {
 			cs.splitActive(k)
-			rt.CountMemRepair()
-			if rt.Trace.Enabled() {
-				rt.Trace.Add(rt.Now(), sim.EvMemRepair, "split %s%s at step %d (frees %d bytes)",
+			rt.Med.CountMemRepair()
+			if rt.Med.Trace.Enabled() {
+				rt.Med.Trace.Add(rt.Now(), sim.EvMemRepair, "split %s%s at step %d (frees %d bytes)",
 					prefixLabel(rt.Label), cs.chain.Name, k, released)
 			}
 			return true
@@ -61,9 +61,9 @@ func (p *dsePolicy) handleOverflow(f *exec.Fragment) {
 	rt := f.Runtime()
 	cs := p.state(rt, f.Chain)
 	cs.memSuspended = true
-	cs.suspendAvail = rt.Mem.Available()
-	rt.Trace.Add(rt.Now(), sim.EvMemRepair, "suspend %s: memory grant exhausted (%d/%d bytes used)",
-		f.Label, rt.Mem.Used(), rt.Mem.Total())
+	cs.suspendAvail = rt.Med.Mem.Available()
+	rt.Med.Trace.Add(rt.Now(), sim.EvMemRepair, "suspend %s: memory grant exhausted (%d/%d bytes used)",
+		f.Label, rt.Med.Mem.Used(), rt.Med.Mem.Total())
 	if f.Term != exec.TermBuild {
 		return
 	}
@@ -78,7 +78,7 @@ func (p *dsePolicy) handleOverflow(f *exec.Fragment) {
 		return // the head would release nothing, or the join is in a later segment
 	}
 	prober.splitActive(sj)
-	rt.CountMemRepair()
-	rt.Trace.Add(rt.Now(), sim.EvMemRepair, "split %s%s below J%d to free its lower tables",
+	rt.Med.CountMemRepair()
+	rt.Med.Trace.Add(rt.Now(), sim.EvMemRepair, "split %s%s below J%d to free its lower tables",
 		prefixLabel(rt.Label), prober.chain.Name, blocked.ID)
 }

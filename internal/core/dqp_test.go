@@ -76,8 +76,8 @@ func TestProcessPhaseStallsWhenAllStarved(t *testing.T) {
 	if ev.Kind != EventEndOfQF {
 		t.Fatalf("event = %v", ev.Kind)
 	}
-	if rt.Clock.Idle() < 99*time.Millisecond {
-		t.Errorf("idle time %v, want ≈100ms of stalling before the first arrival", rt.Clock.Idle())
+	if rt.Med.Clock.Idle() < 99*time.Millisecond {
+		t.Errorf("idle time %v, want ≈100ms of stalling before the first arrival", rt.Med.Clock.Idle())
 	}
 }
 
@@ -113,7 +113,7 @@ func TestScheduleOrdersByCriticalDegree(t *testing.T) {
 	rt := newRT(t, w, cfg, del)
 	e := dseEngine(t, rt)
 	// Let the CM observe both wrappers for a while.
-	rt.Clock.Stall(200 * time.Millisecond)
+	rt.Med.Clock.Stall(200 * time.Millisecond)
 	rt.Med.CM.Observe(rt.Now())
 	sp, err := e.pol.(*dsePolicy).schedule(e.st)
 	if err != nil {
@@ -393,7 +393,7 @@ func TestSweepRunsInputsDueAtOneInstant(t *testing.T) {
 			batches = append(batches, ev)
 		}
 	}
-	perBatch := time.Duration(cfg.BatchTuples) * (rt.Costs.MoveT + rt.Costs.ReceiveT)
+	perBatch := time.Duration(cfg.BatchTuples) * (rt.Med.Costs.MoveT + rt.Med.Costs.ReceiveT)
 	if len(batches) != 2 || batches[0].Note != "p_D first batch" || batches[0].At != atD ||
 		batches[1].Note != "p_E first batch" || batches[1].At <= atD || batches[1].At > atD+2*perBatch {
 		t.Errorf("first batches %v; want p_D at %v, then p_E right after its batch", batches, atD)
@@ -442,7 +442,7 @@ func TestProbeRetryReasksEveryFragment(t *testing.T) {
 	cD, _ := rt.Dec.ChainOf("D")
 	cE, _ := rt.Dec.ChainOf("E")
 	fD, fE := rt.NewPCFragment(cD), rt.NewPCFragment(cE)
-	fE.In = lateInput{fE.In, rt.Clock, 10 * time.Millisecond}
+	fE.In = lateInput{fE.In, rt.Med.Clock, 10 * time.Millisecond}
 	sp := SchedulingPlan{Frags: []*exec.Fragment{fD, fE}}
 	ev, err := e.processPhase(sp)
 	if err != nil || ev.Kind != EventSourceDown {

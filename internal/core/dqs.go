@@ -185,7 +185,7 @@ func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 			return cand{}, false
 		}
 		bmi := chainBMI(rt, cs.chain)
-		if bmi <= rt.Cfg.BMT {
+		if bmi <= rt.Med.Cfg.BMT {
 			return cand{}, false
 		}
 		cs.splitActive(seg.fromStep) // MF [0,0) + CF [0,len)
@@ -193,7 +193,7 @@ func (p *dsePolicy) evalChain(st *State, cs *chainState) (cand, bool) {
 		med.CountDegrade()
 		if med.Trace.Enabled() {
 			med.Trace.Add(med.Now(), sim.EvDegrade, "degrade %s%s (bmi=%.2f > bmt=%.2f)",
-				prefixLabel(rt.Label), cs.chain.Name, bmi, rt.Cfg.BMT)
+				prefixLabel(rt.Label), cs.chain.Name, bmi, rt.Med.Cfg.BMT)
 		}
 		seg = cs.active() // the MF: no probed tables, always C-schedulable
 	}

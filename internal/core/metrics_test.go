@@ -21,7 +21,7 @@ func TestFragmentPriorityUsesDiskPaceForTempInput(t *testing.T) {
 	for !mf.Done() {
 		if n, _ := mf.ProcessBatch(4096); n == 0 && !mf.Done() {
 			if at, ok := mf.NextArrival(); ok {
-				rt.Clock.Stall(at)
+				rt.Med.Clock.Stall(at)
 			}
 		}
 	}

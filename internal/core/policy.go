@@ -192,7 +192,7 @@ func (st *State) StallUntil(t time.Duration) { st.med.Clock.Stall(t) }
 
 // ChargeInstructions charges n CPU instructions to the mediator processor,
 // advancing the clock by the configured MIPS rate.
-func (st *State) ChargeInstructions(n int64) { st.med.Costs.CPU.Charge(n) }
+func (st *State) ChargeInstructions(n int64) { st.med.Clock.Work(st.med.Cfg.Params.InstrTime(n)) }
 
 // CountReplan bumps the replan counter reported in every Result.
 func (st *State) CountReplan() { st.med.CountReplan() }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -104,7 +105,9 @@ func TestColumnarSteadyStateRunAllocations(t *testing.T) {
 // the runtime, its input, table and fragment slabs, one string of CM names,
 // each wrapper's source — the same count on Fig5Small as on full Fig5, and
 // nothing per fragment, temp or tuple. No admission decomposes the plan
-// again, so the count is the same with Config.Plans set or nil.
+// again, so the count is the same with Config.Plans set or nil. The bytes
+// are bounded too, so that a runtime cannot grow copies of its mediator's
+// state back without failing here.
 func TestAddQueryAllocatesPerQuery(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's own allocations blur exact counts")
@@ -120,7 +123,7 @@ func TestAddQueryAllocatesPerQuery(t *testing.T) {
 	}{{"no cache", nil}, {"cache", plan.NewDecompositionCache()}} {
 		cfg := testConfig()
 		cfg.Plans = tc.plans
-		admitAt := func(w *workload.Workload) float64 {
+		admitAt := func(w *workload.Workload) (objects float64, bytes uint64) {
 			d := uniform(w, 20*time.Microsecond)
 			admit := func() {
 				med, err := NewMediator(cfg)
@@ -135,10 +138,20 @@ func TestAddQueryAllocatesPerQuery(t *testing.T) {
 				med.Reclaim()
 			}
 			admit() // the first admission at a new scale regrows what the last one outgrew
-			return testing.AllocsPerRun(10, admit)
+			objects = testing.AllocsPerRun(10, admit)
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				admit()
+			}
+			runtime.ReadMemStats(&after)
+			return objects, (after.TotalAlloc - before.TotalAlloc) / runs
 		}
-		atSmall, atFull := admitAt(small), admitAt(full)
-		t.Logf("%s: a warm admission allocates %v objects on Fig5Small, %v on Fig5", tc.name, atSmall, atFull)
+		atSmall, bytesSmall := admitAt(small)
+		atFull, bytesFull := admitAt(full)
+		t.Logf("%s: a warm admission allocates %v objects (%d B) on Fig5Small, %v (%d B) on Fig5",
+			tc.name, atSmall, bytesSmall, atFull, bytesFull)
 		if atSmall != atFull {
 			t.Errorf("%s: a warm admission allocates %v times on Fig5Small but %v on Fig5", tc.name, atSmall, atFull)
 		}
@@ -148,6 +161,14 @@ func TestAddQueryAllocatesPerQuery(t *testing.T) {
 		// mediator's RNG and ledger-holder lists.
 		if atSmall > 34 {
 			t.Errorf("%s: a warm admission allocates %v times, want at most 34", tc.name, atSmall)
+		}
+		// 8 640 bytes measured on go1.24 at either scale, plus 4%: a
+		// runtime that copied its mediator's configuration, cost table and
+		// site handles again would add 640 bytes, which a 10% slack admits.
+		for _, b := range []uint64{bytesSmall, bytesFull} {
+			if b > 9000 {
+				t.Errorf("%s: a warm admission allocates %d bytes, want at most 9000", tc.name, b)
+			}
 		}
 	}
 }

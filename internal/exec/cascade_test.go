@@ -128,14 +128,14 @@ func TestChunkedTwoStepOverflowMatchesPerTupleDriver(t *testing.T) {
 	run := func(process func(*Fragment, int) (int, bool), room int64) (atOverflow, atEnd state) {
 		cfg := testConfig()
 		rt, cA, mf := cascadeCF(t, false, cfg)
-		rt.Mem.WriteThrough() // no resident pages: the grant holds tables only
+		rt.Med.Mem.WriteThrough() // no resident pages: the grant holds tables only
 		cf := rt.NewSegment(cA, 0, len(cA.Joins), mf.Temp, true)
 		if len(cf.steps) != 2 || cf.Term != TermBuild || cf.steps[1].src != 0 {
 			t.Fatalf("%s: %d steps, terminal %v, second key from %d; want two steps, the second keyed on step 0's entry, into a build",
 				cf.Label, len(cf.steps), cf.Term, cf.steps[1].src)
 		}
-		hold := rt.Mem.Bind("", "test")
-		if !rt.Mem.Reserve(hold, rt.Mem.Available()-room*int64(cfg.Params.TupleSize)) {
+		hold := rt.Med.Mem.Bind("", "test")
+		if !rt.Med.Mem.Reserve(hold, rt.Med.Mem.Available()-room*int64(cfg.Params.TupleSize)) {
 			t.Fatal("could not narrow the grant")
 		}
 		snap := func() state {
@@ -155,7 +155,7 @@ func TestChunkedTwoStepOverflowMatchesPerTupleDriver(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s starved", cf.Label)
 					}
-					rt.Clock.Stall(at)
+					rt.Med.Clock.Stall(at)
 				}
 			}
 			if wantOverflow {
@@ -164,7 +164,7 @@ func TestChunkedTwoStepOverflowMatchesPerTupleDriver(t *testing.T) {
 		}
 		drive(true)
 		atOverflow = snap()
-		rt.Mem.Release(hold, rt.Mem.Held(hold))
+		rt.Med.Mem.Release(hold, rt.Med.Mem.Held(hold))
 		drive(false)
 		return atOverflow, snap()
 	}

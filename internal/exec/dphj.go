@@ -76,7 +76,7 @@ type symNet struct {
 func newSymNet(rt *Runtime) *symNet {
 	dec := rt.Dec
 	net := &symNet{rt: rt, joins: make([]symJoin, len(dec.Joins)), leaves: make([]symLeaf, len(dec.Chains)),
-		holder: rt.Mem.Bind(rt.Label, "DPHJ")}
+		holder: rt.Med.Mem.Bind(rt.Label, "DPHJ")}
 	s := rt.Med.scratch
 	// consumer returns the network entry fed by node n: its parent join and
 	// side, or nil when n feeds the output.
@@ -116,7 +116,7 @@ func newSymNet(rt *Runtime) *symNet {
 // completion releases the network, and Mediator.Reclaim sweeps whatever an
 // aborted run left.
 func (net *symNet) release(s *scratch) {
-	net.rt.Mem.Release(net.holder, net.rt.Mem.Held(net.holder))
+	net.rt.Med.Mem.Release(net.holder, net.rt.Med.Mem.Held(net.holder))
 	for i := range net.joins {
 		sj := &net.joins[i]
 		s.putTable(sj.buildTable)
@@ -133,7 +133,7 @@ func (net *symNet) release(s *scratch) {
 func (net *symNet) feed(leaf *symLeaf, c *chunk, i int) bool {
 	rt, sj := net.rt, leaf.join
 	if sj == nil {
-		rt.Costs.ChargeResult()
+		rt.Med.Costs.ChargeResult()
 		if row := rt.emitOutput(); row != nil {
 			gatherAt(c, i, nil, nil, row, rt.Dec.LiveAt)
 			rt.stream(row)
@@ -165,10 +165,10 @@ func (net *symNet) arrive(sj *symJoin, fromBuild bool, a, b relation.Tuple) bool
 // fill before the table is probed, or nil on memory exhaustion.
 func (net *symNet) insert(sj *symJoin, fromBuild bool, w int) relation.Tuple {
 	rt := net.rt
-	if !rt.Mem.Reserve(net.holder, int64(rt.Cfg.Params.TupleSize)) {
+	if !rt.Med.Mem.Reserve(net.holder, int64(rt.Med.Cfg.Params.TupleSize)) {
 		return nil
 	}
-	rt.Costs.ChargeMove()
+	rt.Med.Costs.ChargeMove()
 	rt.Med.Work.ValuesCopied += int64(w)
 	if fromBuild {
 		return sj.buildTable.Extend(w, 1)
@@ -182,7 +182,7 @@ func (net *symNet) insert(sj *symJoin, fromBuild bool, w int) relation.Tuple {
 // It returns false on memory exhaustion.
 func (net *symNet) probe(sj *symJoin, fromBuild bool, t relation.Tuple) bool {
 	rt := net.rt
-	rt.Costs.ChargeProbe()
+	rt.Med.Costs.ChargeProbe()
 	other, idx := sj.buildTable, sj.probeIdx
 	if fromBuild {
 		other, idx = sj.probeTable, sj.buildIdx
@@ -190,7 +190,7 @@ func (net *symNet) probe(sj *symJoin, fromBuild bool, t relation.Tuple) bool {
 	sj.ents = other.Chain(sj.ents[:0], other.Head(t[idx]))
 	// The probe loop reads no clocks, so the per-match result charges merge
 	// into one exact clock addition.
-	rt.Costs.CPU.Clock.Work(time.Duration(len(sj.ents)) * rt.Costs.ResultT)
+	rt.Med.Costs.Clock.Work(time.Duration(len(sj.ents)) * rt.Med.Costs.ResultT)
 	w := rt.Med.Work
 	w.HeadLookups++
 	w.ChainSteps += int64(len(sj.ents))

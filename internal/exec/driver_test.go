@@ -31,7 +31,7 @@ func runSEQ(rt *Runtime) (Result, error) {
 // drain runs a single fragment to completion, stalling on data gaps.
 func drain(rt *Runtime, f *Fragment) error {
 	for !f.Done() {
-		n, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
+		n, overflow := f.ProcessBatch(rt.Med.Cfg.BatchTuples)
 		if overflow {
 			return fmt.Errorf("%w (fragment %s)", ErrMemoryExceeded, f.Label)
 		}
@@ -43,7 +43,7 @@ func drain(rt *Runtime, f *Fragment) error {
 			if !ok {
 				return fmt.Errorf("exec: fragment %s starved with no future arrivals", f.Label)
 			}
-			rt.Clock.Stall(at)
+			rt.Med.Clock.Stall(at)
 		}
 	}
 	return nil
@@ -61,7 +61,7 @@ func runMA(rt *Runtime) (Result, error) {
 		frags = append(frags, f)
 		temps[c.Scan.Rel.Name] = f.Temp
 	}
-	rt.Trace.Add(rt.Now(), sim.EvPhase, "MA phase 1: materialize %d relations", len(frags))
+	rt.Med.Trace.Add(rt.Now(), sim.EvPhase, "MA phase 1: materialize %d relations", len(frags))
 	for {
 		progressed := false
 		alldone := true
@@ -71,7 +71,7 @@ func runMA(rt *Runtime) (Result, error) {
 			}
 			alldone = false
 			if f.Runnable(rt.Now()) {
-				if _, overflow := f.ProcessBatch(rt.Cfg.BatchTuples); overflow {
+				if _, overflow := f.ProcessBatch(rt.Med.Cfg.BatchTuples); overflow {
 					return Result{}, fmt.Errorf("%w (fragment %s)", ErrMemoryExceeded, f.Label)
 				}
 				progressed = true
@@ -94,10 +94,10 @@ func runMA(rt *Runtime) (Result, error) {
 			if !found {
 				return Result{}, fmt.Errorf("exec: MA phase 1 deadlocked with unfinished fragments")
 			}
-			rt.Clock.Stall(next)
+			rt.Med.Clock.Stall(next)
 		}
 	}
-	rt.Trace.Add(rt.Now(), sim.EvPhase, "MA phase 2: local execution")
+	rt.Med.Trace.Add(rt.Now(), sim.EvPhase, "MA phase 2: local execution")
 	for _, c := range IteratorOrder(rt.Dec) {
 		f := rt.NewCFSync(c, temps[c.Scan.Rel.Name])
 		if err := drain(rt, f); err != nil {

@@ -168,7 +168,7 @@ func TestFragmentMFAppliesScanPredicate(t *testing.T) {
 			if !ok {
 				break
 			}
-			rt.Clock.Stall(at)
+			rt.Med.Clock.Stall(at)
 		}
 	}
 	want := 0

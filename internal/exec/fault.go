@@ -178,7 +178,7 @@ func (m *Mediator) ProbeSilent(window []*Fragment) (WrapperEvent, bool, error) {
 	m.Clock.Stall(e.nextProbe)
 	e.probes++
 	// One probe is a message out and (the hoped-for) reply in.
-	m.Costs.CPU.Charge(2 * m.Cfg.Params.MessageInstr)
+	m.Clock.Work(m.Cfg.Params.InstrTime(2 * m.Cfg.Params.MessageInstr))
 	m.Trace.Add(m.Now(), sim.EvRetry, "retry %d/%d to silent wrapper %s", e.probes, faultRetries, e.name)
 	if e.probes < faultRetries {
 		e.nextProbe = m.Now() + faultRetryBase<<(e.probes-1)

@@ -207,7 +207,7 @@ func (rt *Runtime) NewPCFragment(c *plan.Chain) *Fragment {
 // I/O for its fragments (NewSegment); MA does not.
 func (rt *Runtime) NewMFSync(c *plan.Chain) *Fragment {
 	in := rt.queueIn(c)
-	temp := rt.Temps.CreateSyncSized(c.MF, c.Scan.Live, rt.segmentRowsHint(c, 0, 0, true, in))
+	temp := rt.Med.Temps.CreateSyncSized(c.MF, c.Scan.Live, rt.segmentRowsHint(c, 0, 0, true, in))
 	return rt.newFragment(c, c.MF, 0, 0, in, TermTemp, temp)
 }
 
@@ -249,12 +249,12 @@ func (rt *Runtime) NewSegment(c *plan.Chain, fromStep, toStep int, prev *mem.Tem
 	if queueInput {
 		in = rt.queueIn(c)
 	} else {
-		in = tempSource{prev.NewReader(rt.Cfg.PrefetchPages)}
+		in = tempSource{prev.NewReader(rt.Med.Cfg.PrefetchPages)}
 	}
 	if last {
 		return rt.newFragment(c, label, fromStep, toStep, in, chainTerm(c), nil)
 	}
-	temp := rt.Temps.CreateSized(label, inputSchemaAt(c, toStep), rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
+	temp := rt.Med.Temps.CreateSized(label, inputSchemaAt(c, toStep), rt.segmentRowsHint(c, fromStep, toStep, queueInput, in))
 	return rt.newFragment(c, label, fromStep, toStep, in, TermTemp, temp)
 }
 
@@ -294,7 +294,7 @@ func (f *Fragment) Runnable(now time.Duration) bool {
 // exact); a temp charges each row's move before placing it, because a page
 // that fills reads the clock; an output gathers a row only for a Sink.
 func (f *Fragment) sink(cs *cascade, i, n int) int {
-	costs, work := &f.rt.Costs, f.rt.Med.Work
+	costs, work := &f.rt.Med.Costs, f.rt.Med.Work
 	per := len(f.steps)
 	switch f.Term {
 	case TermBuild:
@@ -305,7 +305,7 @@ func (f *Fragment) sink(cs *cascade, i, n int) int {
 		for r := range k {
 			gather(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], rows[r*w:(r+1)*w], 1)
 		}
-		costs.CPU.Clock.Work(time.Duration(k) * costs.MoveT)
+		costs.Clock.Work(time.Duration(k) * costs.MoveT)
 		work.ValuesCopied += int64(k * w)
 		return k
 	case TermTemp:
@@ -314,7 +314,7 @@ func (f *Fragment) sink(cs *cascade, i, n int) int {
 			vals, stride := f.Temp.Slot()
 			gather(&cs.ch, i, f.steps, cs.ents[r*per:(r+1)*per], vals, stride)
 		}
-		f.rt.CountMaterialized(int64(n))
+		f.rt.matTuples += int64(n)
 		work.ValuesCopied += int64(n * f.rowWidth())
 	case TermOutput:
 		for r := range n {
@@ -345,7 +345,7 @@ func (f *Fragment) retry(row relation.Tuple) bool {
 		return false
 	}
 	copy(dst, row)
-	f.rt.Costs.ChargeMove()
+	f.rt.Med.Costs.ChargeMove()
 	f.rt.Med.Work.ValuesCopied += int64(len(row))
 	return true
 }
@@ -398,7 +398,7 @@ func gatherAt(c *chunk, i int, steps []stepExec, ents []int32, dst []int64, pos 
 // mediator's cascade until the next probe call, this fragment's or
 // another's: sink them (or strand them, which gathers) first.
 func (f *Fragment) probe(cs *cascade, i int) int {
-	costs, work := &f.rt.Costs, f.rt.Med.Work
+	costs, work := &f.rt.Med.Costs, f.rt.Med.Work
 	d := costs.MoveT
 	if f.QueueInput {
 		d += costs.ReceiveT
@@ -447,7 +447,7 @@ func (f *Fragment) probe(cs *cascade, i int) int {
 			break
 		}
 	}
-	costs.CPU.Clock.Work(d)
+	costs.Clock.Work(d)
 	return n
 }
 
@@ -527,7 +527,7 @@ func (f *Fragment) ProcessBatch(max int) (int, bool) {
 // whose rows the sink gathers. On overflow the unsunk results are stranded
 // and the chunk's tail goes back to the source.
 func (f *Fragment) process(max int) (int, bool) {
-	costs := &f.rt.Costs
+	costs := &f.rt.Med.Costs
 	filteredCharge := costs.MoveT + costs.ReceiveT
 	cs := &f.rt.Med.scratch.cascade
 	c := &cs.ch
@@ -542,13 +542,13 @@ func (f *Fragment) process(max int) (int, bool) {
 		}
 		for i := 0; i < c.n; i++ {
 			at := f.rt.Now()
-			if f.processed == 0 && f.rt.Trace.Enabled() {
-				f.rt.Trace.Add(at, sim.EvBatch, "%s first batch", f.Label)
+			if f.processed == 0 && f.rt.Med.Trace.Enabled() {
+				f.rt.Med.Trace.Add(at, sim.EvBatch, "%s first batch", f.Label)
 			}
 			f.processed++
 			n++
 			if c.pass != nil && !c.pass[i] {
-				costs.CPU.Clock.Work(filteredCharge)
+				costs.Clock.Work(filteredCharge)
 			} else if m := f.probe(cs, i); m > 0 {
 				if k := f.sink(cs, i, m); k < m {
 					f.strand(cs, i, k, m)
@@ -593,8 +593,8 @@ func (f *Fragment) finish(verb, detail string) {
 		f.rt.releaseTable(s.table)
 	}
 	f.done = true
-	if f.rt.Trace.Enabled() { // boxing the arguments allocates even when off
-		f.rt.Trace.Add(f.rt.Now(), sim.EvFragmentEnd, "%s %s (%d tuples in%s)", f.Label, verb, f.processed, detail)
+	if f.rt.Med.Trace.Enabled() { // boxing the arguments allocates even when off
+		f.rt.Med.Trace.Add(f.rt.Now(), sim.EvFragmentEnd, "%s %s (%d tuples in%s)", f.Label, verb, f.processed, detail)
 	}
 	if f.Term != TermTemp {
 		f.rt.terminalDone()

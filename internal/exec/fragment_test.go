@@ -23,7 +23,7 @@ func drainFrag(t testing.TB, rt *Runtime, f *Fragment) {
 func drainBy(t testing.TB, rt *Runtime, f *Fragment, process func(*Fragment, int) (int, bool)) {
 	t.Helper()
 	for !f.Done() {
-		n, overflow := process(f, rt.Cfg.BatchTuples)
+		n, overflow := process(f, rt.Med.Cfg.BatchTuples)
 		if overflow {
 			t.Fatalf("%s overflowed", f.Label)
 		}
@@ -32,7 +32,7 @@ func drainBy(t testing.TB, rt *Runtime, f *Fragment, process func(*Fragment, int
 			if !ok {
 				t.Fatalf("%s starved with no arrivals", f.Label)
 			}
-			rt.Clock.Stall(at)
+			rt.Med.Clock.Stall(at)
 		}
 	}
 }
@@ -174,7 +174,7 @@ func TestFragmentOverflowSuspendsAndResumes(t *testing.T) {
 	f := rt.NewPCFragment(cA)
 	overflowed := false
 	for !f.Done() {
-		n, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
+		n, overflow := f.ProcessBatch(rt.Med.Cfg.BatchTuples)
 		if overflow {
 			overflowed = true
 			break
@@ -184,7 +184,7 @@ func TestFragmentOverflowSuspendsAndResumes(t *testing.T) {
 			if !ok {
 				break
 			}
-			rt.Clock.Stall(at)
+			rt.Med.Clock.Stall(at)
 		}
 	}
 	if !overflowed {
@@ -197,9 +197,9 @@ func TestFragmentOverflowSuspendsAndResumes(t *testing.T) {
 	// Artificially free E's table memory (as a completed prober would) and
 	// resume. The table itself stays: p_A still probes it.
 	h := rt.table(cE.BuildsFor).holder
-	rt.Mem.Release(h, rt.Mem.Held(h))
+	rt.Med.Mem.Release(h, rt.Med.Mem.Held(h))
 	for !f.Done() {
-		_, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
+		_, overflow := f.ProcessBatch(rt.Med.Cfg.BatchTuples)
 		if overflow {
 			t.Fatal("fragment overflowed again after memory was freed")
 		}
@@ -208,7 +208,7 @@ func TestFragmentOverflowSuspendsAndResumes(t *testing.T) {
 		}
 		if f.In.Available(rt.Now()) == 0 {
 			if at, ok := f.NextArrival(); ok {
-				rt.Clock.Stall(at)
+				rt.Med.Clock.Stall(at)
 			} else if f.In.Exhausted() {
 				f.ProcessBatch(0)
 			}
@@ -234,7 +234,7 @@ func TestReleaseOnlyAfterConsumption(t *testing.T) {
 	if rt.TableReleased(j) {
 		t.Fatal("table released before any prober ran")
 	}
-	if rt.Mem.Used() == 0 {
+	if rt.Med.Mem.Used() == 0 {
 		t.Fatal("no memory reserved by the build")
 	}
 	reservedE := rt.TableReserved(j)
@@ -315,7 +315,7 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 	for !f.Done() {
 		// Round boundary: bulk-pop debt is settled, the CM observes.
 		rt.Med.CM.Observe(rt.Now())
-		n, overflow := f.ProcessBatch(rt.Cfg.BatchTuples)
+		n, overflow := f.ProcessBatch(rt.Med.Cfg.BatchTuples)
 		if overflow {
 			if overflowed {
 				t.Fatal("fragment overflowed again after memory was freed")
@@ -324,7 +324,7 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 			// Free E's table memory (as a completed prober would) and
 			// resume; p_A still probes the table.
 			h := rt.table(cE.BuildsFor).holder
-			rt.Mem.Release(h, rt.Mem.Held(h))
+			rt.Med.Mem.Release(h, rt.Med.Mem.Held(h))
 			continue
 		}
 		if f.Done() {
@@ -333,7 +333,7 @@ func TestOverflowUnpopKeepsEstimatorExact(t *testing.T) {
 		if n == 0 {
 			if f.In.Available(rt.Now()) == 0 {
 				if at, ok := f.NextArrival(); ok {
-					rt.Clock.Stall(at)
+					rt.Med.Clock.Stall(at)
 				} else if f.In.Exhausted() {
 					f.ProcessBatch(0)
 				}
@@ -406,9 +406,9 @@ func refProcessBatch(f *Fragment, max int) (int, bool) {
 func refSinkTuple(f *Fragment, out relation.Tuple) bool {
 	switch f.Term {
 	case TermTemp:
-		f.rt.Costs.ChargeMove()
+		f.rt.Med.Costs.ChargeMove()
 		f.Temp.Append(out)
-		f.rt.CountMaterialized(1)
+		f.rt.matTuples++
 		return true
 	case TermOutput:
 		if row := f.rt.emitOutput(); row != nil {
@@ -420,12 +420,12 @@ func refSinkTuple(f *Fragment, out relation.Tuple) bool {
 		return true
 	}
 	ts := f.rt.table(f.Chain.BuildsFor)
-	if !f.rt.Mem.Reserve(ts.holder, int64(f.rt.Cfg.Params.TupleSize)) {
+	if !f.rt.Med.Mem.Reserve(ts.holder, int64(f.rt.Med.Cfg.Params.TupleSize)) {
 		return false
 	}
 	ts.ht.Insert(out)
 	ts.rows++
-	f.rt.Costs.ChargeMove()
+	f.rt.Med.Costs.ChargeMove()
 	return true
 }
 
@@ -460,7 +460,7 @@ func refRetry(f *Fragment) bool {
 // probing row followed by the match. It charges what Fragment.probe does,
 // in one clock addition.
 func refApplyTuple(f *Fragment, t relation.Tuple) []relation.Tuple {
-	costs := &f.rt.Costs
+	costs := &f.rt.Med.Costs
 	d := costs.MoveT
 	if f.QueueInput {
 		d += costs.ReceiveT
@@ -483,7 +483,7 @@ func refApplyTuple(f *Fragment, t relation.Tuple) []relation.Tuple {
 			break
 		}
 	}
-	costs.CPU.Clock.Work(d)
+	costs.Clock.Work(d)
 	return cur
 }
 
@@ -510,7 +510,7 @@ func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt.Mem.WriteThrough() // no resident pages: the grant holds tables only
+		rt.Med.Mem.WriteThrough() // no resident pages: the grant holds tables only
 		cE, _ := rt.Dec.ChainOf("E")
 		drainFrag(t, rt, rt.NewPCFragment(cE))
 		cA, _ := rt.Dec.ChainOf("A")
@@ -520,8 +520,8 @@ func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
 		if len(cf.steps) != 1 || cf.QueueInput || cf.Term != TermBuild {
 			t.Fatalf("%s: %d steps, queue input %v, terminal %v; want a temp-fed single-step build", cf.Label, len(cf.steps), cf.QueueInput, cf.Term)
 		}
-		hold := rt.Mem.Bind("", "test")
-		if !rt.Mem.Reserve(hold, rt.Mem.Available()-room*int64(cfg.Params.TupleSize)) {
+		hold := rt.Med.Mem.Bind("", "test")
+		if !rt.Med.Mem.Reserve(hold, rt.Med.Mem.Available()-room*int64(cfg.Params.TupleSize)) {
 			t.Fatal("could not narrow the grant")
 		}
 		snap := func() state {
@@ -541,7 +541,7 @@ func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s starved", cf.Label)
 					}
-					rt.Clock.Stall(at)
+					rt.Med.Clock.Stall(at)
 				}
 			}
 			if wantOverflow {
@@ -550,7 +550,7 @@ func TestChunkedProbeOverflowMatchesPerTupleDriver(t *testing.T) {
 		}
 		drive(true)
 		atOverflow = snap()
-		rt.Mem.Release(hold, rt.Mem.Held(hold))
+		rt.Med.Mem.Release(hold, rt.Med.Mem.Held(hold))
 		drive(false)
 		return atOverflow, snap()
 	}
@@ -584,7 +584,7 @@ func refProcessSlots(f *Fragment, max int) (int, bool) {
 	batch := relation.NewBatch(len(keep))
 	pass := make([]bool, 1)
 	row := make(relation.Tuple, len(keep))
-	costs := &f.rt.Costs
+	costs := &f.rt.Med.Costs
 	n := 0
 	for n < max {
 		if qs.q.PopColsN(f.rt.Now(), batch, pass) == 0 {
@@ -594,7 +594,7 @@ func refProcessSlots(f *Fragment, max int) (int, bool) {
 		f.processed++
 		n++
 		if !pass[0] {
-			costs.CPU.Clock.Work(costs.MoveT + costs.ReceiveT)
+			costs.Clock.Work(costs.MoveT + costs.ReceiveT)
 			continue
 		}
 		if !refSink(f, refApplyTuple(f, batch.Row(0, row))) {
@@ -697,8 +697,8 @@ func TestChunkedWrapperProbeOverflowMatchesPerSlotDriver(t *testing.T) {
 		q := rt.queueIn(cA).q
 		spy := &unpopSpy{TupleSource: f.In}
 		f.In = spy
-		hold := rt.Mem.Bind("", "test")
-		if !rt.Mem.Reserve(hold, rt.Mem.Available()-room*int64(cfg.Params.TupleSize)) {
+		hold := rt.Med.Mem.Bind("", "test")
+		if !rt.Med.Mem.Reserve(hold, rt.Med.Mem.Available()-room*int64(cfg.Params.TupleSize)) {
 			t.Fatal("could not narrow the grant")
 		}
 		snap := func() state {
@@ -722,7 +722,7 @@ func TestChunkedWrapperProbeOverflowMatchesPerSlotDriver(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s starved", f.Label)
 					}
-					rt.Clock.Stall(at)
+					rt.Med.Clock.Stall(at)
 				}
 			}
 			if wantOverflow {
@@ -731,7 +731,7 @@ func TestChunkedWrapperProbeOverflowMatchesPerSlotDriver(t *testing.T) {
 		}
 		drive(true)
 		atOverflow, unpopped = snap(), spy.unpopped
-		rt.Mem.Release(hold, rt.Mem.Held(hold))
+		rt.Med.Mem.Release(hold, rt.Med.Mem.Held(hold))
 		drive(false)
 		return atOverflow, snap(), unpopped
 	}

@@ -202,15 +202,10 @@ func (m *Mediator) AddQuery(label string, root *plan.Node, ds relation.Dataset, 
 	rt := &Runtime{
 		Med:      m,
 		Label:    label,
-		Cfg:      m.Cfg,
 		Clock:    m.Clock,
-		Disk:     m.Disk,
-		Costs:    m.Costs,
-		Mem:      m.Mem,
-		Temps:    m.Temps,
 		Root:     root,
 		Dec:      dec,
-		Trace:    m.Trace,
+		sink:     m.Cfg.Stream,
 		inputs:   make([]input, len(dec.Chains)),
 		tables:   make([]tableState, len(dec.Joins)),
 		frags:    make([]*Fragment, 0, frags),

@@ -65,7 +65,7 @@ func TestFinishedQueryLeavesTheCM(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cancel {
-			rt1.Clock.Stall(time.Millisecond)
+			rt1.Med.Clock.Stall(time.Millisecond)
 			rt1.Cancel()
 		} else if _, err := runSEQ(rt1); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestMediatorRefusesDuplicateLabel(t *testing.T) {
 		ds[name] = &relation.Table{Rel: &rel, Rows: w.Dataset[name].Rows}
 		refused("r", ds, name)
 	}
-	rt.Clock.Stall(time.Millisecond)
+	rt.Med.Clock.Stall(time.Millisecond)
 	rt.Cancel()
 	if _, done := rt.CompletedAt(); !done || len(med.CM.Queues()) != 0 {
 		t.Fatalf("q did not leave the mediator: done=%v, %d queues", done, len(med.CM.Queues()))
@@ -220,10 +220,10 @@ func TestMediatorSharedClockAndMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt1.Clock != rt2.Clock || rt1.Mem != rt2.Mem || rt1.Disk != rt2.Disk || rt1.Med != rt2.Med {
-		t.Error("runtimes do not share the mediator's components")
+	if rt1.Med != rt2.Med || rt1.Clock != med.Clock {
+		t.Error("runtimes do not share the mediator")
 	}
-	rt1.Clock.Work(time.Second)
+	rt1.Med.Clock.Work(time.Second)
 	if rt2.Now() != time.Second {
 		t.Error("clock advance not visible across runtimes")
 	}
@@ -242,11 +242,11 @@ func TestMediatorWaitUsesScopedNames(t *testing.T) {
 	}
 	c, _ := rt.Dec.ChainOf("A")
 	// Before any observation: fallback estimate.
-	if got := rt.Wait(c); got != rt.Cfg.InitialWaitEstimate {
+	if got := rt.Wait(c); got != rt.Med.Cfg.InitialWaitEstimate {
 		t.Errorf("initial Wait = %v", got)
 	}
 	// Let arrivals accumulate and be observed under the scoped name.
-	rt.Clock.Stall(100 * time.Millisecond)
+	rt.Med.Clock.Stall(100 * time.Millisecond)
 	med.CM.Observe(rt.Now())
 	got := rt.Wait(c)
 	if got < 200*time.Microsecond || got > 400*time.Microsecond {

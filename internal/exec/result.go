@@ -148,11 +148,11 @@ func (rt *Runtime) FinishAt(strategy string, response time.Duration) Result {
 	return Result{
 		Strategy:           strategy,
 		ResponseTime:       response,
-		BusyTime:           rt.Clock.Busy(),
-		IdleTime:           rt.Clock.Idle(),
+		BusyTime:           m.Clock.Busy(),
+		IdleTime:           m.Clock.Idle(),
 		OutputRows:         rt.outputRows,
-		Disk:               rt.Disk.Stats(),
-		PeakMemBytes:       rt.Mem.Peak(),
+		Disk:               m.Disk.Stats(),
+		PeakMemBytes:       m.Mem.Peak(),
 		MaterializedTuples: rt.matTuples,
 		Replans:            m.replans,
 		Degradations:       m.degrades,

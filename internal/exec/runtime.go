@@ -13,26 +13,26 @@ import (
 )
 
 // Runtime is one query execution in flight on a Mediator: the query's plan
-// decomposition, its wrapper sources and its hash-table registry. The
-// clock, disk, memory pool and communication manager are the mediator's —
-// shared with any concurrently attached queries. Every strategy (SEQ, MA,
-// SCR, DSE, DPHJ) drives a Runtime; constructing a fresh Mediator per measured
-// run keeps runs independent and deterministic.
+// decomposition, its wrapper sources, its hash-table registry and its
+// result sink. The configuration, clock, disk, memory grant, temp store,
+// communication manager and trace are the mediator's — shared with any
+// concurrently attached queries — and read through Med. Every strategy (SEQ,
+// MA, SCR, DSE, DPHJ) drives a Runtime; constructing a fresh Mediator per
+// measured run keeps runs independent and deterministic.
 type Runtime struct {
 	Med *Mediator
 	// Label scopes this query's wrapper names inside the shared CM; empty
 	// for single-query executions.
 	Label string
 
-	Cfg   Config
+	// Clock is Med.Clock. Only bench/ reads it through a Runtime.
 	Clock *sim.Clock
-	Disk  *sim.Disk
-	Costs operator.Costs
-	Mem   *mem.Manager
-	Temps *mem.TempStore
 	Root  *plan.Node
 	Dec   *plan.Decomposition
-	Trace *sim.Trace
+
+	// sink receives this query's result rows: Med.Cfg.Stream at AddQuery,
+	// then whatever SetSink routes it to.
+	sink Sink
 
 	// inputs holds each chain's wrapper by Chain.ID, and tables each join's
 	// hash table in Dec.Joins order: one slab each per query, never grown,
@@ -101,7 +101,7 @@ func NewRuntime(cfg Config, root *plan.Node, ds relation.Dataset, deliveries map
 }
 
 // Now returns the current virtual time.
-func (rt *Runtime) Now() time.Duration { return rt.Clock.Now() }
+func (rt *Runtime) Now() time.Duration { return rt.Med.Clock.Now() }
 
 // Source returns the simulated wrapper of a relation.
 func (rt *Runtime) Source(rel string) *source.Source {
@@ -134,7 +134,7 @@ func (rt *Runtime) TableComplete(j *plan.Node) bool { return rt.table(j).complet
 func (rt *Runtime) TableRows(j *plan.Node) int64 { return rt.table(j).rows }
 
 // TableReserved returns the memory currently reserved by join j's table.
-func (rt *Runtime) TableReserved(j *plan.Node) int64 { return rt.Mem.Held(rt.table(j).holder) }
+func (rt *Runtime) TableReserved(j *plan.Node) int64 { return rt.Med.Mem.Held(rt.table(j).holder) }
 
 // TableReleased reports whether join j's table memory has been released.
 func (rt *Runtime) TableReleased(j *plan.Node) bool { return rt.table(j).released }
@@ -145,7 +145,7 @@ func (rt *Runtime) EstBuildBytes(c *plan.Chain) int64 {
 	if c.BuildsFor == nil {
 		return 0
 	}
-	return int64(c.Root().EstRows) * int64(rt.Cfg.Params.TupleSize)
+	return int64(c.Root().EstRows) * int64(rt.Med.Cfg.Params.TupleSize)
 }
 
 // buildRows makes room for n rows of width w in a join's table and returns
@@ -161,10 +161,10 @@ func (rt *Runtime) buildRows(state *tableState, w, n int) ([]int64, int) {
 	if state.complete {
 		panic(fmt.Sprintf("exec: insert into completed table of J%d", state.join.ID))
 	}
-	b := int64(rt.Cfg.Params.TupleSize)
+	b := int64(rt.Med.Cfg.Params.TupleSize)
 	k := n
-	if !rt.Mem.Reserve(state.holder, b*int64(n)) {
-		for k = 0; k < n && rt.Mem.Reserve(state.holder, b); k++ {
+	if !rt.Med.Mem.Reserve(state.holder, b*int64(n)) {
+		for k = 0; k < n && rt.Med.Mem.Reserve(state.holder, b); k++ {
 		}
 	}
 	if k == 0 {
@@ -205,7 +205,7 @@ func (rt *Runtime) releaseTable(ts *tableState) {
 	if ts.released {
 		return
 	}
-	rt.Mem.Release(ts.holder, rt.Mem.Held(ts.holder))
+	rt.Med.Mem.Release(ts.holder, rt.Med.Mem.Held(ts.holder))
 	ts.released = true
 	// The table's storage goes back to the pool right away: nothing aliases
 	// it (a slot's results are entry indices its sink gathers before the
@@ -220,7 +220,7 @@ func (rt *Runtime) releaseTable(ts *tableState) {
 // Per-query sinks of a multi-query service are wired right after AddQuery,
 // before the first tuple can be produced; streaming is observation-only, so
 // results are identical with or without one.
-func (rt *Runtime) SetSink(sink Sink) { rt.Cfg.Stream = sink }
+func (rt *Runtime) SetSink(sink Sink) { rt.sink = sink }
 
 // Cancel abandons the query mid-run under any strategy and releases what it
 // holds on the shared mediator. Chain by chain in decomposition order, each
@@ -303,8 +303,8 @@ func (rt *Runtime) complete() {
 	if rt.net != nil {
 		rt.net.release(rt.Med.scratch)
 	}
-	if rt.Trace.Enabled() {
-		rt.Trace.Add(rt.completedAt, sim.EvPhase, "query %q complete", rt.Label)
+	if rt.Med.Trace.Enabled() {
+		rt.Med.Trace.Add(rt.completedAt, sim.EvPhase, "query %q complete", rt.Label)
 	}
 }
 
@@ -342,17 +342,17 @@ func (rt *Runtime) reclaim(s *scratch) {
 func (rt *Runtime) emitOutput() relation.Tuple {
 	rt.outputRows++
 	if n := rt.outputRows; n&(n-1) == 0 { // power of two: milestone tuple
-		now := rt.Clock.Now()
+		now := rt.Med.Clock.Now()
 		if rt.milestoneN < len(rt.milestones) {
 			rt.milestones[rt.milestoneN] = now
 			rt.milestoneN++
 		}
 		if n == 1 {
 			rt.firstOut = now
-			rt.Trace.Add(now, sim.EvFirstTuple, "first result tuple delivered")
+			rt.Med.Trace.Add(now, sim.EvFirstTuple, "first result tuple delivered")
 		}
 	}
-	if rt.Cfg.Stream == nil {
+	if rt.sink == nil {
 		return nil
 	}
 	if rt.sinkRow == nil {
@@ -365,7 +365,7 @@ func (rt *Runtime) emitOutput() relation.Tuple {
 // the virtual instant the row was produced.
 func (rt *Runtime) stream(row relation.Tuple) {
 	rt.Med.Work.ValuesCopied += int64(len(rt.Dec.LiveAt))
-	rt.Cfg.Stream.Emit(rt.Clock.Now(), row)
+	rt.sink.Emit(rt.Med.Clock.Now(), row)
 }
 
 // timeline snapshots the milestone record for Result.
@@ -418,7 +418,7 @@ func (rt *Runtime) segmentRowsHint(c *plan.Chain, fromStep, toStep int, queueInp
 // kind and terminal. It is the c_p of the paper's critical degree (§4.3)
 // and of the analytic lower bound.
 func (rt *Runtime) PerTupleCost(c *plan.Chain, fromStep, toStep int, queueInput bool, term TerminalKind) time.Duration {
-	p := rt.Cfg.Params
+	p := rt.Med.Cfg.Params
 	var instr float64
 	expected := 1.0
 	if queueInput {
@@ -446,21 +446,15 @@ func (rt *Runtime) Wait(c *plan.Chain) time.Duration {
 	if w, ok := rt.queueIn(c).q.EstimatedWait(); ok {
 		return w
 	}
-	return rt.Cfg.InitialWaitEstimate
+	return rt.Med.Cfg.InitialWaitEstimate
 }
 
 // TupleIOTime returns IO_p of the paper's bmi formula: the amortized
 // sequential disk time to read or write one tuple of a materialized
 // fragment result.
 func (rt *Runtime) TupleIOTime() time.Duration {
-	return rt.Cfg.Params.PageTransferTime() / time.Duration(rt.Cfg.Params.TuplesPerPage())
+	return rt.Med.Cfg.Params.PageTransferTime() / time.Duration(rt.Med.Cfg.Params.TuplesPerPage())
 }
-
-// CountMemRepair bumps the mediator-level repair statistic from DQO code.
-func (rt *Runtime) CountMemRepair() { rt.Med.CountMemRepair() }
-
-// CountMaterialized adds n tuples to the materialization volume statistic.
-func (rt *Runtime) CountMaterialized(n int64) { rt.matTuples += n }
 
 // maxEstErrorFactor returns the worst estimate-vs-actual factor,
 // max(actual/est, est/actual), across the completed hash-table builds of

@@ -34,7 +34,7 @@ func TestQueueSourceAccounting(t *testing.T) {
 		if !ok {
 			t.Fatalf("no arrival with %d popped", popped)
 		}
-		rt.Clock.Stall(at)
+		rt.Med.Clock.Stall(at)
 		n := src.Available(rt.Now())
 		if n == 0 {
 			t.Fatalf("no availability at announced arrival %v", at)
@@ -83,13 +83,13 @@ func TestResultStringAndTotalWork(t *testing.T) {
 // readTemp reads a closed temp back through a tempSource, stalling on page
 // reads, and returns its rows, each of the width the temp stores.
 func readTemp(rt *Runtime, temp *mem.Temp) (rows []relation.Tuple) {
-	ts := tempSource{temp.NewReader(rt.Cfg.PrefetchPages)}
+	ts := tempSource{temp.NewReader(rt.Med.Cfg.PrefetchPages)}
 	var c chunk
 	for !ts.Exhausted() {
 		ts.pop(&c, rt.Now(), 1<<40)
 		if c.n == 0 {
 			next, _ := ts.NextArrival()
-			rt.Clock.Stall(next)
+			rt.Med.Clock.Stall(next)
 		}
 		for i := 0; i < c.n; i++ {
 			row := make(relation.Tuple, len(c.cols))
@@ -225,7 +225,7 @@ func TestTablesHoldLiveWidthRows(t *testing.T) {
 	for last.Remaining() > 1 {
 		if n, _ := last.ProcessBatch(last.Remaining() - 1); n == 0 {
 			at, _ := last.NextArrival()
-			rt.Clock.Stall(at)
+			rt.Med.Clock.Stall(at)
 		}
 	}
 	for i, j := range rt.Dec.Joins {

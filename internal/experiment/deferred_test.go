@@ -43,7 +43,7 @@ func runTraced(t *testing.T, w *workload.Workload, cfg exec.Config, deliveries m
 		return exec.Result{}, nil, 0, err
 	}
 	defer rt.Med.Reclaim()
-	m, sink := rt.Mem, cfg.Stream
+	m, sink := rt.Med.Mem, cfg.Stream
 	rt.SetSink(exec.SinkFunc(func(at time.Duration, tup relation.Tuple) {
 		if held, resident, used := m.HeldTotal(), m.ResidentBytes(), m.Used(); held+resident != used {
 			t.Fatalf("%s: ledger: held %d + resident %d != used %d", strategy, held, resident, used)
@@ -67,8 +67,8 @@ func runTraced(t *testing.T, w *workload.Workload, cfg exec.Config, deliveries m
 		return exec.Result{}, nil, 0, err
 	}
 	res = results[0]
-	if used := rt.Mem.Used(); used != 0 {
-		t.Errorf("%s: %d grant bytes still in use after the run (%d resident)", strategy, used, rt.Mem.ResidentBytes())
+	if used := rt.Med.Mem.Used(); used != 0 {
+		t.Errorf("%s: %d grant bytes still in use after the run (%d resident)", strategy, used, rt.Med.Mem.ResidentBytes())
 	}
 	var buf bytes.Buffer
 	if err := tr.Dump(&buf); err != nil {

@@ -381,16 +381,18 @@ func (h *HashTable) DistinctKeys() int {
 // accounting tuple size.
 func (h *HashTable) MemBytes(tupleBytes int) int64 { return h.Rows() * int64(tupleBytes) }
 
-// Costs bundles the per-tuple instruction charges of Table 1 so operator
-// call sites read like the paper's cost model. The charge durations are
-// fixed by the parameter table, so they are converted to time once at
-// construction; per-tuple charging is then a single clock addition instead
-// of a float division and a struct copy. Batched call sites may accumulate
+// Costs is the clock the per-tuple instruction charges of Table 1 are
+// billed to, with those four charges, so operator call sites read like the
+// paper's cost model. The charge durations are fixed by the parameter
+// table, so they are converted to time once at construction; per-tuple
+// charging is then a single clock addition instead of a float division. It
+// holds no parameter table: any other instruction count is billed as
+// Clock.Work(Params.InstrTime(n)). Batched call sites may accumulate
 // multiples of the exported durations and charge one Clock.Work: duration
 // addition is exact integer arithmetic, so the merged charge lands the
 // clock on the same instant as the per-call sequence.
 type Costs struct {
-	CPU sim.CPU
+	Clock *sim.Clock
 
 	// MoveT bills moving one tuple (scan/materialize/build insert).
 	MoveT time.Duration
@@ -406,7 +408,7 @@ type Costs struct {
 // NewCosts precomputes the charge table for the given clock and parameters.
 func NewCosts(clock *sim.Clock, p sim.Params) Costs {
 	return Costs{
-		CPU:      sim.CPU{Clock: clock, Params: p},
+		Clock:    clock,
 		MoveT:    p.InstrTime(p.MoveTupleInstr),
 		ProbeT:   p.InstrTime(p.HashSearchInstr),
 		ResultT:  p.InstrTime(p.ProduceResultInstr),
@@ -415,14 +417,10 @@ func NewCosts(clock *sim.Clock, p sim.Params) Costs {
 }
 
 // ChargeMove bills moving one tuple (scan/materialize/build insert).
-func (c *Costs) ChargeMove() { c.CPU.Clock.Work(c.MoveT) }
+func (c *Costs) ChargeMove() { c.Clock.Work(c.MoveT) }
 
 // ChargeProbe bills one hash-table search.
-func (c *Costs) ChargeProbe() { c.CPU.Clock.Work(c.ProbeT) }
+func (c *Costs) ChargeProbe() { c.Clock.Work(c.ProbeT) }
 
 // ChargeResult bills producing one result tuple.
-func (c *Costs) ChargeResult() { c.CPU.Clock.Work(c.ResultT) }
-
-// ChargeReceive bills the amortized message-receive cost of taking one
-// tuple off a wrapper queue.
-func (c *Costs) ChargeReceive() { c.CPU.Clock.Work(c.ReceiveT) }
+func (c *Costs) ChargeResult() { c.Clock.Work(c.ResultT) }

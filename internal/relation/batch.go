@@ -94,18 +94,6 @@ func growCap(c, need int) int {
 	return c
 }
 
-// AppendTuple appends one row from a row-oriented tuple, which must have
-// exactly Width values.
-func (b *Batch) AppendTuple(t Tuple) {
-	if len(t) != b.width {
-		panic(fmt.Sprintf("relation: width-%d tuple appended to width-%d batch", len(t), b.width))
-	}
-	for c, v := range t {
-		b.cols[c] = append(b.cols[c][:b.n], v)
-	}
-	b.n++
-}
-
 // Row copies row i into dst[:Width] and returns it as a tuple; dst must
 // have capacity for Width values.
 func (b *Batch) Row(i int, dst Tuple) Tuple {

@@ -40,10 +40,18 @@ func TestBatchExtendAppendsColumnMajor(t *testing.T) {
 	}
 }
 
-func TestBatchAppendTupleAndRow(t *testing.T) {
+// appendRows fills b row by row through Extend, the path producers use.
+func appendRows(b *Batch, rows ...Tuple) {
+	for _, r := range rows {
+		for c, col := range b.Extend(1) {
+			col[0] = r[c]
+		}
+	}
+}
+
+func TestBatchRowReadsExtendedRows(t *testing.T) {
 	b := NewBatch(2)
-	b.AppendTuple(Tuple{1, 2})
-	b.AppendTuple(Tuple{3, 4})
+	appendRows(b, Tuple{1, 2}, Tuple{3, 4})
 	if got := b.Row(1, make(Tuple, 2)); got[0] != 3 || got[1] != 4 {
 		t.Fatalf("Row(1) = %v", got)
 	}
@@ -53,7 +61,7 @@ func TestBatchRowFillsDstPrefix(t *testing.T) {
 	// Row writes the batch's Width values into dst's prefix and returns that
 	// prefix; dst's values past Width stay as the caller left them.
 	b := NewBatch(2)
-	b.AppendTuple(Tuple{7, 9})
+	appendRows(b, Tuple{7, 9})
 	dst := Tuple{0, 0, -1, -1}
 	got := b.Row(0, dst)
 	if len(got) != 2 || got[0] != 7 || got[1] != 9 {
@@ -69,9 +77,9 @@ func TestBatchRowFillsDstPrefix(t *testing.T) {
 // column slices, and Row must not walk them.
 func TestBatchRowAfterNarrowingReset(t *testing.T) {
 	b := NewBatch(3)
-	b.AppendTuple(Tuple{1, 2, 3})
+	appendRows(b, Tuple{1, 2, 3})
 	b.Reset(1)
-	b.AppendTuple(Tuple{7})
+	appendRows(b, Tuple{7})
 	if got := b.Row(0, make(Tuple, 1)); !slices.Equal(got, Tuple{7}) {
 		t.Fatalf("Row(0) after Reset(1) = %v, want [7]", got)
 	}
@@ -80,7 +88,7 @@ func TestBatchRowAfterNarrowingReset(t *testing.T) {
 func TestBatchResetKeepsCapacityAndRewidths(t *testing.T) {
 	b := NewBatch(2)
 	for i := 0; i < 100; i++ {
-		b.AppendTuple(Tuple{int64(i), int64(-i)})
+		appendRows(b, Tuple{int64(i), int64(-i)})
 	}
 	b.Reset(2)
 	if b.Len() != 0 || b.Width() != 2 {
@@ -105,7 +113,7 @@ func TestBatchResetKeepsCapacityAndRewidths(t *testing.T) {
 	if b.Width() != 5 || b.Len() != 0 {
 		t.Fatalf("after Reset(5): width=%d len=%d", b.Width(), b.Len())
 	}
-	b.AppendTuple(Tuple{1, 2, 3, 4, 5})
+	appendRows(b, Tuple{1, 2, 3, 4, 5})
 	if got := b.Col(4); got[0] != 5 {
 		t.Fatalf("col 4 = %v", got)
 	}
@@ -116,7 +124,7 @@ func TestBatchResetKeepsCapacityAndRewidths(t *testing.T) {
 func TestBatchRowDoesNotAllocate(t *testing.T) {
 	b := NewBatch(3)
 	for i := 0; i < 64; i++ {
-		b.AppendTuple(Tuple{int64(i), int64(i * 2), int64(i * 3)})
+		appendRows(b, Tuple{int64(i), int64(i * 2), int64(i * 3)})
 	}
 	dst := make(Tuple, 3)
 	read := func() {

@@ -66,16 +66,3 @@ func TestClockReset(t *testing.T) {
 		t.Errorf("Reset left state: %v/%v/%v", c.Now(), c.Busy(), c.Idle())
 	}
 }
-
-func TestCPUCharge(t *testing.T) {
-	clock := NewClock()
-	cpu := CPU{Clock: clock, Params: DefaultParams()}
-	cpu.Charge(100)
-	if clock.Now() != time.Microsecond {
-		t.Errorf("Charge(100) advanced %v, want 1µs", clock.Now())
-	}
-	cpu.Charge(0)
-	if clock.Now() != time.Microsecond {
-		t.Errorf("Charge(0) advanced the clock")
-	}
-}

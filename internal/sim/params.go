@@ -141,12 +141,6 @@ func (p Params) TuplesPerMessage() int {
 	return p.TuplesPerPage() * p.PagesPerMessage
 }
 
-// PagesForTuples returns the number of pages needed to hold n tuples.
-func (p Params) PagesForTuples(n int) int {
-	per := p.TuplesPerPage()
-	return (n + per - 1) / per
-}
-
 // PageTransferTime is the raw disk transfer time of one page.
 func (p Params) PageTransferTime() time.Duration {
 	return time.Duration(float64(p.PageSize) / p.DiskTransferBytesPerSec * float64(time.Second))

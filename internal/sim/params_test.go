@@ -85,13 +85,6 @@ func TestPageAndMessageGeometry(t *testing.T) {
 	if got := p.TuplesPerMessage(); got != 4*204 {
 		t.Errorf("TuplesPerMessage = %d, want 816", got)
 	}
-	for _, tc := range []struct{ n, want int }{
-		{0, 0}, {1, 1}, {204, 1}, {205, 2}, {408, 2}, {409, 3},
-	} {
-		if got := p.PagesForTuples(tc.n); got != tc.want {
-			t.Errorf("PagesForTuples(%d) = %d, want %d", tc.n, got, tc.want)
-		}
-	}
 	// A tiny page still holds one tuple.
 	p2 := p
 	p2.PageSize = p2.TupleSize

@@ -1,7 +1,8 @@
 // Package traceview renders execution traces for humans: an ASCII Gantt
-// chart of fragment lifetimes (first processed batch to completion), which
-// makes the scheduler's interleaving — concurrent materializations, chains
-// picked up the moment their tables complete, stalls — directly visible.
+// chart of fragment lifetimes (first processed batch to completion or
+// abandonment), which makes the scheduler's interleaving — concurrent
+// materializations, chains picked up the moment their tables complete,
+// stalls — directly visible.
 package traceview
 
 import (
@@ -20,6 +21,7 @@ type span struct {
 	start, end time.Duration
 	hasStart   bool
 	hasEnd     bool
+	abandoned  bool // ended by abandonment (its input died), not completion
 }
 
 // GanttFor renders like gantt with a leading header naming the scheduling
@@ -35,7 +37,9 @@ func GanttFor(w io.Writer, tr *sim.Trace, width int, policy string) error {
 }
 
 // gantt renders fragment lifetimes from a trace, one row per fragment in
-// start order. width is the number of time columns.
+// start order. width is the number of time columns. A span ends in ']' when
+// its fragment completed, in 'x' when it was abandoned and in '>' when the
+// trace has no end for it.
 func gantt(w io.Writer, tr *sim.Trace, width int) error {
 	if tr == nil || len(tr.Events) == 0 {
 		_, err := fmt.Fprintln(w, "(empty trace)")
@@ -84,12 +88,15 @@ func gantt(w io.Writer, tr *sim.Trace, width int) error {
 			row[c] = '='
 		}
 		row[a] = '['
-		if s.hasEnd {
-			row[b] = ']'
-		} else {
-			row[b] = '>'
+		end, note := byte('>'), ""
+		switch {
+		case s.abandoned:
+			end, note = 'x', " abandoned"
+		case s.hasEnd:
+			end = ']'
 		}
-		if _, err := fmt.Fprintf(w, "%*s  |%s| %.3fs-%.3fs\n", labelWidth, s.label, row, s.start.Seconds(), s.end.Seconds()); err != nil {
+		row[b] = end
+		if _, err := fmt.Fprintf(w, "%*s  |%s| %.3fs-%.3fs%s\n", labelWidth, s.label, row, s.start.Seconds(), s.end.Seconds(), note); err != nil {
 			return err
 		}
 	}
@@ -125,13 +132,16 @@ func collect(tr *sim.Trace) []span {
 				}
 			}
 		case sim.EvFragmentEnd:
-			// Note format: "<label> done (...)".
-			idx := strings.Index(e.Note, " done")
-			if idx < 0 {
+			// Note format: "<label> <verb> (...)", the verb "done" or
+			// "abandoned".
+			head, _, _ := strings.Cut(e.Note, " (")
+			i := strings.LastIndexByte(head, ' ')
+			verb := head[i+1:]
+			if i < 0 || verb != "done" && verb != "abandoned" {
 				continue
 			}
-			s := get(e.Note[:idx])
-			s.end, s.hasEnd = e.At, true
+			s := get(head[:i])
+			s.end, s.hasEnd, s.abandoned = e.At, true, verb == "abandoned"
 			if !s.hasStart {
 				s.start, s.hasStart = e.At, true
 			}

@@ -135,3 +135,33 @@ func runSmallDSETrace(t *testing.T) string {
 	}
 	return sb.String()
 }
+
+// A fragment-end note ends its span whatever its verb: "done" with ']',
+// "abandoned" (the fragment's input died) at the abandon instant with 'x'.
+// Any other verb is not an end.
+func TestGanttFragmentEndVerbs(t *testing.T) {
+	for _, tc := range []struct {
+		note, end, suffix string
+	}{
+		{"p_D done (700 tuples in)", "]", "0.000s-0.800s\n"},
+		{"p_D abandoned (700 tuples in, input dead)", "x", "0.000s-0.800s abandoned\n"},
+		{"p_D stalled (700 tuples in)", ">", "0.000s-0.000s\n"},
+	} {
+		tr := &sim.Trace{}
+		tr.Add(0, sim.EvBatch, "p_D first batch")
+		tr.Add(800*time.Millisecond, sim.EvBatch, "p_E first batch") // sets the horizon
+		tr.Add(800*time.Millisecond, sim.EvFragmentEnd, tc.note)
+		var sb strings.Builder
+		if err := gantt(&sb, tr, 32); err != nil {
+			t.Fatal(err)
+		}
+		row := strings.Split(sb.String(), "\n")[1]
+		if !strings.HasPrefix(row, "p_D") || !strings.HasSuffix(row+"\n", tc.suffix) {
+			t.Errorf("%q: p_D row %q, want suffix %q", tc.note, row, tc.suffix)
+		}
+		bar := row[strings.IndexByte(row, '|')+1 : strings.LastIndexByte(row, '|')]
+		if got := strings.TrimRight(bar, " "); !strings.HasSuffix(got, tc.end) || strings.Count(bar, tc.end) != 1 {
+			t.Errorf("%q: bar %q, want one %q at its end", tc.note, bar, tc.end)
+		}
+	}
+}

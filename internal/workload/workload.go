@@ -25,11 +25,6 @@ type Workload struct {
 	Dataset relation.Dataset
 }
 
-// ExpectedOutput returns the optimizer's estimate of the result size (with
-// our uniform generators, also the statistical expectation of the real
-// output).
-func (w *Workload) ExpectedOutput() float64 { return w.Root.EstRows }
-
 // joinEdge describes one edge of a workload join tree during assembly.
 type joinEdge struct {
 	leftRel, leftCol   string

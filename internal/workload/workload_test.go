@@ -113,7 +113,7 @@ func TestFig5SmallScalesEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := big.ExpectedOutput() / small.ExpectedOutput()
+	ratio := big.Root.EstRows / small.Root.EstRows
 	if ratio < 9 || ratio > 11 {
 		t.Errorf("small workload output est scales by %v, want ~10", ratio)
 	}
